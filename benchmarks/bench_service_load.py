@@ -41,14 +41,7 @@ import time
 
 import pytest
 
-from repro.service import (
-    LiveEngineSession,
-    ServiceFrontend,
-    ShardedLiveSession,
-    live_scenario,
-    run_load,
-    sharded_live_scenario,
-)
+from repro.service import LiveEngineSession, ServiceFrontend, live_scenario, run_load
 from repro.workloads.arrivals import PoissonArrivals
 
 from bench_engine_throughput import RESULT_PATH, save_result
@@ -64,8 +57,10 @@ SEED = 47
 #: The issue's acceptance bar for sustained mixed load.
 ACCEPTANCE_RATE = 500.0
 
-#: Worker processes of the sharded arm and its speedup bar at that count.
+#: Worker processes of the sharded arm and its speedup bar at that count;
+#: one logical shard per worker (the `serve --shards` default partition).
 SHARD_WORKERS = 4
+LOGICAL_SHARDS = 4
 SHARDED_SPEEDUP_BAR = 2.5
 
 #: Offered rate that saturates either backend: peak-throughput probe.
@@ -169,8 +164,10 @@ def run_sharded_experiment(
         )
 
     def sharded():
-        return ShardedLiveSession(
-            sharded_live_scenario(seed=SEED, initial_size=INITIAL, max_size=MAX_SIZE),
+        return LiveEngineSession(
+            live_scenario(
+                seed=SEED, initial_size=INITIAL, max_size=MAX_SIZE, shards=LOGICAL_SHARDS
+            ),
             workers=workers,
         )
 
@@ -192,7 +189,7 @@ def run_sharded_experiment(
 
     result = {
         "benchmark": "service_load_sharded",
-        "shards": session.shards,
+        "shards": session.scenario.shards,
         "workers": workers,
         "cpu_count": cpu_count,
         "oversubscribed": oversubscribed,

@@ -21,7 +21,6 @@ partitions the network.  This package provides:
 from .interface import AgreementOutcome, AgreementProtocol
 from .broadcast import FloodingBroadcast, flood_broadcast, all_to_all_exchange
 from .phase_king import PhaseKingConsensus, PhaseKingProcess
-from .reliable_broadcast import ReliableBroadcast, ReliableBroadcastOutcome
 from .scalable import ScalableAgreementModel
 from .committee import CommitteeElection, CommitteeResult
 
@@ -33,8 +32,6 @@ __all__ = [
     "all_to_all_exchange",
     "PhaseKingConsensus",
     "PhaseKingProcess",
-    "ReliableBroadcast",
-    "ReliableBroadcastOutcome",
     "ScalableAgreementModel",
     "CommitteeElection",
     "CommitteeResult",

@@ -88,6 +88,11 @@ from .workloads.record import RunRecord
 #: read-only session mix) from "user asked for this mix exactly".
 LOAD_DEFAULT_MIX = "sample=0.8,join=0.1,leave=0.1"
 
+#: Logical shard count given to a shard-less scenario when ``--shards W`` is
+#: passed: the worker count is an execution choice, the *logical* count is
+#: semantic, so `--shards W` alone means "same results, W processes".
+DEFAULT_SHARDS = 4
+
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser (exposed for testing and docs)."""
@@ -608,11 +613,7 @@ def run_scenario_command(args: argparse.Namespace) -> int:
         with _terminate_as_interrupt():
             if sharded:
                 if scenario.shards == 0:
-                    # Worker count is an execution choice; the *logical* shard
-                    # count is semantic.  Give shard-less scenarios a stable
-                    # default so `--shards W` alone means "same results, W
-                    # processes".
-                    scenario.shards = 4
+                    scenario.shards = DEFAULT_SHARDS
                 # Local import: keeps the classic CLI path free of the shard
                 # subsystem.
                 from .shard import run_sharded_scenario
@@ -845,20 +846,11 @@ def run_sweep_command(args: argparse.Namespace) -> int:
 def run_serve_command(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .service import (
-        LiveEngineSession,
-        ServiceFrontend,
-        ShardedLiveSession,
-        live_scenario,
-        sharded_live_scenario,
-    )
-    from .service.sharded import DEFAULT_SERVICE_SHARDS
-    from .shard import ShardWorkerError
+    from .service import LiveEngineSession, ServiceFrontend, live_scenario
 
     if args.shards < 0:
         print("serve: --shards must be >= 0 (0 = classic backend)", file=sys.stderr)
         return 2
-    sharded = args.shards > 0
     try:
         if args.spec:
             with open(args.spec, "r", encoding="utf-8") as handle:
@@ -869,29 +861,21 @@ def run_serve_command(args: argparse.Namespace) -> int:
             scenario.workload = None
             scenario.adversary = None
             scenario.steps = 0
-            if sharded and not scenario.shards:
-                # Mirror run-scenario's batch semantics: --shards picks the
-                # worker count; a spec without a logical shard count gets
-                # the default partition.
-                scenario.shards = DEFAULT_SERVICE_SHARDS
-        elif sharded:
-            scenario = sharded_live_scenario(
-                seed=args.seed,
-                max_size=args.max_size,
-                initial_size=args.initial_size,
-                tau=args.tau,
-            )
+            if args.shards and not scenario.shards:
+                scenario.shards = DEFAULT_SHARDS
         else:
             scenario = live_scenario(
+                name="live-service-sharded" if args.shards else "live-service",
                 seed=args.seed,
                 max_size=args.max_size,
                 initial_size=args.initial_size,
                 tau=args.tau,
+                shards=DEFAULT_SHARDS if args.shards else 0,
             )
-        if sharded:
-            session = ShardedLiveSession(scenario, workers=args.shards)
-        else:
-            session = LiveEngineSession(scenario)
+        # The scenario's shard count picks the backend; --shards W is the
+        # worker-process count it runs on.
+        workers = max(1, args.shards)
+        session = LiveEngineSession(scenario, workers=workers)
         if args.record:
             session.attach_trace(
                 args.record,
@@ -923,8 +907,8 @@ def run_serve_command(args: argparse.Namespace) -> int:
             except (NotImplementedError, ValueError, RuntimeError):
                 pass  # platform/thread without loop signal support
         backend = (
-            f"sharded x{scenario.shards} ({args.shards} worker(s))"
-            if sharded
+            f"sharded x{scenario.shards} ({workers} worker(s))"
+            if scenario.shards
             else "single engine"
         )
         print(
@@ -947,19 +931,22 @@ def run_serve_command(args: argparse.Namespace) -> int:
         # through the crash path: flushed, no end frame.
         interrupted = True
         session.close(ok=False)
-    except ShardWorkerError as error:
+    except Exception as error:
+        if frontend.pump_error is None:
+            # Not the pump: a bind failure and the like.
+            if not isinstance(error, (ConfigurationError, OSError)):
+                raise
+            print(f"serve: {error}", file=sys.stderr)
+            return 2
         # The frontend already failed in-flight requests with 'failed' and
-        # sealed the trace crashed-shape; report the death and exit non-zero.
-        print(f"serve: shard worker died: {error}", file=sys.stderr)
+        # sealed the trace crashed-shape; report the failure and exit non-zero.
+        print(f"serve: engine pump failed: {error!r}", file=sys.stderr)
         if args.record:
             print(
                 f"trace sealed without end frame (crashed-run shape): {args.record}",
                 file=sys.stderr,
             )
         return 1
-    except (ConfigurationError, OSError) as error:
-        print(f"serve: {error}", file=sys.stderr)
-        return 2
 
     print(
         f"served {session.events_applied} churn event(s), "

@@ -7,7 +7,6 @@ This package provides the message-level machinery the paper's model assumes:
 * :mod:`repro.network.channels` — reliable private point-to-point channels,
 * :mod:`repro.network.topology` — the knowledge graph (who knows whom),
 * :mod:`repro.network.metrics` — message/round accounting,
-* :mod:`repro.network.failure` — crash/leave detection,
 * :mod:`repro.network.simulator` — the synchronous round scheduler.
 
 The NOW maintenance phase runs at cluster granularity (see
@@ -21,7 +20,6 @@ from .metrics import CommunicationMetrics, MetricsRegistry
 from .node import NodeId, NodeProcess, NodeRole, NodeState
 from .channels import ChannelSet
 from .topology import KnowledgeGraph
-from .failure import FailureDetector
 from .simulator import RoundSimulator
 
 __all__ = [
@@ -35,6 +33,5 @@ __all__ = [
     "NodeState",
     "ChannelSet",
     "KnowledgeGraph",
-    "FailureDetector",
     "RoundSimulator",
 ]

@@ -132,21 +132,6 @@ class ObservationBus:
         self.inline_probes = [probe for probe in probes if probe.inline]
         self.buffered_probes = [probe for probe in probes if not probe.inline]
 
-    def attach(self, probe) -> None:
-        """Route one late-attached probe into its lane and start it.
-
-        The live-service entry point: a long-running session attaches probes
-        (trace recording, corruption trajectories) to an already-started bus
-        without rebuilding it.  The probe's ``on_start`` fires immediately —
-        by the bus's determinism contract it observes the engine from this
-        event onward, never retroactively.
-        """
-        if probe.inline:
-            self.inline_probes.append(probe)
-        else:
-            self.buffered_probes.append(probe)
-        probe.on_start(self.engine)
-
     def on_start(self) -> None:
         """Forward the run-start hook to every probe (inline first)."""
         for probe in self.inline_probes:

@@ -7,15 +7,15 @@ network service under measured load:
   (operations, error codes, strict pre-engine validation);
 * :mod:`repro.service.queue`    — the bounded request queue with fast-fail
   ``overloaded`` admission (the backpressure contract);
-* :mod:`repro.service.session`  — :class:`LiveEngineSession`: one engine,
-  one observation bus, a private service RNG for reads so recorded
-  sessions replay bit-identically through ``repro replay``;
-* :mod:`repro.service.sharded`  — :class:`ShardedLiveSession`: the same
-  request surface backed by the multi-core shard coordinator — windowed
-  write lane, snapshot-served read lane (``repro serve --shards W``);
+* :mod:`repro.service.session`  — :class:`LiveEngineSession`: lifecycle,
+  trace attach, pre-flight admission and the write window, with private
+  write/read RNG streams so recorded sessions replay bit-identically
+  through ``repro replay``; the engine side is a backend of :mod:`repro.trace.backend` — the single
+  engine applying windows inline, or the shard coordinator pipelining them
+  to worker processes (``serve --shards W``) — the same seam ``replay``
+  drives;
 * :mod:`repro.service.frontend` — :class:`ServiceFrontend`: the asyncio
-  TCP server and its engine pump (``repro serve``), pluggable over either
-  session backend;
+  TCP server and its two-lane engine pump (``repro serve``);
 * :mod:`repro.service.loadgen`  — the open-loop load generator and its
   per-operation latency report (``repro load``).
 
@@ -35,11 +35,11 @@ from .protocol import (
     parse_request,
 )
 from .queue import DEFAULT_MAX_QUEUE, RequestQueue
-from .session import SERVICE_RNG_OFFSET, LiveEngineSession, live_scenario
-from .sharded import (
+from .session import (
     SERVICE_READ_RNG_OFFSET,
-    ShardedLiveSession,
-    sharded_live_scenario,
+    SERVICE_RNG_OFFSET,
+    LiveEngineSession,
+    live_scenario,
 )
 
 __all__ = [
@@ -55,8 +55,6 @@ __all__ = [
     "SERVICE_READ_RNG_OFFSET",
     "SERVICE_RNG_OFFSET",
     "ServiceFrontend",
-    "ShardedLiveSession",
-    "sharded_live_scenario",
     "encode_frame",
     "error_response",
     "live_scenario",

@@ -7,11 +7,12 @@ event loop (stdlib ``asyncio`` only — no new dependencies):
   the newline-delimited JSON protocol of :mod:`repro.service.protocol`;
 * the bounded :class:`~repro.service.queue.RequestQueue` every connection
   funnels into (full queue → immediate ``overloaded`` response);
-* the **engine pump**: one background task that drains the queue in batches
-  of up to ``max_batch`` requests, executes them serially on the
-  :class:`~repro.service.session.LiveEngineSession`, and resolves each
-  request's future — then yields to the loop so socket I/O interleaves
-  with engine work instead of starving behind it.
+* the **engine pump**: one background task that drains the queue's two
+  lanes in batches of up to ``max_batch`` requests — writes (join/leave) go
+  through the :class:`~repro.service.session.LiveEngineSession` as one
+  window, reads are served beside it — and resolves each request's future,
+  then yields to the loop so socket I/O interleaves with engine work
+  instead of starving behind it.
 
 Responses are matched to requests by the echoed ``id``, not by order:
 each request gets its own small responder task, so a pipelined connection
@@ -34,7 +35,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set
 
-from ..shard.worker import ShardWorkerError
 from .protocol import (
     ERROR_FAILED,
     ERROR_OVERLOADED,
@@ -46,7 +46,7 @@ from .protocol import (
     parse_request,
 )
 from .queue import DEFAULT_MAX_QUEUE, RequestQueue
-from .session import LiveEngineSession
+from .session import READ_OPS, LiveEngineSession
 
 #: Default number of queued requests the pump executes per engine batch.
 DEFAULT_MAX_BATCH = 64
@@ -82,9 +82,6 @@ class ServiceFrontend:
         self.host = host
         self.port = port
         self.max_batch = max_batch
-        #: Ops the session serves off the write window's path (empty on the
-        #: classic single-engine session — everything stays in lane 0).
-        self.read_lane_ops = frozenset(getattr(session, "read_lane_ops", ()))
         self.queue = RequestQueue(maxsize=max_queue, lanes=2)
         self.connections_served = 0
         self.responses_sent = 0
@@ -94,7 +91,7 @@ class ServiceFrontend:
         self._connections: Set[asyncio.Task] = set()
         self._shutdown = asyncio.Event()
         self._shutdown_reason: Optional[str] = None
-        self._pump_error: Optional[BaseException] = None
+        self.pump_error: Optional[BaseException] = None
         self._stopped = False
 
     # ------------------------------------------------------------------
@@ -138,7 +135,7 @@ class ServiceFrontend:
         self.queue.close()
         if self._pump_task is not None:
             # The pump re-raises its fatal error; swallow it here (it is
-            # kept in _pump_error and re-raised below) so the trace still
+            # kept in pump_error and re-raised below) so the trace still
             # gets sealed and the responders still finish writing.
             await asyncio.gather(self._pump_task, return_exceptions=True)
         if self._responders:
@@ -153,116 +150,105 @@ class ServiceFrontend:
             await asyncio.gather(*tuple(self._connections), return_exceptions=True)
         if self._server is not None:
             await self._server.wait_closed()
-        self.session.close(ok=self._pump_error is None)
-        if self._pump_error is not None:
-            raise self._pump_error
+        self.session.close(ok=self.pump_error is None)
+        if self.pump_error is not None:
+            raise self.pump_error
 
     # ------------------------------------------------------------------
     # Engine pump
     # ------------------------------------------------------------------
     async def _pump(self) -> None:
-        """Drain → execute → resolve until the queue closes.
+        """Drain → window the writes, serve the reads → resolve, until closed.
 
-        Classic sessions run the single-engine loop; sessions marked
-        ``windowed`` (the sharded backend) run the two-lane windowed loop.
-        A fatal pump error — a shard worker dying is the expected one —
-        fails every request still queued (error code ``failed``, never a
-        hung connection) and triggers shutdown; :meth:`stop` re-raises it
-        after sealing the trace in crashed-run shape.
-        """
-        try:
-            if getattr(self.session, "windowed", False):
-                await self._pump_windowed()
-            else:
-                await self._pump_classic()
-        except BaseException as error:
-            self._pump_error = error
-            self.request_shutdown(f"engine pump failed: {error}")
-            self._abort_queued(f"engine pump failed: {error}")
-            raise
+        Each iteration drains both lanes, dispatches the write batch
+        (``begin_window`` — on the sharded backend the send half only),
+        serves whatever read traffic does not have to wait for the window
+        *while the workers execute it*, then collects the window
+        (``finish_window``) and serves the deferred reads from the freshly
+        merged state.  On the single engine the window completes inside
+        ``begin_window`` and no read ever defers.
 
-    async def _pump_classic(self) -> None:
-        """The single-engine loop: everything executes in admission order."""
-        while True:
-            await self.queue.wait()
-            batch = self.queue.drain(self.max_batch, lane=WRITE_LANE)
-            batch += self.queue.drain(self.max_batch, lane=READ_LANE)
-            if not batch:
-                if self.queue.closed:
-                    return
-                continue
-            for pending in batch:
-                self._execute_one(pending)
-            # Yield so readers/writers run between engine batches.
-            await asyncio.sleep(0)
-
-    async def _pump_windowed(self) -> None:
-        """The sharded loop: windowed writes, reads served during execution.
-
-        Each iteration drains both lanes, dispatches the write batch to the
-        shard workers (``begin_window`` — send half only), serves whatever
-        read traffic does not need a worker round trip *while the workers
-        execute the window*, then collects the window (``finish_window``)
-        and serves the deferred reads from the freshly merged state.
+        Any failure of a *write* other than a pre-flight rejection — a shard
+        worker dying, the trace writer raising — leaves events applied but
+        unrecorded, so it is fatal: the batch and everything still queued
+        are answered ``failed`` (never a hung connection), shutdown is
+        triggered, and :meth:`stop` re-raises the error after sealing the
+        trace in crashed-run shape.
         """
         session = self.session
-        while True:
-            await self.queue.wait()
-            writes = self.queue.drain(self.max_batch, lane=WRITE_LANE)
-            reads = self.queue.drain(self.max_batch, lane=READ_LANE)
-            if not writes and not reads:
-                if self.queue.closed:
-                    return
-                continue
-            try:
-                handle = session.begin_window([p.frame for p in writes]) if writes else None
+        batch: list = []
+        try:
+            while True:
+                await self.queue.wait()
+                writes = self.queue.drain(self.max_batch, lane=WRITE_LANE)
+                reads = self.queue.drain(self.max_batch, lane=READ_LANE)
+                batch = writes + reads
+                if not batch:
+                    if self.queue.closed:
+                        return
+                    continue
+                window = session.begin_window([p.frame for p in writes]) if writes else None
                 deferred = []
                 for pending in reads:
-                    if handle is not None and not session.read_ready(pending.frame["op"]):
+                    if window is not None and not session.read_ready(pending.frame["op"]):
                         deferred.append(pending)
                     else:
-                        self._execute_one(pending)
-                if handle is not None:
-                    outcomes = session.finish_window(handle)
-                    for pending, outcome in zip(writes, outcomes):
-                        self._resolve_windowed(pending, outcome)
+                        self._serve_read(pending)
+                if window is not None:
+                    for pending, outcome in zip(writes, session.finish_window(window)):
+                        self._resolve(pending, outcome)
                 for pending in deferred:
-                    self._execute_one(pending)
-            except ShardWorkerError:
-                self._fail_batch(
-                    writes + reads, "a shard worker died executing this window"
-                )
-                raise
-            await asyncio.sleep(0)
+                    self._serve_read(pending)
+                # Yield so readers/writers run between engine batches.
+                await asyncio.sleep(0)
+        except BaseException as error:
+            message = f"engine pump failed: {error}"
+            self.pump_error = error
+            self.request_shutdown(message)
+            self._fail_batch(batch, message)
+            self._abort_queued(message)
+            raise
 
-    def _resolve_windowed(self, pending: "_Pending", outcome: Any) -> None:
-        """Resolve one write-lane request from its window outcome."""
+    def _serve_read(self, pending: _Pending) -> None:
+        """Answer one read-lane request; a failing read is not fatal."""
+        op = pending.frame["op"]
+        try:
+            outcome = self.session.execute(pending.frame)
+            if op == "status":
+                outcome["queue"] = {
+                    "depth": len(self.queue),
+                    "bound": self.queue.maxsize,
+                    "accepted": self.queue.accepted,
+                    "rejected": self.queue.rejected,
+                }
+        except ProtocolError as error:
+            outcome = error
+        except Exception as error:
+            # Reads change no state, so the session is still consistent with
+            # its trace: answer this request and keep serving.
+            print(f"service: {op} request failed: {error!r}", file=sys.stderr)
+            outcome = ProtocolError(ERROR_FAILED, f"internal error: {error}")
+        self._resolve(pending, outcome)
+
+    @staticmethod
+    def _resolve(pending: _Pending, outcome: Any) -> None:
+        """Resolve one request from its outcome (result or ``ProtocolError``)."""
+        if pending.future.done():
+            return
         frame = pending.frame
-        request_id = frame.get("id")
-        op = frame["op"]
         if isinstance(outcome, ProtocolError):
-            response = error_response(request_id, op, outcome.code, outcome.message)
+            response = error_response(frame.get("id"), frame["op"], outcome.code, outcome.message)
         else:
-            response = ok_response(request_id, op, outcome)
+            response = ok_response(frame.get("id"), frame["op"], outcome)
         response["latency_ms"] = round(
             (time.perf_counter() - pending.enqueued_at) * 1000.0, 3
         )
-        if not pending.future.done():
-            pending.future.set_result(response)
+        pending.future.set_result(response)
 
     def _fail_batch(self, batch, message: str) -> None:
         """Answer every unresolved request of a batch with ``failed``."""
         for pending in batch:
-            if pending.future.done():
-                continue
-            frame = pending.frame
-            response = error_response(
-                frame.get("id"), frame["op"], ERROR_FAILED, message
-            )
-            response["latency_ms"] = round(
-                (time.perf_counter() - pending.enqueued_at) * 1000.0, 3
-            )
-            pending.future.set_result(response)
+            self._resolve(pending, ProtocolError(ERROR_FAILED, message))
 
     def _abort_queued(self, message: str) -> None:
         """Close the queue and fail everything still waiting in it.
@@ -276,34 +262,6 @@ class ServiceFrontend:
         for lane in range(self.queue.lanes):
             leftovers += self.queue.drain(len(self.queue) + 1, lane=lane)
         self._fail_batch(leftovers, message)
-
-    def _execute_one(self, pending: _Pending) -> None:
-        frame = pending.frame
-        request_id = frame.get("id")
-        op = frame["op"]
-        try:
-            result = self.session.execute(frame)
-            if op == "status":
-                result["queue"] = {
-                    "depth": len(self.queue),
-                    "bound": self.queue.maxsize,
-                    "accepted": self.queue.accepted,
-                    "rejected": self.queue.rejected,
-                }
-            response = ok_response(request_id, op, result)
-        except ProtocolError as error:
-            response = error_response(request_id, op, error.code, error.message)
-        except Exception as error:
-            # An unexpected engine failure answers this request and keeps
-            # serving; determinism-critical failures would have been raised
-            # by the pre-flight checks before touching the engine.
-            print(f"service: {op} request failed: {error!r}", file=sys.stderr)
-            response = error_response(request_id, op, ERROR_FAILED, f"internal error: {error}")
-        response["latency_ms"] = round(
-            (time.perf_counter() - pending.enqueued_at) * 1000.0, 3
-        )
-        if not pending.future.done():
-            pending.future.set_result(response)
 
     # ------------------------------------------------------------------
     # Connections
@@ -355,7 +313,7 @@ class ServiceFrontend:
                     )
                     continue
                 pending = _Pending(frame=frame, future=loop.create_future())
-                lane = READ_LANE if frame["op"] in self.read_lane_ops else WRITE_LANE
+                lane = READ_LANE if frame["op"] in READ_OPS else WRITE_LANE
                 if not self.queue.offer(pending, lane=lane):
                     # The backpressure fast path: the queue bound was hit, the
                     # client hears about it now instead of waiting in line.

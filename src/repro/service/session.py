@@ -1,50 +1,52 @@
-"""The live engine session: one continuously running engine behind a queue.
+"""The live session: one continuously running backend behind a queue.
 
-:class:`LiveEngineSession` owns the :class:`~repro.core.engine.NowEngine`
-that external requests drive, the :class:`~repro.scenarios.bus.
-ObservationBus` its churn events are published to (so trace recording and
-measurement probes work exactly as in batch runs), and the **service RNG**
-— a private :class:`random.Random` stream that answers every non-churn
-request.
+:class:`LiveEngineSession` owns everything about a live service that does
+not depend on how events reach the engine(s): lifecycle, trace attach, the
+operation counters, ``status``/``ping``, the pre-flight admission rules and
+the write window (:meth:`~LiveEngineSession.begin_window` /
+:meth:`~LiveEngineSession.finish_window`).  The engine side is a backend
+(:mod:`repro.trace.backend`): the single ``NowEngine`` when
+``scenario.shards`` is 0, the shard coordinator otherwise.
 
-Determinism contract (why the service RNG exists): the engine stream
-(``state.rng``) is part of the state fingerprint and must be consumed only
-by ``apply_event`` — that is what makes a recorded trace replayable by
-re-applying its event frames.  A live service also serves *reads* (sample,
-broadcast) that need randomness but are not part of the trace; drawing them
-from the engine stream would make the recorded run unreplayable.  Every
-read therefore draws from ``random.Random(seed + SERVICE_RNG_OFFSET)``,
-extending the scenario seed discipline (seed → engine, +1 workload,
-+2 adversary, +3 mixer, +4 service reads).
+Seed fan-out (one table, both backends): seed → engine, +1 workload,
++2 adversary, +3 mixer, **+4 service writes** (the anonymous-leave pick),
+**+5 service reads** (sample/broadcast draws).  The engine stream is part of
+the state fingerprint and is consumed only by ``apply_event`` — that is what
+makes a recorded trace replayable by re-applying its event frames.  Reads
+are not part of the trace, so they get a stream of their own: any
+interleaving of reads leaves the write stream's draws, the trace and the
+state hash bit-identical.
 
 Pre-flight validation (why requests cannot fail inside the engine):
 ``apply_event`` advances protocol time *before* executing the operation, so
 an event that raises halfway leaves the engine one time step ahead of the
 recorded trace — permanent replay divergence.  Every rejectable condition
-(unknown node, double join, size bounds) is checked against engine state
-before the event is built; by the time ``apply_event`` runs, it cannot
-fail.
+(unknown node, double join, size bounds) is checked against the backend's
+node registry before the event is built; by the time an event is
+dispatched, it cannot fail.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..apps.broadcast import ClusteredBroadcast
-from ..apps.sampling import SamplingService
+from ..core.events import ChurnEvent
 from ..errors import ConfigurationError
 from ..network.node import NodeRole
-from ..scenarios.bus import DEFAULT_PROBE_BUFFER, ObservationBus
+from ..scenarios.bus import DEFAULT_PROBE_BUFFER, StepRecord
 from ..scenarios.scenario import Scenario
-from ..trace.log import DEFAULT_INDEX_EVERY
+from ..trace.backend import EngineBackend, ShardBackend
 from ..trace.codec import DEFAULT_FLUSH_EVERY
-from ..trace.probes import TraceProbe
+from ..trace.log import DEFAULT_INDEX_EVERY, TraceWriter
 from .protocol import ERROR_FAILED, ProtocolError
 
-#: Seed offset of the service read stream (continues the Scenario fan-out:
-#: seed → engine, +1 workload, +2 adversary, +3 mixer, +4 service).
+#: Seed offsets of the service streams (see the module docstring's table).
 SERVICE_RNG_OFFSET = 4
+SERVICE_READ_RNG_OFFSET = 5
+
+#: Operations the pump serves beside the write window, not through it.
+READ_OPS = frozenset({"sample", "broadcast", "status", "ping"})
 
 
 def live_scenario(
@@ -60,8 +62,9 @@ def live_scenario(
     Events come from clients, not a generator, so ``workload`` is ``None``
     and ``steps`` is 0; ``record_history`` is off because a service runs
     indefinitely and the per-event history list would grow without bound.
-    The scenario still rides in the trace header, so ``replay`` rebuilds
-    the identical engine from it.
+    The scenario still rides in the trace header (``shards`` included — it
+    shapes every result bit), so ``replay`` rebuilds the identical backend
+    from it.
     """
     options = dict(overrides.pop("engine_options", ()) or {})
     options.setdefault("record_history", False)
@@ -78,19 +81,30 @@ def live_scenario(
     )
 
 
-class LiveEngineSession:
-    """Serialised execution of service requests against one live engine."""
+class _Window:
+    """A validated write window in flight."""
 
-    #: Classic sessions run the straight-through pump, not the windowed one.
-    windowed = False
-    #: No read lane: one engine means one serialised stream for every op
-    #: (reads draw from the same service RNG the anonymous leaves use, so
-    #: reordering them around writes would perturb the recorded trace).
-    read_lane_ops = frozenset()
+    __slots__ = ("outcomes", "ops", "parts")
+
+    def __init__(self, frames: Sequence[Dict[str, Any]]) -> None:
+        #: Per request: the result dict, or the pre-flight ``ProtocolError``.
+        self.outcomes: List[Any] = [None] * len(frames)
+        self.ops = [frame["op"] for frame in frames]
+        #: ``(backend token, request indices in admission order)`` pairs.
+        self.parts: List[Tuple[Any, List[int]]] = []
+
+
+class LiveEngineSession:
+    """Serialised execution of service requests against one backend.
+
+    ``workers`` is an execution choice of the sharded backend only (clamped
+    to ``[1, scenario.shards]``; results never depend on it).
+    """
 
     def __init__(
         self,
         scenario: Optional[Scenario] = None,
+        workers: int = 1,
         probes: Sequence = (),
         probe_buffer: int = DEFAULT_PROBE_BUFFER,
     ) -> None:
@@ -100,14 +114,24 @@ class LiveEngineSession:
                 "the live service serves the 'now' engine; got "
                 f"{self.scenario.engine!r}"
             )
-        if self.scenario.shards:
-            raise ConfigurationError("the live service runs a single engine (shards=0)")
-        self.engine = self.scenario.build_engine()
+        if self.scenario.workload is not None or self.scenario.adversary is not None:
+            raise ConfigurationError(
+                "a live session is driven by client requests; the scenario "
+                "must not carry a workload or adversary"
+            )
         self.rng = random.Random(self.scenario.seed + SERVICE_RNG_OFFSET)
-        self.bus = ObservationBus(self.engine, probes, buffer_size=probe_buffer)
-        self._sampling = SamplingService(self.engine, rng=self.rng)
-        self._broadcast = ClusteredBroadcast(self.engine, rng=self.rng)
-        self._trace_probe: Optional[TraceProbe] = None
+        self.read_rng = random.Random(self.scenario.seed + SERVICE_READ_RNG_OFFSET)
+        if self.scenario.shards:
+            self.backend = ShardBackend(
+                self.scenario, self.read_rng, workers, probes, probe_buffer
+            )
+        else:
+            self.backend = EngineBackend(
+                self.scenario.build_engine(), self.read_rng, probes, probe_buffer
+            )
+        self.bus = self.backend.bus
+        self._writer: Optional[TraceWriter] = None
+        self._last_indexed = 0
         self.events_applied = 0
         self.operations: Dict[str, int] = {}
         self._started = False
@@ -122,31 +146,34 @@ class LiveEngineSession:
         index_every: int = DEFAULT_INDEX_EVERY,
         trace_format: str = "jsonl",
         flush_every: int = DEFAULT_FLUSH_EVERY,
-    ) -> TraceProbe:
+    ) -> TraceWriter:
         """Record every churn event this session applies to ``path``.
 
         Must be attached before the first event so the trace is complete
-        from the engine's bootstrap state (which the header's scenario
-        reproduces).
+        from the bootstrap state (which the header's scenario reproduces).
+        Index frames are written at window boundaries only — a state hash
+        may need a worker round trip, which must not cut into a window.
         """
         if self.events_applied:
             raise ConfigurationError(
                 "attach the trace before the first churn event; "
                 f"{self.events_applied} already applied"
             )
-        if self._trace_probe is not None:
+        if self._writer is not None:
             raise ConfigurationError("a trace is already being recorded")
-        probe = TraceProbe(
+        writer = TraceWriter(
             path,
             index_every=index_every,
-            scenario=self.scenario,
             trace_format=trace_format,
             flush_every=flush_every,
         )
+        writer.write_header(
+            self.scenario.to_dict(),
+            engine_kind="sharded" if self.scenario.shards else "now",
+        )
         self.start()
-        self.bus.attach(probe)
-        self._trace_probe = probe
-        return probe
+        self._writer = writer
+        return writer
 
     def start(self) -> None:
         """Fire the probes' run-start hooks (idempotent)."""
@@ -155,24 +182,25 @@ class LiveEngineSession:
             self._started = True
 
     def close(self, ok: bool = True) -> None:
-        """Flush observations and seal the trace.
+        """Flush observations, seal the trace, shut the backend down.
 
         ``ok=True`` writes the trace end frame (final state hash);
         ``ok=False`` is the crash path — buffered frames are flushed but no
-        end frame is written, leaving a crashed-run-shape trace that is
-        still replayable up to its last complete frame.
+        end frame is written (hashing could round-trip a dead worker),
+        leaving a crashed-run-shape trace that is still replayable up to
+        its last complete frame.
         """
         if self._closed:
             return
         self._closed = True
         try:
             self.bus.flush()
+            if self._writer is not None and ok:
+                self._writer.close(final_hash=self.backend.state_hash())
         finally:
-            if self._trace_probe is not None:
-                if ok:
-                    self._trace_probe.finalize(self.engine)
-                else:
-                    self._trace_probe.abort()
+            if self._writer is not None:
+                self._writer.close()  # idempotent; no end frame if not sealed
+            self.backend.close()
 
     @property
     def closed(self) -> bool:
@@ -181,135 +209,217 @@ class LiveEngineSession:
 
     @property
     def network_size(self) -> int:
-        """Current active population (the backend-independent size view)."""
-        return self.engine.network_size
+        """Current active population."""
+        return self.backend.nodes.active_count()
+
+    def state_hash(self) -> str:
+        """The backend's state hash (window boundaries only)."""
+        return self.backend.state_hash()
 
     # ------------------------------------------------------------------
-    # Request execution
+    # The write window (dispatch / collect halves)
     # ------------------------------------------------------------------
+    def begin_window(self, frames: Sequence[Dict[str, Any]]) -> _Window:
+        """Validate and dispatch one pump batch of write requests.
+
+        Requests are processed in admission order.  Each one is pre-flight
+        checked against the backend's registry plus the not-yet-dispatched
+        tail of this very batch; rejected requests get a
+        :class:`ProtocolError` outcome and consume no window slot.
+
+        Anonymous leaves are the sequencing points: the leaver is drawn
+        uniformly from the *post-prior-event* population, so the pending
+        tail is dispatched (which brings the registry up to date) before
+        the pick.  The same goes for a leave of a node joined earlier in
+        the batch.
+        """
+        if self._closed:
+            raise ConfigurationError("session is closed")
+        self.start()
+        backend = self.backend
+        window = _Window(frames)
+
+        nodes = backend.nodes
+        pending: List[Tuple[int, ChurnEvent]] = []
+        delta = 0  # net size change of the undispatched tail
+        removed: set = set()  # ids with an undispatched leave
+        joined: set = set()  # named ids with an undispatched join
+
+        def flush() -> None:
+            nonlocal delta
+            if pending:
+                token = backend.dispatch([event for _, event in pending])
+                window.parts.append((token, [index for index, _ in pending]))
+                pending.clear()
+                removed.clear()
+                joined.clear()
+                delta = 0
+
+        for index, frame in enumerate(frames):
+            node_id = frame.get("node_id")
+            try:
+                if frame["op"] == "join":
+                    event = self._admit_join(
+                        frame, nodes.active_count() + delta, removed, joined
+                    )
+                    if node_id is not None:
+                        joined.add(node_id)
+                    delta += 1
+                elif frame["op"] == "leave":
+                    if node_id is None or node_id in joined:
+                        flush()
+                    event = self._admit_leave(
+                        frame, nodes.active_count() + delta, removed
+                    )
+                    removed.add(event.node_id)
+                    delta -= 1
+                else:
+                    raise ConfigurationError(
+                        f"operation {frame['op']!r} does not belong to the write lane"
+                    )
+            except ProtocolError as error:
+                window.outcomes[index] = error
+                continue
+            pending.append((index, event))
+        flush()
+        return window
+
+    def finish_window(self, window: _Window) -> List[Any]:
+        """Collect a dispatched window and return per-request outcomes.
+
+        Outcomes align with the frames given to :meth:`begin_window`.  Each
+        collected record is counted, recorded in the trace and turned into
+        its response payload.  A failure here (a dead shard worker, a trace
+        write error) leaves events applied but unrecorded: callers must
+        treat it as fatal and close the session with ``ok=False``.
+        """
+        writer = self._writer
+        for token, indices in window.parts:
+            for index, record in zip(indices, self.backend.collect(token)):
+                self.events_applied += 1
+                op = window.ops[index]
+                self.operations[op] = self.operations.get(op, 0) + 1
+                if writer is not None:
+                    writer.write_record(record)
+                window.outcomes[index] = _churn_result(record)
+        if (
+            writer is not None
+            and writer.events_written - self._last_indexed >= writer.index_every
+        ):
+            status = self.backend.status()
+            writer.write_index_frame(
+                step_index=self.events_applied,
+                time_step=status["time_step"],
+                state_hash=self.backend.state_hash(),
+                network_size=status["network_size"],
+            )
+            self._last_indexed = writer.events_written
+        return window.outcomes
+
+    # ------------------------------------------------------------------
+    # Pre-flight admission (against the registry, never the engine)
+    # ------------------------------------------------------------------
+    def _admit_join(
+        self, frame: Dict[str, Any], size: int, removed: set, joined: set
+    ) -> ChurnEvent:
+        backend = self.backend
+        contact = frame.get("contact_cluster")
+        if contact is not None and not backend.contact_joins:
+            raise _rejected(
+                frame,
+                "the sharded backend does not support contact_cluster-targeted "
+                "joins (cluster ids are shard-local)",
+            )
+        max_size = backend.params.max_size
+        if size >= max_size:
+            raise _rejected(frame, f"network is at its maximum size {max_size}")
+        node_id = frame.get("node_id")
+        if node_id is not None and (
+            node_id in joined
+            or (node_id not in removed and self._is_active(node_id))
+        ):
+            raise _rejected(frame, f"node {node_id} is already active")
+        role = NodeRole.BYZANTINE if frame.get("role") == "byzantine" else NodeRole.HONEST
+        return ChurnEvent.join(role=role, node_id=node_id, contact_cluster=contact)
+
+    def _admit_leave(self, frame: Dict[str, Any], size: int, removed: set) -> ChurnEvent:
+        backend = self.backend
+        lower = backend.params.lower_size_bound
+        if size <= lower:
+            raise _rejected(frame, f"network is at its lower size bound {lower}")
+        node_id = frame.get("node_id")
+        if node_id is None:
+            # An anonymous departure: the service picks the leaver from its
+            # own write stream (never the engine's) over the registry's
+            # sampling array, then records the concrete id.
+            node_id = backend.nodes.sample_active(self.rng)
+        elif node_id in removed or not self._is_active(node_id):
+            raise _rejected(frame, f"node {node_id} is not active")
+        return ChurnEvent.leave(node_id)
+
+    def _is_active(self, node_id: int) -> bool:
+        nodes = self.backend.nodes
+        return node_id in nodes and nodes.is_active(node_id)
+
+    # ------------------------------------------------------------------
+    # Single-request execution
+    # ------------------------------------------------------------------
+    def read_ready(self, op: str) -> bool:
+        """Whether ``op`` can be served while a write window is in flight.
+
+        ``status``/``ping`` never touch the engine side; ``sample`` and
+        ``broadcast`` wait for the window boundary when the backend says
+        its read state is stale.
+        """
+        return op in ("status", "ping") or self.backend.reads_fresh
+
     def execute(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         """Run one validated request frame and return its result payload.
 
-        Raises :class:`~repro.service.protocol.ProtocolError` (``failed``)
-        for requests that are well-formed but rejected by the engine's
-        current state.  Must only be called with frames that passed
+        Reads execute directly; a write runs as a window of one (identical
+        evolution — chunking is invisible).  Raises
+        :class:`~repro.service.protocol.ProtocolError` (``failed``) for
+        requests that are well-formed but rejected by the current state.
+        Must only be called with frames that passed
         :func:`~repro.service.protocol.parse_request`.
         """
         if self._closed:
             raise ConfigurationError("session is closed")
         self.start()
         op = frame["op"]
-        handler = self._HANDLERS[op]
-        result = handler(self, frame)
+        if op not in READ_OPS:
+            outcome = self.finish_window(self.begin_window([frame]))[0]
+            if isinstance(outcome, ProtocolError):
+                raise outcome
+            return outcome
+        if op == "sample":
+            result = self.backend.sample()
+        elif op == "broadcast":
+            result = self.backend.broadcast(frame.get("payload"))
+        elif op == "status":
+            result = self.backend.status()
+            result["events_applied"] = self.events_applied
+            result["operations"] = dict(self.operations)
+            result["recording"] = self._writer.path if self._writer else None
+        else:
+            result = {"pong": True}
         self.operations[op] = self.operations.get(op, 0) + 1
         return result
 
-    # -- churn ----------------------------------------------------------
-    def _execute_join(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        state = self.engine.state
-        if self.engine.network_size >= self.engine.parameters.max_size:
-            raise ProtocolError(
-                ERROR_FAILED,
-                f"network is at its maximum size {self.engine.parameters.max_size}",
-                request_id=frame.get("id"),
-                op="join",
-            )
-        node_id = frame.get("node_id")
-        if node_id is not None and node_id in state.nodes and state.nodes.is_active(node_id):
-            raise ProtocolError(
-                ERROR_FAILED,
-                f"node {node_id} is already active",
-                request_id=frame.get("id"),
-                op="join",
-            )
-        role = NodeRole.BYZANTINE if frame.get("role") == "byzantine" else NodeRole.HONEST
-        report = self.engine.join(
-            role=role, node_id=node_id, contact_cluster=frame.get("contact_cluster")
-        )
-        return self._publish_churn(report)
 
-    def _execute_leave(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        state = self.engine.state
-        if self.engine.network_size <= self.engine.parameters.lower_size_bound:
-            raise ProtocolError(
-                ERROR_FAILED,
-                "network is at its lower size bound "
-                f"{self.engine.parameters.lower_size_bound}",
-                request_id=frame.get("id"),
-                op="leave",
-            )
-        node_id = frame.get("node_id")
-        if node_id is None:
-            # An anonymous departure: the service picks the leaver from its
-            # own stream (never the engine's), then records the concrete id.
-            node_id = self.engine.random_member(rng=self.rng)
-        elif node_id not in state.nodes or not state.nodes.is_active(node_id):
-            raise ProtocolError(
-                ERROR_FAILED,
-                f"node {node_id} is not active",
-                request_id=frame.get("id"),
-                op="leave",
-            )
-        report = self.engine.leave(node_id)
-        return self._publish_churn(report)
+def _rejected(frame: Dict[str, Any], message: str) -> ProtocolError:
+    return ProtocolError(
+        ERROR_FAILED, message, request_id=frame.get("id"), op=frame["op"]
+    )
 
-    def _publish_churn(self, report) -> Dict[str, Any]:
-        self.events_applied += 1
-        self.bus.publish(report, self.events_applied)
-        operation = report.operation
-        return {
-            "node_id": operation.node_id,
-            "time_step": report.time_step,
-            "network_size": report.network_size,
-            "cluster_count": report.cluster_count,
-            "messages": operation.messages,
-            "rounds": operation.rounds,
-        }
 
-    # -- reads ----------------------------------------------------------
-    def _execute_sample(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        report = self._sampling.sample()
-        return {
-            "node_id": report.node_id,
-            "cluster_id": report.cluster_id,
-            "is_byzantine": report.is_byzantine,
-            "messages": report.messages,
-            "rounds": report.rounds,
-            "walk_hops": report.walk_hops,
-        }
-
-    def _execute_broadcast(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        report = self._broadcast.broadcast(frame.get("payload"))
-        return {
-            "origin_cluster": report.origin_cluster,
-            "clusters_reached": len(report.clusters_reached),
-            "cluster_count": self.engine.cluster_count,
-            "nodes_reached": report.nodes_reached,
-            "coverage": report.coverage(self.engine.cluster_count),
-            "messages": report.messages,
-            "rounds": report.rounds,
-        }
-
-    def _execute_status(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        engine = self.engine
-        return {
-            "network_size": engine.network_size,
-            "cluster_count": engine.cluster_count,
-            "worst_byzantine_fraction": engine.worst_cluster_fraction(),
-            "time_step": engine.state.time_step,
-            "events_applied": self.events_applied,
-            "operations": dict(self.operations),
-            "recording": self._trace_probe.path if self._trace_probe else None,
-        }
-
-    def _execute_ping(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        return {"pong": True}
-
-    _HANDLERS = {
-        "join": _execute_join,
-        "leave": _execute_leave,
-        "sample": _execute_sample,
-        "broadcast": _execute_broadcast,
-        "status": _execute_status,
-        "ping": _execute_ping,
+def _churn_result(record: StepRecord) -> Dict[str, Any]:
+    """The response payload of one applied churn event."""
+    return {
+        "node_id": record.assigned_node,
+        "time_step": record.time_step,
+        "network_size": record.network_size,
+        "cluster_count": record.cluster_count,
+        "messages": record.messages,
+        "rounds": record.rounds,
     }

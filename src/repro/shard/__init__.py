@@ -43,7 +43,7 @@ from .router import (
     plan_rebalance,
     slice_sizes,
 )
-from .serve import ShardReadModel, replay_sharded_trace
+from .serve import ShardReadModel
 from .session import (
     SHARDED_CHECKPOINT_FORMAT,
     resume_sharded_checkpoint,
@@ -61,7 +61,6 @@ __all__ = [
     "ShardReadModel",
     "ShardWorker",
     "ShardWorkerError",
-    "replay_sharded_trace",
     "ShardedEngineFacade",
     "WindowBatch",
     "composite_state_hash",

@@ -251,7 +251,7 @@ class ShardCoordinator:
         self.facade = ShardedEngineFacade(self.params, self.directory)
         self._refresh_facade()
         if scenario.workload is None and scenario.adversary is None:
-            # Serve mode (repro.service.sharded): events arrive from live
+            # Serve mode (repro.trace.backend): events arrive from live
             # clients through serve_dispatch, not from a workload source.
             self.source = None
         else:

@@ -1,7 +1,7 @@
-"""Serve-mode companions to the shard coordinator: read model + replay.
+"""Serve-mode companion to the shard coordinator: the read model.
 
-The sharded live service (:mod:`repro.service.sharded`) splits traffic into
-two lanes.  Mutating requests become routed events executed by the shard
+The live service's shard backend (:mod:`repro.trace.backend`) splits
+traffic into two lanes.  Mutating requests become routed events executed by the shard
 workers through :meth:`~repro.shard.coordinator.ShardCoordinator.
 serve_dispatch` / ``serve_collect``.  Read-only requests never enter that
 round trip: they are served from :class:`ShardReadModel`, a coordinator-side
@@ -28,12 +28,6 @@ composite population:
 Every draw comes from the caller's RNG (the service's private read stream) —
 the read model never touches engine or directory sampling state, which is
 what makes interleaved reads provably invisible to the write lane.
-
-:func:`replay_sharded_trace` is the determinism check for recorded sharded
-live sessions: serve-mode windows are cut at fixed event counts, so the
-shard-state evolution is a pure function of the recorded event sequence and
-a fresh coordinator can re-drive it, verifying per-event observables and the
-composite state hash at every index frame.
 """
 
 from __future__ import annotations
@@ -43,8 +37,6 @@ from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
-from ..trace.log import TraceReader, churn_event_from_frame, event_frame_from_record
-from ..trace.replay import _EVENT_CHECKS, ReplayReport
 
 
 class _ShardView:
@@ -301,138 +293,3 @@ class ShardReadModel:
             "messages": total_messages,
             "rounds": total_rounds,
         }
-
-
-# ----------------------------------------------------------------------
-# Replay of recorded sharded live sessions
-# ----------------------------------------------------------------------
-def is_serve_trace(reader: TraceReader) -> bool:
-    """Whether a sharded trace came from the live service (replayable here).
-
-    Serve traces are recognisable by their scenario: no workload and no
-    adversary (clients were the event source).  Batch sharded traces can
-    contain idle time steps that event frames do not record, so their
-    barrier cadence cannot be reconstructed — they stay `trace-diff`-only.
-    """
-    if reader.header.get("engine") != "sharded":
-        return False
-    scenario = reader.scenario
-    return (
-        scenario is not None
-        and scenario.get("workload") is None
-        and scenario.get("adversary") is None
-    )
-
-
-def replay_sharded_trace(trace: "TraceReader | str") -> ReplayReport:
-    """Re-drive a recorded sharded live session and verify determinism.
-
-    Rebuilds a fresh inline coordinator from the header scenario and
-    re-applies every recorded event through serve-mode windows.  Windows are
-    flushed at barrier capacity and at every index frame, which reproduces
-    the original barrier cadence exactly (serve windows never straddle a
-    barrier multiple) — so per-event observables must match frame for frame
-    and the composite state hash must match at every index frame and at the
-    end frame.
-    """
-    from ..scenarios.scenario import Scenario
-    from .coordinator import ShardCoordinator
-
-    reader = trace if isinstance(trace, TraceReader) else TraceReader(trace)
-    if reader.header.get("engine") != "sharded":
-        raise ConfigurationError("not a sharded trace; use repro.trace.replay")
-    if not is_serve_trace(reader):
-        raise ConfigurationError(
-            "this sharded trace records a batch run; idle time steps are not "
-            "recorded in event frames, so its barrier cadence cannot be "
-            "re-derived — compare batch sharded traces with trace-diff"
-        )
-    scenario = Scenario.from_dict(reader.scenario)
-    coordinator = ShardCoordinator(scenario, workers=1)
-
-    events_applied = 0
-    hash_checks = 0
-    divergence: Optional[Dict[str, Any]] = None
-    pending: List[Any] = []
-    pending_frames: List[Dict[str, Any]] = []
-
-    def flush() -> Optional[Dict[str, Any]]:
-        nonlocal events_applied
-        while pending:
-            capacity = coordinator.events_until_barrier()
-            chunk, frames = pending[:capacity], pending_frames[:capacity]
-            del pending[:capacity], pending_frames[:capacity]
-            token = coordinator.serve_dispatch(chunk)
-            records = coordinator.serve_collect(token)
-            for frame, record in zip(frames, records):
-                events_applied += 1
-                replayed = event_frame_from_record(record)
-                for key, description in _EVENT_CHECKS.items():
-                    if key in frame and frame[key] != replayed[key]:
-                        return {
-                            "step": frame.get("i"),
-                            "reason": (
-                                f"{description} mismatch: recorded "
-                                f"{frame[key]!r}, replayed {replayed[key]!r}"
-                            ),
-                            "recorded": frame,
-                            "replayed": replayed,
-                        }
-        return None
-
-    try:
-        for frame in reader.frames:
-            kind = frame.get("t")
-            if kind == "ev":
-                pending.append(churn_event_from_frame(frame))
-                pending_frames.append(frame)
-                if len(pending) >= coordinator.events_until_barrier():
-                    divergence = flush()
-                    if divergence is not None:
-                        break
-            elif kind == "x":
-                divergence = flush()
-                if divergence is not None:
-                    break
-                hash_checks += 1
-                replayed_hash = coordinator.state_hash()
-                if replayed_hash != frame["h"]:
-                    divergence = {
-                        "step": frame.get("i"),
-                        "reason": (
-                            f"composite state hash mismatch at index frame "
-                            f"({replayed_hash[:12]} != {frame['h'][:12]})"
-                        ),
-                        "recorded": frame["h"],
-                        "replayed": replayed_hash,
-                    }
-                    break
-            elif kind == "end":
-                divergence = flush()
-                if divergence is not None:
-                    break
-                replayed_hash = coordinator.state_hash()
-                if replayed_hash != frame["h"]:
-                    divergence = {
-                        "step": None,
-                        "reason": (
-                            f"final composite state hash mismatch "
-                            f"({replayed_hash[:12]} != {frame['h'][:12]})"
-                        ),
-                        "recorded": frame["h"],
-                        "replayed": replayed_hash,
-                    }
-                    break
-        if divergence is None:
-            divergence = flush()
-        end = reader.end_frame()
-        return ReplayReport(
-            events_applied=events_applied,
-            hash_checks=hash_checks,
-            ok=divergence is None,
-            divergence=divergence,
-            final_hash=coordinator.state_hash(),
-            recorded_final_hash=end["h"] if end else None,
-        )
-    finally:
-        coordinator.close()

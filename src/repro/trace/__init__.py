@@ -17,6 +17,10 @@ machine-checkable execution:
   bit-identically (all RNG streams included);
 * :mod:`repro.trace.probes` — ``TraceProbe`` / ``CheckpointProbe``: plug
   recording into any run through the standard scenarios probe API;
+* :mod:`repro.trace.backend` — the seam an event window travels through to
+  reach the engine(s): the single engine, or the shard coordinator.  The
+  live service records through it and replay re-drives it, so a replayed
+  trace certifies the code the service ran;
 * :mod:`repro.trace.replay` — ``ReplayEngine`` re-drives a recorded trace
   and asserts state-hash agreement at every index frame; ``trace_diff``
   pinpoints the first diverging event between two runs;

@@ -1,0 +1,206 @@
+"""The backend seam: how an admitted churn window reaches the engine(s).
+
+Every state change of NOW is a join or a leave applied to the cluster
+partition, so ``serve``, ``serve --shards`` and ``replay`` of either kind of
+trace are one job: apply an admitted event sequence, get one
+:class:`~repro.scenarios.bus.StepRecord` back per event, hash the state.
+The only decision that differs is *how the window travels*, and that is all
+a backend is:
+
+``dispatch(events) -> token`` / ``collect(token) -> [StepRecord]``
+    the two halves of one window.  :class:`EngineBackend` applies the events
+    inline at dispatch (its window completes synchronously);
+    :class:`ShardBackend` chunks them to the coordinator's
+    ``events_until_barrier()`` and queues them on the workers, so the caller
+    can do other work until ``collect``.  Both publish the window to ``bus``.
+``nodes`` / ``params``
+    the :class:`~repro.core.state.NodeRegistry` view and protocol parameters
+    the session's pre-flight admission rules are written against.  Both are
+    current as of the last *dispatched* event.
+``state_hash()`` / ``status()`` / ``close()``
+    the state fingerprint (window boundaries only), the backend's share of
+    the ``status`` response, worker shutdown.
+``sample()`` / ``broadcast(payload)`` / ``reads_fresh``
+    reads, drawn from the ``read_rng`` the backend was opened with.  Each
+    backend keeps its own implementation — the single engine walks the live
+    overlay, the shard backend answers from per-shard snapshots with
+    mirrored costs — and ``reads_fresh`` says whether one can be served
+    while a window is in flight.
+
+It lives in :mod:`repro.trace` because it is the unit replay certifies: the
+live session (:mod:`repro.service.session`) and the replay driver
+(:class:`repro.trace.replay.ReplayEngine`) are the two callers — the
+session picks by ``scenario.shards``, replay by the trace header's
+``engine`` — and replay opens its backend without a read stream.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Any, Dict, List, Optional, Sequence
+
+from ..apps.broadcast import ClusteredBroadcast
+from ..apps.sampling import SamplingService
+from ..scenarios.bus import DEFAULT_PROBE_BUFFER, ObservationBus, StepRecord, step_record
+from .hashing import state_hash
+
+
+class EngineBackend:
+    """One :class:`~repro.core.engine.NowEngine`; windows apply inline."""
+
+    #: Reads walk the live engine, which is never mid-window.
+    reads_fresh = True
+    #: ``contact_cluster``-targeted joins name a cluster of this one engine.
+    contact_joins = True
+
+    def __init__(
+        self,
+        engine,
+        read_rng: Optional[random.Random] = None,
+        probes: Sequence = (),
+        probe_buffer: int = DEFAULT_PROBE_BUFFER,
+    ) -> None:
+        self.engine = engine
+        self.params = engine.parameters
+        self.nodes = engine.state.nodes
+        self.bus = ObservationBus(engine, probes, buffer_size=probe_buffer)
+        self._events = 0
+        if read_rng is not None:
+            self._sampling = SamplingService(engine, rng=read_rng)
+            self._broadcast = ClusteredBroadcast(engine, rng=read_rng)
+
+    def dispatch(self, events: Sequence) -> List[StepRecord]:
+        records = []
+        for event in events:
+            report = self.engine.apply_event(event)
+            self._events += 1
+            self.bus.publish(report, self._events)
+            records.append(step_record(report, self._events))
+        return records
+
+    def collect(self, token: List[StepRecord]) -> List[StepRecord]:
+        return token
+
+    def state_hash(self) -> str:
+        return state_hash(self.engine)
+
+    def status(self) -> Dict[str, Any]:
+        engine = self.engine
+        return {
+            "network_size": engine.network_size,
+            "cluster_count": engine.cluster_count,
+            "worst_byzantine_fraction": engine.worst_cluster_fraction(),
+            "time_step": engine.state.time_step,
+        }
+
+    def sample(self) -> Dict[str, Any]:
+        report = self._sampling.sample()
+        return {
+            "node_id": report.node_id,
+            "cluster_id": report.cluster_id,
+            "is_byzantine": report.is_byzantine,
+            "messages": report.messages,
+            "rounds": report.rounds,
+            "walk_hops": report.walk_hops,
+        }
+
+    def broadcast(self, payload: Any) -> Dict[str, Any]:
+        report = self._broadcast.broadcast(payload)
+        cluster_count = self.engine.cluster_count
+        return {
+            "origin_cluster": report.origin_cluster,
+            "clusters_reached": len(report.clusters_reached),
+            "cluster_count": cluster_count,
+            "nodes_reached": report.nodes_reached,
+            "coverage": report.coverage(cluster_count),
+            "messages": report.messages,
+            "rounds": report.rounds,
+        }
+
+    def close(self) -> None:
+        pass
+
+
+class ShardBackend:
+    """A :class:`~repro.shard.coordinator.ShardCoordinator`; windows pipeline.
+
+    Windows never straddle a multiple of the coordinator's
+    ``barrier_interval``, so shard evolution is a pure function of the
+    admitted event sequence — independent of the worker count (``workers=1``
+    is the inline oracle) and of how callers cut it into windows.
+    """
+
+    #: Cluster ids are shard-local, so a join cannot name its contact.
+    contact_joins = False
+
+    def __init__(
+        self,
+        scenario,
+        read_rng: Optional[random.Random] = None,
+        workers: int = 1,
+        probes: Sequence = (),
+        probe_buffer: int = DEFAULT_PROBE_BUFFER,
+    ) -> None:
+        # Local import: repro.shard builds on repro.trace, and a single-engine
+        # replay should not pay for the worker-process machinery.
+        from ..shard.coordinator import ShardCoordinator
+        from ..shard.serve import ShardReadModel
+
+        self.coordinator = ShardCoordinator(
+            scenario, workers=workers, probes=probes, probe_buffer=probe_buffer
+        )
+        self.params = self.coordinator.params
+        self.nodes = self.coordinator.directory.nodes
+        self.bus = self.coordinator.bus
+        self.read_model = ShardReadModel(self.coordinator)
+        self._read_rng = read_rng
+
+    @property
+    def reads_fresh(self) -> bool:
+        """Refreshing the read model is a worker round trip, and the pipes
+        are FIFO: a stale model cannot be refreshed under an open window."""
+        return self.read_model.fresh
+
+    def dispatch(self, events: Sequence) -> List[Dict[str, Any]]:
+        coordinator = self.coordinator
+        tokens = []
+        start = 0
+        while start < len(events):
+            stop = start + coordinator.events_until_barrier()
+            tokens.append(coordinator.serve_dispatch(events[start:stop]))
+            start = stop
+        return tokens
+
+    def collect(self, token: List[Dict[str, Any]]) -> List[StepRecord]:
+        records: List[StepRecord] = []
+        for part in token:
+            records += self.coordinator.serve_collect(part)
+        for record in records:
+            self.bus.publish_record(record)
+        self.read_model.invalidate()
+        return records
+
+    def state_hash(self) -> str:
+        return self.coordinator.state_hash()
+
+    def status(self) -> Dict[str, Any]:
+        coordinator = self.coordinator
+        return {
+            "network_size": coordinator.directory.active_count(),
+            "cluster_count": coordinator.merger.cluster_count,
+            "worst_byzantine_fraction": coordinator.merger.worst_fraction,
+            "time_step": coordinator.merger.events_merged,
+            "shards": coordinator.shards,
+            "workers": coordinator.workers,
+            "barriers_run": coordinator.barriers_run,
+        }
+
+    def sample(self) -> Dict[str, Any]:
+        return self.read_model.sample(self._read_rng)
+
+    def broadcast(self, payload: Any) -> Dict[str, Any]:
+        return self.read_model.broadcast(self._read_rng)
+
+    def close(self) -> None:
+        self.coordinator.close()
+

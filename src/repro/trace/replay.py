@@ -1,16 +1,20 @@
 """Replay a recorded trace and pinpoint divergence between runs.
 
-:class:`ReplayEngine` rebuilds the engine from the trace header's scenario
-(bootstrap from the recorded seed is deterministic) and re-applies every
-recorded event.  Determinism is verified at two granularities:
+:class:`ReplayEngine` rebuilds the backend that recorded the trace — a
+single engine, or the shard coordinator of a ``serve --shards`` session —
+from the header's scenario (bootstrap from the recorded seed is
+deterministic) and re-applies every recorded event through the same
+:mod:`repro.trace.backend` seam the live service runs.  Determinism is
+verified at two granularities:
 
 * **per event** — the replayed step's observables (network size, cluster
   count, worst corruption fraction, assigned node id, operation cost) must
   equal the recorded ones, so the *first diverging event* is identified
   exactly;
 * **per index frame** — the full :func:`~repro.trace.hashing.state_hash`
-  must match, which certifies the entire state (partition, roles, overlay,
-  RNG position), not just the observables.
+  (the composite hash for a sharded trace) must match, which certifies the
+  entire state (partition, roles, overlay, RNG position), not just the
+  observables.
 
 :func:`trace_diff` compares two trace files frame by frame — the tool for
 "these two runs should have been identical; where did they part ways?".
@@ -22,8 +26,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..errors import ConfigurationError
-from ..scenarios.bus import step_record
-from .hashing import state_hash
+from ..scenarios.bus import StepRecord
+from .backend import EngineBackend, ShardBackend
 from .log import TraceReader, churn_event_from_frame, event_frame_from_record
 
 #: Event-frame observables checked during replay, frame key -> description.
@@ -37,8 +41,11 @@ _EVENT_CHECKS = {
     "h": "walk hops",
 }
 
+#: Recorded events re-applied per backend window (index frames cut it short).
+REPLAY_WINDOW = 64
 
-def check_event_frame(frame: Dict[str, Any], report) -> Optional[Dict[str, Any]]:
+
+def check_event_frame(frame: Dict[str, Any], record: StepRecord) -> Optional[Dict[str, Any]]:
     """Compare a replayed step's observables against its recorded frame.
 
     Returns a divergence record (step, reason, recorded, replayed) for the
@@ -48,7 +55,7 @@ def check_event_frame(frame: Dict[str, Any], report) -> Optional[Dict[str, Any]]
     is built by the same record -> frame mapping the writer used, so the
     comparison cannot drift from the recorded encoding.
     """
-    replayed = event_frame_from_record(step_record(report, frame.get("i", 0)))
+    replayed = event_frame_from_record(record)
     for key, description in _EVENT_CHECKS.items():
         if key in frame and frame[key] != replayed[key]:
             return {
@@ -89,109 +96,113 @@ class ReplayReport:
 
 
 class ReplayEngine:
-    """Re-drives a recorded trace against a rebuilt engine and verifies it."""
+    """Re-drives a recorded trace against a rebuilt backend and verifies it."""
 
     def __init__(self, trace: "TraceReader | str", engine=None) -> None:
-        self.reader = trace if isinstance(trace, TraceReader) else TraceReader(trace)
-        if self.reader.header.get("engine") == "sharded":
-            raise ConfigurationError(
-                "this trace records a sharded run; replay rebuilds a single "
-                "engine and cannot re-derive a composite run — compare sharded "
-                "traces with trace-diff, or resume from a sharded checkpoint"
-            )
-        if engine is None:
-            engine = self._build_engine()
-        self.engine = engine
-
-    def _build_engine(self):
         from ..scenarios.scenario import Scenario  # local import: avoids a cycle
 
-        scenario_dict = self.reader.scenario
-        if scenario_dict is None:
+        self.reader = trace if isinstance(trace, TraceReader) else TraceReader(trace)
+        scenario = self.reader.scenario
+        sharded = self.reader.header.get("engine") == "sharded"
+        if engine is not None and not sharded:
+            self.backend = EngineBackend(engine)
+        elif scenario is None:
             raise ConfigurationError(
                 "trace header carries no scenario spec; pass an engine explicitly"
             )
-        return Scenario.from_dict(scenario_dict).build_engine()
+        elif not sharded:
+            self.backend = EngineBackend(Scenario.from_dict(scenario).build_engine())
+        elif scenario.get("workload") is None and scenario.get("adversary") is None:
+            self.backend = ShardBackend(Scenario.from_dict(scenario))
+        else:
+            raise ConfigurationError(
+                "this sharded trace records a batch run; idle time steps are not "
+                "recorded in event frames, so its barrier cadence cannot be "
+                "re-derived — compare batch sharded traces with trace-diff, or "
+                "resume from a sharded checkpoint"
+            )
 
     # ------------------------------------------------------------------
     # The replay loop
     # ------------------------------------------------------------------
     def run(self, stop_on_divergence: bool = True) -> ReplayReport:
-        """Re-apply every recorded event, asserting determinism as we go."""
-        engine = self.engine
+        """Re-apply every recorded event, asserting determinism as we go.
+
+        Events are re-applied in windows of up to :data:`REPLAY_WINDOW`
+        (the backend cuts them at its own barriers); a window always ends
+        before an index or end frame, where the state hash is compared.
+        """
+        backend = self.backend
         events_applied = 0
         hash_checks = 0
         divergence: Optional[Dict[str, Any]] = None
+        pending: List[Dict[str, Any]] = []
 
-        for frame in self.reader.frames:
-            kind = frame.get("t")
-            if kind == "ev":
-                report = engine.apply_event(churn_event_from_frame(frame))
-                events_applied += 1
-                mismatch = self._check_event(frame, report)
-                if mismatch is not None:
-                    if divergence is None:  # keep the FIRST divergence
-                        divergence = mismatch
-                    if stop_on_divergence:
+        def diverged(mismatch: Optional[Dict[str, Any]]) -> bool:
+            """Keep the FIRST divergence; say whether the loop should stop."""
+            nonlocal divergence
+            if mismatch is None:
+                return False
+            if divergence is None:
+                divergence = mismatch
+            return stop_on_divergence
+
+        def apply_pending() -> bool:
+            nonlocal events_applied
+            frames = pending[:]
+            del pending[:]
+            events = [churn_event_from_frame(frame) for frame in frames]
+            records = backend.collect(backend.dispatch(events))
+            events_applied += len(records)
+            stop = False
+            for frame, record in zip(frames, records):
+                stop = diverged(check_event_frame(frame, record)) or stop
+            return stop
+
+        def hash_mismatch(frame: Dict[str, Any], where: str) -> Optional[Dict[str, Any]]:
+            replayed = backend.state_hash()
+            if replayed == frame["h"]:
+                return None
+            return {
+                "step": frame.get("i"),
+                "reason": f"{where} ({replayed[:12]} != {frame['h'][:12]})",
+                "recorded": frame["h"],
+                "replayed": replayed,
+            }
+
+        try:
+            for frame in self.reader.frames:
+                kind = frame.get("t")
+                if kind == "ev":
+                    pending.append(frame)
+                    if len(pending) < REPLAY_WINDOW:
+                        continue
+                if apply_pending():
+                    break
+                if kind == "x":
+                    hash_checks += 1
+                    if diverged(hash_mismatch(frame, "state hash mismatch at index frame")):
                         break
-            elif kind == "x":
-                hash_checks += 1
-                replayed = state_hash(engine)
-                if replayed != frame["h"] and divergence is None:
-                    divergence = {
-                        "step": frame.get("i"),
-                        "reason": (
-                            f"state hash mismatch at index frame "
-                            f"({replayed[:12]} != {frame['h'][:12]})"
-                        ),
-                        "recorded": frame["h"],
-                        "replayed": replayed,
-                    }
-                    if stop_on_divergence:
-                        break
-            elif kind == "end":
-                replayed = state_hash(engine)
-                if replayed != frame["h"] and divergence is None:
-                    divergence = {
-                        "step": None,
-                        "reason": (
-                            f"final state hash mismatch "
-                            f"({replayed[:12]} != {frame['h'][:12]})"
-                        ),
-                        "recorded": frame["h"],
-                        "replayed": replayed,
-                    }
-
-        end = self.reader.end_frame()
-        return ReplayReport(
-            events_applied=events_applied,
-            hash_checks=hash_checks,
-            ok=divergence is None,
-            divergence=divergence,
-            final_hash=state_hash(engine),
-            recorded_final_hash=end["h"] if end else None,
-        )
-
-    def _check_event(self, frame: Dict[str, Any], report) -> Optional[Dict[str, Any]]:
-        return check_event_frame(frame, report)
+                elif kind == "end":
+                    diverged(hash_mismatch(frame, "final state hash mismatch"))
+            else:
+                apply_pending()  # a crashed-shape trace ends on event frames
+            end = self.reader.end_frame()
+            return ReplayReport(
+                events_applied=events_applied,
+                hash_checks=hash_checks,
+                ok=divergence is None,
+                divergence=divergence,
+                final_hash=backend.state_hash(),
+                recorded_final_hash=end["h"] if end else None,
+            )
+        finally:
+            backend.close()
 
 
 def replay_trace(path: str, engine=None) -> ReplayReport:
-    """Replay a recorded trace, dispatching on the engine that produced it.
-
-    Single-engine traces replay through :class:`ReplayEngine`.  Sharded
-    *serve* traces (recorded by ``repro serve --shards``) replay through
-    :func:`repro.shard.serve.replay_sharded_trace` — their fixed barrier
-    cadence makes the composite run re-derivable from the event sequence
-    alone.  Batch sharded traces remain replayable only via ``trace-diff``.
-    """
-    reader = TraceReader(path)
-    if reader.header.get("engine") == "sharded":
-        from ..shard.serve import is_serve_trace, replay_sharded_trace
-
-        if is_serve_trace(reader):
-            return replay_sharded_trace(reader)
-    return ReplayEngine(reader, engine=engine).run()
+    """Replay a recorded trace (see :class:`ReplayEngine`)."""
+    return ReplayEngine(path, engine=engine).run()
 
 
 # ----------------------------------------------------------------------

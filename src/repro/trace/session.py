@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..errors import ConfigurationError
-from ..scenarios.bus import DEFAULT_PROBE_BUFFER
+from ..scenarios.bus import DEFAULT_PROBE_BUFFER, step_record
 from ..scenarios.probes import Probe
 from ..scenarios.runner import RunResult, SimulationRunner, bind_event_source
 from ..scenarios.scenario import Scenario
@@ -256,6 +256,18 @@ def checkpoint_from_trace(
             "trace header carries no scenario spec; checkpoint-from-trace "
             "needs one to rebuild the event source"
         )
+    if scenario_dict.get("workload") is None and scenario_dict.get("adversary") is None:
+        raise ConfigurationError(
+            "this trace records a live `serve` session: clients were the event "
+            "source, so there is none to checkpoint — verify it with plain "
+            "`replay --trace`"
+        )
+    if reader.header.get("engine") == "sharded":
+        raise ConfigurationError(
+            "this trace records a sharded run; checkpoint-from-trace re-drives "
+            "a single engine — resume sharded runs with `resume --checkpoint` "
+            "from the checkpoint `run-scenario --shards --checkpoint` wrote"
+        )
     if to_step < 1:
         raise ConfigurationError("to_step must be >= 1")
     frames = [frame for frame in reader.frames if frame.get("t") in ("ev", "x")]
@@ -315,7 +327,7 @@ def checkpoint_from_trace(
                 )
             report = engine.apply_event(event)
             events_applied += 1
-            mismatch = check_event_frame(frame, report)
+            mismatch = check_event_frame(frame, step_record(report, frame["i"]))
             if mismatch is not None:
                 raise diverged(step_index, mismatch["reason"])
         else:  # index frame

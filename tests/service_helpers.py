@@ -1,0 +1,74 @@
+"""Shared drivers for the live-service suites (contract + sharded-only)."""
+
+from __future__ import annotations
+
+from repro.service import LiveEngineSession, ProtocolError, live_scenario
+
+#: Small enough to run fast, large enough to respect the per-shard slice
+#: floor (two target clusters per shard at max_size=256).
+SIZES = dict(initial_size=200, max_size=256)
+
+#: The backends every contract case runs on: ``(logical shards, workers)``.
+#: ``shards=W`` is ``serve --shards W`` — four logical shards on W workers.
+BACKENDS = {"single": (0, 1), "shards=1": (4, 1), "shards=2": (4, 2)}
+
+
+def make_session(backend: str = "shards=1", seed: int = 9, **overrides) -> LiveEngineSession:
+    shards, workers = BACKENDS[backend]
+    params = dict(SIZES)
+    params.update(overrides)
+    return LiveEngineSession(
+        live_scenario(seed=seed, shards=shards, **params), workers=workers
+    )
+
+
+def frames_from_ops(ops):
+    frames = []
+    for index, op in enumerate(ops):
+        if op == "byzantine-join":
+            frames.append({"op": "join", "id": index, "role": "byzantine"})
+        else:
+            frames.append({"op": op, "id": index})
+    return frames
+
+
+def pump(session: LiveEngineSession, frames, chunk: int = 8):
+    """Run a request stream the way the frontend pump does.
+
+    Splits the stream into pump batches of ``chunk`` requests, windows the
+    writes of each batch, serves ready reads during the window and deferred
+    ones after it.  Returns per-frame outcomes in stream order (result
+    dicts, or the ``ProtocolError`` for rejected writes).
+    """
+    outcomes = [None] * len(frames)
+    for base in range(0, len(frames), chunk):
+        batch = list(enumerate(frames[base : base + chunk], start=base))
+        writes = [(i, f) for i, f in batch if f["op"] in ("join", "leave")]
+        reads = [(i, f) for i, f in batch if f["op"] not in ("join", "leave")]
+        window = session.begin_window([f for _, f in writes]) if writes else None
+        deferred = []
+        for i, frame in reads:
+            if window is not None and not session.read_ready(frame["op"]):
+                deferred.append((i, frame))
+            else:
+                outcomes[i] = session.execute(frame)
+        if window is not None:
+            for (i, _), outcome in zip(writes, session.finish_window(window)):
+                outcomes[i] = outcome
+        for i, frame in deferred:
+            outcomes[i] = session.execute(frame)
+    return outcomes
+
+
+def normalise(outcome):
+    """One comparable value per outcome (errors compare by code+message).
+
+    Status responses name the worker count and the recording path — the two
+    fields that *should* differ across deployments of the same logical run —
+    so those are dropped before comparison.
+    """
+    if isinstance(outcome, ProtocolError):
+        return ("error", outcome.code, outcome.message)
+    if isinstance(outcome, dict):
+        return {k: v for k, v in outcome.items() if k not in ("workers", "recording")}
+    return outcome

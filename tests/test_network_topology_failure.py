@@ -1,12 +1,10 @@
-"""Unit tests for the knowledge graph and the failure detector."""
+"""Unit tests for the knowledge graph."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import UnknownNodeError
-from repro.network.failure import FailureDetector
-from repro.network.node import NodeDescriptor, NodeRole, NodeState
 from repro.network.topology import KnowledgeGraph
 
 
@@ -126,59 +124,3 @@ class TestKnowledgeGraphQueries:
         diameter_with_byz = graph.honest_adjacent_diameter({0, 3})
         assert diameter_all_honest == 3
         assert diameter_with_byz >= 4  # 0 cannot reach 3 through the 1-2 edge
-
-
-class TestFailureDetector:
-    def make_detector(self):
-        graph = ring(4)
-        detector = FailureDetector(graph)
-        for node_id in range(4):
-            detector.register(NodeDescriptor(node_id=node_id))
-        return graph, detector
-
-    def test_alive_after_register(self):
-        _, detector = self.make_detector()
-        assert detector.is_alive(2)
-
-    def test_mark_left_detected_by_neighbour_once(self):
-        _, detector = self.make_detector()
-        detector.mark_left(1)
-        first_observer = detector.detect_departed_neighbours(0)
-        second_observer = detector.detect_departed_neighbours(2)
-        assert first_observer == [1]
-        assert second_observer == []  # reported only once
-
-    def test_crash_and_leave_both_reported(self):
-        _, detector = self.make_detector()
-        detector.mark_crashed(1)
-        detector.mark_left(3)
-        departed = detector.detect_departed_neighbours(0)
-        assert set(departed) == {1, 3}
-
-    def test_rejoin_clears_report(self):
-        _, detector = self.make_detector()
-        detector.mark_left(1)
-        detector.detect_departed_neighbours(0)
-        detector.mark_active(1)
-        assert detector.is_alive(1)
-        detector.mark_left(1)
-        assert detector.detect_departed_neighbours(2) == [1]
-
-    def test_state_queries(self):
-        _, detector = self.make_detector()
-        detector.mark_left(1)
-        assert detector.state_of(1) is NodeState.LEFT
-        assert 1 in detector.departed_nodes()
-        assert 1 not in detector.active_nodes()
-
-    def test_unknown_node_raises(self):
-        _, detector = self.make_detector()
-        with pytest.raises(UnknownNodeError):
-            detector.mark_left(99)
-
-    def test_forget(self):
-        _, detector = self.make_detector()
-        detector.mark_left(1)
-        detector.forget(1)
-        with pytest.raises(UnknownNodeError):
-            detector.state_of(1)

@@ -14,6 +14,9 @@ from repro.service import (
     live_scenario,
 )
 from repro.service.frontend import _Pending
+from repro.trace import TraceReader, replay_trace
+
+from service_helpers import make_session as make_backend_session
 
 
 def make_session(seed: int = 9) -> LiveEngineSession:
@@ -197,6 +200,71 @@ class TestBackpressure:
             finally:
                 await frontend.stop()
             assert frontend.session.operations.get("ping", 0) == 2
+
+        asyncio.run(scenario())
+
+
+class TestFailureInsideTheEngine:
+    """A write that fails past admission is applied-but-unrecorded: fatal.
+    A read that fails changed nothing: answered ``failed``, service goes on."""
+
+    @pytest.mark.parametrize("backend", ["single", "shards=1"])
+    def test_trace_write_failure_stops_server_and_trace_replays(self, tmp_path, backend):
+        path = str(tmp_path / "failing.jsonl")
+
+        async def scenario():
+            session = make_backend_session(backend, seed=6)
+            writer = session.attach_trace(path)
+            write_record, calls = writer.write_record, []
+
+            def failing_write(record):
+                calls.append(record)
+                if len(calls) == 4:
+                    raise OSError(28, "No space left on device")
+                write_record(record)
+
+            writer.write_record = failing_write
+            frontend = ServiceFrontend(session, port=0)
+            await frontend.start()
+            reader, stream = await connect(frontend)
+            for index in range(3):
+                assert (await rpc(reader, stream, {"op": "join", "id": index}))["ok"]
+            doomed = await rpc(reader, stream, {"op": "join", "id": "k"})
+            assert doomed["ok"] is False and doomed["error"] == "failed"
+            late = await rpc(reader, stream, {"op": "join", "id": "late"})
+            assert late["ok"] is False and late["error"] == "shutting_down"
+            await close_writer(stream)
+            with pytest.raises(OSError, match="No space left"):
+                await frontend.serve_until_shutdown()
+            assert "engine pump failed" in frontend.shutdown_reason
+            assert session.closed
+
+        asyncio.run(scenario())
+        # Sealed crashed-shape: the three recorded events, no end frame, and
+        # the file replays clean to its last frame.
+        trace = TraceReader(path)
+        assert trace.event_count() == 3 and trace.end_frame() is None
+        report = replay_trace(path)
+        assert report.ok and report.events_applied == 3
+
+    def test_failing_read_answers_failed_and_service_continues(self):
+        async def scenario():
+            frontend = ServiceFrontend(make_session(), port=0)
+            await frontend.start()
+            try:
+                def broken_sample():
+                    raise RuntimeError("walk fell off the overlay")
+
+                frontend.session.backend.sample = broken_sample
+                reader, writer = await connect(frontend)
+                response = await rpc(reader, writer, {"op": "sample", "id": 1})
+                assert response["ok"] is False and response["error"] == "failed"
+                assert "internal error" in response["message"]
+                assert (await rpc(reader, writer, {"op": "join", "id": 2}))["ok"]
+                assert frontend.pump_error is None
+                await close_writer(writer)
+            finally:
+                await frontend.stop()
 
         asyncio.run(scenario())
 

@@ -152,10 +152,10 @@ def session():
 
 class TestLiveEngineSession:
     def test_requires_now_engine_without_shards(self):
-        with pytest.raises(ConfigurationError):
-            LiveEngineSession(live_scenario(engine="no_shuffle"))
-        with pytest.raises(ConfigurationError):
-            LiveEngineSession(live_scenario(shards=2))
+        # ... and with them: the rule is the session's, not a backend's.
+        for shards in (0, 2):
+            with pytest.raises(ConfigurationError, match="'now' engine"):
+                LiveEngineSession(live_scenario(engine="no_shuffle", shards=shards))
 
     def test_service_rng_offsets_scenario_seed(self, session):
         import random
@@ -164,30 +164,30 @@ class TestLiveEngineSession:
         assert session.rng.random() == probe.random()
 
     def test_join_and_leave_advance_engine_time(self, session):
-        before = session.engine.state.time_step
+        before = session.backend.engine.state.time_step
         joined = session.execute({"op": "join", "id": 1})
         left = session.execute({"op": "leave", "id": 2, "node_id": joined["node_id"]})
-        assert session.engine.state.time_step == before + 2
+        assert session.backend.engine.state.time_step == before + 2
         assert session.events_applied == 2
         assert left["network_size"] == joined["network_size"] - 1
 
     def test_join_existing_active_node_fails_preflight(self, session):
         joined = session.execute({"op": "join", "id": 1})
-        time_before = session.engine.state.time_step
+        time_before = session.backend.engine.state.time_step
         with pytest.raises(ProtocolError) as excinfo:
             session.execute({"op": "join", "id": 2, "node_id": joined["node_id"]})
         assert excinfo.value.code == ERROR_FAILED
         # Pre-flight rejection must not consume a protocol time step —
         # that is the replay-divergence hazard the checks exist to prevent.
-        assert session.engine.state.time_step == time_before
+        assert session.backend.engine.state.time_step == time_before
         assert session.events_applied == 1
 
     def test_leave_unknown_node_fails_preflight(self, session):
-        time_before = session.engine.state.time_step
+        time_before = session.backend.engine.state.time_step
         with pytest.raises(ProtocolError) as excinfo:
             session.execute({"op": "leave", "id": 1, "node_id": 10**9})
         assert excinfo.value.code == ERROR_FAILED
-        assert session.engine.state.time_step == time_before
+        assert session.backend.engine.state.time_step == time_before
 
     def test_join_at_max_size_fails_preflight(self):
         live = LiveEngineSession(
@@ -213,7 +213,7 @@ class TestLiveEngineSession:
         try:
             picked = anonymous.execute({"op": "leave", "id": 1})["node_id"]
             named.execute({"op": "leave", "id": 1, "node_id": picked})
-            assert state_hash(anonymous.engine) == state_hash(named.engine)
+            assert state_hash(anonymous.backend.engine) == state_hash(named.backend.engine)
         finally:
             anonymous.close()
             named.close()
@@ -221,14 +221,14 @@ class TestLiveEngineSession:
     def test_reads_do_not_touch_engine_rng_or_time(self, session):
         from repro.trace.hashing import rng_digest
 
-        time_before = session.engine.state.time_step
-        digest_before = rng_digest(session.engine.state.rng)
+        time_before = session.backend.engine.state.time_step
+        digest_before = rng_digest(session.backend.engine.state.rng)
         session.execute({"op": "sample", "id": 1})
         session.execute({"op": "broadcast", "id": 2, "payload": "hi"})
         session.execute({"op": "status", "id": 3})
         session.execute({"op": "ping", "id": 4})
-        assert session.engine.state.time_step == time_before
-        assert rng_digest(session.engine.state.rng) == digest_before
+        assert session.backend.engine.state.time_step == time_before
+        assert rng_digest(session.backend.engine.state.rng) == digest_before
         assert session.events_applied == 0
 
     def test_status_reports_counters(self, session):
@@ -237,7 +237,7 @@ class TestLiveEngineSession:
         status = session.execute({"op": "status", "id": 3})
         assert status["events_applied"] == 1
         assert status["operations"] == {"sample": 1, "join": 1}
-        assert status["network_size"] == session.engine.network_size
+        assert status["network_size"] == session.backend.engine.network_size
         assert status["recording"] is None
 
     def test_closed_session_refuses_requests(self, session):

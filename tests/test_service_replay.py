@@ -1,132 +1,200 @@
-"""Recorded live-service sessions replay divergence-free.
+"""The live-session contract, on every backend.
 
-The determinism contract under test: every churn event a live session
-applies is published to the trace exactly as a batch run's events are, and
-every read (sample/broadcast, anonymous-leave pick) draws from the private
-service RNG — so re-applying the recorded events to an engine rebuilt from
-the trace header reproduces the identical state, hash for hash.
+One suite, parametrised over the backends a session can run on (the single
+engine, the shard coordinator inline, the shard coordinator on two worker
+processes).  The determinism contract under test: every churn event a live
+session applies is recorded exactly as applied, the anonymous-leave pick
+draws from the write stream (``seed + 4``) and every read from the read
+stream (``seed + 5``) — so re-applying the recorded events through the same
+backend, rebuilt from the trace header, reproduces the identical state, hash
+for hash, however the pump chunked the requests and whatever was read in
+between.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
+import dataclasses
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.service import (
-    LiveEngineSession,
-    ProtocolError,
-    ServiceFrontend,
-    encode_frame,
-    live_scenario,
-)
-from repro.trace.hashing import state_hash
-from repro.trace.replay import replay_trace
+from repro.service import ProtocolError, ServiceFrontend, encode_frame
+from repro.trace import TraceReader, replay_trace
 
-_trace_counter = itertools.count()
+from service_helpers import BACKENDS, SIZES, frames_from_ops, make_session, normalise, pump
+
+on_every_backend = pytest.mark.parametrize("backend", list(BACKENDS))
 
 
-def fresh_session(tmp_path, seed: int = 21, record: bool = True):
-    """A small live session, optionally recording to a unique trace path."""
-    session = LiveEngineSession(
-        live_scenario(seed=seed, initial_size=90, max_size=256)
-    )
-    path = None
-    if record:
-        path = str(tmp_path / f"live-{next(_trace_counter)}.jsonl")
-        session.attach_trace(path, index_every=5)
-    return session, path
-
-
-def run_ops(session: LiveEngineSession, ops) -> int:
-    """Drive a mixed request sequence; engine-rejected requests are fine."""
-    executed = 0
-    for index, op in enumerate(ops):
-        frame = {"op": op, "id": index}
-        if op == "broadcast":
-            frame["payload"] = f"p{index}"
-        try:
-            session.execute(frame)
-            executed += 1
-        except ProtocolError:
-            # Size-bound rejections are part of normal service operation
-            # and must not affect the recorded trace.
-            pass
-    return executed
+def event_frames(path):
+    return [frame for frame in TraceReader(path).frames if frame["t"] == "ev"]
 
 
 class TestRecordedSessionReplays:
+    @on_every_backend
     @settings(
-        max_examples=15,
+        max_examples=10,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
         ops=st.lists(
-            st.sampled_from(["join", "leave", "sample", "broadcast", "status"]),
+            st.sampled_from(
+                ["join", "join", "byzantine-join", "leave", "sample", "broadcast", "status"]
+            ),
             min_size=1,
             max_size=40,
         ),
         seed=st.integers(min_value=1, max_value=50),
     )
     def test_any_request_sequence_replays_divergence_free(
-        self, tmp_path, ops, seed
+        self, tmp_path_factory, backend, ops, seed
     ):
-        session, path = fresh_session(tmp_path, seed=seed)
+        path = str(tmp_path_factory.mktemp("live") / "trace.jsonl")
+        session = make_session(backend, seed=seed)
         try:
-            run_ops(session, ops)
+            session.attach_trace(path, index_every=5)
+            pump(session, frames_from_ops(ops), chunk=8)
+            recorded_hash = session.state_hash()
         finally:
             session.close()
         report = replay_trace(path)
         assert report.ok, report.divergence
         assert report.events_applied == session.events_applied
-        assert report.final_hash == state_hash(session.engine)
+        assert report.final_hash == report.recorded_final_hash == recorded_hash
 
-    def test_interleaved_reads_do_not_perturb_replay(self, tmp_path):
-        # Two sessions applying the same churn but wildly different read
-        # traffic must record byte-identical event streams.
-        quiet, quiet_path = fresh_session(tmp_path, seed=33)
-        noisy, noisy_path = fresh_session(tmp_path, seed=33)
-        try:
-            for index in range(10):
-                quiet.execute({"op": "join", "id": index})
-                for burst in range(5):
-                    noisy.execute({"op": "sample", "id": f"s{index}-{burst}"})
-                noisy.execute({"op": "broadcast", "id": f"b{index}", "payload": "x"})
-                noisy.execute({"op": "join", "id": index})
-        finally:
-            quiet.close()
-            noisy.close()
-        assert state_hash(quiet.engine) == state_hash(noisy.engine)
-        assert replay_trace(quiet_path).final_hash == replay_trace(noisy_path).final_hash
+    @on_every_backend
+    def test_chunking_does_not_change_events_or_hash(self, tmp_path, backend):
+        """Pump chunk size is invisible: same events, same state hash."""
+        frames = frames_from_ops(["join"] * 30 + ["leave"] * 10 + ["join"] * 30)
+        streams = {}
+        for chunk in (1, 7, 64):
+            path = str(tmp_path / f"chunk{chunk}.jsonl")
+            session = make_session(backend, seed=4)
+            try:
+                session.attach_trace(path, index_every=1000)
+                outcomes = pump(session, frames, chunk=chunk)
+                state = session.state_hash()
+            finally:
+                session.close()
+            streams[chunk] = ([normalise(o) for o in outcomes], state, event_frames(path))
+        assert streams[7] == streams[1]
+        assert streams[64] == streams[1]
 
-    def test_crashed_shape_trace_still_replays(self, tmp_path):
-        session, path = fresh_session(tmp_path, seed=8)
-        run_ops(session, ["join", "leave", "join", "sample", "join"])
-        # The crash path: buffered frames are flushed, no end frame.
-        session.close(ok=False)
-        frames = [
-            json.loads(line)
-            for line in open(path, encoding="utf-8")
-            if line.strip()
+    @on_every_backend
+    @pytest.mark.parametrize("trace_format", ["jsonl", "binary"])
+    def test_crashed_shape_trace_still_replays(self, tmp_path, backend, trace_format):
+        """Sealed or crashed-shape, JSONL or binary: the trace replays."""
+        ops = ["join", "leave", "join", "sample", "join"] * 5
+        hashes = {}
+        for ok in (True, False):
+            path = str(tmp_path / f"ok{ok}.trace")
+            session = make_session(backend, seed=8)
+            session.attach_trace(path, index_every=10, trace_format=trace_format)
+            pump(session, frames_from_ops(ops), chunk=4)
+            # ok=False is the crash path: frames flushed, no end frame.
+            session.close(ok=ok)
+            assert (TraceReader(path).end_frame() is not None) == ok
+            report = replay_trace(path)
+            assert report.ok, report.divergence
+            assert report.events_applied == session.events_applied == 20
+            assert report.hash_checks == 2
+            hashes[ok] = report.final_hash
+        assert hashes[True] == hashes[False]
+
+    @on_every_backend
+    def test_interleaved_reads_do_not_perturb_replay(self, tmp_path, backend):
+        """Read traffic moves neither the events, the leavers nor the hash.
+
+        Anonymous leaves are the sharp case: their pick draws from the write
+        stream, which reads must never consume.
+        """
+        writes = frames_from_ops(["join"] * 10 + ["leave"] * 6)
+
+        def run(name: str, noisy: bool):
+            path = str(tmp_path / f"{name}.jsonl")
+            session = make_session(backend, seed=33)
+            outcomes = []
+            try:
+                session.attach_trace(path, index_every=5)
+                for index, frame in enumerate(writes):
+                    if noisy:
+                        for burst in range(5):
+                            session.execute({"op": "sample", "id": f"s{index}-{burst}"})
+                        session.execute({"op": "broadcast", "id": f"b{index}", "payload": "x"})
+                        session.execute({"op": "status", "id": f"t{index}"})
+                    outcomes.append(normalise(session.execute(frame)))
+                state = session.state_hash()
+            finally:
+                session.close()
+            with open(path, "rb") as handle:
+                return outcomes, state, handle.read(), replay_trace(path)
+
+        quiet = run("quiet", noisy=False)
+        noisy = run("noisy", noisy=True)
+        assert noisy[:3] == quiet[:3]
+        assert quiet[3].ok and noisy[3].ok
+        assert noisy[3].final_hash == quiet[3].final_hash == quiet[1]
+
+    def test_admission_rejections_identical_on_every_backend(self):
+        """Same requests, same verdicts: codes and messages do not depend on
+        the backend (the rules are written once, against its registry)."""
+
+        def verdicts(backend: str):
+            session = make_session(backend, seed=3)
+            seen = []
+
+            def batch(*frames):
+                for outcome in pump(session, list(frames), chunk=len(frames)):
+                    if isinstance(outcome, ProtocolError):
+                        seen.append(normalise(outcome))
+                    else:
+                        seen.append(("ok", outcome["node_id"], outcome["network_size"]))
+
+            try:
+                batch({"op": "join", "node_id": 9000})
+                batch({"op": "join", "node_id": 9000})  # double join
+                batch({"op": "leave", "node_id": 10**9})  # unknown leave
+                # Same-batch sequencing: join→leave of one node, a repeated
+                # join, a repeated leave, leave→rejoin.
+                batch({"op": "join", "node_id": 9001}, {"op": "leave", "node_id": 9001})
+                batch({"op": "join", "node_id": 9002}, {"op": "join", "node_id": 9002})
+                batch({"op": "leave", "node_id": 9000}, {"op": "leave", "node_id": 9000})
+                batch({"op": "leave", "node_id": 9002}, {"op": "join", "node_id": 9002})
+                # Lower bound: two above the floor, three leaves in one batch.
+                session.backend.params = dataclasses.replace(
+                    session.backend.params, min_size=session.network_size - 2
+                )
+                batch({"op": "leave"}, {"op": "leave"}, {"op": "leave"})
+                # Upper bound: one batch that overshoots max_size by two.
+                room = SIZES["max_size"] - session.network_size
+                batch(*[{"op": "join"} for _ in range(room + 2)])
+                assert session.network_size == SIZES["max_size"]
+            finally:
+                session.close()
+            return seen
+
+        single = verdicts("single")
+        errors = [verdict for verdict in single if verdict[0] == "error"]
+        assert errors == [
+            ("error", "failed", "node 9000 is already active"),
+            ("error", "failed", f"node {10**9} is not active"),
+            ("error", "failed", "node 9002 is already active"),
+            ("error", "failed", "node 9000 is not active"),
+            ("error", "failed", "network is at its lower size bound 199"),
+            ("error", "failed", "network is at its maximum size 256"),
+            ("error", "failed", "network is at its maximum size 256"),
         ]
-        assert frames[0]["t"] == "header"
-        assert all(frame["t"] != "end" for frame in frames)
-        report = replay_trace(path)
-        assert report.ok, report.divergence
-        assert report.events_applied == session.events_applied
+        assert verdicts("shards=1") == single
+        assert verdicts("shards=2") == single
 
 
 class TestServedSessionReplays:
     def test_tcp_served_session_records_and_replays(self, tmp_path):
-        path = str(tmp_path / "served.jsonl")
-
-        async def scenario():
-            session = LiveEngineSession(
-                live_scenario(seed=4, initial_size=90, max_size=256)
-            )
+        async def scenario(backend: str, path: str):
+            session = make_session(backend, seed=4)
             session.attach_trace(path, index_every=10)
             frontend = ServiceFrontend(session, port=0)
             await frontend.start()
@@ -147,13 +215,16 @@ class TestServedSessionReplays:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+            recorded_hash = session.state_hash()
             await frontend.stop()
-            return session, responses
+            return session, responses, recorded_hash
 
-        session, responses = asyncio.run(scenario())
-        assert all(response["ok"] for response in responses)
-        assert session.events_applied == 22  # 8 joins + 3 leaves, twice
-        report = replay_trace(path)
-        assert report.ok, report.divergence
-        assert report.events_applied == session.events_applied
-        assert report.final_hash == state_hash(session.engine)
+        for backend in ("single", "shards=2"):
+            path = str(tmp_path / f"{backend}.jsonl")
+            session, responses, recorded_hash = asyncio.run(scenario(backend, path))
+            assert all(response["ok"] for response in responses)
+            assert session.events_applied == 22  # 8 joins + 3 leaves, twice
+            report = replay_trace(path)
+            assert report.ok, report.divergence
+            assert report.events_applied == session.events_applied
+            assert report.final_hash == recorded_hash

@@ -1,13 +1,12 @@
-"""The sharded live-service backend: worker-count equivalence, read lane,
-worker death, serve-trace replay.
+"""The sharded backend's own cases: worker-count equivalence, the deferred
+read lane, worker death, shard-only admission.
 
-The load-bearing property here is the determinism contract of
-``docs/SERVICE.md``: a sharded session's responses, recorded trace and
-composite state hash are a pure function of the admitted request sequence —
+Everything a session promises on *every* backend lives in the contract suite
+(``tests/test_service_replay.py``).  What is left here is specific to the
+shard coordinator: responses, recorded trace and composite state hash are
 independent of the worker-process count (``workers=1`` is the inline
-oracle) and of how the pump chunked requests into windows.  Reads ride a
-separate RNG stream, so interleaving them must leave the write lane
-bit-identical.
+oracle), the single engine is the oracle for the write lane's responses, and
+a worker dying under load fails loudly.
 """
 
 from __future__ import annotations
@@ -20,88 +19,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.service import (
-    LiveEngineSession,
-    ServiceFrontend,
-    ShardedLiveSession,
-    encode_frame,
-    live_scenario,
-    sharded_live_scenario,
-)
+from repro.service import LiveEngineSession, ServiceFrontend, encode_frame, live_scenario
 from repro.service.protocol import ProtocolError
-from repro.shard import ShardWorkerError, replay_sharded_trace
+from repro.shard import ShardWorkerError
 from repro.shard.worker import ProcessTransport
 from repro.trace import TraceReader, replay_trace
 
-#: Small enough to run fast, large enough to respect the per-shard slice
-#: floor (two target clusters per shard at max_size=256).
-SIZES = dict(initial_size=200, max_size=256)
+from service_helpers import SIZES, frames_from_ops, normalise, pump
 
 
-def make_session(seed: int = 9, workers: int = 1, **overrides) -> ShardedLiveSession:
+def make_session(seed: int = 9, workers: int = 1, **overrides) -> LiveEngineSession:
     params = dict(SIZES)
     params.update(overrides)
-    return ShardedLiveSession(
-        sharded_live_scenario(seed=seed, **params), workers=workers
-    )
-
-
-def pump(session: ShardedLiveSession, frames, chunk: int = 8):
-    """Run a request stream the way the windowed frontend pump does.
-
-    Splits the stream into pump batches of ``chunk`` requests, windows the
-    writes of each batch, serves ready reads during the window and deferred
-    ones after it.  Returns per-frame outcomes in stream order (result
-    dicts, or the ``ProtocolError`` for rejected writes).
-    """
-    outcomes = [None] * len(frames)
-    for base in range(0, len(frames), chunk):
-        batch = list(enumerate(frames[base : base + chunk], start=base))
-        writes = [(i, f) for i, f in batch if f["op"] in ("join", "leave")]
-        reads = [(i, f) for i, f in batch if f["op"] not in ("join", "leave")]
-        handle = session.begin_window([f for _, f in writes]) if writes else None
-        deferred = []
-        for i, frame in reads:
-            if handle is not None and not session.read_ready(frame["op"]):
-                deferred.append((i, frame))
-            else:
-                outcomes[i] = session.execute(frame)
-        if handle is not None:
-            for (i, _), outcome in zip(writes, session.finish_window(handle)):
-                outcomes[i] = outcome
-        for i, frame in deferred:
-            outcomes[i] = session.execute(frame)
-    return outcomes
-
-
-def normalise(outcome):
-    """One comparable value per outcome (errors compare by code+message).
-
-    Status responses name the worker count and the recording path — the two
-    fields that *should* differ across deployments of the same logical run —
-    so those are dropped before comparison.
-    """
-    if isinstance(outcome, ProtocolError):
-        return ("error", outcome.code, outcome.message)
-    if isinstance(outcome, dict):
-        return {k: v for k, v in outcome.items() if k not in ("workers", "recording")}
-    return outcome
+    return LiveEngineSession(live_scenario(seed=seed, shards=4, **params), workers=workers)
 
 
 # The op alphabet the equivalence property draws request streams from.
 OPS = st.sampled_from(
     ["join", "join", "byzantine-join", "leave", "sample", "status", "broadcast"]
 )
-
-
-def frames_from_ops(ops):
-    frames = []
-    for index, op in enumerate(ops):
-        if op == "byzantine-join":
-            frames.append({"op": "join", "id": index, "role": "byzantine"})
-        else:
-            frames.append({"op": op, "id": index})
-    return frames
 
 
 class TestWorkerCountEquivalence:
@@ -133,20 +69,6 @@ class TestWorkerCountEquivalence:
         assert results[2] == results[1]
         assert results[4] == results[1]
 
-    def test_chunking_does_not_change_events_or_hash(self):
-        """Windows are barrier-aligned: pump chunk size is invisible."""
-        frames = frames_from_ops(["join"] * 30 + ["leave"] * 10 + ["join"] * 30)
-        streams = {}
-        for chunk in (1, 7, 64):
-            session = make_session(seed=4)
-            try:
-                outcomes = pump(session, frames, chunk=chunk)
-                streams[chunk] = ([normalise(o) for o in outcomes], session.state_hash())
-            finally:
-                session.close()
-        assert streams[7] == streams[1]
-        assert streams[64] == streams[1]
-
     def test_writes_match_classic_single_engine_session(self):
         """The classic session is the oracle for the write lane's responses.
 
@@ -160,6 +82,7 @@ class TestWorkerCountEquivalence:
             ["join"] * 40 + ["leave", "join", "leave", "byzantine-join"] * 10
         )
         classic = LiveEngineSession(live_scenario(seed=11, **SIZES))
+        assert not classic.scenario.shards
         expected = []
         for frame in frames:
             result = classic.execute(frame)
@@ -178,53 +101,6 @@ class TestWorkerCountEquivalence:
 
 
 class TestReadLane:
-    def test_interleaved_reads_leave_write_lane_bit_identical(self, tmp_path):
-        """Samples between writes perturb neither the trace nor the hash.
-
-        The frontend drains the two lanes separately, so a write batch is
-        composed of writes only — reads that arrived among them are served
-        around the same window.  With identical write batching, the mixed
-        run's trace must equal the writes-only run's trace byte for byte.
-        """
-        writes = frames_from_ops(["join"] * 25 + ["leave"] * 5 + ["join"] * 10)
-        # Reads attached to the write index they arrive after.
-        reads_after = {
-            index: [{"op": "sample", "id": f"r{index}"}]
-            + ([{"op": "status", "id": f"s{index}"}] if index % 7 == 0 else [])
-            for index in range(0, len(writes), 3)
-        }
-
-        def run(with_reads: bool, path: str):
-            session = make_session(seed=21)
-            write_outcomes = []
-            try:
-                session.attach_trace(path, index_every=10)
-                for base in range(0, len(writes), 8):
-                    batch = writes[base : base + 8]
-                    reads = []
-                    if with_reads:
-                        for index in range(base, base + len(batch)):
-                            reads.extend(reads_after.get(index, ()))
-                    handle = session.begin_window(batch)
-                    deferred = []
-                    for frame in reads:
-                        if session.read_ready(frame["op"]):
-                            session.execute(frame)
-                        else:
-                            deferred.append(frame)
-                    write_outcomes.extend(session.finish_window(handle))
-                    for frame in deferred:
-                        session.execute(frame)
-                state = session.state_hash()
-            finally:
-                session.close()
-            with open(path, "rb") as handle:
-                return [normalise(o) for o in write_outcomes], state, handle.read()
-
-        plain = run(False, str(tmp_path / "plain.jsonl"))
-        mixed = run(True, str(tmp_path / "mixed.jsonl"))
-        assert mixed == plain
-
     def test_status_serves_during_inflight_window_sample_defers(self):
         """status/ping never block on a window; a stale model defers sample."""
         session = make_session(seed=5)
@@ -268,14 +144,11 @@ class TestReadLane:
 
 class TestShardedSessionValidation:
     def test_rejects_scenario_with_workload(self):
-        scenario = sharded_live_scenario(seed=1, **SIZES)
-        scenario.workload = {"kind": "uniform"}
-        with pytest.raises(ConfigurationError, match="workload"):
-            ShardedLiveSession(scenario)
-
-    def test_rejects_unsharded_scenario(self):
-        with pytest.raises(ConfigurationError, match="shards"):
-            ShardedLiveSession(live_scenario(seed=1, **SIZES))
+        for shards in (0, 4):
+            scenario = live_scenario(seed=1, shards=shards, **SIZES)
+            scenario.workload = {"kind": "uniform"}
+            with pytest.raises(ConfigurationError, match="workload"):
+                LiveEngineSession(scenario)
 
     def test_join_at_max_size_fails_cleanly(self):
         session = make_session(seed=2, initial_size=240, max_size=256)
@@ -336,9 +209,6 @@ class TestServeTraceReplay:
         assert report.hash_checks >= 1
         assert report.final_hash == recorded_hash
 
-        report_direct = replay_sharded_trace(path)
-        assert report_direct.ok and report_direct.final_hash == recorded_hash
-
     def test_replay_detects_tampered_event(self, tmp_path):
         path = str(tmp_path / "serve.jsonl")
         session = make_session(seed=13)
@@ -377,9 +247,7 @@ class TestWorkerDeath:
         path = str(tmp_path / "crash.jsonl")
 
         async def scenario():
-            session = ShardedLiveSession(
-                sharded_live_scenario(seed=17, **SIZES), workers=2
-            )
+            session = make_session(seed=17, workers=2)
             session.attach_trace(path)
             frontend = ServiceFrontend(session, port=0)
             await frontend.start()
@@ -387,7 +255,7 @@ class TestWorkerDeath:
             # Prove the service is healthy, then kill one worker process.
             first = await _rpc(reader, writer, {"op": "join", "id": "warm"})
             assert first["ok"]
-            transport = session.coordinator._transports[0]
+            transport = session.backend.coordinator._transports[0]
             assert isinstance(transport, ProcessTransport)
             transport._process.kill()
             transport._process.join(timeout=5)

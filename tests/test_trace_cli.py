@@ -118,3 +118,45 @@ class TestTraceDiffCli:
         capsys.readouterr()
         assert run_cli("trace-diff", a, b) == 1
         assert "first divergence at step" in capsys.readouterr().out
+
+
+class TestCheckpointFromTraceRejections:
+    """`replay --to-step` re-drives a single engine from the scenario's event
+    source; traces it cannot re-drive are usage errors (exit 2) that name the
+    right tool — never a false `DIVERGED` (exit 1) or a traceback."""
+
+    def test_batch_sharded_trace_is_a_usage_error_naming_resume(self, tmp_path, capsys):
+        trace = os.path.join(str(tmp_path), "sharded.jsonl")
+        assert run_cli(
+            "run-scenario", "--name", "uniform-churn", "--steps", "40",
+            "--shards", "1", "--record", trace,
+        ) == 0
+        capsys.readouterr()
+        checkpoint = os.path.join(str(tmp_path), "mid.json")
+        code = run_cli("replay", "--trace", trace, "--to-step", "10", "--checkpoint", checkpoint)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "resume --checkpoint" in captured.err
+        assert "DIVERGED" not in captured.err
+        assert not os.path.exists(checkpoint)
+
+    def test_serve_trace_is_a_usage_error_naming_plain_replay(self, tmp_path, capsys):
+        from repro.service import LiveEngineSession, live_scenario
+
+        for shards in (0, 4):
+            trace = os.path.join(str(tmp_path), f"serve{shards}.jsonl")
+            session = LiveEngineSession(
+                live_scenario(seed=3, initial_size=200, max_size=256, shards=shards)
+            )
+            session.attach_trace(trace)
+            for index in range(5):
+                session.execute({"op": "join", "id": index})
+            session.close()
+            checkpoint = os.path.join(str(tmp_path), f"mid{shards}.json")
+            code = run_cli("replay", "--trace", trace, "--to-step", "3", "--checkpoint", checkpoint)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert "replay --trace" in captured.err
+            assert not os.path.exists(checkpoint)
+            assert run_cli("replay", "--trace", trace) == 0
+            capsys.readouterr()
