@@ -49,7 +49,8 @@ import time
 import pytest
 
 from repro import Scenario
-from repro.shard import PHASE_KEYS, ShardCoordinator
+from repro.shard import PHASE_KEYS
+from repro.trace import record_scenario
 
 from bench_engine_throughput import save_result
 
@@ -77,27 +78,27 @@ def _scenario(initial_size: int, steps: int, shards: int) -> Scenario:
 def _measure_sharded(
     initial_size: int, steps: int, shards: int, workers: int, pipeline: bool = True
 ):
-    coordinator = ShardCoordinator(
+    # The entry point `run-scenario --shards` runs; the scenario's shards
+    # field picks the backend, workers/pipeline are execution choices.
+    session = record_scenario(
         _scenario(initial_size, steps, shards), workers=workers, pipeline=pipeline
     )
-    try:
-        result = coordinator.run(steps)
-        return {
-            "workers": coordinator.workers,
-            "pipeline": pipeline,
-            "events": result.events,
-            "elapsed_seconds": result.elapsed_seconds,
-            "events_per_second": result.events_per_second,
-            "final_network_size": result.final_size,
-            "state_hash": coordinator.state_hash(),
-            "windows_pipelined": coordinator.windows_pipelined,
-            "phase_seconds": {
-                key: round(coordinator.phase_times[key], 6) for key in PHASE_KEYS
-            },
-            "oversubscribed": coordinator.workers > (os.cpu_count() or 1),
-        }
-    finally:
-        coordinator.close()
+    result = session.result
+    coordinator = session.engine
+    return {
+        "workers": coordinator.workers,
+        "pipeline": pipeline,
+        "events": result.events,
+        "elapsed_seconds": result.elapsed_seconds,
+        "events_per_second": result.events_per_second,
+        "final_network_size": result.final_size,
+        "state_hash": session.final_state_hash,
+        "windows_pipelined": coordinator.windows_pipelined,
+        "phase_seconds": {
+            key: round(coordinator.phase_times[key], 6) for key in PHASE_KEYS
+        },
+        "oversubscribed": coordinator.workers > (os.cpu_count() or 1),
+    }
 
 
 def run_experiment(
@@ -108,9 +109,7 @@ def run_experiment(
 ):
     # Classic single-engine reference: same population, same workload, no
     # sharding — what the sharded run's overhead and scaling compare against.
-    classic_scenario = _scenario(initial_size, steps, shards=0)
-    classic_scenario.shards = 0
-    classic = classic_scenario.run()
+    classic = record_scenario(_scenario(initial_size, steps, shards=0)).result
     classic_rate = classic.events_per_second
 
     runs = [

@@ -20,9 +20,11 @@ prints its table — useful for kicking the tyres without writing a script:
   ``--resume FILE`` makes the sweep interruptible (finished units are
   appended to the file and never re-run).
 * ``resume``     — continue an interrupted ``run-scenario`` from its
-  checkpoint file, bit-identically to the uninterrupted run.
-* ``replay``     — re-drive a recorded trace against a rebuilt engine and
-  verify state-hash agreement at every index frame (exit 1 on divergence);
+  checkpoint file, bit-identically to the uninterrupted run (sharded runs
+  too, cut at any step, resumed on any worker count).
+* ``replay``     — re-drive a recorded trace (single-engine or sharded, batch
+  or ``serve``) against a rebuilt backend and verify state-hash agreement at
+  every index frame (exit 1 on divergence);
   with ``--to-step N --checkpoint FILE`` it instead materialises a verified
   resume point at step N — any trace becomes a library of checkpoints.
 * ``trace-diff`` — pinpoint the first diverging event between two traces
@@ -92,6 +94,18 @@ LOAD_DEFAULT_MIX = "sample=0.8,join=0.1,leave=0.1"
 #: passed: the worker count is an execution choice, the *logical* count is
 #: semantic, so `--shards W` alone means "same results, W processes".
 DEFAULT_SHARDS = 4
+
+
+def _workers_for(scenario: Scenario, shards_flag: Optional[int]) -> int:
+    """Apply ``--shards W`` to ``scenario``; return the worker-process count.
+
+    The scenario's own ``shards`` field picks the backend.  The flag names
+    the processes a sharded backend runs on, and turns a shard-less scenario
+    into one of :data:`DEFAULT_SHARDS` logical shards.
+    """
+    if shards_flag and not scenario.shards:
+        scenario.shards = DEFAULT_SHARDS
+    return max(1, shards_flag or 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario.add_argument(
         "--barrier-interval", type=int, default=None, metavar="N",
-        help="events between sharded handoff barriers (sharded runs only; "
-             "default: 64 or the scenario's shard_options value)",
+        help="admitted events between sharded handoff barriers (sharded runs "
+             "only; overrides the scenario's shard_options value, default 64)",
     )
     scenario.add_argument(
         "--no-pipeline", action="store_true",
@@ -212,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument(
         "--shards", type=int, default=None, metavar="W",
         help="worker processes when resuming a sharded checkpoint "
-             "(ignored for classic checkpoints; any W resumes bit-identically)",
+             "(ignored for single-engine checkpoints; any W resumes "
+             "bit-identically)",
     )
 
     replay = subparsers.add_parser(
@@ -582,24 +597,27 @@ def run_scenario_command(args: argparse.Namespace) -> int:
         scenario.engine_options = dict(scenario.engine_options or {})
         scenario.engine_options["walk_kernel"] = args.walk_kernel
 
-    sharded = args.shards is not None or scenario.shards > 0
     if args.shards is not None and args.shards < 1:
         print("run-scenario: --shards must be >= 1", file=sys.stderr)
         return 2
-    if args.barrier_interval is not None and not sharded:
-        print(
-            "run-scenario: --barrier-interval applies to sharded runs "
-            "(give --shards or a scenario with a shards field)",
-            file=sys.stderr,
+    workers = _workers_for(scenario, args.shards)
+    for flag, given in (
+        ("--barrier-interval", args.barrier_interval is not None),
+        ("--no-pipeline", args.no_pipeline),
+    ):
+        if given and not scenario.shards:
+            print(
+                f"run-scenario: {flag} applies to sharded runs "
+                "(give --shards or a scenario with a shards field)",
+                file=sys.stderr,
+            )
+            return 2
+    if args.barrier_interval is not None:
+        # Semantic, so it rides in the spec the trace header and every
+        # checkpoint carry: resume and replay run the same barrier schedule.
+        scenario.shard_options = dict(
+            scenario.shard_options or {}, barrier_interval=args.barrier_interval
         )
-        return 2
-    if args.no_pipeline and not sharded:
-        print(
-            "run-scenario: --no-pipeline applies to sharded runs "
-            "(give --shards or a scenario with a shards field)",
-            file=sys.stderr,
-        )
-        return 2
 
     corruption = CorruptionTrajectoryProbe()
     costs = CostLedgerProbe()
@@ -611,39 +629,19 @@ def run_scenario_command(args: argparse.Namespace) -> int:
         profiler.enable()
     try:
         with _terminate_as_interrupt():
-            if sharded:
-                if scenario.shards == 0:
-                    scenario.shards = DEFAULT_SHARDS
-                # Local import: keeps the classic CLI path free of the shard
-                # subsystem.
-                from .shard import run_sharded_scenario
-
-                session = run_sharded_scenario(
-                    scenario,
-                    workers=args.shards if args.shards is not None else 1,
-                    trace_path=args.record,
-                    index_every=args.index_every,
-                    checkpoint_path=args.checkpoint,
-                    checkpoint_every=args.checkpoint_every,
-                    probes=[corruption, costs],
-                    trace_format=args.trace_format,
-                    flush_every=args.flush_every,
-                    probe_buffer=args.probe_buffer,
-                    barrier_interval=args.barrier_interval,
-                    pipeline=not args.no_pipeline,
-                )
-            else:
-                session = record_scenario(
-                    scenario,
-                    trace_path=args.record,
-                    index_every=args.index_every,
-                    checkpoint_path=args.checkpoint,
-                    checkpoint_every=args.checkpoint_every,
-                    probes=[corruption, costs],
-                    trace_format=args.trace_format,
-                    flush_every=args.flush_every,
-                    probe_buffer=args.probe_buffer,
-                )
+            session = record_scenario(
+                scenario,
+                trace_path=args.record,
+                index_every=args.index_every,
+                checkpoint_path=args.checkpoint,
+                checkpoint_every=args.checkpoint_every,
+                probes=[corruption, costs],
+                trace_format=args.trace_format,
+                flush_every=args.flush_every,
+                probe_buffer=args.probe_buffer,
+                workers=workers,
+                pipeline=not args.no_pipeline,
+            )
     except KeyboardInterrupt:
         # record_scenario's abort path already flushed the partial trace
         # (and the last checkpoint, if any, is intact on disk) before the
@@ -715,7 +713,7 @@ def run_resume_command(args: argparse.Namespace) -> int:
             args.checkpoint,
             steps=args.steps,
             checkpoint_every=args.checkpoint_every,
-            workers=args.shards if args.shards is not None else 1,
+            workers=args.shards or 1,
         )
     except (ConfigurationError, OSError, ValueError) as error:
         print(f"resume: {error}", file=sys.stderr)
@@ -861,8 +859,6 @@ def run_serve_command(args: argparse.Namespace) -> int:
             scenario.workload = None
             scenario.adversary = None
             scenario.steps = 0
-            if args.shards and not scenario.shards:
-                scenario.shards = DEFAULT_SHARDS
         else:
             scenario = live_scenario(
                 name="live-service-sharded" if args.shards else "live-service",
@@ -870,11 +866,8 @@ def run_serve_command(args: argparse.Namespace) -> int:
                 max_size=args.max_size,
                 initial_size=args.initial_size,
                 tau=args.tau,
-                shards=DEFAULT_SHARDS if args.shards else 0,
             )
-        # The scenario's shard count picks the backend; --shards W is the
-        # worker-process count it runs on.
-        workers = max(1, args.shards)
+        workers = _workers_for(scenario, args.shards)
         session = LiveEngineSession(scenario, workers=workers)
         if args.record:
             session.attach_trace(

@@ -198,7 +198,7 @@ class Scenario:
             raise ConfigurationError(
                 f"scenario {self.name!r} declares shards={self.shards}; build a "
                 "repro.shard.ShardCoordinator (or call Scenario.run / "
-                "run_sharded_scenario) instead of a single-engine runner"
+                "repro.trace.record_scenario) instead of a single-engine runner"
             )
         if engine is None:
             engine = self.build_engine()

@@ -131,7 +131,6 @@ class LiveEngineSession:
             )
         self.bus = self.backend.bus
         self._writer: Optional[TraceWriter] = None
-        self._last_indexed = 0
         self.events_applied = 0
         self.operations: Dict[str, int] = {}
         self._started = False
@@ -288,32 +287,24 @@ class LiveEngineSession:
         """Collect a dispatched window and return per-request outcomes.
 
         Outcomes align with the frames given to :meth:`begin_window`.  Each
-        collected record is counted, recorded in the trace and turned into
-        its response payload.  A failure here (a dead shard worker, a trace
-        write error) leaves events applied but unrecorded: callers must
-        treat it as fatal and close the session with ``ok=False``.
+        collected record is counted and turned into its response payload;
+        the whole window is then recorded in the trace (the index frame, if
+        due, waits for the last part: none may be in flight under a hash).
+        A failure here (a dead shard worker, a trace write error) leaves
+        events applied but unrecorded: callers must treat it as fatal and
+        close the session with ``ok=False``.
         """
-        writer = self._writer
+        records: List[StepRecord] = []
         for token, indices in window.parts:
-            for index, record in zip(indices, self.backend.collect(token)):
+            part = self.backend.collect(token)
+            for index, record in zip(indices, part):
                 self.events_applied += 1
                 op = window.ops[index]
                 self.operations[op] = self.operations.get(op, 0) + 1
-                if writer is not None:
-                    writer.write_record(record)
                 window.outcomes[index] = _churn_result(record)
-        if (
-            writer is not None
-            and writer.events_written - self._last_indexed >= writer.index_every
-        ):
-            status = self.backend.status()
-            writer.write_index_frame(
-                step_index=self.events_applied,
-                time_step=status["time_step"],
-                state_hash=self.backend.state_hash(),
-                network_size=status["network_size"],
-            )
-            self._last_indexed = writer.events_written
+            records += part
+        if self._writer is not None:
+            self._writer.write_window(records, self.events_applied, self.backend)
         return window.outcomes
 
     # ------------------------------------------------------------------

@@ -10,19 +10,24 @@ deterministic event router:
 * the :class:`~repro.shard.router.ShardDirectory` owns global node
   identities, roles and liveness, and serves the workload/adversary's
   sampling needs through a :class:`~repro.shard.router.ShardedEngineFacade`;
-* the :class:`~repro.shard.coordinator.ShardCoordinator` pulls events from
-  the scenario's event source, routes each to its owning shard (joins to the
-  least-loaded shard, leaves to the owner), and dispatches per-shard batches
-  to :class:`~repro.shard.worker.ShardWorker` processes in *barrier windows*;
-* at every barrier, cross-shard node moves are drained as explicit
-  seq-numbered :class:`~repro.shard.messages.HandoffMessage` records — never
-  shared memory — so the whole run is replayable and bit-identical
-  **regardless of the worker-process count** (``workers=1`` runs the same
-  logical shards inline and is the correctness oracle);
+* the :class:`~repro.shard.coordinator.ShardCoordinator` takes events —
+  pulled from the scenario's event source, or given by the live service or
+  replay — routes each to its owning shard (joins to the least-loaded shard,
+  leaves to the owner), and dispatches per-shard batches to
+  :class:`~repro.shard.worker.ShardWorker` processes in *windows* that never
+  straddle a multiple of ``barrier_interval`` admitted events;
+* at every such multiple (a barrier), cross-shard node moves are drained
+  as explicit seq-numbered :class:`~repro.shard.messages.HandoffMessage`
+  records — never shared memory — so the whole run is replayable and
+  bit-identical **regardless of the worker-process count** (``workers=1``
+  runs the same logical shards inline and is the correctness oracle);
 * the merge layer (:mod:`repro.shard.merge`) recombines per-shard
   observation batches at flush boundaries into composite step records and
   folds per-shard ``state_hash`` digests into one composite hash.
 
+Recording, checkpointing, resuming and replaying a sharded run go through
+the same entry points as a single-engine one (:mod:`repro.trace.session`,
+:mod:`repro.trace.replay`), which pick this backend from ``scenario.shards``.
 ``docs/SHARDING.md`` describes the protocol in detail.
 """
 
@@ -44,18 +49,12 @@ from .router import (
     slice_sizes,
 )
 from .serve import ShardReadModel
-from .session import (
-    SHARDED_CHECKPOINT_FORMAT,
-    resume_sharded_checkpoint,
-    run_sharded_scenario,
-)
 from .worker import ShardWorker, ShardWorkerError
 
 __all__ = [
     "EventRouter",
     "HandoffMessage",
     "PHASE_KEYS",
-    "SHARDED_CHECKPOINT_FORMAT",
     "ShardCoordinator",
     "ShardDirectory",
     "ShardReadModel",
@@ -69,7 +68,5 @@ __all__ = [
     "pack_events",
     "pack_rows",
     "plan_rebalance",
-    "resume_sharded_checkpoint",
-    "run_sharded_scenario",
     "slice_sizes",
 ]

@@ -1,9 +1,9 @@
 """The backend seam: how an admitted churn window reaches the engine(s).
 
 Every state change of NOW is a join or a leave applied to the cluster
-partition, so ``serve``, ``serve --shards`` and ``replay`` of either kind of
-trace are one job: apply an admitted event sequence, get one
-:class:`~repro.scenarios.bus.StepRecord` back per event, hash the state.
+partition, so ``serve``, ``serve --shards``, ``run-scenario --shards`` and
+``replay`` of any trace are one job: apply an admitted event sequence, get
+one :class:`~repro.scenarios.bus.StepRecord` back per event, hash the state.
 The only decision that differs is *how the window travels*, and that is all
 a backend is:
 
@@ -27,11 +27,15 @@ a backend is:
     mirrored costs — and ``reads_fresh`` says whether one can be served
     while a window is in flight.
 
-It lives in :mod:`repro.trace` because it is the unit replay certifies: the
-live session (:mod:`repro.service.session`) and the replay driver
-(:class:`repro.trace.replay.ReplayEngine`) are the two callers — the
-session picks by ``scenario.shards``, replay by the trace header's
-``engine`` — and replay opens its backend without a read stream.
+It lives in :mod:`repro.trace` because it is the unit replay certifies.
+Three callers: the live session (:mod:`repro.service.session`) and the batch
+session (:mod:`repro.trace.session`) pick by ``scenario.shards``, the replay
+driver (:class:`repro.trace.replay.ReplayEngine`) by the trace header's
+``engine``; the last two open their backend without a read stream.  A
+sharded batch run pulls its events from the scenario's own source, which
+samples the coordinator's composite population, so it drives
+``backend.coordinator.run`` — the same two window halves ``dispatch`` and
+``collect`` call, under the same barrier rule.
 """
 
 from __future__ import annotations
@@ -128,6 +132,8 @@ class ShardBackend:
     ``barrier_interval``, so shard evolution is a pure function of the
     admitted event sequence — independent of the worker count (``workers=1``
     is the inline oracle) and of how callers cut it into windows.
+    ``pipeline`` and ``checkpoint`` are the batch session's, passed through
+    to the coordinator.
     """
 
     #: Cluster ids are shard-local, so a join cannot name its contact.
@@ -140,14 +146,21 @@ class ShardBackend:
         workers: int = 1,
         probes: Sequence = (),
         probe_buffer: int = DEFAULT_PROBE_BUFFER,
+        pipeline: bool = True,
+        checkpoint: Optional[Dict[str, Any]] = None,
     ) -> None:
         # Local import: repro.shard builds on repro.trace, and a single-engine
-        # replay should not pay for the worker-process machinery.
+        # run or replay should not pay for the worker-process machinery.
         from ..shard.coordinator import ShardCoordinator
         from ..shard.serve import ShardReadModel
 
         self.coordinator = ShardCoordinator(
-            scenario, workers=workers, probes=probes, probe_buffer=probe_buffer
+            scenario,
+            workers=workers,
+            probes=probes,
+            probe_buffer=probe_buffer,
+            pipeline=pipeline,
+            checkpoint=checkpoint,
         )
         self.params = self.coordinator.params
         self.nodes = self.coordinator.directory.nodes
@@ -184,16 +197,7 @@ class ShardBackend:
         return self.coordinator.state_hash()
 
     def status(self) -> Dict[str, Any]:
-        coordinator = self.coordinator
-        return {
-            "network_size": coordinator.directory.active_count(),
-            "cluster_count": coordinator.merger.cluster_count,
-            "worst_byzantine_fraction": coordinator.merger.worst_fraction,
-            "time_step": coordinator.merger.events_merged,
-            "shards": coordinator.shards,
-            "workers": coordinator.workers,
-            "barriers_run": coordinator.barriers_run,
-        }
+        return self.coordinator.status()
 
     def sample(self) -> Dict[str, Any]:
         return self.read_model.sample(self._read_rng)

@@ -1,17 +1,22 @@
 """Checkpoints: full run state on disk, restored to continue bit-identically.
 
-A checkpoint is one JSON document capturing everything a run needs to pick
-up exactly where it stopped:
+A checkpoint is one JSON document — one envelope for every backend —
+capturing everything a run needs to pick up exactly where it stopped:
 
-* the engine snapshot (:meth:`~repro.core.engine.NowEngine.capture_snapshot`:
-  parameters, config, both registries with their RNG-visible array orders,
-  the overlay graph with its version counter, metrics, the engine RNG stream
-  and the walk machinery's unconsumed exponential buffer),
+* the engine snapshot, as the backend's ``capture_snapshot`` gives it: for
+  :class:`~repro.core.engine.NowEngine` parameters, config, both registries
+  with their RNG-visible array orders, the overlay graph with its version
+  counter, metrics, the engine RNG stream and the walk machinery's
+  unconsumed exponential buffer; for the
+  :class:`~repro.shard.coordinator.ShardCoordinator` the router directory,
+  handoff sequence counters, merge state and one such engine snapshot per
+  logical shard.  ``engine_kind`` names which (absent means ``"now"``),
 * the event source snapshot (workload / adversary / mixed driver RNG
   streams and mutable state),
 * the scenario spec (so ``resume`` can rebuild the source object), and
-* run bookkeeping (steps and events completed) plus the state hash at
-  capture time (an integrity check on restore).
+* run bookkeeping (steps and events completed — the latter is also how far
+  into its barrier interval a sharded run is) plus the state hash at capture
+  time (an integrity check on restore).
 
 Files are written atomically (temp file + ``os.replace``), so a run killed
 mid-checkpoint leaves the previous checkpoint intact.
@@ -54,6 +59,12 @@ class Checkpoint:
     """One captured run state: engine + event source + bookkeeping."""
 
     def __init__(self, data: Dict[str, Any]) -> None:
+        if data.get("format") == "repro-sharded-checkpoint":
+            raise ConfigurationError(
+                "this is a 'repro-sharded-checkpoint' file from an earlier "
+                "version, whose per-run barrier schedule no longer exists; "
+                "re-run the scenario to produce a 'repro-checkpoint'"
+            )
         if data.get("format") != FORMAT_NAME:
             raise ConfigurationError("not a repro checkpoint document")
         if data.get("version") != FORMAT_VERSION:
@@ -76,10 +87,11 @@ class Checkpoint:
     ) -> "Checkpoint":
         """Capture the full state of a running scenario.
 
-        ``engine`` must expose ``capture_snapshot`` (the NOW engine; the
-        free-maintenance baselines are rebuilt from their seed instead).
-        ``source`` is the live event source whose RNG streams must survive
-        the restart; ``scenario`` the spec used to rebuild it.
+        ``engine`` must expose ``capture_snapshot`` (the NOW engine or the
+        shard coordinator, which also names its ``engine_kind`` and hashes
+        itself; the free-maintenance baselines are rebuilt from their seed
+        instead).  ``source`` is the live event source whose RNG streams
+        must survive the restart; ``scenario`` the spec used to rebuild it.
         """
         capture_snapshot = getattr(engine, "capture_snapshot", None)
         if capture_snapshot is None:
@@ -87,18 +99,20 @@ class Checkpoint:
                 f"engine {type(engine).__name__} does not support checkpointing "
                 "(no capture_snapshot method)"
             )
-        return cls(
-            {
-                "format": FORMAT_NAME,
-                "version": FORMAT_VERSION,
-                "engine": capture_snapshot(),
-                "source": source.snapshot_state() if source is not None else None,
-                "scenario": scenario.to_dict() if scenario is not None else None,
-                "steps_done": int(steps_done),
-                "events_done": int(events_done),
-                "state_hash": state_hash(engine),
-            }
-        )
+        data = {
+            "format": FORMAT_NAME,
+            "version": FORMAT_VERSION,
+            "engine": capture_snapshot(),
+            "source": source.snapshot_state() if source is not None else None,
+            "scenario": scenario.to_dict() if scenario is not None else None,
+            "steps_done": int(steps_done),
+            "events_done": int(events_done),
+            "state_hash": engine.state_hash(),
+        }
+        kind = getattr(engine, "engine_kind", "now")
+        if kind != "now":
+            data["engine_kind"] = kind
+        return cls(data)
 
     # ------------------------------------------------------------------
     # Persistence
@@ -119,7 +133,12 @@ class Checkpoint:
     # Restore
     # ------------------------------------------------------------------
     def restore_engine(self):
-        """Rebuild the engine and verify it hashes to the captured state."""
+        """Rebuild the single engine and verify it hashes to the captured state.
+
+        A sharded checkpoint restores through
+        ``ShardCoordinator(scenario, checkpoint=self.data)`` instead, which
+        runs the same integrity check on the composite hash.
+        """
         from ..core.engine import NowEngine  # local import: avoids a cycle
 
         engine = NowEngine.restore(self.data["engine"])

@@ -45,7 +45,7 @@ frame.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from ..core.events import ChurnEvent, ChurnKind
 from ..errors import ConfigurationError
@@ -110,6 +110,7 @@ class TraceWriter:
         self.flush_every = flush_every
         self.events_written = 0
         self.index_frames_written = 0
+        self._last_indexed = 0
         self._codec = open_codec_writer(path, trace_format, flush_every=flush_every)
         self._header_written = False
         self._closed = False
@@ -143,12 +144,36 @@ class TraceWriter:
     def write_record(self, record: StepRecord) -> None:
         """Write one event frame from a pre-built observation record.
 
-        No automatic index frame: callers without a live engine (the sharded
-        merge layer) schedule their own :meth:`write_index_frame` calls at
-        the points where their state hash is well-defined.
+        No automatic index frame: windowed callers write theirs through
+        :meth:`write_window`, at the points where their state hash is
+        well-defined.
         """
         self._write(event_frame_from_record(record))
         self.events_written += 1
+
+    def index_due(self, pending: int = 0) -> bool:
+        """Whether ``pending`` more events make a windowed index frame due."""
+        return self.events_written + pending - self._last_indexed >= self.index_every
+
+    def write_window(self, records: Sequence[StepRecord], step_index: int, backend) -> None:
+        """Write one collected window's records, then an index frame if due.
+
+        The cadence rule of every windowed recorder (the live session, a
+        sharded batch run): index frames sit at window boundaries only,
+        because ``backend.state_hash()`` may round-trip worker processes and
+        must not cut into a window in flight.  ``backend`` supplies
+        ``status()`` and ``state_hash()`` (:mod:`repro.trace.backend`).
+        """
+        for record in records:
+            self.write_record(record)
+        if self.index_due():
+            status = backend.status()
+            self.write_index_frame(
+                step_index=step_index,
+                time_step=status["time_step"],
+                state_hash=backend.state_hash(),
+                network_size=status["network_size"],
+            )
 
     def write_index(self, step_index: int, engine) -> None:
         """Write a state-hash index frame for the engine's current state."""
@@ -179,6 +204,7 @@ class TraceWriter:
             }
         )
         self.index_frames_written += 1
+        self._last_indexed = self.events_written
         self._codec.flush()
 
     def close(self, engine=None, final_hash: Optional[str] = None) -> None:

@@ -1,11 +1,13 @@
 """Replay a recorded trace and pinpoint divergence between runs.
 
 :class:`ReplayEngine` rebuilds the backend that recorded the trace — a
-single engine, or the shard coordinator of a ``serve --shards`` session —
-from the header's scenario (bootstrap from the recorded seed is
-deterministic) and re-applies every recorded event through the same
-:mod:`repro.trace.backend` seam the live service runs.  Determinism is
-verified at two granularities:
+single engine, or the shard coordinator of a ``serve --shards`` session or a
+``run-scenario --shards`` run — from the header's scenario (bootstrap from
+the recorded seed is deterministic) and re-applies every recorded event
+through the same :mod:`repro.trace.backend` seam the recording ran.  (A
+sharded run's barriers depend on the admitted event count alone, so the
+idle steps a batch trace does not record are not needed to re-derive them.)
+Determinism is verified at two granularities:
 
 * **per event** — the replayed step's observables (network size, cluster
   count, worst corruption fraction, assigned node id, operation cost) must
@@ -49,11 +51,9 @@ def check_event_frame(frame: Dict[str, Any], record: StepRecord) -> Optional[Dic
     """Compare a replayed step's observables against its recorded frame.
 
     Returns a divergence record (step, reason, recorded, replayed) for the
-    first mismatching observable, or ``None`` when the step verified.  Used
-    by :class:`ReplayEngine` per event and by
-    :func:`~repro.trace.session.checkpoint_from_trace`.  The replayed view
-    is built by the same record -> frame mapping the writer used, so the
-    comparison cannot drift from the recorded encoding.
+    first mismatching observable, or ``None`` when the step verified.  The
+    replayed view is built by the same record -> frame mapping the writer
+    used, so the comparison cannot drift from the recorded encoding.
     """
     replayed = event_frame_from_record(record)
     for key, description in _EVENT_CHECKS.items():
@@ -112,15 +112,8 @@ class ReplayEngine:
             )
         elif not sharded:
             self.backend = EngineBackend(Scenario.from_dict(scenario).build_engine())
-        elif scenario.get("workload") is None and scenario.get("adversary") is None:
-            self.backend = ShardBackend(Scenario.from_dict(scenario))
         else:
-            raise ConfigurationError(
-                "this sharded trace records a batch run; idle time steps are not "
-                "recorded in event frames, so its barrier cadence cannot be "
-                "re-derived — compare batch sharded traces with trace-diff, or "
-                "resume from a sharded checkpoint"
-            )
+            self.backend = ShardBackend(Scenario.from_dict(scenario))
 
     # ------------------------------------------------------------------
     # The replay loop
@@ -227,7 +220,8 @@ class TraceDiff:
         return f"first divergence at step {self.step}: {self.reason}"
 
 
-def _frame_mismatch(first: Dict[str, Any], second: Dict[str, Any]) -> Optional[str]:
+def frame_mismatch(first: Dict[str, Any], second: Dict[str, Any]) -> Optional[str]:
+    """The first field two frames disagree on, as text (``None`` when equal)."""
     keys = sorted(set(first) | set(second))
     for key in keys:
         if first.get(key) != second.get(key):
@@ -255,7 +249,7 @@ def trace_diff(first_path: str, second_path: str) -> TraceDiff:
     second_events = list(second.events())
     compared = 0
     for frame_a, frame_b in zip(first_events, second_events):
-        mismatch = _frame_mismatch(frame_a, frame_b)
+        mismatch = frame_mismatch(frame_a, frame_b)
         if mismatch is not None:
             return TraceDiff(
                 diverged=True,

@@ -1,0 +1,354 @@
+"""The batch-session contract, on every backend.
+
+One suite, parametrised over the backends a recorded ``run-scenario`` can
+run on — the single engine, the shard coordinator inline, the shard
+coordinator on two worker processes — through the two entry points they
+share (``record_scenario`` / ``resume_from_checkpoint``).  The contract: a
+run is a pure function of (seed, admitted event sequence).  So every
+recorded trace replays, sealed or crashed-shape, JSONL or binary; worker
+count and pipelining never move a trace byte or the final hash; and a run
+cut into checkpoint/resume segments *anywhere* ends on the uninterrupted
+run's hash — for sharded runs that holds because barriers follow the
+admitted event count, never the end of a ``run()`` call.
+"""
+
+from __future__ import annotations
+
+import functools
+import os
+import shutil
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro import Scenario
+from repro.cli import main as cli_main
+from repro.scenarios.probes import Probe
+from repro.shard import ShardCoordinator
+from repro.trace import (
+    Checkpoint,
+    TraceReader,
+    record_scenario,
+    replay_trace,
+    resume_from_checkpoint,
+)
+
+FIELDS = dict(
+    name="session",
+    max_size=256,
+    initial_size=200,
+    tau=0.12,
+    seed=21,
+    steps=150,
+    adversary={"kind": "oblivious"},
+    adversary_weight=0.3,
+)
+
+#: backend name -> (scenario overrides, worker processes).  A small barrier
+#: interval and a rebalance threshold of 1 make barriers frequent and make
+#: them move nodes, so a misplaced barrier changes the state hash.
+SHARDED = dict(shards=4, shard_options={"barrier_interval": 16, "rebalance_threshold": 1})
+BACKENDS = {
+    "single": ({}, 1),
+    "shards4-w1": (SHARDED, 1),
+    "shards4-w2": (SHARDED, 2),
+}
+
+on_every_backend = pytest.mark.parametrize("backend", list(BACKENDS))
+
+
+def _scenario(backend, **overrides):
+    return Scenario.from_dict({**FIELDS, **BACKENDS[backend][0], **overrides})
+
+
+def _record(backend, **kwargs):
+    return record_scenario(_scenario(backend), workers=BACKENDS[backend][1], **kwargs)
+
+
+@functools.lru_cache(maxsize=None)
+def _straight_hash(backend):
+    """Final hash of the uninterrupted, unrecorded run."""
+    return _record(backend).final_state_hash
+
+
+class _Bomb(Probe):
+    """Kills the run from inside the observation path, mid-way."""
+
+    name = "bomb"
+    inline = False
+
+    def on_records(self, engine, records):
+        if records[-1].step_index >= 70:
+            raise RuntimeError("boom")
+
+
+class TestRecordedRunReplays:
+    @on_every_backend
+    @pytest.mark.parametrize("trace_format", ["jsonl", "binary"])
+    def test_sealed_trace_replays_to_the_recorded_hash(self, tmp_path, backend, trace_format):
+        path = str(tmp_path / "run.trace")
+        session = _record(backend, trace_path=path, trace_format=trace_format, index_every=40)
+        reader = TraceReader(path)
+        assert reader.header["engine"] == ("now" if backend == "single" else "sharded")
+        assert reader.end_frame()["h"] == session.final_state_hash
+        report = replay_trace(path)
+        assert report.ok, report.divergence
+        assert report.events_applied == session.result.events == reader.event_count()
+        assert report.hash_checks == len(reader.index_frames()) > 0
+        assert report.final_hash == session.final_state_hash
+
+    @on_every_backend
+    @pytest.mark.parametrize("trace_format", ["jsonl", "binary"])
+    def test_crashed_shape_trace_still_replays(self, tmp_path, backend, trace_format):
+        path = str(tmp_path / "crashed.trace")
+        with pytest.raises(RuntimeError, match="boom"):
+            _record(
+                backend,
+                trace_path=path,
+                trace_format=trace_format,
+                index_every=20,
+                probes=[_Bomb()],
+                probe_buffer=8,
+            )
+        reader = TraceReader(path)
+        assert reader.end_frame() is None
+        assert 0 < reader.event_count() < FIELDS["steps"]
+        report = replay_trace(path)
+        assert report.ok, report.divergence
+        assert report.events_applied == reader.event_count()
+        assert report.hash_checks > 0
+
+
+class TestExecutionChoicesAreInvisible:
+    def test_workers_and_pipelining_move_no_trace_byte(self, tmp_path):
+        """Index frames and checkpoints fall mid-run here, so the route-ahead
+        loop has to predict its drains exactly to stay byte-identical."""
+        runs = {}
+        for workers in (1, 2, 4):
+            for pipeline in (True, False):
+                path = str(tmp_path / f"w{workers}-p{pipeline}.jsonl")
+                session = record_scenario(
+                    _scenario("shards4-w1"),
+                    trace_path=path,
+                    index_every=24,
+                    checkpoint_path=str(tmp_path / "ck.json"),
+                    checkpoint_every=50,
+                    workers=workers,
+                    pipeline=pipeline,
+                )
+                with open(path, "rb") as handle:
+                    runs[workers, pipeline] = (handle.read(), session.final_state_hash)
+        assert len(set(runs.values())) == 1
+
+
+class TestSegmentationIsInvisible:
+    @on_every_backend
+    @settings(
+        max_examples=6,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        cuts=st.lists(
+            st.integers(min_value=1, max_value=FIELDS["steps"] - 1), max_size=3, unique=True
+        ),
+        resume_workers=st.sampled_from([1, 2, 4]),
+    )
+    def test_any_segmentation_ends_on_the_straight_hash(
+        self, tmp_path_factory, backend, cuts, resume_workers
+    ):
+        checkpoint = str(tmp_path_factory.mktemp("segments") / "ck.json")
+        bounds = sorted(cuts) + [FIELDS["steps"]]
+        session = _record(
+            backend, steps=bounds[0], checkpoint_path=checkpoint, checkpoint_every=10**9
+        )
+        for done, until in zip(bounds, bounds[1:]):
+            assert Checkpoint.load(checkpoint).steps_done == done
+            session = resume_from_checkpoint(
+                checkpoint, steps=until - done, workers=resume_workers
+            )
+        assert session.final_state_hash == _straight_hash(backend)
+
+    @on_every_backend
+    def test_resume_default_steps_finish_the_budget(self, tmp_path, backend):
+        checkpoint = str(tmp_path / "ck.json")
+        _record(backend, steps=100, checkpoint_path=checkpoint)
+        resumed = resume_from_checkpoint(checkpoint, workers=BACKENDS[backend][1])
+        assert resumed.result.steps == 50
+        assert resumed.final_state_hash == _straight_hash(backend)
+        envelope = Checkpoint.load(checkpoint)
+        assert envelope.steps_done == FIELDS["steps"]
+        # One envelope; the kind names the payload (absent = single engine).
+        assert envelope.data["format"] == "repro-checkpoint"
+        assert envelope.data.get("engine_kind") == (
+            None if backend == "single" else "sharded"
+        )
+
+
+# ----------------------------------------------------------------------
+# Regression: the barrier schedule belongs to the event sequence
+# ----------------------------------------------------------------------
+#: The measured case: a rebalance threshold of 1 makes every barrier move
+#: nodes, so a checkpoint cut off the default 64-event barrier grid used to
+#: resume onto a different schedule (every twentieth cut of 66..126 is run).
+UNALIGNED_CUTS = range(66, 127, 20)
+
+
+def _moving_scenario(seed, **overrides):
+    fields = dict(
+        name="moving",
+        max_size=512,
+        initial_size=240,
+        tau=0.1,
+        seed=seed,
+        steps=200,
+        shards=4,
+        shard_options={"rebalance_threshold": 1},
+    )
+    fields.update(overrides)
+    return Scenario.from_dict(fields)
+
+
+@pytest.fixture(scope="module")
+def straight_and_cuts(tmp_path_factory):
+    """Per seed: the uninterrupted hash and one checkpoint per unaligned cut."""
+    out = {}
+    for seed in (1, 2, 3):
+        with ShardCoordinator(_moving_scenario(seed)) as coordinator:
+            coordinator.run(200)
+            # Not vacuous: these barriers really hand nodes between shards.
+            assert coordinator.handoffs_sent > 0
+            straight = coordinator.state_hash()
+        directory = tmp_path_factory.mktemp(f"cuts-seed{seed}")
+        checkpoints = {}
+        for cut in UNALIGNED_CUTS:
+            checkpoints[cut] = str(directory / f"cut{cut}.json")
+            record_scenario(
+                _moving_scenario(seed), steps=cut, checkpoint_path=checkpoints[cut]
+            )
+        out[seed] = (straight, checkpoints)
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_unaligned_cut_resumes_onto_the_uninterrupted_run(
+    tmp_path, straight_and_cuts, seed, workers
+):
+    straight, checkpoints = straight_and_cuts[seed]
+    for cut, saved in checkpoints.items():
+        checkpoint = shutil.copy(saved, str(tmp_path / f"cut{cut}.json"))
+        resumed = resume_from_checkpoint(checkpoint, workers=workers)
+        assert resumed.result.steps == 200 - cut
+        assert resumed.final_state_hash == straight, (seed, cut, workers)
+
+
+def _final_hash(output):
+    return [line for line in output.splitlines() if "final state hash" in line][0].split()[-1]
+
+
+def test_barrier_interval_flag_rides_in_header_and_checkpoint(tmp_path, capsys):
+    """`--barrier-interval 8` is semantic: resume and replay must run it too."""
+    spec = str(tmp_path / "spec.json")
+    trace = str(tmp_path / "run.jsonl")
+    checkpoint = str(tmp_path / "ck.json")
+    with open(spec, "w", encoding="utf-8") as handle:
+        handle.write(_moving_scenario(2).to_json())
+    common = ["run-scenario", "--spec", spec, "--shards", "1"]
+
+    assert cli_main(common) == 0
+    default_hash = _final_hash(capsys.readouterr().out)
+    assert cli_main(common + ["--barrier-interval", "8"]) == 0
+    straight_hash = _final_hash(capsys.readouterr().out)
+    assert straight_hash != default_hash  # the interval shapes this run
+
+    assert (
+        cli_main(
+            common
+            + ["--barrier-interval", "8", "--steps", "96", "--record", trace]
+            + ["--checkpoint", checkpoint]
+        )
+        == 0
+    )
+    capsys.readouterr()
+    for scenario in (TraceReader(trace).scenario, Checkpoint.load(checkpoint).scenario_dict):
+        assert scenario["shard_options"] == {"rebalance_threshold": 1, "barrier_interval": 8}
+    assert cli_main(["replay", "--trace", trace]) == 0
+    assert "replay OK" in capsys.readouterr().out
+    assert cli_main(["resume", "--checkpoint", checkpoint, "--shards", "2", "--steps", "104"]) == 0
+    assert _final_hash(capsys.readouterr().out) == straight_hash
+
+
+def test_old_sharded_checkpoint_format_is_refused_by_name(tmp_path, capsys):
+    path = str(tmp_path / "old.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write('{"format": "repro-sharded-checkpoint", "version": 1}')
+    assert cli_main(["resume", "--checkpoint", path]) == 2
+    assert "repro-sharded-checkpoint" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# CLI: run-scenario --shards / resume --shards
+# ----------------------------------------------------------------------
+def test_cli_run_scenario_sharded_and_resume(tmp_path, capsys):
+    spec = str(tmp_path / "spec.json")
+    trace = str(tmp_path / "trace.jsonl")
+    checkpoint = str(tmp_path / "ck.json")
+    with open(spec, "w", encoding="utf-8") as handle:
+        handle.write(_scenario("shards4-w2").to_json())
+
+    code = cli_main(
+        [
+            "run-scenario",
+            "--spec", spec,
+            "--shards", "2",
+            "--record", trace,
+            "--checkpoint", checkpoint,
+            "--steps", "100",
+        ]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "shards" in out
+    assert "final state hash:" in out
+    assert os.path.exists(trace) and os.path.exists(checkpoint)
+
+    code = cli_main(["resume", "--checkpoint", checkpoint, "--shards", "2", "--steps", "50"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "resumed from" in out
+    assert _final_hash(out) == _straight_hash("shards4-w1")
+
+
+def test_cli_shards_flag_defaults_logical_shards(tmp_path, capsys):
+    # A spec without a shards field still runs sharded under --shards W,
+    # with the documented default of 4 logical shards.
+    spec = str(tmp_path / "spec.json")
+    with open(spec, "w", encoding="utf-8") as handle:
+        handle.write(_scenario("single").to_json())
+    code = cli_main(["run-scenario", "--spec", spec, "--shards", "1", "--steps", "60"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "| shards" in out
+
+
+def test_cli_rejects_bad_shard_flags(tmp_path, capsys):
+    spec = str(tmp_path / "spec.json")
+    with open(spec, "w", encoding="utf-8") as handle:
+        handle.write(_scenario("shards4-w1").to_json())
+    assert cli_main(["run-scenario", "--spec", spec, "--shards", "0"]) == 2
+    assert (
+        cli_main(["run-scenario", "--spec", spec.replace("spec", "missing"),
+                  "--shards", "2"])
+        == 2
+    )
+    # --barrier-interval / --no-pipeline without a sharded run are usage errors.
+    for flag in (["--barrier-interval", "8"], ["--no-pipeline"]):
+        assert cli_main(["run-scenario", "--name", "uniform-churn", *flag]) == 2
+    capsys.readouterr()
+
+
+def test_resume_rejects_missing_checkpoint(tmp_path, capsys):
+    missing = str(tmp_path / "nope.json")
+    assert cli_main(["resume", "--checkpoint", missing]) == 2
+    capsys.readouterr()

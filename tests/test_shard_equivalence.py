@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from repro import Scenario
 from repro.scenarios.probes import CorruptionTrajectoryProbe, CostLedgerProbe
-from repro.shard import ShardCoordinator, run_sharded_scenario
+from repro.shard import ShardCoordinator
+from repro.trace import record_scenario
 
 #: RunResult fields compared across worker counts (elapsed time is wall
 #: clock, the only field allowed to differ).
@@ -39,7 +40,7 @@ COMPARED_FIELDS = (
 
 def _run(scenario_fields, workers):
     scenario = Scenario.from_dict(dict(scenario_fields))
-    session = run_sharded_scenario(
+    session = record_scenario(
         scenario,
         workers=workers,
         probes=[CorruptionTrajectoryProbe(), CostLedgerProbe()],

@@ -23,14 +23,8 @@ from hypothesis import strategies as st
 from repro import Scenario
 from repro.cli import main
 from repro.scenarios.probes import CorruptionTrajectoryProbe, CostLedgerProbe
-from repro.shard import (
-    PHASE_KEYS,
-    ShardCoordinator,
-    ShardWorkerError,
-    resume_sharded_checkpoint,
-    run_sharded_scenario,
-)
-from repro.trace import trace_diff
+from repro.shard import PHASE_KEYS, ShardCoordinator, ShardWorkerError
+from repro.trace import record_scenario, resume_from_checkpoint, trace_diff
 
 COMPARED_FIELDS = (
     "scenario",
@@ -64,7 +58,7 @@ def _scenario(**overrides):
 
 
 def _run(workers, pipeline, **overrides):
-    session = run_sharded_scenario(
+    session = record_scenario(
         _scenario(**overrides),
         workers=workers,
         pipeline=pipeline,
@@ -132,10 +126,10 @@ def test_traces_identical_across_pipeline_modes_and_workers(tmp_path):
     # predicted-flush path (the pipeline must drain before each frame).
     first = str(tmp_path / "w1-serial.jsonl")
     second = str(tmp_path / "w4-pipelined.jsonl")
-    s1 = run_sharded_scenario(
+    s1 = record_scenario(
         _scenario(), workers=1, pipeline=False, trace_path=first, index_every=32
     )
-    s4 = run_sharded_scenario(
+    s4 = record_scenario(
         _scenario(), workers=4, pipeline=True, trace_path=second, index_every=32
     )
     assert s1.final_state_hash == s4.final_state_hash
@@ -147,22 +141,22 @@ def test_traces_identical_across_pipeline_modes_and_workers(tmp_path):
 def test_checkpoints_identical_across_pipeline_modes(tmp_path):
     serial = str(tmp_path / "serial.ckpt")
     pipelined = str(tmp_path / "pipelined.ckpt")
-    run_sharded_scenario(
+    record_scenario(
         _scenario(),
         workers=1,
         pipeline=False,
         checkpoint_path=serial,
         checkpoint_every=48,
     )
-    run_sharded_scenario(
+    record_scenario(
         _scenario(),
         workers=2,
         pipeline=True,
         checkpoint_path=pipelined,
         checkpoint_every=48,
     )
-    resumed_serial = resume_sharded_checkpoint(serial, workers=1, steps=50)
-    resumed_pipelined = resume_sharded_checkpoint(pipelined, workers=2, steps=50)
+    resumed_serial = resume_from_checkpoint(serial, workers=1, steps=50)
+    resumed_pipelined = resume_from_checkpoint(pipelined, workers=2, steps=50)
     assert resumed_serial.final_state_hash == resumed_pipelined.final_state_hash
 
 
