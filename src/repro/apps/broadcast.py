@@ -17,16 +17,75 @@ coverage under partial compromise.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Mapping, NamedTuple, Optional, Sequence, Set
 
 from ..core.cluster import ClusterId
 from ..core.engine import NowEngine
-from ..core.intercluster import InterClusterChannel
+from ..core.intercluster import ClusterMessageRule, majority
 from ..network.message import MessageKind
 from ..network.metrics import CommunicationMetrics
+
+
+class Flood(NamedTuple):
+    """What one cluster-level flood reached and what it cost."""
+
+    reached: Set[ClusterId]
+    nodes_reached: int
+    #: Cluster-to-cluster sends, accepted or not.
+    sends: int
+    #: Bipartite ``|C| * |C'|`` messages over those sends.
+    edge_messages: int
+    #: One relay to its ``|C| - 1`` peers inside each reached cluster.
+    intra_messages: int
+    #: Overlay distance from the origin to the farthest reached cluster.
+    depth: int
+
+    @property
+    def messages(self) -> int:
+        return self.edge_messages + self.intra_messages
+
+    @property
+    def rounds(self) -> int:
+        return self.depth + 1
+
+
+def flood(
+    origin: ClusterId,
+    sizes: Mapping[ClusterId, int],
+    byzantine: Mapping[ClusterId, int],
+    adjacency: Mapping[ClusterId, Sequence[ClusterId]],
+) -> Flood:
+    """Breadth-first flood of the overlay from ``origin``, at cluster granularity.
+
+    Each reached cluster sends once to every neighbour not yet reached
+    (``adjacency`` lists are in ascending id order), paying the full
+    bipartite pattern whether or not the payload is accepted; the receivers
+    accept when the honest members of the *sending* cluster alone are more
+    than half of it (the rule of
+    :class:`~repro.core.intercluster.InterClusterChannel`).  Neighbours
+    missing from ``sizes`` are not live clusters and are skipped.
+    """
+    reached = {origin}
+    frontier = deque([(origin, 0)])
+    sends = edge_messages = depth = 0
+    while frontier:
+        current, distance = frontier.popleft()
+        depth = max(depth, distance)
+        size = sizes[current]
+        accepted = majority(size - byzantine[current], size)
+        for neighbour in adjacency.get(current, ()):
+            if neighbour in reached or neighbour not in sizes:
+                continue
+            sends += 1
+            edge_messages += size * sizes[neighbour]
+            if accepted:
+                reached.add(neighbour)
+                frontier.append((neighbour, distance + 1))
+    nodes_reached = sum(sizes[cluster_id] for cluster_id in reached)
+    intra_messages = sum(max(0, sizes[cluster_id] - 1) for cluster_id in reached)
+    return Flood(reached, nodes_reached, sends, edge_messages, intra_messages, depth)
 
 
 @dataclass
@@ -39,7 +98,6 @@ class BroadcastReport:
     rounds: int
     clusters_reached: Set[ClusterId] = field(default_factory=set)
     nodes_reached: int = 0
-    forged_deliveries: int = 0
 
     def coverage(self, total_clusters: int) -> float:
         """Fraction of clusters that accepted the honest payload."""
@@ -55,61 +113,42 @@ class ClusteredBroadcast:
         self,
         engine: NowEngine,
         metrics: Optional[CommunicationMetrics] = None,
-        rng: Optional[random.Random] = None,
     ) -> None:
         self._engine = engine
         self._metrics = (
             metrics if metrics is not None else engine.metrics.scope("app-broadcast")
         )
-        # Origin picks draw from ``rng`` (the flood itself is deterministic);
-        # the live service passes a private generator so broadcasts never
-        # consume the engine stream (see SamplingService).
-        self._rng = rng if rng is not None else engine.state.rng
-        self._channel = InterClusterChannel(engine.state, metrics=self._metrics)
 
     def broadcast(self, payload: Any, origin_cluster: Optional[ClusterId] = None) -> BroadcastReport:
         """Flood ``payload`` from ``origin_cluster`` (default: a random cluster) to all clusters."""
         state = self._engine.state
         if origin_cluster is None:
-            origin_cluster = self._engine.random_cluster(rng=self._rng)
-        report = BroadcastReport(
-            origin_cluster=origin_cluster, payload=payload, messages=0, rounds=0
+            origin_cluster = self._engine.random_cluster()
+        rule = ClusterMessageRule(state)
+        sizes = state.clusters.sizes()
+        graph = state.overlay.graph
+        result = flood(
+            origin_cluster,
+            sizes,
+            {cluster_id: rule.byzantine_count(cluster_id) for cluster_id in sizes},
+            {vertex: graph.neighbours(vertex) for vertex in graph.vertices()},
         )
-
-        overlay_graph = state.overlay.graph
-        reached: Set[ClusterId] = {origin_cluster}
-        frontier = deque([(origin_cluster, 0)])
-        max_depth = 0
-        while frontier:
-            current, depth = frontier.popleft()
-            max_depth = max(max_depth, depth)
-            if current not in overlay_graph:
-                continue
-            for neighbour in sorted(overlay_graph.neighbours(current)):
-                if neighbour in reached or neighbour not in state.clusters:
-                    continue
-                outcome = self._channel.send(current, neighbour, payload, label="broadcast")
-                report.messages += outcome.messages
-                if outcome.forged:
-                    report.forged_deliveries += 1
-                if outcome.accepted:
-                    reached.add(neighbour)
-                    frontier.append((neighbour, depth + 1))
-
-        # Intra-cluster delivery: inside each reached cluster, one member
-        # relays the accepted value to its peers.
-        intra_messages = 0
-        nodes_reached = 0
-        for cluster_id in reached:
-            size = len(state.clusters.get(cluster_id))
-            nodes_reached += size
-            intra_messages += max(0, size - 1)
+        # The ledger counts one round per cluster-to-cluster send on top of
+        # the flood's own depth.
+        self._metrics.charge(
+            result.edge_messages,
+            result.sends + result.rounds,
+            kind=MessageKind.APPLICATION,
+            label="broadcast",
+        )
         self._metrics.charge_messages(
-            intra_messages, kind=MessageKind.APPLICATION, label="broadcast-intra"
+            result.intra_messages, kind=MessageKind.APPLICATION, label="broadcast-intra"
         )
-        report.messages += intra_messages
-        report.rounds = max_depth + 1
-        self._metrics.charge_rounds(report.rounds, label="broadcast")
-        report.clusters_reached = reached
-        report.nodes_reached = nodes_reached
-        return report
+        return BroadcastReport(
+            origin_cluster=origin_cluster,
+            payload=payload,
+            messages=result.messages,
+            rounds=result.rounds,
+            clusters_reached=result.reached,
+            nodes_reached=result.nodes_reached,
+        )

@@ -14,7 +14,6 @@ Byzantine samples (which should concentrate around ``tau``).
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -45,32 +44,26 @@ class SamplingService:
         self,
         engine: NowEngine,
         metrics: Optional[CommunicationMetrics] = None,
-        rng: Optional[random.Random] = None,
     ) -> None:
         self._engine = engine
         self._metrics = (
             metrics if metrics is not None else engine.metrics.scope("app-sampling")
         )
-        # ``rng`` selects the stream every draw (walk, member pick, origin
-        # pick) consumes.  ``None`` keeps the engine stream — fine for batch
-        # experiments; the live service passes its own generator so sampling
-        # never perturbs the recorded engine trajectory (the repro.trace
-        # determinism contract).
-        self._rng = rng if rng is not None else engine.state.rng
-        self._randnum = RandNum(self._rng)
+        # Every draw (walk, member pick, origin pick) consumes the engine
+        # stream, like the protocol's own selections.
+        self._randnum = RandNum(engine.state.rng)
         self._randcl = RandCl(
             engine.state,
             self._randnum,
             walk_mode=engine.config.walk_mode,
             walk_kernel=engine.config.walk_kernel,
-            rng=self._rng,
         )
 
     def sample(self, origin_cluster: Optional[int] = None) -> SampleReport:
         """Draw one (approximately) uniform node and report the cost."""
         state = self._engine.state
         if origin_cluster is None:
-            origin_cluster = self._engine.random_cluster(rng=self._rng)
+            origin_cluster = self._engine.random_cluster()
         walk = self._randcl.select(origin_cluster, metrics=self._metrics, label="sampling")
         cluster = state.clusters.get(walk.cluster_id)
         pick = self._randnum.pick_member(

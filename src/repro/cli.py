@@ -3,13 +3,6 @@
 ``python -m repro.cli <command>`` runs a small, self-contained experiment and
 prints its table — useful for kicking the tyres without writing a script:
 
-* ``churn``   — bootstrap a NOW system and drive uniform churn, reporting the
-  corruption trajectory and per-operation costs (optionally saving the run as
-  JSON with ``--save``).
-* ``attack``  — run the join–leave attack against NOW and the no-shuffle
-  baseline and report who gets captured.
-* ``costs``   — sweep the maximum size ``N`` and report the measured cost of
-  join/leave operations with their fitted growth exponents.
 * ``run-scenario`` — execute a named preset or JSON-spec
   :class:`~repro.scenarios.scenario.Scenario` through the
   :class:`~repro.scenarios.runner.SimulationRunner` and print the result
@@ -36,6 +29,14 @@ prints its table — useful for kicking the tyres without writing a script:
   Poisson or trace-file arrivals, per-operation p50/p95/p99 latency and
   achieved vs offered throughput (exit 1 on hard errors).
 
+What the earlier ``churn`` / ``attack`` / ``costs`` commands showed is a
+preset away: ``run-scenario --name uniform-churn`` (corruption trajectory,
+per-operation costs, the structural invariants line); ``run-scenario --name
+join-leave-attack`` beside ``--name no-shuffle-attack``; ``run-sweep --name
+uniform-churn --grid max_size=256,1024,4096 --metrics
+mean_messages_per_event`` (``benchmarks/bench_fig2_operation_costs.py`` fits
+the growth exponents).
+
 Every command accepts ``--seed`` for reproducibility; defaults are sized to
 finish in seconds.  ``run-scenario --record FILE`` records any scenario
 (``--trace-format binary`` for the ~6x smaller struct-packed codec,
@@ -50,23 +51,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import random
 import signal
 import sys
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from . import NowEngine, default_parameters
-from .adversary import JoinLeaveAttack
 from .errors import ConfigurationError
-from .analysis import fit_power_law, format_table, summarize_fractions
-from .baselines import NoShuffleEngine
+from .analysis import format_table
 from .experiments import AGGREGATED_METRICS, SweepRunner, SweepSpec
 from .scenarios import (
     NAMED_SCENARIOS,
     CorruptionTrajectoryProbe,
     CostLedgerProbe,
     Scenario,
-    SimulationRunner,
     named_scenario,
 )
 from .scenarios.bus import DEFAULT_PROBE_BUFFER
@@ -82,8 +78,6 @@ from .trace import (
     trace_diff,
 )
 from .walks.kernel import KERNEL_NAMES
-from .workloads import MixedDriver, UniformChurn, drive
-from .workloads.record import RunRecord
 
 #: The `load` command's default operation mix.  Kept as a named constant so
 #: `--sessions lognormal` can tell "user left the default" (switch to the
@@ -116,30 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=1, help="random seed (default: 1)")
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    churn = subparsers.add_parser("churn", help="uniform churn on a NOW system")
-    churn.add_argument("--max-size", type=int, default=4096, help="name-space size N")
-    churn.add_argument("--initial-size", type=int, default=300, help="initial population")
-    churn.add_argument("--tau", type=float, default=0.15, help="Byzantine fraction")
-    churn.add_argument("--steps", type=int, default=200, help="churn steps to run")
-    churn.add_argument("--k", type=float, default=3.0, help="cluster security parameter")
-    churn.add_argument("--save", type=str, default=None, help="save the run record to this JSON file")
-
-    attack = subparsers.add_parser("attack", help="join-leave attack: NOW vs no shuffling")
-    attack.add_argument("--max-size", type=int, default=4096)
-    attack.add_argument("--initial-size", type=int, default=260)
-    attack.add_argument("--tau", type=float, default=0.2)
-    attack.add_argument("--steps", type=int, default=250)
-
-    costs = subparsers.add_parser("costs", help="operation cost sweep over N")
-    costs.add_argument(
-        "--sizes",
-        type=int,
-        nargs="+",
-        default=[256, 1024, 4096, 16384],
-        help="values of N to sweep",
-    )
-    costs.add_argument("--operations", type=int, default=15, help="joins and leaves per size")
 
     scenario = subparsers.add_parser(
         "run-scenario", help="run a named or JSON-spec scenario through the SimulationRunner"
@@ -453,113 +423,6 @@ def _terminate_as_interrupt() -> Iterator[None]:
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
-def run_churn(args: argparse.Namespace) -> int:
-    params = default_parameters(max_size=args.max_size, k=args.k, tau=args.tau, epsilon=0.05)
-    engine = NowEngine.bootstrap(
-        params, initial_size=args.initial_size, byzantine_fraction=args.tau, seed=args.seed
-    )
-    workload = UniformChurn(random.Random(args.seed + 1), byzantine_join_fraction=args.tau)
-    drive(engine, workload, steps=args.steps)
-
-    summary = summarize_fractions(
-        [report.worst_byzantine_fraction for report in engine.history]
-    )
-    print(f"NOW under uniform churn: N={args.max_size}, tau={args.tau}, {args.steps} steps")
-    print(
-        format_table(
-            ["n (final)", "#clusters", "mean worst corruption", "max worst", "steps >= 1/3"],
-            [[
-                engine.network_size,
-                engine.cluster_count,
-                f"{summary.mean:.3f}",
-                f"{summary.maximum:.3f}",
-                summary.steps_above_threshold,
-            ]],
-        )
-    )
-    join_scope = engine.metrics.scope("join")
-    leave_scope = engine.metrics.scope("leave")
-    print(
-        format_table(
-            ["operation", "messages", "rounds"],
-            [
-                ["join (total)", join_scope.messages, join_scope.rounds],
-                ["leave (total)", leave_scope.messages, leave_scope.rounds],
-            ],
-        )
-    )
-    invariants = engine.check_invariants(check_honest_majority=False)
-    print(f"structural invariants: {'OK' if invariants.holds else invariants.violations}")
-    if args.save:
-        RunRecord.from_engine(engine, label=f"churn-N{args.max_size}-tau{args.tau}").save(args.save)
-        print(f"run record saved to {args.save}")
-    return 0
-
-
-def run_attack(args: argparse.Namespace) -> int:
-    params = default_parameters(max_size=args.max_size, k=3.0, tau=args.tau, epsilon=0.05)
-    rows = []
-    for label, engine in (
-        (
-            "NOW (full exchange)",
-            NowEngine.bootstrap(
-                params, initial_size=args.initial_size, byzantine_fraction=args.tau, seed=args.seed
-            ),
-        ),
-        (
-            "no shuffling",
-            NoShuffleEngine.bootstrap(
-                params, initial_size=args.initial_size, byzantine_fraction=args.tau, seed=args.seed
-            ),
-        ),
-    ):
-        target = engine.state.clusters.cluster_ids()[0]
-        attack = JoinLeaveAttack(random.Random(args.seed + 2), target_cluster=target)
-        background = UniformChurn(random.Random(args.seed + 3), byzantine_join_fraction=args.tau)
-        driver = MixedDriver([(attack, 0.6), (background, 0.4)], random.Random(args.seed + 4))
-        probe = CorruptionTrajectoryProbe(target_cluster=target)
-        SimulationRunner(engine, driver, probes=[probe], name=label).run(args.steps)
-        captured_at = probe.first_step_at_threshold
-        rows.append(
-            [label, f"{probe.peak:.3f}", captured_at if captured_at is not None else "never"]
-        )
-    print(f"Join-leave attack on one target cluster ({args.steps} steps, tau={args.tau})")
-    print(format_table(["scheme", "peak target corruption", "first step >= 1/3"], rows))
-    return 0
-
-
-def run_costs(args: argparse.Namespace) -> int:
-    rows = []
-    join_means: List[float] = []
-    leave_means: List[float] = []
-    for index, max_size in enumerate(args.sizes):
-        params = default_parameters(max_size=max_size, k=3.0, tau=0.1, epsilon=0.05)
-        initial = max(3 * params.target_cluster_size, int(4 * max_size ** 0.5))
-        engine = NowEngine.bootstrap(
-            params, initial_size=initial, byzantine_fraction=0.1, seed=args.seed + index
-        )
-        join_costs = [engine.join().operation.messages for _ in range(args.operations)]
-        leave_costs = [
-            engine.leave(engine.random_member()).operation.messages
-            for _ in range(args.operations)
-        ]
-        join_mean = sum(join_costs) / len(join_costs)
-        leave_mean = sum(leave_costs) / len(leave_costs)
-        join_means.append(join_mean)
-        leave_means.append(leave_mean)
-        rows.append([max_size, int(join_mean), int(leave_mean)])
-    print("Measured per-operation message cost")
-    print(format_table(["N", "join msgs (mean)", "leave msgs (mean)"], rows))
-    if len(args.sizes) >= 2:
-        join_fit = fit_power_law(args.sizes, join_means)
-        leave_fit = fit_power_law(args.sizes, leave_means)
-        print(
-            f"growth exponents in N: join {join_fit.exponent:.2f}, leave {leave_fit.exponent:.2f} "
-            "(polylog growth shows up as an exponent well below 1)"
-        )
-    return 0
-
-
 def run_scenario_command(args: argparse.Namespace) -> int:
     if args.list:
         rows = [
@@ -571,47 +434,36 @@ def run_scenario_command(args: argparse.Namespace) -> int:
     if args.spec and args.name:
         print("run-scenario takes --name or --spec, not both", file=sys.stderr)
         return 2
-    try:
-        if args.spec:
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                scenario = Scenario.from_json(handle.read())
-        elif args.name:
-            scenario = named_scenario(args.name, seed=args.seed)
-        else:
-            print("run-scenario needs --name, --spec or --list", file=sys.stderr)
-            return 2
-    except (ConfigurationError, OSError, ValueError) as error:
-        # ValueError covers malformed JSON (json.JSONDecodeError subclasses it).
-        print(f"run-scenario: {error}", file=sys.stderr)
+    if args.spec:
+        with open(args.spec, "r", encoding="utf-8") as handle:
+            scenario = Scenario.from_json(handle.read())
+    elif args.name:
+        scenario = named_scenario(args.name, seed=args.seed)
+    else:
+        print("run-scenario needs --name, --spec or --list", file=sys.stderr)
         return 2
     if args.steps is not None:
         scenario.steps = args.steps
     if args.walk_kernel is not None:
         if scenario.engine != "now":
-            print(
-                f"run-scenario: --walk-kernel applies to the 'now' engine, "
-                f"not {scenario.engine!r}",
-                file=sys.stderr,
+            raise ConfigurationError(
+                f"--walk-kernel applies to the 'now' engine, not {scenario.engine!r}"
             )
-            return 2
         scenario.engine_options = dict(scenario.engine_options or {})
         scenario.engine_options["walk_kernel"] = args.walk_kernel
 
     if args.shards is not None and args.shards < 1:
-        print("run-scenario: --shards must be >= 1", file=sys.stderr)
-        return 2
+        raise ConfigurationError("--shards must be >= 1")
     workers = _workers_for(scenario, args.shards)
     for flag, given in (
         ("--barrier-interval", args.barrier_interval is not None),
         ("--no-pipeline", args.no_pipeline),
     ):
         if given and not scenario.shards:
-            print(
-                f"run-scenario: {flag} applies to sharded runs "
-                "(give --shards or a scenario with a shards field)",
-                file=sys.stderr,
+            raise ConfigurationError(
+                f"{flag} applies to sharded runs "
+                "(give --shards or a scenario with a shards field)"
             )
-            return 2
     if args.barrier_interval is not None:
         # Semantic, so it rides in the spec the trace header and every
         # checkpoint carry: resume and replay run the same barrier schedule.
@@ -646,8 +498,6 @@ def run_scenario_command(args: argparse.Namespace) -> int:
         # record_scenario's abort path already flushed the partial trace
         # (and the last checkpoint, if any, is intact on disk) before the
         # interrupt reached us; report cleanly instead of a traceback.
-        if profiler is not None:
-            profiler.disable()
         print("run-scenario: interrupted", file=sys.stderr)
         if args.record:
             print(
@@ -662,14 +512,10 @@ def run_scenario_command(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         return EXIT_INTERRUPTED
-    except (ConfigurationError, OSError, ValueError) as error:
-        # OSError covers unwritable --record/--checkpoint paths.
+    finally:
         if profiler is not None:
             profiler.disable()
-        print(f"run-scenario: {error}", file=sys.stderr)
-        return 2
     if profiler is not None:
-        profiler.disable()
         try:
             profiler.dump_stats(args.profile)
         except OSError as error:
@@ -701,23 +547,24 @@ def run_scenario_command(args: argparse.Namespace) -> int:
     ]
     if cost_rows:
         print(format_table(["operation", "count", "mean messages"], cost_rows))
+    # NOW's single engine checks itself; baselines and the shard coordinator
+    # have no invariant sweep.
+    check = getattr(session.engine, "check_invariants", None)
+    if check is not None:
+        invariants = check(check_honest_majority=False)
+        print(f"structural invariants: {'OK' if invariants.holds else invariants.violations}")
     return 0
 
 
 def run_resume_command(args: argparse.Namespace) -> int:
     if args.shards is not None and args.shards < 1:
-        print("resume: --shards must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        session = resume_from_checkpoint(
-            args.checkpoint,
-            steps=args.steps,
-            checkpoint_every=args.checkpoint_every,
-            workers=args.shards or 1,
-        )
-    except (ConfigurationError, OSError, ValueError) as error:
-        print(f"resume: {error}", file=sys.stderr)
-        return 2
+        raise ConfigurationError("--shards must be >= 1")
+    session = resume_from_checkpoint(
+        args.checkpoint,
+        steps=args.steps,
+        checkpoint_every=args.checkpoint_every,
+        workers=args.shards or 1,
+    )
     result = session.result
     print(f"resumed from {args.checkpoint}: ran {result.steps} more step(s), "
           f"{result.events} event(s)")
@@ -728,8 +575,7 @@ def run_resume_command(args: argparse.Namespace) -> int:
 
 def run_replay_command(args: argparse.Namespace) -> int:
     if (args.to_step is None) != (args.checkpoint is None):
-        print("replay: --to-step and --checkpoint must be given together", file=sys.stderr)
-        return 2
+        raise ConfigurationError("--to-step and --checkpoint must be given together")
     if args.to_step is not None:
         try:
             result = checkpoint_from_trace(
@@ -740,9 +586,6 @@ def run_replay_command(args: argparse.Namespace) -> int:
             # usage error.
             print(f"replay DIVERGED: {error}", file=sys.stderr)
             return 1
-        except (ConfigurationError, OSError, ValueError) as error:
-            print(f"replay: {error}", file=sys.stderr)
-            return 2
         print(
             f"verified {result.verified_events} event(s) and {result.hash_checks} "
             f"state-hash frame(s) up to step {result.steps_done}"
@@ -751,11 +594,7 @@ def run_replay_command(args: argparse.Namespace) -> int:
               f"(resume with: repro resume --checkpoint {result.checkpoint_path})")
         print(f"state hash at step {result.steps_done}: {result.state_hash}")
         return 0
-    try:
-        report = replay_trace(args.trace)
-    except (ConfigurationError, OSError, ValueError) as error:
-        print(f"replay: {error}", file=sys.stderr)
-        return 2
+    report = replay_trace(args.trace)
     print(report.summary())
     if report.recorded_final_hash is not None:
         print(f"recorded final hash: {report.recorded_final_hash}")
@@ -764,11 +603,7 @@ def run_replay_command(args: argparse.Namespace) -> int:
 
 
 def run_trace_diff_command(args: argparse.Namespace) -> int:
-    try:
-        diff = trace_diff(args.first, args.second)
-    except (ConfigurationError, OSError, ValueError) as error:
-        print(f"trace-diff: {error}", file=sys.stderr)
-        return 2
+    diff = trace_diff(args.first, args.second)
     for note in diff.notes:
         print(f"note: {note}")
     print(diff.summary())
@@ -781,39 +616,33 @@ def run_trace_diff_command(args: argparse.Namespace) -> int:
 
 
 def run_sweep_command(args: argparse.Namespace) -> int:
-    try:
-        if args.spec:
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                spec = SweepSpec.from_json(handle.read())
-        elif args.name:
-            spec = SweepSpec(name=f"sweep-{args.name}", preset=args.name)
-        else:
-            print("run-sweep needs --name or --spec", file=sys.stderr)
-            return 2
-        for axis in args.grid:
-            if "=" not in axis:
-                print(f"run-sweep: malformed --grid {axis!r} (expected FIELD=V1,V2)", file=sys.stderr)
-                return 2
-            key, _, values = axis.partition("=")
-            spec.grid[key] = [_parse_grid_value(value) for value in values.split(",") if value]
-        if args.seeds:
-            spec.seeds = [int(seed) for seed in args.seeds.split(",") if seed]
-        elif args.num_seeds:
-            spec.seeds = [args.seed + offset for offset in range(args.num_seeds)]
-        if args.steps is not None:
-            spec.steps = args.steps
-        if args.workers is not None:
-            spec.workers = args.workers
-        metrics = [metric for metric in args.metrics.split(",") if metric]
-        unknown = [metric for metric in metrics if metric not in AGGREGATED_METRICS]
-        if unknown:
-            print(f"run-sweep: unknown metrics {unknown}", file=sys.stderr)
-            return 2
-        runner = SweepRunner(spec)
-        result = runner.run(resume_path=args.resume)
-    except (ConfigurationError, OSError, ValueError) as error:
-        print(f"run-sweep: {error}", file=sys.stderr)
+    if args.spec:
+        with open(args.spec, "r", encoding="utf-8") as handle:
+            spec = SweepSpec.from_json(handle.read())
+    elif args.name:
+        spec = SweepSpec(name=f"sweep-{args.name}", preset=args.name)
+    else:
+        print("run-sweep needs --name or --spec", file=sys.stderr)
         return 2
+    for axis in args.grid:
+        if "=" not in axis:
+            raise ConfigurationError(f"malformed --grid {axis!r} (expected FIELD=V1,V2)")
+        key, _, values = axis.partition("=")
+        spec.grid[key] = [_parse_grid_value(value) for value in values.split(",") if value]
+    if args.seeds:
+        spec.seeds = [int(seed) for seed in args.seeds.split(",") if seed]
+    elif args.num_seeds:
+        spec.seeds = [args.seed + offset for offset in range(args.num_seeds)]
+    if args.steps is not None:
+        spec.steps = args.steps
+    if args.workers is not None:
+        spec.workers = args.workers
+    metrics = [metric for metric in args.metrics.split(",") if metric]
+    unknown = [metric for metric in metrics if metric not in AGGREGATED_METRICS]
+    if unknown:
+        raise ConfigurationError(f"unknown metrics {unknown}")
+    runner = SweepRunner(spec)
+    result = runner.run(resume_path=args.resume)
 
     print(
         f"sweep {spec.name!r}: {len(result.points())} grid point(s) x "
@@ -847,45 +676,40 @@ def run_serve_command(args: argparse.Namespace) -> int:
     from .service import LiveEngineSession, ServiceFrontend, live_scenario
 
     if args.shards < 0:
-        print("serve: --shards must be >= 0 (0 = classic backend)", file=sys.stderr)
-        return 2
-    try:
-        if args.spec:
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                scenario = Scenario.from_json(handle.read())
-            # A live service has no event generator: clients are the
-            # workload.  Strip batch-run fields so the recorded scenario
-            # describes exactly what replay needs — the engine bootstrap.
-            scenario.workload = None
-            scenario.adversary = None
-            scenario.steps = 0
-        else:
-            scenario = live_scenario(
-                name="live-service-sharded" if args.shards else "live-service",
-                seed=args.seed,
-                max_size=args.max_size,
-                initial_size=args.initial_size,
-                tau=args.tau,
-            )
-        workers = _workers_for(scenario, args.shards)
-        session = LiveEngineSession(scenario, workers=workers)
-        if args.record:
-            session.attach_trace(
-                args.record,
-                index_every=args.index_every,
-                trace_format=args.trace_format,
-                flush_every=args.flush_every,
-            )
-        frontend = ServiceFrontend(
-            session,
-            host=args.host,
-            port=args.port,
-            max_queue=args.max_queue,
-            max_batch=args.max_batch,
+        raise ConfigurationError("--shards must be >= 0 (0 = classic backend)")
+    if args.spec:
+        with open(args.spec, "r", encoding="utf-8") as handle:
+            scenario = Scenario.from_json(handle.read())
+        # A live service has no event generator: clients are the
+        # workload.  Strip batch-run fields so the recorded scenario
+        # describes exactly what replay needs — the engine bootstrap.
+        scenario.workload = None
+        scenario.adversary = None
+        scenario.steps = 0
+    else:
+        scenario = live_scenario(
+            name="live-service-sharded" if args.shards else "live-service",
+            seed=args.seed,
+            max_size=args.max_size,
+            initial_size=args.initial_size,
+            tau=args.tau,
         )
-    except (ConfigurationError, OSError, ValueError) as error:
-        print(f"serve: {error}", file=sys.stderr)
-        return 2
+    workers = _workers_for(scenario, args.shards)
+    session = LiveEngineSession(scenario, workers=workers)
+    if args.record:
+        session.attach_trace(
+            args.record,
+            index_every=args.index_every,
+            trace_format=args.trace_format,
+            flush_every=args.flush_every,
+        )
+    frontend = ServiceFrontend(
+        session,
+        host=args.host,
+        port=args.port,
+        max_queue=args.max_queue,
+        max_batch=args.max_batch,
+    )
 
     async def _serve() -> None:
         await frontend.start()
@@ -926,11 +750,7 @@ def run_serve_command(args: argparse.Namespace) -> int:
         session.close(ok=False)
     except Exception as error:
         if frontend.pump_error is None:
-            # Not the pump: a bind failure and the like.
-            if not isinstance(error, (ConfigurationError, OSError)):
-                raise
-            print(f"serve: {error}", file=sys.stderr)
-            return 2
+            raise  # not the pump: a bind failure and the like
         # The frontend already failed in-flight requests with 'failed' and
         # sealed the trace crashed-shape; report the failure and exit non-zero.
         print(f"serve: engine pump failed: {error!r}", file=sys.stderr)
@@ -975,50 +795,44 @@ def run_load_command(args: argparse.Namespace) -> int:
         parse_mix,
     )
 
-    try:
-        if args.arrivals:
-            arrivals = load_arrival_trace(args.arrivals)
-            span = arrivals[-1].at if arrivals else 0.0
-            offered = len(arrivals) / span if span > 0 else float(len(arrivals))
+    if args.arrivals:
+        arrivals = load_arrival_trace(args.arrivals)
+        span = arrivals[-1].at if arrivals else 0.0
+        offered = len(arrivals) / span if span > 0 else float(len(arrivals))
+    else:
+        diurnal = None
+        if args.diurnal:
+            day = args.day_length if args.day_length is not None else args.duration
+            diurnal = DiurnalProfile(day, amplitude=args.diurnal_amplitude)
+        if args.sessions == "lognormal":
+            # The plain-mix default includes join/leave weights, which a
+            # session generator rejects (churn comes from the lifecycle);
+            # only a mix the user actually set overrides the session mix.
+            mix = parse_mix(args.mix) if args.mix != LOAD_DEFAULT_MIX else None
+            process = LogNormalSessions(
+                rate=args.rate,
+                duration=args.duration,
+                mean_session=args.mean_session,
+                sigma=args.sigma,
+                op_rate=args.op_rate,
+                mix=mix,
+                seed=args.seed,
+                diurnal=diurnal,
+            )
         else:
-            diurnal = None
-            if args.diurnal:
-                day = args.day_length if args.day_length is not None else args.duration
-                diurnal = DiurnalProfile(day, amplitude=args.diurnal_amplitude)
-            if args.sessions == "lognormal":
-                # The plain-mix default includes join/leave weights, which a
-                # session generator rejects (churn comes from the lifecycle);
-                # only a mix the user actually set overrides the session mix.
-                mix = parse_mix(args.mix) if args.mix != LOAD_DEFAULT_MIX else None
-                process = LogNormalSessions(
-                    rate=args.rate,
-                    duration=args.duration,
-                    mean_session=args.mean_session,
-                    sigma=args.sigma,
-                    op_rate=args.op_rate,
-                    mix=mix,
-                    seed=args.seed,
-                    diurnal=diurnal,
-                )
-            else:
-                process = PoissonArrivals(
-                    rate=args.rate,
-                    duration=args.duration,
-                    mix=parse_mix(args.mix),
-                    seed=args.seed,
-                    diurnal=diurnal,
-                )
-            arrivals = process.schedule()
-            offered = args.rate
-        if not arrivals:
-            print("load: the arrival schedule is empty", file=sys.stderr)
-            return 2
-        if args.connections < 1:
-            print("load: --connections must be >= 1", file=sys.stderr)
-            return 2
-    except (ConfigurationError, OSError, ValueError) as error:
-        print(f"load: {error}", file=sys.stderr)
-        return 2
+            process = PoissonArrivals(
+                rate=args.rate,
+                duration=args.duration,
+                mix=parse_mix(args.mix),
+                seed=args.seed,
+                diurnal=diurnal,
+            )
+        arrivals = process.schedule()
+        offered = args.rate
+    if not arrivals:
+        raise ConfigurationError("the arrival schedule is empty")
+    if args.connections < 1:
+        raise ConfigurationError("--connections must be >= 1")
 
     try:
         with _terminate_as_interrupt():
@@ -1035,9 +849,6 @@ def run_load_command(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print("load: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
-    except (ConnectionError, OSError) as error:
-        print(f"load: {error}", file=sys.stderr)
-        return 2
 
     print(
         f"offered {offered:.1f} req/s ({report.sent} request(s) over "
@@ -1074,32 +885,30 @@ def run_load_command(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``command -> handler``; every handler takes the parsed arguments and
+#: returns the exit code.
+COMMANDS = {
+    "run-scenario": run_scenario_command,
+    "run-sweep": run_sweep_command,
+    "resume": run_resume_command,
+    "replay": run_replay_command,
+    "trace-diff": run_trace_diff_command,
+    "serve": run_serve_command,
+    "load": run_load_command,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "churn":
-        return run_churn(args)
-    if args.command == "attack":
-        return run_attack(args)
-    if args.command == "costs":
-        return run_costs(args)
-    if args.command == "run-scenario":
-        return run_scenario_command(args)
-    if args.command == "run-sweep":
-        return run_sweep_command(args)
-    if args.command == "resume":
-        return run_resume_command(args)
-    if args.command == "replay":
-        return run_replay_command(args)
-    if args.command == "trace-diff":
-        return run_trace_diff_command(args)
-    if args.command == "serve":
-        return run_serve_command(args)
-    if args.command == "load":
-        return run_load_command(args)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover - argparse guards this
-    return 2  # pragma: no cover
+    args = build_parser().parse_args(argv)
+    try:
+        return COMMANDS[args.command](args)
+    except (ConfigurationError, OSError, ValueError) as error:
+        # The usage-error path of every command: bad flags or specs
+        # (ValueError covers malformed JSON), unreadable inputs, unwritable
+        # --record/--checkpoint paths, an unreachable server.
+        print(f"{args.command}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -40,6 +40,12 @@ class ClusterSendOutcome:
     byzantine_senders: int
 
 
+def majority(count: int, size: int) -> bool:
+    """The acceptance rule: ``count`` identical senders out of a cluster of
+    ``size`` are more than half of it."""
+    return count > size / 2.0
+
+
 class ClusterMessageRule:
     """Evaluates the "more than half of the cluster" acceptance rule."""
 
@@ -62,19 +68,13 @@ class ClusterMessageRule:
 
     def can_send_validly(self, cluster_id: ClusterId) -> bool:
         """Whether the honest members alone clear the more-than-half threshold."""
-        cluster = self._state.clusters.get(cluster_id)
-        size = len(cluster)
-        if size == 0:
-            return False
-        return self.honest_count(cluster_id) > size / 2.0
+        size = len(self._state.clusters.get(cluster_id))
+        return majority(self.honest_count(cluster_id), size)
 
     def can_forge(self, cluster_id: ClusterId) -> bool:
         """Whether the Byzantine members alone clear the threshold (cluster captured)."""
-        cluster = self._state.clusters.get(cluster_id)
-        size = len(cluster)
-        if size == 0:
-            return False
-        return self.byzantine_count(cluster_id) > size / 2.0
+        size = len(self._state.clusters.get(cluster_id))
+        return majority(self.byzantine_count(cluster_id), size)
 
 
 class InterClusterChannel:
@@ -118,8 +118,8 @@ class InterClusterChannel:
             )
             self._metrics.charge_rounds(1, label=label)
 
-        accepted = honest > size / 2.0
-        forged = adversarial_payload is not None and byzantine > size / 2.0
+        accepted = majority(honest, size)
+        forged = adversarial_payload is not None and majority(byzantine, size)
         return ClusterSendOutcome(
             sender=sender,
             receiver=receiver,

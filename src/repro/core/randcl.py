@@ -36,7 +36,7 @@ from ..network.metrics import CommunicationMetrics
 from ..walks.kernel import resolve_kernel_name
 from ..walks.sampler import ClusterSampler, SampleOutcome, WalkMode
 from .cluster import ClusterId
-from .randnum import RandNum
+from .randnum import RandNum, randnum_cost
 from .state import SystemState
 
 #: Hoisted enum member: the per-walk cost charge runs once per randCl call.
@@ -57,6 +57,40 @@ class RandClResult:
     truncated: bool = False
 
 
+def segment_duration(parameters, current_size: int, average_degree: float) -> float:
+    """Continuous duration of one CTRW segment.
+
+    The paper measures a segment by the number of clusters it visits
+    (``O(log^2 n)`` hops); the continuous walk crosses edges at a rate equal
+    to the current vertex degree, so the equivalent duration is the hop
+    budget divided by the average overlay degree.
+    """
+    hop_budget = float(parameters.walk_length(current_size))
+    return max(2.0, hop_budget / max(1.0, average_degree))
+
+
+def hop_charges(cluster_count: int, total_nodes: int) -> tuple:
+    """``(messages per hop, messages per restart)`` at the mean cluster size.
+
+    Per hop: randNum in the current cluster plus the bipartite hand-off to
+    the next one (``m * m'`` messages); per restart: one randNum for the
+    acceptance coin flip.
+    """
+    average_size = total_nodes / cluster_count if cluster_count else 1.0
+    randnum_messages, _ = randnum_cost(average_size)
+    return (randnum_messages + average_size * average_size, randnum_messages)
+
+
+def walk_cost(hops: int, restarts: int, charges: tuple) -> tuple:
+    """``(messages, rounds)`` of one walk under :func:`hop_charges`.
+
+    A hop takes 3 rounds (randNum's two plus the hand-off), a restart 2.
+    """
+    per_hop_messages, per_restart_messages = charges
+    messages = int(round(hops * per_hop_messages + restarts * per_restart_messages))
+    return messages, int(hops * 3 + restarts * 2)
+
+
 class RandCl:
     """Size-biased random cluster selection over the OVER overlay."""
 
@@ -70,7 +104,7 @@ class RandCl:
     ) -> None:
         self._state = state
         # The stream the walks consume.  The engine's own selections run on
-        # ``state.rng``; external callers (the live service) pass a private
+        # ``state.rng``; a caller outside ``apply_event`` passes a private
         # generator so recorded runs replay bit-identically — the engine
         # stream is part of the state fingerprint and must be consumed only
         # by ``apply_event``.
@@ -179,34 +213,28 @@ class RandCl:
         # listener in SystemState, so no full resynchronisation is needed here.
 
         current_size = max(2, self._state.network_size)
-        # The paper measures a CTRW segment by the number of clusters it
-        # visits (O(log^2 n) hops); the continuous walk crosses edges at a
-        # rate equal to the current vertex degree, so the equivalent
-        # continuous duration is the hop budget divided by the average
-        # overlay degree.
         param_key = (current_size, overlay_graph.version)
         if param_key != self._walk_param_key:
-            average_degree = overlay_graph.average_degree() if len(overlay_graph) else 1.0
-            hop_budget = float(self._state.parameters.walk_length(current_size))
+            parameters = self._state.parameters
             self._walk_params = (
-                max(2.0, hop_budget / max(1.0, average_degree)),
-                max(4, self._state.parameters.walk_repeats(current_size) * 4),
+                segment_duration(parameters, current_size, overlay_graph.average_degree()),
+                max(4, parameters.walk_repeats(current_size) * 4),
             )
             self._walk_param_key = param_key
-        segment_duration, max_restarts = self._walk_params
+        duration, max_restarts = self._walk_params
         sampler = self._sampler
         if sampler is None or sampler.graph is not overlay_graph:
             sampler = ClusterSampler(
                 overlay_graph,
                 self._rng,
-                segment_duration=segment_duration,
+                segment_duration=duration,
                 mode=self._walk_mode,
                 max_restarts=max_restarts,
                 kernel=self._walk_kernel,
             )
             self._sampler = sampler
         else:
-            sampler.configure(segment_duration=segment_duration, max_restarts=max_restarts)
+            sampler.configure(segment_duration=duration, max_restarts=max_restarts)
         return sampler
 
     # ------------------------------------------------------------------
@@ -263,22 +291,9 @@ class RandCl:
         total_nodes = self._state.clusters.total_nodes()
         cost_key = (cluster_count, total_nodes)
         if cost_key != self._cost_key:
-            # Mean cluster size in O(1): total assigned nodes / cluster count.
-            average_size = total_nodes / cluster_count if cluster_count else 1.0
-            # Per hop: randNum in the current cluster (2 m (m-1) messages, 2
-            # rounds) plus the bipartite hand-off to the next cluster
-            # (m * m' messages, 1 round).
-            randnum_messages = 2.0 * average_size * max(0.0, average_size - 1.0)
-            handoff_messages = average_size * average_size
-            self._cost_model = (randnum_messages + handoff_messages, randnum_messages)
+            self._cost_model = hop_charges(cluster_count, total_nodes)
             self._cost_key = cost_key
-        per_hop_messages, per_restart_messages = self._cost_model
-        per_hop_rounds = 3
-        # Per restart: one acceptance coin flip via randNum.
-        per_restart_rounds = 2
-
-        messages = int(round(hops * per_hop_messages + restarts * per_restart_messages))
-        rounds = int(hops * per_hop_rounds + restarts * per_restart_rounds)
+        messages, rounds = walk_cost(hops, restarts, self._cost_model)
         if metrics is not None:
             metrics.charge(messages, rounds, kind=_WALK_KIND, label=label)
         return messages, rounds

@@ -53,6 +53,14 @@ class RandNumResult:
     adversary_controlled: bool = False
 
 
+def randnum_cost(participants) -> tuple:
+    """``(messages, rounds)`` of one randNum among ``participants`` members.
+
+    Commit round + reveal round, each member sending to every other member.
+    """
+    return 2 * participants * max(0, participants - 1), 2
+
+
 class RandNum:
     """Commit–reveal random number generation for a cluster."""
 
@@ -99,9 +107,7 @@ class RandNum:
             byzantine_members = set(byzantine_members)
         byzantine_fraction = len(byzantine_members.intersection(member_list)) / len(member_list)
 
-        # Commit round + reveal round: each member sends to every other member.
-        message_count = 2 * len(member_list) * max(0, len(member_list) - 1)
-        round_count = 2
+        message_count, round_count = randnum_cost(len(member_list))
         if metrics is not None:
             metrics.charge(message_count, round_count, kind=_RANDNUM_KIND, label=label)
 

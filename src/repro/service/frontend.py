@@ -166,7 +166,7 @@ class ServiceFrontend:
         *while the workers execute it*, then collects the window
         (``finish_window``) and serves the deferred reads from the freshly
         merged state.  On the single engine the window completes inside
-        ``begin_window`` and no read ever defers.
+        ``begin_window``; a read defers only when its views are due a rebuild.
 
         Any failure of a *write* other than a pre-flight rejection — a shard
         worker dying, the trace writer raising — leaves events applied but

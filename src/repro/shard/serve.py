@@ -1,29 +1,29 @@
-"""Serve-mode companion to the shard coordinator: the read model.
+"""The read model: how ``serve`` answers ``sample`` and ``broadcast``.
 
-The live service's shard backend (:mod:`repro.trace.backend`) splits
-traffic into two lanes.  Mutating requests become routed events executed by the shard
-workers through :meth:`~repro.shard.coordinator.ShardCoordinator.
-serve_dispatch` / ``serve_collect``.  Read-only requests never enter that
-round trip: they are served from :class:`ShardReadModel`, a coordinator-side
-composite view assembled from one compact per-shard snapshot (the worker
-``read_view`` command) per merged window.
+Both backends of the live service (:mod:`repro.trace.backend`) serve reads
+from a :class:`ShardReadModel`: a list of per-engine views — one for the
+single engine, one per shard for the coordinator (the worker ``read_view``
+command) — rebuilt lazily after each collected write window and shared by
+every read until the next one.  Reads therefore never enter the write lane,
+and see the state as of the last window boundary.
 
-The read model reproduces the classic service's read semantics over the
-composite population:
+One read semantic over the composite population:
 
-* ``sample`` picks the origin shard proportionally to its active slice size
-  and then draws the walk endpoint from the stationary law of that shard's
-  overlay (the oracle walk mode), so the composite endpoint distribution is
-  exactly the size-biased law of :class:`~repro.core.randcl.RandCl` —
-  ``P(C) = (n_s / N) * (|C| / n_s) = |C| / N`` — followed by randNum's
-  uniform member pick.  Costs mirror ``RandCl``'s charge model (randNum +
-  bipartite handoff per hop, randNum per restart) computed from the shard's
-  own aggregates, plus the final ``2 m (m - 1)`` member pick.
-* ``broadcast`` floods every shard's overlay with the majority-acceptance
-  rule of :class:`~repro.core.intercluster.InterClusterChannel`; shards are
-  disjoint overlays, so the coordinator bridges them with one validated
-  cluster-to-cluster send from the origin cluster into each remote shard's
-  entry cluster (lowest cluster id, deterministic).
+* ``sample`` picks a view proportionally to its population, draws the walk
+  endpoint from the stationary law of that view's overlay and then a
+  uniform member — ``P(C) = (n_s / N) * (|C| / n_s) = |C| / N``, the law of
+  :class:`~repro.core.randcl.RandCl` followed by randNum's pick.  The cost
+  reported is the expected effort of the equivalent simulated walk, priced
+  by ``RandCl``'s own functions (:func:`~repro.walks.sampler.expected_effort`,
+  :func:`~repro.core.randcl.segment_duration`, ``hop_charges``,
+  ``walk_cost``) on the view's aggregates, plus randNum's member pick.  The
+  engine's ``walk_mode`` governs the maintenance walks of joins and leaves
+  only, never reads.
+* ``broadcast`` runs :func:`repro.apps.broadcast.flood` — the flood of
+  :class:`~repro.apps.broadcast.ClusteredBroadcast` — over every view's
+  overlay.  Shards are disjoint overlays, so the payload is bridged with one
+  validated cluster-to-cluster send from the origin cluster into each remote
+  shard's entry cluster (lowest cluster id, deterministic).
 
 Every draw comes from the caller's RNG (the service's private read stream) —
 the read model never touches engine or directory sampling state, which is
@@ -33,119 +33,110 @@ what makes interleaved reads provably invisible to the write lane.
 from __future__ import annotations
 
 import random
-from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
+from ..apps.broadcast import flood
+from ..core.intercluster import majority
+from ..core.randcl import hop_charges, segment_duration, walk_cost
+from ..core.randnum import randnum_cost
 from ..errors import ConfigurationError
+from ..walks.sampler import expected_effort
+
+
+def engine_view(engine, l2g: Optional[Mapping[int, int]] = None) -> Dict[str, Any]:
+    """A compact snapshot of one engine's clusters and overlay.
+
+    ``clusters`` maps cluster id to its sorted members — translated through
+    ``l2g`` when given (a shard worker's local-to-global id map, so the
+    coordinator's directory supplies roles) — and ``adjacency`` is the OVER
+    overlay at cluster granularity, neighbours in ascending order.
+    """
+    state = engine.state
+    clusters = {
+        cluster.cluster_id: (
+            cluster.member_list()
+            if l2g is None
+            else sorted(l2g[member] for member in cluster.members)
+        )
+        for cluster in state.clusters.clusters()
+    }
+    graph = state.overlay.graph
+    adjacency = {vertex: graph.neighbours(vertex) for vertex in graph.vertices()}
+    return {"clusters": clusters, "adjacency": adjacency}
 
 
 class _ShardView:
-    """One shard's read snapshot: clusters, overlay, derived aggregates."""
+    """One engine's read snapshot plus everything derived from it once."""
 
     __slots__ = (
         "shard",
         "clusters",
         "adjacency",
         "cluster_ids",
-        "byzantine_counts",
+        "sizes",
+        "byzantine",
         "total_nodes",
-        "max_cluster_size",
-        "edge_count",
+        "walk",
         "_cumulative",
     )
 
-    def __init__(self, shard: int, raw: Dict[str, Any], is_byzantine) -> None:
+    def __init__(self, shard: int, raw: Dict[str, Any], is_byzantine, params) -> None:
         self.shard = shard
         self.clusters: Dict[int, List[int]] = raw["clusters"]
         self.adjacency: Dict[int, List[int]] = raw["adjacency"]
         self.cluster_ids = sorted(self.clusters)
-        self.byzantine_counts = {
-            cid: sum(1 for member in members if is_byzantine(member))
-            for cid, members in self.clusters.items()
+        self.sizes = {cid: len(members) for cid, members in self.clusters.items()}
+        self.byzantine = {
+            cid: sum(map(is_byzantine, members)) for cid, members in self.clusters.items()
         }
-        sizes = [len(self.clusters[cid]) for cid in self.cluster_ids]
-        self.total_nodes = sum(sizes)
-        self.max_cluster_size = max(sizes) if sizes else 0
-        self.edge_count = sum(len(edges) for edges in self.adjacency.values()) // 2
         # Cumulative sizes over the sorted cluster ids: one O(log C) bisect
         # per stationary draw.
-        cumulative: List[int] = []
-        running = 0
-        for size in sizes:
-            running += size
-            cumulative.append(running)
-        self._cumulative = cumulative
-
-    @property
-    def cluster_count(self) -> int:
-        return len(self.cluster_ids)
-
-    def average_degree(self) -> float:
-        if not self.cluster_ids:
-            return 0.0
-        return 2.0 * self.edge_count / len(self.cluster_ids)
+        self._cumulative = list(accumulate(self.sizes[cid] for cid in self.cluster_ids))
+        self.total_nodes = self._cumulative[-1] if self._cumulative else 0
+        # The expected walk on this overlay, priced once per view.
+        cluster_count = len(self.cluster_ids)
+        edges = sum(len(neighbours) for neighbours in self.adjacency.values()) // 2
+        average_degree = 2.0 * edges / cluster_count if cluster_count else 0.0
+        hops, restarts = expected_effort(
+            cluster_count,
+            average_degree,
+            self.total_nodes,
+            max(self.sizes.values(), default=0),
+            segment_duration(params, max(2, self.total_nodes), average_degree),
+        )
+        charges = hop_charges(cluster_count, self.total_nodes)
+        #: ``(hops, messages, rounds)`` of that walk.
+        self.walk = (hops, *walk_cost(hops, restarts, charges))
 
     def sample_weighted_cluster(self, rng: random.Random) -> int:
         """A size-biased cluster draw — the walk's stationary law."""
-        import bisect
-
         pick = rng.randrange(self.total_nodes)
-        return self.cluster_ids[bisect.bisect_right(self._cumulative, pick)]
-
-    def accepts_from(self, sender: int) -> bool:
-        """The majority rule: honest members of ``sender`` alone clear 1/2."""
-        size = len(self.clusters[sender])
-        honest = size - self.byzantine_counts[sender]
-        return honest > size / 2.0
-
-    def expected_effort(self, parameters) -> Tuple[int, int]:
-        """Expected (hops, restarts) of the equivalent simulated walk.
-
-        Mirrors :meth:`~repro.walks.sampler.ClusterSampler._compute_expected_
-        effort` with the segment duration :class:`~repro.core.randcl.RandCl`
-        derives (hop budget over average degree), evaluated on the shard's
-        own aggregates.
-        """
-        cluster_count = self.cluster_count
-        if not cluster_count:
-            return (0, 1)
-        average_degree = max(1.0, self.average_degree())
-        current_size = max(2, self.total_nodes)
-        hop_budget = float(parameters.walk_length(current_size))
-        segment_duration = max(2.0, hop_budget / average_degree)
-        mean_weight = self.total_nodes / cluster_count
-        expected_restarts = (
-            max(1.0, self.max_cluster_size / mean_weight) if mean_weight > 0 else 1.0
-        )
-        expected_hops = segment_duration * average_degree * expected_restarts
-        return (max(1, int(round(expected_hops))), max(1, int(round(expected_restarts))))
-
-    def walk_costs(self, hops: int, restarts: int) -> Tuple[int, int]:
-        """RandCl's charge model on this shard's aggregates."""
-        cluster_count = self.cluster_count
-        average_size = self.total_nodes / cluster_count if cluster_count else 1.0
-        randnum_messages = 2.0 * average_size * max(0.0, average_size - 1.0)
-        per_hop_messages = randnum_messages + average_size * average_size
-        messages = int(round(hops * per_hop_messages + restarts * randnum_messages))
-        rounds = int(hops * 3 + restarts * 2)
-        return messages, rounds
+        return self.cluster_ids[bisect_right(self._cumulative, pick)]
 
 
 class ShardReadModel:
-    """Composite read state over per-shard snapshots, fetched lazily.
+    """Composite read state over per-engine views, fetched lazily.
 
-    The session invalidates the model after every merged write window; the
-    next read triggers exactly one ``read_view`` round trip (amortised over
-    every read until the next write window).  ``fresh`` tells the pump
-    whether reads can be served *during* worker execution — a stale model
-    would have to queue its fetch behind the in-flight apply batch and block
-    on it, so the pump defers those reads to the window boundary instead.
+    ``fetch()`` returns one raw view (:func:`engine_view`) per shard, in
+    shard order; ``is_byzantine`` is the ground-truth role lookup over the
+    ids those views name.  The backend invalidates the model after every
+    collected write window; the next read triggers exactly one ``fetch``
+    (amortised over every read until the next write window).  ``fresh``
+    tells the pump whether reads can be served *during* a window — a stale
+    model would have to queue its fetch behind the in-flight apply batch
+    and block on it, so the pump defers those reads to the window boundary
+    instead.
     """
 
-    def __init__(self, coordinator) -> None:
-        self._coordinator = coordinator
+    def __init__(
+        self, fetch: Callable[[], Sequence[Dict[str, Any]]], params, is_byzantine
+    ) -> None:
+        self._fetch = fetch
+        self._params = params
+        self._is_byzantine = is_byzantine
         self._views: Optional[List[_ShardView]] = None
-        self.fetches = 0
 
     @property
     def fresh(self) -> bool:
@@ -155,18 +146,12 @@ class ShardReadModel:
         self._views = None
 
     def ensure(self) -> List[_ShardView]:
-        """Fetch the per-shard views if stale (one worker round trip)."""
+        """Fetch the views if stale (on shards: one worker round trip)."""
         if self._views is None:
-            coordinator = self._coordinator
-            raw = coordinator._gather_shards(
-                [(shard, ()) for shard in range(coordinator.shards)], "read_view"
-            )
-            is_byzantine = coordinator.directory.nodes.is_byzantine
             self._views = [
-                _ShardView(shard, raw[shard], is_byzantine)
-                for shard in range(coordinator.shards)
+                _ShardView(shard, raw, self._is_byzantine, self._params)
+                for shard, raw in enumerate(self._fetch())
             ]
-            self.fetches += 1
         return self._views
 
     # ------------------------------------------------------------------
@@ -186,76 +171,41 @@ class ShardReadModel:
     def sample(self, rng: random.Random) -> Dict[str, Any]:
         """One uniform node sample over the composite population.
 
-        Size-biased shard pick, stationary (oracle-mode) endpoint draw
-        within the shard, uniform member pick — composing to the uniform
-        node law of classic randCl + randNum — with costs from the same
-        charge models.
+        Size-biased shard pick, stationary endpoint draw within the shard,
+        uniform member pick — composing to the uniform node law of randCl +
+        randNum.
         """
-        views = self.ensure()
-        view = self._pick_origin_shard(views, rng)
+        view = self._pick_origin_shard(self.ensure(), rng)
         cluster_id = view.sample_weighted_cluster(rng)
         members = view.clusters[cluster_id]
         node_id = members[rng.randrange(len(members))]
-        hops, restarts = view.expected_effort(self._coordinator.params)
-        messages, rounds = view.walk_costs(hops, restarts)
-        member_count = len(members)
-        messages += 2 * member_count * (member_count - 1)
-        rounds += 2
+        hops, messages, rounds = view.walk
+        pick_messages, pick_rounds = randnum_cost(len(members))
         return {
             "node_id": node_id,
             "cluster_id": cluster_id,
             "shard": view.shard,
-            "is_byzantine": self._coordinator.directory.nodes.is_byzantine(node_id),
-            "messages": messages,
-            "rounds": rounds,
+            "is_byzantine": self._is_byzantine(node_id),
+            "messages": messages + pick_messages,
+            "rounds": rounds + pick_rounds,
             "walk_hops": hops,
         }
 
-    def _flood(self, view: _ShardView, entry: int) -> Tuple[set, int, int]:
-        """BFS flood of one shard's overlay from ``entry``.
-
-        Mirrors :class:`~repro.apps.broadcast.ClusteredBroadcast`: each
-        reached cluster forwards once to every unreached neighbour (sorted
-        order), charging the bipartite ``|C| * |C'|`` pattern whether or not
-        the transfer is accepted; acceptance needs an honest majority in the
-        *sending* cluster.  Returns (reached ids, messages, max depth).
-        """
-        reached = {entry}
-        frontier = deque([(entry, 0)])
-        messages = 0
-        max_depth = 0
-        clusters = view.clusters
-        adjacency = view.adjacency
-        while frontier:
-            current, depth = frontier.popleft()
-            max_depth = max(max_depth, depth)
-            current_size = len(clusters[current])
-            sender_ok = view.accepts_from(current)
-            for neighbour in adjacency.get(current, ()):
-                if neighbour in reached or neighbour not in clusters:
-                    continue
-                messages += current_size * len(clusters[neighbour])
-                if sender_ok:
-                    reached.add(neighbour)
-                    frontier.append((neighbour, depth + 1))
-        return reached, messages, max_depth
-
     def broadcast(self, rng: random.Random) -> Dict[str, Any]:
-        """One composite clustered broadcast over every shard's overlay.
+        """One clustered broadcast over every view's overlay.
 
-        The origin cluster is drawn like the classic service's (uniform over
-        the origin shard's clusters, shard picked size-biased); remote
-        shards are disjoint overlays, so the coordinator bridges the payload
-        into each one's entry cluster (lowest id) with one validated
-        cluster-to-cluster send, adding one round of depth.
+        The origin cluster is uniform over the origin shard's clusters
+        (shard picked size-biased).  Each remote shard is entered through
+        its lowest cluster id by one cluster-to-cluster send from the origin
+        cluster, adding one round of depth.
         """
         views = self.ensure()
         origin_view = self._pick_origin_shard(views, rng)
         origin_cluster = origin_view.cluster_ids[
             rng.randrange(len(origin_view.cluster_ids))
         ]
-        origin_ok = origin_view.accepts_from(origin_cluster)
-        origin_size = len(origin_view.clusters[origin_cluster])
+        origin_size = origin_view.sizes[origin_cluster]
+        origin_ok = majority(origin_size - origin_view.byzantine[origin_cluster], origin_size)
 
         total_messages = 0
         total_rounds = 0
@@ -263,25 +213,25 @@ class ShardReadModel:
         nodes_reached = 0
         total_clusters = 0
         for view in views:
-            total_clusters += view.cluster_count
+            total_clusters += len(view.cluster_ids)
             if view is origin_view:
-                entry: Optional[int] = origin_cluster
+                entry = origin_cluster
                 bridge_rounds = 0
-            else:
-                entry = view.cluster_ids[0] if view.cluster_ids else None
-                if entry is None:
-                    continue
+            elif view.cluster_ids:
+                entry = view.cluster_ids[0]
                 # The bridge send is charged even when a compromised origin
                 # suppresses the payload (the bipartite pattern still runs).
-                total_messages += origin_size * len(view.clusters[entry])
+                total_messages += origin_size * view.sizes[entry]
                 bridge_rounds = 1
                 if not origin_ok:
                     continue
-            reached, messages, depth = self._flood(view, entry)
-            total_messages += messages
-            total_rounds = max(total_rounds, bridge_rounds + depth + 1)
-            clusters_reached += len(reached)
-            nodes_reached += sum(len(view.clusters[cid]) for cid in reached)
+            else:
+                continue
+            result = flood(entry, view.sizes, view.byzantine, view.adjacency)
+            total_messages += result.messages
+            total_rounds = max(total_rounds, bridge_rounds + result.rounds)
+            clusters_reached += len(result.reached)
+            nodes_reached += result.nodes_reached
         coverage = clusters_reached / total_clusters if total_clusters else 0.0
         return {
             "origin_cluster": origin_cluster,

@@ -56,6 +56,7 @@ from .messages import (
     iter_events,
     pack_rows,
 )
+from .serve import engine_view
 
 
 class ShardWorkerError(RuntimeError):
@@ -256,27 +257,9 @@ class ShardWorker:
         return {"summary": self._summary(engine)}
 
     def read_view(self, shard: int) -> Dict[str, Any]:
-        """A compact snapshot of the shard's clusters and overlay, in gids.
-
-        The read path of the sharded live service: the coordinator fetches
-        one view per shard after a merged window and serves ``sample`` /
-        ``broadcast`` requests from it without re-entering the worker round
-        trip.  Members are translated to global ids so the coordinator's
-        directory supplies roles; the adjacency is the OVER overlay at
-        cluster granularity.
-        """
+        """The shard's :func:`~repro.shard.serve.engine_view`, in global ids."""
         slot = self._slot(shard)
-        l2g = slot.l2g
-        state = slot.engine.state
-        clusters = {
-            cluster.cluster_id: sorted(l2g[member] for member in cluster.members)
-            for cluster in state.clusters.clusters()
-        }
-        graph = state.overlay.graph
-        adjacency = {
-            vertex: sorted(graph.neighbours(vertex)) for vertex in graph.vertices()
-        }
-        return {"clusters": clusters, "adjacency": adjacency}
+        return engine_view(slot.engine, slot.l2g)
 
     def summaries(self) -> Dict[int, Dict[str, Any]]:
         """Current summary of every hosted shard (post-handoff merge input)."""

@@ -21,11 +21,13 @@ a backend is:
     the state fingerprint (window boundaries only), the backend's share of
     the ``status`` response, worker shutdown.
 ``sample()`` / ``broadcast(payload)`` / ``reads_fresh``
-    reads, drawn from the ``read_rng`` the backend was opened with.  Each
-    backend keeps its own implementation — the single engine walks the live
-    overlay, the shard backend answers from per-shard snapshots with
-    mirrored costs — and ``reads_fresh`` says whether one can be served
-    while a window is in flight.
+    reads, one implementation for both backends (:class:`_ReadLane`): a
+    :class:`~repro.shard.serve.ShardReadModel` over the backend's engine
+    views — one for the single engine, one per shard — drawing from the
+    ``read_rng`` the backend was opened with.  ``collect`` drops the views,
+    the next read rebuilds them, and ``reads_fresh`` says whether a read can
+    be served while a window is in flight (it cannot when that rebuild is
+    due).
 
 It lives in :mod:`repro.trace` because it is the unit replay certifies.
 Three callers: the live session (:mod:`repro.service.session`) and the batch
@@ -43,17 +45,51 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..apps.broadcast import ClusteredBroadcast
-from ..apps.sampling import SamplingService
 from ..scenarios.bus import DEFAULT_PROBE_BUFFER, ObservationBus, StepRecord, step_record
 from .hashing import state_hash
 
 
-class EngineBackend:
+class _ReadLane:
+    """``sample`` / ``broadcast`` over the backend's views (see the module docstring).
+
+    Opened by the one caller with a read stream, the live session; batch
+    runs and replay leave ``read_model`` unset and never import it.
+    """
+
+    read_model = None
+
+    def _open_reads(self, read_rng: Optional[random.Random]) -> None:
+        if read_rng is None:
+            return
+        # Local import: repro.shard builds on repro.trace, and a batch run or
+        # replay should not pay for loading it.
+        from ..shard.serve import ShardReadModel
+
+        self.read_model = ShardReadModel(
+            self._read_views, self.params, self.nodes.is_byzantine
+        )
+        self._read_rng = read_rng
+
+    def _close_window(self) -> None:
+        if self.read_model is not None:
+            self.read_model.invalidate()
+
+    @property
+    def reads_fresh(self) -> bool:
+        """Rebuilding the views reads the engines (on shards: a worker round
+        trip down FIFO pipes), which cannot happen under an open window."""
+        return self.read_model.fresh
+
+    def sample(self) -> Dict[str, Any]:
+        return self.read_model.sample(self._read_rng)
+
+    def broadcast(self, payload: Any) -> Dict[str, Any]:
+        return self.read_model.broadcast(self._read_rng)
+
+
+class EngineBackend(_ReadLane):
     """One :class:`~repro.core.engine.NowEngine`; windows apply inline."""
 
-    #: Reads walk the live engine, which is never mid-window.
-    reads_fresh = True
     #: ``contact_cluster``-targeted joins name a cluster of this one engine.
     contact_joins = True
 
@@ -69,9 +105,12 @@ class EngineBackend:
         self.nodes = engine.state.nodes
         self.bus = ObservationBus(engine, probes, buffer_size=probe_buffer)
         self._events = 0
-        if read_rng is not None:
-            self._sampling = SamplingService(engine, rng=read_rng)
-            self._broadcast = ClusteredBroadcast(engine, rng=read_rng)
+        self._open_reads(read_rng)
+
+    def _read_views(self) -> List[Dict[str, Any]]:
+        from ..shard.serve import engine_view
+
+        return [engine_view(self.engine)]
 
     def dispatch(self, events: Sequence) -> List[StepRecord]:
         records = []
@@ -83,6 +122,7 @@ class EngineBackend:
         return records
 
     def collect(self, token: List[StepRecord]) -> List[StepRecord]:
+        self._close_window()
         return token
 
     def state_hash(self) -> str:
@@ -97,35 +137,11 @@ class EngineBackend:
             "time_step": engine.state.time_step,
         }
 
-    def sample(self) -> Dict[str, Any]:
-        report = self._sampling.sample()
-        return {
-            "node_id": report.node_id,
-            "cluster_id": report.cluster_id,
-            "is_byzantine": report.is_byzantine,
-            "messages": report.messages,
-            "rounds": report.rounds,
-            "walk_hops": report.walk_hops,
-        }
-
-    def broadcast(self, payload: Any) -> Dict[str, Any]:
-        report = self._broadcast.broadcast(payload)
-        cluster_count = self.engine.cluster_count
-        return {
-            "origin_cluster": report.origin_cluster,
-            "clusters_reached": len(report.clusters_reached),
-            "cluster_count": cluster_count,
-            "nodes_reached": report.nodes_reached,
-            "coverage": report.coverage(cluster_count),
-            "messages": report.messages,
-            "rounds": report.rounds,
-        }
-
     def close(self) -> None:
         pass
 
 
-class ShardBackend:
+class ShardBackend(_ReadLane):
     """A :class:`~repro.shard.coordinator.ShardCoordinator`; windows pipeline.
 
     Windows never straddle a multiple of the coordinator's
@@ -152,7 +168,6 @@ class ShardBackend:
         # Local import: repro.shard builds on repro.trace, and a single-engine
         # run or replay should not pay for the worker-process machinery.
         from ..shard.coordinator import ShardCoordinator
-        from ..shard.serve import ShardReadModel
 
         self.coordinator = ShardCoordinator(
             scenario,
@@ -165,14 +180,12 @@ class ShardBackend:
         self.params = self.coordinator.params
         self.nodes = self.coordinator.directory.nodes
         self.bus = self.coordinator.bus
-        self.read_model = ShardReadModel(self.coordinator)
-        self._read_rng = read_rng
+        self._open_reads(read_rng)
 
-    @property
-    def reads_fresh(self) -> bool:
-        """Refreshing the read model is a worker round trip, and the pipes
-        are FIFO: a stale model cannot be refreshed under an open window."""
-        return self.read_model.fresh
+    def _read_views(self) -> List[Dict[str, Any]]:
+        shards = range(self.coordinator.shards)
+        views = self.coordinator._gather_shards([(shard, ()) for shard in shards], "read_view")
+        return [views[shard] for shard in shards]
 
     def dispatch(self, events: Sequence) -> List[Dict[str, Any]]:
         coordinator = self.coordinator
@@ -190,7 +203,7 @@ class ShardBackend:
             records += self.coordinator.serve_collect(part)
         for record in records:
             self.bus.publish_record(record)
-        self.read_model.invalidate()
+        self._close_window()
         return records
 
     def state_hash(self) -> str:
@@ -198,12 +211,6 @@ class ShardBackend:
 
     def status(self) -> Dict[str, Any]:
         return self.coordinator.status()
-
-    def sample(self) -> Dict[str, Any]:
-        return self.read_model.sample(self._read_rng)
-
-    def broadcast(self, payload: Any) -> Dict[str, Any]:
-        return self.read_model.broadcast(self._read_rng)
 
     def close(self) -> None:
         self.coordinator.close()

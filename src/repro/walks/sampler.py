@@ -54,6 +54,28 @@ class SampleOutcome:
     truncated: bool = False
 
 
+def expected_effort(
+    vertex_count: int,
+    average_degree: float,
+    total_weight: float,
+    max_weight: float,
+    segment_duration: float,
+) -> tuple:
+    """Expected ``(hops, restarts)`` of one biased walk, from graph aggregates.
+
+    One CTRW segment makes ``segment_duration * average_degree`` hops in
+    expectation; the biased walk restarts a geometric number of times with
+    mean ``max_weight / mean_weight`` (the acceptance coin of the largest
+    cluster is the certain one).
+    """
+    if not vertex_count:
+        return (0, 1)
+    mean_weight = total_weight / vertex_count
+    expected_restarts = max(1.0, max_weight / mean_weight) if mean_weight > 0 else 1.0
+    expected_hops = segment_duration * average_degree * expected_restarts
+    return (max(1, int(round(expected_hops))), max(1, int(round(expected_restarts))))
+
+
 class ClusterSampler:
     """Samples clusters from the ``|C|/n`` distribution via biased CTRWs."""
 
@@ -175,36 +197,25 @@ class ClusterSampler:
         )
 
     def _expected_effort(self) -> tuple:
-        """Expected (hops, restarts) of the equivalent simulated walk.
-
-        The expected number of hops of one CTRW segment equals the segment
-        duration times the average vertex degree; the number of segments is
-        the geometric restart count of the biased walk.  The result only
-        depends on graph aggregates, so it is cached against the graph's
-        mutation version when the graph exposes one.
-        """
-        version = getattr(self._graph, "version", None)
+        """:func:`expected_effort` of this graph, cached against the graph's
+        mutation version (when it exposes one) and the segment duration."""
+        graph = self._graph
+        version = getattr(graph, "version", None)
+        key = (version, self._segment_duration)
+        if version is not None and key == self._effort_key:
+            return self._effort
+        # All O(1) on OverlayGraph: aggregates are maintained incrementally.
+        effort = expected_effort(
+            graph.vertex_count(),
+            graph.average_degree(),
+            graph.total_weight(),
+            graph.max_weight(),
+            self._segment_duration,
+        )
         if version is not None:
-            key = (version, self._segment_duration)
-            if key == self._effort_key:
-                return self._effort
-            effort = self._compute_expected_effort()
             self._effort_key = key
             self._effort = effort
-            return effort
-        return self._compute_expected_effort()
-
-    def _compute_expected_effort(self) -> tuple:
-        vertex_count = self._graph.vertex_count()
-        if not vertex_count:
-            return (0, 1)
-        # All O(1) on OverlayGraph: aggregates are maintained incrementally.
-        average_degree = self._graph.average_degree()
-        mean_weight = self._graph.total_weight() / vertex_count
-        max_weight = self._graph.max_weight()
-        expected_restarts = max(1.0, max_weight / mean_weight) if mean_weight > 0 else 1.0
-        expected_hops = self._segment_duration * average_degree * expected_restarts
-        return (max(1, int(round(expected_hops))), max(1, int(round(expected_restarts))))
+        return effort
 
     # ------------------------------------------------------------------
     # Checkpoint serialisation (repro.trace)

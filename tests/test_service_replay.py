@@ -191,6 +191,87 @@ class TestRecordedSessionReplays:
         assert verdicts("shards=2") == single
 
 
+SAMPLE_KEYS = {
+    "node_id", "cluster_id", "shard", "is_byzantine", "messages", "rounds", "walk_hops",
+}
+BROADCAST_KEYS = {
+    "origin_cluster", "origin_shard", "clusters_reached", "cluster_count",
+    "nodes_reached", "coverage", "messages", "rounds",
+}
+
+
+class TestReadLane:
+    """Reads are one implementation: same shape, same invisibility, every backend."""
+
+    @on_every_backend
+    def test_read_responses_have_one_shape(self, backend):
+        session = make_session(backend, seed=6)
+        try:
+            shards = session.scenario.shards or 1
+            pump(session, frames_from_ops(["join"] * 5))
+            sample = session.execute({"op": "sample"})
+            assert set(sample) == SAMPLE_KEYS
+            assert 0 <= sample["shard"] < shards
+            assert sample["messages"] > 0 and sample["rounds"] > 0 and sample["walk_hops"] > 0
+            broadcast = session.execute({"op": "broadcast", "payload": "x"})
+            assert set(broadcast) == BROADCAST_KEYS
+            assert 0 <= broadcast["origin_shard"] < shards
+            # No cluster is captured at tau=0.15, so the flood (and the
+            # bridge into every other shard) reaches everyone.
+            assert broadcast["coverage"] == 1.0
+            assert broadcast["nodes_reached"] == session.network_size
+            assert broadcast["messages"] >= session.network_size - broadcast["cluster_count"]
+        finally:
+            session.close()
+
+    @on_every_backend
+    def test_reads_draw_from_their_own_stream(self, backend):
+        """The read RNG is private: reads do not consume the write stream."""
+        plain = make_session(backend, seed=31)
+        mixed = make_session(backend, seed=31)
+        try:
+            frames = frames_from_ops(["join"] * 10 + ["leave"] * 4)
+            plain_out = pump(plain, frames, chunk=4)
+            mixed_out = []
+            for frame in frames:
+                mixed.execute({"op": "sample"})
+                mixed_out.append(mixed.execute(frame))
+            # Anonymous-leave picks agree despite the interleaved sampling.
+            assert [normalise(o) for o in mixed_out] == [normalise(o) for o in plain_out]
+        finally:
+            plain.close()
+            mixed.close()
+
+    @on_every_backend
+    def test_read_storm_between_write_windows_is_invisible(self, tmp_path, backend):
+        """A storm of reads between (and under) two write windows moves
+        neither a trace byte nor the state hash."""
+        first = frames_from_ops(["join"] * 12 + ["leave"] * 4)
+        second = frames_from_ops(["leave"] * 6 + ["byzantine-join"] * 6)
+
+        def run(name: str, storm: int):
+            path = str(tmp_path / f"{name}.jsonl")
+            session = make_session(backend, seed=27)
+            try:
+                session.attach_trace(path, index_every=8)
+                session.execute({"op": "sample"})  # views built: reads are ready
+                window = session.begin_window(first)
+                for _ in range(storm):
+                    if session.read_ready("sample"):  # served beside the window
+                        session.execute({"op": "sample"})
+                session.finish_window(window)
+                for index in range(storm):
+                    session.execute({"op": "broadcast" if index % 4 == 0 else "sample"})
+                session.finish_window(session.begin_window(second))
+                state = session.state_hash()
+            finally:
+                session.close()
+            with open(path, "rb") as handle:
+                return state, handle.read()
+
+        assert run("storm", storm=120) == run("quiet", storm=0)
+
+
 class TestServedSessionReplays:
     def test_tcp_served_session_records_and_replays(self, tmp_path):
         async def scenario(backend: str, path: str):

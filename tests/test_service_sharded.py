@@ -122,25 +122,6 @@ class TestReadLane:
         finally:
             session.close()
 
-    def test_reads_draw_from_their_own_stream(self):
-        """The read RNG is private: reads do not consume the write stream."""
-        plain = make_session(seed=31)
-        mixed = make_session(seed=31)
-        try:
-            frames = frames_from_ops(["join"] * 10 + ["leave"] * 4)
-            plain_out = pump(plain, frames, chunk=4)
-            mixed_out = []
-            for frame in frames:
-                mixed.execute({"op": "sample"})
-                mixed_out.append(mixed.execute(frame))
-            # Anonymous-leave picks agree despite the interleaved sampling.
-            assert [normalise(o) for o in mixed_out] == [
-                normalise(o) for o in plain_out
-            ]
-        finally:
-            plain.close()
-            mixed.close()
-
 
 class TestShardedSessionValidation:
     def test_rejects_scenario_with_workload(self):
