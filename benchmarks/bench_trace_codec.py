@@ -12,10 +12,10 @@ it records one size-stable T1-style churn scenario three ways —
 
 then replays and decodes each trace, and appends the measurements to
 ``BENCH_throughput.json`` at the repository root (the append-only
-trajectory file) under ``"trace_codec"``.  Every configuration attaches a
-:class:`~repro.trace.TraceProbe` plus two trajectory probes (corruption +
-size), so the recorded events/s is the *end-to-end observed* rate the
-acceptance gates track, not a bare-engine rate.
+trajectory file) under ``"trace_codec"``.  Every configuration records
+through :func:`~repro.trace.record_scenario` with two trajectory probes
+(corruption + size) attached, so the recorded events/s is the *end-to-end
+observed* rate the acceptance gates track, not a bare-engine rate.
 
 Checked invariants:
 
@@ -42,7 +42,7 @@ import time
 import pytest
 
 from repro.scenarios import CorruptionTrajectoryProbe, ObservationBus, SizeTrajectoryProbe
-from repro.trace import TraceProbe, TraceReader, replay_trace
+from repro.trace import TraceReader, TraceWriter, record_scenario, replay_trace
 
 from common import run_once, scenario_for
 
@@ -69,19 +69,20 @@ def record_one(path: str, steps: int, trace_format: str, flush_every: int,
                buffered: bool, probe_buffer: int):
     """Record the benchmark scenario once with the given observation config."""
     scenario = scenario_for(MAX_SIZE, INITIAL, tau=TAU, seed=SEED, name="codec", steps=steps)
-    engine = scenario.build_engine()
-    probes = [
-        CorruptionTrajectoryProbe(inline=not buffered),
-        SizeTrajectoryProbe(inline=not buffered),
-        TraceProbe(path, index_every=200, scenario=scenario,
-                   trace_format=trace_format, flush_every=flush_every),
-    ]
-    runner = scenario.build_runner(probes=probes, engine=engine, probe_buffer=probe_buffer)
-    started = time.perf_counter()
-    result = runner.run(steps)
-    elapsed = time.perf_counter() - started
-    probes[2].finalize(engine)
-    return result, elapsed
+    session = record_scenario(
+        scenario,
+        trace_path=path,
+        index_every=200,
+        probes=[
+            CorruptionTrajectoryProbe(inline=not buffered),
+            SizeTrajectoryProbe(inline=not buffered),
+        ],
+        trace_format=trace_format,
+        flush_every=flush_every,
+        probe_buffer=probe_buffer,
+    )
+    # The run loop's own wall time: bootstrap and the final seal stay outside.
+    return session.result, session.result.elapsed_seconds
 
 
 def observation_micro(out_dir: str, events: int = 20000):
@@ -91,8 +92,9 @@ def observation_micro(out_dir: str, events: int = 20000):
     event at benchmark scale), which drowns the observation pipeline's
     microseconds in run-to-run noise.  This measurement replays a captured
     stream of real per-step reports through the bus + probes + trace writer
-    with the engine taken out of the loop, so the inline/per-frame-flush
-    baseline and the buffered pipeline can be compared directly.
+    (what the runner's recorder hook does per event) with the engine taken
+    out of the loop, so the inline/per-frame-flush baseline and the buffered
+    pipeline can be compared directly.
     """
     scenario = scenario_for(
         MAX_SIZE, INITIAL, tau=TAU, seed=SEED, name="codec-micro",
@@ -108,19 +110,19 @@ def observation_micro(out_dir: str, events: int = 20000):
         probes = [
             CorruptionTrajectoryProbe(inline=not buffered),
             SizeTrajectoryProbe(inline=not buffered),
-            # index_every past the horizon: no O(n) state hashing inside the
-            # timed loop, the per-event codec cost is what is being measured.
-            TraceProbe(path, index_every=10**9, scenario=scenario,
-                       trace_format=trace_format, flush_every=flush_every),
         ]
+        # No index frames: no O(n) state hashing inside the timed loop, the
+        # per-event codec cost is what is being measured.
+        writer = TraceWriter(path, trace_format=trace_format, flush_every=flush_every)
+        writer.write_header(scenario.to_dict())
         bus = ObservationBus(engine, probes, buffer_size=probe_buffer)
         bus.on_start()
         started = time.perf_counter()
         for index in range(events):
-            bus.publish(reports[index % len(reports)], index + 1)
+            writer.write_record(bus.publish(reports[index % len(reports)], index + 1, True))
         bus.flush()
         elapsed = time.perf_counter() - started
-        probes[2].finalize(engine)
+        writer.close(engine.state_hash())
         os.unlink(path)
         rates[label] = events / elapsed if elapsed > 0 else 0.0
     return rates

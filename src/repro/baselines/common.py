@@ -132,6 +132,13 @@ class BaselineEngine(abc.ABC):
         """Identifiers of the nodes currently in the system."""
         return self.state.nodes.active_nodes()
 
+    def state_hash(self) -> str:
+        """Canonical digest of the full state (what a recorded trace's index
+        and end frames carry); lazy import, as on :class:`NowEngine`."""
+        from ..trace.hashing import state_hash
+
+        return state_hash(self)
+
     @property
     def metrics(self):
         """Per-operation communication ledgers (baselines charge nothing by default)."""

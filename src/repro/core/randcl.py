@@ -147,11 +147,6 @@ class RandCl:
         """
         return self._walk_kernel == "array" and self._walk_mode is WalkMode.SIMULATED
 
-    def set_walk_mode(self, mode: WalkMode) -> None:
-        """Switch between simulated and oracle walk modes."""
-        self._walk_mode = mode
-        self._sampler = None
-
     # ------------------------------------------------------------------
     # Selection
     # ------------------------------------------------------------------

@@ -139,15 +139,24 @@ class ObservationBus:
         for probe in self.buffered_probes:
             probe.on_start(self.engine)
 
-    def publish(self, report, step_index: int) -> None:
-        """Deliver one applied event: inline probes now, buffered on flush."""
+    def publish(self, report, step_index: int, build: bool = False) -> Optional[StepRecord]:
+        """Deliver one applied event: inline probes now, buffered on flush.
+
+        Returns the event's :class:`StepRecord` when one was built — buffered
+        probes are attached, or the caller asked with ``build`` because it
+        records the event itself — so no caller builds a second one.
+        """
         for probe in self.inline_probes:
             probe.on_step(self.engine, report, step_index)
+        if not (build or self.buffered_probes):
+            return None
+        record = step_record(report, step_index)
         if self.buffered_probes:
-            self._buffer.append(step_record(report, step_index))
+            self._buffer.append(record)
             self.records_published += 1
             if len(self._buffer) >= self.buffer_size:
                 self.flush()
+        return record
 
     def publish_record(self, record: StepRecord) -> None:
         """Deliver one pre-built record (the sharded merge layer's entry point).

@@ -232,8 +232,14 @@ class SimulationRunner:
     # ------------------------------------------------------------------
     # The step loop
     # ------------------------------------------------------------------
-    def run(self, steps: int) -> RunResult:
-        """Run up to ``steps`` time steps and return the result summary."""
+    def run(self, steps: int, recorder=None) -> RunResult:
+        """Run up to ``steps`` time steps and return the result summary.
+
+        ``recorder`` (a :class:`repro.trace.session.Recorder`, the same hook
+        ``ShardCoordinator.run`` takes) is handed every applied event as a
+        window of one, after the probes saw it: index frames and checkpoints
+        land on exactly the events their cadence names.
+        """
         if steps < 0:
             raise ConfigurationError("steps must be non-negative")
         # probes is a public list; pick up anything attached since the last
@@ -245,17 +251,19 @@ class SimulationRunner:
 
         engine = self.engine
         publish = self.bus.publish
+        recording = recorder is not None
+        base_steps = self.total_steps
         events = 0
         idle = 0
         idle_streak = 0
-        executed = 0
         stop_reason = "steps exhausted"
         peak_worst = 0.0
         reports: List = []
         started_at = time.perf_counter()
         try:
             for step_index in range(1, steps + 1):
-                executed = step_index
+                # Kept current so a mid-run checkpoint reads its progress here.
+                self.total_steps = base_steps + step_index
                 event = self._next_event()
                 if event is None:
                     idle += 1
@@ -272,7 +280,9 @@ class SimulationRunner:
                     peak_worst = report.worst_byzantine_fraction
                 if self.keep_reports:
                     reports.append(report)
-                publish(report, step_index)
+                record = publish(report, step_index, recording)
+                if recording:
+                    recorder.window((record,))
                 reason = self._evaluate_stop(engine, report, step_index)
                 if reason is not None:
                     stop_reason = reason
@@ -284,7 +294,7 @@ class SimulationRunner:
             # point (as per-event inline probes always were).
             self.bus.flush()
         elapsed = time.perf_counter() - started_at
-        self.total_steps += executed
+        executed = self.total_steps - base_steps
 
         return RunResult(
             scenario=self.name,

@@ -39,6 +39,7 @@ from ..scenarios.scenario import Scenario
 from ..trace.backend import EngineBackend, ShardBackend
 from ..trace.codec import DEFAULT_FLUSH_EVERY
 from ..trace.log import DEFAULT_INDEX_EVERY, TraceWriter
+from ..trace.session import Recorder
 from .protocol import ERROR_FAILED, ProtocolError
 
 #: Seed offsets of the service streams (see the module docstring's table).
@@ -130,7 +131,7 @@ class LiveEngineSession:
                 self.scenario.build_engine(), self.read_rng, probes, probe_buffer
             )
         self.bus = self.backend.bus
-        self._writer: Optional[TraceWriter] = None
+        self._recorder: Optional[Recorder] = None
         self.events_applied = 0
         self.operations: Dict[str, int] = {}
         self._started = False
@@ -150,29 +151,27 @@ class LiveEngineSession:
 
         Must be attached before the first event so the trace is complete
         from the bootstrap state (which the header's scenario reproduces).
-        Index frames are written at window boundaries only — a state hash
-        may need a worker round trip, which must not cut into a window.
+        The session records through the one :class:`~repro.trace.session.
+        Recorder`, a pump batch per window.
         """
         if self.events_applied:
             raise ConfigurationError(
                 "attach the trace before the first churn event; "
                 f"{self.events_applied} already applied"
             )
-        if self._writer is not None:
+        if self._recorder is not None:
             raise ConfigurationError("a trace is already being recorded")
-        writer = TraceWriter(
-            path,
+        recorder = Recorder(
+            self.scenario,
+            self.backend,
+            trace_path=path,
             index_every=index_every,
             trace_format=trace_format,
             flush_every=flush_every,
         )
-        writer.write_header(
-            self.scenario.to_dict(),
-            engine_kind="sharded" if self.scenario.shards else "now",
-        )
         self.start()
-        self._writer = writer
-        return writer
+        self._recorder = recorder
+        return recorder.writer
 
     def start(self) -> None:
         """Fire the probes' run-start hooks (idempotent)."""
@@ -193,12 +192,15 @@ class LiveEngineSession:
             return
         self._closed = True
         try:
-            self.bus.flush()
-            if self._writer is not None and ok:
-                self._writer.close(final_hash=self.backend.state_hash())
+            try:
+                self.bus.flush()
+            except BaseException:
+                ok = False
+                raise
+            finally:
+                if self._recorder is not None:
+                    self._recorder.seal(ok)
         finally:
-            if self._writer is not None:
-                self._writer.close()  # idempotent; no end frame if not sealed
             self.backend.close()
 
     @property
@@ -303,8 +305,8 @@ class LiveEngineSession:
                 self.operations[op] = self.operations.get(op, 0) + 1
                 window.outcomes[index] = _churn_result(record)
             records += part
-        if self._writer is not None:
-            self._writer.write_window(records, self.events_applied, self.backend)
+        if self._recorder is not None:
+            self._recorder.window(records)
         return window.outcomes
 
     # ------------------------------------------------------------------
@@ -391,7 +393,7 @@ class LiveEngineSession:
             result = self.backend.status()
             result["events_applied"] = self.events_applied
             result["operations"] = dict(self.operations)
-            result["recording"] = self._writer.path if self._writer else None
+            result["recording"] = self._recorder.trace_path if self._recorder else None
         else:
             result = {"pong": True}
         self.operations[op] = self.operations.get(op, 0) + 1

@@ -85,10 +85,9 @@ class ObservationMerger:
         application order, which is a subsequence of the global order — so a
         k-way merge over one decoding cursor per shard re-interleaves them
         exactly.  Rows arrive as packed wire buffers
-        (:data:`~repro.shard.messages.ROW_RECORD`) or the legacy tuple-list
-        fallback; :func:`~repro.shard.messages.iter_rows` decodes either
-        lazily, so this loop is the only place packed observations are
-        materialised.
+        (:data:`~repro.shard.messages.ROW_RECORD`);
+        :func:`~repro.shard.messages.iter_rows` decodes them lazily, so this
+        loop is the only place packed observations are materialised.
         """
         cursors = {
             shard: iter_rows(payload) for shard, payload in rows_by_shard.items()

@@ -13,9 +13,7 @@ Three record kinds cross the coordinator/worker boundary:
   :data:`EVENT_RECORD`) instead of a list of per-event tuples.  Packing one
   blob per shard per window keeps the pickle cost of a dispatch O(bytes)
   instead of O(events × tuple overhead) — the same trick as the binary
-  trace codec's event blocks (``trace/codec.py``).  A batch whose values
-  fall outside the packed ranges degrades to the legacy tuple list;
-  :func:`iter_events` accepts both interchangeably;
+  trace codec's event blocks (``trace/codec.py``);
 * **observation row buffers** — the per-event rows a worker returns, packed
   as ``(op_names, bytes)`` (:func:`pack_rows`, format :data:`ROW_RECORD`)
   with operation names indexed through a per-batch string table.  The rows
@@ -26,6 +24,10 @@ Three record kinds cross the coordinator/worker boundary:
   shards at a barrier.  Each carries a per-``(src, dst)`` sequence number;
   recipients apply handoffs sorted by ``(src, seq)``, which makes the drain
   order deterministic and independent of worker scheduling.
+
+There is one wire form: a value outside its packed field's range (a global
+id or step of ``2**32`` or more, a 257th operation name in a batch) raises
+:class:`WireRangeError` naming the field instead of switching format.
 
 Worker commands stay ``(method, args)`` pairs executed by the worker loop
 (:func:`repro.shard.worker.worker_main`), with ``(ok, payload)`` replies.
@@ -65,7 +67,7 @@ reader, so the tables need not travel with each batch.
 from __future__ import annotations
 
 import struct
-from typing import Any, Iterable, Iterator, List, NamedTuple, Sequence, Tuple, Union
+from typing import Any, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from ..network.node import NodeRole
 
@@ -78,24 +80,45 @@ LEAVE = "l"
 #: workload, adversary and mixer) so the streams never collide.
 SHARD_SEED_OFFSET = 1000
 
-#: One routed event on the wire: step, kind, gid, role, fresh.
+#: One routed event on the wire, and its field names in packing order.
 EVENT_RECORD = struct.Struct("<IBIBB")
+EVENT_FIELDS = ("step", "kind", "gid", "role", "fresh")
 #: One observation row on the wire (see the module docstring field table).
 ROW_RECORD = struct.Struct("<IBBiIIdBIIQ")
+ROW_FIELDS = (
+    "step", "kind", "role", "node", "assigned", "clusters", "worst", "op",
+    "messages", "rounds", "hops",
+)
 
 KINDS: List[str] = [JOIN, LEAVE]
 KIND_CODES = {value: index for index, value in enumerate(KINDS)}
 ROLES: List[str] = [role.value for role in NodeRole]
 ROLE_CODES = {value: index for index, value in enumerate(ROLES)}
 
-#: ``iter_events`` yields these; identical to the legacy wire tuple shape.
+#: What ``iter_events`` yields: step, kind, gid, role, fresh.
 WireEvent = Tuple[int, str, int, str, bool]
 #: The 11-field observation row shape shared by worker, wire and merger.
 WireRow = Tuple[int, str, str, Any, int, int, float, Any, int, int, int]
 
-#: Packed-or-fallback payload types.
-EventBatch = Union[bytes, List[WireEvent]]
-RowBatch = Union[Tuple[List[Any], bytes], List[WireRow]]
+#: Packed payload types: an event blob; ``(op_names, row blob)``.
+EventBatch = bytes
+RowBatch = Tuple[List[Any], bytes]
+
+
+class WireRangeError(ValueError):
+    """A value does not fit its packed wire field (the message names it)."""
+
+
+def range_error(record: struct.Struct, fields: Sequence[str], values: Sequence[Any]) -> WireRangeError:
+    """The error for one record ``record.pack`` refused: which field, what value."""
+    for field, code, value in zip(fields, record.format[1:], values):
+        try:
+            struct.pack("<" + code, value)
+        except struct.error:
+            return WireRangeError(
+                f"shard wire field {field!r} cannot hold {value!r} (packed as {code!r})"
+            )
+    return WireRangeError(f"shard wire record {tuple(values)!r} does not pack")
 
 
 class HandoffMessage(NamedTuple):
@@ -114,30 +137,9 @@ class HandoffMessage(NamedTuple):
     node_id: int
     role: str
 
-    def to_json(self) -> dict:
-        """JSON-ready form (used by tests and protocol debugging dumps)."""
-        return {
-            "seq": self.seq,
-            "src": self.src,
-            "dst": self.dst,
-            "node_id": self.node_id,
-            "role": self.role,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "HandoffMessage":
-        """Inverse of :meth:`to_json`."""
-        return cls(
-            seq=int(data["seq"]),
-            src=int(data["src"]),
-            dst=int(data["dst"]),
-            node_id=int(data["node_id"]),
-            role=str(data["role"]),
-        )
-
 
 class RoutedEvent(NamedTuple):
-    """One event after routing: the owning shard plus the wire tuple.
+    """One event after routing: the owning shard plus the wire fields.
 
     ``size_after`` is the composite network size immediately after the event
     (the directory updates synchronously at route time); the merge layer
@@ -153,56 +155,44 @@ class RoutedEvent(NamedTuple):
     fresh: bool
     size_after: int
 
-    def wire(self) -> WireEvent:
-        """The legacy (fallback) tuple form of the packed event record."""
-        return (self.step, self.kind, self.node_id, self.role, self.fresh)
-
 
 # ----------------------------------------------------------------------
 # Packed event batches (coordinator -> worker)
 # ----------------------------------------------------------------------
 def pack_events(rows: Iterable[WireEvent]) -> EventBatch:
-    """Pack wire-event tuples into one blob, or fall back to the tuple list.
-
-    The fallback triggers when any value exceeds the packed field ranges
-    (e.g. a global id above ``2**32 - 1``) or names an unknown kind/role —
-    the whole batch degrades, keeping decode logic branch-free per record.
-    """
-    rows = list(rows)
-    try:
-        pack = EVENT_RECORD.pack
-        kind_codes = KIND_CODES
-        role_codes = ROLE_CODES
-        return b"".join(
-            pack(step, kind_codes[kind], gid, role_codes[role], bool(fresh))
-            for step, kind, gid, role, fresh in rows
-        )
-    except (KeyError, struct.error):
-        return rows
+    """Pack wire-event tuples into one blob (:class:`WireRangeError` if one cannot)."""
+    pack = EVENT_RECORD.pack
+    kind_codes = KIND_CODES
+    role_codes = ROLE_CODES
+    parts: List[bytes] = []
+    for step, kind, gid, role, fresh in rows:
+        # An unknown kind/role stays itself, so the refusal can name it.
+        values = (step, kind_codes.get(kind, kind), gid, role_codes.get(role, role), bool(fresh))
+        try:
+            parts.append(pack(*values))
+        except struct.error:
+            raise range_error(EVENT_RECORD, EVENT_FIELDS, values) from None
+    return b"".join(parts)
 
 
 def iter_events(payload: EventBatch) -> Iterator[WireEvent]:
-    """Yield wire-event tuples from a packed blob or a fallback tuple list."""
-    if isinstance(payload, (bytes, bytearray, memoryview)):
-        kinds = KINDS
-        roles = ROLES
-        for step, kind, gid, role, fresh in EVENT_RECORD.iter_unpack(payload):
-            yield (step, kinds[kind], gid, roles[role], bool(fresh))
-    else:
-        yield from payload
+    """Yield wire-event tuples from a packed blob."""
+    kinds = KINDS
+    roles = ROLES
+    for step, kind, gid, role, fresh in EVENT_RECORD.iter_unpack(payload):
+        yield (step, kinds[kind], gid, roles[role], bool(fresh))
 
 
 # ----------------------------------------------------------------------
 # Packed observation rows (worker -> coordinator)
 # ----------------------------------------------------------------------
 def pack_rows(rows: Sequence[WireRow]) -> RowBatch:
-    """Pack observation rows into ``(op_names, blob)``, or fall back.
+    """Pack observation rows into ``(op_names, blob)``.
 
     Operation names are strings (occasionally ``None``); each batch carries
     its own first-appearance-ordered table and rows index into it with one
-    byte.  The whole batch falls back to the plain row list when a value
-    exceeds a packed range, a node id is too large for ``i32``, or a batch
-    somehow names more than 255 distinct operations.
+    byte.  A value outside its field's range — a node id too large for
+    ``i32``, a 257th distinct operation name — raises :class:`WireRangeError`.
     """
     ops: List[Any] = []
     op_codes: dict = {}
@@ -210,53 +200,47 @@ def pack_rows(rows: Sequence[WireRow]) -> RowBatch:
     pack = ROW_RECORD.pack
     kind_codes = KIND_CODES
     role_codes = ROLE_CODES
-    try:
-        for step, kind, role, node, assigned, clusters, worst, op, messages, rounds, hops in rows:
-            code = op_codes.get(op)
-            if code is None:  # table codes are ints, so None always means new
-                if len(ops) >= 255:
-                    return list(rows)
-                op_codes[op] = code = len(ops)
-                ops.append(op)
-            parts.append(
-                pack(
-                    step,
-                    kind_codes[kind],
-                    role_codes[role],
-                    -1 if node is None else node,
-                    assigned,
-                    clusters,
-                    worst,
-                    code,
-                    messages,
-                    rounds,
-                    hops,
-                )
-            )
-    except (KeyError, struct.error, TypeError):
-        return list(rows)
+    for step, kind, role, node, assigned, clusters, worst, op, messages, rounds, hops in rows:
+        code = op_codes.get(op)
+        if code is None:  # table codes are ints, so None always means new
+            op_codes[op] = code = len(ops)
+            ops.append(op)
+        values = (
+            step,
+            kind_codes.get(kind, kind),
+            role_codes.get(role, role),
+            -1 if node is None else node,
+            assigned,
+            clusters,
+            worst,
+            code,
+            messages,
+            rounds,
+            hops,
+        )
+        try:
+            parts.append(pack(*values))
+        except struct.error:
+            raise range_error(ROW_RECORD, ROW_FIELDS, values) from None
     return (ops, b"".join(parts))
 
 
 def iter_rows(payload: RowBatch) -> Iterator[WireRow]:
-    """Yield observation rows from a packed buffer or a fallback row list."""
-    if isinstance(payload, tuple):
-        op_names, blob = payload
-        kinds = KINDS
-        roles = ROLES
-        for step, kind, role, node, assigned, clusters, worst, op, messages, rounds, hops in ROW_RECORD.iter_unpack(blob):
-            yield (
-                step,
-                kinds[kind],
-                roles[role],
-                None if node < 0 else node,
-                assigned,
-                clusters,
-                worst,
-                op_names[op],
-                messages,
-                rounds,
-                hops,
-            )
-    else:
-        yield from payload
+    """Yield observation rows from a packed ``(op_names, blob)`` buffer."""
+    op_names, blob = payload
+    kinds = KINDS
+    roles = ROLES
+    for step, kind, role, node, assigned, clusters, worst, op, messages, rounds, hops in ROW_RECORD.iter_unpack(blob):
+        yield (
+            step,
+            kinds[kind],
+            roles[role],
+            None if node < 0 else node,
+            assigned,
+            clusters,
+            worst,
+            op_names[op],
+            messages,
+            rounds,
+            hops,
+        )

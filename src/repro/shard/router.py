@@ -34,6 +34,7 @@ from ..core.state import NodeRegistry
 from ..errors import ConfigurationError
 from ..network.node import NodeRole
 from .messages import (
+    EVENT_FIELDS,
     EVENT_RECORD,
     JOIN,
     KIND_CODES,
@@ -41,6 +42,7 @@ from .messages import (
     ROLE_CODES,
     EventBatch,
     RoutedEvent,
+    range_error,
 )
 
 
@@ -325,9 +327,9 @@ class EventRouter:
         ``tests/test_shard_router.py``); the win is mechanical: directory
         structures and codec callables are resolved once per window instead
         of per event, and each shard's batch lands directly in a packed
-        wire buffer (:data:`~repro.shard.messages.EVENT_RECORD`), with a
-        per-shard fallback to the legacy tuple list when a value exceeds
-        the packed ranges.
+        wire buffer (:data:`~repro.shard.messages.EVENT_RECORD`; a value
+        beyond a packed field's range raises
+        :class:`~repro.shard.messages.WireRangeError`).
 
         ``next_step`` is the step index of the first pull; ``max_steps``
         caps the time steps consumed (the run's remaining budget).
@@ -350,7 +352,6 @@ class EventRouter:
 
         routed: List[RoutedEvent] = []
         buffers: Dict[int, bytearray] = {}
-        fallback: Set[int] = set()
         steps = 0
         idle = 0
         idle_reason: Optional[str] = None
@@ -419,26 +420,18 @@ class EventRouter:
                     shard, step, kind, node_id, role_value, fresh, active_count()
                 )
             )
-            if shard not in fallback:
-                try:
-                    buffer = buffers.get(shard)
-                    if buffer is None:
-                        buffer = buffers[shard] = bytearray()
-                    buffer.extend(
-                        pack(step, kind_code, node_id, role_codes[role_value], fresh)
-                    )
-                except (KeyError, struct.error):
-                    fallback.add(shard)
+            buffer = buffers.get(shard)
+            if buffer is None:
+                buffer = buffers[shard] = bytearray()
+            values = (step, kind_code, node_id, role_codes[role_value], fresh)
+            try:
+                buffer.extend(pack(*values))
+            except struct.error:
+                raise range_error(EVENT_RECORD, EVENT_FIELDS, values) from None
 
         batches: Dict[int, EventBatch] = {
-            shard: bytes(buffer)
-            for shard, buffer in buffers.items()
-            if shard not in fallback
+            shard: bytes(buffer) for shard, buffer in buffers.items()
         }
-        for shard in fallback:
-            batches[shard] = [
-                record.wire() for record in routed if record.shard == shard
-            ]
         return WindowBatch(
             routed=routed,
             batches=batches,

@@ -11,10 +11,10 @@ a small command protocol:
     roles and cluster summaries of the initial population (the coordinator
     registers global ids in the directory from this);
 ``apply``
-    one barrier window's batch of routed events (a packed wire buffer or
-    the legacy tuple list — see :mod:`repro.shard.messages`), returning
-    packed per-event observation rows, the end-of-batch shard summary and
-    the worker's self-timed execution seconds;
+    one barrier window's batch of routed events (a packed wire buffer — see
+    :mod:`repro.shard.messages`), returning packed per-event observation
+    rows, the end-of-batch shard summary and the worker's self-timed
+    execution seconds;
 ``emigrate_ids`` / ``immigrate``
     the two halves of a barrier handoff.  The coordinator plans the
     emigrant set from its directory (so the donor needs no planning round
@@ -175,9 +175,9 @@ class ShardWorker:
     def apply(self, shard: int, batch: EventBatch, observe: bool) -> Dict[str, Any]:
         """Apply one window's routed events; return packed rows + summary.
 
-        ``batch`` is a packed event buffer (or the legacy tuple-list
-        fallback); the reply's ``rows`` are packed the same way — decoded
-        only at the merge boundary.  Each row carries *global* identities
+        ``batch`` is a packed event buffer; the reply's ``rows`` are packed
+        the same way — decoded only at the merge boundary.  Each row carries
+        *global* identities
         plus the shard-local observables the merge layer folds into
         composite step records: ``(step, kind, role, node_id, assigned,
         clusters, worst, operation, messages, rounds, walk_hops)``.

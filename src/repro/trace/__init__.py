@@ -15,8 +15,6 @@ machine-checkable execution:
 * :mod:`repro.trace.checkpoint` — ``Checkpoint``: full engine + event
   source state captured to one atomic JSON file and restored to continue
   bit-identically (all RNG streams included);
-* :mod:`repro.trace.probes` — ``TraceProbe`` / ``CheckpointProbe``: plug
-  recording into any run through the standard scenarios probe API;
 * :mod:`repro.trace.backend` — the seam an event window travels through to
   reach the engine(s): the single engine, or the shard coordinator.  The
   live service records through it and replay re-drives it, so a replayed
@@ -26,10 +24,13 @@ machine-checkable execution:
   pinpoints the first diverging event between two runs;
 * :mod:`repro.trace.hashing` — the canonical state fingerprint both of the
   above compare;
-* :mod:`repro.trace.session` — ``record_scenario`` / ``resume_from_checkpoint``
-  / ``checkpoint_from_trace``, the functions behind the CLI's ``run-scenario
-  --record``, ``resume``, ``replay`` (including ``--to-step N --checkpoint``)
-  and ``trace-diff`` commands.
+* :mod:`repro.trace.session` — ``Recorder``, the one place that decides
+  when a recorded run writes an index frame or a checkpoint and how a
+  recording is sealed or left crashed-shape, with three callers (the
+  single-engine runner, the shard coordinator, the live session); and
+  ``record_scenario`` / ``resume_from_checkpoint`` / ``checkpoint_from_trace``,
+  the functions behind the CLI's ``run-scenario --record``, ``resume`` and
+  ``replay --to-step N --checkpoint``.
 
 The determinism contract this relies on (every RNG-visible enumeration in
 the engine stack is canonically ordered) is documented in
@@ -51,7 +52,6 @@ from .log import (
     TraceWriter,
     churn_event_from_frame,
 )
-from .probes import CheckpointProbe, TraceProbe
 from .replay import (
     ReplayEngine,
     ReplayReport,
@@ -61,6 +61,7 @@ from .replay import (
     trace_diff,
 )
 from .session import (
+    Recorder,
     SessionResult,
     TraceCheckpointResult,
     TraceDivergenceError,
@@ -72,9 +73,9 @@ from .session import (
 __all__ = [
     "BINARY_MAGIC",
     "Checkpoint",
-    "CheckpointProbe",
     "DEFAULT_FLUSH_EVERY",
     "DEFAULT_INDEX_EVERY",
+    "Recorder",
     "ReplayEngine",
     "ReplayReport",
     "SessionResult",
@@ -82,7 +83,6 @@ __all__ = [
     "TraceCheckpointResult",
     "TraceDiff",
     "TraceDivergenceError",
-    "TraceProbe",
     "TraceReader",
     "TraceWriter",
     "canonical_json",

@@ -30,14 +30,15 @@ a backend is:
     due).
 
 It lives in :mod:`repro.trace` because it is the unit replay certifies.
-Three callers: the live session (:mod:`repro.service.session`) and the batch
-session (:mod:`repro.trace.session`) pick by ``scenario.shards``, the replay
-driver (:class:`repro.trace.replay.ReplayEngine`) by the trace header's
-``engine``; the last two open their backend without a read stream.  A
-sharded batch run pulls its events from the scenario's own source, which
-samples the coordinator's composite population, so it drives
-``backend.coordinator.run`` — the same two window halves ``dispatch`` and
-``collect`` call, under the same barrier rule.
+Two callers, whose events are given to them: the live session
+(:mod:`repro.service.session`) picks by ``scenario.shards``, the replay
+driver (:class:`repro.trace.replay.ReplayEngine`, no read stream) by the
+trace header's ``engine``.  A batch run pulls its events from the scenario's
+own source instead, so :mod:`repro.trace.session` opens the driver that owns
+one — the ``SimulationRunner``, or the coordinator itself, whose ``run`` is
+the same two window halves ``dispatch`` and ``collect`` call, under the same
+barrier rule.  Whatever applies the events, one
+:class:`~repro.trace.session.Recorder` writes them down.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..scenarios.bus import DEFAULT_PROBE_BUFFER, ObservationBus, StepRecord, step_record
+from ..scenarios.bus import DEFAULT_PROBE_BUFFER, ObservationBus, StepRecord
 from .hashing import state_hash
 
 
@@ -117,8 +118,7 @@ class EngineBackend(_ReadLane):
         for event in events:
             report = self.engine.apply_event(event)
             self._events += 1
-            self.bus.publish(report, self._events)
-            records.append(step_record(report, self._events))
+            records.append(self.bus.publish(report, self._events, True))
         return records
 
     def collect(self, token: List[StepRecord]) -> List[StepRecord]:
@@ -148,8 +148,6 @@ class ShardBackend(_ReadLane):
     ``barrier_interval``, so shard evolution is a pure function of the
     admitted event sequence — independent of the worker count (``workers=1``
     is the inline oracle) and of how callers cut it into windows.
-    ``pipeline`` and ``checkpoint`` are the batch session's, passed through
-    to the coordinator.
     """
 
     #: Cluster ids are shard-local, so a join cannot name its contact.
@@ -162,20 +160,13 @@ class ShardBackend(_ReadLane):
         workers: int = 1,
         probes: Sequence = (),
         probe_buffer: int = DEFAULT_PROBE_BUFFER,
-        pipeline: bool = True,
-        checkpoint: Optional[Dict[str, Any]] = None,
     ) -> None:
         # Local import: repro.shard builds on repro.trace, and a single-engine
         # run or replay should not pay for the worker-process machinery.
         from ..shard.coordinator import ShardCoordinator
 
         self.coordinator = ShardCoordinator(
-            scenario,
-            workers=workers,
-            probes=probes,
-            probe_buffer=probe_buffer,
-            pipeline=pipeline,
-            checkpoint=checkpoint,
+            scenario, workers=workers, probes=probes, probe_buffer=probe_buffer
         )
         self.params = self.coordinator.params
         self.nodes = self.coordinator.directory.nodes

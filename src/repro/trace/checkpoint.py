@@ -55,6 +55,21 @@ def write_json_atomic(path: str, data: Any, indent: Optional[int] = None) -> Non
         raise
 
 
+def snapshot_method(engine):
+    """``engine.capture_snapshot``, or the refusal a run without one gets.
+
+    Called once before a checkpointing run starts (nothing is applied to an
+    engine that cannot be checkpointed) and again by every capture.
+    """
+    capture_snapshot = getattr(engine, "capture_snapshot", None)
+    if capture_snapshot is None:
+        raise ConfigurationError(
+            f"engine {type(engine).__name__} does not support checkpointing "
+            "(no capture_snapshot method)"
+        )
+    return capture_snapshot
+
+
 class Checkpoint:
     """One captured run state: engine + event source + bookkeeping."""
 
@@ -93,16 +108,10 @@ class Checkpoint:
         instead).  ``source`` is the live event source whose RNG streams
         must survive the restart; ``scenario`` the spec used to rebuild it.
         """
-        capture_snapshot = getattr(engine, "capture_snapshot", None)
-        if capture_snapshot is None:
-            raise ConfigurationError(
-                f"engine {type(engine).__name__} does not support checkpointing "
-                "(no capture_snapshot method)"
-            )
         data = {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
-            "engine": capture_snapshot(),
+            "engine": snapshot_method(engine)(),
             "source": source.snapshot_state() if source is not None else None,
             "scenario": scenario.to_dict() if scenario is not None else None,
             "steps_done": int(steps_done),

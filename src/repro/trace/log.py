@@ -45,14 +45,13 @@ frame.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional
 
 from ..core.events import ChurnEvent, ChurnKind
 from ..errors import ConfigurationError
 from ..network.node import NodeRole
-from ..scenarios.bus import StepRecord, step_record
+from ..scenarios.bus import StepRecord
 from .codec import DEFAULT_FLUSH_EVERY, open_codec_writer, read_trace_frames
-from .hashing import state_hash
 
 FORMAT_NAME = "repro-trace"
 FORMAT_VERSION = 1
@@ -109,7 +108,6 @@ class TraceWriter:
         self.trace_format = trace_format
         self.flush_every = flush_every
         self.events_written = 0
-        self.index_frames_written = 0
         self._last_indexed = 0
         self._codec = open_codec_writer(path, trace_format, flush_every=flush_every)
         self._header_written = False
@@ -135,53 +133,33 @@ class TraceWriter:
         self._header_written = True
         self._codec.flush()
 
-    def write_event(self, step_index: int, engine, report) -> None:
-        """Write one event frame and, on the index cadence, an index frame."""
-        self.write_record(step_record(report, step_index))
-        if self.events_written % self.index_every == 0:
-            self.write_index(step_index, engine)
-
     def write_record(self, record: StepRecord) -> None:
-        """Write one event frame from a pre-built observation record.
-
-        No automatic index frame: windowed callers write theirs through
-        :meth:`write_window`, at the points where their state hash is
-        well-defined.
-        """
+        """Write one event frame from an observation record."""
         self._write(event_frame_from_record(record))
         self.events_written += 1
 
     def index_due(self, pending: int = 0) -> bool:
-        """Whether ``pending`` more events make a windowed index frame due."""
+        """Whether ``pending`` more events make an index frame due.
+
+        The one index-cadence test (see :class:`repro.trace.session.Recorder`
+        for the law): ``index_every`` events since the last index frame.
+        """
         return self.events_written + pending - self._last_indexed >= self.index_every
 
-    def write_window(self, records: Sequence[StepRecord], step_index: int, backend) -> None:
-        """Write one collected window's records, then an index frame if due.
+    def write_index(self, step_index: int, record: StepRecord, engine) -> None:
+        """Hash ``engine`` and write the index frame behind ``record``'s event frame.
 
-        The cadence rule of every windowed recorder (the live session, a
-        sharded batch run): index frames sit at window boundaries only,
-        because ``backend.state_hash()`` may round-trip worker processes and
-        must not cut into a window in flight.  ``backend`` supplies
-        ``status()`` and ``state_hash()`` (:mod:`repro.trace.backend`).
+        The one method that hashes for an index frame, whatever ran the
+        events: ``engine`` is anything with ``state_hash()`` (an engine, the
+        shard coordinator, a backend of :mod:`repro.trace.backend`) and must
+        have no window in flight; ``record`` is the last event written, whose
+        time step and network size are the state's.
         """
-        for record in records:
-            self.write_record(record)
-        if self.index_due():
-            status = backend.status()
-            self.write_index_frame(
-                step_index=step_index,
-                time_step=status["time_step"],
-                state_hash=backend.state_hash(),
-                network_size=status["network_size"],
-            )
-
-    def write_index(self, step_index: int, engine) -> None:
-        """Write a state-hash index frame for the engine's current state."""
         self.write_index_frame(
             step_index=step_index,
-            time_step=engine.state.time_step,
-            state_hash=state_hash(engine),
-            network_size=engine.network_size,
+            time_step=record.time_step,
+            state_hash=engine.state_hash(),
+            network_size=record.network_size,
         )
 
     def write_index_frame(
@@ -203,20 +181,17 @@ class TraceWriter:
                 "sz": network_size,
             }
         )
-        self.index_frames_written += 1
         self._last_indexed = self.events_written
         self._codec.flush()
 
-    def close(self, engine=None, final_hash: Optional[str] = None) -> None:
-        """Write the end frame (when a hash or engine is given) and close.
+    def close(self, final_hash: Optional[str] = None) -> None:
+        """Write the end frame (when a final state hash is given) and close.
 
-        ``final_hash`` takes a precomputed hash (sharded runs close with
-        their composite hash); otherwise an ``engine`` is hashed in place.
+        Idempotent.  Without a hash the buffered frames are flushed and no
+        end frame is written: the crashed-run shape readers tolerate.
         """
         if self._closed:
             return
-        if final_hash is None and engine is not None:
-            final_hash = state_hash(engine)
         if final_hash is not None:
             self._write({"t": "end", "ev": self.events_written, "h": final_hash})
         self._codec.close()

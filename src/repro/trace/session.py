@@ -4,17 +4,18 @@
 with trace recording and/or periodic checkpointing — one call replaces the
 build/attach/finalize dance — and :func:`resume_from_checkpoint` restores
 engine(s) and event source from a checkpoint file and continues the run.
-Both pick the backend from ``scenario.shards``, as the live session does:
+Both share one body (:func:`_run_segment`) that forks on ``scenario.shards``
+in exactly one place, opening the driver: a per-event
+:class:`~repro.scenarios.runner.SimulationRunner` over the single engine
+(which also serves baselines, inline probes and per-event stop conditions),
+or the :class:`~repro.shard.coordinator.ShardCoordinator`, which runs the
+scenario in barrier windows (``workers`` and ``pipeline`` are execution
+choices, never result bits).  Either driver is ``run(steps, recorder)``.
 
-* ``shards == 0`` — the single engine under the per-event
-  :class:`~repro.scenarios.runner.SimulationRunner`, observed by a
-  :class:`~repro.trace.probes.TraceProbe` / :class:`~repro.trace.probes.
-  CheckpointProbe` (the per-event loop also serves baselines, inline probes
-  and per-event stop conditions, so it stays its own loop);
-* ``shards >= 1`` — the :class:`~repro.trace.backend.ShardBackend`, whose
-  coordinator runs the scenario in windows; a :class:`_WindowedSegment`
-  writes each collected window and checkpoints between windows.
-  ``workers`` and ``pipeline`` are execution choices, never result bits.
+:class:`Recorder` is that recorder, and the only one: the single-engine batch
+run, the sharded batch run and the live session (``serve --record``) all
+write traces and checkpoints through its window / cadence / seal code — its
+docstring states the cadence law and the start-up order.
 
 Either way the continued run is bit-identical to the uninterrupted one
 (property-tested in ``tests/test_trace_checkpoint.py`` and
@@ -32,20 +33,19 @@ recorded step — the CLI's ``replay --to-step N --checkpoint out.json``.
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..scenarios.bus import DEFAULT_PROBE_BUFFER, StepRecord, step_record
 from ..scenarios.probes import Probe
-from ..scenarios.runner import RunResult, SimulationRunner
+from ..scenarios.runner import RunResult
 from ..scenarios.scenario import Scenario
-from .backend import ShardBackend
-from .checkpoint import Checkpoint
+from .checkpoint import Checkpoint, snapshot_method
 from .codec import DEFAULT_FLUSH_EVERY
 from .hashing import state_hash
 from .log import DEFAULT_INDEX_EVERY, TraceReader, TraceWriter, event_frame_from_record
-from .probes import CheckpointProbe, TraceProbe
 from .replay import frame_mismatch
 
 
@@ -64,132 +64,197 @@ class SessionResult:
     checkpoint_path: Optional[str] = None
 
 
-def _save_checkpoint(path: str, scenario: Scenario, engine, driver) -> None:
-    """Checkpoint ``engine`` with its driver's source and cumulative counters.
-
-    ``driver`` is the :class:`SimulationRunner`, or the shard coordinator
-    (which is its own engine).  Every segment ends on one of these whatever
-    the cadence: a sequence of runs resumes from the file, and repeated
-    resumes make progress instead of redoing the same stretch.
-    """
-    Checkpoint.capture(
-        engine,
-        source=driver.source,
-        scenario=scenario,
-        steps_done=driver.total_steps,
-        events_done=driver.total_events,
-    ).save(path)
+def _engine_kind(scenario: Scenario) -> str:
+    """The ``engine`` kind a scenario's trace header and checkpoint name."""
+    return "sharded" if scenario.shards else "now"
 
 
-def _run_stepwise(
-    scenario: Scenario,
-    runner: SimulationRunner,
-    steps: int,
-    trace_probe: Optional[TraceProbe],
-    checkpoint_path: Optional[str],
-    checkpoint_every: Optional[int],
-) -> SessionResult:
-    """One batch segment on the single engine (record's and resume's shared body)."""
-    engine = runner.engine
-    if checkpoint_every is not None:
-        checkpoint_probe = CheckpointProbe(checkpoint_path, checkpoint_every, scenario=scenario)
-        checkpoint_probe.bind(runner)
-        runner.probes.append(checkpoint_probe)
-    try:
-        result = runner.run(steps)
-        if trace_probe is not None:
-            trace_probe.finalize(engine)
-    finally:
-        # Writes are buffered: when the run dies, flush what it observed so
-        # the trace is complete to the interrupt point (no end frame — the
-        # crashed-run shape replay tolerates).  No-op once finalized.
-        if trace_probe is not None:
-            trace_probe.abort()
-    if checkpoint_path is not None:
-        _save_checkpoint(checkpoint_path, scenario, engine, runner)
-    return SessionResult(
-        result=result,
-        engine=engine,
-        final_state_hash=state_hash(engine),
-        trace_path=trace_probe.path if trace_probe is not None else None,
-        checkpoint_path=checkpoint_path,
-    )
+class Recorder:
+    """What a recorded run leaves on disk: one window, cadence and seal rule.
 
+    Three callers hand it every collected window of step records through
+    :meth:`window`: :meth:`SimulationRunner.run <repro.scenarios.runner.
+    SimulationRunner.run>` (each applied event is a window of one),
+    :meth:`ShardCoordinator.run <repro.shard.coordinator.ShardCoordinator.
+    run>` and :meth:`LiveEngineSession.finish_window <repro.service.session.
+    LiveEngineSession.finish_window>`.
 
-class _WindowedSegment:
-    """One batch segment on the shard backend, and what it leaves on disk.
+    **Cadence law.**  An index frame sits at the first window boundary at or
+    after every ``index_every`` events since the last one, a checkpoint
+    likewise for ``checkpoint_every`` — exactly on the multiples when windows
+    are one event.  Both read the whole state (a hash or a snapshot may
+    round-trip worker processes), so nothing may be in flight under them: a
+    driver that routes ahead asks :meth:`due` first.
 
-    The coordinator's loop hands every collected window to :meth:`window`;
-    before routing ahead of a window it asks :meth:`due`, because an index
-    frame's hash and a checkpoint's snapshot both round-trip the workers
-    and need the pipe drained.
+    **Start-up order.**  Constructing the recorder is the last thing that can
+    refuse a run and the first that touches an output file: its caller has
+    built the driver (so the spec was valid), the cadence and the engine's
+    checkpoint support are checked here, and only then is the trace file
+    opened (truncated) and its header written.  No event is applied before.
+
+    **Seal.**  ``seal(True)`` ends the trace with the final state hash and
+    leaves the checkpoint at the end state, so a sequence of runs resumes
+    from the file and repeated resumes make progress; ``seal(False)`` flushes
+    what was observed and writes no end frame — the crashed-run shape replay
+    verifies up to its last complete frame.
+
+    ``engine`` is what gets hashed and snapshotted (an engine, the shard
+    coordinator, a live session's backend); ``driver`` the runner or
+    coordinator whose ``source``, ``total_steps`` and ``total_events`` a
+    checkpoint carries — ``None`` for a live session, which has no source
+    and whose time steps are its events.
     """
 
     def __init__(
         self,
-        backend: ShardBackend,
-        writer: Optional[TraceWriter],
-        checkpoint_path: Optional[str],
-        checkpoint_every: Optional[int],
+        scenario: Scenario,
+        engine,
+        driver=None,
+        trace_path: Optional[str] = None,
+        index_every: int = DEFAULT_INDEX_EVERY,
+        trace_format: str = "jsonl",
+        flush_every: int = DEFAULT_FLUSH_EVERY,
+        checkpoint_path: Optional[str] = None,
+        checkpoint_every: Optional[int] = None,
     ) -> None:
-        self._backend = backend
-        self._coordinator = backend.coordinator
-        self._writer = writer
-        self._checkpoint_path = checkpoint_path
+        if checkpoint_every is not None and checkpoint_every < 1:
+            raise ConfigurationError("checkpoint cadence must be >= 1 event")
+        if checkpoint_path is not None:
+            snapshot_method(engine)
+        self._scenario = scenario
+        self._engine = engine
+        self._driver = driver
+        self.trace_path = trace_path
+        self.checkpoint_path = checkpoint_path
         self._checkpoint_every = checkpoint_every
-        self._checkpointed_at = self._coordinator.total_events
+        self._events = 0
+        self._checkpointed_at = 0
+        self.writer: Optional[TraceWriter] = None
+        if trace_path is not None:
+            self.writer = TraceWriter(trace_path, index_every, trace_format, flush_every)
+            self.writer.write_header(scenario.to_dict(), _engine_kind(scenario))
 
     def _checkpoint_due(self, pending: int) -> bool:
         if self._checkpoint_every is None:
             return False
-        events = self._coordinator.total_events + pending
-        return events - self._checkpointed_at >= self._checkpoint_every
+        return self._events + pending - self._checkpointed_at >= self._checkpoint_every
 
     def due(self, pending: int) -> bool:
         """Will the window that adds ``pending`` events end on a hash or snapshot?"""
-        writer = self._writer
+        writer = self.writer
         return (writer is not None and writer.index_due(pending)) or self._checkpoint_due(pending)
 
     def window(self, records: Sequence[StepRecord]) -> None:
-        if self._writer is not None:
-            self._writer.write_window(records, self._coordinator.total_steps, self._backend)
+        """Record one collected window; nothing of the run may be in flight."""
+        self._events += len(records)
+        writer = self.writer
+        if writer is not None:
+            for record in records:
+                writer.write_record(record)
+            if writer.index_due():
+                driver = self._driver
+                steps_done = driver.total_steps if driver is not None else self._events
+                writer.write_index(steps_done, records[-1], self._engine)
         if self._checkpoint_due(0):
             self.checkpoint()
 
     def checkpoint(self) -> None:
-        """Capture the drained coordinator and atomically replace the file."""
-        coordinator = self._coordinator
-        _save_checkpoint(self._checkpoint_path, coordinator.scenario, coordinator, coordinator)
-        self._checkpointed_at = coordinator.total_events
+        """Capture engine, source and progress; atomically replace the file."""
+        driver = self._driver
+        Checkpoint.capture(
+            self._engine,
+            source=driver.source,
+            scenario=self._scenario,
+            steps_done=driver.total_steps,
+            events_done=driver.total_events,
+        ).save(self.checkpoint_path)
+        self._checkpointed_at = self._events
 
-    def run(self, steps: int) -> SessionResult:
-        """Run, seal the trace with the final composite hash, close the backend.
-
-        The checkpoint is always left at the segment's end state; a segment
-        that dies mid-way leaves the trace flushed without an end frame
-        (crashed-run shape).
-        """
-        writer = self._writer
+    def seal(self, ok: bool) -> Optional[str]:
+        """End the recording (see the class docstring); the final hash if ``ok``."""
+        writer = self.writer
         try:
-            if self._checkpoint_every is not None and self._checkpoint_every < 1:
-                raise ConfigurationError("checkpoint cadence must be >= 1 event")
-            result = self._coordinator.run(steps, self)
-            final_hash = self._backend.state_hash()
+            final_hash = self._engine.state_hash() if ok else None
             if writer is not None:
-                writer.close(final_hash=final_hash)
-            if self._checkpoint_path is not None:
+                writer.close(final_hash)
+            if ok and self.checkpoint_path is not None:
                 self.checkpoint()
+            return final_hash
         finally:
             if writer is not None:
-                writer.close()  # idempotent; no end frame unless sealed above
-            self._backend.close()
-        return SessionResult(
-            result=result,
-            engine=self._coordinator,
-            final_state_hash=final_hash,
-            trace_path=writer.path if writer is not None else None,
-            checkpoint_path=self._checkpoint_path,
-        )
+                writer.close()  # idempotent: flushes when the hash above failed
+
+
+@contextmanager
+def _open_driver(
+    scenario: Scenario,
+    probes: Sequence[Probe],
+    probe_buffer: int,
+    workers: int,
+    pipeline: bool,
+    checkpoint: Optional[Checkpoint] = None,
+) -> Iterator[Tuple[Any, Any]]:
+    """Open ``(engine, driver)`` for a batch segment, restored from ``checkpoint``.
+
+    The one fork on ``scenario.shards``: the shard coordinator (its own
+    engine, closed on exit) or a :class:`SimulationRunner` over the single
+    engine.  Both expose ``run(steps, recorder)``, ``source`` and the
+    cumulative ``total_steps`` / ``total_events``.
+    """
+    if scenario.shards:
+        # Local import: repro.shard builds on repro.trace, and a single-engine
+        # run should not pay for the worker-process machinery.
+        from ..shard.coordinator import ShardCoordinator
+
+        with ShardCoordinator(
+            scenario,
+            workers=workers,
+            probes=probes,
+            probe_buffer=probe_buffer,
+            pipeline=pipeline,
+            checkpoint=checkpoint.data if checkpoint is not None else None,
+        ) as coordinator:
+            yield coordinator, coordinator
+        return
+    engine = checkpoint.restore_engine() if checkpoint is not None else None
+    runner = scenario.build_runner(probes=probes, engine=engine, probe_buffer=probe_buffer)
+    if checkpoint is not None:
+        checkpoint.restore_source(runner.source)
+        # Seed the cumulative counters so continued checkpoints carry totals
+        # relative to the original run's start, not the resume point.
+        runner.total_steps = checkpoint.steps_done
+        runner.total_events = checkpoint.events_done
+    yield runner.engine, runner
+
+
+def _run_segment(
+    scenario: Scenario,
+    steps: int,
+    probes: Sequence[Probe],
+    probe_buffer: int,
+    workers: int,
+    pipeline: bool,
+    checkpoint: Optional[Checkpoint] = None,
+    **outputs: Any,
+) -> SessionResult:
+    """One batch segment (record's and resume's shared body); ``outputs`` are
+    the :class:`Recorder`'s trace and checkpoint arguments."""
+    opened = _open_driver(scenario, probes, probe_buffer, workers, pipeline, checkpoint)
+    with opened as (engine, driver):
+        recorder = Recorder(scenario, engine, driver, **outputs)
+        try:
+            result = driver.run(steps, recorder)
+        except BaseException:
+            recorder.seal(ok=False)
+            raise
+        final_hash = recorder.seal(ok=True)
+    return SessionResult(
+        result=result,
+        engine=engine,
+        final_state_hash=final_hash,
+        trace_path=recorder.trace_path,
+        checkpoint_path=recorder.checkpoint_path,
+    )
 
 
 def record_scenario(
@@ -219,44 +284,24 @@ def record_scenario(
     ``pipeline`` (route ahead of executing windows) apply to sharded
     scenarios only and never change a result bit.
     """
-    if steps is None:
-        steps = scenario.steps
     if checkpoint_path is None:
         checkpoint_every = None
     elif checkpoint_every is None:
         checkpoint_every = max(1, scenario.steps // 4)
-
-    if scenario.shards:
-        backend = ShardBackend(
-            scenario,
-            workers=workers,
-            probes=probes,
-            probe_buffer=probe_buffer,
-            pipeline=pipeline,
-        )
-        writer: Optional[TraceWriter] = None
-        if trace_path is not None:
-            try:
-                writer = TraceWriter(trace_path, index_every, trace_format, flush_every)
-                writer.write_header(scenario.to_dict(), engine_kind="sharded")
-            except BaseException:
-                backend.close()
-                raise
-        return _WindowedSegment(backend, writer, checkpoint_path, checkpoint_every).run(steps)
-
-    attached = list(probes)
-    trace_probe: Optional[TraceProbe] = None
-    if trace_path is not None:
-        trace_probe = TraceProbe(
-            trace_path,
-            index_every=index_every,
-            scenario=scenario,
-            trace_format=trace_format,
-            flush_every=flush_every,
-        )
-        attached.append(trace_probe)
-    runner = scenario.build_runner(probes=attached, probe_buffer=probe_buffer)
-    return _run_stepwise(scenario, runner, steps, trace_probe, checkpoint_path, checkpoint_every)
+    return _run_segment(
+        scenario,
+        scenario.steps if steps is None else steps,
+        probes,
+        probe_buffer,
+        workers,
+        pipeline,
+        trace_path=trace_path,
+        index_every=index_every,
+        trace_format=trace_format,
+        flush_every=flush_every,
+        checkpoint_path=checkpoint_path,
+        checkpoint_every=checkpoint_every,
+    )
 
 
 def resume_from_checkpoint(
@@ -288,31 +333,24 @@ def resume_from_checkpoint(
         )
     scenario = Scenario.from_dict(scenario_dict)
     kind = checkpoint.data.get("engine_kind", "now")
-    if kind != ("sharded" if scenario.shards else "now"):
+    if kind != _engine_kind(scenario):
         raise ConfigurationError(
             f"checkpoint holds {kind!r} engine state, which its scenario "
             f"(shards={scenario.shards}) does not run on"
         )
     if steps is None:
         steps = max(0, scenario.steps - checkpoint.steps_done)
-
-    if scenario.shards:
-        backend = ShardBackend(
-            scenario,
-            workers=workers,
-            probes=probes,
-            pipeline=pipeline,
-            checkpoint=checkpoint.data,
-        )
-        return _WindowedSegment(backend, None, checkpoint_path, checkpoint_every).run(steps)
-
-    runner = scenario.build_runner(probes=probes, engine=checkpoint.restore_engine())
-    checkpoint.restore_source(runner.source)
-    # Seed the cumulative counters so continued checkpoints carry totals
-    # relative to the original run's start, not the resume point.
-    runner.total_steps = checkpoint.steps_done
-    runner.total_events = checkpoint.events_done
-    return _run_stepwise(scenario, runner, steps, None, checkpoint_path, checkpoint_every)
+    return _run_segment(
+        scenario,
+        steps,
+        probes,
+        DEFAULT_PROBE_BUFFER,
+        workers,
+        pipeline,
+        checkpoint,
+        checkpoint_path=checkpoint_path,
+        checkpoint_every=checkpoint_every,
+    )
 
 
 class TraceDivergenceError(ConfigurationError):

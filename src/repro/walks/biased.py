@@ -175,14 +175,6 @@ class BiasedClusterWalk:
             for cluster, hops, restarts, acceptance_tests, truncated in outcomes
         ]
 
-    def snapshot_exp_buffer(self) -> List[float]:
-        """Unconsumed bulk exponentials of the underlying CTRW (checkpointing)."""
-        return self._ctrw.snapshot_exp_buffer()
-
-    def restore_exp_buffer(self, values) -> None:
-        """Restore a buffer captured by :meth:`snapshot_exp_buffer`."""
-        self._ctrw.restore_exp_buffer(values)
-
     def snapshot_walk_state(self) -> dict:
         """Exponential buffer + array-kernel state of the underlying CTRW."""
         return self._ctrw.snapshot_walk_state()
@@ -190,19 +182,3 @@ class BiasedClusterWalk:
     def restore_walk_state(self, data: dict) -> None:
         """Restore a snapshot taken by :meth:`snapshot_walk_state`."""
         self._ctrw.restore_walk_state(data)
-
-    def expected_restarts(self) -> float:
-        """Expected number of restarts: ``max |C| * #C / n`` under uniform endpoints.
-
-        With endpoints distributed uniformly over clusters, each acceptance
-        test succeeds with probability ``E[|C|] / max |C|``; the number of
-        restarts is geometric with that success probability.
-        """
-        vertices = list(self._graph.vertices())
-        if not vertices:
-            return 0.0
-        mean_weight = self._graph.total_weight() / len(vertices)
-        max_weight = self._graph.max_weight()
-        if mean_weight <= 0:
-            return float(self._max_restarts)
-        return max_weight / mean_weight

@@ -217,26 +217,15 @@ class ContinuousRandomWalk:
         log = math.log
         self._exp_buffer = [-log(1.0 - random_fn()) for _ in range(_EXP_BATCH)]
 
-    def snapshot_exp_buffer(self) -> List[float]:
-        """The pre-drawn unit exponentials not yet consumed (checkpointing).
-
-        The buffer is RNG-derived state living *outside* the generator: a
-        resumed run must consume these exact values before drawing fresh
-        ones, or it diverges from the uninterrupted run.
-        """
-        return list(self._exp_buffer)
-
-    def restore_exp_buffer(self, values: Sequence[float]) -> None:
-        """Restore a buffer captured by :meth:`snapshot_exp_buffer`."""
-        self._exp_buffer = [float(value) for value in values]
-
     def snapshot_walk_state(self) -> dict:
         """Full RNG-derived walk state: exponential buffer + kernel state.
 
-        Extends :meth:`snapshot_exp_buffer` with the array kernel's private
-        stream and buffers when that kernel has been instantiated; restoring
-        the result reproduces the uninterrupted draw sequence bit-exactly
-        under either kernel.
+        The pre-drawn unit exponentials not yet consumed are RNG-derived
+        state living *outside* the generator — a resumed run must consume
+        these exact values before drawing fresh ones — and so are the array
+        kernel's private stream and buffers once that kernel has been
+        instantiated; restoring the result reproduces the uninterrupted draw
+        sequence bit-exactly under either kernel.
         """
         return {
             "exp_buffer": list(self._exp_buffer),
@@ -255,30 +244,6 @@ class ContinuousRandomWalk:
             self.array_kernel().restore_state(kernel_state)
 
     # ------------------------------------------------------------------
-    # Discrete skeleton
-    # ------------------------------------------------------------------
-    def run_discrete(self, start: Vertex, steps: int, record_path: bool = False) -> WalkResult:
-        """Run the jump chain of the walk for a fixed number of ``steps``."""
-        if steps < 0:
-            raise WalkError("number of steps must be non-negative")
-        if not self._graph.has_vertex(start):
-            raise WalkError(f"start vertex {start!r} is not in the graph")
-        current = start
-        hops = 0
-        path: List[Vertex] = [current] if record_path else []
-        for _ in range(steps):
-            neighbours = self._graph.neighbour_table(current)
-            if not neighbours:
-                break
-            current = neighbours[self._rng.randrange(len(neighbours))]
-            hops += 1
-            if record_path:
-                path.append(current)
-        return WalkResult(
-            endpoint=current, hops=hops, duration=float(steps), elapsed=float(hops), path=path
-        )
-
-    # ------------------------------------------------------------------
     # Distribution helpers
     # ------------------------------------------------------------------
     def endpoint_distribution(
@@ -291,17 +256,3 @@ class ContinuousRandomWalk:
         for result in self.run_many([start] * samples, duration):
             counts[result.endpoint] = counts.get(result.endpoint, 0) + 1
         return {vertex: count / samples for vertex, count in counts.items()}
-
-    def expected_hop_rate(self, vertex: Optional[Vertex] = None) -> float:
-        """Expected number of hops per unit of continuous time.
-
-        For a single vertex it is its degree; without an argument it is the
-        average degree, useful to convert a duration into an expected hop
-        count when estimating communication costs.
-        """
-        if vertex is not None:
-            return float(self._graph.degree(vertex))
-        vertices = list(self._graph.vertices())
-        if not vertices:
-            return 0.0
-        return sum(self._graph.degree(v) for v in vertices) / len(vertices)

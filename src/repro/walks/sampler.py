@@ -220,22 +220,6 @@ class ClusterSampler:
     # ------------------------------------------------------------------
     # Checkpoint serialisation (repro.trace)
     # ------------------------------------------------------------------
-    def snapshot_exp_buffer(self) -> list:
-        """Unconsumed bulk exponentials of the simulated walk (empty in oracle mode)."""
-        if self._walk is None:
-            return []
-        return self._walk.snapshot_exp_buffer()
-
-    def restore_exp_buffer(self, values) -> None:
-        """Restore a buffer captured by :meth:`snapshot_exp_buffer`.
-
-        Creates the underlying biased walk eagerly when needed so the
-        restored buffer is in place before the first post-restore sample.
-        """
-        if not values:
-            return
-        self._ensure_walk().restore_exp_buffer(values)
-
     def snapshot_walk_state(self) -> dict:
         """Full RNG-derived walk state: exponential buffer + kernel state."""
         if self._walk is None:
@@ -253,14 +237,3 @@ class ClusterSampler:
         if not data.get("exp_buffer") and not data.get("kernel"):
             return
         self._ensure_walk().restore_walk_state(data)
-
-    def with_mode(self, mode: WalkMode) -> "ClusterSampler":
-        """Return a sampler sharing graph and RNG but using ``mode``."""
-        return ClusterSampler(
-            self._graph,
-            self._rng,
-            segment_duration=self._segment_duration,
-            mode=mode,
-            max_restarts=self._max_restarts,
-            kernel=self._kernel_name,
-        )

@@ -13,6 +13,21 @@ SIZES = dict(initial_size=200, max_size=256)
 BACKENDS = {"single": (0, 1), "shards=1": (4, 1), "shards=2": (4, 2)}
 
 
+def cadence_marks(boundaries, every):
+    """The recorder's cadence law, as event counts (batch and live suites).
+
+    A mark (index frame, checkpoint) sits at the first window boundary at or
+    after every ``every`` events since the last mark; ``boundaries`` are the
+    cumulative event counts at which windows end.
+    """
+    marks, last = [], 0
+    for boundary in boundaries:
+        if boundary - last >= every:
+            marks.append(boundary)
+            last = boundary
+    return marks
+
+
 def make_session(backend: str = "shards=1", seed: int = 9, **overrides) -> LiveEngineSession:
     shards, workers = BACKENDS[backend]
     params = dict(SIZES)

@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import Scenario
 from repro.cli import main as cli_main
+from repro.errors import ConfigurationError
 from repro.scenarios.probes import Probe
 from repro.shard import ShardCoordinator
 from repro.trace import (
@@ -32,6 +33,8 @@ from repro.trace import (
     replay_trace,
     resume_from_checkpoint,
 )
+
+from service_helpers import cadence_marks
 
 FIELDS = dict(
     name="session",
@@ -117,6 +120,88 @@ class TestRecordedRunReplays:
         assert report.ok, report.divergence
         assert report.events_applied == reader.event_count()
         assert report.hash_checks > 0
+
+
+class TestCadenceLaw:
+    """One recorder: index frames and checkpoints sit at the first window
+    boundary at or after every N events — exactly on the multiples when the
+    driver's windows are one event (the single engine)."""
+
+    @on_every_backend
+    def test_index_frames_and_checkpoints_sit_on_window_boundaries(
+        self, tmp_path, monkeypatch, backend
+    ):
+        saved = []
+        save = Checkpoint.save
+
+        def spy(checkpoint, path):
+            saved.append((checkpoint.events_done, checkpoint.steps_done))
+            save(checkpoint, path)
+
+        monkeypatch.setattr(Checkpoint, "save", spy)
+        path = str(tmp_path / "run.jsonl")
+        session = _record(
+            backend,
+            trace_path=path,
+            index_every=23,  # divides neither the step count nor a barrier window
+            checkpoint_path=str(tmp_path / "ck.json"),
+            checkpoint_every=40,
+        )
+        total = session.result.events
+        window = 1 if backend == "single" else SHARDED["shard_options"]["barrier_interval"]
+        boundaries = sorted({*range(window, total + 1, window), total})
+        reader = TraceReader(path)
+        assert [frame["ev"] for frame in reader.index_frames()] == cadence_marks(boundaries, 23)
+        # ... plus the checkpoint every sealed run ends on.
+        assert [events for events, _ in saved] == cadence_marks(boundaries, 40) + [total]
+        if backend == "single":
+            assert [frame["ev"] for frame in reader.index_frames()] == list(range(23, total + 1, 23))
+            # A mid-run checkpoint's steps_done is the step of its last event.
+            steps = [frame["i"] for frame in reader.events()]
+            assert [done for _, done in saved[:-1]] == [steps[events - 1] for events, _ in saved[:-1]]
+        assert saved[-1][1] == FIELDS["steps"]
+
+
+class TestStartUpOrder:
+    """Everything that can refuse a run refuses it before the first event is
+    applied and before any output file is opened or truncated."""
+
+    @pytest.mark.parametrize("backend", ["single", "shards4-w1"])
+    def test_bad_spec_leaves_an_existing_trace_file_intact(self, tmp_path, backend):
+        path = tmp_path / "precious.jsonl"
+        path.write_bytes(b"an earlier run's trace\n")
+        with pytest.raises(ConfigurationError, match="unknown workload kind"):
+            record_scenario(
+                _scenario(backend, adversary=None, workload={"kind": "nope"}),
+                trace_path=str(path),
+                workers=BACKENDS[backend][1],
+            )
+        assert path.read_bytes() == b"an earlier run's trace\n"
+
+    @pytest.mark.parametrize("backend", ["single", "shards4-w1"])
+    def test_engine_without_snapshots_is_refused_before_the_first_event(self, tmp_path, backend):
+        trace = tmp_path / "run.jsonl"
+        applied = []
+
+        class Count(Probe):
+            name = "count"
+            inline = False
+
+            def on_records(self, engine, records):
+                applied.extend(records)
+
+        message = "does not support checkpointing" if backend == "single" else "'now' engine only"
+        with pytest.raises(ConfigurationError, match=message):
+            record_scenario(
+                _scenario(backend, engine="no_shuffle"),
+                trace_path=str(trace),
+                checkpoint_path=str(tmp_path / "ck.json"),
+                probes=[Count()],
+                workers=BACKENDS[backend][1],
+            )
+        assert applied == []
+        assert not trace.exists()
+        assert not (tmp_path / "ck.json").exists()
 
 
 class TestExecutionChoicesAreInvisible:

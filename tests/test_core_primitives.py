@@ -133,12 +133,6 @@ class TestRandCl:
         assert result.mode is WalkMode.SIMULATED
         assert result.hops >= 0
 
-    def test_mode_switching(self):
-        state = build_state()
-        randcl = RandCl(state, walk_mode=WalkMode.ORACLE)
-        randcl.set_walk_mode(WalkMode.SIMULATED)
-        assert randcl.walk_mode is WalkMode.SIMULATED
-
     def test_selection_proportional_to_cluster_size(self):
         """randCl targets the |C|/n distribution (oracle mode samples it directly)."""
         state = build_state(cluster_sizes=(12, 4, 4, 4))

@@ -23,7 +23,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.service import ProtocolError, ServiceFrontend, encode_frame
 from repro.trace import TraceReader, replay_trace
 
-from service_helpers import BACKENDS, SIZES, frames_from_ops, make_session, normalise, pump
+from service_helpers import (
+    BACKENDS,
+    SIZES,
+    cadence_marks,
+    frames_from_ops,
+    make_session,
+    normalise,
+    pump,
+)
 
 on_every_backend = pytest.mark.parametrize("backend", list(BACKENDS))
 
@@ -82,6 +90,24 @@ class TestRecordedSessionReplays:
             streams[chunk] = ([normalise(o) for o in outcomes], state, event_frames(path))
         assert streams[7] == streams[1]
         assert streams[64] == streams[1]
+
+    @on_every_backend
+    def test_index_frames_sit_on_pump_window_boundaries(self, tmp_path, backend):
+        """The recorder's cadence law with the pump batch as the window: an
+        index frame at the first window boundary at or after every
+        ``index_every`` events; a failed session stays replayable."""
+        path = str(tmp_path / "live.jsonl")
+        session = make_session(backend, seed=5)
+        session.attach_trace(path, index_every=10)
+        pump(session, frames_from_ops(["join"] * 45), chunk=7)
+        session.close(ok=False)
+        reader = TraceReader(path)
+        assert reader.event_count() == 45 and reader.end_frame() is None
+        boundaries = [*range(7, 45, 7), 45]
+        assert [frame["ev"] for frame in reader.index_frames()] == cadence_marks(boundaries, 10)
+        assert [frame["i"] for frame in reader.index_frames()] == [14, 28, 42]
+        report = replay_trace(path)
+        assert report.ok and report.hash_checks == 3, report.divergence
 
     @on_every_backend
     @pytest.mark.parametrize("trace_format", ["jsonl", "binary"])

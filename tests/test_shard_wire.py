@@ -4,9 +4,9 @@ Two property families pin the PR 8 hot path to its oracles:
 
 * **codec round trips** — ``pack_events``/``iter_events`` and
   ``pack_rows``/``iter_rows`` must be identities on every representable
-  batch, and must degrade to the legacy tuple-list fallback (which the
-  decoders accept interchangeably) whenever a value escapes the packed
-  field ranges;
+  batch, and a value that escapes a packed field's range must raise a
+  ``WireRangeError`` naming the field (there is one wire form, no silent
+  switch to another);
 * **batched routing** — ``EventRouter.route_window`` must route arbitrary
   churn streams exactly like the per-event ``route`` loop it replaces:
   same ``RoutedEvent`` sequence, same directory fingerprint, same idle/step
@@ -29,6 +29,7 @@ from repro.shard.messages import (
     JOIN,
     LEAVE,
     ROW_RECORD,
+    WireRangeError,
     iter_events,
     iter_rows,
     pack_events,
@@ -63,16 +64,18 @@ def test_event_batch_round_trip(rows):
     assert list(iter_events(payload)) == rows
 
 
-def test_event_batch_oversize_falls_back_to_tuples():
-    rows = [(1, JOIN, 2**32, "honest", True)]  # gid overflows u32
-    payload = pack_events(rows)
-    assert payload == rows  # whole batch degrades
-    assert list(iter_events(payload)) == rows  # decoder accepts the fallback
-
-
-def test_event_batch_unknown_kind_falls_back():
-    rows = [(1, "x", 5, "honest", False)]
-    assert pack_events(rows) == rows
+@pytest.mark.parametrize(
+    "row, field",
+    [
+        ((1, JOIN, 2**32, "honest", True), "gid"),  # overflows u32
+        ((2**32, LEAVE, 5, "honest", False), "step"),
+        ((1, "x", 5, "honest", False), "kind"),
+        ((1, JOIN, 5, "observer", False), "role"),
+    ],
+)
+def test_event_batch_out_of_range_raises_naming_the_field(row, field):
+    with pytest.raises(WireRangeError, match=f"field '{field}'"):
+        pack_events([(1, JOIN, 1, "honest", True), row])
 
 
 # ----------------------------------------------------------------------
@@ -103,36 +106,35 @@ def test_row_batch_round_trip(rows):
     assert isinstance(payload, tuple)
     ops, blob = payload
     assert len(blob) == len(rows) * ROW_RECORD.size
-    assert len(ops) <= 255
     assert list(iter_rows(payload)) == rows
 
 
 @pytest.mark.parametrize(
-    "row",
+    "row, field",
     [
         # gid overflows u32
-        (1, JOIN, "honest", None, 2**32, 3, 0.1, "join", 1, 1, 1),
+        ((1, JOIN, "honest", None, 2**32, 3, 0.1, "join", 1, 1, 1), "assigned"),
         # node id overflows i32
-        (1, LEAVE, "honest", 2**31, 5, 3, 0.1, "leave", 1, 1, 1),
+        ((1, LEAVE, "honest", 2**31, 5, 3, 0.1, "leave", 1, 1, 1), "node"),
         # hops overflows u64
-        (1, JOIN, "honest", None, 5, 3, 0.1, "join", 1, 1, 2**64),
+        ((1, JOIN, "honest", None, 5, 3, 0.1, "join", 1, 1, 2**64), "hops"),
         # unknown role
-        (1, JOIN, "observer", None, 5, 3, 0.1, "join", 1, 1, 1),
+        ((1, JOIN, "observer", None, 5, 3, 0.1, "join", 1, 1, 1), "role"),
     ],
 )
-def test_row_batch_oversize_falls_back(row):
-    rows = [row]
-    payload = pack_rows(rows)
-    assert payload == rows
-    assert list(iter_rows(payload)) == rows
+def test_row_batch_out_of_range_raises_naming_the_field(row, field):
+    with pytest.raises(WireRangeError, match=f"field '{field}'"):
+        pack_rows([row])
 
 
-def test_row_batch_op_table_overflow_falls_back():
+def test_row_batch_op_table_overflow_raises():
     rows = [
         (i, JOIN, "honest", None, i, 1, 0.0, f"op{i}", 0, 0, 0) for i in range(300)
     ]
-    payload = pack_rows(rows)
-    assert payload == rows  # 300 distinct op names exceed the one-byte table
+    # 300 distinct op names exceed the one-byte table; 256 still fit.
+    with pytest.raises(WireRangeError, match="field 'op'"):
+        pack_rows(rows)
+    assert list(iter_rows(pack_rows(rows[:256]))) == rows[:256]
 
 
 # ----------------------------------------------------------------------
@@ -218,6 +220,10 @@ def _serial_windows(script, directory, limit, max_idle_streak):
     return windows, router.events_routed
 
 
+def _wire(routed):
+    return (routed.step, routed.kind, routed.node_id, routed.role, routed.fresh)
+
+
 def _batched_windows(script, directory, limit, max_idle_streak):
     router = EventRouter(directory)
     next_event = _next_event_from(script)
@@ -240,7 +246,7 @@ def _batched_windows(script, directory, limit, max_idle_streak):
         # The packed buffers must decode to exactly the events they carry.
         for shard, payload in window.batches.items():
             assert list(iter_events(payload)) == [
-                routed.wire() for routed in window.routed if routed.shard == shard
+                _wire(routed) for routed in window.routed if routed.shard == shard
             ]
         if window.idle_reason is not None:
             break
@@ -277,22 +283,14 @@ def test_route_window_equals_per_event_route(seed, shards, limit, max_idle_strea
         }
 
 
-def test_route_window_packed_fallback_per_shard():
-    # A gid beyond u32 degrades only its own shard's buffer to tuples.
+def test_route_window_out_of_range_gid_raises():
+    # A gid beyond u32 is refused by name, not shipped in another format.
     directory = ShardDirectory(2)
     directory.register_initial(0, 0, NodeRole.HONEST)
     directory.register_initial(1, 2**33, NodeRole.HONEST)
     router = EventRouter(directory)
-    script = [
-        ChurnEvent.leave(2**33),  # shard 1: oversize gid, falls back
-        ChurnEvent.leave(0),  # shard 0: packs fine
-    ]
-    window = router.route_window(
-        _next_event_from(script), next_step=1, limit=8, max_steps=len(script)
-    )
-    assert isinstance(window.batches[0], bytes)
-    assert isinstance(window.batches[1], list)
-    for shard in (0, 1):
-        assert list(iter_events(window.batches[shard])) == [
-            routed.wire() for routed in window.routed if routed.shard == shard
-        ]
+    script = [ChurnEvent.leave(0), ChurnEvent.leave(2**33)]
+    with pytest.raises(WireRangeError, match="field 'gid' cannot hold 8589934592"):
+        router.route_window(
+            _next_event_from(script), next_step=1, limit=8, max_steps=len(script)
+        )

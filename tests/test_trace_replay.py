@@ -15,6 +15,7 @@ from repro.scenarios import CorruptionTrajectoryProbe
 from repro.trace import (
     ReplayEngine,
     TraceReader,
+    TraceWriter,
     churn_event_from_frame,
     record_scenario,
     replay_trace,
@@ -173,13 +174,22 @@ class TestReplay:
     def test_replay_without_scenario_needs_engine(self, tmp_path):
         scenario = small_scenario(steps=10)
         path = os.path.join(str(tmp_path), "bare.jsonl")
-        from repro.trace import TraceProbe
-
         engine = scenario.build_engine()
-        probe = TraceProbe(path, index_every=5)  # no scenario in the header
-        runner = scenario.build_runner(probes=[probe], engine=engine)
-        runner.run(10)
-        probe.finalize(engine)
+        writer = TraceWriter(path, index_every=5)
+        writer.write_header()  # no scenario in the header
+
+        class BareRecorder:
+            """The runner's recorder hook, writing a header-less-scenario trace."""
+
+            def window(self, records):
+                for record in records:
+                    writer.write_record(record)
+                if writer.index_due():
+                    writer.write_index(records[-1].step_index, records[-1], engine)
+
+        scenario.build_runner(engine=engine).run(10, BareRecorder())
+        writer.close(final_hash=state_hash(engine))
+        assert len(TraceReader(path).index_frames()) == 2
         with pytest.raises(ConfigurationError):
             ReplayEngine(path)
         fresh = small_scenario(steps=10).build_engine()

@@ -82,7 +82,6 @@ class TestKernelSelection:
         assert walk.kernel_name == "array"
         sampler = ClusterSampler(graph, rng, segment_duration=4.0, kernel="array")
         assert sampler.kernel_name == "array"
-        assert sampler.with_mode(WalkMode.ORACLE).kernel_name == "array"
 
     def test_walk_constructors_reject_unknown_kernel(self):
         graph = seeded_overlay()

@@ -76,12 +76,6 @@ class TestBiasedWalk:
             observed = counts.get(vertex, 0) / samples
             assert observed == pytest.approx(expected, abs=0.05)
 
-    def test_expected_restarts(self):
-        graph = weighted_cycle(4, heavy_vertex=0, heavy_weight=7.0)
-        walk = BiasedClusterWalk(graph, random.Random(0), segment_duration=1.0)
-        expected = walk.expected_restarts()
-        assert expected == pytest.approx(7.0 / ((7 + 3) / 4))
-
 
 class TestMixingHelpers:
     def test_total_variation_of_identical_distributions(self):
@@ -161,11 +155,6 @@ class TestClusterSampler:
             graph, random.Random(3), segment_duration=5.0, mode=WalkMode.SIMULATED
         )
         assert sampler.sample(0).mode is WalkMode.SIMULATED
-
-    def test_with_mode_switches(self):
-        graph = weighted_cycle(5)
-        sampler = ClusterSampler(graph, random.Random(3), segment_duration=5.0)
-        assert sampler.with_mode(WalkMode.ORACLE).mode is WalkMode.ORACLE
 
     def test_oracle_rejects_empty_graph(self):
         graph = MappingGraph({})

@@ -92,18 +92,6 @@ class TestContinuousWalk:
         for previous, current in zip(result.path, result.path[1:]):
             assert current in graph.neighbours(previous)
 
-    def test_discrete_skeleton_steps(self):
-        graph = cycle_graph(6)
-        walk = ContinuousRandomWalk(graph, random.Random(3))
-        result = walk.run_discrete(0, steps=12)
-        assert result.hops == 12
-
-    def test_discrete_negative_steps_rejected(self):
-        graph = cycle_graph(6)
-        walk = ContinuousRandomWalk(graph, random.Random(3))
-        with pytest.raises(WalkError):
-            walk.run_discrete(0, steps=-1)
-
     def test_stationary_distribution_is_uniform_on_irregular_graph(self):
         """The CTRW endpoint distribution approaches uniform even on a star.
 
@@ -116,12 +104,6 @@ class TestContinuousWalk:
         distribution = walk.endpoint_distribution(0, duration=50.0, samples=2000)
         for vertex in graph.vertices():
             assert distribution.get(vertex, 0.0) == pytest.approx(1.0 / 5.0, abs=0.06)
-
-    def test_expected_hop_rate(self):
-        graph = star_graph(4)
-        walk = ContinuousRandomWalk(graph, random.Random(0))
-        assert walk.expected_hop_rate(0) == 4.0
-        assert walk.expected_hop_rate() == pytest.approx((4 + 1 * 4) / 5)
 
     def test_endpoint_distribution_requires_samples(self):
         graph = cycle_graph(4)
