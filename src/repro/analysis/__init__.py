@@ -21,7 +21,7 @@ from .bounds import (
     expected_fraction_after_exchange,
     recommended_k,
 )
-from .complexity import FitResult, fit_power_law, fit_polylog, polylog_exponent
+from .complexity import FitResult, fit_power_law, fit_polylog
 from .statistics import (
     MeanConfidence,
     QuantileSketch,
@@ -41,7 +41,6 @@ __all__ = [
     "FitResult",
     "fit_power_law",
     "fit_polylog",
-    "polylog_exponent",
     "MeanConfidence",
     "QuantileSketch",
     "RunningSummary",

@@ -93,11 +93,6 @@ def fit_polylog(sizes: Sequence[float], costs: Sequence[float]) -> FitResult:
     return _fit_loglog(logs, ys, model="polylog")
 
 
-def polylog_exponent(sizes: Sequence[float], costs: Sequence[float]) -> float:
-    """Shortcut: the polylog exponent ``b`` with ``cost ~ (log size)^b``."""
-    return fit_polylog(sizes, costs).exponent
-
-
 def is_consistent_with_polylog(
     sizes: Sequence[float],
     costs: Sequence[float],

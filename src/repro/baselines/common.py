@@ -156,11 +156,11 @@ class BaselineEngine(abc.ABC):
             return self.state.nodes.sample_active_honest(source)
         return self.state.nodes.sample_active(source)
 
-    def random_cluster(self, rng=None) -> ClusterId:
-        """A uniformly random live cluster id in O(1) (``rng`` as in :meth:`random_member`)."""
+    def random_cluster(self) -> ClusterId:
+        """A uniformly random live cluster id in O(1), drawn from the engine stream."""
         if not len(self.state.clusters):
             raise ConfigurationError("no live clusters")
-        return self.state.clusters.sample_id(rng if rng is not None else self.state.rng)
+        return self.state.clusters.sample_id(self.state.rng)
 
     # ------------------------------------------------------------------
     # Churn driving

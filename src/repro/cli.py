@@ -19,7 +19,8 @@ prints its table — useful for kicking the tyres without writing a script:
   or ``serve``) against a rebuilt backend and verify state-hash agreement at
   every index frame (exit 1 on divergence);
   with ``--to-step N --checkpoint FILE`` it instead materialises a verified
-  resume point at step N — any trace becomes a library of checkpoints.
+  resume point at step N — any batch trace, sharded ones included, becomes
+  a library of checkpoints.
 * ``trace-diff`` — pinpoint the first diverging event between two traces
   (the two files may mix JSONL and binary encodings).
 * ``serve``      — run the engine as a live TCP service (newline-delimited
@@ -207,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--to-step", type=int, default=None, metavar="N",
         help="verify up to step N only, then materialise a checkpoint there "
-             "(requires --checkpoint)",
+             "(requires --checkpoint; single-engine and --shards batch traces "
+             "alike, not `serve` traces)",
     )
     replay.add_argument(
         "--checkpoint", type=str, default=None, metavar="FILE",

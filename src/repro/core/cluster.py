@@ -19,7 +19,12 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Set
 
-from ..errors import ProtocolViolationError, UnknownClusterError, UnknownNodeError
+from ..errors import (
+    ConfigurationError,
+    ProtocolViolationError,
+    UnknownClusterError,
+    UnknownNodeError,
+)
 from ..network.node import NodeId
 
 ClusterId = int
@@ -172,12 +177,20 @@ class ClusterRegistry:
         ``cluster_dissolved(cluster)``, ``member_added(cluster_id, node_id)``,
         ``member_removed(cluster_id, node_id)`` and
         ``members_swapped(first_cluster, first_node, second_cluster,
-        second_node)``; missing hooks are skipped.  ``members_swapped`` is a
-        fast-path event: a swap leaves both cluster sizes unchanged, so a
-        listener implementing it receives one call per exchange swap instead
-        of the equivalent remove/add pairs (listeners without the hook still
-        get the four-event sequence).
+        second_node)``; missing hooks are skipped.  ``members_swapped`` is
+        the only event an exchange swap emits (a swap leaves both cluster
+        sizes unchanged, and there are ~400 of them per churn event), so a
+        listener that follows membership through ``member_added`` /
+        ``member_removed`` must implement it too and is refused otherwise —
+        it would silently miss every swap.
         """
+        follows = hasattr(listener, "member_added") or hasattr(listener, "member_removed")
+        if follows and not hasattr(listener, "members_swapped"):
+            raise ConfigurationError(
+                f"listener {type(listener).__name__} implements member_added / "
+                "member_removed but not members_swapped; exchange swaps emit "
+                "only members_swapped, so it would miss them"
+            )
         self._listeners.append(listener)
         self._hook_cache.clear()
 
@@ -285,40 +298,6 @@ class ClusterRegistry:
         self._node_to_cluster[second_node] = first_cluster
         for method in self._hooks("members_swapped"):
             method(first_cluster, first_node, second_cluster, second_node)
-        fallback_removed, fallback_added = self._swap_fallback_hooks()
-        if fallback_removed or fallback_added:
-            for method in fallback_removed:
-                method(first_cluster, first_node)
-            for method in fallback_added:
-                method(first_cluster, second_node)
-            for method in fallback_removed:
-                method(second_cluster, second_node)
-            for method in fallback_added:
-                method(second_cluster, first_node)
-
-    def _swap_fallback_hooks(self) -> tuple:
-        """``(member_removed, member_added)`` methods of swap-unaware listeners."""
-        cached = self._hook_cache.get("_swap_fallback")
-        if cached is None:
-            unaware = [
-                listener
-                for listener in self._listeners
-                if getattr(listener, "members_swapped", None) is None
-            ]
-            cached = (
-                [
-                    method
-                    for listener in unaware
-                    if (method := getattr(listener, "member_removed", None)) is not None
-                ],
-                [
-                    method
-                    for listener in unaware
-                    if (method := getattr(listener, "member_added", None)) is not None
-                ],
-            )
-            self._hook_cache["_swap_fallback"] = cached
-        return cached
 
     # ------------------------------------------------------------------
     # Queries

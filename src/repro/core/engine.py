@@ -119,7 +119,6 @@ class NowEngine:
         byzantine_fraction: Optional[float] = None,
         seed: Optional[int] = None,
         config: Optional[EngineConfig] = None,
-        discovery_mode: str = "model",
     ) -> "NowEngine":
         """Create a fully initialized engine in one call.
 
@@ -128,7 +127,7 @@ class NowEngine:
         phase and returns the ready-to-use engine.
         """
         rng = random.Random(seed)
-        initializer = NowInitializer(parameters, rng, discovery_mode=discovery_mode)
+        initializer = NowInitializer(parameters, rng)
         state, report = initializer.build(
             initial_size=initial_size, byzantine_fraction=byzantine_fraction
         )
@@ -245,11 +244,11 @@ class NowEngine:
             return self.state.nodes.sample_active_honest(source)
         return self.state.nodes.sample_active(source)
 
-    def random_cluster(self, rng: Optional[random.Random] = None) -> ClusterId:
-        """A uniformly random live cluster id in O(1) (``rng`` as in :meth:`random_member`)."""
+    def random_cluster(self) -> ClusterId:
+        """A uniformly random live cluster id in O(1), drawn from the engine stream."""
         if not len(self.state.clusters):
             raise ConfigurationError("no live clusters")
-        return self.state.clusters.sample_id(rng if rng is not None else self.state.rng)
+        return self.state.clusters.sample_id(self.state.rng)
 
     def check_invariants(self, **kwargs) -> InvariantReport:
         """Run the invariant sweep on the current state."""

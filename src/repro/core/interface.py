@@ -53,7 +53,7 @@ class EngineProtocol(Protocol):
 
     def random_member(self, honest_only: bool = False, rng=None) -> int: ...
 
-    def random_cluster(self, rng=None) -> ClusterId: ...
+    def random_cluster(self) -> ClusterId: ...
 
     # -- churn driving -------------------------------------------------
     def apply_event(self, event: ChurnEvent): ...

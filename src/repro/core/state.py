@@ -212,15 +212,6 @@ class NodeRegistry:
         self.full_scan_count += 1
         return sorted(self._active_list)
 
-    def active_ids(self) -> List[NodeId]:
-        """Ids of all active nodes in sampling-array order (an O(n) copy).
-
-        Unlike :meth:`active_nodes` this neither sorts nor counts as a full
-        scan: callers that impose their own order (e.g. the shard handoff's
-        largest-global-id emigrant selection) pay only the copy.
-        """
-        return list(self._active_list)
-
     def active_byzantine(self) -> Set[NodeId]:
         """Ids of active adversary-controlled nodes (O(B) copy)."""
         return set(self._active_byz)

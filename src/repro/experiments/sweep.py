@@ -14,9 +14,11 @@ X under parameters P with seed s" into a first-class, parallelisable unit:
 * :class:`SweepRunner` — fans the expanded runs out over a
   ``concurrent.futures.ProcessPoolExecutor`` (scenario runs share no state,
   so they parallelise embarrassingly; ``workers <= 1`` runs inline, which
-  tests and debugging use).  Each worker builds the scenario, attaches the
-  standard probes, runs it, and ships back a plain-dict
-  :class:`SweepRunRecord` (picklable by construction).
+  tests and debugging use).  Each worker opens the scenario's driver at the
+  driver seam (:func:`repro.trace.session.open_driver`), attaches the
+  standard probes, runs it, and ships back a plain-dict record.  The seam
+  picks the driver, so ``shards`` and ``shard_options.*`` are ordinary grid
+  keys: a sharded unit runs its coordinator inline, this pool parallelises.
 * :class:`SweepResult` — the records plus per-grid-point aggregation:
   mean / sample std / 95% CI over seeds for every numeric metric, via
   :func:`repro.analysis.statistics.mean_confidence`.
@@ -40,6 +42,7 @@ from ..analysis.statistics import MeanConfidence, mean_confidence
 from ..errors import ConfigurationError
 from ..scenarios.probes import CorruptionTrajectoryProbe, CostLedgerProbe, Probe
 from ..scenarios.scenario import NAMED_SCENARIOS, Scenario
+from ..trace.session import open_driver
 
 #: Metrics aggregated per grid point (every one is a numeric field of the
 #: per-run record).
@@ -201,8 +204,8 @@ def _structural_invariants_ok(engine) -> Optional[bool]:
     """Post-run structural invariant verdict (``None`` for engines without one).
 
     NOW exposes :meth:`~repro.core.engine.NowEngine.check_invariants`; the
-    baselines do not, and their records carry ``None`` so aggregation code
-    can tell "not checked" from "violated".
+    baselines and the shard coordinator do not, and their records carry
+    ``None`` so aggregation code can tell "not checked" from "violated".
     """
     check = getattr(engine, "check_invariants", None)
     if check is None:
@@ -213,30 +216,30 @@ def _structural_invariants_ok(engine) -> Optional[bool]:
 def run_sweep_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one sweep unit (module-level so process pools can pickle it).
 
-    Builds the scenario, attaches the standard probes (corruption
-    trajectory, cost ledger, walk-hop counter; plus a first-cluster target
-    probe when requested — the join–leave attack measurements), runs it and
-    returns the flat, picklable per-run record.
+    Opens the scenario's driver (:func:`repro.trace.session.open_driver`)
+    with the standard probes attached (corruption trajectory, cost ledger,
+    walk-hop counter; plus a first-cluster target probe when requested — the
+    join–leave attack measurements), runs it and returns the flat, picklable
+    per-run record.
 
     All standard probes ride the buffered observation bus: they consume
     batched step records off the engine's hot loop, so sweep workers pay no
-    inline-probe overhead per event (only the inline target-cluster probe,
-    when requested, reads the engine per step).
+    inline-probe overhead per event.  Only the target-cluster probe reads
+    the engine per step — a sharded unit has no single engine to read, so
+    its driver refuses that probe and the unit is reported as failed.
     """
     scenario = Scenario.from_dict(payload["scenario"])
-    engine = scenario.build_engine()
     corruption = CorruptionTrajectoryProbe()
     costs = CostLedgerProbe()
     hops = _WalkHopsProbe()
     probes = [corruption, costs, hops]
     target_probe = None
     if payload.get("track_target_cluster"):
-        target = engine.state.clusters.cluster_ids()[0]
-        target_probe = CorruptionTrajectoryProbe(target_cluster=target)
+        target_probe = CorruptionTrajectoryProbe(target_cluster="first")
         target_probe.name = "target-corruption"
         probes.append(target_probe)
-    runner = scenario.build_runner(probes=probes, engine=engine)
-    result = runner.run(scenario.steps)
+    with open_driver(scenario, probes) as driver:
+        result = driver.run(scenario.steps)
     summary = corruption.summary()
     record = {
         "sweep": payload["sweep"],
@@ -258,7 +261,7 @@ def run_sweep_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
         "walk_hops": float(hops.total),
         "safe": result.safe,
         "stop_reason": result.stop_reason,
-        "invariants_ok": _structural_invariants_ok(engine),
+        "invariants_ok": _structural_invariants_ok(driver.engine),
     }
     if target_probe is not None:
         record["target_peak_fraction"] = target_probe.peak

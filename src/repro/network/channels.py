@@ -93,10 +93,6 @@ class ChannelSet:
         """Return (and consume) the messages deliverable to ``receiver`` this round."""
         return self._in_flight.pop(receiver, [])
 
-    def peek(self, receiver: NodeId) -> List[Message]:
-        """Return the deliverable messages without consuming them (diagnostics)."""
-        return list(self._in_flight.get(receiver, ()))
-
     def drop_node(self, node_id: NodeId) -> None:
         """Discard every message addressed to a node that left or crashed."""
         self._in_flight.pop(node_id, None)

@@ -60,12 +60,6 @@ class RoundSimulator:
         self._processes.pop(node_id, None)
         self.channels.drop_node(node_id)
 
-    def process_for(self, node_id: NodeId) -> NodeProcess:
-        """Return the registered process for ``node_id``."""
-        if node_id not in self._processes:
-            raise SimulationError(f"no process registered for node {node_id}")
-        return self._processes[node_id]
-
     def processes(self) -> Iterable[NodeProcess]:
         """Iterate over every registered process."""
         return tuple(self._processes.values())

@@ -49,11 +49,6 @@ class OverlayChange:
     edges_removed: List[Tuple[ClusterId, ClusterId]] = field(default_factory=list)
     samples_used: int = 0
 
-    @property
-    def edges_touched(self) -> int:
-        """Total number of edges added plus removed (for cost accounting)."""
-        return len(self.edges_added) + len(self.edges_removed)
-
 
 class OverOverlay:
     """Maintains the cluster overlay's expansion and degree bounds under churn."""

@@ -184,11 +184,6 @@ class ProtocolParameters:
         """Return a copy of the parameters with the given fields replaced."""
         return replace(self, **changes)
 
-    def validate_size(self, current_size: int) -> None:
-        """Raise :class:`ConfigurationError` if ``current_size`` leaves the admissible range."""
-        if current_size < 1:
-            raise ConfigurationError("network size must be positive")
-
 
 def default_parameters(max_size: int = 1024, **overrides) -> ProtocolParameters:
     """Convenience constructor with sensible defaults for simulations.

@@ -31,7 +31,9 @@ changes only *when* a probe sees an observation, never *what* it sees.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
+
+from ..errors import ConfigurationError
 
 #: Default number of applied events between buffered-probe deliveries.
 DEFAULT_PROBE_BUFFER = 64
@@ -98,6 +100,23 @@ def step_record(report, step_index: int) -> StepRecord:
     )
 
 
+def split_probes(probes: Sequence) -> Tuple[List, List]:
+    """The ``(inline, buffered)`` lanes of a probe list, names checked.
+
+    ``RunResult.probes`` is keyed by name, so a collision would silently
+    drop one probe's measurements: duplicate names are refused.
+    """
+    names = [probe.name for probe in probes]
+    duplicates = {name for name in names if names.count(name) > 1}
+    if duplicates:
+        raise ConfigurationError(
+            f"duplicate probe names {sorted(duplicates)}; give each probe "
+            "a distinct name= (e.g. CallbackProbe(fn, name='...'))"
+        )
+    inline = [probe for probe in probes if probe.inline]
+    return inline, [probe for probe in probes if not probe.inline]
+
+
 class ObservationBus:
     """Routes per-event observations to inline and buffered probes.
 
@@ -111,7 +130,7 @@ class ObservationBus:
 
     def __init__(self, engine, probes: Sequence, buffer_size: int = DEFAULT_PROBE_BUFFER) -> None:
         if buffer_size < 1:
-            raise ValueError("probe buffer size must be >= 1")
+            raise ConfigurationError("probe buffer size must be >= 1")
         self.engine = engine
         self.buffer_size = buffer_size
         self.inline_probes: List = []
@@ -129,8 +148,7 @@ class ObservationBus:
         segment so late-attached probes are observed (matching the
         pre-streaming behaviour of iterating the live list per event).
         """
-        self.inline_probes = [probe for probe in probes if probe.inline]
-        self.buffered_probes = [probe for probe in probes if not probe.inline]
+        self.inline_probes, self.buffered_probes = split_probes(probes)
 
     def on_start(self) -> None:
         """Forward the run-start hook to every probe (inline first)."""

@@ -89,7 +89,8 @@ class CorruptionTrajectoryProbe(Probe):
     the probe follows that cluster specifically — the join–leave-attack
     measurements — which requires reading the engine at the instant of each
     event, so the probe forces itself inline (falling back to the worst
-    fraction once the target is dissolved).
+    fraction once the target is dissolved).  ``target_cluster="first"`` (as
+    in an adversary spec) names the started engine's lowest cluster id.
 
     ``series`` is the retained trajectory: complete up to ``series_cap``
     points, then deterministically decimated (every ``series_stride``-th
@@ -102,7 +103,7 @@ class CorruptionTrajectoryProbe(Probe):
     def __init__(
         self,
         threshold: float = 1.0 / 3.0,
-        target_cluster: Optional[ClusterId] = None,
+        target_cluster: "ClusterId | str | None" = None,
         inline: bool = False,
         series_cap: int = DEFAULT_SERIES_CAP,
     ) -> None:
@@ -111,6 +112,10 @@ class CorruptionTrajectoryProbe(Probe):
         self.inline = inline or target_cluster is not None
         self._stat = RunningSummary(threshold=threshold, sample_cap=series_cap)
         self.first_step_at_threshold: Optional[int] = None
+
+    def on_start(self, engine) -> None:
+        if self.target_cluster == "first":
+            self.target_cluster = engine.state.clusters.cluster_ids()[0]
 
     def _observe(self, fraction: float, step_index: int) -> None:
         self._stat.push(fraction)
@@ -267,11 +272,6 @@ class CostLedgerProbe(Probe):
     def messages_by_operation(self) -> Dict[str, int]:
         """Running message totals keyed by operation name."""
         return dict(self._message_totals)
-
-    @property
-    def rounds_by_operation(self) -> Dict[str, int]:
-        """Running round totals keyed by operation name."""
-        return dict(self._round_totals)
 
     def operations(self) -> List[str]:
         """The recorded operation names, sorted."""

@@ -198,19 +198,7 @@ class SimulationRunner:
     ) -> None:
         self.engine = engine
         self.probes: List[Probe] = list(probes)
-        names = [probe.name for probe in self.probes]
-        duplicates = {name for name in names if names.count(name) > 1}
-        if duplicates:
-            # RunResult.probes is keyed by name; a collision would silently
-            # drop one probe's measurements.
-            raise ConfigurationError(
-                f"duplicate probe names {sorted(duplicates)}; give each probe "
-                "a distinct name= (e.g. CallbackProbe(fn, name='...'))"
-            )
-        try:
-            self.bus = ObservationBus(engine, self.probes, buffer_size=probe_buffer)
-        except ValueError as error:
-            raise ConfigurationError(str(error)) from None
+        self.bus = ObservationBus(engine, self.probes, buffer_size=probe_buffer)
         self.stop_conditions: List[StopCondition] = list(stop_conditions)
         self.max_idle_streak = max_idle_streak
         self.keep_reports = keep_reports

@@ -11,6 +11,11 @@ Seed discipline: a scenario's single ``seed`` fans out deterministically —
 ``seed + 2`` the adversary and ``seed + 3`` the mixing driver — so one
 integer reproduces the entire run, and changing it re-randomises every
 component coherently.
+
+A scenario *describes* a run: :meth:`Scenario.run` delegates to the driver
+seam (:func:`repro.trace.session.open_driver`), the one place that reads
+``shards`` to pick the single-engine runner or the shard coordinator, and
+:meth:`Scenario.build_runner` is the single-engine builder that seam calls.
 """
 
 from __future__ import annotations
@@ -196,8 +201,8 @@ class Scenario:
         """An engine + runner ready to :meth:`SimulationRunner.run`."""
         if self.shards:
             raise ConfigurationError(
-                f"scenario {self.name!r} declares shards={self.shards}; build a "
-                "repro.shard.ShardCoordinator (or call Scenario.run / "
+                f"scenario {self.name!r} declares shards={self.shards}; open it "
+                "with repro.trace.open_driver (or call Scenario.run / "
                 "repro.trace.record_scenario) instead of a single-engine runner"
             )
         if engine is None:
@@ -225,19 +230,11 @@ class Scenario:
         (inline, one worker — results are worker-count independent, so this
         is *the* result for any worker count).
         """
-        if self.shards:
-            # Local import: repro.shard builds on top of scenarios.
-            from ..shard.coordinator import ShardCoordinator
+        # Local import: repro.trace builds on top of scenarios.
+        from ..trace.session import open_driver
 
-            coordinator = ShardCoordinator(
-                self, workers=1, probes=probes, stop_conditions=stop_conditions
-            )
-            try:
-                return coordinator.run(self.steps if steps is None else steps)
-            finally:
-                coordinator.close()
-        runner = self.build_runner(probes=probes, stop_conditions=stop_conditions)
-        return runner.run(self.steps if steps is None else steps)
+        with open_driver(self, probes, stop_conditions) as driver:
+            return driver.run(self.steps if steps is None else steps)
 
     # ------------------------------------------------------------------
     # Serialisation

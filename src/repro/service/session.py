@@ -4,9 +4,10 @@
 not depend on how events reach the engine(s): lifecycle, trace attach, the
 operation counters, ``status``/``ping``, the pre-flight admission rules and
 the write window (:meth:`~LiveEngineSession.begin_window` /
-:meth:`~LiveEngineSession.finish_window`).  The engine side is a backend
-(:mod:`repro.trace.backend`): the single ``NowEngine`` when
-``scenario.shards`` is 0, the shard coordinator otherwise.
+:meth:`~LiveEngineSession.finish_window`).  The engine side is whatever
+backend :func:`repro.trace.backend.open_backend` opens for the scenario: the
+single ``NowEngine`` when ``scenario.shards`` is 0, the shard coordinator
+otherwise.
 
 Seed fan-out (one table, both backends): seed → engine, +1 workload,
 +2 adversary, +3 mixer, **+4 service writes** (the anonymous-leave pick),
@@ -36,7 +37,7 @@ from ..errors import ConfigurationError
 from ..network.node import NodeRole
 from ..scenarios.bus import DEFAULT_PROBE_BUFFER, StepRecord
 from ..scenarios.scenario import Scenario
-from ..trace.backend import EngineBackend, ShardBackend
+from ..trace.backend import open_backend
 from ..trace.codec import DEFAULT_FLUSH_EVERY
 from ..trace.log import DEFAULT_INDEX_EVERY, TraceWriter
 from ..trace.session import Recorder
@@ -122,14 +123,9 @@ class LiveEngineSession:
             )
         self.rng = random.Random(self.scenario.seed + SERVICE_RNG_OFFSET)
         self.read_rng = random.Random(self.scenario.seed + SERVICE_READ_RNG_OFFSET)
-        if self.scenario.shards:
-            self.backend = ShardBackend(
-                self.scenario, self.read_rng, workers, probes, probe_buffer
-            )
-        else:
-            self.backend = EngineBackend(
-                self.scenario.build_engine(), self.read_rng, probes, probe_buffer
-            )
+        self.backend = open_backend(
+            self.scenario, self.read_rng, workers, probes, probe_buffer
+        )
         self.bus = self.backend.bus
         self._recorder: Optional[Recorder] = None
         self.events_applied = 0

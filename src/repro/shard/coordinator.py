@@ -58,7 +58,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..network.node import NodeRole
-from ..scenarios.bus import DEFAULT_PROBE_BUFFER, ObservationBus, StepRecord
+from ..scenarios.bus import DEFAULT_PROBE_BUFFER, ObservationBus, StepRecord, split_probes
 from ..scenarios.runner import RunResult, StopCondition, bind_event_source
 from .merge import ObservationMerger, composite_state_hash
 from .messages import HandoffMessage
@@ -265,10 +265,7 @@ class ShardCoordinator:
         #: crosses a barrier_interval multiple — the one barrier rule.
         self.events_admitted = self.total_events
         self.steps_admitted = self.total_steps
-        try:
-            self.bus = ObservationBus(self.facade, self.probes, buffer_size=probe_buffer)
-        except ValueError as error:
-            raise ConfigurationError(str(error)) from None
+        self.bus = ObservationBus(self.facade, self.probes, buffer_size=probe_buffer)
 
         self._started = False
         self.handoffs_sent = 0
@@ -315,14 +312,7 @@ class ShardCoordinator:
 
     @staticmethod
     def _validate_probes(probes: Sequence) -> None:
-        names = [probe.name for probe in probes]
-        duplicates = {name for name in names if names.count(name) > 1}
-        if duplicates:
-            raise ConfigurationError(
-                f"duplicate probe names {sorted(duplicates)}; give each probe "
-                "a distinct name="
-            )
-        inline = [probe.name for probe in probes if probe.inline]
+        inline = [probe.name for probe in split_probes(probes)[0]]
         if inline:
             raise ConfigurationError(
                 f"inline probes {inline} are not supported under sharded "
@@ -353,6 +343,11 @@ class ShardCoordinator:
     # ------------------------------------------------------------------
     # Composite state
     # ------------------------------------------------------------------
+    @property
+    def engine(self) -> "ShardCoordinator":
+        """A driver's ``engine`` is what gets hashed and snapshotted: here, itself."""
+        return self
+
     def state_hash(self) -> str:
         """The composite state hash: per-shard engine hashes + router state."""
         hashes = self._gather_shards(
@@ -617,6 +612,9 @@ class ShardCoordinator:
         """
         if steps < 0:
             raise ConfigurationError("steps must be non-negative")
+        # probes is a public list: one attached since construction gets the
+        # same refusals (an inline probe would be synced and never called).
+        self._validate_probes(self.probes)
         self.bus.sync(self.probes)
         if not self._started:
             self.bus.on_start()

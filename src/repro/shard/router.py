@@ -512,7 +512,7 @@ class ShardedEngineFacade:
             return self._directory.nodes.sample_active_honest(rng)
         return self._directory.nodes.sample_active(rng)
 
-    def random_cluster(self, rng: Optional[random.Random] = None):
+    def random_cluster(self):
         """Unsupported: cluster ids are shard-local, not a composite namespace."""
         raise ConfigurationError(
             "sharded runs do not expose a composite cluster namespace; "

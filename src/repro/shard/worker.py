@@ -19,8 +19,9 @@ a small command protocol:
     the two halves of a barrier handoff.  The coordinator plans the
     emigrant set from its directory (so the donor needs no planning round
     trip) and both commands piggyback the post-handoff shard summary;
-``state_hash`` / ``snapshot`` / ``restore_shard``
-    the determinism/checkpoint surface.
+``state_hash`` / ``snapshot``
+    the determinism/checkpoint surface (a snapshot is restored through the
+    constructor's ``restore=``).
 
 Workers never see global state: every event arrives naming a *global* node
 id, and the slot's ``g2l``/``l2g`` maps translate to the shard-local
@@ -276,13 +277,6 @@ class ShardWorker:
             "engine": slot.engine.capture_snapshot(),
             "l2g": sorted(slot.l2g.items()),
         }
-
-    def restore_shard(self, shard: int, data: Dict[str, Any]) -> None:
-        """Rebuild one hosted shard from :meth:`snapshot` output."""
-        slot = self._slot(shard)
-        slot.engine = NowEngine.restore(data["engine"])
-        slot.l2g = {int(local): int(gid) for local, gid in data["l2g"]}
-        slot.g2l = {gid: local for local, gid in slot.l2g.items()}
 
     def stop(self) -> None:
         """No-op acknowledgement; the transport tears the process down."""

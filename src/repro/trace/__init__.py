@@ -24,11 +24,12 @@ machine-checkable execution:
   pinpoints the first diverging event between two runs;
 * :mod:`repro.trace.hashing` — the canonical state fingerprint both of the
   above compare;
-* :mod:`repro.trace.session` — ``Recorder``, the one place that decides
-  when a recorded run writes an index frame or a checkpoint and how a
-  recording is sealed or left crashed-shape, with three callers (the
-  single-engine runner, the shard coordinator, the live session); and
-  ``record_scenario`` / ``resume_from_checkpoint`` / ``checkpoint_from_trace``,
+* :mod:`repro.trace.session` — ``open_driver``, the one place a batch
+  driver (single-engine runner or shard coordinator) is built; ``Recorder``,
+  the one place that decides when a recorded run writes an index frame or a
+  checkpoint and how a recording is sealed or left crashed-shape, with three
+  callers (the single-engine runner, the shard coordinator, the live
+  session); and ``record_scenario`` / ``resume_from_checkpoint`` / ``checkpoint_from_trace``,
   the functions behind the CLI's ``run-scenario --record``, ``resume`` and
   ``replay --to-step N --checkpoint``.
 
@@ -66,6 +67,7 @@ from .session import (
     TraceCheckpointResult,
     TraceDivergenceError,
     checkpoint_from_trace,
+    open_driver,
     record_scenario,
     resume_from_checkpoint,
 )
@@ -90,6 +92,7 @@ __all__ = [
     "checkpoint_from_trace",
     "churn_event_from_frame",
     "digest",
+    "open_driver",
     "read_trace_frames",
     "record_scenario",
     "replay_trace",

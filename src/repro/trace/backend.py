@@ -30,14 +30,15 @@ a backend is:
     due).
 
 It lives in :mod:`repro.trace` because it is the unit replay certifies.
-Two callers, whose events are given to them: the live session
-(:mod:`repro.service.session`) picks by ``scenario.shards``, the replay
-driver (:class:`repro.trace.replay.ReplayEngine`, no read stream) by the
-trace header's ``engine``.  A batch run pulls its events from the scenario's
-own source instead, so :mod:`repro.trace.session` opens the driver that owns
-one — the ``SimulationRunner``, or the coordinator itself, whose ``run`` is
-the same two window halves ``dispatch`` and ``collect`` call, under the same
-barrier rule.  Whatever applies the events, one
+Two callers, whose events are given to them, both through
+:func:`open_backend` — the one place that picks a backend, by
+``scenario.shards``: the live session (:mod:`repro.service.session`) and the
+replay driver (:class:`repro.trace.replay.ReplayEngine`, no read stream).  A
+batch run pulls its events from the scenario's own source instead, so it
+opens a *driver* that owns one (:func:`repro.trace.session.open_driver`, the
+other seam) — the ``SimulationRunner``, or the coordinator itself, whose
+``run`` is the same two window halves ``dispatch`` and ``collect`` call,
+under the same barrier rule.  Whatever applies the events, one
 :class:`~repro.trace.session.Recorder` writes them down.
 """
 
@@ -206,3 +207,24 @@ class ShardBackend(_ReadLane):
     def close(self) -> None:
         self.coordinator.close()
 
+
+
+def open_backend(
+    scenario,
+    read_rng: Optional[random.Random] = None,
+    workers: int = 1,
+    probes: Sequence = (),
+    probe_buffer: int = DEFAULT_PROBE_BUFFER,
+    engine=None,
+):
+    """Open the backend ``scenario`` runs on — this seam's one fork on ``shards``.
+
+    ``engine`` is a ready single engine to use instead of bootstrapping the
+    scenario's (replay of a trace without a header scenario passes
+    ``scenario=None``); ``workers`` applies to the sharded backend only.
+    """
+    if scenario is not None and scenario.shards:
+        return ShardBackend(scenario, read_rng, workers, probes, probe_buffer)
+    if engine is None:
+        engine = scenario.build_engine()
+    return EngineBackend(engine, read_rng, probes, probe_buffer)

@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional
 
 from ..errors import ConfigurationError
 from ..scenarios.bus import StepRecord
-from .backend import EngineBackend, ShardBackend
+from .backend import open_backend
 from .log import TraceReader, churn_event_from_frame, event_frame_from_record
 
 #: Event-frame observables checked during replay, frame key -> description.
@@ -103,17 +103,13 @@ class ReplayEngine:
 
         self.reader = trace if isinstance(trace, TraceReader) else TraceReader(trace)
         scenario = self.reader.scenario
-        sharded = self.reader.header.get("engine") == "sharded"
-        if engine is not None and not sharded:
-            self.backend = EngineBackend(engine)
-        elif scenario is None:
+        if scenario is None and engine is None:
             raise ConfigurationError(
                 "trace header carries no scenario spec; pass an engine explicitly"
             )
-        elif not sharded:
-            self.backend = EngineBackend(Scenario.from_dict(scenario).build_engine())
-        else:
-            self.backend = ShardBackend(Scenario.from_dict(scenario))
+        self.backend = open_backend(
+            Scenario.from_dict(scenario) if scenario is not None else None, engine=engine
+        )
 
     # ------------------------------------------------------------------
     # The replay loop

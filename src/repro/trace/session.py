@@ -1,33 +1,35 @@
-"""Recording and resuming whole scenario runs (the CLI's backing functions).
+"""Opening, recording and resuming whole scenario runs (the CLI's backing functions).
 
-:func:`record_scenario` runs a :class:`~repro.scenarios.scenario.Scenario`
-with trace recording and/or periodic checkpointing — one call replaces the
-build/attach/finalize dance — and :func:`resume_from_checkpoint` restores
-engine(s) and event source from a checkpoint file and continues the run.
-Both share one body (:func:`_run_segment`) that forks on ``scenario.shards``
-in exactly one place, opening the driver: a per-event
+:func:`open_driver` is the driver seam: the only place a batch driver is
+built and the one fork on ``scenario.shards`` for every run whose events
+come from the scenario's own source — a per-event
 :class:`~repro.scenarios.runner.SimulationRunner` over the single engine
 (which also serves baselines, inline probes and per-event stop conditions),
 or the :class:`~repro.shard.coordinator.ShardCoordinator`, which runs the
 scenario in barrier windows (``workers`` and ``pipeline`` are execution
-choices, never result bits).  Either driver is ``run(steps, recorder)``.
+choices, never result bits).  Either driver is ``run(steps, recorder)``, so
+whatever runs on one engine runs sharded.  Its callers: ``Scenario.run``, a
+sweep unit, and the three functions below.  (Callers whose events are
+*given* to them open a backend: :func:`repro.trace.backend.open_backend`.)
 
-:class:`Recorder` is that recorder, and the only one: the single-engine batch
-run, the sharded batch run and the live session (``serve --record``) all
-write traces and checkpoints through its window / cadence / seal code — its
-docstring states the cadence law and the start-up order.
+:func:`record_scenario` runs a scenario with trace recording and/or periodic
+checkpointing and :func:`resume_from_checkpoint` restores engine(s) and event
+source from a checkpoint file and continues the run; they share one body
+(:func:`_run_segment`) that hands the driver a :class:`Recorder` — the only
+recorder: single-engine batch, sharded batch and the live session
+(``serve --record``) all write through its window / cadence / seal code (its
+docstring states the cadence law and the start-up order).  The continued run
+is bit-identical to the uninterrupted one (property-tested in
+``tests/test_trace_checkpoint.py`` and ``tests/test_batch_sessions.py``):
+same events, same RNG draws, same final state hash, wherever the cut fell.
+Probe measurements restart at the resume point.
 
-Either way the continued run is bit-identical to the uninterrupted one
-(property-tested in ``tests/test_trace_checkpoint.py`` and
-``tests/test_batch_sessions.py``): same events, same RNG draws, same final
-state hash, wherever the cut fell.  Probe measurements restart at the resume
-point — a resumed run's corruption series covers the resumed segment only.
-
-:func:`checkpoint_from_trace` turns any recorded single-engine trace into a
-library of resume points: it re-drives the scenario's event source against
-the recorded frames (verifying every event and index hash on the way) and
-materialises a full :class:`~repro.trace.checkpoint.Checkpoint` at any
-recorded step — the CLI's ``replay --to-step N --checkpoint out.json``.
+:func:`checkpoint_from_trace` turns any recorded batch trace, single-engine
+or sharded, into a library of resume points: it re-drives the scenario with
+a verifier in the recorder's seat (every event and index hash checked
+against the recorded frames) and materialises a full
+:class:`~repro.trace.checkpoint.Checkpoint` at any recorded step — the CLI's
+``replay --to-step N --checkpoint out.json``.
 """
 
 from __future__ import annotations
@@ -35,16 +37,15 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, Optional, Sequence
 
 from ..errors import ConfigurationError
-from ..scenarios.bus import DEFAULT_PROBE_BUFFER, StepRecord, step_record
+from ..scenarios.bus import DEFAULT_PROBE_BUFFER, StepRecord
 from ..scenarios.probes import Probe
-from ..scenarios.runner import RunResult
+from ..scenarios.runner import RunResult, StopCondition
 from ..scenarios.scenario import Scenario
 from .checkpoint import Checkpoint, snapshot_method
 from .codec import DEFAULT_FLUSH_EVERY
-from .hashing import state_hash
 from .log import DEFAULT_INDEX_EVERY, TraceReader, TraceWriter, event_frame_from_record
 from .replay import frame_mismatch
 
@@ -158,17 +159,19 @@ class Recorder:
         if self._checkpoint_due(0):
             self.checkpoint()
 
-    def checkpoint(self) -> None:
+    def checkpoint(self) -> Checkpoint:
         """Capture engine, source and progress; atomically replace the file."""
         driver = self._driver
-        Checkpoint.capture(
+        checkpoint = Checkpoint.capture(
             self._engine,
             source=driver.source,
             scenario=self._scenario,
             steps_done=driver.total_steps,
             events_done=driver.total_events,
-        ).save(self.checkpoint_path)
+        )
+        checkpoint.save(self.checkpoint_path)
         self._checkpointed_at = self._events
+        return checkpoint
 
     def seal(self, ok: bool) -> Optional[str]:
         """End the recording (see the class docstring); the final hash if ``ok``."""
@@ -186,20 +189,22 @@ class Recorder:
 
 
 @contextmanager
-def _open_driver(
+def open_driver(
     scenario: Scenario,
-    probes: Sequence[Probe],
-    probe_buffer: int,
-    workers: int,
-    pipeline: bool,
+    probes: Sequence[Probe] = (),
+    stop_conditions: Sequence[StopCondition] = (),
+    probe_buffer: int = DEFAULT_PROBE_BUFFER,
+    workers: int = 1,
+    pipeline: bool = True,
     checkpoint: Optional[Checkpoint] = None,
-) -> Iterator[Tuple[Any, Any]]:
-    """Open ``(engine, driver)`` for a batch segment, restored from ``checkpoint``.
+) -> Iterator[Any]:
+    """Open ``scenario``'s batch driver, restored from ``checkpoint`` if given.
 
-    The one fork on ``scenario.shards``: the shard coordinator (its own
-    engine, closed on exit) or a :class:`SimulationRunner` over the single
-    engine.  Both expose ``run(steps, recorder)``, ``source`` and the
-    cumulative ``total_steps`` / ``total_events``.
+    The one fork on ``scenario.shards``: the shard coordinator (closed on
+    exit) or a :class:`SimulationRunner` over the single engine.  Either is
+    ``run(steps, recorder)`` with ``engine`` (what a recorder hashes and
+    snapshots), ``source``, the public ``probes`` list and the cumulative
+    ``total_steps`` / ``total_events``.
     """
     if scenario.shards:
         # Local import: repro.shard builds on repro.trace, and a single-engine
@@ -210,21 +215,24 @@ def _open_driver(
             scenario,
             workers=workers,
             probes=probes,
+            stop_conditions=stop_conditions,
             probe_buffer=probe_buffer,
             pipeline=pipeline,
             checkpoint=checkpoint.data if checkpoint is not None else None,
         ) as coordinator:
-            yield coordinator, coordinator
+            yield coordinator
         return
     engine = checkpoint.restore_engine() if checkpoint is not None else None
-    runner = scenario.build_runner(probes=probes, engine=engine, probe_buffer=probe_buffer)
+    runner = scenario.build_runner(
+        probes=probes, stop_conditions=stop_conditions, engine=engine, probe_buffer=probe_buffer
+    )
     if checkpoint is not None:
         checkpoint.restore_source(runner.source)
         # Seed the cumulative counters so continued checkpoints carry totals
         # relative to the original run's start, not the resume point.
         runner.total_steps = checkpoint.steps_done
         runner.total_events = checkpoint.events_done
-    yield runner.engine, runner
+    yield runner
 
 
 def _run_segment(
@@ -239,9 +247,9 @@ def _run_segment(
 ) -> SessionResult:
     """One batch segment (record's and resume's shared body); ``outputs`` are
     the :class:`Recorder`'s trace and checkpoint arguments."""
-    opened = _open_driver(scenario, probes, probe_buffer, workers, pipeline, checkpoint)
-    with opened as (engine, driver):
-        recorder = Recorder(scenario, engine, driver, **outputs)
+    opened = open_driver(scenario, probes, (), probe_buffer, workers, pipeline, checkpoint)
+    with opened as driver:
+        recorder = Recorder(scenario, driver.engine, driver, **outputs)
         try:
             result = driver.run(steps, recorder)
         except BaseException:
@@ -250,7 +258,7 @@ def _run_segment(
         final_hash = recorder.seal(ok=True)
     return SessionResult(
         result=result,
-        engine=engine,
+        engine=driver.engine,
         final_state_hash=final_hash,
         trace_path=recorder.trace_path,
         checkpoint_path=recorder.checkpoint_path,
@@ -368,47 +376,66 @@ def _diverged(step: int, reason: str) -> TraceDivergenceError:
     )
 
 
-class _TraceVerifier(Probe):
-    """Inline probe holding a re-driven run to its recorded frames.
+class _TraceVerifier:
+    """Holds a re-driven run to its recorded frames, from the recorder's seat.
 
     ``frames`` are the trace's event and index frames up to the target step,
-    in file order.  Every applied event must reproduce the next event frame
-    — step, generated event and observables, field for field — and every
-    index frame behind it must carry the re-driven engine's state hash; the
-    first disagreement raises :class:`TraceDivergenceError`, because a
-    checkpoint taken past a divergence would silently resume a different
-    run.
+    in file order.  Every record of a collected window must reproduce the
+    next event frame — step, generated event and observables, field for
+    field — and every index frame behind it must carry the re-driven state
+    hash; the first disagreement raises :class:`TraceDivergenceError`,
+    because a checkpoint taken past a divergence would silently resume a
+    different run.
     """
 
-    name = "trace-verifier"
-
-    def __init__(self, frames: Sequence[Dict[str, Any]]) -> None:
+    def __init__(self, frames: Sequence[Dict[str, Any]], driver) -> None:
         self.pending = deque(frames)
+        self._driver = driver
         self.events = 0
         self.hash_checks = 0
 
-    def on_step(self, engine, report, step_index: int) -> None:
-        replayed = event_frame_from_record(step_record(report, step_index))
-        mismatch = (
-            frame_mismatch(self.pending.popleft(), replayed)
-            if self.pending
-            else "the trace records no further event"
-        )
-        if mismatch is not None:
-            raise _diverged(step_index, f"recorded frame != re-driven event, {mismatch}")
-        self.events += 1
-        while self.pending and self.pending[0]["t"] == "x":
-            frame = self.pending.popleft()
-            # Index frames are written at their event's step, after it: one
-            # that sits elsewhere or disagrees on the count is a divergence
-            # signal, not something to skip quietly.
-            redriven = dict(frame, i=step_index, ev=self.events, h=state_hash(engine))
-            mismatch = frame_mismatch(frame, redriven)
+    def due(self, pending: int) -> bool:
+        """Will the window that adds ``pending`` events reach a recorded hash?"""
+        for frame in self.pending:
+            if frame["t"] == "x":
+                return True
+            if pending == 0:
+                return False
+            pending -= 1
+        return False
+
+    def window(self, records: Sequence[StepRecord]) -> None:
+        """Verify one collected window; nothing of the run may be in flight."""
+        driver = self._driver
+        for record in records:
+            mismatch = (
+                frame_mismatch(self.pending.popleft(), event_frame_from_record(record))
+                if self.pending
+                else "the trace records no further event"
+            )
             if mismatch is not None:
                 raise _diverged(
-                    frame["i"], f"index frame inconsistent with the re-driven run, {mismatch}"
+                    record.step_index, f"recorded frame != re-driven event, {mismatch}"
                 )
-            self.hash_checks += 1
+            self.events += 1
+            while self.pending and self.pending[0]["t"] == "x":
+                frame = self.pending.popleft()
+                # Index frames are written where a window ended: one that
+                # sits inside a window (no hash exists there) or disagrees on
+                # the counts is a divergence, not something to skip quietly.
+                at_end = record is records[-1]
+                redriven = dict(
+                    frame,
+                    i=driver.total_steps,
+                    ev=self.events,
+                    h=driver.engine.state_hash() if at_end else None,
+                )
+                mismatch = frame_mismatch(frame, redriven)
+                if mismatch is not None:
+                    raise _diverged(
+                        frame["i"], f"index frame inconsistent with the re-driven run, {mismatch}"
+                    )
+                self.hash_checks += 1
 
 
 @dataclass
@@ -431,14 +458,15 @@ def checkpoint_from_trace(
     """Materialise a resumable :class:`Checkpoint` at step ``to_step`` of a trace.
 
     A trace records events but not the event source's RNG streams, so the
-    checkpoint is built by *re-driving* the scenario from its seed: a
-    :class:`~repro.scenarios.runner.SimulationRunner` runs ``to_step``
-    steps exactly as the original run did, with a :class:`_TraceVerifier`
-    checking each generated event, its observables and the index-frame
-    state hashes against the recorded frames.  At step ``to_step`` the full
-    engine + source state is captured, turning any trace into a library of
-    verified resume points (``resume --checkpoint`` continues
-    bit-identically to the uninterrupted run).
+    checkpoint is built by *re-driving* the scenario from its seed: the
+    driver :func:`open_driver` opens for it (single engine or sharded, as
+    recorded) runs ``to_step`` steps exactly as the original run did, with a
+    :class:`_TraceVerifier` in the recorder's seat checking each generated
+    event, its observables and the index-frame state hashes against the
+    recorded frames.  At step ``to_step`` the full engine + source state is
+    captured, turning any trace into a library of verified resume points
+    (``resume --checkpoint`` continues bit-identically to the uninterrupted
+    run, on any worker count).
 
     ``to_step`` must not exceed the last recorded event's step index —
     beyond it the trace carries nothing to verify against.
@@ -456,13 +484,6 @@ def checkpoint_from_trace(
             "source, so there is none to checkpoint — verify it with plain "
             "`replay --trace`"
         )
-    if reader.header.get("engine") == "sharded":
-        raise ConfigurationError(
-            "this trace records a sharded run; checkpoint-from-trace re-drives "
-            "a single engine — verify it with plain `replay --trace`, and cut "
-            "sharded runs with `run-scenario --steps N --checkpoint FILE`, "
-            "which `resume --checkpoint FILE` continues from any step"
-        )
     if to_step < 1:
         raise ConfigurationError("to_step must be >= 1")
     frames = [frame for frame in reader.frames if frame.get("t") in ("ev", "x")]
@@ -476,27 +497,22 @@ def checkpoint_from_trace(
         )
 
     scenario = Scenario.from_dict(scenario_dict)
-    verifier = _TraceVerifier([frame for frame in frames if frame["i"] <= to_step])
-    runner = scenario.build_runner(probes=[verifier])
-    runner.run(to_step)
-    if verifier.pending:
-        raise _diverged(
-            verifier.pending[0]["i"], "source idled where the trace recorded an event"
-        )
-
-    engine = runner.engine
-    Checkpoint.capture(
-        engine,
-        source=runner.source,
-        scenario=scenario,
-        steps_done=runner.total_steps,
-        events_done=verifier.events,
-    ).save(checkpoint_path)
+    with open_driver(scenario) as driver:
+        # The recorder is here for its checkpoint: built first, so an engine
+        # that cannot be snapshotted is refused before the re-drive.
+        recorder = Recorder(scenario, driver.engine, driver, checkpoint_path=checkpoint_path)
+        verifier = _TraceVerifier([frame for frame in frames if frame["i"] <= to_step], driver)
+        driver.run(to_step, verifier)
+        if verifier.pending:
+            raise _diverged(
+                verifier.pending[0]["i"], "source idled where the trace recorded an event"
+            )
+        checkpoint = recorder.checkpoint()
     return TraceCheckpointResult(
         checkpoint_path=checkpoint_path,
-        steps_done=runner.total_steps,
-        events_done=verifier.events,
-        state_hash=state_hash(engine),
+        steps_done=checkpoint.steps_done,
+        events_done=checkpoint.events_done,
+        state_hash=checkpoint.captured_hash,
         verified_events=verifier.events,
         hash_checks=verifier.hash_checks,
     )

@@ -58,7 +58,6 @@ class CSRLayout:
         "_cum",
         "_tuples",
         "_np_static",
-        "_np_cum",
     )
 
     def __init__(
@@ -85,7 +84,6 @@ class CSRLayout:
         self._cum: Optional[array] = None
         self._tuples: List[Optional[Tuple[Vertex, ...]]] = [None] * len(vertices)
         self._np_static = None
-        self._np_cum = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -135,9 +133,6 @@ class CSRLayout:
     def has_vertex(self, vertex: Vertex) -> bool:
         return vertex in self._row_of
 
-    def degree_of_row(self, row: int) -> int:
-        return self.indptr[row + 1] - self.indptr[row]
-
     def neighbour_tuple(self, vertex: Vertex) -> Tuple[Vertex, ...]:
         """The neighbours of ``vertex`` as a memoised id tuple (row order)."""
         row = self._row_of[vertex]
@@ -159,7 +154,6 @@ class CSRLayout:
         self.weights[self._row_of[vertex]] = float(weight)
         self.weights_version = weights_version
         self._cum = None
-        self._np_cum = None
 
     def refresh_weights(self, graph, weights_version=None) -> None:
         """Re-read every weight from ``graph`` (safety net for bulk updates)."""
@@ -168,7 +162,6 @@ class CSRLayout:
             weights[row] = float(graph.weight(vertex))
         self.weights_version = weights_version
         self._cum = None
-        self._np_cum = None
 
     def cum_weights(self) -> array:
         """Cumulative ``max(0, weight)`` row (rebuilt lazily after weight churn)."""
@@ -206,8 +199,7 @@ class CSRLayout:
 
         ``indptr``/``indices``/``inv_degree``/``weights`` are ``frombuffer``
         views of the same memory, so :meth:`set_weight` updates are visible
-        through them without any copying; the cumulative row is viewed
-        per-rebuild (it is replaced, not mutated, on weight churn).
+        through them without any copying.
         """
         if _np is None:
             return None
@@ -228,17 +220,3 @@ class CSRLayout:
             self._np_static = views
         return views
 
-    def numpy_cum_weights(self):
-        """Numpy view of :meth:`cum_weights` (``None`` without numpy)."""
-        if _np is None:
-            return None
-        view = self._np_cum
-        if view is None:
-            cum = self.cum_weights()
-            view = (
-                _np.frombuffer(cum, dtype=_np.float64)
-                if len(cum)
-                else _np.empty(0, dtype=_np.float64)
-            )
-            self._np_cum = view
-        return view

@@ -14,9 +14,12 @@ admitted event count, never the end of a ``run()`` call.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -24,11 +27,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import Scenario
 from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
-from repro.scenarios.probes import Probe
+from repro.scenarios.probes import CorruptionTrajectoryProbe, Probe
+from repro.scenarios.runner import stop_when_size_at_least
 from repro.shard import ShardCoordinator
 from repro.trace import (
     Checkpoint,
     TraceReader,
+    open_driver,
     record_scenario,
     replay_trace,
     resume_from_checkpoint,
@@ -202,6 +207,57 @@ class TestStartUpOrder:
         assert applied == []
         assert not trace.exists()
         assert not (tmp_path / "ck.json").exists()
+
+
+def _timeless(result):
+    """A RunResult's fields without its wall-clock one."""
+    return {**dataclasses.asdict(result), "elapsed_seconds": None}
+
+
+class TestOneDriverSeam:
+    """``Scenario.run`` is a delegate to the driver ``record_scenario`` opens:
+    the same result on every backend, stop conditions included."""
+
+    @on_every_backend
+    def test_scenario_run_is_record_scenarios_result(self, backend):
+        probes = [CorruptionTrajectoryProbe(), CorruptionTrajectoryProbe()]
+        ran = _scenario(backend).run(probes=probes[:1])
+        recorded = _record(backend, probes=probes[1:]).result
+        assert ran.events == FIELDS["steps"] and ran.shards == BACKENDS[backend][0].get("shards", 0)
+        assert _timeless(ran) == _timeless(recorded)
+
+    @pytest.mark.parametrize("backend", ["single", "shards4-w1"])
+    def test_scenario_run_keeps_stop_conditions(self, backend):
+        scenario = _scenario(backend, adversary=None, workload={"kind": "growth", "target_size": 250})
+        target = scenario.initial_size + 20
+        stopped = scenario.run(stop_conditions=[stop_when_size_at_least(target)])
+        assert stopped.stop_reason == f"size >= {target}"
+        assert stopped.final_size >= target and stopped.steps < scenario.steps
+        with open_driver(scenario, stop_conditions=[stop_when_size_at_least(target)]) as driver:
+            assert _timeless(driver.run(scenario.steps)) == _timeless(stopped)
+
+    def test_single_engine_paths_load_no_shard_machinery(self, tmp_path):
+        """Run, record, replay, from-trace checkpoint and resume on one
+        engine import neither repro.shard nor multiprocessing."""
+        script = (
+            "import sys\n"
+            "from repro import Scenario\n"
+            "from repro.trace import (checkpoint_from_trace, record_scenario,\n"
+            "    replay_trace, resume_from_checkpoint)\n"
+            f"scenario = Scenario.from_dict({_scenario('single', steps=30).to_dict()!r})\n"
+            "scenario.run()\n"
+            "record_scenario(scenario, trace_path='t.bin', trace_format='binary', index_every=7)\n"
+            "assert replay_trace('t.bin').ok\n"
+            "checkpoint_from_trace('t.bin', 11, 'c.json')\n"
+            "resume_from_checkpoint('c.json')\n"
+            "assert 'repro.shard' not in sys.modules, 'repro.shard loaded'\n"
+            "assert 'multiprocessing' not in sys.modules, 'multiprocessing loaded'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestExecutionChoicesAreInvisible:

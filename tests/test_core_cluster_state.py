@@ -8,7 +8,12 @@ import pytest
 
 from repro.core.cluster import Cluster, ClusterRegistry
 from repro.core.state import NodeRegistry, SystemState
-from repro.errors import ProtocolViolationError, UnknownClusterError, UnknownNodeError
+from repro.errors import (
+    ConfigurationError,
+    ProtocolViolationError,
+    UnknownClusterError,
+    UnknownNodeError,
+)
 from repro.network.node import NodeRole
 from repro.params import ProtocolParameters
 
@@ -231,7 +236,7 @@ class TestSystemState:
 
 
 class TestSwapFastPath:
-    """The members_swapped listener fast path and its legacy fallback."""
+    """members_swapped is the one event a swap emits; listeners must take it."""
 
     class _SwapAware:
         def __init__(self):
@@ -273,26 +278,22 @@ class TestSwapFastPath:
         assert listener.events == []
         assert registry.cluster_of(1) == 20 and registry.cluster_of(3) == 10
 
-    def test_legacy_listener_gets_four_event_fallback(self):
+    def test_listener_without_swap_hook_is_refused(self):
+        """Swaps emit only members_swapped: a member_added/removed follower
+        that lacks it would silently miss them, so it cannot be registered."""
         registry = self._registry()
-        listener = self._Legacy()
-        registry.add_listener(listener)
-        registry.swap_members(10, 1, 20, 3)
-        assert listener.events == [
-            ("removed", 10, 1),
-            ("added", 10, 3),
-            ("removed", 20, 3),
-            ("added", 20, 1),
-        ]
+        with pytest.raises(ConfigurationError, match="members_swapped"):
+            registry.add_listener(self._Legacy())
+        registry.swap_members(10, 1, 20, 3)  # no listener was left half-attached
 
-    def test_mixed_listeners_each_get_their_protocol(self):
+    def test_refusal_leaves_registered_listeners_in_place(self):
         registry = self._registry()
-        aware, legacy = self._SwapAware(), self._Legacy()
+        aware = self._SwapAware()
         registry.add_listener(aware)
-        registry.add_listener(legacy)
+        with pytest.raises(ConfigurationError):
+            registry.add_listener(self._Legacy())
         registry.swap_members(10, 2, 20, 4)
         assert aware.swaps == [(10, 2, 20, 4)]
-        assert len(legacy.events) == 4
 
     def test_corruption_counts_exact_under_swaps(self, small_params):
         """Swap accounting agrees with a from-scratch rebuild for every role mix."""

@@ -10,6 +10,9 @@ from repro.analysis.statistics import mean_confidence
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.experiments import SweepSpec, SweepRunner, run_sweep, run_sweep_payload
+from repro.scenarios.probes import CorruptionTrajectoryProbe, CostLedgerProbe
+from repro.scenarios.scenario import Scenario
+from repro.trace import record_scenario
 
 
 def small_spec(**overrides) -> SweepSpec:
@@ -240,6 +243,47 @@ class TestSweepRunner:
         record = result.records[0]
         assert "target_peak_fraction" in record
         assert 0.0 <= record["target_peak_fraction"] <= 1.0
+
+    def test_shards_is_an_ordinary_grid_key(self):
+        """A sweep unit opens its driver through the driver seam, so a
+        `shards` axis runs: the sharded unit is `record_scenario`'s result
+        field for field, the single-engine one what `Scenario.run` gives."""
+        spec = small_spec(grid={"shards": [0, 2]}, seeds=[3])
+        spec.scenario.update(initial_size=200, steps=40)
+        result = run_sweep(spec)
+        assert result.failures() == []
+        by_shards = {record["point"]["shards"]: record for record in result.records}
+        timing = ("elapsed_seconds", "events_per_second")
+        for payload in spec.payloads():
+            scenario = Scenario.from_dict(payload["scenario"])
+            record = by_shards[scenario.shards]
+            corruption, costs = CorruptionTrajectoryProbe(), CostLedgerProbe()
+            expected = record_scenario(scenario, probes=[corruption, costs]).result
+            for name in (
+                "steps", "events", "final_size", "final_cluster_count",
+                "final_worst_fraction", "peak_worst_fraction", "safe", "stop_reason",
+            ):
+                assert record[name] == getattr(expected, name), (scenario.shards, name)
+            assert all(record[name] > 0 for name in timing)
+            # The standard probes rode the same records on either driver.
+            summary = corruption.summary()
+            assert record["mean_worst_fraction"] == summary.mean
+            assert record["steps_above_threshold"] == summary.steps_above_threshold
+            assert record["mean_messages_per_event"] == costs.mean_messages_overall() > 0
+        assert by_shards[0]["invariants_ok"] is True
+        assert by_shards[2]["invariants_ok"] is None  # no composite invariant sweep yet
+
+    def test_target_cluster_tracking_on_a_sharded_unit_is_a_failed_unit(self):
+        """The inline target probe has no single engine to read under shards:
+        the unit is refused and stays addressable, it does not report zero."""
+        spec = small_spec(grid={"shards": [0, 2]}, seeds=[3], track_target_cluster=True)
+        spec.scenario.update(initial_size=200, steps=10)
+        result = run_sweep(spec)
+        (failure,) = result.failures()
+        assert failure["point"] == {"shards": 2} and failure["seed"] == 3
+        assert "inline probes ['target-corruption'] are not supported" in failure["error"]
+        (ok,) = result.records_for({"shards": 0})
+        assert 0.0 <= ok["target_peak_fraction"] <= 1.0
 
     def test_metric_lookup_errors_on_unknown(self):
         result = run_sweep(small_spec(grid={}, seeds=[1]))

@@ -92,6 +92,15 @@ class TestSimulationRunner:
                 probes=[CallbackProbe(lambda *a: None), CallbackProbe(lambda *a: None)],
             )
 
+    def test_rejects_duplicate_probe_name_attached_between_runs(self):
+        """``probes`` is a public list; the bus checks it again at every run()."""
+        runner = small_scenario().build_runner(probes=[CallbackProbe(lambda *a: None)])
+        runner.run(3)
+        runner.probes.append(CallbackProbe(lambda *a: None))
+        with pytest.raises(ConfigurationError, match="duplicate probe names"):
+            runner.run(3)
+        assert runner.total_events == 3
+
     def test_summary_table_renders(self):
         result = small_scenario(steps=5).run()
         table = result.summary_table()

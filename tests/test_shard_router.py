@@ -172,7 +172,7 @@ def test_facade_has_no_composite_cluster_namespace():
     params = default_parameters(max_size=256)
     facade = ShardedEngineFacade(params, _directory_with_initial([3, 3]))
     with pytest.raises(ConfigurationError):
-        facade.random_cluster(random.Random(1))
+        facade.random_cluster()
 
 
 # ----------------------------------------------------------------------
@@ -207,6 +207,20 @@ def test_coordinator_rejects_inline_probes():
     probe = CallbackProbe(lambda engine, report, step: None, name="inline-cb")
     with pytest.raises(ConfigurationError, match="inline probes"):
         ShardCoordinator(_sharded_scenario(), probes=[probe])
+
+
+def test_coordinator_rejects_inline_probe_attached_after_construction():
+    """``probes`` is a public list: a late inline probe would be synced into
+    the inline lane, never called, and report an empty result — run() refuses."""
+    calls = []
+    probe = CallbackProbe(lambda engine, report, step: calls.append(step), name="late-inline")
+    with ShardCoordinator(_sharded_scenario()) as coordinator:
+        coordinator.probes.append(probe)
+        with pytest.raises(ConfigurationError, match="inline probes .*late-inline.* not supported"):
+            coordinator.run(5)
+        assert coordinator.total_events == 0 and calls == []
+        coordinator.probes.remove(probe)
+        assert coordinator.run(5).events == 5
 
 
 def test_coordinator_rejects_keep_reports():

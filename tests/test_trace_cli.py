@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import os
 
+import pytest
+
 from repro.cli import main
 from repro.trace import Checkpoint, TraceReader
 
@@ -120,25 +122,82 @@ class TestTraceDiffCli:
         assert "first divergence at step" in capsys.readouterr().out
 
 
-class TestCheckpointFromTraceRejections:
-    """`replay --to-step` re-drives a single engine from the scenario's event
-    source; traces it cannot re-drive are usage errors (exit 2) that name the
-    right tool — never a false `DIVERGED` (exit 1) or a traceback."""
+def _final_hash(out: str) -> str:
+    (line,) = [line for line in out.splitlines() if line.startswith("final state hash")]
+    return line
 
-    def test_batch_sharded_trace_is_a_usage_error_naming_resume(self, tmp_path, capsys):
-        trace = os.path.join(str(tmp_path), "sharded.jsonl")
+
+class TestCheckpointFromTraceCli:
+    """`replay --to-step N --checkpoint F` on every batch backend: a verified
+    resume point (exit 0), a divergence (exit 1) or a usage error (exit 2) —
+    the same messages and codes whether the trace is single-engine or sharded."""
+
+    #: backend -> (`run-scenario` arguments, `resume` arguments): resume runs
+    #: on a different worker count than the recording.
+    BACKENDS = {
+        "single": ([], []),
+        "shards4-w1": (["--shards", "1"], ["--shards", "2"]),
+        "shards4-w2": (["--shards", "2"], ["--shards", "1"]),
+    }
+
+    def _record(self, tmp_path, capsys, backend, steps="90"):
+        trace = os.path.join(str(tmp_path), "run.jsonl")
         assert run_cli(
-            "run-scenario", "--name", "uniform-churn", "--steps", "40",
-            "--shards", "1", "--record", trace,
+            "run-scenario", "--name", "uniform-churn", "--steps", steps,
+            "--record", trace, "--index-every", "20", *self.BACKENDS[backend][0],
         ) == 0
-        capsys.readouterr()
+        return trace, _final_hash(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("backend", list(BACKENDS))
+    def test_resume_point_off_the_barrier_grid_lands_on_the_straight_hash(
+        self, tmp_path, capsys, backend
+    ):
+        trace, straight = self._record(tmp_path, capsys, backend)
+        assert TraceReader(trace).header["engine"] == ("now" if backend == "single" else "sharded")
         checkpoint = os.path.join(str(tmp_path), "mid.json")
-        code = run_cli("replay", "--trace", trace, "--to-step", "10", "--checkpoint", checkpoint)
+        # 70 is past one barrier (64) and one barrier-aligned index frame.
+        assert run_cli("replay", "--trace", trace, "--to-step", "70", "--checkpoint", checkpoint) == 0
+        out = capsys.readouterr().out
+        assert "verified 70 event(s)" in out and "checkpoint written" in out
+        assert Checkpoint.load(checkpoint).steps_done == 70
+        assert run_cli(
+            "resume", "--checkpoint", checkpoint, "--steps", "20", *self.BACKENDS[backend][1]
+        ) == 0
+        assert _final_hash(capsys.readouterr().out) == straight
+
+    @pytest.mark.parametrize("backend", list(BACKENDS))
+    def test_tampered_frame_exits_one(self, tmp_path, capsys, backend):
+        trace, _ = self._record(tmp_path, capsys, backend, steps="40")
+        lines = open(trace, "r", encoding="utf-8").read().splitlines()
+        for number, line in enumerate(lines):
+            frame = json.loads(line)
+            if frame.get("t") == "ev" and frame["i"] == 12:
+                frame["w"] = 0.999
+                lines[number] = json.dumps(frame)
+        with open(trace, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        checkpoint = os.path.join(str(tmp_path), "mid.json")
+        code = run_cli("replay", "--trace", trace, "--to-step", "30", "--checkpoint", checkpoint)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "replay DIVERGED" in captured.err and "step 12" in captured.err
+        assert not os.path.exists(checkpoint)
+
+    @pytest.mark.parametrize("backend", list(BACKENDS))
+    def test_step_beyond_the_trace_is_a_usage_error(self, tmp_path, capsys, backend):
+        trace, _ = self._record(tmp_path, capsys, backend, steps="20")
+        checkpoint = os.path.join(str(tmp_path), "mid.json")
+        code = run_cli("replay", "--trace", trace, "--to-step", "21", "--checkpoint", checkpoint)
         captured = capsys.readouterr()
         assert code == 2
-        assert "resume --checkpoint" in captured.err
-        assert "DIVERGED" not in captured.err
+        assert "beyond the last recorded event" in captured.err
         assert not os.path.exists(checkpoint)
+
+
+class TestCheckpointFromTraceRejections:
+    """`replay --to-step` re-drives the scenario's own event source; a trace
+    that has none is a usage error (exit 2) that names the right tool —
+    never a false `DIVERGED` (exit 1) or a traceback."""
 
     def test_serve_trace_is_a_usage_error_naming_plain_replay(self, tmp_path, capsys):
         from repro.service import LiveEngineSession, live_scenario

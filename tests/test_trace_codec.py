@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from repro import Scenario
 from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
+from repro.scenarios.probes import Probe
 from repro.trace import (
     Checkpoint,
+    TraceDivergenceError,
     TraceReader,
     TraceWriter,
     checkpoint_from_trace,
@@ -28,6 +30,7 @@ from repro.trace import (
     sniff_trace_format,
     trace_diff,
 )
+from repro.trace.log import event_frame_from_record
 
 PARAMS = dict(max_size=1024, initial_size=100, tau=0.1, k=2.0)
 
@@ -196,17 +199,90 @@ class TestMixedFormatDiff:
         assert "traces agree" in capsys.readouterr().out
 
 
+#: backend name -> (scenario overrides, worker processes), as in
+#: ``tests/test_batch_sessions.py``: frequent barriers that move nodes, so a
+#: checkpoint cut that misplaced one would change the state hash.
+SHARDED = dict(
+    max_size=256,
+    initial_size=200,
+    shards=4,
+    shard_options={"barrier_interval": 16, "rebalance_threshold": 1},
+)
+BACKENDS = {
+    "single": ({}, 1),
+    "shards4-w1": (SHARDED, 1),
+    "shards4-w2": (SHARDED, 2),
+}
+
+on_every_backend = pytest.mark.parametrize("backend", list(BACKENDS))
+
+
+def record_on(tmp_path, backend, name="run.jsonl", trace_format="jsonl", steps=60, index_every=10):
+    """Record ``steps`` of the backend's scenario; ``(path, session)``."""
+    overrides, workers = BACKENDS[backend]
+    path = os.path.join(str(tmp_path), name)
+    session = record_scenario(
+        small_scenario(steps=steps, **overrides),
+        trace_path=path,
+        index_every=index_every,
+        trace_format=trace_format,
+        workers=workers,
+    )
+    return path, session
+
+
+def rewrite_frames(path, out_path, edit):
+    """Copy a JSONL trace, passing every frame through ``edit(frame)``."""
+    import json
+
+    with open(path, "r", encoding="utf-8") as source, open(out_path, "w", encoding="utf-8") as out:
+        for line in source:
+            frame = json.loads(line)
+            edit(frame)
+            out.write(json.dumps(frame, sort_keys=True, separators=(",", ":")) + "\n")
+    return out_path
+
+
+class _Tail(Probe):
+    """Collects the event frames a (resumed) run would have written."""
+
+    name = "tail"
+    inline = False
+
+    def __init__(self):
+        self.frames = []
+
+    def on_records(self, engine, records):
+        self.frames += [event_frame_from_record(record) for record in records]
+
+
 class TestCheckpointFromTrace:
-    def test_resuming_matches_uninterrupted_run(self, tmp_path):
-        straight = record_scenario(small_scenario(steps=60))
-        path, _ = record(tmp_path, "run.jsonl", "jsonl", steps=60)
+    """Any recorded batch trace, single-engine or sharded, is a library of
+    verified resume points — one re-drive through the driver seam."""
+
+    @on_every_backend
+    def test_resuming_matches_uninterrupted_run(self, tmp_path, backend):
+        path, straight = record_on(tmp_path, backend)
         checkpoint_path = os.path.join(str(tmp_path), "mid.ckpt.json")
+        # Step 25 is off the index cadence (10) and the barrier grid (16).
         result = checkpoint_from_trace(path, to_step=25, checkpoint_path=checkpoint_path)
         assert result.steps_done == 25
+        assert result.verified_events == 25
         assert result.hash_checks > 0
-        assert Checkpoint.load(checkpoint_path).steps_done == 25
-        resumed = resume_from_checkpoint(checkpoint_path)
+        checkpoint = Checkpoint.load(checkpoint_path)
+        assert checkpoint.steps_done == 25
+        assert checkpoint.data.get("engine_kind", "now") == TraceReader(path).header["engine"]
+        tail = _Tail()
+        resumed = resume_from_checkpoint(
+            checkpoint_path, probes=[tail], workers=BACKENDS[backend][1]
+        )
         assert resumed.final_state_hash == straight.final_state_hash
+        # The resumed segment is the straight run's trace tail, event for
+        # event (a resumed single-engine run counts its steps from 1 again).
+        recorded = [frame for frame in TraceReader(path).events() if frame["i"] > 25]
+        assert [dict(frame, i=0) for frame in tail.frames] == [
+            dict(frame, i=0) for frame in recorded
+        ]
 
     def test_works_from_binary_traces_and_simulated_mode(self, tmp_path):
         options = {"engine_options": {"walk_mode": "simulated"}}
@@ -217,61 +293,58 @@ class TestCheckpointFromTrace:
         resumed = resume_from_checkpoint(checkpoint_path)
         assert resumed.final_state_hash == straight.final_state_hash
 
-    def test_every_recorded_step_is_a_resume_point(self, tmp_path):
-        straight = record_scenario(small_scenario(steps=30))
-        path, _ = record(tmp_path, "run.jsonl", "jsonl", steps=30)
-        for to_step in (1, 13, 30):
+    @on_every_backend
+    def test_every_recorded_step_is_a_resume_point(self, tmp_path, backend):
+        path, straight = record_on(tmp_path, backend, "run.bin", "binary", steps=40)
+        # First step, on a barrier, just past one, last step.
+        for to_step in (1, 16, 33, 40):
             checkpoint_path = os.path.join(str(tmp_path), f"at-{to_step}.ckpt.json")
             checkpoint_from_trace(path, to_step=to_step, checkpoint_path=checkpoint_path)
             resumed = resume_from_checkpoint(checkpoint_path)
             assert resumed.final_state_hash == straight.final_state_hash, to_step
 
-    def test_rejects_step_beyond_the_trace(self, tmp_path):
-        path, _ = record(tmp_path, "run.jsonl", "jsonl", steps=20)
+    @on_every_backend
+    def test_rejects_step_beyond_the_trace(self, tmp_path, backend):
+        path, _ = record_on(tmp_path, backend, steps=20)
         with pytest.raises(ConfigurationError, match="beyond the last recorded event"):
             checkpoint_from_trace(
                 path, to_step=999, checkpoint_path=os.path.join(str(tmp_path), "x.json")
             )
 
-    def test_rejects_inconsistent_index_frame(self, tmp_path):
-        import json
+    @on_every_backend
+    @pytest.mark.parametrize(
+        "field, value",
+        [pytest.param("ev", 1, id="count"), pytest.param("h", "0" * 64, id="hash")],
+    )
+    def test_rejects_inconsistent_index_frame(self, tmp_path, backend, field, value):
+        path, _ = record_on(tmp_path, backend, steps=50)
+        target = TraceReader(path).index_frames()[1]["i"]
 
-        path, _ = record(tmp_path, "run.jsonl", "jsonl", steps=30, index_every=10)
-        lines = open(path, "r", encoding="utf-8").read().splitlines()
-        tampered = []
-        for line in lines:
-            frame = json.loads(line)
-            if frame.get("t") == "x" and frame["i"] == 20:
-                frame["ev"] += 1  # event count disagrees with the frames
-            tampered.append(json.dumps(frame, sort_keys=True, separators=(",", ":")))
-        bad = os.path.join(str(tmp_path), "bad-index.jsonl")
-        with open(bad, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(tampered) + "\n")
+        def edit(frame):
+            if frame["t"] == "x" and frame["i"] == target:
+                frame[field] = value  # the count, or the hash, disagrees
+
+        bad = rewrite_frames(path, os.path.join(str(tmp_path), "bad-index.jsonl"), edit)
+        checkpoint_path = os.path.join(str(tmp_path), "x.json")
         # Fail-loud: an index frame that disagrees with the re-driven run is
         # a divergence, never a silently skipped hash check.
-        with pytest.raises(ConfigurationError, match="index frame inconsistent"):
-            checkpoint_from_trace(
-                bad, to_step=30, checkpoint_path=os.path.join(str(tmp_path), "x.json")
-            )
+        with pytest.raises(TraceDivergenceError, match="index frame inconsistent"):
+            checkpoint_from_trace(bad, to_step=50, checkpoint_path=checkpoint_path)
+        assert not os.path.exists(checkpoint_path)
 
-    def test_rejects_tampered_trace(self, tmp_path):
-        import json
+    @on_every_backend
+    def test_rejects_tampered_trace(self, tmp_path, backend):
+        path, _ = record_on(tmp_path, backend, steps=30)
 
-        path, _ = record(tmp_path, "run.jsonl", "jsonl", steps=30)
-        lines = open(path, "r", encoding="utf-8").read().splitlines()
-        tampered = []
-        for line in lines:
-            frame = json.loads(line)
-            if frame.get("t") == "ev" and frame["i"] == 10:
+        def edit(frame):
+            if frame["t"] == "ev" and frame["i"] == 10:
                 frame["sz"] += 1
-            tampered.append(json.dumps(frame, sort_keys=True, separators=(",", ":")))
-        bad = os.path.join(str(tmp_path), "bad.jsonl")
-        with open(bad, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(tampered) + "\n")
-        with pytest.raises(ConfigurationError, match="diverged"):
-            checkpoint_from_trace(
-                bad, to_step=30, checkpoint_path=os.path.join(str(tmp_path), "x.json")
-            )
+
+        bad = rewrite_frames(path, os.path.join(str(tmp_path), "bad.jsonl"), edit)
+        checkpoint_path = os.path.join(str(tmp_path), "x.json")
+        with pytest.raises(TraceDivergenceError, match="diverged .* step 10"):
+            checkpoint_from_trace(bad, to_step=30, checkpoint_path=checkpoint_path)
+        assert not os.path.exists(checkpoint_path)
 
 
 class TestBinaryCli:
