@@ -16,8 +16,8 @@ compares
 * the charged communication costs (the oracle's expected-cost model must
   track the simulated walk's measured cost),
 
-with the simulated mode now running on the cached-transition-table walk fast
-path (``run_buffered`` segments over the overlay's neighbour tables).
+with the simulated mode running on the hop engine (``repro.walks.kernel``,
+each exchange round's walks batched in lockstep over the overlay's CSR rows).
 """
 
 from __future__ import annotations
@@ -106,15 +106,15 @@ def test_ablation_walk_mode(benchmark):
         "The oracle mode draws from the walk's stationary law and charges its expected "
         "cost; it must reproduce the simulated mode's safety behaviour and cost scale "
         "(E10 checks the distributions directly).  Both columns aggregate a multi-seed "
-        "sweep run through repro.experiments; the simulated mode rides the cached "
-        "transition-table fast path (docs/ARCHITECTURE.md)."
+        "sweep run through repro.experiments; the simulated mode runs on the hop "
+        "engine over the overlay's CSR snapshot (docs/ARCHITECTURE.md)."
     )
     table.print()
 
     simulated = rows["simulated"]
     oracle = rows["oracle"]
     # Every run must finish its step budget with the structural invariants
-    # intact — a stale transition-table cache would surface here first.
+    # intact — a stale CSR snapshot would surface here first.
     assert simulated["invariants"] and oracle["invariants"]
     assert simulated["completed"] and oracle["completed"]
     # Safety statistics agree within the Monte-Carlo noise of 150-step runs.

@@ -12,8 +12,9 @@ Two rates are recorded:
 * ``events_per_second`` — the default (oracle walk mode) engine, the figure
   the throughput acceptance gates track across PRs;
 * ``walk.hops_per_second`` — a shorter run in ``WalkMode.SIMULATED``, where
-  every ``randCl`` walk is simulated hop by hop on the overlay's cached
-  transition tables; this is the walk-engine fast path's own throughput.
+  every ``randCl`` walk is simulated hop by hop on the hop engine
+  (``repro.walks.kernel``, exchange rounds batched in lockstep); this is the
+  walk engine's own throughput inside the protocol.
 
 It also verifies the incremental-accounting contract behind the rate: the
 node and cluster registries count every full population sweep
@@ -80,7 +81,7 @@ def run_experiment(steps: int = STEPS, walk_steps: int = WALK_STEPS):
     scans_per_event = (scans_after - scans_before) / max(1, result.events)
 
     # Walk-engine throughput: the same scenario in SIMULATED mode, where the
-    # biased CTRWs actually hop across the overlay's cached tables.
+    # biased CTRWs actually hop across the overlay on the hop engine.
     walk_scenario = scenario_for(
         MAX_SIZE,
         INITIAL,
@@ -100,28 +101,6 @@ def run_experiment(steps: int = STEPS, walk_steps: int = WALK_STEPS):
     walk_result = walk_runner.run(walk_steps)
     walk_hops = int(sum(hops_probe.values))
 
-    # The same simulated-walk scenario on the batched CSR kernel (PR 6): the
-    # exchange rounds advance all their walks in lockstep through
-    # ``repro.walks.kernel.ArrayKernel`` instead of the per-hop loop.
-    kernel_scenario = scenario_for(
-        MAX_SIZE,
-        INITIAL,
-        tau=TAU,
-        seed=29,
-        name="throughput-walks-kernel",
-        config=EngineConfig(walk_mode=WalkMode.SIMULATED, walk_kernel="array"),
-    )
-    kernel_engine = kernel_scenario.build_engine()
-    kernel_workload = UniformChurn(fresh_rng(31), byzantine_join_fraction=TAU)
-    kernel_probe = CallbackProbe(
-        lambda _engine, report, _step: report.operation.walk_hops, name="walk-hops"
-    )
-    kernel_runner = SimulationRunner(
-        kernel_engine, kernel_workload, probes=[kernel_probe], name="throughput-walks-kernel"
-    )
-    kernel_result = kernel_runner.run(walk_steps)
-    kernel_hops = int(sum(kernel_probe.values))
-
     return {
         "steps": result.steps,
         "events": result.events,
@@ -137,6 +116,7 @@ def run_experiment(steps: int = STEPS, walk_steps: int = WALK_STEPS):
         "tau": TAU,
         "walk": {
             "mode": "simulated",
+            "kernel": "array",
             "steps": walk_result.steps,
             "events": walk_result.events,
             "elapsed_seconds": walk_result.elapsed_seconds,
@@ -144,18 +124,6 @@ def run_experiment(steps: int = STEPS, walk_steps: int = WALK_STEPS):
             "hops": walk_hops,
             "hops_per_second": walk_hops / walk_result.elapsed_seconds
             if walk_result.elapsed_seconds > 0
-            else 0.0,
-        },
-        "walk_array": {
-            "mode": "simulated",
-            "kernel": "array",
-            "steps": kernel_result.steps,
-            "events": kernel_result.events,
-            "elapsed_seconds": kernel_result.elapsed_seconds,
-            "events_per_second": kernel_result.events_per_second,
-            "hops": kernel_hops,
-            "hops_per_second": kernel_hops / kernel_result.elapsed_seconds
-            if kernel_result.elapsed_seconds > 0
             else 0.0,
         },
         "measured_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -198,19 +166,15 @@ def test_engine_throughput(benchmark):
         f"{result['scans_per_event']:.3f} full-population scans per event "
         f"(legacy floor {LEGACY_SCANS_PER_EVENT}); "
         f"simulated walks: {result['walk']['hops']} hops "
-        f"= {result['walk']['hops_per_second']:.0f} hops/s; "
-        f"array kernel: {result['walk_array']['hops']} hops "
-        f"= {result['walk_array']['hops_per_second']:.0f} hops/s"
+        f"= {result['walk']['hops_per_second']:.0f} hops/s"
     )
     save_result(result)
 
     assert result["events"] > 0
     assert result["events_per_second"] > 0
-    # Both walk engines must actually walk (and be measured).
+    # The simulated walks must actually walk (and be measured).
     assert result["walk"]["hops"] > 0
     assert result["walk"]["hops_per_second"] > 0
-    assert result["walk_array"]["hops"] > 0
-    assert result["walk_array"]["hops_per_second"] > 0
     # The original tentpole claim: at least 2x fewer full-population scans per
     # event than the pre-incremental engine (which needed >= 3 per event).
     assert result["scans_per_event"] <= LEGACY_SCANS_PER_EVENT / 2.0

@@ -52,12 +52,7 @@ class SamplingService:
         # Every draw (walk, member pick, origin pick) consumes the engine
         # stream, like the protocol's own selections.
         self._randnum = RandNum(engine.state.rng)
-        self._randcl = RandCl(
-            engine.state,
-            self._randnum,
-            walk_mode=engine.config.walk_mode,
-            walk_kernel=engine.config.walk_kernel,
-        )
+        self._randcl = RandCl(engine.state, self._randnum, walk_mode=engine.config.walk_mode)
 
     def sample(self, origin_cluster: Optional[int] = None) -> SampleReport:
         """Draw one (approximately) uniform node and report the cost."""

@@ -78,7 +78,6 @@ from .trace import (
     resume_from_checkpoint,
     trace_diff,
 )
-from .walks.kernel import KERNEL_NAMES
 
 #: The `load` command's default operation mix.  Kept as a named constant so
 #: `--sessions lognormal` can tell "user left the default" (switch to the
@@ -152,11 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument(
         "--checkpoint-every", type=int, default=None, metavar="N",
         help="events between checkpoints (default: a quarter of the step budget)",
-    )
-    scenario.add_argument(
-        "--walk-kernel", type=str, default=None, choices=list(KERNEL_NAMES),
-        help="hop engine for the walks: 'naive' (per-hop loop) or 'array' "
-             "(batched CSR kernel; numpy-accelerated when numpy is installed)",
     )
     scenario.add_argument(
         "--shards", type=int, default=None, metavar="W",
@@ -446,13 +440,6 @@ def run_scenario_command(args: argparse.Namespace) -> int:
         return 2
     if args.steps is not None:
         scenario.steps = args.steps
-    if args.walk_kernel is not None:
-        if scenario.engine != "now":
-            raise ConfigurationError(
-                f"--walk-kernel applies to the 'now' engine, not {scenario.engine!r}"
-            )
-        scenario.engine_options = dict(scenario.engine_options or {})
-        scenario.engine_options["walk_kernel"] = args.walk_kernel
 
     if args.shards is not None and args.shards < 1:
         raise ConfigurationError("--shards must be >= 1")

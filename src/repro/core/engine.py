@@ -69,17 +69,37 @@ class MaintenanceReport:
 
 @dataclass
 class EngineConfig:
-    """Behavioural switches of the engine (all default to the paper's protocol)."""
+    """Behavioural switches of the engine (all default to the paper's protocol).
+
+    The one place engine options become a config: ``EngineConfig(**options)``
+    takes a spec's ``engine_options`` as they are, ``walk_mode`` as a string
+    included, and refuses a retired walk kernel by name.
+    """
 
     walk_mode: WalkMode = WalkMode.ORACLE
-    #: Which hop engine serves simulated walks: ``naive`` (per-hop python
-    #: loop on the engine stream) or ``array`` (batched CSR kernel with its
-    #: own checkpointable stream; see ``repro.walks.kernel``).
-    walk_kernel: str = "naive"
+    #: The hop engine of simulated walks (``repro.walks.kernel``).  ``array``
+    #: is the only one; the option is kept so specs and checkpoints that name
+    #: it still load (see :func:`~repro.walks.kernel.resolve_kernel_name`).
+    walk_kernel: str = "array"
     cascade_exchanges: bool = True
     strict_compromise: bool = False
     record_history: bool = True
     enforce_size_range: bool = False
+
+    def __post_init__(self) -> None:
+        self.walk_mode = WalkMode(self.walk_mode)
+        self.walk_kernel = resolve_kernel_name(
+            self.walk_kernel, simulated=self.walk_mode is WalkMode.SIMULATED
+        )
+
+    @classmethod
+    def from_snapshot(cls, data: Dict[str, object]) -> "EngineConfig":
+        """The config a checkpoint recorded.
+
+        Checkpoints written before the kernel option existed ran the retired
+        ``naive`` kernel, so a missing ``walk_kernel`` means that one.
+        """
+        return cls(**{"walk_kernel": "naive", **data})
 
 
 class NowEngine:
@@ -88,14 +108,8 @@ class NowEngine:
     def __init__(self, state: SystemState, config: Optional[EngineConfig] = None) -> None:
         self.state = state
         self.config = config if config is not None else EngineConfig()
-        resolve_kernel_name(self.config.walk_kernel)  # fail fast on bad option
         self._randnum = RandNum(state.rng)
-        self._randcl = RandCl(
-            state,
-            self._randnum,
-            walk_mode=self.config.walk_mode,
-            walk_kernel=self.config.walk_kernel,
-        )
+        self._randcl = RandCl(state, self._randnum, walk_mode=self.config.walk_mode)
         self._exchange = ExchangeProtocol(state, self._randcl, self._randnum)
         self._join_op = JoinOperation(state, self._randcl, self._randnum, self._exchange)
         self._leave_op = LeaveOperation(
@@ -165,12 +179,9 @@ class NowEngine:
     @classmethod
     def restore(cls, snapshot: Dict[str, object]) -> "NowEngine":
         """Rebuild an engine from :meth:`capture_snapshot` output."""
-        config_data = dict(snapshot["config"])
-        config_data["walk_mode"] = WalkMode(config_data["walk_mode"])
-        # Checkpoints from before the kernel option default to the naive path.
-        config_data.setdefault("walk_kernel", "naive")
+        config = EngineConfig.from_snapshot(snapshot["config"])
         state = SystemState.restore_state(snapshot["state"])
-        engine = cls(state, config=EngineConfig(**config_data))
+        engine = cls(state, config=config)
         engine._randcl.restore_state(snapshot.get("randcl", {}))
         return engine
 

@@ -99,7 +99,7 @@ class RandCl:
         state: SystemState,
         randnum: Optional[RandNum] = None,
         walk_mode: WalkMode = WalkMode.ORACLE,
-        walk_kernel: str = "naive",
+        walk_kernel: str = "array",
         rng: Optional[random.Random] = None,
     ) -> None:
         self._state = state
@@ -111,10 +111,11 @@ class RandCl:
         self._rng = rng if rng is not None else state.rng
         self._randnum = randnum if randnum is not None else RandNum(self._rng)
         self._walk_mode = walk_mode
-        self._walk_kernel = resolve_kernel_name(walk_kernel)
-        # One sampler is reused across selections (it owns the cached biased
-        # walk and its bulk exponential buffer); rebuilt only when the overlay
-        # graph object or the walk mode changes.
+        # Validated input only: every simulated walk runs on the one hop engine.
+        resolve_kernel_name(walk_kernel, simulated=walk_mode is WalkMode.SIMULATED)
+        # One sampler is reused across selections (it owns the hop engine and
+        # its private stream); rebuilt only when the overlay graph object
+        # changes.
         self._sampler: Optional[ClusterSampler] = None
         # Derived-parameter caches.  An exchange issues one selection per
         # member while neither the population nor the overlay changes, so the
@@ -131,21 +132,16 @@ class RandCl:
         return self._walk_mode
 
     @property
-    def walk_kernel(self) -> str:
-        """The hop engine serving the walks (``naive`` or ``array``)."""
-        return self._walk_kernel
-
-    @property
     def batches_walks(self) -> bool:
         """Whether callers should prefetch whole walk rounds via :meth:`prefetch`.
 
-        Only the array kernel in simulated mode benefits: its walks run on a
-        private RNG stream, so a prefetched batch is outcome-for-outcome
-        identical to sequential sampling regardless of interleaved engine-
-        stream draws.  Oracle-mode draws consume the engine stream directly
-        and stay strictly sequential.
+        Simulated walks do: they run on the hop engine's private RNG stream,
+        so a prefetched batch is outcome-for-outcome identical to sequential
+        sampling regardless of interleaved engine-stream draws.  Oracle-mode
+        draws consume the engine stream directly and stay strictly
+        sequential.
         """
-        return self._walk_kernel == "array" and self._walk_mode is WalkMode.SIMULATED
+        return self._walk_mode is WalkMode.SIMULATED
 
     # ------------------------------------------------------------------
     # Selection
@@ -225,7 +221,6 @@ class RandCl:
                 segment_duration=duration,
                 mode=self._walk_mode,
                 max_restarts=max_restarts,
-                kernel=self._walk_kernel,
             )
             self._sampler = sampler
         else:
@@ -240,24 +235,16 @@ class RandCl:
 
         The derived-parameter caches are *not* serialised: they are keyed on
         the overlay version (which the graph snapshot preserves) and rebuild
-        to identical values.  What matters is the RNG-derived walk state
-        outside the generators: the bulk exponential buffer of the naive
-        path (values drawn from the engine RNG but not yet consumed) and,
-        under the array kernel, that kernel's private stream and buffers.
+        to identical values.  What matters is the hop engine's private
+        stream and pre-drawn buffers (``None`` until a walk has run).
         """
-        if self._sampler is None:
-            return {"exp_buffer": [], "kernel": None}
-        walk_state = self._sampler.snapshot_walk_state()
-        return {
-            "exp_buffer": walk_state.get("exp_buffer", []),
-            "kernel": walk_state.get("kernel"),
-        }
+        sampler = self._sampler
+        return {"kernel": sampler.snapshot_walk_state() if sampler is not None else None}
 
     def restore_state(self, data: dict) -> None:
         """Restore a snapshot taken by :meth:`snapshot_state`."""
-        buffer = data.get("exp_buffer", [])
         kernel_state = data.get("kernel")
-        if not buffer and kernel_state is None:
+        if kernel_state is None:
             return
         overlay_graph = self._state.overlay.graph
         if self._sampler is None or self._sampler.graph is not overlay_graph:
@@ -267,9 +254,8 @@ class RandCl:
                 segment_duration=2.0,  # placeholder; select() reconfigures per call
                 mode=self._walk_mode,
                 max_restarts=4,
-                kernel=self._walk_kernel,
             )
-        self._sampler.restore_walk_state({"exp_buffer": buffer, "kernel": kernel_state})
+        self._sampler.restore_walk_state(kernel_state)
 
     # ------------------------------------------------------------------
     # Cost model

@@ -6,9 +6,9 @@ X under parameters P with seed s" into a first-class, parallelisable unit:
 
 * :class:`SweepSpec` — a base scenario (inline fields or a named preset), a
   parameter *grid* (scenario field -> list of values, dotted keys reaching
-  into nested dicts such as ``engine_options.walk_mode`` or
-  ``engine_options.walk_kernel`` — sweeping ``naive`` vs ``array`` ablates
-  the batched CSR walk kernel) and a *seed list*.  The spec expands to the
+  into nested dicts such as ``engine_options.walk_mode`` — sweeping
+  ``simulated`` vs ``oracle`` ablates the walks themselves) and a *seed
+  list*.  The spec expands to the
   cartesian product ``grid x seeds`` and is JSON round-trippable for the
   CLI's ``run-sweep --spec``.
 * :class:`SweepRunner` — fans the expanded runs out over a

@@ -9,7 +9,6 @@ it directly.
 
 from __future__ import annotations
 
-import bisect
 import random
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -34,12 +33,12 @@ class OverlayGraph(WalkableGraph):
     :class:`~repro.walks.csr.CSRLayout` (``indptr``/``indices`` plus degree
     reciprocals, weights and a lazy cumulative-weight row).  Structural
     mutations (vertex/edge add/remove) invalidate it wholesale; weight
-    updates are applied to it in place (O(1)).  Both the per-hop
-    :meth:`neighbour_table` and the stationary-law
+    updates are applied to it in place (O(1)).  Both the
+    :meth:`neighbour_table` lookups and the stationary-law
     :meth:`sample_weighted_vertex` draw are served from that one snapshot,
-    and the batched walk kernels (:mod:`repro.walks.kernel`) index it
-    directly — there is no separate per-vertex tuple cache or weight table
-    to keep in sync.
+    and the hop engine (:mod:`repro.walks.kernel`) indexes it directly —
+    there is no separate per-vertex tuple cache or weight table to keep in
+    sync.
 
     Determinism contract (``repro.trace`` relies on this): every enumeration
     an RNG draw can observe — :meth:`vertices`, :meth:`neighbours`,
@@ -150,9 +149,8 @@ class OverlayGraph(WalkableGraph):
         """The current CSR snapshot of the overlay (rebuilt lazily).
 
         Structural mutations drop the snapshot; weight mutations patch it in
-        place, so between structural changes every caller — per-hop
-        neighbour lookups, oracle draws and the batched walk kernels —
-        shares one flat layout.
+        place, so between structural changes every caller — neighbour
+        lookups, oracle draws and the hop engine — shares one flat layout.
         """
         csr = self._csr
         if csr is None:
@@ -180,20 +178,13 @@ class OverlayGraph(WalkableGraph):
     def sample_weighted_vertex(self, rng: random.Random) -> ClusterId:
         """A vertex drawn from ``weight(v) / total_weight`` in amortised O(1).
 
-        Consumes exactly one ``rng.random()`` draw against the CSR
-        snapshot's cumulative-weight row (rebuilt lazily after weight
-        mutations), selecting the same vertex the naive rebuild-per-draw
-        implementation would for the same draw.
+        :meth:`CSRLayout.sample_row <repro.walks.csr.CSRLayout.sample_row>`
+        on the current snapshot: one ``rng.random()`` draw against its
+        cumulative-weight row (rebuilt lazily after weight mutations), none
+        on an empty or weightless overlay.
         """
         csr = self.csr()
-        cumulative = csr.cum_weights()
-        if not cumulative:
-            raise ValueError("cannot sample a vertex of an empty graph")
-        total = cumulative[-1]
-        if total <= 0.0:
-            raise ValueError("graph has no positive vertex weight")
-        index = bisect.bisect_right(cumulative, rng.random() * total, 0, len(cumulative) - 1)
-        return csr.vertices[index]
+        return csr.vertices[csr.sample_row(rng)]
 
     # ------------------------------------------------------------------
     # Queries

@@ -39,7 +39,6 @@ from ..baselines import (
 from ..core.engine import EngineConfig, NowEngine
 from ..errors import ConfigurationError
 from ..params import default_parameters
-from ..walks.sampler import WalkMode
 from ..workloads.churn import (
     GrowthWorkload,
     OscillatingWorkload,
@@ -121,15 +120,12 @@ class Scenario:
         """Bootstrap the configured engine (NOW or a named baseline)."""
         params = self.parameters()
         if self.engine == "now":
-            options = dict(self.engine_options)
-            if isinstance(options.get("walk_mode"), str):
-                options["walk_mode"] = WalkMode(options["walk_mode"])
             return NowEngine.bootstrap(
                 params,
                 initial_size=self.initial_size,
                 byzantine_fraction=self.tau,
                 seed=self.seed,
-                config=EngineConfig(**options) if options else None,
+                config=EngineConfig(**self.engine_options),
             )
         if self.engine in BASELINE_ENGINES:
             now_only = set(self.engine_options) & set(EngineConfig.__dataclass_fields__)
@@ -249,12 +245,19 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Scenario":
-        """Build a scenario from its plain-dict form (unknown keys rejected)."""
+        """Build a scenario from its plain-dict form (unknown keys rejected).
+
+        A NOW scenario's ``engine_options`` are checked here too, so a spec
+        naming a retired walk kernel is refused when it is loaded.
+        """
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:
             raise ConfigurationError(f"unknown scenario fields: {sorted(unknown)}")
-        return cls(**data)
+        scenario = cls(**data)
+        if scenario.engine == "now":
+            EngineConfig(**scenario.engine_options)
+        return scenario
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":

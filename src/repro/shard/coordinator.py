@@ -56,6 +56,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..core.engine import EngineConfig
 from ..errors import ConfigurationError
 from ..network.node import NodeRole
 from ..scenarios.bus import DEFAULT_PROBE_BUFFER, ObservationBus, StepRecord, split_probes
@@ -189,6 +190,9 @@ class ShardCoordinator:
                     "checkpoint shard snapshots do not cover shards "
                     f"0..{self.shards - 1}"
                 )
+            for payload in restore.values():
+                # Refuse a retired walk kernel here, not inside a worker.
+                EngineConfig.from_snapshot(payload["engine"]["config"])
         self._transports = []
         self._transport_of: Dict[int, Any] = {}
         for worker in range(self.workers):

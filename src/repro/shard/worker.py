@@ -47,7 +47,6 @@ from ..core.engine import EngineConfig, NowEngine
 from ..core.events import ChurnEvent
 from ..errors import ConfigurationError
 from ..network.node import NodeRole
-from ..walks.sampler import WalkMode
 from .messages import (
     JOIN,
     LEAVE,
@@ -66,12 +65,7 @@ class ShardWorkerError(RuntimeError):
 
 def _shard_engine_config(engine_options: Dict[str, Any]) -> EngineConfig:
     """The scenario's engine options with the per-shard overrides applied."""
-    options = dict(engine_options)
-    if isinstance(options.get("walk_mode"), str):
-        options["walk_mode"] = WalkMode(options["walk_mode"])
-    options["record_history"] = False
-    options["enforce_size_range"] = False
-    return EngineConfig(**options)
+    return EngineConfig(**dict(engine_options, record_history=False, enforce_size_range=False))
 
 
 class _ShardSlot:

@@ -8,10 +8,15 @@ the encoding from the leading bytes, so every frame consumer (``replay``,
 mixed freely.
 
 ``header`` (first frame)
-    ``{"t":"header","f":"repro-trace","v":1,"scenario":{...}|null,
+    ``{"t":"header","f":"repro-trace","v":2,"scenario":{...}|null,
     "engine":"now","index_every":N}`` — identifies the format and carries
     the full scenario spec so ``replay`` can rebuild the engine from the
-    seed alone.
+    seed alone.  Version 2 differs from 1 only in what a spec that leaves
+    ``engine_options.walk_kernel`` unset means: the ``array`` hop engine in
+    v2, the retired ``naive`` one in v1.  A v1 header is read with that
+    meaning spelled out, so a simulated-walk v1 trace names ``naive`` and
+    is refused when its scenario is loaded; an oracle v1 trace, or one that
+    named ``array``, replays as recorded.
 
 ``ev`` (one per applied churn event)
     ``{"t":"ev","i":step,"ts":time_step,"k":"join"|"leave","r":role,
@@ -54,7 +59,10 @@ from ..scenarios.bus import StepRecord
 from .codec import DEFAULT_FLUSH_EVERY, open_codec_writer, read_trace_frames
 
 FORMAT_NAME = "repro-trace"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+#: Versions :class:`TraceReader` accepts (see the header note above for v1).
+READABLE_VERSIONS = (1, FORMAT_VERSION)
 
 #: Default spacing (in applied events) between state-hash index frames.
 DEFAULT_INDEX_EVERY = 200
@@ -220,7 +228,7 @@ class TraceReader:
         header = self.frames[0]
         if header.get("t") != "header" or header.get("f") != FORMAT_NAME:
             raise ConfigurationError(f"{path!r} is not a {FORMAT_NAME} file")
-        if header.get("v") != FORMAT_VERSION:
+        if header.get("v") not in READABLE_VERSIONS:
             raise ConfigurationError(
                 f"unsupported trace version {header.get('v')!r} (expected {FORMAT_VERSION})"
             )
@@ -231,8 +239,18 @@ class TraceReader:
     # ------------------------------------------------------------------
     @property
     def scenario(self) -> Optional[Dict[str, Any]]:
-        """The scenario spec recorded in the header (``None`` when absent)."""
-        return self.header.get("scenario")
+        """The scenario spec recorded in the header (``None`` when absent).
+
+        A v1 spec of simulated walks that left the kernel unset ran on the
+        then-default ``naive`` kernel, and is returned naming it.
+        """
+        scenario = self.header.get("scenario")
+        if self.header["v"] == 1 and scenario is not None:
+            options = scenario.get("engine_options") or {}
+            if options.get("walk_mode") == "simulated" and "walk_kernel" not in options:
+                options = dict(options, walk_kernel="naive")
+                scenario = dict(scenario, engine_options=options)
+        return scenario
 
     def events(self) -> Iterator[Dict[str, Any]]:
         """Iterate over event frames in order."""

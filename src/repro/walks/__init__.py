@@ -10,23 +10,18 @@ biased so that the endpoint cluster ``C`` is selected with probability
 This package provides:
 
 * :mod:`repro.walks.interface`  — the minimal graph interface walks need,
-* :mod:`repro.walks.csr`        — the flat CSR snapshot the fast paths index,
-* :mod:`repro.walks.kernel`     — the batched array hop engine (numpy backend
-  plus a pure-python fallback), selected via ``engine_options.walk_kernel``,
-* :mod:`repro.walks.ctrw`       — continuous random walks (exponential holding
-  times, uniform neighbour choice) and their discrete skeletons,
-* :mod:`repro.walks.biased`     — the biased CTRW of the paper (Metropolis
-  filter towards the ``|C|/n`` distribution, restart loop),
+* :mod:`repro.walks.csr`        — the flat CSR snapshot the hop engine indexes,
+* :mod:`repro.walks.kernel`     — the hop engine: plain and biased CTRWs in
+  batches (numpy backend plus a pure-python fallback),
 * :mod:`repro.walks.mixing`     — mixing-time and total-variation estimation,
-* :mod:`repro.walks.sampler`    — node- and cluster-level uniform samplers
-  built on the walks, with an "oracle" mode for long simulations.
+* :mod:`repro.walks.sampler`    — the cluster sampler ``randCl`` draws from,
+  walking through the hop engine or, in "oracle" mode for long simulations,
+  drawing from the walk's stationary law.
 """
 
 from .interface import WalkableGraph, MappingGraph
 from .csr import CSRLayout
-from .kernel import ArrayKernel, KERNEL_NAMES, resolve_kernel_name
-from .ctrw import ContinuousRandomWalk, WalkResult
-from .biased import BiasedClusterWalk, BiasedWalkOutcome
+from .kernel import ArrayKernel, resolve_kernel_name
 from .mixing import total_variation_distance, empirical_distribution, estimate_mixing_time
 from .sampler import ClusterSampler, SampleOutcome, WalkMode
 
@@ -35,12 +30,7 @@ __all__ = [
     "MappingGraph",
     "CSRLayout",
     "ArrayKernel",
-    "KERNEL_NAMES",
     "resolve_kernel_name",
-    "ContinuousRandomWalk",
-    "WalkResult",
-    "BiasedClusterWalk",
-    "BiasedWalkOutcome",
     "total_variation_distance",
     "empirical_distribution",
     "estimate_mixing_time",

@@ -1,6 +1,6 @@
 """Contiguous CSR snapshot of a walkable graph.
 
-The walk kernels (:mod:`repro.walks.kernel`) advance many concurrent walks
+The hop engine (:mod:`repro.walks.kernel`) advances many concurrent walks
 per step, which needs the graph in a flat, indexable form rather than a
 dict-of-sets: :class:`CSRLayout` is that form — the classic compressed
 sparse row layout (``indptr``/``indices``) over the graph's sorted vertex
@@ -9,7 +9,8 @@ enumeration, augmented with the derived rows every hop reads:
 * ``inv_degree`` — cached degree reciprocals, so an ``Exp(d)`` holding time
   is one multiply of a unit exponential (``Exp(d) = Exp(1) / d``);
 * ``weights`` and a lazily rebuilt cumulative-weight row, backing both the
-  biased walk's acceptance test and the stationary-law (oracle) draw.
+  biased walk's acceptance test and the stationary-law (oracle) draw
+  :meth:`CSRLayout.sample_row`.
 
 Rows are *row indices*, not vertex ids: ``indices`` stores the neighbour's
 row so a hop never leaves integer-array space; :attr:`CSRLayout.vertices`
@@ -175,13 +176,14 @@ class CSRLayout:
             self._cum = cum
         return cum
 
-    def sample_row(self, draw: float) -> int:
-        """The row selected by one uniform ``draw`` under the stationary law.
+    def sample_row(self, rng) -> int:
+        """The row one ``rng.random()`` draw selects under the stationary law.
 
-        Exactly the pre-CSR cached-table semantics: one binary search over
-        the cumulative row, same bisection bounds, so the same draw selects
-        the same vertex the previous implementation (and the naive
-        rebuild-per-draw one) would.
+        One binary search over the cumulative row, with the bisection bounds
+        of :meth:`random.Random.choices`, so the same draw selects the same
+        vertex a rebuild-per-draw weighted choice would.  An empty or
+        weightless layout raises ``ValueError`` before drawing, leaving
+        ``rng`` untouched.
         """
         cum = self.cum_weights()
         if not cum:
@@ -189,7 +191,7 @@ class CSRLayout:
         total = cum[-1]
         if total <= 0.0:
             raise ValueError("graph has no positive vertex weight")
-        return bisect.bisect_right(cum, draw * total, 0, len(cum) - 1)
+        return bisect.bisect_right(cum, rng.random() * total, 0, len(cum) - 1)
 
     # ------------------------------------------------------------------
     # Numpy views

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Sequence
 
 from ..rng import choice_weighted
 from .csr import CSRLayout
@@ -41,8 +41,7 @@ class WalkableGraph(abc.ABC):
         """Whether ``vertex`` is in the graph.
 
         The default implementation scans :meth:`vertices`; concrete graphs
-        backed by a mapping override it with an O(1) membership test — the
-        walk machinery checks every start vertex, so this is on the hot path.
+        backed by a mapping override it with an O(1) membership test.
         """
         return vertex in self.vertices()
 
@@ -50,19 +49,8 @@ class WalkableGraph(abc.ABC):
         """Number of neighbours of ``vertex``."""
         return len(self.neighbours(vertex))
 
-    def neighbour_table(self, vertex: Vertex) -> Tuple[Vertex, ...]:
-        """The neighbours of ``vertex`` as a reusable tuple.
-
-        Walks call this once per hop; implementations that can cache the
-        tuple (invalidating it on edge mutations) override this so a hop
-        costs O(1) instead of materialising a fresh neighbour list.  The
-        tuple must enumerate neighbours in the same order as
-        :meth:`neighbours`.
-        """
-        return tuple(self.neighbours(vertex))
-
     def csr(self) -> CSRLayout:
-        """A CSR snapshot of the graph for the batched walk kernels.
+        """A CSR snapshot of the graph for the hop engine.
 
         The default keys one cached :class:`~repro.walks.csr.CSRLayout` on
         the graph's ``version`` attribute when it has one (rebuilding after
@@ -141,11 +129,6 @@ class MappingGraph(WalkableGraph):
         missing = set(self._adjacency) - set(self._weights)
         if missing:
             raise ValueError(f"weights missing for vertices: {sorted(missing)!r}")
-        # The adjacency is fixed at construction, so the hop tables can be
-        # precomputed once and handed out without per-hop copies.
-        self._tables: Dict[Vertex, tuple] = {
-            vertex: tuple(neighbours) for vertex, neighbours in self._adjacency.items()
-        }
 
     def vertices(self) -> Sequence[Vertex]:
         return list(self._adjacency.keys())
@@ -155,9 +138,6 @@ class MappingGraph(WalkableGraph):
 
     def neighbours(self, vertex: Vertex) -> Sequence[Vertex]:
         return list(self._adjacency.get(vertex, ()))
-
-    def neighbour_table(self, vertex: Vertex) -> tuple:
-        return self._tables.get(vertex, ())
 
     def degree(self, vertex: Vertex) -> int:
         return len(self._adjacency.get(vertex, ()))

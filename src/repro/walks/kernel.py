@@ -1,13 +1,18 @@
-"""Batched array walk kernel over the CSR graph layout.
+"""The hop engine: every simulated walk, batched over the CSR graph layout.
 
-The naive walk implementations in :mod:`repro.walks.ctrw` advance one walk
-at a time, paying python-interpreter overhead per hop (a ``randrange`` call,
-a tuple index, a buffer pop).  :class:`ArrayKernel` replaces that hot loop
-with batched hop selection over a :class:`~repro.walks.csr.CSRLayout`: all
-concurrent walks of a sampling round advance together, one vectorised step
-per hop generation — bulk unit exponentials scaled by the cached degree
-reciprocals for the holding times (``Exp(d) = Exp(1) / d``), and hop
-targets picked straight out of the flat ``indices`` row by offset
+A continuous-time random walk holds at a vertex of degree ``d`` for an
+``Exp(d)`` time, then jumps to a uniformly chosen neighbour, until its
+duration is spent (on an irregular graph its stationary law is uniform over
+vertices, which is why the paper walks in continuous time).  The biased walk
+behind ``randCl`` (§3.1) chains such segments: at a segment's end cluster
+``C`` it accepts with probability ``|C| / max |C'|`` and otherwise restarts
+from ``C``, turning the uniform law into ``|C| / n``.
+
+:class:`ArrayKernel` runs both over a :class:`~repro.walks.csr.CSRLayout`:
+all concurrent walks of a sampling round advance together, one step per hop
+generation — bulk unit exponentials scaled by the cached degree reciprocals
+for the holding times (``Exp(d) = Exp(1) / d``), and hop targets picked
+straight out of the flat ``indices`` row by offset
 (``indices[indptr[pos] + floor(u * deg)]``; with uniform neighbour choice
 the weighted-row ``searchsorted`` generalisation collapses to this single
 gather).
@@ -24,10 +29,9 @@ Two backends share the same code paths and on-disk state format:
 Batches smaller than :data:`MIN_VECTOR_BATCH` also take the scalar CSR path
 on the numpy backend: per-step numpy dispatch overhead swamps the win below
 a few dozen concurrent walks (an exchange round batches one walk per
-cluster member), while the scalar path still beats the naive loop by
-reading pre-drawn uniforms from the bulk buffers.  The path choice depends
-only on batch size and backend, never on drawn values, so it is
-deterministic.
+cluster member), while the scalar path still reads pre-drawn uniforms from
+the bulk buffers.  The path choice depends only on batch size and backend,
+never on drawn values, so it is deterministic.
 
 Determinism contract (``repro.trace``): the kernel owns its *own* RNG
 stream, seeded lazily from the parent (engine) stream via one
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Hashable, List, Sequence, Tuple
+from typing import Hashable, List, Sequence
 
 from ..errors import ConfigurationError, WalkError
 from ..rng import rng_state_from_json, rng_state_to_json
@@ -56,9 +60,6 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 
 Vertex = Hashable
 
-#: The walk kernel implementations selectable via ``engine_options.walk_kernel``.
-KERNEL_NAMES: Tuple[str, ...] = ("naive", "array")
-
 #: Randomness is generated into buffers of this many values per refill.
 _REFILL = 4096
 
@@ -69,13 +70,22 @@ _REFILL = 4096
 MIN_VECTOR_BATCH = 64
 
 
-def resolve_kernel_name(name) -> str:
-    """Validate a ``walk_kernel`` option value; returns the canonical name."""
-    if isinstance(name, str) and name in KERNEL_NAMES:
-        return name
-    raise ConfigurationError(
-        f"unknown walk kernel {name!r}; expected one of {', '.join(KERNEL_NAMES)}"
-    )
+def resolve_kernel_name(name, simulated: bool) -> str:
+    """Validate a ``walk_kernel`` option value; the one kernel is ``"array"``.
+
+    ``"naive"`` names the retired per-hop loop, which drew from the engine
+    stream: a simulated run recorded on it cannot be reproduced, so it is
+    refused by name.  Without simulated walks the option never selected
+    anything, so there it reads as ``"array"``.
+    """
+    if name == "array" or (name == "naive" and not simulated):
+        return "array"
+    if name == "naive":
+        raise ConfigurationError(
+            "walk kernel 'naive' was retired: simulated walks run on the 'array' "
+            "kernel, and a run recorded on the naive kernel cannot be reproduced"
+        )
+    raise ConfigurationError(f"unknown walk kernel {name!r}; expected 'array'")
 
 
 class ArrayKernel:
@@ -193,10 +203,10 @@ class ArrayKernel:
     def run_ctrw_batch(self, starts: Sequence[Vertex], duration: float) -> List[tuple]:
         """One CTRW of ``duration`` from each start; ``(endpoint, hops, elapsed)``.
 
-        Distributionally identical to the naive per-hop simulation (exact
-        exponential holding times, uniform neighbour choice); only the order
-        in which the private stream's draws are consumed differs between the
-        scalar and vectorised paths.
+        An exact simulation of the continuous process (exponential holding
+        times, uniform neighbour choice); only the order in which the
+        private stream's draws are consumed differs between the scalar and
+        vectorised paths.
         """
         if duration < 0:
             raise WalkError("walk duration must be non-negative")
@@ -295,10 +305,11 @@ class ArrayKernel:
         """One biased CTRW from each start (the ``randCl`` rejection loop).
 
         Returns ``(cluster, hops, restarts, acceptance_tests, truncated)``
-        tuples matching :class:`~repro.walks.biased.BiasedWalkOutcome`
-        semantics: CTRW segments of ``segment_duration`` each, endpoint
-        accepted with probability ``weight / max_weight``, truncation after
-        ``max_restarts`` rejected segments.
+        tuples: CTRW segments of ``segment_duration`` each, endpoint accepted
+        with probability ``weight / max_weight``, truncation (the last
+        endpoint accepted unconditionally) after ``max_restarts`` rejected
+        segments.  Every segment ends in one acceptance test, so
+        ``acceptance_tests == restarts``.
         """
         if segment_duration <= 0:
             raise WalkError("segment duration must be positive")
@@ -378,7 +389,7 @@ class ArrayKernel:
             base = indptr[p]
             degree = indptr[p + 1] - base
             # Isolated vertices end their segment immediately (no holding
-            # time is drawn), exactly like the scalar/naive loop.
+            # time is drawn), exactly like the scalar path.
             segment_over = degree == 0
             active = _np.nonzero(~segment_over)[0]
             if active.size:

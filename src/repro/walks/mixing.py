@@ -13,8 +13,8 @@ import random
 from typing import Dict, Hashable, Mapping, Optional
 
 from ..errors import WalkError
-from .ctrw import ContinuousRandomWalk
 from .interface import WalkableGraph
+from .kernel import ArrayKernel
 
 Vertex = Hashable
 
@@ -52,10 +52,8 @@ def empirical_endpoint_distribution(
     samples: int,
 ) -> Dict[Vertex, float]:
     """Empirical CTRW endpoint distribution from ``samples`` independent walks."""
-    walker = ContinuousRandomWalk(graph, rng)
     histogram: Dict[Vertex, int] = {}
-    for _ in range(samples):
-        endpoint = walker.run(start, duration).endpoint
+    for endpoint, _, _ in ArrayKernel(graph, rng).run_ctrw_batch([start] * samples, duration):
         histogram[endpoint] = histogram.get(endpoint, 0) + 1
     return empirical_distribution(histogram)
 

@@ -5,8 +5,9 @@ distributed according to ``|C| / n`` and reports how much walking it took.
 :class:`ClusterSampler` provides that entry point with two modes:
 
 * ``WalkMode.SIMULATED`` — actually runs the biased CTRW hop by hop on the
-  overlay.  This is the faithful execution used to validate uniformity (E10)
-  and to measure per-hop costs.
+  overlay, through the hop engine :class:`~repro.walks.kernel.ArrayKernel`.
+  This is the faithful execution used to validate uniformity (E10) and to
+  measure per-hop costs.
 * ``WalkMode.ORACLE`` — draws the cluster directly from the walk's target
   distribution ``|C| / n`` and reports the *expected* hop/restart counts of
   the simulated walk.  Long churn experiments (hundreds of thousands of
@@ -26,9 +27,8 @@ from dataclasses import dataclass
 from typing import Hashable, List, Optional, Sequence
 
 from ..errors import WalkError
-from .biased import BiasedClusterWalk
 from .interface import WalkableGraph
-from .kernel import resolve_kernel_name
+from .kernel import ArrayKernel
 
 Vertex = Hashable
 
@@ -86,17 +86,15 @@ class ClusterSampler:
         segment_duration: float,
         mode: WalkMode = WalkMode.SIMULATED,
         max_restarts: int = 64,
-        kernel: str = "naive",
     ) -> None:
         self._graph = graph
         self._rng = rng
         self._segment_duration = float(segment_duration)
         self._mode = mode
         self._max_restarts = max_restarts
-        self._kernel_name = resolve_kernel_name(kernel)
-        # Constructed lazily and reused across samples (the biased walk in
-        # turn reuses one CTRW and its bulk exponential buffer).
-        self._walk: Optional[BiasedClusterWalk] = None
+        # The hop engine of simulated walks, created on first use; it seeds
+        # its private stream from ``rng`` lazily, at its first walk.
+        self._kernel: Optional[ArrayKernel] = None
         # Expected-effort cache, keyed on the graph's mutation version (when
         # it exposes one) and the segment duration.
         self._effort_key: Optional[tuple] = None
@@ -108,84 +106,59 @@ class ClusterSampler:
         return self._mode
 
     @property
-    def kernel_name(self) -> str:
-        """The selected walk kernel (``naive`` or ``array``)."""
-        return self._kernel_name
-
-    @property
     def graph(self) -> WalkableGraph:
         """The graph this sampler draws from."""
         return self._graph
 
     def configure(self, segment_duration: float, max_restarts: int) -> None:
         """Update the walk parameters in place (lets callers reuse one sampler)."""
-        segment_duration = float(segment_duration)
-        if segment_duration == self._segment_duration and max_restarts == self._max_restarts:
-            return
-        self._segment_duration = segment_duration
+        self._segment_duration = float(segment_duration)
         self._max_restarts = max_restarts
-        if self._walk is not None:
-            self._walk.configure(segment_duration, max_restarts)
 
     def sample(self, start: Vertex) -> SampleOutcome:
         """Sample one cluster, starting the walk from ``start``."""
         if self._mode is WalkMode.SIMULATED:
-            return self._sample_simulated(start)
+            return self.sample_many([start])[0]
         return self._sample_oracle(start)
 
     def sample_many(self, starts: Sequence[Vertex]) -> List[SampleOutcome]:
         """Sample one cluster per start vertex (in ``starts`` order).
 
-        In simulated mode with the array kernel the whole batch advances in
-        lockstep through the CSR hop engine; otherwise this is a sequential
-        loop with semantics identical to calling :meth:`sample` repeatedly.
+        In simulated mode the whole batch advances in lockstep through the
+        hop engine; in oracle mode this is a sequential loop of :meth:`sample`
+        draws on the caller's stream.
         """
-        if self._mode is WalkMode.SIMULATED:
-            outcomes = self._ensure_walk().run_batch(starts)
-            return [
-                SampleOutcome(
-                    cluster=outcome.cluster,
-                    hops=outcome.hops,
-                    restarts=outcome.restarts,
-                    mode=WalkMode.SIMULATED,
-                    truncated=outcome.truncated,
-                )
-                for outcome in outcomes
-            ]
-        return [self._sample_oracle(start) for start in starts]
-
-    # ------------------------------------------------------------------
-    # Simulated mode
-    # ------------------------------------------------------------------
-    def _ensure_walk(self) -> BiasedClusterWalk:
-        walk = self._walk
-        if walk is None:
-            walk = BiasedClusterWalk(
-                self._graph,
-                self._rng,
-                segment_duration=self._segment_duration,
-                max_restarts=self._max_restarts,
-                kernel=self._kernel_name,
-            )
-            self._walk = walk
-        return walk
-
-    def _sample_simulated(self, start: Vertex) -> SampleOutcome:
-        outcome = self._ensure_walk().run(start)
-        return SampleOutcome(
-            cluster=outcome.cluster,
-            hops=outcome.hops,
-            restarts=outcome.restarts,
-            mode=WalkMode.SIMULATED,
-            truncated=outcome.truncated,
+        if self._mode is not WalkMode.SIMULATED:
+            return [self._sample_oracle(start) for start in starts]
+        if not starts:
+            return []
+        outcomes = self._ensure_kernel().run_biased_batch(
+            starts, self._segment_duration, self._max_restarts
         )
+        return [
+            SampleOutcome(
+                cluster=cluster,
+                hops=hops,
+                restarts=restarts,
+                mode=WalkMode.SIMULATED,
+                truncated=truncated,
+            )
+            for cluster, hops, restarts, _, truncated in outcomes
+        ]
+
+    def _ensure_kernel(self) -> ArrayKernel:
+        kernel = self._kernel
+        if kernel is None:
+            kernel = ArrayKernel(self._graph, self._rng)
+            self._kernel = kernel
+        return kernel
 
     # ------------------------------------------------------------------
     # Oracle mode
     # ------------------------------------------------------------------
     def _sample_oracle(self, start: Vertex) -> SampleOutcome:
         # The graph's cached cumulative-weight table makes this an O(1)
-        # binary-search draw; the naive list rebuild only happens on graphs
+        # binary-search draw; the per-draw list rebuild only happens on graphs
         # without the cache (the WalkableGraph default).
         try:
             cluster = self._graph.sample_weighted_vertex(self._rng)
@@ -220,20 +193,11 @@ class ClusterSampler:
     # ------------------------------------------------------------------
     # Checkpoint serialisation (repro.trace)
     # ------------------------------------------------------------------
-    def snapshot_walk_state(self) -> dict:
-        """Full RNG-derived walk state: exponential buffer + kernel state."""
-        if self._walk is None:
-            return {"exp_buffer": [], "kernel": None}
-        return self._walk.snapshot_walk_state()
+    def snapshot_walk_state(self) -> Optional[dict]:
+        """The hop engine's stream and buffers (``None`` before its first use)."""
+        return self._kernel.snapshot_state() if self._kernel is not None else None
 
-    def restore_walk_state(self, data: dict) -> None:
-        """Restore a snapshot taken by :meth:`snapshot_walk_state`.
-
-        A no-op when the snapshot holds no state, so an oracle-mode or
-        never-walked sampler is not instantiated eagerly.
-        """
-        if not data:
-            return
-        if not data.get("exp_buffer") and not data.get("kernel"):
-            return
-        self._ensure_walk().restore_walk_state(data)
+    def restore_walk_state(self, data: Optional[dict]) -> None:
+        """Restore a snapshot taken by :meth:`snapshot_walk_state`."""
+        if data is not None:
+            self._ensure_kernel().restore_state(data)

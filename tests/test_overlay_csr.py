@@ -148,16 +148,35 @@ class TestSnapshotLifecycle:
         csr = graph.csr()
         for _ in range(200):
             picked = graph.sample_weighted_vertex(rng_a)
-            assert picked == csr.vertices[csr.sample_row(rng_b.random())]
+            assert picked == csr.vertices[csr.sample_row(rng_b)]
+            assert rng_a.getstate() == rng_b.getstate()
 
     def test_sample_row_error_paths(self):
+        """An empty or weightless layout raises before drawing anything."""
+        rng = random.Random(5)
+        before = rng.getstate()
         empty = OverlayGraph()
         with pytest.raises(ValueError):
-            CSRLayout.build(empty).sample_row(0.5)
+            CSRLayout.build(empty).sample_row(rng)
+        with pytest.raises(ValueError):
+            empty.sample_weighted_vertex(rng)
         zero = OverlayGraph()
         zero.add_vertex(0, weight=0.0)
         with pytest.raises(ValueError):
-            zero.csr().sample_row(0.5)
+            zero.csr().sample_row(rng)
+        with pytest.raises(ValueError):
+            zero.sample_weighted_vertex(rng)
+        assert rng.getstate() == before
+
+
+class _FixedDraw:
+    """An rng whose one ``random()`` draw is given."""
+
+    def __init__(self, draw: float) -> None:
+        self._draw = draw
+
+    def random(self) -> float:
+        return self._draw
 
 
 class CSRConsistencyMachine(RuleBasedStateMachine):
@@ -218,7 +237,7 @@ class CSRConsistencyMachine(RuleBasedStateMachine):
     def sample(self, draw):
         csr = self.graph.csr()
         if csr.cum_weights() and csr.cum_weights()[-1] > 0:
-            row = csr.sample_row(draw)
+            row = csr.sample_row(_FixedDraw(draw))
             assert 0 <= row < len(csr)
 
     @invariant()

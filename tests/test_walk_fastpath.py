@@ -10,9 +10,10 @@ Two families of guarantees:
   RNG stream.
 
 * **Distributional equivalence** (chi-square): fast-path sampling — the
-  cached-table oracle draw and the buffered/batched CTRW — is statistically
-  indistinguishable from the naive implementations and from the analytic
-  target distributions, including after overlay mutations.
+  cached-table oracle draw and the batched hop engine — is statistically
+  indistinguishable from the per-hop reference walk (``reference_walk``)
+  and from the analytic target distributions, including after overlay
+  mutations.
 
 The chi-square critical values use the Wilson–Hilferty approximation at a
 conservative significance (p ≈ 0.001) so the randomised tests stay stable
@@ -25,15 +26,15 @@ import bisect
 import math
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.overlay.graph import OverlayGraph
-from repro.walks.biased import BiasedClusterWalk
-from repro.walks.ctrw import ContinuousRandomWalk
 from repro.walks.interface import MappingGraph
+from repro.walks.kernel import ArrayKernel
 from repro.walks.sampler import ClusterSampler, WalkMode
+
+from reference_walk import reference_ctrw
 
 
 # ----------------------------------------------------------------------
@@ -201,10 +202,11 @@ class TestDistributionEquivalence:
         assert statistic < chi_square_critical(len(counts) - 1)
 
     def test_batched_walks_match_plain_walks(self):
-        """run_many endpoints are chi-square-indistinguishable from run() endpoints.
+        """Hop-engine endpoints are chi-square-indistinguishable from per-hop walks.
 
-        Two-sample chi-square over the endpoint histograms of the batched
-        (bulk-exponential) and the plain per-hop walk on the same graph.
+        Two-sample chi-square over the endpoint histograms of one kernel
+        batch (bulk exponentials) and the plain per-hop reference walk on the
+        same graph — a :class:`MappingGraph`, i.e. the default CSR path.
         """
         adjacency = {i: [(i - 1) % 6, (i + 1) % 6] for i in range(6)}
         adjacency[0].append(3)
@@ -212,14 +214,14 @@ class TestDistributionEquivalence:
         graph = MappingGraph(adjacency)
         samples = 4000
         duration = 6.0
-        plain_walk = ContinuousRandomWalk(graph, random.Random(101))
+        plain_rng = random.Random(101)
         plain_counts = {v: 0 for v in graph.vertices()}
         for _ in range(samples):
-            plain_counts[plain_walk.run(0, duration).endpoint] += 1
-        batched_walk = ContinuousRandomWalk(graph, random.Random(202))
+            plain_counts[reference_ctrw(graph, plain_rng, 0, duration)[0]] += 1
+        kernel = ArrayKernel(graph, random.Random(202))
         batched_counts = {v: 0 for v in graph.vertices()}
-        for result in batched_walk.run_many([0] * samples, duration):
-            batched_counts[result.endpoint] += 1
+        for endpoint, _, _ in kernel.run_ctrw_batch([0] * samples, duration):
+            batched_counts[endpoint] += 1
         statistic = 0.0
         for vertex in graph.vertices():
             first, second = plain_counts[vertex], batched_counts[vertex]
@@ -228,34 +230,16 @@ class TestDistributionEquivalence:
         assert statistic < chi_square_critical(len(plain_counts) - 1)
 
     def test_biased_walk_on_overlay_matches_target(self):
-        """The full simulated fast path still targets |C|/n on the overlay."""
+        """One-at-a-time simulated samples (scalar path) target |C|/n on the overlay."""
         graph = seeded_overlay(vertices=6, seed=7)
-        walk = BiasedClusterWalk(graph, random.Random(31), segment_duration=25.0)
+        sampler = ClusterSampler(graph, random.Random(31), segment_duration=25.0)
         samples = 4000
         counts = {vertex: 0 for vertex in graph.vertices()}
         for _ in range(samples):
-            counts[walk.run(0).cluster] += 1
+            counts[sampler.sample(0).cluster] += 1
         target = graph.target_distribution()
         statistic = chi_square_statistic(
             [counts[v] for v in sorted(counts)],
             [samples * target[v] for v in sorted(counts)],
         )
         assert statistic < chi_square_critical(len(counts) - 1)
-
-    def test_run_many_validates_inputs(self):
-        graph = MappingGraph({0: [1], 1: [0]})
-        walk = ContinuousRandomWalk(graph, random.Random(1))
-        from repro.errors import WalkError
-
-        with pytest.raises(WalkError):
-            walk.run_many([0, 99], duration=1.0)
-        with pytest.raises(WalkError):
-            walk.run_many([0], duration=-1.0)
-        assert walk.run_many([], duration=1.0) == []
-
-    def test_run_many_isolated_vertex(self):
-        graph = MappingGraph({0: [], 1: [2], 2: [1]})
-        walk = ContinuousRandomWalk(graph, random.Random(1))
-        results = walk.run_many([0, 1], duration=5.0)
-        assert results[0].endpoint == 0 and results[0].hops == 0
-        assert results[1].hops > 0

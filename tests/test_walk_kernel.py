@@ -1,13 +1,20 @@
-"""Property tests for the batched CSR walk kernel (``repro.walks.kernel``).
+"""Property tests for the hop engine (``repro.walks.kernel``).
 
-Three families of guarantees pin the kernel to the naive walk machinery:
+Four families of guarantees:
 
-* **Distributional equivalence** (chi-square): batched CTRW endpoints and
+* **The one kernel.** ``walk_kernel`` has one value, ``array``.  The retired
+  ``naive`` value is refused by name wherever walks are simulated — at spec
+  load, at :class:`~repro.core.engine.EngineConfig`, at checkpoint restore,
+  and for a v1 trace whose simulated spec left the kernel unset (the v1
+  default) — and read as ``array`` under oracle walks, where it never
+  selected anything.
+
+* **Distributional pinning** (chi-square): batched CTRW endpoints and
   biased-walk cluster picks from :class:`ArrayKernel` are statistically
-  indistinguishable from the naive per-hop implementations and from the
-  analytic ``|C|/n`` target — on static graphs, after mutations, on both
-  the numpy and the pure-python backend, and across the scalar/vector path
-  split at ``MIN_VECTOR_BATCH``.
+  indistinguishable from the per-hop reference walk (``reference_walk``)
+  and from the analytic ``|C|/n`` target — on static graphs, after
+  mutations, on both the numpy and the pure-python backend, and across the
+  scalar/vector path split at ``MIN_VECTOR_BATCH``.
 
 * **Bit-exact checkpointing**: the kernel's private stream and pre-drawn
   buffers survive a JSON round trip; a restored kernel reproduces the
@@ -15,28 +22,31 @@ Three families of guarantees pin the kernel to the naive walk machinery:
   parent (engine) stream.
 
 * **Resume equals uninterrupted** at the engine level: a run recorded with
-  ``engine_options={"walk_kernel": "array"}``, checkpointed and resumed,
-  lands on the same state hash as the straight-through run — for both walk
-  modes, property-tested over random cut points.
+  simulated walks, checkpointed and resumed, lands on the same state hash
+  as the straight-through run — for both walk modes, property-tested over
+  random cut points.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import NowEngine
+from repro.core.engine import EngineConfig, NowEngine
+from repro.core.randcl import RandCl
 from repro.errors import ConfigurationError, WalkError
-from repro.walks import ArrayKernel, KERNEL_NAMES, resolve_kernel_name
-from repro.walks.biased import BiasedClusterWalk
-from repro.walks.ctrw import ContinuousRandomWalk
+from repro.scenarios import Scenario
+from repro.trace import record_scenario, resume_from_checkpoint
+from repro.walks import ArrayKernel, resolve_kernel_name
 from repro.walks.kernel import MIN_VECTOR_BATCH, _np
 from repro.walks.sampler import ClusterSampler, WalkMode
 
+from reference_walk import reference_biased_walk, reference_ctrw
 from test_trace_checkpoint import run_split, run_straight, small_scenario
 from test_walk_fastpath import (
     apply_operations,
@@ -45,10 +55,26 @@ from test_walk_fastpath import (
     seeded_overlay,
 )
 
+#: Traces recorded by the v1 trace format, before the kernel was retired: a
+#: simulated-walk run on the then-default ``naive`` kernel, and an oracle run.
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+V1_NAIVE_TRACE = os.path.join(FIXTURES, "trace-v1-simulated-naive.jsonl")
+V1_ORACLE_TRACE = os.path.join(FIXTURES, "trace-v1-oracle.jsonl")
+
+SIMULATED_NAIVE = {"walk_mode": "simulated", "walk_kernel": "naive"}
+
 #: Both backends where numpy is installed, the fallback alone otherwise.
 BACKENDS = ("numpy", "python") if _np is not None else ("python",)
 
 requires_numpy = pytest.mark.skipif(_np is None, reason="numpy not installed")
+
+
+def reference_endpoint_counts(graph, rng, samples: int, duration: float) -> dict:
+    """Endpoint histogram of ``samples`` reference CTRWs from vertex 0."""
+    counts = {v: 0 for v in graph.vertices()}
+    for _ in range(samples):
+        counts[reference_ctrw(graph, rng, 0, duration)[0]] += 1
+    return counts
 
 
 def two_sample_statistic(first_counts, second_counts, keys) -> float:
@@ -65,30 +91,50 @@ def two_sample_statistic(first_counts, second_counts, keys) -> float:
 # ----------------------------------------------------------------------
 class TestKernelSelection:
     def test_known_names_resolve(self):
-        assert KERNEL_NAMES == ("naive", "array")
-        for name in KERNEL_NAMES:
-            assert resolve_kernel_name(name) == name
+        for simulated in (True, False):
+            assert resolve_kernel_name("array", simulated) == "array"
+        assert resolve_kernel_name("naive", simulated=False) == "array"
 
     @pytest.mark.parametrize("bogus", ["fast", "", None, 3, "ARRAY"])
     def test_unknown_names_rejected(self, bogus):
-        with pytest.raises(ConfigurationError):
-            resolve_kernel_name(bogus)
+        for simulated in (True, False):
+            with pytest.raises(ConfigurationError):
+                resolve_kernel_name(bogus, simulated)
 
-    def test_kernel_name_threads_through_walk_stack(self):
-        graph = seeded_overlay()
-        rng = random.Random(1)
-        assert ContinuousRandomWalk(graph, rng, kernel="array").kernel_name == "array"
-        walk = BiasedClusterWalk(graph, rng, segment_duration=4.0, kernel="array")
-        assert walk.kernel_name == "array"
-        sampler = ClusterSampler(graph, rng, segment_duration=4.0, kernel="array")
-        assert sampler.kernel_name == "array"
+    def test_naive_refused_by_name_under_simulated_walks(self):
+        with pytest.raises(ConfigurationError, match="naive"):
+            resolve_kernel_name("naive", simulated=True)
+
+    def test_engine_config_refuses_naive_under_simulated_walks(self):
+        with pytest.raises(ConfigurationError, match="naive"):
+            EngineConfig(**SIMULATED_NAIVE)
+        with pytest.raises(ConfigurationError, match="naive"):
+            EngineConfig(walk_mode=WalkMode.SIMULATED, walk_kernel="naive")
+
+    def test_engine_config_takes_spec_options_as_given(self):
+        """String walk modes are coerced; ``naive`` under oracle reads ``array``."""
+        config = EngineConfig(walk_mode="oracle", walk_kernel="naive")
+        assert config.walk_mode is WalkMode.ORACLE
+        assert config.walk_kernel == "array"
+        assert EngineConfig(walk_mode="simulated").walk_mode is WalkMode.SIMULATED
+        assert EngineConfig().walk_kernel == "array"
+
+    def test_spec_load_refuses_naive_under_simulated_walks(self):
+        data = small_scenario(steps=5).to_dict()
+        data["engine_options"] = dict(SIMULATED_NAIVE)
+        with pytest.raises(ConfigurationError, match="naive"):
+            Scenario.from_dict(data)
+        data["engine_options"] = {"walk_mode": "oracle", "walk_kernel": "naive"}
+        engine = Scenario.from_dict(data).build_engine()
+        assert engine.config.walk_kernel == "array"
 
     def test_walk_constructors_reject_unknown_kernel(self):
-        graph = seeded_overlay()
+        state = small_scenario(steps=5).build_engine().state
         with pytest.raises(ConfigurationError):
-            ContinuousRandomWalk(graph, random.Random(1), kernel="simd")
-        with pytest.raises(ConfigurationError):
-            ClusterSampler(graph, random.Random(1), segment_duration=4.0, kernel="simd")
+            RandCl(state, walk_kernel="simd")
+        with pytest.raises(ConfigurationError, match="naive"):
+            RandCl(state, walk_mode=WalkMode.SIMULATED, walk_kernel="naive")
+        RandCl(state, walk_kernel="naive")  # oracle walks: accepted
 
     def test_engine_rejects_unknown_kernel_at_bootstrap(self):
         scenario = small_scenario(steps=5, engine_options={"walk_kernel": "simd"})
@@ -118,25 +164,22 @@ class TestKernelSelection:
 # ----------------------------------------------------------------------
 class TestDistributionPinning:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_ctrw_batch_matches_naive_endpoints(self, backend):
-        """Batched kernel CTRWs and naive run() walks agree on the endpoint law."""
+    def test_ctrw_batch_matches_reference_endpoints(self, backend):
+        """Batched kernel CTRWs and per-hop reference walks agree on the endpoint law."""
         graph = seeded_overlay(vertices=6, seed=7)
         samples, duration = 4000, 6.0
-        naive = ContinuousRandomWalk(graph, random.Random(101))
-        naive_counts = {v: 0 for v in graph.vertices()}
-        for _ in range(samples):
-            naive_counts[naive.run(0, duration).endpoint] += 1
+        reference_counts = reference_endpoint_counts(graph, random.Random(101), samples, duration)
         kernel = ArrayKernel(graph, random.Random(202), backend=backend)
         kernel_counts = {v: 0 for v in graph.vertices()}
         for endpoint, hops, elapsed in kernel.run_ctrw_batch([0] * samples, duration):
             kernel_counts[endpoint] += 1
             assert 0.0 <= elapsed <= duration
             assert hops >= 0
-        statistic = two_sample_statistic(naive_counts, kernel_counts, graph.vertices())
+        statistic = two_sample_statistic(reference_counts, kernel_counts, graph.vertices())
         assert statistic < chi_square_critical(len(graph) - 1)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_ctrw_batch_matches_naive_after_mutations(self, backend):
+    def test_ctrw_batch_matches_reference_after_mutations(self, backend):
         """The kernel reads the rebuilt CSR after churn, not a stale snapshot."""
         graph = seeded_overlay(vertices=7, seed=11)
         kernel = ArrayKernel(graph, random.Random(31), backend=backend)
@@ -147,14 +190,11 @@ class TestDistributionPinning:
             random.Random(3),
         )
         samples, duration = 4000, 6.0
-        naive = ContinuousRandomWalk(graph, random.Random(41))
-        naive_counts = {v: 0 for v in graph.vertices()}
-        for _ in range(samples):
-            naive_counts[naive.run(0, duration).endpoint] += 1
+        reference_counts = reference_endpoint_counts(graph, random.Random(41), samples, duration)
         kernel_counts = {v: 0 for v in graph.vertices()}
         for endpoint, _, _ in kernel.run_ctrw_batch([0] * samples, duration):
             kernel_counts[endpoint] += 1
-        statistic = two_sample_statistic(naive_counts, kernel_counts, graph.vertices())
+        statistic = two_sample_statistic(reference_counts, kernel_counts, graph.vertices())
         assert statistic < chi_square_critical(len(graph) - 1)
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -177,6 +217,41 @@ class TestDistributionPinning:
         )
         assert statistic < chi_square_critical(len(counts) - 1)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_biased_batch_matches_reference_walk(self, backend):
+        """Kernel biased walks and the reference restart loop pick alike.
+
+        Short segments and a tight restart cap keep the walk far from
+        stationary, so the comparison exercises the restart-and-accept loop
+        itself (including truncation), not just the shared target law.
+        """
+        graph = seeded_overlay(vertices=6, seed=7)
+        samples, segment, cap = 4000, 0.5, 3
+        rng = random.Random(59)
+        reference_counts = {v: 0 for v in graph.vertices()}
+        reference_truncated = 0
+        for _ in range(samples):
+            cluster, _, _, truncated = reference_biased_walk(graph, rng, 0, segment, cap)
+            reference_counts[cluster] += 1
+            reference_truncated += truncated
+        kernel = ArrayKernel(graph, random.Random(61), backend=backend)
+        kernel_counts = {v: 0 for v in graph.vertices()}
+        kernel_truncated = 0
+        for cluster, _, restarts, _, truncated in kernel.run_biased_batch(
+            [0] * samples, segment, cap
+        ):
+            kernel_counts[cluster] += 1
+            kernel_truncated += truncated
+            assert 1 <= restarts <= cap
+        statistic = two_sample_statistic(reference_counts, kernel_counts, graph.vertices())
+        assert statistic < chi_square_critical(len(graph) - 1)
+        statistic = two_sample_statistic(
+            {True: reference_truncated, False: samples - reference_truncated},
+            {True: kernel_truncated, False: samples - kernel_truncated},
+            (True, False),
+        )
+        assert statistic < chi_square_critical(1)
+
     @requires_numpy
     def test_scalar_and_vector_paths_agree(self):
         """Sub-threshold (scalar) and large (vector) batches share one law."""
@@ -198,11 +273,9 @@ class TestDistributionPinning:
         assert statistic < chi_square_critical(len(graph) - 1)
 
     def test_sampler_batch_matches_target(self):
-        """ClusterSampler.sample_many under the array kernel targets ``|C|/n``."""
+        """ClusterSampler.sample_many (one lockstep batch) targets ``|C|/n``."""
         graph = seeded_overlay(vertices=6, seed=7)
-        sampler = ClusterSampler(
-            graph, random.Random(71), segment_duration=25.0, kernel="array"
-        )
+        sampler = ClusterSampler(graph, random.Random(71), segment_duration=25.0)
         samples = 4000
         counts = {v: 0 for v in graph.vertices()}
         for outcome in sampler.sample_many([0] * samples):
@@ -279,15 +352,12 @@ class TestKernelCheckpoint:
     def test_sampler_walk_state_round_trips(self):
         """Kernel state survives the sampler-level snapshot used by RandCl."""
         graph = seeded_overlay(vertices=6, seed=7)
-        sampler = ClusterSampler(
-            graph, random.Random(13), segment_duration=6.0, kernel="array"
-        )
+        sampler = ClusterSampler(graph, random.Random(13), segment_duration=6.0)
+        assert sampler.snapshot_walk_state() is None
         sampler.sample_many([0] * 50)
         state = json.loads(json.dumps(sampler.snapshot_walk_state()))
-        assert state["kernel"] is not None
-        twin = ClusterSampler(
-            graph, random.Random(13), segment_duration=6.0, kernel="array"
-        )
+        assert state["rng"] is not None
+        twin = ClusterSampler(graph, random.Random(13), segment_duration=6.0)
         twin.restore_walk_state(state)
         first = [outcome.cluster for outcome in sampler.sample_many([0] * 40)]
         second = [outcome.cluster for outcome in twin.sample_many([0] * 40)]
@@ -334,18 +404,53 @@ class TestEngineResume:
         restored = NowEngine.restore(snapshot)
         assert restored.config.walk_kernel == "array"
 
-    def test_pre_kernel_checkpoints_default_to_naive(self):
-        """Checkpoints written before this field existed restore as naive."""
+    def test_pre_kernel_checkpoints_refused_under_simulated_walks(self):
+        """A checkpoint from before the kernel option ran the naive kernel."""
+        scenario = small_scenario(steps=5, engine_options={"walk_mode": "simulated"})
+        snapshot = json.loads(json.dumps(scenario.build_engine().capture_snapshot()))
+        del snapshot["config"]["walk_kernel"]
+        with pytest.raises(ConfigurationError, match="naive"):
+            NowEngine.restore(snapshot)
+        snapshot["config"]["walk_kernel"] = "naive"
+        with pytest.raises(ConfigurationError, match="naive"):
+            NowEngine.restore(snapshot)
+
+    def test_pre_kernel_oracle_checkpoints_restore_as_array(self):
+        """Oracle walks never ran a kernel: old snapshots, buffer key and all, load."""
         engine = small_scenario(steps=5).build_engine()
         snapshot = json.loads(json.dumps(engine.capture_snapshot()))
         del snapshot["config"]["walk_kernel"]
-        snapshot["randcl"].pop("kernel", None)
+        snapshot["randcl"] = {"exp_buffer": [], "kernel": None}
         restored = NowEngine.restore(snapshot)
-        assert restored.config.walk_kernel == "naive"
+        assert restored.config.walk_kernel == "array"
+        assert restored.state_hash() == engine.state_hash()
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_naive_checkpoint_refused_at_resume(self, shards, tmp_path):
+        """A checkpoint whose engine config names ``naive`` is refused by name."""
+        scenario = small_scenario(
+            steps=20, shards=shards, engine_options={"walk_mode": "simulated"}
+        )
+        path = str(tmp_path / "run.ckpt.json")
+        record_scenario(scenario, steps=10, checkpoint_path=path)
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+        engine = data["engine"]
+        configs = (
+            [payload["engine"]["config"] for payload in engine["shards"].values()]
+            if shards
+            else [engine["config"]]
+        )
+        for config in configs:
+            config["walk_kernel"] = "naive"
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(data, handle)
+        with pytest.raises(ConfigurationError, match="naive"):
+            resume_from_checkpoint(path, workers=2 if shards else 1)
 
 
 # ----------------------------------------------------------------------
-# CLI plumbing
+# CLI plumbing and recordings of the retired kernel
 # ----------------------------------------------------------------------
 class TestWalkKernelCli:
     # ``repro.cli`` is imported lazily so a stripped environment where the
@@ -355,43 +460,12 @@ class TestWalkKernelCli:
         cli = pytest.importorskip("repro.cli")
         return cli.main(argv)
 
-    def test_run_scenario_accepts_walk_kernel_flag(self, capsys):
-        code = self._main(
-            [
-                "--seed", "5",
-                "run-scenario", "--name", "uniform-churn",
-                "--steps", "10", "--walk-kernel", "array",
-            ]
-        )
-        captured = capsys.readouterr().out
-        assert code == 0
-        assert "scenario 'uniform-churn'" in captured
-
-    def test_walk_kernel_rejected_for_baseline_engines(self, tmp_path, capsys):
-        from repro.scenarios import Scenario
-
-        spec = Scenario(
-            name="baseline-spec",
-            max_size=1024,
-            initial_size=90,
-            tau=0.1,
-            k=2.0,
-            seed=4,
-            steps=5,
-            engine="no_shuffle",
-        )
-        path = tmp_path / "scenario.json"
-        path.write_text(spec.to_json())
-        code = self._main(["run-scenario", "--spec", str(path), "--walk-kernel", "array"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "--walk-kernel" in captured.err
+    def test_walk_kernel_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            self._main(["run-scenario", "--name", "uniform-churn", "--walk-kernel", "array"])
 
     def test_spec_engine_options_kernel_rejected_for_baseline_engines(self, tmp_path, capsys):
-        # The spec-file route must fail as cleanly as the flag route: a
-        # one-line exit-2 message, not a TypeError from the baseline's ctor.
-        from repro.scenarios import Scenario
-
+        # A one-line exit-2 message, not a TypeError from the baseline's ctor.
         spec = Scenario(
             name="baseline-spec",
             max_size=1024,
@@ -414,3 +488,49 @@ class TestWalkKernelCli:
     def test_unknown_kernel_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             self._main(["run-scenario", "--name", "uniform-churn", "--walk-kernel", "simd"])
+
+    def test_spec_naming_naive_under_simulated_walks_exits_2(self, tmp_path, capsys):
+        """Refused at spec load: exit 2 naming the kernel, no output file touched."""
+        spec = tmp_path / "scenario.json"
+        spec.write_text(small_scenario(steps=5, engine_options=SIMULATED_NAIVE).to_json())
+        trace = tmp_path / "run.jsonl"
+        code = self._main(["run-scenario", "--spec", str(spec), "--record", str(trace)])
+        assert code == 2
+        assert "naive" in capsys.readouterr().err
+        assert not trace.exists()
+
+    def test_spec_naming_naive_under_oracle_walks_runs(self, tmp_path, capsys):
+        options = {"walk_mode": "oracle", "walk_kernel": "naive"}
+        spec = tmp_path / "scenario.json"
+        spec.write_text(small_scenario(steps=5, engine_options=options).to_json())
+        assert self._main(["run-scenario", "--spec", str(spec)]) == 0
+        assert "structural invariants: OK" in capsys.readouterr().out
+
+    def test_v1_naive_trace_is_refused_by_name(self, tmp_path, capsys):
+        """A v1 simulated trace that left the kernel unset ran on ``naive``."""
+        assert self._main(["replay", "--trace", V1_NAIVE_TRACE]) == 2
+        assert "naive" in capsys.readouterr().err
+        checkpoint = tmp_path / "cut.json"
+        code = self._main(
+            ["replay", "--trace", V1_NAIVE_TRACE, "--to-step", "5", "--checkpoint", str(checkpoint)]
+        )
+        assert code == 2
+        assert "naive" in capsys.readouterr().err
+        assert not checkpoint.exists()
+
+    def test_v1_oracle_trace_replays_and_rerecords_identically(self, tmp_path, capsys):
+        """Oracle walks never ran a kernel: the v1 trace replays, and the same
+        scenario recorded now agrees with it event for event and hash for hash."""
+        assert self._main(["replay", "--trace", V1_ORACLE_TRACE]) == 0
+        assert "replay OK" in capsys.readouterr().out
+        with open(V1_ORACLE_TRACE, "r", encoding="utf-8") as handle:
+            header = json.loads(handle.readline())
+        assert header["v"] == 1
+        rerecorded = str(tmp_path / "v2.jsonl")
+        record_scenario(
+            Scenario.from_dict(header["scenario"]),
+            trace_path=rerecorded,
+            index_every=header["index_every"],
+        )
+        assert self._main(["trace-diff", V1_ORACLE_TRACE, rerecorded]) == 0
+        assert "traces agree over 40 events" in capsys.readouterr().out

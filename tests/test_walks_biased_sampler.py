@@ -1,4 +1,5 @@
-"""Unit tests for the biased CTRW, mixing estimation and the cluster sampler."""
+"""Unit tests for the biased CTRW (on the hop engine), mixing estimation and
+the cluster sampler."""
 
 from __future__ import annotations
 
@@ -7,8 +8,8 @@ import random
 import pytest
 
 from repro.errors import WalkError
-from repro.walks.biased import BiasedClusterWalk
 from repro.walks.interface import MappingGraph
+from repro.walks.kernel import ArrayKernel
 from repro.walks.mixing import (
     empirical_distribution,
     estimate_mixing_time,
@@ -24,52 +25,51 @@ def weighted_cycle(size: int, heavy_vertex: int = 0, heavy_weight: float = 4.0) 
     return MappingGraph(adjacency, weights)
 
 
+def biased(graph, seed: int, start, segment_duration: float, max_restarts: int = 64):
+    """One biased walk on a fresh kernel: ``(cluster, hops, restarts, tests, truncated)``."""
+    kernel = ArrayKernel(graph, random.Random(seed))
+    return kernel.run_biased_batch([start], segment_duration, max_restarts)[0]
+
+
 class TestBiasedWalk:
     def test_rejects_bad_parameters(self):
         graph = weighted_cycle(4)
         with pytest.raises(WalkError):
-            BiasedClusterWalk(graph, random.Random(0), segment_duration=0.0)
+            biased(graph, 0, 0, segment_duration=0.0)
         with pytest.raises(WalkError):
-            BiasedClusterWalk(graph, random.Random(0), segment_duration=1.0, max_restarts=0)
+            biased(graph, 0, 0, segment_duration=1.0, max_restarts=0)
 
     def test_unknown_start_rejected(self):
-        graph = weighted_cycle(4)
-        walk = BiasedClusterWalk(graph, random.Random(0), segment_duration=1.0)
         with pytest.raises(WalkError):
-            walk.run(99)
+            biased(weighted_cycle(4), 0, 99, segment_duration=1.0)
 
     def test_outcome_bookkeeping(self):
         graph = weighted_cycle(6)
-        walk = BiasedClusterWalk(graph, random.Random(5), segment_duration=4.0)
-        outcome = walk.run(0)
-        assert outcome.restarts >= 1
-        assert outcome.acceptance_tests == outcome.restarts
-        assert len(outcome.visited) == outcome.restarts
-        assert outcome.cluster in graph.vertices()
+        cluster, hops, restarts, acceptance_tests, _ = biased(graph, 5, 0, segment_duration=4.0)
+        assert restarts >= 1
+        assert acceptance_tests == restarts
+        assert hops >= 0
+        assert cluster in graph.vertices()
 
     def test_truncation_flag_when_cap_hit(self):
         """With max_restarts=1 and a tiny acceptance probability the walk truncates."""
         adjacency = {0: [1], 1: [0]}
         weights = {0: 1.0, 1: 1000.0}
         graph = MappingGraph(adjacency, weights)
-        walk = BiasedClusterWalk(graph, random.Random(3), segment_duration=1.0, max_restarts=1)
-        truncated_seen = False
-        for _ in range(50):
-            outcome = walk.run(0)
-            if outcome.truncated:
-                truncated_seen = True
-                break
-        assert truncated_seen
+        kernel = ArrayKernel(graph, random.Random(3))
+        outcomes = kernel.run_biased_batch([0] * 50, segment_duration=1.0, max_restarts=1)
+        truncated = [outcome for outcome in outcomes if outcome[4]]
+        assert truncated
+        assert all(restarts == 1 for _, _, restarts, _, _ in truncated)
 
     def test_endpoint_distribution_proportional_to_weight(self):
         """The accepted endpoint follows |C| / n, the paper's target distribution."""
         graph = weighted_cycle(5, heavy_vertex=2, heavy_weight=3.0)
-        walk = BiasedClusterWalk(graph, random.Random(17), segment_duration=30.0)
+        kernel = ArrayKernel(graph, random.Random(17))
         counts = {}
         samples = 3000
-        for _ in range(samples):
-            outcome = walk.run(0)
-            counts[outcome.cluster] = counts.get(outcome.cluster, 0) + 1
+        for cluster, _, _, _, _ in kernel.run_biased_batch([0] * samples, 30.0, 64):
+            counts[cluster] = counts.get(cluster, 0) + 1
         total_weight = graph.total_weight()
         for vertex in graph.vertices():
             expected = graph.weight(vertex) / total_weight

@@ -1,4 +1,4 @@
-"""Unit tests for the continuous random walk machinery."""
+"""Unit tests for the continuous random walk, run on the hop engine."""
 
 from __future__ import annotations
 
@@ -7,8 +7,9 @@ import random
 import pytest
 
 from repro.errors import WalkError
-from repro.walks.ctrw import ContinuousRandomWalk
 from repro.walks.interface import MappingGraph
+from repro.walks.kernel import ArrayKernel
+from repro.walks.mixing import empirical_endpoint_distribution
 
 
 def cycle_graph(size: int, weights=None) -> MappingGraph:
@@ -21,6 +22,11 @@ def star_graph(leaves: int) -> MappingGraph:
     for leaf in range(1, leaves + 1):
         adjacency[leaf] = [0]
     return MappingGraph(adjacency)
+
+
+def walk(graph, seed: int, start, duration: float) -> tuple:
+    """One CTRW on a fresh kernel: ``(endpoint, hops, elapsed)``."""
+    return ArrayKernel(graph, random.Random(seed)).run_ctrw_batch([start], duration)[0]
 
 
 class TestMappingGraph:
@@ -49,48 +55,28 @@ class TestMappingGraph:
 
 class TestContinuousWalk:
     def test_zero_duration_stays_put(self):
-        graph = cycle_graph(5)
-        walk = ContinuousRandomWalk(graph, random.Random(1))
-        result = walk.run(2, duration=0.0)
-        assert result.endpoint == 2
-        assert result.hops == 0
+        assert walk(cycle_graph(5), 1, 2, duration=0.0) == (2, 0, 0.0)
 
     def test_negative_duration_rejected(self):
-        graph = cycle_graph(5)
-        walk = ContinuousRandomWalk(graph, random.Random(1))
         with pytest.raises(WalkError):
-            walk.run(0, duration=-1.0)
+            walk(cycle_graph(5), 1, 0, duration=-1.0)
 
     def test_unknown_start_rejected(self):
-        graph = cycle_graph(5)
-        walk = ContinuousRandomWalk(graph, random.Random(1))
         with pytest.raises(WalkError):
-            walk.run(99, duration=1.0)
+            walk(cycle_graph(5), 1, 99, duration=1.0)
 
     def test_isolated_vertex_never_moves(self):
         graph = MappingGraph({0: [], 1: [2], 2: [1]})
-        walk = ContinuousRandomWalk(graph, random.Random(1))
-        result = walk.run(0, duration=10.0)
-        assert result.endpoint == 0
-        assert result.hops == 0
+        kernel = ArrayKernel(graph, random.Random(1))
+        (isolated, connected) = kernel.run_ctrw_batch([0, 1], duration=10.0)
+        assert isolated == (0, 0, 0.0)
+        assert connected[1] > 0
 
     def test_hops_grow_with_duration(self):
-        graph = cycle_graph(8)
-        walk = ContinuousRandomWalk(graph, random.Random(7))
-        short = sum(walk.run(0, duration=1.0).hops for _ in range(50))
-        long = sum(walk.run(0, duration=10.0).hops for _ in range(50))
+        kernel = ArrayKernel(cycle_graph(8), random.Random(7))
+        short = sum(hops for _, hops, _ in kernel.run_ctrw_batch([0] * 50, 1.0))
+        long = sum(hops for _, hops, _ in kernel.run_ctrw_batch([0] * 50, 10.0))
         assert long > short
-
-    def test_path_recording(self):
-        graph = cycle_graph(6)
-        walk = ContinuousRandomWalk(graph, random.Random(3))
-        result = walk.run(0, duration=5.0, record_path=True)
-        assert result.path[0] == 0
-        assert result.path[-1] == result.endpoint
-        assert len(result.path) == result.hops + 1
-        # Consecutive path entries are neighbours on the cycle.
-        for previous, current in zip(result.path, result.path[1:]):
-            assert current in graph.neighbours(previous)
 
     def test_stationary_distribution_is_uniform_on_irregular_graph(self):
         """The CTRW endpoint distribution approaches uniform even on a star.
@@ -100,13 +86,14 @@ class TestContinuousWalk:
         time at the hub, the continuous one is uniform.
         """
         graph = star_graph(4)  # hub degree 4, leaves degree 1 -- very irregular
-        walk = ContinuousRandomWalk(graph, random.Random(11))
-        distribution = walk.endpoint_distribution(0, duration=50.0, samples=2000)
+        distribution = empirical_endpoint_distribution(
+            graph, random.Random(11), 0, duration=50.0, samples=2000
+        )
         for vertex in graph.vertices():
             assert distribution.get(vertex, 0.0) == pytest.approx(1.0 / 5.0, abs=0.06)
 
     def test_endpoint_distribution_requires_samples(self):
-        graph = cycle_graph(4)
-        walk = ContinuousRandomWalk(graph, random.Random(0))
         with pytest.raises(WalkError):
-            walk.endpoint_distribution(0, duration=1.0, samples=0)
+            empirical_endpoint_distribution(
+                cycle_graph(4), random.Random(0), 0, duration=1.0, samples=0
+            )
