@@ -1,22 +1,25 @@
-"""T1b — Hop-engine throughput: the numpy backend vs the pure-python backend.
+"""T1b — Hop-engine throughput: the scalar path vs the vector path.
 
 Every simulated walk runs on one hop engine (``repro.walks.kernel.
-ArrayKernel``), which has two backends behind the same code paths: ``numpy``
-advances all walks of a batch in lockstep over zero-copy views of the CSR
-rows, ``python`` serves every batch through the scalar CSR loop and keeps
-numpy optional.  This benchmark measures both on identical synthetic
-overlays at several sizes and *appends* the rates to ``BENCH_throughput.json``
-— same trajectory file, same append-only discipline as
-``bench_engine_throughput.py`` — under ``walk.kernel_hops_per_second``.
+ArrayKernel``), which picks one of two hop paths by batch size alone:
+batches of at least ``MIN_VECTOR_BATCH`` walks advance in lockstep over
+numpy views of the CSR rows (vector path), smaller ones walk one at a time
+over the ``array`` rows (scalar path).  This benchmark measures both paths
+at batch sizes that bracket the threshold, on one synthetic overlay, and
+*appends* the rates to ``BENCH_throughput.json`` — same trajectory file,
+same append-only discipline as ``bench_engine_throughput.py``.
 
-Asserted in-test, on what it measures: both backends walk on every overlay
-size, and where numpy is installed it is the backend the engine picks and it
-beats the python backend on a saturated batch (a relative gate, robust to
-runner speed).
+The scalar path is forced the way the kernel tests force it: the same
+starts in chunks of ``MIN_VECTOR_BATCH - 1``.  The vector path is run as
+one batch through ``ArrayKernel._ctrw_vector``, the only way to reach it
+below the threshold, which the crossover measurement needs.
+
+Asserted in-test, on what it measures: both paths walk at every batch size,
+and the vector path beats the scalar path on the saturated batch.
 
 Run standalone (CI writes the JSON artifact this way)::
 
-    PYTHONPATH=src python benchmarks/bench_walk_kernel.py [--batch N]
+    PYTHONPATH=src python benchmarks/bench_walk_kernel.py [--out FILE]
 """
 
 from __future__ import annotations
@@ -28,21 +31,21 @@ import time
 import pytest
 
 from repro.overlay.graph import OverlayGraph
-from repro.walks.kernel import ArrayKernel, _np
+from repro.walks.kernel import MIN_VECTOR_BATCH, ArrayKernel
 
 from bench_engine_throughput import RESULT_PATH, save_result
 from common import fresh_rng
 
-#: Overlay sizes (vertex counts) the backends are compared at.
-SIZES = (64, 256, 1024)
-#: Concurrent walks per measurement (an exchange round batches one walk per
-#: member; 4096 is the saturated large-round regime).
-BATCH = 4096
-#: Continuous duration of each measured walk (~300 hops on these overlays).
+#: Overlay size (vertex count) every measurement walks on.
+VERTICES = 256
+#: Concurrent walks per batch: around ``MIN_VECTOR_BATCH`` (an exchange
+#: round batches one walk per member, ~40 on engine-sized overlays) up to
+#: the saturated large-round regime.
+BATCHES = (16, 32, 63, 64, 96, 128, 4096)
+#: Walks per measurement point, run ``batch`` at a time.
+WALKS = 4096
+#: Continuous duration of each measured walk (~300 hops on this overlay).
 DURATION = 50.0
-#: Required in-test speedup of the numpy backend over the python backend on
-#: a saturated batch.
-REQUIRED_SPEEDUP = 5.0
 
 
 def build_overlay(vertices: int, seed: int = 5, chords: int = 2) -> OverlayGraph:
@@ -58,61 +61,78 @@ def build_overlay(vertices: int, seed: int = 5, chords: int = 2) -> OverlayGraph
     return graph
 
 
-def measure_kernel(graph: OverlayGraph, batch: int, backend=None) -> dict:
-    """Hops/second of one ``run_ctrw_batch`` over ``batch`` concurrent walks."""
-    kernel = ArrayKernel(graph, fresh_rng(11), backend=backend)
+def measure_path(graph: OverlayGraph, batch: int, path: str) -> dict:
+    """Hops/second of ``WALKS`` CTRWs run ``batch`` at a time on one hop path."""
+    kernel = ArrayKernel(graph, fresh_rng(11))
+    csr = graph.csr()
     starts = [v % len(graph) for v in range(batch)]
-    kernel.run_ctrw_batch(starts[: min(64, batch)], DURATION / 8)  # warm-up
+    if path == "vector":
+        rows = [csr.row_of(start) for start in starts]
+
+        def run():
+            return kernel._ctrw_vector(rows, DURATION, csr)
+
+    else:
+        size = MIN_VECTOR_BATCH - 1
+        chunks = [starts[i : i + size] for i in range(0, batch, size)]
+
+        def run():
+            return [out for chunk in chunks for out in kernel.run_ctrw_batch(chunk, DURATION)]
+
+    run()  # warm-up: seeds the private stream and fills the buffers
+    rounds = max(1, WALKS // batch)
     begin = time.perf_counter()
-    results = kernel.run_ctrw_batch(starts, DURATION)
+    results = [run() for _ in range(rounds)]
     elapsed = time.perf_counter() - begin
-    hops = sum(result[1] for result in results)
+    hops = sum(out[1] for batch_results in results for out in batch_results)
     return {
-        "backend": kernel.backend,
-        "walks": batch,
+        "walks": rounds * batch,
         "hops": hops,
         "elapsed_seconds": elapsed,
         "hops_per_second": hops / elapsed if elapsed > 0 else 0.0,
     }
 
 
-def run_experiment(batch: int = BATCH) -> dict:
-    by_size = []
-    for size in SIZES:
-        graph = build_overlay(size)
-        row = {
-            "vertices": size,
-            "edges": graph.edge_count(),
-            "python": measure_kernel(graph, batch, backend="python"),
-        }
-        if _np is not None:
-            row["numpy"] = measure_kernel(graph, batch, backend="numpy")
-        by_size.append(row)
+def run_experiment() -> dict:
+    graph = build_overlay(VERTICES)
+    by_batch = []
+    for batch in BATCHES:
+        scalar = measure_path(graph, batch, "scalar")
+        vector = measure_path(graph, batch, "vector")
+        by_batch.append(
+            {
+                "batch": batch,
+                "scalar": scalar,
+                "vector": vector,
+                "vector_over_scalar": vector["hops_per_second"] / scalar["hops_per_second"]
+                if scalar["hops_per_second"] > 0
+                else 0.0,
+            }
+        )
+    crossover = next((row["batch"] for row in by_batch if row["vector_over_scalar"] > 1.0), None)
 
-    # Headline rates: the largest overlay, saturated batch.
-    largest = by_size[-1]
-    fast = largest.get("numpy") or largest["python"]
-    python_rate = largest["python"]["hops_per_second"]
+    # Headline rates: the saturated batch.
+    saturated = by_batch[-1]
     return {
-        "kernel_sizes": list(SIZES),
-        "kernel_batch": batch,
+        "benchmark": "walk_kernel",
+        "kernel_vertices": VERTICES,
+        "kernel_edges": graph.edge_count(),
         "kernel_duration": DURATION,
-        "kernel_by_size": by_size,
+        "kernel_walks_per_point": WALKS,
+        "min_vector_batch": MIN_VECTOR_BATCH,
+        "kernel_by_batch": by_batch,
+        "crossover_batch": crossover,
         "walk": {
             "mode": "kernel-ctrw-batch",
             "kernel": "array",
-            "backend": fast["backend"],
-            "hops": fast["hops"],
-            "elapsed_seconds": fast["elapsed_seconds"],
-            "hops_per_second": fast["hops_per_second"],
+            "backend": ArrayKernel(graph, fresh_rng(0)).backend,
+            "hops": saturated["vector"]["hops"],
+            "elapsed_seconds": saturated["vector"]["elapsed_seconds"],
+            "hops_per_second": saturated["vector"]["hops_per_second"],
             "kernel_hops_per_second": {
-                row_backend: largest[row_backend]["hops_per_second"]
-                for row_backend in ("python", "numpy")
-                if row_backend in largest
+                path: saturated[path]["hops_per_second"] for path in ("scalar", "vector")
             },
-            "speedup_vs_python": fast["hops_per_second"] / python_rate
-            if python_rate > 0
-            else 0.0,
+            "speedup_vs_scalar": saturated["vector_over_scalar"],
         },
         "measured_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
@@ -123,33 +143,26 @@ def test_walk_kernel_throughput(benchmark):
     from common import run_once
 
     result = run_once(benchmark, run_experiment)
-    for row in result["kernel_by_size"]:
-        line = f"T1b kernel V={row['vertices']}: python {row['python']['hops_per_second'] / 1e6:.2f}M hops/s"
-        if "numpy" in row:
-            numpy_rate = row["numpy"]["hops_per_second"]
-            line += (
-                f", numpy {numpy_rate / 1e6:.2f}M hops/s "
-                f"({numpy_rate / row['python']['hops_per_second']:.1f}x)"
-            )
-        print(line)
+    for row in result["kernel_by_batch"]:
+        print(
+            f"T1b kernel batch={row['batch']}: scalar "
+            f"{row['scalar']['hops_per_second'] / 1e6:.2f}M hops/s, vector "
+            f"{row['vector']['hops_per_second'] / 1e6:.2f}M hops/s "
+            f"({row['vector_over_scalar']:.2f}x)"
+        )
+    print(f"T1b crossover batch: {result['crossover_batch']} (MIN_VECTOR_BATCH {MIN_VECTOR_BATCH})")
     save_result(result)
 
-    # Every backend actually walked on every overlay size.
-    for row in result["kernel_by_size"]:
-        for backend in ("python", "numpy"):
-            if backend in row:
-                assert row[backend]["hops"] > 0
-    if _np is not None:
-        assert result["walk"]["backend"] == "numpy"
-        assert ArrayKernel(None, fresh_rng(0)).backend == "numpy"
-        assert result["walk"]["speedup_vs_python"] >= REQUIRED_SPEEDUP
+    # Both paths actually walked at every batch size.
+    for row in result["kernel_by_batch"]:
+        assert row["scalar"]["hops"] > 0 and row["vector"]["hops"] > 0
+    assert result["walk"]["speedup_vs_scalar"] > 1.0
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="hop-engine backend throughput benchmark")
-    parser.add_argument("--batch", type=int, default=BATCH)
+    parser = argparse.ArgumentParser(description="hop-engine scalar vs vector path benchmark")
     parser.add_argument("--out", type=str, default=RESULT_PATH)
     args = parser.parse_args()
-    outcome = run_experiment(batch=args.batch)
+    outcome = run_experiment()
     save_result(outcome, args.out)
     print(json.dumps(outcome, indent=2, sort_keys=True))

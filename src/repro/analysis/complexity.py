@@ -21,18 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-try:  # numpy is optional: only the least-squares fits need it.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
-
-
-def _require_numpy() -> None:
-    if np is None:
-        raise ImportError(
-            "complexity fitting (fit_power_law / fit_polylog) requires numpy; "
-            "the rest of the library works without it"
-        )
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -66,7 +55,6 @@ def _fit_loglog(xs: np.ndarray, ys: np.ndarray, model: str) -> FitResult:
 
 
 def _validate(sizes: Sequence[float], costs: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    _require_numpy()  # the single choke point: every fit validates first
     if len(sizes) != len(costs):
         raise ValueError("sizes and costs must have the same length")
     if len(sizes) < 2:

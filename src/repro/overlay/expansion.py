@@ -23,20 +23,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-try:  # numpy is an optional dependency: only the spectral analysis needs it.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
+import numpy as np
 
 from .graph import ClusterId, OverlayGraph
-
-
-def _require_numpy() -> None:
-    if np is None:
-        raise ImportError(
-            "expansion analysis (spectral gap / Cheeger bounds) requires numpy; "
-            "the rest of the library works without it"
-        )
 
 
 @dataclass(frozen=True)
@@ -75,7 +64,6 @@ def _index_vertices(overlay: OverlayGraph) -> Tuple[List[ClusterId], Dict[Cluste
 
 def adjacency_matrix(overlay: OverlayGraph) -> np.ndarray:
     """Dense 0/1 adjacency matrix in sorted-vertex order."""
-    _require_numpy()  # the single choke point: every public entry builds this
     vertices, index = _index_vertices(overlay)
     size = len(vertices)
     matrix = np.zeros((size, size))

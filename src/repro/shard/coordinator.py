@@ -61,6 +61,7 @@ from ..errors import ConfigurationError
 from ..network.node import NodeRole
 from ..scenarios.bus import DEFAULT_PROBE_BUFFER, ObservationBus, StepRecord, split_probes
 from ..scenarios.runner import RunResult, StopCondition, bind_event_source
+from ..walks.kernel import check_kernel_snapshot
 from .merge import ObservationMerger, composite_state_hash
 from .messages import HandoffMessage
 from .router import (
@@ -191,8 +192,12 @@ class ShardCoordinator:
                     f"0..{self.shards - 1}"
                 )
             for payload in restore.values():
-                # Refuse a retired walk kernel here, not inside a worker.
+                # Refuse a retired walk kernel or kernel backend here, not
+                # inside a worker.
                 EngineConfig.from_snapshot(payload["engine"]["config"])
+                kernel = payload["engine"].get("randcl", {}).get("kernel")
+                if kernel is not None:
+                    check_kernel_snapshot(kernel)
         self._transports = []
         self._transport_of: Dict[int, Any] = {}
         for worker in range(self.workers):

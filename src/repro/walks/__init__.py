@@ -12,7 +12,7 @@ This package provides:
 * :mod:`repro.walks.interface`  — the minimal graph interface walks need,
 * :mod:`repro.walks.csr`        — the flat CSR snapshot the hop engine indexes,
 * :mod:`repro.walks.kernel`     — the hop engine: plain and biased CTRWs in
-  batches (numpy backend plus a pure-python fallback),
+  batches (scalar or vector path by batch size),
 * :mod:`repro.walks.mixing`     — mixing-time and total-variation estimation,
 * :mod:`repro.walks.sampler`    — the cluster sampler ``randCl`` draws from,
   walking through the hop engine or, in "oracle" mode for long simulations,

@@ -15,9 +15,9 @@ enumeration, augmented with the derived rows every hop reads:
 Rows are *row indices*, not vertex ids: ``indices`` stores the neighbour's
 row so a hop never leaves integer-array space; :attr:`CSRLayout.vertices`
 maps rows back to ids at the boundary.  All arrays are ``array``-module
-buffers, so the layout works without numpy; when numpy is installed,
+buffers, which the kernel's scalar path indexes directly;
 :meth:`numpy_views` exposes zero-copy ``frombuffer`` views over the same
-memory for the vectorised kernel.
+memory for its vector path.
 
 Invalidation contract (see ``docs/ARCHITECTURE.md``): a layout is a
 snapshot keyed on the owning graph's mutation counters.  Structural
@@ -36,10 +36,7 @@ import bisect
 from array import array
 from typing import Dict, Hashable, List, Optional, Tuple
 
-try:  # numpy is optional: the pure-python kernel works without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
+import numpy as _np
 
 Vertex = Hashable
 
@@ -197,14 +194,12 @@ class CSRLayout:
     # Numpy views
     # ------------------------------------------------------------------
     def numpy_views(self):
-        """Zero-copy numpy views over the CSR rows (``None`` without numpy).
+        """Zero-copy numpy views over the CSR rows.
 
         ``indptr``/``indices``/``inv_degree``/``weights`` are ``frombuffer``
         views of the same memory, so :meth:`set_weight` updates are visible
         through them without any copying.
         """
-        if _np is None:
-            return None
         views = self._np_static
         if views is None:
             views = {

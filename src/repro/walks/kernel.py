@@ -17,20 +17,14 @@ straight out of the flat ``indices`` row by offset
 the weighted-row ``searchsorted`` generalisation collapses to this single
 gather).
 
-Two backends share the same code paths and on-disk state format:
-
-* ``numpy`` — the fast one: walks advance in lockstep over zero-copy views
-  of the CSR buffers, and randomness is generated in bulk blocks from a
-  dedicated ``Generator(PCG64)`` stream.
-* ``python`` — a pure-``array``/list fallback used when numpy is not
-  installed, so the dependency stays optional.  It serves every batch
-  through the scalar CSR path with a dedicated ``random.Random`` stream.
-
-Batches smaller than :data:`MIN_VECTOR_BATCH` also take the scalar CSR path
-on the numpy backend: per-step numpy dispatch overhead swamps the win below
-a few dozen concurrent walks (an exchange round batches one walk per
-cluster member), while the scalar path still reads pre-drawn uniforms from
-the bulk buffers.  The path choice depends only on batch size and backend,
+One backend (numpy), two paths by batch size.  Batches of at least
+:data:`MIN_VECTOR_BATCH` walks take the vector path: they advance in
+lockstep over zero-copy numpy views of the CSR buffers.  Smaller batches
+take the scalar path, one walk at a time over the ``array`` rows, because
+per-step numpy dispatch overhead swamps the win below a few dozen
+concurrent walks (an exchange round batches one walk per cluster member).
+Both paths read the same bulk buffers, generated in blocks from a dedicated
+``Generator(PCG64)`` stream.  The path choice depends only on batch size,
 never on drawn values, so it is deterministic.
 
 Determinism contract (``repro.trace``): the kernel owns its *own* RNG
@@ -46,28 +40,41 @@ boundaries cannot perturb the draw sequence.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Hashable, List, Sequence
 
-from ..errors import ConfigurationError, WalkError
-from ..rng import rng_state_from_json, rng_state_to_json
+import numpy as _np
 
-try:  # numpy is optional: the python backend covers its absence.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
+from ..errors import ConfigurationError, WalkError
 
 Vertex = Hashable
 
 #: Randomness is generated into buffers of this many values per refill.
 _REFILL = 4096
 
-#: Batches below this size take the scalar CSR path even on the numpy
-#: backend: per-step numpy dispatch overhead swamps the win until a few
-#: dozen walks advance together (measured crossover ~64 on engine-sized
-#: overlays, where exchange rounds batch ~40 walks).
+#: Batches below this size take the scalar CSR path: per-step numpy
+#: dispatch overhead swamps the win until a few dozen walks advance
+#: together (measured crossover ~64 on engine-sized overlays, where
+#: exchange rounds batch ~40 walks; ``bench_walk_kernel.py`` puts it at
+#: 16-32 for long plain CTRWs).  The two paths consume the stream in
+#: different orders, so moving this changes recorded executions.
 MIN_VECTOR_BATCH = 64
+
+
+def check_kernel_snapshot(data: dict) -> None:
+    """Refuse a kernel snapshot the numpy backend did not write.
+
+    Snapshots name their backend.  The retired python backend drew from a
+    ``random.Random`` stream, so its checkpoints cannot be resumed here.
+    """
+    backend = data.get("backend")
+    if backend == "python":
+        raise ConfigurationError(
+            "walk-kernel checkpoint was written without numpy by the retired "
+            "python backend; it cannot be resumed"
+        )
+    if backend != "numpy":
+        raise ConfigurationError(f"unknown walk-kernel checkpoint backend {backend!r}")
 
 
 def resolve_kernel_name(name, simulated: bool) -> str:
@@ -91,35 +98,21 @@ def resolve_kernel_name(name, simulated: bool) -> str:
 class ArrayKernel:
     """Batched CSR hop engine with a checkpointable private RNG stream."""
 
-    def __init__(self, graph, parent_rng: random.Random, backend: str = None) -> None:
-        if backend is None:
-            backend = "numpy" if _np is not None else "python"
-        if backend not in ("numpy", "python"):
-            raise ConfigurationError(f"unknown array-kernel backend {backend!r}")
-        if backend == "numpy" and _np is None:
-            raise ConfigurationError(
-                "the numpy array-kernel backend requires numpy; install it or "
-                "use the python backend"
-            )
+    def __init__(self, graph, parent_rng: random.Random) -> None:
         self._graph = graph
         self._parent_rng = parent_rng
-        self._backend = backend
         # Private stream, seeded lazily from the parent at first use so an
         # unused kernel never perturbs the engine stream.
         self._gen = None
-        if backend == "numpy":
-            self._exp_buf = _np.empty(0, dtype=_np.float64)
-            self._uni_buf = _np.empty(0, dtype=_np.float64)
-        else:
-            self._exp_buf: List[float] = []
-            self._uni_buf: List[float] = []
+        self._exp_buf = _np.empty(0, dtype=_np.float64)
+        self._uni_buf = _np.empty(0, dtype=_np.float64)
         self._exp_cur = 0
         self._uni_cur = 0
 
     @property
     def backend(self) -> str:
-        """Which backend this kernel runs on (``numpy`` or ``python``)."""
-        return self._backend
+        """The backend this kernel runs on: always ``numpy``."""
+        return "numpy"
 
     # ------------------------------------------------------------------
     # Private RNG stream and buffers
@@ -128,30 +121,18 @@ class ArrayKernel:
         gen = self._gen
         if gen is None:
             seed = self._parent_rng.getrandbits(64)
-            if self._backend == "numpy":
-                gen = _np.random.Generator(_np.random.PCG64(seed))
-            else:
-                gen = random.Random(seed)
+            gen = _np.random.Generator(_np.random.PCG64(seed))
             self._gen = gen
         return gen
 
     def _generate_exp(self, count):
         """``count`` fresh unit exponentials from the private stream."""
-        gen = self._ensure_gen()
-        if self._backend == "numpy":
-            # -log1p(-u) == -log(1-u) for u in [0,1): exact at u == 0.
-            return -_np.log1p(-gen.random(count))
-        gen_random = gen.random
-        log = math.log
-        return [-log(1.0 - gen_random()) for _ in range(count)]
+        # -log1p(-u) == -log(1-u) for u in [0,1): exact at u == 0.
+        return -_np.log1p(-self._ensure_gen().random(count))
 
     def _generate_uni(self, count):
         """``count`` fresh uniforms in ``[0, 1)`` from the private stream."""
-        gen = self._ensure_gen()
-        if self._backend == "numpy":
-            return gen.random(count)
-        gen_random = gen.random
-        return [gen_random() for _ in range(count)]
+        return self._ensure_gen().random(count)
 
     def _next_exp(self) -> float:
         cursor = self._exp_cur
@@ -213,7 +194,7 @@ class ArrayKernel:
         csr = self._graph.csr()
         rows = self._rows_for(csr, starts)
         duration = float(duration)
-        if self._backend == "numpy" and len(rows) >= MIN_VECTOR_BATCH:
+        if len(rows) >= MIN_VECTOR_BATCH:
             return self._ctrw_vector(rows, duration, csr)
         vertices = csr.vertices
         out = []
@@ -321,7 +302,7 @@ class ArrayKernel:
         csr = self._graph.csr()
         rows = self._rows_for(csr, starts)
         segment_duration = float(segment_duration)
-        if self._backend == "numpy" and len(rows) >= MIN_VECTOR_BATCH:
+        if len(rows) >= MIN_VECTOR_BATCH:
             return self._biased_vector(rows, segment_duration, max_restarts, csr, max_weight)
         vertices = csr.vertices
         out = []
@@ -438,15 +419,9 @@ class ArrayKernel:
         refills from the restored stream, reproducing the uninterrupted
         draw sequence bit-identically.
         """
-        if self._gen is None:
-            rng_state = None
-        elif self._backend == "numpy":
-            rng_state = self._gen.bit_generator.state
-        else:
-            rng_state = rng_state_to_json(self._gen.getstate())
         return {
-            "backend": self._backend,
-            "rng": rng_state,
+            "backend": "numpy",
+            "rng": None if self._gen is None else self._gen.bit_generator.state,
             "exp_buffer": [float(value) for value in self._exp_buf[self._exp_cur :]],
             "exp_cursor": 0,
             "uni_buffer": [float(value) for value in self._uni_buf[self._uni_cur :]],
@@ -459,32 +434,18 @@ class ArrayKernel:
         Never consumes the parent stream: a restored, already-seeded kernel
         resumes its own stream in place.
         """
-        backend = data.get("backend")
-        if backend != self._backend:
-            raise ConfigurationError(
-                f"walk-kernel checkpoint was taken with the {backend!r} backend "
-                f"but this process uses {self._backend!r} (numpy availability "
-                "changed between record and resume?)"
-            )
+        check_kernel_snapshot(data)
         rng_state = data.get("rng")
         if rng_state is None:
             self._gen = None
-        elif self._backend == "numpy":
+        else:
             bit_generator = _np.random.PCG64()
             bit_generator.state = rng_state
             self._gen = _np.random.Generator(bit_generator)
-        else:
-            gen = random.Random()
-            gen.setstate(rng_state_from_json(rng_state))
-            self._gen = gen
         exp = [float(v) for v in data.get("exp_buffer", ())][int(data.get("exp_cursor", 0)) :]
         uni = [float(v) for v in data.get("uni_buffer", ())][int(data.get("uni_cursor", 0)) :]
-        if self._backend == "numpy":
-            self._exp_buf = _np.asarray(exp, dtype=_np.float64)
-            self._uni_buf = _np.asarray(uni, dtype=_np.float64)
-        else:
-            self._exp_buf = exp
-            self._uni_buf = uni
+        self._exp_buf = _np.asarray(exp, dtype=_np.float64)
+        self._uni_buf = _np.asarray(uni, dtype=_np.float64)
         self._exp_cur = 0
         self._uni_cur = 0
 

@@ -8,9 +8,9 @@ chains such segments: at a segment's endpoint it accepts with probability
 (accepting the last endpoint) after ``max_restarts`` segments.
 
 Written for clarity, not speed: the kernel suites hold both
-:class:`~repro.walks.kernel.ArrayKernel` backends to these two functions in
-distribution (chi-square), not draw for draw — the kernel consumes its own
-stream in bulk.
+:class:`~repro.walks.kernel.ArrayKernel` hop paths (scalar and vector) to
+these two functions in distribution (chi-square), not draw for draw — the
+kernel consumes its own stream in bulk.
 """
 
 from __future__ import annotations

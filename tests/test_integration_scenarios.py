@@ -20,15 +20,6 @@ from repro.network.node import NodeRole
 from repro.overlay.expansion import analyse_expansion
 from repro.workloads import GrowthWorkload, MixedDriver, UniformChurn, drive
 
-try:
-    import numpy as _np
-except ImportError:
-    _np = None
-
-requires_numpy = pytest.mark.skipif(
-    _np is None, reason="requires numpy (spectral expansion analysis)"
-)
-
 
 def make_params(**overrides):
     defaults = dict(max_size=2048, k=3.0, l=2.0, alpha=0.1, tau=0.15, epsilon=0.05)
@@ -113,7 +104,6 @@ class TestJoinLeaveAttackComparison:
 class TestPolynomialGrowth:
     """E6 in miniature: NOW keeps clusters small while the static scheme blows up."""
 
-    @requires_numpy
     def test_growth_from_sqrt_n_towards_n(self):
         params = make_params(max_size=4096, tau=0.1)
         start = 128  # ~ 2 * sqrt(4096)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,7 +122,6 @@ class TestSnapshotLifecycle:
         assert_csr_matches_fresh_build(graph)
 
     def test_weight_patch_is_visible_through_numpy_views(self):
-        np = pytest.importorskip("numpy")
         graph = seeded_overlay()
         views = graph.csr().numpy_views()
         row = graph.csr().row_of(1)

@@ -18,15 +18,6 @@ from repro.overlay.graph import OverlayGraph
 from repro.overlay.over import OverOverlay
 from repro.params import ProtocolParameters
 
-try:
-    import numpy as _np
-except ImportError:
-    _np = None
-
-requires_numpy = pytest.mark.skipif(
-    _np is None, reason="requires numpy (spectral / least-squares analysis)"
-)
-
 
 def complete_overlay(size: int) -> OverlayGraph:
     return erdos_renyi_overlay(range(size), edge_probability=1.0, rng=random.Random(0))
@@ -50,7 +41,6 @@ def disconnected_overlay() -> OverlayGraph:
     return graph
 
 
-@requires_numpy
 class TestExpansionMeasures:
     def test_spectral_gap_complete_graph_is_large(self):
         assert spectral_gap(complete_overlay(8)) > 0.9
@@ -154,7 +144,6 @@ class TestOverOverlay:
         over.update_weight(3, 55.0)
         assert over.graph.weight(3) == 55.0
 
-    @requires_numpy
     def test_long_add_remove_sequence_preserves_properties(self):
         """Property 1 & 2 style check under a churn of vertex additions/removals."""
         rng = random.Random(11)

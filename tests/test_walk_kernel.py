@@ -13,8 +13,9 @@ Four families of guarantees:
   biased-walk cluster picks from :class:`ArrayKernel` are statistically
   indistinguishable from the per-hop reference walk (``reference_walk``)
   and from the analytic ``|C|/n`` target — on static graphs, after
-  mutations, on both the numpy and the pure-python backend, and across the
-  scalar/vector path split at ``MIN_VECTOR_BATCH``.
+  mutations, and on each of the two hop paths: the scalar path (the same
+  starts run in batches below ``MIN_VECTOR_BATCH``) and the vector path
+  (one batch).
 
 * **Bit-exact checkpointing**: the kernel's private stream and pre-drawn
   buffers survive a JSON round trip; a restored kernel reproduces the
@@ -43,7 +44,7 @@ from repro.errors import ConfigurationError, WalkError
 from repro.scenarios import Scenario
 from repro.trace import record_scenario, resume_from_checkpoint
 from repro.walks import ArrayKernel, resolve_kernel_name
-from repro.walks.kernel import MIN_VECTOR_BATCH, _np
+from repro.walks.kernel import MIN_VECTOR_BATCH
 from repro.walks.sampler import ClusterSampler, WalkMode
 
 from reference_walk import reference_biased_walk, reference_ctrw
@@ -63,10 +64,23 @@ V1_ORACLE_TRACE = os.path.join(FIXTURES, "trace-v1-oracle.jsonl")
 
 SIMULATED_NAIVE = {"walk_mode": "simulated", "walk_kernel": "naive"}
 
-#: Both backends where numpy is installed, the fallback alone otherwise.
-BACKENDS = ("numpy", "python") if _np is not None else ("python",)
+#: The kernel's two hop paths, chosen by batch size alone.
+PATHS = ("scalar", "vector")
 
-requires_numpy = pytest.mark.skipif(_np is None, reason="numpy not installed")
+
+def on_path(path, run, starts, *args):
+    """``run(batch, *args)`` over ``starts`` on one hop path, results concatenated.
+
+    The vector path gets the starts as one batch; the scalar path gets them
+    in chunks of ``MIN_VECTOR_BATCH - 1``, the largest batch it serves.
+    """
+    if path == "vector":
+        assert len(starts) >= MIN_VECTOR_BATCH
+        return run(starts, *args)
+    size = MIN_VECTOR_BATCH - 1
+    return [
+        out for i in range(0, len(starts), size) for out in run(starts[i : i + size], *args)
+    ]
 
 
 def reference_endpoint_counts(graph, rng, samples: int, duration: float) -> dict:
@@ -75,6 +89,21 @@ def reference_endpoint_counts(graph, rng, samples: int, duration: float) -> dict
     for _ in range(samples):
         counts[reference_ctrw(graph, rng, 0, duration)[0]] += 1
     return counts
+
+
+def edited_checkpoint(tmp_path, shards: int, edit) -> str:
+    """A simulated-walk checkpoint at step 10, ``edit`` applied to each engine snapshot."""
+    scenario = small_scenario(steps=20, shards=shards, engine_options={"walk_mode": "simulated"})
+    path = str(tmp_path / "run.ckpt.json")
+    record_scenario(scenario, steps=10, checkpoint_path=path)
+    with open(path, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    engine = data["engine"]
+    for snapshot in [p["engine"] for p in engine["shards"].values()] if shards else [engine]:
+        edit(snapshot)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+    return path
 
 
 def two_sample_statistic(first_counts, second_counts, keys) -> float:
@@ -141,10 +170,6 @@ class TestKernelSelection:
         with pytest.raises(ConfigurationError):
             scenario.build_engine()
 
-    def test_array_kernel_rejects_unknown_backend(self):
-        with pytest.raises(ConfigurationError):
-            ArrayKernel(seeded_overlay(), random.Random(1), backend="fortran")
-
     def test_batch_input_validation(self):
         graph = seeded_overlay()
         kernel = ArrayKernel(graph, random.Random(1))
@@ -163,26 +188,28 @@ class TestKernelSelection:
 # Distributional pinning (chi-square)
 # ----------------------------------------------------------------------
 class TestDistributionPinning:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_ctrw_batch_matches_reference_endpoints(self, backend):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_ctrw_batch_matches_reference_endpoints(self, path):
         """Batched kernel CTRWs and per-hop reference walks agree on the endpoint law."""
         graph = seeded_overlay(vertices=6, seed=7)
         samples, duration = 4000, 6.0
         reference_counts = reference_endpoint_counts(graph, random.Random(101), samples, duration)
-        kernel = ArrayKernel(graph, random.Random(202), backend=backend)
+        kernel = ArrayKernel(graph, random.Random(202))
         kernel_counts = {v: 0 for v in graph.vertices()}
-        for endpoint, hops, elapsed in kernel.run_ctrw_batch([0] * samples, duration):
+        for endpoint, hops, elapsed in on_path(
+            path, kernel.run_ctrw_batch, [0] * samples, duration
+        ):
             kernel_counts[endpoint] += 1
             assert 0.0 <= elapsed <= duration
             assert hops >= 0
         statistic = two_sample_statistic(reference_counts, kernel_counts, graph.vertices())
         assert statistic < chi_square_critical(len(graph) - 1)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_ctrw_batch_matches_reference_after_mutations(self, backend):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_ctrw_batch_matches_reference_after_mutations(self, path):
         """The kernel reads the rebuilt CSR after churn, not a stale snapshot."""
         graph = seeded_overlay(vertices=7, seed=11)
-        kernel = ArrayKernel(graph, random.Random(31), backend=backend)
+        kernel = ArrayKernel(graph, random.Random(31))
         kernel.run_ctrw_batch([0] * 200, 4.0)  # materialise, then churn
         apply_operations(
             graph,
@@ -192,20 +219,20 @@ class TestDistributionPinning:
         samples, duration = 4000, 6.0
         reference_counts = reference_endpoint_counts(graph, random.Random(41), samples, duration)
         kernel_counts = {v: 0 for v in graph.vertices()}
-        for endpoint, _, _ in kernel.run_ctrw_batch([0] * samples, duration):
+        for endpoint, _, _ in on_path(path, kernel.run_ctrw_batch, [0] * samples, duration):
             kernel_counts[endpoint] += 1
         statistic = two_sample_statistic(reference_counts, kernel_counts, graph.vertices())
         assert statistic < chi_square_critical(len(graph) - 1)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_biased_batch_matches_target_distribution(self, backend):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_biased_batch_matches_target_distribution(self, path):
         """Kernel biased walks hit the stationary ``|C|/n`` law on the overlay."""
         graph = seeded_overlay(vertices=6, seed=7)
-        kernel = ArrayKernel(graph, random.Random(53), backend=backend)
+        kernel = ArrayKernel(graph, random.Random(53))
         samples = 4000
         counts = {v: 0 for v in graph.vertices()}
-        for cluster, hops, restarts, tests, truncated in kernel.run_biased_batch(
-            [0] * samples, segment_duration=25.0, max_restarts=64
+        for cluster, hops, restarts, tests, truncated in on_path(
+            path, kernel.run_biased_batch, [0] * samples, 25.0, 64
         ):
             counts[cluster] += 1
             assert restarts == tests >= 1
@@ -217,8 +244,8 @@ class TestDistributionPinning:
         )
         assert statistic < chi_square_critical(len(counts) - 1)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_biased_batch_matches_reference_walk(self, backend):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_biased_batch_matches_reference_walk(self, path):
         """Kernel biased walks and the reference restart loop pick alike.
 
         Short segments and a tight restart cap keep the walk far from
@@ -234,11 +261,11 @@ class TestDistributionPinning:
             cluster, _, _, truncated = reference_biased_walk(graph, rng, 0, segment, cap)
             reference_counts[cluster] += 1
             reference_truncated += truncated
-        kernel = ArrayKernel(graph, random.Random(61), backend=backend)
+        kernel = ArrayKernel(graph, random.Random(61))
         kernel_counts = {v: 0 for v in graph.vertices()}
         kernel_truncated = 0
-        for cluster, _, restarts, _, truncated in kernel.run_biased_batch(
-            [0] * samples, segment, cap
+        for cluster, _, restarts, _, truncated in on_path(
+            path, kernel.run_biased_batch, [0] * samples, segment, cap
         ):
             kernel_counts[cluster] += 1
             kernel_truncated += truncated
@@ -252,24 +279,16 @@ class TestDistributionPinning:
         )
         assert statistic < chi_square_critical(1)
 
-    @requires_numpy
     def test_scalar_and_vector_paths_agree(self):
         """Sub-threshold (scalar) and large (vector) batches share one law."""
         graph = seeded_overlay(vertices=6, seed=7)
-        duration = 6.0
-        small_batch = MIN_VECTOR_BATCH - 1
-        scalar = ArrayKernel(graph, random.Random(61), backend="numpy")
-        scalar_counts = {v: 0 for v in graph.vertices()}
-        drawn = 0
-        while drawn < 4000:
-            for endpoint, _, _ in scalar.run_ctrw_batch([0] * small_batch, duration):
-                scalar_counts[endpoint] += 1
-            drawn += small_batch
-        vector = ArrayKernel(graph, random.Random(67), backend="numpy")
-        vector_counts = {v: 0 for v in graph.vertices()}
-        for endpoint, _, _ in vector.run_ctrw_batch([0] * drawn, duration):
-            vector_counts[endpoint] += 1
-        statistic = two_sample_statistic(scalar_counts, vector_counts, graph.vertices())
+        counts = {}
+        for path, seed in (("scalar", 61), ("vector", 67)):
+            kernel = ArrayKernel(graph, random.Random(seed))
+            counts[path] = {v: 0 for v in graph.vertices()}
+            for endpoint, _, _ in on_path(path, kernel.run_ctrw_batch, [0] * 4000, 6.0):
+                counts[path][endpoint] += 1
+        statistic = two_sample_statistic(counts["scalar"], counts["vector"], graph.vertices())
         assert statistic < chi_square_critical(len(graph) - 1)
 
     def test_sampler_batch_matches_target(self):
@@ -304,14 +323,13 @@ class TestDistributionPinning:
 # Bit-exact kernel checkpointing
 # ----------------------------------------------------------------------
 class TestKernelCheckpoint:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_resume_is_bit_exact(self, backend):
+    def test_resume_is_bit_exact(self):
         """A JSON-round-tripped kernel replays the uninterrupted sequence."""
         graph = seeded_overlay(vertices=6, seed=7)
-        kernel = ArrayKernel(graph, random.Random(3), backend=backend)
+        kernel = ArrayKernel(graph, random.Random(3))
         kernel.run_ctrw_batch([0, 1, 2] * 20, 4.0)  # consume into the buffers
         snapshot = json.loads(json.dumps(kernel.snapshot_state()))
-        resumed = ArrayKernel(graph, random.Random(999), backend=backend)
+        resumed = ArrayKernel(graph, random.Random(999))
         resumed.restore_state(snapshot)
         # Mixed batch sizes cross the scalar/vector threshold both ways.
         for starts in ([0] * (MIN_VECTOR_BATCH + 8), [1, 2], [3] * 5):
@@ -320,14 +338,13 @@ class TestKernelCheckpoint:
                 starts, 5.0, 16
             )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_unused_kernel_round_trips(self, backend):
+    def test_unused_kernel_round_trips(self):
         """An unseeded kernel snapshots to ``rng: None`` and seeds identically."""
         graph = seeded_overlay()
-        kernel = ArrayKernel(graph, random.Random(11), backend=backend)
+        kernel = ArrayKernel(graph, random.Random(11))
         snapshot = json.loads(json.dumps(kernel.snapshot_state()))
         assert snapshot["rng"] is None
-        resumed = ArrayKernel(graph, random.Random(11), backend=backend)
+        resumed = ArrayKernel(graph, random.Random(11))
         resumed.restore_state(snapshot)
         starts = [0] * 40
         assert kernel.run_ctrw_batch(starts, 4.0) == resumed.run_ctrw_batch(starts, 4.0)
@@ -341,13 +358,17 @@ class TestKernelCheckpoint:
         kernel.restore_state(json.loads(json.dumps(kernel.snapshot_state())))
         assert parent.getstate() == before
 
-    def test_backend_mismatch_is_rejected(self):
-        graph = seeded_overlay()
-        kernel = ArrayKernel(graph, random.Random(1), backend="python")
+    def test_python_backend_snapshot_is_refused_by_name(self):
+        """The one backend is ``numpy``; the retired python backend's
+        snapshots (and any unknown backend's) are refused by name."""
+        kernel = ArrayKernel(seeded_overlay(), random.Random(1))
+        assert kernel.backend == "numpy"
         snapshot = kernel.snapshot_state()
-        snapshot["backend"] = "numpy"
-        with pytest.raises(ConfigurationError):
-            kernel.restore_state(snapshot)
+        assert snapshot["backend"] == "numpy"
+        for backend, message in (("python", "retired python backend"), ("fortran", "'fortran'")):
+            snapshot["backend"] = backend
+            with pytest.raises(ConfigurationError, match=message):
+                kernel.restore_state(snapshot)
 
     def test_sampler_walk_state_round_trips(self):
         """Kernel state survives the sampler-level snapshot used by RandCl."""
@@ -428,23 +449,11 @@ class TestEngineResume:
     @pytest.mark.parametrize("shards", [0, 2])
     def test_naive_checkpoint_refused_at_resume(self, shards, tmp_path):
         """A checkpoint whose engine config names ``naive`` is refused by name."""
-        scenario = small_scenario(
-            steps=20, shards=shards, engine_options={"walk_mode": "simulated"}
-        )
-        path = str(tmp_path / "run.ckpt.json")
-        record_scenario(scenario, steps=10, checkpoint_path=path)
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        engine = data["engine"]
-        configs = (
-            [payload["engine"]["config"] for payload in engine["shards"].values()]
-            if shards
-            else [engine["config"]]
-        )
-        for config in configs:
-            config["walk_kernel"] = "naive"
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(data, handle)
+
+        def name_naive(snapshot):
+            snapshot["config"]["walk_kernel"] = "naive"
+
+        path = edited_checkpoint(tmp_path, shards, name_naive)
         with pytest.raises(ConfigurationError, match="naive"):
             resume_from_checkpoint(path, workers=2 if shards else 1)
 
@@ -459,6 +468,22 @@ class TestWalkKernelCli:
     def _main(argv):
         cli = pytest.importorskip("repro.cli")
         return cli.main(argv)
+
+    @pytest.mark.parametrize(
+        "shards, workers", [(0, None), (2, 1), (2, 2)], ids=["single", "shards2-w1", "shards2-w2"]
+    )
+    def test_python_backend_checkpoint_refused_at_resume(self, tmp_path, capsys, shards, workers):
+        """Exit 2 naming the backend on every backend and worker count; a
+        sharded checkpoint is refused before any worker starts."""
+
+        def name_python(snapshot):
+            snapshot["randcl"]["kernel"]["backend"] = "python"
+
+        path = edited_checkpoint(tmp_path, shards, name_python)
+        argv = ["resume", "--checkpoint", path] + (["--shards", str(workers)] if workers else [])
+        assert self._main(argv) == 2
+        err = capsys.readouterr().err
+        assert "retired python backend" in err and "Traceback" not in err
 
     def test_walk_kernel_flag_is_gone(self):
         with pytest.raises(SystemExit):

@@ -25,15 +25,6 @@ from repro.analysis.bounds import exact_binomial_tail, expected_recovery_exchang
 from repro.analysis.complexity import is_consistent_with_polylog
 from repro.analysis.statistics import longest_run_above, quantile
 from repro.core.events import ChurnKind
-
-try:
-    import numpy as _np
-except ImportError:
-    _np = None
-
-requires_numpy = pytest.mark.skipif(
-    _np is None, reason="requires numpy (least-squares complexity fits)"
-)
 from repro.errors import ConfigurationError
 from repro.workloads import (
     GrowthWorkload,
@@ -158,7 +149,6 @@ class TestBounds:
         assert strict > lenient >= 1.0
 
 
-@requires_numpy
 class TestComplexityFitting:
     def test_power_law_recovers_exponent(self):
         sizes = [256, 1024, 4096, 16384]
