@@ -3,10 +3,11 @@
 This library implements, in pure Python, the NOW (Neighbors On Watch)
 clustering protocol of Guerraoui, Huc and Kermarrec (PODC 2013) together with
 every substrate it relies on: the OVER expander overlay, continuous random
-walks, a synchronous message-level network simulator, a Byzantine agreement
-substrate for the initialization phase, adversary models, baseline schemes
-and the applications sketched in the paper's conclusion (broadcast, sampling,
-aggregation, agreement).
+walks, a Byzantine agreement substrate for the initialization phase (Phase
+King and flooding discovery executed round by round, the scalable agreement
+and large-n discovery modelled from their cost formulas), adversary models,
+baseline schemes and the applications sketched in the paper's conclusion
+(broadcast, sampling, aggregation, agreement).
 
 Quick start::
 
@@ -32,7 +33,6 @@ from .errors import (
     NetworkSizeError,
     ProtocolViolationError,
     ReproError,
-    SimulationError,
     UnknownClusterError,
     UnknownNodeError,
     WalkError,
@@ -83,7 +83,6 @@ __all__ = [
     "UnknownClusterError",
     "NetworkSizeError",
     "AgreementError",
-    "SimulationError",
     "WalkError",
     "ChurnEvent",
     "ChurnKind",

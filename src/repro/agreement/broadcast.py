@@ -5,85 +5,26 @@ learn the identifiers of all nodes in the network.  The paper's algorithm
 terminates after at most the diameter of the graph restricted to edges
 adjacent to at least one honest node, with communication cost ``O(n * e)``
 where ``e`` is the number of edges.  The natural realisation is repeated
-neighbourhood flooding: each round, every node forwards the set of
-identifiers it has newly learned to all its neighbours.  Byzantine nodes may
-stay silent or inject fake identifiers; honest nodes only accept identifiers
-that eventually gossip back signed by their owner — in our (no-forgery)
-model this is captured by discarding identifiers that do not correspond to
-registered nodes.
+neighbourhood flooding: every node forwards the identifiers it has newly
+learned to all its neighbours.  Byzantine nodes may stay silent or inject
+fake identifiers; honest nodes only accept identifiers that eventually gossip
+back signed by their owner — in our (no-forgery) model this is captured by
+discarding identifiers that do not correspond to registered nodes.
 
-``flood_broadcast`` runs the flooding as real messages on the
-:class:`~repro.network.simulator.RoundSimulator`; ``all_to_all_exchange`` is
-the single-round all-pairs exchange used inside clusters (e.g. by
-``randNum``) and simply charges the quadratic message count.
+``flood_broadcast`` executes the flood round by round on the synchronous
+model (a message sent in round ``r`` is delivered at the start of round
+``r + 1``) and counts every message it sends.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Mapping, Optional, Set, Tuple
+from collections import defaultdict
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-from ..network.message import Message, MessageKind
+from ..network.message import MessageKind
 from ..network.metrics import CommunicationMetrics
-from ..network.node import NodeDescriptor, NodeId, NodeProcess, NodeRole
-from ..network.simulator import RoundSimulator
+from ..network.node import NodeDescriptor, NodeId
 from ..network.topology import KnowledgeGraph
-
-
-class FloodingBroadcast(NodeProcess):
-    """Per-node flooding process: forward newly learned items to all neighbours."""
-
-    def __init__(
-        self,
-        descriptor: NodeDescriptor,
-        knowledge: KnowledgeGraph,
-        initial_items: Iterable[Any],
-        silent_if_byzantine: bool = True,
-    ) -> None:
-        super().__init__(descriptor)
-        self._knowledge = knowledge
-        self.learned: Set[Any] = set(initial_items)
-        self._fresh: Set[Any] = set(self.learned)
-        self._silent_if_byzantine = silent_if_byzantine
-
-    def _forward(self) -> Iterable[Message]:
-        if self._silent_if_byzantine and self.descriptor.is_byzantine:
-            # The worst a silent Byzantine node can do against discovery is
-            # not forward; injecting garbage is filtered by the caller.
-            self._fresh.clear()
-            return ()
-        if not self._fresh:
-            return ()
-        payload = frozenset(self._fresh)
-        self._fresh = set()
-        messages = []
-        for neighbour in self._knowledge.neighbours(self.node_id):
-            messages.append(
-                Message(
-                    sender=self.node_id,
-                    receiver=neighbour,
-                    kind=MessageKind.DISCOVERY,
-                    topic="flood",
-                    payload=payload,
-                )
-            )
-        return messages
-
-    def on_start(self) -> Iterable[Message]:
-        return self._forward()
-
-    def on_round(self, round_number: int) -> Iterable[Message]:
-        return self._forward()
-
-    def on_message(self, message: Message, round_number: int) -> Iterable[Message]:
-        incoming = set(message.payload) if message.payload else set()
-        new_items = incoming - self.learned
-        if not new_items:
-            return ()
-        self.learned |= new_items
-        self._fresh |= new_items
-        # Forward immediately (same round's outbox) so the flood keeps moving
-        # and the quiescence check never observes a half-propagated state.
-        return self._forward()
 
 
 def flood_broadcast(
@@ -96,41 +37,50 @@ def flood_broadcast(
     """Run flooding until quiescence and return each node's learned set.
 
     ``initial_items[v]`` is what node ``v`` injects (typically its own
-    identifier).  The returned metrics ledger contains the measured message
-    and round counts of the flood.
+    identifier).  The flood's message and round counts are charged to the
+    returned ledger under the ``"discovery"`` label.
     """
     ledger = metrics if metrics is not None else CommunicationMetrics()
-    simulator = RoundSimulator(knowledge=knowledge, metrics=ledger)
-    processes: Dict[NodeId, FloodingBroadcast] = {}
-    for node_id, descriptor in descriptors.items():
-        process = FloodingBroadcast(
-            descriptor, knowledge, initial_items.get(node_id, (node_id,))
-        )
-        processes[node_id] = process
-        simulator.add_process(process)
-    simulator.start()
+    learned = {node_id: set(initial_items.get(node_id, (node_id,))) for node_id in descriptors}
+    # The worst a silent Byzantine node can do against discovery is not
+    # forward; injecting garbage is filtered by the caller.
+    relays = {
+        node_id: list(knowledge.neighbours(node_id)) if node_id in knowledge else []
+        for node_id, descriptor in descriptors.items()
+        if not descriptor.is_byzantine
+    }
+    # (receiver, items) in send order: every node starts by sending what it knows.
+    pending: List[Tuple[NodeId, frozenset]] = [
+        (neighbour, frozenset(learned[node_id]))
+        for node_id, neighbours in relays.items()
+        if learned[node_id]
+        for neighbour in neighbours
+    ]
+    messages = len(pending)
+    rounds = 0
+    undelivered = False
     round_cap = max_rounds if max_rounds is not None else 2 * len(descriptors) + 2
-    simulator.run_until_quiescent(max_rounds=round_cap)
-    learned = {node_id: set(process.learned) for node_id, process in processes.items()}
+    for _ in range(round_cap):
+        if not pending and not undelivered:
+            break
+        rounds += 1
+        inboxes: Dict[NodeId, List[frozenset]] = defaultdict(list)
+        for receiver, items in pending:
+            inboxes[receiver].append(items)
+        pending = []
+        for node_id, known in learned.items():
+            for items in inboxes.pop(node_id, ()):
+                new_items = items - known
+                if not new_items:
+                    continue
+                known |= new_items
+                # Forward at once, per delivered message that taught something.
+                for neighbour in relays.get(node_id, ()):
+                    pending.append((neighbour, new_items))
+                    messages += 1
+        # Messages addressed to nodes outside ``descriptors`` are never
+        # delivered, but they keep the flood from counting as quiescent for
+        # one more round.
+        undelivered = bool(inboxes)
+    ledger.charge(messages, rounds, kind=MessageKind.DISCOVERY, label="discovery")
     return learned, ledger
-
-
-def all_to_all_exchange(
-    participants: Iterable[NodeId],
-    metrics: CommunicationMetrics,
-    kind: MessageKind = MessageKind.CONTROL,
-    label: str = "all-to-all",
-    rounds: int = 1,
-) -> int:
-    """Charge the cost of an all-pairs exchange among ``participants``.
-
-    Used for intra-cluster steps where every member sends to every other
-    member (commit/reveal of ``randNum``, membership announcements inside a
-    cluster, and so on).  Returns the number of messages charged,
-    ``m * (m - 1)`` for ``m`` participants.
-    """
-    members = list(participants)
-    count = len(members) * max(0, len(members) - 1)
-    metrics.charge_messages(count, kind=kind, label=label)
-    metrics.charge_rounds(rounds, label=label)
-    return count

@@ -21,22 +21,20 @@ honest nodes hold the same value and the decision rule never changes it.
 
 Byzantine behaviour is supplied as a *strategy* callable so attack
 experiments can plug in equivocation or silence; the default strategy
-equivocates, the classical worst case for majority-based protocols.  Every
-message is sent over a :class:`~repro.network.channels.ChannelSet`, so the
-counts reported in the outcome are measured, not estimated.
+equivocates, the classical worst case for majority-based protocols.  The
+participants form a clique, so the protocol is a plain loop over them: every
+value a node sends is delivered to its receiver's inbox for the next round
+and counted, so the counts reported in the outcome are measured, not
+estimated.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Any, Callable, Dict, Mapping, Optional, Set
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..network.channels import ChannelSet
-from ..network.message import Message, MessageKind
-from ..network.metrics import CommunicationMetrics
 from ..network.node import NodeId
-from ..network.topology import KnowledgeGraph
 from .interface import (
     AgreementOutcome,
     AgreementProtocol,
@@ -69,36 +67,8 @@ def silent_strategy() -> ByzantineStrategy:
     return strategy
 
 
-class PhaseKingProcess:
-    """Per-node state of one Phase-King participant (driven by the runner)."""
-
-    def __init__(self, node_id: NodeId, initial_value: Any, is_byzantine: bool) -> None:
-        self.node_id = node_id
-        self.value = initial_value
-        self.is_byzantine = is_byzantine
-        self.majority_value: Optional[Any] = None
-        self.majority_count: int = 0
-        self.king_value: Optional[Any] = None
-        self.decided_value: Optional[Any] = None
-
-    def compute_majority(self, received: Dict[NodeId, Any]) -> None:
-        """Tally round-1 values (own value included) and record the majority."""
-        values = list(received.values()) + [self.value]
-        counts = Counter(values)
-        self.majority_value, self.majority_count = counts.most_common(1)[0]
-
-    def apply_phase_rule(self, participant_count: int, fault_bound: int) -> None:
-        """End-of-phase update: keep own majority if strong enough, else follow the king."""
-        threshold = participant_count / 2.0 + fault_bound
-        if self.majority_count > threshold or self.king_value is None:
-            if self.majority_value is not None:
-                self.value = self.majority_value
-        else:
-            self.value = self.king_value
-
-
 class PhaseKingConsensus(AgreementProtocol):
-    """Runs Phase King over private channels for a given participant set."""
+    """Runs Phase King among a given participant set, counting every message."""
 
     def __init__(
         self,
@@ -114,9 +84,6 @@ class PhaseKingConsensus(AgreementProtocol):
         """Phase King requires ``n > 4f``."""
         return 0.25
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def decide(
         self,
         inputs: Mapping[NodeId, Any],
@@ -126,69 +93,52 @@ class PhaseKingConsensus(AgreementProtocol):
         if not participants:
             return AgreementOutcome(agreement=True, validity=True)
         fault_bound = len(byzantine)
-        knowledge = KnowledgeGraph()
-        knowledge.connect_clique(participants)
-        metrics = CommunicationMetrics()
-        channels = ChannelSet(knowledge, metrics=metrics)
+        threshold = len(participants) / 2.0 + fault_bound
+        honest = [node_id for node_id in participants if node_id not in byzantine]
+        value = {node_id: inputs[node_id] for node_id in participants}
+        majority: Dict[NodeId, Tuple[Any, int]] = {}
+        messages = rounds = 0
 
-        processes = {
-            node_id: PhaseKingProcess(
-                node_id, initial_value=inputs[node_id], is_byzantine=node_id in byzantine
-            )
-            for node_id in participants
-        }
-
-        round_number = 0
         for phase in range(1, fault_bound + 2):
             king = participants[(phase - 1) % len(participants)]
-            # Round 1: all-to-all value exchange.
-            round_number += 1
-            metrics.charge_rounds(1, label="phase-king")
-            for process in processes.values():
-                self._send_to_all(
-                    channels, process, participants, phase, 1, process.value, round_number
-                )
-            channels.advance_round()
-            received_per_node = {
-                node_id: {
-                    message.sender: message.payload for message in channels.deliver(node_id)
-                }
-                for node_id in participants
-            }
-            for node_id, process in processes.items():
-                if not process.is_byzantine:
-                    process.compute_majority(received_per_node[node_id])
-                    process.king_value = None
+            # Round 1: all-to-all value exchange.  An inbox keeps sender
+            # order, which decides ties in the majority tally below.
+            rounds += 1
+            inbox: Dict[NodeId, List[Any]] = {node_id: [] for node_id in participants}
+            for sender in participants:
+                for receiver, sent in self._sends(
+                    sender, participants, byzantine, phase, 1, value[sender]
+                ):
+                    inbox[receiver].append(sent)
+                    messages += 1
+            for node_id in honest:
+                tally = Counter(inbox[node_id] + [value[node_id]])
+                majority[node_id] = tally.most_common(1)[0]
 
             # Round 2: the king broadcasts its majority value.
-            round_number += 1
-            metrics.charge_rounds(1, label="phase-king")
-            king_process = processes[king]
-            king_payload = (
-                king_process.majority_value
-                if king_process.majority_value is not None
-                else king_process.value
-            )
-            self._send_to_all(
-                channels, king_process, participants, phase, 2, king_payload, round_number
-            )
-            channels.advance_round()
-            for node_id in participants:
-                for message in channels.deliver(node_id):
-                    if message.sender == king:
-                        processes[node_id].king_value = message.payload
+            rounds += 1
+            king_payload = majority[king][0] if king in majority else None
+            if king_payload is None:
+                king_payload = value[king]
+            king_value: Dict[NodeId, Any] = {}
+            for receiver, sent in self._sends(
+                king, participants, byzantine, phase, 2, king_payload
+            ):
+                king_value[receiver] = sent
+                messages += 1
 
-            for process in processes.values():
-                if not process.is_byzantine:
-                    process.apply_phase_rule(len(participants), fault_bound)
+            # Keep a strong own majority, else follow the king if it spoke.
+            for node_id in honest:
+                majority_value, count = majority[node_id]
+                heard = king_value.get(node_id)
+                if count <= threshold and heard is not None:
+                    value[node_id] = heard
+                elif majority_value is not None:
+                    value[node_id] = majority_value
 
-        decisions = {
-            node_id: process.value
-            for node_id, process in processes.items()
-            if not process.is_byzantine
-        }
+        decisions = {node_id: value[node_id] for node_id in honest}
         honest_inputs = {
-            node_id: value for node_id, value in inputs.items() if node_id not in byzantine
+            node_id: proposed for node_id, proposed in inputs.items() if node_id not in byzantine
         }
         agreement = check_agreement(decisions)
         validity = check_validity(decisions, honest_inputs)
@@ -198,40 +148,32 @@ class PhaseKingConsensus(AgreementProtocol):
             decided_value=decided_value,
             agreement=agreement,
             validity=validity,
-            messages=metrics.messages,
-            rounds=metrics.rounds,
+            messages=messages,
+            rounds=rounds,
         )
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _send_to_all(
+    def _sends(
         self,
-        channels: ChannelSet,
-        process: PhaseKingProcess,
-        participants,
+        sender: NodeId,
+        participants: Sequence[NodeId],
+        byzantine: Set[NodeId],
         phase: int,
         round_index: int,
         honest_value: Any,
-        round_number: int,
-    ) -> None:
+    ) -> Iterator[Tuple[NodeId, Any]]:
+        """Yield ``(receiver, value)`` for every message ``sender`` sends this round.
+
+        An honest sender sends ``honest_value`` to every other participant; a
+        Byzantine one sends whatever the strategy returns, skipping receivers
+        it stays silent towards.
+        """
         for receiver in participants:
-            if receiver == process.node_id:
+            if receiver == sender:
                 continue
-            if process.is_byzantine:
-                value = self._byzantine_strategy(process.node_id, receiver, phase, round_index)
-                if value is None:
+            if sender in byzantine:
+                sent = self._byzantine_strategy(sender, receiver, phase, round_index)
+                if sent is None:
                     continue
             else:
-                value = honest_value
-            channels.send(
-                Message(
-                    sender=process.node_id,
-                    receiver=receiver,
-                    kind=MessageKind.AGREEMENT,
-                    topic=f"phase-king:p{phase}r{round_index}",
-                    payload=value,
-                ),
-                round_number=round_number,
-                label="phase-king",
-            )
+                sent = honest_value
+            yield receiver, sent

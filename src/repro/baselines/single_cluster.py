@@ -5,9 +5,9 @@ single highly available process" out of the whole network, and the conclusion
 quantifies the application-level gap: broadcast costs ``O(n^2)`` messages
 without clustering versus ``O~(n)`` with it, and sampling has no sub-linear
 implementation at all.  :class:`SingleClusterBaseline` supplies those
-reference costs, both as closed-form counts and as measured counts obtained
-by actually running the naive protocols on the message-level simulator for
-small ``n`` (so the closed forms are validated, not assumed).
+reference costs, both as closed-form counts and, for agreement, as the
+message count of an executed whole-network Phase King for small ``n`` (so
+the closed form is validated, not assumed).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..agreement.phase_king import PhaseKingConsensus
-from ..network.metrics import CommunicationMetrics
 from ..network.node import NodeId
 
 

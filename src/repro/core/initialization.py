@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..agreement.committee import CommitteeElection
 from ..agreement.interface import AgreementProtocol
@@ -38,7 +38,7 @@ from ..agreement.scalable import ScalableAgreementModel
 from ..errors import ConfigurationError
 from ..network.message import MessageKind
 from ..network.metrics import CommunicationMetrics
-from ..network.node import NodeDescriptor, NodeId, NodeRole
+from ..network.node import NodeId, NodeRole
 from ..network.topology import KnowledgeGraph
 from ..params import ProtocolParameters
 from ..rng import derive_rng
@@ -236,8 +236,7 @@ class NowInitializer:
         if mode == "message":
             descriptors = {node_id: registry.get(node_id) for node_id in node_ids}
             initial = {node_id: {node_id} for node_id in node_ids}
-            ledger = CommunicationMetrics()
-            flood_broadcast(knowledge, descriptors, initial, metrics=ledger)
+            _, ledger = flood_broadcast(knowledge, descriptors, initial)
             metrics.merge(ledger)
             return ledger.messages, ledger.rounds, "message"
         # Cost model: the paper's O(n * e) messages over the honest-adjacent diameter rounds.

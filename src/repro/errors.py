@@ -59,9 +59,5 @@ class AgreementError(ReproError):
     """A Byzantine agreement instance failed to reach a valid decision."""
 
 
-class SimulationError(ReproError):
-    """The message-level simulator encountered an unrecoverable condition."""
-
-
 class WalkError(ReproError):
     """A random walk could not be carried out (e.g. empty or disconnected overlay)."""

@@ -1,37 +1,30 @@
-"""Synchronous round-based network simulation substrate.
+"""Network model: node identities, the knowledge graph and cost ledgers.
 
-This package provides the message-level machinery the paper's model assumes:
-
-* :mod:`repro.network.node` — node identities and process behaviours,
-* :mod:`repro.network.message` — typed messages exchanged over private channels,
-* :mod:`repro.network.channels` — reliable private point-to-point channels,
+* :mod:`repro.network.node` — node identities, roles and liveness states,
+* :mod:`repro.network.message` — message kinds for cost accounting,
 * :mod:`repro.network.topology` — the knowledge graph (who knows whom),
-* :mod:`repro.network.metrics` — message/round accounting,
-* :mod:`repro.network.simulator` — the synchronous round scheduler.
+* :mod:`repro.network.metrics` — message/round accounting.
 
-The NOW maintenance phase runs at cluster granularity (see
-``repro.core``), but the agreement substrate, the initialization phase and
-the application-level protocols execute on this simulator message by
-message.
+The two protocols executed message by message — Phase King
+(:mod:`repro.agreement.phase_king`) and flooding discovery
+(:mod:`repro.agreement.broadcast`) — are plain synchronous round loops that
+count their own sends and rounds.  Everything else (the NOW
+maintenance phase at cluster granularity, the scalable agreement model,
+large-n discovery) charges its traffic to the same ledgers from cost
+formulas.
 """
 
-from .message import Message, MessageKind
+from .message import MessageKind
 from .metrics import CommunicationMetrics, MetricsRegistry
-from .node import NodeId, NodeProcess, NodeRole, NodeState
-from .channels import ChannelSet
+from .node import NodeId, NodeRole, NodeState
 from .topology import KnowledgeGraph
-from .simulator import RoundSimulator
 
 __all__ = [
-    "Message",
     "MessageKind",
     "CommunicationMetrics",
     "MetricsRegistry",
     "NodeId",
-    "NodeProcess",
     "NodeRole",
     "NodeState",
-    "ChannelSet",
     "KnowledgeGraph",
-    "RoundSimulator",
 ]

@@ -1,16 +1,13 @@
-"""Message types exchanged over the simulated network.
+"""Message kinds for communication-cost accounting.
 
 The paper's model assumes messages of identical size, so communication cost
 is proportional to the number of messages.  We therefore only track message
-*counts*; payloads are arbitrary Python objects used by the protocol logic.
+*counts*, broken down by kind; no message object is ever built.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Optional
 
 
 class MessageKind(enum.Enum):
@@ -32,56 +29,3 @@ class MessageKind(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
-
-
-_MESSAGE_COUNTER = itertools.count()
-
-
-@dataclass(frozen=True)
-class Message:
-    """A single message sent from ``sender`` to ``receiver``.
-
-    Attributes
-    ----------
-    sender, receiver:
-        Node identifiers.  ``receiver`` must be known to the sender in the
-        knowledge graph for the channel to exist.
-    kind:
-        A :class:`MessageKind` used for cost accounting.
-    topic:
-        Free-form string naming the protocol step (e.g. ``"phase-king:vote"``).
-    payload:
-        Arbitrary, protocol-defined content.
-    round_sent:
-        Simulation round in which the message was sent (stamped by the
-        simulator).
-    message_id:
-        Monotonically increasing identifier, unique within a process.
-    """
-
-    sender: int
-    receiver: int
-    kind: MessageKind = MessageKind.CONTROL
-    topic: str = ""
-    payload: Any = None
-    round_sent: Optional[int] = None
-    message_id: int = field(default_factory=lambda: next(_MESSAGE_COUNTER))
-
-    def with_round(self, round_number: int) -> "Message":
-        """Return a copy of the message stamped with the sending round."""
-        return Message(
-            sender=self.sender,
-            receiver=self.receiver,
-            kind=self.kind,
-            topic=self.topic,
-            payload=self.payload,
-            round_sent=round_number,
-            message_id=self.message_id,
-        )
-
-    def describe(self) -> str:
-        """Human-readable one-line description (used in logs and errors)."""
-        return (
-            f"Message#{self.message_id} {self.sender}->{self.receiver} "
-            f"[{self.kind.value}] {self.topic!r}"
-        )

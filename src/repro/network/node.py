@@ -1,19 +1,14 @@
-"""Node identities and process behaviours for the message-level simulator.
+"""Node identities, roles and liveness states.
 
 A *node* in the paper is a process with a unique, unforgeable identifier.
 Nodes are either honest or controlled by the (static) Byzantine adversary.
-For the message-level protocols (agreement, discovery) each node runs a
-:class:`NodeProcess` — a small state machine with ``on_round`` and
-``on_message`` hooks driven by the :class:`~repro.network.simulator.RoundSimulator`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
-
-from .message import Message
+from typing import Any, Dict, Optional
 
 NodeId = int
 
@@ -90,85 +85,3 @@ class NodeDescriptor:
         self.state = NodeState.CRASHED
         self.left_at = time_step
 
-
-class NodeProcess:
-    """Base class for per-node protocol logic on the round simulator.
-
-    Subclasses override :meth:`on_round` (called once per round before
-    delivery) and :meth:`on_message` (called once per delivered message).
-    Both may return messages to be sent in the *next* round, matching the
-    synchronous model of the paper: messages sent in round ``r`` are delivered
-    at the beginning of round ``r + 1``.
-    """
-
-    def __init__(self, descriptor: NodeDescriptor) -> None:
-        self.descriptor = descriptor
-        self.outbox: List[Message] = []
-        self.halted = False
-
-    # ------------------------------------------------------------------
-    # Hooks
-    # ------------------------------------------------------------------
-    def on_start(self) -> Iterable[Message]:
-        """Called once before the first round; may emit initial messages."""
-        return ()
-
-    def on_round(self, round_number: int) -> Iterable[Message]:
-        """Called at the beginning of every round."""
-        return ()
-
-    def on_message(self, message: Message, round_number: int) -> Iterable[Message]:
-        """Called for every message delivered to this node in this round."""
-        return ()
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    @property
-    def node_id(self) -> NodeId:
-        """Identifier of the underlying node."""
-        return self.descriptor.node_id
-
-    @property
-    def is_honest(self) -> bool:
-        """Whether the process belongs to an honest node."""
-        return self.descriptor.is_honest
-
-    def halt(self) -> None:
-        """Stop participating; the simulator will no longer invoke the hooks."""
-        self.halted = True
-
-    def send(self, message: Message) -> Message:
-        """Queue ``message`` for the next round and return it (fluent style)."""
-        self.outbox.append(message)
-        return message
-
-    def drain_outbox(self) -> List[Message]:
-        """Return and clear the queued messages (used by the simulator)."""
-        queued, self.outbox = self.outbox, []
-        return queued
-
-
-class SilentProcess(NodeProcess):
-    """A process that never sends anything (models a crashed/left node)."""
-
-
-class EchoProcess(NodeProcess):
-    """Diagnostic process that echoes every received payload back to the sender.
-
-    Used by the simulator's own tests to validate delivery and round
-    semantics; not part of any paper protocol.
-    """
-
-    def on_message(self, message: Message, round_number: int) -> Iterable[Message]:
-        if self.halted:
-            return ()
-        return (
-            Message(
-                sender=self.node_id,
-                receiver=message.sender,
-                kind=message.kind,
-                topic=f"echo:{message.topic}",
-                payload=message.payload,
-            ),
-        )

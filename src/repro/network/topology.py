@@ -11,7 +11,7 @@ adjacent to at least one honest node) bounds the discovery round complexity.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
+from typing import Dict, Set
 
 from ..errors import UnknownNodeError
 from .node import NodeId
@@ -30,13 +30,6 @@ class KnowledgeGraph:
         """Insert ``node_id`` with no neighbours (idempotent)."""
         self._adjacency.setdefault(node_id, set())
 
-    def remove_node(self, node_id: NodeId) -> None:
-        """Remove ``node_id`` and every incident edge."""
-        if node_id not in self._adjacency:
-            raise UnknownNodeError(f"node {node_id} not in knowledge graph")
-        for neighbour in self._adjacency.pop(node_id):
-            self._adjacency[neighbour].discard(node_id)
-
     def connect(self, first: NodeId, second: NodeId) -> None:
         """Make ``first`` and ``second`` know each other (adds missing nodes)."""
         if first == second:
@@ -45,28 +38,6 @@ class KnowledgeGraph:
         self.add_node(second)
         self._adjacency[first].add(second)
         self._adjacency[second].add(first)
-
-    def disconnect(self, first: NodeId, second: NodeId) -> None:
-        """Remove the edge between ``first`` and ``second`` if present."""
-        if first in self._adjacency:
-            self._adjacency[first].discard(second)
-        if second in self._adjacency:
-            self._adjacency[second].discard(first)
-
-    def connect_clique(self, nodes: Iterable[NodeId]) -> None:
-        """Pairwise-connect every node in ``nodes`` (cluster-internal links)."""
-        node_list = list(nodes)
-        for index, first in enumerate(node_list):
-            self.add_node(first)
-            for second in node_list[index + 1 :]:
-                self.connect(first, second)
-
-    def connect_bipartite(self, left: Iterable[NodeId], right: Iterable[NodeId]) -> None:
-        """Connect every node of ``left`` with every node of ``right``."""
-        right_list = list(right)
-        for first in left:
-            for second in right_list:
-                self.connect(first, second)
 
     # ------------------------------------------------------------------
     # Queries
@@ -77,53 +48,15 @@ class KnowledgeGraph:
     def __len__(self) -> int:
         return len(self._adjacency)
 
-    def nodes(self) -> Iterator[NodeId]:
-        """Iterate over every node identifier."""
-        return iter(self._adjacency.keys())
-
     def neighbours(self, node_id: NodeId) -> Set[NodeId]:
         """Return the set of nodes known by ``node_id``."""
         if node_id not in self._adjacency:
             raise UnknownNodeError(f"node {node_id} not in knowledge graph")
         return set(self._adjacency[node_id])
 
-    def degree(self, node_id: NodeId) -> int:
-        """Number of nodes known by ``node_id``."""
-        return len(self.neighbours(node_id))
-
     def edge_count(self) -> int:
         """Total number of undirected edges."""
         return sum(len(neigh) for neigh in self._adjacency.values()) // 2
-
-    def knows(self, first: NodeId, second: NodeId) -> bool:
-        """Whether ``first`` can open a channel to ``second``."""
-        return second in self._adjacency.get(first, ())
-
-    def is_connected(self, restrict_to: Optional[Set[NodeId]] = None) -> bool:
-        """Whether the graph (optionally induced on ``restrict_to``) is connected."""
-        nodes = set(self._adjacency) if restrict_to is None else set(restrict_to)
-        if not nodes:
-            return True
-        start = next(iter(nodes))
-        seen = self._bfs_order(start, nodes)
-        return len(seen) == len(nodes)
-
-    def bfs_distances(
-        self, start: NodeId, restrict_to: Optional[Set[NodeId]] = None
-    ) -> Dict[NodeId, int]:
-        """Breadth-first distances from ``start`` within the (induced) graph."""
-        if start not in self._adjacency:
-            raise UnknownNodeError(f"node {start} not in knowledge graph")
-        allowed = set(self._adjacency) if restrict_to is None else set(restrict_to)
-        distances: Dict[NodeId, int] = {start: 0}
-        queue = deque([start])
-        while queue:
-            current = queue.popleft()
-            for neighbour in self._adjacency[current]:
-                if neighbour in allowed and neighbour not in distances:
-                    distances[neighbour] = distances[current] + 1
-                    queue.append(neighbour)
-        return distances
 
     def honest_adjacent_diameter(self, honest: Set[NodeId]) -> int:
         """Diameter counting only edges adjacent to at least one honest node.
@@ -145,27 +78,9 @@ class KnowledgeGraph:
                 worst = max(worst, distances.get(node, len(nodes)))
         return worst
 
-    def edges(self) -> Iterator[Tuple[NodeId, NodeId]]:
-        """Iterate over undirected edges as ordered pairs (small id first)."""
-        for node, neighbours in self._adjacency.items():
-            for other in neighbours:
-                if node < other:
-                    yield (node, other)
-
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
-    def _bfs_order(self, start: NodeId, allowed: Set[NodeId]) -> Set[NodeId]:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            current = queue.popleft()
-            for neighbour in self._adjacency.get(current, ()):
-                if neighbour in allowed and neighbour not in seen:
-                    seen.add(neighbour)
-                    queue.append(neighbour)
-        return seen
-
     def _bfs_honest_adjacent(self, start: NodeId, honest: Set[NodeId]) -> Dict[NodeId, int]:
         distances: Dict[NodeId, int] = {start: 0}
         queue = deque([start])

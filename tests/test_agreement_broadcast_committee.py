@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.agreement.broadcast import all_to_all_exchange, flood_broadcast
+from repro.agreement.broadcast import flood_broadcast
 from repro.agreement.committee import CommitteeElection
 from repro.agreement.scalable import ScalableAgreementModel
 from repro.errors import AgreementError
@@ -41,7 +41,9 @@ class TestFloodBroadcast:
     def test_silent_byzantine_delay_but_do_not_block_when_graph_is_rich(self):
         """On a clique, silent Byzantine nodes cannot prevent discovery."""
         knowledge = KnowledgeGraph()
-        knowledge.connect_clique(range(8))
+        for first in range(8):
+            for second in range(first + 1, 8):
+                knowledge.connect(first, second)
         descriptors = {
             node_id: NodeDescriptor(
                 node_id=node_id,
@@ -56,12 +58,116 @@ class TestFloodBroadcast:
             # Every honest node learns at least every honest identifier.
             assert set(honest).issubset(learned[node_id])
 
-    def test_all_to_all_exchange_cost(self):
-        metrics = CommunicationMetrics()
-        count = all_to_all_exchange(range(6), metrics, label="randnum")
-        assert count == 30
-        assert metrics.messages == 30
-        assert metrics.rounds == 1
+    def test_round_cap_stops_the_flood(self):
+        """Each round carries identifiers one hop further; the cap cuts it short."""
+        knowledge, descriptors = build_line_network(10)
+        initial = {node_id: {node_id} for node_id in range(10)}
+        learned, metrics = flood_broadcast(knowledge, descriptors, initial, max_rounds=3)
+        assert metrics.rounds == 3
+        assert learned[9] == {6, 7, 8, 9}
+        assert learned[0] == {0, 1, 2, 3}
+
+    def test_cost_is_booked_as_discovery(self):
+        knowledge, descriptors = build_line_network(6)
+        ledger = CommunicationMetrics()
+        ledger.charge_messages(5, label="earlier")
+        _, returned = flood_broadcast(
+            knowledge, descriptors, {node_id: {node_id} for node_id in range(6)}, metrics=ledger
+        )
+        assert returned is ledger
+        flood_messages = ledger.messages - 5
+        assert flood_messages > 0
+        assert ledger.by_kind["discovery"] == ledger.by_label["discovery"] == flood_messages
+        assert ledger.rounds_by_label["discovery"] == ledger.rounds > 0
+
+    def test_fresh_ledger_holds_only_the_flood(self):
+        knowledge, descriptors = build_line_network(4)
+        _, ledger = flood_broadcast(knowledge, descriptors, {})
+        assert set(ledger.by_label) == set(ledger.rounds_by_label) == {"discovery"}
+
+    def test_one_hop_per_round(self):
+        """A message sent in round r is delivered, and forwarded, in round r + 1."""
+        knowledge, descriptors = build_line_network(8)
+        learned, _ = flood_broadcast(
+            knowledge, descriptors, {node_id: {node_id} for node_id in range(8)}, max_rounds=1
+        )
+        for node_id in range(8):
+            assert learned[node_id] == {node_id - 1, node_id, node_id + 1} & set(range(8))
+
+    @pytest.mark.parametrize("size", [2, 5, 10])
+    def test_line_floods_in_diameter_plus_one_rounds(self, size):
+        """The last round delivers only what every receiver already knows."""
+        knowledge, descriptors = build_line_network(size)
+        _, ledger = flood_broadcast(knowledge, descriptors, {})
+        assert ledger.rounds == (size - 1) + 1
+
+    @pytest.mark.parametrize("size", [2, 3, 5])
+    def test_clique_cost(self, size):
+        """Every node sends its id to n-1 neighbours, then forwards each new id to n-1."""
+        knowledge = KnowledgeGraph()
+        for first in range(size):
+            for second in range(first + 1, size):
+                knowledge.connect(first, second)
+        descriptors = {node_id: NodeDescriptor(node_id=node_id) for node_id in range(size)}
+        learned, ledger = flood_broadcast(knowledge, descriptors, {})
+        assert all(learned[node_id] == set(range(size)) for node_id in range(size))
+        assert ledger.messages == size * (size - 1) + size * (size - 1) * (size - 1)
+        assert ledger.rounds == 2
+
+    def test_sends_follow_knowledge_edges_only(self):
+        """Two components: no identifier crosses between them."""
+        knowledge = KnowledgeGraph()
+        for first, second in [(0, 1), (1, 2), (3, 4)]:
+            knowledge.connect(first, second)
+        descriptors = {node_id: NodeDescriptor(node_id=node_id) for node_id in range(5)}
+        learned, _ = flood_broadcast(knowledge, descriptors, {})
+        assert [learned[node_id] for node_id in range(5)] == [{0, 1, 2}] * 3 + [{3, 4}] * 2
+
+    def test_edgeless_network_is_quiescent_at_once(self):
+        knowledge = KnowledgeGraph()
+        for node_id in range(4):
+            knowledge.add_node(node_id)
+        descriptors = {node_id: NodeDescriptor(node_id=node_id) for node_id in range(4)}
+        learned, ledger = flood_broadcast(knowledge, descriptors, {})
+        assert learned == {node_id: {node_id} for node_id in range(4)}
+        assert (ledger.messages, ledger.rounds) == (0, 0)
+
+    def test_all_byzantine_network_sends_nothing(self):
+        knowledge, descriptors = build_line_network(5, byzantine=range(5))
+        learned, ledger = flood_broadcast(knowledge, descriptors, {})
+        assert learned == {node_id: {node_id} for node_id in range(5)}
+        assert (ledger.messages, ledger.rounds) == (0, 0)
+
+    def test_byzantine_node_receives_but_never_forwards(self):
+        knowledge, descriptors = build_line_network(3, byzantine={1})
+        learned, ledger = flood_broadcast(knowledge, descriptors, {})
+        assert learned == {0: {0}, 1: {0, 1, 2}, 2: {2}}
+        assert (ledger.messages, ledger.rounds) == (2, 1)
+
+    def test_node_missing_from_the_graph_learns_nothing(self):
+        knowledge, descriptors = build_line_network(3)
+        descriptors[7] = NodeDescriptor(node_id=7)
+        learned, _ = flood_broadcast(knowledge, descriptors, {})
+        assert learned[7] == {7}
+        assert all(learned[node_id] == {0, 1, 2} for node_id in range(3))
+
+    def test_messages_to_unregistered_neighbours_are_charged_not_delivered(self):
+        knowledge, descriptors = build_line_network(3)
+        del descriptors[2]
+        learned, ledger = flood_broadcast(knowledge, descriptors, {})
+        assert learned == {0: {0, 1}, 1: {0, 1}}
+        # 0->1, 1->0, 1->2 initially; then 0 forwards {1} to 1 and 1 forwards {0} to 0 and 2.
+        assert ledger.messages == 6
+
+    def test_initial_items_default_to_own_id_and_empty_sets_start_silent(self):
+        knowledge, descriptors = build_line_network(3)
+        learned, ledger = flood_broadcast(
+            knowledge, descriptors, {0: {"a", "b"}, 1: set()}, max_rounds=1
+        )
+        # Node 1 sent nothing initially, so after one round 0 has heard nothing.
+        assert learned[0] == {"a", "b"}
+        assert learned[1] == {"a", "b", 2}
+        assert learned[2] == {2}
 
 
 class TestScalableAgreementModel:

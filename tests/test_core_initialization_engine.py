@@ -56,6 +56,15 @@ class TestNowInitializer:
         assert report.discovery_mode == "message"
         assert report.discovery_messages > 0
 
+    def test_discovery_modes_book_under_the_same_labels(self):
+        """Executed and modelled discovery charge the same ledger labels."""
+        for mode in ("message", "model"):
+            initializer = NowInitializer(self.params(), random.Random(1), discovery_mode=mode)
+            state, _ = initializer.build(initial_size=80, byzantine_fraction=0.1)
+            ledger = state.metrics.scope("initialization")
+            assert set(ledger.by_label) == {"discovery", "clusterization"}, mode
+            assert set(ledger.rounds_by_label) == {"discovery", "clusterization"}, mode
+
     def test_auto_discovery_switches_to_model_for_large_populations(self):
         initializer = NowInitializer(
             self.params(), random.Random(1), discovery_mode="auto", message_discovery_limit=50

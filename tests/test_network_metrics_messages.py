@@ -1,33 +1,14 @@
-"""Unit tests for messages, metrics ledgers and the metrics registry."""
+"""Unit tests for message kinds, metrics ledgers and the metrics registry."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.network.message import Message, MessageKind
+from repro.network.message import MessageKind
 from repro.network.metrics import CommunicationMetrics, MetricsRegistry
 
 
-class TestMessage:
-    def test_unique_ids(self):
-        first = Message(sender=1, receiver=2)
-        second = Message(sender=1, receiver=2)
-        assert first.message_id != second.message_id
-
-    def test_with_round_stamps_copy(self):
-        original = Message(sender=1, receiver=2, topic="hello", payload=5)
-        stamped = original.with_round(9)
-        assert stamped.round_sent == 9
-        assert original.round_sent is None
-        assert stamped.message_id == original.message_id
-        assert stamped.payload == 5
-
-    def test_describe_mentions_endpoints(self):
-        message = Message(sender=3, receiver=4, kind=MessageKind.WALK, topic="hop")
-        text = message.describe()
-        assert "3->4" in text
-        assert "walk" in text
-
+class TestMessageKind:
     def test_kind_string(self):
         assert str(MessageKind.RANDNUM) == "randnum"
 

@@ -128,7 +128,6 @@ class TestErrorHierarchy:
             "UnknownClusterError",
             "NetworkSizeError",
             "AgreementError",
-            "SimulationError",
             "WalkError",
         ):
             exc_type = getattr(errors, name)
