@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from ..errors import ClusterCompromisedError, ConfigurationError, NetworkSizeError
 from ..network.metrics import MetricsRegistry

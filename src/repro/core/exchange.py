@@ -84,32 +84,23 @@ class ExchangeProtocol:
         clusters = self._state.clusters
         cluster = clusters.get(cluster_id)
         byzantine = self._state.nodes.active_byzantine()
-        select = self._randcl.select
+        finalize = self._randcl.finalize
+        pick_member = self._randnum.pick_member
         members = cluster.members
 
         original_members = cluster.member_list()
-        # Under the array kernel (simulated mode) the whole round's walks
-        # advance in lockstep: one prefetched outcome per original member,
-        # consumed in order and charged only when actually used.  Swaps keep
-        # cluster sizes, so the overlay and its weights are static for the
-        # round and every prefetched outcome is drawn from the same
-        # distribution a sequential walk would see.
-        prefetched = None
-        if self._randcl.batches_walks and len(original_members) > 1:
-            prefetched = iter(self._randcl.prefetch(cluster_id, len(original_members)))
+        walks = self._randcl.walks(cluster_id, len(original_members))
+        walked = picked = 0
+        walk_messages = walk_rounds = pick_messages = pick_rounds = 0
         for node_id in original_members:
             if node_id not in members:
                 # Already swapped out by a previous iteration's partner choice.
                 continue
-            if prefetched is not None:
-                walk = self._randcl.finalize(
-                    cluster_id, next(prefetched), metrics=ledger, label=label
-                )
-            else:
-                walk = select(cluster_id, metrics=ledger, label=label)
+            walk = finalize(cluster_id, next(walks))
+            walked += 1
+            walk_messages += walk.messages
+            walk_rounds += walk.rounds
             report.walk_hops += walk.hops
-            report.messages += walk.messages
-            report.rounds += walk.rounds
             partner_id = walk.cluster_id
             if partner_id == cluster_id:
                 continue
@@ -120,15 +111,10 @@ class ExchangeProtocol:
             # chooses a replacement uniformly via randNum.  ``member_list``
             # serves the cached sorted membership, so randNum's deterministic
             # ordering costs an O(m) copy instead of a fresh sort per swap.
-            pick = self._randnum.pick_member(
-                partner.member_list(),
-                byzantine_members=byzantine,
-                metrics=ledger,
-                label=label,
-                presorted=True,
-            )
-            report.messages += pick.messages
-            report.rounds += pick.rounds
+            pick = pick_member(partner.member_list(), byzantine, presorted=True)
+            picked += 1
+            pick_messages += pick.messages
+            pick_rounds += pick.rounds
             replacement = pick.value
             clusters.swap_members(cluster_id, node_id, partner_id, replacement)
             report.swaps.append((node_id, partner_id, replacement))
@@ -137,43 +123,39 @@ class ExchangeProtocol:
         cluster.exchanges_performed += 1
         cluster.last_full_exchange = self._state.time_step
 
+        # The round books each kind once, and only a kind that occurred.
+        if walked:
+            ledger.charge(walk_messages, walk_rounds, kind=MessageKind.WALK, label=label)
+        if picked:
+            ledger.charge(pick_messages, pick_rounds, kind=MessageKind.RANDNUM, label=label)
         # Inform neighbouring clusters of the new compositions (batched at the
         # end of the operation; see design note 2 in docs/ARCHITECTURE.md).
-        notify = self._notify_neighbours(
-            [cluster_id, *sorted(report.partner_clusters)], ledger, label
+        notify_messages, notify_rounds = notification_cost(
+            self._state, [cluster_id, *sorted(report.partner_clusters)]
         )
-        report.messages += notify[0]
-        report.rounds += notify[1]
+        if notify_messages:
+            ledger.charge(notify_messages, notify_rounds, kind=MessageKind.MEMBERSHIP, label=label)
+        report.messages += walk_messages + pick_messages + notify_messages
+        report.rounds += walk_rounds + pick_rounds + notify_rounds
         return report
 
-    # ------------------------------------------------------------------
-    # Neighbour notification
-    # ------------------------------------------------------------------
-    def _notify_neighbours(
-        self,
-        cluster_ids: Iterable[ClusterId],
-        metrics: CommunicationMetrics,
-        label: str,
-    ) -> Tuple[int, int]:
-        """Charge the membership-update traffic to overlay neighbours.
 
-        Every member of an updated cluster sends the new composition to every
-        member of every adjacent cluster (a neighbour accepts the update only
-        when more than half of the cluster sent it, hence the full bipartite
-        pattern).
-        """
-        overlay_graph = self._state.overlay.graph
-        clusters = self._state.clusters
-        total_messages = 0
-        for cluster_id in cluster_ids:
-            if cluster_id not in overlay_graph:
-                continue
-            size = len(clusters.get(cluster_id))
-            for neighbour_id in overlay_graph.neighbour_table(cluster_id):
-                if neighbour_id in clusters:
-                    total_messages += size * len(clusters.get(neighbour_id))
-        rounds = 1 if total_messages else 0
-        if total_messages:
-            metrics.charge_messages(total_messages, kind=MessageKind.MEMBERSHIP, label=label)
-            metrics.charge_rounds(rounds, label=label)
-        return total_messages, rounds
+def notification_cost(state: SystemState, cluster_ids: Iterable[ClusterId]) -> Tuple[int, int]:
+    """``(messages, rounds)`` of telling overlay neighbours a new membership.
+
+    Every member of an updated cluster sends the new composition to every
+    member of every adjacent cluster (a neighbour accepts the update only
+    when more than half of the cluster sent it, hence the full bipartite
+    pattern); the updates of all of ``cluster_ids`` share one round.
+    """
+    overlay_graph = state.overlay.graph
+    clusters = state.clusters
+    messages = 0
+    for cluster_id in cluster_ids:
+        if cluster_id not in overlay_graph or cluster_id not in clusters:
+            continue
+        size = len(clusters.get(cluster_id))
+        for neighbour_id in overlay_graph.neighbour_table(cluster_id):
+            if neighbour_id in clusters:
+                messages += size * len(clusters.get(neighbour_id))
+    return messages, 1 if messages else 0

@@ -17,7 +17,7 @@ change costs ``|C| * |C_adj|`` messages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import ProtocolViolationError, UnknownClusterError
 from ..network.message import MessageKind
@@ -26,7 +26,7 @@ from ..network.node import NodeId
 from ..overlay.over import OverlayChange
 from ..rng import shuffled
 from .cluster import ClusterId
-from .exchange import ExchangeProtocol, ExchangeReport
+from .exchange import ExchangeProtocol, ExchangeReport, notification_cost
 from .randcl import RandCl
 from .randnum import RandNum
 from .state import SystemState
@@ -103,33 +103,22 @@ class _BaseOperation:
             return len(self._state.clusters.get(cluster_id))
         return 0
 
-    def _charge_neighbour_notification(
-        self, cluster_id: ClusterId, ledger: CommunicationMetrics, label: str
-    ) -> Tuple[int, int]:
-        """Cost of informing every overlay neighbour of a membership change."""
-        overlay_graph = self._state.overlay.graph
-        if cluster_id not in overlay_graph:
-            return (0, 0)
-        size = self._cluster_size(cluster_id)
-        messages = 0
-        for neighbour_id in overlay_graph.neighbour_table(cluster_id):
-            messages += size * self._cluster_size(neighbour_id)
+    def _book_membership(
+        self, report: OperationReport, ledger: CommunicationMetrics, label: str, cost: Tuple[int, int]
+    ) -> None:
+        """Add membership traffic ``(messages, rounds)`` to the report and the ledger."""
+        messages, rounds = cost
         if messages:
-            ledger.charge_messages(messages, kind=MessageKind.MEMBERSHIP, label=label)
-            ledger.charge_rounds(1, label=label)
-        return (messages, 1 if messages else 0)
+            ledger.charge(messages, rounds, kind=MessageKind.MEMBERSHIP, label=label)
+        report.messages += messages
+        report.rounds += rounds
 
-    def _charge_overlay_change(
-        self, change: OverlayChange, ledger: CommunicationMetrics, label: str
-    ) -> Tuple[int, int]:
+    def _overlay_change_cost(self, change: OverlayChange) -> Tuple[int, int]:
         """Cost of establishing/tearing down the full bipartite links of overlay edges."""
         messages = 0
         for edges in (change.edges_added, change.edges_removed):
             for first, second in edges:
                 messages += self._cluster_size(first) * self._cluster_size(second)
-        if messages:
-            ledger.charge_messages(messages, kind=MessageKind.MEMBERSHIP, label=label)
-            ledger.charge_rounds(1, label=label)
         return (messages, 1 if messages else 0)
 
     def _overlay_choose_cluster(self, walk_start: ClusterId, ledger: CommunicationMetrics, label: str):
@@ -177,16 +166,8 @@ class JoinOperation(_BaseOperation):
 
         # The host informs its neighbours and sends the newcomer its local view
         # (membership of the host and of every adjacent cluster).
-        notify_messages, notify_rounds = self._charge_neighbour_notification(
-            host_id, ledger, label
-        )
-        report.messages += notify_messages
-        report.rounds += notify_rounds
-        view_messages = self._cluster_size(host_id)
-        ledger.charge_messages(view_messages, kind=MessageKind.MEMBERSHIP, label=label)
-        ledger.charge_rounds(1, label=label)
-        report.messages += view_messages
-        report.rounds += 1
+        self._book_membership(report, ledger, label, notification_cost(self._state, [host_id]))
+        self._book_membership(report, ledger, label, (self._cluster_size(host_id), 1))
 
         # Shuffle the host cluster so the adversary cannot aim joins at it.
         exchange_report = self._exchange.exchange_all(host_id, metrics=ledger, label=label)
@@ -227,11 +208,7 @@ class LeaveOperation(_BaseOperation):
         report = OperationReport(operation="leave", node_id=node_id, primary_cluster=cluster_id)
 
         self._state.clusters.remove_member(cluster_id, node_id)
-        notify_messages, notify_rounds = self._charge_neighbour_notification(
-            cluster_id, ledger, label
-        )
-        report.messages += notify_messages
-        report.rounds += notify_rounds
+        self._book_membership(report, ledger, label, notification_cost(self._state, [cluster_id]))
 
         exchange_report = self._exchange.exchange_all(cluster_id, metrics=ledger, label=label)
         report.absorb_exchange(exchange_report)
@@ -302,16 +279,9 @@ class SplitOperation(_BaseOperation):
             choose_cluster=self._overlay_choose_cluster(cluster_id, ledger, label),
             anchor=cluster_id,
         )
-        overlay_messages, overlay_rounds = self._charge_overlay_change(change, ledger, label)
-        report.messages += overlay_messages
-        report.rounds += overlay_rounds
-
+        self._book_membership(report, ledger, label, self._overlay_change_cost(change))
         for touched in (cluster_id, new_cluster.cluster_id):
-            notify_messages, notify_rounds = self._charge_neighbour_notification(
-                touched, ledger, label
-            )
-            report.messages += notify_messages
-            report.rounds += notify_rounds
+            self._book_membership(report, ledger, label, notification_cost(self._state, [touched]))
 
         report.new_cluster = new_cluster.cluster_id
         return report
@@ -334,11 +304,7 @@ class MergeOperation(_BaseOperation):
         if len(self._state.clusters) <= 1:
             raise ProtocolViolationError("cannot merge away the only remaining cluster")
 
-        notify_messages, notify_rounds = self._charge_neighbour_notification(
-            cluster_id, ledger, label
-        )
-        report.messages += notify_messages
-        report.rounds += notify_rounds
+        self._book_membership(report, ledger, label, notification_cost(self._state, [cluster_id]))
 
         cluster = self._state.clusters.dissolve_cluster(cluster_id)
         members = sorted(cluster.members)
@@ -349,9 +315,7 @@ class MergeOperation(_BaseOperation):
             cluster_id,
             choose_cluster=self._overlay_choose_cluster(walk_start, ledger, label),
         )
-        overlay_messages, overlay_rounds = self._charge_overlay_change(change, ledger, label)
-        report.messages += overlay_messages
-        report.rounds += overlay_rounds
+        self._book_membership(report, ledger, label, self._overlay_change_cost(change))
 
         join = JoinOperation(self._state, self._randcl, self._randnum, self._exchange)
         for node_id in members:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..errors import WalkError
 from ..network.message import MessageKind
@@ -38,9 +38,6 @@ from ..walks.sampler import ClusterSampler, SampleOutcome, WalkMode
 from .cluster import ClusterId
 from .randnum import RandNum, randnum_cost
 from .state import SystemState
-
-#: Hoisted enum member: the per-walk cost charge runs once per randCl call.
-_WALK_KIND = MessageKind.WALK
 
 
 @dataclass(slots=True)
@@ -131,18 +128,6 @@ class RandCl:
         """Whether walks are simulated hop by hop or sampled from the stationary law."""
         return self._walk_mode
 
-    @property
-    def batches_walks(self) -> bool:
-        """Whether callers should prefetch whole walk rounds via :meth:`prefetch`.
-
-        Simulated walks do: they run on the hop engine's private RNG stream,
-        so a prefetched batch is outcome-for-outcome identical to sequential
-        sampling regardless of interleaved engine-stream draws.  Oracle-mode
-        draws consume the engine stream directly and stay strictly
-        sequential.
-        """
-        return self._walk_mode is WalkMode.SIMULATED
-
     # ------------------------------------------------------------------
     # Selection
     # ------------------------------------------------------------------
@@ -155,25 +140,31 @@ class RandCl:
         """Select a cluster with probability proportional to its size.
 
         The walk starts at ``start_cluster`` (the cluster initiating the
-        selection).  Communication cost is charged to ``metrics``.
+        selection).  The result carries the walk's communication cost, which
+        is also charged to ``metrics`` when one is given.
         """
         sampler = self._prepare_sampler(start_cluster)
         outcome = sampler.sample(start_cluster)
         return self.finalize(start_cluster, outcome, metrics=metrics, label=label)
 
-    def prefetch(self, start_cluster: ClusterId, count: int) -> list:
-        """Run ``count`` walks from ``start_cluster`` up-front, uncharged.
+    def walks(self, start_cluster: ClusterId, count: int) -> Iterator[SampleOutcome]:
+        """Up to ``count`` walk outcomes from ``start_cluster``, drawn lazily.
 
-        The batched companion to :meth:`select` for callers that issue one
-        selection per member of a round (the exchange protocol): the whole
-        round advances through the array kernel in lockstep, and each
-        outcome is converted to a charged :class:`RandClResult` by
-        :meth:`finalize` only if the round actually consumes it.  Outcomes
-        are i.i.d. samples of the same distribution as :meth:`select`, so
-        discarding unconsumed ones does not bias the round.
+        The round iterator of the exchange protocol, which pulls one outcome
+        per member it swaps out and passes each to :meth:`finalize`.  Nothing
+        runs before the first ``next``.  Simulated walks then advance as one
+        lockstep batch on the hop engine's private stream: swaps keep
+        cluster sizes, so the overlay is static for the round and outcomes
+        left unconsumed do not bias it.  Oracle draws consume the caller's
+        stream, so each is drawn at its own ``next``, interleaved with the
+        round's randNum picks and never for a member the round skips.
         """
         sampler = self._prepare_sampler(start_cluster)
-        return sampler.sample_many([start_cluster] * count)
+        if self._walk_mode is WalkMode.SIMULATED:
+            yield from sampler.sample_many([start_cluster] * count)
+        else:
+            for _ in range(count):
+                yield sampler.sample(start_cluster)
 
     def finalize(
         self,
@@ -182,7 +173,11 @@ class RandCl:
         metrics: Optional[CommunicationMetrics] = None,
         label: str = "randcl",
     ) -> RandClResult:
-        """Charge and package one prefetched walk outcome (see :meth:`prefetch`)."""
+        """Package one walk outcome (see :meth:`walks`) with its cost.
+
+        The cost is charged to ``metrics`` when one is given; an exchange
+        round passes none and books the sum of its walks once.
+        """
         messages, rounds = self._charge_costs(outcome.hops, outcome.restarts, metrics, label)
         return RandClResult(
             cluster_id=outcome.cluster,
@@ -276,5 +271,5 @@ class RandCl:
             self._cost_key = cost_key
         messages, rounds = walk_cost(hops, restarts, self._cost_model)
         if metrics is not None:
-            metrics.charge(messages, rounds, kind=_WALK_KIND, label=label)
+            metrics.charge(messages, rounds, kind=MessageKind.WALK, label=label)
         return messages, rounds

@@ -37,9 +37,6 @@ AdversaryOverride = Callable[[Sequence[NodeId], int], int]
 
 RANDNUM_SECURITY_THRESHOLD = 2.0 / 3.0
 
-#: Hoisted enum member: the cost charge runs once per randNum invocation.
-_RANDNUM_KIND = MessageKind.RANDNUM
-
 
 @dataclass(slots=True)
 class RandNumResult:
@@ -109,7 +106,7 @@ class RandNum:
 
         message_count, round_count = randnum_cost(len(member_list))
         if metrics is not None:
-            metrics.charge(message_count, round_count, kind=_RANDNUM_KIND, label=label)
+            metrics.charge(message_count, round_count, kind=MessageKind.RANDNUM, label=label)
 
         adversary_controlled = byzantine_fraction >= RANDNUM_SECURITY_THRESHOLD
         if adversary_controlled and self._adversary_override is not None:

@@ -61,11 +61,12 @@ class CommunicationMetrics:
         kind: MessageKind = MessageKind.CONTROL,
         label: str = "",
     ) -> None:
-        """Charge messages and rounds in one call (the primitives' hot path).
+        """Charge messages and rounds in one call.
 
-        Equivalent to ``charge_messages`` followed by ``charge_rounds``; the
-        combined form exists because ``randNum``/``randCl`` charge on every
-        invocation and the call overhead is measurable there.
+        Equivalent to ``charge_messages`` followed by ``charge_rounds``, for
+        a cost that has both: a primitive given a ledger, or an exchange
+        round booking the summed cost of its walks, its picks or its
+        neighbour notification.
         """
         if messages < 0:
             raise ValueError("message count must be non-negative")

@@ -10,7 +10,7 @@ it directly.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import UnknownClusterError
 from ..structures import LazyMaxTracker

@@ -37,7 +37,6 @@ from .messages import (
     HandoffMessage,
     iter_events,
     iter_rows,
-    pack_events,
     pack_rows,
 )
 from .router import (
@@ -65,7 +64,6 @@ __all__ = [
     "composite_state_hash",
     "iter_events",
     "iter_rows",
-    "pack_events",
     "pack_rows",
     "plan_rebalance",
     "slice_sizes",

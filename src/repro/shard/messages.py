@@ -9,7 +9,8 @@ state with the sender).
 Three record kinds cross the coordinator/worker boundary:
 
 * **routed event batches** — one window's events for one shard, shipped as a
-  single struct-packed ``bytes`` blob (:func:`pack_events`, format
+  single struct-packed ``bytes`` blob (packed by
+  :meth:`~repro.shard.router.EventRouter.route_window`, format
   :data:`EVENT_RECORD`) instead of a list of per-event tuples.  Packing one
   blob per shard per window keeps the pickle cost of a dispatch O(bytes)
   instead of O(events × tuple overhead) — the same trick as the binary
@@ -67,7 +68,7 @@ reader, so the tables need not travel with each batch.
 from __future__ import annotations
 
 import struct
-from typing import Any, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Any, Iterator, List, NamedTuple, Sequence, Tuple
 
 from ..network.node import NodeRole
 
@@ -159,22 +160,6 @@ class RoutedEvent(NamedTuple):
 # ----------------------------------------------------------------------
 # Packed event batches (coordinator -> worker)
 # ----------------------------------------------------------------------
-def pack_events(rows: Iterable[WireEvent]) -> EventBatch:
-    """Pack wire-event tuples into one blob (:class:`WireRangeError` if one cannot)."""
-    pack = EVENT_RECORD.pack
-    kind_codes = KIND_CODES
-    role_codes = ROLE_CODES
-    parts: List[bytes] = []
-    for step, kind, gid, role, fresh in rows:
-        # An unknown kind/role stays itself, so the refusal can name it.
-        values = (step, kind_codes.get(kind, kind), gid, role_codes.get(role, role), bool(fresh))
-        try:
-            parts.append(pack(*values))
-        except struct.error:
-            raise range_error(EVENT_RECORD, EVENT_FIELDS, values) from None
-    return b"".join(parts)
-
-
 def iter_events(payload: EventBatch) -> Iterator[WireEvent]:
     """Yield wire-event tuples from a packed blob."""
     kinds = KINDS

@@ -171,6 +171,23 @@ class TestExchange:
         assert all(partner in state.clusters for partner in report.partner_clusters)
         assert state.clusters.get(target).exchanges_performed == 1
 
+    @pytest.mark.parametrize("walk_mode", [WalkMode.ORACLE, WalkMode.SIMULATED])
+    def test_round_books_each_cost_kind_once(self, walk_mode):
+        class CountingLedger(CommunicationMetrics):
+            calls = 0
+
+            def charge(self, *args, **kwargs):
+                self.calls += 1
+                super().charge(*args, **kwargs)
+
+        state = build_state(cluster_sizes=(8, 8, 8, 8, 8))
+        exchange = ExchangeProtocol(state, RandCl(state, walk_mode=walk_mode))
+        ledger = CountingLedger()
+        report = exchange.exchange_all(state.clusters.cluster_ids()[0], metrics=ledger)
+        assert report.swap_count > 1
+        assert ledger.calls == 3  # walks, randNum picks, neighbour notification
+        assert (ledger.messages, ledger.rounds) == (report.messages, report.rounds)
+
     def test_exchange_refreshes_byzantine_fraction(self):
         """Lemma 1: after a full exchange the fraction concentrates around tau.
 

@@ -16,6 +16,7 @@ Two property families pin the PR 8 hot path to its oracles:
 from __future__ import annotations
 
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -25,19 +26,39 @@ from repro.core.events import ChurnEvent
 from repro.network.node import NodeRole
 from repro.shard import ShardDirectory
 from repro.shard.messages import (
+    EVENT_FIELDS,
     EVENT_RECORD,
     JOIN,
+    KIND_CODES,
     LEAVE,
+    ROLE_CODES,
     ROW_RECORD,
     WireRangeError,
     iter_events,
     iter_rows,
-    pack_events,
     pack_rows,
+    range_error,
 )
 from repro.shard.router import EventRouter
 
 ROLES = [role.value for role in NodeRole]
+
+
+def pack_events(rows):
+    """Pack wire-event tuples into one blob, the codec oracle of ``iter_events``.
+
+    The router packs inline in ``route_window``; this row-at-a-time form
+    raises :class:`WireRangeError` naming the field a row cannot fit.
+    """
+    parts = []
+    for step, kind, gid, role, fresh in rows:
+        # An unknown kind/role stays itself, so the refusal can name it.
+        values = (step, KIND_CODES.get(kind, kind), gid, ROLE_CODES.get(role, role), bool(fresh))
+        try:
+            parts.append(EVENT_RECORD.pack(*values))
+        except struct.error:
+            raise range_error(EVENT_RECORD, EVENT_FIELDS, values) from None
+    return b"".join(parts)
 
 
 # ----------------------------------------------------------------------
