@@ -41,7 +41,12 @@ import time
 
 import pytest
 
-from repro.scenarios import CorruptionTrajectoryProbe, ObservationBus, SizeTrajectoryProbe
+from repro.scenarios import (
+    CallbackProbe,
+    CorruptionTrajectoryProbe,
+    ObservationBus,
+    SizeTrajectoryProbe,
+)
 from repro.trace import TraceReader, TraceWriter, record_scenario, replay_trace
 
 from common import run_once, scenario_for
@@ -54,10 +59,10 @@ SEED = 29
 
 #: The three observation-path configurations being compared.
 CONFIGS = (
-    # label, trace format, flush_every, buffered probes, probe_buffer
-    ("jsonl-inline", "jsonl", 1, False, 1),
-    ("jsonl-buffered", "jsonl", 256, True, 64),
-    ("binary-buffered", "binary", 256, True, 64),
+    # label, trace format, flush_every, buffered probes
+    ("jsonl-inline", "jsonl", 1, False),
+    ("jsonl-buffered", "jsonl", 256, True),
+    ("binary-buffered", "binary", 256, True),
 )
 
 RESULT_PATH = os.path.join(
@@ -65,8 +70,7 @@ RESULT_PATH = os.path.join(
 )
 
 
-def record_one(path: str, steps: int, trace_format: str, flush_every: int,
-               buffered: bool, probe_buffer: int):
+def record_one(path: str, steps: int, trace_format: str, flush_every: int, buffered: bool):
     """Record the benchmark scenario once with the given observation config."""
     scenario = scenario_for(MAX_SIZE, INITIAL, tau=TAU, seed=SEED, name="codec", steps=steps)
     session = record_scenario(
@@ -79,7 +83,6 @@ def record_one(path: str, steps: int, trace_format: str, flush_every: int,
         ],
         trace_format=trace_format,
         flush_every=flush_every,
-        probe_buffer=probe_buffer,
     )
     # The run loop's own wall time: bootstrap and the final seal stay outside.
     return session.result, session.result.elapsed_seconds
@@ -97,15 +100,15 @@ def observation_micro(out_dir: str, events: int = 20000):
     pipeline can be compared directly.
     """
     scenario = scenario_for(
-        MAX_SIZE, INITIAL, tau=TAU, seed=SEED, name="codec-micro",
-        steps=400, keep_reports=True,
+        MAX_SIZE, INITIAL, tau=TAU, seed=SEED, name="codec-micro", steps=400
     )
     engine = scenario.build_engine()
-    runner = scenario.build_runner(engine=engine)
-    reports = runner.run(400).reports
+    captured = CallbackProbe(lambda _engine, report, _step: report, name="reports")
+    scenario.build_runner(probes=[captured], engine=engine).run(400)
+    reports = captured.values
 
     rates = {}
-    for label, trace_format, flush_every, buffered, probe_buffer in CONFIGS:
+    for label, trace_format, flush_every, buffered in CONFIGS:
         path = os.path.join(out_dir, f"bench-codec-micro-{label}.trace")
         probes = [
             CorruptionTrajectoryProbe(inline=not buffered),
@@ -115,7 +118,7 @@ def observation_micro(out_dir: str, events: int = 20000):
         # per-event codec cost is what is being measured.
         writer = TraceWriter(path, trace_format=trace_format, flush_every=flush_every)
         writer.write_header(scenario.to_dict())
-        bus = ObservationBus(engine, probes, buffer_size=probe_buffer)
+        bus = ObservationBus(engine, probes)
         bus.on_start()
         started = time.perf_counter()
         for index in range(events):
@@ -131,11 +134,9 @@ def observation_micro(out_dir: str, events: int = 20000):
 def run_experiment(steps: int = STEPS, out_dir: str = "/tmp"):
     runs = {}
     frame_sets = []
-    for label, trace_format, flush_every, buffered, probe_buffer in CONFIGS:
+    for label, trace_format, flush_every, buffered in CONFIGS:
         path = os.path.join(out_dir, f"bench-codec-{label}.trace")
-        result, record_elapsed = record_one(
-            path, steps, trace_format, flush_every, buffered, probe_buffer
-        )
+        result, record_elapsed = record_one(path, steps, trace_format, flush_every, buffered)
         size = os.path.getsize(path)
 
         # Best of three decode passes: the gated decode-speed ratio must not
@@ -155,7 +156,6 @@ def run_experiment(steps: int = STEPS, out_dir: str = "/tmp"):
             "trace_format": trace_format,
             "flush_every": flush_every,
             "buffered_probes": buffered,
-            "probe_buffer": probe_buffer,
             "events": result.events,
             "bytes": size,
             "bytes_per_event": size / max(1, result.events),

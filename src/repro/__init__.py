@@ -28,9 +28,7 @@ source paper's abstract.
 from .params import ProtocolParameters, default_parameters
 from .errors import (
     AgreementError,
-    ClusterCompromisedError,
     ConfigurationError,
-    NetworkSizeError,
     ProtocolViolationError,
     ReproError,
     UnknownClusterError,
@@ -78,10 +76,8 @@ __all__ = [
     "ReproError",
     "ConfigurationError",
     "ProtocolViolationError",
-    "ClusterCompromisedError",
     "UnknownNodeError",
     "UnknownClusterError",
-    "NetworkSizeError",
     "AgreementError",
     "WalkError",
     "ChurnEvent",

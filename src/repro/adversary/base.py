@@ -13,11 +13,12 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..core.cluster import ClusterId
 from ..core.engine import NowEngine
 from ..core.events import ChurnEvent
+from ..errors import ConfigurationError
 from ..network.node import NodeId
 
 
@@ -109,7 +110,6 @@ class Adversary(abc.ABC):
 
     def restore_state(self, data: dict) -> None:
         """Restore a snapshot onto an adversary built with the same spec."""
-        from ..errors import ConfigurationError
         from ..rng import rng_state_from_json
 
         if data.get("kind") != type(self).__name__:
@@ -128,11 +128,26 @@ class Adversary(abc.ABC):
 
     def run(self, engine: NowEngine, steps: int) -> List:
         """Drive ``engine`` for ``steps`` time steps and return the reports."""
-        from ..scenarios.runner import SimulationRunner  # local import: avoids a cycle
+        from ..workloads.traces import drive  # local import: avoids a cycle
 
-        runner = SimulationRunner(engine, self, keep_reports=True, name=self.name())
-        return runner.run(steps).reports
+        return drive(engine, self, steps)
 
     def name(self) -> str:
         """Human-readable adversary name (used in experiment tables)."""
         return type(self).__name__
+
+
+def bind_event_source(engine, source) -> Callable[[], Any]:
+    """A zero-argument ``next_event`` callable for any supported source.
+
+    The one source-binding rule: an adversary is wrapped, once, in its
+    read-only :class:`AdversaryContext`; anything else must expose
+    ``next_event(engine)``.  Shared by the simulation runner, the shard
+    coordinator and :class:`~repro.workloads.traces.MixedDriver`.
+    """
+    if isinstance(source, Adversary):
+        context = AdversaryContext(engine)
+        return lambda: source.next_event(context)
+    if hasattr(source, "next_event"):
+        return lambda: source.next_event(engine)
+    raise ConfigurationError(f"event source {source!r} has no next_event method")

@@ -30,8 +30,8 @@ from .common import BaselineEngine
 class CuckooRuleEngine(BaselineEngine):
     """Random placement with constant-size eviction on every join."""
 
-    def __init__(self, state, evictions_per_join: int = 2, record_history: bool = True) -> None:
-        super().__init__(state, record_history=record_history)
+    def __init__(self, state, evictions_per_join: int = 2) -> None:
+        super().__init__(state)
         if evictions_per_join < 0:
             raise ValueError("evictions_per_join must be non-negative")
         self._evictions_per_join = evictions_per_join

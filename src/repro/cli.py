@@ -41,8 +41,8 @@ the growth exponents).
 Every command accepts ``--seed`` for reproducibility; defaults are sized to
 finish in seconds.  ``run-scenario --record FILE`` records any scenario
 (``--trace-format binary`` for the ~6x smaller struct-packed codec,
-``--flush-every`` / ``--probe-buffer`` for the write and observation batch
-sizes); ``--checkpoint FILE --checkpoint-every N`` makes it resumable.
+``--flush-every`` for the write batch size); ``--checkpoint FILE
+--checkpoint-every N`` makes it resumable.
 Interrupting a recording run (Ctrl-C / SIGTERM) flushes the trace through
 the abort path and exits 130 — the file on disk replays up to its last
 complete frame.
@@ -66,7 +66,6 @@ from .scenarios import (
     Scenario,
     named_scenario,
 )
-from .scenarios.bus import DEFAULT_PROBE_BUFFER
 from .service import DEFAULT_MAX_BATCH, DEFAULT_MAX_QUEUE
 from .trace import (
     DEFAULT_FLUSH_EVERY,
@@ -134,11 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--flush-every", type=int, default=DEFAULT_FLUSH_EVERY, metavar="N",
         help=f"trace frames buffered between disk writes (default: {DEFAULT_FLUSH_EVERY}; "
              "1 restores flush-per-frame)",
-    )
-    scenario.add_argument(
-        "--probe-buffer", type=int, default=DEFAULT_PROBE_BUFFER, metavar="N",
-        help=f"events between observation-bus deliveries to buffered probes "
-             f"(default: {DEFAULT_PROBE_BUFFER})",
     )
     scenario.add_argument(
         "--index-every", type=int, default=200, metavar="N",
@@ -479,7 +473,6 @@ def run_scenario_command(args: argparse.Namespace) -> int:
                 probes=[corruption, costs],
                 trace_format=args.trace_format,
                 flush_every=args.flush_every,
-                probe_buffer=args.probe_buffer,
                 workers=workers,
                 pipeline=not args.no_pipeline,
             )

@@ -9,9 +9,10 @@ downstream user (or an experiment harness) needs:
 * ``byzantine_fractions`` / ``worst_cluster_fraction`` / ``cluster_sizes`` —
   observe the quantities Theorem 3 and Lemmas 1–3 are about,
 * ``metrics`` — the per-operation communication/round ledgers behind every
-  cost figure produced by the benchmarks under ``benchmarks/``,
-* ``history`` — optional per-time-step records for plotting corruption and
-  size trajectories.
+  cost figure produced by the benchmarks under ``benchmarks/``.
+
+The engine keeps no per-step history: a run's steps reach callers through
+the :class:`~repro.scenarios.bus.ObservationBus`.
 
 Construction: either :meth:`NowEngine.bootstrap` (convenience: builds the
 population, runs initialization, returns the engine) or by passing an already
@@ -32,7 +33,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from ..errors import ClusterCompromisedError, ConfigurationError, NetworkSizeError
+from ..errors import ConfigurationError
 from ..network.metrics import MetricsRegistry
 from ..network.node import NodeId, NodeRole
 from ..params import ProtocolParameters
@@ -67,6 +68,31 @@ class MaintenanceReport:
         return not self.compromised_clusters
 
 
+#: Retired options by where they lived, each with the value that asked for
+#: nothing (``None``: every value did).  Older specs, trace headers and
+#: checkpoints carry them; :func:`drop_retired` is this table's only reader.
+RETIRED_OPTIONS: Dict[str, Dict[str, Optional[bool]]] = {
+    "scenario": {"keep_reports": False},
+    "engine_options": dict(record_history=None, strict_compromise=False, enforce_size_range=False),
+}
+
+
+def drop_retired(data: Dict[str, object], where: str) -> Dict[str, object]:
+    """``data`` without the options retired from ``where``.
+
+    A value that asked for nothing is dropped; any other asked for behaviour
+    that no longer exists, so it is refused by name, not silently ignored.
+    """
+    retired = RETIRED_OPTIONS[where]
+    for key, inert in retired.items():
+        if key in data and inert is not None and data[key] != inert:
+            raise ConfigurationError(
+                f"{where} option {key!r} was retired and loads only as {inert!r}, not "
+                f"{data[key]!r}; observe runs through probes and stop conditions instead"
+            )
+    return {key: value for key, value in data.items() if key not in retired}
+
+
 @dataclass
 class EngineConfig:
     """Behavioural switches of the engine (all default to the paper's protocol).
@@ -82,9 +108,6 @@ class EngineConfig:
     #: it still load (see :func:`~repro.walks.kernel.resolve_kernel_name`).
     walk_kernel: str = "array"
     cascade_exchanges: bool = True
-    strict_compromise: bool = False
-    record_history: bool = True
-    enforce_size_range: bool = False
 
     def __post_init__(self) -> None:
         self.walk_mode = WalkMode(self.walk_mode)
@@ -97,9 +120,10 @@ class EngineConfig:
         """The config a checkpoint recorded.
 
         Checkpoints written before the kernel option existed ran the retired
-        ``naive`` kernel, so a missing ``walk_kernel`` means that one.
+        ``naive`` kernel, so a missing ``walk_kernel`` means that one; the
+        retired options older checkpoints carry go through :func:`drop_retired`.
         """
-        return cls(**{"walk_kernel": "naive", **data})
+        return cls(**{"walk_kernel": "naive", **drop_retired(data, "engine_options")})
 
 
 class NowEngine:
@@ -119,7 +143,6 @@ class NowEngine:
             self._exchange,
             cascade_exchanges=self.config.cascade_exchanges,
         )
-        self.history: List[MaintenanceReport] = []
         self.initialization_report: Optional[InitializationReport] = None
 
     # ------------------------------------------------------------------
@@ -159,8 +182,6 @@ class NowEngine:
         ``repro.trace`` checkpoint contract: a restored engine continues the
         run bit-identically to the original (same events in, same RNG draws,
         same states) — property-tested in ``tests/test_trace_checkpoint.py``.
-        ``history`` is deliberately not captured; million-event runs disable
-        it, and a resumed engine records history from the resume point on.
         """
         return {
             "format": 1,
@@ -168,9 +189,6 @@ class NowEngine:
                 "walk_mode": self.config.walk_mode.value,
                 "walk_kernel": self.config.walk_kernel,
                 "cascade_exchanges": self.config.cascade_exchanges,
-                "strict_compromise": self.config.strict_compromise,
-                "record_history": self.config.record_history,
-                "enforce_size_range": self.config.enforce_size_range,
             },
             "state": self.state.snapshot_state(),
             "randcl": self._randcl.snapshot_state(),
@@ -289,17 +307,7 @@ class NowEngine:
             operation = self._apply_join(event)
         else:
             operation = self._apply_leave(event)
-        if self.config.enforce_size_range:
-            self._check_size_range()
-        report = self._snapshot(event, operation)
-        if self.config.record_history:
-            self.history.append(report)
-        if self.config.strict_compromise and report.compromised_clusters:
-            worst = self.worst_cluster_fraction()
-            raise ClusterCompromisedError(
-                report.compromised_clusters[0], worst, self.state.time_step
-            )
-        return report
+        return self._snapshot(event, operation)
 
     def run_trace(self, events: Iterable[ChurnEvent]) -> List[MaintenanceReport]:
         """Apply a sequence of churn events and return their records."""
@@ -330,14 +338,6 @@ class NowEngine:
         node_id = event.node_id
         self.state.nodes.mark_left(node_id, self.state.time_step)
         return self._leave_op.execute(node_id)
-
-    def _check_size_range(self) -> None:
-        size = self.network_size
-        if size < self.parameters.lower_size_bound or size > self.parameters.max_size:
-            raise NetworkSizeError(
-                f"network size {size} left the admissible range "
-                f"[{self.parameters.lower_size_bound}, {self.parameters.max_size}]"
-            )
 
     def _snapshot(self, event: ChurnEvent, operation: OperationReport) -> MaintenanceReport:
         # All O(1): the corruption tracker maintains these incrementally.

@@ -31,7 +31,6 @@ class EngineProtocol(Protocol):
     """
 
     state: SystemState
-    history: List
 
     # -- observation ---------------------------------------------------
     @property

@@ -24,35 +24,12 @@ class ProtocolViolationError(ReproError):
     """
 
 
-class ClusterCompromisedError(ReproError):
-    """A cluster reached a Byzantine fraction of at least one third.
-
-    Once a cluster is compromised the adversary controls its majority-rule
-    channel, so the guarantees of NOW no longer hold.  Simulations may either
-    raise this error (``strict`` mode) or record the event and continue
-    (``observe`` mode) depending on configuration.
-    """
-
-    def __init__(self, cluster_id: int, fraction: float, time_step: int) -> None:
-        self.cluster_id = cluster_id
-        self.fraction = fraction
-        self.time_step = time_step
-        super().__init__(
-            f"cluster {cluster_id} compromised at time step {time_step}: "
-            f"Byzantine fraction {fraction:.3f} >= 1/3"
-        )
-
-
 class UnknownNodeError(ReproError):
     """An operation referenced a node identifier not present in the system."""
 
 
 class UnknownClusterError(ReproError):
     """An operation referenced a cluster identifier not present in the overlay."""
-
-
-class NetworkSizeError(ReproError):
-    """The network size left the admissible range ``[sqrt(N), N]``."""
 
 
 class AgreementError(ReproError):

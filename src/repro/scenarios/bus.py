@@ -35,7 +35,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 
-#: Default number of applied events between buffered-probe deliveries.
+#: Applied events between buffered-probe deliveries: a constant, because
+#: batching changes only when a probe sees a record, never what it sees.
 DEFAULT_PROBE_BUFFER = 64
 
 
@@ -120,7 +121,9 @@ def split_probes(probes: Sequence) -> Tuple[List, List]:
 class ObservationBus:
     """Routes per-event observations to inline and buffered probes.
 
-    The :class:`~repro.scenarios.runner.SimulationRunner` publishes once per
+    The one way a run's steps reach a caller (an inline ``CallbackProbe``
+    collects the reports themselves).  The
+    :class:`~repro.scenarios.runner.SimulationRunner` publishes once per
     applied event; the bus fans out synchronously to inline probes and
     accumulates a :class:`StepRecord` for buffered ones, flushing the batch
     every ``buffer_size`` events.  :meth:`flush` is called by the runner at
@@ -128,16 +131,15 @@ class ObservationBus:
     when a :class:`~repro.scenarios.runner.RunResult` is assembled.
     """
 
-    def __init__(self, engine, probes: Sequence, buffer_size: int = DEFAULT_PROBE_BUFFER) -> None:
-        if buffer_size < 1:
-            raise ConfigurationError("probe buffer size must be >= 1")
+    #: Events per buffered-probe batch (:data:`DEFAULT_PROBE_BUFFER`).
+    buffer_size = DEFAULT_PROBE_BUFFER
+
+    def __init__(self, engine, probes: Sequence) -> None:
         self.engine = engine
-        self.buffer_size = buffer_size
         self.inline_probes: List = []
         self.buffered_probes: List = []
         self.sync(probes)
         self.records_published = 0
-        self.flushes = 0
         self._buffer: List[StepRecord] = []
 
     def sync(self, probes: Sequence) -> None:
@@ -179,7 +181,9 @@ class ObservationBus:
     def publish_record(self, record: StepRecord) -> None:
         """Deliver one pre-built record (the sharded merge layer's entry point).
 
-        Sharded runs assemble composite :class:`StepRecord` objects away from
+        Called only by ``ShardCoordinator.serve_collect``, whoever collects
+        the window.  Sharded runs assemble composite
+        :class:`StepRecord` objects away from
         any live engine, so there is no report to extract from — and no
         inline lane: inline probes are rejected up front by the shard
         coordinator because there is no single engine for them to read.
@@ -202,7 +206,6 @@ class ObservationBus:
             return
         records = self._buffer
         self._buffer = []
-        self.flushes += 1
         first_error: Exception | None = None
         for probe in self.buffered_probes:
             try:

@@ -8,9 +8,9 @@ engine (NOW or a baseline):
 
     workload/adversary -> engine.apply_event -> observation bus -> stop conditions
 
-Observation goes through the :class:`~repro.scenarios.bus.ObservationBus`:
-inline probes run per event, buffered probes receive batched step records
-every ``probe_buffer`` events (see :mod:`repro.scenarios.bus`).
+Observation goes through the :class:`~repro.scenarios.bus.ObservationBus`
+and nothing else: inline probes run per event, buffered probes receive
+batched step records (see :mod:`repro.scenarios.bus`).
 
 Event sources are the existing per-step objects: a
 :class:`~repro.workloads.churn.ChurnWorkload`, an
@@ -30,11 +30,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from ..adversary.base import Adversary, AdversaryContext
+from ..adversary.base import bind_event_source
 from ..analysis.reporting import format_table
 from ..core.cluster import ClusterId
 from ..errors import ConfigurationError
-from .bus import DEFAULT_PROBE_BUFFER, ObservationBus
+from .bus import ObservationBus
 from .probes import Probe
 
 #: A stop condition: ``fn(engine, report, step_index) -> Optional[str]``.
@@ -82,22 +82,6 @@ def stop_when_compromised(cluster_id: Optional[ClusterId] = None) -> StopConditi
     return condition
 
 
-def bind_event_source(engine, source) -> Callable[[], Any]:
-    """A zero-argument ``next_event`` callable for any supported source.
-
-    Adversaries are wrapped in their read-only
-    :class:`~repro.adversary.base.AdversaryContext`; anything else must
-    expose ``next_event(engine)``.  Shared by :class:`SimulationRunner` and
-    the trace subsystem's checkpoint-from-trace re-driver.
-    """
-    if isinstance(source, Adversary):
-        context = AdversaryContext(engine)
-        return lambda: source.next_event(context)
-    if hasattr(source, "next_event"):
-        return lambda: source.next_event(engine)
-    raise ConfigurationError(f"event source {source!r} has no next_event method")
-
-
 @dataclass
 class RunResult:
     """Summary of one :meth:`SimulationRunner.run` call."""
@@ -114,7 +98,6 @@ class RunResult:
     compromised_clusters: List[ClusterId]
     stop_reason: str
     probes: Dict[str, Any] = field(default_factory=dict)
-    reports: List = field(default_factory=list)
     #: Logical shard count of a sharded run (0 for the classic single-engine
     #: path); under sharding, ``compromised_clusters`` holds
     #: ``(shard, cluster_id)`` pairs because cluster ids are shard-local.
@@ -174,15 +157,6 @@ class SimulationRunner:
         Stop after this many consecutive idle steps (a finite workload such
         as pure growth idles forever once its target is reached); ``None``
         keeps looping through idle steps.
-    keep_reports:
-        Collect the engine's per-step reports into the result (off by
-        default: long runs keep memory flat through the engine's own
-        ``record_history`` switch instead).
-    probe_buffer:
-        Events between deliveries to buffered (non-inline) probes — the
-        :class:`~repro.scenarios.bus.ObservationBus` batch size.  Inline
-        probes are unaffected; buffered probes always receive every record
-        (a final flush happens at the end of each :meth:`run` segment).
     """
 
     def __init__(
@@ -192,30 +166,21 @@ class SimulationRunner:
         probes: Sequence[Probe] = (),
         stop_conditions: Sequence[StopCondition] = (),
         max_idle_streak: Optional[int] = None,
-        keep_reports: bool = False,
         name: str = "scenario",
-        probe_buffer: int = DEFAULT_PROBE_BUFFER,
     ) -> None:
         self.engine = engine
         self.probes: List[Probe] = list(probes)
-        self.bus = ObservationBus(engine, self.probes, buffer_size=probe_buffer)
+        self.bus = ObservationBus(engine, self.probes)
         self.stop_conditions: List[StopCondition] = list(stop_conditions)
         self.max_idle_streak = max_idle_streak
-        self.keep_reports = keep_reports
         self.name = name
         #: The raw event source (exposed so checkpointing can snapshot its
         #: RNG streams alongside the engine state — see ``repro.trace``).
         self.source = source
-        self._next_event = self._bind_source(source)
+        self._next_event = bind_event_source(engine, source)
         self._started = False
         self.total_steps = 0
         self.total_events = 0
-
-    # ------------------------------------------------------------------
-    # Source binding
-    # ------------------------------------------------------------------
-    def _bind_source(self, source) -> Callable[[], Any]:
-        return bind_event_source(self.engine, source)
 
     # ------------------------------------------------------------------
     # The step loop
@@ -246,7 +211,6 @@ class SimulationRunner:
         idle_streak = 0
         stop_reason = "steps exhausted"
         peak_worst = 0.0
-        reports: List = []
         started_at = time.perf_counter()
         try:
             for step_index in range(1, steps + 1):
@@ -266,8 +230,6 @@ class SimulationRunner:
                 self.total_events += 1
                 if report.worst_byzantine_fraction > peak_worst:
                     peak_worst = report.worst_byzantine_fraction
-                if self.keep_reports:
-                    reports.append(report)
                 record = publish(report, step_index, recording)
                 if recording:
                     recorder.window((record,))
@@ -297,7 +259,6 @@ class SimulationRunner:
             compromised_clusters=list(engine.compromised_clusters()),
             stop_reason=stop_reason,
             probes={probe.name: probe.result() for probe in self.probes},
-            reports=reports,
         )
 
     def _evaluate_stop(self, engine, report, step_index: int) -> Optional[str]:
@@ -310,13 +271,6 @@ class SimulationRunner:
     # ------------------------------------------------------------------
     # Convenience
     # ------------------------------------------------------------------
-    def probe(self, name: str) -> Probe:
-        """Look up an attached probe by its ``name`` (error when absent)."""
-        for probe in self.probes:
-            if probe.name == name:
-                return probe
-        raise ConfigurationError(f"no probe named {name!r} attached to this runner")
-
     def run_until_size(self, target: int, max_steps: int) -> RunResult:
         """Run until the network reaches ``target`` nodes (bounded by ``max_steps``).
 

@@ -36,7 +36,7 @@ from ..baselines import (
     NoShuffleEngine,
     StaticClusterEngine,
 )
-from ..core.engine import EngineConfig, NowEngine
+from ..core.engine import EngineConfig, NowEngine, drop_retired
 from ..errors import ConfigurationError
 from ..params import default_parameters
 from ..workloads.churn import (
@@ -46,7 +46,6 @@ from ..workloads.churn import (
     UniformChurn,
 )
 from ..workloads.traces import MixedDriver
-from .bus import DEFAULT_PROBE_BUFFER
 from .probes import Probe
 from .runner import RunResult, SimulationRunner, StopCondition
 
@@ -91,7 +90,6 @@ class Scenario:
     adversary_weight: float = 0.6
     engine_options: Dict[str, Any] = field(default_factory=dict)
     max_idle_streak: Optional[int] = None
-    keep_reports: bool = False
     #: Logical shard count: 0 runs the classic single engine; >= 1 runs the
     #: scenario as that many shard engines under ``repro.shard``.  A semantic
     #: field — changing it changes results — unlike the *worker* count, which
@@ -192,7 +190,6 @@ class Scenario:
         probes: Sequence[Probe] = (),
         stop_conditions: Sequence[StopCondition] = (),
         engine=None,
-        probe_buffer: int = DEFAULT_PROBE_BUFFER,
     ) -> SimulationRunner:
         """An engine + runner ready to :meth:`SimulationRunner.run`."""
         if self.shards:
@@ -209,9 +206,7 @@ class Scenario:
             probes=probes,
             stop_conditions=stop_conditions,
             max_idle_streak=self.max_idle_streak,
-            keep_reports=self.keep_reports,
             name=self.name,
-            probe_buffer=probe_buffer,
         )
 
     def run(
@@ -248,8 +243,13 @@ class Scenario:
         """Build a scenario from its plain-dict form (unknown keys rejected).
 
         A NOW scenario's ``engine_options`` are checked here too, so a spec
-        naming a retired walk kernel is refused when it is loaded.
+        naming a retired walk kernel is refused when it is loaded.  Specs,
+        trace headers and checkpoints written before an option was retired
+        load through :func:`~repro.core.engine.drop_retired`, at both levels.
         """
+        data = drop_retired(data, "scenario")
+        if isinstance(data.get("engine_options"), dict):
+            data["engine_options"] = drop_retired(data["engine_options"], "engine_options")
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:

@@ -35,7 +35,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..core.events import ChurnEvent
 from ..errors import ConfigurationError
 from ..network.node import NodeRole
-from ..scenarios.bus import DEFAULT_PROBE_BUFFER, StepRecord
+from ..scenarios.bus import StepRecord
 from ..scenarios.scenario import Scenario
 from ..trace.backend import open_backend
 from ..trace.codec import DEFAULT_FLUSH_EVERY
@@ -62,14 +62,10 @@ def live_scenario(
     """The default scenario a live service runs: engine only, no workload.
 
     Events come from clients, not a generator, so ``workload`` is ``None``
-    and ``steps`` is 0; ``record_history`` is off because a service runs
-    indefinitely and the per-event history list would grow without bound.
-    The scenario still rides in the trace header (``shards`` included — it
-    shapes every result bit), so ``replay`` rebuilds the identical backend
-    from it.
+    and ``steps`` is 0.  The scenario still rides in the trace header
+    (``shards`` included — it shapes every result bit), so ``replay``
+    rebuilds the identical backend from it.
     """
-    options = dict(overrides.pop("engine_options", ()) or {})
-    options.setdefault("record_history", False)
     return Scenario(
         name=name,
         seed=seed,
@@ -78,7 +74,6 @@ def live_scenario(
         tau=tau,
         steps=0,
         workload=None,
-        engine_options=options,
         **overrides,
     )
 
@@ -108,7 +103,6 @@ class LiveEngineSession:
         scenario: Optional[Scenario] = None,
         workers: int = 1,
         probes: Sequence = (),
-        probe_buffer: int = DEFAULT_PROBE_BUFFER,
     ) -> None:
         self.scenario = scenario if scenario is not None else live_scenario()
         if self.scenario.engine != "now":
@@ -123,9 +117,7 @@ class LiveEngineSession:
             )
         self.rng = random.Random(self.scenario.seed + SERVICE_RNG_OFFSET)
         self.read_rng = random.Random(self.scenario.seed + SERVICE_READ_RNG_OFFSET)
-        self.backend = open_backend(
-            self.scenario, self.read_rng, workers, probes, probe_buffer
-        )
+        self.backend = open_backend(self.scenario, self.read_rng, workers, probes)
         self.bus = self.backend.bus
         self._recorder: Optional[Recorder] = None
         self.events_applied = 0

@@ -20,8 +20,10 @@ moved by two halves:
 :meth:`~ShardCoordinator.serve_collect` (receive half)
     receive the replies, fold the packed observation rows back into the
     global event order (:class:`~repro.shard.merge.ObservationMerger`),
-    cross-check worker sizes against the directory, and drain the barrier's
-    seq-numbered :class:`~repro.shard.messages.HandoffMessage` replies.
+    cross-check worker sizes against the directory, drain the barrier's
+    seq-numbered :class:`~repro.shard.messages.HandoffMessage` replies, and
+    publish the merged window to the observation bus — the one place a
+    sharded window reaches it, whichever caller collects.
 
 **One barrier rule.**  A barrier runs when the admitted event count crosses
 a multiple of ``barrier_interval`` — never because a call, a window or a
@@ -42,10 +44,11 @@ idle) that the throughput benchmark records next to its rates.
 Two semantics differ from the single-engine runner, both window-granular by
 construction and documented in ``docs/SHARDING.md``:
 
-* stop conditions are evaluated on the *merged* records after each window —
-  when one triggers, probe observation is truncated at the triggering record
-  but the shard engines complete the window (and a recorder still receives
-  all of it: the trace follows the engines);
+* stop conditions are evaluated on the *merged* records as
+  :meth:`~ShardCoordinator.serve_collect` publishes them — when one
+  triggers, probe observation is cut at the triggering record but the shard
+  engines complete the window (and a recorder still receives all of it: the
+  trace follows the engines);
 * the compromised-cluster set fed to stop conditions refreshes once per
   window (cluster interiors live on the workers), so a compromise anywhere
   in a window is visible to all of that window's records.
@@ -56,11 +59,12 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..adversary.base import bind_event_source
 from ..core.engine import EngineConfig
 from ..errors import ConfigurationError
 from ..network.node import NodeRole
-from ..scenarios.bus import DEFAULT_PROBE_BUFFER, ObservationBus, StepRecord, split_probes
-from ..scenarios.runner import RunResult, StopCondition, bind_event_source
+from ..scenarios.bus import ObservationBus, StepRecord, split_probes
+from ..scenarios.runner import RunResult, StopCondition
 from ..walks.kernel import check_kernel_snapshot
 from .merge import ObservationMerger, composite_state_hash
 from .messages import HandoffMessage
@@ -127,7 +131,6 @@ class ShardCoordinator:
         workers: int = 1,
         probes: Sequence = (),
         stop_conditions: Sequence[StopCondition] = (),
-        probe_buffer: int = DEFAULT_PROBE_BUFFER,
         pipeline: bool = True,
         checkpoint: Optional[Dict[str, Any]] = None,
     ) -> None:
@@ -274,7 +277,9 @@ class ShardCoordinator:
         #: crosses a barrier_interval multiple — the one barrier rule.
         self.events_admitted = self.total_events
         self.steps_admitted = self.total_steps
-        self.bus = ObservationBus(self.facade, self.probes, buffer_size=probe_buffer)
+        self.bus = ObservationBus(self.facade, self.probes)
+        #: ``(records published, reason)`` if the last collected window stopped.
+        self.stopped: Optional[Tuple[int, str]] = None
 
         self._started = False
         self.handoffs_sent = 0
@@ -303,11 +308,6 @@ class ShardCoordinator:
             raise ConfigurationError(
                 f"sharded execution supports the 'now' engine only, not "
                 f"{scenario.engine!r}"
-            )
-        if scenario.keep_reports:
-            raise ConfigurationError(
-                "keep_reports is not supported under sharded execution "
-                "(per-event MaintenanceReports are shard-local)"
             )
         adversary = scenario.adversary
         if adversary is not None:
@@ -466,13 +466,15 @@ class ShardCoordinator:
         }
 
     def serve_collect(self, token: Dict[str, Any]) -> List[StepRecord]:
-        """Receive and merge one dispatched window (receive half).
+        """Receive, merge and publish one dispatched window (receive half).
 
         Returns the window's composite :class:`~repro.scenarios.bus.
         StepRecord` objects in admission order — one per event, carrying the
         observables responses, probes and trace frames are built from (none
-        when the window was dispatched with ``observe=False``).  A worker
-        dying mid-window surfaces here as
+        when the window was dispatched with ``observe=False``).  They are
+        published to :attr:`bus` in that order, cut at the first record a
+        stop condition triggers on; :attr:`stopped` says where and why.  A
+        worker dying mid-window surfaces here as
         :class:`~repro.shard.worker.ShardWorkerError`.
         """
         window = token["window"]
@@ -507,7 +509,18 @@ class ShardCoordinator:
             self._recv_barrier(token["barrier"])
             self.barriers_run += 1
         self._refresh_facade()
+        self.stopped = self._publish(records)
         return records
+
+    def _publish(self, records: List[StepRecord]) -> Optional[Tuple[int, str]]:
+        """Publish a merged window up to the first stop-condition trigger."""
+        compromised = self.merger.compromised()
+        for count, record in enumerate(records, 1):
+            self.bus.publish_record(record)
+            reason = self._evaluate_stop(record, compromised)
+            if reason is not None:
+                return count, reason
+        return None
 
     def _check_sizes(
         self, replies: Dict[int, Dict[str, Any]], expected: Dict[int, int]
@@ -664,15 +677,12 @@ class ShardCoordinator:
                 records = self.serve_collect(token)
                 if recorder is not None:
                     recorder.window(records)
-                compromised = self.merger.compromised()
+                if self.stopped is not None:
+                    published, stop_reason = self.stopped
+                    records = records[:published]
+                    more = False
                 for record in records:
-                    self.bus.publish_record(record)
                     peak_worst = max(peak_worst, record.worst_fraction)
-                    reason = self._evaluate_stop(record, compromised)
-                    if reason is not None:
-                        stop_reason = reason
-                        more = False
-                        break
                 peak_worst = max(peak_worst, self.merger.worst_fraction)
                 if window.idle_reason is not None:
                     stop_reason = window.idle_reason
@@ -694,7 +704,6 @@ class ShardCoordinator:
             compromised_clusters=self.merger.compromised(),
             stop_reason=stop_reason,
             probes={probe.name: probe.result() for probe in self.probes},
-            reports=[],
             shards=self.shards,
         )
 

@@ -25,10 +25,7 @@ a small command protocol:
 
 Workers never see global state: every event arrives naming a *global* node
 id, and the slot's ``g2l``/``l2g`` maps translate to the shard-local
-identity space.  A shard engine runs with ``record_history`` and
-``enforce_size_range`` forced off — histories don't scale to million-event
-runs, and the paper's size range constrains the *composite* population, not
-an individual slice.
+identity space.
 
 :class:`InlineTransport` executes commands in-process (``workers=1``, the
 correctness oracle); :class:`ProcessTransport` runs the same worker behind a
@@ -61,11 +58,6 @@ from .serve import engine_view
 
 class ShardWorkerError(RuntimeError):
     """A shard worker command failed; carries the remote traceback text."""
-
-
-def _shard_engine_config(engine_options: Dict[str, Any]) -> EngineConfig:
-    """The scenario's engine options with the per-shard overrides applied."""
-    return EngineConfig(**dict(engine_options, record_history=False, enforce_size_range=False))
 
 
 class _ShardSlot:
@@ -117,7 +109,7 @@ class ShardWorker:
                 f"sharded execution supports the 'now' engine only, not {scenario.engine!r}"
             )
         params = scenario.parameters()
-        config = _shard_engine_config(scenario.engine_options)
+        config = EngineConfig(**scenario.engine_options)
         self.slots: Dict[int, _ShardSlot] = {}
         for shard in shard_ids:
             if restore is not None and shard in restore:

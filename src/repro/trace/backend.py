@@ -12,7 +12,8 @@ a backend is:
     inline at dispatch (its window completes synchronously);
     :class:`ShardBackend` chunks them to the coordinator's
     ``events_until_barrier()`` and queues them on the workers, so the caller
-    can do other work until ``collect``.  Both publish the window to ``bus``.
+    can do other work until ``collect``.  Both publish the window to
+    ``bus`` (the sharded one inside the coordinator's ``serve_collect``).
 ``nodes`` / ``params``
     the :class:`~repro.core.state.NodeRegistry` view and protocol parameters
     the session's pre-flight admission rules are written against.  Both are
@@ -33,12 +34,13 @@ It lives in :mod:`repro.trace` because it is the unit replay certifies.
 Two callers, whose events are given to them, both through
 :func:`open_backend` — the one place that picks a backend, by
 ``scenario.shards``: the live session (:mod:`repro.service.session`) and the
-replay driver (:class:`repro.trace.replay.ReplayEngine`, no read stream).  A
-batch run pulls its events from the scenario's own source instead, so it
-opens a *driver* that owns one (:func:`repro.trace.session.open_driver`, the
-other seam) — the ``SimulationRunner``, or the coordinator itself, whose
-``run`` is the same two window halves ``dispatch`` and ``collect`` call,
-under the same barrier rule.  Whatever applies the events, one
+replay driver (:class:`repro.trace.replay.ReplayEngine`, no read stream),
+both from a scenario.  A batch run pulls its events from the scenario's own
+source instead, so it opens a *driver* that owns one
+(:func:`repro.trace.session.open_driver`, the other seam) — the
+``SimulationRunner``, or the coordinator itself, whose ``run`` is the same
+two window halves ``dispatch`` and ``collect`` call, under the same barrier
+rule.  Whatever applies the events, one
 :class:`~repro.trace.session.Recorder` writes them down.
 """
 
@@ -47,7 +49,7 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..scenarios.bus import DEFAULT_PROBE_BUFFER, ObservationBus, StepRecord
+from ..scenarios.bus import ObservationBus, StepRecord
 from .hashing import state_hash
 
 
@@ -100,12 +102,11 @@ class EngineBackend(_ReadLane):
         engine,
         read_rng: Optional[random.Random] = None,
         probes: Sequence = (),
-        probe_buffer: int = DEFAULT_PROBE_BUFFER,
     ) -> None:
         self.engine = engine
         self.params = engine.parameters
         self.nodes = engine.state.nodes
-        self.bus = ObservationBus(engine, probes, buffer_size=probe_buffer)
+        self.bus = ObservationBus(engine, probes)
         self._events = 0
         self._open_reads(read_rng)
 
@@ -160,15 +161,12 @@ class ShardBackend(_ReadLane):
         read_rng: Optional[random.Random] = None,
         workers: int = 1,
         probes: Sequence = (),
-        probe_buffer: int = DEFAULT_PROBE_BUFFER,
     ) -> None:
         # Local import: repro.shard builds on repro.trace, and a single-engine
         # run or replay should not pay for the worker-process machinery.
         from ..shard.coordinator import ShardCoordinator
 
-        self.coordinator = ShardCoordinator(
-            scenario, workers=workers, probes=probes, probe_buffer=probe_buffer
-        )
+        self.coordinator = ShardCoordinator(scenario, workers=workers, probes=probes)
         self.params = self.coordinator.params
         self.nodes = self.coordinator.directory.nodes
         self.bus = self.coordinator.bus
@@ -193,8 +191,6 @@ class ShardBackend(_ReadLane):
         records: List[StepRecord] = []
         for part in token:
             records += self.coordinator.serve_collect(part)
-        for record in records:
-            self.bus.publish_record(record)
         self._close_window()
         return records
 
@@ -208,23 +204,16 @@ class ShardBackend(_ReadLane):
         self.coordinator.close()
 
 
-
 def open_backend(
     scenario,
     read_rng: Optional[random.Random] = None,
     workers: int = 1,
     probes: Sequence = (),
-    probe_buffer: int = DEFAULT_PROBE_BUFFER,
-    engine=None,
 ):
     """Open the backend ``scenario`` runs on — this seam's one fork on ``shards``.
 
-    ``engine`` is a ready single engine to use instead of bootstrapping the
-    scenario's (replay of a trace without a header scenario passes
-    ``scenario=None``); ``workers`` applies to the sharded backend only.
+    ``workers`` applies to the sharded backend only.
     """
-    if scenario is not None and scenario.shards:
-        return ShardBackend(scenario, read_rng, workers, probes, probe_buffer)
-    if engine is None:
-        engine = scenario.build_engine()
-    return EngineBackend(engine, read_rng, probes, probe_buffer)
+    if scenario.shards:
+        return ShardBackend(scenario, read_rng, workers, probes)
+    return EngineBackend(scenario.build_engine(), read_rng, probes)

@@ -8,7 +8,7 @@ the encoding from the leading bytes, so every frame consumer (``replay``,
 mixed freely.
 
 ``header`` (first frame)
-    ``{"t":"header","f":"repro-trace","v":2,"scenario":{...}|null,
+    ``{"t":"header","f":"repro-trace","v":2,"scenario":{...},
     "engine":"now","index_every":N}`` — identifies the format and carries
     the full scenario spec so ``replay`` can rebuild the engine from the
     seed alone.  Version 2 differs from 1 only in what a spec that leaves
@@ -124,8 +124,8 @@ class TraceWriter:
     # ------------------------------------------------------------------
     # Frames
     # ------------------------------------------------------------------
-    def write_header(self, scenario: Optional[Dict[str, Any]] = None, engine_kind: str = "now") -> None:
-        """Write the header frame (must be first, once)."""
+    def write_header(self, scenario: Dict[str, Any], engine_kind: str = "now") -> None:
+        """Write the header frame (must be first, once) with the run's spec."""
         if self._header_written:
             raise ConfigurationError("trace header was already written")
         self._write(

@@ -98,28 +98,28 @@ class ReplayReport:
 class ReplayEngine:
     """Re-drives a recorded trace against a rebuilt backend and verifies it."""
 
-    def __init__(self, trace: "TraceReader | str", engine=None) -> None:
+    def __init__(self, trace: "TraceReader | str") -> None:
         from ..scenarios.scenario import Scenario  # local import: avoids a cycle
 
         self.reader = trace if isinstance(trace, TraceReader) else TraceReader(trace)
         scenario = self.reader.scenario
-        if scenario is None and engine is None:
+        if scenario is None:
             raise ConfigurationError(
-                "trace header carries no scenario spec; pass an engine explicitly"
+                "trace header carries no scenario spec; replay rebuilds the "
+                "backend from it and cannot run without one"
             )
-        self.backend = open_backend(
-            Scenario.from_dict(scenario) if scenario is not None else None, engine=engine
-        )
+        self.backend = open_backend(Scenario.from_dict(scenario))
 
     # ------------------------------------------------------------------
     # The replay loop
     # ------------------------------------------------------------------
-    def run(self, stop_on_divergence: bool = True) -> ReplayReport:
+    def run(self) -> ReplayReport:
         """Re-apply every recorded event, asserting determinism as we go.
 
         Events are re-applied in windows of up to :data:`REPLAY_WINDOW`
         (the backend cuts them at its own barriers); a window always ends
         before an index or end frame, where the state hash is compared.
+        The first divergence ends the replay.
         """
         backend = self.backend
         events_applied = 0
@@ -128,13 +128,11 @@ class ReplayEngine:
         pending: List[Dict[str, Any]] = []
 
         def diverged(mismatch: Optional[Dict[str, Any]]) -> bool:
-            """Keep the FIRST divergence; say whether the loop should stop."""
+            """Keep the first divergence; say whether there was one."""
             nonlocal divergence
-            if mismatch is None:
-                return False
             if divergence is None:
                 divergence = mismatch
-            return stop_on_divergence
+            return mismatch is not None
 
         def apply_pending() -> bool:
             nonlocal events_applied
@@ -143,10 +141,10 @@ class ReplayEngine:
             events = [churn_event_from_frame(frame) for frame in frames]
             records = backend.collect(backend.dispatch(events))
             events_applied += len(records)
-            stop = False
-            for frame, record in zip(frames, records):
-                stop = diverged(check_event_frame(frame, record)) or stop
-            return stop
+            return any(
+                diverged(check_event_frame(frame, record))
+                for frame, record in zip(frames, records)
+            )
 
         def hash_mismatch(frame: Dict[str, Any], where: str) -> Optional[Dict[str, Any]]:
             replayed = backend.state_hash()
@@ -189,9 +187,9 @@ class ReplayEngine:
             backend.close()
 
 
-def replay_trace(path: str, engine=None) -> ReplayReport:
+def replay_trace(path: "TraceReader | str") -> ReplayReport:
     """Replay a recorded trace (see :class:`ReplayEngine`)."""
-    return ReplayEngine(path, engine=engine).run()
+    return ReplayEngine(path).run()
 
 
 # ----------------------------------------------------------------------

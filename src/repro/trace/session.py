@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional, Sequence
 
 from ..errors import ConfigurationError
-from ..scenarios.bus import DEFAULT_PROBE_BUFFER, StepRecord
+from ..scenarios.bus import StepRecord
 from ..scenarios.probes import Probe
 from ..scenarios.runner import RunResult, StopCondition
 from ..scenarios.scenario import Scenario
@@ -193,7 +193,6 @@ def open_driver(
     scenario: Scenario,
     probes: Sequence[Probe] = (),
     stop_conditions: Sequence[StopCondition] = (),
-    probe_buffer: int = DEFAULT_PROBE_BUFFER,
     workers: int = 1,
     pipeline: bool = True,
     checkpoint: Optional[Checkpoint] = None,
@@ -216,16 +215,13 @@ def open_driver(
             workers=workers,
             probes=probes,
             stop_conditions=stop_conditions,
-            probe_buffer=probe_buffer,
             pipeline=pipeline,
             checkpoint=checkpoint.data if checkpoint is not None else None,
         ) as coordinator:
             yield coordinator
         return
     engine = checkpoint.restore_engine() if checkpoint is not None else None
-    runner = scenario.build_runner(
-        probes=probes, stop_conditions=stop_conditions, engine=engine, probe_buffer=probe_buffer
-    )
+    runner = scenario.build_runner(probes=probes, stop_conditions=stop_conditions, engine=engine)
     if checkpoint is not None:
         checkpoint.restore_source(runner.source)
         # Seed the cumulative counters so continued checkpoints carry totals
@@ -239,7 +235,6 @@ def _run_segment(
     scenario: Scenario,
     steps: int,
     probes: Sequence[Probe],
-    probe_buffer: int,
     workers: int,
     pipeline: bool,
     checkpoint: Optional[Checkpoint] = None,
@@ -247,7 +242,7 @@ def _run_segment(
 ) -> SessionResult:
     """One batch segment (record's and resume's shared body); ``outputs`` are
     the :class:`Recorder`'s trace and checkpoint arguments."""
-    opened = open_driver(scenario, probes, (), probe_buffer, workers, pipeline, checkpoint)
+    opened = open_driver(scenario, probes, (), workers, pipeline, checkpoint)
     with opened as driver:
         recorder = Recorder(scenario, driver.engine, driver, **outputs)
         try:
@@ -275,7 +270,6 @@ def record_scenario(
     probes: Sequence[Probe] = (),
     trace_format: str = "jsonl",
     flush_every: int = DEFAULT_FLUSH_EVERY,
-    probe_buffer: int = DEFAULT_PROBE_BUFFER,
     workers: int = 1,
     pipeline: bool = True,
 ) -> SessionResult:
@@ -287,8 +281,7 @@ def record_scenario(
     *sequence* of runs can also resume from a completed run's end state.
 
     ``trace_format`` / ``flush_every`` select the trace's physical encoding
-    and write-buffer cadence; ``probe_buffer`` the observation-bus batch
-    size for buffered probes.  ``workers`` (worker processes) and
+    and write-buffer cadence.  ``workers`` (worker processes) and
     ``pipeline`` (route ahead of executing windows) apply to sharded
     scenarios only and never change a result bit.
     """
@@ -300,7 +293,6 @@ def record_scenario(
         scenario,
         scenario.steps if steps is None else steps,
         probes,
-        probe_buffer,
         workers,
         pipeline,
         trace_path=trace_path,
@@ -352,7 +344,6 @@ def resume_from_checkpoint(
         scenario,
         steps,
         probes,
-        DEFAULT_PROBE_BUFFER,
         workers,
         pipeline,
         checkpoint,

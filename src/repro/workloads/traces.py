@@ -4,8 +4,9 @@ Workloads (:mod:`repro.workloads.churn`) and adversaries
 (:mod:`repro.adversary`) expose the same per-step interface — "give me the
 next event for this system" — but adversaries receive an
 :class:`~repro.adversary.base.AdversaryContext` while workloads receive the
-engine directly.  The helpers here paper over that difference so experiments
-can interleave background churn with an attack using a single loop.
+engine directly.  :func:`~repro.adversary.base.bind_event_source` papers
+over that difference, so experiments can interleave background churn with
+an attack using a single loop.
 """
 
 from __future__ import annotations
@@ -13,20 +14,9 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from ..adversary.base import Adversary, AdversaryContext
+from ..adversary.base import bind_event_source
 from ..core.events import ChurnEvent
 from ..errors import ConfigurationError
-from .churn import ChurnWorkload
-
-
-def _next_event(source, engine) -> Optional[ChurnEvent]:
-    """Ask ``source`` (workload or adversary) for its next event."""
-    if isinstance(source, Adversary):
-        return source.next_event(AdversaryContext(engine))
-    if isinstance(source, ChurnWorkload):
-        return source.next_event(engine)
-    # Duck-typed source: anything with a next_event(engine) method.
-    return source.next_event(engine)
 
 
 def drive(engine, source, steps: int) -> List:
@@ -39,12 +29,16 @@ def drive(engine, source, steps: int) -> List:
     This is a thin convenience wrapper over
     :class:`~repro.scenarios.runner.SimulationRunner`, which owns the step
     loop (and supports probes and stop conditions for anything beyond a
-    fixed-step drive).
+    fixed-step drive); the reports reach it the way every observation does,
+    through the observation bus, collected by an inline probe.
     """
-    from ..scenarios.runner import SimulationRunner  # local import: avoids a cycle
+    # Local import: repro.scenarios builds on the workloads.
+    from ..scenarios.probes import CallbackProbe
+    from ..scenarios.runner import SimulationRunner
 
-    runner = SimulationRunner(engine, source, keep_reports=True, name="drive")
-    return runner.run(steps).reports
+    reports = CallbackProbe(lambda _engine, report, _step: report, name="reports")
+    SimulationRunner(engine, source, probes=[reports], name="drive").run(steps)
+    return reports.values
 
 
 class MixedDriver:
@@ -62,28 +56,31 @@ class MixedDriver:
             raise ConfigurationError("source weights must sum to a positive value")
         self._sources = [(source, weight / total) for source, weight in sources]
         self._rng = rng
+        self._engine = None
+        self._pulls: List = []
 
     def next_event(self, engine) -> Optional[ChurnEvent]:
         """Pick a source by weight and return its event (falling back to the others)."""
-        order = sorted(self._sources, key=lambda _pair: self._rng.random())
+        if engine is not self._engine:
+            self._engine = engine
+            self._pulls = [bind_event_source(engine, source) for source, _ in self._sources]
+        order = sorted(range(len(self._sources)), key=lambda _index: self._rng.random())
         roll = self._rng.random()
         cumulative = 0.0
-        chosen = None
-        for source, weight in self._sources:
+        chosen = len(self._sources) - 1
+        for index, (_source, weight) in enumerate(self._sources):
             cumulative += weight
             if roll <= cumulative:
-                chosen = source
+                chosen = index
                 break
-        if chosen is None:
-            chosen = self._sources[-1][0]
-        event = _next_event(chosen, engine)
+        event = self._pulls[chosen]()
         if event is not None:
             return event
         # The chosen source is idle; give the others a chance this step.
-        for source, _weight in order:
-            if source is chosen:
+        for index in order:
+            if index == chosen:
                 continue
-            event = _next_event(source, engine)
+            event = self._pulls[index]()
             if event is not None:
                 return event
         return None

@@ -16,6 +16,7 @@ from repro.baselines import (
 from repro.core.events import ChurnEvent
 from repro.errors import ConfigurationError
 from repro.network.node import NodeRole
+from repro.workloads import UniformChurn, drive
 
 
 def params():
@@ -60,12 +61,13 @@ class TestNoShuffleEngine:
                 break
         assert engine.cluster_count > clusters_before
 
-    def test_history_and_reports(self):
+    def test_reports(self):
         engine = NoShuffleEngine.bootstrap(params(), initial_size=100, seed=1)
         report = engine.join()
         assert report.network_size == 101
-        assert engine.history[-1] is report
         assert isinstance(report.safe, bool)
+        reports = drive(engine, UniformChurn(random.Random(2)), steps=5)
+        assert [report.time_step for report in reports] == [2, 3, 4, 5, 6]
 
     def test_leave_requires_node_id(self):
         engine = NoShuffleEngine.bootstrap(params(), initial_size=100, seed=1)

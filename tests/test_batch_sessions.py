@@ -116,7 +116,6 @@ class TestRecordedRunReplays:
                 trace_format=trace_format,
                 index_every=20,
                 probes=[_Bomb()],
-                probe_buffer=8,
             )
         reader = TraceReader(path)
         assert reader.end_frame() is None

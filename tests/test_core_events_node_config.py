@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ChurnEvent, ChurnKind, EngineConfig, NowEngine, default_parameters
-from repro.errors import NetworkSizeError
+from repro import ChurnEvent, ChurnKind, EngineConfig
 from repro.network.node import NodeDescriptor, NodeRole, NodeState
 from repro.walks.sampler import WalkMode
 
@@ -71,32 +70,3 @@ class TestEngineConfig:
         config = EngineConfig()
         assert config.walk_mode is WalkMode.ORACLE
         assert config.cascade_exchanges is True
-        assert config.strict_compromise is False
-        assert config.record_history is True
-        assert config.enforce_size_range is False
-
-    def test_enforce_size_range_raises_outside_band(self):
-        params = default_parameters(max_size=1024, k=2.0, tau=0.1, epsilon=0.05, min_size=130)
-        engine = NowEngine.bootstrap(
-            params,
-            initial_size=130,
-            byzantine_fraction=0.1,
-            seed=1,
-            config=EngineConfig(enforce_size_range=True),
-        )
-        # One leave drops the size below the configured minimum of 130.
-        with pytest.raises(NetworkSizeError):
-            engine.leave(engine.random_member())
-
-    def test_enforce_size_range_allows_inside_band(self):
-        params = default_parameters(max_size=1024, k=2.0, tau=0.1, epsilon=0.05, min_size=100)
-        engine = NowEngine.bootstrap(
-            params,
-            initial_size=130,
-            byzantine_fraction=0.1,
-            seed=1,
-            config=EngineConfig(enforce_size_range=True),
-        )
-        engine.leave(engine.random_member())
-        engine.join()
-        assert engine.network_size == 130

@@ -11,13 +11,14 @@ import random
 
 import pytest
 
-from repro import EngineConfig, NowEngine, default_parameters
+from repro import NowEngine, SimulationRunner, default_parameters
 from repro.adversary import JoinLeaveAttack, TargetedDosAdversary
 from repro.analysis import summarize_fractions
 from repro.apps import AggregationService, ClusteredBroadcast
 from repro.baselines import NoShuffleEngine, StaticClusterEngine
 from repro.network.node import NodeRole
 from repro.overlay.expansion import analyse_expansion
+from repro.scenarios import stop_when_compromised
 from repro.workloads import GrowthWorkload, MixedDriver, UniformChurn, drive
 
 
@@ -34,8 +35,8 @@ class TestTheorem3Miniature:
         params = make_params(tau=0.1)
         engine = NowEngine.bootstrap(params, initial_size=200, byzantine_fraction=0.1, seed=11)
         workload = UniformChurn(random.Random(12), byzantine_join_fraction=0.1)
-        drive(engine, workload, steps=120)
-        worst_per_step = [report.worst_byzantine_fraction for report in engine.history]
+        reports = drive(engine, workload, steps=120)
+        worst_per_step = [report.worst_byzantine_fraction for report in reports]
         summary = summarize_fractions(worst_per_step)
         # With tau = 0.10 and clusters of ~33 nodes, no cluster should ever
         # approach one third over a short run.
@@ -113,7 +114,9 @@ class TestPolynomialGrowth:
             params, initial_size=start, byzantine_fraction=0.1, seed=41
         )
         drive(now_engine, GrowthWorkload(random.Random(42), target_size=target), steps=600)
-        drive(static, GrowthWorkload(random.Random(42), target_size=target), steps=600)
+        static_reports = drive(
+            static, GrowthWorkload(random.Random(42), target_size=target), steps=600
+        )
 
         assert now_engine.network_size == target
         assert static.network_size == target
@@ -122,7 +125,7 @@ class TestPolynomialGrowth:
         static_max = static.max_cluster_size()
         assert now_max <= params.split_threshold
         assert static_max > now_max
-        assert static.cluster_count == static.history[0].cluster_count
+        assert static.cluster_count == static_reports[0].cluster_count
         assert now_engine.cluster_count > static.cluster_count
         # The maintained overlay is still a healthy expander.
         report = analyse_expansion(now_engine.state.overlay.graph)
@@ -146,15 +149,14 @@ class TestApplicationsEndToEnd:
         honest = engine.network_size - len(engine.state.nodes.active_byzantine())
         assert aggregate.value == pytest.approx(honest)
 
-    def test_strict_mode_round_trip(self):
-        """An engine in strict mode completes a benign run without raising."""
+    def test_benign_run_never_stops_on_compromise(self):
+        """A benign run under ``stop_when_compromised`` completes its budget."""
         params = make_params(tau=0.05)
-        engine = NowEngine.bootstrap(
-            params,
-            initial_size=200,
-            byzantine_fraction=0.05,
-            seed=61,
-            config=EngineConfig(strict_compromise=True),
+        engine = NowEngine.bootstrap(params, initial_size=200, byzantine_fraction=0.05, seed=61)
+        runner = SimulationRunner(
+            engine,
+            UniformChurn(random.Random(62), byzantine_join_fraction=0.05),
+            stop_conditions=[stop_when_compromised()],
         )
-        drive(engine, UniformChurn(random.Random(62), byzantine_join_fraction=0.05), steps=40)
+        assert runner.run(40).stop_reason == "steps exhausted"
         assert engine.check_invariants().holds

@@ -17,18 +17,15 @@ from hypothesis import strategies as st
 
 from repro import Scenario
 from repro.analysis.statistics import RunningSummary, summarize_values
-from repro.errors import ConfigurationError
 from repro.scenarios import (
     CallbackProbe,
     CorruptionTrajectoryProbe,
     CostLedgerProbe,
     ObservationBus,
-    SimulationRunner,
     SizeTrajectoryProbe,
     StepRecord,
 )
 from repro.trace import state_hash
-from repro.workloads import UniformChurn
 
 PARAMS = dict(max_size=1024, initial_size=100, tau=0.15, k=2.0)
 
@@ -53,11 +50,12 @@ def standard_probes(buffered: bool):
     ]
 
 
-def run_with(buffered: bool, probe_buffer: int, seed: int, steps: int, **overrides):
+def run_with(buffered: bool, batch: int, seed: int, steps: int, **overrides):
     scenario = small_scenario(seed=seed, steps=steps, **overrides)
     engine = scenario.build_engine()
     probes = standard_probes(buffered)
-    runner = scenario.build_runner(probes=probes, engine=engine, probe_buffer=probe_buffer)
+    runner = scenario.build_runner(probes=probes, engine=engine)
+    runner.bus.buffer_size = batch
     result = runner.run(steps)
     return engine, probes, result
 
@@ -67,13 +65,13 @@ class TestBufferedInlineEquivalence:
     @given(
         seed=st.integers(0, 2**16),
         steps=st.integers(5, 60),
-        probe_buffer=st.integers(1, 97),
+        batch=st.integers(1, 97),
         walk_mode=st.sampled_from(["oracle", "simulated"]),
     )
-    def test_buffered_equals_inline_bit_for_bit(self, seed, steps, probe_buffer, walk_mode):
+    def test_buffered_equals_inline_bit_for_bit(self, seed, steps, batch, walk_mode):
         options = {"engine_options": {"walk_mode": walk_mode}}
         engine_a, probes_a, result_a = run_with(False, 1, seed, steps, **options)
-        engine_b, probes_b, result_b = run_with(True, probe_buffer, seed, steps, **options)
+        engine_b, probes_b, result_b = run_with(True, batch, seed, steps, **options)
 
         # Trajectory-identical: the observation path never perturbs the run.
         assert state_hash(engine_a) == state_hash(engine_b)
@@ -130,7 +128,8 @@ class TestObservationBus:
                 super().on_records(engine, records)
 
         spy = BatchSpy()
-        runner = scenario.build_runner(probes=[spy], engine=engine, probe_buffer=10)
+        runner = scenario.build_runner(probes=[spy], engine=engine)
+        runner.bus.buffer_size = 10
         result = runner.run(25)
         assert result.events == 25
         # Full batches of 10 plus the final partial flush.
@@ -184,12 +183,6 @@ class TestObservationBus:
         assert late_inline.count == result.events
         assert late_buffered.count == result.events
         assert result.probes["size"]["final_size"] == result.final_size
-
-    def test_rejects_nonpositive_probe_buffer(self):
-        engine = small_scenario().build_engine()
-        workload = UniformChurn(random.Random(3))
-        with pytest.raises(ConfigurationError):
-            SimulationRunner(engine, workload, probe_buffer=0)
 
 
 class TestRunningSummary:

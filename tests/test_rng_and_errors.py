@@ -123,22 +123,13 @@ class TestErrorHierarchy:
         for name in (
             "ConfigurationError",
             "ProtocolViolationError",
-            "ClusterCompromisedError",
             "UnknownNodeError",
             "UnknownClusterError",
-            "NetworkSizeError",
             "AgreementError",
             "WalkError",
         ):
             exc_type = getattr(errors, name)
             assert issubclass(exc_type, errors.ReproError)
-
-    def test_cluster_compromised_carries_context(self):
-        exc = errors.ClusterCompromisedError(cluster_id=4, fraction=0.4, time_step=17)
-        assert exc.cluster_id == 4
-        assert exc.fraction == pytest.approx(0.4)
-        assert exc.time_step == 17
-        assert "cluster 4" in str(exc)
 
     def test_catching_base_class(self):
         with pytest.raises(errors.ReproError):

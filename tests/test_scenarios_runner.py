@@ -16,6 +16,7 @@ from repro.scenarios import (
     CostLedgerProbe,
     SizeTrajectoryProbe,
     named_scenario,
+    stop_when_compromised,
     stop_when_size_at_least,
 )
 from repro.workloads import GrowthWorkload, UniformChurn
@@ -39,11 +40,11 @@ class TestSimulationRunner:
         assert result.final_size > 0
         assert result.events_per_second > 0
 
-    def test_keep_reports_returns_per_step_reports(self):
-        scenario = small_scenario(steps=10, keep_reports=True)
-        result = scenario.run()
-        assert len(result.reports) == result.events
-        assert all(hasattr(report, "worst_byzantine_fraction") for report in result.reports)
+    def test_inline_callback_collects_per_step_reports(self):
+        reports = CallbackProbe(lambda _engine, report, _step: report, name="reports")
+        result = small_scenario(steps=10).run(probes=[reports])
+        assert len(reports.values) == result.events
+        assert all(hasattr(report, "worst_byzantine_fraction") for report in reports.values)
 
     def test_idle_streak_stops_finite_workloads(self):
         scenario = small_scenario(
@@ -106,6 +107,56 @@ class TestSimulationRunner:
         table = result.summary_table()
         assert "events applied" in table
         assert "stop reason" in table
+
+
+class TestStopWhenCompromised:
+    """The way a run ends on a compromised cluster: a stop condition on the bus."""
+
+    #: One cluster reaches one third at step 41 of this run, and only there.
+    SINGLE = dict(tau=0.12, steps=150)
+    #: Two shards in windows of 16 events; the window ending at step 64 leaves
+    #: a cluster of shard 1 compromised.
+    SHARDED = dict(
+        tau=0.12, seed=2, initial_size=200, steps=300, shards=2,
+        shard_options={"barrier_interval": 16},
+    )
+
+    def test_single_engine_stops_at_the_first_compromising_step(self):
+        flags = CallbackProbe(lambda _e, report, step: (step, bool(report.compromised_clusters)))
+        small_scenario(**self.SINGLE).run(probes=[flags])
+        first = next(step for step, compromised in flags.values if compromised)
+
+        reports = CallbackProbe(lambda _e, report, _s: report)
+        result = small_scenario(**self.SINGLE).run(
+            probes=[reports], stop_conditions=[stop_when_compromised()]
+        )
+        cluster = reports.values[-1].compromised_clusters[0]
+        assert 1 < first == result.steps == len(reports.values)
+        assert result.stop_reason == f"cluster {cluster} compromised"
+        assert all(report.safe for report in reports.values[:-1])
+
+        named = small_scenario(**self.SINGLE).run(stop_conditions=[stop_when_compromised(cluster)])
+        assert (named.steps, named.stop_reason) == (result.steps, result.stop_reason)
+
+    def test_sharded_stops_at_window_granularity_on_shard_cluster_pairs(self):
+        interval = self.SHARDED["shard_options"]["barrier_interval"]
+        sizes = SizeTrajectoryProbe()
+        result = small_scenario(**self.SHARDED).run(
+            probes=[sizes], stop_conditions=[stop_when_compromised()]
+        )
+        # The engines finish the window; probes stop at its first record,
+        # which already sees the compromise of the window's end state.
+        assert result.steps % interval == 0 and result.steps > 0
+        assert sizes.count == result.steps - interval + 1
+        before = small_scenario(**self.SHARDED).run(steps=result.steps - interval)
+        after = small_scenario(**self.SHARDED).run(steps=result.steps)
+        assert before.compromised_clusters == []
+        pair = after.compromised_clusters[0]
+        assert isinstance(pair, tuple) and len(pair) == 2
+        assert result.stop_reason == f"cluster {pair} compromised"
+
+        named = small_scenario(**self.SHARDED).run(stop_conditions=[stop_when_compromised(pair)])
+        assert (named.steps, named.stop_reason) == (result.steps, result.stop_reason)
 
 
 class TestProbes:
@@ -220,11 +271,10 @@ class TestScenario:
             named_scenario("does-not-exist")
 
     def test_seed_reproducibility(self):
-        first = small_scenario(steps=15, keep_reports=True).run()
-        second = small_scenario(steps=15, keep_reports=True).run()
-        assert [r.network_size for r in first.reports] == [
-            r.network_size for r in second.reports
-        ]
+        sizes = [CallbackProbe(lambda _e, report, _s: report.network_size) for _ in range(2)]
+        first = small_scenario(steps=15).run(probes=[sizes[0]])
+        second = small_scenario(steps=15).run(probes=[sizes[1]])
+        assert sizes[0].values == sizes[1].values
         assert first.final_worst_fraction == second.final_worst_fraction
 
 

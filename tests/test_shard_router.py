@@ -223,11 +223,6 @@ def test_coordinator_rejects_inline_probe_attached_after_construction():
         assert coordinator.run(5).events == 5
 
 
-def test_coordinator_rejects_keep_reports():
-    with pytest.raises(ConfigurationError, match="keep_reports"):
-        ShardCoordinator(_sharded_scenario(keep_reports=True))
-
-
 def test_coordinator_rejects_undersized_slices():
     # 200 nodes over 4 shards = 50 per slice, below the 2-cluster minimum
     # (2 x 24 = 48)... 50 passes; use 8 shards (25 per slice) to trip it.

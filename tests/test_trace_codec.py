@@ -353,7 +353,7 @@ class TestBinaryCli:
         assert cli_main([
             "run-scenario", "--name", "uniform-churn", "--steps", "40",
             "--record", trace, "--trace-format", "binary",
-            "--flush-every", "16", "--probe-buffer", "8", "--index-every", "10",
+            "--flush-every", "16", "--index-every", "10",
         ]) == 0
         capsys.readouterr()
         assert sniff_trace_format(trace) == "binary"

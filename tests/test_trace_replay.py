@@ -12,10 +12,10 @@ from repro.core.events import ChurnKind
 from repro.errors import ConfigurationError
 from repro.network.node import NodeRole
 from repro.scenarios import CorruptionTrajectoryProbe
+from repro.cli import main as cli_main
 from repro.trace import (
     ReplayEngine,
     TraceReader,
-    TraceWriter,
     churn_event_from_frame,
     record_scenario,
     replay_trace,
@@ -138,7 +138,7 @@ class TestReplay:
         assert report.divergence["step"] == 20
         assert "network size" in report.divergence["reason"]
 
-    def test_non_stopping_replay_reports_first_divergence(self, tmp_path):
+    def test_replay_reports_the_first_of_two_divergences(self, tmp_path):
         path, _ = record(tmp_path, steps=40, index_every=1000)
         lines = open(path, "r", encoding="utf-8").read().splitlines()
         tampered = []
@@ -150,10 +150,9 @@ class TestReplay:
         bad = os.path.join(str(tmp_path), "two-tampers.jsonl")
         with open(bad, "w", encoding="utf-8") as handle:
             handle.write("\n".join(tampered) + "\n")
-        report = ReplayEngine(bad).run(stop_on_divergence=False)
+        report = replay_trace(bad)
         assert not report.ok
         assert report.divergence["step"] == 10  # the FIRST mismatch, not the last
-        assert report.events_applied == 40  # kept going to the end
 
     def test_replay_detects_hash_mismatch_from_tampered_index(self, tmp_path):
         path, _ = record(tmp_path, steps=40, index_every=10)
@@ -171,29 +170,17 @@ class TestReplay:
         assert not report.ok
         assert "state hash mismatch" in report.divergence["reason"]
 
-    def test_replay_without_scenario_needs_engine(self, tmp_path):
-        scenario = small_scenario(steps=10)
-        path = os.path.join(str(tmp_path), "bare.jsonl")
-        engine = scenario.build_engine()
-        writer = TraceWriter(path, index_every=5)
-        writer.write_header()  # no scenario in the header
-
-        class BareRecorder:
-            """The runner's recorder hook, writing a header-less-scenario trace."""
-
-            def window(self, records):
-                for record in records:
-                    writer.write_record(record)
-                if writer.index_due():
-                    writer.write_index(records[-1].step_index, records[-1], engine)
-
-        scenario.build_runner(engine=engine).run(10, BareRecorder())
-        writer.close(final_hash=state_hash(engine))
-        assert len(TraceReader(path).index_frames()) == 2
-        with pytest.raises(ConfigurationError):
-            ReplayEngine(path)
-        fresh = small_scenario(steps=10).build_engine()
-        assert ReplayEngine(path, engine=fresh).run().ok
+    def test_replay_refuses_a_header_without_scenario(self, tmp_path, capsys):
+        path, _ = record(tmp_path, steps=10, index_every=5)
+        frames = [json.loads(line) for line in open(path, "r", encoding="utf-8")]
+        frames[0]["scenario"] = None  # what no writer produces any more
+        bare = os.path.join(str(tmp_path), "bare.jsonl")
+        with open(bare, "w", encoding="utf-8") as handle:
+            handle.write("".join(json.dumps(frame) + "\n" for frame in frames))
+        with pytest.raises(ConfigurationError, match="no scenario"):
+            ReplayEngine(bare)
+        assert cli_main(["replay", "--trace", bare]) == 2
+        assert "no scenario" in capsys.readouterr().err
 
 
 class TestTraceDiff:
