@@ -203,9 +203,12 @@ class _WalkHopsProbe(Probe):
 def _structural_invariants_ok(engine) -> Optional[bool]:
     """Post-run structural invariant verdict (``None`` for engines without one).
 
-    NOW exposes :meth:`~repro.core.engine.NowEngine.check_invariants`; the
-    baselines and the shard coordinator do not, and their records carry
-    ``None`` so aggregation code can tell "not checked" from "violated".
+    NOW exposes :meth:`~repro.core.engine.NowEngine.check_invariants` and
+    the shard coordinator its composite
+    :meth:`~repro.shard.coordinator.ShardCoordinator.check_invariants`
+    (which needs live workers: call it before the driver closes); the
+    baselines have none, and their records carry ``None`` so aggregation
+    code can tell "not checked" from "violated".
     """
     check = getattr(engine, "check_invariants", None)
     if check is None:
@@ -240,6 +243,7 @@ def run_sweep_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
         probes.append(target_probe)
     with open_driver(scenario, probes) as driver:
         result = driver.run(scenario.steps)
+        invariants_ok = _structural_invariants_ok(driver.engine)
     summary = corruption.summary()
     record = {
         "sweep": payload["sweep"],
@@ -261,7 +265,7 @@ def run_sweep_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
         "walk_hops": float(hops.total),
         "safe": result.safe,
         "stop_reason": result.stop_reason,
-        "invariants_ok": _structural_invariants_ok(driver.engine),
+        "invariants_ok": invariants_ok,
     }
     if target_probe is not None:
         record["target_peak_fraction"] = target_probe.peak

@@ -22,9 +22,11 @@ Pre-flight validation (why requests cannot fail inside the engine):
 ``apply_event`` advances protocol time *before* executing the operation, so
 an event that raises halfway leaves the engine one time step ahead of the
 recorded trace — permanent replay divergence.  Every rejectable condition
-(unknown node, double join, size bounds) is checked against the backend's
-node registry before the event is built; by the time an event is
-dispatched, it cannot fail.
+(unknown node, double join, size bounds, a rejoin naming a role other than
+the node's registered one) is checked against the backend's node registry
+before the event is built; by the time an event is dispatched, it cannot
+fail.  A rejoin that names no role takes the registered one, on both
+backends.
 """
 
 from __future__ import annotations
@@ -320,8 +322,16 @@ class LiveEngineSession:
             or (node_id not in removed and self._is_active(node_id))
         ):
             raise _rejected(frame, f"node {node_id} is already active")
-        role = NodeRole.BYZANTINE if frame.get("role") == "byzantine" else NodeRole.HONEST
-        return ChurnEvent.join(role=role, node_id=node_id, contact_cluster=contact)
+        role = frame.get("role")
+        if node_id is not None and node_id in backend.nodes:
+            # One role per identity: a rejoin keeps its registered role.
+            registered = backend.nodes.get(node_id).role.value
+            if role not in (None, registered):
+                raise _rejected(frame, f"node {node_id} is registered {registered}, not {role}")
+            role = registered
+        return ChurnEvent.join(
+            role=NodeRole(role or "honest"), node_id=node_id, contact_cluster=contact
+        )
 
     def _admit_leave(self, frame: Dict[str, Any], size: int, removed: set) -> ChurnEvent:
         backend = self.backend

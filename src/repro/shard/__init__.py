@@ -8,22 +8,29 @@ population and its own cluster partition — coordinated by a single
 deterministic event router:
 
 * the :class:`~repro.shard.router.ShardDirectory` owns global node
-  identities, roles and liveness, and serves the workload/adversary's
-  sampling needs through a :class:`~repro.shard.router.ShardedEngineFacade`;
+  identities, roles and liveness — it is the one copy of placement, and a
+  rejoining node keeps its registered role — and serves the
+  workload/adversary's sampling needs through a
+  :class:`~repro.shard.router.ShardedEngineFacade`;
 * the :class:`~repro.shard.coordinator.ShardCoordinator` takes events —
   pulled from the scenario's event source, or given by the live service or
   replay — routes each to its owning shard (joins to the least-loaded shard,
   leaves to the owner), and dispatches per-shard batches to
   :class:`~repro.shard.worker.ShardWorker` processes in *windows* that never
   straddle a multiple of ``barrier_interval`` admitted events;
-* at every such multiple (a barrier), cross-shard node moves are drained
-  as explicit seq-numbered :class:`~repro.shard.messages.HandoffMessage`
-  records — never shared memory — so the whole run is replayable and
-  bit-identical **regardless of the worker-process count** (``workers=1``
-  runs the same logical shards inline and is the correctness oracle);
+* at every such multiple (a barrier), at most one cross-shard move runs: one
+  planned list ``(src, dst, directory.emigrants(src, count))`` of explicit
+  ``(gid, role)`` pairs — never shared memory — so the whole run is
+  replayable and bit-identical **regardless of the worker-process count**
+  (``workers=1`` runs the same logical shards inline and is the correctness
+  oracle);
 * the merge layer (:mod:`repro.shard.merge`) recombines per-shard
-  observation batches at flush boundaries into composite step records and
-  folds per-shard ``state_hash`` digests into one composite hash.
+  observation batches at flush boundaries into composite step records — the
+  one source of composite observables — and folds per-shard ``state_hash``
+  digests into one composite hash;
+* :meth:`~repro.shard.coordinator.ShardCoordinator.check_invariants` gives
+  the composite run one structural verdict: every shard's check plus
+  directory-vs-worker size agreement.
 
 Recording, checkpointing, resuming and replaying a sharded run go through
 the same entry points as a single-engine one (:mod:`repro.trace.session`,
@@ -33,12 +40,7 @@ the same entry points as a single-engine one (:mod:`repro.trace.session`,
 
 from .coordinator import PHASE_KEYS, ShardCoordinator
 from .merge import composite_state_hash
-from .messages import (
-    HandoffMessage,
-    iter_events,
-    iter_rows,
-    pack_rows,
-)
+from .messages import iter_events, iter_rows, pack_rows
 from .router import (
     EventRouter,
     ShardDirectory,
@@ -52,7 +54,6 @@ from .worker import ShardWorker, ShardWorkerError
 
 __all__ = [
     "EventRouter",
-    "HandoffMessage",
     "PHASE_KEYS",
     "ShardCoordinator",
     "ShardDirectory",

@@ -15,15 +15,16 @@ moved by two halves:
     — pull and route stay interleaved, so each pull sees the exact
     post-event directory.  If the window brings the cumulative admitted
     event count to a multiple of ``barrier_interval``, the barrier's
-    rebalance move is planned from the directory and its handoff commands
-    are queued behind the batches.
+    rebalance move — one planned list ``(src, dst,
+    directory.emigrants(src, count))`` — is applied to the directory and its
+    two worker commands are queued behind the batches.
 :meth:`~ShardCoordinator.serve_collect` (receive half)
     receive the replies, fold the packed observation rows back into the
-    global event order (:class:`~repro.shard.merge.ObservationMerger`),
-    cross-check worker sizes against the directory, drain the barrier's
-    seq-numbered :class:`~repro.shard.messages.HandoffMessage` replies, and
-    publish the merged window to the observation bus — the one place a
-    sharded window reaches it, whichever caller collects.
+    global event order (:class:`~repro.shard.merge.ObservationMerger`, the
+    one source of composite observables), cross-check worker sizes against
+    the directory, drain the barrier move's two replies, and publish the
+    merged window to the observation bus — the one place a sharded window
+    reaches it, whichever caller collects.
 
 **One barrier rule.**  A barrier runs when the admitted event count crosses
 a multiple of ``barrier_interval`` — never because a call, a window or a
@@ -61,13 +62,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..adversary.base import bind_event_source
 from ..core.engine import EngineConfig
+from ..core.invariants import InvariantReport
 from ..errors import ConfigurationError
 from ..network.node import NodeRole
 from ..scenarios.bus import ObservationBus, StepRecord, split_probes
 from ..scenarios.runner import RunResult, StopCondition
 from ..walks.kernel import check_kernel_snapshot
 from .merge import ObservationMerger, composite_state_hash
-from .messages import HandoffMessage
 from .router import (
     EventRouter,
     ShardDirectory,
@@ -236,21 +237,18 @@ class ShardCoordinator:
                 base += sizes0[shard]
                 summaries.append(merged_info[shard]["summary"])
             self.merger = ObservationMerger(summaries)
-            self._seq: Dict[Tuple[int, int], int] = {}
             self.total_steps = 0
             self.total_events = 0
         else:
+            # Older checkpoints also carry ``seq`` and ``merge.peak_worst``;
+            # they stay unread, so those files still resume.
             self.directory = ShardDirectory.from_snapshot(state["router"])
             self.merger = ObservationMerger.from_snapshot(state["merge"])
-            self._seq = {
-                (int(src), int(dst)): int(seq) for src, dst, seq in state["seq"]
-            }
             self.total_steps = int(checkpoint.get("steps_done", 0))
             self.total_events = int(checkpoint.get("events_done", 0))
 
         self.router = EventRouter(self.directory)
         self.facade = ShardedEngineFacade(self.params, self.directory)
-        self._refresh_facade()
         if scenario.workload is None and scenario.adversary is None:
             # A live session's scenario: every window's events are given to
             # serve_dispatch, there is no source to pull from.
@@ -283,7 +281,6 @@ class ShardCoordinator:
 
         self._started = False
         self.handoffs_sent = 0
-        self.last_handoffs: List[HandoffMessage] = []
         self.barriers_run = 0
         #: ``pipeline=False`` forces the serial route→execute→merge loop
         #: (the oracle the pipelined ≡ unpipelined property compares
@@ -367,11 +364,46 @@ class ShardCoordinator:
             self.directory.fingerprint(),
         )
 
-    def _refresh_facade(self) -> None:
-        self.facade.update_composite(
-            self.merger.cluster_count,
-            self.merger.worst_fraction,
-            self.merger.compromised(),
+    def check_invariants(self, check_honest_majority: bool = True) -> InvariantReport:
+        """One structural verdict for the composite run (no window in flight).
+
+        Every shard engine runs its own check (the worker
+        ``check_invariants`` command, one round trip overlapping all
+        workers), and each shard's size must equal the directory's.  The
+        shard reports fold into one :class:`~repro.core.invariants.
+        InvariantReport`: violations prefixed ``shard s:``, sizes and
+        cluster counts summed, worst values maximised, compromised clusters
+        as ``(shard, cluster_id)`` pairs.
+        """
+        reports = self._gather_shards(
+            [(shard, (check_honest_majority,)) for shard in range(self.shards)],
+            "check_invariants",
+        )
+        violations: List[str] = []
+        for shard, report in reports.items():
+            violations += [f"shard {shard}: {violation}" for violation in report.violations]
+            if report.network_size != self.directory.sizes[shard]:
+                violations.append(
+                    f"shard {shard}: size {report.network_size} differs from the "
+                    f"directory's {self.directory.sizes[shard]}"
+                )
+        folded = reports.values()
+        return InvariantReport(
+            time_step=self.total_events,
+            holds=not violations,
+            violations=violations,
+            cluster_count=sum(report.cluster_count for report in folded),
+            network_size=self.directory.active_count(),
+            min_cluster_size=min(report.min_cluster_size for report in folded),
+            max_cluster_size=max(report.max_cluster_size for report in folded),
+            worst_byzantine_fraction=max(r.worst_byzantine_fraction for r in folded),
+            compromised_clusters=[
+                (shard, cid)
+                for shard, report in reports.items()
+                for cid in report.compromised_clusters
+            ],
+            overlay_max_degree=max(report.overlay_max_degree for report in folded),
+            overlay_connected=all(report.overlay_connected for report in folded),
         )
 
     # ------------------------------------------------------------------
@@ -508,7 +540,6 @@ class ShardCoordinator:
         if token["barrier"] is not None:
             self._recv_barrier(token["barrier"])
             self.barriers_run += 1
-        self._refresh_facade()
         self.stopped = self._publish(records)
         return records
 
@@ -539,20 +570,20 @@ class ShardCoordinator:
                 )
 
     # ------------------------------------------------------------------
-    # Barrier handoff (send/recv halves, riding on the window's halves)
+    # Barrier move (send/recv halves, riding on the window's halves)
     # ------------------------------------------------------------------
-    def _send_barrier(self) -> Optional[Dict[str, Any]]:
+    def _send_barrier(self) -> Optional[List[Tuple[int, Any, int]]]:
         """Plan at most one rebalance move and queue its worker commands.
 
-        The emigrant set is computed from the directory
-        (:meth:`~repro.shard.router.ShardDirectory.emigrants` — the same
-        largest-gids-first selection the donor worker used to make), so
-        planning needs no worker round trip and the commands can queue
-        behind the window's apply batches.  Both halves piggyback their
-        post-handoff summary on the reply, consumed by
-        :meth:`_recv_barrier` after the window's observations are merged.
+        The move is one list, ``(src, dst, directory.emigrants(src,
+        count))``: the donor's largest gids with their registered roles,
+        computed from the directory, so planning needs no worker round trip
+        and the commands can queue behind the window's apply batches.  The
+        donor evicts the gids and the recipient admits the ``(gid, role)``
+        pairs, both in that list's order.  Both piggyback their post-move
+        summary on the reply, consumed by :meth:`_recv_barrier` after the
+        window's observations are merged.
         """
-        self.last_handoffs = []
         plan = plan_rebalance(
             self.directory.sizes, self.rebalance_threshold, self.min_shard_size
         )
@@ -560,53 +591,25 @@ class ShardCoordinator:
             return None
         src, dst, count = plan
         moves = self.directory.emigrants(src, count)
-        base = self._seq.get((src, dst), 0)
-        messages = [
-            HandoffMessage(seq=base + offset, src=src, dst=dst, node_id=gid, role=role)
-            for offset, (gid, role) in enumerate(moves)
+        for gid, _role in moves:
+            self.directory.move(gid, dst)
+        self._transport_of[src].send("emigrate_ids", src, [gid for gid, _role in moves])
+        self._transport_of[dst].send("immigrate", dst, moves)
+        self.handoffs_sent += len(moves)
+        # The two replies to drain, each with its shard's post-move size,
+        # captured before routing the next window advances the directory.
+        return [
+            (shard, self._transport_of[shard], self.directory.sizes[shard])
+            for shard in (src, dst)
         ]
-        self._seq[(src, dst)] = base + len(messages)
-        for message in messages:
-            self.directory.move(message.node_id, dst)
-        payload = [
-            (message.src, message.seq, message.node_id, message.role)
-            for message in sorted(messages, key=lambda m: (m.src, m.seq))
-        ]
-        src_transport = self._transport_of[src]
-        dst_transport = self._transport_of[dst]
-        src_transport.send("emigrate_ids", src, [m.node_id for m in messages])
-        dst_transport.send("immigrate", dst, payload)
-        self.handoffs_sent += len(messages)
-        self.last_handoffs = messages
-        return {
-            "src": src,
-            "dst": dst,
-            "src_transport": src_transport,
-            "dst_transport": dst_transport,
-            # Post-move sizes, captured before routing the next window can
-            # advance the live directory past this barrier.
-            "expected": {
-                src: self.directory.sizes[src],
-                dst: self.directory.sizes[dst],
-            },
-        }
 
-    def _recv_barrier(self, barrier: Dict[str, Any]) -> None:
-        """Drain the queued handoff replies and re-anchor the merge state."""
-        src, dst = barrier["src"], barrier["dst"]
-        summaries = {
-            src: barrier["src_transport"].recv()["summary"],
-            dst: barrier["dst_transport"].recv()["summary"],
-        }
-        self.merger.update_summaries(summaries)
-        expected = barrier["expected"]
-        for shard in (src, dst):
-            if summaries[shard]["size"] != expected[shard]:
-                raise ShardWorkerError(
-                    f"post-handoff size of shard {shard} diverged from the "
-                    f"directory ({summaries[shard]['size']} != "
-                    f"{expected[shard]})"
-                )
+    def _recv_barrier(self, barrier: List[Tuple[int, Any, int]]) -> None:
+        """Drain the move's two replies, re-anchor the merge state, check sizes."""
+        replies = {shard: transport.recv() for shard, transport, _size in barrier}
+        self.merger.update_summaries(
+            {shard: reply["summary"] for shard, reply in replies.items()}
+        )
+        self._check_sizes(replies, {shard: size for shard, _transport, size in barrier})
 
     # ------------------------------------------------------------------
     # The batch loop
@@ -746,9 +749,6 @@ class ShardCoordinator:
         )
         return {
             "router": self.directory.snapshot_state(),
-            "seq": sorted(
-                [src, dst, seq] for (src, dst), seq in self._seq.items()
-            ),
             "merge": self.merger.snapshot_state(),
             "shards": {str(shard): snapshots[shard] for shard in range(self.shards)},
         }

@@ -21,7 +21,7 @@ here:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from ..scenarios.bus import StepRecord
 from ..trace.hashing import digest
@@ -47,7 +47,6 @@ class ObservationMerger:
             set(s["compromised"]) for s in initial_summaries
         ]
         self.events_merged = 0
-        self.peak_worst = max(self._worst) if self._worst else 0.0
 
     # ------------------------------------------------------------------
     # Composite observables
@@ -116,9 +115,6 @@ class ObservationMerger:
             self._clusters[event.shard] = clusters
             self._worst[event.shard] = worst
             self.events_merged += 1
-            worst_fraction = self.worst_fraction
-            if worst_fraction > self.peak_worst:
-                self.peak_worst = worst_fraction
             records.append(
                 StepRecord(
                     step_index=step,
@@ -130,7 +126,7 @@ class ObservationMerger:
                     assigned_node=assigned,
                     network_size=event.size_after,
                     cluster_count=self.cluster_count,
-                    worst_fraction=worst_fraction,
+                    worst_fraction=self.worst_fraction,
                     operation=operation,
                     messages=messages,
                     rounds=rounds,
@@ -153,9 +149,6 @@ class ObservationMerger:
             self._clusters[shard] = summary["clusters"]
             self._worst[shard] = summary["worst"]
             self._compromised[shard] = set(summary["compromised"])
-        worst_fraction = self.worst_fraction
-        if worst_fraction > self.peak_worst:
-            self.peak_worst = worst_fraction
 
     # ------------------------------------------------------------------
     # Checkpoint serialisation
@@ -167,12 +160,15 @@ class ObservationMerger:
             "worst": list(self._worst),
             "compromised": [sorted(cids) for cids in self._compromised],
             "events_merged": self.events_merged,
-            "peak_worst": self.peak_worst,
         }
 
     @classmethod
     def from_snapshot(cls, data: Dict[str, Any]) -> "ObservationMerger":
-        """Rebuild a merger from :meth:`snapshot_state` output."""
+        """Rebuild a merger from :meth:`snapshot_state` output.
+
+        Any other key an older snapshot carries is ignored, so older
+        checkpoints still resume.
+        """
         merger = cls(
             [
                 {"clusters": clusters, "worst": worst, "compromised": compromised}
@@ -182,5 +178,4 @@ class ObservationMerger:
             ]
         )
         merger.events_merged = int(data["events_merged"])
-        merger.peak_worst = float(data["peak_worst"])
         return merger

@@ -21,10 +21,12 @@ Three record kinds cross the coordinator/worker boundary:
   are decoded only at the merge boundary (:func:`iter_rows` inside
   :meth:`~repro.shard.merge.ObservationMerger.merge_window`), never on the
   worker's hot path;
-* **handoff messages** — :class:`HandoffMessage`, one per node moved between
-  shards at a barrier.  Each carries a per-``(src, dst)`` sequence number;
-  recipients apply handoffs sorted by ``(src, seq)``, which makes the drain
-  order deterministic and independent of worker scheduling.
+* **barrier moves** — at most one per barrier, planned by the coordinator
+  as ``(src, dst, directory.emigrants(src, count))``: the donor receives the
+  gids (``emigrate_ids``), the recipient the ``(gid, role)`` pairs
+  (``immigrate``), both in that one list's order.  The order is a pure
+  function of the directory, so it needs no sequence numbers: each worker
+  pipe is FIFO and one move per barrier leaves nothing to reorder.
 
 There is one wire form: a value outside its packed field's range (a global
 id or step of ``2**32`` or more, a 257th operation name in a batch) raises
@@ -120,23 +122,6 @@ def range_error(record: struct.Struct, fields: Sequence[str], values: Sequence[A
                 f"shard wire field {field!r} cannot hold {value!r} (packed as {code!r})"
             )
     return WireRangeError(f"shard wire record {tuple(values)!r} does not pack")
-
-
-class HandoffMessage(NamedTuple):
-    """One cross-shard node move, drained at a barrier step.
-
-    ``seq`` numbers the messages of one ``(src, dst)`` channel monotonically;
-    the receiving shard applies messages sorted by ``(src, seq)``, so the
-    resulting join order (and hence every RNG draw it causes) is a pure
-    function of the routed event history, not of worker timing.  ``role``
-    travels with the node: a Byzantine node stays Byzantine on its new shard.
-    """
-
-    seq: int
-    src: int
-    dst: int
-    node_id: int
-    role: str
 
 
 class RoutedEvent(NamedTuple):

@@ -125,35 +125,30 @@ class ShardDirectory:
         self.sizes[shard] += 1
         self.members[shard].add(node_id)
 
-    def least_loaded(self) -> int:
-        """The shard new joiners go to (smallest size, lowest index on ties)."""
-        return min(range(self.num_shards), key=lambda shard: (self.sizes[shard], shard))
-
-    def place_join(self, node_id: Optional[int], role: NodeRole, time_step: int) -> Tuple[int, int, bool]:
+    def place_join(
+        self, node_id: Optional[int], role: NodeRole, time_step: int
+    ) -> Tuple[int, int, NodeRole, bool]:
         """Place a join: allocate/reactivate the identity, pick the shard.
 
-        Returns ``(shard, global_id, fresh)`` — ``fresh`` is False for the
-        re-join of a known identity (which keeps its descriptor but is
-        placed like a newcomer).
+        Returns ``(shard, global_id, role, fresh)``.  The shard is the
+        least-loaded one (lowest index on ties).  ``fresh`` is False for the
+        re-join of a known identity, which keeps its descriptor *and its
+        registered role* — whatever role the event names, as ``NowEngine``
+        and the baselines do — but is placed like a newcomer.  ``role`` is
+        the role to route: the registered one.
         """
-        fresh = True
-        if node_id is not None and node_id in self.nodes:
-            descriptor = self.nodes.reactivate(node_id, time_step)
-            if descriptor.role is not role:
-                # The event's role wins (it is what the shard engine will
-                # register locally); the flip keeps directory sampling lanes
-                # and ground truth consistent with the shard's view.
-                descriptor.role = role
-            fresh = False
-        elif node_id is not None:
-            self.nodes.register(role=role, joined_at=time_step, node_id=node_id)
+        nodes = self.nodes
+        fresh = node_id is None or node_id not in nodes
+        if fresh:
+            node_id = nodes.register(role=role, joined_at=time_step, node_id=node_id).node_id
         else:
-            node_id = self.nodes.register(role=role, joined_at=time_step).node_id
-        shard = self.least_loaded()
+            role = nodes.reactivate(node_id, time_step).role
+        sizes = self.sizes
+        shard = sizes.index(min(sizes))
         self.owner[node_id] = shard
         self.sizes[shard] += 1
         self.members[shard].add(node_id)
-        return shard, node_id, fresh
+        return shard, node_id, role, fresh
 
     def remove_leave(self, node_id: int, time_step: int) -> int:
         """Record a departure and return the shard that owned the node."""
@@ -188,13 +183,13 @@ class ShardDirectory:
     def emigrants(self, shard: int, count: int) -> List[Tuple[int, str]]:
         """The ``count`` nodes a donor shard hands off, largest gid first.
 
-        Returns ``(global_id, role)`` pairs in the exact order the worker
-        applies the departures — a pure function of the directory, so the
-        coordinator can plan a whole barrier (and dispatch the next window)
-        without waiting on the donor worker.  Matches the worker-side
-        selection bit for bit: the shard engine's active population *is*
-        ``members[shard]`` at a barrier boundary, and roles live in the
-        shared global registry.
+        Returns ``(global_id, role)`` pairs in the exact order both workers
+        apply them — the donor's departures, then the recipient's joins — a
+        pure function of the directory, so the coordinator can plan a whole
+        barrier (and dispatch the next window) without waiting on the donor
+        worker.  The shard engine's active population *is*
+        ``members[shard]`` at a barrier boundary, and the roles are the
+        registered ones, so a Byzantine node stays Byzantine on its new shard.
         """
         population = self.members[shard]
         if count > len(population):
@@ -272,40 +267,6 @@ class EventRouter:
 
     def __init__(self, directory: ShardDirectory) -> None:
         self.directory = directory
-        self.events_routed = 0
-
-    def route(self, event: ChurnEvent, step: int) -> RoutedEvent:
-        """Assign ``event`` to its shard and update the directory in place."""
-        directory = self.directory
-        self.events_routed += 1
-        if event.kind is ChurnKind.JOIN:
-            if event.contact_cluster is not None:
-                raise ConfigurationError(
-                    "sharded runs do not support contact_cluster-targeted joins "
-                    "(cluster ids are shard-local)"
-                )
-            shard, node_id, fresh = directory.place_join(event.node_id, event.role, step)
-            return RoutedEvent(
-                shard=shard,
-                step=step,
-                kind=JOIN,
-                node_id=node_id,
-                role=event.role.value,
-                fresh=fresh,
-                size_after=directory.active_count(),
-            )
-        if event.node_id is None:
-            raise ConfigurationError("a leave event must name the departing node")
-        shard = directory.remove_leave(event.node_id, step)
-        return RoutedEvent(
-            shard=shard,
-            step=step,
-            kind=LEAVE,
-            node_id=event.node_id,
-            role=event.role.value,
-            fresh=False,
-            size_after=directory.active_count(),
-        )
 
     def route_window(
         self,
@@ -322,29 +283,21 @@ class EventRouter:
         The event pull and the routing must stay interleaved — the source
         samples the live composite population, so each pull sees the exact
         post-event directory — which is why this takes the ``next_event``
-        callable rather than a pre-pulled list.  Semantically identical to
-        calling :meth:`route` per event (property-tested in
-        ``tests/test_shard_router.py``); the win is mechanical: directory
-        structures and codec callables are resolved once per window instead
-        of per event, and each shard's batch lands directly in a packed
-        wire buffer (:data:`~repro.shard.messages.EVENT_RECORD`; a value
-        beyond a packed field's range raises
-        :class:`~repro.shard.messages.WireRangeError`).
+        callable rather than a pre-pulled list.  Every placement goes
+        through the directory's :meth:`~ShardDirectory.place_join` /
+        :meth:`~ShardDirectory.remove_leave`, the one copy of the placement
+        rules; a join is routed with the role the directory returns.  Each
+        shard's batch lands directly in a packed wire buffer
+        (:data:`~repro.shard.messages.EVENT_RECORD`; a value beyond a packed
+        field's range raises :class:`~repro.shard.messages.WireRangeError`).
 
         ``next_step`` is the step index of the first pull; ``max_steps``
         caps the time steps consumed (the run's remaining budget).
         """
         directory = self.directory
-        nodes = directory.nodes
-        owner = directory.owner
-        sizes = directory.sizes
-        members = directory.members
-        num_shards = directory.num_shards
-        contains = nodes.__contains__
-        reactivate = nodes.reactivate
-        register = nodes.register
-        mark_left = nodes.mark_left
-        active_count = nodes.active_count
+        place_join = directory.place_join
+        remove_leave = directory.remove_leave
+        active_count = directory.nodes.active_count
         pack = EVENT_RECORD.pack
         role_codes = ROLE_CODES
         join_code = KIND_CODES[JOIN]
@@ -368,52 +321,23 @@ class EventRouter:
                     break
                 continue
             idle_streak = 0
-            self.events_routed += 1
-            role = event.role
-            node_id = event.node_id
             if event.kind is ChurnKind.JOIN:
                 if event.contact_cluster is not None:
                     raise ConfigurationError(
                         "sharded runs do not support contact_cluster-targeted "
                         "joins (cluster ids are shard-local)"
                     )
-                fresh = True
-                if node_id is not None and contains(node_id):
-                    descriptor = reactivate(node_id, step)
-                    if descriptor.role is not role:
-                        descriptor.role = role
-                    fresh = False
-                elif node_id is not None:
-                    register(role=role, joined_at=step, node_id=node_id)
-                else:
-                    node_id = register(role=role, joined_at=step).node_id
-                shard = 0
-                best = sizes[0]
-                for index in range(1, num_shards):
-                    if sizes[index] < best:
-                        best = sizes[index]
-                        shard = index
-                owner[node_id] = shard
-                sizes[shard] += 1
-                members[shard].add(node_id)
-                kind = JOIN
-                kind_code = join_code
+                shard, node_id, role, fresh = place_join(event.node_id, event.role, step)
+                kind, kind_code = JOIN, join_code
             else:
+                node_id = event.node_id
                 if node_id is None:
                     raise ConfigurationError(
                         "a leave event must name the departing node"
                     )
-                shard = owner.pop(node_id, None)
-                if shard is None:
-                    raise ConfigurationError(
-                        f"leave event names node {node_id}, which no shard owns"
-                    )
-                mark_left(node_id, step)
-                sizes[shard] -= 1
-                members[shard].discard(node_id)
-                fresh = False
-                kind = LEAVE
-                kind_code = leave_code
+                shard = remove_leave(node_id, step)
+                role, fresh = event.role, False
+                kind, kind_code = LEAVE, leave_code
             role_value = role.value
             routed.append(
                 RoutedEvent(
@@ -465,36 +389,21 @@ class ShardedEngineFacade:
     from the directory), ``random_member`` (uniform over the composite
     active/honest population, consuming the caller's stream), and
     ``state.nodes`` for the adversary context.  Composite cluster-level
-    observables (cluster count, worst corruption, compromised set) are
-    pushed in by the coordinator as windows merge, at barrier granularity —
-    they exist for stop conditions, not for event sources.
+    observables (cluster count, worst corruption, compromised set) are not
+    here: the coordinator's :class:`~repro.shard.merge.ObservationMerger` is
+    their one source, read by ``RunResult``, ``status()`` and the stop
+    conditions.
     """
 
     def __init__(self, parameters, directory: ShardDirectory) -> None:
         self.parameters = parameters
         self.state = _FacadeState(directory)
         self._directory = directory
-        self._cluster_count = 0
-        self._worst_fraction = 0.0
-        self._compromised: List[Tuple[int, int]] = []
 
     @property
     def network_size(self) -> int:
         """Composite number of active nodes across every shard."""
         return self._directory.active_count()
-
-    @property
-    def cluster_count(self) -> int:
-        """Composite cluster count (updated at barrier boundaries)."""
-        return self._cluster_count
-
-    def worst_cluster_fraction(self) -> float:
-        """Worst per-cluster corruption across shards (barrier granularity)."""
-        return self._worst_fraction
-
-    def compromised_clusters(self) -> List[Tuple[int, int]]:
-        """Compromised clusters as ``(shard, cluster_id)`` pairs."""
-        return list(self._compromised)
 
     def random_member(self, honest_only: bool = False, rng: Optional[random.Random] = None):
         """A uniformly random active node from the composite population.
@@ -518,17 +427,3 @@ class ShardedEngineFacade:
             "sharded runs do not expose a composite cluster namespace; "
             "cluster-targeting sources are unsupported"
         )
-
-    # ------------------------------------------------------------------
-    # Coordinator-side updates
-    # ------------------------------------------------------------------
-    def update_composite(
-        self,
-        cluster_count: int,
-        worst_fraction: float,
-        compromised: List[Tuple[int, int]],
-    ) -> None:
-        """Refresh the barrier-granularity composite observables."""
-        self._cluster_count = cluster_count
-        self._worst_fraction = worst_fraction
-        self._compromised = list(compromised)

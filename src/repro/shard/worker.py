@@ -16,9 +16,12 @@ a small command protocol:
     rows, the end-of-batch shard summary and the worker's self-timed
     execution seconds;
 ``emigrate_ids`` / ``immigrate``
-    the two halves of a barrier handoff.  The coordinator plans the
-    emigrant set from its directory (so the donor needs no planning round
-    trip) and both commands piggyback the post-handoff shard summary;
+    the two halves of a barrier move.  The coordinator plans the move from
+    its directory as one list (so the donor needs no planning round trip):
+    the donor gets its gids, the recipient the ``(gid, role)`` pairs, in
+    that list's order.  Both commands piggyback the post-move shard summary;
+``check_invariants``
+    the hosted shard engine's structural invariant report;
 ``state_hash`` / ``snapshot``
     the determinism/checkpoint surface (a snapshot is restored through the
     constructor's ``restore=``).
@@ -42,6 +45,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.engine import EngineConfig, NowEngine
 from ..core.events import ChurnEvent
+from ..core.invariants import InvariantReport
 from ..errors import ConfigurationError
 from ..network.node import NodeRole
 from .messages import (
@@ -49,7 +53,6 @@ from .messages import (
     LEAVE,
     SHARD_SEED_OFFSET,
     EventBatch,
-    RowBatch,
     iter_events,
     pack_rows,
 )
@@ -213,15 +216,13 @@ class ShardWorker:
         }
 
     def emigrate_ids(self, shard: int, gids: Sequence[int]) -> Dict[str, Any]:
-        """Evict the named nodes for a handoff (in the given order).
+        """Evict the named nodes for a barrier move (in the given order).
 
         The coordinator plans the emigrant set from its directory — the
-        shard's largest active global ids, a pure function of routed
-        history — so the donor worker only executes.  Applying the
-        departures in the given (largest-first) order reproduces the exact
-        engine transitions of the planning-on-worker protocol.  The reply
-        piggybacks the post-departure summary, saving the coordinator a
-        ``summaries`` round trip at every barrier.
+        shard's largest active global ids, largest first, a pure function
+        of routed history — so the donor worker only executes.  The reply
+        piggybacks the post-departure summary, so a barrier needs no extra
+        round trip.
         """
         slot = self._slot(shard)
         engine = slot.engine
@@ -230,11 +231,11 @@ class ShardWorker:
             engine.apply_event(ChurnEvent.leave(g2l[gid]))
         return {"summary": self._summary(engine)}
 
-    def immigrate(self, shard: int, moves: Sequence[tuple]) -> Dict[str, Any]:
-        """Admit handed-off nodes (already ``(src, seq)``-sorted) as joins."""
+    def immigrate(self, shard: int, moves: Sequence[Tuple[int, str]]) -> Dict[str, Any]:
+        """Admit moved nodes as joins, ``(gid, role)`` pairs in the planned order."""
         slot = self._slot(shard)
         engine = slot.engine
-        for _src, _seq, gid, role_value in moves:
+        for gid, role_value in moves:
             local = slot.g2l.get(gid)
             report = engine.apply_event(
                 ChurnEvent.join(role=NodeRole(role_value), node_id=local)
@@ -248,9 +249,11 @@ class ShardWorker:
         slot = self._slot(shard)
         return engine_view(slot.engine, slot.l2g)
 
-    def summaries(self) -> Dict[int, Dict[str, Any]]:
-        """Current summary of every hosted shard (post-handoff merge input)."""
-        return {shard: self._summary(slot.engine) for shard, slot in self.slots.items()}
+    def check_invariants(self, shard: int, check_honest_majority: bool) -> InvariantReport:
+        """The hosted shard engine's structural invariant report."""
+        return self._slot(shard).engine.check_invariants(
+            check_honest_majority=check_honest_majority
+        )
 
     def state_hash(self, shard: int) -> str:
         """The hosted shard engine's canonical state hash."""
@@ -298,10 +301,6 @@ class InlineTransport:
     def recv(self) -> Any:
         method, args = self._pending.pop(0)
         return getattr(self.worker, method)(*args)
-
-    def call(self, method: str, *args: Any) -> Any:
-        self.send(method, *args)
-        return self.recv()
 
     def close(self) -> None:
         self._pending.clear()
@@ -392,10 +391,6 @@ class ProcessTransport:
         if not ok:
             raise ShardWorkerError(f"shard worker command failed:\n{payload}")
         return payload
-
-    def call(self, method: str, *args: Any) -> Any:
-        self.send(method, *args)
-        return self.recv()
 
     def close(self) -> None:
         try:

@@ -9,8 +9,8 @@ capturing everything a run needs to pick up exactly where it stopped:
   counter, metrics, the engine RNG stream and the walk machinery's
   unconsumed exponential buffer; for the
   :class:`~repro.shard.coordinator.ShardCoordinator` the router directory,
-  handoff sequence counters, merge state and one such engine snapshot per
-  logical shard.  ``engine_kind`` names which (absent means ``"now"``),
+  merge state and one such engine snapshot per logical shard.
+  ``engine_kind`` names which (absent means ``"now"``),
 * the event source snapshot (workload / adversary / mixed driver RNG
   streams and mutable state),
 * the scenario spec (so ``resume`` can rebuild the source object), and

@@ -271,7 +271,7 @@ class TestSweepRunner:
             assert record["steps_above_threshold"] == summary.steps_above_threshold
             assert record["mean_messages_per_event"] == costs.mean_messages_overall() > 0
         assert by_shards[0]["invariants_ok"] is True
-        assert by_shards[2]["invariants_ok"] is None  # no composite invariant sweep yet
+        assert by_shards[2]["invariants_ok"] is True  # the coordinator's composite check
 
     def test_target_cluster_tracking_on_a_sharded_unit_is_a_failed_unit(self):
         """The inline target probe has no single engine to read under shards:

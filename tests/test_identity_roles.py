@@ -1,0 +1,116 @@
+"""One role per identity, on every backend.
+
+A node keeps the role it was registered with for its whole life.  ``NowEngine``
+and the baselines have always done so on a rejoin, whatever role the join
+event names; the shard directory now does too, and routes the registered role
+to the shard engines — at a rejoin and at every barrier move.  The live
+session applies the same rule before anything is dispatched: a rejoin that
+names no role takes the registered one, and a rejoin that names another is
+refused with ``failed``.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.core.events import ChurnEvent
+from repro.network.node import NodeRole
+from repro.service import live_scenario
+from repro.service.protocol import ERROR_FAILED, ProtocolError
+from repro.trace.backend import open_backend
+
+from service_helpers import SIZES, make_session
+
+BARRIER = 14
+
+
+def _engine_is_byzantine(backend, node):
+    """``is_byzantine`` of ``node`` as the engine that hosts it reads it."""
+    if not hasattr(backend, "coordinator"):
+        return backend.engine.state.nodes.is_byzantine(node)
+    coordinator = backend.coordinator
+    shard = coordinator.directory.owner[node]
+    slot = coordinator._transport_of[shard].worker.slots[shard]
+    return slot.engine.state.nodes.is_byzantine(slot.g2l[node])
+
+
+def _engines(backend):
+    """``(engine, local -> global)`` per read view, in view order."""
+    if not hasattr(backend, "coordinator"):
+        return [(backend.engine, lambda local: local)]
+    coordinator = backend.coordinator
+    slots = [
+        coordinator._transport_of[shard].worker.slots[shard]
+        for shard in range(coordinator.shards)
+    ]
+    return [(slot.engine, slot.l2g.__getitem__) for slot in slots]
+
+
+@pytest.mark.parametrize("shards", [0, 1, 2])
+def test_rejoin_naming_another_role_keeps_the_registered_one(shards):
+    options = {"barrier_interval": BARRIER, "rebalance_threshold": 1} if shards else {}
+    scenario = live_scenario(seed=4, shards=shards, shard_options=options, **SIZES)
+    backend = open_backend(scenario, random.Random(0))
+    try:
+        nodes = backend.nodes
+        honest = [gid for gid in range(SIZES["initial_size"]) if not nodes.is_byzantine(gid)]
+        low, top = honest[0], honest[-1]
+        # Both honest nodes leave and rejoin naming the Byzantine role.  Then
+        # ten leaves from the low end make the low shard the smaller one, so
+        # at shards=2 the barrier moves the high shard's largest gids — top
+        # among them — to it.
+        events = [
+            ChurnEvent.leave(low),
+            ChurnEvent.join(role=NodeRole.BYZANTINE, node_id=low),
+            ChurnEvent.leave(top),
+            ChurnEvent.join(role=NodeRole.BYZANTINE, node_id=top),
+        ]
+        events += [ChurnEvent.leave(gid) for gid in range(1, 100) if gid != low][:10]
+        assert len(events) == BARRIER
+        backend.collect(backend.dispatch(events))
+        if shards == 2:
+            assert backend.coordinator.barriers_run == 1
+            assert backend.coordinator.directory.owner[top] == 0  # moved by the barrier
+        for node in (low, top):
+            assert not nodes.is_byzantine(node)
+            assert not _engine_is_byzantine(backend, node)
+        # The read model's roles (the registry's) agree with every engine's.
+        views = backend.read_model.ensure()
+        for view, (engine, to_global) in zip(views, _engines(backend)):
+            for cluster in engine.state.clusters.clusters():
+                expected = sum(map(engine.state.nodes.is_byzantine, cluster.members))
+                assert view.byzantine[cluster.cluster_id] == expected
+                assert sorted(map(to_global, cluster.members)) == view.clusters[cluster.cluster_id]
+    finally:
+        backend.close()
+
+
+@pytest.mark.parametrize("backend", ["single", "shards=2"])
+def test_session_rejoin_takes_the_registered_role_or_is_refused(backend):
+    session = make_session(backend)
+    try:
+        nodes = session.backend.nodes
+        byzantine = min(nodes.active_byzantine())
+        honest = next(gid for gid in range(200) if not nodes.is_byzantine(gid))
+        for node in (byzantine, honest):
+            session.execute({"op": "leave", "node_id": node})
+        with pytest.raises(ProtocolError) as refused:
+            session.execute({"op": "join", "node_id": byzantine, "role": "honest"})
+        assert refused.value.code == ERROR_FAILED
+        assert "registered byzantine" in refused.value.message
+        applied = session.events_applied
+        with pytest.raises(ProtocolError, match="registered honest"):
+            session.execute({"op": "join", "node_id": honest, "role": "byzantine"})
+        assert session.events_applied == applied  # refused pre-flight
+        # Naming no role, or the registered one, rejoins with that role.
+        session.execute({"op": "join", "node_id": byzantine})
+        session.execute({"op": "join", "node_id": honest, "role": "honest"})
+        assert nodes.is_active(byzantine) and nodes.is_byzantine(byzantine)
+        assert nodes.is_active(honest) and not nodes.is_byzantine(honest)
+        # A fresh named identity still takes the role its frame gives.
+        session.execute({"op": "join", "node_id": 5000, "role": "byzantine"})
+        assert nodes.is_byzantine(5000)
+    finally:
+        session.close()

@@ -10,6 +10,9 @@ exactly where a transport-order bug would surface.
 
 from __future__ import annotations
 
+import json
+import os
+import shutil
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -21,6 +24,17 @@ from repro.errors import ConfigurationError
 from repro.network.node import NodeRole
 from repro.shard import ShardCoordinator
 from repro.shard.worker import InlineTransport
+from repro.trace import record_scenario, resume_from_checkpoint
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+#: Two shards, barriers every 16 events, a move whenever the sizes differ by
+#: more than one; shrinking uniform churn keeps the barriers moving nodes.
+HANDOFF_SPEC = os.path.join(FIXTURES, "handoff-heavy.json")
+#: That spec cut at step 50 of 120 by commit
+#: 5edd15cfe42eb8403d34e80143381366f9057655, on two worker processes.
+HANDOFF_CHECKPOINT = os.path.join(FIXTURES, "checkpoint-sharded-handoff.json")
+#: The uninterrupted 120-step run's final hash, as that commit printed it.
+HANDOFF_STRAIGHT_HASH = "166d75052646504560bc250819c13ec317f836404ea271877e89fc5b13d67013"
 
 
 class _ScriptedSource:
@@ -134,8 +148,8 @@ def test_draining_shard_is_pulled_back_above_floor():
     assert (sizes2, state_hash2) == (sizes, state_hash)
 
 
-def test_handoff_messages_are_sequenced_and_pick_largest_gids():
-    # Force one deterministic handoff and inspect the messages themselves.
+def test_forced_move_picks_largest_gids():
+    # Force one deterministic move and check it through the directory.
     script = [ChurnEvent.leave(gid) for gid in range(30)]
     scenario = _scenario(
         script,
@@ -145,14 +159,14 @@ def test_handoff_messages_are_sequenced_and_pick_largest_gids():
     coordinator = ShardCoordinator(scenario, workers=1)
     try:
         coordinator.run(scenario.steps)
-        messages = coordinator.last_handoffs
-        assert messages, "the drained shard should have forced a floor pull"
-        assert all(m.src == 1 and m.dst == 0 for m in messages)
-        assert [m.seq for m in messages] == list(range(len(messages)))
-        # Emigrants are the donor's largest global ids, in descending order.
-        gids = [m.node_id for m in messages]
-        assert gids == sorted(gids, reverse=True)
-        assert gids[0] == 199
+        # Shard 0 fell to 70, so the floor pull moved the 10 nodes shard 1
+        # can spare above the floor: the donor's largest gids, 199 downward.
+        moved = list(range(199, 189, -1))
+        assert coordinator.handoffs_sent == len(moved)
+        assert [coordinator.directory.owner[gid] for gid in moved] == [0] * len(moved)
+        assert coordinator.directory.owner[189] == 1
+        assert coordinator.directory.sizes == [80, 90]
+        assert coordinator.check_invariants(check_honest_majority=False).holds
     finally:
         coordinator.close()
 
@@ -168,11 +182,46 @@ def test_emigrate_ids_applies_leaves_and_piggybacks_summary():
     )
     transport = InlineTransport(scenario.to_dict(), [0], [120])
     try:
-        reply = transport.call("emigrate_ids", 0, [119, 118, 117, 116, 115])
+        transport.send("emigrate_ids", 0, [119, 118, 117, 116, 115])
+        reply = transport.recv()
         assert reply["summary"]["size"] == 115
-        assert transport.call("summaries")[0]["size"] == 115
+        transport.send("read_view", 0)
+        members = sorted(
+            gid for cluster in transport.recv()["clusters"].values() for gid in cluster
+        )
+        assert members == list(range(115))
     finally:
         transport.close()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_composite_invariant_check(workers):
+    # Barriers move nodes between the shards; the composite verdict holds,
+    # folds the shard reports, and catches a directory that lost track of a
+    # shard's size.
+    script = [ChurnEvent.leave(gid) for gid in range(70)]
+    scenario = _scenario(
+        script, shard_options={"barrier_interval": 10, "min_shard_size": 48}
+    )
+    with ShardCoordinator(scenario, workers=workers) as coordinator:
+        coordinator.run(scenario.steps)
+        assert coordinator.handoffs_sent > 0
+        report = coordinator.check_invariants(check_honest_majority=False)
+        assert report.holds and report.violations == []
+        assert report.time_step == 70
+        assert report.network_size == 130
+        assert report.cluster_count == coordinator.merger.cluster_count
+        assert report.worst_byzantine_fraction == coordinator.merger.worst_fraction
+        majority = coordinator.check_invariants()
+        assert majority.compromised_clusters == coordinator.merger.compromised()
+        assert majority.holds == (not majority.compromised_clusters)
+        coordinator.directory.sizes[1] += 1  # desynchronise the directory
+        report = coordinator.check_invariants(check_honest_majority=False)
+        size = coordinator.directory.sizes[1] - 1
+        assert not report.holds
+        assert report.violations == [
+            f"shard 1: size {size} differs from the directory's {size + 1}"
+        ]
 
 
 def test_directory_emigrants_match_worker_selection():
@@ -192,3 +241,22 @@ def test_directory_emigrants_match_worker_selection():
             coordinator.directory.emigrants(0, 101)
     finally:
         coordinator.close()
+
+
+def test_checkpoint_with_handoff_sequence_numbers_resumes(tmp_path):
+    # Written by the last version that numbered barrier moves: the sharded
+    # payload carries ``seq`` and ``merge.peak_worst``, both now unread.  A
+    # resume on either transport lands on that version's straight-run hash.
+    data = json.load(open(HANDOFF_CHECKPOINT, "r", encoding="utf-8"))
+    assert data["engine"]["seq"] and "peak_worst" in data["engine"]["merge"]
+    assert data["steps_done"] == 50
+    for workers in (1, 2):
+        copy = str(tmp_path / f"ckpt-{workers}.json")
+        shutil.copy(HANDOFF_CHECKPOINT, copy)
+        session = resume_from_checkpoint(copy, steps=70, workers=workers)
+        assert session.result.steps == 70
+        assert session.final_state_hash == HANDOFF_STRAIGHT_HASH
+        engine = json.load(open(copy, "r", encoding="utf-8"))["engine"]
+        assert "seq" not in engine and "peak_worst" not in engine["merge"]
+    spec = json.load(open(HANDOFF_SPEC, "r", encoding="utf-8"))
+    assert record_scenario(Scenario.from_dict(spec)).final_state_hash == HANDOFF_STRAIGHT_HASH

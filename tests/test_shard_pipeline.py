@@ -219,8 +219,10 @@ def test_worker_killed_mid_run_raises_shard_worker_error():
 def test_worker_exception_carries_remote_traceback():
     coordinator = ShardCoordinator(_scenario(), workers=2)
     try:
+        transport = coordinator._transports[0]
+        transport.send("state_hash", 999)  # unhosted shard
         with pytest.raises(ShardWorkerError, match="ConfigurationError"):
-            coordinator._transports[0].call("state_hash", 999)  # unhosted shard
+            transport.recv()
     finally:
         coordinator.close()
 

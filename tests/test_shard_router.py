@@ -81,25 +81,27 @@ def _directory_with_initial(sizes):
 
 def test_directory_fresh_join_goes_least_loaded():
     directory = _directory_with_initial([5, 3, 4])
-    shard, gid, fresh = directory.place_join(None, NodeRole.HONEST, time_step=1)
-    assert (shard, fresh) == (1, True)
+    shard, gid, role, fresh = directory.place_join(None, NodeRole.HONEST, time_step=1)
+    assert (shard, role, fresh) == (1, NodeRole.HONEST, True)
     assert gid == 12  # next id after the 12 initial nodes
     assert directory.sizes == [5, 4, 4]
     # Ties break to the lowest index.
     assert directory.place_join(None, NodeRole.HONEST, time_step=2)[0] == 1
 
 
-def test_directory_rejoin_keeps_identity_and_flips_role():
+def test_directory_rejoin_keeps_identity_and_registered_role():
     directory = _directory_with_initial([3, 3])
     shard = directory.remove_leave(0, time_step=1)
     assert shard == 0
     assert directory.sizes == [2, 3]
-    # The departed node rejoins as Byzantine: same id, new role, placed
-    # like a newcomer (least-loaded shard).
-    new_shard, gid, fresh = directory.place_join(0, NodeRole.BYZANTINE, time_step=2)
-    assert (gid, fresh) == (0, False)
+    # The departed honest node rejoins naming the Byzantine role: same id,
+    # the registered role (routed as such), placed like a newcomer
+    # (least-loaded shard).
+    new_shard, gid, role, fresh = directory.place_join(0, NodeRole.BYZANTINE, time_step=2)
+    assert (gid, role, fresh) == (0, NodeRole.HONEST, False)
     assert new_shard == 0
-    assert 0 in directory.nodes.active_byzantine()
+    assert not directory.nodes.is_byzantine(0)
+    assert directory.nodes.active_byzantine() == set()
 
 
 def test_directory_leave_of_unowned_node_rejected():
@@ -135,25 +137,33 @@ def test_directory_snapshot_roundtrip():
 # ----------------------------------------------------------------------
 # EventRouter
 # ----------------------------------------------------------------------
+def _route(router, *events):
+    """Route ``events`` as one window; return the routed events."""
+    queue = iter(events)
+    window = router.route_window(
+        lambda: next(queue, None), next_step=1, limit=len(events), max_steps=len(events)
+    )
+    return window.routed
+
+
 def test_router_rejects_contact_cluster_joins():
     router = EventRouter(_directory_with_initial([3, 3]))
     with pytest.raises(ConfigurationError, match="contact_cluster"):
-        router.route(ChurnEvent.join(contact_cluster=7), step=1)
+        _route(router, ChurnEvent.join(contact_cluster=7))
 
 
 def test_router_rejects_anonymous_leaves():
     router = EventRouter(_directory_with_initial([3, 3]))
     with pytest.raises(ConfigurationError, match="must name"):
-        router.route(ChurnEvent.leave(None), step=1)
+        _route(router, ChurnEvent.leave(None))
 
 
 def test_router_stamps_composite_size_after():
     directory = _directory_with_initial([3, 3])
     router = EventRouter(directory)
-    routed = router.route(ChurnEvent.join(), step=1)
-    assert routed.size_after == 7
-    routed = router.route(ChurnEvent.leave(0), step=2)
-    assert routed.size_after == 6
+    joined, left = _route(router, ChurnEvent.join(), ChurnEvent.leave(0))
+    assert joined.size_after == 7
+    assert left.size_after == 6
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,9 @@ Two property families pin the PR 8 hot path to its oracles:
   ``WireRangeError`` naming the field (there is one wire form, no silent
   switch to another);
 * **batched routing** — ``EventRouter.route_window`` must route arbitrary
-  churn streams exactly like the per-event ``route`` loop it replaces:
-  same ``RoutedEvent`` sequence, same directory fingerprint, same idle/step
+  churn streams exactly like a per-event serial loop over the directory's
+  ``place_join`` / ``remove_leave`` (built here, as the oracle): same
+  ``RoutedEvent`` sequence, same directory fingerprint, same idle/step
   accounting, and wire buffers that decode to the events they carry.
 """
 
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.events import ChurnEvent
+from repro.core.events import ChurnEvent, ChurnKind
 from repro.network.node import NodeRole
 from repro.shard import ShardDirectory
 from repro.shard.messages import (
@@ -33,6 +34,7 @@ from repro.shard.messages import (
     LEAVE,
     ROLE_CODES,
     ROW_RECORD,
+    RoutedEvent,
     WireRangeError,
     iter_events,
     iter_rows,
@@ -213,10 +215,21 @@ def _next_event_from(script):
     return next_event
 
 
+def _route_one(directory, event, step):
+    """One event through the directory's placement rules: the serial oracle."""
+    if event.kind is ChurnKind.JOIN:
+        shard, node_id, role, fresh = directory.place_join(event.node_id, event.role, step)
+        kind = JOIN
+    else:
+        shard = directory.remove_leave(event.node_id, step)
+        node_id, role, fresh, kind = event.node_id, event.role, False, LEAVE
+    return RoutedEvent(shard, step, kind, node_id, role.value, fresh, directory.active_count())
+
+
 def _serial_windows(script, directory, limit, max_idle_streak):
-    """Replicates the pre-pipelining coordinator loop verbatim."""
-    router = EventRouter(directory)
+    """Replicates the pre-pipelining coordinator loop, one event at a time."""
     next_event = _next_event_from(script)
+    events_routed = 0
     total = len(script)
     executed = 0
     idle_streak = 0
@@ -234,11 +247,12 @@ def _serial_windows(script, directory, limit, max_idle_streak):
                     break
                 continue
             idle_streak = 0
-            routed_window.append(router.route(event, executed))
+            events_routed += 1
+            routed_window.append(_route_one(directory, event, executed))
         windows.append((routed_window, idle_reason))
         if idle_reason is not None:
             break
-    return windows, router.events_routed
+    return windows, events_routed
 
 
 def _wire(routed):
@@ -271,7 +285,7 @@ def _batched_windows(script, directory, limit, max_idle_streak):
             ]
         if window.idle_reason is not None:
             break
-    return windows, router.events_routed
+    return windows, sum(len(routed) for routed, _ in windows)
 
 
 @settings(max_examples=40, deadline=None)
