@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Set
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..errors import (
     ConfigurationError,
@@ -42,10 +42,9 @@ class Cluster:
 
     def __post_init__(self) -> None:
         self.members = set(self.members)
-        # Cached sorted membership, maintained incrementally by every
-        # mutation (bisect insert / linear remove); randNum sorts the members
-        # of the receiving cluster once per exchange swap, so the cache turns
-        # that from an O(m log m) sort into an O(m) copy.
+        # Cached sorted membership, kept in place by every mutation (bisect
+        # insert / linear remove), so an exchange round picks from one live
+        # view of it (``sorted_members``) with no sort and no copy per swap.
         self._sorted_members: Optional[List[NodeId]] = None
 
     # ------------------------------------------------------------------
@@ -102,19 +101,20 @@ class Cluster:
             insort(cached, incoming)
 
     def member_list(self) -> List[NodeId]:
-        """Sorted list of members (deterministic iteration order for sampling).
+        """Sorted members as a fresh list the caller may mutate."""
+        return list(self.sorted_members())
 
-        The sorted order is cached and maintained incrementally by the
-        mutators on this class; callers always get a fresh list copy and may
-        mutate it freely.  Note: a caller writing to ``cluster.members``
-        directly (the registry never does) bypasses that maintenance and
-        must not rely on a previously cached order.
+    def sorted_members(self) -> List[NodeId]:
+        """The cached sorted membership itself: a live view callers must not mutate.
+
+        Note: a caller writing to ``cluster.members`` directly (the registry
+        never does) bypasses its maintenance.
         """
         cached = self._sorted_members
         if cached is None:
             cached = sorted(self.members)
             self._sorted_members = cached
-        return list(cached)
+        return cached
 
     def snapshot(self) -> FrozenSet[NodeId]:
         """Immutable copy of the membership."""
@@ -176,20 +176,20 @@ class ClusterRegistry:
         A listener may implement any of ``cluster_created(cluster)``,
         ``cluster_dissolved(cluster)``, ``member_added(cluster_id, node_id)``,
         ``member_removed(cluster_id, node_id)`` and
-        ``members_swapped(first_cluster, first_node, second_cluster,
-        second_node)``; missing hooks are skipped.  ``members_swapped`` is
-        the only event an exchange swap emits (a swap leaves both cluster
-        sizes unchanged, and there are ~400 of them per churn event), so a
-        listener that follows membership through ``member_added`` /
-        ``member_removed`` must implement it too and is refused otherwise —
-        it would silently miss every swap.
+        ``members_swapped(cluster_id, swaps)``; missing hooks are skipped.
+        ``members_swapped`` is the only event swaps emit (one per
+        :meth:`swap_many`, i.e. per exchange round), so a listener following
+        ``member_added`` / ``member_removed`` must define it and is refused
+        otherwise.  One that follows only sizes, which swaps keep, defines
+        ``members_swapped = None`` and receives nothing.
         """
         follows = hasattr(listener, "member_added") or hasattr(listener, "member_removed")
         if follows and not hasattr(listener, "members_swapped"):
             raise ConfigurationError(
                 f"listener {type(listener).__name__} implements member_added / "
-                "member_removed but not members_swapped; exchange swaps emit "
-                "only members_swapped, so it would miss them"
+                "member_removed but does not define members_swapped; swaps emit "
+                "only members_swapped, so it would miss them (define it as None "
+                "to follow sizes only)"
             )
         self._listeners.append(listener)
         self._hook_cache.clear()
@@ -290,14 +290,40 @@ class ClusterRegistry:
         self, first_cluster: ClusterId, first_node: NodeId, second_cluster: ClusterId, second_node: NodeId
     ) -> None:
         """Exchange ``first_node`` (of ``first_cluster``) with ``second_node`` (of ``second_cluster``)."""
-        if first_cluster == second_cluster:
-            return
-        self.get(first_cluster).swap_member(first_node, second_node)
-        self.get(second_cluster).swap_member(second_node, first_node)
-        self._node_to_cluster[first_node] = second_cluster
-        self._node_to_cluster[second_node] = first_cluster
-        for method in self._hooks("members_swapped"):
-            method(first_cluster, first_node, second_cluster, second_node)
+        self.swap_many(first_cluster, [(first_node, second_cluster, second_node)])
+
+    def swap_many(
+        self, cluster_id: ClusterId, swaps: Iterable[Tuple[NodeId, ClusterId, NodeId]]
+    ) -> List[Tuple[NodeId, ClusterId, NodeId]]:
+        """Apply ``(node, partner, replacement)`` swaps of ``cluster_id`` in order.
+
+        Each keeps :meth:`Cluster.swap_member`'s checks and updates the node
+        index; one self-partnered is skipped.  ``swaps`` may be a generator —
+        each is applied before the next is drawn.  The applied triples are
+        returned and go to listeners as one event, even when a later swap raises.
+        """
+        cluster = self.get(cluster_id)
+        node_index = self._node_to_cluster
+        partners: dict = {}
+        applied = []
+        try:
+            for swap in swaps:
+                node, partner_id, replacement = swap
+                if partner_id == cluster_id:
+                    continue
+                partner = partners.get(partner_id)
+                if partner is None:
+                    partner = partners[partner_id] = self.get(partner_id)
+                cluster.swap_member(node, replacement)
+                partner.swap_member(replacement, node)
+                node_index[node] = partner_id
+                node_index[replacement] = cluster_id
+                applied.append(swap)
+        finally:
+            if applied:
+                for method in self._hooks("members_swapped"):
+                    method(cluster_id, applied)
+        return applied
 
     # ------------------------------------------------------------------
     # Queries

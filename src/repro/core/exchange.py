@@ -27,8 +27,8 @@ from ..network.message import MessageKind
 from ..network.metrics import CommunicationMetrics
 from ..network.node import NodeId
 from .cluster import ClusterId
-from .randcl import RandCl
-from .randnum import RandNum
+from .randcl import RandCl, walk_cost
+from .randnum import RandNum, randnum_cost
 from .state import SystemState
 
 
@@ -78,48 +78,56 @@ class ExchangeProtocol:
         back on the same cluster — the member is then its own replacement,
         which does not change the distributional argument of Lemma 1 because
         the cluster is selected with probability ``|C| / n``).
+
+        Swaps keep every cluster size, so the overlay, the walk cost model
+        and each partner (its live sorted-member view and randNum cost) are
+        resolved once per round; the registry applies the swaps as the round
+        yields them and emits one event for the round.
         """
         ledger = metrics if metrics is not None else self._state.metrics.scope(label)
         report = ExchangeReport(cluster_id=cluster_id)
         clusters = self._state.clusters
         cluster = clusters.get(cluster_id)
-        byzantine = self._state.nodes.active_byzantine()
-        finalize = self._randcl.finalize
-        pick_member = self._randnum.pick_member
         members = cluster.members
-
         original_members = cluster.member_list()
         walks = self._randcl.walks(cluster_id, len(original_members))
-        walked = picked = 0
-        walk_messages = walk_rounds = pick_messages = pick_rounds = 0
-        for node_id in original_members:
-            if node_id not in members:
-                # Already swapped out by a previous iteration's partner choice.
-                continue
-            walk = finalize(cluster_id, next(walks))
-            walked += 1
-            walk_messages += walk.messages
-            walk_rounds += walk.rounds
-            report.walk_hops += walk.hops
-            partner_id = walk.cluster_id
-            if partner_id == cluster_id:
-                continue
-            partner = clusters.get(partner_id)
-            if not partner.members:
-                continue
-            # The partner cluster is informed it will receive ``node_id`` and
-            # chooses a replacement uniformly via randNum.  ``member_list``
-            # serves the cached sorted membership, so randNum's deterministic
-            # ordering costs an O(m) copy instead of a fresh sort per swap.
-            pick = pick_member(partner.member_list(), byzantine, presorted=True)
-            picked += 1
-            pick_messages += pick.messages
-            pick_rounds += pick.rounds
-            replacement = pick.value
-            clusters.swap_members(cluster_id, node_id, partner_id, replacement)
-            report.swaps.append((node_id, partner_id, replacement))
-            report.partner_clusters.add(partner_id)
+        charges = self._randcl.cost_model()
+        choose = self._randnum.choose
+        is_byzantine = self._state.nodes.is_byzantine
+        partners: dict = {}
+        walked = picked = walk_messages = walk_rounds = pick_messages = pick_rounds = 0
 
+        def picks():
+            nonlocal walked, picked, walk_messages, walk_rounds, pick_messages, pick_rounds
+            for node_id in original_members:
+                if node_id not in members:
+                    # Already swapped out by a previous iteration's partner choice.
+                    continue
+                walk = next(walks)
+                messages, rounds = walk_cost(walk.hops, walk.restarts, charges)
+                walked += 1
+                walk_messages += messages
+                walk_rounds += rounds
+                report.walk_hops += walk.hops
+                partner_id = walk.cluster
+                if partner_id == cluster_id:
+                    continue
+                partner = partners.get(partner_id)
+                if partner is None:
+                    view = clusters.get(partner_id).sorted_members()
+                    partner = partners[partner_id] = (view, randnum_cost(len(view)))
+                view, (messages, rounds) = partner
+                if not view:
+                    continue
+                # The partner is informed it will receive ``node_id`` and
+                # chooses a replacement uniformly via randNum.
+                picked += 1
+                pick_messages += messages
+                pick_rounds += rounds
+                yield node_id, partner_id, choose(view, is_byzantine)
+
+        report.swaps = clusters.swap_many(cluster_id, picks())
+        report.partner_clusters = {partner_id for _, partner_id, _ in report.swaps}
         cluster.exchanges_performed += 1
         cluster.last_full_exchange = self._state.time_step
 
@@ -147,15 +155,15 @@ def notification_cost(state: SystemState, cluster_ids: Iterable[ClusterId]) -> T
     member of every adjacent cluster (a neighbour accepts the update only
     when more than half of the cluster sent it, hence the full bipartite
     pattern); the updates of all of ``cluster_ids`` share one round.
+    Overlay weights are the cluster sizes (``check_invariants`` checks it),
+    so ``C`` costs ``|C| * S(C)``, ``S`` the CSR's neighbour-weight sums.
     """
-    overlay_graph = state.overlay.graph
     clusters = state.clusters
-    messages = 0
+    layout = state.overlay.graph.csr()
+    sums = layout.neighbour_weight_sums()
+    messages = 0.0
     for cluster_id in cluster_ids:
-        if cluster_id not in overlay_graph or cluster_id not in clusters:
-            continue
-        size = len(clusters.get(cluster_id))
-        for neighbour_id in overlay_graph.neighbour_table(cluster_id):
-            if neighbour_id in clusters:
-                messages += size * len(clusters.get(neighbour_id))
+        if layout.has_vertex(cluster_id) and cluster_id in clusters:
+            messages += len(clusters.get(cluster_id)) * sums[layout.row_of(cluster_id)]
+    messages = int(messages)
     return messages, 1 if messages else 0

@@ -114,10 +114,10 @@ class RandCl:
         # its private stream); rebuilt only when the overlay graph object
         # changes.
         self._sampler: Optional[ClusterSampler] = None
-        # Derived-parameter caches.  An exchange issues one selection per
-        # member while neither the population nor the overlay changes, so the
-        # walk parameters and the per-hop cost model are recomputed only when
-        # their inputs move.
+        # Derived-parameter caches.  Selections (joins, OVER's edge choices)
+        # and exchange rounds mostly run while neither the population nor the
+        # overlay changes, so the walk parameters and the per-hop cost model
+        # are recomputed only when their inputs move.
         self._walk_param_key: Optional[tuple] = None
         self._walk_params: tuple = (0.0, 0)
         self._cost_key: Optional[tuple] = None
@@ -151,20 +151,19 @@ class RandCl:
         """Up to ``count`` walk outcomes from ``start_cluster``, drawn lazily.
 
         The round iterator of the exchange protocol, which pulls one outcome
-        per member it swaps out and passes each to :meth:`finalize`.  Nothing
-        runs before the first ``next``.  Simulated walks then advance as one
-        lockstep batch on the hop engine's private stream: swaps keep
-        cluster sizes, so the overlay is static for the round and outcomes
-        left unconsumed do not bias it.  Oracle draws consume the caller's
-        stream, so each is drawn at its own ``next``, interleaved with the
-        round's randNum picks and never for a member the round skips.
+        per member it swaps out.  Nothing runs before the first ``next``.
+        Simulated walks then advance as one lockstep batch on the hop
+        engine's private stream: swaps keep cluster sizes, so the overlay is
+        static for the round and outcomes left unconsumed do not bias it.
+        Oracle draws (:meth:`ClusterSampler.oracle_draws`) consume the
+        caller's stream, one per ``next``, interleaved with the round's
+        randNum picks and never for a member the round skips.
         """
         sampler = self._prepare_sampler(start_cluster)
         if self._walk_mode is WalkMode.SIMULATED:
             yield from sampler.sample_many([start_cluster] * count)
         else:
-            for _ in range(count):
-                yield sampler.sample(start_cluster)
+            yield from sampler.oracle_draws(count)
 
     def finalize(
         self,
@@ -173,12 +172,10 @@ class RandCl:
         metrics: Optional[CommunicationMetrics] = None,
         label: str = "randcl",
     ) -> RandClResult:
-        """Package one walk outcome (see :meth:`walks`) with its cost.
-
-        The cost is charged to ``metrics`` when one is given; an exchange
-        round passes none and books the sum of its walks once.
-        """
-        messages, rounds = self._charge_costs(outcome.hops, outcome.restarts, metrics, label)
+        """Package one walk outcome with its cost, charged to ``metrics`` when given."""
+        messages, rounds = walk_cost(outcome.hops, outcome.restarts, self.cost_model())
+        if metrics is not None:
+            metrics.charge(messages, rounds, kind=MessageKind.WALK, label=label)
         return RandClResult(
             cluster_id=outcome.cluster,
             start_cluster=start_cluster,
@@ -255,21 +252,12 @@ class RandCl:
     # ------------------------------------------------------------------
     # Cost model
     # ------------------------------------------------------------------
-    def _charge_costs(
-        self,
-        hops: int,
-        restarts: int,
-        metrics: Optional[CommunicationMetrics],
-        label: str,
-    ) -> tuple:
-        """Charge the walk's communication derived from the current cluster sizes."""
+    def cost_model(self) -> tuple:
+        """:func:`hop_charges` at the current population, cached on its inputs."""
         cluster_count = len(self._state.clusters)
         total_nodes = self._state.clusters.total_nodes()
         cost_key = (cluster_count, total_nodes)
         if cost_key != self._cost_key:
             self._cost_model = hop_charges(cluster_count, total_nodes)
             self._cost_key = cost_key
-        messages, rounds = walk_cost(hops, restarts, self._cost_model)
-        if metrics is not None:
-            metrics.charge(messages, rounds, kind=MessageKind.WALK, label=label)
-        return messages, rounds
+        return self._cost_model

@@ -109,12 +109,7 @@ class RandNum:
             metrics.charge(message_count, round_count, kind=MessageKind.RANDNUM, label=label)
 
         adversary_controlled = byzantine_fraction >= RANDNUM_SECURITY_THRESHOLD
-        if adversary_controlled and self._adversary_override is not None:
-            value = int(self._adversary_override(member_list, upper_bound)) % upper_bound
-        else:
-            # Sum of contributions modulo the bound; at least one honest
-            # contribution is uniform, so the sum is uniform.
-            value = self._rng.randrange(upper_bound)
+        value = self._value(member_list, upper_bound, adversary_controlled)
         return RandNumResult(
             value=value,
             upper_bound=upper_bound,
@@ -157,3 +152,26 @@ class RandNum:
         # every cost field already matches.
         result.value = member_list[result.value]
         return result
+
+    def choose(
+        self, member_list: Sequence[NodeId], is_byzantine: Callable[[NodeId], bool]
+    ) -> NodeId:
+        """The member :meth:`pick_member` would pick from a presorted list, alone.
+
+        No cost and no result object (an exchange round books its picks'
+        cost once).  The Byzantine share, by ``is_byzantine`` at the pick,
+        is counted only when an ``adversary_override`` is installed.
+        """
+        if self._adversary_override is None:
+            return member_list[self._rng.randrange(len(member_list))]
+        members = list(member_list)  # the override gets its own copy, never a live view
+        controlled = sum(map(is_byzantine, members)) / len(members) >= RANDNUM_SECURITY_THRESHOLD
+        return members[self._value(members, len(members), controlled)]
+
+    def _value(self, member_list: Sequence[NodeId], upper_bound: int, controlled: bool) -> int:
+        """The agreed value: the override's if the adversary controls the cluster, else uniform."""
+        if controlled and self._adversary_override is not None:
+            return int(self._adversary_override(member_list, upper_bound)) % upper_bound
+        # Sum of contributions modulo the bound; at least one honest
+        # contribution is uniform, so the sum is uniform.
+        return self._rng.randrange(upper_bound)

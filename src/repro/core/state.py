@@ -382,32 +382,28 @@ class CorruptionTracker:
             self._byz_count[cluster_id] = self._byz_count.get(cluster_id, 0) - 1
         self._refresh(cluster_id)
 
-    def members_swapped(
-        self,
-        first_cluster: ClusterId,
-        first_node: NodeId,
-        second_cluster: ClusterId,
-        second_node: NodeId,
-    ) -> None:
-        """Fast path for an exchange swap: both cluster sizes are unchanged.
+    def members_swapped(self, cluster_id: ClusterId, swaps) -> None:
+        """One exchange round's swaps; every cluster size is unchanged.
 
-        When the two nodes have the same role neither corruption fraction
-        moves and the whole update is a no-op; otherwise one Byzantine node
-        crossed between the clusters and both counts shift by one.  This is
-        the dominant membership event under churn (every exchanged member
-        produces one), so avoiding the four remove/add refreshes matters.
-        The role predicate must stay the one every other tracker path uses
-        (``_member_is_byzantine``) so the fast path never diverges from a
-        from-scratch :meth:`rebuild`.
+        A swap of two nodes of different roles moves one Byzantine count
+        between ``cluster_id`` and the partner; the moves are summed over
+        the round and each touched cluster is refreshed once.  The role
+        predicate must stay ``_member_is_byzantine``, the one every other
+        tracker path uses, so this never diverges from :meth:`rebuild`.
         """
-        first_byzantine = self._member_is_byzantine(first_node)
-        if first_byzantine == self._member_is_byzantine(second_node):
-            return
-        delta = -1 if first_byzantine else 1
-        self._byz_count[first_cluster] = self._byz_count.get(first_cluster, 0) + delta
-        self._byz_count[second_cluster] = self._byz_count.get(second_cluster, 0) - delta
-        self._refresh(first_cluster)
-        self._refresh(second_cluster)
+        is_byzantine = self._member_is_byzantine
+        moved: Dict[ClusterId, int] = {}
+        for node, partner_id, replacement in swaps:
+            outgoing = is_byzantine(node)
+            if outgoing == is_byzantine(replacement):
+                continue
+            delta = -1 if outgoing else 1
+            moved[cluster_id] = moved.get(cluster_id, 0) + delta
+            moved[partner_id] = moved.get(partner_id, 0) - delta
+        byz_count = self._byz_count
+        for touched, delta in moved.items():
+            byz_count[touched] = byz_count.get(touched, 0) + delta
+            self._refresh(touched)
 
     def _role_changed(self, descriptor: NodeDescriptor, old, new) -> None:
         node_id = descriptor.node_id
@@ -469,8 +465,8 @@ class _OverlayWeightSync:
     def member_removed(self, cluster_id: ClusterId, node_id: NodeId) -> None:
         self._state.sync_overlay_weight(cluster_id)
 
-    def members_swapped(self, first_cluster, first_node, second_cluster, second_node) -> None:
-        """A swap leaves both cluster sizes — hence both weights — unchanged."""
+    #: A swap leaves every cluster size — hence every weight — unchanged.
+    members_swapped = None
 
 
 @dataclass

@@ -31,18 +31,17 @@ class OverlayGraph(WalkableGraph):
     One shared CSR snapshot backs the walk fast path (see
     ``docs/ARCHITECTURE.md``): :meth:`csr` flattens the adjacency into a
     :class:`~repro.walks.csr.CSRLayout` (``indptr``/``indices`` plus degree
-    reciprocals, weights and a lazy cumulative-weight row).  Structural
-    mutations (vertex/edge add/remove) invalidate it wholesale; weight
-    updates are applied to it in place (O(1)).  Both the
-    :meth:`neighbour_table` lookups and the stationary-law
-    :meth:`sample_weighted_vertex` draw are served from that one snapshot,
-    and the hop engine (:mod:`repro.walks.kernel`) indexes it directly —
-    there is no separate per-vertex tuple cache or weight table to keep in
-    sync.
+    reciprocals, weights and lazy cumulative-weight and neighbour-weight-sum
+    rows).  Structural mutations (vertex/edge add/remove) invalidate it
+    wholesale; weight updates are applied to it in place (O(1)).  The
+    stationary-law :meth:`sample_weighted_vertex` draw and the engine's
+    neighbour-notification pricing are served from that one snapshot, and
+    the hop engine (:mod:`repro.walks.kernel`) indexes it directly — there
+    is no separate weight table to keep in sync.
 
     Determinism contract (``repro.trace`` relies on this): every enumeration
-    an RNG draw can observe — :meth:`vertices`, :meth:`neighbours`,
-    :meth:`neighbour_table` and the cumulative-weight table — is in sorted
+    an RNG draw can observe — :meth:`vertices`, :meth:`neighbours` and the
+    cumulative-weight table — is in sorted
     vertex order, never raw set/dict order.  Set and dict iteration order
     depends on the full mutation history, which a state snapshot cannot
     reproduce; sorted order makes a restored graph behave bit-identically
@@ -149,8 +148,8 @@ class OverlayGraph(WalkableGraph):
         """The current CSR snapshot of the overlay (rebuilt lazily).
 
         Structural mutations drop the snapshot; weight mutations patch it in
-        place, so between structural changes every caller — neighbour
-        lookups, oracle draws and the hop engine — shares one flat layout.
+        place, so between structural changes every caller — notification
+        pricing, oracle draws and the hop engine — shares one flat layout.
         """
         csr = self._csr
         if csr is None:
@@ -165,11 +164,6 @@ class OverlayGraph(WalkableGraph):
             # restore); mutations keep the stamps in sync themselves.
             csr.refresh_weights(self, weights_version=self.version)
         return csr
-
-    def neighbour_table(self, vertex: ClusterId) -> Tuple[ClusterId, ...]:
-        """Cached neighbour tuple of ``vertex`` (same order as :meth:`neighbours`)."""
-        self._require(vertex)
-        return self.csr().neighbour_tuple(vertex)
 
     def weight(self, vertex: ClusterId) -> float:
         self._require(vertex)

@@ -10,7 +10,9 @@ enumeration, augmented with the derived rows every hop reads:
   is one multiply of a unit exponential (``Exp(d) = Exp(1) / d``);
 * ``weights`` and a lazily rebuilt cumulative-weight row, backing both the
   biased walk's acceptance test and the stationary-law (oracle) draw
-  :meth:`CSRLayout.sample_row`.
+  :meth:`CSRLayout.sample_row`;
+* a lazily rebuilt neighbour-weight-sum row, from which the engine prices a
+  membership notice to a cluster's neighbours in O(1).
 
 Rows are *row indices*, not vertex ids: ``indices`` stores the neighbour's
 row so a hop never leaves integer-array space; :attr:`CSRLayout.vertices`
@@ -23,8 +25,9 @@ Invalidation contract (see ``docs/ARCHITECTURE.md``): a layout is a
 snapshot keyed on the owning graph's mutation counters.  Structural
 mutations (vertex/edge add/remove) discard it wholesale — the next walk
 rebuilds in O(V + E).  Weight mutations are applied *in place* through
-:meth:`set_weight` (O(1), plus marking the cumulative row dirty), so the
-per-event weight churn of the engine never pays a structural rebuild.
+:meth:`set_weight` (O(1), plus marking the two weight-derived rows — the
+cumulative row and the neighbour sums — dirty), so the per-event weight
+churn of the engine never pays a structural rebuild.
 The sorted-vertex enumeration makes the layout deterministic: the same
 graph state always flattens to byte-identical rows, which the trace
 subsystem's resume-equals-uninterrupted property relies on.
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import bisect
 from array import array
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional
 
 import numpy as _np
 
@@ -54,7 +57,7 @@ class CSRLayout:
         "structure_version",
         "weights_version",
         "_cum",
-        "_tuples",
+        "_neighbour_sums",
         "_np_static",
     )
 
@@ -80,7 +83,7 @@ class CSRLayout:
         #: reflects (kept current by :meth:`set_weight`).
         self.weights_version = weights_version
         self._cum: Optional[array] = None
-        self._tuples: List[Optional[Tuple[Vertex, ...]]] = [None] * len(vertices)
+        self._neighbour_sums: Optional[array] = None
         self._np_static = None
 
     # ------------------------------------------------------------------
@@ -131,27 +134,15 @@ class CSRLayout:
     def has_vertex(self, vertex: Vertex) -> bool:
         return vertex in self._row_of
 
-    def neighbour_tuple(self, vertex: Vertex) -> Tuple[Vertex, ...]:
-        """The neighbours of ``vertex`` as a memoised id tuple (row order)."""
-        row = self._row_of[vertex]
-        table = self._tuples[row]
-        if table is None:
-            vertices = self.vertices
-            table = tuple(
-                vertices[neighbour_row]
-                for neighbour_row in self.indices[self.indptr[row] : self.indptr[row + 1]]
-            )
-            self._tuples[row] = table
-        return table
-
     # ------------------------------------------------------------------
     # Weights
     # ------------------------------------------------------------------
     def set_weight(self, vertex: Vertex, weight: float, weights_version=None) -> None:
-        """In-place weight update (O(1)); marks the cumulative row dirty."""
+        """In-place weight update (O(1)); marks the weight-derived rows dirty."""
         self.weights[self._row_of[vertex]] = float(weight)
         self.weights_version = weights_version
         self._cum = None
+        self._neighbour_sums = None
 
     def refresh_weights(self, graph, weights_version=None) -> None:
         """Re-read every weight from ``graph`` (safety net for bulk updates)."""
@@ -160,6 +151,7 @@ class CSRLayout:
             weights[row] = float(graph.weight(vertex))
         self.weights_version = weights_version
         self._cum = None
+        self._neighbour_sums = None
 
     def cum_weights(self) -> array:
         """Cumulative ``max(0, weight)`` row (rebuilt lazily after weight churn)."""
@@ -173,14 +165,22 @@ class CSRLayout:
             self._cum = cum
         return cum
 
-    def sample_row(self, rng) -> int:
-        """The row one ``rng.random()`` draw selects under the stationary law.
+    def neighbour_weight_sums(self) -> array:
+        """Per row, the sum of its neighbours' weights (rebuilt lazily after weight churn)."""
+        if self._neighbour_sums is None:
+            weight_of, indices, indptr = self.weights.__getitem__, self.indices, self.indptr
+            rows = zip(indptr, indptr[1:])
+            self._neighbour_sums = array("d", [sum(map(weight_of, indices[a:b])) for a, b in rows])
+        return self._neighbour_sums
 
-        One binary search over the cumulative row, with the bisection bounds
-        of :meth:`random.Random.choices`, so the same draw selects the same
-        vertex a rebuild-per-draw weighted choice would.  An empty or
-        weightless layout raises ``ValueError`` before drawing, leaving
-        ``rng`` untouched.
+    def row_sampler(self, rng) -> Callable[[], int]:
+        """A draw function for the stationary law at the current weights.
+
+        Each call is one ``rng.random()`` and one binary search over the
+        cumulative row with :meth:`random.Random.choices`' bounds, so a draw
+        selects the vertex a rebuild-per-draw weighted choice would.  The row
+        is resolved once, here: do not draw past a weight change.  An empty
+        or weightless layout raises ``ValueError``, leaving ``rng`` untouched.
         """
         cum = self.cum_weights()
         if not cum:
@@ -188,7 +188,16 @@ class CSRLayout:
         total = cum[-1]
         if total <= 0.0:
             raise ValueError("graph has no positive vertex weight")
-        return bisect.bisect_right(cum, rng.random() * total, 0, len(cum) - 1)
+        random, last = rng.random, len(cum) - 1
+
+        def draw() -> int:
+            return bisect.bisect_right(cum, random() * total, 0, last)
+
+        return draw
+
+    def sample_row(self, rng) -> int:
+        """The row one ``rng.random()`` draw selects (see :meth:`row_sampler`)."""
+        return self.row_sampler(rng)()
 
     # ------------------------------------------------------------------
     # Numpy views

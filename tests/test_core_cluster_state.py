@@ -243,8 +243,8 @@ class TestSwapFastPath:
             self.swaps = []
             self.events = []
 
-        def members_swapped(self, first_cluster, first_node, second_cluster, second_node):
-            self.swaps.append((first_cluster, first_node, second_cluster, second_node))
+        def members_swapped(self, cluster_id, swaps):
+            self.swaps.append((cluster_id, list(swaps)))
 
         def member_added(self, cluster_id, node_id):
             self.events.append(("added", cluster_id, node_id))
@@ -273,7 +273,7 @@ class TestSwapFastPath:
         listener = self._SwapAware()
         registry.add_listener(listener)
         registry.swap_members(10, 1, 20, 3)
-        assert listener.swaps == [(10, 1, 20, 3)]
+        assert listener.swaps == [(10, [(1, 20, 3)])]
         # No remove/add fallbacks were delivered to the swap-aware listener.
         assert listener.events == []
         assert registry.cluster_of(1) == 20 and registry.cluster_of(3) == 10
@@ -293,7 +293,43 @@ class TestSwapFastPath:
         with pytest.raises(ConfigurationError):
             registry.add_listener(self._Legacy())
         registry.swap_members(10, 2, 20, 4)
-        assert aware.swaps == [(10, 2, 20, 4)]
+        assert aware.swaps == [(10, [(2, 20, 4)])]
+
+    def test_swap_many_emits_one_event_for_the_applied_swaps(self):
+        registry = self._registry()
+        registry.create_cluster([5, 6], cluster_id=30)
+        aware = self._SwapAware()
+        registry.add_listener(aware)
+        applied = registry.swap_many(10, iter([(1, 20, 3), (2, 10, 2), (2, 30, 5)]))
+        assert applied == [(1, 20, 3), (2, 30, 5)]  # the self-partnered triple is skipped
+        assert aware.swaps == [(10, applied)]
+        assert registry.get(10).member_list() == [3, 5]
+        assert registry.cluster_of(2) == 30 and registry.cluster_of(5) == 10
+
+    def test_swap_many_reports_applied_swaps_when_a_later_one_fails(self):
+        registry = self._registry()
+        aware = self._SwapAware()
+        registry.add_listener(aware)
+        with pytest.raises(UnknownNodeError):
+            registry.swap_many(10, [(1, 20, 3), (99, 20, 4)])
+        assert aware.swaps == [(10, [(1, 20, 3)])]
+
+    def test_size_only_listener_declares_it_and_gets_no_swaps(self):
+        class SizesOnly:
+            members_swapped = None
+
+            def __init__(self):
+                self.events = []
+
+            def member_added(self, cluster_id, node_id):
+                self.events.append(("added", cluster_id, node_id))
+
+        registry = self._registry()
+        listener = SizesOnly()
+        registry.add_listener(listener)
+        registry.swap_members(10, 1, 20, 3)
+        registry.add_member(10, 7)
+        assert listener.events == [("added", 10, 7)]
 
     def test_corruption_counts_exact_under_swaps(self, small_params):
         """Swap accounting agrees with a from-scratch rebuild for every role mix."""

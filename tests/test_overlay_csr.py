@@ -43,8 +43,14 @@ def assert_csr_matches_fresh_build(graph: OverlayGraph) -> None:
     assert list(maintained.inv_degree) == list(fresh.inv_degree)
     assert list(maintained.weights) == list(fresh.weights)
     assert list(maintained.cum_weights()) == list(fresh.cum_weights())
+    assert list(maintained.neighbour_weight_sums()) == list(fresh.neighbour_weight_sums())
     for vertex in graph.vertices():
-        assert maintained.neighbour_tuple(vertex) == tuple(graph.neighbours(vertex))
+        row = maintained.row_of(vertex)
+        neighbour_rows = maintained.indices[maintained.indptr[row] : maintained.indptr[row + 1]]
+        assert [maintained.vertices[other] for other in neighbour_rows] == graph.neighbours(vertex)
+        assert maintained.neighbour_weight_sums()[maintained.row_of(vertex)] == pytest.approx(
+            sum(graph.weight(neighbour) for neighbour in graph.neighbours(vertex))
+        )
 
 
 class TestVersionBumps:
@@ -119,6 +125,16 @@ class TestSnapshotLifecycle:
         assert snapshot.weights[snapshot.row_of(2)] == 42.0
         assert snapshot.weights_version == graph.version
         assert list(snapshot.cum_weights()) != old_cum  # cumulative row re-derived
+        assert_csr_matches_fresh_build(graph)
+
+    def test_set_weight_drops_neighbour_sums(self):
+        graph = seeded_overlay()
+        snapshot = graph.csr()
+        neighbour = graph.neighbours(2)[0]
+        before = snapshot.neighbour_weight_sums()[snapshot.row_of(neighbour)]
+        graph.set_weight(2, graph.weight(2) + 5.0)
+        assert graph.csr() is snapshot
+        assert snapshot.neighbour_weight_sums()[snapshot.row_of(neighbour)] == before + 5.0
         assert_csr_matches_fresh_build(graph)
 
     def test_weight_patch_is_visible_through_numpy_views(self):
@@ -232,6 +248,10 @@ class CSRConsistencyMachine(RuleBasedStateMachine):
     @rule()
     def materialise_snapshot(self):
         self.graph.csr()
+
+    @rule()
+    def materialise_neighbour_sums(self):
+        self.graph.csr().neighbour_weight_sums()
 
     @rule(draw=st.floats(0.0, 0.999))
     def sample(self, draw):
