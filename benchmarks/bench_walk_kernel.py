@@ -3,8 +3,10 @@
 Every simulated walk runs on one hop engine (``repro.walks.kernel.
 ArrayKernel``), which picks one of two hop paths by batch size alone:
 batches of at least ``MIN_VECTOR_BATCH`` walks advance in lockstep over
-numpy views of the CSR rows (vector path), smaller ones walk one at a time
-over the ``array`` rows (scalar path).  This benchmark measures both paths
+numpy views of the CSR rows (vector path), smaller ones run in one loop per
+batch, walk after walk, over the layout's Python-object rows and a
+Python-float copy of the pre-drawn buffers (scalar path, ~1.5-2.4 M hops/s
+at every batch size on a 2 vCPU box).  This benchmark measures both paths
 at batch sizes that bracket the threshold, on one synthetic overlay, and
 *appends* the rates to ``BENCH_throughput.json`` — same trajectory file,
 same append-only discipline as ``bench_engine_throughput.py``.

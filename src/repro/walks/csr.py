@@ -17,9 +17,11 @@ enumeration, augmented with the derived rows every hop reads:
 Rows are *row indices*, not vertex ids: ``indices`` stores the neighbour's
 row so a hop never leaves integer-array space; :attr:`CSRLayout.vertices`
 maps rows back to ids at the boundary.  All arrays are ``array``-module
-buffers, which the kernel's scalar path indexes directly;
-:meth:`numpy_views` exposes zero-copy ``frombuffer`` views over the same
-memory for its vector path.
+buffers.  The kernel reads them two ways: :meth:`numpy_views` exposes
+zero-copy ``frombuffer`` views over the same memory for its vector path,
+and :meth:`scalar_rows` a lazily built Python-object copy of the structural
+rows (a tuple of neighbour rows per row, and the degree reciprocals as a
+list) for its scalar path, which then indexes no ``array`` element.
 
 Invalidation contract (see ``docs/ARCHITECTURE.md``): a layout is a
 snapshot keyed on the owning graph's mutation counters.  Structural
@@ -27,7 +29,8 @@ mutations (vertex/edge add/remove) discard it wholesale — the next walk
 rebuilds in O(V + E).  Weight mutations are applied *in place* through
 :meth:`set_weight` (O(1), plus marking the two weight-derived rows — the
 cumulative row and the neighbour sums — dirty), so the per-event weight
-churn of the engine never pays a structural rebuild.
+churn of the engine never pays a structural rebuild.  The scalar rows and
+the numpy views copy no weight, so weight churn leaves both valid.
 The sorted-vertex enumeration makes the layout deterministic: the same
 graph state always flattens to byte-identical rows, which the trace
 subsystem's resume-equals-uninterrupted property relies on.
@@ -37,11 +40,13 @@ from __future__ import annotations
 
 import bisect
 from array import array
-from typing import Callable, Dict, Hashable, List, Optional
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as _np
 
 Vertex = Hashable
+#: ``(adjacency, inv_degree)``: see :meth:`CSRLayout.scalar_rows`.
+ScalarRows = Tuple[Tuple[Tuple[int, ...], ...], List[float]]
 
 
 class CSRLayout:
@@ -58,6 +63,7 @@ class CSRLayout:
         "weights_version",
         "_cum",
         "_neighbour_sums",
+        "_scalar_rows",
         "_np_static",
     )
 
@@ -84,6 +90,7 @@ class CSRLayout:
         self.weights_version = weights_version
         self._cum: Optional[array] = None
         self._neighbour_sums: Optional[array] = None
+        self._scalar_rows: Optional[ScalarRows] = None
         self._np_static = None
 
     # ------------------------------------------------------------------
@@ -200,8 +207,25 @@ class CSRLayout:
         return self.row_sampler(rng)()
 
     # ------------------------------------------------------------------
-    # Numpy views
+    # Python-object rows and numpy views
     # ------------------------------------------------------------------
+    def scalar_rows(self) -> ScalarRows:
+        """``(adjacency, inv_degree)`` as Python objects, for the scalar hop loops.
+
+        ``adjacency[row]`` is the tuple of ``row``'s neighbour rows (its
+        ``indices[indptr[row]:indptr[row + 1]]`` slice) and ``inv_degree`` is
+        the reciprocal row as a list of floats, so a hop reads no ``array``
+        element.  Both are structural, built once on first use and discarded
+        with the layout; weights are not copied, so weight churn leaves them
+        valid.
+        """
+        rows = self._scalar_rows
+        if rows is None:
+            flat, indptr = self.indices.tolist(), self.indptr
+            adjacency = tuple(tuple(flat[a:b]) for a, b in zip(indptr, indptr[1:]))
+            rows = self._scalar_rows = (adjacency, self.inv_degree.tolist())
+        return rows
+
     def numpy_views(self):
         """Zero-copy numpy views over the CSR rows.
 

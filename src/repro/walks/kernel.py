@@ -20,12 +20,17 @@ gather).
 One backend (numpy), two paths by batch size.  Batches of at least
 :data:`MIN_VECTOR_BATCH` walks take the vector path: they advance in
 lockstep over zero-copy numpy views of the CSR buffers.  Smaller batches
-take the scalar path, one walk at a time over the ``array`` rows, because
-per-step numpy dispatch overhead swamps the win below a few dozen
-concurrent walks (an exchange round batches one walk per cluster member).
-Both paths read the same bulk buffers, generated in blocks from a dedicated
-``Generator(PCG64)`` stream.  The path choice depends only on batch size,
-never on drawn values, so it is deterministic.
+(an exchange round batches one walk per cluster member) take the scalar
+path: one loop per batch that runs its walks one after another, holding
+the layout's Python-object rows (:meth:`~repro.walks.csr.CSRLayout.
+scalar_rows`), a Python-float copy of each buffer and both cursors in
+locals.  Both paths read the same bulk buffers, generated in blocks from a
+dedicated ``Generator(PCG64)`` stream; the buffers stay numpy arrays, and
+the scalar path's float copy of one is made once per buffer.  The path
+choice depends only on batch size, never on drawn values, so it is
+deterministic.  ``tests/reference_walk.py`` keeps the scalar path as
+per-walk loops drawing one value at a time, and the kernel suite holds the
+two to the same results and kernel state draw for draw.
 
 Determinism contract (``repro.trace``): the kernel owns its *own* RNG
 stream, seeded lazily from the parent (engine) stream via one
@@ -52,12 +57,13 @@ Vertex = Hashable
 #: Randomness is generated into buffers of this many values per refill.
 _REFILL = 4096
 
-#: Batches below this size take the scalar CSR path: per-step numpy
-#: dispatch overhead swamps the win until a few dozen walks advance
-#: together (measured crossover ~64 on engine-sized overlays, where
-#: exchange rounds batch ~40 walks; ``bench_walk_kernel.py`` puts it at
-#: 16-32 for long plain CTRWs).  The two paths consume the stream in
-#: different orders, so moving this changes recorded executions.
+#: Batches below this size take the scalar path: per-step numpy dispatch
+#: overhead swamps the win until a few dozen walks advance together.
+#: ``bench_walk_kernel.py`` (long plain CTRWs, 2 vCPU) puts the crossover at
+#: 64-96 walks: the scalar loop runs 1.5-2.4 M hops/s at every batch size,
+#: the vector path 1.3-1.9 M at 63-64 walks and 2-3 M at 96-128.  Exchange
+#: rounds batch ~33 walks.  The two paths consume the stream in different
+#: orders, so moving this changes recorded executions.
 MIN_VECTOR_BATCH = 64
 
 
@@ -108,6 +114,10 @@ class ArrayKernel:
         self._uni_buf = _np.empty(0, dtype=_np.float64)
         self._exp_cur = 0
         self._uni_cur = 0
+        # Python-float copies of the two buffers for the scalar loops, each
+        # keyed on the buffer object it was made from.
+        self._exp_listed = self._exp_list = None
+        self._uni_listed = self._uni_list = None
 
     @property
     def backend(self) -> str:
@@ -134,21 +144,35 @@ class ArrayKernel:
         """``count`` fresh uniforms in ``[0, 1)`` from the private stream."""
         return self._ensure_gen().random(count)
 
-    def _next_exp(self) -> float:
-        cursor = self._exp_cur
-        if cursor >= len(self._exp_buf):
-            self._exp_buf = self._generate_exp(_REFILL)
-            cursor = 0
-        self._exp_cur = cursor + 1
-        return float(self._exp_buf[cursor])
+    def _exp_values(self) -> list:
+        """The current exponential buffer as Python floats, for the scalar loops.
 
-    def _next_uni(self) -> float:
-        cursor = self._uni_cur
-        if cursor >= len(self._uni_buf):
-            self._uni_buf = self._generate_uni(_REFILL)
-            cursor = 0
-        self._uni_cur = cursor + 1
-        return float(self._uni_buf[cursor])
+        Made once per buffer with ``tolist()`` and keyed on the buffer object,
+        so a refill or :meth:`restore_state` (which replace the buffer)
+        replaces it too.  The buffer itself stays a numpy array, which the
+        vector path slices zero-copy.
+        """
+        buf = self._exp_buf
+        if self._exp_listed is not buf:
+            self._exp_listed, self._exp_list = buf, buf.tolist()
+        return self._exp_list
+
+    def _uni_values(self) -> list:
+        """The current uniform buffer as Python floats (see :meth:`_exp_values`)."""
+        buf = self._uni_buf
+        if self._uni_listed is not buf:
+            self._uni_listed, self._uni_list = buf, buf.tolist()
+        return self._uni_list
+
+    def _refill_exp(self) -> list:
+        """Replace the exponential buffer with a fresh block; its values as floats."""
+        self._exp_buf = self._generate_exp(_REFILL)
+        return self._exp_values()
+
+    def _refill_uni(self) -> list:
+        """Replace the uniform buffer with a fresh block; its values as floats."""
+        self._uni_buf = self._generate_uni(_REFILL)
+        return self._uni_values()
 
     def _take_exp_vec(self, count):
         """``count`` unit exponentials as a numpy view (buffer remainder first)."""
@@ -196,35 +220,50 @@ class ArrayKernel:
         duration = float(duration)
         if len(rows) >= MIN_VECTOR_BATCH:
             return self._ctrw_vector(rows, duration, csr)
-        vertices = csr.vertices
-        out = []
-        for row in rows:
-            end_row, hops, elapsed = self._ctrw_scalar(row, duration, csr)
-            out.append((vertices[end_row], hops, elapsed))
-        return out
+        return self._ctrw_scalar(rows, duration, csr)
 
-    def _ctrw_scalar(self, row: int, duration: float, csr) -> tuple:
-        indptr = csr.indptr
-        indices = csr.indices
-        inv_degree = csr.inv_degree
-        remaining = duration
-        hops = 0
-        while remaining > 0:
-            base = indptr[row]
-            degree = indptr[row + 1] - base
-            if degree == 0:
-                break
-            holding = self._next_exp() * inv_degree[row]
-            if holding >= remaining:
-                remaining = 0.0
-                break
-            remaining -= holding
-            offset = int(self._next_uni() * degree)
-            if offset >= degree:  # guard against u*d rounding up to d
-                offset = degree - 1
-            row = indices[base + offset]
-            hops += 1
-        return (row, hops, duration - remaining)
+    def _ctrw_scalar(self, rows: List[int], duration: float, csr) -> List[tuple]:
+        # One loop over the whole batch, walk after walk, with the CSR rows,
+        # both buffers and both cursors in locals.  A spent buffer is
+        # refilled with one fresh block at the draw that needs it, so values
+        # are consumed in generation order; the cursors are written back once.
+        adjacency, inv_degree = csr.scalar_rows()
+        vertices = csr.vertices
+        exp, exp_cur = self._exp_values(), self._exp_cur
+        uni, uni_cur = self._uni_values(), self._uni_cur
+        exp_end, uni_end = len(exp), len(uni)
+        out = []
+        try:
+            for row in rows:
+                remaining = duration
+                hops = 0
+                while remaining > 0:
+                    neighbours = adjacency[row]
+                    degree = len(neighbours)
+                    if degree == 0:
+                        break
+                    if exp_cur >= exp_end:
+                        exp, exp_cur = self._refill_exp(), 0
+                        exp_end = len(exp)
+                    holding = exp[exp_cur] * inv_degree[row]
+                    exp_cur += 1
+                    if holding >= remaining:
+                        remaining = 0.0
+                        break
+                    remaining -= holding
+                    if uni_cur >= uni_end:
+                        uni, uni_cur = self._refill_uni(), 0
+                        uni_end = len(uni)
+                    offset = int(uni[uni_cur] * degree)
+                    uni_cur += 1
+                    if offset >= degree:  # guard against u*d rounding up to d
+                        offset = degree - 1
+                    row = neighbours[offset]
+                    hops += 1
+                out.append((vertices[row], hops, duration - remaining))
+        finally:
+            self._exp_cur, self._uni_cur = exp_cur, uni_cur
+        return out
 
     def _ctrw_vector(self, rows: List[int], duration: float, csr) -> List[tuple]:
         views = csr.numpy_views()
@@ -304,45 +343,65 @@ class ArrayKernel:
         segment_duration = float(segment_duration)
         if len(rows) >= MIN_VECTOR_BATCH:
             return self._biased_vector(rows, segment_duration, max_restarts, csr, max_weight)
-        vertices = csr.vertices
-        out = []
-        for row in rows:
-            end_row, hops, restarts, truncated = self._biased_scalar(
-                row, segment_duration, max_restarts, csr, max_weight
-            )
-            out.append((vertices[end_row], hops, restarts, restarts, truncated))
-        return out
+        return self._biased_scalar(rows, segment_duration, max_restarts, csr, max_weight)
 
     def _biased_scalar(
-        self, row: int, segment_duration: float, max_restarts: int, csr, max_weight: float
-    ) -> tuple:
-        indptr = csr.indptr
-        indices = csr.indices
-        inv_degree = csr.inv_degree
+        self,
+        rows: List[int],
+        segment_duration: float,
+        max_restarts: int,
+        csr,
+        max_weight: float,
+    ) -> List[tuple]:
+        # One loop over the whole batch, as in _ctrw_scalar.  Weights are
+        # read live from the layout, so in-place weight churn is seen.
+        adjacency, inv_degree = csr.scalar_rows()
         weights = csr.weights
-        hops = 0
-        restarts = 0
-        while True:
-            restarts += 1
-            remaining = segment_duration
-            while True:
-                base = indptr[row]
-                degree = indptr[row + 1] - base
-                if degree == 0:
-                    break
-                holding = self._next_exp() * inv_degree[row]
-                if holding >= remaining:
-                    break
-                remaining -= holding
-                offset = int(self._next_uni() * degree)
-                if offset >= degree:
-                    offset = degree - 1
-                row = indices[base + offset]
-                hops += 1
-            if self._next_uni() * max_weight < weights[row]:
-                return (row, hops, restarts, False)
-            if restarts >= max_restarts:
-                return (row, hops, restarts, True)
+        vertices = csr.vertices
+        exp, exp_cur = self._exp_values(), self._exp_cur
+        uni, uni_cur = self._uni_values(), self._uni_cur
+        exp_end, uni_end = len(exp), len(uni)
+        out = []
+        try:
+            for row in rows:
+                hops = 0
+                restarts = 0
+                while True:
+                    restarts += 1
+                    remaining = segment_duration
+                    while True:
+                        neighbours = adjacency[row]
+                        degree = len(neighbours)
+                        if degree == 0:
+                            break
+                        if exp_cur >= exp_end:
+                            exp, exp_cur = self._refill_exp(), 0
+                            exp_end = len(exp)
+                        holding = exp[exp_cur] * inv_degree[row]
+                        exp_cur += 1
+                        if holding >= remaining:
+                            break
+                        remaining -= holding
+                        if uni_cur >= uni_end:
+                            uni, uni_cur = self._refill_uni(), 0
+                            uni_end = len(uni)
+                        offset = int(uni[uni_cur] * degree)
+                        uni_cur += 1
+                        if offset >= degree:
+                            offset = degree - 1
+                        row = neighbours[offset]
+                        hops += 1
+                    if uni_cur >= uni_end:
+                        uni, uni_cur = self._refill_uni(), 0
+                        uni_end = len(uni)
+                    accepted = uni[uni_cur] * max_weight < weights[row]
+                    uni_cur += 1
+                    if accepted or restarts >= max_restarts:
+                        out.append((vertices[row], hops, restarts, restarts, not accepted))
+                        break
+        finally:
+            self._exp_cur, self._uni_cur = exp_cur, uni_cur
+        return out
 
     def _biased_vector(
         self,

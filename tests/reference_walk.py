@@ -7,13 +7,23 @@ chains such segments: at a segment's endpoint it accepts with probability
 ``weight / max_weight`` and otherwise restarts from there, truncating
 (accepting the last endpoint) after ``max_restarts`` segments.
 
-Written for clarity, not speed: the kernel suites hold both
-:class:`~repro.walks.kernel.ArrayKernel` hop paths (scalar and vector) to
-these two functions in distribution (chi-square), not draw for draw — the
-kernel consumes its own stream in bulk.
+Two references, both written for clarity, not speed:
+
+* :func:`reference_ctrw` / :func:`reference_biased_walk` draw from a
+  ``random.Random``.  The kernel consumes its own stream in bulk, so the
+  kernel suites hold both :class:`~repro.walks.kernel.ArrayKernel` hop paths
+  (scalar and vector) to them in distribution (chi-square).
+* :func:`reference_ctrw_batch` / :func:`reference_biased_batch` are the
+  scalar path written one walk at a time, drawing one value per call from
+  the kernel's own pre-drawn buffers (:func:`next_exp` / :func:`next_uni`),
+  refilled a block at a time when spent.  ``tests/test_walk_kernel.py``
+  holds the kernel's batch loops to them draw for draw: the same tuples and
+  the same kernel snapshot after every batch.
 """
 
 from __future__ import annotations
+
+from repro.walks.kernel import _REFILL
 
 
 def reference_ctrw(graph, rng, start, duration):
@@ -42,3 +52,100 @@ def reference_biased_walk(graph, rng, start, segment_duration, max_restarts):
         if rng.random() < graph.weight(current) / max_weight:
             return current, hops, restarts, False
     return current, hops, max_restarts, True
+
+
+def next_exp(kernel) -> float:
+    """The kernel's next unit exponential, refilling its buffer when spent."""
+    if kernel._exp_cur >= len(kernel._exp_buf):
+        kernel._exp_buf = kernel._generate_exp(_REFILL)
+        kernel._exp_cur = 0
+    kernel._exp_cur += 1
+    return float(kernel._exp_buf[kernel._exp_cur - 1])
+
+
+def next_uni(kernel) -> float:
+    """The kernel's next uniform, refilling its buffer when spent."""
+    if kernel._uni_cur >= len(kernel._uni_buf):
+        kernel._uni_buf = kernel._generate_uni(_REFILL)
+        kernel._uni_cur = 0
+    kernel._uni_cur += 1
+    return float(kernel._uni_buf[kernel._uni_cur - 1])
+
+
+def _ctrw_walk(kernel, row, duration, csr):
+    """``(row, hops, elapsed)`` of one CTRW from ``row``."""
+    indptr = csr.indptr
+    indices = csr.indices
+    inv_degree = csr.inv_degree
+    remaining = duration
+    hops = 0
+    while remaining > 0:
+        base = indptr[row]
+        degree = indptr[row + 1] - base
+        if degree == 0:
+            break
+        holding = next_exp(kernel) * inv_degree[row]
+        if holding >= remaining:
+            remaining = 0.0
+            break
+        remaining -= holding
+        offset = int(next_uni(kernel) * degree)
+        if offset >= degree:  # guard against u*d rounding up to d
+            offset = degree - 1
+        row = indices[base + offset]
+        hops += 1
+    return (row, hops, duration - remaining)
+
+
+def _biased_walk(kernel, row, segment_duration, max_restarts, csr, max_weight):
+    """``(row, hops, restarts, truncated)`` of one biased walk from ``row``."""
+    indptr = csr.indptr
+    indices = csr.indices
+    inv_degree = csr.inv_degree
+    weights = csr.weights
+    hops = 0
+    restarts = 0
+    while True:
+        restarts += 1
+        remaining = segment_duration
+        while True:
+            base = indptr[row]
+            degree = indptr[row + 1] - base
+            if degree == 0:
+                break
+            holding = next_exp(kernel) * inv_degree[row]
+            if holding >= remaining:
+                break
+            remaining -= holding
+            offset = int(next_uni(kernel) * degree)
+            if offset >= degree:
+                offset = degree - 1
+            row = indices[base + offset]
+            hops += 1
+        if next_uni(kernel) * max_weight < weights[row]:
+            return (row, hops, restarts, False)
+        if restarts >= max_restarts:
+            return (row, hops, restarts, True)
+
+
+def reference_ctrw_batch(kernel, starts, duration):
+    """``kernel.run_ctrw_batch(starts, duration)``, one walk at a time."""
+    csr = kernel._graph.csr()
+    out = []
+    for start in starts:
+        row, hops, elapsed = _ctrw_walk(kernel, csr.row_of(start), float(duration), csr)
+        out.append((csr.vertices[row], hops, elapsed))
+    return out
+
+
+def reference_biased_batch(kernel, starts, segment_duration, max_restarts):
+    """``kernel.run_biased_batch(...)``, one walk at a time."""
+    csr = kernel._graph.csr()
+    max_weight = kernel._graph.max_weight()
+    out = []
+    for start in starts:
+        row, hops, restarts, truncated = _biased_walk(
+            kernel, csr.row_of(start), float(segment_duration), max_restarts, csr, max_weight
+        )
+        out.append((csr.vertices[row], hops, restarts, restarts, truncated))
+    return out

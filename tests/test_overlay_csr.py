@@ -13,7 +13,8 @@ carry the whole contract:
   arbitrary interleavings).
 
 Weight updates must additionally be *in place*: the snapshot object
-survives ``set_weight`` (only its cumulative row is re-derived), while any
+survives ``set_weight`` (only its cumulative and neighbour-sum rows are
+re-derived, and the scalar hop loops' Python rows are kept), while any
 structural mutation discards it wholesale.
 """
 
@@ -44,6 +45,7 @@ def assert_csr_matches_fresh_build(graph: OverlayGraph) -> None:
     assert list(maintained.weights) == list(fresh.weights)
     assert list(maintained.cum_weights()) == list(fresh.cum_weights())
     assert list(maintained.neighbour_weight_sums()) == list(fresh.neighbour_weight_sums())
+    assert_scalar_rows_match(maintained)
     for vertex in graph.vertices():
         row = maintained.row_of(vertex)
         neighbour_rows = maintained.indices[maintained.indptr[row] : maintained.indptr[row + 1]]
@@ -51,6 +53,17 @@ def assert_csr_matches_fresh_build(graph: OverlayGraph) -> None:
         assert maintained.neighbour_weight_sums()[maintained.row_of(vertex)] == pytest.approx(
             sum(graph.weight(neighbour) for neighbour in graph.neighbours(vertex))
         )
+
+
+def assert_scalar_rows_match(layout: CSRLayout) -> None:
+    """``scalar_rows()`` holds the ``indptr``/``indices``/``inv_degree`` rows."""
+    adjacency, inv_degree = layout.scalar_rows()
+    indptr, indices = layout.indptr, layout.indices
+    assert len(adjacency) == len(layout)
+    for row, neighbours in enumerate(adjacency):
+        assert isinstance(neighbours, tuple)
+        assert list(neighbours) == list(indices[indptr[row] : indptr[row + 1]])
+    assert inv_degree == list(layout.inv_degree)
 
 
 class TestVersionBumps:
@@ -135,6 +148,24 @@ class TestSnapshotLifecycle:
         graph.set_weight(2, graph.weight(2) + 5.0)
         assert graph.csr() is snapshot
         assert snapshot.neighbour_weight_sums()[snapshot.row_of(neighbour)] == before + 5.0
+        assert_csr_matches_fresh_build(graph)
+
+    def test_scalar_rows_follow_the_layout(self):
+        """Built once per layout: weight churn keeps them, a structural
+        mutation brings a new layout with its own."""
+        graph = seeded_overlay()
+        graph.add_vertex(50, weight=2.0)  # isolated: an empty row, 0.0 reciprocal
+        snapshot = graph.csr()
+        rows = snapshot.scalar_rows()
+        assert_scalar_rows_match(snapshot)
+        assert rows[0][snapshot.row_of(50)] == () and rows[1][snapshot.row_of(50)] == 0.0
+        graph.set_weight(2, 42.0)
+        snapshot.refresh_weights(graph, graph.version)
+        assert graph.csr() is snapshot and snapshot.scalar_rows() is rows
+        graph.add_edge(50, 0)
+        rebuilt = graph.csr()
+        assert rebuilt is not snapshot and rebuilt.scalar_rows() is not rows
+        assert rebuilt.scalar_rows()[0][rebuilt.row_of(50)] == (rebuilt.row_of(0),)
         assert_csr_matches_fresh_build(graph)
 
     def test_weight_patch_is_visible_through_numpy_views(self):

@@ -1,6 +1,6 @@
 """Property tests for the hop engine (``repro.walks.kernel``).
 
-Four families of guarantees:
+Five families of guarantees:
 
 * **The one kernel.** ``walk_kernel`` has one value, ``array``.  The retired
   ``naive`` value is refused by name wherever walks are simulated — at spec
@@ -17,6 +17,11 @@ Four families of guarantees:
   starts run in batches below ``MIN_VECTOR_BATCH``) and the vector path
   (one batch).
 
+* **Draw-for-draw pinning** of the scalar path (hypothesis): its batch
+  loops return the tuples the per-walk loops of ``reference_walk`` return
+  over the same buffers, and leave the kernel in the same state, across
+  buffer refills, truncation and a restore.
+
 * **Bit-exact checkpointing**: the kernel's private stream and pre-drawn
   buffers survive a JSON round trip; a restored kernel reproduces the
   uninterrupted draw sequence value-for-value and never consumes the
@@ -25,7 +30,8 @@ Four families of guarantees:
 * **Resume equals uninterrupted** at the engine level: a run recorded with
   simulated walks, checkpointed and resumed, lands on the same state hash
   as the straight-through run — for both walk modes, property-tested over
-  random cut points.
+  random cut points — and a checkpoint an earlier kernel wrote resumes onto
+  the hash that kernel's straight run printed.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import shutil
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -41,13 +48,19 @@ from hypothesis import strategies as st
 from repro.core.engine import EngineConfig, NowEngine
 from repro.core.randcl import RandCl
 from repro.errors import ConfigurationError, WalkError
+from repro.overlay.graph import OverlayGraph
 from repro.scenarios import Scenario
 from repro.trace import record_scenario, resume_from_checkpoint
 from repro.walks import ArrayKernel, resolve_kernel_name
 from repro.walks.kernel import MIN_VECTOR_BATCH
 from repro.walks.sampler import ClusterSampler, WalkMode
 
-from reference_walk import reference_biased_walk, reference_ctrw
+from reference_walk import (
+    reference_biased_batch,
+    reference_biased_walk,
+    reference_ctrw,
+    reference_ctrw_batch,
+)
 from test_trace_checkpoint import run_split, run_straight, small_scenario
 from test_walk_fastpath import (
     apply_operations,
@@ -61,6 +74,15 @@ from test_walk_fastpath import (
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 V1_NAIVE_TRACE = os.path.join(FIXTURES, "trace-v1-simulated-naive.jsonl")
 V1_ORACLE_TRACE = os.path.join(FIXTURES, "trace-v1-oracle.jsonl")
+
+#: A simulated-walk checkpoint written by the last commit with the per-walk
+#: scalar loops (2d14d3736c5fdf479a42b4eb9220c6e386bab553): ``uniform`` churn
+#: at n0 = 80, seed 11, cut at step 42 of 80, where both kernel buffer tails
+#: are non-empty.  The hashes are the ones that commit printed.
+SIMULATED_CHECKPOINT = os.path.join(FIXTURES, "checkpoint-simulated-kernel.json")
+SIMULATED_CHECKPOINT_HASH = "88d6d44d5c73e10c1157caafb05406f36ea5b5f2a2e8bb17ade781257e35fb1c"
+#: That commit's uninterrupted 80-step run.
+SIMULATED_STRAIGHT_HASH = "95b1732090c9c45d3e21dbc31b76a3a3fbaa0298dacd395708a0d08c424da619"
 
 SIMULATED_NAIVE = {"walk_mode": "simulated", "walk_kernel": "naive"}
 
@@ -320,6 +342,104 @@ class TestDistributionPinning:
 
 
 # ----------------------------------------------------------------------
+# Draw-for-draw pinning of the scalar path (hypothesis)
+# ----------------------------------------------------------------------
+@st.composite
+def small_overlays(draw):
+    """A random overlay with at least one isolated and one degree-1 vertex."""
+    count = draw(st.integers(2, 10))
+    graph = OverlayGraph()
+    for vertex in range(count):
+        graph.add_vertex(vertex, weight=float(draw(st.integers(1, 8))))
+    pairs = st.tuples(st.integers(0, count - 1), st.integers(0, count - 1))
+    for first, second in draw(st.lists(pairs, max_size=3 * count)):
+        graph.add_edge(first, second)
+    graph.add_vertex(count, weight=float(draw(st.integers(1, 8))))  # isolated
+    graph.add_vertex(count + 1, weight=float(draw(st.integers(1, 8))))
+    graph.add_edge(count + 1, 0)  # degree 1
+    return graph
+
+
+#: One small batch: its kind, starts (as vertex indices), and its duration
+#: (the segment duration for a biased batch) and restart cap.
+SMALL_BATCH = st.tuples(
+    st.sampled_from(["ctrw", "biased"]),
+    st.lists(st.integers(0, 63), min_size=1, max_size=MIN_VECTOR_BATCH - 1),
+    st.floats(0.05, 30.0),
+    st.integers(1, 8),
+)
+
+
+#: Values to consume before the first batch: anywhere in the first block,
+#: and often within a few walks of its end.
+NEAR_BLOCK_END = st.integers(0, 4095) | st.integers(3968, 4095)
+
+
+class TestScalarPathDrawForDraw:
+    """The scalar path's batch loops against the per-walk loops of ``reference_walk``.
+
+    Twin kernels on one graph and one seed: one runs ``run_*_batch`` (every
+    batch below ``MIN_VECTOR_BATCH``, so the scalar path), the other the
+    reference over its own buffers.  They must return the same tuples and
+    snapshot to the same state after every batch.  A skip of up to one block
+    before the first batch, and durations of up to thirty time units, put
+    buffer refills in the middle of walks; the batched kernel is also cut and
+    restored from its JSON snapshot between two batches.
+    """
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        graph=small_overlays(),
+        seed=st.integers(0, 2**32),
+        skip=st.tuples(NEAR_BLOCK_END, NEAR_BLOCK_END),
+        batches=st.lists(SMALL_BATCH, min_size=1, max_size=6),
+        cut=st.integers(0, 6),
+    )
+    def test_batched_loops_match_reference(self, graph, seed, skip, batches, cut):
+        batched = ArrayKernel(graph, random.Random(seed))
+        reference = ArrayKernel(graph, random.Random(seed))
+        for twin in (batched, reference):
+            twin._take_exp_vec(skip[0])
+            twin._take_uni_vec(skip[1])
+        vertices = list(graph.vertices())
+        for index, (kind, picks, duration, max_restarts) in enumerate(batches):
+            if index == cut:
+                # An unseeded snapshot seeds from the parent stream, which
+                # the restored kernel gets in its original state.
+                snapshot = json.loads(json.dumps(batched.snapshot_state()))
+                batched = ArrayKernel(graph, random.Random(seed))
+                batched.restore_state(snapshot)
+            starts = [vertices[pick % len(vertices)] for pick in picks]
+            if kind == "ctrw":
+                got = batched.run_ctrw_batch(starts, duration)
+                want = reference_ctrw_batch(reference, starts, duration)
+            else:
+                got = batched.run_biased_batch(starts, duration, max_restarts)
+                want = reference_biased_batch(reference, starts, duration, max_restarts)
+            assert got == want
+            assert batched.snapshot_state() == reference.snapshot_state()
+
+    def test_refill_mid_walk_and_truncation_are_reached(self):
+        """The regime the property covers: a refill inside a walk, and truncation."""
+        graph = seeded_overlay(vertices=6, seed=7)
+        batched = ArrayKernel(graph, random.Random(4))
+        reference = ArrayKernel(graph, random.Random(4))
+        for twin in (batched, reference):
+            twin._take_exp_vec(4090)
+            twin._take_uni_vec(4090)
+        left = len(batched._exp_buf) - batched._exp_cur
+        got = batched.run_ctrw_batch([0], 30.0)
+        assert got == reference_ctrw_batch(reference, [0], 30.0)
+        ((_, hops, _),) = got
+        assert hops > left  # the walk drew past the end of its block
+        starts = [0, 1, 2, 3] * 4
+        got = batched.run_biased_batch(starts, 0.05, 2)
+        assert got == reference_biased_batch(reference, starts, 0.05, 2)
+        assert any(truncated for *_, truncated in got)
+        assert batched.snapshot_state() == reference.snapshot_state()
+
+
+# ----------------------------------------------------------------------
 # Bit-exact kernel checkpointing
 # ----------------------------------------------------------------------
 class TestKernelCheckpoint:
@@ -415,6 +535,20 @@ class TestEngineResume:
         tmp_path = tmp_path_factory.mktemp("kernel-resume")
         split = run_split(small_scenario(**fields), cut, total - cut, tmp_path)
         assert split == straight
+
+    def test_parent_cut_checkpoint_resumes_onto_its_straight_hash(self, tmp_path):
+        """Buffered values written by an earlier kernel are consumed in its order."""
+        data = json.load(open(SIMULATED_CHECKPOINT, "r", encoding="utf-8"))
+        assert data["state_hash"] == SIMULATED_CHECKPOINT_HASH
+        kernel = data["engine"]["randcl"]["kernel"]
+        assert kernel["exp_buffer"] and kernel["uni_buffer"]
+        copy = str(tmp_path / "ckpt.json")
+        shutil.copy(SIMULATED_CHECKPOINT, copy)
+        session = resume_from_checkpoint(copy)
+        assert session.result.steps == 38
+        assert session.final_state_hash == SIMULATED_STRAIGHT_HASH
+        scenario = Scenario.from_dict(data["scenario"])
+        assert run_straight(scenario, scenario.steps) == SIMULATED_STRAIGHT_HASH
 
     def test_config_round_trips_walk_kernel(self):
         scenario = small_scenario(steps=10, engine_options={"walk_kernel": "array"})
