@@ -102,6 +102,7 @@ def run_experiment(steps: int = STEPS, walk_steps: int = WALK_STEPS):
     walk_hops = int(sum(hops_probe.values))
 
     return {
+        "benchmark": "engine_throughput",
         "steps": result.steps,
         "events": result.events,
         "elapsed_seconds": result.elapsed_seconds,

@@ -176,6 +176,7 @@ def run_experiment(steps: int = STEPS, out_dir: str = "/tmp"):
     buffered = runs["jsonl-buffered"]
     micro = observation_micro(out_dir)
     return {
+        "benchmark": "trace_codec",
         "trace_codec": runs,
         "observation_pipeline_events_per_second": micro,
         "observation_pipeline_speedup_vs_inline": {

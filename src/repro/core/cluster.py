@@ -15,7 +15,8 @@ accidentally "cheat" by reading the adversary's hand.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -42,10 +43,10 @@ class Cluster:
 
     def __post_init__(self) -> None:
         self.members = set(self.members)
-        # Cached sorted membership, kept in place by every mutation (bisect
-        # insert / linear remove), so an exchange round picks from one live
-        # view of it (``sorted_members``) with no sort and no copy per swap.
-        self._sorted_members: Optional[List[NodeId]] = None
+        # Sorted membership, kept in place by every mutation, so an exchange
+        # round picks from one live view of it (``sorted_members``) with no
+        # sort and no copy per swap.
+        self._sorted_members: List[NodeId] = sorted(self.members)
 
     # ------------------------------------------------------------------
     # Membership
@@ -68,8 +69,7 @@ class Cluster:
                 f"node {node_id} is already a member of cluster {self.cluster_id}"
             )
         self.members.add(node_id)
-        if self._sorted_members is not None:
-            insort(self._sorted_members, node_id)
+        insort(self._sorted_members, node_id)
 
     def remove_member(self, node_id: NodeId) -> None:
         """Remove ``node_id``; error if it is not a member."""
@@ -78,13 +78,16 @@ class Cluster:
                 f"node {node_id} is not a member of cluster {self.cluster_id}"
             )
         self.members.discard(node_id)
-        if self._sorted_members is not None:
-            self._sorted_members.remove(node_id)
+        self._sorted_members.remove(node_id)
 
     def swap_member(self, outgoing: NodeId, incoming: NodeId) -> None:
         """Atomically replace ``outgoing`` with ``incoming`` (an exchange step)."""
-        if outgoing == incoming:
-            return
+        if outgoing != incoming:
+            self._check_swap(outgoing, incoming)
+            self.remove_member(outgoing)
+            self.add_member(incoming)
+
+    def _check_swap(self, outgoing: NodeId, incoming: NodeId) -> None:
         if outgoing not in self.members:
             raise UnknownNodeError(
                 f"node {outgoing} is not a member of cluster {self.cluster_id}"
@@ -93,28 +96,18 @@ class Cluster:
             raise ProtocolViolationError(
                 f"node {incoming} is already a member of cluster {self.cluster_id}"
             )
-        self.members.discard(outgoing)
-        self.members.add(incoming)
-        cached = self._sorted_members
-        if cached is not None:
-            cached.remove(outgoing)
-            insort(cached, incoming)
 
     def member_list(self) -> List[NodeId]:
         """Sorted members as a fresh list the caller may mutate."""
         return list(self.sorted_members())
 
     def sorted_members(self) -> List[NodeId]:
-        """The cached sorted membership itself: a live view callers must not mutate.
+        """The sorted membership itself: a live view callers must not mutate.
 
         Note: a caller writing to ``cluster.members`` directly (the registry
         never does) bypasses its maintenance.
         """
-        cached = self._sorted_members
-        if cached is None:
-            cached = sorted(self.members)
-            self._sorted_members = cached
-        return cached
+        return self._sorted_members
 
     def snapshot(self) -> FrozenSet[NodeId]:
         """Immutable copy of the membership."""
@@ -178,7 +171,7 @@ class ClusterRegistry:
         ``member_removed(cluster_id, node_id)`` and
         ``members_swapped(cluster_id, swaps)``; missing hooks are skipped.
         ``members_swapped`` is the only event swaps emit (one per
-        :meth:`swap_many`, i.e. per exchange round), so a listener following
+        :meth:`swapping` batch, i.e. per exchange round), so a listener following
         ``member_added`` / ``member_removed`` must define it and is refused
         otherwise.  One that follows only sizes, which swaps keep, defines
         ``members_swapped = None`` and receives nothing.
@@ -289,41 +282,61 @@ class ClusterRegistry:
     def swap_members(
         self, first_cluster: ClusterId, first_node: NodeId, second_cluster: ClusterId, second_node: NodeId
     ) -> None:
-        """Exchange ``first_node`` (of ``first_cluster``) with ``second_node`` (of ``second_cluster``)."""
-        self.swap_many(first_cluster, [(first_node, second_cluster, second_node)])
+        """Exchange ``first_node`` (of ``first_cluster``) with ``second_node`` (of ``second_cluster``).
 
-    def swap_many(
-        self, cluster_id: ClusterId, swaps: Iterable[Tuple[NodeId, ClusterId, NodeId]]
-    ) -> List[Tuple[NodeId, ClusterId, NodeId]]:
-        """Apply ``(node, partner, replacement)`` swaps of ``cluster_id`` in order.
+        A swap within one cluster changes nothing and emits nothing.
+        """
+        if first_cluster != second_cluster:
+            with self.swapping(first_cluster) as (swap, _):
+                swap(first_node, self.get(second_cluster), second_node)
 
-        Each keeps :meth:`Cluster.swap_member`'s checks and updates the node
-        index; one self-partnered is skipped.  ``swaps`` may be a generator —
-        each is applied before the next is drawn.  The applied triples are
-        returned and go to listeners as one event, even when a later swap raises.
+    @contextmanager
+    def swapping(self, cluster_id: ClusterId):
+        """One batch of swaps out of ``cluster_id``, reported as one event.
+
+        Yields ``(swap, applied)``.  ``swap(node, partner, replacement)``
+        exchanges ``node`` of ``cluster_id`` with ``replacement`` of the
+        cluster ``partner`` (another :class:`Cluster`) in place: the four
+        membership checks run before either side changes, so a refused swap
+        changes nothing.  ``applied`` lists the ``(node, partner_id,
+        replacement)`` triples done; at exit they go to listeners as one
+        ``members_swapped`` event, also when a later swap raised.
         """
         cluster = self.get(cluster_id)
+        members, view = cluster.members, cluster._sorted_members
         node_index = self._node_to_cluster
-        partners: dict = {}
-        applied = []
+        applied: List[Tuple[NodeId, ClusterId, NodeId]] = []
+        record = applied.append
+
+        def swap(node: NodeId, partner: Cluster, replacement: NodeId) -> None:
+            partner_id, partner_members = partner.cluster_id, partner.members
+            if (
+                node not in members
+                or replacement in members
+                or replacement not in partner_members
+                or node in partner_members
+            ):
+                cluster._check_swap(node, replacement)  # raises the first refusal
+                partner._check_swap(replacement, node)
+            partner_view = partner._sorted_members
+            members.remove(node)
+            members.add(replacement)
+            partner_members.remove(replacement)
+            partner_members.add(node)
+            del view[bisect_left(view, node)]
+            insort(view, replacement)
+            del partner_view[bisect_left(partner_view, replacement)]
+            insort(partner_view, node)
+            node_index[node] = partner_id
+            node_index[replacement] = cluster_id
+            record((node, partner_id, replacement))
+
         try:
-            for swap in swaps:
-                node, partner_id, replacement = swap
-                if partner_id == cluster_id:
-                    continue
-                partner = partners.get(partner_id)
-                if partner is None:
-                    partner = partners[partner_id] = self.get(partner_id)
-                cluster.swap_member(node, replacement)
-                partner.swap_member(replacement, node)
-                node_index[node] = partner_id
-                node_index[replacement] = cluster_id
-                applied.append(swap)
+            yield swap, applied
         finally:
             if applied:
                 for method in self._hooks("members_swapped"):
                     method(cluster_id, applied)
-        return applied
 
     # ------------------------------------------------------------------
     # Queries

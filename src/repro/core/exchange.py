@@ -23,11 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Set, Tuple
 
+from ..errors import UnknownClusterError
 from ..network.message import MessageKind
 from ..network.metrics import CommunicationMetrics
 from ..network.node import NodeId
 from .cluster import ClusterId
-from .randcl import RandCl, walk_cost
+from .randcl import RandCl
 from .randnum import RandNum, randnum_cost
 from .state import SystemState
 
@@ -81,8 +82,10 @@ class ExchangeProtocol:
 
         Swaps keep every cluster size, so the overlay, the walk cost model
         and each partner (its live sorted-member view and randNum cost) are
-        resolved once per round; the registry applies the swaps as the round
-        yields them and emits one event for the round.
+        resolved once per round.  One loop draws each member's partner,
+        picks its replacement and applies the swap, in the order the
+        member-by-member round consumed the engine stream; the registry
+        emits one event for the round.
         """
         ledger = metrics if metrics is not None else self._state.metrics.scope(label)
         report = ExchangeReport(cluster_id=cluster_id)
@@ -90,51 +93,45 @@ class ExchangeProtocol:
         cluster = clusters.get(cluster_id)
         members = cluster.members
         original_members = cluster.member_list()
-        walks = self._randcl.walks(cluster_id, len(original_members))
-        charges = self._randcl.cost_model()
+        draw, vertices, price = self._randcl.round_partners(cluster_id, len(original_members))
         choose = self._randnum.choose
         is_byzantine = self._state.nodes.is_byzantine
+        # Per walk endpoint (CSR row or cluster id): the partner, its live sorted
+        # view and randNum cost, or () where the member stays (self or empty).
         partners: dict = {}
-        walked = picked = walk_messages = walk_rounds = pick_messages = pick_rounds = 0
-
-        def picks():
-            nonlocal walked, picked, walk_messages, walk_rounds, pick_messages, pick_rounds
+        walked = pick_messages = pick_rounds = 0
+        with clusters.swapping(cluster_id) as (swap, applied):
             for node_id in original_members:
                 if node_id not in members:
                     # Already swapped out by a previous iteration's partner choice.
                     continue
-                walk = next(walks)
-                messages, rounds = walk_cost(walk.hops, walk.restarts, charges)
+                key = draw()
                 walked += 1
-                walk_messages += messages
-                walk_rounds += rounds
-                report.walk_hops += walk.hops
-                partner_id = walk.cluster
-                if partner_id == cluster_id:
-                    continue
-                partner = partners.get(partner_id)
+                partner = partners.get(key)
                 if partner is None:
-                    view = clusters.get(partner_id).sorted_members()
-                    partner = partners[partner_id] = (view, randnum_cost(len(view)))
-                view, (messages, rounds) = partner
-                if not view:
+                    partner_id = key if vertices is None else vertices[key]
+                    target = clusters.get(partner_id)
+                    view = target.sorted_members()
+                    stays = partner_id == cluster_id or not view
+                    partner = partners[key] = () if stays else (target, view, *randnum_cost(len(view)))
+                if not partner:
                     continue
                 # The partner is informed it will receive ``node_id`` and
                 # chooses a replacement uniformly via randNum.
-                picked += 1
+                target, view, messages, rounds = partner
                 pick_messages += messages
                 pick_rounds += rounds
-                yield node_id, partner_id, choose(view, is_byzantine)
-
-        report.swaps = clusters.swap_many(cluster_id, picks())
-        report.partner_clusters = {partner_id for _, partner_id, _ in report.swaps}
+                swap(node_id, target, choose(view, is_byzantine))
+        report.swaps = applied
+        report.partner_clusters = {partner[0].cluster_id for partner in partners.values() if partner}
+        walk_messages, walk_rounds, report.walk_hops = price(walked)
         cluster.exchanges_performed += 1
         cluster.last_full_exchange = self._state.time_step
 
         # The round books each kind once, and only a kind that occurred.
         if walked:
             ledger.charge(walk_messages, walk_rounds, kind=MessageKind.WALK, label=label)
-        if picked:
+        if applied:
             ledger.charge(pick_messages, pick_rounds, kind=MessageKind.RANDNUM, label=label)
         # Inform neighbouring clusters of the new compositions (batched at the
         # end of the operation; see design note 2 in docs/ARCHITECTURE.md).
@@ -163,7 +160,10 @@ def notification_cost(state: SystemState, cluster_ids: Iterable[ClusterId]) -> T
     sums = layout.neighbour_weight_sums()
     messages = 0.0
     for cluster_id in cluster_ids:
-        if layout.has_vertex(cluster_id) and cluster_id in clusters:
-            messages += len(clusters.get(cluster_id)) * sums[layout.row_of(cluster_id)]
+        try:  # a cluster gone from the overlay or the registry is told nothing
+            row, size = layout.row_of(cluster_id), len(clusters.get(cluster_id).members)
+        except (KeyError, UnknownClusterError):
+            continue
+        messages += size * sums[row]
     messages = int(messages)
     return messages, 1 if messages else 0

@@ -148,22 +148,45 @@ class RandCl:
         return self.finalize(start_cluster, outcome, metrics=metrics, label=label)
 
     def walks(self, start_cluster: ClusterId, count: int) -> Iterator[SampleOutcome]:
-        """Up to ``count`` walk outcomes from ``start_cluster``, drawn lazily.
+        """``count`` simulated walks from ``start_cluster``, run at the first ``next``.
 
-        The round iterator of the exchange protocol, which pulls one outcome
-        per member it swaps out.  Nothing runs before the first ``next``.
-        Simulated walks then advance as one lockstep batch on the hop
-        engine's private stream: swaps keep cluster sizes, so the overlay is
-        static for the round and outcomes left unconsumed do not bias it.
-        Oracle draws (:meth:`ClusterSampler.oracle_draws`) consume the
-        caller's stream, one per ``next``, interleaved with the round's
-        randNum picks and never for a member the round skips.
+        They advance as one lockstep batch on the hop engine's private
+        stream: swaps keep cluster sizes, so the overlay is static for an
+        exchange round and outcomes left unconsumed do not bias it.
         """
-        sampler = self._prepare_sampler(start_cluster)
+        yield from self._prepare_sampler(start_cluster).sample_many([start_cluster] * count)
+
+    def round_partners(self, start_cluster: ClusterId, count: int) -> tuple:
+        """Where one exchange round's partners come from: ``(draw, vertices, price)``.
+
+        ``draw()`` is the next walk's endpoint: in oracle mode a CSR row, one
+        ``rng.random()`` and a bisect on the caller's stream per call, so a
+        member the round skips draws nothing; in simulated mode a cluster
+        id of the round's :meth:`walks` batch.  ``vertices`` maps a row to
+        its cluster id (``None`` when ``draw`` returns ids).
+        ``price(walked)`` is ``(messages, rounds, hops)`` of the first
+        ``walked`` walks.  Every oracle walk of a round has the same
+        expected effort, so it is priced once.
+        """
+        charges = self.cost_model()
         if self._walk_mode is WalkMode.SIMULATED:
-            yield from sampler.sample_many([start_cluster] * count)
-        else:
-            yield from sampler.oracle_draws(count)
+            outcomes = list(self.walks(start_cluster, count))
+
+            def price(walked: int) -> tuple:
+                done = outcomes[:walked]
+                costs = [walk_cost(walk.hops, walk.restarts, charges) for walk in done]
+                return sum(m for m, _ in costs), sum(r for _, r in costs), sum(w.hops for w in done)
+
+            return iter([outcome.cluster for outcome in outcomes]).__next__, None, price
+        sampler = self._prepare_sampler(start_cluster)
+        layout = sampler.graph.csr()
+        try:
+            draw = layout.row_sampler(self._rng)
+        except ValueError as error:
+            raise WalkError(str(error)) from error
+        hops, restarts = sampler.oracle_effort()
+        messages, rounds = walk_cost(hops, restarts, charges)
+        return draw, layout.vertices, lambda walked: (walked * messages, walked * rounds, walked * hops)
 
     def finalize(
         self,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from ..errors import ConfigurationError, UnknownNodeError
 from ..network.metrics import MetricsRegistry
@@ -202,6 +202,10 @@ class NodeRegistry:
         if node_id not in self._descriptors:
             raise UnknownNodeError(f"node {node_id} is not registered")
         return node_id in self._byz_roles
+
+    def role_view(self) -> Tuple[Mapping[NodeId, NodeDescriptor], Set[NodeId]]:
+        """What :meth:`is_byzantine` reads, live and read-only: registered nodes, Byzantine roles."""
+        return self._descriptors, self._byz_roles
 
     def is_active(self, node_id: NodeId) -> bool:
         """Whether ``node_id`` is currently part of the network."""
@@ -387,15 +391,18 @@ class CorruptionTracker:
 
         A swap of two nodes of different roles moves one Byzantine count
         between ``cluster_id`` and the partner; the moves are summed over
-        the round and each touched cluster is refreshed once.  The role
-        predicate must stay ``_member_is_byzantine``, the one every other
-        tracker path uses, so this never diverges from :meth:`rebuild`.
+        the round and each touched cluster is refreshed once.  Roles are
+        read from the registry's role set, fetched once for the round, with
+        :meth:`rebuild`'s rule: an unregistered node raises
+        ``UnknownNodeError``.
         """
-        is_byzantine = self._member_is_byzantine
+        registered, byzantine = self._nodes.role_view()
         moved: Dict[ClusterId, int] = {}
         for node, partner_id, replacement in swaps:
-            outgoing = is_byzantine(node)
-            if outgoing == is_byzantine(replacement):
+            if node not in registered or replacement not in registered:
+                raise UnknownNodeError(f"swap ({node}, {replacement}) names an unregistered node")
+            outgoing = node in byzantine
+            if outgoing == (replacement in byzantine):
                 continue
             delta = -1 if outgoing else 1
             moved[cluster_id] = moved.get(cluster_id, 0) + delta

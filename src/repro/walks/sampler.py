@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Hashable, Iterator, List, Optional, Sequence
+from typing import Hashable, List, Optional, Sequence
 
 from ..errors import WalkError
 from .interface import WalkableGraph
@@ -164,30 +164,15 @@ class ClusterSampler:
             cluster = self._graph.sample_weighted_vertex(self._rng)
         except ValueError as error:
             raise WalkError(str(error)) from error
-        hops, restarts = self._expected_effort()
+        hops, restarts = self.oracle_effort()
         return SampleOutcome(
             cluster=cluster, hops=hops, restarts=restarts, mode=WalkMode.ORACLE
         )
 
-    def oracle_draws(self, count: int) -> Iterator[SampleOutcome]:
-        """Up to ``count`` lazy oracle samples, the graph resolved at the first pull.
-
-        Each pull is then one ``rng.random()`` and a bisect (the draw of
-        :meth:`sample`); the caller must not pull past a weight change.
-        """
-        graph = self._graph
-        try:
-            draw = graph.csr().row_sampler(self._rng)
-        except ValueError as error:
-            raise WalkError(str(error)) from error
-        vertices = graph.csr().vertices
-        hops, restarts = self._expected_effort()
-        for _ in range(count):
-            yield SampleOutcome(vertices[draw()], hops, restarts, WalkMode.ORACLE)
-
-    def _expected_effort(self) -> tuple:
-        """:func:`expected_effort` of this graph, cached against the graph's
-        mutation version (when it exposes one) and the segment duration."""
+    def oracle_effort(self) -> tuple:
+        """The ``(hops, restarts)`` every oracle draw reports: :func:`expected_effort`
+        of this graph, cached against the graph's mutation version (when it
+        exposes one) and the segment duration."""
         graph = self._graph
         version = getattr(graph, "version", None)
         key = (version, self._segment_duration)

@@ -295,24 +295,60 @@ class TestSwapFastPath:
         registry.swap_members(10, 2, 20, 4)
         assert aware.swaps == [(10, [(2, 20, 4)])]
 
-    def test_swap_many_emits_one_event_for_the_applied_swaps(self):
+    def test_swapping_emits_one_event_for_the_applied_swaps(self):
         registry = self._registry()
         registry.create_cluster([5, 6], cluster_id=30)
         aware = self._SwapAware()
         registry.add_listener(aware)
-        applied = registry.swap_many(10, iter([(1, 20, 3), (2, 10, 2), (2, 30, 5)]))
-        assert applied == [(1, 20, 3), (2, 30, 5)]  # the self-partnered triple is skipped
+        registry.swap_members(10, 2, 10, 2)  # within one cluster: no change, no event
+        with registry.swapping(10) as (swap, applied):
+            swap(1, registry.get(20), 3)
+            swap(2, registry.get(30), 5)
+        assert applied == [(1, 20, 3), (2, 30, 5)]
         assert aware.swaps == [(10, applied)]
         assert registry.get(10).member_list() == [3, 5]
         assert registry.cluster_of(2) == 30 and registry.cluster_of(5) == 10
 
-    def test_swap_many_reports_applied_swaps_when_a_later_one_fails(self):
+    def test_swapping_reports_applied_swaps_when_a_later_one_fails(self):
         registry = self._registry()
         aware = self._SwapAware()
         registry.add_listener(aware)
         with pytest.raises(UnknownNodeError):
-            registry.swap_many(10, [(1, 20, 3), (99, 20, 4)])
+            with registry.swapping(10) as (swap, _):
+                swap(1, registry.get(20), 3)
+                swap(99, registry.get(20), 4)
         assert aware.swaps == [(10, [(1, 20, 3)])]
+
+    @pytest.mark.parametrize(
+        "first_node, second_node, error",
+        [
+            (99, 3, UnknownNodeError),  # the outgoing node is not in the first cluster
+            (1, 2, ProtocolViolationError),  # the incoming node is already in the first
+            (1, 99, UnknownNodeError),  # the outgoing node is not in the second cluster
+            (1, 3, ProtocolViolationError),  # the incoming node is already in the second
+        ],
+    )
+    def test_refused_swap_changes_nothing(self, first_node, second_node, error):
+        """Every check runs before either side changes: the partition, the
+        sorted views, the node index and the listeners are left as they were."""
+        registry = self._registry()
+        registry.get(20).add_member(1)  # corrupt: node 1 sits in both clusters
+        aware = self._SwapAware()
+        registry.add_listener(aware)
+
+        def observed():
+            clusters = [registry.get(cid) for cid in (10, 20)]
+            nodes = (1, 2, 3, 4, 99)
+            return (
+                [(set(cluster.members), cluster.member_list()) for cluster in clusters],
+                [registry.contains_node(node) and registry.cluster_of(node) for node in nodes],
+            )
+
+        before = observed()
+        with pytest.raises(error):
+            registry.swap_members(10, first_node, 20, second_node)
+        assert observed() == before
+        assert aware.swaps == [] and aware.events == []
 
     def test_size_only_listener_declares_it_and_gets_no_swaps(self):
         class SizesOnly:
@@ -352,6 +388,16 @@ class TestSwapFastPath:
                 ) / len(members)
                 assert observed[cluster_id] == pytest.approx(expected)
             assert state.worst_cluster_fraction() == pytest.approx(max(observed.values()))
+
+    def test_tracker_refuses_a_swap_of_an_unregistered_node(self, small_params):
+        state = SystemState(parameters=small_params, rng=random.Random(4))
+        for node_id in range(4):
+            state.nodes.register(role=NodeRole.HONEST, node_id=node_id)
+        state.clusters.create_cluster([0, 1], cluster_id=0)
+        state.clusters.create_cluster([2, 3], cluster_id=1)
+        state.clusters.get(1).add_member(99)  # placed behind the registry's back
+        with pytest.raises(UnknownNodeError, match="99"):
+            state.clusters.swap_members(0, 0, 1, 99)
 
     def test_member_list_cache_tracks_mutations(self):
         cluster = Cluster(cluster_id=1, members={3, 1})

@@ -12,14 +12,19 @@ cost ledgers; any rewrite of the round must reproduce them bit for bit.
 The same run pins one known gap in the cost accounting: the ``randCl`` walks
 OVER runs to choose the edges of a split's new cluster (or a merge's
 replacement edges) are charged to the ledger but never added to the operation
-report.  A last test pins how ``RandCl.walks`` draws oracle walks: lazily, one
-per ``next``, exactly as a ``select`` would.
+report.  A test pins how an exchange round draws oracle walks
+(``RandCl.round_partners``): lazily, one per call, exactly as a ``select``
+would.  A last one resumes an oracle-walk checkpoint cut by an earlier
+version of the round onto that version's straight-run hash.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import os
 import random
+import shutil
 
 import pytest
 
@@ -27,6 +32,8 @@ from repro.core.engine import EngineConfig, NowEngine
 from repro.core.randcl import RandCl
 from repro.network.node import NodeRole
 from repro.params import ProtocolParameters
+from repro.scenarios import Scenario
+from repro.trace import resume_from_checkpoint
 from repro.trace.hashing import canonical_json
 
 
@@ -112,9 +119,36 @@ def test_oracle_walks_draw_only_when_pulled():
     engine = _bootstrap("oracle")
     twin = NowEngine.restore(engine.capture_snapshot())
     start = engine.state.clusters.cluster_ids()[0]
-    walks = RandCl(engine.state).walks(start, 10)
+    draw, vertices, _ = RandCl(engine.state).round_partners(start, 10)
     assert engine.state.rng.getstate() == twin.state.rng.getstate()
     twin_randcl = RandCl(twin.state)
     for _ in range(4):
-        assert next(walks).cluster == twin_randcl.select(start).cluster_id
+        assert vertices[draw()] == twin_randcl.select(start).cluster_id
         assert engine.state.rng.getstate() == twin.state.rng.getstate()
+
+
+#: An oracle-walk checkpoint written by the last commit whose round drew,
+#: picked and swapped in three layers (b98888846266900e83a3a3d3578806a611c4b46c):
+#: ``uniform`` churn (join probability 0.3, Byzantine joins at tau = 0.15)
+#: at n0 = 120, l = 1.42, seed 5, cut at step 85 of 130 after two merges.
+ORACLE_CHECKPOINT = os.path.join(
+    os.path.dirname(__file__), "fixtures", "checkpoint-oracle-exchange.json"
+)
+ORACLE_CHECKPOINT_HASH = "79e88bfeafd1c96d82a9119b713f80ca6f67e37fab2fcb867c13f42840064b5b"
+#: That commit's uninterrupted 130-step run.
+ORACLE_STRAIGHT_HASH = "33175896692923c94de3ee3e78c51bd557d282089c098083692c5968e62ea899"
+
+
+def test_parent_cut_oracle_checkpoint_resumes_onto_its_straight_hash(tmp_path):
+    with open(ORACLE_CHECKPOINT, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    assert data["state_hash"] == ORACLE_CHECKPOINT_HASH
+    copy = str(tmp_path / "ckpt.json")
+    shutil.copy(ORACLE_CHECKPOINT, copy)
+    session = resume_from_checkpoint(copy)
+    assert session.result.steps == 45
+    assert session.final_state_hash == ORACLE_STRAIGHT_HASH
+    scenario = Scenario.from_dict(data["scenario"])
+    engine = scenario.build_engine()
+    scenario.build_runner(engine=engine).run(scenario.steps)
+    assert engine.state_hash() == ORACLE_STRAIGHT_HASH

@@ -11,12 +11,16 @@ corruption tracker must equal a from-scratch ``rebuild``.
 Hypothesis varies the seed, the walk mode, the churn before the snapshot,
 which clusters exchange, whether one cluster is made at least two-thirds
 Byzantine, and whether randNum's ``adversary_override`` is installed.
+Deterministic cases check that the paths the property relies on are
+reached (self-draws, a partner picked twice, the override) and hold the two
+rounds together when a swap is refused mid-way on a corrupted registry.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +29,7 @@ from repro.core.engine import EngineConfig, NowEngine
 from repro.core.exchange import ExchangeProtocol, notification_cost
 from repro.core.randcl import RandCl
 from repro.core.randnum import RandNum
+from repro.errors import ReproError
 from repro.network.metrics import CommunicationMetrics
 from repro.network.node import NodeRole
 from repro.params import ProtocolParameters
@@ -148,6 +153,93 @@ def test_override_path_is_reached():
             assert bound == len(members) and members == sorted(members)
             return
     raise AssertionError("no round reached a captured partner")
+
+
+def _record_endpoints(randcl) -> list:
+    """Log the cluster every walk of ``randcl``'s exchange rounds lands on."""
+    endpoints = []
+    round_partners = randcl.round_partners
+
+    def recording(start_cluster, count):
+        draw, vertices, price = round_partners(start_cluster, count)
+
+        def recorded():
+            key = draw()
+            endpoints.append(key if vertices is None else vertices[key])
+            return key
+
+        return recorded, vertices, price
+
+    randcl.round_partners = recording
+    return endpoints
+
+
+@pytest.mark.parametrize("walk_mode", ["oracle", "simulated"])
+def test_self_draws_and_repeated_partners_are_reached(walk_mode):
+    """The rounds above are not vacuous: in each walk mode some round draws
+    its own cluster, and some round picks from one partner twice."""
+    self_draw = repeated_partner = False
+    for seed in range(10):
+        side = _Side(_snapshot(seed, walk_mode, 0, captured=False), with_override=False)
+        endpoints = _record_endpoints(side.randcl)
+        exchange = ExchangeProtocol(side.state, side.randcl, side.randnum)
+        for cluster_id in side.state.clusters.cluster_ids():
+            endpoints.clear()
+            report = exchange.exchange_all(cluster_id, metrics=side.ledger)
+            partners = [partner_id for _, partner_id, _ in report.swaps]
+            self_draw |= cluster_id in endpoints
+            repeated_partner |= len(set(partners)) < len(partners)
+        if self_draw and repeated_partner:
+            return
+    raise AssertionError(f"self-draw reached: {self_draw}, repeated partner: {repeated_partner}")
+
+
+def _raised(call):
+    try:
+        call()
+    except ReproError as error:
+        return type(error)
+    return None
+
+
+@pytest.mark.parametrize("walk_mode", ["oracle", "simulated"])
+def test_round_refused_midway_matches_reference(walk_mode):
+    """A corrupted registry: the exchanging cluster's last member also sits in
+    every other cluster, so its own swap, or a pick of it, is refused.  The
+    round raises the reference's exception class after the same applied
+    swaps, and each side's tracker still equals a rebuild."""
+    after_prefix = 0
+    for seed in range(8):
+        snapshot = _snapshot(seed, walk_mode, 0, captured=False)
+        engine_side, reference_side = _Side(snapshot, False), _Side(snapshot, False)
+        cluster_id = engine_side.state.clusters.cluster_ids()[0]
+        for side in (engine_side, reference_side):
+            clusters = side.state.clusters
+            intruder = clusters.get(cluster_id).member_list()[-1]
+            for other_id in clusters.cluster_ids():
+                if other_id != cluster_id:
+                    clusters.get(other_id).add_member(intruder)
+                    side.state.sync_overlay_weight(other_id)
+            side.state.corruption.rebuild()
+        before = engine_side.state.clusters.get(cluster_id).member_list()
+        exchange = ExchangeProtocol(engine_side.state, engine_side.randcl, engine_side.randnum)
+        raised = _raised(lambda: exchange.exchange_all(cluster_id, metrics=engine_side.ledger))
+        expected = _raised(
+            lambda: reference_exchange_all(
+                reference_side.state,
+                reference_side.randcl,
+                reference_side.state.rng,
+                cluster_id,
+                reference_side.ledger,
+            )
+        )
+        assert raised is expected
+        assert engine_side.observed() == reference_side.observed()
+        assert engine_side.tracker_matches_rebuild()
+        assert reference_side.tracker_matches_rebuild()
+        if raised is not None:
+            after_prefix += engine_side.state.clusters.get(cluster_id).member_list() != before
+    assert after_prefix, "no round was refused after applying a swap"
 
 
 def test_notification_cost_matches_direct_sum_on_golden_schedule(monkeypatch):
