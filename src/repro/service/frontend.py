@@ -3,28 +3,29 @@
 :class:`ServiceFrontend` glues three single-purpose pieces together on one
 event loop (stdlib ``asyncio`` only — no new dependencies):
 
-* ``asyncio.start_server`` connections, one reader coroutine each, speaking
-  the newline-delimited JSON protocol of :mod:`repro.service.protocol`;
+* one :class:`asyncio.Protocol` object per connection, splitting its bytes
+  into the newline-delimited JSON requests of :mod:`repro.service.protocol`;
 * the bounded :class:`~repro.service.queue.RequestQueue` every connection
   funnels into (full queue → immediate ``overloaded`` response);
 * the **engine pump**: one background task that drains the queue's two
   lanes in batches of up to ``max_batch`` requests — writes (join/leave) go
   through the :class:`~repro.service.session.LiveEngineSession` as one
-  window, reads are served beside it — and resolves each request's future,
-  then yields to the loop so socket I/O interleaves with engine work
-  instead of starving behind it.
+  window, reads are served beside it — then writes each connection's
+  answers in one call and yields to the loop so socket I/O interleaves with
+  engine work instead of starving behind it.
 
-Responses are matched to requests by the echoed ``id``, not by order:
-each request gets its own small responder task, so a pipelined connection
-receives answers as the engine finishes them.  Per-request latency
-(admission to response-ready, ``time.perf_counter``) rides on every
-response frame.
+Responses are matched to requests by the echoed ``id``, not by order: a
+pipelined connection receives answers as the engine finishes them, with no
+task, future or lock per request.  Per-request latency (admission to
+response-ready, ``time.perf_counter``) rides on every response frame.  A
+client that stops reading stops being read (``pause_writing`` pauses the
+transport's reading until its buffered answers drain).
 
 Shutdown is graceful by default: new work is refused with
 ``shutting_down``/``overloaded``, everything already admitted is drained
-through the engine, responders finish writing, and the session seals its
-trace with the final state hash.  A crashed pump seals the trace through
-the abort path instead (flushed, no end frame — the crashed-run shape).
+through the engine and written, and the session seals its trace with the
+final state hash.  A crashed pump seals the trace through the abort path
+instead (flushed, no end frame — the crashed-run shape).
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ import asyncio
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from .protocol import (
+    ERROR_BAD_REQUEST,
     ERROR_FAILED,
     ERROR_OVERLOADED,
     ERROR_SHUTTING_DOWN,
@@ -51,6 +53,10 @@ from .session import READ_OPS, LiveEngineSession
 #: Default number of queued requests the pump executes per engine batch.
 DEFAULT_MAX_BATCH = 64
 
+#: Longest request line accepted, in bytes; a longer one is answered
+#: ``bad_request`` and skipped up to its newline.
+MAX_LINE = 64 * 1024
+
 #: Queue lanes: writes are ordered and windowed, reads ride beside them.
 WRITE_LANE = 0
 READ_LANE = 1
@@ -61,8 +67,60 @@ class _Pending:
     """One admitted request awaiting the engine."""
 
     frame: Dict[str, Any]
-    future: asyncio.Future
+    conn: "_Connection"
     enqueued_at: float = field(default_factory=time.perf_counter)
+    done: bool = False
+
+
+class _Connection(asyncio.Protocol):
+    """One client: splits request lines in, collects encoded responses out."""
+
+    def __init__(self, frontend: "ServiceFrontend") -> None:
+        self.frontend = frontend
+        self.transport: Optional[asyncio.Transport] = None
+        #: Encoded responses awaiting the next :meth:`ServiceFrontend._flush`.
+        self.out: List[bytes] = []
+        self._tail = b""
+        self._skipping = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        self.frontend._connections.add(self)
+        self.frontend.connections_served += 1
+
+    def data_received(self, data: bytes) -> None:
+        if self._skipping:
+            # The rest of an over-long line, already answered.
+            end = data.find(b"\n")
+            if end < 0:
+                return
+            self._skipping = False
+            data = data[end + 1 :]
+        *lines, self._tail = (self._tail + data).split(b"\n")
+        if len(self._tail) > MAX_LINE:
+            lines.append(self._tail)
+            self._tail, self._skipping = b"", True
+        for line in lines:
+            if line.strip():
+                self.frontend._admit(self, line)
+        self.frontend._flush()
+
+    def eof_received(self) -> None:
+        # A last line without its newline is still a request; then close.
+        if self._tail.strip():
+            self.frontend._admit(self, self._tail)
+            self.frontend._flush()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        # Requests it left admitted still run (and are recorded) as usual;
+        # their answers are dropped.
+        self.frontend._connections.discard(self)
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
 
 
 class ServiceFrontend:
@@ -87,8 +145,9 @@ class ServiceFrontend:
         self.responses_sent = 0
         self._server: Optional[asyncio.AbstractServer] = None
         self._pump_task: Optional[asyncio.Task] = None
-        self._responders: Set[asyncio.Task] = set()
-        self._connections: Set[asyncio.Task] = set()
+        self._connections: Set[_Connection] = set()
+        #: Connections with responses awaiting :meth:`_flush`.
+        self._unflushed: List[_Connection] = []
         self._shutdown = asyncio.Event()
         self._shutdown_reason: Optional[str] = None
         self.pump_error: Optional[BaseException] = None
@@ -100,8 +159,9 @@ class ServiceFrontend:
     async def start(self) -> None:
         """Bind the socket and start the engine pump."""
         self.session.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.host, port=self.port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self), host=self.host, port=self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._pump_task = asyncio.create_task(self._pump())
@@ -128,28 +188,18 @@ class ServiceFrontend:
             return
         self._stopped = True
         self._shutdown.set()
-        # Refuse new connections first, then new requests: live reader
-        # loops see a closed queue and answer ``overloaded``.
+        # Refuse new connections first, then new requests (``shutting_down``).
         if self._server is not None:
             self._server.close()
         self.queue.close()
         if self._pump_task is not None:
             # The pump re-raises its fatal error; swallow it here (it is
             # kept in pump_error and re-raised below) so the trace still
-            # gets sealed and the responders still finish writing.
+            # gets sealed and every answer still gets written.
             await asyncio.gather(self._pump_task, return_exceptions=True)
-        if self._responders:
-            await asyncio.gather(*tuple(self._responders), return_exceptions=True)
-        # Reader loops still blocked on a client that never hangs up would
-        # otherwise be cancelled abruptly at loop teardown (a noisy
-        # traceback); cancel them here, after every admitted request has
-        # been answered.
-        for task in tuple(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*tuple(self._connections), return_exceptions=True)
-        if self._server is not None:
-            await self._server.wait_closed()
+        # Every admitted request is answered; ``close`` sends the buffer first.
+        for conn in tuple(self._connections):
+            conn.transport.close()
         self.session.close(ok=self.pump_error is None)
         if self.pump_error is not None:
             raise self.pump_error
@@ -158,7 +208,7 @@ class ServiceFrontend:
     # Engine pump
     # ------------------------------------------------------------------
     async def _pump(self) -> None:
-        """Drain → window the writes, serve the reads → resolve, until closed.
+        """Drain → window the writes, serve the reads → write, until closed.
 
         Each iteration drains both lanes, dispatches the write batch
         (``begin_window`` — on the sharded backend the send half only),
@@ -167,6 +217,7 @@ class ServiceFrontend:
         (``finish_window``) and serves the deferred reads from the freshly
         merged state.  On the single engine the window completes inside
         ``begin_window``; a read defers only when its views are due a rebuild.
+        The iteration ends with one write per connection it answered.
 
         Any failure of a *write* other than a pre-flight rejection — a shard
         worker dying, the trace writer raising — leaves events applied but
@@ -199,7 +250,8 @@ class ServiceFrontend:
                         self._resolve(pending, outcome)
                 for pending in deferred:
                     self._serve_read(pending)
-                # Yield so readers/writers run between engine batches.
+                self._flush()
+                # Yield so connections are read and written between batches.
                 await asyncio.sleep(0)
         except BaseException as error:
             message = f"engine pump failed: {error}"
@@ -207,6 +259,7 @@ class ServiceFrontend:
             self.request_shutdown(message)
             self._fail_batch(batch, message)
             self._abort_queued(message)
+            self._flush()
             raise
 
     def _serve_read(self, pending: _Pending) -> None:
@@ -230,11 +283,11 @@ class ServiceFrontend:
             outcome = ProtocolError(ERROR_FAILED, f"internal error: {error}")
         self._resolve(pending, outcome)
 
-    @staticmethod
-    def _resolve(pending: _Pending, outcome: Any) -> None:
-        """Resolve one request from its outcome (result or ``ProtocolError``)."""
-        if pending.future.done():
+    def _resolve(self, pending: _Pending, outcome: Any) -> None:
+        """Answer one request from its outcome (result or ``ProtocolError``)."""
+        if pending.done:
             return
+        pending.done = True
         frame = pending.frame
         if isinstance(outcome, ProtocolError):
             response = error_response(frame.get("id"), frame["op"], outcome.code, outcome.message)
@@ -243,7 +296,7 @@ class ServiceFrontend:
         response["latency_ms"] = round(
             (time.perf_counter() - pending.enqueued_at) * 1000.0, 3
         )
-        pending.future.set_result(response)
+        self._send(pending.conn, response)
 
     def _fail_batch(self, batch, message: str) -> None:
         """Answer every unresolved request of a batch with ``failed``."""
@@ -266,103 +319,45 @@ class ServiceFrontend:
     # ------------------------------------------------------------------
     # Connections
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.connections_served += 1
-        write_lock = asyncio.Lock()
-        loop = asyncio.get_running_loop()
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
+    def _admit(self, conn: _Connection, line: bytes) -> None:
+        """Validate one request line, then queue it or answer it at once."""
         try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    frame = parse_request(line.decode("utf-8", errors="replace"))
-                except ProtocolError as error:
-                    await self._write(
-                        writer,
-                        write_lock,
-                        error_response(error.request_id, error.op, error.code, error.message),
-                    )
-                    continue
-                if frame["op"] == "shutdown":
-                    await self._write(
-                        writer,
-                        write_lock,
-                        ok_response(frame.get("id"), "shutdown", {"stopping": True}),
-                    )
-                    self.request_shutdown("client shutdown request")
-                    continue
-                if self.queue.closed:
-                    await self._write(
-                        writer,
-                        write_lock,
-                        error_response(
-                            frame.get("id"),
-                            frame["op"],
-                            ERROR_SHUTTING_DOWN,
-                            "server is shutting down",
-                        ),
-                    )
-                    continue
-                pending = _Pending(frame=frame, future=loop.create_future())
-                lane = READ_LANE if frame["op"] in READ_OPS else WRITE_LANE
-                if not self.queue.offer(pending, lane=lane):
-                    # The backpressure fast path: the queue bound was hit, the
-                    # client hears about it now instead of waiting in line.
-                    await self._write(
-                        writer,
-                        write_lock,
-                        error_response(
-                            frame.get("id"),
-                            frame["op"],
-                            ERROR_OVERLOADED,
-                            f"request queue is full ({self.queue.maxsize})",
-                        ),
-                    )
-                    continue
-                responder = asyncio.create_task(self._respond(pending, writer, write_lock))
-                self._responders.add(responder)
-                responder.add_done_callback(self._responders.discard)
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # Shutdown cancelled this reader while it waited for the next
-            # line; every admitted request is already answered, so finishing
-            # quietly (and closing the socket below) is the clean exit —
-            # propagating would make asyncio log a spurious traceback.
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+            if len(line) > MAX_LINE:
+                raise ProtocolError(
+                    ERROR_BAD_REQUEST, f"request line is longer than {MAX_LINE} bytes"
+                )
+            frame = parse_request(line.decode("utf-8", errors="replace"))
+        except ProtocolError as error:
+            self._send(conn, error_response(error.request_id, error.op, error.code, error.message))
+            return
+        op, request_id = frame["op"], frame.get("id")
+        if op == "shutdown":
+            self._send(conn, ok_response(request_id, op, {"stopping": True}))
+            self.request_shutdown("client shutdown request")
+        elif self.queue.closed:
+            message = "server is shutting down"
+            self._send(conn, error_response(request_id, op, ERROR_SHUTTING_DOWN, message))
+        elif not self.queue.offer(
+            _Pending(frame, conn), lane=READ_LANE if op in READ_OPS else WRITE_LANE
+        ):
+            # The backpressure fast path: the queue bound was hit, the
+            # client hears about it now instead of waiting in line.
+            message = f"request queue is full ({self.queue.maxsize})"
+            self._send(conn, error_response(request_id, op, ERROR_OVERLOADED, message))
 
-    async def _respond(
-        self, pending: _Pending, writer: asyncio.StreamWriter, lock: asyncio.Lock
-    ) -> None:
-        response = await pending.future
-        await self._write(writer, lock, response)
+    def _send(self, conn: _Connection, response: Dict[str, Any]) -> None:
+        """Encode one response onto its connection's output list."""
+        if conn.transport.is_closing():
+            return
+        if not conn.out:
+            self._unflushed.append(conn)
+        conn.out.append(encode_frame(response))
 
-    async def _write(
-        self, writer: asyncio.StreamWriter, lock: asyncio.Lock, frame: Dict[str, Any]
-    ) -> None:
-        async with lock:
-            if writer.is_closing():
-                return
-            try:
-                writer.write(encode_frame(frame))
-                await writer.drain()
-                self.responses_sent += 1
-            except (ConnectionResetError, BrokenPipeError):
-                # The client went away mid-response; the engine work is done
-                # and recorded, dropping the reply is all that is left.
-                pass
+    def _flush(self) -> None:
+        """Write each connection's pending responses in one call."""
+        unflushed, self._unflushed = self._unflushed, []
+        for conn in unflushed:
+            out, conn.out = conn.out, []
+            if not conn.transport.is_closing():
+                conn.transport.write(b"".join(out))
+                self.responses_sent += len(out)

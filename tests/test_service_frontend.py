@@ -4,16 +4,22 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import re
+import socket
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.service import (
     LiveEngineSession,
     ServiceFrontend,
     encode_frame,
     live_scenario,
 )
-from repro.service.frontend import _Pending
+from repro.service.frontend import MAX_LINE, _Connection, _Pending
 from repro.trace import TraceReader, replay_trace
 
 from service_helpers import make_session as make_backend_session
@@ -42,6 +48,49 @@ async def close_writer(writer):
         await writer.wait_closed()
     except (ConnectionResetError, BrokenPipeError):
         pass
+
+
+class StubTransport:
+    """Records what a connection writes; no socket behind it."""
+
+    def __init__(self):
+        self.written = []
+        self.reading = True
+        self.closed = False
+
+    def write(self, data):
+        self.written.append(data)
+
+    def is_closing(self):
+        return self.closed
+
+    def close(self):
+        self.closed = True
+
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+
+    def responses(self):
+        return [json.loads(line) for line in b"".join(self.written).splitlines()]
+
+
+def stub_connection(frontend):
+    conn = _Connection(frontend)
+    transport = StubTransport()
+    conn.connection_made(transport)
+    return conn, transport
+
+
+async def answered(transport, count):
+    """The stub's responses once there are ``count`` of them."""
+    for _ in range(500):
+        if len(transport.responses()) >= count:
+            break
+        await asyncio.sleep(0.01)
+    return transport.responses()
 
 
 class TestRequestResponse:
@@ -204,6 +253,116 @@ class TestBackpressure:
         asyncio.run(scenario())
 
 
+class TestLineFraming:
+    def test_over_long_line_answers_bad_request_and_connection_survives(self):
+        async def scenario():
+            frontend = ServiceFrontend(make_session(), port=0)
+            await frontend.start()
+            try:
+                reader, writer = await connect(frontend)
+                huge = {"op": "broadcast", "id": 1, "payload": "x" * 70_000}
+                writer.write(encode_frame(huge) + encode_frame({"op": "ping", "id": 2}))
+                await writer.drain()
+                bad = json.loads(await asyncio.wait_for(reader.readline(), timeout=5))
+                assert bad["ok"] is False and bad["error"] == "bad_request"
+                assert bad["id"] is None
+                assert str(MAX_LINE) in bad["message"]
+                pong = json.loads(await asyncio.wait_for(reader.readline(), timeout=5))
+                assert pong["id"] == 2 and pong["result"] == {"pong": True}
+                await close_writer(writer)
+            finally:
+                await frontend.stop()
+
+        asyncio.run(scenario())
+
+    def test_line_split_across_many_chunks(self):
+        async def scenario():
+            frontend = ServiceFrontend(make_session(), port=0)
+            await frontend.start()
+            try:
+                conn, transport = stub_connection(frontend)
+                data = encode_frame({"op": "ping", "id": 1})
+                # An over-long line that only overflows once its pieces add up,
+                # then a request in the chunk that ends it.
+                data += b"[" + b" " * MAX_LINE + b"]\n" + encode_frame({"op": "ping", "id": 2})
+                for start in range(0, len(data), 1000):
+                    conn.data_received(data[start : start + 1000])
+                by_id = {r["id"]: r for r in await answered(transport, 3)}
+                assert sorted(by_id, key=str) == [1, 2, None]
+                assert by_id[None]["error"] == "bad_request"
+                assert by_id[1]["result"] == by_id[2]["result"] == {"pong": True}
+                # Byte by byte: still one request.
+                for byte in encode_frame({"op": "ping", "id": 3}):
+                    conn.data_received(bytes([byte]))
+                assert (await answered(transport, 4))[3]["id"] == 3
+            finally:
+                await frontend.stop()
+
+        asyncio.run(scenario())
+
+    def test_blank_lines_between_requests_are_ignored(self):
+        async def scenario():
+            frontend = ServiceFrontend(make_session(), port=0)
+            await frontend.start()
+            try:
+                conn, transport = stub_connection(frontend)
+                conn.data_received(
+                    encode_frame({"op": "ping", "id": 1})
+                    + b"\n  \r\n"
+                    + encode_frame({"op": "ping", "id": 2})
+                )
+                responses = await answered(transport, 2)
+                await asyncio.sleep(0.05)
+                assert [r["id"] for r in transport.responses()] == [1, 2]
+                assert all(r["ok"] for r in responses)
+            finally:
+                await frontend.stop()
+
+        asyncio.run(scenario())
+
+
+    def test_last_line_without_newline_is_answered_at_eof(self):
+        async def scenario():
+            frontend = ServiceFrontend(make_session(), port=0)
+            await frontend.start()
+            try:
+                conn, transport = stub_connection(frontend)
+                conn.data_received(b'{"op": "shutdown", "id": 1}')
+                assert transport.responses() == []
+                conn.eof_received()
+                assert transport.responses()[0]["result"] == {"stopping": True}
+                assert frontend.shutdown_reason == "client shutdown request"
+            finally:
+                await frontend.stop()
+
+        asyncio.run(scenario())
+
+
+class TestTransportBackpressure:
+    def test_pause_writing_pauses_reading_and_admitted_requests_are_answered(self):
+        async def scenario():
+            frontend = ServiceFrontend(make_session(), port=0)
+            await frontend.start()
+            try:
+                conn, transport = stub_connection(frontend)
+                conn.data_received(
+                    b"".join(encode_frame({"op": "sample", "id": i}) for i in range(5))
+                )
+                # The transport's buffer crossed its high-water mark: the
+                # client's further requests wait in the kernel, not here.
+                conn.pause_writing()
+                assert transport.reading is False
+                conn.resume_writing()
+                assert transport.reading is True
+                responses = await answered(transport, 5)
+                assert sorted(r["id"] for r in responses) == list(range(5))
+                assert all(r["ok"] for r in responses)
+            finally:
+                await frontend.stop()
+
+        asyncio.run(scenario())
+
+
 class TestFailureInsideTheEngine:
     """A write that fails past admission is applied-but-unrecorded: fatal.
     A read that fails changed nothing: answered ``failed``, service goes on."""
@@ -289,19 +448,16 @@ class TestShutdown:
         async def scenario():
             frontend = ServiceFrontend(make_session(), port=0)
             await frontend.start()
-            loop = asyncio.get_running_loop()
-            admitted = [
-                _Pending(frame={"op": "join", "id": index}, future=loop.create_future())
-                for index in range(5)
-            ]
-            for pending in admitted:
-                assert frontend.queue.offer(pending)
+            conn, transport = stub_connection(frontend)
+            for index in range(5):
+                assert frontend.queue.offer(_Pending({"op": "join", "id": index}, conn))
             # Stop immediately: everything already admitted must still be
-            # executed and resolved before the session seals its trace.
+            # executed and answered before the session seals its trace.
             await frontend.stop()
-            for pending in admitted:
-                assert pending.future.done()
-                assert pending.future.result()["ok"]
+            responses = transport.responses()
+            assert sorted(r["id"] for r in responses) == list(range(5))
+            assert all(r["ok"] for r in responses)
+            assert transport.closed
             assert frontend.session.events_applied == 5
 
         asyncio.run(scenario())
@@ -403,3 +559,39 @@ class TestLoadGenerator:
         sampled = report.per_operation["sample"]
         assert sampled.latency.count == sampled.ok + sampled.overloaded + sampled.failed
         assert sampled.as_dict()["p99_ms"] >= sampled.as_dict()["p50_ms"]
+
+
+class TestServeProcess:
+    def test_graceful_shutdown_with_open_connections_logs_no_traceback(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        command = [sys.executable, "-m", "repro.cli", "serve", "--port", "0"]
+        server = subprocess.Popen(
+            command + ["--initial-size", "80", "--max-size", "256"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        clients = []
+        try:
+            port = int(re.search(r":(\d+) \(", server.stdout.readline()).group(1))
+            for index in range(2):
+                client = socket.create_connection(("127.0.0.1", port), timeout=10)
+                clients.append(client)
+                client.sendall(encode_frame({"op": "ping", "id": index}))
+                assert json.loads(client.makefile("rb").readline())["ok"]
+            clients[0].sendall(encode_frame({"op": "shutdown", "id": 9}))
+            assert json.loads(clients[0].makefile("rb").readline())["result"] == {
+                "stopping": True
+            }
+            for client in clients:
+                client.close()
+            _, stderr = server.communicate(timeout=30)
+        finally:
+            for client in clients:
+                client.close()
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0, stderr
+        assert "Traceback" not in stderr, stderr
