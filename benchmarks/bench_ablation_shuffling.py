@@ -8,7 +8,8 @@ uniform.  This ablation quantifies what the cascade buys and what it costs:
 
 * **full**      — the paper's protocol (cascading exchanges on),
 * **no-cascade**— only the departing node's cluster re-exchanges,
-* **no-shuffle**— no exchange at all (the E7 baseline, included for scale).
+* **no-shuffle**— no exchange at all (the ``no_shuffle`` placement rule of
+  E7, included for scale).
 
 under the same adversarial workload (join–leave attack plus background
 churn).  The table reports safety (worst corruption, exceedance rate of 1/3)
@@ -99,7 +100,7 @@ def test_ablation_shuffling(benchmark):
     full_summary, full_cost = by_label["full exchange + cascade"]
     lean_summary, lean_cost = by_label["exchange, no cascade"]
     none_summary, _ = by_label["no shuffling at all"]
-    # Cost ordering: cascade is the most expensive, no-shuffle pays nothing.
+    # Cost ordering: the cascade is the most expensive.
     assert full_cost > lean_cost > 0
     # Safety ordering: both exchanging variants keep the worst cluster far below
     # the no-shuffle variant, which gets captured outright.

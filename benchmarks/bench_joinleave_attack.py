@@ -7,8 +7,8 @@ limited shuffling) prevents this.
 
 What we run: one :class:`~repro.experiments.sweep.SweepSpec` — the targeted
 join–leave attack (mixed with background honest churn) as the base scenario,
-a grid over the engine (NOW, cuckoo rule, no shuffling) and a multi-seed
-list — fanned out across worker processes by the sweep runner.  The table
+a grid over the engine's placement rule (NOW, cuckoo rule, no shuffling) and
+a multi-seed list — fanned out across worker processes by the sweep runner.  The table
 reports, per scheme, the seed-averaged peak corruption of the targeted
 cluster (± 95% CI), how often the target was captured, and the global worst
 cluster corruption at the end.

@@ -46,8 +46,6 @@ def scenario_for(
     **fields,
 ) -> Scenario:
     """A benchmark-scaled :class:`Scenario` (the shared construction path)."""
-    if config is not None and engine != "now":
-        raise ValueError("EngineConfig only applies to the NOW engine")
     options = {} if config is None else dataclasses.asdict(config)
     if isinstance(options.get("walk_mode"), WalkMode):
         options["walk_mode"] = options["walk_mode"].value  # keep the spec JSON-able

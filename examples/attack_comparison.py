@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""Attack comparison: the join–leave attack against NOW and two baselines.
+"""Attack comparison: the join–leave attack against NOW and two comparison rules.
 
 This example reproduces, at demo scale, the motivation of Section 3.3: an
 adversary that keeps re-inserting its nodes until they land in one target
 cluster captures that cluster unless the protocol shuffles nodes on every
 membership change.  We run the same attack (mixed with background churn)
-against:
+against the same engine under three placement rules (``Scenario.engine``):
 
-* NOW           — full ``exchange`` shuffling on every join and leave,
-* the cuckoo rule — constant-size eviction on joins only,
-* no shuffling  — nodes stay where they land.
+* ``now``         — full ``exchange`` shuffling on every join and leave,
+* ``cuckoo_rule`` — constant-size eviction on joins only,
+* ``no_shuffle``  — nodes stay where they land.
 
 and print the corruption trajectory of the targeted cluster for each scheme.
 
@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import random
 
-from repro import NowEngine, SimulationRunner, default_parameters
+from repro import Scenario, SimulationRunner
 from repro.adversary import JoinLeaveAttack
 from repro.analysis import format_table
-from repro.baselines import CuckooRuleEngine, NoShuffleEngine
 from repro.scenarios import CallbackProbe
 from repro.workloads import MixedDriver, UniformChurn
 
@@ -34,6 +33,8 @@ INITIAL = 260
 TAU = 0.2
 STEPS = 240
 REPORT_EVERY = 40
+#: Placement rule (``Scenario.engine``) -> table label.
+SCHEMES = {"now": "NOW (full exchange)", "cuckoo_rule": "cuckoo rule", "no_shuffle": "no shuffling"}
 
 
 def run_attack(engine, label: str, seed: int):
@@ -54,17 +55,10 @@ def run_attack(engine, label: str, seed: int):
 
 
 def main() -> None:
-    params = default_parameters(max_size=MAX_SIZE, k=3.0, tau=TAU, epsilon=0.05)
-
-    now_engine = NowEngine.bootstrap(params, initial_size=INITIAL, seed=3)
-    cuckoo = CuckooRuleEngine.bootstrap(params, initial_size=INITIAL, byzantine_fraction=TAU, seed=3)
-    plain = NoShuffleEngine.bootstrap(params, initial_size=INITIAL, byzantine_fraction=TAU, seed=3)
-
-    results = [
-        run_attack(now_engine, "NOW (full exchange)", seed=100),
-        run_attack(cuckoo, "cuckoo rule", seed=100),
-        run_attack(plain, "no shuffling", seed=100),
-    ]
+    results = []
+    for rule, label in SCHEMES.items():
+        scenario = Scenario(engine=rule, max_size=MAX_SIZE, initial_size=INITIAL, tau=TAU, seed=3)
+        results.append(run_attack(scenario.build_engine(), label, seed=100))
 
     samples = min(len(trajectory) for _, trajectory in results)
     headers = ["scheme"] + [

@@ -7,8 +7,9 @@ sweep anywhere in ``[sqrt(N), N]`` while every cluster keeps its honest
 supermajority and the overlay keeps its expansion.  This example grows a
 system from near ``sqrt(N)`` to several times that size, shrinks it back, and
 reports how NOW's cluster geometry adapts (splits on the way up, merges on
-the way down) compared to a static-cluster-count scheme whose clusters bloat
-and thin out instead.
+the way down) compared to the same engine under the ``static_clusters``
+placement rule, whose cluster count is fixed and whose clusters bloat and
+thin out instead.
 
 Run with::
 
@@ -19,9 +20,8 @@ from __future__ import annotations
 
 import random
 
-from repro import NowEngine, SimulationRunner, default_parameters
+from repro import Scenario, SimulationRunner
 from repro.analysis import format_table
-from repro.baselines import StaticClusterEngine
 from repro.overlay.expansion import analyse_expansion
 from repro.workloads import GrowthWorkload, ShrinkWorkload
 
@@ -41,14 +41,16 @@ def snapshot(label, engine, static):
         f"{engine.worst_cluster_fraction():.2f}",
         f"{expansion.spectral_gap:.2f}",
         static.cluster_count,
-        static.max_cluster_size(),
+        max(static.cluster_sizes().values()),
     ]
 
 
 def main() -> None:
-    params = default_parameters(max_size=MAX_SIZE, k=3.0, tau=0.1, epsilon=0.05)
-    engine = NowEngine.bootstrap(params, initial_size=START, seed=11)
-    static = StaticClusterEngine.bootstrap(params, initial_size=START, byzantine_fraction=0.1, seed=11)
+    engine, static = (
+        Scenario(engine=rule, max_size=MAX_SIZE, initial_size=START, tau=0.1, seed=11)
+        .build_engine()
+        for rule in ("now", "static_clusters")
+    )
 
     rows = [snapshot("start", engine, static)]
 

@@ -6,8 +6,9 @@ every substrate it relies on: the OVER expander overlay, continuous random
 walks, a Byzantine agreement substrate for the initialization phase (Phase
 King and flooding discovery executed round by round, the scalable agreement
 and large-n discovery modelled from their cost formulas), adversary models,
-baseline schemes and the applications sketched in the paper's conclusion
-(broadcast, sampling, aggregation, agreement).
+the comparison schemes as placement rules of the one engine, and the
+applications sketched in the paper's conclusion (broadcast, sampling,
+aggregation, agreement).
 
 Quick start::
 
@@ -39,7 +40,6 @@ from .core import (
     ChurnEvent,
     ChurnKind,
     EngineConfig,
-    EngineProtocol,
     InitializationReport,
     InvariantReport,
     MaintenanceReport,
@@ -83,7 +83,6 @@ __all__ = [
     "ChurnEvent",
     "ChurnKind",
     "EngineConfig",
-    "EngineProtocol",
     "InitializationReport",
     "InvariantReport",
     "MaintenanceReport",

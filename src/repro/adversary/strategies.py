@@ -10,7 +10,7 @@ used as a negative control:
   leaves and immediately re-joins (one leave or one join per time step, as
   the model requires), always contacting the target cluster.  Against NOW the
   contact point does not matter (the host cluster is drawn by ``randCl`` and
-  then shuffled); against the no-shuffle baseline it captures the target.
+  then shuffled); against the ``no_shuffle`` rule it captures the target.
 * :class:`TargetedDosAdversary` — forces honest nodes of a chosen cluster to
   leave (churn by DoS), trying to raise the cluster's Byzantine fraction by
   shrinking its honest part.

@@ -5,8 +5,8 @@ scalable-agreement model) exposes the same ``decide`` entry point: given the
 per-node input values and the set of Byzantine nodes, return an
 :class:`AgreementOutcome` describing the decided value, whether agreement and
 validity hold among honest nodes, and the communication cost incurred.  The
-initialization phase and the baselines program against this interface so the
-underlying protocol can be swapped.
+initialization phase and the unclustered baseline program against this
+interface so the underlying protocol can be swapped.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ predict; this package holds the machinery for both sides of that comparison:
 
 * :mod:`repro.analysis.bounds`     — Chernoff / Azuma–Hoeffding predictions
   behind Lemmas 1–3 and Theorem 3 (cluster corruption tail probabilities,
-  recovery lengths, recommended ``k`` for a wanted failure probability),
+  recommended ``k`` for a wanted failure probability),
 * :mod:`repro.analysis.complexity` — log–log regression helpers that decide
   whether a measured cost curve grows polylogarithmically or polynomially and
   estimate the exponent,

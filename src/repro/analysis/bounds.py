@@ -85,23 +85,6 @@ def expected_fraction_after_exchange(tau: float) -> float:
     return tau
 
 
-def expected_recovery_exchanges(cluster_size: int, tau: float, epsilon: float) -> float:
-    """Rough expectation of the exchanges needed for Lemma 3's decrease.
-
-    A cluster whose fraction sits between ``tau (1 + eps/2)`` and
-    ``tau (1 + eps)`` loses corruption at rate at least
-    ``(p (1 - tau) - (1 - p) tau) ~ eps * tau / 2`` per exchanged node; the
-    excess to shed is ``eps * tau / 2`` of the cluster, so the expected number
-    of single-node exchanges is about ``cluster_size`` (and ``O(log N)``
-    therefore suffices whp, as the lemma states).
-    """
-    if cluster_size <= 0:
-        return 0.0
-    drift = max(1e-9, epsilon * tau / 2.0)
-    excess_nodes = epsilon * tau / 2.0 * cluster_size
-    return excess_nodes / drift / cluster_size * cluster_size
-
-
 def recommended_k(
     max_size: int,
     tau: float,

@@ -1,37 +1,13 @@
-"""Baseline schemes NOW is compared against.
+"""The unclustered baseline NOW's application costs are compared against.
 
-The paper positions NOW against prior clustering schemes that either do not
-shuffle, assume a static number of clusters (so they only tolerate
-constant-factor size variation), or use the cuckoo rule of Awerbuch and
-Scheideler.  The conclusion also compares application-level costs against the
-unclustered (single committee / naive flooding) approach.  This package
-implements those comparison points with the same driving interface as
-:class:`~repro.core.engine.NowEngine` (``apply_event``, ``byzantine_fractions``,
-``worst_cluster_fraction``, ``network_size``) so the same adversaries and
-workloads can run against all of them:
-
-* :class:`NoShuffleEngine`      — clusters, splits and merges, but no exchange
-  shuffling; the join–leave attack captures a cluster quickly (E7's negative
-  control).
-* :class:`StaticClusterEngine`  — the number of clusters is fixed at
-  initialization; under polynomial growth, cluster sizes blow up (E6).
-* :class:`CuckooRuleEngine`     — limited shuffling in the style of the
-  cuckoo rule: each join evicts a few random members of the hosting cluster
-  and re-places them at random.
-* :class:`SingleClusterBaseline` — no clustering at all; supplies the
-  ``O(n^2)`` message costs the conclusion compares against (E8).
+The conclusion compares application-level costs against the unclustered
+(single committee / naive flooding) approach:
+:class:`SingleClusterBaseline` supplies those ``O(n^2)`` message costs (E8).
+The clustering schemes NOW is compared against (no shuffling, the cuckoo
+rule, a static cluster count) are placement rules of the one engine, not
+engines of their own: see :mod:`repro.core.placement`.
 """
 
-from .common import BaselineEngine
-from .no_shuffle import NoShuffleEngine
-from .static_clusters import StaticClusterEngine
-from .cuckoo_rule import CuckooRuleEngine
 from .single_cluster import SingleClusterBaseline
 
-__all__ = [
-    "BaselineEngine",
-    "NoShuffleEngine",
-    "StaticClusterEngine",
-    "CuckooRuleEngine",
-    "SingleClusterBaseline",
-]
+__all__ = ["SingleClusterBaseline"]

@@ -529,11 +529,9 @@ def run_scenario_command(args: argparse.Namespace) -> int:
     ]
     if cost_rows:
         print(format_table(["operation", "count", "mean messages"], cost_rows))
-    # NOW's single engine checks itself; baselines have no invariant sweep,
-    # and the shard coordinator's composite one needs the workers it closed.
-    check = None if scenario.shards else getattr(session.engine, "check_invariants", None)
-    if check is not None:
-        invariants = check(check_honest_majority=False)
+    # The shard coordinator's composite sweep needs the workers it closed.
+    if not scenario.shards:
+        invariants = session.engine.check_invariants(check_honest_majority=False)
         print(f"structural invariants: {'OK' if invariants.holds else invariants.violations}")
     return 0
 

@@ -17,13 +17,13 @@ Public entry points:
 * :class:`repro.core.initialization.NowInitializer` — builds an initial
   engine from a node population (discovery + clusterization, Section 3.2).
 * The primitives (``randNum``, ``randCl``, ``exchange``) and maintenance
-  operations (Join/Leave/Split/Merge) are exposed individually for tests,
-  ablations and baselines.
+  operations (Join/Leave/Split/Merge) are exposed individually for tests
+  and ablations; :mod:`repro.core.placement` holds the placement rules the
+  engine selects (NOW's and the three comparison schemes').
 """
 
 from .cluster import Cluster, ClusterRegistry
 from .events import ChurnEvent, ChurnKind
-from .interface import EngineProtocol
 from .state import CorruptionTracker, NodeRegistry, SystemState
 from .randnum import RandNum, RandNumResult
 from .randcl import RandCl, RandClResult
@@ -46,7 +46,6 @@ __all__ = [
     "ChurnEvent",
     "ChurnKind",
     "CorruptionTracker",
-    "EngineProtocol",
     "NodeRegistry",
     "SystemState",
     "RandNum",

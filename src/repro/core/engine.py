@@ -18,10 +18,12 @@ Construction: either :meth:`NowEngine.bootstrap` (convenience: builds the
 population, runs initialization, returns the engine) or by passing an already
 initialized :class:`SystemState`.
 
-The engine implements the :class:`~repro.core.interface.EngineProtocol`
-surface shared with the baseline schemes, so workloads, adversaries and the
-:class:`~repro.scenarios.runner.SimulationRunner` drive either interchangeably.
-Per-step snapshots read the incremental counters maintained by
+Placement is a rule the engine selects once at construction
+(:mod:`repro.core.placement`): ``now`` is Algorithms 1 and 2, and the
+comparison schemes ``no_shuffle``, ``cuckoo_rule`` and ``static_clusters``
+are the same engine with a different join/leave pair, so they record,
+checkpoint, resume, shard and serve like NOW.  Per-step snapshots read the
+incremental counters maintained by
 :class:`~repro.core.state.CorruptionTracker`, so one churn event costs O(1)
 statistics work instead of a full population sweep (see
 ``docs/ARCHITECTURE.md``).
@@ -44,7 +46,8 @@ from .events import ChurnEvent, ChurnKind
 from .exchange import ExchangeProtocol
 from .initialization import InitializationReport, NowInitializer
 from .invariants import InvariantReport, check_invariants
-from .operations import JoinOperation, LeaveOperation, OperationReport
+from .operations import OperationReport
+from .placement import placement_operations
 from .randcl import RandCl
 from .randnum import RandNum
 from .state import SystemState
@@ -127,22 +130,29 @@ class EngineConfig:
 
 
 class NowEngine:
-    """The NOW protocol engine: drives maintenance over a clustered system state."""
+    """The NOW protocol engine: drives maintenance over a clustered system state.
 
-    def __init__(self, state: SystemState, config: Optional[EngineConfig] = None) -> None:
+    ``rule`` names the placement rule (:data:`~repro.core.placement.
+    PLACEMENT_RULES`); ``now`` is the paper's protocol.
+    """
+
+    def __init__(
+        self, state: SystemState, config: Optional[EngineConfig] = None, rule: str = "now"
+    ) -> None:
         self.state = state
         self.config = config if config is not None else EngineConfig()
         self._randnum = RandNum(state.rng)
         self._randcl = RandCl(state, self._randnum, walk_mode=self.config.walk_mode)
         self._exchange = ExchangeProtocol(state, self._randcl, self._randnum)
-        self._join_op = JoinOperation(state, self._randcl, self._randnum, self._exchange)
-        self._leave_op = LeaveOperation(
+        self._join_op, self._leave_op = placement_operations(
+            rule,
             state,
             self._randcl,
             self._randnum,
             self._exchange,
             cascade_exchanges=self.config.cascade_exchanges,
         )
+        self.rule = rule
         self.initialization_report: Optional[InitializationReport] = None
 
     # ------------------------------------------------------------------
@@ -156,19 +166,21 @@ class NowEngine:
         byzantine_fraction: Optional[float] = None,
         seed: Optional[int] = None,
         config: Optional[EngineConfig] = None,
+        rule: str = "now",
     ) -> "NowEngine":
         """Create a fully initialized engine in one call.
 
         Builds a population of ``initial_size`` nodes with the given Byzantine
         fraction (``parameters.tau`` by default), runs the initialization
-        phase and returns the ready-to-use engine.
+        phase (the same for every placement ``rule``) and returns the
+        ready-to-use engine.
         """
         rng = random.Random(seed)
         initializer = NowInitializer(parameters, rng)
         state, report = initializer.build(
             initial_size=initial_size, byzantine_fraction=byzantine_fraction
         )
-        engine = cls(state, config=config)
+        engine = cls(state, config=config, rule=rule)
         engine.initialization_report = report
         return engine
 
@@ -195,11 +207,15 @@ class NowEngine:
         }
 
     @classmethod
-    def restore(cls, snapshot: Dict[str, object]) -> "NowEngine":
-        """Rebuild an engine from :meth:`capture_snapshot` output."""
+    def restore(cls, snapshot: Dict[str, object], rule: str = "now") -> "NowEngine":
+        """Rebuild an engine from :meth:`capture_snapshot` output.
+
+        The snapshot does not name the placement rule: the scenario that
+        travels with it does, and its caller passes that as ``rule``.
+        """
         config = EngineConfig.from_snapshot(snapshot["config"])
         state = SystemState.restore_state(snapshot["state"])
-        engine = cls(state, config=config)
+        engine = cls(state, config=config, rule=rule)
         engine._randcl.restore_state(snapshot.get("randcl", {}))
         return engine
 

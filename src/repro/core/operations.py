@@ -288,15 +288,31 @@ class SplitOperation(_BaseOperation):
 
 
 class MergeOperation(_BaseOperation):
-    """Dissolve an undersized cluster (Figure 2, ``Merge``)."""
+    """Dissolve an undersized cluster (Figure 2, ``Merge``).
+
+    ``join`` is the operation the former members re-join through: NOW's
+    :class:`JoinOperation` by default, a comparison rule's own join
+    (:mod:`repro.core.placement`) otherwise.
+    """
+
+    def __init__(
+        self,
+        state: SystemState,
+        randcl: RandCl,
+        randnum: Optional[RandNum] = None,
+        exchange: Optional[ExchangeProtocol] = None,
+        join=None,
+    ) -> None:
+        super().__init__(state, randcl, randnum, exchange)
+        self._join = join
 
     def execute(self, cluster_id: ClusterId) -> OperationReport:
         """Remove ``cluster_id`` from the overlay and re-join its members.
 
         The cluster informs its neighbours, OVER's ``Remove`` patches the
         overlay with replacement edges, and every former member re-joins the
-        network through the normal Join operation (contacting a surviving
-        cluster), which re-shuffles them across the system.
+        network through the join operation (contacting a surviving cluster),
+        which under NOW re-shuffles them across the system.
         """
         label = "merge"
         ledger = self._ledger(label)
@@ -317,7 +333,9 @@ class MergeOperation(_BaseOperation):
         )
         self._book_membership(report, ledger, label, self._overlay_change_cost(change))
 
-        join = JoinOperation(self._state, self._randcl, self._randnum, self._exchange)
+        join = self._join or JoinOperation(
+            self._state, self._randcl, self._randnum, self._exchange
+        )
         for node_id in members:
             survivors = self._state.clusters.cluster_ids()
             contact = survivors[self._state.rng.randrange(len(survivors))]

@@ -200,20 +200,14 @@ class _WalkHopsProbe(Probe):
         return self.total
 
 
-def _structural_invariants_ok(engine) -> Optional[bool]:
-    """Post-run structural invariant verdict (``None`` for engines without one).
+def _structural_invariants_ok(engine) -> bool:
+    """Post-run structural invariant verdict of the engine, under any rule.
 
-    NOW exposes :meth:`~repro.core.engine.NowEngine.check_invariants` and
-    the shard coordinator its composite
+    The shard coordinator's composite
     :meth:`~repro.shard.coordinator.ShardCoordinator.check_invariants`
-    (which needs live workers: call it before the driver closes); the
-    baselines have none, and their records carry ``None`` so aggregation
-    code can tell "not checked" from "violated".
+    needs live workers: call it before the driver closes.
     """
-    check = getattr(engine, "check_invariants", None)
-    if check is None:
-        return None
-    return bool(check(check_honest_majority=False).holds)
+    return bool(engine.check_invariants(check_honest_majority=False).holds)
 
 
 def run_sweep_payload(payload: Dict[str, Any]) -> Dict[str, Any]:

@@ -44,7 +44,7 @@ class StepRecord(NamedTuple):
     """Immutable per-event observation record delivered to buffered probes.
 
     One record is built per applied churn event from the engine's
-    :class:`~repro.core.engine.MaintenanceReport` (or a baseline's report).
+    :class:`~repro.core.engine.MaintenanceReport`.
     Field values mirror the trace event frame: the *input* event plus the
     step observables.  A NamedTuple rather than a dataclass: one record is
     allocated per applied event on the hot loop, and tuple construction is
@@ -61,7 +61,7 @@ class StepRecord(NamedTuple):
     network_size: int
     cluster_count: int
     worst_fraction: float
-    operation: Optional[str]
+    operation: str
     messages: int
     rounds: int
     walk_hops: int
@@ -70,19 +70,7 @@ class StepRecord(NamedTuple):
 def step_record(report, step_index: int) -> StepRecord:
     """Build the :class:`StepRecord` for one applied event's report."""
     event = report.event
-    operation = getattr(report, "operation", None)
-    if operation is not None:
-        op_name = operation.operation
-        assigned = operation.node_id
-        messages = operation.messages
-        rounds = operation.rounds
-        walk_hops = operation.walk_hops
-    else:
-        op_name = None
-        assigned = event.node_id
-        messages = 0
-        rounds = 0
-        walk_hops = 0
+    operation = report.operation
     return StepRecord(
         step_index=step_index,
         time_step=report.time_step,
@@ -90,14 +78,14 @@ def step_record(report, step_index: int) -> StepRecord:
         role=event.role.value,
         node_id=event.node_id,
         contact_cluster=event.contact_cluster,
-        assigned_node=assigned,
+        assigned_node=operation.node_id,
         network_size=report.network_size,
         cluster_count=report.cluster_count,
         worst_fraction=report.worst_byzantine_fraction,
-        operation=op_name,
-        messages=messages,
-        rounds=rounds,
-        walk_hops=walk_hops,
+        operation=operation.operation,
+        messages=operation.messages,
+        rounds=operation.rounds,
+        walk_hops=operation.walk_hops,
     )
 
 

@@ -231,10 +231,10 @@ class SizeTrajectoryProbe(Probe):
 class CostLedgerProbe(Probe):
     """Accumulates per-operation communication costs as running sums.
 
-    NOW's :class:`~repro.core.engine.MaintenanceReport` carries an
-    ``operation`` report; baseline steps do not (their maintenance is free by
-    construction), so the probe records zero-cost entries keyed by the event
-    kind instead — keeping cost tables comparable across engines.
+    Every step's :class:`~repro.core.engine.MaintenanceReport` carries an
+    ``operation`` report, under every placement rule, so cost tables compare
+    across rules (a comparison rule's placement itself is free; its splits
+    and merges are NOW's and cost what they cost there).
 
     Memory is O(#operations): only per-operation sums and counts are kept
     (the per-step cost lists of the original implementation grew without
@@ -257,16 +257,12 @@ class CostLedgerProbe(Probe):
         self._counts[name] = self._counts.get(name, 0) + 1
 
     def on_step(self, engine, report, step_index: int) -> None:
-        operation = getattr(report, "operation", None)
-        if operation is not None:
-            self._observe(operation.operation, operation.messages, operation.rounds)
-        else:
-            self._observe(report.event.kind.value, 0, 0)
+        operation = report.operation
+        self._observe(operation.operation, operation.messages, operation.rounds)
 
     def on_records(self, engine, records: Sequence[StepRecord]) -> None:
         for record in records:
-            name = record.operation if record.operation is not None else record.kind
-            self._observe(name, record.messages, record.rounds)
+            self._observe(record.operation, record.messages, record.rounds)
 
     @property
     def messages_by_operation(self) -> Dict[str, int]:

@@ -3,8 +3,8 @@
 Before this subsystem existed, every benchmark, example and app hand-rolled
 the same loop — ask the workload/adversary for an event, apply it to the
 engine, measure something, decide whether to stop.  :class:`SimulationRunner`
-owns that loop once, for any :class:`~repro.core.interface.EngineProtocol`
-engine (NOW or a baseline):
+owns that loop once, for a :class:`~repro.core.engine.NowEngine` under any
+placement rule:
 
     workload/adversary -> engine.apply_event -> observation bus -> stop conditions
 
@@ -143,7 +143,7 @@ class SimulationRunner:
     Parameters
     ----------
     engine:
-        Any :class:`~repro.core.interface.EngineProtocol` implementation.
+        A :class:`~repro.core.engine.NowEngine` (any placement rule).
     source:
         Per-step event source (workload, adversary, mixed driver, or any
         object with ``next_event``); adversaries are wrapped in their

@@ -1,10 +1,10 @@
 """Declarative experiment scenarios.
 
 A :class:`Scenario` is a plain-data description of one run — protocol
-parameters, engine flavour (NOW or a baseline), workload spec, optional
-adversary spec, step budget and the seed discipline — that can be built
-programmatically, loaded from JSON (the CLI's ``run-scenario --spec``), or
-picked from the named registry (``run-scenario --name``).
+parameters, placement rule (NOW's or a comparison scheme's), workload
+spec, optional adversary spec, step budget and the seed discipline — that
+can be built programmatically, loaded from JSON (the CLI's ``run-scenario
+--spec``), or picked from the named registry (``run-scenario --name``).
 
 Seed discipline: a scenario's single ``seed`` fans out deterministically —
 ``seed`` bootstraps the engine, ``seed + 1`` drives the workload,
@@ -31,12 +31,8 @@ from ..adversary import (
     ObliviousChurnAdversary,
     TargetedDosAdversary,
 )
-from ..baselines import (
-    CuckooRuleEngine,
-    NoShuffleEngine,
-    StaticClusterEngine,
-)
 from ..core.engine import EngineConfig, NowEngine, drop_retired
+from ..core.placement import check_rule
 from ..errors import ConfigurationError
 from ..params import default_parameters
 from ..workloads.churn import (
@@ -63,18 +59,14 @@ ADVERSARY_KINDS = {
     "adaptive_corruption": AdaptiveCorruptionAdversary,
 }
 
-BASELINE_ENGINES = {
-    "no_shuffle": NoShuffleEngine,
-    "cuckoo_rule": CuckooRuleEngine,
-    "static_clusters": StaticClusterEngine,
-}
-
 
 @dataclass
 class Scenario:
     """One declarative experiment: parameters + workload + adversary + budget."""
 
     name: str = "scenario"
+    #: The engine's placement rule (:data:`~repro.core.placement.PLACEMENT_RULES`):
+    #: ``now`` or a comparison scheme — the only place a rule is named.
     engine: str = "now"
     max_size: int = 4096
     initial_size: int = 300
@@ -114,34 +106,15 @@ class Scenario:
             epsilon=self.epsilon,
         )
 
-    def build_engine(self):
-        """Bootstrap the configured engine (NOW or a named baseline)."""
-        params = self.parameters()
-        if self.engine == "now":
-            return NowEngine.bootstrap(
-                params,
-                initial_size=self.initial_size,
-                byzantine_fraction=self.tau,
-                seed=self.seed,
-                config=EngineConfig(**self.engine_options),
-            )
-        if self.engine in BASELINE_ENGINES:
-            now_only = set(self.engine_options) & set(EngineConfig.__dataclass_fields__)
-            if now_only:
-                raise ConfigurationError(
-                    f"engine_options {sorted(now_only)} configure the NOW engine; "
-                    f"baseline engine {self.engine!r} does not accept them"
-                )
-            return BASELINE_ENGINES[self.engine].bootstrap(
-                params,
-                initial_size=self.initial_size,
-                byzantine_fraction=self.tau,
-                seed=self.seed,
-                **self.engine_options,
-            )
-        raise ConfigurationError(
-            f"unknown engine {self.engine!r}; expected 'now' or one of "
-            f"{sorted(BASELINE_ENGINES)}"
+    def build_engine(self) -> NowEngine:
+        """Bootstrap the engine under this scenario's placement rule."""
+        return NowEngine.bootstrap(
+            self.parameters(),
+            initial_size=self.initial_size,
+            byzantine_fraction=self.tau,
+            seed=self.seed,
+            config=EngineConfig(**self.engine_options),
+            rule=self.engine,
         )
 
     def build_source(self, engine):
@@ -242,10 +215,11 @@ class Scenario:
     def from_dict(cls, data: Dict[str, Any]) -> "Scenario":
         """Build a scenario from its plain-dict form (unknown keys rejected).
 
-        A NOW scenario's ``engine_options`` are checked here too, so a spec
-        naming a retired walk kernel is refused when it is loaded.  Specs,
-        trace headers and checkpoints written before an option was retired
-        load through :func:`~repro.core.engine.drop_retired`, at both levels.
+        The placement rule and the ``engine_options`` are checked here too,
+        so a spec naming an unknown rule or a retired walk kernel is refused
+        when it is loaded.  Specs, trace headers and checkpoints written
+        before an option was retired load through
+        :func:`~repro.core.engine.drop_retired`, at both levels.
         """
         data = drop_retired(data, "scenario")
         if isinstance(data.get("engine_options"), dict):
@@ -255,8 +229,8 @@ class Scenario:
         if unknown:
             raise ConfigurationError(f"unknown scenario fields: {sorted(unknown)}")
         scenario = cls(**data)
-        if scenario.engine == "now":
-            EngineConfig(**scenario.engine_options)
+        check_rule(scenario.engine)
+        EngineConfig(**scenario.engine_options)
         return scenario
 
     @classmethod

@@ -107,11 +107,6 @@ class LiveEngineSession:
         probes: Sequence = (),
     ) -> None:
         self.scenario = scenario if scenario is not None else live_scenario()
-        if self.scenario.engine != "now":
-            raise ConfigurationError(
-                "the live service serves the 'now' engine; got "
-                f"{self.scenario.engine!r}"
-            )
         if self.scenario.workload is not None or self.scenario.adversary is not None:
             raise ConfigurationError(
                 "a live session is driven by client requests; the scenario "

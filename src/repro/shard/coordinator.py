@@ -301,11 +301,6 @@ class ShardCoordinator:
     # ------------------------------------------------------------------
     @staticmethod
     def _validate_scenario(scenario) -> None:
-        if scenario.engine != "now":
-            raise ConfigurationError(
-                f"sharded execution supports the 'now' engine only, not "
-                f"{scenario.engine!r}"
-            )
         adversary = scenario.adversary
         if adversary is not None:
             kind = adversary.get("kind")

@@ -134,8 +134,8 @@ class ShardDirectory:
         least-loaded one (lowest index on ties).  ``fresh`` is False for the
         re-join of a known identity, which keeps its descriptor *and its
         registered role* — whatever role the event names, as ``NowEngine``
-        and the baselines do — but is placed like a newcomer.  ``role`` is
-        the role to route: the registered one.
+        does — but is placed like a newcomer.  ``role`` is the role to
+        route: the registered one.
         """
         nodes = self.nodes
         fresh = node_id is None or node_id not in nodes

@@ -81,11 +81,11 @@ class _ShardSlot:
         self.g2l[gid] = local
 
     @classmethod
-    def from_snapshot(cls, shard: int, data: Dict[str, Any]) -> "_ShardSlot":
+    def from_snapshot(cls, shard: int, data: Dict[str, Any], rule: str) -> "_ShardSlot":
         """Rebuild a hosted shard from a checkpoint payload."""
         slot = cls.__new__(cls)
         slot.shard = shard
-        slot.engine = NowEngine.restore(data["engine"])
+        slot.engine = NowEngine.restore(data["engine"], rule=rule)
         slot.l2g = {int(local): int(gid) for local, gid in data["l2g"]}
         slot.g2l = {gid: local for local, gid in slot.l2g.items()}
         return slot
@@ -107,16 +107,14 @@ class ShardWorker:
         from ..scenarios.scenario import Scenario
 
         scenario = Scenario.from_dict(dict(scenario_data))
-        if scenario.engine != "now":
-            raise ConfigurationError(
-                f"sharded execution supports the 'now' engine only, not {scenario.engine!r}"
-            )
         params = scenario.parameters()
         config = EngineConfig(**scenario.engine_options)
         self.slots: Dict[int, _ShardSlot] = {}
         for shard in shard_ids:
             if restore is not None and shard in restore:
-                self.slots[shard] = _ShardSlot.from_snapshot(shard, restore[shard])
+                self.slots[shard] = _ShardSlot.from_snapshot(
+                    shard, restore[shard], scenario.engine
+                )
                 continue
             engine = NowEngine.bootstrap(
                 params,
@@ -124,6 +122,7 @@ class ShardWorker:
                 byzantine_fraction=scenario.tau,
                 seed=scenario.seed + SHARD_SEED_OFFSET + shard,
                 config=config,
+                rule=scenario.engine,
             )
             base_gid = sum(sizes[:shard])
             self.slots[shard] = _ShardSlot(shard, engine, base_gid)

@@ -55,21 +55,6 @@ def write_json_atomic(path: str, data: Any, indent: Optional[int] = None) -> Non
         raise
 
 
-def snapshot_method(engine):
-    """``engine.capture_snapshot``, or the refusal a run without one gets.
-
-    Called once before a checkpointing run starts (nothing is applied to an
-    engine that cannot be checkpointed) and again by every capture.
-    """
-    capture_snapshot = getattr(engine, "capture_snapshot", None)
-    if capture_snapshot is None:
-        raise ConfigurationError(
-            f"engine {type(engine).__name__} does not support checkpointing "
-            "(no capture_snapshot method)"
-        )
-    return capture_snapshot
-
-
 class Checkpoint:
     """One captured run state: engine + event source + bookkeeping."""
 
@@ -102,16 +87,15 @@ class Checkpoint:
     ) -> "Checkpoint":
         """Capture the full state of a running scenario.
 
-        ``engine`` must expose ``capture_snapshot`` (the NOW engine or the
-        shard coordinator, which also names its ``engine_kind`` and hashes
-        itself; the free-maintenance baselines are rebuilt from their seed
-        instead).  ``source`` is the live event source whose RNG streams
-        must survive the restart; ``scenario`` the spec used to rebuild it.
+        ``engine`` is the single engine (under any placement rule) or the
+        shard coordinator, which also names its ``engine_kind``.  ``source``
+        is the live event source whose RNG streams must survive the restart;
+        ``scenario`` the spec used to rebuild it.
         """
         data = {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
-            "engine": snapshot_method(engine)(),
+            "engine": engine.capture_snapshot(),
             "source": source.snapshot_state() if source is not None else None,
             "scenario": scenario.to_dict() if scenario is not None else None,
             "steps_done": int(steps_done),
@@ -141,8 +125,10 @@ class Checkpoint:
     # ------------------------------------------------------------------
     # Restore
     # ------------------------------------------------------------------
-    def restore_engine(self):
+    def restore_engine(self, rule: str = "now"):
         """Rebuild the single engine and verify it hashes to the captured state.
+
+        ``rule`` is the placement rule of the scenario the checkpoint carries.
 
         A sharded checkpoint restores through
         ``ShardCoordinator(scenario, checkpoint=self.data)`` instead, which
@@ -150,7 +136,7 @@ class Checkpoint:
         """
         from ..core.engine import NowEngine  # local import: avoids a cycle
 
-        engine = NowEngine.restore(self.data["engine"])
+        engine = NowEngine.restore(self.data["engine"], rule=rule)
         restored_hash = state_hash(engine)
         expected = self.data.get("state_hash")
         if expected is not None and restored_hash != expected:

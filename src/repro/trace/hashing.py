@@ -44,10 +44,10 @@ def rng_digest(rng) -> str:
 def state_fingerprint(engine) -> Dict[str, Any]:
     """Canonical view of everything that determines an engine's future.
 
-    Works for any :class:`~repro.core.interface.EngineProtocol` engine whose
-    ``state`` is a :class:`~repro.core.state.SystemState` (NOW and the
-    baselines alike).  O(n) — intended for periodic index frames and
-    checkpoint boundaries, not for per-event use.
+    Works for any engine whose ``state`` is a
+    :class:`~repro.core.state.SystemState` (every placement rule alike).
+    O(n) — intended for periodic index frames and checkpoint boundaries,
+    not for per-event use.
     """
     state = engine.state
     clusters = state.clusters

@@ -4,7 +4,7 @@
 built and the one fork on ``scenario.shards`` for every run whose events
 come from the scenario's own source — a per-event
 :class:`~repro.scenarios.runner.SimulationRunner` over the single engine
-(which also serves baselines, inline probes and per-event stop conditions),
+(which also serves inline probes and per-event stop conditions),
 or the :class:`~repro.shard.coordinator.ShardCoordinator`, which runs the
 scenario in barrier windows (``workers`` and ``pipeline`` are execution
 choices, never result bits).  Either driver is ``run(steps, recorder)``, so
@@ -44,7 +44,7 @@ from ..scenarios.bus import StepRecord
 from ..scenarios.probes import Probe
 from ..scenarios.runner import RunResult, StopCondition
 from ..scenarios.scenario import Scenario
-from .checkpoint import Checkpoint, snapshot_method
+from .checkpoint import Checkpoint
 from .codec import DEFAULT_FLUSH_EVERY
 from .log import DEFAULT_INDEX_EVERY, TraceReader, TraceWriter, event_frame_from_record
 from .replay import frame_mismatch
@@ -89,9 +89,9 @@ class Recorder:
 
     **Start-up order.**  Constructing the recorder is the last thing that can
     refuse a run and the first that touches an output file: its caller has
-    built the driver (so the spec was valid), the cadence and the engine's
-    checkpoint support are checked here, and only then is the trace file
-    opened (truncated) and its header written.  No event is applied before.
+    built the driver (so the spec was valid), the cadence is checked here,
+    and only then is the trace file opened (truncated) and its header
+    written.  No event is applied before.
 
     **Seal.**  ``seal(True)`` ends the trace with the final state hash and
     leaves the checkpoint at the end state, so a sequence of runs resumes
@@ -120,8 +120,6 @@ class Recorder:
     ) -> None:
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ConfigurationError("checkpoint cadence must be >= 1 event")
-        if checkpoint_path is not None:
-            snapshot_method(engine)
         self._scenario = scenario
         self._engine = engine
         self._driver = driver
@@ -220,7 +218,7 @@ def open_driver(
         ) as coordinator:
             yield coordinator
         return
-    engine = checkpoint.restore_engine() if checkpoint is not None else None
+    engine = checkpoint.restore_engine(scenario.engine) if checkpoint is not None else None
     runner = scenario.build_runner(probes=probes, stop_conditions=stop_conditions, engine=engine)
     if checkpoint is not None:
         checkpoint.restore_source(runner.source)
@@ -489,8 +487,7 @@ def checkpoint_from_trace(
 
     scenario = Scenario.from_dict(scenario_dict)
     with open_driver(scenario) as driver:
-        # The recorder is here for its checkpoint: built first, so an engine
-        # that cannot be snapshotted is refused before the re-drive.
+        # The recorder is here for its checkpoint.
         recorder = Recorder(scenario, driver.engine, driver, checkpoint_path=checkpoint_path)
         verifier = _TraceVerifier([frame for frame in frames if frame["i"] <= to_step], driver)
         driver.run(to_step, verifier)

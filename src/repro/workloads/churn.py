@@ -1,9 +1,8 @@
 """Churn workload generators.
 
-A workload is an online event source: given the current engine (NOW or a
-baseline — anything exposing ``state``, ``network_size`` and
-``random_member``), it produces the next :class:`~repro.core.events.ChurnEvent`.
-Workloads are online rather than pre-generated traces because leave events
+A workload is an online event source: given the current engine (anything
+exposing ``state``, ``network_size`` and ``random_member``), it produces the
+next :class:`~repro.core.events.ChurnEvent`.  Workloads are online rather than pre-generated traces because leave events
 must name nodes that are *currently* active, which depends on how the system
 evolved so far.
 """

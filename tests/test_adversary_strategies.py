@@ -14,7 +14,6 @@ from repro.adversary import (
     ObliviousChurnAdversary,
     TargetedDosAdversary,
 )
-from repro.baselines import NoShuffleEngine
 from repro.core.events import ChurnKind
 from repro.network.node import NodeRole
 
@@ -76,8 +75,8 @@ class TestJoinLeaveAttack:
 
     def test_captures_no_shuffle_baseline(self):
         params = default_parameters(max_size=1024, k=2.0, tau=0.15, epsilon=0.05)
-        baseline = NoShuffleEngine.bootstrap(
-            params, initial_size=120, byzantine_fraction=0.15, seed=5
+        baseline = NowEngine.bootstrap(
+            params, initial_size=120, byzantine_fraction=0.15, seed=5, rule="no_shuffle"
         )
         target = baseline.state.clusters.cluster_ids()[0]
         attack = JoinLeaveAttack(random.Random(1), target_cluster=target)

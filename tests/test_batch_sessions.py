@@ -182,30 +182,22 @@ class TestStartUpOrder:
             )
         assert path.read_bytes() == b"an earlier run's trace\n"
 
-    @pytest.mark.parametrize("backend", ["single", "shards4-w1"])
-    def test_engine_without_snapshots_is_refused_before_the_first_event(self, tmp_path, backend):
-        trace = tmp_path / "run.jsonl"
-        applied = []
 
-        class Count(Probe):
-            name = "count"
-            inline = False
+class TestComparisonRules:
+    """Every placement rule is one engine, so every rule records, replays and resumes."""
 
-            def on_records(self, engine, records):
-                applied.extend(records)
-
-        message = "does not support checkpointing" if backend == "single" else "'now' engine only"
-        with pytest.raises(ConfigurationError, match=message):
-            record_scenario(
-                _scenario(backend, engine="no_shuffle"),
-                trace_path=str(trace),
-                checkpoint_path=str(tmp_path / "ck.json"),
-                probes=[Count()],
-                workers=BACKENDS[backend][1],
-            )
-        assert applied == []
-        assert not trace.exists()
-        assert not (tmp_path / "ck.json").exists()
+    @pytest.mark.parametrize("rule", ["no_shuffle", "cuckoo_rule", "static_clusters"])
+    def test_record_replay_resume_lands_on_the_recorded_hash(self, tmp_path, rule):
+        trace, checkpoint = str(tmp_path / "run.jsonl"), str(tmp_path / "cut.json")
+        scenario = _scenario("single", engine=rule)
+        recorded = record_scenario(scenario, trace_path=trace, index_every=40)
+        report = replay_trace(trace)
+        assert report.ok, report.divergence
+        assert report.final_hash == recorded.final_state_hash
+        record_scenario(scenario, steps=70, checkpoint_path=checkpoint, checkpoint_every=10**9)
+        resumed = resume_from_checkpoint(checkpoint)
+        assert resumed.result.steps == FIELDS["steps"] - 70
+        assert resumed.final_state_hash == recorded.final_state_hash
 
 
 def _timeless(result):

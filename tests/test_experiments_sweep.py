@@ -273,6 +273,16 @@ class TestSweepRunner:
         assert by_shards[0]["invariants_ok"] is True
         assert by_shards[2]["invariants_ok"] is True  # the coordinator's composite check
 
+    def test_every_placement_rule_reports_an_invariants_verdict(self):
+        """``static_clusters`` never splits, so growth breaks its size bound
+        and its record reports ``invariants_ok`` as ``False``."""
+        spec = small_spec(grid={"engine": ["now", "static_clusters"]}, seeds=[3])
+        spec.scenario.update(steps=150, workload={"kind": "growth", "target_size": 260})
+        result = run_sweep(spec)
+        assert result.failures() == []
+        verdicts = {record["point"]["engine"]: record["invariants_ok"] for record in result.records}
+        assert verdicts == {"now": True, "static_clusters": False}
+
     def test_target_cluster_tracking_on_a_sharded_unit_is_a_failed_unit(self):
         """The inline target probe has no single engine to read under shards:
         the unit is refused and stays addressable, it does not report zero."""

@@ -1,8 +1,8 @@
 """One role per identity, on every backend.
 
 A node keeps the role it was registered with for its whole life.  ``NowEngine``
-and the baselines have always done so on a rejoin, whatever role the join
-event names; the shard directory now does too, and routes the registered role
+has always done so on a rejoin, under every placement rule, whatever role the
+join event names; the shard directory now does too, and routes the registered role
 to the shard engines — at a rejoin and at every barrier move.  The live
 session applies the same rule before anything is dispatched: a rejoin that
 names no role takes the registered one, and a rejoin that names another is

@@ -174,12 +174,11 @@ class TestEngineLevelParity:
                 engine.state.nodes.get(engine.random_member()).role = NodeRole.BYZANTINE
         assert_counters_match(engine.state)
 
-    def test_baseline_engine_counters_survive_churn(self):
-        from repro.baselines import NoShuffleEngine
-
+    @pytest.mark.parametrize("rule", ["no_shuffle", "cuckoo_rule", "static_clusters"])
+    def test_comparison_rule_counters_survive_churn(self, rule):
         params = default_parameters(max_size=1024, k=2.0, tau=0.2, epsilon=0.05)
-        engine = NoShuffleEngine.bootstrap(
-            params, initial_size=100, byzantine_fraction=0.2, seed=31
+        engine = NowEngine.bootstrap(
+            params, initial_size=100, byzantine_fraction=0.2, seed=31, rule=rule
         )
         workload = UniformChurn(random.Random(32), byzantine_join_fraction=0.2)
         drive(engine, workload, steps=120)

@@ -15,7 +15,6 @@ from repro import NowEngine, SimulationRunner, default_parameters
 from repro.adversary import JoinLeaveAttack, TargetedDosAdversary
 from repro.analysis import summarize_fractions
 from repro.apps import AggregationService, ClusteredBroadcast
-from repro.baselines import NoShuffleEngine, StaticClusterEngine
 from repro.network.node import NodeRole
 from repro.overlay.expansion import analyse_expansion
 from repro.scenarios import stop_when_compromised
@@ -69,8 +68,8 @@ class TestJoinLeaveAttackComparison:
         now_engine = NowEngine.bootstrap(
             params, initial_size=200, byzantine_fraction=0.15, seed=21
         )
-        baseline = NoShuffleEngine.bootstrap(
-            params, initial_size=200, byzantine_fraction=0.15, seed=21
+        baseline = NowEngine.bootstrap(
+            params, initial_size=200, byzantine_fraction=0.15, seed=21, rule="no_shuffle"
         )
         now_target = now_engine.state.clusters.cluster_ids()[0]
         base_target = baseline.state.clusters.cluster_ids()[0]
@@ -110,8 +109,8 @@ class TestPolynomialGrowth:
         start = 128  # ~ 2 * sqrt(4096)
         target = 420
         now_engine = NowEngine.bootstrap(params, initial_size=start, byzantine_fraction=0.1, seed=41)
-        static = StaticClusterEngine.bootstrap(
-            params, initial_size=start, byzantine_fraction=0.1, seed=41
+        static = NowEngine.bootstrap(
+            params, initial_size=start, byzantine_fraction=0.1, seed=41, rule="static_clusters"
         )
         drive(now_engine, GrowthWorkload(random.Random(42), target_size=target), steps=600)
         static_reports = drive(
@@ -122,7 +121,7 @@ class TestPolynomialGrowth:
         assert static.network_size == target
         # NOW's cluster count grows, its max cluster size stays near k log N.
         now_max = max(now_engine.cluster_sizes().values())
-        static_max = static.max_cluster_size()
+        static_max = max(static.cluster_sizes().values())
         assert now_max <= params.split_threshold
         assert static_max > now_max
         assert static.cluster_count == static_reports[0].cluster_count

@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from repro import EngineProtocol, NowEngine, Scenario, SimulationRunner, default_parameters
-from repro.baselines import CuckooRuleEngine, NoShuffleEngine, StaticClusterEngine
+from repro import NowEngine, Scenario, SimulationRunner
+from repro.core.placement import PLACEMENT_RULES
 from repro.errors import ConfigurationError
 from repro.scenarios import (
     NAMED_SCENARIOS,
@@ -190,11 +190,15 @@ class TestProbes:
         assert probe.total_messages() > 0
         assert probe.mean_messages_overall() > 0
 
-    def test_cost_probe_records_zero_for_baselines(self):
-        probe = CostLedgerProbe()
-        small_scenario(steps=10, engine="no_shuffle").run(probes=[probe])
-        assert probe.total_messages() == 0
-        assert sum(probe.count(name) for name in probe.messages_by_operation) > 0
+    def test_cost_probe_reads_operation_reports_under_comparison_rules(self):
+        # A comparison rule's placement is free; only NOW's walks and
+        # exchanges (and the splits and merges every rule shares) cost.
+        now, plain = CostLedgerProbe(), CostLedgerProbe()
+        small_scenario(steps=10).run(probes=[now])
+        result = small_scenario(steps=10, engine="no_shuffle").run(probes=[plain])
+        assert set(plain.messages_by_operation) <= {"join", "leave"}
+        assert sum(plain.count(name) for name in plain.operations()) == result.events
+        assert plain.total_messages() < now.total_messages()
 
     def test_callback_probe_sampling_interval(self):
         probe = CallbackProbe(lambda engine, report, step: engine.network_size, every=5)
@@ -219,6 +223,8 @@ class TestScenario:
     def test_unknown_engine_workload_adversary_rejected(self):
         with pytest.raises(ConfigurationError):
             small_scenario(engine="nope").build_engine()
+        with pytest.raises(ConfigurationError, match="unknown engine"):
+            Scenario.from_dict({"name": "x", "engine": "nope"})
         with pytest.raises(ConfigurationError):
             small_scenario(workload={"kind": "nope"}).run()
         with pytest.raises(ConfigurationError):
@@ -228,22 +234,10 @@ class TestScenario:
         with pytest.raises(ConfigurationError):
             small_scenario(workload=None).run()
 
-    def test_builds_every_engine_flavour(self):
-        assert isinstance(small_scenario().build_engine(), NowEngine)
-        assert isinstance(
-            small_scenario(engine="no_shuffle").build_engine(), NoShuffleEngine
-        )
-        assert isinstance(
-            small_scenario(engine="cuckoo_rule").build_engine(), CuckooRuleEngine
-        )
-        assert isinstance(
-            small_scenario(engine="static_clusters").build_engine(), StaticClusterEngine
-        )
-
-    def test_engines_satisfy_engine_protocol(self):
-        for flavour in ("now", "no_shuffle", "cuckoo_rule", "static_clusters"):
-            engine = small_scenario(engine=flavour).build_engine()
-            assert isinstance(engine, EngineProtocol)
+    def test_builds_every_placement_rule(self):
+        for rule in PLACEMENT_RULES:
+            engine = small_scenario(engine=rule).build_engine()
+            assert isinstance(engine, NowEngine) and engine.rule == rule
 
     def test_adversary_target_first_resolves(self):
         scenario = small_scenario(
@@ -278,11 +272,10 @@ class TestScenario:
         assert first.final_worst_fraction == second.final_worst_fraction
 
 
-class TestEngineProtocolSurface:
-    def test_baselines_share_now_observation_surface(self):
-        now = small_scenario().build_engine()
-        baseline = small_scenario(engine="no_shuffle").build_engine()
-        for engine in (now, baseline):
+class TestObservationSurface:
+    def test_every_rule_shares_the_observation_surface(self):
+        for rule in PLACEMENT_RULES:
+            engine = small_scenario(engine=rule).build_engine()
             assert engine.network_size > 0
             assert engine.cluster_count > 0
             assert set(engine.cluster_sizes()) == set(engine.byzantine_fractions())

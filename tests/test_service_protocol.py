@@ -151,11 +151,18 @@ def session():
 
 
 class TestLiveEngineSession:
-    def test_requires_now_engine_without_shards(self):
-        # ... and with them: the rule is the session's, not a backend's.
-        for shards in (0, 2):
-            with pytest.raises(ConfigurationError, match="'now' engine"):
-                LiveEngineSession(live_scenario(engine="no_shuffle", shards=shards))
+    def test_comparison_rule_session_applies_a_join_and_answers_a_sample(self):
+        live = LiveEngineSession(
+            live_scenario(seed=11, initial_size=80, max_size=256, engine="no_shuffle")
+        )
+        try:
+            joined = live.execute({"op": "join", "id": 1})
+            assert joined["network_size"] == 81
+            assert live.backend.engine.rule == "no_shuffle"
+            sampled = live.execute({"op": "sample", "id": 2})
+            assert sampled["node_id"] in live.backend.engine.active_nodes()
+        finally:
+            live.close()
 
     def test_service_rng_offsets_scenario_seed(self, session):
         import random

@@ -112,6 +112,19 @@ def test_worker_counts_bit_identical_with_oblivious_adversary():
     assert _comparable(_run(fields, workers=4)) == oracle
 
 
+def test_cuckoo_rule_writes_identical_traces_on_one_and_two_workers(tmp_path):
+    # Every placement rule is one engine, so every rule runs sharded.
+    scenario = Scenario.from_dict(dict(BASE, shards=2, engine="cuckoo_rule"))
+    paths = [str(tmp_path / f"w{workers}.jsonl") for workers in (1, 2)]
+    hashes = [
+        record_scenario(scenario, trace_path=path, index_every=32, workers=workers).final_state_hash
+        for workers, path in zip((1, 2), paths)
+    ]
+    assert hashes[0] == hashes[1]
+    with open(paths[0], "rb") as first, open(paths[1], "rb") as second:
+        assert first.read() == second.read()
+
+
 def test_workers_clamped_to_shard_count():
     scenario = Scenario.from_dict(dict(BASE, shards=2))
     coordinator = ShardCoordinator(scenario, workers=16)

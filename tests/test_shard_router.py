@@ -3,7 +3,7 @@
 These cover the deterministic placement rules — slice assignment, the
 least-loaded join rule, the rebalance planner — and the configuration guard
 rails the :class:`~repro.shard.coordinator.ShardCoordinator` enforces up
-front (unsupported adversaries, inline probes, baseline engines).
+front (unsupported adversaries, inline probes).
 """
 
 from __future__ import annotations
@@ -200,11 +200,6 @@ def _sharded_scenario(**overrides):
     )
     fields.update(overrides)
     return Scenario(**fields)
-
-
-def test_coordinator_rejects_baseline_engines():
-    with pytest.raises(ConfigurationError, match="'now' engine"):
-        ShardCoordinator(_sharded_scenario(engine="no_shuffle"))
 
 
 def test_coordinator_rejects_cluster_aware_adversaries():

@@ -185,13 +185,6 @@ class TestCheckpointFile:
             assert json.load(handle) == {"a": 2}
         assert [entry for entry in os.listdir(str(tmp_path)) if entry.startswith(".tmp-")] == []
 
-    def test_capture_rejects_engine_without_snapshot_support(self):
-        class Opaque:
-            pass
-
-        with pytest.raises(ConfigurationError):
-            Checkpoint.capture(Opaque())
-
     def test_resume_requires_scenario(self, tmp_path):
         scenario = small_scenario(steps=5)
         engine = scenario.build_engine()

@@ -623,27 +623,6 @@ class TestWalkKernelCli:
         with pytest.raises(SystemExit):
             self._main(["run-scenario", "--name", "uniform-churn", "--walk-kernel", "array"])
 
-    def test_spec_engine_options_kernel_rejected_for_baseline_engines(self, tmp_path, capsys):
-        # A one-line exit-2 message, not a TypeError from the baseline's ctor.
-        spec = Scenario(
-            name="baseline-spec",
-            max_size=1024,
-            initial_size=90,
-            tau=0.1,
-            k=2.0,
-            seed=4,
-            steps=5,
-            engine="no_shuffle",
-            engine_options={"walk_kernel": "array"},
-        )
-        path = tmp_path / "scenario.json"
-        path.write_text(spec.to_json())
-        code = self._main(["run-scenario", "--spec", str(path)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "walk_kernel" in captured.err
-        assert "no_shuffle" in captured.err
-
     def test_unknown_kernel_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             self._main(["run-scenario", "--name", "uniform-churn", "--walk-kernel", "simd"])

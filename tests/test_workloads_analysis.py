@@ -21,7 +21,7 @@ from repro.analysis import (
     summarize_fractions,
     summarize_values,
 )
-from repro.analysis.bounds import exact_binomial_tail, expected_recovery_exchanges
+from repro.analysis.bounds import exact_binomial_tail
 from repro.analysis.complexity import is_consistent_with_polylog
 from repro.analysis.statistics import longest_run_above, quantile
 from repro.core.events import ChurnKind
@@ -139,9 +139,6 @@ class TestBounds:
 
     def test_expected_fraction_after_exchange_is_tau(self):
         assert expected_fraction_after_exchange(0.21) == 0.21
-
-    def test_expected_recovery_exchanges_positive(self):
-        assert expected_recovery_exchanges(40, tau=0.2, epsilon=0.3) > 0
 
     def test_recommended_k_grows_with_stricter_failure_probability(self):
         lenient = recommended_k(4096, tau=0.2, epsilon=0.3, failure_probability=1e-2)
