@@ -26,9 +26,9 @@ prints its table — useful for kicking the tyres without writing a script:
 * ``serve``      — run the engine as a live TCP service (newline-delimited
   JSON protocol, bounded queue with fast-fail backpressure); ``--record``
   makes the whole live session replayable through ``replay``.
-* ``load``       — open-loop load generator against a running ``serve``:
-  Poisson or trace-file arrivals, per-operation p50/p95/p99 latency and
-  achieved vs offered throughput (exit 1 on hard errors).
+* ``load``       — open-loop load driver against a running ``serve``: Poisson
+  or trace-file arrivals, per-operation p50/p95/p99 latency from each due
+  instant, the driver's own lateness, throughput (exit 1 on hard errors).
 
 What the earlier ``churn`` / ``attack`` / ``costs`` commands showed is a
 preset away: ``run-scenario --name uniform-churn`` (corruption trajectory,
@@ -763,10 +763,9 @@ def run_serve_command(args: argparse.Namespace) -> int:
 
 
 def run_load_command(args: argparse.Namespace) -> int:
-    import asyncio
     import json
 
-    from .service.loadgen import run_load
+    from .service.loadgen import drive_load
     from .workloads.arrivals import (
         DiurnalProfile,
         LogNormalSessions,
@@ -811,20 +810,16 @@ def run_load_command(args: argparse.Namespace) -> int:
         offered = args.rate
     if not arrivals:
         raise ConfigurationError("the arrival schedule is empty")
-    if args.connections < 1:
-        raise ConfigurationError("--connections must be >= 1")
 
     try:
         with _terminate_as_interrupt():
-            report = asyncio.run(
-                run_load(
-                    args.host,
-                    args.port,
-                    arrivals,
-                    offered_rate=offered,
-                    connections=args.connections,
-                    shutdown_after=args.shutdown_after,
-                )
+            report = drive_load(
+                args.host,
+                args.port,
+                arrivals,
+                offered_rate=offered,
+                connections=args.connections,
+                shutdown_after=args.shutdown_after,
             )
     except KeyboardInterrupt:
         print("load: interrupted", file=sys.stderr)
@@ -833,7 +828,8 @@ def run_load_command(args: argparse.Namespace) -> int:
     print(
         f"offered {offered:.1f} req/s ({report.sent} request(s) over "
         f"{report.duration:.1f}s): {report.succeeded} ok, "
-        f"achieved {report.achieved_rate:.1f} req/s"
+        f"achieved {report.achieved_rate:.1f} req/s, "
+        f"client late p99 {report.late_ms_p99:.2f} ms"
     )
     print(report.summary_table())
     if report.overloaded:

@@ -16,15 +16,16 @@ network service under measured load:
   drives;
 * :mod:`repro.service.frontend` — :class:`ServiceFrontend`: the asyncio
   TCP server and its two-lane engine pump (``repro serve``);
-* :mod:`repro.service.loadgen`  — the open-loop load generator and its
-  per-operation latency report (``repro load``).
+* :mod:`repro.service.loadgen`  — :func:`drive_load`, the open-loop
+  single-thread driver that times each request from its due instant and
+  reports its own lateness (``repro load``).
 
 See ``docs/SERVICE.md`` for the protocol, backpressure semantics and the
 record/replay workflow.
 """
 
 from .frontend import DEFAULT_MAX_BATCH, ServiceFrontend
-from .loadgen import LoadReport, OperationStats, run_load
+from .loadgen import LoadReport, OperationStats, drive_load
 from .protocol import (
     ERROR_CODES,
     OPERATIONS,
@@ -55,10 +56,10 @@ __all__ = [
     "SERVICE_READ_RNG_OFFSET",
     "SERVICE_RNG_OFFSET",
     "ServiceFrontend",
+    "drive_load",
     "encode_frame",
     "error_response",
     "live_scenario",
     "ok_response",
     "parse_request",
-    "run_load",
 ]

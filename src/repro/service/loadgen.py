@@ -1,43 +1,50 @@
-"""Open-loop load generator for the live service.
+"""Open-loop load driver for the live service: the schedule is law.
 
 Drives a schedule of :class:`~repro.workloads.arrivals.Arrival` requests at
-the server and reports what the paper's "heavy traffic" claim needs to be a
-measurement: per-operation p50/p95/p99 latency (client-side round trip,
-estimated by a :class:`~repro.analysis.statistics.QuantileSketch`) and
-achieved vs offered throughput.
+the server and reports per-operation p50/p95/p99 latency (a
+:class:`~repro.analysis.statistics.QuantileSketch`), achieved vs offered
+throughput, and how late the driver itself ran.
 
-Open-loop means the schedule is law: every request goes out at its
-scheduled instant whether or not earlier requests have been answered, so a
-slowing server shows up as growing latency and ``overloaded`` fast-fails —
-not as a quietly throttled request rate (the coordinated-omission trap a
-closed-loop driver falls into).  Responses are consumed by a separate
-reader per connection and matched by request id.
+Every request has a *due* instant fixed before the clock starts and goes
+out once that instant has passed, answered or not — a slowing server shows
+up as growing latency and ``overloaded`` fast-fails, not as a throttled
+request rate (the coordinated-omission trap of closed-loop drivers).  Each
+response is timed from its due instant, so a stall in the server *or in the
+driver* is charged to every request it delayed; the driver's own lateness
+(send − due) is reported as ``late_ms_p99`` — a run whose lateness is high
+measured the client.  One thread, blocking sends, ``select`` for reads;
+connections open and frames are encoded (integer ids) before the clock
+starts, and the garbage collector is paused in the timed loop.
 
-Response taxonomy: ``ok`` and ``overloaded`` are the two *expected*
-outcomes under load (fast-fail backpressure is the server working as
-designed); ``failed`` counts protocol/engine rejections and ``missing``
-requests that never got an answer — both indicate something actually
-wrong, and :meth:`LoadReport.ok` is false when either occurred.
+``ok`` and ``overloaded`` are the expected outcomes under load (fast-fail
+backpressure is the server working as designed); ``failed`` (rejections)
+and ``missing`` (never answered) make :attr:`LoadReport.ok` false.
 """
 
 from __future__ import annotations
 
-import asyncio
+import gc
 import json
+import select
+import socket
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence
 
 from ..analysis.reporting import format_table
 from ..analysis.statistics import QuantileSketch
 from ..workloads.arrivals import Arrival
 from .protocol import ERROR_OVERLOADED, encode_frame
 
-#: Default parallel connections the generator spreads arrivals across.
+#: Default parallel connections the driver spreads arrivals across.
 DEFAULT_CONNECTIONS = 2
-
-#: How long after the last send to keep waiting for straggler responses.
-DEFAULT_RESPONSE_TIMEOUT = 15.0
+#: How long after the last due instant unanswered requests still count.
+DRAIN_SECONDS = 15.0
+#: Connect retries (attempts × delay), so the driver can start before the server.
+CONNECT_ATTEMPTS, CONNECT_DELAY = 40, 0.25
+#: Overdue sends between reads: responses never back up far enough for the
+#: server to stop reading, so no ``sendall`` can block for good.
+SEND_BURST = 256
 
 
 @dataclass
@@ -82,6 +89,8 @@ class LoadReport:
     offered_rate: float
     duration: float
     per_operation: Dict[str, OperationStats]
+    #: The driver's own lateness per request sent (send − due, milliseconds).
+    late: QuantileSketch = field(default_factory=QuantileSketch)
 
     @property
     def sent(self) -> int:
@@ -90,10 +99,7 @@ class LoadReport:
     @property
     def completed(self) -> int:
         """Responses received (any outcome)."""
-        return sum(
-            stats.ok + stats.overloaded + stats.failed
-            for stats in self.per_operation.values()
-        )
+        return self.succeeded + self.overloaded + self.failed
 
     @property
     def succeeded(self) -> int:
@@ -117,6 +123,11 @@ class LoadReport:
         return self.succeeded / self.duration if self.duration > 0 else 0.0
 
     @property
+    def late_ms_p99(self) -> float:
+        """99th percentile of the driver's lateness (0 when nothing was sent)."""
+        return self.late.quantile(0.99) if self.late.count else 0.0
+
+    @property
     def ok(self) -> bool:
         """No hard failures and no unanswered requests."""
         return self.failed == 0 and self.missing == 0
@@ -132,6 +143,7 @@ class LoadReport:
             "overloaded": self.overloaded,
             "failed": self.failed,
             "missing": self.missing,
+            "late_ms_p99": self.late_ms_p99,
             "operations": {
                 name: stats.as_dict() for name, stats in sorted(self.per_operation.items())
             },
@@ -139,161 +151,137 @@ class LoadReport:
 
     def summary_table(self) -> str:
         """Per-operation latency/outcome table (the CLI's output)."""
-        rows = []
-        for name in sorted(self.per_operation):
-            stats = self.per_operation[name]
-            rows.append(
-                [
-                    name,
-                    stats.sent,
-                    stats.ok,
-                    stats.overloaded,
-                    stats.failed + stats.missing,
-                    f"{stats.latency.quantile(0.50):.2f}",
-                    f"{stats.latency.quantile(0.95):.2f}",
-                    f"{stats.latency.quantile(0.99):.2f}",
-                ]
-            )
+        rows = [
+            [name, stats.sent, stats.ok, stats.overloaded, stats.failed + stats.missing]
+            + [f"{stats.latency.quantile(q):.2f}" for q in (0.50, 0.95, 0.99)]
+            for name, stats in sorted(self.per_operation.items())
+        ]
         return format_table(
             ["operation", "sent", "ok", "overloaded", "errors", "p50 ms", "p95 ms", "p99 ms"],
             rows,
         )
 
 
-def build_request(op: str, request_id: str) -> Dict[str, Any]:
-    """The request frame the generator sends for one scheduled arrival."""
-    frame: Dict[str, Any] = {"op": op, "id": request_id}
-    if op == "broadcast":
-        frame["payload"] = f"load-{request_id}"
-    return frame
-
-
-async def open_connection(
-    host: str, port: int, attempts: int = 40, delay: float = 0.25
-) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-    """Connect with retries, so the generator can start before the server."""
-    last_error: Optional[Exception] = None
-    for attempt in range(attempts):
+def _connect(host: str, port: int) -> socket.socket:
+    """One blocking connection, retried so the driver can start before the server."""
+    last_error = None
+    for _ in range(CONNECT_ATTEMPTS):
         try:
-            return await asyncio.open_connection(host, port)
+            sock = socket.create_connection((host, port), timeout=10.0)
         except OSError as error:
             last_error = error
-            await asyncio.sleep(delay)
+            time.sleep(CONNECT_DELAY)
+            continue
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(None)
+        return sock
     raise ConnectionError(
-        f"could not connect to {host}:{port} after {attempts} attempts: {last_error}"
+        f"could not connect to {host}:{port} after {CONNECT_ATTEMPTS} attempts: {last_error}"
     )
 
 
-async def run_load(
+def drive_load(
     host: str,
     port: int,
     arrivals: Sequence[Arrival],
     offered_rate: float,
     connections: int = DEFAULT_CONNECTIONS,
-    response_timeout: float = DEFAULT_RESPONSE_TIMEOUT,
     shutdown_after: bool = False,
 ) -> LoadReport:
-    """Drive the schedule at the server and collect the report."""
+    """Drive the schedule at the server and collect the report.
+
+    Arrival *i* goes out on connection ``i % connections`` once its due
+    instant has passed.  A connection the server closes stops being read;
+    its unanswered requests, and the ones it would still have carried,
+    count as missing.  Blocking: in-process callers next to a server's
+    event loop run it with ``await asyncio.to_thread(drive_load, ...)``.
+    """
     if connections < 1:
         raise ValueError("connections must be >= 1")
+    total = len(arrivals)
+    due = [arrival.at for arrival in arrivals]
+    ops = [arrival.op for arrival in arrivals]
+    frames = []
     per_operation: Dict[str, OperationStats] = {}
-    lanes: List[List[Tuple[int, Arrival]]] = [[] for _ in range(connections)]
-    for index, arrival in enumerate(arrivals):
-        lanes[index % connections].append((index, arrival))
-
-    started = time.perf_counter()
-    workers = [
-        _drive_connection(
-            host, port, lane, started, per_operation, response_timeout
-        )
-        for lane in lanes
-        if lane
-    ]
-    await asyncio.gather(*workers)
-    duration = time.perf_counter() - started
+    for index, op in enumerate(ops):
+        frame: Dict[str, Any] = {"op": op, "id": index}
+        if op == "broadcast":
+            frame["payload"] = f"load-{index}"
+        frames.append(encode_frame(frame))
+        per_operation.setdefault(op, OperationStats()).sent += 1
+    late = QuantileSketch()
+    answered = [False] * total
+    socks: List[socket.socket] = []
+    perf = time.perf_counter
+    collecting = gc.isenabled()
+    try:
+        for _ in range(connections):
+            socks.append(_connect(host, port))
+        live = list(socks)
+        outstanding = [0] * connections
+        buffers = [b""] * connections
+        gc.disable()
+        start = perf()
+        give_up = start + max(due, default=0.0) + DRAIN_SECONDS
+        cursor = 0
+        while cursor < total or any(outstanding):
+            now = perf()
+            if now >= give_up:
+                break
+            burst = cursor + SEND_BURST
+            while cursor < total and cursor < burst and start + due[cursor] <= now:
+                lane = cursor % connections
+                sock = socks[lane]
+                if sock in live:
+                    # Stamped before the send: on loopback ``sendall`` can
+                    # wake the server, which may preempt this thread.
+                    late.push((perf() - start - due[cursor]) * 1000.0)
+                    try:
+                        sock.sendall(frames[cursor])
+                        outstanding[lane] += 1
+                    except OSError:
+                        live.remove(sock)
+                        outstanding[lane] = 0
+                cursor += 1
+            wait = (start + due[cursor] if cursor < total else give_up) - perf()
+            ready, _, _ = select.select(live, [], [], max(0.0, wait))
+            for sock in ready:
+                lane = socks.index(sock)
+                try:
+                    chunk = sock.recv(1 << 16)
+                except OSError:
+                    chunk = b""
+                if not chunk:  # closed: its unanswered requests stay missing
+                    live.remove(sock)
+                    outstanding[lane] = 0
+                    continue
+                done = perf() - start
+                *lines, buffers[lane] = (buffers[lane] + chunk).split(b"\n")
+                for line in lines:
+                    try:
+                        response = json.loads(line)
+                    except ValueError:
+                        continue
+                    index = response.get("id")
+                    if not isinstance(index, int) or not 0 <= index < total or answered[index]:
+                        continue
+                    answered[index] = True
+                    outstanding[lane] -= 1
+                    per_operation[ops[index]].record(response, (done - due[index]) * 1000.0)
+        duration = perf() - start
+    finally:
+        if collecting:
+            gc.enable()
+        for sock in socks:
+            sock.close()
+    for index in range(total):
+        if not answered[index]:
+            per_operation[ops[index]].missing += 1
 
     if shutdown_after:
-        reader, writer = await open_connection(host, port)
-        writer.write(encode_frame({"op": "shutdown", "id": "loadgen-shutdown"}))
-        await writer.drain()
-        await reader.readline()
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        with _connect(host, port) as sock:
+            sock.sendall(encode_frame({"op": "shutdown", "id": "loadgen-shutdown"}))
+            sock.settimeout(DRAIN_SECONDS)
+            sock.makefile("rb").readline()
 
-    return LoadReport(
-        offered_rate=offered_rate, duration=duration, per_operation=per_operation
-    )
-
-
-async def _drive_connection(
-    host: str,
-    port: int,
-    lane: Sequence[Tuple[int, Arrival]],
-    started: float,
-    per_operation: Dict[str, OperationStats],
-    response_timeout: float,
-) -> None:
-    """One connection: an open-loop sender and an id-matching reader."""
-    reader, writer = await open_connection(host, port)
-    pending: Dict[str, Tuple[str, float]] = {}
-    sender_done = asyncio.Event()
-
-    async def send() -> None:
-        try:
-            for index, arrival in lane:
-                delay = (started + arrival.at) - time.perf_counter()
-                if delay > 0:
-                    await asyncio.sleep(delay)
-                request_id = f"r{index}"
-                stats = per_operation.setdefault(arrival.op, OperationStats())
-                stats.sent += 1
-                pending[request_id] = (arrival.op, time.perf_counter())
-                writer.write(encode_frame(build_request(arrival.op, request_id)))
-                # No drain per request: open-loop sends must not block on a
-                # slow reader.  asyncio buffers; one drain at the end.
-            await writer.drain()
-        finally:
-            sender_done.set()
-
-    async def receive() -> None:
-        while True:
-            if sender_done.is_set() and not pending:
-                return
-            try:
-                line = await asyncio.wait_for(reader.readline(), timeout=0.5)
-            except asyncio.TimeoutError:
-                continue
-            if not line:
-                return
-            try:
-                response = json.loads(line)
-            except ValueError:
-                continue
-            entry = pending.pop(response.get("id"), None)
-            if entry is None:
-                continue
-            op, sent_at = entry
-            per_operation[op].record(response, (time.perf_counter() - sent_at) * 1000.0)
-
-    sender = asyncio.create_task(send())
-    # The reader gets until the lane's last scheduled send plus the
-    # straggler budget; whatever is still pending then counts as missing.
-    deadline = started + lane[-1][1].at + response_timeout
-    try:
-        await asyncio.wait_for(
-            receive(), timeout=max(0.1, deadline - time.perf_counter())
-        )
-    except asyncio.TimeoutError:
-        pass
-    finally:
-        await sender
-        for op, _sent_at in pending.values():
-            per_operation[op].missing += 1
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+    return LoadReport(offered_rate, duration, per_operation, late)

@@ -81,13 +81,20 @@ def parse_mix(text: str) -> Dict[str, float]:
             weight = float(value)
         except ValueError:
             raise ConfigurationError(f"mix weight for {name!r} is not a number: {value!r}")
-        if weight < 0:
-            raise ConfigurationError(f"mix weight for {name!r} must be >= 0")
+        if not math.isfinite(weight) or weight < 0:
+            raise ConfigurationError(f"mix weight for {name!r} must be a finite number >= 0")
         weights[name] = weights.get(name, 0.0) + weight
     total = sum(weights.values())
     if total <= 0:
         raise ConfigurationError(f"operation mix {text!r} has no positive weight")
     return {name: weight / total for name, weight in weights.items() if weight > 0}
+
+
+def _require_finite(**values: float) -> None:
+    # NaN and infinities pass every ``<= 0`` check.
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be a finite number, not {value}")
 
 
 class DiurnalProfile:
@@ -102,6 +109,7 @@ class DiurnalProfile:
     """
 
     def __init__(self, day_length: float, amplitude: float = 0.8) -> None:
+        _require_finite(day_length=day_length)
         if day_length <= 0:
             raise ConfigurationError("diurnal day_length must be > 0 seconds")
         if not 0.0 < amplitude < 1.0:
@@ -146,6 +154,7 @@ class PoissonArrivals:
         seed: int = 1,
         diurnal: Optional[DiurnalProfile] = None,
     ) -> None:
+        _require_finite(rate=rate, duration=duration)
         if rate <= 0:
             raise ConfigurationError("arrival rate must be > 0 requests/second")
         if duration <= 0:
@@ -236,6 +245,9 @@ class LogNormalSessions:
         seed: int = 1,
         diurnal: Optional[DiurnalProfile] = None,
     ) -> None:
+        _require_finite(
+            rate=rate, duration=duration, mean_session=mean_session, sigma=sigma, op_rate=op_rate
+        )
         if rate <= 0:
             raise ConfigurationError("arrival rate must be > 0 requests/second")
         if duration <= 0:
@@ -336,8 +348,8 @@ def load_arrival_trace(path: str) -> List[Arrival]:
                 raise ConfigurationError(
                     f"{path}:{line_number}: unknown operation {op!r}"
                 )
-            if at < 0:
-                raise ConfigurationError(f"{path}:{line_number}: negative arrival time")
+            if not math.isfinite(at) or at < 0:
+                raise ConfigurationError(f"{path}:{line_number}: arrival time must be finite, >= 0")
             arrivals.append(Arrival(at=at, op=op))
     arrivals.sort(key=lambda arrival: arrival.at)
     return arrivals

@@ -525,8 +525,8 @@ class TestLoadGenerator:
         assert not report.ok
         assert "sample" in report.summary_table()
 
-    def test_run_load_against_live_frontend(self):
-        from repro.service import run_load
+    def test_drive_load_against_live_frontend(self):
+        from repro.service import drive_load
         from repro.workloads.arrivals import PoissonArrivals
 
         async def scenario():
@@ -539,13 +539,13 @@ class TestLoadGenerator:
                     mix={"sample": 0.7, "join": 0.2, "leave": 0.1},
                     seed=6,
                 ).schedule()
-                report = await run_load(
+                report = await asyncio.to_thread(
+                    drive_load,
                     "127.0.0.1",
                     frontend.port,
                     arrivals,
                     offered_rate=300.0,
                     connections=2,
-                    response_timeout=10.0,
                 )
             finally:
                 await frontend.stop()

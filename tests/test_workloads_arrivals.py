@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import pytest
 
@@ -277,3 +278,51 @@ class TestArrivalTraceFiles:
         from repro.service.protocol import OPERATIONS
 
         assert set(MIX_OPERATIONS) <= OPERATIONS
+
+
+class TestNonFiniteInputs:
+    """NaN passes every ``<= 0`` check and infinity every upper bound: both
+    once made ``schedule()`` loop forever."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["rate", "duration"])
+    def test_poisson_rejects(self, name, value):
+        kwargs = {"rate": 10.0, "duration": 1.0, name: value}
+        with pytest.raises(ConfigurationError, match=name):
+            PoissonArrivals(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["rate", "duration", "mean_session", "sigma", "op_rate"])
+    def test_sessions_reject(self, name, value):
+        kwargs = {"rate": 10.0, "duration": 1.0, name: value}
+        with pytest.raises(ConfigurationError, match=name):
+            LogNormalSessions(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_diurnal_rejects_day_length(self, value):
+        with pytest.raises(ConfigurationError, match="day_length"):
+            DiurnalProfile(day_length=value)
+
+    @pytest.mark.parametrize("text", ["sample=nan", "sample=inf,join=1"])
+    def test_mix_rejects(self, text):
+        with pytest.raises(ConfigurationError, match="finite"):
+            parse_mix(text)
+
+    @pytest.mark.parametrize("at", ["NaN", "Infinity"])
+    def test_trace_rejects_time(self, tmp_path, at):
+        path = tmp_path / "arrivals.jsonl"
+        path.write_text('{"at": 0.0, "op": "sample"}\n{"at": %s, "op": "sample"}\n' % at)
+        with pytest.raises(ConfigurationError, match=":2:.*finite"):
+            load_arrival_trace(str(path))
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--rate", "nan"], ["--sessions", "lognormal", "--op-rate", "inf"]],
+    )
+    def test_load_command_exits_2_at_once(self, flags, capsys):
+        from repro.cli import main
+
+        started = time.perf_counter()
+        assert main(["load", "--port", "1"] + flags) == 2
+        assert time.perf_counter() - started < 1.0
+        assert "finite" in capsys.readouterr().err
