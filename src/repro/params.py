@@ -25,7 +25,7 @@ edge probability, walk lengths) and validates their mutual consistency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from .errors import ConfigurationError
@@ -88,6 +88,13 @@ class ProtocolParameters:
     min_size: Optional[int] = field(default=None)
 
     def __post_init__(self) -> None:
+        # Every field is a number (``min_size`` may be None).  A NaN compares
+        # false against every bound below, and an infinity passes most of
+        # them, so finiteness is checked first.
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"{item.name} must be finite (got {value!r})")
         if self.max_size < 4:
             raise ConfigurationError("max_size (N) must be at least 4")
         if self.k <= 0:
@@ -107,6 +114,10 @@ class ProtocolParameters:
             )
         if self.log_base_value <= 1.0:
             raise ConfigurationError("log base must exceed 1")
+        for name in ("degree_constant", "walk_length_constant", "walk_repeats_constant"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ConfigurationError(f"{name} must be positive (got {value!r})")
         if self.min_size is not None and self.min_size < 1:
             raise ConfigurationError("min_size must be positive")
 

@@ -20,6 +20,7 @@ seam (:func:`repro.trace.session.open_driver`), the one place that reads
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 from dataclasses import asdict, dataclass, field
@@ -58,6 +59,20 @@ ADVERSARY_KINDS = {
     "oblivious": ObliviousChurnAdversary,
     "adaptive_corruption": AdaptiveCorruptionAdversary,
 }
+
+
+def _construct(role: str, kinds: Dict[str, type], kind, rng: random.Random, spec: Dict[str, Any]):
+    """``kinds[kind](rng, **spec)``, refusing an unknown kind or a spec that
+    does not fit the constructor's signature (a missing or unknown field)
+    with a :class:`ConfigurationError` naming both."""
+    if kind not in kinds:
+        raise ConfigurationError(f"unknown {role} kind {kind!r}; expected one of {sorted(kinds)}")
+    cls = kinds[kind]
+    try:
+        inspect.signature(cls).bind(rng, **spec)
+    except TypeError as error:
+        raise ConfigurationError(f"{role} {kind!r}: {error}") from None
+    return cls(rng, **spec)
 
 
 @dataclass
@@ -136,27 +151,19 @@ class Scenario:
             return None
         spec = dict(self.workload)
         kind = spec.pop("kind", "uniform")
-        if kind not in WORKLOAD_KINDS:
-            raise ConfigurationError(
-                f"unknown workload kind {kind!r}; expected one of {sorted(WORKLOAD_KINDS)}"
-            )
         spec.setdefault("byzantine_join_fraction", self.tau)
         if kind == "shrink":
             spec.pop("byzantine_join_fraction", None)  # shrink only emits leaves
-        return WORKLOAD_KINDS[kind](random.Random(self.seed + 1), **spec)
+        return _construct("workload", WORKLOAD_KINDS, kind, random.Random(self.seed + 1), spec)
 
     def _build_adversary(self, engine):
         if self.adversary is None:
             return None
         spec = dict(self.adversary)
-        kind = spec.pop("kind")
-        if kind not in ADVERSARY_KINDS:
-            raise ConfigurationError(
-                f"unknown adversary kind {kind!r}; expected one of {sorted(ADVERSARY_KINDS)}"
-            )
+        kind = spec.pop("kind", None)
         if spec.get("target_cluster") == "first":
             spec["target_cluster"] = engine.state.clusters.cluster_ids()[0]
-        return ADVERSARY_KINDS[kind](random.Random(self.seed + 2), **spec)
+        return _construct("adversary", ADVERSARY_KINDS, kind, random.Random(self.seed + 2), spec)
 
     def build_runner(
         self,

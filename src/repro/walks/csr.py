@@ -20,8 +20,8 @@ maps rows back to ids at the boundary.  All arrays are ``array``-module
 buffers.  The kernel reads them two ways: :meth:`numpy_views` exposes
 zero-copy ``frombuffer`` views over the same memory for its vector path,
 and :meth:`scalar_rows` a lazily built Python-object copy of the structural
-rows (a tuple of neighbour rows per row, and the degree reciprocals as a
-list) for its scalar path, which then indexes no ``array`` element.
+rows (one ``(inv_degree, degree, neighbours)`` tuple per row) for its scalar
+path, which then indexes no ``array`` element.
 
 Invalidation contract (see ``docs/ARCHITECTURE.md``): a layout is a
 snapshot keyed on the owning graph's mutation counters.  Structural
@@ -44,9 +44,12 @@ from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as _np
 
+from ..errors import WalkError
+
 Vertex = Hashable
-#: ``(adjacency, inv_degree)``: see :meth:`CSRLayout.scalar_rows`.
-ScalarRows = Tuple[Tuple[Tuple[int, ...], ...], List[float]]
+#: One ``(inv_degree, float degree, padded neighbours)`` row per vertex: see
+#: :meth:`CSRLayout.scalar_rows`.
+ScalarRows = Tuple[Tuple[float, float, Tuple[int, ...]], ...]
 
 
 class CSRLayout:
@@ -210,20 +213,32 @@ class CSRLayout:
     # Python-object rows and numpy views
     # ------------------------------------------------------------------
     def scalar_rows(self) -> ScalarRows:
-        """``(adjacency, inv_degree)`` as Python objects, for the scalar hop loops.
+        """One ``(inv_degree, degree, neighbours)`` tuple per row, for the scalar hop loops.
 
-        ``adjacency[row]`` is the tuple of ``row``'s neighbour rows (its
-        ``indices[indptr[row]:indptr[row + 1]]`` slice) and ``inv_degree`` is
-        the reciprocal row as a list of floats, so a hop reads no ``array``
-        element.  Both are structural, built once on first use and discarded
-        with the layout; weights are not copied, so weight churn leaves them
-        valid.
+        ``neighbours`` is the row's ``indices[indptr[row]:indptr[row + 1]]``
+        slice as a tuple with its last entry repeated, so ``neighbours[int(u
+        * degree)]`` is the clamped pick even where ``u * degree`` rounds up
+        to ``degree``.  The degree is a float: ``u * degree`` is then a
+        float product, the value the integer degree gives, without the
+        conversion.  An isolated row is ``(0.0, 0.0, ())``.  A hop reads no
+        ``array`` element, and the row it lands on is never isolated: a
+        layout in which some row lists an isolated neighbour (a graph that
+        is not undirected) is refused with :class:`~repro.errors.WalkError`.
+        Structural, built once on first use and discarded with the layout;
+        weights are not copied, so weight churn leaves the rows valid.
         """
         rows = self._scalar_rows
         if rows is None:
             flat, indptr = self.indices.tolist(), self.indptr
-            adjacency = tuple(tuple(flat[a:b]) for a, b in zip(indptr, indptr[1:]))
-            rows = self._scalar_rows = (adjacency, self.inv_degree.tolist())
+            bounds = list(zip(indptr, indptr[1:]))
+            isolated = {row for row, (a, b) in enumerate(bounds) if a == b}
+            if isolated and not isolated.isdisjoint(flat):
+                raise WalkError("a vertex lists an isolated neighbour: the graph is not undirected")
+            rows = []
+            for inv, (a, b) in zip(self.inv_degree.tolist(), bounds):
+                neighbours = flat[a:b]
+                rows.append((inv, float(b - a), tuple(neighbours + neighbours[-1:])))
+            rows = self._scalar_rows = tuple(rows)
         return rows
 
     def numpy_views(self):

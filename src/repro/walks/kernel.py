@@ -22,15 +22,27 @@ One backend (numpy), two paths by batch size.  Batches of at least
 lockstep over zero-copy numpy views of the CSR buffers.  Smaller batches
 (an exchange round batches one walk per cluster member) take the scalar
 path: one loop per batch that runs its walks one after another, holding
-the layout's Python-object rows (:meth:`~repro.walks.csr.CSRLayout.
-scalar_rows`), a Python-float copy of each buffer and both cursors in
-locals.  Both paths read the same bulk buffers, generated in blocks from a
-dedicated ``Generator(PCG64)`` stream; the buffers stay numpy arrays, and
-the scalar path's float copy of one is made once per buffer.  The path
-choice depends only on batch size, never on drawn values, so it is
-deterministic.  ``tests/reference_walk.py`` keeps the scalar path as
-per-walk loops drawing one value at a time, and the kernel suite holds the
-two to the same results and kernel state draw for draw.
+the layout's Python-object hop rows (:meth:`~repro.walks.csr.CSRLayout.
+scalar_rows`: ``(inv_degree, degree, neighbours)``, the neighbours padded
+so that no pick needs a clamp), a Python-float copy of each buffer and
+both cursors in locals.  Both paths read the same bulk buffers, generated
+in blocks from a dedicated ``Generator(PCG64)`` stream; the buffers stay
+numpy arrays, and the scalar path's float copy of one is made once per
+buffer.  The path choice depends only on batch size, never on drawn
+values, so it is deterministic.  ``tests/reference_walk.py`` keeps the
+scalar path as per-walk loops drawing one value at a time, and the kernel
+suite holds the two to the same results and kernel state draw for draw.
+
+The pair invariant of the biased scalar loop: a segment from a vertex with
+neighbours that makes ``K`` hops takes exactly ``K + 1`` exponentials and
+``K + 1`` uniforms.  Hop ``i`` takes pair ``i`` (its holding time and its
+neighbour pick); the last pair's exponential ends the segment and its
+uniform is the acceptance test.  So the loop reads the two buffers as one
+stream of ``(exponential, uniform)`` pairs, ``zip`` over two list
+iterators, and only touches the cursors where a buffer runs out.  A walk
+from an isolated vertex draws its acceptance uniforms only; no hop lands on
+one, since the graph is undirected.  The CTRW loop draws per value: its
+last exponential has no uniform after it.
 
 Determinism contract (``repro.trace``): the kernel owns its *own* RNG
 stream, seeded lazily from the parent (engine) stream via one
@@ -45,6 +57,7 @@ boundaries cannot perturb the draw sequence.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Hashable, List, Sequence
 
@@ -61,9 +74,14 @@ _REFILL = 4096
 #: overhead swamps the win until a few dozen walks advance together.
 #: ``bench_walk_kernel.py`` (long plain CTRWs, 2 vCPU) puts the crossover at
 #: 64-96 walks: the scalar loop runs 1.5-2.4 M hops/s at every batch size,
-#: the vector path 1.3-1.9 M at 63-64 walks and 2-3 M at 96-128.  Exchange
-#: rounds batch ~33 walks.  The two paths consume the stream in different
-#: orders, so moving this changes recorded executions.
+#: the vector path 1.3-1.9 M at 63-64 walks and 2-3 M at 96-128.  On the
+#: engine's own biased walks (the n0 = 300 and n0 = 1 200 overlays, 8 and 33
+#: clusters, default segment length; same box) the pair loop wins up to 256
+#: walks (vector / scalar 0.13-0.30 at 16-64 walks, 0.74-1.9 at 256, the
+#: box being noisy) and the vector path from 512 (1.3x; 1.8-2.4x at
+#: 1 024-2 048), so the crossover there lies between 256 and 512.  Exchange
+#: rounds batch ~33 walks, scalar either way.  The two paths consume the
+#: stream in different orders, so moving this changes recorded executions.
 MIN_VECTOR_BATCH = 64
 
 
@@ -213,8 +231,8 @@ class ArrayKernel:
         private stream's draws are consumed differs between the scalar and
         vectorised paths.
         """
-        if duration < 0:
-            raise WalkError("walk duration must be non-negative")
+        if not (math.isfinite(duration) and duration >= 0):
+            raise WalkError(f"walk duration must be finite and non-negative, not {duration!r}")
         csr = self._graph.csr()
         rows = self._rows_for(csr, starts)
         duration = float(duration)
@@ -223,11 +241,14 @@ class ArrayKernel:
         return self._ctrw_scalar(rows, duration, csr)
 
     def _ctrw_scalar(self, rows: List[int], duration: float, csr) -> List[tuple]:
-        # One loop over the whole batch, walk after walk, with the CSR rows,
+        # One loop over the whole batch, walk after walk, with the hop rows,
         # both buffers and both cursors in locals.  A spent buffer is
         # refilled with one fresh block at the draw that needs it, so values
         # are consumed in generation order; the cursors are written back once.
-        adjacency, inv_degree = csr.scalar_rows()
+        # A hop never lands on an isolated row (see CSRLayout.scalar_rows)
+        # and leaves ``remaining`` positive, so the loop test can only stop
+        # a walk before its first draw.
+        hop_rows = csr.scalar_rows()
         vertices = csr.vertices
         exp, exp_cur = self._exp_values(), self._exp_cur
         uni, uni_cur = self._uni_values(), self._uni_cur
@@ -237,15 +258,12 @@ class ArrayKernel:
             for row in rows:
                 remaining = duration
                 hops = 0
-                while remaining > 0:
-                    neighbours = adjacency[row]
-                    degree = len(neighbours)
-                    if degree == 0:
-                        break
+                inv, degree, neighbours = hop_rows[row]
+                while degree and remaining > 0:
                     if exp_cur >= exp_end:
                         exp, exp_cur = self._refill_exp(), 0
                         exp_end = len(exp)
-                    holding = exp[exp_cur] * inv_degree[row]
+                    holding = exp[exp_cur] * inv
                     exp_cur += 1
                     if holding >= remaining:
                         remaining = 0.0
@@ -254,11 +272,9 @@ class ArrayKernel:
                     if uni_cur >= uni_end:
                         uni, uni_cur = self._refill_uni(), 0
                         uni_end = len(uni)
-                    offset = int(uni[uni_cur] * degree)
+                    row = neighbours[int(uni[uni_cur] * degree)]
                     uni_cur += 1
-                    if offset >= degree:  # guard against u*d rounding up to d
-                        offset = degree - 1
-                    row = neighbours[offset]
+                    inv, degree, neighbours = hop_rows[row]
                     hops += 1
                 out.append((vertices[row], hops, duration - remaining))
         finally:
@@ -331,8 +347,10 @@ class ArrayKernel:
         segments.  Every segment ends in one acceptance test, so
         ``acceptance_tests == restarts``.
         """
-        if segment_duration <= 0:
-            raise WalkError("segment duration must be positive")
+        if not (math.isfinite(segment_duration) and segment_duration > 0):
+            raise WalkError(
+                f"segment duration must be finite and positive, not {segment_duration!r}"
+            )
         if max_restarts < 1:
             raise WalkError("max_restarts must be at least 1")
         max_weight = self._graph.max_weight()
@@ -353,54 +371,81 @@ class ArrayKernel:
         csr,
         max_weight: float,
     ) -> List[tuple]:
-        # One loop over the whole batch, as in _ctrw_scalar.  Weights are
-        # read live from the layout, so in-place weight churn is seen.
-        adjacency, inv_degree = csr.scalar_rows()
+        # One loop over the whole batch, walk after walk, consuming the two
+        # buffers as one stream of (exponential, uniform) pairs: a segment
+        # from a row with neighbours that makes K hops takes K + 1 pairs, the
+        # last one's exponential ending it and its uniform deciding
+        # acceptance.  ``pairs`` zips two list iterators placed at the
+        # cursors ``exp_cur`` / ``uni_cur`` and runs until either buffer is
+        # spent (a stretch).  The for-else at a stretch's end refills the
+        # spent buffer(s), the exponential's first, as the per-draw order
+        # would, and resumes.  No hop is counted: a walk's hops are the pairs
+        # it took minus its segments.  Weights are read live from the layout,
+        # so in-place weight churn is seen.
+        hop_rows = csr.scalar_rows()
         weights = csr.weights
         vertices = csr.vertices
         exp, exp_cur = self._exp_values(), self._exp_cur
         uni, uni_cur = self._uni_values(), self._uni_cur
-        exp_end, uni_end = len(exp), len(uni)
+        exp_it, uni_it = _iter_at(exp, exp_cur), _iter_at(uni, uni_cur)
+        pairs = zip(exp_it, uni_it)
         out = []
         try:
             for row in rows:
-                hops = 0
+                inv, degree, neighbours = hop_rows[row]
                 restarts = 0
+                if not degree:
+                    # An isolated start (no hop lands on one): each segment
+                    # ends where it began and draws its acceptance uniform only.
+                    uni_cur = len(uni) - uni_it.__length_hint__()
+                    while True:
+                        restarts += 1
+                        if uni_cur == len(uni):
+                            uni, uni_cur = self._refill_uni(), 0
+                        accepted = uni[uni_cur] * max_weight < weights[row]
+                        uni_cur += 1
+                        if accepted or restarts >= max_restarts:
+                            break
+                    out.append((vertices[row], 0, restarts, restarts, not accepted))
+                    exp_cur = len(exp) - exp_it.__length_hint__()
+                    uni_it = _iter_at(uni, uni_cur)
+                    pairs = zip(exp_it, uni_it)
+                    continue
+                # Pairs taken before ``mark``, the walk's place in ``exp``.
+                taken, mark = 0, len(exp) - exp_it.__length_hint__()
                 while True:
                     restarts += 1
                     remaining = segment_duration
                     while True:
-                        neighbours = adjacency[row]
-                        degree = len(neighbours)
-                        if degree == 0:
-                            break
-                        if exp_cur >= exp_end:
-                            exp, exp_cur = self._refill_exp(), 0
-                            exp_end = len(exp)
-                        holding = exp[exp_cur] * inv_degree[row]
-                        exp_cur += 1
-                        if holding >= remaining:
-                            break
-                        remaining -= holding
-                        if uni_cur >= uni_end:
-                            uni, uni_cur = self._refill_uni(), 0
-                            uni_end = len(uni)
-                        offset = int(uni[uni_cur] * degree)
-                        uni_cur += 1
-                        if offset >= degree:
-                            offset = degree - 1
-                        row = neighbours[offset]
-                        hops += 1
-                    if uni_cur >= uni_end:
-                        uni, uni_cur = self._refill_uni(), 0
-                        uni_end = len(uni)
-                    accepted = uni[uni_cur] * max_weight < weights[row]
-                    uni_cur += 1
-                    if accepted or restarts >= max_restarts:
-                        out.append((vertices[row], hops, restarts, restarts, not accepted))
+                        for x, y in pairs:
+                            holding = x * inv
+                            if holding >= remaining:
+                                break
+                            remaining -= holding
+                            row = neighbours[int(y * degree)]
+                            inv, degree, neighbours = hop_rows[row]
+                        else:
+                            used = min(len(exp) - exp_cur, len(uni) - uni_cur)
+                            exp_cur += used
+                            uni_cur += used
+                            taken += exp_cur - mark
+                            if exp_cur == len(exp):
+                                exp, exp_cur = self._refill_exp(), 0
+                            if uni_cur == len(uni):
+                                uni, uni_cur = self._refill_uni(), 0
+                            mark = exp_cur
+                            exp_it, uni_it = _iter_at(exp, exp_cur), _iter_at(uni, uni_cur)
+                            pairs = zip(exp_it, uni_it)
+                            continue
                         break
+                    accepted = y * max_weight < weights[row]
+                    if accepted or restarts >= max_restarts:
+                        break
+                taken += len(exp) - exp_it.__length_hint__() - mark
+                out.append((vertices[row], taken - restarts, restarts, restarts, not accepted))
         finally:
-            self._exp_cur, self._uni_cur = exp_cur, uni_cur
+            self._exp_cur = len(exp) - exp_it.__length_hint__()
+            self._uni_cur = len(uni) - uni_it.__length_hint__()
         return out
 
     def _biased_vector(
@@ -517,3 +562,10 @@ class ArrayKernel:
             return [csr.row_of(start) for start in starts]
         except KeyError as error:
             raise WalkError(f"start vertex {error.args[0]!r} is not in the graph") from None
+
+
+def _iter_at(values: list, cursor: int):
+    """An iterator over ``values`` from index ``cursor`` on, without a copy."""
+    iterator = iter(values)
+    iterator.__setstate__(cursor)
+    return iterator

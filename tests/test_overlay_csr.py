@@ -28,8 +28,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from repro.errors import WalkError
 from repro.overlay.graph import OverlayGraph
 from repro.walks.csr import CSRLayout
+from repro.walks.interface import MappingGraph
 
 from test_walk_fastpath import OPERATION, apply_operations, seeded_overlay
 
@@ -56,14 +58,17 @@ def assert_csr_matches_fresh_build(graph: OverlayGraph) -> None:
 
 
 def assert_scalar_rows_match(layout: CSRLayout) -> None:
-    """``scalar_rows()`` holds the ``indptr``/``indices``/``inv_degree`` rows."""
-    adjacency, inv_degree = layout.scalar_rows()
+    """``scalar_rows()`` holds the ``indptr``/``indices``/``inv_degree`` rows,
+    each row's neighbours padded with a repeat of the last one."""
+    rows = layout.scalar_rows()
     indptr, indices = layout.indptr, layout.indices
-    assert len(adjacency) == len(layout)
-    for row, neighbours in enumerate(adjacency):
+    assert len(rows) == len(layout)
+    for row, (inv, degree, neighbours) in enumerate(rows):
+        expected = list(indices[indptr[row] : indptr[row + 1]])
+        assert inv == layout.inv_degree[row]
+        assert degree == len(expected)
         assert isinstance(neighbours, tuple)
-        assert list(neighbours) == list(indices[indptr[row] : indptr[row + 1]])
-    assert inv_degree == list(layout.inv_degree)
+        assert list(neighbours) == expected + expected[-1:]
 
 
 class TestVersionBumps:
@@ -158,15 +163,24 @@ class TestSnapshotLifecycle:
         snapshot = graph.csr()
         rows = snapshot.scalar_rows()
         assert_scalar_rows_match(snapshot)
-        assert rows[0][snapshot.row_of(50)] == () and rows[1][snapshot.row_of(50)] == 0.0
+        assert rows[snapshot.row_of(50)] == (0.0, 0.0, ())
         graph.set_weight(2, 42.0)
         snapshot.refresh_weights(graph, graph.version)
         assert graph.csr() is snapshot and snapshot.scalar_rows() is rows
         graph.add_edge(50, 0)
         rebuilt = graph.csr()
         assert rebuilt is not snapshot and rebuilt.scalar_rows() is not rows
-        assert rebuilt.scalar_rows()[0][rebuilt.row_of(50)] == (rebuilt.row_of(0),)
+        assert rebuilt.scalar_rows()[rebuilt.row_of(50)] == (1.0, 1.0, (rebuilt.row_of(0),) * 2)
         assert_csr_matches_fresh_build(graph)
+
+    def test_scalar_rows_refuse_an_isolated_neighbour(self):
+        """A hop must never land on an isolated row, so a layout in which
+        one is listed as a neighbour (a directed graph) is refused."""
+        layout = CSRLayout.build(MappingGraph({0: [1], 1: [], 2: []}))
+        with pytest.raises(WalkError, match="isolated neighbour"):
+            layout.scalar_rows()
+        rows = CSRLayout.build(MappingGraph({0: [1], 1: [0], 2: []})).scalar_rows()
+        assert rows == ((1.0, 1.0, (1, 1)), (1.0, 1.0, (0, 0)), (0.0, 0.0, ()))
 
     def test_weight_patch_is_visible_through_numpy_views(self):
         graph = seeded_overlay()

@@ -60,6 +60,37 @@ class TestParameterValidation:
         with pytest.raises(ConfigurationError):
             ProtocolParameters(max_size=1024, log_base_value=1.0)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "k",
+            "l",
+            "alpha",
+            "tau",
+            "epsilon",
+            "log_base_value",
+            "degree_constant",
+            "walk_length_constant",
+            "walk_repeats_constant",
+            "max_size",
+            "min_size",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_fields(self, field, value):
+        """A NaN slips past every ``<`` / ``<=`` guard, so each field is
+        checked for finiteness by name before the range checks."""
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            ProtocolParameters(**{"max_size": 1024, field: value})
+
+    @pytest.mark.parametrize(
+        "field", ["degree_constant", "walk_length_constant", "walk_repeats_constant"]
+    )
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_rejects_non_positive_walk_and_degree_constants(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be positive"):
+            ProtocolParameters(**{"max_size": 1024, field: value})
+
     def test_accepts_boundary_tau(self):
         params = ProtocolParameters(max_size=1024, tau=1.0 / 3.0 - 0.05, epsilon=0.05)
         assert params.tau == pytest.approx(1.0 / 3.0 - 0.05)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -57,3 +59,27 @@ class TestRunScenarioCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert "run-scenario needs" in captured.err
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"alpha": float("inf")}, "alpha must be finite"),
+            ({"epsilon": float("nan")}, "epsilon must be finite"),
+            ({"workload": {"kind": "shrink"}}, "workload 'shrink'"),
+            ({"workload": {"kind": "uniform", "bogus": 1}}, "'bogus'"),
+        ],
+    )
+    def test_spec_with_bad_values_exits_2(self, tmp_path, capsys, fields, message):
+        """Non-finite parameters (JSON ``Infinity`` / ``NaN``) and a source
+        spec that does not fit its constructor are input errors: exit 2."""
+        from repro.scenarios import Scenario
+
+        spec = Scenario(name="bad", max_size=1024, initial_size=90, tau=0.1, k=2.0, steps=5)
+        data = dict(spec.to_dict(), **fields)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        code = main(["run-scenario", "--spec", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+        assert "Traceback" not in captured.err

@@ -230,6 +230,32 @@ class TestScenario:
         with pytest.raises(ConfigurationError):
             small_scenario(adversary={"kind": "nope"}).run()
 
+    @pytest.mark.parametrize(
+        "field, spec, named",
+        [
+            ("workload", {"kind": "shrink"}, "target_size"),
+            ("workload", {"kind": "uniform", "bogus": 1}, "bogus"),
+            ("workload", {"kind": "oscillating", "low_size": 50}, "high_size"),
+            ("adversary", {"kind": "oblivious", "target_cluster": "first"}, "target_cluster"),
+            ("adversary", {"kind": "join_leave", "rate": 2}, "rate"),
+        ],
+    )
+    def test_malformed_source_spec_is_refused_naming_kind_and_field(self, field, spec, named):
+        """A spec that does not fit its constructor is a ConfigurationError
+        naming the kind and the field, not a TypeError."""
+        scenario = small_scenario(**{field: spec})
+        with pytest.raises(ConfigurationError, match=f"{field} '{spec['kind']}'.*'{named}'"):
+            scenario.run()
+
+    def test_constructor_checks_still_apply(self):
+        """A spec that binds is handed to the constructor, whose own checks stand."""
+        with pytest.raises(ConfigurationError, match="target_size must be positive"):
+            small_scenario(workload={"kind": "shrink", "target_size": 0}).run()
+
+    def test_adversary_spec_without_kind_is_refused(self):
+        with pytest.raises(ConfigurationError, match="unknown adversary kind None"):
+            small_scenario(adversary={"target_cluster": "first"}).run()
+
     def test_scenario_without_sources_rejected(self):
         with pytest.raises(ConfigurationError):
             small_scenario(workload=None).run()

@@ -37,10 +37,12 @@ Five families of guarantees:
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import shutil
 
+import numpy as _np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -204,6 +206,19 @@ class TestKernelSelection:
         with pytest.raises(WalkError):
             kernel.run_biased_batch([0], segment_duration=1.0, max_restarts=0)
         assert kernel.run_ctrw_batch([], duration=1.0) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_durations_are_refused(self, bad):
+        """On both paths: a NaN duration used to pass the sign guard and never
+        end a biased segment (``holding >= nan`` is never true), and an
+        infinite one hopped forever."""
+        kernel = ArrayKernel(seeded_overlay(), random.Random(1))
+        for starts in ([0], [0] * MIN_VECTOR_BATCH):
+            with pytest.raises(WalkError, match="finite"):
+                kernel.run_ctrw_batch(starts, bad)
+            with pytest.raises(WalkError, match="finite"):
+                kernel.run_biased_batch(starts, bad, 4)
+        assert kernel.snapshot_state()["rng"] is None  # refused before any draw
 
 
 # ----------------------------------------------------------------------
@@ -436,6 +451,64 @@ class TestScalarPathDrawForDraw:
         got = batched.run_biased_batch(starts, 0.05, 2)
         assert got == reference_biased_batch(reference, starts, 0.05, 2)
         assert any(truncated for *_, truncated in got)
+        assert batched.snapshot_state() == reference.snapshot_state()
+
+    @pytest.mark.parametrize("uni_skip", [4000, 4090])
+    def test_stretch_boundaries_inside_walks(self, uni_skip):
+        """Both refills land inside walks that hop: at different walks of
+        the batch when the cursors differ, at one pair when they agree.
+
+        With 6 exponentials and 96 (or 6) uniforms left, the first walk
+        spends the exponentials and a later one (or the same pair) the
+        uniforms, so the pair stream is cut twice (or once, the exponential
+        refilled first); the isolated starts take uniforms only, which
+        shifts the two cursors against each other between the cuts.
+        """
+        graph = seeded_overlay(vertices=6, seed=7)
+        graph.add_vertex(99, weight=3.0)  # isolated
+        batched = ArrayKernel(graph, random.Random(8))
+        reference = ArrayKernel(graph, random.Random(8))
+        for twin in (batched, reference):
+            twin._take_exp_vec(4090)
+            twin._take_uni_vec(uni_skip)
+        starts = [0, 99, 1, 2, 99, 3, 4, 5] * 3
+        got = batched.run_biased_batch(starts, 20.0, 4)
+        assert got == reference_biased_batch(reference, starts, 20.0, 4)
+        assert batched.snapshot_state() == reference.snapshot_state()
+        # Replay the batch's draw counts: each refill falls inside a walk
+        # that hops (a segment of K hops takes K + 1 pairs).
+        exp_left, uni_left = 4096 - 4090, 4096 - uni_skip
+        exp_taken = uni_taken = 0
+        cuts = set()
+        for start, (_, hops, restarts, _, _) in zip(starts, got):
+            pairs = 0 if start == 99 else hops + restarts
+            if exp_taken < exp_left < exp_taken + pairs:
+                cuts.add("exp")
+            if pairs and uni_taken < uni_left < uni_taken + pairs:
+                cuts.add("uni")
+            exp_taken, uni_taken = exp_taken + pairs, uni_taken + (pairs or restarts)
+        assert cuts == {"exp", "uni"}
+
+    def test_padding_stands_in_for_the_clamp(self):
+        """Where ``u * degree`` reaches ``degree``, the padded row picks the
+        last neighbour, which the reference's clamp picks.
+
+        A uniform below 1 never rounds up that far, so the buffer is seeded
+        with 1.0 itself, the value such a rounding would produce.
+        """
+        graph = seeded_overlay(vertices=6, seed=7)
+        batched = ArrayKernel(graph, random.Random(12))
+        reference = ArrayKernel(graph, random.Random(12))
+        for twin in (batched, reference):
+            twin._take_exp_vec(1)
+            twin._uni_buf = _np.array([1.0, math.nextafter(1.0, 0.0)] * 200)
+            twin._uni_cur = 0
+        starts = list(graph.vertices())
+        got = batched.run_ctrw_batch(starts, 2.0)
+        assert got == reference_ctrw_batch(reference, starts, 2.0)
+        assert any(hops for _, hops, _ in got)
+        got = batched.run_biased_batch(starts, 2.0, 3)
+        assert got == reference_biased_batch(reference, starts, 2.0, 3)
         assert batched.snapshot_state() == reference.snapshot_state()
 
 
