@@ -15,10 +15,9 @@ accidentally "cheat" by reading the adversary's hand.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from contextlib import contextmanager
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import (
     ConfigurationError,
@@ -45,7 +44,8 @@ class Cluster:
         self.members = set(self.members)
         # Sorted membership, kept in place by every mutation, so an exchange
         # round picks from one live view of it (``sorted_members``) with no
-        # sort and no copy per swap.
+        # sort and no copy per swap; the exchanging cluster's own view is
+        # rebuilt once, at the end of its round.
         self._sorted_members: List[NodeId] = sorted(self.members)
 
     # ------------------------------------------------------------------
@@ -171,7 +171,7 @@ class ClusterRegistry:
         ``member_removed(cluster_id, node_id)`` and
         ``members_swapped(cluster_id, swaps)``; missing hooks are skipped.
         ``members_swapped`` is the only event swaps emit (one per
-        :meth:`swapping` batch, i.e. per exchange round), so a listener following
+        :meth:`exchange_round` or :meth:`swap_members`), so a listener following
         ``member_added`` / ``member_removed`` must define it and is refused
         otherwise.  One that follows only sizes, which swaps keep, defines
         ``members_swapped = None`` and receives nothing.
@@ -284,59 +284,105 @@ class ClusterRegistry:
     ) -> None:
         """Exchange ``first_node`` (of ``first_cluster``) with ``second_node`` (of ``second_cluster``).
 
-        A swap within one cluster changes nothing and emits nothing.
+        A one-swap :meth:`exchange_round`: the same checks, updates and
+        event.  A swap within one cluster changes nothing and emits nothing.
         """
-        if first_cluster != second_cluster:
-            with self.swapping(first_cluster) as (swap, _):
-                swap(first_node, self.get(second_cluster), second_node)
+        self.exchange_round(
+            first_cluster, [first_node], [0], [second_cluster], None, lambda _: second_node
+        )
 
-    @contextmanager
-    def swapping(self, cluster_id: ClusterId):
-        """One batch of swaps out of ``cluster_id``, reported as one event.
+    def exchange_round(
+        self,
+        cluster_id: ClusterId,
+        outgoing: List[NodeId],
+        draws,
+        vertices: Sequence[ClusterId],
+        getrandbits: Optional[Callable[[int], int]],
+        choose: Optional[Callable[[List[NodeId]], NodeId]] = None,
+    ) -> Tuple[List[Tuple[NodeId, ClusterId, NodeId]], dict]:
+        """Swap each ``outgoing`` member of ``cluster_id`` with a member of a drawn partner.
 
-        Yields ``(swap, applied)``.  ``swap(node, partner, replacement)``
-        exchanges ``node`` of ``cluster_id`` with ``replacement`` of the
-        cluster ``partner`` (another :class:`Cluster`) in place: the four
-        membership checks run before either side changes, so a refused swap
-        changes nothing.  ``applied`` lists the ``(node, partner_id,
-        replacement)`` triples done; at exit they go to listeners as one
-        ``members_swapped`` event, also when a later swap raised.
+        One flat pass over ``outgoing``; each member draws one key and
+        ``vertices[key]`` is its partner.  ``draws`` is a list of keys, one
+        per member, or a ``(cum, total, last, random)`` table drawn lazily
+        as :meth:`~repro.walks.csr.CSRLayout.row_sampler` draws, so a round
+        refused part-way has drawn only up to the refusal.  A member whose
+        partner is ``cluster_id`` itself or an empty cluster stays.
+        Otherwise the partner gives up the member at an index into its
+        sorted view: ``getrandbits(size.bit_length())`` redrawn until below
+        the size, which is the draw ``randrange(size)`` makes, or, when
+        ``getrandbits`` is ``None``, the member ``choose(view)`` names.
+
+        The four membership checks run before either side of a swap
+        changes, so a refused swap changes nothing.  No pick reads the
+        exchanging cluster's own view (a self-draw stays); it is rebuilt
+        once when the pass ends.  The applied ``(node, partner_id,
+        replacement)`` triples go to listeners as one ``members_swapped``
+        event, also when a swap was refused.  Returns them with the round's
+        partner table: key -> ``[partner_id, members, view, size, bits,
+        picks]``, or ``()`` where the member stayed.
         """
         cluster = self.get(cluster_id)
-        members, view = cluster.members, cluster._sorted_members
-        node_index = self._node_to_cluster
+        members = cluster.members
+        clusters, node_index = self._clusters, self._node_to_cluster
+        partners: dict = {}
         applied: List[Tuple[NodeId, ClusterId, NodeId]] = []
         record = applied.append
-
-        def swap(node: NodeId, partner: Cluster, replacement: NodeId) -> None:
-            partner_id, partner_members = partner.cluster_id, partner.members
-            if (
-                node not in members
-                or replacement in members
-                or replacement not in partner_members
-                or node in partner_members
-            ):
-                cluster._check_swap(node, replacement)  # raises the first refusal
-                partner._check_swap(replacement, node)
-            partner_view = partner._sorted_members
-            members.remove(node)
-            members.add(replacement)
-            partner_members.remove(replacement)
-            partner_members.add(node)
-            del view[bisect_left(view, node)]
-            insort(view, replacement)
-            del partner_view[bisect_left(partner_view, replacement)]
-            insort(partner_view, node)
-            node_index[node] = partner_id
-            node_index[replacement] = cluster_id
-            record((node, partner_id, replacement))
-
+        lazy = not isinstance(draws, list)
+        if lazy:
+            cum, total, last, random = draws
+        else:
+            next_key = iter(draws).__next__
         try:
-            yield swap, applied
+            for node in outgoing:
+                key = bisect_right(cum, random() * total, 0, last) if lazy else next_key()
+                entry = partners.get(key)
+                if entry is None:
+                    partner_id = vertices[key]
+                    partner = clusters.get(partner_id)
+                    if partner is None:
+                        self.get(partner_id)  # raises UnknownClusterError
+                    view = partner._sorted_members
+                    size, bits = len(view), len(view).bit_length()
+                    stays = partner_id == cluster_id or not size
+                    entry = partners[key] = (
+                        () if stays else [partner_id, partner.members, view, size, bits, 0]
+                    )
+                if not entry:
+                    continue
+                partner_id, partner_members, partner_view, size, bits, _ = entry
+                if getrandbits is not None:
+                    index = getrandbits(bits)
+                    while index >= size:
+                        index = getrandbits(bits)
+                    replacement = partner_view[index]
+                else:
+                    replacement = choose(partner_view)
+                    index = bisect_left(partner_view, replacement)
+                if (
+                    node not in members
+                    or replacement in members
+                    or replacement not in partner_members
+                    or node in partner_members
+                ):
+                    cluster._check_swap(node, replacement)  # raises the first refusal
+                    self.get(partner_id)._check_swap(replacement, node)
+                members.remove(node)
+                members.add(replacement)
+                partner_members.remove(replacement)
+                partner_members.add(node)
+                del partner_view[index]
+                insort(partner_view, node)
+                node_index[node] = partner_id
+                node_index[replacement] = cluster_id
+                record((node, partner_id, replacement))
+                entry[5] += 1
         finally:
+            cluster._sorted_members[:] = sorted(members)
             if applied:
                 for method in self._hooks("members_swapped"):
                     method(cluster_id, applied)
+        return applied, partners
 
     # ------------------------------------------------------------------
     # Queries

@@ -27,6 +27,7 @@ from ..errors import UnknownClusterError
 from ..network.message import MessageKind
 from ..network.metrics import CommunicationMetrics
 from ..network.node import NodeId
+from ..walks.csr import CSRLayout
 from .cluster import ClusterId
 from .randcl import RandCl
 from .randnum import RandNum, randnum_cost
@@ -81,52 +82,45 @@ class ExchangeProtocol:
         the cluster is selected with probability ``|C| / n``).
 
         Swaps keep every cluster size, so the overlay, the walk cost model
-        and each partner (its live sorted-member view and randNum cost) are
-        resolved once per round.  One loop draws each member's partner,
-        picks its replacement and applies the swap, in the order the
-        member-by-member round consumed the engine stream; the registry
-        emits one event for the round.
+        and each partner's size are fixed for the round.  The registry runs
+        the round as one pass (:meth:`~repro.core.cluster.ClusterRegistry.
+        exchange_round`): per member one draw, one pick and one swap, in the
+        order the member-by-member round consumed the engine stream, and one
+        event for the round.  The costs are then read from its partner
+        table: per partner, its picks, its size and its CSR row.
         """
-        ledger = metrics if metrics is not None else self._state.metrics.scope(label)
-        report = ExchangeReport(cluster_id=cluster_id)
-        clusters = self._state.clusters
+        state = self._state
+        ledger = metrics if metrics is not None else state.metrics.scope(label)
+        clusters = state.clusters
         cluster = clusters.get(cluster_id)
-        members = cluster.members
-        original_members = cluster.member_list()
-        draw, vertices, price = self._randcl.round_partners(cluster_id, len(original_members))
-        choose = self._randnum.choose
-        is_byzantine = self._state.nodes.is_byzantine
-        # Per walk endpoint (CSR row or cluster id): the partner, its live sorted
-        # view and randNum cost, or () where the member stays (self or empty).
-        partners: dict = {}
-        walked = pick_messages = pick_rounds = 0
-        with clusters.swapping(cluster_id) as (swap, applied):
-            for node_id in original_members:
-                if node_id not in members:
-                    # Already swapped out by a previous iteration's partner choice.
-                    continue
-                key = draw()
-                walked += 1
-                partner = partners.get(key)
-                if partner is None:
-                    partner_id = key if vertices is None else vertices[key]
-                    target = clusters.get(partner_id)
-                    view = target.sorted_members()
-                    stays = partner_id == cluster_id or not view
-                    partner = partners[key] = () if stays else (target, view, *randnum_cost(len(view)))
-                if not partner:
-                    continue
-                # The partner is informed it will receive ``node_id`` and
-                # chooses a replacement uniformly via randNum.
-                target, view, messages, rounds = partner
-                pick_messages += messages
-                pick_rounds += rounds
-                swap(node_id, target, choose(view, is_byzantine))
-        report.swaps = applied
-        report.partner_clusters = {partner[0].cluster_id for partner in partners.values() if partner}
-        walk_messages, walk_rounds, report.walk_hops = price(walked)
+        walked = len(cluster)
+        draws, vertices, (walk_messages, walk_rounds, walk_hops) = self._randcl.round_partners(
+            cluster_id, walked
+        )
+        applied, partners = clusters.exchange_round(
+            cluster_id,
+            cluster.member_list(),
+            draws,
+            vertices,
+            *self._randnum.round_picks(state.nodes.is_byzantine),
+        )
         cluster.exchanges_performed += 1
-        cluster.last_full_exchange = self._state.time_step
+        cluster.last_full_exchange = state.time_step
+
+        # The partners' picks, and their rows and sizes for the notification.
+        layout = state.overlay.graph.csr()
+        rows, sizes = [layout.row_of(cluster_id)], [walked]
+        partner_clusters = set()
+        pick_messages = pick_rounds = 0
+        for row, partner in partners.items():
+            if partner:
+                partner_id, _, _, size, _, picks = partner
+                messages, rounds = randnum_cost(size)
+                pick_messages += picks * messages
+                pick_rounds += picks * rounds
+                partner_clusters.add(partner_id)
+                rows.append(row)
+                sizes.append(size)
 
         # The round books each kind once, and only a kind that occurred.
         if walked:
@@ -135,14 +129,17 @@ class ExchangeProtocol:
             ledger.charge(pick_messages, pick_rounds, kind=MessageKind.RANDNUM, label=label)
         # Inform neighbouring clusters of the new compositions (batched at the
         # end of the operation; see design note 2 in docs/ARCHITECTURE.md).
-        notify_messages, notify_rounds = notification_cost(
-            self._state, [cluster_id, *sorted(report.partner_clusters)]
-        )
+        notify_messages, notify_rounds = row_notification_cost(layout, rows, sizes)
         if notify_messages:
             ledger.charge(notify_messages, notify_rounds, kind=MessageKind.MEMBERSHIP, label=label)
-        report.messages += walk_messages + pick_messages + notify_messages
-        report.rounds += walk_rounds + pick_rounds + notify_rounds
-        return report
+        return ExchangeReport(
+            cluster_id=cluster_id,
+            swaps=applied,
+            partner_clusters=partner_clusters,
+            messages=walk_messages + pick_messages + notify_messages,
+            rounds=walk_rounds + pick_rounds + notify_rounds,
+            walk_hops=walk_hops,
+        )
 
 
 def notification_cost(state: SystemState, cluster_ids: Iterable[ClusterId]) -> Tuple[int, int]:
@@ -151,19 +148,34 @@ def notification_cost(state: SystemState, cluster_ids: Iterable[ClusterId]) -> T
     Every member of an updated cluster sends the new composition to every
     member of every adjacent cluster (a neighbour accepts the update only
     when more than half of the cluster sent it, hence the full bipartite
-    pattern); the updates of all of ``cluster_ids`` share one round.
-    Overlay weights are the cluster sizes (``check_invariants`` checks it),
-    so ``C`` costs ``|C| * S(C)``, ``S`` the CSR's neighbour-weight sums.
+    pattern); the updates of all of ``cluster_ids`` share one round.  A
+    cluster gone from the overlay or the registry is told nothing.
     """
     clusters = state.clusters
     layout = state.overlay.graph.csr()
-    sums = layout.neighbour_weight_sums()
-    messages = 0.0
+    rows: List[int] = []
+    sizes: List[int] = []
     for cluster_id in cluster_ids:
-        try:  # a cluster gone from the overlay or the registry is told nothing
+        try:
             row, size = layout.row_of(cluster_id), len(clusters.get(cluster_id).members)
         except (KeyError, UnknownClusterError):
             continue
+        rows.append(row)
+        sizes.append(size)
+    return row_notification_cost(layout, rows, sizes)
+
+
+def row_notification_cost(layout: CSRLayout, rows: List[int], sizes: List[int]) -> Tuple[int, int]:
+    """:func:`notification_cost` of the clusters at CSR ``rows``, of sizes ``sizes``.
+
+    Overlay weights are the cluster sizes (``check_invariants`` checks it),
+    so ``C`` costs ``|C| * S(C)``, ``S`` the CSR's neighbour-weight sums.
+    Every term is an integer below ``2**53``, so the sum is exact in any
+    order.
+    """
+    sums = layout.neighbour_weight_sums()
+    messages = 0.0
+    for row, size in zip(rows, sizes):
         messages += size * sums[row]
     messages = int(messages)
     return messages, 1 if messages else 0

@@ -5,7 +5,8 @@ NOW; the checks below make them executable so tests, property-based tests and
 long churn experiments can assert them after every time step:
 
 * **Partition** — every active node belongs to exactly one cluster, every
-  cluster member is an active node, no cluster is empty.
+  cluster member is an active node, no cluster is empty; the registry's
+  node index and each cluster's sorted view agree with the member sets.
 * **Size bounds** — cluster sizes stay within ``[k log N / l, l k log N]``
   (immediately after the induced split/merge of the time step).
 * **Honest supermajority** — no cluster's Byzantine fraction reaches one
@@ -96,10 +97,15 @@ def check_invariants(
 # Individual checks
 # ----------------------------------------------------------------------
 def _check_partition(state: SystemState, violations: List[str]) -> None:
+    clusters = state.clusters
     seen: Dict[int, ClusterId] = {}
-    for cluster in state.clusters.clusters():
+    for cluster in clusters.clusters():
         if not cluster.members:
             violations.append(f"cluster {cluster.cluster_id} is empty")
+        if cluster.sorted_members() != sorted(cluster.members):
+            violations.append(
+                f"cluster {cluster.cluster_id}'s sorted view differs from its members"
+            )
         for node_id in cluster.members:
             if node_id in seen:
                 violations.append(
@@ -107,6 +113,12 @@ def _check_partition(state: SystemState, violations: List[str]) -> None:
                     f"and {cluster.cluster_id}"
                 )
             seen[node_id] = cluster.cluster_id
+            indexed = clusters.cluster_of(node_id) if clusters.contains_node(node_id) else None
+            if indexed != cluster.cluster_id:
+                violations.append(
+                    f"node index places member {node_id} of cluster {cluster.cluster_id} "
+                    f"in {indexed}"
+                )
             if node_id not in state.nodes:
                 violations.append(f"cluster member {node_id} is not a registered node")
             elif not state.nodes.is_active(node_id):
@@ -116,6 +128,9 @@ def _check_partition(state: SystemState, violations: List[str]) -> None:
     for node_id in state.nodes.active_nodes():
         if node_id not in seen:
             violations.append(f"active node {node_id} is not assigned to any cluster")
+    stale = clusters.total_nodes() - len(seen)
+    if stale > 0:
+        violations.append(f"node index has entries for {stale} non-member node(s)")
 
 
 def _check_size_bounds(state: SystemState, violations: List[str]) -> None:

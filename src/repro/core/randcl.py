@@ -157,36 +157,38 @@ class RandCl:
         yield from self._prepare_sampler(start_cluster).sample_many([start_cluster] * count)
 
     def round_partners(self, start_cluster: ClusterId, count: int) -> tuple:
-        """Where one exchange round's partners come from: ``(draw, vertices, price)``.
+        """Where one exchange round's ``count`` partners come from: ``(draws, vertices, cost)``.
 
-        ``draw()`` is the next walk's endpoint: in oracle mode a CSR row, one
-        ``rng.random()`` and a bisect on the caller's stream per call, so a
-        member the round skips draws nothing; in simulated mode a cluster
-        id of the round's :meth:`walks` batch.  ``vertices`` maps a row to
-        its cluster id (``None`` when ``draw`` returns ids).
-        ``price(walked)`` is ``(messages, rounds, hops)`` of the first
-        ``walked`` walks.  Every oracle walk of a round has the same
-        expected effort, so it is priced once.
+        ``draws`` gives one CSR row per walk.  In oracle mode it is the
+        layout's :class:`~repro.walks.csr.RowSampler` on the caller's
+        stream: each call is one ``rng.random()`` and a bisect, drawn only
+        when pulled, exactly as a :meth:`select` would draw.  In simulated
+        mode it is the list of the rows the round's :meth:`walks` batch
+        ends on.  ``vertices`` maps a row to its cluster id, and ``cost``
+        is ``(messages, rounds, hops)`` of the ``count`` walks.  Every
+        oracle walk of a round has the same expected effort, so it is
+        priced once.
         """
         charges = self.cost_model()
         if self._walk_mode is WalkMode.SIMULATED:
             outcomes = list(self.walks(start_cluster, count))
-
-            def price(walked: int) -> tuple:
-                done = outcomes[:walked]
-                costs = [walk_cost(walk.hops, walk.restarts, charges) for walk in done]
-                return sum(m for m, _ in costs), sum(r for _, r in costs), sum(w.hops for w in done)
-
-            return iter([outcome.cluster for outcome in outcomes]).__next__, None, price
+            layout = self._sampler.graph.csr()
+            costs = [walk_cost(walk.hops, walk.restarts, charges) for walk in outcomes]
+            cost = (
+                sum(m for m, _ in costs),
+                sum(r for _, r in costs),
+                sum(walk.hops for walk in outcomes),
+            )
+            return [layout.row_of(walk.cluster) for walk in outcomes], layout.vertices, cost
         sampler = self._prepare_sampler(start_cluster)
         layout = sampler.graph.csr()
         try:
-            draw = layout.row_sampler(self._rng)
+            draws = layout.row_sampler(self._rng)
         except ValueError as error:
             raise WalkError(str(error)) from error
         hops, restarts = sampler.oracle_effort()
         messages, rounds = walk_cost(hops, restarts, charges)
-        return draw, layout.vertices, lambda walked: (walked * messages, walked * rounds, walked * hops)
+        return draws, layout.vertices, (count * messages, count * rounds, count * hops)
 
     def finalize(
         self,

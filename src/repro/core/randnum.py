@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..errors import ProtocolViolationError
@@ -167,6 +168,19 @@ class RandNum:
         members = list(member_list)  # the override gets its own copy, never a live view
         controlled = sum(map(is_byzantine, members)) / len(members) >= RANDNUM_SECURITY_THRESHOLD
         return members[self._value(members, len(members), controlled)]
+
+    def round_picks(self, is_byzantine: Callable[[NodeId], bool]) -> tuple:
+        """``(getrandbits, choose)`` for one exchange round's picks, one of them ``None``.
+
+        Without an ``adversary_override`` a pick among ``m`` members is
+        ``randrange(m)``, which CPython draws as ``getrandbits(m.bit_length())``
+        redrawn until below ``m``; the round makes that draw inline with the
+        stream's ``getrandbits``.  With one, ``choose(view)`` is
+        :meth:`choose` on the live view at pick time.
+        """
+        if self._adversary_override is None:
+            return self._rng.getrandbits, None
+        return None, partial(self.choose, is_byzantine=is_byzantine)
 
     def _value(self, member_list: Sequence[NodeId], upper_bound: int, controlled: bool) -> int:
         """The agreed value: the override's if the adversary controls the cluster, else uniform."""

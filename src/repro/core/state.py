@@ -391,7 +391,8 @@ class CorruptionTracker:
 
         A swap of two nodes of different roles moves one Byzantine count
         between ``cluster_id`` and the partner; the moves are summed over
-        the round and each touched cluster is refreshed once.  Roles are
+        the round, and each cluster whose count moved is refreshed once
+        (sizes are unchanged, so no other fraction moved).  Roles are
         read from the registry's role set, fetched once for the round, with
         :meth:`rebuild`'s rule: an unregistered node raises
         ``UnknownNodeError``.
@@ -409,8 +410,9 @@ class CorruptionTracker:
             moved[partner_id] = moved.get(partner_id, 0) - delta
         byz_count = self._byz_count
         for touched, delta in moved.items():
-            byz_count[touched] = byz_count.get(touched, 0) + delta
-            self._refresh(touched)
+            if delta:
+                byz_count[touched] = byz_count.get(touched, 0) + delta
+                self._refresh(touched)
 
     def _role_changed(self, descriptor: NodeDescriptor, old, new) -> None:
         node_id = descriptor.node_id

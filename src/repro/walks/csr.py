@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import bisect
 from array import array
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 import numpy as _np
 
@@ -50,6 +50,22 @@ Vertex = Hashable
 #: One ``(inv_degree, float degree, padded neighbours)`` row per vertex: see
 #: :meth:`CSRLayout.scalar_rows`.
 ScalarRows = Tuple[Tuple[float, float, Tuple[int, ...]], ...]
+
+
+class RowSampler(NamedTuple):
+    """One stationary-law draw table: calling it draws a row.
+
+    A draw is ``bisect_right(cum, random() * total, 0, last)``; a caller
+    may unpack the four fields and make the same draw inline.
+    """
+
+    cum: array
+    total: float
+    last: int
+    random: Callable[[], float]
+
+    def __call__(self) -> int:
+        return bisect.bisect_right(self.cum, self.random() * self.total, 0, self.last)
 
 
 class CSRLayout:
@@ -183,14 +199,16 @@ class CSRLayout:
             self._neighbour_sums = array("d", [sum(map(weight_of, indices[a:b])) for a, b in rows])
         return self._neighbour_sums
 
-    def row_sampler(self, rng) -> Callable[[], int]:
+    def row_sampler(self, rng) -> RowSampler:
         """A draw function for the stationary law at the current weights.
 
         Each call is one ``rng.random()`` and one binary search over the
         cumulative row with :meth:`random.Random.choices`' bounds, so a draw
-        selects the vertex a rebuild-per-draw weighted choice would.  The row
-        is resolved once, here: do not draw past a weight change.  An empty
-        or weightless layout raises ``ValueError``, leaving ``rng`` untouched.
+        selects the vertex a rebuild-per-draw weighted choice would.  The
+        row is resolved once, here: do not draw past a weight change.  The
+        sampler is also its own table, for a caller that inlines the draw.
+        An empty or weightless layout raises ``ValueError``, leaving ``rng``
+        untouched.
         """
         cum = self.cum_weights()
         if not cum:
@@ -198,12 +216,7 @@ class CSRLayout:
         total = cum[-1]
         if total <= 0.0:
             raise ValueError("graph has no positive vertex weight")
-        random, last = rng.random, len(cum) - 1
-
-        def draw() -> int:
-            return bisect.bisect_right(cum, random() * total, 0, last)
-
-        return draw
+        return RowSampler(cum, total, len(cum) - 1, rng.random)
 
     def sample_row(self, rng) -> int:
         """The row one ``rng.random()`` draw selects (see :meth:`row_sampler`)."""

@@ -295,29 +295,49 @@ class TestSwapFastPath:
         registry.swap_members(10, 2, 20, 4)
         assert aware.swaps == [(10, [(2, 20, 4)])]
 
-    def test_swapping_emits_one_event_for_the_applied_swaps(self):
+    def test_exchange_round_emits_one_event_for_the_applied_swaps(self):
         registry = self._registry()
         registry.create_cluster([5, 6], cluster_id=30)
         aware = self._SwapAware()
         registry.add_listener(aware)
         registry.swap_members(10, 2, 10, 2)  # within one cluster: no change, no event
-        with registry.swapping(10) as (swap, applied):
-            swap(1, registry.get(20), 3)
-            swap(2, registry.get(30), 5)
+        applied, partners = registry.exchange_round(
+            10, [1, 2], [0, 1], [20, 30], None, lambda view: view[0]
+        )
         assert applied == [(1, 20, 3), (2, 30, 5)]
+        assert partners == {0: [20, {1, 4}, [1, 4], 2, 2, 1], 1: [30, {2, 6}, [2, 6], 2, 2, 1]}
         assert aware.swaps == [(10, applied)]
         assert registry.get(10).member_list() == [3, 5]
         assert registry.cluster_of(2) == 30 and registry.cluster_of(5) == 10
 
-    def test_swapping_reports_applied_swaps_when_a_later_one_fails(self):
+    def test_exchange_round_reports_applied_swaps_when_a_later_one_fails(self):
         registry = self._registry()
         aware = self._SwapAware()
         registry.add_listener(aware)
         with pytest.raises(UnknownNodeError):
-            with registry.swapping(10) as (swap, _):
-                swap(1, registry.get(20), 3)
-                swap(99, registry.get(20), 4)
-        assert aware.swaps == [(10, [(1, 20, 3)])]
+            registry.exchange_round(10, [1, 99], [0, 0], [20], None, lambda view: view[-1])
+        assert aware.swaps == [(10, [(1, 20, 4)])]
+        # The exchanging cluster's view is rebuilt on the refusal path too.
+        assert registry.get(10).sorted_members() == [2, 4]
+
+    @pytest.mark.parametrize(
+        "size", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 128, 129]
+    )
+    def test_uniform_pick_draws_as_randrange(self, size):
+        """Without an override the round picks inline with ``getrandbits``;
+        each pick names the member ``randrange(size)`` names on a twin
+        stream, and both streams end in the same state."""
+        registry = ClusterRegistry()
+        registry.create_cluster([-1], cluster_id=0)
+        registry.create_cluster(range(size), cluster_id=1)
+        stream, twin = random.Random(size), random.Random(size)
+        for _ in range(200):
+            view = list(registry.get(1).sorted_members())
+            expected = view[twin.randrange(size)]
+            outgoing = registry.get(0).member_list()
+            applied, _ = registry.exchange_round(0, outgoing, [0], [1], stream.getrandbits)
+            assert applied[0][2] == expected
+        assert stream.getstate() == twin.getstate()
 
     @pytest.mark.parametrize(
         "first_node, second_node, error",

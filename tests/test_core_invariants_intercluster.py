@@ -89,6 +89,42 @@ class TestInvariantChecker:
         report = check_invariants(state, check_size_bounds=False)
         assert any("no overlay vertex" in violation for violation in report.violations)
 
+    def test_detects_a_drifted_sorted_view(self):
+        state = build_state([(18, 2), (18, 2)])
+        cluster_id = state.clusters.cluster_ids()[0]
+        view = state.clusters.get(cluster_id).sorted_members()
+        view[0], view[1] = view[1], view[0]  # written behind the registry's back
+        report = check_invariants(state)
+        assert report.violations == [f"cluster {cluster_id}'s sorted view differs from its members"]
+
+    def test_detects_a_member_the_node_index_misplaces(self):
+        state = build_state([(18, 2), (18, 2)])
+        first, second = state.clusters.cluster_ids()
+        member = state.clusters.get(first).member_list()[0]
+        state.clusters._node_to_cluster[member] = second
+        report = check_invariants(state)
+        assert report.violations == [
+            f"node index places member {member} of cluster {first} in {second}"
+        ]
+
+    def test_detects_a_member_missing_from_the_node_index(self):
+        state = build_state([(18, 2), (18, 2)])
+        first = state.clusters.cluster_ids()[0]
+        member = state.clusters.get(first).member_list()[0]
+        del state.clusters._node_to_cluster[member]
+        report = check_invariants(state)
+        assert report.violations == [
+            f"node index places member {member} of cluster {first} in None"
+        ]
+
+    def test_detects_a_stale_node_index_entry(self):
+        state = build_state([(18, 2), (18, 2)])
+        stale = state.nodes.register().node_id
+        state.nodes.mark_left(stale, time_step=1)
+        state.clusters._node_to_cluster[stale] = state.clusters.cluster_ids()[0]
+        report = check_invariants(state)
+        assert report.violations == ["node index has entries for 1 non-member node(s)"]
+
     def test_selective_checks_can_be_disabled(self):
         state = build_state([(10, 10)])
         report = check_invariants(state, check_honest_majority=False)

@@ -19,6 +19,7 @@ rounds together when a swap is refused mid-way on a corrupted registry.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 
 from reference_exchange import direct_notification_cost, reference_exchange_all
 from repro.core.engine import EngineConfig, NowEngine
-from repro.core.exchange import ExchangeProtocol, notification_cost
+from repro.core.exchange import ExchangeProtocol, notification_cost, row_notification_cost
 from repro.core.randcl import RandCl
 from repro.core.randnum import RandNum
 from repro.errors import ReproError
@@ -73,6 +74,9 @@ class _Side:
 
     def observed(self) -> dict:
         clusters = self.state.clusters
+        for cluster_id in clusters.cluster_ids():
+            cluster = clusters.get(cluster_id)
+            assert cluster.sorted_members() == sorted(cluster.members), cluster_id
         return {
             "rng": self.state.rng.getstate(),
             "partition": {cid: clusters.get(cid).member_list() for cid in clusters.cluster_ids()},
@@ -161,14 +165,19 @@ def _record_endpoints(randcl) -> list:
     round_partners = randcl.round_partners
 
     def recording(start_cluster, count):
-        draw, vertices, price = round_partners(start_cluster, count)
+        draws, vertices, cost = round_partners(start_cluster, count)
+        if isinstance(draws, list):
+            endpoints.extend(vertices[row] for row in draws)
+            return draws, vertices, cost
+        cum, total, last, random = draws
 
         def recorded():
-            key = draw()
-            endpoints.append(key if vertices is None else vertices[key])
-            return key
+            # The row this uniform selects, drawn when the round pulls it.
+            value = random()
+            endpoints.append(vertices[bisect_right(cum, value * total, 0, last)])
+            return value
 
-        return recorded, vertices, price
+        return draws._replace(random=recorded), vertices, cost
 
     randcl.round_partners = recording
     return endpoints
@@ -244,8 +253,10 @@ def test_round_refused_midway_matches_reference(walk_mode):
 
 def test_notification_cost_matches_direct_sum_on_golden_schedule(monkeypatch):
     """Every ``notification_cost`` call of the golden schedule
-    (``tests/test_exchange_golden.py``, splits and merges included) equals
-    the direct bipartite sum over live neighbours."""
+    (``tests/test_exchange_golden.py``, splits and merges included), and
+    every ``row_notification_cost`` call the exchange round makes with the
+    rows and sizes of its partner table, equals the direct bipartite sum
+    over live neighbours."""
     calls = []
 
     def checked(state, cluster_ids):
@@ -254,8 +265,20 @@ def test_notification_cost_matches_direct_sum_on_golden_schedule(monkeypatch):
         calls.append(cost == direct_notification_cost(state, cluster_ids))
         return cost
 
+    def checked_rows(layout, rows, sizes):
+        # The exchange round's entry: rows and sizes it already holds.
+        cluster_ids = [layout.vertices[row] for row in rows]
+        clusters = engine.state.clusters
+        cost = row_notification_cost(layout, rows, sizes)
+        calls.append(
+            sizes == [len(clusters.get(cluster_id)) for cluster_id in cluster_ids]
+            and cost == direct_notification_cost(engine.state, cluster_ids)
+        )
+        return cost
+
     monkeypatch.setattr("repro.core.exchange.notification_cost", checked)
     monkeypatch.setattr("repro.core.operations.notification_cost", checked)
+    monkeypatch.setattr("repro.core.exchange.row_notification_cost", checked_rows)
     params = ProtocolParameters(max_size=1024, tau=0.1)
     engine = NowEngine.bootstrap(params, 200, seed=5, config=EngineConfig(walk_mode="oracle"))
     rng = random.Random(9)
