@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import ExperimentTable, fit_power_law
+from repro.analysis import ExperimentTable
+from repro.analysis.complexity import fit_power_law
 from repro.apps import ClusterAgreementService, ClusteredBroadcast, SamplingService
 from repro.baselines import SingleClusterBaseline
 

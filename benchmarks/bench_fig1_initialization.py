@@ -22,7 +22,8 @@ import random
 
 import pytest
 
-from repro.analysis import ExperimentTable, fit_power_law
+from repro.analysis import ExperimentTable
+from repro.analysis.complexity import fit_power_law
 from repro.core.initialization import NowInitializer
 
 from common import run_once, scaled_parameters

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import ExperimentTable, fit_polylog, fit_power_law
-from repro.analysis.complexity import is_consistent_with_polylog
+from repro.analysis import ExperimentTable
+from repro.analysis.complexity import fit_polylog, fit_power_law, is_consistent_with_polylog
 from repro.scenarios import CostLedgerProbe
 from repro.workloads import GrowthWorkload, ShrinkWorkload
 

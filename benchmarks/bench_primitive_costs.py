@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import ExperimentTable, fit_polylog, fit_power_law
+from repro.analysis import ExperimentTable
+from repro.analysis.complexity import fit_polylog, fit_power_law
 from repro.core.exchange import ExchangeProtocol
 from repro.core.randcl import RandCl
 from repro.core.randnum import RandNum

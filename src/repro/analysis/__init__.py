@@ -13,6 +13,9 @@ predict; this package holds the machinery for both sides of that comparison:
   (time above a threshold, exceedance counts, quantiles),
 * :mod:`repro.analysis.reporting`  — plain-text experiment tables for
   the benchmark output (experiment inventory in docs/ARCHITECTURE.md).
+
+``complexity`` computes with numpy, so this package does not import it:
+import its fits from :mod:`repro.analysis.complexity`.
 """
 
 from .bounds import (
@@ -21,7 +24,6 @@ from .bounds import (
     expected_fraction_after_exchange,
     recommended_k,
 )
-from .complexity import FitResult, fit_power_law, fit_polylog
 from .statistics import (
     MeanConfidence,
     QuantileSketch,
@@ -38,9 +40,6 @@ __all__ = [
     "azuma_exceedance_bound",
     "expected_fraction_after_exchange",
     "recommended_k",
-    "FitResult",
-    "fit_power_law",
-    "fit_polylog",
     "MeanConfidence",
     "QuantileSketch",
     "RunningSummary",

@@ -39,8 +39,7 @@ from ..errors import ConfigurationError
 from ..network.metrics import MetricsRegistry
 from ..network.node import NodeId, NodeRole
 from ..params import ProtocolParameters
-from ..walks.kernel import resolve_kernel_name
-from ..walks.sampler import WalkMode
+from ..walks.sampler import WalkMode, resolve_kernel_name
 from .cluster import ClusterId
 from .events import ChurnEvent, ChurnKind
 from .exchange import ExchangeProtocol
@@ -108,7 +107,7 @@ class EngineConfig:
     walk_mode: WalkMode = WalkMode.ORACLE
     #: The hop engine of simulated walks (``repro.walks.kernel``).  ``array``
     #: is the only one; the option is kept so specs and checkpoints that name
-    #: it still load (see :func:`~repro.walks.kernel.resolve_kernel_name`).
+    #: it still load (see :func:`~repro.walks.sampler.resolve_kernel_name`).
     walk_kernel: str = "array"
     cascade_exchanges: bool = True
 

@@ -33,8 +33,13 @@ from typing import Iterator, Optional
 from ..errors import WalkError
 from ..network.message import MessageKind
 from ..network.metrics import CommunicationMetrics
-from ..walks.kernel import resolve_kernel_name
-from ..walks.sampler import ClusterSampler, SampleOutcome, WalkMode
+from ..walks.sampler import (
+    ClusterSampler,
+    SampleOutcome,
+    WalkMode,
+    hop_engine,
+    resolve_kernel_name,
+)
 from .cluster import ClusterId
 from .randnum import RandNum, randnum_cost
 from .state import SystemState
@@ -110,6 +115,10 @@ class RandCl:
         self._walk_mode = walk_mode
         # Validated input only: every simulated walk runs on the one hop engine.
         resolve_kernel_name(walk_kernel, simulated=walk_mode is WalkMode.SIMULATED)
+        if walk_mode is WalkMode.SIMULATED:
+            # Load the hop engine (and numpy) while the engine is built, not
+            # inside the first event's walk; the kernel object stays lazy.
+            hop_engine()
         # One sampler is reused across selections (it owns the hop engine and
         # its private stream); rebuilt only when the overlay graph object
         # changes.

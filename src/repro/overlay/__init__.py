@@ -16,29 +16,19 @@ available; :mod:`repro.overlay.over` reconstructs them from the short paper
 (Erdős–Rényi bootstrap with ``p = log^(1+alpha) N / sqrt N``, ``Add`` /
 ``Remove`` of vertices with randomly chosen replacement edges, degree
 regulation) — see the design notes in docs/ARCHITECTURE.md for the substitution.  The expansion and
-degree targets are verified empirically by experiment E4.
+degree targets are verified empirically by experiment E4, through
+:mod:`repro.overlay.expansion`; that module computes with numpy, so this
+package does not import it.
 """
 
 from .graph import OverlayGraph
 from .erdos_renyi import erdos_renyi_overlay, connect_if_disconnected
-from .expansion import (
-    ExpansionReport,
-    spectral_gap,
-    cheeger_bounds,
-    sweep_cut_isoperimetric,
-    analyse_expansion,
-)
 from .over import OverOverlay, OverlayChange
 
 __all__ = [
     "OverlayGraph",
     "erdos_renyi_overlay",
     "connect_if_disconnected",
-    "ExpansionReport",
-    "spectral_gap",
-    "cheeger_bounds",
-    "sweep_cut_isoperimetric",
-    "analyse_expansion",
     "OverOverlay",
     "OverlayChange",
 ]

@@ -67,7 +67,7 @@ from ..errors import ConfigurationError
 from ..network.node import NodeRole
 from ..scenarios.bus import ObservationBus, StepRecord, split_probes
 from ..scenarios.runner import RunResult, StopCondition
-from ..walks.kernel import check_kernel_snapshot
+from ..walks.sampler import check_kernel_snapshot
 from .merge import ObservationMerger, composite_state_hash
 from .router import (
     EventRouter,

@@ -59,13 +59,14 @@ class Checkpoint:
     """One captured run state: engine + event source + bookkeeping."""
 
     def __init__(self, data: Dict[str, Any]) -> None:
-        if data.get("format") == "repro-sharded-checkpoint":
+        document = data.get("format") if isinstance(data, dict) else None
+        if document == "repro-sharded-checkpoint":
             raise ConfigurationError(
                 "this is a 'repro-sharded-checkpoint' file from an earlier "
                 "version, whose per-run barrier schedule no longer exists; "
                 "re-run the scenario to produce a 'repro-checkpoint'"
             )
-        if data.get("format") != FORMAT_NAME:
+        if document != FORMAT_NAME:
             raise ConfigurationError("not a repro checkpoint document")
         if data.get("version") != FORMAT_VERSION:
             raise ConfigurationError(
@@ -120,7 +121,11 @@ class Checkpoint:
         if not os.path.exists(path):
             raise ConfigurationError(f"checkpoint file {path!r} does not exist")
         with open(path, "r", encoding="utf-8") as handle:
-            return cls(json.load(handle))
+            try:
+                data = json.load(handle)
+            except ValueError as error:
+                raise ConfigurationError(f"checkpoint file {path!r} is not JSON: {error}") from None
+        return cls(data)
 
     # ------------------------------------------------------------------
     # Restore

@@ -226,7 +226,11 @@ class TraceReader:
         if not self.frames:
             raise ConfigurationError(f"trace file {path!r} contains no frames")
         header = self.frames[0]
-        if header.get("t") != "header" or header.get("f") != FORMAT_NAME:
+        if (
+            not isinstance(header, dict)
+            or header.get("t") != "header"
+            or header.get("f") != FORMAT_NAME
+        ):
             raise ConfigurationError(f"{path!r} is not a {FORMAT_NAME} file")
         if header.get("v") not in READABLE_VERSIONS:
             raise ConfigurationError(

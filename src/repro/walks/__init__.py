@@ -17,23 +17,20 @@ This package provides:
 * :mod:`repro.walks.sampler`    — the cluster sampler ``randCl`` draws from,
   walking through the hop engine or, in "oracle" mode for long simulations,
   drawing from the walk's stationary law.
+
+``kernel`` and ``mixing`` compute with numpy, so this package does not
+import them: an oracle run never loads numpy.  Import them by module path.
 """
 
 from .interface import WalkableGraph, MappingGraph
 from .csr import CSRLayout
-from .kernel import ArrayKernel, resolve_kernel_name
-from .mixing import total_variation_distance, empirical_distribution, estimate_mixing_time
-from .sampler import ClusterSampler, SampleOutcome, WalkMode
+from .sampler import ClusterSampler, SampleOutcome, WalkMode, resolve_kernel_name
 
 __all__ = [
     "WalkableGraph",
     "MappingGraph",
     "CSRLayout",
-    "ArrayKernel",
     "resolve_kernel_name",
-    "total_variation_distance",
-    "empirical_distribution",
-    "estimate_mixing_time",
     "ClusterSampler",
     "SampleOutcome",
     "WalkMode",

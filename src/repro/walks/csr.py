@@ -42,8 +42,6 @@ import bisect
 from array import array
 from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Tuple
 
-import numpy as _np
-
 from ..errors import WalkError
 
 Vertex = Hashable
@@ -259,10 +257,13 @@ class CSRLayout:
 
         ``indptr``/``indices``/``inv_degree``/``weights`` are ``frombuffer``
         views of the same memory, so :meth:`set_weight` updates are visible
-        through them without any copying.
+        through them without any copying.  numpy is imported here, on the
+        hop engine's vector path, and nowhere else in this module.
         """
         views = self._np_static
         if views is None:
+            import numpy as _np
+
             views = {
                 "indptr": _np.frombuffer(self.indptr, dtype=_np.int64),
                 "indices": _np.frombuffer(self.indices, dtype=_np.int64)

@@ -63,7 +63,8 @@ from typing import Hashable, List, Sequence
 
 import numpy as _np
 
-from ..errors import ConfigurationError, WalkError
+from ..errors import WalkError
+from .sampler import check_kernel_snapshot
 
 Vertex = Hashable
 
@@ -83,40 +84,6 @@ _REFILL = 4096
 #: rounds batch ~33 walks, scalar either way.  The two paths consume the
 #: stream in different orders, so moving this changes recorded executions.
 MIN_VECTOR_BATCH = 64
-
-
-def check_kernel_snapshot(data: dict) -> None:
-    """Refuse a kernel snapshot the numpy backend did not write.
-
-    Snapshots name their backend.  The retired python backend drew from a
-    ``random.Random`` stream, so its checkpoints cannot be resumed here.
-    """
-    backend = data.get("backend")
-    if backend == "python":
-        raise ConfigurationError(
-            "walk-kernel checkpoint was written without numpy by the retired "
-            "python backend; it cannot be resumed"
-        )
-    if backend != "numpy":
-        raise ConfigurationError(f"unknown walk-kernel checkpoint backend {backend!r}")
-
-
-def resolve_kernel_name(name, simulated: bool) -> str:
-    """Validate a ``walk_kernel`` option value; the one kernel is ``"array"``.
-
-    ``"naive"`` names the retired per-hop loop, which drew from the engine
-    stream: a simulated run recorded on it cannot be reproduced, so it is
-    refused by name.  Without simulated walks the option never selected
-    anything, so there it reads as ``"array"``.
-    """
-    if name == "array" or (name == "naive" and not simulated):
-        return "array"
-    if name == "naive":
-        raise ConfigurationError(
-            "walk kernel 'naive' was retired: simulated walks run on the 'array' "
-            "kernel, and a run recorded on the naive kernel cannot be reproduced"
-        )
-    raise ConfigurationError(f"unknown walk kernel {name!r}; expected 'array'")
 
 
 class ArrayKernel:

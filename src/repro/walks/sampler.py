@@ -7,7 +7,8 @@ distributed according to ``|C| / n`` and reports how much walking it took.
 * ``WalkMode.SIMULATED`` — actually runs the biased CTRW hop by hop on the
   overlay, through the hop engine :class:`~repro.walks.kernel.ArrayKernel`.
   This is the faithful execution used to validate uniformity (E10) and to
-  measure per-hop costs.
+  measure per-hop costs.  The hop engine loads numpy, so this module reaches
+  it through :func:`hop_engine` and never imports it at module top.
 * ``WalkMode.ORACLE`` — draws the cluster directly from the walk's target
   distribution ``|C| / n`` and reports the *expected* hop/restart counts of
   the simulated walk.  Long churn experiments (hundreds of thousands of
@@ -24,13 +25,60 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Hashable, List, Optional, Sequence
 
-from ..errors import WalkError
+from ..errors import ConfigurationError, WalkError
 from .interface import WalkableGraph
-from .kernel import ArrayKernel
+
+if TYPE_CHECKING:
+    from .kernel import ArrayKernel
 
 Vertex = Hashable
+
+
+def check_kernel_snapshot(data: dict) -> None:
+    """Refuse a kernel snapshot the numpy backend did not write.
+
+    Snapshots name their backend.  The retired python backend drew from a
+    ``random.Random`` stream, so its checkpoints cannot be resumed here.
+    """
+    backend = data.get("backend")
+    if backend == "python":
+        raise ConfigurationError(
+            "walk-kernel checkpoint was written without numpy by the retired "
+            "python backend; it cannot be resumed"
+        )
+    if backend != "numpy":
+        raise ConfigurationError(f"unknown walk-kernel checkpoint backend {backend!r}")
+
+
+def resolve_kernel_name(name, simulated: bool) -> str:
+    """Validate a ``walk_kernel`` option value; the one kernel is ``"array"``.
+
+    ``"naive"`` names the retired per-hop loop, which drew from the engine
+    stream: a simulated run recorded on it cannot be reproduced, so it is
+    refused by name.  Without simulated walks the option never selected
+    anything, so there it reads as ``"array"``.
+    """
+    if name == "array" or (name == "naive" and not simulated):
+        return "array"
+    if name == "naive":
+        raise ConfigurationError(
+            "walk kernel 'naive' was retired: simulated walks run on the 'array' "
+            "kernel, and a run recorded on the naive kernel cannot be reproduced"
+        )
+    raise ConfigurationError(f"unknown walk kernel {name!r}; expected 'array'")
+
+
+def hop_engine() -> type:
+    """The hop engine class, :class:`~repro.walks.kernel.ArrayKernel`.
+
+    Importing it loads numpy.  A simulated run calls this while its engine
+    is built, so the import counts in its set-up; oracle runs never call it.
+    """
+    from .kernel import ArrayKernel
+
+    return ArrayKernel
 
 
 class WalkMode(enum.Enum):
@@ -149,7 +197,7 @@ class ClusterSampler:
     def _ensure_kernel(self) -> ArrayKernel:
         kernel = self._kernel
         if kernel is None:
-            kernel = ArrayKernel(self._graph, self._rng)
+            kernel = hop_engine()(self._graph, self._rng)
             self._kernel = kernel
         return kernel
 

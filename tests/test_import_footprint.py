@@ -1,0 +1,83 @@
+"""Only the modules that compute with arrays load numpy.
+
+The hop engine (``repro.walks.kernel``), the expansion checks, the mixing
+estimators and the complexity fits import numpy; nothing else does, and no
+package ``__init__`` imports them.  So an oracle run, its trace stack and a
+serve session start without numpy, while a simulated run loads it while its
+engine is built.  pytest itself loads numpy, so each case runs in a fresh
+interpreter.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+
+
+def run_fresh(script: str, cwd) -> None:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_oracle_runs_traces_and_serve_never_import_numpy(tmp_path):
+    run_fresh(
+        """
+        import sys
+        import repro, repro.cli, repro.service, repro.shard.coordinator
+        from repro import Scenario
+        from repro.service import LiveEngineSession, live_scenario
+        from repro.trace import (
+            checkpoint_from_trace, record_scenario, replay_trace, resume_from_checkpoint,
+        )
+
+        scenario = Scenario(initial_size=200, max_size=1024, steps=40, seed=3)
+        runner = scenario.build_runner()
+        assert runner.run(20).events == 20
+        session = record_scenario(
+            scenario, trace_path="t.bin", trace_format="binary", index_every=8,
+            checkpoint_path="c.json", checkpoint_every=16,
+        )
+        assert replay_trace("t.bin").ok
+        checkpoint_from_trace("t.bin", 24, "mid.json")
+        resumed = resume_from_checkpoint("mid.json")
+        assert resumed.final_state_hash == session.final_state_hash
+        assert resumed.engine.check_invariants(check_honest_majority=False).holds
+
+        live = LiveEngineSession(live_scenario(initial_size=200, max_size=1024))
+        live.start()
+        window = live.begin_window([{"op": "join", "id": 0}, {"op": "leave", "id": 1}])
+        live.finish_window(window)
+        for op in ("sample", "broadcast", "status", "ping"):
+            live.execute({"op": op, "id": 2})
+        live.close()
+        assert "numpy" not in sys.modules, "numpy loaded"
+        """,
+        tmp_path,
+    )
+
+
+def test_a_simulated_engine_imports_numpy_while_it_is_built(tmp_path):
+    """No import time moves into the first event of a simulated run."""
+    run_fresh(
+        """
+        import sys
+        from repro import Scenario
+
+        scenario = Scenario(
+            initial_size=200, max_size=1024, engine_options={"walk_mode": "simulated"}
+        )
+        engine = scenario.build_engine()
+        assert "numpy" in sys.modules, "numpy not loaded by the engine build"
+        assert engine.capture_snapshot()["randcl"]["kernel"] is None
+        """,
+        tmp_path,
+    )

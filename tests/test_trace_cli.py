@@ -219,3 +219,32 @@ class TestCheckpointFromTraceRejections:
             assert not os.path.exists(checkpoint)
             assert run_cli("replay", "--trace", trace) == 0
             capsys.readouterr()
+
+
+class TestNonObjectDocuments:
+    """A JSON file whose top-level value is not an object is refused like any
+    other wrong document: exit 2 with one line, never a traceback."""
+
+    @pytest.mark.parametrize("text", ["[1]", '"str"', "5"])
+    def test_trace_file(self, tmp_path, capsys, text):
+        path = tmp_path / "t.jsonl"
+        path.write_text(text + "\n")
+        assert run_cli("replay", "--trace", str(path)) == 2
+        assert "is not a repro-trace file" in capsys.readouterr().err
+        assert run_cli("trace-diff", str(path), str(path)) == 2
+        assert "is not a repro-trace file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[1]", '"str"', "5"])
+    def test_checkpoint_file(self, tmp_path, capsys, text):
+        path = tmp_path / "c.json"
+        path.write_text(text + "\n")
+        assert run_cli("resume", "--checkpoint", str(path)) == 2
+        assert "not a repro checkpoint document" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "not json"])
+    def test_checkpoint_that_is_not_json_is_named(self, tmp_path, capsys, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert run_cli("resume", "--checkpoint", str(path)) == 2
+        err = capsys.readouterr().err
+        assert "c.json" in err and "is not JSON" in err

@@ -53,9 +53,8 @@ from repro.errors import ConfigurationError, WalkError
 from repro.overlay.graph import OverlayGraph
 from repro.scenarios import Scenario
 from repro.trace import record_scenario, resume_from_checkpoint
-from repro.walks import ArrayKernel, resolve_kernel_name
-from repro.walks.kernel import MIN_VECTOR_BATCH
-from repro.walks.sampler import ClusterSampler, WalkMode
+from repro.walks.kernel import MIN_VECTOR_BATCH, ArrayKernel
+from repro.walks.sampler import ClusterSampler, WalkMode, resolve_kernel_name
 
 from reference_walk import (
     reference_biased_batch,

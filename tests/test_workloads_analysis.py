@@ -14,15 +14,13 @@ from repro.analysis import (
     azuma_exceedance_bound,
     chernoff_cluster_tail,
     expected_fraction_after_exchange,
-    fit_polylog,
-    fit_power_law,
     format_table,
     recommended_k,
     summarize_fractions,
     summarize_values,
 )
 from repro.analysis.bounds import exact_binomial_tail
-from repro.analysis.complexity import is_consistent_with_polylog
+from repro.analysis.complexity import fit_polylog, fit_power_law, is_consistent_with_polylog
 from repro.analysis.statistics import longest_run_above, quantile
 from repro.core.events import ChurnKind
 from repro.errors import ConfigurationError
