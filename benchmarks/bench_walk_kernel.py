@@ -1,20 +1,21 @@
-"""T1b — Hop-engine throughput: the scalar path vs the vector path.
+"""T1b — Hop-engine throughput: the biased walk's scalar path vs its vector path.
 
-Every simulated walk runs on one hop engine (``repro.walks.kernel.
-ArrayKernel``), which picks one of two hop paths by batch size alone:
-batches of at least ``MIN_VECTOR_BATCH`` walks advance in lockstep over
-numpy views of the CSR rows (vector path), smaller ones run in one loop per
-batch, walk after walk, over the layout's Python-object rows and a
-Python-float copy of the pre-drawn buffers (scalar path, ~1.5-2.4 M hops/s
-at every batch size on a 2 vCPU box).  This benchmark measures both paths
-at batch sizes that bracket the threshold, on one synthetic overlay, and
+Every simulated walk is ``randCl``'s biased CTRW, run by one hop engine
+(``repro.walks.kernel.ArrayKernel``), which picks one of two hop paths by
+batch size alone: batches of at least ``MIN_VECTOR_BATCH`` walks advance in
+lockstep over numpy views of the CSR rows (``_biased_vector``), smaller ones
+run in one loop per batch, walk after walk, reading the pre-drawn buffers as
+one stream of (exponential, uniform) pairs (``_biased_scalar``).  This
+benchmark times both paths on the engine's own walks — the bootstrap
+overlays of the spine's two shapes (seed 47, N = 4096, tau = 0.15, n0 = 300
+and n0 = 1 200: 8 and 33 clusters) with the segment length and restart cap
+``randCl`` configures on them — at batch sizes around ``MIN_VECTOR_BATCH``
+(exchange rounds batch ~30 walks) and around the 256-512 crossover, and
 *appends* the rates to ``BENCH_throughput.json`` — same trajectory file,
 same append-only discipline as ``bench_engine_throughput.py``.
 
-The scalar path is forced the way the kernel tests force it: the same
-starts in chunks of ``MIN_VECTOR_BATCH - 1``.  The vector path is run as
-one batch through ``ArrayKernel._ctrw_vector``, the only way to reach it
-below the threshold, which the crossover measurement needs.
+Each path is called directly, so either runs at any batch size, which the
+crossover measurement needs.
 
 Asserted in-test, on what it measures: both paths walk at every batch size,
 and the vector path beats the scalar path on the saturated batch.
@@ -32,54 +33,40 @@ import time
 
 import pytest
 
-from repro.overlay.graph import OverlayGraph
+from repro.core.randcl import RandCl
 from repro.walks.kernel import MIN_VECTOR_BATCH, ArrayKernel
 
 from bench_engine_throughput import RESULT_PATH, save_result
-from common import fresh_rng
+from common import bootstrap_engine, fresh_rng
 
-#: Overlay size (vertex count) every measurement walks on.
-VERTICES = 256
-#: Concurrent walks per batch: around ``MIN_VECTOR_BATCH`` (an exchange
-#: round batches one walk per member, ~40 on engine-sized overlays) up to
-#: the saturated large-round regime.
-BATCHES = (16, 32, 63, 64, 96, 128, 4096)
+#: The spine's two overlay shapes: initial sizes at N = 4096, tau = 0.15, seed 47.
+OVERLAYS = (300, 1200)
+#: Concurrent walks per batch: around ``MIN_VECTOR_BATCH``, around the
+#: crossover, and one saturated batch.
+BATCHES = (32, 63, 64, 96, 256, 384, 512, 2048)
 #: Walks per measurement point, run ``batch`` at a time.
-WALKS = 4096
-#: Continuous duration of each measured walk (~300 hops on this overlay).
-DURATION = 50.0
+WALKS = 2048
 
 
-def build_overlay(vertices: int, seed: int = 5, chords: int = 2) -> OverlayGraph:
-    """A connected overlay: ring plus ``chords`` random chords per vertex."""
-    rng = fresh_rng(seed)
-    graph = OverlayGraph()
-    for vertex in range(vertices):
-        graph.add_vertex(vertex, weight=1.0 + rng.randrange(5))
-    for vertex in range(vertices):
-        graph.add_edge(vertex, (vertex + 1) % vertices)
-        for _ in range(chords):
-            graph.add_edge(vertex, rng.randrange(vertices))
-    return graph
+def engine_walk(initial_size: int):
+    """``(graph, segment_duration, max_restarts)`` of one bootstrap overlay."""
+    state = bootstrap_engine(4096, initial_size, tau=0.15, seed=47).state
+    randcl = RandCl(state, rng=fresh_rng(0))
+    randcl.select(state.clusters.cluster_ids()[0])  # configures the walk for this overlay
+    segment, max_restarts = randcl._walk_params
+    return state.overlay.graph, segment, max_restarts
 
 
-def measure_path(graph: OverlayGraph, batch: int, path: str) -> dict:
-    """Hops/second of ``WALKS`` CTRWs run ``batch`` at a time on one hop path."""
+def measure_path(graph, segment: float, max_restarts: int, batch: int, path: str) -> dict:
+    """Hops/second of ``WALKS`` biased walks run ``batch`` at a time on one hop path."""
     kernel = ArrayKernel(graph, fresh_rng(11))
     csr = graph.csr()
-    starts = [v % len(graph) for v in range(batch)]
-    if path == "vector":
-        rows = [csr.row_of(start) for start in starts]
+    max_weight = graph.max_weight()
+    rows = [v % len(csr) for v in range(batch)]
+    walk = kernel._biased_vector if path == "vector" else kernel._biased_scalar
 
-        def run():
-            return kernel._ctrw_vector(rows, DURATION, csr)
-
-    else:
-        size = MIN_VECTOR_BATCH - 1
-        chunks = [starts[i : i + size] for i in range(0, batch, size)]
-
-        def run():
-            return [out for chunk in chunks for out in kernel.run_ctrw_batch(chunk, DURATION)]
+    def run():
+        return walk(rows, segment, max_restarts, csr, max_weight)
 
     run()  # warm-up: seeds the private stream and fills the buffers
     rounds = max(1, WALKS // batch)
@@ -95,12 +82,12 @@ def measure_path(graph: OverlayGraph, batch: int, path: str) -> dict:
     }
 
 
-def run_experiment() -> dict:
-    graph = build_overlay(VERTICES)
+def measure_overlay(initial_size: int) -> dict:
+    graph, segment, max_restarts = engine_walk(initial_size)
     by_batch = []
     for batch in BATCHES:
-        scalar = measure_path(graph, batch, "scalar")
-        vector = measure_path(graph, batch, "vector")
+        scalar = measure_path(graph, segment, max_restarts, batch, "scalar")
+        vector = measure_path(graph, segment, max_restarts, batch, "vector")
         by_batch.append(
             {
                 "batch": batch,
@@ -111,23 +98,31 @@ def run_experiment() -> dict:
                 else 0.0,
             }
         )
-    crossover = next((row["batch"] for row in by_batch if row["vector_over_scalar"] > 1.0), None)
+    return {
+        "initial_size": initial_size,
+        "clusters": len(graph),
+        "segment_duration": segment,
+        "max_restarts": max_restarts,
+        "by_batch": by_batch,
+        "crossover_batch": next(
+            (row["batch"] for row in by_batch if row["vector_over_scalar"] > 1.0), None
+        ),
+    }
 
-    # Headline rates: the saturated batch.
-    saturated = by_batch[-1]
+
+def run_experiment() -> dict:
+    overlays = [measure_overlay(initial_size) for initial_size in OVERLAYS]
+    # Headline rates: the saturated batch on the larger overlay.
+    saturated = overlays[-1]["by_batch"][-1]
     return {
         "benchmark": "walk_kernel",
-        "kernel_vertices": VERTICES,
-        "kernel_edges": graph.edge_count(),
-        "kernel_duration": DURATION,
         "kernel_walks_per_point": WALKS,
         "min_vector_batch": MIN_VECTOR_BATCH,
-        "kernel_by_batch": by_batch,
-        "crossover_batch": crossover,
+        "kernel_overlays": overlays,
         "walk": {
-            "mode": "kernel-ctrw-batch",
+            "mode": "kernel-biased-batch",
             "kernel": "array",
-            "backend": ArrayKernel(graph, fresh_rng(0)).backend,
+            "backend": "numpy",
             "hops": saturated["vector"]["hops"],
             "elapsed_seconds": saturated["vector"]["elapsed_seconds"],
             "hops_per_second": saturated["vector"]["hops_per_second"],
@@ -145,19 +140,24 @@ def test_walk_kernel_throughput(benchmark):
     from common import run_once
 
     result = run_once(benchmark, run_experiment)
-    for row in result["kernel_by_batch"]:
+    for overlay in result["kernel_overlays"]:
+        for row in overlay["by_batch"]:
+            print(
+                f"T1b n0={overlay['initial_size']} batch={row['batch']}: scalar "
+                f"{row['scalar']['hops_per_second'] / 1e6:.2f}M hops/s, vector "
+                f"{row['vector']['hops_per_second'] / 1e6:.2f}M hops/s "
+                f"({row['vector_over_scalar']:.2f}x)"
+            )
         print(
-            f"T1b kernel batch={row['batch']}: scalar "
-            f"{row['scalar']['hops_per_second'] / 1e6:.2f}M hops/s, vector "
-            f"{row['vector']['hops_per_second'] / 1e6:.2f}M hops/s "
-            f"({row['vector_over_scalar']:.2f}x)"
+            f"T1b n0={overlay['initial_size']} crossover batch: {overlay['crossover_batch']} "
+            f"(MIN_VECTOR_BATCH {MIN_VECTOR_BATCH})"
         )
-    print(f"T1b crossover batch: {result['crossover_batch']} (MIN_VECTOR_BATCH {MIN_VECTOR_BATCH})")
     save_result(result)
 
     # Both paths actually walked at every batch size.
-    for row in result["kernel_by_batch"]:
-        assert row["scalar"]["hops"] > 0 and row["vector"]["hops"] > 0
+    for overlay in result["kernel_overlays"]:
+        for row in overlay["by_batch"]:
+            assert row["scalar"]["hops"] > 0 and row["vector"]["hops"] > 0
     assert result["walk"]["speedup_vs_scalar"] > 1.0
 
 

@@ -341,6 +341,14 @@ def mean_confidence(values: Iterable[float], z: float = 1.96) -> MeanConfidence:
     return MeanConfidence(len(series), mean, std, half_width, min(series), max(series))
 
 
+def chi_square_critical(df: int, z: float = 3.09) -> float:
+    """Upper-tail chi-square critical value, Wilson–Hilferty (z = 3.09 ~ p = 0.001)."""
+    if df <= 0:
+        return 0.0
+    term = 2.0 / (9.0 * df)
+    return df * (1.0 - term + z * math.sqrt(term)) ** 3
+
+
 def longest_run_above(values: Iterable[float], threshold: float) -> int:
     """Length of the longest consecutive stretch at or above ``threshold``.
 

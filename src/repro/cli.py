@@ -437,6 +437,8 @@ def run_scenario_command(args: argparse.Namespace) -> int:
 
     if args.shards is not None and args.shards < 1:
         raise ConfigurationError("--shards must be >= 1")
+    if args.checkpoint_every is not None and args.checkpoint is None:
+        raise ConfigurationError("--checkpoint-every needs --checkpoint (the file to write)")
     workers = _workers_for(scenario, args.shards)
     for flag, given in (
         ("--barrier-interval", args.barrier_interval is not None),

@@ -89,9 +89,9 @@ class Recorder:
 
     **Start-up order.**  Constructing the recorder is the last thing that can
     refuse a run and the first that touches an output file: its caller has
-    built the driver (so the spec was valid), the cadence is checked here,
-    and only then is the trace file opened (truncated) and its header
-    written.  No event is applied before.
+    checked the step budget and built the driver (so the spec was valid),
+    the cadence is checked here, and only then is the trace file opened
+    (truncated) and its header written.  No event is applied before.
 
     **Seal.**  ``seal(True)`` ends the trace with the final state hash and
     leaves the checkpoint at the end state, so a sequence of runs resumes
@@ -240,6 +240,10 @@ def _run_segment(
 ) -> SessionResult:
     """One batch segment (record's and resume's shared body); ``outputs`` are
     the :class:`Recorder`'s trace and checkpoint arguments."""
+    # The drivers refuse this too, but only after the Recorder has truncated
+    # the trace: a refused run must leave every output file as it found it.
+    if steps < 0:
+        raise ConfigurationError("steps must be non-negative")
     opened = open_driver(scenario, probes, (), workers, pipeline, checkpoint)
     with opened as driver:
         recorder = Recorder(scenario, driver.engine, driver, **outputs)
@@ -284,7 +288,8 @@ def record_scenario(
     scenarios only and never change a result bit.
     """
     if checkpoint_path is None:
-        checkpoint_every = None
+        if checkpoint_every is not None:
+            raise ConfigurationError("checkpoint_every needs a checkpoint_path")
     elif checkpoint_every is None:
         checkpoint_every = max(1, scenario.steps // 4)
     return _run_segment(

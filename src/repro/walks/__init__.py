@@ -11,14 +11,15 @@ This package provides:
 
 * :mod:`repro.walks.interface`  — the minimal graph interface walks need,
 * :mod:`repro.walks.csr`        — the flat CSR snapshot the hop engine indexes,
-* :mod:`repro.walks.kernel`     — the hop engine: plain and biased CTRWs in
-  batches (scalar or vector path by batch size),
-* :mod:`repro.walks.mixing`     — mixing-time and total-variation estimation,
+* :mod:`repro.walks.kernel`     — the hop engine: the biased CTRW in batches
+  (scalar or vector path by batch size),
+* :mod:`repro.walks.law`        — that walk's exact endpoint law, and its
+  total-variation distance to ``|C| / n``,
 * :mod:`repro.walks.sampler`    — the cluster sampler ``randCl`` draws from,
   walking through the hop engine or, in "oracle" mode for long simulations,
   drawing from the walk's stationary law.
 
-``kernel`` and ``mixing`` compute with numpy, so this package does not
+``kernel`` and ``law`` compute with numpy, so this package does not
 import them: an oracle run never loads numpy.  Import them by module path.
 """
 

@@ -257,8 +257,9 @@ class CSRLayout:
 
         ``indptr``/``indices``/``inv_degree``/``weights`` are ``frombuffer``
         views of the same memory, so :meth:`set_weight` updates are visible
-        through them without any copying.  numpy is imported here, on the
-        hop engine's vector path, and nowhere else in this module.
+        through them without any copying.  numpy is imported here, for the
+        hop engine's vector path and :mod:`repro.walks.law`, and nowhere else
+        in this module.
         """
         views = self._np_static
         if views is None:

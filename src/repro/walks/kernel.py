@@ -1,14 +1,16 @@
 """The hop engine: every simulated walk, batched over the CSR graph layout.
 
-A continuous-time random walk holds at a vertex of degree ``d`` for an
-``Exp(d)`` time, then jumps to a uniformly chosen neighbour, until its
-duration is spent (on an irregular graph its stationary law is uniform over
-vertices, which is why the paper walks in continuous time).  The biased walk
-behind ``randCl`` (§3.1) chains such segments: at a segment's end cluster
-``C`` it accepts with probability ``|C| / max |C'|`` and otherwise restarts
-from ``C``, turning the uniform law into ``|C| / n``.
+It runs one walk, the biased continuous-time random walk behind ``randCl``
+(§3.1).  A segment of it holds at a vertex of degree ``d`` for an ``Exp(d)``
+time, then jumps to a uniformly chosen neighbour, until the segment's
+duration is spent (on an irregular graph the segment's stationary law is
+uniform over vertices, which is why the paper walks in continuous time).  At
+a segment's end cluster ``C`` the walk accepts with probability
+``|C| / max |C'|`` and otherwise restarts from ``C``, turning the uniform law
+into ``|C| / n``.  :mod:`repro.walks.law` computes the endpoint law exactly;
+the kernel suite holds both hop paths to it.
 
-:class:`ArrayKernel` runs both over a :class:`~repro.walks.csr.CSRLayout`:
+:class:`ArrayKernel` runs it over a :class:`~repro.walks.csr.CSRLayout`:
 all concurrent walks of a sampling round advance together, one step per hop
 generation — bulk unit exponentials scaled by the cached degree reciprocals
 for the holding times (``Exp(d) = Exp(1) / d``), and hop targets picked
@@ -41,8 +43,7 @@ uniform is the acceptance test.  So the loop reads the two buffers as one
 stream of ``(exponential, uniform)`` pairs, ``zip`` over two list
 iterators, and only touches the cursors where a buffer runs out.  A walk
 from an isolated vertex draws its acceptance uniforms only; no hop lands on
-one, since the graph is undirected.  The CTRW loop draws per value: its
-last exponential has no uniform after it.
+one, since the graph is undirected.
 
 Determinism contract (``repro.trace``): the kernel owns its *own* RNG
 stream, seeded lazily from the parent (engine) stream via one
@@ -71,18 +72,15 @@ Vertex = Hashable
 #: Randomness is generated into buffers of this many values per refill.
 _REFILL = 4096
 
-#: Batches below this size take the scalar path: per-step numpy dispatch
-#: overhead swamps the win until a few dozen walks advance together.
-#: ``bench_walk_kernel.py`` (long plain CTRWs, 2 vCPU) puts the crossover at
-#: 64-96 walks: the scalar loop runs 1.5-2.4 M hops/s at every batch size,
-#: the vector path 1.3-1.9 M at 63-64 walks and 2-3 M at 96-128.  On the
-#: engine's own biased walks (the n0 = 300 and n0 = 1 200 overlays, 8 and 33
-#: clusters, default segment length; same box) the pair loop wins up to 256
-#: walks (vector / scalar 0.13-0.30 at 16-64 walks, 0.74-1.9 at 256, the
-#: box being noisy) and the vector path from 512 (1.3x; 1.8-2.4x at
-#: 1 024-2 048), so the crossover there lies between 256 and 512.  Exchange
-#: rounds batch ~33 walks, scalar either way.  The two paths consume the
-#: stream in different orders, so moving this changes recorded executions.
+#: Batches below this size take the scalar path.  ``bench_walk_kernel.py``
+#: times both paths on the engine's own walks (the n0 = 300 and n0 = 1 200
+#: bootstrap overlays, 8 and 33 clusters, default segment length; 2 vCPU):
+#: the scalar loop runs 2.6-5.8 M hops/s at every batch size, the vector
+#: path 0.15-0.55x of it at 32-96 walks, 0.77-1.08x at 256, 1.1-1.55x at
+#: 512 and 2-3x at 2 048, so the crossover lies between 256 and 512.
+#: Exchange rounds batch ~30 walks, scalar either way.  The two paths
+#: consume the stream in different orders, so moving this changes recorded
+#: executions.
 MIN_VECTOR_BATCH = 64
 
 
@@ -99,7 +97,7 @@ class ArrayKernel:
         self._uni_buf = _np.empty(0, dtype=_np.float64)
         self._exp_cur = 0
         self._uni_cur = 0
-        # Python-float copies of the two buffers for the scalar loops, each
+        # Python-float copies of the two buffers for the scalar loop, each
         # keyed on the buffer object it was made from.
         self._exp_listed = self._exp_list = None
         self._uni_listed = self._uni_list = None
@@ -130,7 +128,7 @@ class ArrayKernel:
         return self._ensure_gen().random(count)
 
     def _exp_values(self) -> list:
-        """The current exponential buffer as Python floats, for the scalar loops.
+        """The current exponential buffer as Python floats, for the scalar loop.
 
         Made once per buffer with ``tolist()`` and keyed on the buffer object,
         so a refill or :meth:`restore_state` (which replace the buffer)
@@ -186,118 +184,6 @@ class ArrayKernel:
         self._uni_buf = fresh
         self._uni_cur = needed
         return _np.concatenate((remainder, fresh[:needed]))
-
-    # ------------------------------------------------------------------
-    # CTRW batches
-    # ------------------------------------------------------------------
-    def run_ctrw_batch(self, starts: Sequence[Vertex], duration: float) -> List[tuple]:
-        """One CTRW of ``duration`` from each start; ``(endpoint, hops, elapsed)``.
-
-        An exact simulation of the continuous process (exponential holding
-        times, uniform neighbour choice); only the order in which the
-        private stream's draws are consumed differs between the scalar and
-        vectorised paths.
-        """
-        if not (math.isfinite(duration) and duration >= 0):
-            raise WalkError(f"walk duration must be finite and non-negative, not {duration!r}")
-        csr = self._graph.csr()
-        rows = self._rows_for(csr, starts)
-        duration = float(duration)
-        if len(rows) >= MIN_VECTOR_BATCH:
-            return self._ctrw_vector(rows, duration, csr)
-        return self._ctrw_scalar(rows, duration, csr)
-
-    def _ctrw_scalar(self, rows: List[int], duration: float, csr) -> List[tuple]:
-        # One loop over the whole batch, walk after walk, with the hop rows,
-        # both buffers and both cursors in locals.  A spent buffer is
-        # refilled with one fresh block at the draw that needs it, so values
-        # are consumed in generation order; the cursors are written back once.
-        # A hop never lands on an isolated row (see CSRLayout.scalar_rows)
-        # and leaves ``remaining`` positive, so the loop test can only stop
-        # a walk before its first draw.
-        hop_rows = csr.scalar_rows()
-        vertices = csr.vertices
-        exp, exp_cur = self._exp_values(), self._exp_cur
-        uni, uni_cur = self._uni_values(), self._uni_cur
-        exp_end, uni_end = len(exp), len(uni)
-        out = []
-        try:
-            for row in rows:
-                remaining = duration
-                hops = 0
-                inv, degree, neighbours = hop_rows[row]
-                while degree and remaining > 0:
-                    if exp_cur >= exp_end:
-                        exp, exp_cur = self._refill_exp(), 0
-                        exp_end = len(exp)
-                    holding = exp[exp_cur] * inv
-                    exp_cur += 1
-                    if holding >= remaining:
-                        remaining = 0.0
-                        break
-                    remaining -= holding
-                    if uni_cur >= uni_end:
-                        uni, uni_cur = self._refill_uni(), 0
-                        uni_end = len(uni)
-                    row = neighbours[int(uni[uni_cur] * degree)]
-                    uni_cur += 1
-                    inv, degree, neighbours = hop_rows[row]
-                    hops += 1
-                out.append((vertices[row], hops, duration - remaining))
-        finally:
-            self._exp_cur, self._uni_cur = exp_cur, uni_cur
-        return out
-
-    def _ctrw_vector(self, rows: List[int], duration: float, csr) -> List[tuple]:
-        views = csr.numpy_views()
-        indptr = views["indptr"]
-        indices = views["indices"]
-        inv_degree = views["inv_degree"]
-        count = len(rows)
-        pos = _np.array(rows, dtype=_np.int64)
-        remaining = _np.full(count, duration, dtype=_np.float64)
-        hops = _np.zeros(count, dtype=_np.int64)
-        done = _np.zeros(count, dtype=bool)
-        if duration <= 0:
-            done[:] = True
-        alive = _np.nonzero(~done)[0]
-        while alive.size:
-            p = pos[alive]
-            base = indptr[p]
-            degree = indptr[p + 1] - base
-            isolated = degree == 0
-            if isolated.any():
-                done[alive[isolated]] = True  # remaining untouched: elapsed 0
-                keep = ~isolated
-                alive = alive[keep]
-                base = base[keep]
-                degree = degree[keep]
-                if not alive.size:
-                    break
-                p = pos[alive]
-            holding = self._take_exp_vec(alive.size) * inv_degree[p]
-            rem = remaining[alive]
-            finished = holding >= rem
-            if finished.any():
-                f_idx = alive[finished]
-                done[f_idx] = True
-                remaining[f_idx] = 0.0
-            hopping = ~finished
-            if hopping.any():
-                h_idx = alive[hopping]
-                remaining[h_idx] = rem[hopping] - holding[hopping]
-                d = degree[hopping]
-                offsets = (self._take_uni_vec(h_idx.size) * d).astype(_np.int64)
-                _np.minimum(offsets, d - 1, out=offsets)
-                pos[h_idx] = indices[base[hopping] + offsets]
-                hops[h_idx] += 1
-            alive = alive[hopping]
-        vertices = csr.vertices
-        elapsed = duration - remaining
-        return [
-            (vertices[int(row)], int(hop_count), float(spent))
-            for row, hop_count, spent in zip(pos.tolist(), hops.tolist(), elapsed.tolist())
-        ]
 
     # ------------------------------------------------------------------
     # Biased-walk batches

@@ -10,15 +10,16 @@ chains such segments: at a segment's endpoint it accepts with probability
 Two references, both written for clarity, not speed:
 
 * :func:`reference_ctrw` / :func:`reference_biased_walk` draw from a
-  ``random.Random``.  The kernel consumes its own stream in bulk, so the
-  kernel suites hold both :class:`~repro.walks.kernel.ArrayKernel` hop paths
-  (scalar and vector) to them in distribution (chi-square).
-* :func:`reference_ctrw_batch` / :func:`reference_biased_batch` are the
-  scalar path written one walk at a time, drawing one value per call from
-  the kernel's own pre-drawn buffers (:func:`next_exp` / :func:`next_uni`),
-  refilled a block at a time when spent.  ``tests/test_walk_kernel.py``
-  holds the kernel's batch loops to them draw for draw: the same tuples and
-  the same kernel snapshot after every batch.
+  ``random.Random``.  ``tests/test_walk_law.py`` holds the biased walk to
+  the exact law of :mod:`repro.walks.law` (chi-square), which checks the
+  law against these readable semantics; the kernel's hop paths are held to
+  the same law.
+* :func:`reference_biased_batch` is the kernel's scalar path written one
+  walk at a time, drawing one value per call from the kernel's own
+  pre-drawn buffers (:func:`next_exp` / :func:`next_uni`), refilled a block
+  at a time when spent.  ``tests/test_walk_kernel.py`` holds the kernel's
+  batch loop to it draw for draw: the same tuples and the same kernel
+  snapshot after every batch.
 """
 
 from __future__ import annotations
@@ -72,31 +73,6 @@ def next_uni(kernel) -> float:
     return float(kernel._uni_buf[kernel._uni_cur - 1])
 
 
-def _ctrw_walk(kernel, row, duration, csr):
-    """``(row, hops, elapsed)`` of one CTRW from ``row``."""
-    indptr = csr.indptr
-    indices = csr.indices
-    inv_degree = csr.inv_degree
-    remaining = duration
-    hops = 0
-    while remaining > 0:
-        base = indptr[row]
-        degree = indptr[row + 1] - base
-        if degree == 0:
-            break
-        holding = next_exp(kernel) * inv_degree[row]
-        if holding >= remaining:
-            remaining = 0.0
-            break
-        remaining -= holding
-        offset = int(next_uni(kernel) * degree)
-        if offset >= degree:  # guard against u*d rounding up to d
-            offset = degree - 1
-        row = indices[base + offset]
-        hops += 1
-    return (row, hops, duration - remaining)
-
-
 def _biased_walk(kernel, row, segment_duration, max_restarts, csr, max_weight):
     """``(row, hops, restarts, truncated)`` of one biased walk from ``row``."""
     indptr = csr.indptr
@@ -126,16 +102,6 @@ def _biased_walk(kernel, row, segment_duration, max_restarts, csr, max_weight):
             return (row, hops, restarts, False)
         if restarts >= max_restarts:
             return (row, hops, restarts, True)
-
-
-def reference_ctrw_batch(kernel, starts, duration):
-    """``kernel.run_ctrw_batch(starts, duration)``, one walk at a time."""
-    csr = kernel._graph.csr()
-    out = []
-    for start in starts:
-        row, hops, elapsed = _ctrw_walk(kernel, csr.row_of(start), float(duration), csr)
-        out.append((csr.vertices[row], hops, elapsed))
-    return out
 
 
 def reference_biased_batch(kernel, starts, segment_duration, max_restarts):

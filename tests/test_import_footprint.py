@@ -1,7 +1,8 @@
 """Only the modules that compute with arrays load numpy.
 
-The hop engine (``repro.walks.kernel``), the expansion checks, the mixing
-estimators and the complexity fits import numpy; nothing else does, and no
+The hop engine (``repro.walks.kernel``), the exact walk law
+(``repro.walks.law``), the expansion checks and the complexity fits import
+numpy; nothing else does, and no
 package ``__init__`` imports them.  So an oracle run, its trace stack and a
 serve session start without numpy, while a simulated run loads it while its
 engine is built.  pytest itself loads numpy, so each case runs in a fresh

@@ -8,7 +8,9 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.trace import Checkpoint, TraceReader
+from repro.errors import ConfigurationError
+from repro.scenarios import named_scenario
+from repro.trace import Checkpoint, TraceReader, record_scenario
 
 
 def run_cli(*argv):
@@ -49,6 +51,28 @@ class TestRecordAndReplayCli:
             handle.write("\n".join(tampered) + "\n")
         assert run_cli("replay", "--trace", trace) == 1
         assert "DIVERGED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("shards", [[], ["--shards", "2"]], ids=["single", "sharded"])
+    def test_refused_step_count_leaves_the_trace_intact(self, tmp_path, capsys, shards):
+        """A negative step budget is refused before the trace file is opened."""
+        trace = os.path.join(str(tmp_path), "run.jsonl")
+        record = ["run-scenario", "--name", "uniform-churn", "--record", trace]
+        assert run_cli(*record, "--steps", "30") == 0
+        before = open(trace, "rb").read()
+        capsys.readouterr()
+        assert run_cli(*record, "--steps", "-1", *shards) == 2
+        assert "non-negative" in capsys.readouterr().err
+        assert open(trace, "rb").read() == before
+        assert run_cli("replay", "--trace", trace) == 0
+        assert "replay OK: 30 events" in capsys.readouterr().out
+
+    def test_checkpoint_cadence_without_a_file_is_usage_error(self, capsys):
+        argv = ["run-scenario", "--name", "uniform-churn", "--steps", "5"]
+        assert run_cli(*argv, "--checkpoint-every", "2") == 2
+        err = capsys.readouterr().err
+        assert "--checkpoint-every" in err and "--checkpoint " in err
+        with pytest.raises(ConfigurationError, match="checkpoint_path"):
+            record_scenario(named_scenario("uniform-churn"), steps=5, checkpoint_every=2)
 
     def test_replay_missing_file_is_usage_error(self, tmp_path, capsys):
         assert run_cli("replay", "--trace", os.path.join(str(tmp_path), "no.jsonl")) == 2

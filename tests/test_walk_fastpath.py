@@ -15,7 +15,8 @@ Two families of guarantees:
   and from the analytic target distributions, including after overlay
   mutations.
 
-The chi-square critical values use the Wilson–Hilferty approximation at a
+The chi-square critical values (``repro.analysis.statistics.
+chi_square_critical``) use the Wilson–Hilferty approximation at a
 conservative significance (p ≈ 0.001) so the randomised tests stay stable
 under fixed seeds.
 """
@@ -23,13 +24,13 @@ under fixed seeds.
 from __future__ import annotations
 
 import bisect
-import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.statistics import chi_square_critical
 from repro.overlay.graph import OverlayGraph
 from repro.walks.interface import MappingGraph
 from repro.walks.kernel import ArrayKernel
@@ -41,14 +42,6 @@ from reference_walk import reference_ctrw
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-def chi_square_critical(df: int, z: float = 3.09) -> float:
-    """Wilson–Hilferty upper-tail critical value (z=3.09 ~ p=0.001)."""
-    if df <= 0:
-        return 0.0
-    term = 2.0 / (9.0 * df)
-    return df * (1.0 - term + z * math.sqrt(term)) ** 3
-
-
 def chi_square_statistic(counts, expected) -> float:
     """Goodness-of-fit statistic over aligned count/expectation sequences."""
     statistic = 0.0
@@ -230,7 +223,8 @@ class TestDistributionEquivalence:
             plain_counts[reference_ctrw(graph, plain_rng, 0, duration)[0]] += 1
         kernel = ArrayKernel(graph, random.Random(202))
         batched_counts = {v: 0 for v in graph.vertices()}
-        for endpoint, _, _ in kernel.run_ctrw_batch([0] * samples, duration):
+        # Equal weights and one segment: a biased walk is one plain CTRW.
+        for endpoint, *_ in kernel.run_biased_batch([0] * samples, duration, 1):
             batched_counts[endpoint] += 1
         statistic = 0.0
         for vertex in graph.vertices():

@@ -9,17 +9,17 @@ Five families of guarantees:
   default) — and read as ``array`` under oracle walks, where it never
   selected anything.
 
-* **Distributional pinning** (chi-square): batched CTRW endpoints and
-  biased-walk cluster picks from :class:`ArrayKernel` are statistically
-  indistinguishable from the per-hop reference walk (``reference_walk``)
-  and from the analytic ``|C|/n`` target — on static graphs, after
-  mutations, and on each of the two hop paths: the scalar path (the same
-  starts run in batches below ``MIN_VECTOR_BATCH``) and the vector path
-  (one batch).
+* **Distributional pinning** (chi-square): biased-walk cluster picks from
+  :class:`ArrayKernel` are statistically indistinguishable from the per-hop
+  reference walk (``reference_walk``) and from the analytic ``|C|/n``
+  target, on each of the two hop paths: the scalar path (the same starts
+  run in batches below ``MIN_VECTOR_BATCH``) and the vector path (one
+  batch).  ``tests/test_walk_law.py`` holds both paths to the walk's exact
+  law, also after mutations.
 
 * **Draw-for-draw pinning** of the scalar path (hypothesis): its batch
-  loops return the tuples the per-walk loops of ``reference_walk`` return
-  over the same buffers, and leave the kernel in the same state, across
+  loop returns the tuples the per-walk loop of ``reference_walk`` returns
+  over the same buffers, and leaves the kernel in the same state, across
   buffer refills, truncation and a restore.
 
 * **Bit-exact checkpointing**: the kernel's private stream and pre-drawn
@@ -47,6 +47,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.statistics import chi_square_critical
 from repro.core.engine import EngineConfig, NowEngine
 from repro.core.randcl import RandCl
 from repro.errors import ConfigurationError, WalkError
@@ -56,19 +57,9 @@ from repro.trace import record_scenario, resume_from_checkpoint
 from repro.walks.kernel import MIN_VECTOR_BATCH, ArrayKernel
 from repro.walks.sampler import ClusterSampler, WalkMode, resolve_kernel_name
 
-from reference_walk import (
-    reference_biased_batch,
-    reference_biased_walk,
-    reference_ctrw,
-    reference_ctrw_batch,
-)
+from reference_walk import reference_biased_batch, reference_biased_walk
 from test_trace_checkpoint import run_split, run_straight, small_scenario
-from test_walk_fastpath import (
-    apply_operations,
-    chi_square_critical,
-    chi_square_statistic,
-    seeded_overlay,
-)
+from test_walk_fastpath import chi_square_statistic, seeded_overlay
 
 #: Traces recorded by the v1 trace format, before the kernel was retired: a
 #: simulated-walk run on the then-default ``naive`` kernel, and an oracle run.
@@ -104,14 +95,6 @@ def on_path(path, run, starts, *args):
     return [
         out for i in range(0, len(starts), size) for out in run(starts[i : i + size], *args)
     ]
-
-
-def reference_endpoint_counts(graph, rng, samples: int, duration: float) -> dict:
-    """Endpoint histogram of ``samples`` reference CTRWs from vertex 0."""
-    counts = {v: 0 for v in graph.vertices()}
-    for _ in range(samples):
-        counts[reference_ctrw(graph, rng, 0, duration)[0]] += 1
-    return counts
 
 
 def edited_checkpoint(tmp_path, shards: int, edit) -> str:
@@ -197,14 +180,14 @@ class TestKernelSelection:
         graph = seeded_overlay()
         kernel = ArrayKernel(graph, random.Random(1))
         with pytest.raises(WalkError):
-            kernel.run_ctrw_batch([0, 999], duration=1.0)
+            kernel.run_biased_batch([0, 999], segment_duration=1.0, max_restarts=4)
         with pytest.raises(WalkError):
-            kernel.run_ctrw_batch([0], duration=-1.0)
+            kernel.run_biased_batch([0], segment_duration=-1.0, max_restarts=4)
         with pytest.raises(WalkError):
             kernel.run_biased_batch([0], segment_duration=0.0, max_restarts=4)
         with pytest.raises(WalkError):
             kernel.run_biased_batch([0], segment_duration=1.0, max_restarts=0)
-        assert kernel.run_ctrw_batch([], duration=1.0) == []
+        assert kernel.run_biased_batch([], segment_duration=1.0, max_restarts=4) == []
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_durations_are_refused(self, bad):
@@ -214,8 +197,6 @@ class TestKernelSelection:
         kernel = ArrayKernel(seeded_overlay(), random.Random(1))
         for starts in ([0], [0] * MIN_VECTOR_BATCH):
             with pytest.raises(WalkError, match="finite"):
-                kernel.run_ctrw_batch(starts, bad)
-            with pytest.raises(WalkError, match="finite"):
                 kernel.run_biased_batch(starts, bad, 4)
         assert kernel.snapshot_state()["rng"] is None  # refused before any draw
 
@@ -224,42 +205,6 @@ class TestKernelSelection:
 # Distributional pinning (chi-square)
 # ----------------------------------------------------------------------
 class TestDistributionPinning:
-    @pytest.mark.parametrize("path", PATHS)
-    def test_ctrw_batch_matches_reference_endpoints(self, path):
-        """Batched kernel CTRWs and per-hop reference walks agree on the endpoint law."""
-        graph = seeded_overlay(vertices=6, seed=7)
-        samples, duration = 4000, 6.0
-        reference_counts = reference_endpoint_counts(graph, random.Random(101), samples, duration)
-        kernel = ArrayKernel(graph, random.Random(202))
-        kernel_counts = {v: 0 for v in graph.vertices()}
-        for endpoint, hops, elapsed in on_path(
-            path, kernel.run_ctrw_batch, [0] * samples, duration
-        ):
-            kernel_counts[endpoint] += 1
-            assert 0.0 <= elapsed <= duration
-            assert hops >= 0
-        statistic = two_sample_statistic(reference_counts, kernel_counts, graph.vertices())
-        assert statistic < chi_square_critical(len(graph) - 1)
-
-    @pytest.mark.parametrize("path", PATHS)
-    def test_ctrw_batch_matches_reference_after_mutations(self, path):
-        """The kernel reads the rebuilt CSR after churn, not a stale snapshot."""
-        graph = seeded_overlay(vertices=7, seed=11)
-        kernel = ArrayKernel(graph, random.Random(31))
-        kernel.run_ctrw_batch([0] * 200, 4.0)  # materialise, then churn
-        apply_operations(
-            graph,
-            [("add_vertex", 1, 0), ("add_edge", 7, 0), ("remove_edge", 0, 1), ("set_weight", 2, 5)],
-            random.Random(3),
-        )
-        samples, duration = 4000, 6.0
-        reference_counts = reference_endpoint_counts(graph, random.Random(41), samples, duration)
-        kernel_counts = {v: 0 for v in graph.vertices()}
-        for endpoint, _, _ in on_path(path, kernel.run_ctrw_batch, [0] * samples, duration):
-            kernel_counts[endpoint] += 1
-        statistic = two_sample_statistic(reference_counts, kernel_counts, graph.vertices())
-        assert statistic < chi_square_critical(len(graph) - 1)
-
     @pytest.mark.parametrize("path", PATHS)
     def test_biased_batch_matches_target_distribution(self, path):
         """Kernel biased walks hit the stationary ``|C|/n`` law on the overlay."""
@@ -315,18 +260,6 @@ class TestDistributionPinning:
         )
         assert statistic < chi_square_critical(1)
 
-    def test_scalar_and_vector_paths_agree(self):
-        """Sub-threshold (scalar) and large (vector) batches share one law."""
-        graph = seeded_overlay(vertices=6, seed=7)
-        counts = {}
-        for path, seed in (("scalar", 61), ("vector", 67)):
-            kernel = ArrayKernel(graph, random.Random(seed))
-            counts[path] = {v: 0 for v in graph.vertices()}
-            for endpoint, _, _ in on_path(path, kernel.run_ctrw_batch, [0] * 4000, 6.0):
-                counts[path][endpoint] += 1
-        statistic = two_sample_statistic(counts["scalar"], counts["vector"], graph.vertices())
-        assert statistic < chi_square_critical(len(graph) - 1)
-
     def test_sampler_batch_matches_target(self):
         """ClusterSampler.sample_many (one lockstep batch) targets ``|C|/n``."""
         graph = seeded_overlay(vertices=6, seed=7)
@@ -347,8 +280,6 @@ class TestDistributionPinning:
         graph = seeded_overlay()
         graph.add_vertex(99, weight=1.0)  # no edges
         kernel = ArrayKernel(graph, random.Random(1))
-        ((endpoint, hops, elapsed),) = kernel.run_ctrw_batch([99], 5.0)
-        assert (endpoint, hops, elapsed) == (99, 0, 0.0)
         ((cluster, hops, restarts, _, _),) = kernel.run_biased_batch(
             [99], segment_duration=5.0, max_restarts=8
         )
@@ -374,10 +305,9 @@ def small_overlays(draw):
     return graph
 
 
-#: One small batch: its kind, starts (as vertex indices), and its duration
-#: (the segment duration for a biased batch) and restart cap.
+#: One small batch: its starts (as vertex indices), segment duration and
+#: restart cap.
 SMALL_BATCH = st.tuples(
-    st.sampled_from(["ctrw", "biased"]),
     st.lists(st.integers(0, 63), min_size=1, max_size=MIN_VECTOR_BATCH - 1),
     st.floats(0.05, 30.0),
     st.integers(1, 8),
@@ -390,9 +320,9 @@ NEAR_BLOCK_END = st.integers(0, 4095) | st.integers(3968, 4095)
 
 
 class TestScalarPathDrawForDraw:
-    """The scalar path's batch loops against the per-walk loops of ``reference_walk``.
+    """The scalar path's batch loop against the per-walk loop of ``reference_walk``.
 
-    Twin kernels on one graph and one seed: one runs ``run_*_batch`` (every
+    Twin kernels on one graph and one seed: one runs ``run_biased_batch`` (every
     batch below ``MIN_VECTOR_BATCH``, so the scalar path), the other the
     reference over its own buffers.  They must return the same tuples and
     snapshot to the same state after every batch.  A skip of up to one block
@@ -416,7 +346,7 @@ class TestScalarPathDrawForDraw:
             twin._take_exp_vec(skip[0])
             twin._take_uni_vec(skip[1])
         vertices = list(graph.vertices())
-        for index, (kind, picks, duration, max_restarts) in enumerate(batches):
+        for index, (picks, duration, max_restarts) in enumerate(batches):
             if index == cut:
                 # An unseeded snapshot seeds from the parent stream, which
                 # the restored kernel gets in its original state.
@@ -424,13 +354,8 @@ class TestScalarPathDrawForDraw:
                 batched = ArrayKernel(graph, random.Random(seed))
                 batched.restore_state(snapshot)
             starts = [vertices[pick % len(vertices)] for pick in picks]
-            if kind == "ctrw":
-                got = batched.run_ctrw_batch(starts, duration)
-                want = reference_ctrw_batch(reference, starts, duration)
-            else:
-                got = batched.run_biased_batch(starts, duration, max_restarts)
-                want = reference_biased_batch(reference, starts, duration, max_restarts)
-            assert got == want
+            got = batched.run_biased_batch(starts, duration, max_restarts)
+            assert got == reference_biased_batch(reference, starts, duration, max_restarts)
             assert batched.snapshot_state() == reference.snapshot_state()
 
     def test_refill_mid_walk_and_truncation_are_reached(self):
@@ -442,9 +367,9 @@ class TestScalarPathDrawForDraw:
             twin._take_exp_vec(4090)
             twin._take_uni_vec(4090)
         left = len(batched._exp_buf) - batched._exp_cur
-        got = batched.run_ctrw_batch([0], 30.0)
-        assert got == reference_ctrw_batch(reference, [0], 30.0)
-        ((_, hops, _),) = got
+        got = batched.run_biased_batch([0], 30.0, 1)
+        assert got == reference_biased_batch(reference, [0], 30.0, 1)
+        ((_, hops, _, _, _),) = got
         assert hops > left  # the walk drew past the end of its block
         starts = [0, 1, 2, 3] * 4
         got = batched.run_biased_batch(starts, 0.05, 2)
@@ -503,11 +428,9 @@ class TestScalarPathDrawForDraw:
             twin._uni_buf = _np.array([1.0, math.nextafter(1.0, 0.0)] * 200)
             twin._uni_cur = 0
         starts = list(graph.vertices())
-        got = batched.run_ctrw_batch(starts, 2.0)
-        assert got == reference_ctrw_batch(reference, starts, 2.0)
-        assert any(hops for _, hops, _ in got)
         got = batched.run_biased_batch(starts, 2.0, 3)
         assert got == reference_biased_batch(reference, starts, 2.0, 3)
+        assert any(hops for _, hops, *_ in got)
         assert batched.snapshot_state() == reference.snapshot_state()
 
 
@@ -519,16 +442,16 @@ class TestKernelCheckpoint:
         """A JSON-round-tripped kernel replays the uninterrupted sequence."""
         graph = seeded_overlay(vertices=6, seed=7)
         kernel = ArrayKernel(graph, random.Random(3))
-        kernel.run_ctrw_batch([0, 1, 2] * 20, 4.0)  # consume into the buffers
+        kernel.run_biased_batch([0, 1, 2] * 20, 4.0, 16)  # consume into the buffers
         snapshot = json.loads(json.dumps(kernel.snapshot_state()))
         resumed = ArrayKernel(graph, random.Random(999))
         resumed.restore_state(snapshot)
         # Mixed batch sizes cross the scalar/vector threshold both ways.
         for starts in ([0] * (MIN_VECTOR_BATCH + 8), [1, 2], [3] * 5):
-            assert kernel.run_ctrw_batch(starts, 3.5) == resumed.run_ctrw_batch(starts, 3.5)
-            assert kernel.run_biased_batch(starts, 5.0, 16) == resumed.run_biased_batch(
-                starts, 5.0, 16
-            )
+            for segment in (3.5, 5.0):
+                assert kernel.run_biased_batch(starts, segment, 16) == resumed.run_biased_batch(
+                    starts, segment, 16
+                )
 
     def test_unused_kernel_round_trips(self):
         """An unseeded kernel snapshots to ``rng: None`` and seeds identically."""
@@ -539,13 +462,13 @@ class TestKernelCheckpoint:
         resumed = ArrayKernel(graph, random.Random(11))
         resumed.restore_state(snapshot)
         starts = [0] * 40
-        assert kernel.run_ctrw_batch(starts, 4.0) == resumed.run_ctrw_batch(starts, 4.0)
+        assert kernel.run_biased_batch(starts, 4.0, 8) == resumed.run_biased_batch(starts, 4.0, 8)
 
     def test_restore_never_consumes_parent_stream(self):
         graph = seeded_overlay()
         parent = random.Random(5)
         kernel = ArrayKernel(graph, parent)
-        kernel.run_ctrw_batch([0] * 10, 2.0)  # seeds the private stream
+        kernel.run_biased_batch([0] * 10, 2.0, 4)  # seeds the private stream
         before = parent.getstate()
         kernel.restore_state(json.loads(json.dumps(kernel.snapshot_state())))
         assert parent.getstate() == before

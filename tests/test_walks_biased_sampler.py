@@ -1,5 +1,4 @@
-"""Unit tests for the biased CTRW (on the hop engine), mixing estimation and
-the cluster sampler."""
+"""Unit tests for the biased CTRW (on the hop engine) and the cluster sampler."""
 
 from __future__ import annotations
 
@@ -10,12 +9,6 @@ import pytest
 from repro.errors import WalkError
 from repro.walks.interface import MappingGraph
 from repro.walks.kernel import ArrayKernel
-from repro.walks.mixing import (
-    empirical_distribution,
-    estimate_mixing_time,
-    total_variation_distance,
-    uniform_distribution,
-)
 from repro.walks.sampler import ClusterSampler, WalkMode
 
 
@@ -75,46 +68,6 @@ class TestBiasedWalk:
             expected = graph.weight(vertex) / total_weight
             observed = counts.get(vertex, 0) / samples
             assert observed == pytest.approx(expected, abs=0.05)
-
-
-class TestMixingHelpers:
-    def test_total_variation_of_identical_distributions(self):
-        dist = {0: 0.5, 1: 0.5}
-        assert total_variation_distance(dist, dist) == 0.0
-
-    def test_total_variation_of_disjoint_distributions(self):
-        assert total_variation_distance({0: 1.0}, {1: 1.0}) == pytest.approx(1.0)
-
-    def test_empirical_distribution_normalises(self):
-        dist = empirical_distribution({0: 3, 1: 1})
-        assert dist[0] == pytest.approx(0.75)
-
-    def test_empirical_distribution_rejects_empty(self):
-        with pytest.raises(WalkError):
-            empirical_distribution({})
-
-    def test_uniform_distribution(self):
-        graph = weighted_cycle(4)
-        dist = uniform_distribution(graph)
-        assert all(value == pytest.approx(0.25) for value in dist.values())
-
-    def test_estimate_mixing_time_monotone_graph(self):
-        graph = weighted_cycle(6)
-        duration = estimate_mixing_time(
-            graph,
-            random.Random(2),
-            start=0,
-            threshold=0.25,
-            samples_per_duration=300,
-            initial_duration=1.0,
-            max_duration=64.0,
-        )
-        assert 1.0 <= duration <= 64.0
-
-    def test_estimate_mixing_time_rejects_bad_threshold(self):
-        graph = weighted_cycle(6)
-        with pytest.raises(WalkError):
-            estimate_mixing_time(graph, random.Random(2), start=0, threshold=0.0)
 
 
 class TestClusterSampler:

@@ -1,4 +1,9 @@
-"""Unit tests for the continuous random walk, run on the hop engine."""
+"""Unit tests for the continuous random walk, run on the hop engine.
+
+The engine runs one walk, the biased one; over equal weights with a single
+segment (``max_restarts=1``) every endpoint is accepted, so a biased walk
+is one plain CTRW segment.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,6 @@ import pytest
 from repro.errors import WalkError
 from repro.walks.interface import MappingGraph
 from repro.walks.kernel import ArrayKernel
-from repro.walks.mixing import empirical_endpoint_distribution
 
 
 def cycle_graph(size: int, weights=None) -> MappingGraph:
@@ -24,9 +28,14 @@ def star_graph(leaves: int) -> MappingGraph:
     return MappingGraph(adjacency)
 
 
+def segments(kernel, starts, duration: float) -> list:
+    """One CTRW segment from each start: ``(endpoint, hops)``."""
+    return [out[:2] for out in kernel.run_biased_batch(starts, duration, 1)]
+
+
 def walk(graph, seed: int, start, duration: float) -> tuple:
-    """One CTRW on a fresh kernel: ``(endpoint, hops, elapsed)``."""
-    return ArrayKernel(graph, random.Random(seed)).run_ctrw_batch([start], duration)[0]
+    """One CTRW segment on a fresh kernel: ``(endpoint, hops)``."""
+    return segments(ArrayKernel(graph, random.Random(seed)), [start], duration)[0]
 
 
 class TestMappingGraph:
@@ -54,9 +63,6 @@ class TestMappingGraph:
 
 
 class TestContinuousWalk:
-    def test_zero_duration_stays_put(self):
-        assert walk(cycle_graph(5), 1, 2, duration=0.0) == (2, 0, 0.0)
-
     def test_negative_duration_rejected(self):
         with pytest.raises(WalkError):
             walk(cycle_graph(5), 1, 0, duration=-1.0)
@@ -68,14 +74,14 @@ class TestContinuousWalk:
     def test_isolated_vertex_never_moves(self):
         graph = MappingGraph({0: [], 1: [2], 2: [1]})
         kernel = ArrayKernel(graph, random.Random(1))
-        (isolated, connected) = kernel.run_ctrw_batch([0, 1], duration=10.0)
-        assert isolated == (0, 0, 0.0)
+        (isolated, connected) = segments(kernel, [0, 1], duration=10.0)
+        assert isolated == (0, 0)
         assert connected[1] > 0
 
     def test_hops_grow_with_duration(self):
         kernel = ArrayKernel(cycle_graph(8), random.Random(7))
-        short = sum(hops for _, hops, _ in kernel.run_ctrw_batch([0] * 50, 1.0))
-        long = sum(hops for _, hops, _ in kernel.run_ctrw_batch([0] * 50, 10.0))
+        short = sum(hops for _, hops in segments(kernel, [0] * 50, 1.0))
+        long = sum(hops for _, hops in segments(kernel, [0] * 50, 10.0))
         assert long > short
 
     def test_stationary_distribution_is_uniform_on_irregular_graph(self):
@@ -86,14 +92,10 @@ class TestContinuousWalk:
         time at the hub, the continuous one is uniform.
         """
         graph = star_graph(4)  # hub degree 4, leaves degree 1 -- very irregular
-        distribution = empirical_endpoint_distribution(
-            graph, random.Random(11), 0, duration=50.0, samples=2000
-        )
+        samples = 2000
+        kernel = ArrayKernel(graph, random.Random(11))
+        counts = {vertex: 0 for vertex in graph.vertices()}
+        for endpoint, _ in segments(kernel, [0] * samples, 50.0):
+            counts[endpoint] += 1
         for vertex in graph.vertices():
-            assert distribution.get(vertex, 0.0) == pytest.approx(1.0 / 5.0, abs=0.06)
-
-    def test_endpoint_distribution_requires_samples(self):
-        with pytest.raises(WalkError):
-            empirical_endpoint_distribution(
-                cycle_graph(4), random.Random(0), 0, duration=1.0, samples=0
-            )
+            assert counts[vertex] / samples == pytest.approx(1.0 / 5.0, abs=0.06)
