@@ -15,16 +15,11 @@ accidentally "cheat" by reading the adversary's hand.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Collection, FrozenSet, Iterable, Iterator, List, Mapping, Optional
 
-from ..errors import (
-    ConfigurationError,
-    ProtocolViolationError,
-    UnknownClusterError,
-    UnknownNodeError,
-)
+from ..errors import ProtocolViolationError, UnknownClusterError, UnknownNodeError
 from ..network.node import NodeId
 
 ClusterId = int
@@ -32,21 +27,26 @@ ClusterId = int
 
 @dataclass
 class Cluster:
-    """A set of node identifiers plus bookkeeping about its history."""
+    """A cluster's member slots plus bookkeeping about its history.
+
+    ``members`` is the slot list, and the member order of trace v3 is its
+    order: a join appends a slot, a removal moves the last slot into the
+    hole, and a swap writes a slot in place.  Random picks index into it,
+    so the order is part of the state (see "Member order" in
+    ``docs/ARCHITECTURE.md``).  :meth:`member_list` is the sorted copy for
+    callers that want a set-like view.
+    """
 
     cluster_id: ClusterId
-    members: Set[NodeId] = field(default_factory=set)
+    members: List[NodeId] = field(default_factory=list)
     created_at: int = 0
     exchanges_performed: int = 0
     last_full_exchange: Optional[int] = None
 
     def __post_init__(self) -> None:
-        self.members = set(self.members)
-        # Sorted membership, kept in place by every mutation, so an exchange
-        # round picks from one live view of it (``sorted_members``) with no
-        # sort and no copy per swap; the exchanging cluster's own view is
-        # rebuilt once, at the end of its round.
-        self._sorted_members: List[NodeId] = sorted(self.members)
+        self.members = list(self.members)
+        if len(set(self.members)) != len(self.members):
+            raise ProtocolViolationError(f"cluster {self.cluster_id} lists a member twice")
 
     # ------------------------------------------------------------------
     # Membership
@@ -55,6 +55,7 @@ class Cluster:
         return len(self.members)
 
     def __contains__(self, node_id: NodeId) -> bool:
+        # A scan: hot paths ask the registry's node index instead.
         return node_id in self.members
 
     @property
@@ -62,62 +63,53 @@ class Cluster:
         """Number of member nodes."""
         return len(self.members)
 
+    def slot_of(self, node_id: NodeId) -> int:
+        """The slot holding ``node_id``; error if it is not a member."""
+        try:
+            return self.members.index(node_id)
+        except ValueError:
+            raise UnknownNodeError(
+                f"node {node_id} is not a member of cluster {self.cluster_id}"
+            ) from None
+
     def add_member(self, node_id: NodeId) -> None:
-        """Insert ``node_id``; error if it is already a member."""
+        """Append ``node_id`` as the last slot; error if it is already a member."""
         if node_id in self.members:
             raise ProtocolViolationError(
                 f"node {node_id} is already a member of cluster {self.cluster_id}"
             )
-        self.members.add(node_id)
-        insort(self._sorted_members, node_id)
+        self.members.append(node_id)
 
     def remove_member(self, node_id: NodeId) -> None:
-        """Remove ``node_id``; error if it is not a member."""
-        if node_id not in self.members:
-            raise UnknownNodeError(
-                f"node {node_id} is not a member of cluster {self.cluster_id}"
-            )
-        self.members.discard(node_id)
-        self._sorted_members.remove(node_id)
+        """Remove ``node_id``, moving the last slot into its hole; error if absent."""
+        slot = self.slot_of(node_id)
+        last = self.members.pop()
+        if slot < len(self.members):
+            self.members[slot] = last
 
     def swap_member(self, outgoing: NodeId, incoming: NodeId) -> None:
-        """Atomically replace ``outgoing`` with ``incoming`` (an exchange step)."""
+        """Write ``incoming`` into ``outgoing``'s slot (an exchange step)."""
         if outgoing != incoming:
-            self._check_swap(outgoing, incoming)
-            self.remove_member(outgoing)
-            self.add_member(incoming)
-
-    def _check_swap(self, outgoing: NodeId, incoming: NodeId) -> None:
-        if outgoing not in self.members:
-            raise UnknownNodeError(
-                f"node {outgoing} is not a member of cluster {self.cluster_id}"
-            )
-        if incoming in self.members:
-            raise ProtocolViolationError(
-                f"node {incoming} is already a member of cluster {self.cluster_id}"
-            )
+            slot = self.slot_of(outgoing)
+            if incoming in self.members:
+                raise ProtocolViolationError(
+                    f"node {incoming} is already a member of cluster {self.cluster_id}"
+                )
+            self.members[slot] = incoming
 
     def member_list(self) -> List[NodeId]:
         """Sorted members as a fresh list the caller may mutate."""
-        return list(self.sorted_members())
-
-    def sorted_members(self) -> List[NodeId]:
-        """The sorted membership itself: a live view callers must not mutate.
-
-        Note: a caller writing to ``cluster.members`` directly (the registry
-        never does) bypasses its maintenance.
-        """
-        return self._sorted_members
+        return sorted(self.members)
 
     def snapshot(self) -> FrozenSet[NodeId]:
         """Immutable copy of the membership."""
         return frozenset(self.members)
 
     def snapshot_state(self) -> dict:
-        """JSON-ready snapshot of the cluster (members in sorted order)."""
+        """JSON-ready snapshot of the cluster (members in slot order)."""
         return {
             "cluster_id": self.cluster_id,
-            "members": self.member_list(),
+            "members": list(self.members),
             "created_at": self.created_at,
             "exchanges_performed": self.exchanges_performed,
             "last_full_exchange": self.last_full_exchange,
@@ -128,7 +120,7 @@ class Cluster:
         """Rebuild a cluster from :meth:`snapshot_state` output."""
         cluster = cls(
             cluster_id=data["cluster_id"],
-            members=set(data["members"]),
+            members=data["members"],
             created_at=data.get("created_at", 0),
         )
         cluster.exchanges_performed = data.get("exchanges_performed", 0)
@@ -140,8 +132,9 @@ class ClusterRegistry:
     """All live clusters, indexed by cluster id and by member node.
 
     Every membership mutation goes through the registry, so it can (a) keep an
-    O(1)-samplable array of live cluster ids (swap-delete on dissolve) and
-    (b) notify listeners — e.g. the corruption tracker in
+    O(1)-samplable array of live cluster ids (swap-delete on dissolve), (b)
+    keep the node index, the only copy of membership besides the clusters'
+    slots, and (c) notify listeners — e.g. the corruption tracker in
     :mod:`repro.core.state` — so per-cluster statistics stay incremental
     instead of being recomputed by full sweeps.
     """
@@ -156,36 +149,44 @@ class ClusterRegistry:
         # Per-hook bound-method lists, resolved once per listener set; the
         # getattr resolution would otherwise run on every membership event.
         self._hook_cache: dict = {}
+        # What swaps check and count (see bind_roles): until roles are bound
+        # a node counts as registered when it is indexed, and none as Byzantine.
+        self._registered: Collection[NodeId] = self._node_to_cluster
+        self._byzantine: Collection[NodeId] = frozenset()
+        self._on_moved: Optional[Callable[[dict], None]] = None
         #: Diagnostic: number of full sweeps over the cluster population
         #: (used by the throughput benchmark to verify O(1) accounting).
         self.full_scan_count: int = 0
 
     # ------------------------------------------------------------------
-    # Listeners
+    # Listeners and roles
     # ------------------------------------------------------------------
     def add_listener(self, listener: object) -> None:
         """Register a membership listener.
 
         A listener may implement any of ``cluster_created(cluster)``,
-        ``cluster_dissolved(cluster)``, ``member_added(cluster_id, node_id)``,
-        ``member_removed(cluster_id, node_id)`` and
-        ``members_swapped(cluster_id, swaps)``; missing hooks are skipped.
-        ``members_swapped`` is the only event swaps emit (one per
-        :meth:`exchange_round` or :meth:`swap_members`), so a listener following
-        ``member_added`` / ``member_removed`` must define it and is refused
-        otherwise.  One that follows only sizes, which swaps keep, defines
-        ``members_swapped = None`` and receives nothing.
+        ``cluster_dissolved(cluster)``, ``member_added(cluster_id, node_id)``
+        and ``member_removed(cluster_id, node_id)``; missing hooks are
+        skipped.  Swaps keep every size and emit no event: their Byzantine
+        moves go to the sink :meth:`bind_roles` names.
         """
-        follows = hasattr(listener, "member_added") or hasattr(listener, "member_removed")
-        if follows and not hasattr(listener, "members_swapped"):
-            raise ConfigurationError(
-                f"listener {type(listener).__name__} implements member_added / "
-                "member_removed but does not define members_swapped; swaps emit "
-                "only members_swapped, so it would miss them (define it as None "
-                "to follow sizes only)"
-            )
         self._listeners.append(listener)
         self._hook_cache.clear()
+
+    def bind_roles(
+        self,
+        registered: Mapping[NodeId, object],
+        byzantine: Collection[NodeId],
+        on_moved: Callable[[dict], None],
+    ) -> None:
+        """Name the nodes swaps may move and the Byzantine ones, both live views.
+
+        A swap refuses a node outside ``registered``.  Each swap's Byzantine
+        move is counted as it is made, and ``on_moved`` receives the moves
+        once per :meth:`exchange_round` or :meth:`swap_members`, as
+        ``{cluster_id: change in its Byzantine count}``.
+        """
+        self._registered, self._byzantine, self._on_moved = registered, byzantine, on_moved
 
     def _hooks(self, hook: str) -> list:
         methods = self._hook_cache.get(hook)
@@ -214,14 +215,14 @@ class ClusterRegistry:
     def create_cluster(
         self, members: Iterable[NodeId], created_at: int = 0, cluster_id: Optional[ClusterId] = None
     ) -> Cluster:
-        """Create a cluster with the given members and register it."""
+        """Create a cluster whose slots are ``members`` in their order, and register it."""
         if cluster_id is None:
             cluster_id = self.new_cluster_id()
         elif cluster_id in self._clusters:
             raise ProtocolViolationError(f"cluster id {cluster_id} is already in use")
         else:
             self._next_id = max(self._next_id, cluster_id + 1)
-        cluster = Cluster(cluster_id=cluster_id, members=set(members), created_at=created_at)
+        cluster = Cluster(cluster_id=cluster_id, members=members, created_at=created_at)
         for node_id in cluster.members:
             if node_id in self._node_to_cluster:
                 raise ProtocolViolationError(
@@ -279,110 +280,144 @@ class ClusterRegistry:
         self._notify("member_removed", source_id, node_id)
         self._notify("member_added", target_cluster_id, node_id)
 
+    def _refuse_swap(
+        self, cluster_id: ClusterId, node: NodeId, partner_id: ClusterId, replacement: NodeId
+    ) -> None:
+        """Raise the first check that swapping ``node`` for ``replacement`` fails, if any.
+
+        Each node must be where the node index says and be registered.
+        """
+        for member, home, other in ((node, cluster_id, partner_id), (replacement, partner_id, cluster_id)):
+            indexed = self._node_to_cluster.get(member)
+            if indexed == other:
+                raise ProtocolViolationError(f"node {member} is already a member of cluster {other}")
+            if indexed != home:
+                raise UnknownNodeError(f"node {member} is not a member of cluster {home}")
+            if member not in self._registered:
+                raise UnknownNodeError(f"node {member} is not a registered node")
+
     def swap_members(
         self, first_cluster: ClusterId, first_node: NodeId, second_cluster: ClusterId, second_node: NodeId
     ) -> None:
         """Exchange ``first_node`` (of ``first_cluster``) with ``second_node`` (of ``second_cluster``).
 
-        A one-swap :meth:`exchange_round`: the same checks, updates and
-        event.  A swap within one cluster changes nothing and emits nothing.
+        One swap of an exchange round, with its checks, all made before
+        either side changes: each node sits in its cluster's slots, where
+        the node index says, and is registered.  Each node takes the
+        other's slot.  A swap within one cluster changes nothing.
         """
-        self.exchange_round(
-            first_cluster, [first_node], [0], [second_cluster], None, lambda _: second_node
-        )
+        first, second = self.get(first_cluster), self.get(second_cluster)
+        if first is second:
+            return
+        self._refuse_swap(first_cluster, first_node, second_cluster, second_node)
+        first_slot, second_slot = first.slot_of(first_node), second.slot_of(second_node)
+        first.members[first_slot], second.members[second_slot] = second_node, first_node
+        self._node_to_cluster[first_node] = second_cluster
+        self._node_to_cluster[second_node] = first_cluster
+        byzantine = self._byzantine
+        moved = (first_node in byzantine) - (second_node in byzantine)
+        if moved and self._on_moved is not None:
+            self._on_moved({first_cluster: -moved, second_cluster: moved})
 
     def exchange_round(
         self,
         cluster_id: ClusterId,
-        outgoing: List[NodeId],
-        draws,
-        vertices: Sequence[ClusterId],
+        layout,
+        partners,
         getrandbits: Optional[Callable[[int], int]],
         choose: Optional[Callable[[List[NodeId]], NodeId]] = None,
-    ) -> Tuple[List[Tuple[NodeId, ClusterId, NodeId]], dict]:
-        """Swap each ``outgoing`` member of ``cluster_id`` with a member of a drawn partner.
+    ) -> dict:
+        """Swap each member of ``cluster_id``, slot by slot, with a member of a drawn partner.
 
-        One flat pass over ``outgoing``; each member draws one key and
-        ``vertices[key]`` is its partner.  ``draws`` is a list of keys, one
-        per member, or a ``(cum, total, last, random)`` table drawn lazily
-        as :meth:`~repro.walks.csr.CSRLayout.row_sampler` draws, so a round
-        refused part-way has drawn only up to the refusal.  A member whose
-        partner is ``cluster_id`` itself or an empty cluster stays.
-        Otherwise the partner gives up the member at an index into its
-        sorted view: ``getrandbits(size.bit_length())`` redrawn until below
-        the size, which is the draw ``randrange(size)`` makes, or, when
-        ``getrandbits`` is ``None``, the member ``choose(view)`` names.
+        Partners are rows of the CSR ``layout``.  Under oracle walks
+        ``partners`` is the walk stream's ``getrandbits``, and each member
+        makes one draw ``u`` uniform over ``layout.population()``'s units
+        (``getrandbits(total.bit_length())`` redrawn until below ``total``,
+        the draw ``randrange(total)`` makes): the row ``bisect_right(cum,
+        u)`` is its partner and the slot ``u - base[row]`` the member the
+        partner gives up.  Under simulated walks ``partners`` lists the rows
+        the round's walks ended on, one per member, and the partner gives up
+        slot ``randrange(size)``, drawn the same way with ``getrandbits``.
+        With ``choose`` (an adversary override is installed) the partner
+        gives up the member ``choose(slots)`` names instead; ``choose``
+        reads the live slots and must copy what it keeps.
 
-        The four membership checks run before either side of a swap
-        changes, so a refused swap changes nothing.  No pick reads the
-        exchanging cluster's own view (a self-draw stays); it is rebuilt
-        once when the pass ends.  The applied ``(node, partner_id,
-        replacement)`` triples go to listeners as one ``members_swapped``
-        event, also when a swap was refused.  Returns them with the round's
-        partner table: key -> ``[partner_id, members, view, size, bits,
-        picks]``, or ``()`` where the member stayed.
+        A member whose partner is ``cluster_id`` itself or an empty cluster
+        stays.  A partner is resolved once per round and must be a live
+        cluster whose slot count is its row's weight.  Each swap is checked
+        as :meth:`swap_members` checks, before either side changes, so a
+        refused swap changes nothing (the swaps before it stay made); it
+        writes both slots and the node index in place and counts its
+        Byzantine move.  The round's moves go to the bound sink once, also
+        when a swap was refused.  Returns the round's partner table: row ->
+        ``[partner_id, slots, base, size, bits, picks, moved]``, or ``()``
+        where members stayed.
         """
-        cluster = self.get(cluster_id)
-        members = cluster.members
-        clusters, node_index = self._clusters, self._node_to_cluster
-        partners: dict = {}
-        applied: List[Tuple[NodeId, ClusterId, NodeId]] = []
-        record = applied.append
-        lazy = not isinstance(draws, list)
-        if lazy:
-            cum, total, last, random = draws
-        else:
-            next_key = iter(draws).__next__
+        slots = self.get(cluster_id).members
+        clusters, index = self._clusters, self._node_to_cluster
+        indexed = index.get
+        registered, byzantine = self._registered, self._byzantine
+        vertices = layout.vertices
+        cum, bases, total = layout.population()
+        oracle = not isinstance(partners, list)
+        if oracle and slots and not total:
+            raise ProtocolViolationError("an oracle draw needs a layout with positive weight")
+        bits = total.bit_length()
+        table: dict = {}
         try:
-            for node in outgoing:
-                key = bisect_right(cum, random() * total, 0, last) if lazy else next_key()
-                entry = partners.get(key)
+            for slot in range(len(slots)):
+                if oracle:
+                    u = partners(bits)
+                    while u >= total:
+                        u = partners(bits)
+                    row = bisect_right(cum, u)
+                else:
+                    row = partners[slot]
+                entry = table.get(row)
                 if entry is None:
-                    partner_id = vertices[key]
+                    partner_id = vertices[row]
                     partner = clusters.get(partner_id)
                     if partner is None:
-                        self.get(partner_id)  # raises UnknownClusterError
-                    view = partner._sorted_members
-                    size, bits = len(view), len(view).bit_length()
+                        raise UnknownClusterError(f"cluster {partner_id} does not exist")
+                    size, base = len(partner.members), bases[row]
+                    if size != cum[row] - base:
+                        raise ProtocolViolationError(
+                            f"cluster {partner_id} has {size} members but overlay "
+                            f"weight {cum[row] - base}"
+                        )
                     stays = partner_id == cluster_id or not size
-                    entry = partners[key] = (
-                        () if stays else [partner_id, partner.members, view, size, bits, 0]
+                    entry = table[row] = (
+                        () if stays else [partner_id, partner.members, base, size, size.bit_length(), 0, 0]
                     )
                 if not entry:
                     continue
-                partner_id, partner_members, partner_view, size, bits, _ = entry
-                if getrandbits is not None:
-                    index = getrandbits(bits)
-                    while index >= size:
-                        index = getrandbits(bits)
-                    replacement = partner_view[index]
+                partner_id, partner_slots, base, size, partner_bits, _, _ = entry
+                if choose is not None:
+                    pick = partner_slots.index(choose(partner_slots))
+                elif oracle:
+                    pick = u - base
                 else:
-                    replacement = choose(partner_view)
-                    index = bisect_left(partner_view, replacement)
+                    pick = getrandbits(partner_bits)
+                    while pick >= size:
+                        pick = getrandbits(partner_bits)
+                node, replacement = slots[slot], partner_slots[pick]
                 if (
-                    node not in members
-                    or replacement in members
-                    or replacement not in partner_members
-                    or node in partner_members
+                    indexed(node) != cluster_id
+                    or indexed(replacement) != partner_id
+                    or node not in registered
+                    or replacement not in registered
                 ):
-                    cluster._check_swap(node, replacement)  # raises the first refusal
-                    self.get(partner_id)._check_swap(replacement, node)
-                members.remove(node)
-                members.add(replacement)
-                partner_members.remove(replacement)
-                partner_members.add(node)
-                del partner_view[index]
-                insort(partner_view, node)
-                node_index[node] = partner_id
-                node_index[replacement] = cluster_id
-                record((node, partner_id, replacement))
+                    self._refuse_swap(cluster_id, node, partner_id, replacement)
+                slots[slot], partner_slots[pick] = replacement, node
+                index[node], index[replacement] = partner_id, cluster_id
                 entry[5] += 1
+                entry[6] += (node in byzantine) - (replacement in byzantine)
         finally:
-            cluster._sorted_members[:] = sorted(members)
-            if applied:
-                for method in self._hooks("members_swapped"):
-                    method(cluster_id, applied)
-        return applied, partners
+            moved = {entry[0]: entry[6] for entry in table.values() if entry and entry[6]}
+            if moved and self._on_moved is not None:
+                moved[cluster_id] = -sum(moved.values())
+                self._on_moved(moved)
+        return table
 
     # ------------------------------------------------------------------
     # Queries
@@ -462,7 +497,7 @@ class ClusterRegistry:
 
     @classmethod
     def from_snapshot(cls, data: dict) -> "ClusterRegistry":
-        """Rebuild a registry from :meth:`snapshot_state` output (no listeners)."""
+        """Rebuild a registry from :meth:`snapshot_state` output (no listeners, no roles)."""
         registry = cls()
         for cluster_data in data["clusters"]:
             cluster = Cluster.from_snapshot(cluster_data)

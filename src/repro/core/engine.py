@@ -70,62 +70,24 @@ class MaintenanceReport:
         return not self.compromised_clusters
 
 
-#: Retired options by where they lived, each with the value that asked for
-#: nothing (``None``: every value did).  Older specs, trace headers and
-#: checkpoints carry them; :func:`drop_retired` is this table's only reader.
-RETIRED_OPTIONS: Dict[str, Dict[str, Optional[bool]]] = {
-    "scenario": {"keep_reports": False},
-    "engine_options": dict(record_history=None, strict_compromise=False, enforce_size_range=False),
-}
-
-
-def drop_retired(data: Dict[str, object], where: str) -> Dict[str, object]:
-    """``data`` without the options retired from ``where``.
-
-    A value that asked for nothing is dropped; any other asked for behaviour
-    that no longer exists, so it is refused by name, not silently ignored.
-    """
-    retired = RETIRED_OPTIONS[where]
-    for key, inert in retired.items():
-        if key in data and inert is not None and data[key] != inert:
-            raise ConfigurationError(
-                f"{where} option {key!r} was retired and loads only as {inert!r}, not "
-                f"{data[key]!r}; observe runs through probes and stop conditions instead"
-            )
-    return {key: value for key, value in data.items() if key not in retired}
-
-
 @dataclass
 class EngineConfig:
     """Behavioural switches of the engine (all default to the paper's protocol).
 
     The one place engine options become a config: ``EngineConfig(**options)``
-    takes a spec's ``engine_options`` as they are, ``walk_mode`` as a string
-    included, and refuses a retired walk kernel by name.
+    takes a spec's ``engine_options`` (or a checkpoint's ``config``) as they
+    are, ``walk_mode`` as a string included.
     """
 
     walk_mode: WalkMode = WalkMode.ORACLE
     #: The hop engine of simulated walks (``repro.walks.kernel``).  ``array``
-    #: is the only one; the option is kept so specs and checkpoints that name
-    #: it still load (see :func:`~repro.walks.sampler.resolve_kernel_name`).
+    #: is the only one (see :func:`~repro.walks.sampler.resolve_kernel_name`).
     walk_kernel: str = "array"
     cascade_exchanges: bool = True
 
     def __post_init__(self) -> None:
         self.walk_mode = WalkMode(self.walk_mode)
-        self.walk_kernel = resolve_kernel_name(
-            self.walk_kernel, simulated=self.walk_mode is WalkMode.SIMULATED
-        )
-
-    @classmethod
-    def from_snapshot(cls, data: Dict[str, object]) -> "EngineConfig":
-        """The config a checkpoint recorded.
-
-        Checkpoints written before the kernel option existed ran the retired
-        ``naive`` kernel, so a missing ``walk_kernel`` means that one; the
-        retired options older checkpoints carry go through :func:`drop_retired`.
-        """
-        return cls(**{"walk_kernel": "naive", **drop_retired(data, "engine_options")})
+        self.walk_kernel = resolve_kernel_name(self.walk_kernel)
 
 
 class NowEngine:
@@ -212,7 +174,7 @@ class NowEngine:
         The snapshot does not name the placement rule: the scenario that
         travels with it does, and its caller passes that as ``rule``.
         """
-        config = EngineConfig.from_snapshot(snapshot["config"])
+        config = EngineConfig(**snapshot["config"])
         state = SystemState.restore_state(snapshot["state"])
         engine = cls(state, config=config, rule=rule)
         engine._randcl.restore_state(snapshot.get("randcl", {}))

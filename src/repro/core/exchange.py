@@ -26,11 +26,10 @@ from typing import Iterable, List, Optional, Set, Tuple
 from ..errors import UnknownClusterError
 from ..network.message import MessageKind
 from ..network.metrics import CommunicationMetrics
-from ..network.node import NodeId
 from ..walks.csr import CSRLayout
 from .cluster import ClusterId
 from .randcl import RandCl
-from .randnum import RandNum, randnum_cost
+from .randnum import RandNum
 from .state import SystemState
 
 
@@ -39,16 +38,11 @@ class ExchangeReport:
     """Summary of one full-cluster exchange."""
 
     cluster_id: ClusterId
-    swaps: List[Tuple[NodeId, ClusterId, NodeId]] = field(default_factory=list)
+    swap_count: int = 0
     partner_clusters: Set[ClusterId] = field(default_factory=set)
     messages: int = 0
     rounds: int = 0
     walk_hops: int = 0
-
-    @property
-    def swap_count(self) -> int:
-        """Number of member swaps actually performed."""
-        return len(self.swaps)
 
 
 class ExchangeProtocol:
@@ -75,57 +69,54 @@ class ExchangeProtocol:
     ) -> ExchangeReport:
         """Exchange every node of ``cluster_id`` with nodes picked at random.
 
-        Each original member is swapped with a uniformly chosen node of a
-        ``randCl``-selected cluster (the swap is skipped when the walk lands
-        back on the same cluster — the member is then its own replacement,
-        which does not change the distributional argument of Lemma 1 because
-        the cluster is selected with probability ``|C| / n``).
+        Each member, slot by slot, is swapped with a uniformly chosen member
+        of a ``randCl``-selected cluster (the swap is skipped when the walk
+        lands back on the same cluster — the member is then its own
+        replacement, which does not change the distributional argument of
+        Lemma 1 because the cluster is selected with probability
+        ``|C| / n``).  Under oracle walks the two choices are one uniform
+        draw over the clustered population.
 
         Swaps keep every cluster size, so the overlay, the walk cost model
         and each partner's size are fixed for the round.  The registry runs
         the round as one pass (:meth:`~repro.core.cluster.ClusterRegistry.
-        exchange_round`): per member one draw, one pick and one swap, in the
-        order the member-by-member round consumed the engine stream, and one
-        event for the round.  The costs are then read from its partner
-        table: per partner, its picks, its size and its CSR row.
+        exchange_round`), and the round is priced in closed form from its
+        partner table: a partner of size ``s`` picked ``p`` times costs
+        ``p * 2 s (s - 1)`` randNum messages and ``2 p`` rounds, and the
+        notification costs ``s * S`` per updated cluster, ``S`` its
+        neighbours' total size.
         """
         state = self._state
         ledger = metrics if metrics is not None else state.metrics.scope(label)
         clusters = state.clusters
         cluster = clusters.get(cluster_id)
         walked = len(cluster)
-        draws, vertices, (walk_messages, walk_rounds, walk_hops) = self._randcl.round_partners(
+        partners, layout, (walk_messages, walk_rounds, walk_hops) = self._randcl.round_partners(
             cluster_id, walked
         )
-        applied, partners = clusters.exchange_round(
-            cluster_id,
-            cluster.member_list(),
-            draws,
-            vertices,
-            *self._randnum.round_picks(state.nodes.is_byzantine),
+        table = clusters.exchange_round(
+            cluster_id, layout, partners, *self._randnum.round_picks(state.nodes.is_byzantine)
         )
         cluster.exchanges_performed += 1
         cluster.last_full_exchange = state.time_step
 
-        # The partners' picks, and their rows and sizes for the notification.
-        layout = state.overlay.graph.csr()
         rows, sizes = [layout.row_of(cluster_id)], [walked]
         partner_clusters = set()
-        pick_messages = pick_rounds = 0
-        for row, partner in partners.items():
-            if partner:
-                partner_id, _, _, size, _, picks = partner
-                messages, rounds = randnum_cost(size)
-                pick_messages += picks * messages
-                pick_rounds += picks * rounds
-                partner_clusters.add(partner_id)
+        swaps = pick_units = 0
+        for row, entry in table.items():
+            if entry:
+                size, picks = entry[3], entry[5]
+                swaps += picks
+                pick_units += picks * size * (size - 1)
+                partner_clusters.add(entry[0])
                 rows.append(row)
                 sizes.append(size)
+        pick_messages, pick_rounds = 2 * pick_units, 2 * swaps
 
         # The round books each kind once, and only a kind that occurred.
         if walked:
             ledger.charge(walk_messages, walk_rounds, kind=MessageKind.WALK, label=label)
-        if applied:
+        if swaps:
             ledger.charge(pick_messages, pick_rounds, kind=MessageKind.RANDNUM, label=label)
         # Inform neighbouring clusters of the new compositions (batched at the
         # end of the operation; see design note 2 in docs/ARCHITECTURE.md).
@@ -134,7 +125,7 @@ class ExchangeProtocol:
             ledger.charge(notify_messages, notify_rounds, kind=MessageKind.MEMBERSHIP, label=label)
         return ExchangeReport(
             cluster_id=cluster_id,
-            swaps=applied,
+            swap_count=swaps,
             partner_clusters=partner_clusters,
             messages=walk_messages + pick_messages + notify_messages,
             rounds=walk_rounds + pick_rounds + notify_rounds,

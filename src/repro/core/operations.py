@@ -121,11 +121,20 @@ class _BaseOperation:
                 messages += self._cluster_size(first) * self._cluster_size(second)
         return (messages, 1 if messages else 0)
 
-    def _overlay_choose_cluster(self, walk_start: ClusterId, ledger: CommunicationMetrics, label: str):
-        """Build the ``choose_cluster`` callable OVER uses for edge targets."""
+    def _overlay_choose_cluster(
+        self, walk_start: ClusterId, report: OperationReport, ledger: CommunicationMetrics, label: str
+    ):
+        """Build the ``choose_cluster`` callable OVER uses for edge targets.
+
+        Each choice is one ``randCl`` walk, booked in ``ledger`` and added
+        to ``report``.
+        """
 
         def choose(_origin: ClusterId) -> ClusterId:
             result = self._randcl.select(walk_start, metrics=ledger, label=label)
+            report.messages += result.messages
+            report.rounds += result.rounds
+            report.walk_hops += result.hops
             return result.cluster_id
 
         return choose
@@ -264,8 +273,7 @@ class SplitOperation(_BaseOperation):
 
         ordering = shuffled(self._state.rng, cluster.member_list())
         half = len(ordering) // 2
-        keep_members = set(ordering[:half])
-        move_members = [node for node in ordering[half:]]
+        move_members = ordering[half:]
 
         new_cluster = self._state.clusters.create_cluster(
             [], created_at=self._state.time_step
@@ -276,7 +284,7 @@ class SplitOperation(_BaseOperation):
         change = self._state.overlay.add_vertex(
             new_cluster.cluster_id,
             weight=float(len(new_cluster)),
-            choose_cluster=self._overlay_choose_cluster(cluster_id, ledger, label),
+            choose_cluster=self._overlay_choose_cluster(cluster_id, report, ledger, label),
             anchor=cluster_id,
         )
         self._book_membership(report, ledger, label, self._overlay_change_cost(change))
@@ -329,7 +337,7 @@ class MergeOperation(_BaseOperation):
         walk_start = survivors[self._state.rng.randrange(len(survivors))]
         change = self._state.overlay.remove_vertex(
             cluster_id,
-            choose_cluster=self._overlay_choose_cluster(walk_start, ledger, label),
+            choose_cluster=self._overlay_choose_cluster(walk_start, report, ledger, label),
         )
         self._book_membership(report, ledger, label, self._overlay_change_cost(change))
 

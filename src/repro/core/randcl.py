@@ -114,7 +114,7 @@ class RandCl:
         self._randnum = randnum if randnum is not None else RandNum(self._rng)
         self._walk_mode = walk_mode
         # Validated input only: every simulated walk runs on the one hop engine.
-        resolve_kernel_name(walk_kernel, simulated=walk_mode is WalkMode.SIMULATED)
+        resolve_kernel_name(walk_kernel)
         if walk_mode is WalkMode.SIMULATED:
             # Load the hop engine (and numpy) while the engine is built, not
             # inside the first event's walk; the kernel object stays lazy.
@@ -149,7 +149,10 @@ class RandCl:
         """Select a cluster with probability proportional to its size.
 
         The walk starts at ``start_cluster`` (the cluster initiating the
-        selection).  The result carries the walk's communication cost, which
+        selection).  Under oracle walks the endpoint is one draw
+        ``randrange(n)`` over the overlay's weight units (the clustered
+        population): the draw an exchange round makes for each of its
+        members.  The result carries the walk's communication cost, which
         is also charged to ``metrics`` when one is given.
         """
         sampler = self._prepare_sampler(start_cluster)
@@ -166,17 +169,16 @@ class RandCl:
         yield from self._prepare_sampler(start_cluster).sample_many([start_cluster] * count)
 
     def round_partners(self, start_cluster: ClusterId, count: int) -> tuple:
-        """Where one exchange round's ``count`` partners come from: ``(draws, vertices, cost)``.
+        """Where one exchange round's ``count`` partners come from: ``(partners, layout, cost)``.
 
-        ``draws`` gives one CSR row per walk.  In oracle mode it is the
-        layout's :class:`~repro.walks.csr.RowSampler` on the caller's
-        stream: each call is one ``rng.random()`` and a bisect, drawn only
-        when pulled, exactly as a :meth:`select` would draw.  In simulated
-        mode it is the list of the rows the round's :meth:`walks` batch
-        ends on.  ``vertices`` maps a row to its cluster id, and ``cost``
-        is ``(messages, rounds, hops)`` of the ``count`` walks.  Every
-        oracle walk of a round has the same expected effort, so it is
-        priced once.
+        Under oracle walks ``partners`` is the walk stream's ``getrandbits``:
+        the round draws each partner as :meth:`select` draws, one
+        ``randrange(n)`` over ``layout``'s weight units per member, made
+        only when the round reaches that member.  Under simulated walks it
+        is the list of the CSR rows the round's :meth:`walks` batch ends
+        on.  ``cost`` is ``(messages, rounds, hops)`` of the ``count``
+        walks; every oracle walk of a round has the same expected effort,
+        so it is priced once.
         """
         charges = self.cost_model()
         if self._walk_mode is WalkMode.SIMULATED:
@@ -188,16 +190,12 @@ class RandCl:
                 sum(r for _, r in costs),
                 sum(walk.hops for walk in outcomes),
             )
-            return [layout.row_of(walk.cluster) for walk in outcomes], layout.vertices, cost
+            return [layout.row_of(walk.cluster) for walk in outcomes], layout, cost
         sampler = self._prepare_sampler(start_cluster)
-        layout = sampler.graph.csr()
-        try:
-            draws = layout.row_sampler(self._rng)
-        except ValueError as error:
-            raise WalkError(str(error)) from error
+        layout, _ = sampler.population()
         hops, restarts = sampler.oracle_effort()
         messages, rounds = walk_cost(hops, restarts, charges)
-        return draws, layout.vertices, (count * messages, count * rounds, count * hops)
+        return self._rng.getrandbits, layout, (count * messages, count * rounds, count * hops)
 
     def finalize(
         self,

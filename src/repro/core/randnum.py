@@ -157,26 +157,26 @@ class RandNum:
     def choose(
         self, member_list: Sequence[NodeId], is_byzantine: Callable[[NodeId], bool]
     ) -> NodeId:
-        """The member :meth:`pick_member` would pick from a presorted list, alone.
+        """The member :meth:`pick_member` would pick from ``member_list``, alone.
 
         No cost and no result object (an exchange round books its picks'
-        cost once).  The Byzantine share, by ``is_byzantine`` at the pick,
-        is counted only when an ``adversary_override`` is installed.
+        cost once).  The Byzantine share is counted by ``is_byzantine`` at
+        the pick, and the override gets its own copy of the list, never a
+        live one.
         """
-        if self._adversary_override is None:
-            return member_list[self._rng.randrange(len(member_list))]
-        members = list(member_list)  # the override gets its own copy, never a live view
+        members = list(member_list)
         controlled = sum(map(is_byzantine, members)) / len(members) >= RANDNUM_SECURITY_THRESHOLD
         return members[self._value(members, len(members), controlled)]
 
     def round_picks(self, is_byzantine: Callable[[NodeId], bool]) -> tuple:
         """``(getrandbits, choose)`` for one exchange round's picks, one of them ``None``.
 
-        Without an ``adversary_override`` a pick among ``m`` members is
+        Without an ``adversary_override`` a pick among ``m`` slots is
         ``randrange(m)``, which CPython draws as ``getrandbits(m.bit_length())``
         redrawn until below ``m``; the round makes that draw inline with the
-        stream's ``getrandbits``.  With one, ``choose(view)`` is
-        :meth:`choose` on the live view at pick time.
+        stream's ``getrandbits`` (under oracle walks the partner draw names
+        the slot, and no pick is drawn).  With one, ``choose(slots)`` is
+        :meth:`choose` on the partner's slots at pick time.
         """
         if self._adversary_override is None:
             return self._rng.getrandbits, None

@@ -319,11 +319,14 @@ class NodeRegistry:
 class CorruptionTracker:
     """Incremental per-cluster corruption accounting.
 
-    Subscribes to cluster membership events and node role flips, and
-    maintains per-cluster Byzantine counts, the set of clusters at or above
-    the alarm threshold and (via a lazy max-heap) the worst corruption
-    fraction — each update is O(log #clusters) amortised, each query O(1),
-    replacing the previous O(n) full-population sweep per time step.
+    Subscribes to cluster membership events and node role flips, and binds
+    itself as the registry's role source, so every swap's Byzantine move
+    arrives as a per-cluster count change.  It maintains per-cluster
+    Byzantine counts, the set of clusters at or above the alarm threshold
+    and (via a lazy max-heap) the worst corruption fraction.  A change
+    marks its cluster dirty; the dirty clusters are refreshed once, when a
+    query next reads, so a cluster touched by many exchange rounds of one
+    event is refreshed once, not once per round.
     """
 
     def __init__(
@@ -338,81 +341,60 @@ class CorruptionTracker:
         self._byz_count: Dict[ClusterId, int] = {}
         self._fractions = LazyMaxTracker()
         self._compromised: Set[ClusterId] = set()
+        self._dirty: Set[ClusterId] = set()
         clusters.add_listener(self)
+        clusters.bind_roles(*nodes.role_view(), self.counts_moved)
         nodes.add_role_listener(self._role_changed)
         self.rebuild()
 
     # ------------------------------------------------------------------
     # Full recomputation (used at attach time and by parity tests)
     # ------------------------------------------------------------------
-    def _member_is_byzantine(self, node_id: NodeId) -> bool:
+    def _count(self, cluster) -> int:
         # Raises UnknownNodeError for members missing from the registry —
         # placing an unregistered node is a bug, surfaced at mutation time.
-        return self._nodes.is_byzantine(node_id)
+        is_byzantine = self._nodes.is_byzantine
+        return sum(1 for node_id in cluster.members if is_byzantine(node_id))
 
     def rebuild(self) -> None:
         """Recompute every counter from scratch (one O(n) sweep)."""
         self._byz_count.clear()
         self._fractions.clear()
         self._compromised.clear()
+        self._dirty.clear()
         for cluster in self._clusters.clusters():
-            count = sum(
-                1 for node_id in cluster.members if self._member_is_byzantine(node_id)
-            )
-            self._byz_count[cluster.cluster_id] = count
+            self._byz_count[cluster.cluster_id] = self._count(cluster)
             self._refresh(cluster.cluster_id)
 
     # ------------------------------------------------------------------
     # Listener hooks
     # ------------------------------------------------------------------
     def cluster_created(self, cluster) -> None:
-        self._byz_count[cluster.cluster_id] = sum(
-            1 for node_id in cluster.members if self._member_is_byzantine(node_id)
-        )
+        self._byz_count[cluster.cluster_id] = self._count(cluster)
         self._refresh(cluster.cluster_id)
 
     def cluster_dissolved(self, cluster) -> None:
         self._byz_count.pop(cluster.cluster_id, None)
         self._fractions.discard(cluster.cluster_id)
         self._compromised.discard(cluster.cluster_id)
+        self._dirty.discard(cluster.cluster_id)
 
     def member_added(self, cluster_id: ClusterId, node_id: NodeId) -> None:
-        if self._member_is_byzantine(node_id):
+        if self._nodes.is_byzantine(node_id):
             self._byz_count[cluster_id] = self._byz_count.get(cluster_id, 0) + 1
-        self._refresh(cluster_id)
+        self._dirty.add(cluster_id)
 
     def member_removed(self, cluster_id: ClusterId, node_id: NodeId) -> None:
-        if self._member_is_byzantine(node_id):
+        if self._nodes.is_byzantine(node_id):
             self._byz_count[cluster_id] = self._byz_count.get(cluster_id, 0) - 1
-        self._refresh(cluster_id)
+        self._dirty.add(cluster_id)
 
-    def members_swapped(self, cluster_id: ClusterId, swaps) -> None:
-        """One exchange round's swaps; every cluster size is unchanged.
-
-        A swap of two nodes of different roles moves one Byzantine count
-        between ``cluster_id`` and the partner; the moves are summed over
-        the round, and each cluster whose count moved is refreshed once
-        (sizes are unchanged, so no other fraction moved).  Roles are
-        read from the registry's role set, fetched once for the round, with
-        :meth:`rebuild`'s rule: an unregistered node raises
-        ``UnknownNodeError``.
-        """
-        registered, byzantine = self._nodes.role_view()
-        moved: Dict[ClusterId, int] = {}
-        for node, partner_id, replacement in swaps:
-            if node not in registered or replacement not in registered:
-                raise UnknownNodeError(f"swap ({node}, {replacement}) names an unregistered node")
-            outgoing = node in byzantine
-            if outgoing == (replacement in byzantine):
-                continue
-            delta = -1 if outgoing else 1
-            moved[cluster_id] = moved.get(cluster_id, 0) + delta
-            moved[partner_id] = moved.get(partner_id, 0) - delta
+    def counts_moved(self, moved: Dict[ClusterId, int]) -> None:
+        """Swaps moved Byzantine members: ``cluster_id -> change in its count``."""
         byz_count = self._byz_count
-        for touched, delta in moved.items():
-            if delta:
-                byz_count[touched] = byz_count.get(touched, 0) + delta
-                self._refresh(touched)
+        for cluster_id, delta in moved.items():
+            byz_count[cluster_id] = byz_count.get(cluster_id, 0) + delta
+        self._dirty.update(moved)
 
     def _role_changed(self, descriptor: NodeDescriptor, old, new) -> None:
         node_id = descriptor.node_id
@@ -421,7 +403,7 @@ class CorruptionTracker:
         cluster_id = self._clusters.cluster_of(node_id)
         delta = 1 if new is NodeRole.BYZANTINE else -1
         self._byz_count[cluster_id] = self._byz_count.get(cluster_id, 0) + delta
-        self._refresh(cluster_id)
+        self._dirty.add(cluster_id)
 
     # ------------------------------------------------------------------
     # Internal upkeep
@@ -436,23 +418,34 @@ class CorruptionTracker:
         else:
             self._compromised.discard(cluster_id)
 
+    def _flush(self) -> None:
+        """Refresh every dirty cluster."""
+        if self._dirty:
+            for cluster_id in self._dirty:
+                self._refresh(cluster_id)
+            self._dirty.clear()
+
     # ------------------------------------------------------------------
-    # Queries (all O(1) / O(#compromised))
+    # Queries (O(1) / O(#compromised) after refreshing the dirty clusters)
     # ------------------------------------------------------------------
     def fraction(self, cluster_id: ClusterId) -> float:
         """Current corruption fraction of a live cluster."""
+        self._flush()
         return self._fractions[cluster_id]
 
     def fractions(self) -> Dict[ClusterId, float]:
         """Corruption fraction of every live cluster (O(#clusters) copy)."""
+        self._flush()
         return dict(self._fractions.items())
 
     def worst_fraction(self) -> float:
         """Largest per-cluster corruption fraction (amortised O(1))."""
+        self._flush()
         return self._fractions.max()
 
     def compromised(self, threshold: Optional[float] = None) -> List[ClusterId]:
         """Sorted clusters at or above ``threshold`` (default: the alarm line)."""
+        self._flush()
         if threshold is None or threshold == self._alarm:
             return sorted(self._compromised)
         return sorted(
@@ -473,9 +466,6 @@ class _OverlayWeightSync:
 
     def member_removed(self, cluster_id: ClusterId, node_id: NodeId) -> None:
         self._state.sync_overlay_weight(cluster_id)
-
-    #: A swap leaves every cluster size — hence every weight — unchanged.
-    members_swapped = None
 
 
 @dataclass

@@ -34,8 +34,9 @@ class OverlayGraph(WalkableGraph):
     reciprocals, weights and lazy cumulative-weight and neighbour-weight-sum
     rows).  Structural mutations (vertex/edge add/remove) invalidate it
     wholesale; weight updates are applied to it in place (O(1)).  The
-    stationary-law :meth:`sample_weighted_vertex` draw and the engine's
-    neighbour-notification pricing are served from that one snapshot, and
+    stationary-law :meth:`sample_weighted_vertex` draw, the integer tables
+    of the engine's oracle draws and its neighbour-notification pricing are
+    served from that one snapshot, and
     the hop engine (:mod:`repro.walks.kernel`) indexes it directly — there
     is no separate weight table to keep in sync.
 

@@ -32,7 +32,7 @@ from ..adversary import (
     ObliviousChurnAdversary,
     TargetedDosAdversary,
 )
-from ..core.engine import EngineConfig, NowEngine, drop_retired
+from ..core.engine import EngineConfig, NowEngine
 from ..core.placement import check_rule
 from ..errors import ConfigurationError
 from ..params import default_parameters
@@ -223,20 +223,17 @@ class Scenario:
         """Build a scenario from its plain-dict form (unknown keys rejected).
 
         The placement rule and the ``engine_options`` are checked here too,
-        so a spec naming an unknown rule or a retired walk kernel is refused
-        when it is loaded.  Specs, trace headers and checkpoints written
-        before an option was retired load through
-        :func:`~repro.core.engine.drop_retired`, at both levels.
+        so a spec naming an unknown rule, engine option or walk kernel is
+        refused when it is loaded.
         """
-        data = drop_retired(data, "scenario")
-        if isinstance(data.get("engine_options"), dict):
-            data["engine_options"] = drop_retired(data["engine_options"], "engine_options")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigurationError(f"unknown scenario fields: {sorted(unknown)}")
         scenario = cls(**data)
         check_rule(scenario.engine)
+        unknown = set(scenario.engine_options) - set(EngineConfig.__dataclass_fields__)
+        if unknown:
+            raise ConfigurationError(f"unknown engine_options fields: {sorted(unknown)}")
         EngineConfig(**scenario.engine_options)
         return scenario
 

@@ -196,9 +196,9 @@ class ShardCoordinator:
                     f"0..{self.shards - 1}"
                 )
             for payload in restore.values():
-                # Refuse a retired walk kernel or kernel backend here, not
+                # Refuse an unknown walk kernel or kernel backend here, not
                 # inside a worker.
-                EngineConfig.from_snapshot(payload["engine"]["config"])
+                EngineConfig(**payload["engine"]["config"])
                 kernel = payload["engine"].get("randcl", {}).get("kernel")
                 if kernel is not None:
                     check_kernel_snapshot(kernel)

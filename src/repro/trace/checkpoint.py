@@ -5,7 +5,8 @@ capturing everything a run needs to pick up exactly where it stopped:
 
 * the engine snapshot, as the backend's ``capture_snapshot`` gives it: for
   :class:`~repro.core.engine.NowEngine` parameters, config, both registries
-  with their RNG-visible array orders, the overlay graph with its version
+  with their RNG-visible array orders (every cluster's member slots
+  included: version 2 stores the slot order of trace v3), the overlay graph with its version
   counter, metrics, the engine RNG stream and the walk machinery's
   unconsumed exponential buffer; for the
   :class:`~repro.shard.coordinator.ShardCoordinator` the router directory,
@@ -33,7 +34,7 @@ from ..errors import ConfigurationError
 from .hashing import state_hash
 
 FORMAT_NAME = "repro-checkpoint"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def write_json_atomic(path: str, data: Any, indent: Optional[int] = None) -> None:
@@ -70,7 +71,8 @@ class Checkpoint:
             raise ConfigurationError("not a repro checkpoint document")
         if data.get("version") != FORMAT_VERSION:
             raise ConfigurationError(
-                f"unsupported checkpoint version {data.get('version')!r}"
+                f"unsupported checkpoint version {data.get('version')!r} "
+                f"(expected {FORMAT_VERSION})"
             )
         self.data = data
 

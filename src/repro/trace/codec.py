@@ -24,13 +24,13 @@ Binary container layout (all integers little-endian)::
     block*    [type u8][payload_length u32][payload]
 
     type 0    codec preamble (JSON): {"enums": {"kind": [...], "role": [...]},
-              "record": "<IIBBiiiIIdIQ", "compression": "zlib"}
+              "record": "<IIBBiiiIIdIIQ", "compression": "zlib"}
     type 1    one frame as UTF-8 JSON (header / index / end frames, plus any
               event frame whose values do not fit the packed record)
-    type 2    event block: zlib-deflated concatenation of fixed 50-byte
+    type 2    event block: zlib-deflated concatenation of fixed 54-byte
               event records
 
-Packed event record (struct format ``<IIBBiiiIIdIQ``, 50 bytes)::
+Packed event record (struct format ``<IIBBiiiIIdIIQ``, 54 bytes)::
 
     field  type  trace key  meaning
     -----  ----  ---------  -------------------------------------------
@@ -45,6 +45,7 @@ Packed event record (struct format ``<IIBBiiiIIdIQ``, 50 bytes)::
     cl     u32   "cl"       cluster count after the event
     w      f64   "w"        worst corruption fraction (bit-exact)
     m      u32   "m"        operation messages
+    rd     u32   "rd"       operation rounds
     h      u64   "h"        operation walk hops
 
 Enum index tables travel in the preamble (not hard-coded), so a reader never
@@ -79,7 +80,7 @@ _BLOCK_JSON = 1
 _BLOCK_EVENTS = 2
 
 _BLOCK_HEADER = struct.Struct("<BI")
-_EVENT_RECORD = struct.Struct("<IIBBiiiIIdIQ")
+_EVENT_RECORD = struct.Struct("<IIBBiiiIIdIIQ")
 
 _U32_MAX = 2**32 - 1
 _U64_MAX = 2**64 - 1
@@ -160,12 +161,12 @@ class BinaryCodecWriter:
         self._handle.write(payload)
 
     def _pack_event(self, frame: Dict[str, Any]) -> Optional[bytes]:
-        """The 50-byte record for an event frame, or ``None`` if it won't fit."""
+        """The 54-byte record for an event frame, or ``None`` if it won't fit."""
         try:
             node = frame.get("n")
             contact = frame.get("c")
             assigned = frame.get("a")
-            if max(frame["i"], frame["ts"], frame["sz"], frame["cl"], frame["m"]) > _U32_MAX:
+            if max(frame["i"], frame["ts"], frame["sz"], frame["cl"], frame["m"], frame["rd"]) > _U32_MAX:
                 return None
             if frame["h"] > _U64_MAX:
                 return None
@@ -184,6 +185,7 @@ class BinaryCodecWriter:
                 frame["cl"],
                 frame["w"],
                 frame["m"],
+                frame["rd"],
                 frame["h"],
             )
         except (KeyError, TypeError, struct.error):
@@ -292,7 +294,7 @@ def _decode_binary(data: bytes) -> List[Dict[str, Any]]:
             elif block_type == _BLOCK_EVENTS:
                 raw = zlib.decompress(payload)
                 for values in _EVENT_RECORD.iter_unpack(raw):
-                    i, ts, k, r, n, c, a, sz, cl, w, m, h = values
+                    i, ts, k, r, n, c, a, sz, cl, w, m, rd, h = values
                     frames.append(
                         {
                             "t": "ev",
@@ -307,6 +309,7 @@ def _decode_binary(data: bytes) -> List[Dict[str, Any]]:
                             "cl": cl,
                             "w": w,
                             "m": m,
+                            "rd": rd,
                             "h": h,
                         }
                     )

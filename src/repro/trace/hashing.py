@@ -6,7 +6,8 @@ graphs is fragile (listener wiring, caches and history are incidental), so
 the trace subsystem compares **fingerprints**: a canonical, JSON-ready view
 of exactly the state that determines future behaviour —
 
-* the time step and the partition (every cluster's sorted membership),
+* the time step and the partition (every cluster's member slots, in slot
+  order: random picks index into it),
 * the ground-truth roles (which nodes the adversary controls),
 * the liveness arrays in their exact order (they are RNG-visible: a uniform
   draw indexes into them),
@@ -58,7 +59,7 @@ def state_fingerprint(engine) -> Dict[str, Any]:
         "time_step": state.time_step,
         "network_size": state.network_size,
         "clusters": [
-            [cluster_id, clusters.get(cluster_id).member_list()]
+            [cluster_id, clusters.get(cluster_id).members]
             for cluster_id in clusters.cluster_ids()
         ],
         "cluster_order": cluster_orders["ids"],

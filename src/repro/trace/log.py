@@ -8,21 +8,18 @@ the encoding from the leading bytes, so every frame consumer (``replay``,
 mixed freely.
 
 ``header`` (first frame)
-    ``{"t":"header","f":"repro-trace","v":2,"scenario":{...},
+    ``{"t":"header","f":"repro-trace","v":3,"scenario":{...},
     "engine":"now","index_every":N}`` — identifies the format and carries
     the full scenario spec so ``replay`` can rebuild the engine from the
-    seed alone.  Version 2 differs from 1 only in what a spec that leaves
-    ``engine_options.walk_kernel`` unset means: the ``array`` hop engine in
-    v2, the retired ``naive`` one in v1.  A v1 header is read with that
-    meaning spelled out, so a simulated-walk v1 trace names ``naive`` and
-    is refused when its scenario is loaded; an oracle v1 trace, or one that
-    named ``array``, replays as recorded.
+    seed alone.  Version 3 is the member order of slots (see "Member
+    order" in ``docs/ARCHITECTURE.md``); a trace of any other version is
+    refused by version.
 
 ``ev`` (one per applied churn event)
     ``{"t":"ev","i":step,"ts":time_step,"k":"join"|"leave","r":role,
     "n":event_node|null,"c":contact|null,"a":assigned_node|null,
     "sz":network_size,"cl":cluster_count,"w":worst_fraction,
-    "m":messages,"h":walk_hops}`` — the *input* event exactly as it was
+    "m":messages,"rd":rounds,"h":walk_hops}`` — the *input* event exactly as it was
     handed to ``apply_event`` (``n`` stays ``null`` for fresh joins; ``a``
     records the id the engine assigned) plus per-step observables.  The
     observables make every event a lightweight determinism check during
@@ -59,10 +56,7 @@ from ..scenarios.bus import StepRecord
 from .codec import DEFAULT_FLUSH_EVERY, open_codec_writer, read_trace_frames
 
 FORMAT_NAME = "repro-trace"
-FORMAT_VERSION = 2
-
-#: Versions :class:`TraceReader` accepts (see the header note above for v1).
-READABLE_VERSIONS = (1, FORMAT_VERSION)
+FORMAT_VERSION = 3
 
 #: Default spacing (in applied events) between state-hash index frames.
 DEFAULT_INDEX_EVERY = 200
@@ -74,8 +68,7 @@ def event_frame_from_record(record: StepRecord) -> Dict[str, Any]:
     The single source of truth for how per-step observables map onto trace
     frame keys — the writer and replay's observable checks both derive from
     the same :func:`~repro.scenarios.bus.step_record` extraction, so the
-    recorded frame and the replayed comparison cannot drift apart.  (The
-    record's ``rounds`` field is deliberately not part of the v1 frame.)
+    recorded frame and the replayed comparison cannot drift apart.
     """
     return {
         "t": "ev",
@@ -90,6 +83,7 @@ def event_frame_from_record(record: StepRecord) -> Dict[str, Any]:
         "cl": record.cluster_count,
         "w": record.worst_fraction,
         "m": record.messages,
+        "rd": record.rounds,
         "h": record.walk_hops,
     }
 
@@ -232,7 +226,7 @@ class TraceReader:
             or header.get("f") != FORMAT_NAME
         ):
             raise ConfigurationError(f"{path!r} is not a {FORMAT_NAME} file")
-        if header.get("v") not in READABLE_VERSIONS:
+        if header.get("v") != FORMAT_VERSION:
             raise ConfigurationError(
                 f"unsupported trace version {header.get('v')!r} (expected {FORMAT_VERSION})"
             )
@@ -243,18 +237,8 @@ class TraceReader:
     # ------------------------------------------------------------------
     @property
     def scenario(self) -> Optional[Dict[str, Any]]:
-        """The scenario spec recorded in the header (``None`` when absent).
-
-        A v1 spec of simulated walks that left the kernel unset ran on the
-        then-default ``naive`` kernel, and is returned naming it.
-        """
-        scenario = self.header.get("scenario")
-        if self.header["v"] == 1 and scenario is not None:
-            options = scenario.get("engine_options") or {}
-            if options.get("walk_mode") == "simulated" and "walk_kernel" not in options:
-                options = dict(options, walk_kernel="naive")
-                scenario = dict(scenario, engine_options=options)
-        return scenario
+        """The scenario spec recorded in the header (``None`` when absent)."""
+        return self.header.get("scenario")
 
     def events(self) -> Iterator[Dict[str, Any]]:
         """Iterate over event frames in order."""

@@ -40,6 +40,7 @@ _EVENT_CHECKS = {
     "cl": "cluster count",
     "w": "worst corruption fraction",
     "m": "operation messages",
+    "rd": "operation rounds",
     "h": "walk hops",
 }
 

@@ -9,8 +9,11 @@ enumeration, augmented with the derived rows every hop reads:
 * ``inv_degree`` — cached degree reciprocals, so an ``Exp(d)`` holding time
   is one multiply of a unit exponential (``Exp(d) = Exp(1) / d``);
 * ``weights`` and a lazily rebuilt cumulative-weight row, backing both the
-  biased walk's acceptance test and the stationary-law (oracle) draw
+  biased walk's acceptance test and the stationary-law draw
   :meth:`CSRLayout.sample_row`;
+* a lazily rebuilt integer form of the weights (:meth:`CSRLayout.population`),
+  from which ``randCl`` and the exchange round make their oracle draws: one
+  uniform integer names a row and a unit of its weight;
 * a lazily rebuilt neighbour-weight-sum row, from which the engine prices a
   membership notice to a cluster's neighbours in O(1).
 
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import bisect
 from array import array
-from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 from ..errors import WalkError
 
@@ -50,20 +53,20 @@ Vertex = Hashable
 ScalarRows = Tuple[Tuple[float, float, Tuple[int, ...]], ...]
 
 
-class RowSampler(NamedTuple):
-    """One stationary-law draw table: calling it draws a row.
+class Population(NamedTuple):
+    """A layout's weights as integer units, in row order.
 
-    A draw is ``bisect_right(cum, random() * total, 0, last)``; a caller
-    may unpack the four fields and make the same draw inline.
+    ``cum[row]`` sums the units of rows ``0..row`` and ``base[row]`` those
+    of the rows before it; ``total`` is every unit.  A uniform ``u`` in
+    ``[0, total)`` names ``row = bisect_right(cum, u)`` with probability
+    ``weight(row) / total``, and ``u - base[row]`` is then uniform over that
+    row's ``weight(row)`` units.  Overlay weights are cluster sizes, so a
+    unit is a member: one draw names a cluster and one of its members.
     """
 
-    cum: array
-    total: float
-    last: int
-    random: Callable[[], float]
-
-    def __call__(self) -> int:
-        return bisect.bisect_right(self.cum, self.random() * self.total, 0, self.last)
+    cum: List[int]
+    base: List[int]
+    total: int
 
 
 class CSRLayout:
@@ -79,6 +82,7 @@ class CSRLayout:
         "structure_version",
         "weights_version",
         "_cum",
+        "_population",
         "_neighbour_sums",
         "_scalar_rows",
         "_np_static",
@@ -106,6 +110,7 @@ class CSRLayout:
         #: reflects (kept current by :meth:`set_weight`).
         self.weights_version = weights_version
         self._cum: Optional[array] = None
+        self._population: Optional[Population] = None
         self._neighbour_sums: Optional[array] = None
         self._scalar_rows: Optional[ScalarRows] = None
         self._np_static = None
@@ -166,6 +171,7 @@ class CSRLayout:
         self.weights[self._row_of[vertex]] = float(weight)
         self.weights_version = weights_version
         self._cum = None
+        self._population = None
         self._neighbour_sums = None
 
     def refresh_weights(self, graph, weights_version=None) -> None:
@@ -175,6 +181,7 @@ class CSRLayout:
             weights[row] = float(graph.weight(vertex))
         self.weights_version = weights_version
         self._cum = None
+        self._population = None
         self._neighbour_sums = None
 
     def cum_weights(self) -> array:
@@ -197,16 +204,32 @@ class CSRLayout:
             self._neighbour_sums = array("d", [sum(map(weight_of, indices[a:b])) for a, b in rows])
         return self._neighbour_sums
 
-    def row_sampler(self, rng) -> RowSampler:
-        """A draw function for the stationary law at the current weights.
+    def population(self) -> Population:
+        """The weights as integer units (rebuilt lazily after weight churn).
 
-        Each call is one ``rng.random()`` and one binary search over the
-        cumulative row with :meth:`random.Random.choices`' bounds, so a draw
-        selects the vertex a rebuild-per-draw weighted choice would.  The
-        row is resolved once, here: do not draw past a weight change.  The
-        sampler is also its own table, for a caller that inlines the draw.
-        An empty or weightless layout raises ``ValueError``, leaving ``rng``
-        untouched.
+        A non-positive weight is zero units; a fractional one is refused
+        with :class:`~repro.errors.WalkError`, since a unit must be whole.
+        """
+        population = self._population
+        if population is None:
+            cum, base, total = [], [], 0
+            for weight in self.weights:
+                units = int(weight) if weight > 0.0 else 0
+                if units != weight and weight > 0.0:
+                    raise WalkError(f"weight {weight!r} is not a whole number of units")
+                base.append(total)
+                total += units
+                cum.append(total)
+            population = self._population = Population(cum, base, total)
+        return population
+
+    def sample_row(self, rng) -> int:
+        """A row drawn from ``weight / total`` by one ``rng.random()``.
+
+        One binary search over the cumulative row with
+        :meth:`random.Random.choices`' bounds, so the draw selects the
+        vertex a rebuild-per-draw weighted choice would.  An empty or
+        weightless layout raises ``ValueError``, leaving ``rng`` untouched.
         """
         cum = self.cum_weights()
         if not cum:
@@ -214,11 +237,7 @@ class CSRLayout:
         total = cum[-1]
         if total <= 0.0:
             raise ValueError("graph has no positive vertex weight")
-        return RowSampler(cum, total, len(cum) - 1, rng.random)
-
-    def sample_row(self, rng) -> int:
-        """The row one ``rng.random()`` draw selects (see :meth:`row_sampler`)."""
-        return self.row_sampler(rng)()
+        return bisect.bisect_right(cum, rng.random() * total, 0, len(cum) - 1)
 
     # ------------------------------------------------------------------
     # Python-object rows and numpy views

@@ -73,15 +73,12 @@ Vertex = Hashable
 _REFILL = 4096
 
 #: Batches below this size take the scalar path.  ``bench_walk_kernel.py``
-#: times both paths on the engine's own walks (the n0 = 300 and n0 = 1 200
-#: bootstrap overlays, 8 and 33 clusters, default segment length; 2 vCPU):
-#: the scalar loop runs 2.6-5.8 M hops/s at every batch size, the vector
-#: path 0.15-0.55x of it at 32-96 walks, 0.77-1.08x at 256, 1.1-1.55x at
-#: 512 and 2-3x at 2 048, so the crossover lies between 256 and 512.
-#: Exchange rounds batch ~30 walks, scalar either way.  The two paths
-#: consume the stream in different orders, so moving this changes recorded
-#: executions.
-MIN_VECTOR_BATCH = 64
+#: on the n0 = 300 and n0 = 1 200 bootstrap overlays (2 vCPU, two runs): the
+#: vector path runs at 0.17-0.61x of the scalar loop at 32-96 walks,
+#: 0.69-0.87x at 256, 0.88-1.16x at 384 and 1.34-1.75x at 512.  The two
+#: paths consume the stream in different orders, so moving this changes
+#: recorded executions.
+MIN_VECTOR_BATCH = 256
 
 
 class ArrayKernel:

@@ -10,7 +10,8 @@ distributed according to ``|C| / n`` and reports how much walking it took.
   measure per-hop costs.  The hop engine loads numpy, so this module reaches
   it through :func:`hop_engine` and never imports it at module top.
 * ``WalkMode.ORACLE`` — draws the cluster directly from the walk's target
-  distribution ``|C| / n`` and reports the *expected* hop/restart counts of
+  distribution ``|C| / n`` (one uniform draw over the weights' integer
+  units) and reports the *expected* hop/restart counts of
   the simulated walk.  Long churn experiments (hundreds of thousands of
   sampled walks) use this mode; its statistical equivalence to the simulated
   mode is exactly what E10 checks, and the paper's own analysis (Section 4)
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, List, Optional, Sequence
 
@@ -37,37 +39,17 @@ Vertex = Hashable
 
 
 def check_kernel_snapshot(data: dict) -> None:
-    """Refuse a kernel snapshot the numpy backend did not write.
-
-    Snapshots name their backend.  The retired python backend drew from a
-    ``random.Random`` stream, so its checkpoints cannot be resumed here.
-    """
+    """Refuse a kernel snapshot the numpy backend did not write (snapshots name their backend)."""
     backend = data.get("backend")
-    if backend == "python":
-        raise ConfigurationError(
-            "walk-kernel checkpoint was written without numpy by the retired "
-            "python backend; it cannot be resumed"
-        )
     if backend != "numpy":
         raise ConfigurationError(f"unknown walk-kernel checkpoint backend {backend!r}")
 
 
-def resolve_kernel_name(name, simulated: bool) -> str:
-    """Validate a ``walk_kernel`` option value; the one kernel is ``"array"``.
-
-    ``"naive"`` names the retired per-hop loop, which drew from the engine
-    stream: a simulated run recorded on it cannot be reproduced, so it is
-    refused by name.  Without simulated walks the option never selected
-    anything, so there it reads as ``"array"``.
-    """
-    if name == "array" or (name == "naive" and not simulated):
-        return "array"
-    if name == "naive":
-        raise ConfigurationError(
-            "walk kernel 'naive' was retired: simulated walks run on the 'array' "
-            "kernel, and a run recorded on the naive kernel cannot be reproduced"
-        )
-    raise ConfigurationError(f"unknown walk kernel {name!r}; expected 'array'")
+def resolve_kernel_name(name) -> str:
+    """Validate a ``walk_kernel`` option value; the one kernel is ``"array"``."""
+    if name != "array":
+        raise ConfigurationError(f"unknown walk kernel {name!r}; expected 'array'")
+    return name
 
 
 def hop_engine() -> type:
@@ -204,14 +186,27 @@ class ClusterSampler:
     # ------------------------------------------------------------------
     # Oracle mode
     # ------------------------------------------------------------------
+    def population(self) -> tuple:
+        """``(layout, population)``: the graph's CSR and its integer weight units.
+
+        Raises :class:`~repro.errors.WalkError` when there is no unit to draw.
+        """
+        layout = self._graph.csr()
+        population = layout.population()
+        if not population.total:
+            raise WalkError(
+                "cannot sample a vertex of an empty graph"
+                if not len(layout)
+                else "graph has no positive vertex weight"
+            )
+        return layout, population
+
     def _sample_oracle(self, start: Vertex) -> SampleOutcome:
-        # The graph's cached cumulative-weight table makes this an O(1)
-        # binary-search draw; the per-draw list rebuild only happens on graphs
-        # without the cache (the WalkableGraph default).
-        try:
-            cluster = self._graph.sample_weighted_vertex(self._rng)
-        except ValueError as error:
-            raise WalkError(str(error)) from error
+        # One draw over the weights' integer units (the clustered population
+        # on the overlay): ``randrange(total)``, then a bisect over the
+        # cumulative units -- the draw an exchange round makes per member.
+        layout, (cum, _, total) = self.population()
+        cluster = layout.vertices[bisect_right(cum, self._rng.randrange(total))]
         hops, restarts = self.oracle_effort()
         return SampleOutcome(
             cluster=cluster, hops=hops, restarts=restarts, mode=WalkMode.ORACLE

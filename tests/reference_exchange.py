@@ -1,31 +1,37 @@
-"""The exchange round as it ran member by member, kept as a reference.
+"""The exchange round of trace v3, member by member, kept as a reference.
 
-``ExchangeProtocol.exchange_all`` resolves everything a round cannot change
-once per round (partner views, the walk cost model, the oracle draw
-function) and hands its swaps to the registry as one batch.  This module
-keeps the round it replaced, which resolved all of that per member:
+``ExchangeProtocol.exchange_all`` runs a round as one flat pass over integer
+tables it keeps between rounds.  This module states the same round plainly,
+member by member, from §3.1 and the v3 member order:
 
-* one ``randCl`` per member — an oracle walk is a full
-  :meth:`~repro.core.randcl.RandCl.select` (the sampler re-resolved, one
-  ``sample_weighted_vertex`` draw), a simulated one comes from the round's
-  lockstep batch, exactly as before;
-* one ``randNum`` pick per swap, on a fresh copy of the partner's sorted
-  members, with the Byzantine share taken by intersecting the active
-  Byzantine set with that list;
-* one ``ClusterRegistry.swap_members`` per swap, one listener event each;
-* the neighbour notification as the direct bipartite sum
+* the clustered population is the concatenation of the clusters' slot lists
+  in CSR row order (the overlay's sorted vertex order), rebuilt for every
+  member;
+* under oracle walks a member's partner and the member the partner gives up
+  are one draw, ``population[rng.randrange(n)]``; under simulated walks the
+  partner is where the member's walk of the round's lockstep batch ended,
+  and it gives up slot ``rng.randrange(size)``;
+* with randNum's ``adversary_override`` installed, the partner gives up the
+  member the override names on a copy of its slots when at least two thirds
+  of them are Byzantine, and slot ``rng.randrange(size)`` otherwise;
+* a member whose partner is its own cluster stays;
+* every swap goes through ``ClusterRegistry.swap_members``;
+* each walk is priced at its hops and restarts (an oracle walk at the
+  simulated walk's expected effort), each pick as one randNum among the
+  partner's members, and the notification as the direct bipartite sum
   ``|C| * |C'|`` over live neighbours.
 
 Written for clarity, not speed.  ``tests/test_exchange_reference.py`` drives
-it and the engine's round on twin engines and requires the same swaps,
-reports, ledgers and RNG state.
+it and the engine's round on twin engines and requires the same slots, node
+index, reports, ledgers and RNG state.
 """
 
 from __future__ import annotations
 
 from repro.core.exchange import ExchangeReport
+from repro.core.randcl import hop_charges, segment_duration, walk_cost
 from repro.network.message import MessageKind
-from repro.walks.sampler import WalkMode
+from repro.walks.sampler import WalkMode, expected_effort
 
 RANDNUM_SECURITY_THRESHOLD = 2.0 / 3.0
 
@@ -46,79 +52,106 @@ def direct_notification_cost(state, cluster_ids):
     return messages, 1 if messages else 0
 
 
-def reference_pick(rng, override, member_list, byzantine):
-    """``(node, messages, rounds, adversary_controlled)`` of one randNum pick."""
-    size = len(member_list)
-    controlled = len(byzantine.intersection(member_list)) / size >= RANDNUM_SECURITY_THRESHOLD
+def population(state):
+    """``[(cluster_id, node), ...]``: every cluster's slots, clusters in CSR row order."""
+    clusters = state.clusters
+    return [
+        (cluster_id, node)
+        for cluster_id in state.overlay.graph.vertices()
+        for node in clusters.get(cluster_id).members
+    ]
+
+
+def oracle_walk(state):
+    """``(hops, restarts)`` every oracle walk reports: the simulated walk's expected effort."""
+    graph = state.overlay.graph
+    size = max(2, state.network_size)
+    duration = segment_duration(state.parameters, size, graph.average_degree())
+    return expected_effort(
+        graph.vertex_count(),
+        graph.average_degree(),
+        graph.total_weight(),
+        graph.max_weight(),
+        duration,
+    )
+
+
+def reference_pick(rng, override, slots, byzantine):
+    """``(node, adversary_controlled)`` of one randNum pick among a copy of ``slots``."""
+    members = list(slots)
+    size = len(members)
+    controlled = len(byzantine.intersection(members)) / size >= RANDNUM_SECURITY_THRESHOLD
     if controlled and override is not None:
-        index = int(override(member_list, size)) % size
+        index = int(override(members, size)) % size
     else:
         index = rng.randrange(size)
-    return member_list[index], 2 * size * (size - 1), 2, controlled
+    return members[index], controlled
 
 
 def reference_exchange_all(state, randcl, rng, cluster_id, ledger, override=None, label="exchange"):
     """One full-cluster exchange, member by member.
 
-    ``randcl`` supplies the walks, ``rng`` is the randNum stream and
-    ``override`` the randNum adversary hook (or ``None``).  Returns the
-    report and the ``adversary_controlled`` flag of every pick.
+    ``randcl`` supplies the simulated walks, ``rng`` is the engine stream
+    (oracle draws and picks) and ``override`` the randNum adversary hook (or
+    ``None``).  Returns the report, the applied ``(node, partner_id,
+    replacement)`` swaps and the ``adversary_controlled`` flag of every
+    pick.
     """
-    report = ExchangeReport(cluster_id=cluster_id)
     clusters = state.clusters
     cluster = clusters.get(cluster_id)
     byzantine = state.nodes.active_byzantine()
-    original_members = cluster.member_list()
-    if randcl.walk_mode is WalkMode.SIMULATED:
-        batch = randcl.walks(cluster_id, len(original_members))
+    charges = hop_charges(len(clusters), state.network_size)
+    size = len(cluster.members)
+    simulated = randcl.walk_mode is WalkMode.SIMULATED
+    batch = randcl.walks(cluster_id, size) if simulated else None
 
-        def walk():
-            return randcl.finalize(cluster_id, next(batch))
-
-    else:
-
-        def walk():
-            return randcl.select(cluster_id)
-
-    walk_messages = walk_rounds = pick_messages = pick_rounds = 0
-    walked = picked = 0
-    controlled_flags = []
-    for node_id in original_members:
-        if node_id not in cluster.members:
-            continue
-        result = walk()
-        walked += 1
-        walk_messages += result.messages
-        walk_rounds += result.rounds
-        report.walk_hops += result.hops
-        partner_id = result.cluster_id
+    walk_messages = walk_rounds = walk_hops = pick_messages = pick_rounds = 0
+    swaps, controlled_flags = [], []
+    for slot in range(size):
+        node = cluster.members[slot]
+        if simulated:
+            walk = next(batch)
+            partner_id, hops, restarts = walk.cluster, walk.hops, walk.restarts
+        else:
+            everyone = population(state)
+            partner_id, replacement = everyone[rng.randrange(len(everyone))]
+            hops, restarts = oracle_walk(state)
+        messages, rounds = walk_cost(hops, restarts, charges)
+        walk_messages += messages
+        walk_rounds += rounds
+        walk_hops += hops
         if partner_id == cluster_id:
             continue
         partner = clusters.get(partner_id)
         if not partner.members:
             continue
-        replacement, messages, rounds, controlled = reference_pick(
-            rng, override, partner.member_list(), byzantine
-        )
-        picked += 1
-        pick_messages += messages
-        pick_rounds += rounds
-        controlled_flags.append(controlled)
-        clusters.swap_members(cluster_id, node_id, partner_id, replacement)
-        report.swaps.append((node_id, partner_id, replacement))
-        report.partner_clusters.add(partner_id)
+        if override is not None:
+            replacement, controlled = reference_pick(rng, override, partner.members, byzantine)
+            controlled_flags.append(controlled)
+        elif simulated:
+            replacement = partner.members[rng.randrange(len(partner.members))]
+        partner_size = len(partner.members)
+        pick_messages += 2 * partner_size * (partner_size - 1)
+        pick_rounds += 2
+        clusters.swap_members(cluster_id, node, partner_id, replacement)
+        swaps.append((node, partner_id, replacement))
 
     cluster.exchanges_performed += 1
     cluster.last_full_exchange = state.time_step
-    if walked:
+    if size:
         ledger.charge(walk_messages, walk_rounds, kind=MessageKind.WALK, label=label)
-    if picked:
+    if swaps:
         ledger.charge(pick_messages, pick_rounds, kind=MessageKind.RANDNUM, label=label)
-    notify_messages, notify_rounds = direct_notification_cost(
-        state, [cluster_id, *sorted(report.partner_clusters)]
-    )
+    partners = sorted({partner_id for _, partner_id, _ in swaps})
+    notify_messages, notify_rounds = direct_notification_cost(state, [cluster_id, *partners])
     if notify_messages:
         ledger.charge(notify_messages, notify_rounds, kind=MessageKind.MEMBERSHIP, label=label)
-    report.messages = walk_messages + pick_messages + notify_messages
-    report.rounds = walk_rounds + pick_rounds + notify_rounds
-    return report, controlled_flags
+    report = ExchangeReport(
+        cluster_id=cluster_id,
+        swap_count=len(swaps),
+        partner_clusters=set(partners),
+        messages=walk_messages + pick_messages + notify_messages,
+        rounds=walk_rounds + pick_rounds + notify_rounds,
+        walk_hops=walk_hops,
+    )
+    return report, swaps, controlled_flags

@@ -26,8 +26,8 @@ def engine(rule, initial_size=100, seed=1):
 def assert_partition(engine):
     seen = set()
     for cluster in engine.state.clusters.clusters():
-        assert not (cluster.members & seen)
-        seen |= cluster.members
+        assert seen.isdisjoint(cluster.members)
+        seen.update(cluster.members)
     assert seen == set(engine.active_nodes())
 
 

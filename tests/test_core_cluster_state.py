@@ -3,19 +3,20 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.cluster import Cluster, ClusterRegistry
 from repro.core.state import NodeRegistry, SystemState
 from repro.errors import (
-    ConfigurationError,
     ProtocolViolationError,
     UnknownClusterError,
     UnknownNodeError,
 )
 from repro.network.node import NodeRole
 from repro.params import ProtocolParameters
+from repro.walks.csr import Population
 
 
 class TestCluster:
@@ -43,14 +44,29 @@ class TestCluster:
             cluster.remove_member(5)
 
     def test_swap_member(self):
-        cluster = Cluster(cluster_id=1, members={1, 2})
+        cluster = Cluster(cluster_id=1, members=[1, 2])
         cluster.swap_member(1, 9)
-        assert cluster.members == {2, 9}
+        assert cluster.members == [9, 2]
 
     def test_swap_same_node_is_noop(self):
-        cluster = Cluster(cluster_id=1, members={1, 2})
+        cluster = Cluster(cluster_id=1, members=[1, 2])
         cluster.swap_member(1, 1)
-        assert cluster.members == {1, 2}
+        assert cluster.members == [1, 2]
+
+    def test_slot_order(self):
+        """A join appends a slot; a removal moves the last slot into the hole."""
+        cluster = Cluster(cluster_id=1, members=[5, 3, 8])
+        cluster.add_member(1)
+        assert cluster.members == [5, 3, 8, 1]
+        cluster.remove_member(3)
+        assert cluster.members == [5, 1, 8]
+        cluster.remove_member(8)
+        assert cluster.members == [5, 1]
+        assert cluster.member_list() == [1, 5]
+
+    def test_duplicate_members_rejected(self):
+        with pytest.raises(ProtocolViolationError):
+            Cluster(cluster_id=1, members=[1, 2, 1])
 
     def test_swap_validations(self):
         cluster = Cluster(cluster_id=1, members={1, 2})
@@ -235,24 +251,25 @@ class TestSystemState:
         assert state.time_step == 2
 
 
-class TestSwapFastPath:
-    """members_swapped is the one event a swap emits; listeners must take it."""
+def _layout(registry, vertices):
+    """A stand-in CSR layout: ``vertices`` as rows, weighted by cluster size."""
+    cum, base, total = [], [], 0
+    for vertex in vertices:
+        base.append(total)
+        total += len(registry.get(vertex))
+        cum.append(total)
+    return SimpleNamespace(vertices=list(vertices), population=lambda: Population(cum, base, total))
 
-    class _SwapAware:
-        def __init__(self):
-            self.swaps = []
-            self.events = []
 
-        def members_swapped(self, cluster_id, swaps):
-            self.swaps.append((cluster_id, list(swaps)))
+#: Range sizes on both sides of each power of two, where the ``getrandbits``
+#: rejection draw changes its bit width.
+DRAW_SIZES = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129]
 
-        def member_added(self, cluster_id, node_id):
-            self.events.append(("added", cluster_id, node_id))
 
-        def member_removed(self, cluster_id, node_id):
-            self.events.append(("removed", cluster_id, node_id))
+class TestSwaps:
+    """Swaps write slots in place, keep the node index, and emit no listener event."""
 
-    class _Legacy:
+    class _Follower:
         def __init__(self):
             self.events = []
 
@@ -268,75 +285,80 @@ class TestSwapFastPath:
         registry.create_cluster([3, 4], cluster_id=20)
         return registry
 
-    def test_swap_aware_listener_gets_one_event(self):
+    def test_swap_writes_both_slots_and_the_index(self):
         registry = self._registry()
-        listener = self._SwapAware()
+        listener = self._Follower()
         registry.add_listener(listener)
-        registry.swap_members(10, 1, 20, 3)
-        assert listener.swaps == [(10, [(1, 20, 3)])]
-        # No remove/add fallbacks were delivered to the swap-aware listener.
+        registry.swap_members(10, 1, 20, 4)
+        assert registry.get(10).members == [4, 2] and registry.get(20).members == [3, 1]
+        assert registry.cluster_of(1) == 20 and registry.cluster_of(4) == 10
         assert listener.events == []
-        assert registry.cluster_of(1) == 20 and registry.cluster_of(3) == 10
+        registry.swap_members(10, 2, 10, 4)  # within one cluster: no change
+        assert registry.get(10).members == [4, 2]
 
-    def test_listener_without_swap_hook_is_refused(self):
-        """Swaps emit only members_swapped: a member_added/removed follower
-        that lacks it would silently miss them, so it cannot be registered."""
-        registry = self._registry()
-        with pytest.raises(ConfigurationError, match="members_swapped"):
-            registry.add_listener(self._Legacy())
-        registry.swap_members(10, 1, 20, 3)  # no listener was left half-attached
-
-    def test_refusal_leaves_registered_listeners_in_place(self):
-        registry = self._registry()
-        aware = self._SwapAware()
-        registry.add_listener(aware)
-        with pytest.raises(ConfigurationError):
-            registry.add_listener(self._Legacy())
-        registry.swap_members(10, 2, 20, 4)
-        assert aware.swaps == [(10, [(2, 20, 4)])]
-
-    def test_exchange_round_emits_one_event_for_the_applied_swaps(self):
+    def test_exchange_round_swaps_slot_by_slot(self):
         registry = self._registry()
         registry.create_cluster([5, 6], cluster_id=30)
-        aware = self._SwapAware()
-        registry.add_listener(aware)
-        registry.swap_members(10, 2, 10, 2)  # within one cluster: no change, no event
-        applied, partners = registry.exchange_round(
-            10, [1, 2], [0, 1], [20, 30], None, lambda view: view[0]
+        table = registry.exchange_round(
+            10, _layout(registry, [10, 20, 30]), [1, 2], None, lambda slots: slots[1]
         )
-        assert applied == [(1, 20, 3), (2, 30, 5)]
-        assert partners == {0: [20, {1, 4}, [1, 4], 2, 2, 1], 1: [30, {2, 6}, [2, 6], 2, 2, 1]}
-        assert aware.swaps == [(10, applied)]
-        assert registry.get(10).member_list() == [3, 5]
-        assert registry.cluster_of(2) == 30 and registry.cluster_of(5) == 10
+        assert registry.get(10).members == [4, 6]
+        assert registry.get(20).members == [3, 1] and registry.get(30).members == [5, 2]
+        assert table == {
+            1: [20, [3, 1], 2, 2, 2, 1, 0],
+            2: [30, [5, 2], 4, 2, 2, 1, 0],
+        }
+        assert registry.cluster_of(2) == 30 and registry.cluster_of(6) == 10
 
-    def test_exchange_round_reports_applied_swaps_when_a_later_one_fails(self):
+    def test_exchange_round_keeps_the_swaps_before_a_refusal(self):
         registry = self._registry()
-        aware = self._SwapAware()
-        registry.add_listener(aware)
-        with pytest.raises(UnknownNodeError):
-            registry.exchange_round(10, [1, 99], [0, 0], [20], None, lambda view: view[-1])
-        assert aware.swaps == [(10, [(1, 20, 4)])]
-        # The exchanging cluster's view is rebuilt on the refusal path too.
-        assert registry.get(10).sorted_members() == [2, 4]
+        registry.get(10).members[1] = 99  # a slot the node index does not know
+        with pytest.raises(UnknownNodeError, match="99"):
+            registry.exchange_round(10, _layout(registry, [10, 20]), [1, 1], None, lambda s: s[-1])
+        assert registry.get(10).members == [4, 99] and registry.get(20).members == [3, 1]
+        assert not registry.contains_node(99)
 
-    @pytest.mark.parametrize(
-        "size", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 128, 129]
-    )
-    def test_uniform_pick_draws_as_randrange(self, size):
-        """Without an override the round picks inline with ``getrandbits``;
-        each pick names the member ``randrange(size)`` names on a twin
-        stream, and both streams end in the same state."""
+    def test_partner_whose_slot_count_is_not_its_weight_is_refused(self):
+        registry = self._registry()
+        layout = _layout(registry, [10, 20])
+        registry.get(20).members.append(5)  # a slot the layout's weights do not count
+        with pytest.raises(ProtocolViolationError, match="overlay weight"):
+            registry.exchange_round(10, layout, [1, 1], random.Random(1).getrandbits)
+        assert registry.get(10).members == [1, 2] and registry.get(20).members == [3, 4, 5]
+
+    @pytest.mark.parametrize("size", DRAW_SIZES)
+    def test_oracle_draw_names_the_partner_and_its_member(self, size):
+        """Under oracle walks one ``randrange(n)`` over the population's units
+        names both the partner row and the member it gives up; a draw in
+        the exchanging cluster's own units leaves the member in place."""
         registry = ClusterRegistry()
         registry.create_cluster([-1], cluster_id=0)
         registry.create_cluster(range(size), cluster_id=1)
+        layout = _layout(registry, [0, 1])
         stream, twin = random.Random(size), random.Random(size)
         for _ in range(200):
-            view = list(registry.get(1).sorted_members())
-            expected = view[twin.randrange(size)]
-            outgoing = registry.get(0).member_list()
-            applied, _ = registry.exchange_round(0, outgoing, [0], [1], stream.getrandbits)
-            assert applied[0][2] == expected
+            expected = registry.get(1).members[:]
+            unit = twin.randrange(size + 1)
+            outgoing = registry.get(0).members[0]
+            registry.exchange_round(0, layout, stream.getrandbits, None)
+            stays = unit == 0
+            assert registry.get(0).members[0] == (outgoing if stays else expected[unit - 1])
+        assert stream.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize("size", DRAW_SIZES)
+    def test_simulated_pick_draws_as_randrange(self, size):
+        """Under simulated walks the partner gives up slot ``randrange(size)``,
+        drawn inline with ``getrandbits``: the same member and stream state
+        as ``randrange`` on a twin stream."""
+        registry = ClusterRegistry()
+        registry.create_cluster([-1], cluster_id=0)
+        registry.create_cluster(range(size), cluster_id=1)
+        layout = _layout(registry, [0, 1])
+        stream, twin = random.Random(size), random.Random(size)
+        for _ in range(200):
+            expected = registry.get(1).members[twin.randrange(size)]
+            registry.exchange_round(0, layout, [1], stream.getrandbits)
+            assert registry.get(0).members == [expected]
         assert stream.getstate() == twin.getstate()
 
     @pytest.mark.parametrize(
@@ -344,48 +366,25 @@ class TestSwapFastPath:
         [
             (99, 3, UnknownNodeError),  # the outgoing node is not in the first cluster
             (1, 2, ProtocolViolationError),  # the incoming node is already in the first
-            (1, 99, UnknownNodeError),  # the outgoing node is not in the second cluster
-            (1, 3, ProtocolViolationError),  # the incoming node is already in the second
+            (1, 99, UnknownNodeError),  # the incoming node is not in the second cluster
+            (1, 5, UnknownNodeError),  # indexed in the second cluster, missing from its slots
         ],
     )
     def test_refused_swap_changes_nothing(self, first_node, second_node, error):
-        """Every check runs before either side changes: the partition, the
-        sorted views, the node index and the listeners are left as they were."""
+        """Every check runs before either side changes: the slots and the node
+        index are left as they were."""
         registry = self._registry()
-        registry.get(20).add_member(1)  # corrupt: node 1 sits in both clusters
-        aware = self._SwapAware()
-        registry.add_listener(aware)
+        registry._node_to_cluster[5] = 20  # corrupt: indexed in 20, in no slot
 
         def observed():
-            clusters = [registry.get(cid) for cid in (10, 20)]
-            nodes = (1, 2, 3, 4, 99)
-            return (
-                [(set(cluster.members), cluster.member_list()) for cluster in clusters],
-                [registry.contains_node(node) and registry.cluster_of(node) for node in nodes],
-            )
+            slots = [list(registry.get(cid).members) for cid in (10, 20)]
+            nodes = (1, 2, 3, 4, 5, 99)
+            return slots, [registry.contains_node(node) and registry.cluster_of(node) for node in nodes]
 
         before = observed()
         with pytest.raises(error):
             registry.swap_members(10, first_node, 20, second_node)
         assert observed() == before
-        assert aware.swaps == [] and aware.events == []
-
-    def test_size_only_listener_declares_it_and_gets_no_swaps(self):
-        class SizesOnly:
-            members_swapped = None
-
-            def __init__(self):
-                self.events = []
-
-            def member_added(self, cluster_id, node_id):
-                self.events.append(("added", cluster_id, node_id))
-
-        registry = self._registry()
-        listener = SizesOnly()
-        registry.add_listener(listener)
-        registry.swap_members(10, 1, 20, 3)
-        registry.add_member(10, 7)
-        assert listener.events == [("added", 10, 7)]
 
     def test_corruption_counts_exact_under_swaps(self, small_params):
         """Swap accounting agrees with a from-scratch rebuild for every role mix."""
@@ -409,7 +408,7 @@ class TestSwapFastPath:
                 assert observed[cluster_id] == pytest.approx(expected)
             assert state.worst_cluster_fraction() == pytest.approx(max(observed.values()))
 
-    def test_tracker_refuses_a_swap_of_an_unregistered_node(self, small_params):
+    def test_swap_of_a_node_outside_the_index_is_refused(self, small_params):
         state = SystemState(parameters=small_params, rng=random.Random(4))
         for node_id in range(4):
             state.nodes.register(role=NodeRole.HONEST, node_id=node_id)

@@ -89,13 +89,18 @@ class TestInvariantChecker:
         report = check_invariants(state, check_size_bounds=False)
         assert any("no overlay vertex" in violation for violation in report.violations)
 
-    def test_detects_a_drifted_sorted_view(self):
+    def test_detects_a_node_in_two_slots(self):
         state = build_state([(18, 2), (18, 2)])
         cluster_id = state.clusters.cluster_ids()[0]
-        view = state.clusters.get(cluster_id).sorted_members()
-        view[0], view[1] = view[1], view[0]  # written behind the registry's back
+        slots = state.clusters.get(cluster_id).members
+        twice, lost = slots[0], slots[1]
+        slots[1] = twice  # written behind the registry's back
         report = check_invariants(state)
-        assert report.violations == [f"cluster {cluster_id}'s sorted view differs from its members"]
+        assert report.violations == [
+            f"node {twice} appears in clusters {cluster_id} and {cluster_id}",
+            f"active node {lost} is not assigned to any cluster",
+            "node index has entries for 1 non-member node(s)",
+        ]
 
     def test_detects_a_member_the_node_index_misplaces(self):
         state = build_state([(18, 2), (18, 2)])

@@ -158,8 +158,8 @@ class TestExchange:
         # Every node still belongs to exactly one cluster.
         seen = set()
         for cluster in state.clusters.clusters():
-            assert not (cluster.members & seen)
-            seen |= cluster.members
+            assert seen.isdisjoint(cluster.members)
+            seen.update(cluster.members)
 
     def test_exchange_counts_swaps_and_partners(self):
         state = build_state()

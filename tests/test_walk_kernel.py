@@ -2,12 +2,10 @@
 
 Five families of guarantees:
 
-* **The one kernel.** ``walk_kernel`` has one value, ``array``.  The retired
-  ``naive`` value is refused by name wherever walks are simulated — at spec
-  load, at :class:`~repro.core.engine.EngineConfig`, at checkpoint restore,
-  and for a v1 trace whose simulated spec left the kernel unset (the v1
-  default) — and read as ``array`` under oracle walks, where it never
-  selected anything.
+* **The one kernel.** ``walk_kernel`` has one value, ``array``.  Any other
+  value is refused as an unknown kernel — at spec load, at
+  :class:`~repro.core.engine.EngineConfig` and at checkpoint restore — in
+  both walk modes.
 
 * **Distributional pinning** (chi-square): biased-walk cluster picks from
   :class:`ArrayKernel` are statistically indistinguishable from the per-hop
@@ -61,20 +59,15 @@ from reference_walk import reference_biased_batch, reference_biased_walk
 from test_trace_checkpoint import run_split, run_straight, small_scenario
 from test_walk_fastpath import chi_square_statistic, seeded_overlay
 
-#: Traces recorded by the v1 trace format, before the kernel was retired: a
-#: simulated-walk run on the then-default ``naive`` kernel, and an oracle run.
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
-V1_NAIVE_TRACE = os.path.join(FIXTURES, "trace-v1-simulated-naive.jsonl")
-V1_ORACLE_TRACE = os.path.join(FIXTURES, "trace-v1-oracle.jsonl")
 
-#: A simulated-walk checkpoint written by the last commit with the per-walk
-#: scalar loops (2d14d3736c5fdf479a42b4eb9220c6e386bab553): ``uniform`` churn
-#: at n0 = 80, seed 11, cut at step 42 of 80, where both kernel buffer tails
-#: are non-empty.  The hashes are the ones that commit printed.
+#: A simulated-walk checkpoint (version 2, trace v3 member order):
+#: ``uniform`` churn at n0 = 80, seed 11, cut at step 42 of 80, where both
+#: kernel buffer tails are non-empty.
 SIMULATED_CHECKPOINT = os.path.join(FIXTURES, "checkpoint-simulated-kernel.json")
-SIMULATED_CHECKPOINT_HASH = "88d6d44d5c73e10c1157caafb05406f36ea5b5f2a2e8bb17ade781257e35fb1c"
-#: That commit's uninterrupted 80-step run.
-SIMULATED_STRAIGHT_HASH = "95b1732090c9c45d3e21dbc31b76a3a3fbaa0298dacd395708a0d08c424da619"
+SIMULATED_CHECKPOINT_HASH = "da64ebc2fc77554be327bae60419ab8d731a90cda32fffed76407fb7c3e4948f"
+#: The uninterrupted 80-step run.
+SIMULATED_STRAIGHT_HASH = "da847071d63806b499242c0e8d477e3174fd01731e2c21d3b9d60a94f3e0887e"
 
 SIMULATED_NAIVE = {"walk_mode": "simulated", "walk_kernel": "naive"}
 
@@ -125,51 +118,38 @@ def two_sample_statistic(first_counts, second_counts, keys) -> float:
 # Kernel selection and validation
 # ----------------------------------------------------------------------
 class TestKernelSelection:
-    def test_known_names_resolve(self):
-        for simulated in (True, False):
-            assert resolve_kernel_name("array", simulated) == "array"
-        assert resolve_kernel_name("naive", simulated=False) == "array"
+    def test_known_name_resolves(self):
+        assert resolve_kernel_name("array") == "array"
 
-    @pytest.mark.parametrize("bogus", ["fast", "", None, 3, "ARRAY"])
+    @pytest.mark.parametrize("bogus", ["fast", "", None, 3, "ARRAY", "naive"])
     def test_unknown_names_rejected(self, bogus):
-        for simulated in (True, False):
-            with pytest.raises(ConfigurationError):
-                resolve_kernel_name(bogus, simulated)
+        with pytest.raises(ConfigurationError, match="unknown walk kernel"):
+            resolve_kernel_name(bogus)
 
-    def test_naive_refused_by_name_under_simulated_walks(self):
+    @pytest.mark.parametrize("walk_mode", ["oracle", "simulated"])
+    def test_engine_config_refuses_unknown_kernels(self, walk_mode):
         with pytest.raises(ConfigurationError, match="naive"):
-            resolve_kernel_name("naive", simulated=True)
-
-    def test_engine_config_refuses_naive_under_simulated_walks(self):
-        with pytest.raises(ConfigurationError, match="naive"):
-            EngineConfig(**SIMULATED_NAIVE)
-        with pytest.raises(ConfigurationError, match="naive"):
-            EngineConfig(walk_mode=WalkMode.SIMULATED, walk_kernel="naive")
+            EngineConfig(walk_mode=walk_mode, walk_kernel="naive")
 
     def test_engine_config_takes_spec_options_as_given(self):
-        """String walk modes are coerced; ``naive`` under oracle reads ``array``."""
-        config = EngineConfig(walk_mode="oracle", walk_kernel="naive")
-        assert config.walk_mode is WalkMode.ORACLE
-        assert config.walk_kernel == "array"
+        """String walk modes are coerced; the kernel defaults to ``array``."""
+        assert EngineConfig(walk_mode="oracle").walk_mode is WalkMode.ORACLE
         assert EngineConfig(walk_mode="simulated").walk_mode is WalkMode.SIMULATED
         assert EngineConfig().walk_kernel == "array"
 
-    def test_spec_load_refuses_naive_under_simulated_walks(self):
+    @pytest.mark.parametrize("walk_mode", ["oracle", "simulated"])
+    def test_spec_load_refuses_unknown_kernels(self, walk_mode):
         data = small_scenario(steps=5).to_dict()
-        data["engine_options"] = dict(SIMULATED_NAIVE)
+        data["engine_options"] = {"walk_mode": walk_mode, "walk_kernel": "naive"}
         with pytest.raises(ConfigurationError, match="naive"):
             Scenario.from_dict(data)
-        data["engine_options"] = {"walk_mode": "oracle", "walk_kernel": "naive"}
-        engine = Scenario.from_dict(data).build_engine()
-        assert engine.config.walk_kernel == "array"
 
     def test_walk_constructors_reject_unknown_kernel(self):
         state = small_scenario(steps=5).build_engine().state
-        with pytest.raises(ConfigurationError):
-            RandCl(state, walk_kernel="simd")
-        with pytest.raises(ConfigurationError, match="naive"):
-            RandCl(state, walk_mode=WalkMode.SIMULATED, walk_kernel="naive")
-        RandCl(state, walk_kernel="naive")  # oracle walks: accepted
+        for walk_mode in (WalkMode.ORACLE, WalkMode.SIMULATED):
+            for bogus in ("simd", "naive"):
+                with pytest.raises(ConfigurationError):
+                    RandCl(state, walk_mode=walk_mode, walk_kernel=bogus)
 
     def test_engine_rejects_unknown_kernel_at_bootstrap(self):
         scenario = small_scenario(steps=5, engine_options={"walk_kernel": "simd"})
@@ -473,16 +453,16 @@ class TestKernelCheckpoint:
         kernel.restore_state(json.loads(json.dumps(kernel.snapshot_state())))
         assert parent.getstate() == before
 
-    def test_python_backend_snapshot_is_refused_by_name(self):
-        """The one backend is ``numpy``; the retired python backend's
-        snapshots (and any unknown backend's) are refused by name."""
+    def test_unknown_backend_snapshot_is_refused_by_name(self):
+        """The one backend is ``numpy``; any other backend's snapshots are
+        refused by name."""
         kernel = ArrayKernel(seeded_overlay(), random.Random(1))
         assert kernel.backend == "numpy"
         snapshot = kernel.snapshot_state()
         assert snapshot["backend"] == "numpy"
-        for backend, message in (("python", "retired python backend"), ("fortran", "'fortran'")):
+        for backend in ("python", "fortran"):
             snapshot["backend"] = backend
-            with pytest.raises(ConfigurationError, match=message):
+            with pytest.raises(ConfigurationError, match=f"'{backend}'"):
                 kernel.restore_state(snapshot)
 
     def test_sampler_walk_state_round_trips(self):
@@ -531,8 +511,8 @@ class TestEngineResume:
         split = run_split(small_scenario(**fields), cut, total - cut, tmp_path)
         assert split == straight
 
-    def test_parent_cut_checkpoint_resumes_onto_its_straight_hash(self, tmp_path):
-        """Buffered values written by an earlier kernel are consumed in its order."""
+    def test_checkpoint_resumes_onto_its_straight_hash(self, tmp_path):
+        """Buffered values a checkpoint carries are consumed in the straight run's order."""
         data = json.load(open(SIMULATED_CHECKPOINT, "r", encoding="utf-8"))
         assert data["state_hash"] == SIMULATED_CHECKPOINT_HASH
         kernel = data["engine"]["randcl"]["kernel"]
@@ -554,30 +534,9 @@ class TestEngineResume:
         restored = NowEngine.restore(snapshot)
         assert restored.config.walk_kernel == "array"
 
-    def test_pre_kernel_checkpoints_refused_under_simulated_walks(self):
-        """A checkpoint from before the kernel option ran the naive kernel."""
-        scenario = small_scenario(steps=5, engine_options={"walk_mode": "simulated"})
-        snapshot = json.loads(json.dumps(scenario.build_engine().capture_snapshot()))
-        del snapshot["config"]["walk_kernel"]
-        with pytest.raises(ConfigurationError, match="naive"):
-            NowEngine.restore(snapshot)
-        snapshot["config"]["walk_kernel"] = "naive"
-        with pytest.raises(ConfigurationError, match="naive"):
-            NowEngine.restore(snapshot)
-
-    def test_pre_kernel_oracle_checkpoints_restore_as_array(self):
-        """Oracle walks never ran a kernel: old snapshots, buffer key and all, load."""
-        engine = small_scenario(steps=5).build_engine()
-        snapshot = json.loads(json.dumps(engine.capture_snapshot()))
-        del snapshot["config"]["walk_kernel"]
-        snapshot["randcl"] = {"exp_buffer": [], "kernel": None}
-        restored = NowEngine.restore(snapshot)
-        assert restored.config.walk_kernel == "array"
-        assert restored.state_hash() == engine.state_hash()
-
     @pytest.mark.parametrize("shards", [0, 2])
-    def test_naive_checkpoint_refused_at_resume(self, shards, tmp_path):
-        """A checkpoint whose engine config names ``naive`` is refused by name."""
+    def test_unknown_kernel_checkpoint_refused_at_resume(self, shards, tmp_path):
+        """A checkpoint whose engine config names another kernel is refused by name."""
 
         def name_naive(snapshot):
             snapshot["config"]["walk_kernel"] = "naive"
@@ -588,7 +547,7 @@ class TestEngineResume:
 
 
 # ----------------------------------------------------------------------
-# CLI plumbing and recordings of the retired kernel
+# CLI plumbing
 # ----------------------------------------------------------------------
 class TestWalkKernelCli:
     # ``repro.cli`` is imported lazily so a stripped environment where the
@@ -612,7 +571,7 @@ class TestWalkKernelCli:
         argv = ["resume", "--checkpoint", path] + (["--shards", str(workers)] if workers else [])
         assert self._main(argv) == 2
         err = capsys.readouterr().err
-        assert "retired python backend" in err and "Traceback" not in err
+        assert "'python'" in err and "Traceback" not in err
 
     def test_walk_kernel_flag_is_gone(self):
         with pytest.raises(SystemExit):
@@ -622,7 +581,7 @@ class TestWalkKernelCli:
         with pytest.raises(SystemExit):
             self._main(["run-scenario", "--name", "uniform-churn", "--walk-kernel", "simd"])
 
-    def test_spec_naming_naive_under_simulated_walks_exits_2(self, tmp_path, capsys):
+    def test_spec_naming_another_kernel_exits_2(self, tmp_path, capsys):
         """Refused at spec load: exit 2 naming the kernel, no output file touched."""
         spec = tmp_path / "scenario.json"
         spec.write_text(small_scenario(steps=5, engine_options=SIMULATED_NAIVE).to_json())
@@ -631,39 +590,3 @@ class TestWalkKernelCli:
         assert code == 2
         assert "naive" in capsys.readouterr().err
         assert not trace.exists()
-
-    def test_spec_naming_naive_under_oracle_walks_runs(self, tmp_path, capsys):
-        options = {"walk_mode": "oracle", "walk_kernel": "naive"}
-        spec = tmp_path / "scenario.json"
-        spec.write_text(small_scenario(steps=5, engine_options=options).to_json())
-        assert self._main(["run-scenario", "--spec", str(spec)]) == 0
-        assert "structural invariants: OK" in capsys.readouterr().out
-
-    def test_v1_naive_trace_is_refused_by_name(self, tmp_path, capsys):
-        """A v1 simulated trace that left the kernel unset ran on ``naive``."""
-        assert self._main(["replay", "--trace", V1_NAIVE_TRACE]) == 2
-        assert "naive" in capsys.readouterr().err
-        checkpoint = tmp_path / "cut.json"
-        code = self._main(
-            ["replay", "--trace", V1_NAIVE_TRACE, "--to-step", "5", "--checkpoint", str(checkpoint)]
-        )
-        assert code == 2
-        assert "naive" in capsys.readouterr().err
-        assert not checkpoint.exists()
-
-    def test_v1_oracle_trace_replays_and_rerecords_identically(self, tmp_path, capsys):
-        """Oracle walks never ran a kernel: the v1 trace replays, and the same
-        scenario recorded now agrees with it event for event and hash for hash."""
-        assert self._main(["replay", "--trace", V1_ORACLE_TRACE]) == 0
-        assert "replay OK" in capsys.readouterr().out
-        with open(V1_ORACLE_TRACE, "r", encoding="utf-8") as handle:
-            header = json.loads(handle.readline())
-        assert header["v"] == 1
-        rerecorded = str(tmp_path / "v2.jsonl")
-        record_scenario(
-            Scenario.from_dict(header["scenario"]),
-            trace_path=rerecorded,
-            index_every=header["index_every"],
-        )
-        assert self._main(["trace-diff", V1_ORACLE_TRACE, rerecorded]) == 0
-        assert "traces agree over 40 events" in capsys.readouterr().out
