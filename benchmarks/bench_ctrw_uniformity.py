@@ -102,7 +102,7 @@ def run_lemma1(seed: int):
     exceedances = 0
     threshold = TAU * (1.0 + EPSILON)
     for _ in range(EXCHANGE_TRIALS):
-        exchange.exchange_all(target)
+        exchange.exchange_all([target])
         fraction = state.cluster_byzantine_fraction(target)
         fractions.append(fraction)
         if fraction > threshold:

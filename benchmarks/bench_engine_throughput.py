@@ -16,6 +16,16 @@ Two rates are recorded:
   (``repro.walks.kernel``, exchange rounds batched in lockstep); this is the
   walk engine's own throughput inside the protocol.
 
+It also records ``oracle_curve``: the cost of an oracle-walk churn event as
+the population grows, one row per ``N`` in ``CURVE_SIZES`` (the initial
+population, at a fixed ``CURVE_MAX_SIZE`` so that cluster sizes stay put and
+only the cluster count grows).  Each row gives the wall time per event
+(``us_per_event``), the exchange rounds per event (``rounds_per_event``: a
+join exchanges its host, a leave its cluster and then every cluster that
+traded with it) and the swaps per round (``swaps_per_round``), so a change
+to the exchange pass can be read as per-round overhead against per-swap
+work, and its scaling in ``N`` checked.
+
 It also verifies the incremental-accounting contract behind the rate: the
 node and cluster registries count every full population sweep
 (``full_scan_count``), and a churn event must complete with (far) fewer than
@@ -63,8 +73,37 @@ LEGACY_SCANS_PER_EVENT = 3.0
 #: machine as the baseline) — it is deliberately *not* asserted in-test,
 #: because absolute events/sec depend on the CI runner's speed.
 BASELINE_EVENTS_PER_SECOND = 150.9
+#: The oracle-walk curve: initial populations, the fixed ``max_size`` they
+#: share, and the events run before and during each timed segment.
+CURVE_SIZES = (2**10, 2**12, 2**14)
+CURVE_MAX_SIZE = 2**16
+CURVE_WARMUP = 50
+CURVE_EVENTS = 400
 
 RESULT_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_throughput.json")
+
+
+def oracle_curve_point(initial_size: int) -> dict:
+    """One row of ``oracle_curve``: uniform churn at ``initial_size`` nodes, oracle walks."""
+    scenario = scenario_for(CURVE_MAX_SIZE, initial_size, tau=TAU, seed=47, name="oracle-curve")
+    engine = scenario.build_engine()
+    runner = SimulationRunner(
+        engine, UniformChurn(fresh_rng(48), byzantine_join_fraction=TAU), name="oracle-curve"
+    )
+    runner.run(CURVE_WARMUP)
+    clusters = engine.state.clusters
+    rounds_before, swaps_before = clusters.exchange_round_count, clusters.swap_count
+    result = runner.run(CURVE_EVENTS)
+    rounds = clusters.exchange_round_count - rounds_before
+    swaps = clusters.swap_count - swaps_before
+    return {
+        "n": initial_size,
+        "clusters": result.final_cluster_count,
+        "events": result.events,
+        "us_per_event": 1e6 * result.elapsed_seconds / max(1, result.events),
+        "rounds_per_event": rounds / max(1, result.events),
+        "swaps_per_round": swaps / max(1, rounds),
+    }
 
 
 def run_experiment(steps: int = STEPS, walk_steps: int = WALK_STEPS):
@@ -127,6 +166,11 @@ def run_experiment(steps: int = STEPS, walk_steps: int = WALK_STEPS):
             if walk_result.elapsed_seconds > 0
             else 0.0,
         },
+        "oracle_curve": {
+            "max_size": CURVE_MAX_SIZE,
+            "warmup_events": CURVE_WARMUP,
+            "points": [oracle_curve_point(size) for size in CURVE_SIZES],
+        },
         "measured_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
 
@@ -169,6 +213,11 @@ def test_engine_throughput(benchmark):
         f"simulated walks: {result['walk']['hops']} hops "
         f"= {result['walk']['hops_per_second']:.0f} hops/s"
     )
+    for point in result["oracle_curve"]["points"]:
+        print(
+            f"  oracle curve N={point['n']}: {point['us_per_event']:.0f} us/event, "
+            f"{point['rounds_per_event']:.1f} rounds/event, {point['swaps_per_round']:.1f} swaps/round"
+        )
     save_result(result)
 
     assert result["events"] > 0
@@ -176,6 +225,9 @@ def test_engine_throughput(benchmark):
     # The simulated walks must actually walk (and be measured).
     assert result["walk"]["hops"] > 0
     assert result["walk"]["hops_per_second"] > 0
+    # Every curve point ran events with exchange rounds in them.
+    for point in result["oracle_curve"]["points"]:
+        assert point["events"] > 0 and point["rounds_per_event"] > 0
     # The original tentpole claim: at least 2x fewer full-population scans per
     # event than the pre-incremental engine (which needed >= 3 per event).
     assert result["scans_per_event"] <= LEGACY_SCANS_PER_EVENT / 2.0

@@ -60,7 +60,7 @@ def run_for_size(max_size: int, seed: int):
     exchange_rounds = []
     for index in range(EXCHANGE_CALLS):
         target = cluster_ids[index % len(cluster_ids)]
-        report = exchange.exchange_all(target)
+        report = exchange.exchange_all([target])
         exchange_messages.append(report.messages)
         exchange_rounds.append(report.rounds)
 

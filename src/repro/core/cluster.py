@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Collection, FrozenSet, Iterable, Iterator, List, Mapping, Optional
+from typing import Callable, Collection, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from ..errors import ProtocolViolationError, UnknownClusterError, UnknownNodeError
 from ..network.node import NodeId
@@ -157,6 +157,10 @@ class ClusterRegistry:
         #: Diagnostic: number of full sweeps over the cluster population
         #: (used by the throughput benchmark to verify O(1) accounting).
         self.full_scan_count: int = 0
+        #: Diagnostic: exchange rounds run and swaps made by
+        #: :meth:`exchange_pass` (read by the throughput benchmark's curve).
+        self.exchange_round_count: int = 0
+        self.swap_count: int = 0
 
     # ------------------------------------------------------------------
     # Listeners and roles
@@ -183,7 +187,7 @@ class ClusterRegistry:
 
         A swap refuses a node outside ``registered``.  Each swap's Byzantine
         move is counted as it is made, and ``on_moved`` receives the moves
-        once per :meth:`exchange_round` or :meth:`swap_members`, as
+        once per :meth:`exchange_pass` or :meth:`swap_members`, as
         ``{cluster_id: change in its Byzantine count}``.
         """
         self._registered, self._byzantine, self._on_moved = registered, byzantine, on_moved
@@ -319,105 +323,132 @@ class ClusterRegistry:
         if moved and self._on_moved is not None:
             self._on_moved({first_cluster: -moved, second_cluster: moved})
 
-    def exchange_round(
+    def exchange_pass(
         self,
-        cluster_id: ClusterId,
+        cluster_ids: Sequence[ClusterId],
         layout,
-        partners,
         getrandbits: Optional[Callable[[int], int]],
+        walks: Optional[Callable[[ClusterId, int], List[int]]] = None,
         choose: Optional[Callable[[List[NodeId]], NodeId]] = None,
-    ) -> dict:
-        """Swap each member of ``cluster_id``, slot by slot, with a member of a drawn partner.
+    ) -> tuple:
+        """Exchange each cluster of ``cluster_ids``, in order, as one pass.
 
-        Partners are rows of the CSR ``layout``.  Under oracle walks
-        ``partners`` is the walk stream's ``getrandbits``, and each member
-        makes one draw ``u`` uniform over ``layout.population()``'s units
-        (``getrandbits(total.bit_length())`` redrawn until below ``total``,
-        the draw ``randrange(total)`` makes): the row ``bisect_right(cum,
-        u)`` is its partner and the slot ``u - base[row]`` the member the
-        partner gives up.  Under simulated walks ``partners`` lists the rows
-        the round's walks ended on, one per member, and the partner gives up
-        slot ``randrange(size)``, drawn the same way with ``getrandbits``.
-        With ``choose`` (an adversary override is installed) the partner
-        gives up the member ``choose(slots)`` names instead; ``choose``
-        reads the live slots and must copy what it keeps.
+        A cluster's round swaps each of its members, slot by slot, with a
+        member of a drawn partner; partners are rows of the CSR ``layout``.
+        With ``walks`` ``None`` (oracle walks) each member makes one draw
+        ``u`` uniform over ``layout.population()``'s units with
+        ``getrandbits`` (``getrandbits(total.bit_length())`` redrawn until
+        below ``total``, the draw ``randrange(total)`` makes): the row
+        ``bisect_right(cum, u)`` is its partner and the slot ``u -
+        base[row]`` the member the partner gives up.  Otherwise (simulated
+        walks) ``walks(cluster_id, count)`` is called when the round starts
+        and lists the rows its ``count`` walks ended on, one per member, and
+        the partner gives up slot ``randrange(size)``, drawn the same way
+        with ``getrandbits``.  With ``choose`` (an adversary override is
+        installed) the partner gives up the member ``choose(slots)`` names
+        instead; ``choose`` reads the live slots and must copy what it keeps.
 
-        A member whose partner is ``cluster_id`` itself or an empty cluster
-        stays.  A partner is resolved once per round and must be a live
-        cluster whose slot count is its row's weight.  Each swap is checked
-        as :meth:`swap_members` checks, before either side changes, so a
+        A member whose partner is its round's own cluster or an empty
+        cluster stays.  Swaps keep every size, so the population and each
+        partner's slots are fixed for the pass: a partner row is resolved
+        once, at its first draw in the pass, and must be a live cluster
+        whose slot count is its row's weight.  Each swap is checked as
+        :meth:`swap_members` checks, before either side changes, so a
         refused swap changes nothing (the swaps before it stay made); it
         writes both slots and the node index in place and counts its
-        Byzantine move.  The round's moves go to the bound sink once, also
-        when a swap was refused.  Returns the round's partner table: row ->
-        ``[partner_id, slots, base, size, bits, picks, moved]``, or ``()``
-        where members stayed.
+        Byzantine move.  The pass's moves go to the bound sink once, also
+        when a swap was refused.
+
+        Returns ``(swaps, pairs, rounds)``: the pass's swap count, the sum
+        over its swaps of the partner's ordered member pairs ``s (s - 1)``,
+        and per round the rows it swapped with, in first-swap order.
         """
-        slots = self.get(cluster_id).members
         clusters, index = self._clusters, self._node_to_cluster
         indexed = index.get
         registered, byzantine = self._registered, self._byzantine
-        vertices = layout.vertices
+        vertices, row_of = layout.vertices, layout.row_of
         cum, bases, total = layout.population()
-        oracle = not isinstance(partners, list)
-        if oracle and slots and not total:
-            raise ProtocolViolationError("an oracle draw needs a layout with positive weight")
         bits = total.bit_length()
-        table: dict = {}
+        resolved: dict = {}
+        moved: dict = {}
+        moved_get = moved.get
+        rounds: list = []
+        swaps = pairs = 0
+
+        def resolve(row: int) -> tuple:
+            """``(slots, base, cluster_id, pairs)`` of partner ``row``, checked once per pass."""
+            partner_id = vertices[row]
+            partner = clusters.get(partner_id)
+            if partner is None:
+                raise UnknownClusterError(f"cluster {partner_id} does not exist")
+            slots, base = partner.members, bases[row]
+            size = len(slots)
+            if size != cum[row] - base:
+                raise ProtocolViolationError(
+                    f"cluster {partner_id} has {size} members but overlay weight {cum[row] - base}"
+                )
+            entry = resolved[row] = (slots, base, partner_id, size * (size - 1))
+            return entry
+
         try:
-            for slot in range(len(slots)):
-                if oracle:
-                    u = partners(bits)
-                    while u >= total:
-                        u = partners(bits)
-                    row = bisect_right(cum, u)
-                else:
-                    row = partners[slot]
-                entry = table.get(row)
-                if entry is None:
-                    partner_id = vertices[row]
-                    partner = clusters.get(partner_id)
-                    if partner is None:
-                        raise UnknownClusterError(f"cluster {partner_id} does not exist")
-                    size, base = len(partner.members), bases[row]
-                    if size != cum[row] - base:
-                        raise ProtocolViolationError(
-                            f"cluster {partner_id} has {size} members but overlay "
-                            f"weight {cum[row] - base}"
-                        )
-                    stays = partner_id == cluster_id or not size
-                    entry = table[row] = (
-                        () if stays else [partner_id, partner.members, base, size, size.bit_length(), 0, 0]
-                    )
-                if not entry:
-                    continue
-                partner_id, partner_slots, base, size, partner_bits, _, _ = entry
-                if choose is not None:
-                    pick = partner_slots.index(choose(partner_slots))
-                elif oracle:
-                    pick = u - base
-                else:
-                    pick = getrandbits(partner_bits)
-                    while pick >= size:
+            for cluster_id in cluster_ids:
+                slots, own = self.get(cluster_id).members, row_of(cluster_id)
+                table: dict = {}
+                table_get = table.get
+                rounds.append(table.keys())
+                partners = walks(cluster_id, len(slots)) if walks is not None else None
+                if partners is None and slots and not total:
+                    raise ProtocolViolationError("an oracle draw needs a layout with positive weight")
+                for slot, node in enumerate(slots):
+                    if partners is None:
+                        u = getrandbits(bits)
+                        while u >= total:
+                            u = getrandbits(bits)
+                        row = bisect_right(cum, u)
+                    else:
+                        row = partners[slot]
+                    if row == own:
+                        continue
+                    entry = table_get(row)
+                    if entry is None:
+                        entry = resolved.get(row) or resolve(row)
+                        if not entry[0]:
+                            continue
+                        table[row] = entry
+                    partner_slots, base, partner_id, partner_pairs = entry
+                    if choose is not None:
+                        pick = partner_slots.index(choose(partner_slots))
+                    elif partners is None:
+                        pick = u - base
+                    else:
+                        size = len(partner_slots)
+                        partner_bits = size.bit_length()
                         pick = getrandbits(partner_bits)
-                node, replacement = slots[slot], partner_slots[pick]
-                if (
-                    indexed(node) != cluster_id
-                    or indexed(replacement) != partner_id
-                    or node not in registered
-                    or replacement not in registered
-                ):
-                    self._refuse_swap(cluster_id, node, partner_id, replacement)
-                slots[slot], partner_slots[pick] = replacement, node
-                index[node], index[replacement] = partner_id, cluster_id
-                entry[5] += 1
-                entry[6] += (node in byzantine) - (replacement in byzantine)
+                        while pick >= size:
+                            pick = getrandbits(partner_bits)
+                    replacement = partner_slots[pick]
+                    if (
+                        indexed(node) != cluster_id
+                        or indexed(replacement) != partner_id
+                        or node not in registered
+                        or replacement not in registered
+                    ):
+                        self._refuse_swap(cluster_id, node, partner_id, replacement)
+                    slots[slot], partner_slots[pick] = replacement, node
+                    index[node], index[replacement] = partner_id, cluster_id
+                    swaps += 1
+                    pairs += partner_pairs
+                    delta = (node in byzantine) - (replacement in byzantine)
+                    if delta:
+                        moved[partner_id] = moved_get(partner_id, 0) + delta
+                        moved[cluster_id] = moved_get(cluster_id, 0) - delta
         finally:
-            moved = {entry[0]: entry[6] for entry in table.values() if entry and entry[6]}
+            self.exchange_round_count += len(rounds)
+            self.swap_count += swaps
+            moved = {cluster_id: delta for cluster_id, delta in moved.items() if delta}
             if moved and self._on_moved is not None:
-                moved[cluster_id] = -sum(moved.values())
                 self._on_moved(moved)
-        return table
+        return swaps, pairs, rounds
 
     # ------------------------------------------------------------------
     # Queries

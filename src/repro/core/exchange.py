@@ -21,12 +21,12 @@ network, so the cluster's Byzantine fraction concentrates around ``tau``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..errors import UnknownClusterError
+from ..errors import UnknownClusterError, WalkError
 from ..network.message import MessageKind
 from ..network.metrics import CommunicationMetrics
-from ..walks.csr import CSRLayout
+from ..walks.sampler import WalkMode
 from .cluster import ClusterId
 from .randcl import RandCl
 from .randnum import RandNum
@@ -35,9 +35,9 @@ from .state import SystemState
 
 @dataclass
 class ExchangeReport:
-    """Summary of one full-cluster exchange."""
+    """Totals of one exchange pass: each of ``cluster_ids`` exchanged, in order."""
 
-    cluster_id: ClusterId
+    cluster_ids: List[ClusterId] = field(default_factory=list)
     swap_count: int = 0
     partner_clusters: Set[ClusterId] = field(default_factory=set)
     messages: int = 0
@@ -63,74 +63,101 @@ class ExchangeProtocol:
     # ------------------------------------------------------------------
     def exchange_all(
         self,
-        cluster_id: ClusterId,
+        cluster_ids: Sequence[ClusterId],
         metrics: Optional[CommunicationMetrics] = None,
         label: str = "exchange",
     ) -> ExchangeReport:
-        """Exchange every node of ``cluster_id`` with nodes picked at random.
+        """Exchange every node of each cluster of ``cluster_ids``, in order, as one pass.
 
-        Each member, slot by slot, is swapped with a uniformly chosen member
-        of a ``randCl``-selected cluster (the swap is skipped when the walk
-        lands back on the same cluster — the member is then its own
-        replacement, which does not change the distributional argument of
-        Lemma 1 because the cluster is selected with probability
-        ``|C| / n``).  Under oracle walks the two choices are one uniform
-        draw over the clustered population.
+        A cluster's round swaps each member, slot by slot, with a uniformly
+        chosen member of a ``randCl``-selected cluster (the swap is skipped
+        when the walk lands back on the same cluster — the member is then
+        its own replacement, which does not change the distributional
+        argument of Lemma 1 because the cluster is selected with
+        probability ``|C| / n``).  Under oracle walks the two choices are
+        one uniform draw over the clustered population.  A join passes its
+        host; a leave passes its cluster, then the clusters that traded
+        with it.
 
         Swaps keep every cluster size, so the overlay, the walk cost model
-        and each partner's size are fixed for the round.  The registry runs
-        the round as one pass (:meth:`~repro.core.cluster.ClusterRegistry.
-        exchange_round`), and the round is priced in closed form from its
-        partner table: a partner of size ``s`` picked ``p`` times costs
-        ``p * 2 s (s - 1)`` randNum messages and ``2 p`` rounds, and the
-        notification costs ``s * S`` per updated cluster, ``S`` its
-        neighbours' total size.
+        and each partner's size are fixed for the pass.  The registry runs
+        it as one pass (:meth:`~repro.core.cluster.ClusterRegistry.
+        exchange_pass`), and it is priced in closed form: each walk at its
+        cost (every oracle walk of a pass at the same one), a partner of
+        size ``s`` picked ``p`` times at ``p * 2 s (s - 1)`` randNum
+        messages and ``2 p`` rounds, and each round's notification at
+        ``s * S`` per cluster it updated, ``S`` the cluster's neighbours'
+        total size.  Each kind that occurred is charged once.  A refused
+        swap raises with the swaps before it made and charges nothing.
         """
         state = self._state
-        ledger = metrics if metrics is not None else state.metrics.scope(label)
         clusters = state.clusters
-        cluster = clusters.get(cluster_id)
-        walked = len(cluster)
-        partners, layout, (walk_messages, walk_rounds, walk_hops) = self._randcl.round_partners(
-            cluster_id, walked
-        )
-        table = clusters.exchange_round(
-            cluster_id, layout, partners, *self._randnum.round_picks(state.nodes.is_byzantine)
-        )
-        cluster.exchanges_performed += 1
-        cluster.last_full_exchange = state.time_step
+        exchanged = [clusters.get(cluster_id) for cluster_id in cluster_ids]
+        report = ExchangeReport(cluster_ids=[cluster.cluster_id for cluster in exchanged])
+        if not exchanged:
+            return report
+        overlay = state.overlay.graph
+        for cluster_id in report.cluster_ids:
+            if cluster_id not in overlay:
+                raise WalkError(f"cluster {cluster_id} is not an overlay vertex")
+        ledger = metrics if metrics is not None else state.metrics.scope(label)
+        randcl = self._randcl
+        getrandbits, choose = self._randnum.pass_picks(state.nodes.is_byzantine)
+        walked = sum(map(len, exchanged))
+        if randcl.walk_mode is WalkMode.SIMULATED:
+            walk_costs = []
 
-        rows, sizes = [layout.row_of(cluster_id)], [walked]
-        partner_clusters = set()
-        swaps = pick_units = 0
-        for row, entry in table.items():
-            if entry:
-                size, picks = entry[3], entry[5]
-                swaps += picks
-                pick_units += picks * size * (size - 1)
-                partner_clusters.add(entry[0])
-                rows.append(row)
-                sizes.append(size)
-        pick_messages, pick_rounds = 2 * pick_units, 2 * swaps
+            def walks(cluster_id: ClusterId, count: int) -> List[int]:
+                rows, cost = randcl.round_walks(cluster_id, count)
+                walk_costs.append(cost)
+                return rows
 
-        # The round books each kind once, and only a kind that occurred.
+            layout = overlay.csr()
+            swaps, pairs, rounds = clusters.exchange_pass(
+                report.cluster_ids, layout, getrandbits, walks, choose
+            )
+            walk_messages, walk_rounds, walk_hops = map(sum, zip(*walk_costs))
+        else:
+            draw, layout, each_walk = randcl.oracle_walks(report.cluster_ids[0])
+            walk_messages, walk_rounds, walk_hops = (walked * cost for cost in each_walk)
+            swaps, pairs, rounds = clusters.exchange_pass(
+                report.cluster_ids, layout, draw, None, choose
+            )
+        time_step = state.time_step
+        for cluster in exchanged:
+            cluster.exchanges_performed += 1
+            cluster.last_full_exchange = time_step
+
+        # Each round informs the neighbours of its cluster and of its
+        # partners (batched at the end of the operation; see design note 2
+        # in docs/ARCHITECTURE.md).  Overlay weights are the cluster sizes,
+        # and every term is an integer below 2**53, so the sums are exact.
+        cum, bases, _ = layout.population()
+        sums, vertices, row_of = layout.neighbour_weight_sums(), layout.vertices, layout.row_of
+        partner_rows = set().union(*rounds)
+        terms = {row: (cum[row] - bases[row]) * sums[row] for row in partner_rows}
+        notify_messages = notify_rounds = 0
+        for cluster, rows in zip(exchanged, rounds):
+            messages = len(cluster.members) * sums[row_of(cluster.cluster_id)]
+            messages += sum(map(terms.__getitem__, rows))
+            if messages:
+                notify_messages += int(messages)
+                notify_rounds += 1
+        report.partner_clusters.update(map(vertices.__getitem__, partner_rows))
+        pick_messages, pick_rounds = 2 * pairs, 2 * swaps
+
+        # The pass books each kind once, and only a kind that occurred.
         if walked:
             ledger.charge(walk_messages, walk_rounds, kind=MessageKind.WALK, label=label)
         if swaps:
             ledger.charge(pick_messages, pick_rounds, kind=MessageKind.RANDNUM, label=label)
-        # Inform neighbouring clusters of the new compositions (batched at the
-        # end of the operation; see design note 2 in docs/ARCHITECTURE.md).
-        notify_messages, notify_rounds = row_notification_cost(layout, rows, sizes)
         if notify_messages:
             ledger.charge(notify_messages, notify_rounds, kind=MessageKind.MEMBERSHIP, label=label)
-        return ExchangeReport(
-            cluster_id=cluster_id,
-            swap_count=swaps,
-            partner_clusters=partner_clusters,
-            messages=walk_messages + pick_messages + notify_messages,
-            rounds=walk_rounds + pick_rounds + notify_rounds,
-            walk_hops=walk_hops,
-        )
+        report.swap_count = swaps
+        report.messages = walk_messages + pick_messages + notify_messages
+        report.rounds = walk_rounds + pick_rounds + notify_rounds
+        report.walk_hops = walk_hops
+        return report
 
 
 def notification_cost(state: SystemState, cluster_ids: Iterable[ClusterId]) -> Tuple[int, int]:
@@ -141,32 +168,21 @@ def notification_cost(state: SystemState, cluster_ids: Iterable[ClusterId]) -> T
     when more than half of the cluster sent it, hence the full bipartite
     pattern); the updates of all of ``cluster_ids`` share one round.  A
     cluster gone from the overlay or the registry is told nothing.
-    """
-    clusters = state.clusters
-    layout = state.overlay.graph.csr()
-    rows: List[int] = []
-    sizes: List[int] = []
-    for cluster_id in cluster_ids:
-        try:
-            row, size = layout.row_of(cluster_id), len(clusters.get(cluster_id).members)
-        except (KeyError, UnknownClusterError):
-            continue
-        rows.append(row)
-        sizes.append(size)
-    return row_notification_cost(layout, rows, sizes)
-
-
-def row_notification_cost(layout: CSRLayout, rows: List[int], sizes: List[int]) -> Tuple[int, int]:
-    """:func:`notification_cost` of the clusters at CSR ``rows``, of sizes ``sizes``.
 
     Overlay weights are the cluster sizes (``check_invariants`` checks it),
     so ``C`` costs ``|C| * S(C)``, ``S`` the CSR's neighbour-weight sums.
     Every term is an integer below ``2**53``, so the sum is exact in any
     order.
     """
+    clusters = state.clusters
+    layout = state.overlay.graph.csr()
     sums = layout.neighbour_weight_sums()
     messages = 0.0
-    for row, size in zip(rows, sizes):
+    for cluster_id in cluster_ids:
+        try:
+            row, size = layout.row_of(cluster_id), len(clusters.get(cluster_id).members)
+        except (KeyError, UnknownClusterError):
+            continue
         messages += size * sums[row]
     messages = int(messages)
     return messages, 1 if messages else 0

@@ -179,7 +179,7 @@ class JoinOperation(_BaseOperation):
         self._book_membership(report, ledger, label, (self._cluster_size(host_id), 1))
 
         # Shuffle the host cluster so the adversary cannot aim joins at it.
-        exchange_report = self._exchange.exchange_all(host_id, metrics=ledger, label=label)
+        exchange_report = self._exchange.exchange_all([host_id], metrics=ledger, label=label)
         report.absorb_exchange(exchange_report)
 
         if allow_split and self._cluster_size(host_id) > self._state.parameters.split_threshold:
@@ -219,17 +219,12 @@ class LeaveOperation(_BaseOperation):
         self._state.clusters.remove_member(cluster_id, node_id)
         self._book_membership(report, ledger, label, notification_cost(self._state, [cluster_id]))
 
-        exchange_report = self._exchange.exchange_all(cluster_id, metrics=ledger, label=label)
+        exchange_report = self._exchange.exchange_all([cluster_id], metrics=ledger, label=label)
         report.absorb_exchange(exchange_report)
-
-        if self._cascade_exchanges:
-            for partner_id in sorted(exchange_report.partner_clusters):
-                if partner_id == cluster_id or partner_id not in self._state.clusters:
-                    continue
-                partner_report = self._exchange.exchange_all(
-                    partner_id, metrics=ledger, label=label
-                )
-                report.absorb_exchange(partner_report)
+        if self._cascade_exchanges and exchange_report.partner_clusters:
+            # The cascade is one pass over the partners, in id order.
+            cascade = sorted(exchange_report.partner_clusters)
+            report.absorb_exchange(self._exchange.exchange_all(cascade, metrics=ledger, label=label))
 
         if (
             allow_merge

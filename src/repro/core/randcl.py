@@ -168,34 +168,37 @@ class RandCl:
         """
         yield from self._prepare_sampler(start_cluster).sample_many([start_cluster] * count)
 
-    def round_partners(self, start_cluster: ClusterId, count: int) -> tuple:
-        """Where one exchange round's ``count`` partners come from: ``(partners, layout, cost)``.
+    def oracle_walks(self, start_cluster: ClusterId) -> tuple:
+        """An exchange pass's oracle walks: ``(getrandbits, layout, cost)``.
 
-        Under oracle walks ``partners`` is the walk stream's ``getrandbits``:
-        the round draws each partner as :meth:`select` draws, one
-        ``randrange(n)`` over ``layout``'s weight units per member, made
-        only when the round reaches that member.  Under simulated walks it
-        is the list of the CSR rows the round's :meth:`walks` batch ends
-        on.  ``cost`` is ``(messages, rounds, hops)`` of the ``count``
-        walks; every oracle walk of a round has the same expected effort,
-        so it is priced once.
+        The pass draws each partner as :meth:`select` draws, one
+        ``randrange(n)`` over ``layout``'s weight units per member, with the
+        walk stream's ``getrandbits``.  Every oracle walk of a pass has the
+        same expected effort, so ``cost`` is ``(messages, rounds, hops)`` of
+        one walk.
         """
-        charges = self.cost_model()
-        if self._walk_mode is WalkMode.SIMULATED:
-            outcomes = list(self.walks(start_cluster, count))
-            layout = self._sampler.graph.csr()
-            costs = [walk_cost(walk.hops, walk.restarts, charges) for walk in outcomes]
-            cost = (
-                sum(m for m, _ in costs),
-                sum(r for _, r in costs),
-                sum(walk.hops for walk in outcomes),
-            )
-            return [layout.row_of(walk.cluster) for walk in outcomes], layout, cost
         sampler = self._prepare_sampler(start_cluster)
         layout, _ = sampler.population()
         hops, restarts = sampler.oracle_effort()
-        messages, rounds = walk_cost(hops, restarts, charges)
-        return self._rng.getrandbits, layout, (count * messages, count * rounds, count * hops)
+        messages, rounds = walk_cost(hops, restarts, self.cost_model())
+        return self._rng.getrandbits, layout, (messages, rounds, hops)
+
+    def round_walks(self, start_cluster: ClusterId, count: int) -> tuple:
+        """One exchange round's ``count`` simulated walks: ``(rows, cost)``.
+
+        ``rows`` lists the CSR rows the round's :meth:`walks` batch ends on,
+        and ``cost`` is ``(messages, rounds, hops)`` summed over the walks.
+        """
+        charges = self.cost_model()
+        outcomes = list(self.walks(start_cluster, count))
+        row_of = self._sampler.graph.csr().row_of
+        costs = [walk_cost(walk.hops, walk.restarts, charges) for walk in outcomes]
+        cost = (
+            sum(m for m, _ in costs),
+            sum(r for _, r in costs),
+            sum(walk.hops for walk in outcomes),
+        )
+        return [row_of(walk.cluster) for walk in outcomes], cost
 
     def finalize(
         self,

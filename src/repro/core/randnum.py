@@ -159,7 +159,7 @@ class RandNum:
     ) -> NodeId:
         """The member :meth:`pick_member` would pick from ``member_list``, alone.
 
-        No cost and no result object (an exchange round books its picks'
+        No cost and no result object (an exchange pass books its picks'
         cost once).  The Byzantine share is counted by ``is_byzantine`` at
         the pick, and the override gets its own copy of the list, never a
         live one.
@@ -168,12 +168,12 @@ class RandNum:
         controlled = sum(map(is_byzantine, members)) / len(members) >= RANDNUM_SECURITY_THRESHOLD
         return members[self._value(members, len(members), controlled)]
 
-    def round_picks(self, is_byzantine: Callable[[NodeId], bool]) -> tuple:
-        """``(getrandbits, choose)`` for one exchange round's picks, one of them ``None``.
+    def pass_picks(self, is_byzantine: Callable[[NodeId], bool]) -> tuple:
+        """``(getrandbits, choose)`` for one exchange pass's picks, one of them ``None``.
 
         Without an ``adversary_override`` a pick among ``m`` slots is
         ``randrange(m)``, which CPython draws as ``getrandbits(m.bit_length())``
-        redrawn until below ``m``; the round makes that draw inline with the
+        redrawn until below ``m``; the pass makes that draw inline with the
         stream's ``getrandbits`` (under oracle walks the partner draw names
         the slot, and no pick is drawn).  With one, ``choose(slots)`` is
         :meth:`choose` on the partner's slots at pick time.

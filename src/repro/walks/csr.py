@@ -14,8 +14,9 @@ enumeration, augmented with the derived rows every hop reads:
 * a lazily rebuilt integer form of the weights (:meth:`CSRLayout.population`),
   from which ``randCl`` and the exchange round make their oracle draws: one
   uniform integer names a row and a unit of its weight;
-* a lazily rebuilt neighbour-weight-sum row, from which the engine prices a
-  membership notice to a cluster's neighbours in O(1).
+* a neighbour-weight-sum row, built lazily and then kept current by
+  :meth:`CSRLayout.set_weight`, from which the engine prices a membership
+  notice to a cluster's neighbours in O(1).
 
 Rows are *row indices*, not vertex ids: ``indices`` stores the neighbour's
 row so a hop never leaves integer-array space; :attr:`CSRLayout.vertices`
@@ -30,9 +31,10 @@ Invalidation contract (see ``docs/ARCHITECTURE.md``): a layout is a
 snapshot keyed on the owning graph's mutation counters.  Structural
 mutations (vertex/edge add/remove) discard it wholesale — the next walk
 rebuilds in O(V + E).  Weight mutations are applied *in place* through
-:meth:`set_weight` (O(1), plus marking the two weight-derived rows — the
-cumulative row and the neighbour sums — dirty), so the per-event weight
-churn of the engine never pays a structural rebuild.  The scalar rows and
+:meth:`set_weight` (O(degree): the weight, plus the delta added to each
+neighbour's neighbour sum, and the cumulative rows marked dirty), so the
+per-event weight churn of the engine never pays a structural rebuild or an
+O(E) re-summation.  The scalar rows and
 the numpy views copy no weight, so weight churn leaves both valid.
 The sorted-vertex enumeration makes the layout deterministic: the same
 graph state always flattens to byte-identical rows, which the trace
@@ -84,6 +86,7 @@ class CSRLayout:
         "_cum",
         "_population",
         "_neighbour_sums",
+        "_fractional",
         "_scalar_rows",
         "_np_static",
     )
@@ -112,6 +115,9 @@ class CSRLayout:
         self._cum: Optional[array] = None
         self._population: Optional[Population] = None
         self._neighbour_sums: Optional[array] = None
+        #: Rows whose weight is not a whole number: while there is none, a
+        #: weight's delta is added to the neighbour sums exactly.
+        self._fractional = sum(1 for weight in weights if not weight.is_integer())
         self._scalar_rows: Optional[ScalarRows] = None
         self._np_static = None
 
@@ -167,18 +173,39 @@ class CSRLayout:
     # Weights
     # ------------------------------------------------------------------
     def set_weight(self, vertex: Vertex, weight: float, weights_version=None) -> None:
-        """In-place weight update (O(1)); marks the weight-derived rows dirty."""
-        self.weights[self._row_of[vertex]] = float(weight)
+        """In-place weight update, O(degree).
+
+        The cumulative rows are marked dirty.  The neighbour sums, once
+        built, take the weight's delta at each neighbour (the graph is
+        undirected, so those are the rows that list ``vertex``).  Overlay
+        weights are cluster sizes, integer-valued floats whose sums are
+        exact in any order, so the patched row equals a fresh build.  A sum
+        that held a fractional weight may be rounded, so while the old or
+        the new layout has one the sums are dropped for a rebuild instead.
+        """
+        row = self._row_of[vertex]
+        weights = self.weights
+        old, weight = weights[row], float(weight)
+        weights[row] = weight
+        self._fractional += (not weight.is_integer()) - (not old.is_integer())
         self.weights_version = weights_version
         self._cum = None
         self._population = None
-        self._neighbour_sums = None
+        sums = self._neighbour_sums
+        if sums is not None:
+            if self._fractional or not old.is_integer():
+                self._neighbour_sums = None
+            elif weight != old:
+                delta, indices = weight - old, self.indices
+                for neighbour in indices[self.indptr[row] : self.indptr[row + 1]]:
+                    sums[neighbour] += delta
 
     def refresh_weights(self, graph, weights_version=None) -> None:
         """Re-read every weight from ``graph`` (safety net for bulk updates)."""
         weights = self.weights
         for row, vertex in enumerate(self.vertices):
             weights[row] = float(graph.weight(vertex))
+        self._fractional = sum(1 for weight in weights if not weight.is_integer())
         self.weights_version = weights_version
         self._cum = None
         self._population = None
@@ -197,7 +224,7 @@ class CSRLayout:
         return cum
 
     def neighbour_weight_sums(self) -> array:
-        """Per row, the sum of its neighbours' weights (rebuilt lazily after weight churn)."""
+        """Per row, the sum of its neighbours' weights (built lazily, patched by :meth:`set_weight`)."""
         if self._neighbour_sums is None:
             weight_of, indices, indptr = self.weights.__getitem__, self.indices, self.indptr
             rows = zip(indptr, indptr[1:])

@@ -1,8 +1,9 @@
 """The exchange round of trace v3, member by member, kept as a reference.
 
-``ExchangeProtocol.exchange_all`` runs a round as one flat pass over integer
-tables it keeps between rounds.  This module states the same round plainly,
-member by member, from §3.1 and the v3 member order:
+``ExchangeProtocol.exchange_all`` runs the rounds of a sequence of clusters
+as one pass over tables it keeps for the whole pass.  This module states one
+cluster's round plainly, member by member, from §3.1 and the v3 member
+order (a pass is these rounds, one after the other):
 
 * the clustered population is the concatenation of the clusters' slot lists
   in CSR row order (the overlay's sorted vertex order), rebuilt for every
@@ -147,7 +148,7 @@ def reference_exchange_all(state, randcl, rng, cluster_id, ledger, override=None
     if notify_messages:
         ledger.charge(notify_messages, notify_rounds, kind=MessageKind.MEMBERSHIP, label=label)
     report = ExchangeReport(
-        cluster_id=cluster_id,
+        cluster_ids=[cluster_id],
         swap_count=len(swaps),
         partner_clusters=set(partners),
         messages=walk_messages + pick_messages + notify_messages,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from types import SimpleNamespace
 
 import pytest
@@ -258,7 +259,29 @@ def _layout(registry, vertices):
         base.append(total)
         total += len(registry.get(vertex))
         cum.append(total)
-    return SimpleNamespace(vertices=list(vertices), population=lambda: Population(cum, base, total))
+    rows = {vertex: row for row, vertex in enumerate(vertices)}
+    return SimpleNamespace(
+        vertices=list(vertices),
+        row_of=rows.__getitem__,
+        population=lambda: Population(cum, base, total),
+    )
+
+
+class _Recording(list):
+    """A list that logs the indices it is read at."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = []
+
+    def __getitem__(self, row):
+        self.read.append(row)
+        return super().__getitem__(row)
+
+
+def _walks(layout, ends):
+    """A ``walks`` source: round ``cluster_id``'s walks end on the clusters ``ends[cluster_id]``."""
+    return lambda cluster_id, count: [layout.row_of(end) for end in ends[cluster_id]][:count]
 
 
 #: Range sizes on both sides of each power of two, where the ``getrandbits``
@@ -296,25 +319,47 @@ class TestSwaps:
         registry.swap_members(10, 2, 10, 4)  # within one cluster: no change
         assert registry.get(10).members == [4, 2]
 
-    def test_exchange_round_swaps_slot_by_slot(self):
+    def test_pass_swaps_slot_by_slot(self):
         registry = self._registry()
         registry.create_cluster([5, 6], cluster_id=30)
-        table = registry.exchange_round(
-            10, _layout(registry, [10, 20, 30]), [1, 2], None, lambda slots: slots[1]
+        layout = _layout(registry, [10, 20, 30])
+        swaps, pairs, rounds = registry.exchange_pass(
+            [10], layout, None, _walks(layout, {10: [20, 30]}), lambda slots: slots[1]
         )
         assert registry.get(10).members == [4, 6]
         assert registry.get(20).members == [3, 1] and registry.get(30).members == [5, 2]
-        assert table == {
-            1: [20, [3, 1], 2, 2, 2, 1, 0],
-            2: [30, [5, 2], 4, 2, 2, 1, 0],
-        }
+        assert (swaps, pairs, [list(rows) for rows in rounds]) == (2, 4, [[1, 2]])
         assert registry.cluster_of(2) == 30 and registry.cluster_of(6) == 10
 
-    def test_exchange_round_keeps_the_swaps_before_a_refusal(self):
+    def test_pass_exchanges_members_received_in_an_earlier_round(self):
+        """Round 2's cluster swaps out the members round 1 gave it, and the
+        pass's Byzantine moves reach the sink once, netted per cluster."""
+        registry = self._registry()
+        registry.create_cluster([5, 6], cluster_id=30)
+        nodes = {node: True for node in range(1, 7)}
+        moves = []
+        registry.bind_roles(nodes, {1, 5}, moves.append)
+        layout = _layout(registry, [10, 20, 30])
+        ends = {10: [20, 20], 20: [30, 30]}
+        swaps, pairs, rounds = registry.exchange_pass(
+            [10, 20], layout, None, _walks(layout, ends), lambda slots: slots[0]
+        )
+        # Round 1: 1 <-> 3, then 2 <-> 1 (20's first slot now holds 1).
+        # Round 2: 2 <-> 5, then 4 <-> 2 (30's first slot now holds 2).
+        assert registry.get(10).members == [3, 1]
+        assert registry.get(20).members == [5, 2] and registry.get(30).members == [4, 6]
+        assert {node: registry.cluster_of(node) for node in nodes} == {
+            1: 10, 2: 20, 3: 10, 4: 30, 5: 20, 6: 30
+        }
+        assert (swaps, pairs, [list(rows) for rows in rounds]) == (4, 8, [[1], [2]])
+        assert moves == [{20: 1, 30: -1}]
+
+    def test_pass_keeps_the_swaps_before_a_refusal(self):
         registry = self._registry()
         registry.get(10).members[1] = 99  # a slot the node index does not know
+        layout = _layout(registry, [10, 20])
         with pytest.raises(UnknownNodeError, match="99"):
-            registry.exchange_round(10, _layout(registry, [10, 20]), [1, 1], None, lambda s: s[-1])
+            registry.exchange_pass([10], layout, None, _walks(layout, {10: [20, 20]}), lambda s: s[-1])
         assert registry.get(10).members == [4, 99] and registry.get(20).members == [3, 1]
         assert not registry.contains_node(99)
 
@@ -323,8 +368,72 @@ class TestSwaps:
         layout = _layout(registry, [10, 20])
         registry.get(20).members.append(5)  # a slot the layout's weights do not count
         with pytest.raises(ProtocolViolationError, match="overlay weight"):
-            registry.exchange_round(10, layout, [1, 1], random.Random(1).getrandbits)
+            registry.exchange_pass(
+                [10], layout, random.Random(1).getrandbits, _walks(layout, {10: [20, 20]})
+            )
         assert registry.get(10).members == [1, 2] and registry.get(20).members == [3, 4, 5]
+
+    def test_wrong_weight_partner_is_refused_at_its_first_draw_in_a_later_round(self):
+        """A partner is checked when the pass first draws it, not before:
+        round 1's swaps stay made, and round 2 refuses before touching it."""
+        registry = self._registry()
+        registry.create_cluster([5, 6], cluster_id=30)
+        nodes = {node: True for node in range(1, 8)}
+        moves = []
+        registry.bind_roles(nodes, {3}, moves.append)
+        layout = _layout(registry, [10, 20, 30])
+        registry.get(30).members.append(7)  # a slot the layout's weights do not count
+        ends = {10: [20, 20], 20: [30, 30]}
+        with pytest.raises(ProtocolViolationError, match="cluster 30 has 3 members"):
+            registry.exchange_pass([10, 20], layout, None, _walks(layout, ends), lambda s: s[0])
+        assert registry.get(10).members == [3, 1] and registry.get(20).members == [2, 4]
+        assert registry.get(30).members == [5, 6, 7]
+        assert moves == [{20: -1, 10: 1}]
+
+    def test_pass_counts_its_rounds_and_swaps(self):
+        """The diagnostic counters add each pass's rounds and made swaps,
+        a refused pass's too."""
+        registry = self._registry()
+        registry.create_cluster([5, 6], cluster_id=30)
+        layout = _layout(registry, [10, 20, 30])
+        ends = {10: [20, 10], 20: [30, 30], 30: [20, 10]}
+        registry.exchange_pass([10, 20], layout, None, _walks(layout, ends), lambda s: s[0])
+        assert (registry.exchange_round_count, registry.swap_count) == (2, 3)
+        registry.get(10).members[1] = 99  # a slot the node index does not know
+        with pytest.raises(UnknownNodeError, match="99"):
+            registry.exchange_pass([30], layout, None, _walks(layout, ends), lambda s: s[-1])
+        assert (registry.exchange_round_count, registry.swap_count) == (3, 4)
+
+    @pytest.mark.parametrize("oracle", [True, False])
+    def test_partner_is_resolved_once_per_pass(self, oracle):
+        """Both rounds swap with cluster 30; its row is resolved once."""
+        registry = self._registry()
+        registry.create_cluster([5, 6], cluster_id=30)
+        layout = _layout(registry, [10, 20, 30])
+        layout.vertices = _Recording(layout.vertices)
+        if oracle:
+            units = iter([4, 5, 4, 5])  # cluster 30 holds units 4 and 5
+            registry.exchange_pass([10, 20], layout, lambda bits: next(units))
+        else:
+            ends = {10: [30, 30], 20: [30, 30]}
+            registry.exchange_pass([10, 20], layout, None, _walks(layout, ends), lambda s: s[0])
+        assert layout.vertices.read == [2]
+        assert registry.get(30).members == ([3, 4] if oracle else [4, 6])
+
+    def test_join_sized_pass_touches_only_the_rows_it_draws(self):
+        """One round at many clusters resolves only the partner rows its
+        draws name: no per-row work over the rest of the layout."""
+        registry = ClusterRegistry()
+        for cluster_id in range(2000):
+            registry.create_cluster([2 * cluster_id, 2 * cluster_id + 1], cluster_id=cluster_id)
+        layout = _layout(registry, range(2000))
+        layout.vertices = _Recording(layout.vertices)
+        cum, _, total = layout.population()
+        twin = random.Random(4)
+        drawn = {bisect_right(cum, twin.randrange(total)) for _ in range(2)} - {0}
+        swaps, _, rounds = registry.exchange_pass([0], layout, random.Random(4).getrandbits)
+        assert sorted(layout.vertices.read) == sorted(drawn) == sorted(rounds[0])
+        assert swaps == len(drawn)
 
     @pytest.mark.parametrize("size", DRAW_SIZES)
     def test_oracle_draw_names_the_partner_and_its_member(self, size):
@@ -340,7 +449,7 @@ class TestSwaps:
             expected = registry.get(1).members[:]
             unit = twin.randrange(size + 1)
             outgoing = registry.get(0).members[0]
-            registry.exchange_round(0, layout, stream.getrandbits, None)
+            registry.exchange_pass([0], layout, stream.getrandbits)
             stays = unit == 0
             assert registry.get(0).members[0] == (outgoing if stays else expected[unit - 1])
         assert stream.getstate() == twin.getstate()
@@ -357,7 +466,7 @@ class TestSwaps:
         stream, twin = random.Random(size), random.Random(size)
         for _ in range(200):
             expected = registry.get(1).members[twin.randrange(size)]
-            registry.exchange_round(0, layout, [1], stream.getrandbits)
+            registry.exchange_pass([0], layout, stream.getrandbits, _walks(layout, {0: [1]}))
             assert registry.get(0).members == [expected]
         assert stream.getstate() == twin.getstate()
 

@@ -151,7 +151,7 @@ class TestExchange:
         target = state.clusters.cluster_ids()[0]
         sizes_before = state.clusters.sizes()
         total_before = state.clusters.total_nodes()
-        report = exchange.exchange_all(target)
+        report = exchange.exchange_all([target])
         assert state.clusters.total_nodes() == total_before
         assert state.clusters.sizes() == sizes_before
         assert report.messages > 0
@@ -166,7 +166,7 @@ class TestExchange:
         randcl = RandCl(state, walk_mode=WalkMode.ORACLE)
         exchange = ExchangeProtocol(state, randcl)
         target = state.clusters.cluster_ids()[0]
-        report = exchange.exchange_all(target)
+        report = exchange.exchange_all([target])
         assert report.swap_count <= 6
         assert all(partner in state.clusters for partner in report.partner_clusters)
         assert state.clusters.get(target).exchanges_performed == 1
@@ -183,7 +183,7 @@ class TestExchange:
         state = build_state(cluster_sizes=(8, 8, 8, 8, 8))
         exchange = ExchangeProtocol(state, RandCl(state, walk_mode=walk_mode))
         ledger = CountingLedger()
-        report = exchange.exchange_all(state.clusters.cluster_ids()[0], metrics=ledger)
+        report = exchange.exchange_all([state.clusters.cluster_ids()[0]], metrics=ledger)
         assert report.swap_count > 1
         assert ledger.calls == 3  # walks, randNum picks, neighbour notification
         assert (ledger.messages, ledger.rounds) == (report.messages, report.rounds)
@@ -206,7 +206,7 @@ class TestExchange:
             assert state.cluster_byzantine_fraction(target) == 1.0
             randcl = RandCl(state, walk_mode=WalkMode.ORACLE)
             exchange = ExchangeProtocol(state, randcl)
-            exchange.exchange_all(target)
+            exchange.exchange_all([target])
             fractions.append(state.cluster_byzantine_fraction(target))
         average = sum(fractions) / len(fractions)
         assert average < 0.65  # down from 1.0 towards the global corruption level

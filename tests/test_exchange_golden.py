@@ -1,4 +1,4 @@
-"""Golden values of the exchange round, in both walk modes.
+"""Golden values of the exchange pass, in both walk modes.
 
 One schedule drives a bootstrapped engine through growth, shrinkage and
 splits: 700 events from ``random.Random(9)`` on a 200-node start, a join
@@ -7,13 +7,13 @@ that, otherwise the departure of a random member.  Every one of its ~95 000
 member swaps goes through ``ExchangeProtocol.exchange_all``.  The tests pin,
 per walk mode, the final state hash, a digest of the per-event
 ``(messages, rounds, walk_hops, exchanged_nodes)`` tuples and a digest of the
-cost ledgers; any rewrite of the round must reproduce them bit for bit.  The
+cost ledgers; any rewrite of the pass must reproduce them bit for bit.  The
 structural invariants hold after every event of the schedule.
 
 The same run checks that every message the ledger books is in an operation
 report, the ``randCl`` walks OVER runs to choose the edges of a split's new
 cluster (or a merge's replacement edges) included.  A test pins how an
-exchange round draws oracle walks (``RandCl.round_partners``): lazily, as a
+exchange pass draws oracle walks (``RandCl.oracle_walks``): lazily, as a
 ``select`` would.  A last one resumes an oracle-walk checkpoint onto the
 straight run's hash.
 """
@@ -120,13 +120,13 @@ def test_every_ledger_message_reaches_the_report(golden_run):
 
 
 def test_oracle_walks_draw_only_when_pulled():
-    """``round_partners`` draws nothing; each partner of the round is then
+    """``oracle_walks`` draws nothing; each partner of the pass is then
     one ``randrange(n)`` over the population's units, the draw a ``select``
     makes, so the two name the same cluster from the same stream state."""
     engine = _bootstrap("oracle")
     twin = NowEngine.restore(engine.capture_snapshot())
     start = engine.state.clusters.cluster_ids()[0]
-    partners, layout, _ = RandCl(engine.state).round_partners(start, 10)
+    partners, layout, _ = RandCl(engine.state).oracle_walks(start)
     assert engine.state.rng.getstate() == twin.state.rng.getstate()
     cum, _, total = layout.population()
     assert total == engine.state.network_size

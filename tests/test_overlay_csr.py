@@ -13,8 +13,9 @@ carry the whole contract:
   arbitrary interleavings).
 
 Weight updates must additionally be *in place*: the snapshot object
-survives ``set_weight`` (only its cumulative and neighbour-sum rows are
-re-derived, and the scalar hop loops' Python rows are kept), while any
+survives ``set_weight`` (only its cumulative rows are re-derived, its
+neighbour sums are patched by the weight's delta while every weight is
+whole, and the scalar hop loops' Python rows are kept), while any
 structural mutation discards it wholesale.
 """
 
@@ -145,14 +146,36 @@ class TestSnapshotLifecycle:
         assert list(snapshot.cum_weights()) != old_cum  # cumulative row re-derived
         assert_csr_matches_fresh_build(graph)
 
-    def test_set_weight_drops_neighbour_sums(self):
+    def test_set_weight_patches_neighbour_sums(self):
+        """A whole-number weight change is added to the built neighbour sums
+        in place (no O(E) rebuild), and they stay equal to a fresh build."""
         graph = seeded_overlay()
         snapshot = graph.csr()
+        sums = snapshot.neighbour_weight_sums()
         neighbour = graph.neighbours(2)[0]
-        before = snapshot.neighbour_weight_sums()[snapshot.row_of(neighbour)]
+        before = sums[snapshot.row_of(neighbour)]
         graph.set_weight(2, graph.weight(2) + 5.0)
         assert graph.csr() is snapshot
-        assert snapshot.neighbour_weight_sums()[snapshot.row_of(neighbour)] == before + 5.0
+        assert snapshot.neighbour_weight_sums() is sums
+        assert sums[snapshot.row_of(neighbour)] == before + 5.0
+        assert_csr_matches_fresh_build(graph)
+
+    def test_fractional_weight_drops_neighbour_sums(self):
+        """While some weight is fractional a patch could round differently
+        from a fresh sum, so the sums are rebuilt instead; back to whole
+        weights, patching resumes."""
+        graph = seeded_overlay()
+        snapshot = graph.csr()
+        sums = snapshot.neighbour_weight_sums()
+        graph.set_weight(2, 2.5)
+        rebuilt = snapshot.neighbour_weight_sums()
+        assert rebuilt is not sums
+        assert_csr_matches_fresh_build(graph)
+        graph.set_weight(2, 3.0)
+        assert snapshot.neighbour_weight_sums() is not rebuilt
+        patched = snapshot.neighbour_weight_sums()
+        graph.set_weight(2, 7.0)
+        assert snapshot.neighbour_weight_sums() is patched
         assert_csr_matches_fresh_build(graph)
 
     def test_scalar_rows_follow_the_layout(self):
@@ -289,6 +312,14 @@ class CSRConsistencyMachine(RuleBasedStateMachine):
         vertices = self.graph.vertices()
         if vertices:
             self.graph.set_weight(vertices[pick % len(vertices)], weight)
+
+    @rule(pick=st.integers(0, 63), size=st.integers(0, 200))
+    def set_size_weight(self, pick, size):
+        # A cluster size, as the engine sets it: the neighbour sums are
+        # patched in place whenever every weight is whole.
+        vertices = self.graph.vertices()
+        if vertices:
+            self.graph.set_weight(vertices[pick % len(vertices)], float(size))
 
     @rule()
     def materialise_snapshot(self):

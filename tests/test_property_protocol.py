@@ -68,7 +68,7 @@ def test_exchange_preserves_node_multiset(seed, cluster_count, cluster_size):
     randcl = RandCl(state, walk_mode=WalkMode.ORACLE)
     exchange = ExchangeProtocol(state, randcl)
     for cluster_id in cluster_ids:
-        exchange.exchange_all(cluster_id)
+        exchange.exchange_all([cluster_id])
 
     # Exchange moves nodes around but never creates, destroys or duplicates them.
     nodes_after = set()
