@@ -26,6 +26,14 @@ traded with it) and the swaps per round (``swaps_per_round``), so a change
 to the exchange pass can be read as per-round overhead against per-swap
 work, and its scaling in ``N`` checked.
 
+And ``bootstrap_curve``: the wall time of ``NowEngine.bootstrap`` (model
+discovery) at each initial population in ``BOOTSTRAP_SIZES``, the median of
+``BOOTSTRAP_REPEATS`` runs (``bootstrap_ms``).  Beside it,
+``diameter_ms`` times ``KnowledgeGraph.honest_adjacent_diameter`` alone on
+the knowledge graph the same bootstrap draws (the model's discovery rounds,
+computed for n0 <= 600), outside the timed bootstrap, and
+``diameter_share`` is the ratio of the two.
+
 It also verifies the incremental-accounting contract behind the rate: the
 node and cluster registries count every full population sweep
 (``full_scan_count``), and a churn event must complete with (far) fewer than
@@ -45,16 +53,19 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
+import statistics
 import time
 
 import pytest
 
-from repro import EngineConfig
+from repro import EngineConfig, NowEngine
+from repro.core.initialization import NowInitializer
 from repro.scenarios import CallbackProbe, SimulationRunner
 from repro.walks.sampler import WalkMode
 from repro.workloads import UniformChurn
 
-from common import fresh_rng, run_once, scenario_for
+from common import fresh_rng, run_once, scaled_parameters, scenario_for
 
 MAX_SIZE = 4096
 INITIAL = 300
@@ -79,6 +90,11 @@ CURVE_SIZES = (2**10, 2**12, 2**14)
 CURVE_MAX_SIZE = 2**16
 CURVE_WARMUP = 50
 CURVE_EVENTS = 400
+#: The bootstrap curve: initial populations (at ``MAX_SIZE``), the seed, and
+#: the runs each median is taken over.
+BOOTSTRAP_SIZES = (150, 300, 600)
+BOOTSTRAP_SEED = 47
+BOOTSTRAP_REPEATS = 5
 
 RESULT_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_throughput.json")
 
@@ -103,6 +119,37 @@ def oracle_curve_point(initial_size: int) -> dict:
         "us_per_event": 1e6 * result.elapsed_seconds / max(1, result.events),
         "rounds_per_event": rounds / max(1, result.events),
         "swaps_per_round": swaps / max(1, rounds),
+    }
+
+
+def _median_ms(call) -> float:
+    times = []
+    for _ in range(BOOTSTRAP_REPEATS):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return 1e3 * statistics.median(times)
+
+
+def bootstrap_curve_point(initial_size: int) -> dict:
+    """One row of ``bootstrap_curve``: a model-discovery bootstrap at ``initial_size`` nodes."""
+    params = scaled_parameters(MAX_SIZE, tau=TAU)
+    bootstrap_ms = _median_ms(
+        lambda: NowEngine.bootstrap(params, initial_size, seed=BOOTSTRAP_SEED)
+    )
+    # The knowledge graph bootstrap draws first, from the same seed.
+    initializer = NowInitializer(params, random.Random(BOOTSTRAP_SEED))
+    registry = initializer.create_population(initial_size)
+    byzantine = registry.active_byzantine()
+    knowledge = initializer._build_bootstrap_graph(registry.active_nodes(), byzantine)
+    honest = set(registry.active_nodes()) - byzantine
+    diameter_ms = _median_ms(lambda: knowledge.honest_adjacent_diameter(honest))
+    return {
+        "n": initial_size,
+        "discovery_rounds": knowledge.honest_adjacent_diameter(honest),
+        "bootstrap_ms": bootstrap_ms,
+        "diameter_ms": diameter_ms,
+        "diameter_share": diameter_ms / bootstrap_ms,
     }
 
 
@@ -171,6 +218,12 @@ def run_experiment(steps: int = STEPS, walk_steps: int = WALK_STEPS):
             "warmup_events": CURVE_WARMUP,
             "points": [oracle_curve_point(size) for size in CURVE_SIZES],
         },
+        "bootstrap_curve": {
+            "max_size": MAX_SIZE,
+            "seed": BOOTSTRAP_SEED,
+            "repeats": BOOTSTRAP_REPEATS,
+            "points": [bootstrap_curve_point(size) for size in BOOTSTRAP_SIZES],
+        },
         "measured_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
 
@@ -218,6 +271,11 @@ def test_engine_throughput(benchmark):
             f"  oracle curve N={point['n']}: {point['us_per_event']:.0f} us/event, "
             f"{point['rounds_per_event']:.1f} rounds/event, {point['swaps_per_round']:.1f} swaps/round"
         )
+    for point in result["bootstrap_curve"]["points"]:
+        print(
+            f"  bootstrap curve n0={point['n']}: {point['bootstrap_ms']:.1f} ms, "
+            f"diameter {point['diameter_ms']:.2f} ms ({100 * point['diameter_share']:.1f} %)"
+        )
     save_result(result)
 
     assert result["events"] > 0
@@ -228,6 +286,9 @@ def test_engine_throughput(benchmark):
     # Every curve point ran events with exchange rounds in them.
     for point in result["oracle_curve"]["points"]:
         assert point["events"] > 0 and point["rounds_per_event"] > 0
+    # Every bootstrap point ran the model's diameter (n0 <= 600).
+    for point in result["bootstrap_curve"]["points"]:
+        assert point["bootstrap_ms"] > 0 and point["discovery_rounds"] > 0
     # The original tentpole claim: at least 2x fewer full-population scans per
     # event than the pre-incremental engine (which needed >= 3 per event).
     assert result["scans_per_event"] <= LEGACY_SCANS_PER_EVENT / 2.0

@@ -10,7 +10,8 @@ adjacent to at least one honest node) bounds the discovery round complexity.
 
 from __future__ import annotations
 
-from collections import deque
+from functools import reduce
+from operator import or_
 from typing import Dict, Set
 
 from ..errors import UnknownNodeError
@@ -63,32 +64,26 @@ class KnowledgeGraph:
 
         This is the quantity bounding the discovery algorithm's round
         complexity in the paper.  Returns 0 for graphs with fewer than two
-        nodes; unreachable pairs contribute ``len(graph)`` (a safe upper
-        bound) so disconnected inputs are visible to callers.
+        nodes, and ``len(graph)`` (a safe upper bound) for a disconnected one.
+        Computed by ball growth over int bitsets: each node's ball starts as
+        its own bit and each level ORs in its usable neighbours' balls, so
+        the first level with every ball full is the diameter, and a level
+        that changes nothing first means a disconnected graph.  O(D * E)
+        n-bit ORs for diameter D, in place of one BFS per node.
         """
-        nodes = list(self._adjacency)
-        if len(nodes) < 2:
+        adjacency = self._adjacency
+        size = len(adjacency)
+        if size < 2:
             return 0
-        worst = 0
-        for start in nodes:
-            distances = self._bfs_honest_adjacent(start, honest)
-            for node in nodes:
-                if node == start:
-                    continue
-                worst = max(worst, distances.get(node, len(nodes)))
-        return worst
-
-    # ------------------------------------------------------------------
-    # Internal helpers
-    # ------------------------------------------------------------------
-    def _bfs_honest_adjacent(self, start: NodeId, honest: Set[NodeId]) -> Dict[NodeId, int]:
-        distances: Dict[NodeId, int] = {start: 0}
-        queue = deque([start])
-        while queue:
-            current = queue.popleft()
-            for neighbour in self._adjacency[current]:
-                usable = current in honest or neighbour in honest
-                if usable and neighbour not in distances:
-                    distances[neighbour] = distances[current] + 1
-                    queue.append(neighbour)
-        return distances
+        index = {node: position for position, node in enumerate(adjacency)}
+        rows = [
+            [index[other] for other in neighbours if node in honest or other in honest]
+            for node, neighbours in adjacency.items()
+        ]
+        full, balls, level = (1 << size) - 1, [1 << position for position in range(size)], 0
+        while balls.count(full) < size:
+            grown = [reduce(or_, map(balls.__getitem__, row), ball) for ball, row in zip(balls, rows)]
+            if grown == balls:
+                return size
+            balls, level = grown, level + 1
+        return level

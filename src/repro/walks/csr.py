@@ -8,15 +8,14 @@ enumeration, augmented with the derived rows every hop reads:
 
 * ``inv_degree`` — cached degree reciprocals, so an ``Exp(d)`` holding time
   is one multiply of a unit exponential (``Exp(d) = Exp(1) / d``);
-* ``weights`` and a lazily rebuilt cumulative-weight row, backing both the
+* ``weights`` and a lazily built cumulative-weight row, backing both the
   biased walk's acceptance test and the stationary-law draw
   :meth:`CSRLayout.sample_row`;
-* a lazily rebuilt integer form of the weights (:meth:`CSRLayout.population`),
+* a lazily built integer form of the weights (:meth:`CSRLayout.population`),
   from which ``randCl`` and the exchange round make their oracle draws: one
   uniform integer names a row and a unit of its weight;
-* a neighbour-weight-sum row, built lazily and then kept current by
-  :meth:`CSRLayout.set_weight`, from which the engine prices a membership
-  notice to a cluster's neighbours in O(1).
+* a lazily built neighbour-weight-sum row, from which the engine prices a
+  membership notice to a cluster's neighbours in O(1).
 
 Rows are *row indices*, not vertex ids: ``indices`` stores the neighbour's
 row so a hop never leaves integer-array space; :attr:`CSRLayout.vertices`
@@ -31,10 +30,10 @@ Invalidation contract (see ``docs/ARCHITECTURE.md``): a layout is a
 snapshot keyed on the owning graph's mutation counters.  Structural
 mutations (vertex/edge add/remove) discard it wholesale — the next walk
 rebuilds in O(V + E).  Weight mutations are applied *in place* through
-:meth:`set_weight` (O(degree): the weight, plus the delta added to each
-neighbour's neighbour sum, and the cumulative rows marked dirty), so the
-per-event weight churn of the engine never pays a structural rebuild or an
-O(E) re-summation.  The scalar rows and
+:meth:`set_weight` (the weight, plus its delta added to each neighbour's
+neighbour sum and to the cumulative rows from its own row on), so the
+per-event weight churn of the engine never pays a structural rebuild, an
+O(E) re-summation or a rebuild of the cumulative rows.  The scalar rows and
 the numpy views copy no weight, so weight churn leaves both valid.
 The sorted-vertex enumeration makes the layout deterministic: the same
 graph state always flattens to byte-identical rows, which the trace
@@ -173,15 +172,16 @@ class CSRLayout:
     # Weights
     # ------------------------------------------------------------------
     def set_weight(self, vertex: Vertex, weight: float, weights_version=None) -> None:
-        """In-place weight update, O(degree).
+        """In-place weight update: O(degree), plus O(rows after it) per built cumulative row.
 
-        The cumulative rows are marked dirty.  The neighbour sums, once
-        built, take the weight's delta at each neighbour (the graph is
-        undirected, so those are the rows that list ``vertex``).  Overlay
-        weights are cluster sizes, integer-valued floats whose sums are
-        exact in any order, so the patched row equals a fresh build.  A sum
-        that held a fractional weight may be rounded, so while the old or
-        the new layout has one the sums are dropped for a rebuild instead.
+        Overlay weights are cluster sizes, integer-valued floats whose sums
+        are exact in any order, so each built derived row takes the weight's
+        delta and equals a fresh build: the neighbour sums at each neighbour
+        (the rows that list ``vertex``), :meth:`cum_weights` and
+        :meth:`population` (its lists in place: keep none across a weight
+        change) from this row on.  While either layout has a fractional
+        weight, which a sum may round and a population refuses, they are all
+        dropped for a rebuild instead.
         """
         row = self._row_of[vertex]
         weights = self.weights
@@ -189,16 +189,23 @@ class CSRLayout:
         weights[row] = weight
         self._fractional += (not weight.is_integer()) - (not old.is_integer())
         self.weights_version = weights_version
-        self._cum = None
-        self._population = None
-        sums = self._neighbour_sums
-        if sums is not None:
-            if self._fractional or not old.is_integer():
-                self._neighbour_sums = None
-            elif weight != old:
+        if self._fractional or not old.is_integer():
+            self._cum = self._population = self._neighbour_sums = None
+        elif weight != old:
+            sums, cum, population = self._neighbour_sums, self._cum, self._population
+            if sums is not None:
                 delta, indices = weight - old, self.indices
                 for neighbour in indices[self.indptr[row] : self.indptr[row + 1]]:
                     sums[neighbour] += delta
+            if cum is not None:
+                shift = (weight if weight > 0.0 else 0.0) - (old if old > 0.0 else 0.0)
+                cum[row:] = array("d", map(shift.__add__, cum[row:]))
+            if population is not None:
+                units = (int(weight) if weight > 0.0 else 0) - (int(old) if old > 0.0 else 0)
+                cum, base, total = population
+                cum[row:] = map(units.__add__, cum[row:])
+                base[row + 1 :] = map(units.__add__, base[row + 1 :])
+                self._population = Population(cum, base, total + units)
 
     def refresh_weights(self, graph, weights_version=None) -> None:
         """Re-read every weight from ``graph`` (safety net for bulk updates)."""
@@ -207,12 +214,10 @@ class CSRLayout:
             weights[row] = float(graph.weight(vertex))
         self._fractional = sum(1 for weight in weights if not weight.is_integer())
         self.weights_version = weights_version
-        self._cum = None
-        self._population = None
-        self._neighbour_sums = None
+        self._cum = self._population = self._neighbour_sums = None
 
     def cum_weights(self) -> array:
-        """Cumulative ``max(0, weight)`` row (rebuilt lazily after weight churn)."""
+        """Cumulative ``max(0, weight)`` row (built lazily, patched by :meth:`set_weight`)."""
         cum = self._cum
         if cum is None:
             cum = array("d")
@@ -232,7 +237,7 @@ class CSRLayout:
         return self._neighbour_sums
 
     def population(self) -> Population:
-        """The weights as integer units (rebuilt lazily after weight churn).
+        """The weights as integer units (built lazily, patched by :meth:`set_weight`).
 
         A non-positive weight is zero units; a fractional one is refused
         with :class:`~repro.errors.WalkError`, since a unit must be whole.

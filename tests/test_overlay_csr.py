@@ -13,10 +13,10 @@ carry the whole contract:
   arbitrary interleavings).
 
 Weight updates must additionally be *in place*: the snapshot object
-survives ``set_weight`` (only its cumulative rows are re-derived, its
-neighbour sums are patched by the weight's delta while every weight is
-whole, and the scalar hop loops' Python rows are kept), while any
-structural mutation discards it wholesale.
+survives ``set_weight`` (its neighbour sums and its cumulative rows, float
+and integer, are patched by the weight's delta while every weight is whole,
+and the scalar hop loops' Python rows are kept), while any structural
+mutation discards it wholesale.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ def assert_csr_matches_fresh_build(graph: OverlayGraph) -> None:
     assert list(maintained.weights) == list(fresh.weights)
     assert list(maintained.cum_weights()) == list(fresh.cum_weights())
     assert list(maintained.neighbour_weight_sums()) == list(fresh.neighbour_weight_sums())
+    assert_population_matches(maintained, fresh)
     assert_scalar_rows_match(maintained)
     for vertex in graph.vertices():
         row = maintained.row_of(vertex)
@@ -56,6 +57,18 @@ def assert_csr_matches_fresh_build(graph: OverlayGraph) -> None:
         assert maintained.neighbour_weight_sums()[maintained.row_of(vertex)] == pytest.approx(
             sum(graph.weight(neighbour) for neighbour in graph.neighbours(vertex))
         )
+
+
+def assert_population_matches(maintained: CSRLayout, fresh: CSRLayout) -> None:
+    """The maintained integer units equal a fresh build's, or both refuse a
+    fractional weight."""
+    if all(weight.is_integer() or weight <= 0.0 for weight in fresh.weights):
+        assert maintained.population() == fresh.population()
+    else:
+        with pytest.raises(WalkError, match="whole number"):
+            fresh.population()
+        with pytest.raises(WalkError, match="whole number"):
+            maintained.population()
 
 
 def assert_scalar_rows_match(layout: CSRLayout) -> None:
@@ -158,6 +171,28 @@ class TestSnapshotLifecycle:
         assert graph.csr() is snapshot
         assert snapshot.neighbour_weight_sums() is sums
         assert sums[snapshot.row_of(neighbour)] == before + 5.0
+        assert_csr_matches_fresh_build(graph)
+
+    def test_set_weight_patches_the_cumulative_rows(self):
+        """A whole-number weight change shifts the built cumulative rows from
+        its own row on, in place: the population keeps its lists, and both
+        rows stay equal to a fresh build."""
+        graph = seeded_overlay()
+        snapshot = graph.csr()
+        cum, population = snapshot.cum_weights(), snapshot.population()
+        row = snapshot.row_of(2)
+        graph.set_weight(2, graph.weight(2) + 5.0)
+        assert snapshot.cum_weights() is cum
+        patched = snapshot.population()
+        assert patched.cum is population.cum and patched.base is population.base
+        assert patched.total == population.total + 5
+        assert patched.cum[row] - patched.base[row] == int(graph.weight(2))
+        assert_csr_matches_fresh_build(graph)
+        graph.set_weight(2, 2.5)  # fractional: dropped, and the rebuild refuses it
+        with pytest.raises(WalkError, match="whole number"):
+            snapshot.population()
+        graph.set_weight(2, 0.0)
+        assert snapshot.population() is not patched
         assert_csr_matches_fresh_build(graph)
 
     def test_fractional_weight_drops_neighbour_sums(self):
