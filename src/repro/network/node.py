@@ -45,16 +45,22 @@ class NodeDescriptor:
     left_at: Optional[int] = None
     attributes: Dict[str, Any] = field(default_factory=dict)
 
+    #: Set per descriptor by :meth:`attach_lifecycle_listener`.
+    _lifecycle_listener = None
+
     def __setattr__(self, name: str, value: Any) -> None:
         # Role and liveness changes feed the registry's incremental counters.
         # A plain attribute write (``descriptor.role = ...``) must reach the
         # listener too, so the hook lives here rather than in setter methods.
-        old = getattr(self, name, None)
+        # Every other write (all of ``__init__``'s) is a plain one.
+        listener = self._lifecycle_listener
+        if listener is None or name not in ("role", "state"):
+            object.__setattr__(self, name, value)
+            return
+        old = getattr(self, name)
         object.__setattr__(self, name, value)
-        if name in ("role", "state") and old is not value:
-            listener = getattr(self, "_lifecycle_listener", None)
-            if listener is not None:
-                listener(self, name, old, value)
+        if old is not value:
+            listener(self, name, old, value)
 
     def attach_lifecycle_listener(self, listener) -> None:
         """Register ``listener(descriptor, field, old, new)`` for role/state changes."""

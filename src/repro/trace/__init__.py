@@ -19,9 +19,13 @@ machine-checkable execution:
   reach the engine(s): the single engine, or the shard coordinator.  The
   live service records through it and replay re-drives it, so a replayed
   trace certifies the code the service ran;
-* :mod:`repro.trace.replay` — ``ReplayEngine`` re-drives a recorded trace
-  and asserts state-hash agreement at every index frame; ``trace_diff``
-  pinpoints the first diverging event between two runs;
+* :mod:`repro.trace.replay` — ``TraceVerifier``, the one check of a
+  re-executed run against its recorded frames (every event frame, every
+  index and end hash; the first divergence raises
+  ``TraceDivergenceError``), fed by ``ReplayEngine``, which re-applies a
+  recorded trace through a rebuilt backend, and by
+  ``checkpoint_from_trace``; ``trace_diff`` pinpoints the first diverging
+  event between two runs;
 * :mod:`repro.trace.hashing` — the canonical state fingerprint both of the
   above compare;
 * :mod:`repro.trace.session` — ``open_driver``, the one place a batch
@@ -31,7 +35,8 @@ machine-checkable execution:
   callers (the single-engine runner, the shard coordinator, the live
   session); and ``record_scenario`` / ``resume_from_checkpoint`` / ``checkpoint_from_trace``,
   the functions behind the CLI's ``run-scenario --record``, ``resume`` and
-  ``replay --to-step N --checkpoint``.
+  ``replay --to-step N --checkpoint`` (the last re-drives the scenario with
+  the ``TraceVerifier`` in its recorder's seat).
 
 The determinism contract this relies on (every RNG-visible enumeration in
 the engine stack is canonically ordered) is documented in
@@ -57,7 +62,8 @@ from .replay import (
     ReplayEngine,
     ReplayReport,
     TraceDiff,
-    check_event_frame,
+    TraceDivergenceError,
+    TraceVerifier,
     replay_trace,
     trace_diff,
 )
@@ -65,7 +71,6 @@ from .session import (
     Recorder,
     SessionResult,
     TraceCheckpointResult,
-    TraceDivergenceError,
     checkpoint_from_trace,
     open_driver,
     record_scenario,
@@ -86,9 +91,9 @@ __all__ = [
     "TraceDiff",
     "TraceDivergenceError",
     "TraceReader",
+    "TraceVerifier",
     "TraceWriter",
     "canonical_json",
-    "check_event_frame",
     "checkpoint_from_trace",
     "churn_event_from_frame",
     "digest",

@@ -1,22 +1,27 @@
-"""Replay a recorded trace and pinpoint divergence between runs.
+"""Verify a re-executed run against its recorded trace; diff two traces.
 
-:class:`ReplayEngine` rebuilds the backend that recorded the trace — a
-single engine, or the shard coordinator of a ``serve --shards`` session or a
-``run-scenario --shards`` run — from the header's scenario (bootstrap from
-the recorded seed is deterministic) and re-applies every recorded event
-through the same :mod:`repro.trace.backend` seam the recording ran.  (A
-sharded run's barriers depend on the admitted event count alone, so the
-idle steps a batch trace does not record are not needed to re-derive them.)
-Determinism is verified at two granularities:
+:class:`TraceVerifier` is the one trace verifier.  It sits in a recorder's
+seat (``due(pending)`` / ``window(records)``): every record of a collected
+window must reproduce the next recorded event frame, field for field, and
+every index or end frame a window ends on must carry the re-executed run's
+state hash (the composite hash for a sharded run, which certifies the whole
+state — partition, roles, overlay, RNG position — not just the observables)
+and counts.  The first disagreement is kept as a ``{step, reason, recorded,
+replayed}`` record and raised as :class:`TraceDivergenceError`, so nothing
+past it is verified.  Two ways of re-executing a trace feed it:
 
-* **per event** — the replayed step's observables (network size, cluster
-  count, worst corruption fraction, assigned node id, operation cost) must
-  equal the recorded ones, so the *first diverging event* is identified
-  exactly;
-* **per index frame** — the full :func:`~repro.trace.hashing.state_hash`
-  (the composite hash for a sharded trace) must match, which certifies the
-  entire state (partition, roles, overlay, RNG position), not just the
-  observables.
+* :class:`ReplayEngine` (``replay``) rebuilds the backend that recorded the
+  trace — a single engine, or the shard coordinator of a ``serve --shards``
+  session or a ``run-scenario --shards`` run — from the header's scenario
+  (bootstrap from the recorded seed is deterministic) and re-applies the
+  recorded events through the same :mod:`repro.trace.backend` seam the
+  recording ran, in windows cut at the verifier's next recorded hash.  A
+  backend numbers events by admission, so the step index ``i`` is taken as
+  recorded: a batch trace's idle steps are not recorded, and a sharded
+  run's barriers depend on the admitted event count alone.
+* :func:`~repro.trace.session.checkpoint_from_trace` (``replay --to-step``)
+  re-drives the scenario from its seed through the driver that recorded
+  it, so the generated events and their step indices are checked too.
 
 :func:`trace_diff` compares two trace files frame by frame — the tool for
 "these two runs should have been identical; where did they part ways?".
@@ -24,17 +29,29 @@ Determinism is verified at two granularities:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from itertools import islice, takewhile
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..scenarios.bus import StepRecord
 from .backend import open_backend
 from .log import TraceReader, churn_event_from_frame, event_frame_from_record
 
-#: Event-frame observables checked during replay, frame key -> description.
-_EVENT_CHECKS = {
+#: Recorded events re-applied per backend window (recorded hashes cut it short).
+REPLAY_WINDOW = 64
+
+#: What each frame field records, as divergence reasons name it (``h`` is an
+#: event's walk hops, but an index or end frame's state hash).
+_FIELD_NAMES = {
+    "i": "step",
     "ts": "time step",
+    "ev": "event count",
+    "k": "event kind",
+    "r": "role",
+    "n": "event node",
+    "c": "contact cluster",
     "a": "assigned node id",
     "sz": "network size",
     "cl": "cluster count",
@@ -44,31 +61,121 @@ _EVENT_CHECKS = {
     "h": "walk hops",
 }
 
-#: Recorded events re-applied per backend window (index frames cut it short).
-REPLAY_WINDOW = 64
 
+def frame_mismatch(first: Dict[str, Any], second: Dict[str, Any]) -> Optional[Tuple[str, Any, Any]]:
+    """The first field two frames disagree on: its name and both values.
 
-def check_event_frame(frame: Dict[str, Any], record: StepRecord) -> Optional[Dict[str, Any]]:
-    """Compare a replayed step's observables against its recorded frame.
-
-    Returns a divergence record (step, reason, recorded, replayed) for the
-    first mismatching observable, or ``None`` when the step verified.  The
-    replayed view is built by the same record -> frame mapping the writer
-    used, so the comparison cannot drift from the recorded encoding.
+    ``None`` when the frames are equal.  Fields are taken in ``second``'s
+    order, then any only ``first`` carries.
     """
-    replayed = event_frame_from_record(record)
-    for key, description in _EVENT_CHECKS.items():
-        if key in frame and frame[key] != replayed[key]:
-            return {
-                "step": frame.get("i"),
-                "reason": (
-                    f"{description} mismatch: recorded {frame[key]!r}, "
-                    f"replayed {replayed[key]!r}"
-                ),
-                "recorded": frame,
-                "replayed": replayed,
-            }
-    return None
+    if first == second:
+        return None
+    key = next(key for key in {**second, **first} if first.get(key) != second.get(key))
+    if key == "h" and first.get("t") != "ev":
+        return "state hash", first.get(key), second.get(key)
+    return _FIELD_NAMES.get(key, f"field {key!r}"), first.get(key), second.get(key)
+
+
+class TraceDivergenceError(ConfigurationError):
+    """A re-executed run did not match its recorded trace.
+
+    ``divergence`` is the first disagreement as a ``{step, reason, recorded,
+    replayed}`` record.  A subclass of :class:`ConfigurationError` that
+    callers (the CLI) tell apart from a usage problem: a divergence exits 1,
+    like ``replay``, not 2.
+    """
+
+    def __init__(self, divergence: Dict[str, Any]) -> None:
+        self.divergence = divergence
+        super().__init__(
+            f"trace diverged from the re-executed run at step {divergence['step']}: "
+            f"{divergence['reason']}"
+        )
+
+
+class TraceVerifier:
+    """Holds a re-executed run to its recorded frames, from the recorder's seat.
+
+    ``frames`` are the recorded event, index and end frames the run must
+    reproduce, in file order; ``engine`` is what gets hashed (a backend, or
+    a driver's engine).  ``driver`` is given when the run re-derives its step
+    indices (a runner or shard coordinator re-driving the scenario): index
+    frames are then held to its ``total_steps`` and event frames to the
+    records' steps.  Without it the step index is taken as recorded.
+
+    An index or end frame must sit where a window ended — inside one no hash
+    exists, so it is a divergence there, not a check to skip quietly.
+    """
+
+    def __init__(self, frames: Sequence[Dict[str, Any]], engine, driver=None) -> None:
+        self.pending = deque(frames)
+        self._engine = engine
+        self._driver = driver
+        self._last: Dict[str, Any] = {}
+        self.events = 0
+        self.hash_checks = 0
+        self.divergence: Optional[Dict[str, Any]] = None
+
+    def upcoming(self, limit: int) -> List[Dict[str, Any]]:
+        """The next event frames, at most ``limit``, up to the next recorded hash."""
+        return list(takewhile(lambda frame: frame["t"] == "ev", islice(self.pending, limit)))
+
+    def due(self, pending: int) -> bool:
+        """Will the window that adds ``pending`` events reach a recorded hash?"""
+        ahead = len(self.upcoming(pending))
+        return ahead < len(self.pending) and self.pending[ahead]["t"] != "ev"
+
+    def window(self, records: Sequence[StepRecord]) -> None:
+        """Verify one collected window; nothing of the run may be in flight."""
+        pending = self.pending
+        for record in records:
+            while pending and pending[0]["t"] == "x":
+                self._check_hash(pending.popleft(), None)
+            frame = pending.popleft() if pending and pending[0]["t"] == "ev" else None
+            self._check_event(frame, record)
+        state = None
+        while pending and pending[0]["t"] != "ev":
+            state = state or self._engine.state_hash()
+            self._check_hash(pending.popleft(), state)
+
+    def diverge(self, step, reason: str, recorded, replayed) -> TraceDivergenceError:
+        """Keep the first divergence; the error that ends the run there."""
+        if self.divergence is None:
+            self.divergence = dict(step=step, reason=reason, recorded=recorded, replayed=replayed)
+        return TraceDivergenceError(self.divergence)
+
+    def _check_event(self, frame: Optional[Dict[str, Any]], record: StepRecord) -> None:
+        replayed = event_frame_from_record(record)
+        if frame is None:
+            raise self.diverge(replayed["i"], "the trace records no further event", None, replayed)
+        if self._driver is None:
+            replayed["i"] = frame["i"]  # a backend numbers events by admission
+        self._compare(frame, replayed, min(frame["i"], replayed["i"]))
+        self.events += 1
+        self._last = replayed
+
+    def _check_hash(self, frame: Dict[str, Any], state: Optional[str]) -> None:
+        last = self._last
+        replayed = {"t": frame["t"], "ev": self.events, "h": state}
+        if frame["t"] != "x":
+            self._compare(frame, replayed, last.get("i"), "final ")
+            return
+        driver = self._driver
+        replayed.update(
+            i=driver.total_steps if driver is not None else frame["i"],
+            ts=last.get("ts"),
+            sz=last.get("sz"),
+        )
+        prefix = "index frame inconsistent with the re-executed run: "
+        self._compare(frame, replayed, frame["i"], prefix)
+        self.hash_checks += 1
+
+    def _compare(self, frame, replayed, step, prefix: str = "") -> None:
+        mismatch = frame_mismatch(frame, replayed)
+        if mismatch is not None:
+            name, recorded, value = mismatch
+            reason = f"{prefix}{name} mismatch: recorded {recorded!r}, replayed {value!r}"
+            raise self.diverge(step, reason, frame, replayed)
 
 
 @dataclass
@@ -97,7 +204,7 @@ class ReplayReport:
 
 
 class ReplayEngine:
-    """Re-drives a recorded trace against a rebuilt backend and verifies it."""
+    """Re-applies a recorded trace to a rebuilt backend and verifies it."""
 
     def __init__(self, trace: "TraceReader | str") -> None:
         from ..scenarios.scenario import Scenario  # local import: avoids a cycle
@@ -111,76 +218,34 @@ class ReplayEngine:
             )
         self.backend = open_backend(Scenario.from_dict(scenario))
 
-    # ------------------------------------------------------------------
-    # The replay loop
-    # ------------------------------------------------------------------
     def run(self) -> ReplayReport:
-        """Re-apply every recorded event, asserting determinism as we go.
+        """Re-apply every recorded event through the :class:`TraceVerifier`.
 
-        Events are re-applied in windows of up to :data:`REPLAY_WINDOW`
-        (the backend cuts them at its own barriers); a window always ends
-        before an index or end frame, where the state hash is compared.
-        The first divergence ends the replay.
+        Windows hold up to :data:`REPLAY_WINDOW` events (the backend cuts
+        them at its own barriers) and end at the verifier's next recorded
+        hash.  The first divergence ends the replay; a crashed-shape trace
+        is verified up to its last complete frame.
         """
         backend = self.backend
+        verifier = TraceVerifier(self.reader.frames[1:], backend)
         events_applied = 0
-        hash_checks = 0
-        divergence: Optional[Dict[str, Any]] = None
-        pending: List[Dict[str, Any]] = []
-
-        def diverged(mismatch: Optional[Dict[str, Any]]) -> bool:
-            """Keep the first divergence; say whether there was one."""
-            nonlocal divergence
-            if divergence is None:
-                divergence = mismatch
-            return mismatch is not None
-
-        def apply_pending() -> bool:
-            nonlocal events_applied
-            frames = pending[:]
-            del pending[:]
-            events = [churn_event_from_frame(frame) for frame in frames]
-            records = backend.collect(backend.dispatch(events))
-            events_applied += len(records)
-            return any(
-                diverged(check_event_frame(frame, record))
-                for frame, record in zip(frames, records)
-            )
-
-        def hash_mismatch(frame: Dict[str, Any], where: str) -> Optional[Dict[str, Any]]:
-            replayed = backend.state_hash()
-            if replayed == frame["h"]:
-                return None
-            return {
-                "step": frame.get("i"),
-                "reason": f"{where} ({replayed[:12]} != {frame['h'][:12]})",
-                "recorded": frame["h"],
-                "replayed": replayed,
-            }
-
         try:
-            for frame in self.reader.frames:
-                kind = frame.get("t")
-                if kind == "ev":
-                    pending.append(frame)
-                    if len(pending) < REPLAY_WINDOW:
-                        continue
-                if apply_pending():
-                    break
-                if kind == "x":
-                    hash_checks += 1
-                    if diverged(hash_mismatch(frame, "state hash mismatch at index frame")):
-                        break
-                elif kind == "end":
-                    diverged(hash_mismatch(frame, "final state hash mismatch"))
-            else:
-                apply_pending()  # a crashed-shape trace ends on event frames
+            try:
+                while verifier.pending:
+                    frames = verifier.upcoming(REPLAY_WINDOW)
+                    records = backend.collect(
+                        backend.dispatch([churn_event_from_frame(frame) for frame in frames])
+                    )
+                    events_applied += len(records)
+                    verifier.window(records)
+            except TraceDivergenceError:
+                pass
             end = self.reader.end_frame()
             return ReplayReport(
                 events_applied=events_applied,
-                hash_checks=hash_checks,
-                ok=divergence is None,
-                divergence=divergence,
+                hash_checks=verifier.hash_checks,
+                ok=verifier.divergence is None,
+                divergence=verifier.divergence,
                 final_hash=backend.state_hash(),
                 recorded_final_hash=end["h"] if end else None,
             )
@@ -215,15 +280,6 @@ class TraceDiff:
         return f"first divergence at step {self.step}: {self.reason}"
 
 
-def frame_mismatch(first: Dict[str, Any], second: Dict[str, Any]) -> Optional[str]:
-    """The first field two frames disagree on, as text (``None`` when equal)."""
-    keys = sorted(set(first) | set(second))
-    for key in keys:
-        if first.get(key) != second.get(key):
-            return f"field {key!r}: {first.get(key)!r} != {second.get(key)!r}"
-    return None
-
-
 def trace_diff(first_path: str, second_path: str) -> TraceDiff:
     """Find the first diverging event (or index frame) between two traces.
 
@@ -249,7 +305,7 @@ def trace_diff(first_path: str, second_path: str) -> TraceDiff:
             return TraceDiff(
                 diverged=True,
                 step=frame_a.get("i"),
-                reason=mismatch,
+                reason="{}: {!r} != {!r}".format(*mismatch),
                 first_frame=frame_a,
                 second_frame=frame_b,
                 compared_events=compared,

@@ -26,15 +26,15 @@ Probe measurements restart at the resume point.
 
 :func:`checkpoint_from_trace` turns any recorded batch trace, single-engine
 or sharded, into a library of resume points: it re-drives the scenario with
-a verifier in the recorder's seat (every event and index hash checked
-against the recorded frames) and materialises a full
+the one :class:`~repro.trace.replay.TraceVerifier` — the verifier plain
+``replay`` uses — in the recorder's seat (every event, its step and the
+recorded hashes checked) and materialises a full
 :class:`~repro.trace.checkpoint.Checkpoint` at any recorded step — the CLI's
 ``replay --to-step N --checkpoint out.json``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional, Sequence
@@ -46,8 +46,8 @@ from ..scenarios.runner import RunResult, StopCondition
 from ..scenarios.scenario import Scenario
 from .checkpoint import Checkpoint
 from .codec import DEFAULT_FLUSH_EVERY
-from .log import DEFAULT_INDEX_EVERY, TraceReader, TraceWriter, event_frame_from_record
-from .replay import frame_mismatch
+from .log import DEFAULT_INDEX_EVERY, TraceReader, TraceWriter
+from .replay import TraceVerifier
 
 
 @dataclass
@@ -355,83 +355,6 @@ def resume_from_checkpoint(
     )
 
 
-class TraceDivergenceError(ConfigurationError):
-    """The re-driven run did not match the recorded trace.
-
-    Raised by :func:`checkpoint_from_trace` so callers (the CLI) can
-    distinguish a genuine determinism divergence (exit 1, like ``replay``)
-    from a usage problem (exit 2).
-    """
-
-
-def _diverged(step: int, reason: str) -> TraceDivergenceError:
-    return TraceDivergenceError(
-        f"trace diverged from the re-driven scenario at step {step}: {reason}"
-    )
-
-
-class _TraceVerifier:
-    """Holds a re-driven run to its recorded frames, from the recorder's seat.
-
-    ``frames`` are the trace's event and index frames up to the target step,
-    in file order.  Every record of a collected window must reproduce the
-    next event frame — step, generated event and observables, field for
-    field — and every index frame behind it must carry the re-driven state
-    hash; the first disagreement raises :class:`TraceDivergenceError`,
-    because a checkpoint taken past a divergence would silently resume a
-    different run.
-    """
-
-    def __init__(self, frames: Sequence[Dict[str, Any]], driver) -> None:
-        self.pending = deque(frames)
-        self._driver = driver
-        self.events = 0
-        self.hash_checks = 0
-
-    def due(self, pending: int) -> bool:
-        """Will the window that adds ``pending`` events reach a recorded hash?"""
-        for frame in self.pending:
-            if frame["t"] == "x":
-                return True
-            if pending == 0:
-                return False
-            pending -= 1
-        return False
-
-    def window(self, records: Sequence[StepRecord]) -> None:
-        """Verify one collected window; nothing of the run may be in flight."""
-        driver = self._driver
-        for record in records:
-            mismatch = (
-                frame_mismatch(self.pending.popleft(), event_frame_from_record(record))
-                if self.pending
-                else "the trace records no further event"
-            )
-            if mismatch is not None:
-                raise _diverged(
-                    record.step_index, f"recorded frame != re-driven event, {mismatch}"
-                )
-            self.events += 1
-            while self.pending and self.pending[0]["t"] == "x":
-                frame = self.pending.popleft()
-                # Index frames are written where a window ended: one that
-                # sits inside a window (no hash exists there) or disagrees on
-                # the counts is a divergence, not something to skip quietly.
-                at_end = record is records[-1]
-                redriven = dict(
-                    frame,
-                    i=driver.total_steps,
-                    ev=self.events,
-                    h=driver.engine.state_hash() if at_end else None,
-                )
-                mismatch = frame_mismatch(frame, redriven)
-                if mismatch is not None:
-                    raise _diverged(
-                        frame["i"], f"index frame inconsistent with the re-driven run, {mismatch}"
-                    )
-                self.hash_checks += 1
-
-
 @dataclass
 class TraceCheckpointResult:
     """Outcome of materialising a checkpoint from a recorded trace."""
@@ -454,13 +377,16 @@ def checkpoint_from_trace(
     A trace records events but not the event source's RNG streams, so the
     checkpoint is built by *re-driving* the scenario from its seed: the
     driver :func:`open_driver` opens for it (single engine or sharded, as
-    recorded) runs ``to_step`` steps exactly as the original run did, with a
-    :class:`_TraceVerifier` in the recorder's seat checking each generated
-    event, its observables and the index-frame state hashes against the
-    recorded frames.  At step ``to_step`` the full engine + source state is
-    captured, turning any trace into a library of verified resume points
-    (``resume --checkpoint`` continues bit-identically to the uninterrupted
-    run, on any worker count).
+    recorded) runs ``to_step`` steps exactly as the original run did, with
+    the :class:`~repro.trace.replay.TraceVerifier` in the recorder's seat
+    checking each generated event, its step and observables, and the state
+    hashes against the recorded frames; the first divergence raises
+    :class:`~repro.trace.replay.TraceDivergenceError`, because a checkpoint
+    taken past it would silently resume a different run.  At step
+    ``to_step`` the full engine + source state is captured, turning any
+    trace into a library of verified resume points (``resume --checkpoint``
+    continues bit-identically to the uninterrupted run, on any worker
+    count).
 
     ``to_step`` must not exceed the last recorded event's step index —
     beyond it the trace carries nothing to verify against.
@@ -480,7 +406,7 @@ def checkpoint_from_trace(
         )
     if to_step < 1:
         raise ConfigurationError("to_step must be >= 1")
-    frames = [frame for frame in reader.frames if frame.get("t") in ("ev", "x")]
+    frames = reader.frames[1:]
     event_steps = [frame["i"] for frame in frames if frame["t"] == "ev"]
     if not event_steps:
         raise ConfigurationError("trace contains no event frames")
@@ -489,16 +415,20 @@ def checkpoint_from_trace(
             f"to_step {to_step} is beyond the last recorded event "
             f"(step {event_steps[-1]}); the trace cannot verify past it"
         )
+    # Idle steps change no state, so the end frame is verified by a
+    # checkpoint at the last recorded event.
+    frames = [frame for frame in frames if frame.get("i", event_steps[-1]) <= to_step]
 
     scenario = Scenario.from_dict(scenario_dict)
     with open_driver(scenario) as driver:
         # The recorder is here for its checkpoint.
         recorder = Recorder(scenario, driver.engine, driver, checkpoint_path=checkpoint_path)
-        verifier = _TraceVerifier([frame for frame in frames if frame["i"] <= to_step], driver)
+        verifier = TraceVerifier(frames, driver.engine, driver)
         driver.run(to_step, verifier)
         if verifier.pending:
-            raise _diverged(
-                verifier.pending[0]["i"], "source idled where the trace recorded an event"
+            frame = verifier.pending[0]
+            raise verifier.diverge(
+                frame.get("i"), "source idled where the trace recorded an event", frame, None
             )
         checkpoint = recorder.checkpoint()
     return TraceCheckpointResult(
