@@ -16,7 +16,7 @@ prints its table — useful for kicking the tyres without writing a script:
   checkpoint file, bit-identically to the uninterrupted run (sharded runs
   too, cut at any step, resumed on any worker count).
 * ``replay``     — re-drive a recorded trace (single-engine or sharded, batch
-  or ``serve``) against a rebuilt backend and verify state-hash agreement at
+  or ``serve``) against a rebuilt driver and verify state-hash agreement at
   every index frame (exit 1 on divergence);
   with ``--to-step N --checkpoint FILE`` it instead materialises a verified
   resume point at step N — any batch trace, sharded ones included, becomes

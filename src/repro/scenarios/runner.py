@@ -22,6 +22,12 @@ Event sources are the existing per-step objects: a
 The runner may be invoked repeatedly on the same engine (checkpoint-style
 experiments run it once per growth target); each :meth:`SimulationRunner.run`
 call returns a fresh :class:`RunResult` while probes keep accumulating.
+
+A run whose events are *given* — a live ``serve`` session, ``replay`` —
+drives the same runner through :meth:`SimulationRunner.dispatch` /
+:meth:`~SimulationRunner.collect`, the two window halves the shard
+coordinator also has (here the window applies inline at dispatch); its
+scenario has no source, and :meth:`~SimulationRunner.run` refuses it.
 """
 
 from __future__ import annotations
@@ -34,8 +40,15 @@ from ..adversary.base import bind_event_source
 from ..analysis.reporting import format_table
 from ..core.cluster import ClusterId
 from ..errors import ConfigurationError
-from .bus import ObservationBus
+from .bus import ObservationBus, StepRecord
 from .probes import Probe
+
+#: Why :meth:`SimulationRunner.run` and ``ShardCoordinator.run`` refuse a
+#: scenario without a workload or adversary (``{}``: the scenario's name).
+NO_SOURCE = (
+    "scenario {!r} has no event source (no workload or adversary): its events "
+    "are given to the driver's dispatch, so there is nothing to run"
+)
 
 #: A stop condition: ``fn(engine, report, step_index) -> Optional[str]``.
 #: Returning a non-empty string stops the run with that reason.
@@ -147,7 +160,8 @@ class SimulationRunner:
     source:
         Per-step event source (workload, adversary, mixed driver, or any
         object with ``next_event``); adversaries are wrapped in their
-        read-only :class:`~repro.adversary.base.AdversaryContext`.
+        read-only :class:`~repro.adversary.base.AdversaryContext`.  ``None``
+        for a run whose events are given to :meth:`dispatch`.
     probes:
         :class:`~repro.scenarios.probes.Probe` instances observing the run.
     stop_conditions:
@@ -169,6 +183,8 @@ class SimulationRunner:
         name: str = "scenario",
     ) -> None:
         self.engine = engine
+        #: What pre-flight admission reads (see ``repro.service.session``).
+        self.params = engine.parameters
         self.probes: List[Probe] = list(probes)
         self.bus = ObservationBus(engine, self.probes)
         self.stop_conditions: List[StopCondition] = list(stop_conditions)
@@ -177,7 +193,7 @@ class SimulationRunner:
         #: The raw event source (exposed so checkpointing can snapshot its
         #: RNG streams alongside the engine state — see ``repro.trace``).
         self.source = source
-        self._next_event = bind_event_source(engine, source)
+        self._next_event = bind_event_source(engine, source) if source is not None else None
         self._started = False
         self.total_steps = 0
         self.total_events = 0
@@ -195,6 +211,8 @@ class SimulationRunner:
         """
         if steps < 0:
             raise ConfigurationError("steps must be non-negative")
+        if self.source is None:
+            raise ConfigurationError(NO_SOURCE.format(self.name))
         # probes is a public list; pick up anything attached since the last
         # segment so late-added probes are observed.
         self.bus.sync(self.probes)
@@ -267,6 +285,63 @@ class SimulationRunner:
             if reason is not None:
                 return reason
         return None
+
+    # ------------------------------------------------------------------
+    # Given events: the two window halves (see the module docstring)
+    # ------------------------------------------------------------------
+    def dispatch(self, events: Sequence) -> List[StepRecord]:
+        """Apply ``events`` inline, one time step each; the window's token.
+
+        Records are numbered by admission (``total_steps``), published to the
+        bus and returned by :meth:`collect`.
+        """
+        engine = self.engine
+        publish = self.bus.publish
+        records = []
+        for event in events:
+            report = engine.apply_event(event)
+            self.total_steps += 1
+            self.total_events += 1
+            records.append(publish(report, self.total_steps, True))
+        return records
+
+    def collect(self, token: List[StepRecord]) -> List[StepRecord]:
+        """The dispatched window's records (it completed at dispatch)."""
+        return token
+
+    @property
+    def nodes(self):
+        """The engine's node registry, current as of the last dispatch."""
+        return self.engine.state.nodes
+
+    def state_hash(self) -> str:
+        """The engine's state hash."""
+        return self.engine.state_hash()
+
+    def status(self) -> Dict[str, Any]:
+        """The engine's observables: the live ``status`` response's share."""
+        engine = self.engine
+        return {
+            "network_size": engine.network_size,
+            "cluster_count": engine.cluster_count,
+            "worst_byzantine_fraction": engine.worst_cluster_fraction(),
+            "time_step": engine.state.time_step,
+        }
+
+    def read_views(self) -> List[Dict[str, Any]]:
+        """The one engine's read view (see :mod:`repro.shard.serve`)."""
+        from ..shard.serve import engine_view  # local import: shard builds on scenarios
+
+        return [engine_view(self.engine)]
+
+    def close(self) -> None:
+        """Nothing to shut down: the engine lives in this process."""
+
+    def __enter__(self) -> "SimulationRunner":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Convenience

@@ -133,7 +133,11 @@ class Scenario:
         )
 
     def build_source(self, engine):
-        """Construct the per-step event source (workload, adversary, or a mix)."""
+        """Construct the per-step event source (workload, adversary, or a mix).
+
+        ``None`` when the scenario has neither: a live session's, whose
+        events are given to the driver.
+        """
         workload = self._build_workload(engine)
         adversary = self._build_adversary(engine)
         if workload is not None and adversary is not None:
@@ -141,10 +145,7 @@ class Scenario:
                 [(adversary, self.adversary_weight), (workload, 1.0 - self.adversary_weight)],
                 random.Random(self.seed + 3),
             )
-        source = adversary if adversary is not None else workload
-        if source is None:
-            raise ConfigurationError("a scenario needs a workload and/or an adversary")
-        return source
+        return adversary if adversary is not None else workload
 
     def _build_workload(self, engine):
         if self.workload is None:
@@ -171,7 +172,8 @@ class Scenario:
         stop_conditions: Sequence[StopCondition] = (),
         engine=None,
     ) -> SimulationRunner:
-        """An engine + runner ready to :meth:`SimulationRunner.run`."""
+        """An engine + runner ready to :meth:`SimulationRunner.run` (or, for a
+        scenario without a source, to :meth:`SimulationRunner.dispatch`)."""
         if self.shards:
             raise ConfigurationError(
                 f"scenario {self.name!r} declares shards={self.shards}; open it "

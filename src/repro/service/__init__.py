@@ -8,12 +8,13 @@ network service under measured load:
 * :mod:`repro.service.queue`    — the bounded request queue with fast-fail
   ``overloaded`` admission (the backpressure contract);
 * :mod:`repro.service.session`  — :class:`LiveEngineSession`: lifecycle,
-  trace attach, pre-flight admission and the write window, with private
-  write/read RNG streams so recorded sessions replay bit-identically
-  through ``repro replay``; the engine side is a backend of :mod:`repro.trace.backend` — the single
-  engine applying windows inline, or the shard coordinator pipelining them
-  to worker processes (``serve --shards W``) — the same seam ``replay``
-  drives;
+  trace attach, pre-flight admission, the write window and the reads, with
+  private write/read RNG streams so recorded sessions replay bit-identically
+  through ``repro replay``; the engine side is the driver every run opens
+  (:func:`repro.trace.session.open_driver`) — the single-engine runner
+  applying windows inline, or the shard coordinator pipelining them to
+  worker processes (``serve --shards W``) — the same driver ``replay``
+  rebuilds;
 * :mod:`repro.service.frontend` — :class:`ServiceFrontend`: the asyncio
   TCP server and its two-lane engine pump (``repro serve``);
 * :mod:`repro.service.loadgen`  — :func:`drive_load`, the open-loop

@@ -1,15 +1,18 @@
-"""The live session: one continuously running backend behind a queue.
+"""The live session: one continuously running driver behind a queue.
 
 :class:`LiveEngineSession` owns everything about a live service that does
 not depend on how events reach the engine(s): lifecycle, trace attach, the
-operation counters, ``status``/``ping``, the pre-flight admission rules and
-the write window (:meth:`~LiveEngineSession.begin_window` /
-:meth:`~LiveEngineSession.finish_window`).  The engine side is whatever
-backend :func:`repro.trace.backend.open_backend` opens for the scenario: the
-single ``NowEngine`` when ``scenario.shards`` is 0, the shard coordinator
-otherwise.
+operation counters, ``status``/``ping``, the pre-flight admission rules, the
+write window (:meth:`~LiveEngineSession.begin_window` /
+:meth:`~LiveEngineSession.finish_window`) and the reads.  The engine side is
+the driver :func:`repro.trace.session.open_driver` opens for the scenario,
+as for every run: the single-engine runner when ``scenario.shards`` is 0,
+the shard coordinator otherwise.  The scenario has no event source, so the
+session drives it through ``dispatch`` / ``collect``.  Reads go to one
+:class:`~repro.shard.serve.ShardReadModel` over the driver's
+``read_views``, dropped after every collected window.
 
-Seed fan-out (one table, both backends): seed → engine, +1 workload,
+Seed fan-out (one table, both drivers): seed → engine, +1 workload,
 +2 adversary, +3 mixer, **+4 service writes** (the anonymous-leave pick),
 **+5 service reads** (sample/broadcast draws).  The engine stream is part of
 the state fingerprint and is consumed only by ``apply_event`` — that is what
@@ -23,10 +26,11 @@ Pre-flight validation (why requests cannot fail inside the engine):
 an event that raises halfway leaves the engine one time step ahead of the
 recorded trace — permanent replay divergence.  Every rejectable condition
 (unknown node, double join, size bounds, a rejoin naming a role other than
-the node's registered one) is checked against the backend's node registry
+the node's registered one) is checked against the driver's node registry
 before the event is built; by the time an event is dispatched, it cannot
 fail.  A rejoin that names no role takes the registered one, on both
-backends.
+drivers; a ``contact_cluster`` join is refused on shards, whose cluster ids
+are shard-local.
 """
 
 from __future__ import annotations
@@ -39,10 +43,9 @@ from ..errors import ConfigurationError
 from ..network.node import NodeRole
 from ..scenarios.bus import StepRecord
 from ..scenarios.scenario import Scenario
-from ..trace.backend import open_backend
 from ..trace.codec import DEFAULT_FLUSH_EVERY
 from ..trace.log import DEFAULT_INDEX_EVERY, TraceWriter
-from ..trace.session import Recorder
+from ..trace.session import Recorder, open_driver
 from .protocol import ERROR_FAILED, ProtocolError
 
 #: Seed offsets of the service streams (see the module docstring's table).
@@ -66,7 +69,7 @@ def live_scenario(
     Events come from clients, not a generator, so ``workload`` is ``None``
     and ``steps`` is 0.  The scenario still rides in the trace header
     (``shards`` included — it shapes every result bit), so ``replay``
-    rebuilds the identical backend from it.
+    rebuilds the identical driver from it.
     """
     return Scenario(
         name=name,
@@ -89,15 +92,15 @@ class _Window:
         #: Per request: the result dict, or the pre-flight ``ProtocolError``.
         self.outcomes: List[Any] = [None] * len(frames)
         self.ops = [frame["op"] for frame in frames]
-        #: ``(backend token, request indices in admission order)`` pairs.
+        #: ``(driver token, request indices in admission order)`` pairs.
         self.parts: List[Tuple[Any, List[int]]] = []
 
 
 class LiveEngineSession:
-    """Serialised execution of service requests against one backend.
+    """Serialised execution of service requests against one driver.
 
-    ``workers`` is an execution choice of the sharded backend only (clamped
-    to ``[1, scenario.shards]``; results never depend on it).
+    ``workers`` is an execution choice of the shard coordinator only
+    (clamped to ``[1, scenario.shards]``; results never depend on it).
     """
 
     def __init__(
@@ -114,8 +117,15 @@ class LiveEngineSession:
             )
         self.rng = random.Random(self.scenario.seed + SERVICE_RNG_OFFSET)
         self.read_rng = random.Random(self.scenario.seed + SERVICE_READ_RNG_OFFSET)
-        self.backend = open_backend(self.scenario, self.read_rng, workers, probes)
-        self.bus = self.backend.bus
+        # Local import: the CLI loads this module for every command, and only
+        # ``serve`` should pay for loading repro.shard.
+        from ..shard.serve import ShardReadModel
+
+        self.driver = driver = open_driver(self.scenario, probes, workers=workers)
+        self.bus = driver.bus
+        self.read_model = ShardReadModel(
+            driver.read_views, driver.params, driver.nodes.is_byzantine
+        )
         self._recorder: Optional[Recorder] = None
         self.events_applied = 0
         self.operations: Dict[str, int] = {}
@@ -148,7 +158,7 @@ class LiveEngineSession:
             raise ConfigurationError("a trace is already being recorded")
         recorder = Recorder(
             self.scenario,
-            self.backend,
+            self.driver,
             trace_path=path,
             index_every=index_every,
             trace_format=trace_format,
@@ -165,7 +175,7 @@ class LiveEngineSession:
             self._started = True
 
     def close(self, ok: bool = True) -> None:
-        """Flush observations, seal the trace, shut the backend down.
+        """Flush observations, seal the trace, shut the driver down.
 
         ``ok=True`` writes the trace end frame (final state hash);
         ``ok=False`` is the crash path — buffered frames are flushed but no
@@ -186,7 +196,7 @@ class LiveEngineSession:
                 if self._recorder is not None:
                     self._recorder.seal(ok)
         finally:
-            self.backend.close()
+            self.driver.close()
 
     @property
     def closed(self) -> bool:
@@ -196,11 +206,11 @@ class LiveEngineSession:
     @property
     def network_size(self) -> int:
         """Current active population."""
-        return self.backend.nodes.active_count()
+        return self.driver.nodes.active_count()
 
     def state_hash(self) -> str:
-        """The backend's state hash (window boundaries only)."""
-        return self.backend.state_hash()
+        """The driver's state hash (window boundaries only)."""
+        return self.driver.state_hash()
 
     # ------------------------------------------------------------------
     # The write window (dispatch / collect halves)
@@ -209,7 +219,7 @@ class LiveEngineSession:
         """Validate and dispatch one pump batch of write requests.
 
         Requests are processed in admission order.  Each one is pre-flight
-        checked against the backend's registry plus the not-yet-dispatched
+        checked against the driver's registry plus the not-yet-dispatched
         tail of this very batch; rejected requests get a
         :class:`ProtocolError` outcome and consume no window slot.
 
@@ -222,10 +232,10 @@ class LiveEngineSession:
         if self._closed:
             raise ConfigurationError("session is closed")
         self.start()
-        backend = self.backend
+        driver = self.driver
         window = _Window(frames)
 
-        nodes = backend.nodes
+        nodes = driver.nodes
         pending: List[Tuple[int, ChurnEvent]] = []
         delta = 0  # net size change of the undispatched tail
         removed: set = set()  # ids with an undispatched leave
@@ -234,7 +244,7 @@ class LiveEngineSession:
         def flush() -> None:
             nonlocal delta
             if pending:
-                token = backend.dispatch([event for _, event in pending])
+                token = driver.dispatch([event for _, event in pending])
                 window.parts.append((token, [index for index, _ in pending]))
                 pending.clear()
                 removed.clear()
@@ -276,20 +286,22 @@ class LiveEngineSession:
         Outcomes align with the frames given to :meth:`begin_window`.  Each
         collected record is counted and turned into its response payload;
         the whole window is then recorded in the trace (the index frame, if
-        due, waits for the last part: none may be in flight under a hash).
+        due, waits for the last part: none may be in flight under a hash),
+        and the read views are dropped.
         A failure here (a dead shard worker, a trace write error) leaves
         events applied but unrecorded: callers must treat it as fatal and
         close the session with ``ok=False``.
         """
         records: List[StepRecord] = []
         for token, indices in window.parts:
-            part = self.backend.collect(token)
+            part = self.driver.collect(token)
             for index, record in zip(indices, part):
                 self.events_applied += 1
                 op = window.ops[index]
                 self.operations[op] = self.operations.get(op, 0) + 1
                 window.outcomes[index] = _churn_result(record)
             records += part
+        self.read_model.invalidate()
         if self._recorder is not None:
             self._recorder.window(records)
         return window.outcomes
@@ -300,15 +312,15 @@ class LiveEngineSession:
     def _admit_join(
         self, frame: Dict[str, Any], size: int, removed: set, joined: set
     ) -> ChurnEvent:
-        backend = self.backend
+        nodes = self.driver.nodes
         contact = frame.get("contact_cluster")
-        if contact is not None and not backend.contact_joins:
+        if contact is not None and self.scenario.shards:
             raise _rejected(
                 frame,
                 "the sharded backend does not support contact_cluster-targeted "
                 "joins (cluster ids are shard-local)",
             )
-        max_size = backend.params.max_size
+        max_size = self.driver.params.max_size
         if size >= max_size:
             raise _rejected(frame, f"network is at its maximum size {max_size}")
         node_id = frame.get("node_id")
@@ -318,9 +330,9 @@ class LiveEngineSession:
         ):
             raise _rejected(frame, f"node {node_id} is already active")
         role = frame.get("role")
-        if node_id is not None and node_id in backend.nodes:
+        if node_id is not None and node_id in nodes:
             # One role per identity: a rejoin keeps its registered role.
-            registered = backend.nodes.get(node_id).role.value
+            registered = nodes.get(node_id).role.value
             if role not in (None, registered):
                 raise _rejected(frame, f"node {node_id} is registered {registered}, not {role}")
             role = registered
@@ -329,8 +341,7 @@ class LiveEngineSession:
         )
 
     def _admit_leave(self, frame: Dict[str, Any], size: int, removed: set) -> ChurnEvent:
-        backend = self.backend
-        lower = backend.params.lower_size_bound
+        lower = self.driver.params.lower_size_bound
         if size <= lower:
             raise _rejected(frame, f"network is at its lower size bound {lower}")
         node_id = frame.get("node_id")
@@ -338,13 +349,13 @@ class LiveEngineSession:
             # An anonymous departure: the service picks the leaver from its
             # own write stream (never the engine's) over the registry's
             # sampling array, then records the concrete id.
-            node_id = backend.nodes.sample_active(self.rng)
+            node_id = self.driver.nodes.sample_active(self.rng)
         elif node_id in removed or not self._is_active(node_id):
             raise _rejected(frame, f"node {node_id} is not active")
         return ChurnEvent.leave(node_id)
 
     def _is_active(self, node_id: int) -> bool:
-        nodes = self.backend.nodes
+        nodes = self.driver.nodes
         return node_id in nodes and nodes.is_active(node_id)
 
     # ------------------------------------------------------------------
@@ -354,10 +365,11 @@ class LiveEngineSession:
         """Whether ``op`` can be served while a write window is in flight.
 
         ``status``/``ping`` never touch the engine side; ``sample`` and
-        ``broadcast`` wait for the window boundary when the backend says
-        its read state is stale.
+        ``broadcast`` wait for the window boundary when the read views are
+        stale: rebuilding them reads the engines (on shards: a worker round
+        trip down FIFO pipes), which cannot happen under an open window.
         """
-        return op in ("status", "ping") or self.backend.reads_fresh
+        return op in ("status", "ping") or self.read_model.fresh
 
     def execute(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         """Run one validated request frame and return its result payload.
@@ -379,11 +391,11 @@ class LiveEngineSession:
                 raise outcome
             return outcome
         if op == "sample":
-            result = self.backend.sample()
+            result = self.read_model.sample(self.read_rng)
         elif op == "broadcast":
-            result = self.backend.broadcast(frame.get("payload"))
+            result = self.read_model.broadcast(self.read_rng)
         elif op == "status":
-            result = self.backend.status()
+            result = self.driver.status()
             result["events_applied"] = self.events_applied
             result["operations"] = dict(self.operations)
             result["recording"] = self._recorder.trace_path if self._recorder else None

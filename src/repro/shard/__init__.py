@@ -32,9 +32,10 @@ deterministic event router:
   the composite run one structural verdict: every shard's check plus
   directory-vs-worker size agreement.
 
-Recording, checkpointing, resuming and replaying a sharded run go through
-the same entry points as a single-engine one (:mod:`repro.trace.session`,
-:mod:`repro.trace.replay`), which pick this backend from ``scenario.shards``.
+Running, recording, checkpointing, resuming, serving and replaying a
+sharded run go through the same entry points as a single-engine one, all
+opening their driver with :func:`repro.trace.session.open_driver`, which
+picks the coordinator from ``scenario.shards``.
 ``docs/SHARDING.md`` describes the protocol in detail.
 """
 

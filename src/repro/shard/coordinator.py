@@ -66,7 +66,7 @@ from ..core.invariants import InvariantReport
 from ..errors import ConfigurationError
 from ..network.node import NodeRole
 from ..scenarios.bus import ObservationBus, StepRecord, split_probes
-from ..scenarios.runner import RunResult, StopCondition
+from ..scenarios.runner import NO_SOURCE, RunResult, StopCondition
 from ..walks.sampler import check_kernel_snapshot
 from .merge import ObservationMerger, composite_state_hash
 from .router import (
@@ -123,7 +123,7 @@ class ShardCoordinator:
     document of kind ``"sharded"`` to continue from.
     """
 
-    #: The ``engine`` kind this backend stamps on trace headers and checkpoints.
+    #: The ``engine`` kind this driver stamps on trace headers and checkpoints.
     engine_kind = "sharded"
 
     def __init__(
@@ -240,8 +240,6 @@ class ShardCoordinator:
             self.total_steps = 0
             self.total_events = 0
         else:
-            # Older checkpoints also carry ``seq`` and ``merge.peak_worst``;
-            # they stay unread, so those files still resume.
             self.directory = ShardDirectory.from_snapshot(state["router"])
             self.merger = ObservationMerger.from_snapshot(state["merge"])
             self.total_steps = int(checkpoint.get("steps_done", 0))
@@ -249,14 +247,10 @@ class ShardCoordinator:
 
         self.router = EventRouter(self.directory)
         self.facade = ShardedEngineFacade(self.params, self.directory)
-        if scenario.workload is None and scenario.adversary is None:
-            # A live session's scenario: every window's events are given to
-            # serve_dispatch, there is no source to pull from.
-            self.source = None
-        else:
-            self.source = scenario.build_source(self.facade)
+        # None for a live session's scenario: its events are given to dispatch.
+        self.source = source = scenario.build_source(self.facade)
         if checkpoint is not None:
-            self.source.restore_state(checkpoint["source"])
+            source.restore_state(checkpoint["source"])
             expected = checkpoint.get("state_hash")
             restored = self.state_hash()
             if expected is not None and restored != expected:
@@ -265,11 +259,7 @@ class ShardCoordinator:
                     f"({restored[:12]} != {expected[:12]}); the checkpoint is "
                     "corrupt or was produced by an incompatible version"
                 )
-        self._next_event = (
-            bind_event_source(self.facade, self.source)
-            if self.source is not None
-            else None
-        )
+        self._next_event = None if source is None else bind_event_source(self.facade, source)
         #: Events and time steps taken by serve_dispatch (== total_events /
         #: total_steps once collected).  Barriers run when events_admitted
         #: crosses a barrier_interval multiple — the one barrier rule.
@@ -341,6 +331,11 @@ class ShardCoordinator:
             order.append((shard, transport))
         return {shard: transport.recv() for shard, transport in order}
 
+    def _gather_each(self, method: str) -> List[Any]:
+        """``method(shard)`` on every shard, overlapping workers; shard order."""
+        replies = self._gather_shards([(shard, ()) for shard in range(self.shards)], method)
+        return [replies[shard] for shard in range(self.shards)]
+
     # ------------------------------------------------------------------
     # Composite state
     # ------------------------------------------------------------------
@@ -351,13 +346,7 @@ class ShardCoordinator:
 
     def state_hash(self) -> str:
         """The composite state hash: per-shard engine hashes + router state."""
-        hashes = self._gather_shards(
-            [(shard, ()) for shard in range(self.shards)], "state_hash"
-        )
-        return composite_state_hash(
-            [hashes[shard] for shard in range(self.shards)],
-            self.directory.fingerprint(),
-        )
+        return composite_state_hash(self._gather_each("state_hash"), self.directory.fingerprint())
 
     def check_invariants(self, check_honest_majority: bool = True) -> InvariantReport:
         """One structural verdict for the composite run (no window in flight).
@@ -440,11 +429,6 @@ class ShardCoordinator:
         """
         limit = self.events_until_barrier()
         if events is None:
-            if self._next_event is None:
-                raise ConfigurationError(
-                    "this coordinator has no event source (a live session's "
-                    "scenario); give serve_dispatch the window's events"
-                )
             next_event = self._next_event
             max_idle_streak = self.scenario.max_idle_streak
         else:
@@ -632,6 +616,8 @@ class ShardCoordinator:
         """
         if steps < 0:
             raise ConfigurationError("steps must be non-negative")
+        if self.source is None:
+            raise ConfigurationError(NO_SOURCE.format(self.scenario.name))
         # probes is a public list: one attached since construction gets the
         # same refusals (an inline probe would be synced and never called).
         self._validate_probes(self.probes)
@@ -718,7 +704,43 @@ class ShardCoordinator:
         return None
 
     # ------------------------------------------------------------------
-    # What the backend seam and the checkpoint envelope read
+    # Given events (the live session, replay)
+    # ------------------------------------------------------------------
+    def dispatch(self, events: Sequence) -> List[Dict[str, Any]]:
+        """Queue given events as windows cut at the barriers; the token.
+
+        The same two halves the batch loop uses, so evolution is a pure
+        function of the admitted sequence, however callers cut it.
+        """
+        tokens = []
+        start = 0
+        while start < len(events):
+            stop = start + self.events_until_barrier()
+            tokens.append(self.serve_dispatch(events[start:stop]))
+            start = stop
+        return tokens
+
+    def collect(self, token: List[Dict[str, Any]]) -> List[StepRecord]:
+        """Receive, merge and publish every window :meth:`dispatch` queued."""
+        records: List[StepRecord] = []
+        for part in token:
+            records += self.serve_collect(part)
+        return records
+
+    @property
+    def nodes(self):
+        """The directory's registry, current as of the last dispatched event."""
+        return self.directory.nodes
+
+    def read_views(self) -> List[Dict[str, Any]]:
+        """One read view per shard, in shard order (see :mod:`repro.shard.serve`).
+
+        A worker round trip: nothing may be in flight.
+        """
+        return self._gather_each("read_view")
+
+    # ------------------------------------------------------------------
+    # What the live session and the checkpoint envelope read
     # ------------------------------------------------------------------
     def status(self) -> Dict[str, Any]:
         """Composite observables as of the last collected window."""
@@ -739,13 +761,11 @@ class ShardCoordinator:
         admitted-event count rides in the envelope, so a restored run knows
         how far into the barrier interval it is).
         """
-        snapshots = self._gather_shards(
-            [(shard, ()) for shard in range(self.shards)], "snapshot"
-        )
+        snapshots = self._gather_each("snapshot")
         return {
             "router": self.directory.snapshot_state(),
             "merge": self.merger.snapshot_state(),
-            "shards": {str(shard): snapshots[shard] for shard in range(self.shards)},
+            "shards": {str(shard): snapshot for shard, snapshot in enumerate(snapshots)},
         }
 
     # ------------------------------------------------------------------

@@ -135,8 +135,10 @@ class ShardDirectory:
         re-join of a known identity, which keeps its descriptor *and its
         registered role* — whatever role the event names, as ``NowEngine``
         does — but is placed like a newcomer.  ``role`` is the role to
-        route: the registered one.
+        route: the registered one.  A join naming an active node is refused.
         """
+        if node_id in self.owner:
+            raise ConfigurationError(f"join event names node {node_id}, which is already active")
         nodes = self.nodes
         fresh = node_id is None or node_id not in nodes
         if fresh:

@@ -1,11 +1,12 @@
 """The read model: how ``serve`` answers ``sample`` and ``broadcast``.
 
-Both backends of the live service (:mod:`repro.trace.backend`) serve reads
-from a :class:`ShardReadModel`: a list of per-engine views — one for the
-single engine, one per shard for the coordinator (the worker ``read_view``
-command) — rebuilt lazily after each collected write window and shared by
-every read until the next one.  Reads therefore never enter the write lane,
-and see the state as of the last window boundary.
+The live session (:mod:`repro.service.session`) serves reads from one
+:class:`ShardReadModel` over its driver's ``read_views``: a list of
+per-engine views — one for the single-engine runner, one per shard for the
+coordinator (the worker ``read_view`` command) — rebuilt lazily after each
+collected write window and shared by every read until the next one.  Reads
+therefore never enter the write lane, and see the state as of the last
+window boundary.
 
 One read semantic over the composite population:
 
@@ -121,7 +122,7 @@ class ShardReadModel:
 
     ``fetch()`` returns one raw view (:func:`engine_view`) per shard, in
     shard order; ``is_byzantine`` is the ground-truth role lookup over the
-    ids those views name.  The backend invalidates the model after every
+    ids those views name.  The live session invalidates the model after every
     collected write window; the next read triggers exactly one ``fetch``
     (amortised over every read until the next write window).  ``fresh``
     tells the pump whether reads can be served *during* a window — a stale

@@ -15,21 +15,19 @@ machine-checkable execution:
 * :mod:`repro.trace.checkpoint` — ``Checkpoint``: full engine + event
   source state captured to one atomic JSON file and restored to continue
   bit-identically (all RNG streams included);
-* :mod:`repro.trace.backend` — the seam an event window travels through to
-  reach the engine(s): the single engine, or the shard coordinator.  The
-  live service records through it and replay re-drives it, so a replayed
-  trace certifies the code the service ran;
 * :mod:`repro.trace.replay` — ``TraceVerifier``, the one check of a
   re-executed run against its recorded frames (every event frame, every
   index and end hash; the first divergence raises
   ``TraceDivergenceError``), fed by ``ReplayEngine``, which re-applies a
-  recorded trace through a rebuilt backend, and by
+  recorded trace through a rebuilt driver, and by
   ``checkpoint_from_trace``; ``trace_diff`` pinpoints the first diverging
   event between two runs;
 * :mod:`repro.trace.hashing` — the canonical state fingerprint both of the
   above compare;
-* :mod:`repro.trace.session` — ``open_driver``, the one place a batch
-  driver (single-engine runner or shard coordinator) is built; ``Recorder``,
+* :mod:`repro.trace.session` — ``open_driver``, the one place a run's
+  driver (single-engine runner or shard coordinator) is built, for batch
+  runs, the live service and replay alike — so a replayed trace certifies
+  the object the recording ran; ``Recorder``,
   the one place that decides when a recorded run writes an index frame or a
   checkpoint and how a recording is sealed or left crashed-shape, with three
   callers (the single-engine runner, the shard coordinator, the live

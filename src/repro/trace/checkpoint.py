@@ -137,9 +137,9 @@ class Checkpoint:
 
         ``rule`` is the placement rule of the scenario the checkpoint carries.
 
-        A sharded checkpoint restores through
-        ``ShardCoordinator(scenario, checkpoint=self.data)`` instead, which
-        runs the same integrity check on the composite hash.
+        A sharded checkpoint restores through the coordinator
+        :func:`~repro.trace.session.open_driver` builds instead, which runs
+        the same integrity check on the composite hash.
         """
         from ..core.engine import NowEngine  # local import: avoids a cycle
 

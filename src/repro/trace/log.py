@@ -152,10 +152,10 @@ class TraceWriter:
         """Hash ``engine`` and write the index frame behind ``record``'s event frame.
 
         The one method that hashes for an index frame, whatever ran the
-        events: ``engine`` is anything with ``state_hash()`` (an engine, the
-        shard coordinator, a backend of :mod:`repro.trace.backend`) and must
-        have no window in flight; ``record`` is the last event written, whose
-        time step and network size are the state's.
+        events: ``engine`` is anything with ``state_hash()`` (an engine, a
+        driver) and must have no window in flight; ``record`` is
+        the last event written, whose time step and network size are the
+        state's.
         """
         self.write_index_frame(
             step_index=step_index,

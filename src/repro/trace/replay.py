@@ -10,15 +10,17 @@ and counts.  The first disagreement is kept as a ``{step, reason, recorded,
 replayed}`` record and raised as :class:`TraceDivergenceError`, so nothing
 past it is verified.  Two ways of re-executing a trace feed it:
 
-* :class:`ReplayEngine` (``replay``) rebuilds the backend that recorded the
-  trace — a single engine, or the shard coordinator of a ``serve --shards``
-  session or a ``run-scenario --shards`` run — from the header's scenario
-  (bootstrap from the recorded seed is deterministic) and re-applies the
-  recorded events through the same :mod:`repro.trace.backend` seam the
-  recording ran, in windows cut at the verifier's next recorded hash.  A
-  backend numbers events by admission, so the step index ``i`` is taken as
-  recorded: a batch trace's idle steps are not recorded, and a sharded
-  run's barriers depend on the admitted event count alone.
+* :class:`ReplayEngine` (``replay``) rebuilds the driver that recorded the
+  trace — the single-engine runner, or the shard coordinator of a ``serve
+  --shards`` session or a ``run-scenario --shards`` run — from the header's
+  scenario (bootstrap from the recorded seed is deterministic) through the
+  one seam the recording ran, :func:`~repro.trace.session.open_driver`, and
+  re-applies the recorded events with its ``dispatch`` / ``collect``, one
+  event per window.  Given events are numbered by admission, so the step
+  index ``i`` is taken as recorded: a batch trace's idle steps are not
+  recorded, and a sharded run's barriers depend on the admitted event
+  count alone.  A recorded event the driver refuses is a divergence at its
+  step, like any other.
 * :func:`~repro.trace.session.checkpoint_from_trace` (``replay --to-step``)
   re-drives the scenario from its seed through the driver that recorded
   it, so the generated events and their step indices are checked too.
@@ -34,13 +36,9 @@ from dataclasses import dataclass, field
 from itertools import islice, takewhile
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ReproError
 from ..scenarios.bus import StepRecord
-from .backend import open_backend
 from .log import TraceReader, churn_event_from_frame, event_frame_from_record
-
-#: Recorded events re-applied per backend window (recorded hashes cut it short).
-REPLAY_WINDOW = 64
 
 #: What each frame field records, as divergence reasons name it (``h`` is an
 #: event's walk hops, but an index or end frame's state hash).
@@ -97,7 +95,7 @@ class TraceVerifier:
     """Holds a re-executed run to its recorded frames, from the recorder's seat.
 
     ``frames`` are the recorded event, index and end frames the run must
-    reproduce, in file order; ``engine`` is what gets hashed (a backend, or
+    reproduce, in file order; ``engine`` is what gets hashed (a driver, or
     a driver's engine).  ``driver`` is given when the run re-derives its step
     indices (a runner or shard coordinator re-driving the scenario): index
     frames are then held to its ``total_steps`` and event frames to the
@@ -116,13 +114,9 @@ class TraceVerifier:
         self.hash_checks = 0
         self.divergence: Optional[Dict[str, Any]] = None
 
-    def upcoming(self, limit: int) -> List[Dict[str, Any]]:
-        """The next event frames, at most ``limit``, up to the next recorded hash."""
-        return list(takewhile(lambda frame: frame["t"] == "ev", islice(self.pending, limit)))
-
     def due(self, pending: int) -> bool:
         """Will the window that adds ``pending`` events reach a recorded hash?"""
-        ahead = len(self.upcoming(pending))
+        ahead = sum(1 for _ in takewhile(lambda frame: frame["t"] == "ev", islice(self.pending, pending)))
         return ahead < len(self.pending) and self.pending[ahead]["t"] != "ev"
 
     def window(self, records: Sequence[StepRecord]) -> None:
@@ -149,7 +143,7 @@ class TraceVerifier:
         if frame is None:
             raise self.diverge(replayed["i"], "the trace records no further event", None, replayed)
         if self._driver is None:
-            replayed["i"] = frame["i"]  # a backend numbers events by admission
+            replayed["i"] = frame["i"]  # given events are numbered by admission
         self._compare(frame, replayed, min(frame["i"], replayed["i"]))
         self.events += 1
         self._last = replayed
@@ -180,7 +174,7 @@ class TraceVerifier:
 
 @dataclass
 class ReplayReport:
-    """Outcome of one replay pass."""
+    """Outcome of one replay pass; ``events_applied`` counts verified events."""
 
     events_applied: int
     hash_checks: int
@@ -204,53 +198,53 @@ class ReplayReport:
 
 
 class ReplayEngine:
-    """Re-applies a recorded trace to a rebuilt backend and verifies it."""
+    """Re-applies a recorded trace to a rebuilt driver and verifies it."""
 
     def __init__(self, trace: "TraceReader | str") -> None:
-        from ..scenarios.scenario import Scenario  # local import: avoids a cycle
+        from ..scenarios.scenario import Scenario  # local imports: avoid cycles
+        from .session import open_driver
 
         self.reader = trace if isinstance(trace, TraceReader) else TraceReader(trace)
         scenario = self.reader.scenario
         if scenario is None:
             raise ConfigurationError(
                 "trace header carries no scenario spec; replay rebuilds the "
-                "backend from it and cannot run without one"
+                "driver from it and cannot run without one"
             )
-        self.backend = open_backend(Scenario.from_dict(scenario))
+        self.driver = open_driver(Scenario.from_dict(scenario))
 
     def run(self) -> ReplayReport:
         """Re-apply every recorded event through the :class:`TraceVerifier`.
 
-        Windows hold up to :data:`REPLAY_WINDOW` events (the backend cuts
-        them at its own barriers) and end at the verifier's next recorded
-        hash.  The first divergence ends the replay; a crashed-shape trace
-        is verified up to its last complete frame.
+        Each event is dispatched, collected and verified on its own, so one
+        the driver refuses — at dispatch or, sharded, in a worker — is the
+        divergence at its step with nothing in flight.  The first
+        divergence ends the replay; a crashed-shape trace is verified up to
+        its last complete frame.
         """
-        backend = self.backend
-        verifier = TraceVerifier(self.reader.frames[1:], backend)
-        events_applied = 0
-        try:
+        with self.driver as driver:
+            frames = self.reader.frames[1:]
+            verifier = TraceVerifier(frames, driver)
             try:
-                while verifier.pending:
-                    frames = verifier.upcoming(REPLAY_WINDOW)
-                    records = backend.collect(
-                        backend.dispatch([churn_event_from_frame(frame) for frame in frames])
-                    )
-                    events_applied += len(records)
+                verifier.window([])  # hash frames before the first event
+                for frame in [frame for frame in frames if frame["t"] == "ev"]:
+                    try:
+                        records = driver.collect(driver.dispatch([churn_event_from_frame(frame)]))
+                    except ReproError as refusal:
+                        reason = f"the re-executed run refused the recorded event: {refusal}"
+                        raise verifier.diverge(frame["i"], reason, frame, None) from None
                     verifier.window(records)
             except TraceDivergenceError:
                 pass
             end = self.reader.end_frame()
             return ReplayReport(
-                events_applied=events_applied,
+                events_applied=verifier.events,
                 hash_checks=verifier.hash_checks,
                 ok=verifier.divergence is None,
                 divergence=verifier.divergence,
-                final_hash=backend.state_hash(),
+                final_hash=driver.state_hash(),
                 recorded_final_hash=end["h"] if end else None,
             )
-        finally:
-            backend.close()
 
 
 def replay_trace(path: "TraceReader | str") -> ReplayReport:

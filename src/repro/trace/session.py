@@ -1,16 +1,18 @@
 """Opening, recording and resuming whole scenario runs (the CLI's backing functions).
 
-:func:`open_driver` is the driver seam: the only place a batch driver is
-built and the one fork on ``scenario.shards`` for every run whose events
-come from the scenario's own source — a per-event
-:class:`~repro.scenarios.runner.SimulationRunner` over the single engine
-(which also serves inline probes and per-event stop conditions),
-or the :class:`~repro.shard.coordinator.ShardCoordinator`, which runs the
+:func:`open_driver` is the one seam every run goes through: the only place
+a run's executor is built and the one fork on ``scenario.shards`` — a
+per-event :class:`~repro.scenarios.runner.SimulationRunner` over the single
+engine (which also serves inline probes and per-event stop conditions), or
+the :class:`~repro.shard.coordinator.ShardCoordinator`, which runs the
 scenario in barrier windows (``workers`` and ``pipeline`` are execution
-choices, never result bits).  Either driver is ``run(steps, recorder)``, so
-whatever runs on one engine runs sharded.  Its callers: ``Scenario.run``, a
-sweep unit, and the three functions below.  (Callers whose events are
-*given* to them open a backend: :func:`repro.trace.backend.open_backend`.)
+choices, never result bits).  Either driver is ``run(steps, recorder)`` for
+events from the scenario's own source, and ``dispatch(events)`` /
+``collect(token)`` for events given to it, so whatever runs on one engine
+runs sharded.  Its callers: ``Scenario.run``, a sweep unit, the three
+functions below, the live session (:mod:`repro.service.session`) and
+``replay`` (:class:`~repro.trace.replay.ReplayEngine`) — so a replayed trace
+certifies the very object the recording ran.
 
 :func:`record_scenario` runs a scenario with trace recording and/or periodic
 checkpointing and :func:`resume_from_checkpoint` restores engine(s) and event
@@ -35,14 +37,13 @@ recorded hashes checked) and materialises a full
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..scenarios.bus import StepRecord
 from ..scenarios.probes import Probe
-from ..scenarios.runner import RunResult, StopCondition
+from ..scenarios.runner import NO_SOURCE, RunResult, StopCondition
 from ..scenarios.scenario import Scenario
 from .checkpoint import Checkpoint
 from .codec import DEFAULT_FLUSH_EVERY
@@ -99,18 +100,16 @@ class Recorder:
     what was observed and writes no end frame — the crashed-run shape replay
     verifies up to its last complete frame.
 
-    ``engine`` is what gets hashed and snapshotted (an engine, the shard
-    coordinator, a live session's backend); ``driver`` the runner or
-    coordinator whose ``source``, ``total_steps`` and ``total_events`` a
-    checkpoint carries — ``None`` for a live session, which has no source
-    and whose time steps are its events.
+    ``driver`` is the runner or coordinator that applies the events: it is
+    what gets hashed, its ``engine`` what gets snapshotted, and its
+    ``source``, ``total_steps`` and ``total_events`` are what a checkpoint
+    carries and an index frame's step index reads.
     """
 
     def __init__(
         self,
         scenario: Scenario,
-        engine,
-        driver=None,
+        driver,
         trace_path: Optional[str] = None,
         index_every: int = DEFAULT_INDEX_EVERY,
         trace_format: str = "jsonl",
@@ -121,7 +120,6 @@ class Recorder:
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ConfigurationError("checkpoint cadence must be >= 1 event")
         self._scenario = scenario
-        self._engine = engine
         self._driver = driver
         self.trace_path = trace_path
         self.checkpoint_path = checkpoint_path
@@ -151,9 +149,7 @@ class Recorder:
             for record in records:
                 writer.write_record(record)
             if writer.index_due():
-                driver = self._driver
-                steps_done = driver.total_steps if driver is not None else self._events
-                writer.write_index(steps_done, records[-1], self._engine)
+                writer.write_index(self._driver.total_steps, records[-1], self._driver)
         if self._checkpoint_due(0):
             self.checkpoint()
 
@@ -161,7 +157,7 @@ class Recorder:
         """Capture engine, source and progress; atomically replace the file."""
         driver = self._driver
         checkpoint = Checkpoint.capture(
-            self._engine,
+            driver.engine,
             source=driver.source,
             scenario=self._scenario,
             steps_done=driver.total_steps,
@@ -175,7 +171,7 @@ class Recorder:
         """End the recording (see the class docstring); the final hash if ``ok``."""
         writer = self.writer
         try:
-            final_hash = self._engine.state_hash() if ok else None
+            final_hash = self._driver.state_hash() if ok else None
             if writer is not None:
                 writer.close(final_hash)
             if ok and self.checkpoint_path is not None:
@@ -186,7 +182,6 @@ class Recorder:
                 writer.close()  # idempotent: flushes when the hash above failed
 
 
-@contextmanager
 def open_driver(
     scenario: Scenario,
     probes: Sequence[Probe] = (),
@@ -194,30 +189,34 @@ def open_driver(
     workers: int = 1,
     pipeline: bool = True,
     checkpoint: Optional[Checkpoint] = None,
-) -> Iterator[Any]:
-    """Open ``scenario``'s batch driver, restored from ``checkpoint`` if given.
+) -> Any:
+    """Open ``scenario``'s driver, restored from ``checkpoint`` if given.
 
-    The one fork on ``scenario.shards``: the shard coordinator (closed on
-    exit) or a :class:`SimulationRunner` over the single engine.  Either is
-    ``run(steps, recorder)`` with ``engine`` (what a recorder hashes and
-    snapshots), ``source``, the public ``probes`` list and the cumulative
-    ``total_steps`` / ``total_events``.
+    The one fork on ``scenario.shards``: the shard coordinator or a
+    :class:`SimulationRunner` over the single engine, either a context
+    manager that closes it.  Both carry ``run(steps, recorder)`` (refused
+    without a ``source``), ``dispatch(events)`` / ``collect(token)``,
+    ``engine`` (what a recorder hashes and snapshots), ``source``, the
+    public ``probes`` list, the cumulative ``total_steps`` /
+    ``total_events``, ``bus``, ``nodes``, ``params``, ``state_hash()``,
+    ``status()`` and ``read_views()``.  A checkpoint only resumes a scenario
+    with a source: there is nothing to restore its source state onto.
     """
+    if checkpoint is not None and scenario.workload is None and scenario.adversary is None:
+        raise ConfigurationError(NO_SOURCE.format(scenario.name))
     if scenario.shards:
         # Local import: repro.shard builds on repro.trace, and a single-engine
         # run should not pay for the worker-process machinery.
         from ..shard.coordinator import ShardCoordinator
 
-        with ShardCoordinator(
+        return ShardCoordinator(
             scenario,
             workers=workers,
             probes=probes,
             stop_conditions=stop_conditions,
             pipeline=pipeline,
             checkpoint=checkpoint.data if checkpoint is not None else None,
-        ) as coordinator:
-            yield coordinator
-        return
+        )
     engine = checkpoint.restore_engine(scenario.engine) if checkpoint is not None else None
     runner = scenario.build_runner(probes=probes, stop_conditions=stop_conditions, engine=engine)
     if checkpoint is not None:
@@ -226,7 +225,7 @@ def open_driver(
         # relative to the original run's start, not the resume point.
         runner.total_steps = checkpoint.steps_done
         runner.total_events = checkpoint.events_done
-    yield runner
+    return runner
 
 
 def _run_segment(
@@ -240,13 +239,14 @@ def _run_segment(
 ) -> SessionResult:
     """One batch segment (record's and resume's shared body); ``outputs`` are
     the :class:`Recorder`'s trace and checkpoint arguments."""
-    # The drivers refuse this too, but only after the Recorder has truncated
+    # The drivers refuse these too, but only after the Recorder has truncated
     # the trace: a refused run must leave every output file as it found it.
     if steps < 0:
         raise ConfigurationError("steps must be non-negative")
-    opened = open_driver(scenario, probes, (), workers, pipeline, checkpoint)
-    with opened as driver:
-        recorder = Recorder(scenario, driver.engine, driver, **outputs)
+    with open_driver(scenario, probes, (), workers, pipeline, checkpoint) as driver:
+        if driver.source is None:
+            raise ConfigurationError(NO_SOURCE.format(scenario.name))
+        recorder = Recorder(scenario, driver, **outputs)
         try:
             result = driver.run(steps, recorder)
         except BaseException:
@@ -422,7 +422,7 @@ def checkpoint_from_trace(
     scenario = Scenario.from_dict(scenario_dict)
     with open_driver(scenario) as driver:
         # The recorder is here for its checkpoint.
-        recorder = Recorder(scenario, driver.engine, driver, checkpoint_path=checkpoint_path)
+        recorder = Recorder(scenario, driver, checkpoint_path=checkpoint_path)
         verifier = TraceVerifier(frames, driver.engine, driver)
         driver.run(to_step, verifier)
         if verifier.pending:

@@ -11,39 +11,36 @@ refused with ``failed``.
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.core.events import ChurnEvent
 from repro.network.node import NodeRole
 from repro.service import live_scenario
 from repro.service.protocol import ERROR_FAILED, ProtocolError
-from repro.trace.backend import open_backend
+from repro.shard import ShardCoordinator, ShardReadModel
+from repro.trace import open_driver
 
 from service_helpers import SIZES, make_session
 
 BARRIER = 14
 
 
-def _engine_is_byzantine(backend, node):
+def _engine_is_byzantine(driver, node):
     """``is_byzantine`` of ``node`` as the engine that hosts it reads it."""
-    if not hasattr(backend, "coordinator"):
-        return backend.engine.state.nodes.is_byzantine(node)
-    coordinator = backend.coordinator
-    shard = coordinator.directory.owner[node]
-    slot = coordinator._transport_of[shard].worker.slots[shard]
+    if not isinstance(driver, ShardCoordinator):
+        return driver.engine.state.nodes.is_byzantine(node)
+    shard = driver.directory.owner[node]
+    slot = driver._transport_of[shard].worker.slots[shard]
     return slot.engine.state.nodes.is_byzantine(slot.g2l[node])
 
 
-def _engines(backend):
+def _engines(driver):
     """``(engine, local -> global)`` per read view, in view order."""
-    if not hasattr(backend, "coordinator"):
-        return [(backend.engine, lambda local: local)]
-    coordinator = backend.coordinator
+    if not isinstance(driver, ShardCoordinator):
+        return [(driver.engine, lambda local: local)]
     slots = [
-        coordinator._transport_of[shard].worker.slots[shard]
-        for shard in range(coordinator.shards)
+        driver._transport_of[shard].worker.slots[shard]
+        for shard in range(driver.shards)
     ]
     return [(slot.engine, slot.l2g.__getitem__) for slot in slots]
 
@@ -52,9 +49,8 @@ def _engines(backend):
 def test_rejoin_naming_another_role_keeps_the_registered_one(shards):
     options = {"barrier_interval": BARRIER, "rebalance_threshold": 1} if shards else {}
     scenario = live_scenario(seed=4, shards=shards, shard_options=options, **SIZES)
-    backend = open_backend(scenario, random.Random(0))
-    try:
-        nodes = backend.nodes
+    with open_driver(scenario) as driver:
+        nodes = driver.nodes
         honest = [gid for gid in range(SIZES["initial_size"]) if not nodes.is_byzantine(gid)]
         low, top = honest[0], honest[-1]
         # Both honest nodes leave and rejoin naming the Byzantine role.  Then
@@ -69,29 +65,27 @@ def test_rejoin_naming_another_role_keeps_the_registered_one(shards):
         ]
         events += [ChurnEvent.leave(gid) for gid in range(1, 100) if gid != low][:10]
         assert len(events) == BARRIER
-        backend.collect(backend.dispatch(events))
+        driver.collect(driver.dispatch(events))
         if shards == 2:
-            assert backend.coordinator.barriers_run == 1
-            assert backend.coordinator.directory.owner[top] == 0  # moved by the barrier
+            assert driver.barriers_run == 1
+            assert driver.directory.owner[top] == 0  # moved by the barrier
         for node in (low, top):
             assert not nodes.is_byzantine(node)
-            assert not _engine_is_byzantine(backend, node)
+            assert not _engine_is_byzantine(driver, node)
         # The read model's roles (the registry's) agree with every engine's.
-        views = backend.read_model.ensure()
-        for view, (engine, to_global) in zip(views, _engines(backend)):
+        views = ShardReadModel(driver.read_views, driver.params, nodes.is_byzantine).ensure()
+        for view, (engine, to_global) in zip(views, _engines(driver)):
             for cluster in engine.state.clusters.clusters():
                 expected = sum(map(engine.state.nodes.is_byzantine, cluster.members))
                 assert view.byzantine[cluster.cluster_id] == expected
                 assert sorted(map(to_global, cluster.members)) == view.clusters[cluster.cluster_id]
-    finally:
-        backend.close()
 
 
 @pytest.mark.parametrize("backend", ["single", "shards=2"])
 def test_session_rejoin_takes_the_registered_role_or_is_refused(backend):
     session = make_session(backend)
     try:
-        nodes = session.backend.nodes
+        nodes = session.driver.nodes
         byzantine = min(nodes.active_byzantine())
         honest = next(gid for gid in range(200) if not nodes.is_byzantine(gid))
         for node in (byzantine, honest):

@@ -411,10 +411,10 @@ class TestFailureInsideTheEngine:
             frontend = ServiceFrontend(make_session(), port=0)
             await frontend.start()
             try:
-                def broken_sample():
+                def broken_sample(rng):
                     raise RuntimeError("walk fell off the overlay")
 
-                frontend.session.backend.sample = broken_sample
+                frontend.session.read_model.sample = broken_sample
                 reader, writer = await connect(frontend)
                 response = await rpc(reader, writer, {"op": "sample", "id": 1})
                 assert response["ok"] is False and response["error"] == "failed"

@@ -158,9 +158,9 @@ class TestLiveEngineSession:
         try:
             joined = live.execute({"op": "join", "id": 1})
             assert joined["network_size"] == 81
-            assert live.backend.engine.rule == "no_shuffle"
+            assert live.driver.engine.rule == "no_shuffle"
             sampled = live.execute({"op": "sample", "id": 2})
-            assert sampled["node_id"] in live.backend.engine.active_nodes()
+            assert sampled["node_id"] in live.driver.engine.active_nodes()
         finally:
             live.close()
 
@@ -171,30 +171,30 @@ class TestLiveEngineSession:
         assert session.rng.random() == probe.random()
 
     def test_join_and_leave_advance_engine_time(self, session):
-        before = session.backend.engine.state.time_step
+        before = session.driver.engine.state.time_step
         joined = session.execute({"op": "join", "id": 1})
         left = session.execute({"op": "leave", "id": 2, "node_id": joined["node_id"]})
-        assert session.backend.engine.state.time_step == before + 2
+        assert session.driver.engine.state.time_step == before + 2
         assert session.events_applied == 2
         assert left["network_size"] == joined["network_size"] - 1
 
     def test_join_existing_active_node_fails_preflight(self, session):
         joined = session.execute({"op": "join", "id": 1})
-        time_before = session.backend.engine.state.time_step
+        time_before = session.driver.engine.state.time_step
         with pytest.raises(ProtocolError) as excinfo:
             session.execute({"op": "join", "id": 2, "node_id": joined["node_id"]})
         assert excinfo.value.code == ERROR_FAILED
         # Pre-flight rejection must not consume a protocol time step —
         # that is the replay-divergence hazard the checks exist to prevent.
-        assert session.backend.engine.state.time_step == time_before
+        assert session.driver.engine.state.time_step == time_before
         assert session.events_applied == 1
 
     def test_leave_unknown_node_fails_preflight(self, session):
-        time_before = session.backend.engine.state.time_step
+        time_before = session.driver.engine.state.time_step
         with pytest.raises(ProtocolError) as excinfo:
             session.execute({"op": "leave", "id": 1, "node_id": 10**9})
         assert excinfo.value.code == ERROR_FAILED
-        assert session.backend.engine.state.time_step == time_before
+        assert session.driver.engine.state.time_step == time_before
 
     def test_join_at_max_size_fails_preflight(self):
         live = LiveEngineSession(
@@ -220,7 +220,7 @@ class TestLiveEngineSession:
         try:
             picked = anonymous.execute({"op": "leave", "id": 1})["node_id"]
             named.execute({"op": "leave", "id": 1, "node_id": picked})
-            assert state_hash(anonymous.backend.engine) == state_hash(named.backend.engine)
+            assert state_hash(anonymous.driver.engine) == state_hash(named.driver.engine)
         finally:
             anonymous.close()
             named.close()
@@ -228,14 +228,14 @@ class TestLiveEngineSession:
     def test_reads_do_not_touch_engine_rng_or_time(self, session):
         from repro.trace.hashing import rng_digest
 
-        time_before = session.backend.engine.state.time_step
-        digest_before = rng_digest(session.backend.engine.state.rng)
+        time_before = session.driver.engine.state.time_step
+        digest_before = rng_digest(session.driver.engine.state.rng)
         session.execute({"op": "sample", "id": 1})
         session.execute({"op": "broadcast", "id": 2, "payload": "hi"})
         session.execute({"op": "status", "id": 3})
         session.execute({"op": "ping", "id": 4})
-        assert session.backend.engine.state.time_step == time_before
-        assert rng_digest(session.backend.engine.state.rng) == digest_before
+        assert session.driver.engine.state.time_step == time_before
+        assert rng_digest(session.driver.engine.state.rng) == digest_before
         assert session.events_applied == 0
 
     def test_status_reports_counters(self, session):
@@ -244,7 +244,7 @@ class TestLiveEngineSession:
         status = session.execute({"op": "status", "id": 3})
         assert status["events_applied"] == 1
         assert status["operations"] == {"sample": 1, "join": 1}
-        assert status["network_size"] == session.backend.engine.network_size
+        assert status["network_size"] == session.driver.engine.network_size
         assert status["recording"] is None
 
     def test_closed_session_refuses_requests(self, session):

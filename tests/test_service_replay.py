@@ -190,8 +190,8 @@ class TestRecordedSessionReplays:
                 batch({"op": "leave", "node_id": 9000}, {"op": "leave", "node_id": 9000})
                 batch({"op": "leave", "node_id": 9002}, {"op": "join", "node_id": 9002})
                 # Lower bound: two above the floor, three leaves in one batch.
-                session.backend.params = dataclasses.replace(
-                    session.backend.params, min_size=session.network_size - 2
+                session.driver.params = dataclasses.replace(
+                    session.driver.params, min_size=session.network_size - 2
                 )
                 batch({"op": "leave"}, {"op": "leave"}, {"op": "leave"})
                 # Upper bound: one batch that overshoots max_size by two.
@@ -247,6 +247,22 @@ class TestReadLane:
             assert broadcast["coverage"] == 1.0
             assert broadcast["nodes_reached"] == session.network_size
             assert broadcast["messages"] >= session.network_size - broadcast["cluster_count"]
+        finally:
+            session.close()
+
+    @on_every_backend
+    def test_reads_see_the_last_collected_window(self, backend):
+        """Collecting a window drops the read views: reads wait for the
+        rebuild, and the rebuilt views hold the window's writes."""
+        session = make_session(backend, seed=6)
+        try:
+            session.execute({"op": "sample"})
+            assert session.read_ready("sample")
+            size = session.network_size
+            session.finish_window(session.begin_window(frames_from_ops(["join"] * 5)))
+            assert not session.read_ready("sample")
+            assert session.execute({"op": "broadcast"})["nodes_reached"] == size + 5
+            assert session.read_ready("sample")
         finally:
             session.close()
 

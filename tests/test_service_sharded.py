@@ -236,7 +236,7 @@ class TestWorkerDeath:
             # Prove the service is healthy, then kill one worker process.
             first = await _rpc(reader, writer, {"op": "join", "id": "warm"})
             assert first["ok"]
-            transport = session.backend.coordinator._transports[0]
+            transport = session.driver._transports[0]
             assert isinstance(transport, ProcessTransport)
             transport._process.kill()
             transport._process.join(timeout=5)

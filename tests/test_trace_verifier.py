@@ -1,15 +1,17 @@
 """The one trace verifier, held to a tamper matrix over every kind of trace.
 
-``replay`` (re-applying the recorded events through a rebuilt backend) and
+``replay`` (re-applying the recorded events through a rebuilt driver) and
 ``replay --to-step`` (re-driving the scenario from its seed) check a run
 against its recorded frames through the same ``TraceVerifier``.  Six kinds
 of trace — a single-engine JSONL trace, its binary twin, a sharded batch
 trace, a live single-engine and a live sharded session's trace, and a
 grow-then-idle trace whose step index outruns its event count — are each
-tampered six ways: one event observable, one input field, one index hash,
-one index event count, the end hash, and a truncated tail.  Both entry
-points must name the same first diverging step, and the checkpoint path
-must write nothing.
+tampered nine ways: one event observable, one input field, three inputs
+the re-executed run refuses (a leave naming no node or an unknown one, a
+join naming an active one), one index hash, one index event count, the
+end hash, and a truncated tail.
+Both entry points must name the same first diverging step, and the
+checkpoint path must write nothing.
 """
 
 from __future__ import annotations
@@ -114,6 +116,38 @@ def _tamper_input(frames):
     return frame["i"]
 
 
+def _tamper_refused(frames):
+    # A fresh join turned into a leave names no departing node: re-applied,
+    # the driver refuses it; re-driven, the source generates a join.
+    joins = [frame for frame in _events(frames) if frame["k"] == "join" and frame["n"] is None]
+    frame = joins[len(joins) // 3]
+    frame["k"] = "leave"
+    return frame["i"]
+
+
+def _tamper_unknown_leave(frames):
+    # The same join turned into a leave of a node nobody ever held.
+    step = _tamper_refused(frames)
+    next(frame for frame in frames if frame.get("i") == step)["n"] = 10**6
+    return step
+
+
+def _tamper_active_join(frames):
+    # A fresh join names the last joined node still in the network:
+    # re-applied, the driver refuses it (sharded, the router does, before a
+    # worker would); re-driven, the source generates a fresh join.
+    joins = [frame for frame in _events(frames) if frame["k"] == "join" and frame["n"] is None]
+    frame = joins[len(joins) // 2]
+    active = []
+    for earlier in _events(frames)[: _events(frames).index(frame)]:
+        if earlier["k"] == "join":
+            active.append(earlier["a"])
+        elif earlier["n"] in active:
+            active.remove(earlier["n"])
+    frame["n"] = active[-1]
+    return frame["i"]
+
+
 def _index(frames):
     return next(frame for frame in frames if frame["t"] == "x")
 
@@ -143,6 +177,21 @@ INDEX = "index frame inconsistent with the re-executed run: "
 TAMPERS = {
     "observable": (_tamper_observable, "network size mismatch"),
     "input": (_tamper_input, "(assigned node id|event node) mismatch"),
+    "refused": (
+        _tamper_refused,
+        "the re-executed run refused the recorded event: a leave event must name "
+        "the departing node",
+    ),
+    "unknown-leave": (
+        _tamper_unknown_leave,
+        "the re-executed run refused the recorded event: (node 1000000 is not "
+        "registered|leave event names node 1000000, which no shard owns)",
+    ),
+    "active-join": (
+        _tamper_active_join,
+        r"the re-executed run refused the recorded event: (node \d+ is already in a "
+        r"cluster|join event names node \d+, which is already active)",
+    ),
     "index-h": (_tamper_index_hash, INDEX + "state hash mismatch"),
     "index-ev": (_tamper_index_count, INDEX + "event count mismatch"),
     "end-h": (_tamper_end_hash, "final state hash mismatch"),
@@ -166,6 +215,13 @@ def test_both_entry_points_name_the_first_divergence(tmp_path, traces, kind, tam
     assert not report.ok
     assert report.divergence["step"] == step
     assert re.match(replay_reason, report.divergence["reason"]), report.divergence
+    # Only verified events count: those before the diverging one, and it too
+    # when a hash after it is what disagrees.
+    hashed = tamper in ("index-h", "index-ev", "end-h")
+    verified = [frame for frame in _events(frames) if frame["i"] < step + hashed]
+    assert report.events_applied == len(verified)
+    if tamper in ("refused", "unknown-leave", "active-join"):
+        assert report.divergence["replayed"] is None
 
     checkpoint = os.path.join(str(tmp_path), "from-trace.json")
     last_step = _events(frames)[-1]["i"]
@@ -177,8 +233,10 @@ def test_both_entry_points_name_the_first_divergence(tmp_path, traces, kind, tam
         with pytest.raises(TraceDivergenceError, match=f"diverged .* step {step}:") as raised:
             checkpoint_from_trace(bad, to_step=last_step, checkpoint_path=checkpoint)
         assert raised.value.divergence["step"] == step
-        if tamper == "input":  # re-driven, the input itself disagrees
+        if tamper in ("input", "active-join"):  # re-driven, the input itself disagrees
             assert raised.value.divergence["reason"].startswith("event node mismatch")
+        if tamper in ("refused", "unknown-leave"):
+            assert raised.value.divergence["reason"].startswith("event kind mismatch")
     assert not os.path.exists(checkpoint)
 
 
