@@ -17,7 +17,7 @@ compares
   track the simulated walk's measured cost),
 
 with the simulated mode running on the hop engine (``repro.walks.kernel``,
-each exchange round's walks batched in lockstep over the overlay's CSR rows).
+each exchange pass's walks drawn as one batch).
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ Two rates are recorded:
 * ``events_per_second`` — the default (oracle walk mode) engine, the figure
   the throughput acceptance gates track across PRs;
 * ``walk.hops_per_second`` — a shorter run in ``WalkMode.SIMULATED``, where
-  every ``randCl`` walk is simulated hop by hop on the hop engine
-  (``repro.walks.kernel``, exchange rounds batched in lockstep); this is the
+  every ``randCl`` walk is simulated on the hop engine
+  (``repro.walks.kernel``, an exchange pass's walks as one batch); this is the
   walk engine's own throughput inside the protocol.
 
 It also records ``oracle_curve``: the cost of an oracle-walk churn event as
@@ -25,6 +25,17 @@ join exchanges its host, a leave its cluster and then every cluster that
 traded with it) and the swaps per round (``swaps_per_round``), so a change
 to the exchange pass can be read as per-round overhead against per-swap
 work, and its scaling in ``N`` checked.
+
+And ``simwalk_curve``: the cost of a simulated-walk churn event as the
+population grows, one row per initial population in ``SIMWALK_SIZES`` (at
+``MAX_SIZE``, so the overlay grows from 8 to 111 clusters and its largest
+degree from 3 to 38).  Each row gives the wall time per event
+(``us_per_event``), the walks an exchange pass draws (``walks_per_pass``:
+a join's pass walks once per member of its host, a leave's cascade once per
+member of every cluster in it), the share of walks whose batch starts on the
+hop engine's vector executor (``vector_share``: batches of at least
+``MIN_VECTOR_BATCH`` walks) and the walk hops per event
+(``hops_per_event``).
 
 And ``bootstrap_curve``: the wall time of ``NowEngine.bootstrap`` (model
 discovery) at each initial population in ``BOOTSTRAP_SIZES``, the median of
@@ -90,6 +101,11 @@ CURVE_SIZES = (2**10, 2**12, 2**14)
 CURVE_MAX_SIZE = 2**16
 CURVE_WARMUP = 50
 CURVE_EVENTS = 400
+#: The simulated-walk curve: initial populations (at ``MAX_SIZE``) and the
+#: events run before and during each timed segment.
+SIMWALK_SIZES = (300, 1200, 4000)
+SIMWALK_WARMUP = 20
+SIMWALK_EVENTS = 200
 #: The bootstrap curve: initial populations (at ``MAX_SIZE``), the seed, and
 #: the runs each median is taken over.
 BOOTSTRAP_SIZES = (150, 300, 600)
@@ -119,6 +135,66 @@ def oracle_curve_point(initial_size: int) -> dict:
         "us_per_event": 1e6 * result.elapsed_seconds / max(1, result.events),
         "rounds_per_event": rounds / max(1, result.events),
         "swaps_per_round": swaps / max(1, rounds),
+    }
+
+
+def simwalk_curve_point(initial_size: int) -> dict:
+    """One row of ``simwalk_curve``: uniform churn at ``initial_size`` nodes, simulated walks.
+
+    The exchange passes and the hop engine's batches of the timed segment
+    are counted through wrappers around ``ExchangeProtocol.exchange_all``
+    and ``ArrayKernel.run_biased_batch``, which cost well under a
+    microsecond per call.
+    """
+    from repro.core.exchange import ExchangeProtocol
+    from repro.walks import kernel
+
+    config = EngineConfig(walk_mode=WalkMode.SIMULATED)
+    scenario = scenario_for(
+        MAX_SIZE, initial_size, tau=TAU, seed=47, name="simwalk-curve", config=config
+    )
+    engine = scenario.build_engine()
+    hops = CallbackProbe(lambda _engine, report, _step: report.operation.walk_hops, name="hops")
+    runner = SimulationRunner(
+        engine,
+        UniformChurn(fresh_rng(48), byzantine_join_fraction=TAU),
+        probes=[hops],
+        name="simwalk-curve",
+    )
+    runner.run(SIMWALK_WARMUP)
+    warm_hops = len(hops.values)
+    counts = {"passes": 0, "pass_walks": 0, "walks": 0, "vector_walks": 0}
+    exchange_all = ExchangeProtocol.exchange_all
+    run_biased_batch = kernel.ArrayKernel.run_biased_batch
+
+    def counted_pass(self, cluster_ids, *args, **kwargs):
+        counts["passes"] += 1
+        clusters = self._state.clusters
+        counts["pass_walks"] += sum(len(clusters.get(cid).members) for cid in cluster_ids)
+        return exchange_all(self, cluster_ids, *args, **kwargs)
+
+    def counted_batch(self, starts, *args):
+        counts["walks"] += len(starts)
+        if len(starts) >= kernel.MIN_VECTOR_BATCH:
+            counts["vector_walks"] += len(starts)
+        return run_biased_batch(self, starts, *args)
+
+    ExchangeProtocol.exchange_all = counted_pass
+    kernel.ArrayKernel.run_biased_batch = counted_batch
+    try:
+        result = runner.run(SIMWALK_EVENTS)
+    finally:
+        ExchangeProtocol.exchange_all = exchange_all
+        kernel.ArrayKernel.run_biased_batch = run_biased_batch
+    events = max(1, result.events)
+    return {
+        "n": initial_size,
+        "clusters": result.final_cluster_count,
+        "events": result.events,
+        "us_per_event": 1e6 * result.elapsed_seconds / events,
+        "walks_per_pass": counts["pass_walks"] / max(1, counts["passes"]),
+        "vector_share": counts["vector_walks"] / max(1, counts["walks"]),
+        "hops_per_event": sum(hops.values[warm_hops:]) / events,
     }
 
 
@@ -218,6 +294,11 @@ def run_experiment(steps: int = STEPS, walk_steps: int = WALK_STEPS):
             "warmup_events": CURVE_WARMUP,
             "points": [oracle_curve_point(size) for size in CURVE_SIZES],
         },
+        "simwalk_curve": {
+            "max_size": MAX_SIZE,
+            "warmup_events": SIMWALK_WARMUP,
+            "points": [simwalk_curve_point(size) for size in SIMWALK_SIZES],
+        },
         "bootstrap_curve": {
             "max_size": MAX_SIZE,
             "seed": BOOTSTRAP_SEED,
@@ -271,6 +352,12 @@ def test_engine_throughput(benchmark):
             f"  oracle curve N={point['n']}: {point['us_per_event']:.0f} us/event, "
             f"{point['rounds_per_event']:.1f} rounds/event, {point['swaps_per_round']:.1f} swaps/round"
         )
+    for point in result["simwalk_curve"]["points"]:
+        print(
+            f"  simwalk curve n0={point['n']}: {point['us_per_event']:.0f} us/event, "
+            f"{point['walks_per_pass']:.0f} walks/pass, vector share "
+            f"{point['vector_share']:.2f}, {point['hops_per_event']:.0f} hops/event"
+        )
     for point in result["bootstrap_curve"]["points"]:
         print(
             f"  bootstrap curve n0={point['n']}: {point['bootstrap_ms']:.1f} ms, "
@@ -286,6 +373,9 @@ def test_engine_throughput(benchmark):
     # Every curve point ran events with exchange rounds in them.
     for point in result["oracle_curve"]["points"]:
         assert point["events"] > 0 and point["rounds_per_event"] > 0
+    # Every simulated-walk point walked.
+    for point in result["simwalk_curve"]["points"]:
+        assert point["events"] > 0 and point["hops_per_event"] > 0
     # Every bootstrap point ran the model's diameter (n0 <= 600).
     for point in result["bootstrap_curve"]["points"]:
         assert point["bootstrap_ms"] > 0 and point["discovery_rounds"] > 0

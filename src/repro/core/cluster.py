@@ -328,7 +328,7 @@ class ClusterRegistry:
         cluster_ids: Sequence[ClusterId],
         layout,
         getrandbits: Optional[Callable[[int], int]],
-        walks: Optional[Callable[[ClusterId, int], List[int]]] = None,
+        walks: Optional[Sequence[int]] = None,
         choose: Optional[Callable[[List[NodeId]], NodeId]] = None,
     ) -> tuple:
         """Exchange each cluster of ``cluster_ids``, in order, as one pass.
@@ -341,12 +341,13 @@ class ClusterRegistry:
         below ``total``, the draw ``randrange(total)`` makes): the row
         ``bisect_right(cum, u)`` is its partner and the slot ``u -
         base[row]`` the member the partner gives up.  Otherwise (simulated
-        walks) ``walks(cluster_id, count)`` is called when the round starts
-        and lists the rows its ``count`` walks ended on, one per member, and
-        the partner gives up slot ``randrange(size)``, drawn the same way
-        with ``getrandbits``.  With ``choose`` (an adversary override is
-        installed) the partner gives up the member ``choose(slots)`` names
-        instead; ``choose`` reads the live slots and must copy what it keeps.
+        walks) ``walks`` lists the rows the pass's walks ended on, one per
+        member of each cluster in turn (the pass's walks are drawn before it
+        starts, as one batch), and the partner gives up slot
+        ``randrange(size)``, drawn the same way with ``getrandbits``.  With
+        ``choose`` (an adversary override is installed) the partner gives up
+        the member ``choose(slots)`` names instead; ``choose`` reads the live
+        slots and must copy what it keeps.
 
         A member whose partner is its round's own cluster or an empty
         cluster stays.  Swaps keep every size, so the population and each
@@ -390,13 +391,16 @@ class ClusterRegistry:
             entry = resolved[row] = (slots, base, partner_id, size * (size - 1))
             return entry
 
+        taken = 0
         try:
             for cluster_id in cluster_ids:
                 slots, own = self.get(cluster_id).members, row_of(cluster_id)
                 table: dict = {}
                 table_get = table.get
                 rounds.append(table.keys())
-                partners = walks(cluster_id, len(slots)) if walks is not None else None
+                partners = None
+                if walks is not None:
+                    partners, taken = walks[taken : taken + len(slots)], taken + len(slots)
                 if partners is None and slots and not total:
                     raise ProtocolViolationError("an oracle draw needs a layout with positive weight")
                 for slot, node in enumerate(slots):

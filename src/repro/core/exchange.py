@@ -105,18 +105,13 @@ class ExchangeProtocol:
         getrandbits, choose = self._randnum.pass_picks(state.nodes.is_byzantine)
         walked = sum(map(len, exchanged))
         if randcl.walk_mode is WalkMode.SIMULATED:
-            walk_costs = []
-
-            def walks(cluster_id: ClusterId, count: int) -> List[int]:
-                rows, cost = randcl.round_walks(cluster_id, count)
-                walk_costs.append(cost)
-                return rows
-
+            # The whole pass's walks, one per member, as one batch.
+            starts = [cluster.cluster_id for cluster in exchanged for _ in cluster.members]
+            rows, (walk_messages, walk_rounds, walk_hops) = randcl.pass_walks(starts)
             layout = overlay.csr()
             swaps, pairs, rounds = clusters.exchange_pass(
-                report.cluster_ids, layout, getrandbits, walks, choose
+                report.cluster_ids, layout, getrandbits, rows, choose
             )
-            walk_messages, walk_rounds, walk_hops = map(sum, zip(*walk_costs))
         else:
             draw, layout, each_walk = randcl.oracle_walks(report.cluster_ids[0])
             walk_messages, walk_rounds, walk_hops = (walked * cost for cost in each_walk)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import List, Optional, Sequence
 
 from ..errors import WalkError
 from ..network.message import MessageKind
@@ -159,14 +159,17 @@ class RandCl:
         outcome = sampler.sample(start_cluster)
         return self.finalize(start_cluster, outcome, metrics=metrics, label=label)
 
-    def walks(self, start_cluster: ClusterId, count: int) -> Iterator[SampleOutcome]:
-        """``count`` simulated walks from ``start_cluster``, run at the first ``next``.
+    def walks(self, starts: Sequence[ClusterId]) -> List[tuple]:
+        """One simulated walk from each of ``starts``, as one batch on the hop engine.
 
-        They advance as one lockstep batch on the hop engine's private
-        stream: swaps keep cluster sizes, so the overlay is static for an
-        exchange round and outcomes left unconsumed do not bias it.
+        Each walk is a ``(cluster, hops, restarts, acceptance_tests,
+        truncated)`` tuple.  An exchange pass draws all its walks before its
+        first swap: swaps keep cluster sizes, so the overlay is static for
+        the pass.
         """
-        yield from self._prepare_sampler(start_cluster).sample_many([start_cluster] * count)
+        if not starts:
+            return []
+        return self._prepare_sampler(starts[0]).walk_batch(starts)
 
     def oracle_walks(self, start_cluster: ClusterId) -> tuple:
         """An exchange pass's oracle walks: ``(getrandbits, layout, cost)``.
@@ -183,22 +186,23 @@ class RandCl:
         messages, rounds = walk_cost(hops, restarts, self.cost_model())
         return self._rng.getrandbits, layout, (messages, rounds, hops)
 
-    def round_walks(self, start_cluster: ClusterId, count: int) -> tuple:
-        """One exchange round's ``count`` simulated walks: ``(rows, cost)``.
+    def pass_walks(self, starts: Sequence[ClusterId]) -> tuple:
+        """An exchange pass's simulated walks, one per start: ``(rows, cost)``.
 
-        ``rows`` lists the CSR rows the round's :meth:`walks` batch ends on,
-        and ``cost`` is ``(messages, rounds, hops)`` summed over the walks.
+        ``rows`` lists the CSR rows the :meth:`walks` batch ends on, and
+        ``cost`` is ``(messages, rounds, hops)`` summed over the walks, each
+        priced by :func:`walk_cost`.
         """
         charges = self.cost_model()
-        outcomes = list(self.walks(start_cluster, count))
-        row_of = self._sampler.graph.csr().row_of
-        costs = [walk_cost(walk.hops, walk.restarts, charges) for walk in outcomes]
-        cost = (
-            sum(m for m, _ in costs),
-            sum(r for _, r in costs),
-            sum(walk.hops for walk in outcomes),
-        )
-        return [row_of(walk.cluster) for walk in outcomes], cost
+        row_of = self._state.overlay.graph.csr().row_of
+        rows, messages, rounds, hops = [], 0, 0, 0
+        for cluster, walk_hops, restarts, _, _ in self.walks(starts):
+            walk_messages, walk_rounds = walk_cost(walk_hops, restarts, charges)
+            rows.append(row_of(cluster))
+            messages += walk_messages
+            rounds += walk_rounds
+            hops += walk_hops
+        return rows, (messages, rounds, hops)
 
     def finalize(
         self,

@@ -6,9 +6,9 @@ capturing everything a run needs to pick up exactly where it stopped:
 * the engine snapshot, as the backend's ``capture_snapshot`` gives it: for
   :class:`~repro.core.engine.NowEngine` parameters, config, both registries
   with their RNG-visible array orders (every cluster's member slots
-  included: version 2 stores the slot order of trace v3), the overlay graph with its version
-  counter, metrics, the engine RNG stream and the walk machinery's
-  unconsumed exponential buffer; for the
+  included: version 3 stores the slot order of trace v4), the overlay graph with its version
+  counter, metrics, the engine RNG stream and the hop engine's stream
+  state and unconsumed uniform buffer; for the
   :class:`~repro.shard.coordinator.ShardCoordinator` the router directory,
   merge state and one such engine snapshot per logical shard.
   ``engine_kind`` names which (absent means ``"now"``),
@@ -34,7 +34,7 @@ from ..errors import ConfigurationError
 from .hashing import state_hash
 
 FORMAT_NAME = "repro-checkpoint"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def write_json_atomic(path: str, data: Any, indent: Optional[int] = None) -> None:

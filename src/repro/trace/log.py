@@ -8,12 +8,13 @@ the encoding from the leading bytes, so every frame consumer (``replay``,
 mixed freely.
 
 ``header`` (first frame)
-    ``{"t":"header","f":"repro-trace","v":3,"scenario":{...},
+    ``{"t":"header","f":"repro-trace","v":4,"scenario":{...},
     "engine":"now","index_every":N}`` — identifies the format and carries
     the full scenario spec so ``replay`` can rebuild the engine from the
-    seed alone.  Version 3 is the member order of slots (see "Member
-    order" in ``docs/ARCHITECTURE.md``); a trace of any other version is
-    refused by version.
+    seed alone.  Version 4 is the member order of slots (see "Member
+    order" in ``docs/ARCHITECTURE.md``) with simulated walks on the
+    uniformized hop engine, an exchange pass drawing its walks as one
+    batch; a trace of any other version is refused by version.
 
 ``ev`` (one per applied churn event)
     ``{"t":"ev","i":step,"ts":time_step,"k":"join"|"leave","r":role,
@@ -56,7 +57,7 @@ from ..scenarios.bus import StepRecord
 from .codec import DEFAULT_FLUSH_EVERY, open_codec_writer, read_trace_frames
 
 FORMAT_NAME = "repro-trace"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Default spacing (in applied events) between state-hash index frames.
 DEFAULT_INDEX_EVERY = 200
@@ -263,11 +264,13 @@ def churn_event_from_frame(frame: Dict[str, Any]) -> ChurnEvent:
 
     The frame carries the *input* event (pre-resolution), so re-applying it
     to an engine in the same state consumes the same RNG draws and assigns
-    the same node ids as the original run.
+    the same node ids as the original run.  A kind or role that names no
+    member of its enum is refused with :class:`ConfigurationError`.
     """
+    try:
+        kind, role = ChurnKind(frame["k"]), NodeRole(frame["r"])
+    except ValueError as error:
+        raise ConfigurationError(f"malformed event frame: {error}") from None
     return ChurnEvent(
-        kind=ChurnKind(frame["k"]),
-        role=NodeRole(frame["r"]),
-        node_id=frame.get("n"),
-        contact_cluster=frame.get("c"),
+        kind=kind, role=role, node_id=frame.get("n"), contact_cluster=frame.get("c")
     )

@@ -229,7 +229,11 @@ class ReplayEngine:
                 verifier.window([])  # hash frames before the first event
                 for frame in [frame for frame in frames if frame["t"] == "ev"]:
                     try:
-                        records = driver.collect(driver.dispatch([churn_event_from_frame(frame)]))
+                        event = churn_event_from_frame(frame)
+                    except ConfigurationError as malformed:
+                        raise verifier.diverge(frame["i"], str(malformed), frame, None) from None
+                    try:
+                        records = driver.collect(driver.dispatch([event]))
                     except ReproError as refusal:
                         reason = f"the re-executed run refused the recorded event: {refusal}"
                         raise verifier.diverge(frame["i"], reason, frame, None) from None

@@ -11,8 +11,8 @@ This package provides:
 
 * :mod:`repro.walks.interface`  — the minimal graph interface walks need,
 * :mod:`repro.walks.csr`        — the flat CSR snapshot the hop engine indexes,
-* :mod:`repro.walks.kernel`     — the hop engine: the biased CTRW in batches
-  (scalar or vector path by batch size),
+* :mod:`repro.walks.kernel`     — the hop engine: the biased CTRW,
+  uniformized, in batches (scalar or vector executor by round size),
 * :mod:`repro.walks.law`        — that walk's exact endpoint law, and its
   total-variation distance to ``|C| / n``,
 * :mod:`repro.walks.sampler`    — the cluster sampler ``randCl`` draws from,

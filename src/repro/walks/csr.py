@@ -4,10 +4,8 @@ The hop engine (:mod:`repro.walks.kernel`) advances many concurrent walks
 per step, which needs the graph in a flat, indexable form rather than a
 dict-of-sets: :class:`CSRLayout` is that form — the classic compressed
 sparse row layout (``indptr``/``indices``) over the graph's sorted vertex
-enumeration, augmented with the derived rows every hop reads:
+enumeration, augmented with derived rows:
 
-* ``inv_degree`` — cached degree reciprocals, so an ``Exp(d)`` holding time
-  is one multiply of a unit exponential (``Exp(d) = Exp(1) / d``);
 * ``weights`` and a lazily built cumulative-weight row, backing both the
   biased walk's acceptance test and the stationary-law draw
   :meth:`CSRLayout.sample_row`;
@@ -20,11 +18,10 @@ enumeration, augmented with the derived rows every hop reads:
 Rows are *row indices*, not vertex ids: ``indices`` stores the neighbour's
 row so a hop never leaves integer-array space; :attr:`CSRLayout.vertices`
 maps rows back to ids at the boundary.  All arrays are ``array``-module
-buffers.  The kernel reads them two ways: :meth:`numpy_views` exposes
-zero-copy ``frombuffer`` views over the same memory for its vector path,
-and :meth:`scalar_rows` a lazily built Python-object copy of the structural
-rows (one ``(inv_degree, degree, neighbours)`` tuple per row) for its scalar
-path, which then indexes no ``array`` element.
+buffers.  :meth:`numpy_views` exposes zero-copy ``frombuffer`` views over
+the same memory, and :attr:`CSRLayout.walk_tables` caches the hop engine's
+structural tables (built by :mod:`repro.walks.kernel` at its first walk on
+the layout).
 
 Invalidation contract (see ``docs/ARCHITECTURE.md``): a layout is a
 snapshot keyed on the owning graph's mutation counters.  Structural
@@ -33,7 +30,7 @@ rebuilds in O(V + E).  Weight mutations are applied *in place* through
 :meth:`set_weight` (the weight, plus its delta added to each neighbour's
 neighbour sum and to the cumulative rows from its own row on), so the
 per-event weight churn of the engine never pays a structural rebuild, an
-O(E) re-summation or a rebuild of the cumulative rows.  The scalar rows and
+O(E) re-summation or a rebuild of the cumulative rows.  The walk tables and
 the numpy views copy no weight, so weight churn leaves both valid.
 The sorted-vertex enumeration makes the layout deterministic: the same
 graph state always flattens to byte-identical rows, which the trace
@@ -44,14 +41,11 @@ from __future__ import annotations
 
 import bisect
 from array import array
-from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional
 
 from ..errors import WalkError
 
 Vertex = Hashable
-#: One ``(inv_degree, float degree, padded neighbours)`` row per vertex: see
-#: :meth:`CSRLayout.scalar_rows`.
-ScalarRows = Tuple[Tuple[float, float, Tuple[int, ...]], ...]
 
 
 class Population(NamedTuple):
@@ -78,7 +72,6 @@ class CSRLayout:
         "_row_of",
         "indptr",
         "indices",
-        "inv_degree",
         "weights",
         "structure_version",
         "weights_version",
@@ -86,7 +79,7 @@ class CSRLayout:
         "_population",
         "_neighbour_sums",
         "_fractional",
-        "_scalar_rows",
+        "walk_tables",
         "_np_static",
     )
 
@@ -95,7 +88,6 @@ class CSRLayout:
         vertices: List[Vertex],
         indptr: array,
         indices: array,
-        inv_degree: array,
         weights: array,
         structure_version=None,
         weights_version=None,
@@ -104,7 +96,6 @@ class CSRLayout:
         self._row_of: Dict[Vertex, int] = {v: row for row, v in enumerate(vertices)}
         self.indptr = indptr
         self.indices = indices
-        self.inv_degree = inv_degree
         self.weights = weights
         #: Stamp of the owning graph's structural mutation counter at build time.
         self.structure_version = structure_version
@@ -117,7 +108,8 @@ class CSRLayout:
         #: Rows whose weight is not a whole number: while there is none, a
         #: weight's delta is added to the neighbour sums exactly.
         self._fractional = sum(1 for weight in weights if not weight.is_integer())
-        self._scalar_rows: Optional[ScalarRows] = None
+        #: The hop engine's tables of this structure (``None`` until its first walk).
+        self.walk_tables = None
         self._np_static = None
 
     # ------------------------------------------------------------------
@@ -135,21 +127,17 @@ class CSRLayout:
         row_of = {v: row for row, v in enumerate(vertices)}
         indptr = array("q", [0])
         indices = array("q")
-        inv_degree = array("d")
         weights = array("d")
         for vertex in vertices:
             neighbours = graph.neighbours(vertex)
             for neighbour in neighbours:
                 indices.append(row_of[neighbour])
-            degree = len(neighbours)
             indptr.append(len(indices))
-            inv_degree.append(1.0 / degree if degree else 0.0)
             weights.append(float(graph.weight(vertex)))
         return cls(
             vertices,
             indptr,
             indices,
-            inv_degree,
             weights,
             structure_version=structure_version,
             weights_version=weights_version,
@@ -272,44 +260,15 @@ class CSRLayout:
         return bisect.bisect_right(cum, rng.random() * total, 0, len(cum) - 1)
 
     # ------------------------------------------------------------------
-    # Python-object rows and numpy views
+    # numpy views
     # ------------------------------------------------------------------
-    def scalar_rows(self) -> ScalarRows:
-        """One ``(inv_degree, degree, neighbours)`` tuple per row, for the scalar hop loops.
-
-        ``neighbours`` is the row's ``indices[indptr[row]:indptr[row + 1]]``
-        slice as a tuple with its last entry repeated, so ``neighbours[int(u
-        * degree)]`` is the clamped pick even where ``u * degree`` rounds up
-        to ``degree``.  The degree is a float: ``u * degree`` is then a
-        float product, the value the integer degree gives, without the
-        conversion.  An isolated row is ``(0.0, 0.0, ())``.  A hop reads no
-        ``array`` element, and the row it lands on is never isolated: a
-        layout in which some row lists an isolated neighbour (a graph that
-        is not undirected) is refused with :class:`~repro.errors.WalkError`.
-        Structural, built once on first use and discarded with the layout;
-        weights are not copied, so weight churn leaves the rows valid.
-        """
-        rows = self._scalar_rows
-        if rows is None:
-            flat, indptr = self.indices.tolist(), self.indptr
-            bounds = list(zip(indptr, indptr[1:]))
-            isolated = {row for row, (a, b) in enumerate(bounds) if a == b}
-            if isolated and not isolated.isdisjoint(flat):
-                raise WalkError("a vertex lists an isolated neighbour: the graph is not undirected")
-            rows = []
-            for inv, (a, b) in zip(self.inv_degree.tolist(), bounds):
-                neighbours = flat[a:b]
-                rows.append((inv, float(b - a), tuple(neighbours + neighbours[-1:])))
-            rows = self._scalar_rows = tuple(rows)
-        return rows
-
     def numpy_views(self):
         """Zero-copy numpy views over the CSR rows.
 
-        ``indptr``/``indices``/``inv_degree``/``weights`` are ``frombuffer``
+        ``indptr``/``indices``/``weights`` are ``frombuffer``
         views of the same memory, so :meth:`set_weight` updates are visible
         through them without any copying.  numpy is imported here, for the
-        hop engine's vector path and :mod:`repro.walks.law`, and nowhere else
+        hop engine and :mod:`repro.walks.law`, and nowhere else
         in this module.
         """
         views = self._np_static
@@ -321,9 +280,6 @@ class CSRLayout:
                 "indices": _np.frombuffer(self.indices, dtype=_np.int64)
                 if len(self.indices)
                 else _np.empty(0, dtype=_np.int64),
-                "inv_degree": _np.frombuffer(self.inv_degree, dtype=_np.float64)
-                if len(self.inv_degree)
-                else _np.empty(0, dtype=_np.float64),
                 "weights": _np.frombuffer(self.weights, dtype=_np.float64)
                 if len(self.weights)
                 else _np.empty(0, dtype=_np.float64),

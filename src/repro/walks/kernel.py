@@ -3,57 +3,50 @@
 It runs one walk, the biased continuous-time random walk behind ``randCl``
 (§3.1).  A segment of it holds at a vertex of degree ``d`` for an ``Exp(d)``
 time, then jumps to a uniformly chosen neighbour, until the segment's
-duration is spent (on an irregular graph the segment's stationary law is
-uniform over vertices, which is why the paper walks in continuous time).  At
-a segment's end cluster ``C`` the walk accepts with probability
+duration ``T`` is spent (on an irregular graph the segment's stationary law
+is uniform over vertices, which is why the paper walks in continuous time).
+At a segment's end cluster ``C`` the walk accepts with probability
 ``|C| / max |C'|`` and otherwise restarts from ``C``, turning the uniform law
 into ``|C| / n``.  :mod:`repro.walks.law` computes the endpoint law exactly;
-the kernel suite holds both hop paths to it.
+the kernel suite holds the kernel to it, and ``tests/reference_walk.py``
+keeps the exponential-clock walk as the readable definition.
 
-:class:`ArrayKernel` runs it over a :class:`~repro.walks.csr.CSRLayout`:
-all concurrent walks of a sampling round advance together, one step per hop
-generation — bulk unit exponentials scaled by the cached degree reciprocals
-for the holding times (``Exp(d) = Exp(1) / d``), and hop targets picked
-straight out of the flat ``indices`` row by offset
-(``indices[indptr[pos] + floor(u * deg)]``; with uniform neighbour choice
-the weighted-row ``searchsorted`` generalisation collapses to this single
-gather).
+The kernel runs the segment *uniformized* (Jensen 1953): with ``Λ`` the
+largest degree, it is a chain on a ``Poisson(Λ·T)`` clock that, at each
+tick, picks one of ``Λ`` slots uniformly and moves to the slot's neighbour
+when the slot is below the vertex's degree, staying put otherwise.  The
+endpoint and the hop count have the CTRW's joint law.  Ticks do not depend
+on holding times, so ``r`` of them compose: a code uniform over ``Λ^r`` names
+``r`` slots at once, and :class:`_TickTables`, built from the structure
+alone and cached per :class:`~repro.walks.csr.CSRLayout`, give the row after
+``r`` ticks and the hops they took.  ``k`` ticks go per lookup, ``k`` the
+largest with ``V·Λ^k <= TABLE_CAP``.
 
-One backend (numpy), two paths by batch size.  Batches of at least
-:data:`MIN_VECTOR_BATCH` walks take the vector path: they advance in
-lockstep over zero-copy numpy views of the CSR buffers.  Smaller batches
-(an exchange round batches one walk per cluster member) take the scalar
-path: one loop per batch that runs its walks one after another, holding
-the layout's Python-object hop rows (:meth:`~repro.walks.csr.CSRLayout.
-scalar_rows`: ``(inv_degree, degree, neighbours)``, the neighbours padded
-so that no pick needs a clamp), a Python-float copy of each buffer and
-both cursors in locals.  Both paths read the same bulk buffers, generated
-in blocks from a dedicated ``Generator(PCG64)`` stream; the buffers stay
-numpy arrays, and the scalar path's float copy of one is made once per
-buffer.  The path choice depends only on batch size, never on drawn
-values, so it is deterministic.  ``tests/reference_walk.py`` keeps the
-scalar path as per-walk loops drawing one value at a time, and the kernel
-suite holds the two to the same results and kernel state draw for draw.
+Stream layout.  A batch runs in rounds; every walk of round ``j`` is at its
+``j``-th segment.  A round of ``W`` walks makes one ``poisson(Λ·T, W)``
+call for the tick counts ``N``, then one contiguous take from the uniform
+buffer: walk by walk, ``N // k`` codes of ``k`` ticks and one code of the
+``N % k`` ticks left, then the ``W`` acceptance uniforms.  A code ``y`` of
+``r`` ticks names entry ``int(y * Λ^r)`` of the ``r``-tick table.  Walks
+rejected below the restart cap form the next round.
 
-The pair invariant of the biased scalar loop: a segment from a vertex with
-neighbours that makes ``K`` hops takes exactly ``K + 1`` exponentials and
-``K + 1`` uniforms.  Hop ``i`` takes pair ``i`` (its holding time and its
-neighbour pick); the last pair's exponential ends the segment and its
-uniform is the acceptance test.  So the loop reads the two buffers as one
-stream of ``(exponential, uniform)`` pairs, ``zip`` over two list
-iterators, and only touches the cursors where a buffer runs out.  A walk
-from an isolated vertex draws its acceptance uniforms only; no hop lands on
-one, since the graph is undirected.
+Two executors read exactly that layout: a scalar one over Python lists and
+a vector one of numpy lockstep gathers at the same offsets.  Both truncate
+the ``k``-tick codes with one numpy ``astype(int64)`` over the take, and
+Python's ``int(y * m)`` truncates the same IEEE product numpy does for the
+remainder codes, so the two return the same outcomes and consume the same
+values.
+Each round takes the vector executor when it holds at least
+:data:`MIN_VECTOR_BATCH` walks; the choice affects speed only.
 
 Determinism contract (``repro.trace``): the kernel owns its *own* RNG
 stream, seeded lazily from the parent (engine) stream via one
-``getrandbits(64)`` at first use.  Pre-drawn exponential/uniform buffers
-and the stream state are checkpointed by :meth:`ArrayKernel.snapshot_state`
-and restored bit-exactly by :meth:`ArrayKernel.restore_state` — a resumed
-run consumes the exact buffered values, then continues the stream where the
-uninterrupted run would, and never re-consumes the parent stream.  Buffered
-values are consumed strictly in generation order, so refill block
-boundaries cannot perturb the draw sequence.
+``getrandbits(64)`` at first use.  The stream state and the uniform
+buffer's unconsumed tail are checkpointed by :meth:`ArrayKernel.
+snapshot_state` and restored bit-exactly by :meth:`ArrayKernel.
+restore_state`: a resumed run consumes the exact buffered values, then
+continues the stream where the uninterrupted run would, and never
+re-consumes the parent stream.
 """
 
 from __future__ import annotations
@@ -69,16 +62,60 @@ from .sampler import check_kernel_snapshot
 
 Vertex = Hashable
 
-#: Randomness is generated into buffers of this many values per refill.
+#: Uniforms are generated into buffers of at least this many values per refill.
 _REFILL = 4096
 
-#: Batches below this size take the scalar path.  ``bench_walk_kernel.py``
-#: on the n0 = 300 and n0 = 1 200 bootstrap overlays (2 vCPU, two runs): the
-#: vector path runs at 0.17-0.61x of the scalar loop at 32-96 walks,
-#: 0.69-0.87x at 256, 0.88-1.16x at 384 and 1.34-1.75x at 512.  The two
-#: paths consume the stream in different orders, so moving this changes
-#: recorded executions.
-MIN_VECTOR_BATCH = 256
+#: ``k`` ticks per lookup: the largest ``k`` with ``V * Λ**k`` at most this.
+TABLE_CAP = 2**14
+
+#: Rounds of at least this many walks take the vector executor.
+#: ``bench_walk_kernel.py`` on the n0 = 300, 1 200 and 4 000 bootstrap
+#: overlays (2 vCPU): the vector executor runs at 0.55-0.71x of the scalar
+#: one at 32 walks, 1.05-1.26x at 64, 1.46-1.78x at 96 and 3.0-3.3x at 256.
+#: Both executors consume the stream alike, so this constant changes no
+#: recorded byte.
+MIN_VECTOR_BATCH = 64
+
+
+class _TickTables:
+    """The uniformized chain's lookup tables of one layout (structure only).
+
+    ``step[row * size + code]`` is ``size`` times the row ``k`` ticks lead
+    to and ``hops`` the hops they took, ``size = Λ**k``; the remainder
+    tables for ``r < k`` ticks sit in ``rest_next``/``rest_hops`` at
+    ``rest_base[r] + row * Λ**r + code``.  Each list has a numpy twin.
+    """
+
+    def __init__(self, csr) -> None:
+        views = csr.numpy_views()
+        indptr, indices = views["indptr"], views["indices"]
+        count = len(csr)
+        degree = _np.diff(indptr)
+        lam = max(1, int(degree.max(initial=0)))
+        k = 1
+        while lam > 1 and count * lam ** (k + 1) <= TABLE_CAP:
+            k += 1
+        # One tick: slot s < degree moves to neighbour s, any other stays.
+        moves = _np.arange(lam) < degree[:, None]
+        target = _np.repeat(_np.arange(count)[:, None], lam, axis=1)
+        rows, slots = _np.nonzero(moves)
+        target[rows, slots] = indices[indptr[rows] + slots]
+        hop = moves.astype(_np.int64)
+        nxt, hops, tables = _np.arange(count)[:, None], _np.zeros((count, 1), _np.int64), []
+        for _ in range(k):
+            tables.append((nxt.ravel(), hops.ravel()))
+            hops = (hops[..., None] + hop[nxt]).reshape(count, -1)
+            nxt = target[nxt].reshape(count, -1)
+        sizes = [lam**r for r in range(k)]
+        self.lam, self.k, self.size = lam, k, lam**k
+        self.step_np, self.hops_np = nxt.ravel() * self.size, hops.ravel()
+        self.rest_next_np = _np.concatenate([table for table, _ in tables])
+        self.rest_hops_np = _np.concatenate([table for _, table in tables])
+        self.rest_size_np = _np.array(sizes, dtype=_np.int64)
+        self.rest_base_np = _np.cumsum([0] + [count * size for size in sizes[:-1]])
+        self.step, self.hops = self.step_np.tolist(), self.hops_np.tolist()
+        self.rest_next, self.rest_hops = self.rest_next_np.tolist(), self.rest_hops_np.tolist()
+        self.rest_size, self.rest_base = sizes, self.rest_base_np.tolist()
 
 
 class ArrayKernel:
@@ -90,14 +127,8 @@ class ArrayKernel:
         # Private stream, seeded lazily from the parent at first use so an
         # unused kernel never perturbs the engine stream.
         self._gen = None
-        self._exp_buf = _np.empty(0, dtype=_np.float64)
-        self._uni_buf = _np.empty(0, dtype=_np.float64)
-        self._exp_cur = 0
-        self._uni_cur = 0
-        # Python-float copies of the two buffers for the scalar loop, each
-        # keyed on the buffer object it was made from.
-        self._exp_listed = self._exp_list = None
-        self._uni_listed = self._uni_list = None
+        self._uniforms = _np.empty(0, dtype=_np.float64)
+        self._cursor = 0
 
     @property
     def backend(self) -> str:
@@ -105,7 +136,7 @@ class ArrayKernel:
         return "numpy"
 
     # ------------------------------------------------------------------
-    # Private RNG stream and buffers
+    # Private RNG stream and buffer
     # ------------------------------------------------------------------
     def _ensure_gen(self):
         gen = self._gen
@@ -115,72 +146,17 @@ class ArrayKernel:
             self._gen = gen
         return gen
 
-    def _generate_exp(self, count):
-        """``count`` fresh unit exponentials from the private stream."""
-        # -log1p(-u) == -log(1-u) for u in [0,1): exact at u == 0.
-        return -_np.log1p(-self._ensure_gen().random(count))
-
-    def _generate_uni(self, count):
-        """``count`` fresh uniforms in ``[0, 1)`` from the private stream."""
-        return self._ensure_gen().random(count)
-
-    def _exp_values(self) -> list:
-        """The current exponential buffer as Python floats, for the scalar loop.
-
-        Made once per buffer with ``tolist()`` and keyed on the buffer object,
-        so a refill or :meth:`restore_state` (which replace the buffer)
-        replaces it too.  The buffer itself stays a numpy array, which the
-        vector path slices zero-copy.
-        """
-        buf = self._exp_buf
-        if self._exp_listed is not buf:
-            self._exp_listed, self._exp_list = buf, buf.tolist()
-        return self._exp_list
-
-    def _uni_values(self) -> list:
-        """The current uniform buffer as Python floats (see :meth:`_exp_values`)."""
-        buf = self._uni_buf
-        if self._uni_listed is not buf:
-            self._uni_listed, self._uni_list = buf, buf.tolist()
-        return self._uni_list
-
-    def _refill_exp(self) -> list:
-        """Replace the exponential buffer with a fresh block; its values as floats."""
-        self._exp_buf = self._generate_exp(_REFILL)
-        return self._exp_values()
-
-    def _refill_uni(self) -> list:
-        """Replace the uniform buffer with a fresh block; its values as floats."""
-        self._uni_buf = self._generate_uni(_REFILL)
-        return self._uni_values()
-
-    def _take_exp_vec(self, count):
-        """``count`` unit exponentials as a numpy view (buffer remainder first)."""
-        buf, cursor = self._exp_buf, self._exp_cur
-        available = len(buf) - cursor
-        if available >= count:
-            self._exp_cur = cursor + count
-            return buf[cursor : cursor + count]
-        remainder = buf[cursor:]
-        needed = count - available
-        fresh = self._generate_exp(max(_REFILL, needed))
-        self._exp_buf = fresh
-        self._exp_cur = needed
-        return _np.concatenate((remainder, fresh[:needed]))
-
-    def _take_uni_vec(self, count):
-        """``count`` uniforms as a numpy view (buffer remainder first)."""
-        buf, cursor = self._uni_buf, self._uni_cur
-        available = len(buf) - cursor
-        if available >= count:
-            self._uni_cur = cursor + count
-            return buf[cursor : cursor + count]
-        remainder = buf[cursor:]
-        needed = count - available
-        fresh = self._generate_uni(max(_REFILL, needed))
-        self._uni_buf = fresh
-        self._uni_cur = needed
-        return _np.concatenate((remainder, fresh[:needed]))
+    def _take(self, count: int):
+        """The next ``count`` uniforms of the buffer, refilled from the stream when spent."""
+        buf, cursor = self._uniforms, self._cursor
+        end = cursor + count
+        if end <= len(buf):
+            self._cursor = end
+            return buf[cursor:end]
+        needed = end - len(buf)
+        fresh = self._ensure_gen().random(max(_REFILL, needed))
+        self._uniforms, self._cursor = fresh, needed
+        return _np.concatenate((buf[cursor:], fresh[:needed]))
 
     # ------------------------------------------------------------------
     # Biased-walk batches
@@ -208,178 +184,100 @@ class ArrayKernel:
             raise WalkError("graph has no positive vertex weight")
         csr = self._graph.csr()
         rows = self._rows_for(csr, starts)
-        segment_duration = float(segment_duration)
-        if len(rows) >= MIN_VECTOR_BATCH:
-            return self._biased_vector(rows, segment_duration, max_restarts, csr, max_weight)
-        return self._biased_scalar(rows, segment_duration, max_restarts, csr, max_weight)
-
-    def _biased_scalar(
-        self,
-        rows: List[int],
-        segment_duration: float,
-        max_restarts: int,
-        csr,
-        max_weight: float,
-    ) -> List[tuple]:
-        # One loop over the whole batch, walk after walk, consuming the two
-        # buffers as one stream of (exponential, uniform) pairs: a segment
-        # from a row with neighbours that makes K hops takes K + 1 pairs, the
-        # last one's exponential ending it and its uniform deciding
-        # acceptance.  ``pairs`` zips two list iterators placed at the
-        # cursors ``exp_cur`` / ``uni_cur`` and runs until either buffer is
-        # spent (a stretch).  The for-else at a stretch's end refills the
-        # spent buffer(s), the exponential's first, as the per-draw order
-        # would, and resumes.  No hop is counted: a walk's hops are the pairs
-        # it took minus its segments.  Weights are read live from the layout,
-        # so in-place weight churn is seen.
-        hop_rows = csr.scalar_rows()
-        weights = csr.weights
-        vertices = csr.vertices
-        exp, exp_cur = self._exp_values(), self._exp_cur
-        uni, uni_cur = self._uni_values(), self._uni_cur
-        exp_it, uni_it = _iter_at(exp, exp_cur), _iter_at(uni, uni_cur)
-        pairs = zip(exp_it, uni_it)
-        out = []
-        try:
-            for row in rows:
-                inv, degree, neighbours = hop_rows[row]
-                restarts = 0
-                if not degree:
-                    # An isolated start (no hop lands on one): each segment
-                    # ends where it began and draws its acceptance uniform only.
-                    uni_cur = len(uni) - uni_it.__length_hint__()
-                    while True:
-                        restarts += 1
-                        if uni_cur == len(uni):
-                            uni, uni_cur = self._refill_uni(), 0
-                        accepted = uni[uni_cur] * max_weight < weights[row]
-                        uni_cur += 1
-                        if accepted or restarts >= max_restarts:
-                            break
-                    out.append((vertices[row], 0, restarts, restarts, not accepted))
-                    exp_cur = len(exp) - exp_it.__length_hint__()
-                    uni_it = _iter_at(uni, uni_cur)
-                    pairs = zip(exp_it, uni_it)
-                    continue
-                # Pairs taken before ``mark``, the walk's place in ``exp``.
-                taken, mark = 0, len(exp) - exp_it.__length_hint__()
-                while True:
-                    restarts += 1
-                    remaining = segment_duration
-                    while True:
-                        for x, y in pairs:
-                            holding = x * inv
-                            if holding >= remaining:
-                                break
-                            remaining -= holding
-                            row = neighbours[int(y * degree)]
-                            inv, degree, neighbours = hop_rows[row]
-                        else:
-                            used = min(len(exp) - exp_cur, len(uni) - uni_cur)
-                            exp_cur += used
-                            uni_cur += used
-                            taken += exp_cur - mark
-                            if exp_cur == len(exp):
-                                exp, exp_cur = self._refill_exp(), 0
-                            if uni_cur == len(uni):
-                                uni, uni_cur = self._refill_uni(), 0
-                            mark = exp_cur
-                            exp_it, uni_it = _iter_at(exp, exp_cur), _iter_at(uni, uni_cur)
-                            pairs = zip(exp_it, uni_it)
-                            continue
-                        break
-                    accepted = y * max_weight < weights[row]
-                    if accepted or restarts >= max_restarts:
-                        break
-                taken += len(exp) - exp_it.__length_hint__() - mark
-                out.append((vertices[row], taken - restarts, restarts, restarts, not accepted))
-        finally:
-            self._exp_cur = len(exp) - exp_it.__length_hint__()
-            self._uni_cur = len(uni) - uni_it.__length_hint__()
+        tables = csr.walk_tables
+        if tables is None:
+            tables = csr.walk_tables = _TickTables(csr)
+        ticks = tables.lam * float(segment_duration)
+        vertices, out = csr.vertices, [None] * len(rows)
+        hops = [0] * len(rows)
+        pending = range(len(rows))
+        for restart in range(1, max_restarts + 1):
+            if not rows:
+                break
+            counts = self._ensure_gen().poisson(ticks, len(rows))
+            values = self._take(int((counts // tables.k).sum()) + 2 * len(rows))
+            executor = self._vector if len(rows) >= MIN_VECTOR_BATCH else self._scalar
+            landed, walked, accepted = executor(tables, rows, counts, values, csr, max_weight)
+            last = restart == max_restarts
+            rejected = []
+            for walk, row, walk_hops, ok in zip(pending, landed, walked, accepted):
+                hops[walk] += walk_hops
+                if ok or last:
+                    out[walk] = (vertices[row], hops[walk], restart, restart, not ok)
+                else:
+                    rejected.append(walk)
+            rows = [row for row, ok in zip(landed, accepted) if not ok]
+            pending = rejected
         return out
 
-    def _biased_vector(
-        self,
-        rows: List[int],
-        segment_duration: float,
-        max_restarts: int,
-        csr,
-        max_weight: float,
-    ) -> List[tuple]:
-        views = csr.numpy_views()
-        indptr = views["indptr"]
-        indices = views["indices"]
-        inv_degree = views["inv_degree"]
-        weights = views["weights"]
-        count = len(rows)
-        pos = _np.array(rows, dtype=_np.int64)
-        remaining = _np.full(count, segment_duration, dtype=_np.float64)
-        hops = _np.zeros(count, dtype=_np.int64)
-        restarts = _np.zeros(count, dtype=_np.int64)
-        truncated = _np.zeros(count, dtype=bool)
-        done = _np.zeros(count, dtype=bool)
-        alive = _np.arange(count)
-        while alive.size:
-            p = pos[alive]
-            base = indptr[p]
-            degree = indptr[p + 1] - base
-            # Isolated vertices end their segment immediately (no holding
-            # time is drawn), exactly like the scalar path.
-            segment_over = degree == 0
-            active = _np.nonzero(~segment_over)[0]
-            if active.size:
-                holding = self._take_exp_vec(active.size) * inv_degree[p[active]]
-                rem = remaining[alive[active]]
-                finished = holding >= rem
-                segment_over[active[finished]] = True
-                hop_local = active[~finished]
-                if hop_local.size:
-                    h_idx = alive[hop_local]
-                    remaining[h_idx] = rem[~finished] - holding[~finished]
-                    d = degree[hop_local]
-                    offsets = (self._take_uni_vec(h_idx.size) * d).astype(_np.int64)
-                    _np.minimum(offsets, d - 1, out=offsets)
-                    pos[h_idx] = indices[base[hop_local] + offsets]
-                    hops[h_idx] += 1
-            if segment_over.any():
-                e_idx = alive[segment_over]
-                restarts[e_idx] += 1
-                accepted = self._take_uni_vec(e_idx.size) * max_weight < weights[pos[e_idx]]
-                done[e_idx[accepted]] = True
-                rejected = e_idx[~accepted]
-                if rejected.size:
-                    capped = restarts[rejected] >= max_restarts
-                    cap_idx = rejected[capped]
-                    done[cap_idx] = True
-                    truncated[cap_idx] = True
-                    remaining[rejected[~capped]] = segment_duration
-            alive = _np.nonzero(~done)[0]
-        vertices = csr.vertices
-        return [
-            (vertices[int(row)], int(hop_count), int(restart), int(restart), bool(trunc))
-            for row, hop_count, restart, trunc in zip(
-                pos.tolist(), hops.tolist(), restarts.tolist(), truncated.tolist()
-            )
-        ]
+    @staticmethod
+    def _scalar(tables, rows, counts, values, csr, max_weight) -> tuple:
+        # Walk after walk over Python lists: ``N // k`` lookups in the
+        # ``k``-tick table, then one in the table of the ticks left.  The
+        # ``k``-tick entries are truncated in one numpy pass, as the vector
+        # executor truncates them.
+        k, size, step, step_hops = tables.k, tables.size, tables.step, tables.hops
+        rest_next, rest_hops = tables.rest_next, tables.rest_hops
+        rest_base, rest_size = tables.rest_base, tables.rest_size
+        picks, values = (values * size).astype(_np.int64).tolist(), values.tolist()
+        landed, walked, pos = [], [], 0
+        for row, ticks in zip(rows, counts.tolist()):
+            codes, left = divmod(ticks, k)
+            base, hops, end = row * size, 0, pos + codes
+            for pick in picks[pos:end]:
+                i = base + pick
+                hops += step_hops[i]
+                base = step[i]
+            m = rest_size[left]
+            i = rest_base[left] + base // size * m + int(values[end] * m)
+            landed.append(rest_next[i])
+            walked.append(hops + rest_hops[i])
+            pos = end + 1
+        weights = csr.weights
+        accepted = [y * max_weight < weights[row] for y, row in zip(values[pos:], landed)]
+        return landed, walked, accepted
+
+    @staticmethod
+    def _vector(tables, rows, counts, values, csr, max_weight) -> tuple:
+        # Lockstep over the walks sorted by code count, longest first, so
+        # that the walks still stepping are always a prefix.
+        k, size = tables.k, tables.size
+        codes = counts // k
+        first = _np.cumsum(codes + 1) - (codes + 1)
+        order = _np.argsort(-codes, kind="stable")
+        codes, first = codes[order], first[order]
+        base = _np.asarray(rows, dtype=_np.int64)[order] * size
+        hops = _np.zeros(len(rows), dtype=_np.int64)
+        picks = (values * size).astype(_np.int64)
+        steps = int(codes[0]) if len(codes) else 0
+        for step, live in enumerate(_np.searchsorted(-codes, -_np.arange(steps)).tolist()):
+            i = base[:live] + picks[first[:live] + step]
+            hops[:live] += tables.hops_np[i]
+            base[:live] = tables.step_np[i]
+        left = counts[order] - codes * k
+        m = tables.rest_size_np[left]
+        pick = (values[first + codes] * m).astype(_np.int64)
+        i = tables.rest_base_np[left] + base // size * m + pick
+        landed, walked = _np.empty_like(base), _np.empty_like(hops)
+        landed[order], walked[order] = tables.rest_next_np[i], hops + tables.rest_hops_np[i]
+        weights = csr.numpy_views()["weights"]
+        accepted = values[len(values) - len(rows) :] * max_weight < weights[landed]
+        return landed.tolist(), walked.tolist(), accepted.tolist()
 
     # ------------------------------------------------------------------
     # Checkpoint serialisation (repro.trace)
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
-        """JSON-ready snapshot: backend, private stream state, buffers + cursors.
+        """JSON-ready snapshot: backend, private stream state, uniform buffer tail.
 
-        Buffers are trimmed to their unconsumed tail (cursor 0 in the
-        snapshot); a resumed kernel consumes these exact values first, then
-        refills from the restored stream, reproducing the uninterrupted
-        draw sequence bit-identically.
+        A resumed kernel consumes these exact values first, then refills
+        from the restored stream, reproducing the uninterrupted draw
+        sequence bit-identically.
         """
         return {
             "backend": "numpy",
             "rng": None if self._gen is None else self._gen.bit_generator.state,
-            "exp_buffer": [float(value) for value in self._exp_buf[self._exp_cur :]],
-            "exp_cursor": 0,
-            "uni_buffer": [float(value) for value in self._uni_buf[self._uni_cur :]],
-            "uni_cursor": 0,
+            "uniforms": self._uniforms[self._cursor :].tolist(),
         }
 
     def restore_state(self, data: dict) -> None:
@@ -396,12 +294,9 @@ class ArrayKernel:
             bit_generator = _np.random.PCG64()
             bit_generator.state = rng_state
             self._gen = _np.random.Generator(bit_generator)
-        exp = [float(v) for v in data.get("exp_buffer", ())][int(data.get("exp_cursor", 0)) :]
-        uni = [float(v) for v in data.get("uni_buffer", ())][int(data.get("uni_cursor", 0)) :]
-        self._exp_buf = _np.asarray(exp, dtype=_np.float64)
-        self._uni_buf = _np.asarray(uni, dtype=_np.float64)
-        self._exp_cur = 0
-        self._uni_cur = 0
+        uniforms = [float(value) for value in data.get("uniforms", ())]
+        self._uniforms = _np.asarray(uniforms, dtype=_np.float64)
+        self._cursor = 0
 
     # ------------------------------------------------------------------
     # Internals
@@ -412,10 +307,3 @@ class ArrayKernel:
             return [csr.row_of(start) for start in starts]
         except KeyError as error:
             raise WalkError(f"start vertex {error.args[0]!r} is not in the graph") from None
-
-
-def _iter_at(values: list, cursor: int):
-    """An iterator over ``values`` from index ``cursor`` on, without a copy."""
-    iterator = iter(values)
-    iterator.__setstate__(cursor)
-    return iterator

@@ -160,11 +160,6 @@ class ClusterSampler:
         """
         if self._mode is not WalkMode.SIMULATED:
             return [self._sample_oracle(start) for start in starts]
-        if not starts:
-            return []
-        outcomes = self._ensure_kernel().run_biased_batch(
-            starts, self._segment_duration, self._max_restarts
-        )
         return [
             SampleOutcome(
                 cluster=cluster,
@@ -173,8 +168,17 @@ class ClusterSampler:
                 mode=WalkMode.SIMULATED,
                 truncated=truncated,
             )
-            for cluster, hops, restarts, _, truncated in outcomes
+            for cluster, hops, restarts, _, truncated in self.walk_batch(starts)
         ]
+
+    def walk_batch(self, starts: Sequence[Vertex]) -> List[tuple]:
+        """One simulated walk per start, as the hop engine's
+        ``(cluster, hops, restarts, acceptance_tests, truncated)`` tuples."""
+        if not starts:
+            return []
+        return self._ensure_kernel().run_biased_batch(
+            starts, self._segment_duration, self._max_restarts
+        )
 
     def _ensure_kernel(self) -> ArrayKernel:
         kernel = self._kernel

@@ -1,8 +1,8 @@
-"""The exchange round of trace v3, member by member, kept as a reference.
+"""The exchange round of trace v4, member by member, kept as a reference.
 
 ``ExchangeProtocol.exchange_all`` runs the rounds of a sequence of clusters
 as one pass over tables it keeps for the whole pass.  This module states one
-cluster's round plainly, member by member, from §3.1 and the v3 member
+cluster's round plainly, member by member, from §3.1 and the v4 member
 order (a pass is these rounds, one after the other):
 
 * the clustered population is the concatenation of the clusters' slot lists
@@ -10,8 +10,10 @@ order (a pass is these rounds, one after the other):
   member;
 * under oracle walks a member's partner and the member the partner gives up
   are one draw, ``population[rng.randrange(n)]``; under simulated walks the
-  partner is where the member's walk of the round's lockstep batch ended,
-  and it gives up slot ``rng.randrange(size)``;
+  partner is where the member's walk ended, and it gives up slot
+  ``rng.randrange(size)``: a pass draws one walk per member of each of its
+  clusters, in order, as one batch before its first swap
+  (:func:`reference_pass`);
 * with randNum's ``adversary_override`` installed, the partner gives up the
   member the override names on a copy of its slots when at least two thirds
   of them are Byzantine, and slot ``rng.randrange(size)`` otherwise;
@@ -89,14 +91,38 @@ def reference_pick(rng, override, slots, byzantine):
     return members[index], controlled
 
 
-def reference_exchange_all(state, randcl, rng, cluster_id, ledger, override=None, label="exchange"):
+def pass_walks(state, randcl, cluster_ids):
+    """An iterator over a pass's simulated walks: one per member of each cluster, in order."""
+    clusters = state.clusters
+    starts = [cid for cid in cluster_ids for _ in clusters.get(cid).members]
+    return iter(randcl.walks(starts))
+
+
+def reference_pass(state, randcl, rng, cluster_ids, ledger, override=None):
+    """A pass: its walks drawn up front, then each cluster's exchange in turn.
+
+    Returns one :func:`reference_exchange_all` result per cluster.
+    """
+    walks = None
+    if randcl.walk_mode is WalkMode.SIMULATED:
+        walks = pass_walks(state, randcl, cluster_ids)
+    return [
+        reference_exchange_all(state, randcl, rng, cid, ledger, override=override, walks=walks)
+        for cid in cluster_ids
+    ]
+
+
+def reference_exchange_all(
+    state, randcl, rng, cluster_id, ledger, override=None, label="exchange", walks=None
+):
     """One full-cluster exchange, member by member.
 
     ``randcl`` supplies the simulated walks, ``rng`` is the engine stream
     (oracle draws and picks) and ``override`` the randNum adversary hook (or
-    ``None``).  Returns the report, the applied ``(node, partner_id,
-    replacement)`` swaps and the ``adversary_controlled`` flag of every
-    pick.
+    ``None``).  Simulated walks come from ``walks``, the pass's iterator
+    (:func:`pass_walks`); without one, the exchange is a pass of its own.
+    Returns the report, the applied ``(node, partner_id, replacement)``
+    swaps and the ``adversary_controlled`` flag of every pick.
     """
     clusters = state.clusters
     cluster = clusters.get(cluster_id)
@@ -104,15 +130,15 @@ def reference_exchange_all(state, randcl, rng, cluster_id, ledger, override=None
     charges = hop_charges(len(clusters), state.network_size)
     size = len(cluster.members)
     simulated = randcl.walk_mode is WalkMode.SIMULATED
-    batch = randcl.walks(cluster_id, size) if simulated else None
+    if simulated and walks is None:
+        walks = pass_walks(state, randcl, [cluster_id])
 
     walk_messages = walk_rounds = walk_hops = pick_messages = pick_rounds = 0
     swaps, controlled_flags = [], []
     for slot in range(size):
         node = cluster.members[slot]
         if simulated:
-            walk = next(batch)
-            partner_id, hops, restarts = walk.cluster, walk.hops, walk.restarts
+            partner_id, hops, restarts, _, _ = next(walks)
         else:
             everyone = population(state)
             partner_id, replacement = everyone[rng.randrange(len(everyone))]

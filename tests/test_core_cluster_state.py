@@ -279,9 +279,9 @@ class _Recording(list):
         return super().__getitem__(row)
 
 
-def _walks(layout, ends):
-    """A ``walks`` source: round ``cluster_id``'s walks end on the clusters ``ends[cluster_id]``."""
-    return lambda cluster_id, count: [layout.row_of(end) for end in ends[cluster_id]][:count]
+def _walks(layout, ends, cluster_ids):
+    """A pass's ``walks``: round ``cluster_id``'s walks end on the clusters ``ends[cluster_id]``."""
+    return [layout.row_of(end) for cluster_id in cluster_ids for end in ends[cluster_id]]
 
 
 #: Range sizes on both sides of each power of two, where the ``getrandbits``
@@ -324,7 +324,7 @@ class TestSwaps:
         registry.create_cluster([5, 6], cluster_id=30)
         layout = _layout(registry, [10, 20, 30])
         swaps, pairs, rounds = registry.exchange_pass(
-            [10], layout, None, _walks(layout, {10: [20, 30]}), lambda slots: slots[1]
+            [10], layout, None, _walks(layout, {10: [20, 30]}, [10]), lambda slots: slots[1]
         )
         assert registry.get(10).members == [4, 6]
         assert registry.get(20).members == [3, 1] and registry.get(30).members == [5, 2]
@@ -342,7 +342,7 @@ class TestSwaps:
         layout = _layout(registry, [10, 20, 30])
         ends = {10: [20, 20], 20: [30, 30]}
         swaps, pairs, rounds = registry.exchange_pass(
-            [10, 20], layout, None, _walks(layout, ends), lambda slots: slots[0]
+            [10, 20], layout, None, _walks(layout, ends, [10, 20]), lambda slots: slots[0]
         )
         # Round 1: 1 <-> 3, then 2 <-> 1 (20's first slot now holds 1).
         # Round 2: 2 <-> 5, then 4 <-> 2 (30's first slot now holds 2).
@@ -359,7 +359,9 @@ class TestSwaps:
         registry.get(10).members[1] = 99  # a slot the node index does not know
         layout = _layout(registry, [10, 20])
         with pytest.raises(UnknownNodeError, match="99"):
-            registry.exchange_pass([10], layout, None, _walks(layout, {10: [20, 20]}), lambda s: s[-1])
+            registry.exchange_pass(
+                [10], layout, None, _walks(layout, {10: [20, 20]}, [10]), lambda s: s[-1]
+            )
         assert registry.get(10).members == [4, 99] and registry.get(20).members == [3, 1]
         assert not registry.contains_node(99)
 
@@ -369,7 +371,7 @@ class TestSwaps:
         registry.get(20).members.append(5)  # a slot the layout's weights do not count
         with pytest.raises(ProtocolViolationError, match="overlay weight"):
             registry.exchange_pass(
-                [10], layout, random.Random(1).getrandbits, _walks(layout, {10: [20, 20]})
+                [10], layout, random.Random(1).getrandbits, _walks(layout, {10: [20, 20]}, [10])
             )
         assert registry.get(10).members == [1, 2] and registry.get(20).members == [3, 4, 5]
 
@@ -385,7 +387,9 @@ class TestSwaps:
         registry.get(30).members.append(7)  # a slot the layout's weights do not count
         ends = {10: [20, 20], 20: [30, 30]}
         with pytest.raises(ProtocolViolationError, match="cluster 30 has 3 members"):
-            registry.exchange_pass([10, 20], layout, None, _walks(layout, ends), lambda s: s[0])
+            registry.exchange_pass(
+                [10, 20], layout, None, _walks(layout, ends, [10, 20]), lambda s: s[0]
+            )
         assert registry.get(10).members == [3, 1] and registry.get(20).members == [2, 4]
         assert registry.get(30).members == [5, 6, 7]
         assert moves == [{20: -1, 10: 1}]
@@ -397,11 +401,13 @@ class TestSwaps:
         registry.create_cluster([5, 6], cluster_id=30)
         layout = _layout(registry, [10, 20, 30])
         ends = {10: [20, 10], 20: [30, 30], 30: [20, 10]}
-        registry.exchange_pass([10, 20], layout, None, _walks(layout, ends), lambda s: s[0])
+        registry.exchange_pass(
+            [10, 20], layout, None, _walks(layout, ends, [10, 20]), lambda s: s[0]
+        )
         assert (registry.exchange_round_count, registry.swap_count) == (2, 3)
         registry.get(10).members[1] = 99  # a slot the node index does not know
         with pytest.raises(UnknownNodeError, match="99"):
-            registry.exchange_pass([30], layout, None, _walks(layout, ends), lambda s: s[-1])
+            registry.exchange_pass([30], layout, None, _walks(layout, ends, [30]), lambda s: s[-1])
         assert (registry.exchange_round_count, registry.swap_count) == (3, 4)
 
     @pytest.mark.parametrize("oracle", [True, False])
@@ -416,7 +422,9 @@ class TestSwaps:
             registry.exchange_pass([10, 20], layout, lambda bits: next(units))
         else:
             ends = {10: [30, 30], 20: [30, 30]}
-            registry.exchange_pass([10, 20], layout, None, _walks(layout, ends), lambda s: s[0])
+            registry.exchange_pass(
+                [10, 20], layout, None, _walks(layout, ends, [10, 20]), lambda s: s[0]
+            )
         assert layout.vertices.read == [2]
         assert registry.get(30).members == ([3, 4] if oracle else [4, 6])
 
@@ -466,7 +474,7 @@ class TestSwaps:
         stream, twin = random.Random(size), random.Random(size)
         for _ in range(200):
             expected = registry.get(1).members[twin.randrange(size)]
-            registry.exchange_pass([0], layout, stream.getrandbits, _walks(layout, {0: [1]}))
+            registry.exchange_pass([0], layout, stream.getrandbits, _walks(layout, {0: [1]}, [0]))
             assert registry.get(0).members == [expected]
         assert stream.getstate() == twin.getstate()
 

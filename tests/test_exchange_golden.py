@@ -92,9 +92,9 @@ GOLDEN = {
         "ledger": "6d6c39d49e5d9f273bdb9ccbda24dbb5182b3fcce3dd379c19235fbf27c1d51e",
     },
     "simulated": {
-        "state_hash": "a0b7dd6e35cddfd5519a7cf1f1936072feeab458e0cf594757696c6bda092a83",
-        "reports": "bba56d55e18815385f67c986aaba171aa5789c217304d84c6f99cd6114894b42",
-        "ledger": "2c28b402b08b78096aad3569aab09194fdc4655d702ab5b664d93b6eca2e5b35",
+        "state_hash": "47fbe3604d1a9c4c94aeef5cd4e308a0a1b557b2fa3d725aff20d7b0f518199a",
+        "reports": "f1e19c5c5c99c28e9088b2c807871b1815044da216a25936f8764864bb2d0e9b",
+        "ledger": "0130798ce0f27f759bd7ad81fc1f9afc98ab3100d1b15d6cfd631a51d20b2fc9",
     },
 }
 
@@ -139,7 +139,7 @@ def test_oracle_walks_draw_only_when_pulled():
         assert engine.state.rng.getstate() == twin.state.rng.getstate()
 
 
-#: An oracle-walk checkpoint (version 2, trace v3 member order): ``uniform``
+#: An oracle-walk checkpoint (version 3, trace v4 member order): ``uniform``
 #: churn (join probability 0.3, Byzantine joins at tau = 0.15) at n0 = 120,
 #: l = 1.42, seed 5, cut at step 85 of 130 after merges.
 ORACLE_CHECKPOINT = os.path.join(

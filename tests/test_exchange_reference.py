@@ -2,8 +2,9 @@
 
 Twin engines are restored from one snapshot.  One runs passes through
 ``ExchangeProtocol.exchange_all``, the other runs
-``reference_exchange.reference_exchange_all`` (the v3 round stated plainly)
-cluster by cluster, on the same clusters in the same order.  After every
+``reference_exchange.reference_exchange_all`` (the v4 round stated plainly)
+cluster by cluster, on the same clusters in the same order, a pass's
+simulated walks drawn before its first round (``reference_pass``).  After every
 pass the two must agree on the summed report fields, the ledger, both RNG
 streams (the engine's and the hop engine's), every cluster's slot list and
 the node index, and each side's corruption tracker must equal a
@@ -32,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_exchange import direct_notification_cost, reference_exchange_all
+from reference_exchange import direct_notification_cost, reference_exchange_all, reference_pass
 from repro.analysis.statistics import chi_square_critical
 from repro.core.engine import EngineConfig, NowEngine
 from repro.core.invariants import check_invariants
@@ -183,15 +184,14 @@ def _cascade(engine_side, reference_side, cluster_id):
     cascade = sorted(first.partner_clusters)
     report = exchange.exchange_all(cascade, metrics=engine_side.ledger)
     reports = []
-    for partner_id in cascade:
-        partner_report, _, flags = reference_exchange_all(
-            reference_side.state,
-            reference_side.randcl,
-            reference_side.state.rng,
-            partner_id,
-            reference_side.ledger,
-            override=reference_side.override,
-        )
+    for partner_report, _, flags in reference_pass(
+        reference_side.state,
+        reference_side.randcl,
+        reference_side.state.rng,
+        cascade,
+        reference_side.ledger,
+        override=reference_side.override,
+    ):
         reports.append(partner_report)
         controlled += sum(flags)
     return report, _summed(reports), controlled
@@ -261,10 +261,10 @@ def _record_endpoints(side) -> list:
     """Log the cluster every walk of ``side``'s exchange passes lands on."""
     endpoints = []
     randcl = side.randcl
-    oracle_walks, round_walks = randcl.oracle_walks, randcl.round_walks
+    oracle_walks, pass_walks = randcl.oracle_walks, randcl.pass_walks
 
-    def recording_walks(start_cluster, count):
-        rows, cost = round_walks(start_cluster, count)
+    def recording_walks(starts):
+        rows, cost = pass_walks(starts)
         vertices = side.state.overlay.graph.csr().vertices
         endpoints.extend(vertices[row] for row in rows)
         return rows, cost
@@ -282,7 +282,7 @@ def _record_endpoints(side) -> list:
 
         return recorded, layout, cost
 
-    randcl.round_walks, randcl.oracle_walks = recording_walks, recording_oracle
+    randcl.pass_walks, randcl.oracle_walks = recording_walks, recording_oracle
     return endpoints
 
 
@@ -374,17 +374,16 @@ def test_pass_refused_in_a_later_round_keeps_the_earlier_rounds(walk_mode):
         exchange = ExchangeProtocol(engine_side.state, engine_side.randcl, engine_side.randnum)
         raised = _raised(lambda: exchange.exchange_all([first, second], metrics=engine_side.ledger))
 
-        def reference_pass():
-            for cluster_id in (first, second):
-                reference_exchange_all(
-                    reference_side.state,
-                    reference_side.randcl,
-                    reference_side.state.rng,
-                    cluster_id,
-                    reference_side.ledger,
-                )
+        def both_rounds():
+            reference_pass(
+                reference_side.state,
+                reference_side.randcl,
+                reference_side.state.rng,
+                [first, second],
+                reference_side.ledger,
+            )
 
-        assert raised is _raised(reference_pass)
+        assert raised is _raised(both_rounds)
         engine, reference = engine_side.observed(), reference_side.observed()
         if raised is not None:
             assert engine["ledger"] == CommunicationMetrics().snapshot()

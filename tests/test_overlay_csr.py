@@ -15,7 +15,7 @@ carry the whole contract:
 Weight updates must additionally be *in place*: the snapshot object
 survives ``set_weight`` (its neighbour sums and its cumulative rows, float
 and integer, are patched by the weight's delta while every weight is whole,
-and the scalar hop loops' Python rows are kept), while any structural
+and the hop engine's walk tables are kept), while any structural
 mutation discards it wholesale.
 """
 
@@ -33,6 +33,7 @@ from repro.errors import WalkError
 from repro.overlay.graph import OverlayGraph
 from repro.walks.csr import CSRLayout
 from repro.walks.interface import MappingGraph
+from repro.walks.kernel import TABLE_CAP, ArrayKernel, _TickTables
 
 from test_walk_fastpath import OPERATION, apply_operations, seeded_overlay
 
@@ -44,12 +45,10 @@ def assert_csr_matches_fresh_build(graph: OverlayGraph) -> None:
     assert maintained.vertices == fresh.vertices
     assert list(maintained.indptr) == list(fresh.indptr)
     assert list(maintained.indices) == list(fresh.indices)
-    assert list(maintained.inv_degree) == list(fresh.inv_degree)
     assert list(maintained.weights) == list(fresh.weights)
     assert list(maintained.cum_weights()) == list(fresh.cum_weights())
     assert list(maintained.neighbour_weight_sums()) == list(fresh.neighbour_weight_sums())
     assert_population_matches(maintained, fresh)
-    assert_scalar_rows_match(maintained)
     for vertex in graph.vertices():
         row = maintained.row_of(vertex)
         neighbour_rows = maintained.indices[maintained.indptr[row] : maintained.indptr[row + 1]]
@@ -71,18 +70,38 @@ def assert_population_matches(maintained: CSRLayout, fresh: CSRLayout) -> None:
             maintained.population()
 
 
-def assert_scalar_rows_match(layout: CSRLayout) -> None:
-    """``scalar_rows()`` holds the ``indptr``/``indices``/``inv_degree`` rows,
-    each row's neighbours padded with a repeat of the last one."""
-    rows = layout.scalar_rows()
+def assert_walk_tables_match(layout: CSRLayout) -> None:
+    """The hop engine's tables hold the uniformized chain of the layout's
+    rows: one tick at row ``v`` with slot ``s`` moves to neighbour ``s`` when
+    ``s`` is below the degree and stays otherwise, and an ``r``-tick code
+    names its ticks' slots in base ``Λ``, the first tick the most
+    significant digit."""
+    tables = _TickTables(layout)
     indptr, indices = layout.indptr, layout.indices
-    assert len(rows) == len(layout)
-    for row, (inv, degree, neighbours) in enumerate(rows):
-        expected = list(indices[indptr[row] : indptr[row + 1]])
-        assert inv == layout.inv_degree[row]
-        assert degree == len(expected)
-        assert isinstance(neighbours, tuple)
-        assert list(neighbours) == expected + expected[-1:]
+    lam, k, size = tables.lam, tables.k, tables.size
+    assert lam == max([1] + [b - a for a, b in zip(indptr, indptr[1:])])
+    assert size == lam**k and (k == 1 or len(layout) * size <= TABLE_CAP)
+
+    def walk(row, code, ticks):
+        hops = 0
+        for tick in reversed(range(ticks)):
+            slot = code // lam**tick % lam
+            if slot < indptr[row + 1] - indptr[row]:
+                row, hops = indices[indptr[row] + slot], hops + 1
+        return row, hops
+
+    picks = random.Random(len(layout))
+    for row in range(len(layout)):
+        for code in [picks.randrange(size) for _ in range(4)]:
+            i = row * size + code
+            landed, hops = walk(row, code, k)
+            assert (tables.step[i], tables.hops[i]) == (landed * size, hops)
+        for ticks in range(k):
+            for code in [picks.randrange(lam**ticks) for _ in range(2)]:
+                i = tables.rest_base[ticks] + row * lam**ticks + code
+                assert (tables.rest_next[i], tables.rest_hops[i]) == walk(row, code, ticks)
+    assert tables.step == tables.step_np.tolist()
+    assert tables.rest_next == tables.rest_next_np.tolist()
 
 
 class TestVersionBumps:
@@ -213,32 +232,41 @@ class TestSnapshotLifecycle:
         assert snapshot.neighbour_weight_sums() is patched
         assert_csr_matches_fresh_build(graph)
 
-    def test_scalar_rows_follow_the_layout(self):
-        """Built once per layout: weight churn keeps them, a structural
-        mutation brings a new layout with its own."""
+    def test_walk_tables_follow_the_layout(self):
+        """Built once per layout, at its first walk: weight churn keeps them,
+        a structural mutation brings a new layout without them."""
         graph = seeded_overlay()
-        graph.add_vertex(50, weight=2.0)  # isolated: an empty row, 0.0 reciprocal
+        graph.add_vertex(50, weight=2.0)  # isolated: every slot stays
         snapshot = graph.csr()
-        rows = snapshot.scalar_rows()
-        assert_scalar_rows_match(snapshot)
-        assert rows[snapshot.row_of(50)] == (0.0, 0.0, ())
+        assert snapshot.walk_tables is None
+        ArrayKernel(graph, random.Random(1)).run_biased_batch([0], 1.0, 2)
+        tables = snapshot.walk_tables
+        assert tables is not None
+        row = snapshot.row_of(50)
+        assert tables.rest_next[tables.rest_base[1] + row * tables.lam] == row
+        assert_walk_tables_match(snapshot)
         graph.set_weight(2, 42.0)
         snapshot.refresh_weights(graph, graph.version)
-        assert graph.csr() is snapshot and snapshot.scalar_rows() is rows
+        assert graph.csr() is snapshot and snapshot.walk_tables is tables
         graph.add_edge(50, 0)
         rebuilt = graph.csr()
-        assert rebuilt is not snapshot and rebuilt.scalar_rows() is not rows
-        assert rebuilt.scalar_rows()[rebuilt.row_of(50)] == (1.0, 1.0, (rebuilt.row_of(0),) * 2)
+        assert rebuilt is not snapshot and rebuilt.walk_tables is None
         assert_csr_matches_fresh_build(graph)
 
-    def test_scalar_rows_refuse_an_isolated_neighbour(self):
-        """A hop must never land on an isolated row, so a layout in which
-        one is listed as a neighbour (a directed graph) is refused."""
+    @settings(max_examples=40, deadline=None)
+    @given(operations=st.lists(OPERATION, max_size=15), seed=st.integers(0, 2**16))
+    def test_walk_tables_hold_the_uniformized_chain(self, operations, seed):
+        graph = seeded_overlay(seed=seed % 13)
+        apply_operations(graph, operations, random.Random(seed))
+        assert_walk_tables_match(graph.csr())
+
+    def test_walk_tables_of_a_directed_layout(self):
+        """The chain needs no undirected graph to be well defined: a hop to
+        a vertex that lists no neighbour stays there."""
         layout = CSRLayout.build(MappingGraph({0: [1], 1: [], 2: []}))
-        with pytest.raises(WalkError, match="isolated neighbour"):
-            layout.scalar_rows()
-        rows = CSRLayout.build(MappingGraph({0: [1], 1: [0], 2: []})).scalar_rows()
-        assert rows == ((1.0, 1.0, (1, 1)), (1.0, 1.0, (0, 0)), (0.0, 0.0, ()))
+        tables = _TickTables(layout)
+        assert (tables.lam, tables.step[:1]) == (1, [1])
+        assert_walk_tables_match(layout)
 
     def test_weight_patch_is_visible_through_numpy_views(self):
         graph = seeded_overlay()

@@ -30,7 +30,7 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 #: Two shards, barriers every 16 events, a move whenever the sizes differ by
 #: more than one; shrinking uniform churn keeps the barriers moving nodes.
 HANDOFF_SPEC = os.path.join(FIXTURES, "handoff-heavy.json")
-#: That spec cut at step 50 of 120 (checkpoint version 2).
+#: That spec cut at step 50 of 120 (checkpoint version 3).
 HANDOFF_CHECKPOINT = os.path.join(FIXTURES, "checkpoint-sharded-handoff.json")
 #: The uninterrupted 120-step run's final hash.
 HANDOFF_STRAIGHT_HASH = "6242ae0c620171471a6fe9f683cd232232be6144c29c590dae6051c8f6ad01ba"

@@ -275,7 +275,7 @@ class TestNonObjectDocuments:
 
 
 class TestOtherVersionsRefused:
-    """Trace v3 and checkpoint v2 only: any other version is refused by
+    """Trace v4 and checkpoint v3 only: any other version is refused by
     version, with exit 2 and one line, for single and sharded runs alike."""
 
     @pytest.mark.parametrize("shards", [(), ("--shards", "2")], ids=["single", "shards2"])
@@ -287,8 +287,8 @@ class TestOtherVersionsRefused:
         capsys.readouterr()
         lines = open(trace, "r", encoding="utf-8").read().splitlines()
         header = json.loads(lines[0])
-        assert header["v"] == 3
-        for version in (1, 2):
+        assert header["v"] == 4
+        for version in (1, 2, 3):
             header["v"] = version
             old = tmp_path / f"v{version}.jsonl"
             old.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
@@ -304,13 +304,14 @@ class TestOtherVersionsRefused:
         ) == 0
         capsys.readouterr()
         data = json.load(open(path, "r", encoding="utf-8"))
-        assert data["version"] == 2
-        data["version"] = 1
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(data, handle)
-        assert run_cli("resume", "--checkpoint", path) == 2
-        err = capsys.readouterr().err
-        assert "unsupported checkpoint version 1" in err and "Traceback" not in err
+        assert data["version"] == 3
+        for version in (1, 2):
+            data["version"] = version
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(data, handle)
+            assert run_cli("resume", "--checkpoint", path) == 2
+            err = capsys.readouterr().err
+            assert f"unsupported checkpoint version {version}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

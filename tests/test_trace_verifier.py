@@ -289,3 +289,48 @@ def test_truncated_tail_verifies_up_to_its_last_complete_frame(tmp_path, traces,
     result = checkpoint_from_trace(cut, to_step=_events(kept)[-1]["i"], checkpoint_path=checkpoint)
     assert result.state_hash == kept[-1]["h"]
     assert result.hash_checks == 1
+
+
+def _cli_replay(path, capsys):
+    cli = pytest.importorskip("repro.cli")
+    code = cli.main(["replay", "--trace", path])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["foo", {}], ids=["str", "dict"])
+@pytest.mark.parametrize("field", ["k", "r"])
+@pytest.mark.parametrize("kind", ["jsonl", "sharded"])
+def test_malformed_kind_or_role_diverges_at_its_step(tmp_path, traces, capsys, kind, field, value):
+    """A JSONL event frame whose ``k`` or ``r`` is not a kind or a role."""
+    reader = TraceReader(traces[kind])
+    frames = reader.frames
+    frame = _events(frames)[len(_events(frames)) // 2]
+    frame[field] = value
+    bad = _write(reader, frames, os.path.join(str(tmp_path), f"malformed-{kind}"))
+    code, out = _cli_replay(bad, capsys)
+    assert code == 1, out
+    assert f"replay DIVERGED at step {frame['i']}: malformed event frame" in out.out
+    assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("shards", [0, 2], ids=["single", "shards2"])
+@pytest.mark.parametrize("field, old", [("k", "leave"), ("r", "byzantine")])
+def test_malformed_binary_enum_diverges_at_its_first_event(tmp_path, capsys, shards, field, old):
+    """A binary trace whose preamble renames a kind or a role: the first
+    event frame that names it diverges, exit 1."""
+    sharded = dict(SHARDED, workload={"kind": "uniform", "byzantine_join_fraction": 0.3})
+    path = (
+        _batch(str(tmp_path), "run.bin", "binary", workers=2, **sharded)
+        if shards
+        else _batch(str(tmp_path), "run.bin", "binary", workload=sharded["workload"])
+    )
+    step = next(frame["i"] for frame in _events(TraceReader(path).frames) if frame[field] == old)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    renamed = f'"{old[:-1]}x"'.encode()
+    with open(path, "wb") as handle:
+        handle.write(data.replace(f'"{old}"'.encode(), renamed, 1))  # the preamble comes first
+    code, out = _cli_replay(path, capsys)
+    assert code == 1, out
+    assert f"replay DIVERGED at step {step}: malformed event frame" in out.out
+    assert "Traceback" not in out.err

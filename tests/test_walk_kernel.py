@@ -8,20 +8,20 @@ Five families of guarantees:
   both walk modes.
 
 * **Distributional pinning** (chi-square): biased-walk cluster picks from
-  :class:`ArrayKernel` are statistically indistinguishable from the per-hop
-  reference walk (``reference_walk``) and from the analytic ``|C|/n``
-  target, on each of the two hop paths: the scalar path (the same starts
-  run in batches below ``MIN_VECTOR_BATCH``) and the vector path (one
-  batch).  ``tests/test_walk_law.py`` holds both paths to the walk's exact
-  law, also after mutations.
+  :class:`ArrayKernel` are statistically indistinguishable from the
+  exponential-clock reference walk (``reference_walk``) and from the
+  analytic ``|C|/n`` target, and so are the per-walk hop and restart
+  counts, on each of the two executors (every round forced onto one of
+  them).  ``tests/test_walk_law.py`` holds both executors to the walk's
+  exact law, also after mutations.
 
-* **Draw-for-draw pinning** of the scalar path (hypothesis): its batch
-  loop returns the tuples the per-walk loop of ``reference_walk`` returns
-  over the same buffers, and leaves the kernel in the same state, across
-  buffer refills, truncation and a restore.
+* **One stream layout** (hypothesis): the scalar and the vector executor
+  return the same tuples and leave the kernel in the same state, for
+  random overlays, batch sizes and restart caps, across buffer refills,
+  truncation and a restore.
 
-* **Bit-exact checkpointing**: the kernel's private stream and pre-drawn
-  buffers survive a JSON round trip; a restored kernel reproduces the
+* **Bit-exact checkpointing**: the kernel's private stream and uniform
+  buffer survive a JSON round trip; a restored kernel reproduces the
   uninterrupted draw sequence value-for-value and never consumes the
   parent (engine) stream.
 
@@ -34,6 +34,7 @@ Five families of guarantees:
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 import os
@@ -52,42 +53,47 @@ from repro.errors import ConfigurationError, WalkError
 from repro.overlay.graph import OverlayGraph
 from repro.scenarios import Scenario
 from repro.trace import record_scenario, resume_from_checkpoint
+from repro.walks import kernel as kernel_module
 from repro.walks.kernel import MIN_VECTOR_BATCH, ArrayKernel
 from repro.walks.sampler import ClusterSampler, WalkMode, resolve_kernel_name
 
-from reference_walk import reference_biased_batch, reference_biased_walk
+from reference_walk import reference_biased_walk
 from test_trace_checkpoint import run_split, run_straight, small_scenario
 from test_walk_fastpath import chi_square_statistic, seeded_overlay
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
-#: A simulated-walk checkpoint (version 2, trace v3 member order):
-#: ``uniform`` churn at n0 = 80, seed 11, cut at step 42 of 80, where both
-#: kernel buffer tails are non-empty.
+#: A simulated-walk checkpoint (version 3): ``uniform`` churn at n0 = 80,
+#: seed 11, cut at step 42 of 80, where the kernel's uniform buffer tail is
+#: non-empty.
 SIMULATED_CHECKPOINT = os.path.join(FIXTURES, "checkpoint-simulated-kernel.json")
-SIMULATED_CHECKPOINT_HASH = "da64ebc2fc77554be327bae60419ab8d731a90cda32fffed76407fb7c3e4948f"
+SIMULATED_CHECKPOINT_HASH = "1a5ff1f627fe6563501aca8c282018c3032c3409617d8263773df4c6dd3830f5"
 #: The uninterrupted 80-step run.
-SIMULATED_STRAIGHT_HASH = "da847071d63806b499242c0e8d477e3174fd01731e2c21d3b9d60a94f3e0887e"
+SIMULATED_STRAIGHT_HASH = "03efcaeeafdeec88669959b2269e8338b5a4b7c0334c126dd26c1ab2574c5183"
 
 SIMULATED_NAIVE = {"walk_mode": "simulated", "walk_kernel": "naive"}
 
-#: The kernel's two hop paths, chosen by batch size alone.
+#: The kernel's two executors.
 PATHS = ("scalar", "vector")
+#: Walks per batch in :func:`on_path`: cascade-sized batches.
+PATH_BATCH = 512
 
 
 def on_path(path, run, starts, *args):
-    """``run(batch, *args)`` over ``starts`` on one hop path, results concatenated.
+    """``run(batch, *args)`` over ``starts`` with every round on one executor.
 
-    The vector path gets the starts as one batch; the scalar path gets them
-    in chunks of ``MIN_VECTOR_BATCH - 1``, the largest batch it serves.
+    The starts go in batches of ``PATH_BATCH`` walks, results concatenated.
     """
-    if path == "vector":
-        assert len(starts) >= MIN_VECTOR_BATCH
-        return run(starts, *args)
-    size = MIN_VECTOR_BATCH - 1
-    return [
-        out for i in range(0, len(starts), size) for out in run(starts[i : i + size], *args)
-    ]
+    saved = kernel_module.MIN_VECTOR_BATCH
+    kernel_module.MIN_VECTOR_BATCH = 1 if path == "vector" else math.inf
+    try:
+        return [
+            out
+            for i in range(0, len(starts), PATH_BATCH)
+            for out in run(starts[i : i + PATH_BATCH], *args)
+        ]
+    finally:
+        kernel_module.MIN_VECTOR_BATCH = saved
 
 
 def edited_checkpoint(tmp_path, shards: int, edit) -> str:
@@ -267,7 +273,7 @@ class TestDistributionPinning:
 
 
 # ----------------------------------------------------------------------
-# Draw-for-draw pinning of the scalar path (hypothesis)
+# One stream layout: the two executors agree (hypothesis)
 # ----------------------------------------------------------------------
 @st.composite
 def small_overlays(draw):
@@ -285,10 +291,10 @@ def small_overlays(draw):
     return graph
 
 
-#: One small batch: its starts (as vertex indices), segment duration and
-#: restart cap.
-SMALL_BATCH = st.tuples(
-    st.lists(st.integers(0, 63), min_size=1, max_size=MIN_VECTOR_BATCH - 1),
+#: One batch: its starts (as vertex indices), segment duration and restart
+#: cap.  Up to 700 walks, so that some batches span two ``PATH_BATCH`` chunks.
+BATCH = st.tuples(
+    st.lists(st.integers(0, 63), min_size=1, max_size=700),
     st.floats(0.05, 30.0),
     st.integers(1, 8),
 )
@@ -299,119 +305,107 @@ SMALL_BATCH = st.tuples(
 NEAR_BLOCK_END = st.integers(0, 4095) | st.integers(3968, 4095)
 
 
-class TestScalarPathDrawForDraw:
-    """The scalar path's batch loop against the per-walk loop of ``reference_walk``.
+def pooled_bins(first, second, minimum=50):
+    """Count dicts of two samples over bins of consecutive values holding at
+    least ``minimum`` pooled observations each (the last merged down)."""
+    pooled = collections.Counter(first) + collections.Counter(second)
+    bin_of, index, held = {}, 0, 0
+    for value in sorted(pooled):
+        if held >= minimum:
+            index, held = index + 1, 0
+        bin_of[value], held = index, held + pooled[value]
+    if held < minimum:
+        bin_of = {value: min(b, max(index - 1, 0)) for value, b in bin_of.items()}
+    return tuple(collections.Counter(map(bin_of.get, sample)) for sample in (first, second))
 
-    Twin kernels on one graph and one seed: one runs ``run_biased_batch`` (every
-    batch below ``MIN_VECTOR_BATCH``, so the scalar path), the other the
-    reference over its own buffers.  They must return the same tuples and
-    snapshot to the same state after every batch.  A skip of up to one block
-    before the first batch, and durations of up to thirty time units, put
-    buffer refills in the middle of walks; the batched kernel is also cut and
-    restored from its JSON snapshot between two batches.
+
+class TestExecutorsAgree:
+    """The scalar and the vector executor read one stream layout.
+
+    Twin kernels on one graph and one seed, every round of one on the
+    scalar executor and every round of the other on the vector executor,
+    must return the same tuples and snapshot to the same state after every
+    batch.  A skip of up to one block before the first batch, and durations
+    of up to thirty time units, put buffer refills inside rounds; the
+    vector twin is also cut and restored from its JSON snapshot between two
+    batches.
     """
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         graph=small_overlays(),
         seed=st.integers(0, 2**32),
-        skip=st.tuples(NEAR_BLOCK_END, NEAR_BLOCK_END),
-        batches=st.lists(SMALL_BATCH, min_size=1, max_size=6),
-        cut=st.integers(0, 6),
+        skip=NEAR_BLOCK_END,
+        batches=st.lists(BATCH, min_size=1, max_size=5),
+        cut=st.integers(0, 5),
     )
-    def test_batched_loops_match_reference(self, graph, seed, skip, batches, cut):
-        batched = ArrayKernel(graph, random.Random(seed))
-        reference = ArrayKernel(graph, random.Random(seed))
-        for twin in (batched, reference):
-            twin._take_exp_vec(skip[0])
-            twin._take_uni_vec(skip[1])
+    def test_executors_return_the_same_walks_and_state(self, graph, seed, skip, batches, cut):
+        scalar = ArrayKernel(graph, random.Random(seed))
+        vector = ArrayKernel(graph, random.Random(seed))
+        for twin in (scalar, vector):
+            twin._take(skip)
         vertices = list(graph.vertices())
         for index, (picks, duration, max_restarts) in enumerate(batches):
             if index == cut:
-                # An unseeded snapshot seeds from the parent stream, which
-                # the restored kernel gets in its original state.
-                snapshot = json.loads(json.dumps(batched.snapshot_state()))
-                batched = ArrayKernel(graph, random.Random(seed))
-                batched.restore_state(snapshot)
+                snapshot = json.loads(json.dumps(vector.snapshot_state()))
+                vector = ArrayKernel(graph, random.Random(seed))
+                vector.restore_state(snapshot)
             starts = [vertices[pick % len(vertices)] for pick in picks]
-            got = batched.run_biased_batch(starts, duration, max_restarts)
-            assert got == reference_biased_batch(reference, starts, duration, max_restarts)
-            assert batched.snapshot_state() == reference.snapshot_state()
+            got = on_path("scalar", scalar.run_biased_batch, starts, duration, max_restarts)
+            assert got == on_path("vector", vector.run_biased_batch, starts, duration, max_restarts)
+            assert scalar.snapshot_state() == vector.snapshot_state()
 
-    def test_refill_mid_walk_and_truncation_are_reached(self):
-        """The regime the property covers: a refill inside a walk, and truncation."""
+    def test_refill_inside_a_round_and_truncation_are_reached(self):
+        """The regime the property covers: a round whose take runs past the
+        end of the buffer, and truncated walks."""
         graph = seeded_overlay(vertices=6, seed=7)
-        batched = ArrayKernel(graph, random.Random(4))
-        reference = ArrayKernel(graph, random.Random(4))
-        for twin in (batched, reference):
-            twin._take_exp_vec(4090)
-            twin._take_uni_vec(4090)
-        left = len(batched._exp_buf) - batched._exp_cur
-        got = batched.run_biased_batch([0], 30.0, 1)
-        assert got == reference_biased_batch(reference, [0], 30.0, 1)
-        ((_, hops, _, _, _),) = got
-        assert hops > left  # the walk drew past the end of its block
-        starts = [0, 1, 2, 3] * 4
-        got = batched.run_biased_batch(starts, 0.05, 2)
-        assert got == reference_biased_batch(reference, starts, 0.05, 2)
-        assert any(truncated for *_, truncated in got)
-        assert batched.snapshot_state() == reference.snapshot_state()
+        twins = {path: ArrayKernel(graph, random.Random(4)) for path in PATHS}
+        for twin in twins.values():
+            twin._take(4090)
+        starts = [0, 1, 2, 3] * 40
+        got = {
+            path: on_path(path, twin.run_biased_batch, starts, 0.3, 2)
+            for path, twin in twins.items()
+        }
+        assert got["scalar"] == got["vector"]
+        assert any(truncated for *_, truncated in got["scalar"])
+        assert twins["scalar"].snapshot_state() == twins["vector"].snapshot_state()
+        assert twins["scalar"]._cursor < 4090  # the buffer was refilled
 
-    @pytest.mark.parametrize("uni_skip", [4000, 4090])
-    def test_stretch_boundaries_inside_walks(self, uni_skip):
-        """Both refills land inside walks that hop: at different walks of
-        the batch when the cursors differ, at one pair when they agree.
+    def test_the_largest_uniform_names_the_last_code(self):
+        """``int(y * m)`` stays below ``m`` for every uniform ``y < 1`` and
+        every table width up to the cap, in both executors' arithmetic, so a
+        code never reads past its row."""
+        top = math.nextafter(1.0, 0.0)
+        widths = _np.arange(1, kernel_module.TABLE_CAP + 1)
+        assert [int(top * m) for m in widths.tolist()] == (widths - 1).tolist()
+        assert ((_np.full(len(widths), top) * widths).astype(_np.int64) == widths - 1).all()
 
-        With 6 exponentials and 96 (or 6) uniforms left, the first walk
-        spends the exponentials and a later one (or the same pair) the
-        uniforms, so the pair stream is cut twice (or once, the exponential
-        refilled first); the isolated starts take uniforms only, which
-        shifts the two cursors against each other between the cuts.
-        """
+    @pytest.mark.parametrize("path", PATHS)
+    def test_hops_and_restarts_match_the_reference_walk(self, path):
+        """Two-sample chi-square of per-walk hops and restarts between the
+        executor and the exponential-clock reference, on an overlay with an
+        isolated vertex whose weights change after the kernel's tables are
+        built (weights are read live)."""
         graph = seeded_overlay(vertices=6, seed=7)
-        graph.add_vertex(99, weight=3.0)  # isolated
-        batched = ArrayKernel(graph, random.Random(8))
-        reference = ArrayKernel(graph, random.Random(8))
-        for twin in (batched, reference):
-            twin._take_exp_vec(4090)
-            twin._take_uni_vec(uni_skip)
-        starts = [0, 99, 1, 2, 99, 3, 4, 5] * 3
-        got = batched.run_biased_batch(starts, 20.0, 4)
-        assert got == reference_biased_batch(reference, starts, 20.0, 4)
-        assert batched.snapshot_state() == reference.snapshot_state()
-        # Replay the batch's draw counts: each refill falls inside a walk
-        # that hops (a segment of K hops takes K + 1 pairs).
-        exp_left, uni_left = 4096 - 4090, 4096 - uni_skip
-        exp_taken = uni_taken = 0
-        cuts = set()
-        for start, (_, hops, restarts, _, _) in zip(starts, got):
-            pairs = 0 if start == 99 else hops + restarts
-            if exp_taken < exp_left < exp_taken + pairs:
-                cuts.add("exp")
-            if pairs and uni_taken < uni_left < uni_taken + pairs:
-                cuts.add("uni")
-            exp_taken, uni_taken = exp_taken + pairs, uni_taken + (pairs or restarts)
-        assert cuts == {"exp", "uni"}
-
-    def test_padding_stands_in_for_the_clamp(self):
-        """Where ``u * degree`` reaches ``degree``, the padded row picks the
-        last neighbour, which the reference's clamp picks.
-
-        A uniform below 1 never rounds up that far, so the buffer is seeded
-        with 1.0 itself, the value such a rounding would produce.
-        """
-        graph = seeded_overlay(vertices=6, seed=7)
-        batched = ArrayKernel(graph, random.Random(12))
-        reference = ArrayKernel(graph, random.Random(12))
-        for twin in (batched, reference):
-            twin._take_exp_vec(1)
-            twin._uni_buf = _np.array([1.0, math.nextafter(1.0, 0.0)] * 200)
-            twin._uni_cur = 0
-        starts = list(graph.vertices())
-        got = batched.run_biased_batch(starts, 2.0, 3)
-        assert got == reference_biased_batch(reference, starts, 2.0, 3)
-        assert any(hops for _, hops, *_ in got)
-        assert batched.snapshot_state() == reference.snapshot_state()
+        graph.add_vertex(99, weight=2.0)  # isolated
+        kernel = ArrayKernel(graph, random.Random(67))
+        kernel.run_biased_batch([0] * 50, 1.0, 4)  # builds the tables
+        for vertex, weight in ((1, 6.0), (3, 1.0), (99, 4.0)):
+            graph.set_weight(vertex, weight)
+        starts, segment, cap = [0, 99, 2, 4] * 1000, 1.5, 4
+        rng = random.Random(71)
+        reference = [reference_biased_walk(graph, rng, start, segment, cap) for start in starts]
+        walked = on_path(path, kernel.run_biased_batch, starts, segment, cap)
+        for first, second in (
+            ([hops for _, hops, _, _ in reference], [hops for _, hops, *_ in walked]),
+            ([restarts for _, _, restarts, _ in reference], [out[2] for out in walked]),
+        ):
+            counts = pooled_bins(first, second)
+            keys = set(counts[0]) | set(counts[1])
+            assert len(keys) >= 3
+            statistic = two_sample_statistic(*counts, keys)
+            assert statistic < chi_square_critical(len(keys) - 1)
 
 
 # ----------------------------------------------------------------------
@@ -516,7 +510,7 @@ class TestEngineResume:
         data = json.load(open(SIMULATED_CHECKPOINT, "r", encoding="utf-8"))
         assert data["state_hash"] == SIMULATED_CHECKPOINT_HASH
         kernel = data["engine"]["randcl"]["kernel"]
-        assert kernel["exp_buffer"] and kernel["uni_buffer"]
+        assert kernel["uniforms"]
         copy = str(tmp_path / "ckpt.json")
         shutil.copy(SIMULATED_CHECKPOINT, copy)
         session = resume_from_checkpoint(copy)
