@@ -46,6 +46,10 @@ finish in seconds.  ``run-scenario --record FILE`` records any scenario
 Interrupting a recording run (Ctrl-C / SIGTERM) flushes the trace through
 the abort path and exits 130 — the file on disk replays up to its last
 complete frame.
+
+Exit codes: 0 ok; 1 diverged, or a check failed; 2 a usage error or a
+malformed input (flag, spec, trace, checkpoint); 3 an internal error, with
+its traceback; 130 interrupted.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ import argparse
 import contextlib
 import signal
 import sys
+import traceback
 from typing import Iterator, Optional, Sequence
 
 from .errors import ConfigurationError
@@ -383,6 +388,11 @@ def _parse_grid_value(text: str):
 
 #: Conventional exit code for a run stopped by Ctrl-C / SIGTERM (128 + SIGINT).
 EXIT_INTERRUPTED = 130
+
+#: Exit code for an exception no command handles: a fault of the program,
+#: never of its input, so never confused with a divergence (1) or a usage
+#: error (2).
+EXIT_INTERNAL_ERROR = 3
 
 
 @contextlib.contextmanager
@@ -887,6 +897,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # --record/--checkpoint paths, an unreachable server.
         print(f"{args.command}: {error}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        print(f"{args.command}: internal error", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -43,8 +43,7 @@ from ..errors import ConfigurationError
 from ..network.node import NodeRole
 from ..scenarios.bus import StepRecord
 from ..scenarios.scenario import Scenario
-from ..trace.codec import DEFAULT_FLUSH_EVERY
-from ..trace.log import DEFAULT_INDEX_EVERY, TraceWriter
+from ..trace.log import DEFAULT_FLUSH_EVERY, DEFAULT_INDEX_EVERY, TraceWriter
 from ..trace.session import Recorder, open_driver
 from .protocol import ERROR_FAILED, ProtocolError
 

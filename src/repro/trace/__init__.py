@@ -1,40 +1,27 @@
 """Deterministic trace, checkpoint and replay: resumable, auditable runs.
 
 The paper's guarantees are asymptotic — they only become visible over very
-long event sequences — and a million-event run that dies at event 900 000
-used to lose everything, while a diverging run could not be debugged after
-the fact.  This subsystem turns any scenario run into a restartable,
+long event sequences — so any scenario run can be made a restartable,
 machine-checkable execution:
 
-* :mod:`repro.trace.log` — ``TraceWriter`` / ``TraceReader``: an
-  append-only event log with periodic state-hash index frames (the
-  documented frame format), write-buffered and format-agnostic;
-* :mod:`repro.trace.codec` — the two physical encodings behind that API:
-  line-delimited JSON and a struct-packed binary container (~6x smaller,
-  faster decode), sniffed automatically on read so formats can be mixed;
-* :mod:`repro.trace.checkpoint` — ``Checkpoint``: full engine + event
-  source state captured to one atomic JSON file and restored to continue
-  bit-identically (all RNG streams included);
+* :mod:`repro.trace.log` — the frame layout, declared once, and
+  ``TraceWriter`` / ``TraceReader``: an append-only event log with periodic
+  state-hash index frames, every frame checked against the layout on read;
+* :mod:`repro.trace.codec` — its two physical encodings, line-delimited
+  JSON and a struct-packed binary container, sniffed on read;
+* :mod:`repro.trace.checkpoint` — ``Checkpoint``: full engine + event source
+  state in one atomic JSON file, restored to continue bit-identically;
 * :mod:`repro.trace.replay` — ``TraceVerifier``, the one check of a
-  re-executed run against its recorded frames (every event frame, every
-  index and end hash; the first divergence raises
-  ``TraceDivergenceError``), fed by ``ReplayEngine``, which re-applies a
-  recorded trace through a rebuilt driver, and by
+  re-executed run against its recorded frames (the first divergence raises
+  ``TraceDivergenceError``), fed by ``ReplayEngine`` and by
   ``checkpoint_from_trace``; ``trace_diff`` pinpoints the first diverging
   event between two runs;
-* :mod:`repro.trace.hashing` — the canonical state fingerprint both of the
-  above compare;
+* :mod:`repro.trace.hashing` — the canonical state fingerprint;
 * :mod:`repro.trace.session` — ``open_driver``, the one place a run's
-  driver (single-engine runner or shard coordinator) is built, for batch
-  runs, the live service and replay alike — so a replayed trace certifies
-  the object the recording ran; ``Recorder``,
-  the one place that decides when a recorded run writes an index frame or a
-  checkpoint and how a recording is sealed or left crashed-shape, with three
-  callers (the single-engine runner, the shard coordinator, the live
-  session); and ``record_scenario`` / ``resume_from_checkpoint`` / ``checkpoint_from_trace``,
-  the functions behind the CLI's ``run-scenario --record``, ``resume`` and
-  ``replay --to-step N --checkpoint`` (the last re-drives the scenario with
-  the ``TraceVerifier`` in its recorder's seat).
+  driver is built; ``Recorder``, the one place a recorded run's index frames,
+  checkpoints and seal are decided; and ``record_scenario`` /
+  ``resume_from_checkpoint`` / ``checkpoint_from_trace``, behind the CLI's
+  ``run-scenario --record``, ``resume`` and ``replay --to-step``.
 
 The determinism contract this relies on (every RNG-visible enumeration in
 the engine stack is canonically ordered) is documented in
@@ -42,19 +29,15 @@ the engine stack is canonically ordered) is documented in
 """
 
 from .checkpoint import Checkpoint, write_json_atomic
-from .codec import (
-    BINARY_MAGIC,
-    DEFAULT_FLUSH_EVERY,
-    TRACE_FORMATS,
-    read_trace_frames,
-    sniff_trace_format,
-)
+from .codec import BINARY_MAGIC, TRACE_FORMATS, sniff_trace_format
 from .hashing import canonical_json, digest, state_fingerprint, state_hash
 from .log import (
+    DEFAULT_FLUSH_EVERY,
     DEFAULT_INDEX_EVERY,
     TraceReader,
     TraceWriter,
     churn_event_from_frame,
+    read_trace_frames,
 )
 from .replay import (
     ReplayEngine,

@@ -32,9 +32,30 @@ from typing import Any, Dict, Optional
 
 from ..errors import ConfigurationError
 from .hashing import state_hash
+from .log import Field, field_fault
 
 FORMAT_NAME = "repro-checkpoint"
 FORMAT_VERSION = 3
+
+_OBJECT = (dict,)
+
+#: The envelope every checkpoint carries, checked (with the trace layout's
+#: field checker) before anything reads it.
+ENVELOPE_FIELDS = (
+    Field("engine", "engine snapshot", _OBJECT),
+    Field("source", "event-source snapshot", _OBJECT, nullable=True),
+    Field("scenario", "scenario", _OBJECT, nullable=True),
+    Field("steps_done", "steps done", (int,), low=0),
+    Field("events_done", "events done", (int,), low=0),
+    Field("state_hash", "state hash", (str,), nullable=True),
+    Field("engine_kind", "engine kind", (str,), values=("sharded",), optional=True),
+)
+
+#: Engine kind -> the top level of its ``engine`` snapshot.
+ENGINE_FIELDS = {
+    "now": (Field("config", "engine config", _OBJECT), Field("state", "engine state", _OBJECT)),
+    "sharded": tuple(Field(key, f"shard {key}", _OBJECT) for key in ("router", "merge", "shards")),
+}
 
 
 def write_json_atomic(path: str, data: Any, indent: Optional[int] = None) -> None:
@@ -74,6 +95,13 @@ class Checkpoint:
                 f"unsupported checkpoint version {data.get('version')!r} "
                 f"(expected {FORMAT_VERSION})"
             )
+        fault, path = field_fault(data, ENVELOPE_FIELDS), ""
+        if fault is None:
+            engine_fields = ENGINE_FIELDS[data.get("engine_kind", "now")]
+            fault, path = field_fault(data["engine"], engine_fields), "engine/"
+        if fault is not None:
+            field, problem = fault
+            raise ConfigurationError(f"malformed checkpoint: {path}{field.key} {problem}")
         self.data = data
 
     # ------------------------------------------------------------------
@@ -145,7 +173,7 @@ class Checkpoint:
 
         engine = NowEngine.restore(self.data["engine"], rule=rule)
         restored_hash = state_hash(engine)
-        expected = self.data.get("state_hash")
+        expected = self.data["state_hash"]
         if expected is not None and restored_hash != expected:
             raise ConfigurationError(
                 "restored engine state hash does not match the checkpoint "
@@ -156,7 +184,7 @@ class Checkpoint:
 
     def restore_source(self, source) -> None:
         """Restore the captured event-source state onto a freshly built source."""
-        snapshot = self.data.get("source")
+        snapshot = self.data["source"]
         if snapshot is None:
             raise ConfigurationError("checkpoint carries no event-source state")
         source.restore_state(snapshot)
@@ -167,19 +195,19 @@ class Checkpoint:
     @property
     def scenario_dict(self) -> Optional[Dict[str, Any]]:
         """The scenario spec captured alongside the state (``None`` if absent)."""
-        return self.data.get("scenario")
+        return self.data["scenario"]
 
     @property
     def steps_done(self) -> int:
         """Time steps the run had executed when the checkpoint was taken."""
-        return int(self.data.get("steps_done", 0))
+        return self.data["steps_done"]
 
     @property
     def events_done(self) -> int:
         """Churn events the run had applied when the checkpoint was taken."""
-        return int(self.data.get("events_done", 0))
+        return self.data["events_done"]
 
     @property
     def captured_hash(self) -> Optional[str]:
         """State hash recorded at capture time."""
-        return self.data.get("state_hash")
+        return self.data["state_hash"]

@@ -1,22 +1,20 @@
 """Trace codecs: how frames get onto and off the disk.
 
 The logical trace format — header / event / index / end frames as plain
-dicts — is defined in :mod:`repro.trace.log`.  This module owns the two
-physical encodings behind the :class:`~repro.trace.log.TraceWriter` /
+dicts, laid out once in :mod:`repro.trace.log` — has two physical encodings
+behind the :class:`~repro.trace.log.TraceWriter` /
 :class:`~repro.trace.log.TraceReader` API:
 
-* ``jsonl`` — one JSON object per line, human-greppable, the original
-  format.  Now write-buffered: encoded lines accumulate and hit the file
-  every ``flush_every`` frames instead of per frame.
+* ``jsonl`` — one JSON object per line, human-greppable; encoded lines
+  accumulate and hit the file every ``flush_every`` frames.
 * ``binary`` — struct-packed event records in zlib-deflated blocks,
   ~6-20x smaller and faster to decode.  Non-event frames (header, index,
   end) are stored as length-prefixed JSON blocks, so arbitrary scenario
   specs survive byte-exactly.
 
-Both codecs decode to **identical frame dicts** — a binary trace and a JSONL
-trace of the same run read back as the same frame sequence (property-tested),
-which is what keeps ``replay``, ``trace-diff`` (including mixed-format
-diffs), ``resume`` and every other frame consumer format-agnostic.
+Both codecs decode to **identical frame dicts** (property-tested), which
+keeps ``replay``, ``trace-diff`` (mixed-format diffs included), ``resume``
+and every other frame consumer format-agnostic.
 
 Binary container layout (all integers little-endian)::
 
@@ -26,32 +24,18 @@ Binary container layout (all integers little-endian)::
     type 0    codec preamble (JSON): {"enums": {"kind": [...], "role": [...]},
               "record": "<IIBBiiiIIdIIQ", "compression": "zlib"}
     type 1    one frame as UTF-8 JSON (header / index / end frames, plus any
-              event frame whose values do not fit the packed record)
+              event frame whose values the packed record cannot hold)
     type 2    event block: zlib-deflated concatenation of fixed 54-byte
               event records
 
-Packed event record (struct format ``<IIBBiiiIIdIIQ``, 54 bytes)::
-
-    field  type  trace key  meaning
-    -----  ----  ---------  -------------------------------------------
-    i      u32   "i"        step index
-    ts     u32   "ts"       engine time step
-    k      u8    "k"        churn kind (index into preamble enums.kind)
-    r      u8    "r"        node role (index into preamble enums.role)
-    n      i32   "n"        input event node id (-1 encodes null)
-    c      i32   "c"        contact cluster id (-1 encodes null)
-    a      i32   "a"        assigned node id (-1 encodes null)
-    sz     u32   "sz"       network size after the event
-    cl     u32   "cl"       cluster count after the event
-    w      f64   "w"        worst corruption fraction (bit-exact)
-    m      u32   "m"        operation messages
-    rd     u32   "rd"       operation rounds
-    h      u64   "h"        operation walk hops
-
-Enum index tables travel in the preamble (not hard-coded), so a reader never
-depends on the writer's enum declaration order.  A truncated tail — the
-signature of a run killed mid-write — is dropped on read, exactly like the
-truncated final line of a JSONL trace.
+The packed event record has one struct field per event frame field but
+``t``, in the order and with the struct codes and null sentinels that
+:data:`repro.trace.log.EVENT_FIELDS` declares: the record format, packing
+and unpacking all derive from that one declaration.  An enum field (``k``,
+``r``) is stored as its index into the preamble's table of that field's
+values, so a reader never depends on the writer's enum declaration order.
+A truncated tail — the signature of a run killed mid-write — is dropped on
+read, exactly like the truncated final line of a JSONL trace.
 """
 
 from __future__ import annotations
@@ -60,17 +44,14 @@ import json
 import os
 import struct
 import zlib
-from typing import Any, Dict, List, Optional, Tuple
+from operator import call, itemgetter
+from typing import Any, Dict, Iterator, List, Tuple
 
-from ..core.events import ChurnKind
 from ..errors import ConfigurationError
-from ..network.node import NodeRole
+from .log import DEFAULT_FLUSH_EVERY, EVENT_FIELDS
 
 #: First 8 bytes of every binary trace file.
 BINARY_MAGIC = b"RPROTRB1"
-
-#: Default number of frames buffered between physical writes.
-DEFAULT_FLUSH_EVERY = 256
 
 #: The codec names ``TraceWriter(trace_format=...)`` accepts.
 TRACE_FORMATS = ("jsonl", "binary")
@@ -80,11 +61,43 @@ _BLOCK_JSON = 1
 _BLOCK_EVENTS = 2
 
 _BLOCK_HEADER = struct.Struct("<BI")
-_EVENT_RECORD = struct.Struct("<IIBBiiiIIdIIQ")
 
-_U32_MAX = 2**32 - 1
-_U64_MAX = 2**64 - 1
-_I32_MAX = 2**31 - 1
+_PACKED = EVENT_FIELDS[1:]
+_EVENT_RECORD = struct.Struct("<" + "".join(field.code for field in _PACKED))
+_EVENT_KEYS = tuple(field.key for field in _PACKED)
+_event_values = itemgetter(*_EVENT_KEYS)
+#: The enum fields' value tables, as the preamble carries them.
+_ENUMS = {field.attr: list(field.values) for field in _PACKED if field.values}
+
+
+def _as_is(value: Any) -> Any:
+    return value
+
+
+def _encoder(field):
+    """What a frame value packs as: an enum value its index, ``None`` the sentinel.
+    A value the record cannot hold exactly (an unknown enum value, the
+    sentinel itself) raises, or turns into ``None``, which ``pack`` refuses."""
+    if field.values:
+        return {value: index for index, value in enumerate(field.values)}.__getitem__
+    if field.nullable:
+        return lambda value, null=field.null: null if value is None else None if value == null else value
+    return _as_is
+
+
+#: Per packed field, in record order, fixed at import: what its frame value packs as.
+_ENCODERS = tuple(_encoder(field) for field in _PACKED)
+
+
+def _decoders(enums: Dict[str, Any]) -> Tuple[Dict[Any, Any], ...]:
+    """Per packed field, what a stored value reads back as (by ``dict.get``, the
+    value itself by default): an enum index its preamble name, a sentinel
+    ``None``.  An index the preamble does not name is left for the check."""
+    return tuple(
+        dict(enumerate(enums.get(field.attr, ()))) if field.values
+        else {field.null: None} if field.nullable else {}
+        for field in _PACKED
+    )
 
 
 def _dump(frame: Dict[str, Any]) -> str:
@@ -96,7 +109,7 @@ def _dump(frame: Dict[str, Any]) -> str:
 # Writers
 # ----------------------------------------------------------------------
 class JsonlCodecWriter:
-    """Write-buffered JSONL encoder: byte-identical to the original format."""
+    """Write-buffered JSONL encoder."""
 
     format_name = "jsonl"
 
@@ -141,71 +154,37 @@ class BinaryCodecWriter:
             raise ConfigurationError("flush_every must be >= 1")
         self.path = path
         self.flush_every = flush_every
-        self._kinds = [kind.value for kind in ChurnKind]
-        self._roles = [role.value for role in NodeRole]
-        self._kind_codes = {value: index for index, value in enumerate(self._kinds)}
-        self._role_codes = {value: index for index, value in enumerate(self._roles)}
         self._records: List[bytes] = []
         self._closed = False
         self._handle = open(path, "wb")
         self._handle.write(BINARY_MAGIC)
-        preamble = {
-            "enums": {"kind": self._kinds, "role": self._roles},
-            "record": _EVENT_RECORD.format,
-            "compression": "zlib",
-        }
+        preamble = {"enums": _ENUMS, "record": _EVENT_RECORD.format, "compression": "zlib"}
         self._write_block(_BLOCK_PREAMBLE, _dump(preamble).encode("utf-8"))
 
     def _write_block(self, block_type: int, payload: bytes) -> None:
         self._handle.write(_BLOCK_HEADER.pack(block_type, len(payload)))
         self._handle.write(payload)
 
-    def _pack_event(self, frame: Dict[str, Any]) -> Optional[bytes]:
-        """The 54-byte record for an event frame, or ``None`` if it won't fit."""
-        try:
-            node = frame.get("n")
-            contact = frame.get("c")
-            assigned = frame.get("a")
-            if max(frame["i"], frame["ts"], frame["sz"], frame["cl"], frame["m"], frame["rd"]) > _U32_MAX:
-                return None
-            if frame["h"] > _U64_MAX:
-                return None
-            for value in (node, contact, assigned):
-                if value is not None and not (0 <= value <= _I32_MAX):
-                    return None
-            return _EVENT_RECORD.pack(
-                frame["i"],
-                frame["ts"],
-                self._kind_codes[frame["k"]],
-                self._role_codes[frame["r"]],
-                -1 if node is None else node,
-                -1 if contact is None else contact,
-                -1 if assigned is None else assigned,
-                frame["sz"],
-                frame["cl"],
-                frame["w"],
-                frame["m"],
-                frame["rd"],
-                frame["h"],
-            )
-        except (KeyError, TypeError, struct.error):
-            return None
-
     def write_frame(self, frame: Dict[str, Any]) -> None:
         """Buffer an event record, or emit a JSON block for any other frame.
 
-        Non-event frames first flush pending events so on-disk block order
-        matches logical frame order.  An event frame whose values fall
-        outside the packed ranges degrades to a JSON block — readers accept
-        both interchangeably.
+        An event frame whose values the packed record cannot hold goes as a
+        JSON block too — readers accept both interchangeably.
         """
         if frame.get("t") == "ev":
-            record = self._pack_event(frame)
-            if record is not None:
-                self._records.append(record)
+            try:
+                self._records.append(_EVENT_RECORD.pack(*map(call, _ENCODERS, _event_values(frame))))
+            except (KeyError, TypeError, struct.error):
+                pass
+            else:
                 if len(self._records) >= self.flush_every:
                     self._flush_events()
                 return
+        self.write_json(frame)
+
+    def write_json(self, frame: Dict[str, Any]) -> None:
+        """Emit one frame, of any kind, as a JSON block (after the pending
+        events, so on-disk block order matches logical frame order)."""
         self._flush_events()
         self._write_block(_BLOCK_JSON, _dump(frame).encode("utf-8"))
 
@@ -249,83 +228,55 @@ def sniff_trace_format(path: str) -> str:
         return "binary" if handle.read(len(BINARY_MAGIC)) == BINARY_MAGIC else "jsonl"
 
 
-def _decode_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Stream a JSONL trace line by line (no whole-file string copies).
-
-    Million-event JSONL traces run to ~150 MB; iterating the handle keeps
-    peak memory at the parsed frames plus one line, matching the original
-    reader's profile.
-    """
-    frames: List[Dict[str, Any]] = []
+def _decode_jsonl(path: str) -> Iterator[Any]:
+    """Stream a JSONL trace line by line (no whole-file string copies: a
+    million-event trace runs to ~150 MB)."""
     with open(path, "r", encoding="utf-8", errors="replace") as handle:
         for line in handle:
             line = line.strip()
             if not line:
                 continue
             try:
-                frames.append(json.loads(line))
+                frame = json.loads(line)
             except json.JSONDecodeError:
-                break  # truncated tail: keep every complete frame before it
-    return frames
+                return  # truncated tail: keep every complete frame before it
+            yield frame
 
 
-def _decode_binary(data: bytes) -> List[Dict[str, Any]]:
-    frames: List[Dict[str, Any]] = []
-    kinds: List[str] = []
-    roles: List[str] = []
+def _decode_binary(data: bytes) -> Iterator[Any]:
+    decoders = _decoders({})
     offset = len(BINARY_MAGIC)
-    total = len(data)
-    while offset + _BLOCK_HEADER.size <= total:
+    while offset + _BLOCK_HEADER.size <= len(data):
         block_type, length = _BLOCK_HEADER.unpack_from(data, offset)
         start = offset + _BLOCK_HEADER.size
-        end = start + length
-        if end > total:
-            break  # truncated tail: the block was cut mid-write
-        payload = data[start:end]
-        offset = end
+        offset = start + length
+        if offset > len(data):
+            return  # truncated tail: the block was cut mid-write
+        payload = data[start:offset]
         try:
             if block_type == _BLOCK_PREAMBLE:
-                preamble = json.loads(payload)
-                enums = preamble.get("enums", {})
-                kinds = list(enums.get("kind", []))
-                roles = list(enums.get("role", []))
+                enums = json.loads(payload).get("enums")
+                decoders = _decoders(enums if isinstance(enums, dict) else {})
             elif block_type == _BLOCK_JSON:
-                frames.append(json.loads(payload))
+                yield json.loads(payload)
             elif block_type == _BLOCK_EVENTS:
-                raw = zlib.decompress(payload)
-                for values in _EVENT_RECORD.iter_unpack(raw):
-                    i, ts, k, r, n, c, a, sz, cl, w, m, rd, h = values
-                    frames.append(
-                        {
-                            "t": "ev",
-                            "i": i,
-                            "ts": ts,
-                            "k": kinds[k],
-                            "r": roles[r],
-                            "n": None if n < 0 else n,
-                            "c": None if c < 0 else c,
-                            "a": None if a < 0 else a,
-                            "sz": sz,
-                            "cl": cl,
-                            "w": w,
-                            "m": m,
-                            "rd": rd,
-                            "h": h,
-                        }
-                    )
+                for values in _EVENT_RECORD.iter_unpack(zlib.decompress(payload)):
+                    frame = {"t": "ev"}
+                    frame.update(zip(_EVENT_KEYS, map(dict.get, decoders, values, values)))
+                    yield frame
             # Unknown block types are skipped (length is known), keeping the
             # reader forward-compatible with additive container changes.
-        except (ValueError, IndexError, zlib.error, struct.error):
-            break  # corrupt block: keep every frame decoded before it
-    return frames
+        except (ValueError, AttributeError, TypeError, zlib.error, struct.error):
+            return  # corrupt block: keep every frame decoded before it
 
 
-def read_trace_frames(path: str) -> Tuple[str, List[Dict[str, Any]]]:
-    """Decode a trace file of either format to ``(format_name, frames)``.
+def decode_frames(path: str) -> Tuple[str, Iterator[Any]]:
+    """``(format_name, frames)`` of a trace file of either format, decoded lazily.
 
-    The format is sniffed from the leading bytes, so callers (and the
-    ``trace-diff`` CLI) can mix JSONL and binary traces freely.  Truncated
-    tails are tolerated in both formats.
+    The format is sniffed from the leading bytes, so callers can mix JSONL
+    and binary traces freely.  Truncated tails are tolerated in both
+    formats; the frames are checked by
+    :func:`repro.trace.log.read_trace_frames`, as they load.
     """
     if not os.path.exists(path):
         raise ConfigurationError(f"trace file {path!r} does not exist")

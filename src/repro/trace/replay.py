@@ -4,26 +4,19 @@
 seat (``due(pending)`` / ``window(records)``): every record of a collected
 window must reproduce the next recorded event frame, field for field, and
 every index or end frame a window ends on must carry the re-executed run's
-state hash (the composite hash for a sharded run, which certifies the whole
+state hash (for a sharded run the composite hash, which certifies the whole
 state — partition, roles, overlay, RNG position — not just the observables)
 and counts.  The first disagreement is kept as a ``{step, reason, recorded,
-replayed}`` record and raised as :class:`TraceDivergenceError`, so nothing
-past it is verified.  Two ways of re-executing a trace feed it:
-
-* :class:`ReplayEngine` (``replay``) rebuilds the driver that recorded the
-  trace — the single-engine runner, or the shard coordinator of a ``serve
-  --shards`` session or a ``run-scenario --shards`` run — from the header's
-  scenario (bootstrap from the recorded seed is deterministic) through the
-  one seam the recording ran, :func:`~repro.trace.session.open_driver`, and
-  re-applies the recorded events with its ``dispatch`` / ``collect``, one
-  event per window.  Given events are numbered by admission, so the step
-  index ``i`` is taken as recorded: a batch trace's idle steps are not
-  recorded, and a sharded run's barriers depend on the admitted event
-  count alone.  A recorded event the driver refuses is a divergence at its
-  step, like any other.
-* :func:`~repro.trace.session.checkpoint_from_trace` (``replay --to-step``)
-  re-drives the scenario from its seed through the driver that recorded
-  it, so the generated events and their step indices are checked too.
+replayed}`` record and raised as :class:`TraceDivergenceError`.  Two ways of
+re-executing a trace feed it: :class:`ReplayEngine` (``replay``) re-applies
+the recorded events to the driver that recorded them, rebuilt from the
+header's scenario through :func:`~repro.trace.session.open_driver`, taking
+each step index as recorded (given events are numbered by admission: a
+batch trace's idle steps are not recorded, and a sharded run's barriers
+depend on the admitted event count alone);
+:func:`~repro.trace.session.checkpoint_from_trace` (``replay --to-step``)
+re-drives the scenario from its seed, so the generated events and their
+step indices are checked too.
 
 :func:`trace_diff` compares two trace files frame by frame — the tool for
 "these two runs should have been identical; where did they part ways?".
@@ -33,45 +26,27 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice, takewhile
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, ReproError
 from ..scenarios.bus import StepRecord
-from .log import TraceReader, churn_event_from_frame, event_frame_from_record
-
-#: What each frame field records, as divergence reasons name it (``h`` is an
-#: event's walk hops, but an index or end frame's state hash).
-_FIELD_NAMES = {
-    "i": "step",
-    "ts": "time step",
-    "ev": "event count",
-    "k": "event kind",
-    "r": "role",
-    "n": "event node",
-    "c": "contact cluster",
-    "a": "assigned node id",
-    "sz": "network size",
-    "cl": "cluster count",
-    "w": "worst corruption fraction",
-    "m": "operation messages",
-    "rd": "operation rounds",
-    "h": "walk hops",
-}
+from .log import FRAMES, TraceReader, churn_event_from_frame, event_frame_from_record
 
 
 def frame_mismatch(first: Dict[str, Any], second: Dict[str, Any]) -> Optional[Tuple[str, Any, Any]]:
-    """The first field two frames disagree on: its name and both values.
+    """The first field two well-formed frames disagree on: its name and both values.
 
-    ``None`` when the frames are equal.  Fields are taken in ``second``'s
-    order, then any only ``first`` carries.
+    ``None`` when the frames are equal.  Fields are taken in the layout's
+    order for ``second``'s kind of frame, and named as the layout names them.
     """
     if first == second:
         return None
-    key = next(key for key in {**second, **first} if first.get(key) != second.get(key))
-    if key == "h" and first.get("t") != "ev":
-        return "state hash", first.get(key), second.get(key)
-    return _FIELD_NAMES.get(key, f"field {key!r}"), first.get(key), second.get(key)
+    for field in FRAMES[second["t"]]:
+        if first.get(field.key) != second.get(field.key):
+            return field.name, first.get(field.key), second.get(field.key)
+    return None
 
 
 class TraceDivergenceError(ConfigurationError):
@@ -220,7 +195,8 @@ class ReplayEngine:
         the driver refuses — at dispatch or, sharded, in a worker — is the
         divergence at its step with nothing in flight.  The first
         divergence ends the replay; a crashed-shape trace is verified up to
-        its last complete frame.
+        its last complete frame, and a malformed frame is the divergence at
+        its step once every frame before it is verified.
         """
         with self.driver as driver:
             frames = self.reader.frames[1:]
@@ -229,15 +205,14 @@ class ReplayEngine:
                 verifier.window([])  # hash frames before the first event
                 for frame in [frame for frame in frames if frame["t"] == "ev"]:
                     try:
-                        event = churn_event_from_frame(frame)
-                    except ConfigurationError as malformed:
-                        raise verifier.diverge(frame["i"], str(malformed), frame, None) from None
-                    try:
-                        records = driver.collect(driver.dispatch([event]))
+                        records = driver.collect(driver.dispatch([churn_event_from_frame(frame)]))
                     except ReproError as refusal:
                         reason = f"the re-executed run refused the recorded event: {refusal}"
                         raise verifier.diverge(frame["i"], reason, frame, None) from None
                     verifier.window(records)
+                malformed = self.reader.malformed
+                if malformed is not None:
+                    raise verifier.diverge(malformed["step"], malformed["reason"], None, None)
             except TraceDivergenceError:
                 pass
             end = self.reader.end_frame()
@@ -286,76 +261,36 @@ def trace_diff(first_path: str, second_path: str) -> TraceDiff:
     two traces of deliberately different scenarios can still be diffed.
     The two files may use different physical encodings (one JSONL, one
     binary): both decode to the same frame dicts, so mixed-format diffs
-    compare decoded frames directly.
+    compare decoded frames directly.  A trace with a malformed frame is
+    refused with :class:`ConfigurationError` naming its step and field.
     """
     first = TraceReader(first_path)
     second = TraceReader(second_path)
-    notes: List[str] = []
-    if first.scenario != second.scenario:
-        notes.append("headers record different scenarios")
-
-    first_events = list(first.events())
-    second_events = list(second.events())
+    for reader in (first, second):
+        if reader.malformed is not None:
+            raise ConfigurationError(
+                f"{reader.path!r}, step {reader.malformed['step']}: {reader.malformed['reason']}"
+            )
+    notes = ["headers record different scenarios"] if first.scenario != second.scenario else []
+    first_events, second_events = list(first.events()), list(second.events())
     compared = 0
     for frame_a, frame_b in zip(first_events, second_events):
         mismatch = frame_mismatch(frame_a, frame_b)
         if mismatch is not None:
-            return TraceDiff(
-                diverged=True,
-                step=frame_a.get("i"),
-                reason="{}: {!r} != {!r}".format(*mismatch),
-                first_frame=frame_a,
-                second_frame=frame_b,
-                compared_events=compared,
-                notes=notes,
-            )
+            reason = "{}: {!r} != {!r}".format(*mismatch)
+            return TraceDiff(True, frame_a["i"], reason, frame_a, frame_b, compared, notes)
         compared += 1
+    found = partial(TraceDiff, True, compared_events=compared, notes=notes)
     if len(first_events) != len(second_events):
-        longer, shorter = (
-            (first_events, second_events)
-            if len(first_events) > len(second_events)
-            else (second_events, first_events)
-        )
-        extra = longer[len(shorter)]
-        return TraceDiff(
-            diverged=True,
-            step=extra.get("i"),
-            reason=(
-                f"event counts differ ({len(first_events)} vs {len(second_events)}); "
-                "first extra event shown"
-            ),
-            first_frame=extra if longer is first_events else None,
-            second_frame=extra if longer is second_events else None,
-            compared_events=compared,
-            notes=notes,
-        )
-
+        extra_a = first_events[compared] if len(first_events) > compared else None
+        extra_b = second_events[compared] if len(second_events) > compared else None
+        reason = f"event counts differ ({len(first_events)} vs {len(second_events)}); first extra event shown"
+        return found((extra_a or extra_b)["i"], reason, extra_a, extra_b)
     # Same events — confirm the index frames agree as well.
     for frame_a, frame_b in zip(first.index_frames(), second.index_frames()):
-        if frame_a.get("h") != frame_b.get("h"):
-            return TraceDiff(
-                diverged=True,
-                step=frame_a.get("i"),
-                reason="identical events but state hashes differ at index frame",
-                first_frame=frame_a,
-                second_frame=frame_b,
-                compared_events=compared,
-                notes=notes,
-            )
-    first_end = first.end_frame()
-    second_end = second.end_frame()
-    if (
-        first_end is not None
-        and second_end is not None
-        and first_end.get("h") != second_end.get("h")
-    ):
-        return TraceDiff(
-            diverged=True,
-            step=None,
-            reason="identical events but final state hashes differ",
-            first_frame=first_end,
-            second_frame=second_end,
-            compared_events=compared,
-            notes=notes,
-        )
-    return TraceDiff(diverged=False, compared_events=compared, notes=notes)
+        if frame_a["h"] != frame_b["h"]:
+            return found(frame_a["i"], "identical events but state hashes differ at index frame", frame_a, frame_b)
+    end_a, end_b = first.end_frame(), second.end_frame()
+    if end_a is not None and end_b is not None and end_a["h"] != end_b["h"]:
+        return found(None, "identical events but final state hashes differ", end_a, end_b)
+    return TraceDiff(False, compared_events=compared, notes=notes)

@@ -1,38 +1,18 @@
 """Opening, recording and resuming whole scenario runs (the CLI's backing functions).
 
-:func:`open_driver` is the one seam every run goes through: the only place
-a run's executor is built and the one fork on ``scenario.shards`` — a
-per-event :class:`~repro.scenarios.runner.SimulationRunner` over the single
-engine (which also serves inline probes and per-event stop conditions), or
-the :class:`~repro.shard.coordinator.ShardCoordinator`, which runs the
-scenario in barrier windows (``workers`` and ``pipeline`` are execution
-choices, never result bits).  Either driver is ``run(steps, recorder)`` for
-events from the scenario's own source, and ``dispatch(events)`` /
-``collect(token)`` for events given to it, so whatever runs on one engine
-runs sharded.  Its callers: ``Scenario.run``, a sweep unit, the three
-functions below, the live session (:mod:`repro.service.session`) and
-``replay`` (:class:`~repro.trace.replay.ReplayEngine`) — so a replayed trace
-certifies the very object the recording ran.
-
-:func:`record_scenario` runs a scenario with trace recording and/or periodic
-checkpointing and :func:`resume_from_checkpoint` restores engine(s) and event
-source from a checkpoint file and continues the run; they share one body
-(:func:`_run_segment`) that hands the driver a :class:`Recorder` — the only
-recorder: single-engine batch, sharded batch and the live session
-(``serve --record``) all write through its window / cadence / seal code (its
-docstring states the cadence law and the start-up order).  The continued run
-is bit-identical to the uninterrupted one (property-tested in
+:func:`open_driver` is the one seam every run goes through — batch runs,
+sweeps, the live session (:mod:`repro.service.session`) and ``replay`` — so
+a replayed trace certifies the very object the recording ran.
+:func:`record_scenario` and :func:`resume_from_checkpoint` share one body
+(:func:`_run_segment`) that hands the driver a :class:`Recorder`, the only
+recorder (single-engine batch, sharded batch and ``serve --record`` alike).
+A resumed run is bit-identical to the uninterrupted one (property-tested in
 ``tests/test_trace_checkpoint.py`` and ``tests/test_batch_sessions.py``):
-same events, same RNG draws, same final state hash, wherever the cut fell.
-Probe measurements restart at the resume point.
-
-:func:`checkpoint_from_trace` turns any recorded batch trace, single-engine
-or sharded, into a library of resume points: it re-drives the scenario with
-the one :class:`~repro.trace.replay.TraceVerifier` — the verifier plain
-``replay`` uses — in the recorder's seat (every event, its step and the
-recorded hashes checked) and materialises a full
-:class:`~repro.trace.checkpoint.Checkpoint` at any recorded step — the CLI's
-``replay --to-step N --checkpoint out.json``.
+same events, same RNG draws, same final state hash, wherever the cut fell;
+probe measurements restart at the resume point.  :func:`checkpoint_from_trace`
+(``replay --to-step N --checkpoint out.json``) re-drives a recorded batch
+trace with the one :class:`~repro.trace.replay.TraceVerifier` in the
+recorder's seat and materialises a verified checkpoint at step ``N``.
 """
 
 from __future__ import annotations
@@ -46,8 +26,7 @@ from ..scenarios.probes import Probe
 from ..scenarios.runner import NO_SOURCE, RunResult, StopCondition
 from ..scenarios.scenario import Scenario
 from .checkpoint import Checkpoint
-from .codec import DEFAULT_FLUSH_EVERY
-from .log import DEFAULT_INDEX_EVERY, TraceReader, TraceWriter
+from .log import DEFAULT_FLUSH_EVERY, DEFAULT_INDEX_EVERY, TraceReader, TraceWriter
 from .replay import TraceVerifier
 
 
@@ -389,7 +368,9 @@ def checkpoint_from_trace(
     count).
 
     ``to_step`` must not exceed the last recorded event's step index —
-    beyond it the trace carries nothing to verify against.
+    beyond it the trace carries nothing to verify against — unless the
+    trace goes on with a malformed frame: then the run is verified up to it
+    and the malformed frame is the divergence.
     """
     reader = trace if isinstance(trace, TraceReader) else TraceReader(trace)
     scenario_dict = reader.scenario
@@ -408,28 +389,32 @@ def checkpoint_from_trace(
         raise ConfigurationError("to_step must be >= 1")
     frames = reader.frames[1:]
     event_steps = [frame["i"] for frame in frames if frame["t"] == "ev"]
-    if not event_steps:
-        raise ConfigurationError("trace contains no event frames")
-    if to_step > event_steps[-1]:
+    last = event_steps[-1] if event_steps else 0
+    # A step past the last good event reaches the malformed frame, if any:
+    # every frame before it is verified, and it is the divergence.
+    malformed = reader.malformed if to_step > last else None
+    if malformed is None and to_step > last:
         raise ConfigurationError(
             f"to_step {to_step} is beyond the last recorded event "
-            f"(step {event_steps[-1]}); the trace cannot verify past it"
+            f"(step {last}); the trace cannot verify past it"
         )
     # Idle steps change no state, so the end frame is verified by a
     # checkpoint at the last recorded event.
-    frames = [frame for frame in frames if frame.get("i", event_steps[-1]) <= to_step]
+    frames = [frame for frame in frames if frame.get("i", last) <= to_step]
 
     scenario = Scenario.from_dict(scenario_dict)
     with open_driver(scenario) as driver:
         # The recorder is here for its checkpoint.
         recorder = Recorder(scenario, driver, checkpoint_path=checkpoint_path)
         verifier = TraceVerifier(frames, driver.engine, driver)
-        driver.run(to_step, verifier)
+        driver.run(to_step if malformed is None else last, verifier)
         if verifier.pending:
             frame = verifier.pending[0]
             raise verifier.diverge(
                 frame.get("i"), "source idled where the trace recorded an event", frame, None
             )
+        if malformed is not None:
+            raise verifier.diverge(malformed["step"], malformed["reason"], None, None)
         checkpoint = recorder.checkpoint()
     return TraceCheckpointResult(
         checkpoint_path=checkpoint_path,
