@@ -5,7 +5,9 @@ staying bit-identical for every worker count; PR 8 pipelined the coordinator
 (route window *k+1* while the workers execute window *k*) and packed the
 wire protocol.  This benchmark measures the same sharded scenario at 1, 2
 and 4 worker processes next to the classic single-engine run and a
-``pipeline=False`` single-worker reference, and *appends* the rates to
+single-worker run on the serial reference loop of
+``tests/test_shard_pipeline.py`` (no routing ahead: the ``unpipelined``
+row), and *appends* the rates to
 ``BENCH_throughput.json`` — same trajectory file, same append-only
 discipline as ``bench_engine_throughput.py`` — under ``sharded``.
 
@@ -27,7 +29,7 @@ Speedups are reported two ways and annotated honestly:
 
 Asserted in-test: every configuration applies events, every phase key is
 present, and the composite state hash is identical across worker counts
-*and* pipeline modes (the determinism contract, on the benchmark's own
+*and* the serial loop (the determinism contract, on the benchmark's own
 run).  The multi-worker speedup is recorded but deliberately not asserted —
 it depends on the runner's core count.  The acceptance target — the
 4-worker rate >= 1.6x the single-worker sharded rate — is checked against
@@ -44,6 +46,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 import time
 
 import pytest
@@ -53,6 +56,9 @@ from repro.shard import PHASE_KEYS
 from repro.trace import record_scenario
 
 from bench_engine_throughput import save_result
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+from test_shard_pipeline import serial_record  # noqa: E402  (the serial reference loop)
 
 MAX_SIZE = 4096
 INITIAL = 1200
@@ -78,11 +84,11 @@ def _scenario(initial_size: int, steps: int, shards: int) -> Scenario:
 def _measure_sharded(
     initial_size: int, steps: int, shards: int, workers: int, pipeline: bool = True
 ):
-    # The entry point `run-scenario --shards` runs; the scenario's shards
-    # field picks the backend, workers/pipeline are execution choices.
-    session = record_scenario(
-        _scenario(initial_size, steps, shards), workers=workers, pipeline=pipeline
-    )
+    # The entry point `run-scenario --shards` runs (the scenario's shards
+    # field picks the backend, workers are an execution choice), or the
+    # serial reference loop when ``pipeline`` is off.
+    record = record_scenario if pipeline else serial_record
+    session = record(_scenario(initial_size, steps, shards), workers=workers)
     result = session.result
     coordinator = session.engine
     return {
@@ -116,7 +122,7 @@ def run_experiment(
         _measure_sharded(initial_size, steps, shards, workers)
         for workers in sorted(set(min(workers, shards) for workers in worker_counts))
     ]
-    # The serial-loop reference: pipelining is an execution choice, so its
+    # The serial-loop reference: routing ahead is an execution choice, so its
     # hash must match, and its rate isolates what the overlap itself buys.
     unpipelined = _measure_sharded(initial_size, steps, shards, 1, pipeline=False)
     single = runs[0]["events_per_second"]
@@ -182,7 +188,7 @@ def test_sharded_engine_throughput(benchmark):
         assert set(run["phase_seconds"]) == set(PHASE_KEYS)
         assert "oversubscribed" in run
     # The determinism contract on the benchmark's own run: every worker
-    # count and both pipeline modes produced the same composite state hash.
+    # count and the serial loop produced the same composite state hash.
     assert result["sharded"]["hash_identical_across_workers"]
     assert result["sharded"]["unpipelined"]["windows_pipelined"] == 0
 

@@ -60,7 +60,7 @@ def engine_walk(initial_size: int):
 def measure_round(graph, segment: float, batch: int) -> dict:
     """Both executors on the same ``batch``-walk round layouts: hops/second each."""
     kernel = ArrayKernel(graph, fresh_rng(11))
-    kernel.run_biased_batch([graph.csr().vertices[0]], segment, 1)  # builds the tables
+    kernel.run_biased_batch([0], segment, 1)  # from row 0; builds the tables
     csr, max_weight = graph.csr(), graph.max_weight()
     tables = csr.walk_tables
     rows = [v % len(csr) for v in range(batch)]

@@ -163,12 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
              "only; overrides the scenario's shard_options value, default 64)",
     )
     scenario.add_argument(
-        "--no-pipeline", action="store_true",
-        help="run the sharded coordinator without routing/execution overlap "
-             "(sharded runs only; an execution choice — results are "
-             "bit-identical either way)",
-    )
-    scenario.add_argument(
         "--profile", type=str, default=None, metavar="FILE",
         help="profile the run loop with cProfile and write pstats data to "
              "FILE (works for classic and sharded runs; load with "
@@ -450,16 +444,12 @@ def run_scenario_command(args: argparse.Namespace) -> int:
     if args.checkpoint_every is not None and args.checkpoint is None:
         raise ConfigurationError("--checkpoint-every needs --checkpoint (the file to write)")
     workers = _workers_for(scenario, args.shards)
-    for flag, given in (
-        ("--barrier-interval", args.barrier_interval is not None),
-        ("--no-pipeline", args.no_pipeline),
-    ):
-        if given and not scenario.shards:
+    if args.barrier_interval is not None:
+        if not scenario.shards:
             raise ConfigurationError(
-                f"{flag} applies to sharded runs "
+                "--barrier-interval applies to sharded runs "
                 "(give --shards or a scenario with a shards field)"
             )
-    if args.barrier_interval is not None:
         # Semantic, so it rides in the spec the trace header and every
         # checkpoint carry: resume and replay run the same barrier schedule.
         scenario.shard_options = dict(
@@ -486,7 +476,6 @@ def run_scenario_command(args: argparse.Namespace) -> int:
                 trace_format=args.trace_format,
                 flush_every=args.flush_every,
                 workers=workers,
-                pipeline=not args.no_pipeline,
             )
     except KeyboardInterrupt:
         # record_scenario's abort path already flushed the partial trace

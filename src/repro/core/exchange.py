@@ -105,10 +105,12 @@ class ExchangeProtocol:
         getrandbits, choose = self._randnum.pass_picks(state.nodes.is_byzantine)
         walked = sum(map(len, exchanged))
         if randcl.walk_mode is WalkMode.SIMULATED:
-            # The whole pass's walks, one per member, as one batch.
-            starts = [cluster.cluster_id for cluster in exchanged for _ in cluster.members]
-            rows, (walk_messages, walk_rounds, walk_hops) = randcl.pass_walks(starts)
+            # The whole pass's walks, one per member, as one batch of rows.
             layout = overlay.csr()
+            starts = []
+            for cluster in exchanged:
+                starts += [layout.row_of(cluster.cluster_id)] * len(cluster.members)
+            rows, (walk_messages, walk_rounds, walk_hops) = randcl.pass_walks(starts)
             swaps, pairs, rounds = clusters.exchange_pass(
                 report.cluster_ids, layout, getrandbits, rows, choose
             )

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..errors import WalkError
 from ..network.message import MessageKind
@@ -159,18 +159,6 @@ class RandCl:
         outcome = sampler.sample(start_cluster)
         return self.finalize(start_cluster, outcome, metrics=metrics, label=label)
 
-    def walks(self, starts: Sequence[ClusterId]) -> List[tuple]:
-        """One simulated walk from each of ``starts``, as one batch on the hop engine.
-
-        Each walk is a ``(cluster, hops, restarts, acceptance_tests,
-        truncated)`` tuple.  An exchange pass draws all its walks before its
-        first swap: swaps keep cluster sizes, so the overlay is static for
-        the pass.
-        """
-        if not starts:
-            return []
-        return self._prepare_sampler(starts[0]).walk_batch(starts)
-
     def oracle_walks(self, start_cluster: ClusterId) -> tuple:
         """An exchange pass's oracle walks: ``(getrandbits, layout, cost)``.
 
@@ -186,19 +174,21 @@ class RandCl:
         messages, rounds = walk_cost(hops, restarts, self.cost_model())
         return self._rng.getrandbits, layout, (messages, rounds, hops)
 
-    def pass_walks(self, starts: Sequence[ClusterId]) -> tuple:
-        """An exchange pass's simulated walks, one per start: ``(rows, cost)``.
+    def pass_walks(self, starts: Sequence[int]) -> tuple:
+        """An exchange pass's simulated walks, one per start row: ``(rows, cost)``.
 
-        ``rows`` lists the CSR rows the :meth:`walks` batch ends on, and
-        ``cost`` is ``(messages, rounds, hops)`` summed over the walks, each
-        priced by :func:`walk_cost`.
+        The pass draws all its walks before its first swap (swaps keep
+        cluster sizes, so the overlay is static for the pass), as one batch
+        on the hop engine, in the rows of the overlay's CSR layout: ``starts``
+        are rows, ``rows`` lists the rows the walks end on, and ``cost`` is
+        ``(messages, rounds, hops)`` summed over the walks, each priced by
+        :func:`walk_cost`.
         """
         charges = self.cost_model()
-        row_of = self._state.overlay.graph.csr().row_of
         rows, messages, rounds, hops = [], 0, 0, 0
-        for cluster, walk_hops, restarts, _, _ in self.walks(starts):
+        for row, walk_hops, restarts, _, _ in self._prepare_sampler().walk_batch(starts):
             walk_messages, walk_rounds = walk_cost(walk_hops, restarts, charges)
-            rows.append(row_of(cluster))
+            rows.append(row)
             messages += walk_messages
             rounds += walk_rounds
             hops += walk_hops
@@ -226,10 +216,10 @@ class RandCl:
             truncated=outcome.truncated,
         )
 
-    def _prepare_sampler(self, start_cluster: ClusterId) -> ClusterSampler:
-        """Validate the start vertex and (re)configure the shared sampler."""
+    def _prepare_sampler(self, start_cluster: Optional[ClusterId] = None) -> ClusterSampler:
+        """Validate the start vertex, if given, and (re)configure the shared sampler."""
         overlay_graph = self._state.overlay.graph
-        if start_cluster not in overlay_graph:
+        if start_cluster is not None and start_cluster not in overlay_graph:
             raise WalkError(f"cluster {start_cluster} is not an overlay vertex")
         # Overlay weights are kept in sync incrementally by the membership
         # listener in SystemState, so no full resynchronisation is needed here.

@@ -6,9 +6,10 @@ Four layers, smallest on top:
   description of one experiment (parameters, engine flavour, workload and
   adversary specs, seed discipline), JSON-serialisable and available as named
   presets for the CLI,
-* :mod:`repro.scenarios.runner` — :class:`SimulationRunner`, the step loop
-  (workload/adversary → engine → observation bus → stop conditions) shared by
-  every benchmark, example and the CLI, returning a :class:`RunResult`,
+* :mod:`repro.scenarios.runner` — :class:`SimulationRunner` and
+  ``run_windows``, the step loop (workload/adversary → engine → observation
+  bus → stop conditions) shared by every benchmark, example, the CLI and the
+  shard coordinator, returning a :class:`RunResult`,
 * :mod:`repro.scenarios.bus` — :class:`ObservationBus` and
   :class:`StepRecord`, the streaming observation pipeline: inline probes run
   per event, buffered probes receive batched step records off the hot path,

@@ -89,11 +89,12 @@ def step_record(report, step_index: int) -> StepRecord:
     )
 
 
-def split_probes(probes: Sequence) -> Tuple[List, List]:
+def split_probes(probes: Sequence, inline_lane: bool = True) -> Tuple[List, List]:
     """The ``(inline, buffered)`` lanes of a probe list, names checked.
 
     ``RunResult.probes`` is keyed by name, so a collision would silently
-    drop one probe's measurements: duplicate names are refused.
+    drop one probe's measurements: duplicate names are refused.  Without an
+    ``inline_lane`` (sharded execution) inline probes are refused too.
     """
     names = [probe.name for probe in probes]
     duplicates = {name for name in names if names.count(name) > 1}
@@ -103,6 +104,12 @@ def split_probes(probes: Sequence) -> Tuple[List, List]:
             "a distinct name= (e.g. CallbackProbe(fn, name='...'))"
         )
     inline = [probe for probe in probes if probe.inline]
+    if inline and not inline_lane:
+        raise ConfigurationError(
+            f"inline probes {[probe.name for probe in inline]} are not supported "
+            "under sharded execution (there is no single live engine to read "
+            "per event); use buffered probes"
+        )
     return inline, [probe for probe in probes if not probe.inline]
 
 
@@ -114,34 +121,40 @@ class ObservationBus:
     :class:`~repro.scenarios.runner.SimulationRunner` publishes once per
     applied event; the bus fans out synchronously to inline probes and
     accumulates a :class:`StepRecord` for buffered ones, flushing the batch
-    every ``buffer_size`` events.  :meth:`flush` is called by the runner at
-    the end of every ``run()`` segment, so probe results are always complete
+    every ``buffer_size`` events.  :meth:`flush` is called by the batch loop
+    at the end of every ``run()`` segment, so probe results are always complete
     when a :class:`~repro.scenarios.runner.RunResult` is assembled.
     """
 
     #: Events per buffered-probe batch (:data:`DEFAULT_PROBE_BUFFER`).
     buffer_size = DEFAULT_PROBE_BUFFER
 
-    def __init__(self, engine, probes: Sequence) -> None:
+    def __init__(self, engine, probes: Sequence, inline_lane: bool = True) -> None:
         self.engine = engine
+        # Whether inline probes may attach (see split_probes).
+        self._inline_lane = inline_lane
         self.inline_probes: List = []
         self.buffered_probes: List = []
         self.sync(probes)
         self.records_published = 0
         self._buffer: List[StepRecord] = []
+        self._started = False
 
     def sync(self, probes: Sequence) -> None:
         """Re-split the lanes from the current probe list.
 
-        ``SimulationRunner.probes`` is a public list; callers may append to
-        it between runs.  The runner re-syncs at the top of every ``run()``
+        A driver's ``probes`` is a public list; callers may append to it
+        between runs.  The batch loop re-syncs at the top of every ``run()``
         segment so late-attached probes are observed (matching the
         pre-streaming behaviour of iterating the live list per event).
         """
-        self.inline_probes, self.buffered_probes = split_probes(probes)
+        self.inline_probes, self.buffered_probes = split_probes(probes, self._inline_lane)
 
     def on_start(self) -> None:
-        """Forward the run-start hook to every probe (inline first)."""
+        """Forward the run-start hook to every probe (inline first), once per bus."""
+        if self._started:
+            return
+        self._started = True
         for probe in self.inline_probes:
             probe.on_start(self.engine)
         for probe in self.buffered_probes:

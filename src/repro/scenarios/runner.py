@@ -23,18 +23,22 @@ The runner may be invoked repeatedly on the same engine (checkpoint-style
 experiments run it once per growth target); each :meth:`SimulationRunner.run`
 call returns a fresh :class:`RunResult` while probes keep accumulating.
 
+:func:`run_windows` is the one batch loop, shared with the shard
+coordinator: both drivers move in windows through the same two halves,
+``serve_dispatch`` / ``serve_collect``, drawn from one :class:`EventPull`
+(the idle rule's one copy).  The runner's window is one event, applied at
+dispatch; the coordinator's runs up to its next barrier, on the workers.
 A run whose events are *given* — a live ``serve`` session, ``replay`` —
-drives the same runner through :meth:`SimulationRunner.dispatch` /
-:meth:`~SimulationRunner.collect`, the two window halves the shard
-coordinator also has (here the window applies inline at dispatch); its
-scenario has no source, and :meth:`~SimulationRunner.run` refuses it.
+drives the same halves through :meth:`WindowDriver.dispatch` /
+:meth:`~WindowDriver.collect`; its scenario has no source, and
+:meth:`~SimulationRunner.run` refuses it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..adversary.base import bind_event_source
 from ..analysis.reporting import format_table
@@ -43,8 +47,8 @@ from ..errors import ConfigurationError
 from .bus import ObservationBus, StepRecord
 from .probes import Probe
 
-#: Why :meth:`SimulationRunner.run` and ``ShardCoordinator.run`` refuse a
-#: scenario without a workload or adversary (``{}``: the scenario's name).
+#: Why :func:`run_windows` refuses a scenario without a workload or
+#: adversary (``{}``: the scenario's name).
 NO_SOURCE = (
     "scenario {!r} has no event source (no workload or adversary): its events "
     "are given to the driver's dispatch, so there is nothing to run"
@@ -58,6 +62,17 @@ StopCondition = Callable[[Any, Any, int], Optional[str]]
 # ----------------------------------------------------------------------
 # Stop-condition helpers
 # ----------------------------------------------------------------------
+def first_stop(
+    conditions: Sequence[StopCondition], engine, report, step_index: int
+) -> Optional[str]:
+    """The first reason one of ``conditions`` gives to stop, or ``None``."""
+    for condition in conditions:
+        reason = condition(engine, report, step_index)
+        if reason is not None:
+            return reason
+    return None
+
+
 def stop_when_size_at_least(target: int) -> StopCondition:
     """Stop once the network grew to ``target`` nodes."""
 
@@ -97,7 +112,7 @@ def stop_when_compromised(cluster_id: Optional[ClusterId] = None) -> StopConditi
 
 @dataclass
 class RunResult:
-    """Summary of one :meth:`SimulationRunner.run` call."""
+    """Summary of one batch run (:func:`run_windows`)."""
 
     scenario: str
     steps: int
@@ -150,7 +165,189 @@ class RunResult:
         return format_table(["metric", "value"], self.summary_rows())
 
 
-class SimulationRunner:
+class EventPull:
+    """One run's pull on its event source: a time step per pull, and the idle rule.
+
+    Iterating yields ``(step, event)`` for each time step that brought an
+    event, numbered on from ``first_step``; a step whose source returned
+    ``None`` is idle.  The pull ends once ``steps`` time steps are taken, or
+    once ``max_idle_streak`` consecutive steps idled (:attr:`source_idle`:
+    a finite workload such as pure growth idles forever once its target is
+    reached).  The streak spans the windows of one pull, and each run starts
+    a new pull.  Given events come as a pull that never idles
+    (:meth:`given`).
+    """
+
+    def __init__(
+        self,
+        next_event: Callable[[], Any],
+        steps: int,
+        first_step: int = 1,
+        max_idle_streak: Optional[int] = None,
+    ) -> None:
+        self._next_event = next_event
+        self._budget = steps
+        self._first = first_step
+        self._max_idle = max_idle_streak
+        self._streak = 0
+        #: Time steps taken so far, and how many of them idled.
+        self.steps = 0
+        self.idle = 0
+        #: Whether the pull ended on ``max_idle_streak`` idle steps in a row.
+        self.source_idle = False
+
+    @classmethod
+    def given(cls, events: Sequence, first_step: int) -> "EventPull":
+        """A pull over given events, one time step each (none is ``None``)."""
+        return cls(iter(events).__next__, len(events), first_step)
+
+    @property
+    def done(self) -> bool:
+        """Whether the pull has ended (its budget spent, or its source idle)."""
+        return self.source_idle or self.steps >= self._budget
+
+    @property
+    def events(self) -> int:
+        """Time steps taken that brought an event."""
+        return self.steps - self.idle
+
+    def __iter__(self) -> Iterator[Tuple[int, Any]]:
+        return self
+
+    def __next__(self) -> Tuple[int, Any]:
+        while not self.source_idle and self.steps < self._budget:
+            self.steps += 1
+            event = self._next_event()
+            if event is not None:
+                self._streak = 0
+                return self._first + self.steps - 1, event
+            self.idle += 1
+            self._streak += 1
+            if self._max_idle is not None and self._streak >= self._max_idle:
+                self.source_idle = True
+        raise StopIteration
+
+
+def refuse_run(driver, steps: int) -> None:
+    """Refuse a batch run of ``steps`` time steps that ``driver`` cannot make."""
+    if steps < 0:
+        raise ConfigurationError("steps must be non-negative")
+    if driver.source is None:
+        raise ConfigurationError(NO_SOURCE.format(driver.name))
+
+
+def run_windows(driver, steps: int, recorder=None) -> RunResult:
+    """The batch loop: run up to ``steps`` time steps of ``driver``'s own source.
+
+    ``driver`` (a :class:`SimulationRunner` or a shard coordinator) takes its
+    windows from one :class:`EventPull` through its two halves:
+    ``serve_dispatch(pull, observe)`` returns a window's token and
+    ``serve_collect(token)`` its records, which the driver has published to
+    its bus; ``recorder`` (a :class:`repro.trace.session.Recorder`, or the
+    replay verifier in its seat) receives each collected window.
+
+    It **routes ahead** — takes window *k+1*'s send half before window *k*'s
+    receive half, so a coordinator routes while its workers execute — only
+    when window *k* is still in flight (a runner's completes at dispatch, so
+    the runner never pulls its next event early), no stop condition is set
+    (a stop can end the run mid-window, and routing ahead would consume
+    source RNG for events that never execute), and the recorder will not
+    hash or snapshot at window *k*'s end (``recorder.due``).  Every decision
+    is still made in the serial order, so routing ahead moves no result bit.
+    The stop reason is ``"steps exhausted"``, a stop condition's, or
+    ``"source idle"`` (which wins).
+    """
+    refuse_run(driver, steps)
+    bus = driver.bus
+    # probes is a public list: pick up anything attached since the last
+    # segment (the bus refuses a probe this driver cannot serve).
+    bus.sync(driver.probes)
+    bus.on_start()
+    recording = recorder is not None
+    stops = bool(driver.stop_conditions)
+    observe = bool(bus.buffered_probes or recording or stops)
+    pull = driver.pull(steps)
+    collected = driver.total_events
+    driver.peak_worst = 0.0
+    stop_reason = "steps exhausted"
+    started_at = time.perf_counter()
+    try:
+        token = None if pull.done else driver.serve_dispatch(pull, observe)
+        while token is not None:
+            in_flight = pull.events - (driver.total_events - collected)
+            ahead = None
+            if in_flight and not pull.done and not stops and not (recording and recorder.due(in_flight)):
+                ahead = driver.serve_dispatch(pull, observe)
+            records = driver.serve_collect(token)
+            if recording:
+                recorder.window(records)
+            if driver.stopped is not None:
+                stop_reason = driver.stopped[1]
+                break
+            if ahead is None and not pull.done:
+                ahead = driver.serve_dispatch(pull, observe)
+            token = ahead
+    finally:
+        # Deliver any partially filled batch — on clean exit so probe
+        # results are complete before they go into the RunResult, and on
+        # an exception so buffered probes are exact to the interrupt
+        # point (as per-event inline probes always were).
+        bus.flush()
+    elapsed = time.perf_counter() - started_at
+    if pull.source_idle:
+        stop_reason = "source idle"
+
+    status = driver.status()
+    return RunResult(
+        scenario=driver.name,
+        steps=pull.steps,
+        events=pull.events,
+        idle_steps=pull.idle,
+        elapsed_seconds=elapsed,
+        final_size=status["network_size"],
+        final_cluster_count=status["cluster_count"],
+        final_worst_fraction=status["worst_byzantine_fraction"],
+        peak_worst_fraction=driver.peak_worst,
+        compromised_clusters=driver.compromised_clusters(),
+        stop_reason=stop_reason,
+        probes={probe.name: probe.result() for probe in driver.probes},
+        shards=driver.shards,
+    )
+
+
+class WindowDriver:
+    """What both drivers share beside :func:`run_windows`: given events.
+
+    A run whose events are given (the live session, replay) moves through
+    the same two halves as the batch loop: :meth:`dispatch` takes every
+    event (one time step each, numbered by admission) and returns the
+    token, :meth:`collect` its records.  A driver is a context manager that
+    closes it.
+    """
+
+    def dispatch(self, events: Sequence) -> List[Any]:
+        """Queue ``events`` as the driver's windows; the token."""
+        pull = EventPull.given(events, self.steps_admitted + 1)
+        tokens = []
+        while not pull.done:
+            tokens.append(self.serve_dispatch(pull))
+        return tokens
+
+    def collect(self, token: List[Any]) -> List[StepRecord]:
+        """The records of every window :meth:`dispatch` queued, in admission order."""
+        records: List[StepRecord] = []
+        for part in token:
+            records += self.serve_collect(part)
+        return records
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class SimulationRunner(WindowDriver):
     """Drives one engine with one event source, probing every step.
 
     Parameters
@@ -168,10 +365,12 @@ class SimulationRunner:
         Callables evaluated after each applied event; the first non-``None``
         reason ends the run.
     max_idle_streak:
-        Stop after this many consecutive idle steps (a finite workload such
-        as pure growth idles forever once its target is reached); ``None``
-        keeps looping through idle steps.
+        Stop after this many consecutive idle steps (see :class:`EventPull`);
+        ``None`` keeps looping through idle steps.
     """
+
+    #: Logical shard count in a :class:`RunResult`: 0, the single engine.
+    shards = 0
 
     def __init__(
         self,
@@ -194,120 +393,58 @@ class SimulationRunner:
         #: RNG streams alongside the engine state — see ``repro.trace``).
         self.source = source
         self._next_event = bind_event_source(engine, source) if source is not None else None
-        self._started = False
         self.total_steps = 0
         self.total_events = 0
+        #: ``(1, reason)`` if the last window's event fired a stop condition.
+        self.stopped: Optional[Tuple[int, str]] = None
+        #: The worst corruption any applied event reported since
+        #: :func:`run_windows` last reset it (a run's peak).
+        self.peak_worst = 0.0
 
     # ------------------------------------------------------------------
     # The step loop
     # ------------------------------------------------------------------
     def run(self, steps: int, recorder=None) -> RunResult:
-        """Run up to ``steps`` time steps and return the result summary.
+        """Run up to ``steps`` time steps and return the result summary (:func:`run_windows`)."""
+        return run_windows(self, steps, recorder)
 
-        ``recorder`` (a :class:`repro.trace.session.Recorder`, the same hook
-        ``ShardCoordinator.run`` takes) is handed every applied event as a
-        window of one, after the probes saw it: index frames and checkpoints
-        land on exactly the events their cadence names.
+    def pull(self, steps: int) -> EventPull:
+        """A run's pull on the source; its steps are numbered from 1, the run's own."""
+        return EventPull(self._next_event, steps, 1, self.max_idle_streak)
+
+    def serve_dispatch(self, pull: EventPull, observe: bool = True) -> List[StepRecord]:
+        """Apply ``pull``'s next event inline: a window of one, complete at dispatch.
+
+        The token is the window's records: the event's, when one was built
+        (``observe``, or a buffered probe), and none for a window that only
+        idled.  :attr:`stopped` says whether the event fired a stop condition.
         """
-        if steps < 0:
-            raise ConfigurationError("steps must be non-negative")
-        if self.source is None:
-            raise ConfigurationError(NO_SOURCE.format(self.name))
-        # probes is a public list; pick up anything attached since the last
-        # segment so late-added probes are observed.
-        self.bus.sync(self.probes)
-        if not self._started:
-            self.bus.on_start()
-            self._started = True
+        taken = pull.steps
+        pulled = next(pull, None)
+        # Kept current so a mid-run checkpoint reads its progress here.
+        self.total_steps += pull.steps - taken
+        self.stopped = None
+        if pulled is None:
+            return []
+        step, event = pulled
+        report = self.engine.apply_event(event)
+        self.total_events += 1
+        if report.worst_byzantine_fraction > self.peak_worst:
+            self.peak_worst = report.worst_byzantine_fraction
+        record = self.bus.publish(report, step, observe)
+        reason = first_stop(self.stop_conditions, self.engine, report, step)
+        if reason is not None:
+            self.stopped = (1, reason)
+        return [] if record is None else [record]
 
-        engine = self.engine
-        publish = self.bus.publish
-        recording = recorder is not None
-        base_steps = self.total_steps
-        events = 0
-        idle = 0
-        idle_streak = 0
-        stop_reason = "steps exhausted"
-        peak_worst = 0.0
-        started_at = time.perf_counter()
-        try:
-            for step_index in range(1, steps + 1):
-                # Kept current so a mid-run checkpoint reads its progress here.
-                self.total_steps = base_steps + step_index
-                event = self._next_event()
-                if event is None:
-                    idle += 1
-                    idle_streak += 1
-                    if self.max_idle_streak is not None and idle_streak >= self.max_idle_streak:
-                        stop_reason = "source idle"
-                        break
-                    continue
-                idle_streak = 0
-                report = engine.apply_event(event)
-                events += 1
-                self.total_events += 1
-                if report.worst_byzantine_fraction > peak_worst:
-                    peak_worst = report.worst_byzantine_fraction
-                record = publish(report, step_index, recording)
-                if recording:
-                    recorder.window((record,))
-                reason = self._evaluate_stop(engine, report, step_index)
-                if reason is not None:
-                    stop_reason = reason
-                    break
-        finally:
-            # Deliver any partially filled batch — on clean exit so probe
-            # results are complete before they go into the RunResult, and on
-            # an exception so buffered probes are exact to the interrupt
-            # point (as per-event inline probes always were).
-            self.bus.flush()
-        elapsed = time.perf_counter() - started_at
-        executed = self.total_steps - base_steps
-
-        return RunResult(
-            scenario=self.name,
-            steps=executed,
-            events=events,
-            idle_steps=idle,
-            elapsed_seconds=elapsed,
-            final_size=engine.network_size,
-            final_cluster_count=engine.cluster_count,
-            final_worst_fraction=engine.worst_cluster_fraction(),
-            peak_worst_fraction=peak_worst,
-            compromised_clusters=list(engine.compromised_clusters()),
-            stop_reason=stop_reason,
-            probes={probe.name: probe.result() for probe in self.probes},
-        )
-
-    def _evaluate_stop(self, engine, report, step_index: int) -> Optional[str]:
-        for condition in self.stop_conditions:
-            reason = condition(engine, report, step_index)
-            if reason is not None:
-                return reason
-        return None
-
-    # ------------------------------------------------------------------
-    # Given events: the two window halves (see the module docstring)
-    # ------------------------------------------------------------------
-    def dispatch(self, events: Sequence) -> List[StepRecord]:
-        """Apply ``events`` inline, one time step each; the window's token.
-
-        Records are numbered by admission (``total_steps``), published to the
-        bus and returned by :meth:`collect`.
-        """
-        engine = self.engine
-        publish = self.bus.publish
-        records = []
-        for event in events:
-            report = engine.apply_event(event)
-            self.total_steps += 1
-            self.total_events += 1
-            records.append(publish(report, self.total_steps, True))
-        return records
-
-    def collect(self, token: List[StepRecord]) -> List[StepRecord]:
+    def serve_collect(self, token: List[StepRecord]) -> List[StepRecord]:
         """The dispatched window's records (it completed at dispatch)."""
         return token
+
+    @property
+    def steps_admitted(self) -> int:
+        """Time steps taken by dispatch: all of them applied (see :meth:`serve_dispatch`)."""
+        return self.total_steps
 
     @property
     def nodes(self):
@@ -328,6 +465,10 @@ class SimulationRunner:
             "time_step": engine.state.time_step,
         }
 
+    def compromised_clusters(self) -> List[ClusterId]:
+        """Clusters at or above the one-third corruption threshold."""
+        return list(self.engine.compromised_clusters())
+
     def read_views(self) -> List[Dict[str, Any]]:
         """The one engine's read view (see :mod:`repro.shard.serve`)."""
         from ..shard.serve import engine_view  # local import: shard builds on scenarios
@@ -336,12 +477,6 @@ class SimulationRunner:
 
     def close(self) -> None:
         """Nothing to shut down: the engine lives in this process."""
-
-    def __enter__(self) -> "SimulationRunner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Convenience

@@ -61,6 +61,18 @@ ADVERSARY_KINDS = {
 }
 
 
+#: ``key: (types, nullable)`` of every spec field, which
+#: :meth:`Scenario.from_dict` checks: a ``bool`` is not an int, and an int
+#: is a number.
+SPEC_TYPES = {
+    **dict.fromkeys(("name", "engine"), ((str,), False)),
+    **dict.fromkeys(("max_size", "initial_size", "seed", "steps", "shards"), ((int,), False)),
+    **dict.fromkeys(("tau", "k", "l", "alpha", "epsilon", "adversary_weight"), ((float, int), False)),
+    **dict.fromkeys(("workload", "adversary", "engine_options", "shard_options"), ((dict,), True)),
+    "max_idle_streak": ((int,), True),
+}
+
+
 def _construct(role: str, kinds: Dict[str, type], kind, rng: random.Random, spec: Dict[str, Any]):
     """``kinds[kind](rng, **spec)``, refusing an unknown kind or a spec that
     does not fit the constructor's signature (a missing or unknown field)
@@ -128,7 +140,7 @@ class Scenario:
             initial_size=self.initial_size,
             byzantine_fraction=self.tau,
             seed=self.seed,
-            config=EngineConfig(**self.engine_options),
+            config=EngineConfig(**(self.engine_options or {})),
             rule=self.engine,
         )
 
@@ -173,7 +185,7 @@ class Scenario:
         engine=None,
     ) -> SimulationRunner:
         """An engine + runner ready to :meth:`SimulationRunner.run` (or, for a
-        scenario without a source, to :meth:`SimulationRunner.dispatch`)."""
+        scenario without a source, to :meth:`~repro.scenarios.runner.WindowDriver.dispatch`)."""
         if self.shards:
             raise ConfigurationError(
                 f"scenario {self.name!r} declares shards={self.shards}; open it "
@@ -224,19 +236,31 @@ class Scenario:
     def from_dict(cls, data: Dict[str, Any]) -> "Scenario":
         """Build a scenario from its plain-dict form (unknown keys rejected).
 
-        The placement rule and the ``engine_options`` are checked here too,
-        so a spec naming an unknown rule, engine option or walk kernel is
-        refused when it is loaded.
+        Each field's type (:data:`SPEC_TYPES`), the placement rule and the
+        ``engine_options`` are checked here too, so a spec holding a field
+        of the wrong type or naming an unknown rule, engine option or walk
+        kernel is refused when it is loaded.
         """
+        # Local import: repro.trace builds on scenarios.
+        from ..trace.log import Field, field_fault
+
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigurationError(f"unknown scenario fields: {sorted(unknown)}")
+        fields = tuple(
+            Field(key, key, types, nullable=nullable, optional=True)
+            for key, (types, nullable) in SPEC_TYPES.items()
+        )
+        fault = field_fault(data, fields)
+        if fault is not None:
+            raise ConfigurationError(f"scenario field {fault[0].key!r} {fault[1]}")
         scenario = cls(**data)
         check_rule(scenario.engine)
-        unknown = set(scenario.engine_options) - set(EngineConfig.__dataclass_fields__)
+        options = scenario.engine_options or {}
+        unknown = set(options) - set(EngineConfig.__dataclass_fields__)
         if unknown:
             raise ConfigurationError(f"unknown engine_options fields: {sorted(unknown)}")
-        EngineConfig(**scenario.engine_options)
+        EngineConfig(**options)
         return scenario
 
     @classmethod

@@ -128,7 +128,6 @@ class LiveEngineSession:
         self._recorder: Optional[Recorder] = None
         self.events_applied = 0
         self.operations: Dict[str, int] = {}
-        self._started = False
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -169,9 +168,7 @@ class LiveEngineSession:
 
     def start(self) -> None:
         """Fire the probes' run-start hooks (idempotent)."""
-        if not self._started:
-            self.bus.on_start()
-            self._started = True
+        self.bus.on_start()
 
     def close(self, ok: bool = True) -> None:
         """Flush observations, seal the trace, shut the driver down.

@@ -9,15 +9,15 @@ moved by two halves:
     route the window's events in one batched pass
     (:meth:`~repro.shard.router.EventRouter.route_window`) into packed
     per-shard wire buffers and queue each on its worker transport.  The
-    events are either given (the live service, replay) or pulled from the
-    scenario's own workload/adversary, which sample the *composite*
-    population through the :class:`~repro.shard.router.ShardedEngineFacade`
-    — pull and route stay interleaved, so each pull sees the exact
-    post-event directory.  If the window brings the cumulative admitted
-    event count to a multiple of ``barrier_interval``, the barrier's
-    rebalance move — one planned list ``(src, dst,
-    directory.emigrants(src, count))`` — is applied to the directory and its
-    two worker commands are queued behind the batches.
+    events come from an :class:`~repro.scenarios.runner.EventPull`: over
+    given events (the live service, replay) or over the scenario's own
+    workload/adversary, which sample the *composite* population through
+    the :class:`~repro.shard.router.ShardedEngineFacade` — pull and route
+    stay interleaved, so each pull sees the exact post-event directory.  If
+    the window brings the cumulative admitted event count to a multiple of
+    ``barrier_interval``, the barrier's rebalance move — one planned list
+    ``(src, dst, directory.emigrants(src, count))`` — is applied to the
+    directory and its two worker commands are queued behind the batches.
 :meth:`~ShardCoordinator.serve_collect` (receive half)
     receive the replies, fold the packed observation rows back into the
     global event order (:class:`~repro.shard.merge.ObservationMerger`, the
@@ -30,13 +30,14 @@ moved by two halves:
 a multiple of ``barrier_interval`` — never because a call, a window or a
 step budget ended — and a window never straddles a multiple.  Shard
 evolution is therefore a pure function of the admitted event sequence:
-independent of the worker count, of pipelining, of how a live pump chunks
-its windows and of where a batch run was cut into ``run()`` calls or
+independent of the worker count, of routing ahead, of how a live pump
+chunks its windows and of where a batch run was cut into ``run()`` calls or
 checkpoint/resume segments.
 
-:meth:`~ShardCoordinator.run` is the batch loop over the two halves; it
-routes window *k+1* while the workers execute window *k*.  ``workers=1``
-executes the same logical shards through the in-process
+:meth:`~ShardCoordinator.run` is the batch loop shared with the
+single-engine runner (:func:`~repro.scenarios.runner.run_windows`) over the
+two halves; it routes window *k+1* while the workers execute window *k*.
+``workers=1`` executes the same logical shards through the in-process
 :class:`~repro.shard.worker.InlineTransport` and is the correctness oracle
 the property tests compare against.  ``phase_times`` accumulates a
 per-phase wall-time breakdown (route / serialize / worker_execute / merge /
@@ -66,7 +67,14 @@ from ..core.invariants import InvariantReport
 from ..errors import ConfigurationError
 from ..network.node import NodeRole
 from ..scenarios.bus import ObservationBus, StepRecord, split_probes
-from ..scenarios.runner import NO_SOURCE, RunResult, StopCondition
+from ..scenarios.runner import (
+    EventPull,
+    RunResult,
+    StopCondition,
+    WindowDriver,
+    first_stop,
+    run_windows,
+)
 from ..walks.sampler import check_kernel_snapshot
 from .merge import ObservationMerger, composite_state_hash
 from .router import (
@@ -113,7 +121,7 @@ class _RecordView:
         self.compromised_clusters = compromised
 
 
-class ShardCoordinator:
+class ShardCoordinator(WindowDriver):
     """Runs one scenario as ``scenario.shards`` engines across worker processes.
 
     ``workers`` is an execution choice only (clamped to ``[1, shards]``);
@@ -132,10 +140,11 @@ class ShardCoordinator:
         workers: int = 1,
         probes: Sequence = (),
         stop_conditions: Sequence[StopCondition] = (),
-        pipeline: bool = True,
         checkpoint: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.scenario = scenario
+        self.name = scenario.name
+        self.max_idle_streak = scenario.max_idle_streak
         self.shards = int(getattr(scenario, "shards", 0))
         if self.shards < 1:
             raise ConfigurationError(
@@ -167,7 +176,9 @@ class ShardCoordinator:
             raise ConfigurationError("min_shard_size must be >= 1")
 
         self.probes = list(probes)
-        self._validate_probes(self.probes)
+        # Refused here, before any worker starts; the bus refuses one
+        # attached later when a run syncs it.
+        split_probes(self.probes, inline_lane=False)
         self.stop_conditions: List[StopCondition] = list(stop_conditions)
 
         sizes0 = slice_sizes(scenario.initial_size, self.shards)
@@ -265,18 +276,17 @@ class ShardCoordinator:
         #: crosses a barrier_interval multiple — the one barrier rule.
         self.events_admitted = self.total_events
         self.steps_admitted = self.total_steps
-        self.bus = ObservationBus(self.facade, self.probes)
+        self.bus = ObservationBus(self.facade, self.probes, inline_lane=False)
         #: ``(records published, reason)`` if the last collected window stopped.
         self.stopped: Optional[Tuple[int, str]] = None
+        #: The worst composite corruption a published record or a collected
+        #: window's end showed since ``run_windows`` last reset it.
+        self.peak_worst = 0.0
 
-        self._started = False
         self.handoffs_sent = 0
         self.barriers_run = 0
-        #: ``pipeline=False`` forces the serial route→execute→merge loop
-        #: (the oracle the pipelined ≡ unpipelined property compares
-        #: against); pipelining is an execution choice, never semantic.
-        self.pipeline = bool(pipeline)
-        #: Windows whose routing overlapped the previous window's execution.
+        #: Windows routed while an earlier window was still in flight (the
+        #: batch loop routes ahead; the schedule never changes a result bit).
         self.windows_pipelined = 0
         #: Cumulative per-phase wall seconds across ``run`` calls.
         #: ``route``/``serialize``/``merge`` are coordinator work;
@@ -300,16 +310,6 @@ class ShardCoordinator:
                     f"execution (it needs cluster-interior knowledge, which is "
                     f"shard-local); supported: {sorted(SUPPORTED_ADVERSARIES)}"
                 )
-
-    @staticmethod
-    def _validate_probes(probes: Sequence) -> None:
-        inline = [probe.name for probe in split_probes(probes)[0]]
-        if inline:
-            raise ConfigurationError(
-                f"inline probes {inline} are not supported under sharded "
-                "execution (there is no single live engine to read per event); "
-                "use buffered probes"
-            )
 
     # ------------------------------------------------------------------
     # Worker fan-out helpers
@@ -393,32 +393,20 @@ class ShardCoordinator:
     # ------------------------------------------------------------------
     # The two window halves
     # ------------------------------------------------------------------
-    def events_until_barrier(self) -> int:
-        """Remaining capacity of the current window (>= 1).
+    def pull(self, steps: int) -> EventPull:
+        """A run's pull on the source; its steps are numbered on from the admitted ones."""
+        return EventPull(self._next_event, steps, self.steps_admitted + 1, self.max_idle_streak)
 
-        Barriers run when the cumulative admitted event count crosses a
-        multiple of ``barrier_interval``, so a window may not straddle a
-        multiple.  Callers with given events chunk them to this capacity.
-        """
-        return self.barrier_interval - (self.events_admitted % self.barrier_interval)
+    def serve_dispatch(self, pull: EventPull, observe: bool = True) -> Dict[str, Any]:
+        """Route one window from ``pull`` and queue it on the workers (send half).
 
-    def serve_dispatch(
-        self,
-        events: Optional[Sequence] = None,
-        *,
-        max_steps: int = 0,
-        idle_streak: int = 0,
-        observe: bool = True,
-    ) -> Dict[str, Any]:
-        """Route one window and queue it on the workers (send half).
-
-        The one window implementation.  Given ``events`` (the live service,
-        replay) are pre-validated :class:`~repro.core.events.ChurnEvent`
-        objects in admission order — leaves always name their node — and
-        must fit :meth:`events_until_barrier`.  With ``events=None`` the
-        window is pulled from the scenario's own event source instead: up to
-        the barrier boundary, within ``max_steps`` time steps, carrying
-        ``idle_streak`` in from the previous window.
+        The one window implementation.  It takes events from ``pull`` — the
+        scenario's own source (:meth:`pull`), or given events
+        (:meth:`dispatch`): pre-validated
+        :class:`~repro.core.events.ChurnEvent` objects in admission order,
+        leaves always naming their node — up to the next barrier boundary:
+        barriers run when the cumulative admitted event count crosses a
+        multiple of ``barrier_interval``, so a window never straddles one.
 
         Nothing is waited for, so the caller can serve reads or route the
         next window while the workers execute; :meth:`serve_collect`
@@ -427,31 +415,13 @@ class ShardCoordinator:
         ``observe=False`` spares the workers the observation rows (no
         records come back).
         """
-        limit = self.events_until_barrier()
-        if events is None:
-            next_event = self._next_event
-            max_idle_streak = self.scenario.max_idle_streak
-        else:
-            if not 1 <= len(events) <= limit:
-                raise ConfigurationError(
-                    f"a window of {len(events)} events must hold at least one "
-                    f"and stop at the next barrier boundary ({limit} events away)"
-                )
-            queue = iter(events)
-            next_event = lambda: next(queue, None)
-            limit = max_steps = len(events)
-            max_idle_streak = None
+        if self.events_admitted > self.total_events:
+            self.windows_pipelined += 1
         phase = self.phase_times
         perf = time.perf_counter
         clock = perf()
-        window = self.router.route_window(
-            next_event,
-            next_step=self.steps_admitted + 1,
-            limit=limit,
-            max_steps=max_steps,
-            idle_streak=idle_streak,
-            max_idle_streak=max_idle_streak,
-        )
+        limit = self.barrier_interval - self.events_admitted % self.barrier_interval
+        window = self.router.route_window(pull, limit)
         phase["route"] += perf() - clock
         order: List[Tuple[int, Any]] = []
         apply_expected = {
@@ -520,6 +490,9 @@ class ShardCoordinator:
             self._recv_barrier(token["barrier"])
             self.barriers_run += 1
         self.stopped = self._publish(records)
+        published = records if self.stopped is None else records[: self.stopped[0]]
+        worst = [record.worst_fraction for record in published]
+        self.peak_worst = max([self.peak_worst, self.merger.worst_fraction, *worst])
         return records
 
     def _publish(self, records: List[StepRecord]) -> Optional[Tuple[int, str]]:
@@ -527,9 +500,11 @@ class ShardCoordinator:
         compromised = self.merger.compromised()
         for count, record in enumerate(records, 1):
             self.bus.publish_record(record)
-            reason = self._evaluate_stop(record, compromised)
-            if reason is not None:
-                return count, reason
+            if self.stop_conditions:
+                view = _RecordView(record, compromised)
+                reason = first_stop(self.stop_conditions, view, view, record.step_index)
+                if reason is not None:
+                    return count, reason
         return None
 
     def _check_sizes(
@@ -594,138 +569,8 @@ class ShardCoordinator:
     # The batch loop
     # ------------------------------------------------------------------
     def run(self, steps: int, recorder=None) -> RunResult:
-        """Run up to ``steps`` time steps and return the result summary.
-
-        A loop over the two window halves, pulling from the scenario's own
-        event source.  It **routes ahead**: window *k+1*'s send half is
-        taken before window *k*'s receive half, so the coordinator routes
-        while the workers execute.  Every decision is still made on this
-        thread in the serial order — route *k*, plan barrier *k*, route
-        *k+1* — so the pipelined run is bit-identical to the serial one
-        (``pipeline=False``), which the equivalence property tests pin.
-
-        ``recorder`` (see :mod:`repro.trace.session`) receives every
-        collected window's records through ``recorder.window(records)``.
-        When it is about to hash or snapshot worker state the pipe must be
-        drained first, so the loop asks ``recorder.due(pending)`` — exact,
-        from the window's event count — before routing ahead.  The other
-        windows not routed ahead of: the last of the budget, an
-        idle-exhausted one, and all of them under stop conditions — a stop
-        can end the run mid-window, and routing ahead would consume source
-        RNG for events that never execute.
-        """
-        if steps < 0:
-            raise ConfigurationError("steps must be non-negative")
-        if self.source is None:
-            raise ConfigurationError(NO_SOURCE.format(self.scenario.name))
-        # probes is a public list: one attached since construction gets the
-        # same refusals (an inline probe would be synced and never called).
-        self._validate_probes(self.probes)
-        self.bus.sync(self.probes)
-        if not self._started:
-            self.bus.on_start()
-            self._started = True
-        observe = bool(
-            self.bus.buffered_probes or recorder is not None or self.stop_conditions
-        )
-        route_ahead = self.pipeline and not self.stop_conditions
-        events = 0
-        idle = 0
-        executed = 0
-        peak_worst = 0.0
-        stop_reason = "steps exhausted"
-        started_at = time.perf_counter()
-
-        def dispatch(idle_streak: int) -> Dict[str, Any]:
-            return self.serve_dispatch(
-                max_steps=steps - executed, idle_streak=idle_streak, observe=observe
-            )
-
-        try:
-            token = dispatch(0) if steps > 0 else None
-            while token is not None:
-                window = token["window"]
-                executed += window.steps
-                idle += window.idle
-                events += len(window.routed)
-                more = window.idle_reason is None and executed < steps
-                ahead = None
-                if (
-                    more
-                    and route_ahead
-                    and window.routed
-                    and not (recorder is not None and recorder.due(len(window.routed)))
-                ):
-                    ahead = dispatch(window.idle_streak)
-                    self.windows_pipelined += 1
-                records = self.serve_collect(token)
-                if recorder is not None:
-                    recorder.window(records)
-                if self.stopped is not None:
-                    published, stop_reason = self.stopped
-                    records = records[:published]
-                    more = False
-                for record in records:
-                    peak_worst = max(peak_worst, record.worst_fraction)
-                peak_worst = max(peak_worst, self.merger.worst_fraction)
-                if window.idle_reason is not None:
-                    stop_reason = window.idle_reason
-                token = (ahead or dispatch(window.idle_streak)) if more else None
-        finally:
-            self.bus.flush()
-        elapsed = time.perf_counter() - started_at
-
-        return RunResult(
-            scenario=self.scenario.name,
-            steps=executed,
-            events=events,
-            idle_steps=idle,
-            elapsed_seconds=elapsed,
-            final_size=self.directory.active_count(),
-            final_cluster_count=self.merger.cluster_count,
-            final_worst_fraction=self.merger.worst_fraction,
-            peak_worst_fraction=peak_worst,
-            compromised_clusters=self.merger.compromised(),
-            stop_reason=stop_reason,
-            probes={probe.name: probe.result() for probe in self.probes},
-            shards=self.shards,
-        )
-
-    def _evaluate_stop(
-        self, record: StepRecord, compromised: List[Tuple[int, int]]
-    ) -> Optional[str]:
-        if not self.stop_conditions:
-            return None
-        view = _RecordView(record, compromised)
-        for condition in self.stop_conditions:
-            reason = condition(view, view, record.step_index)
-            if reason is not None:
-                return reason
-        return None
-
-    # ------------------------------------------------------------------
-    # Given events (the live session, replay)
-    # ------------------------------------------------------------------
-    def dispatch(self, events: Sequence) -> List[Dict[str, Any]]:
-        """Queue given events as windows cut at the barriers; the token.
-
-        The same two halves the batch loop uses, so evolution is a pure
-        function of the admitted sequence, however callers cut it.
-        """
-        tokens = []
-        start = 0
-        while start < len(events):
-            stop = start + self.events_until_barrier()
-            tokens.append(self.serve_dispatch(events[start:stop]))
-            start = stop
-        return tokens
-
-    def collect(self, token: List[Dict[str, Any]]) -> List[StepRecord]:
-        """Receive, merge and publish every window :meth:`dispatch` queued."""
-        records: List[StepRecord] = []
-        for part in token:
-            records += self.serve_collect(part)
-        return records
+        """Run up to ``steps`` time steps and return the result summary (:func:`run_windows`)."""
+        return run_windows(self, steps, recorder)
 
     @property
     def nodes(self):
@@ -754,6 +599,10 @@ class ShardCoordinator:
             "barriers_run": self.barriers_run,
         }
 
+    def compromised_clusters(self) -> List[Tuple[int, int]]:
+        """Compromised clusters as of the last collected window, as ``(shard, cluster_id)``."""
+        return self.merger.compromised()
+
     def capture_snapshot(self) -> Dict[str, Any]:
         """The ``engine`` payload of a sharded checkpoint.
 
@@ -777,9 +626,3 @@ class ShardCoordinator:
             transport.close()
         self._transports = []
         self._transport_of = {}
-
-    def __enter__(self) -> "ShardCoordinator":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -27,12 +27,13 @@ from __future__ import annotations
 import heapq
 import random
 import struct
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
-from ..core.events import ChurnEvent, ChurnKind
+from ..core.events import ChurnKind
 from ..core.state import NodeRegistry
 from ..errors import ConfigurationError
 from ..network.node import NodeRole
+from ..scenarios.runner import EventPull
 from .messages import (
     EVENT_FIELDS,
     EVENT_RECORD,
@@ -250,18 +251,12 @@ class WindowBatch(NamedTuple):
     """One routed barrier window, ready for dispatch.
 
     ``steps`` counts every time step the window consumed, including idle
-    ones; the coordinator advances its step counter by it.  ``idle_streak``
-    is the streak *at the end of the window* (streaks span window
-    boundaries), and ``idle_reason`` is set when the streak hit the
-    scenario's ``max_idle_streak`` — a pipeline flush condition.
+    ones; the coordinator advances its step counter by it.
     """
 
     routed: List[RoutedEvent]
     batches: Dict[int, EventBatch]
     steps: int
-    idle: int
-    idle_streak: int
-    idle_reason: Optional[str]
 
 
 class EventRouter:
@@ -270,31 +265,21 @@ class EventRouter:
     def __init__(self, directory: ShardDirectory) -> None:
         self.directory = directory
 
-    def route_window(
-        self,
-        next_event: Callable[[], Optional[ChurnEvent]],
-        *,
-        next_step: int,
-        limit: int,
-        max_steps: int,
-        idle_streak: int = 0,
-        max_idle_streak: Optional[int] = None,
-    ) -> WindowBatch:
-        """Pull and route up to ``limit`` events in one pass, packing batches.
+    def route_window(self, pull: EventPull, limit: int) -> WindowBatch:
+        """Pull and route up to ``limit`` events of ``pull`` in one pass, packing batches.
 
         The event pull and the routing must stay interleaved — the source
         samples the live composite population, so each pull sees the exact
-        post-event directory — which is why this takes the ``next_event``
-        callable rather than a pre-pulled list.  Every placement goes
-        through the directory's :meth:`~ShardDirectory.place_join` /
+        post-event directory — which is why this takes the
+        :class:`~repro.scenarios.runner.EventPull` (it holds the step
+        numbering and the idle rule) rather than a pre-pulled list.  Every
+        placement goes through the directory's
+        :meth:`~ShardDirectory.place_join` /
         :meth:`~ShardDirectory.remove_leave`, the one copy of the placement
         rules; a join is routed with the role the directory returns.  Each
         shard's batch lands directly in a packed wire buffer
         (:data:`~repro.shard.messages.EVENT_RECORD`; a value beyond a packed
         field's range raises :class:`~repro.shard.messages.WireRangeError`).
-
-        ``next_step`` is the step index of the first pull; ``max_steps``
-        caps the time steps consumed (the run's remaining budget).
         """
         directory = self.directory
         place_join = directory.place_join
@@ -307,22 +292,9 @@ class EventRouter:
 
         routed: List[RoutedEvent] = []
         buffers: Dict[int, bytearray] = {}
-        steps = 0
-        idle = 0
-        idle_reason: Optional[str] = None
+        taken = pull.steps
 
-        while len(routed) < limit and steps < max_steps:
-            step = next_step + steps
-            steps += 1
-            event = next_event()
-            if event is None:
-                idle += 1
-                idle_streak += 1
-                if max_idle_streak is not None and idle_streak >= max_idle_streak:
-                    idle_reason = "source idle"
-                    break
-                continue
-            idle_streak = 0
+        for step, event in pull:
             if event.kind is ChurnKind.JOIN:
                 if event.contact_cluster is not None:
                     raise ConfigurationError(
@@ -354,18 +326,13 @@ class EventRouter:
                 buffer.extend(pack(*values))
             except struct.error:
                 raise range_error(EVENT_RECORD, EVENT_FIELDS, values) from None
+            if len(routed) == limit:
+                break
 
         batches: Dict[int, EventBatch] = {
             shard: bytes(buffer) for shard, buffer in buffers.items()
         }
-        return WindowBatch(
-            routed=routed,
-            batches=batches,
-            steps=steps,
-            idle=idle,
-            idle_streak=idle_streak,
-            idle_reason=idle_reason,
-        )
+        return WindowBatch(routed=routed, batches=batches, steps=pull.steps - taken)
 
 
 class _FacadeState:

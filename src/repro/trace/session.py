@@ -23,7 +23,7 @@ from typing import Any, Optional, Sequence
 from ..errors import ConfigurationError
 from ..scenarios.bus import StepRecord
 from ..scenarios.probes import Probe
-from ..scenarios.runner import NO_SOURCE, RunResult, StopCondition
+from ..scenarios.runner import NO_SOURCE, RunResult, StopCondition, refuse_run
 from ..scenarios.scenario import Scenario
 from .checkpoint import Checkpoint
 from .log import DEFAULT_FLUSH_EVERY, DEFAULT_INDEX_EVERY, TraceReader, TraceWriter
@@ -53,12 +53,11 @@ def _engine_kind(scenario: Scenario) -> str:
 class Recorder:
     """What a recorded run leaves on disk: one window, cadence and seal rule.
 
-    Three callers hand it every collected window of step records through
-    :meth:`window`: :meth:`SimulationRunner.run <repro.scenarios.runner.
-    SimulationRunner.run>` (each applied event is a window of one),
-    :meth:`ShardCoordinator.run <repro.shard.coordinator.ShardCoordinator.
-    run>` and :meth:`LiveEngineSession.finish_window <repro.service.session.
-    LiveEngineSession.finish_window>`.
+    Two callers hand it every collected window of step records through
+    :meth:`window`: the batch loop both drivers run,
+    :func:`~repro.scenarios.runner.run_windows` (a runner's window is one
+    applied event), and :meth:`LiveEngineSession.finish_window
+    <repro.service.session.LiveEngineSession.finish_window>`.
 
     **Cadence law.**  An index frame sits at the first window boundary at or
     after every ``index_every`` events since the last one, a checkpoint
@@ -166,7 +165,6 @@ def open_driver(
     probes: Sequence[Probe] = (),
     stop_conditions: Sequence[StopCondition] = (),
     workers: int = 1,
-    pipeline: bool = True,
     checkpoint: Optional[Checkpoint] = None,
 ) -> Any:
     """Open ``scenario``'s driver, restored from ``checkpoint`` if given.
@@ -193,7 +191,6 @@ def open_driver(
             workers=workers,
             probes=probes,
             stop_conditions=stop_conditions,
-            pipeline=pipeline,
             checkpoint=checkpoint.data if checkpoint is not None else None,
         )
     engine = checkpoint.restore_engine(scenario.engine) if checkpoint is not None else None
@@ -212,19 +209,15 @@ def _run_segment(
     steps: int,
     probes: Sequence[Probe],
     workers: int,
-    pipeline: bool,
     checkpoint: Optional[Checkpoint] = None,
     **outputs: Any,
 ) -> SessionResult:
     """One batch segment (record's and resume's shared body); ``outputs`` are
     the :class:`Recorder`'s trace and checkpoint arguments."""
-    # The drivers refuse these too, but only after the Recorder has truncated
-    # the trace: a refused run must leave every output file as it found it.
-    if steps < 0:
-        raise ConfigurationError("steps must be non-negative")
-    with open_driver(scenario, probes, (), workers, pipeline, checkpoint) as driver:
-        if driver.source is None:
-            raise ConfigurationError(NO_SOURCE.format(scenario.name))
+    with open_driver(scenario, probes, (), workers, checkpoint) as driver:
+        # The run refuses these too, but only after the Recorder has truncated
+        # the trace: a refused run must leave every output file as it found it.
+        refuse_run(driver, steps)
         recorder = Recorder(scenario, driver, **outputs)
         try:
             result = driver.run(steps, recorder)
@@ -252,7 +245,6 @@ def record_scenario(
     trace_format: str = "jsonl",
     flush_every: int = DEFAULT_FLUSH_EVERY,
     workers: int = 1,
-    pipeline: bool = True,
 ) -> SessionResult:
     """Run ``scenario`` with trace recording and/or periodic checkpointing.
 
@@ -262,9 +254,8 @@ def record_scenario(
     *sequence* of runs can also resume from a completed run's end state.
 
     ``trace_format`` / ``flush_every`` select the trace's physical encoding
-    and write-buffer cadence.  ``workers`` (worker processes) and
-    ``pipeline`` (route ahead of executing windows) apply to sharded
-    scenarios only and never change a result bit.
+    and write-buffer cadence.  ``workers`` (worker processes) applies to
+    sharded scenarios only and never changes a result bit.
     """
     if checkpoint_path is None:
         if checkpoint_every is not None:
@@ -276,7 +267,6 @@ def record_scenario(
         scenario.steps if steps is None else steps,
         probes,
         workers,
-        pipeline,
         trace_path=trace_path,
         index_every=index_every,
         trace_format=trace_format,
@@ -292,7 +282,6 @@ def resume_from_checkpoint(
     checkpoint_every: Optional[int] = None,
     probes: Sequence[Probe] = (),
     workers: int = 1,
-    pipeline: bool = True,
 ) -> SessionResult:
     """Continue an interrupted run from its last checkpoint.
 
@@ -302,9 +291,8 @@ def resume_from_checkpoint(
     the resumed run keeps checkpointing to the same file; either way the
     file is advanced to the resumed run's end state.
 
-    ``workers`` and ``pipeline`` apply to sharded checkpoints only and are
-    free to differ from the checkpointed run's — results never depend on
-    them.
+    ``workers`` applies to sharded checkpoints only and is free to differ
+    from the checkpointed run's — results never depend on it.
     """
     checkpoint = Checkpoint.load(checkpoint_path)
     scenario_dict = checkpoint.scenario_dict
@@ -327,7 +315,6 @@ def resume_from_checkpoint(
         steps,
         probes,
         workers,
-        pipeline,
         checkpoint,
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,

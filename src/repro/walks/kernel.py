@@ -53,14 +53,12 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Hashable, List, Sequence
+from typing import List, Sequence
 
 import numpy as _np
 
 from ..errors import WalkError
 from .sampler import check_kernel_snapshot
-
-Vertex = Hashable
 
 #: Uniforms are generated into buffers of at least this many values per refill.
 _REFILL = 4096
@@ -162,16 +160,18 @@ class ArrayKernel:
     # Biased-walk batches
     # ------------------------------------------------------------------
     def run_biased_batch(
-        self, starts: Sequence[Vertex], segment_duration: float, max_restarts: int
+        self, starts: Sequence[int], segment_duration: float, max_restarts: int
     ) -> List[tuple]:
-        """One biased CTRW from each start (the ``randCl`` rejection loop).
+        """One biased CTRW from each start row (the ``randCl`` rejection loop).
 
-        Returns ``(cluster, hops, restarts, acceptance_tests, truncated)``
-        tuples: CTRW segments of ``segment_duration`` each, endpoint accepted
-        with probability ``weight / max_weight``, truncation (the last
-        endpoint accepted unconditionally) after ``max_restarts`` rejected
-        segments.  Every segment ends in one acceptance test, so
-        ``acceptance_tests == restarts``.
+        Starts and endpoints are rows of the graph's CSR layout (callers
+        holding vertices map them at their boundary).  Returns ``(row, hops,
+        restarts, acceptance_tests, truncated)`` tuples: CTRW segments of
+        ``segment_duration`` each, endpoint accepted with probability
+        ``weight / max_weight``, truncation (the last endpoint accepted
+        unconditionally) after ``max_restarts`` rejected segments.  Every
+        segment ends in one acceptance test, so ``acceptance_tests ==
+        restarts``.
         """
         if not (math.isfinite(segment_duration) and segment_duration > 0):
             raise WalkError(
@@ -183,12 +183,14 @@ class ArrayKernel:
         if max_weight <= 0:
             raise WalkError("graph has no positive vertex weight")
         csr = self._graph.csr()
-        rows = self._rows_for(csr, starts)
+        rows = list(starts)
+        if rows and not 0 <= min(rows) <= max(rows) < len(csr.vertices):
+            raise WalkError(f"start rows {min(rows)}..{max(rows)} are not all rows of the graph")
         tables = csr.walk_tables
         if tables is None:
             tables = csr.walk_tables = _TickTables(csr)
         ticks = tables.lam * float(segment_duration)
-        vertices, out = csr.vertices, [None] * len(rows)
+        out = [None] * len(rows)
         hops = [0] * len(rows)
         pending = range(len(rows))
         for restart in range(1, max_restarts + 1):
@@ -203,7 +205,7 @@ class ArrayKernel:
             for walk, row, walk_hops, ok in zip(pending, landed, walked, accepted):
                 hops[walk] += walk_hops
                 if ok or last:
-                    out[walk] = (vertices[row], hops[walk], restart, restart, not ok)
+                    out[walk] = (row, hops[walk], restart, restart, not ok)
                 else:
                     rejected.append(walk)
             rows = [row for row, ok in zip(landed, accepted) if not ok]
@@ -298,12 +300,3 @@ class ArrayKernel:
         self._uniforms = _np.asarray(uniforms, dtype=_np.float64)
         self._cursor = 0
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _rows_for(csr, starts: Sequence[Vertex]) -> List[int]:
-        try:
-            return [csr.row_of(start) for start in starts]
-        except KeyError as error:
-            raise WalkError(f"start vertex {error.args[0]!r} is not in the graph") from None

@@ -155,29 +155,37 @@ class ClusterSampler:
         """Sample one cluster per start vertex (in ``starts`` order).
 
         In simulated mode the whole batch advances in lockstep through the
-        hop engine; in oracle mode this is a sequential loop of :meth:`sample`
-        draws on the caller's stream.
+        hop engine, which walks the graph's CSR rows: the starts are mapped
+        to rows here and the endpoints back.  In oracle mode this is a
+        sequential loop of :meth:`sample` draws on the caller's stream.
         """
         if self._mode is not WalkMode.SIMULATED:
             return [self._sample_oracle(start) for start in starts]
+        layout = self._graph.csr()
+        try:
+            rows = [layout.row_of(start) for start in starts]
+        except KeyError as error:
+            raise WalkError(f"start vertex {error.args[0]!r} is not in the graph") from None
+        vertices = layout.vertices
         return [
             SampleOutcome(
-                cluster=cluster,
+                cluster=vertices[row],
                 hops=hops,
                 restarts=restarts,
                 mode=WalkMode.SIMULATED,
                 truncated=truncated,
             )
-            for cluster, hops, restarts, _, truncated in self.walk_batch(starts)
+            for row, hops, restarts, _, truncated in self.walk_batch(rows)
         ]
 
-    def walk_batch(self, starts: Sequence[Vertex]) -> List[tuple]:
-        """One simulated walk per start, as the hop engine's
-        ``(cluster, hops, restarts, acceptance_tests, truncated)`` tuples."""
-        if not starts:
+    def walk_batch(self, rows: Sequence[int]) -> List[tuple]:
+        """One simulated walk per start row of the graph's CSR layout, as the
+        hop engine's ``(row, hops, restarts, acceptance_tests, truncated)``
+        tuples."""
+        if not rows:
             return []
         return self._ensure_kernel().run_biased_batch(
-            starts, self._segment_duration, self._max_restarts
+            rows, self._segment_duration, self._max_restarts
         )
 
     def _ensure_kernel(self) -> ArrayKernel:

@@ -95,7 +95,8 @@ def pass_walks(state, randcl, cluster_ids):
     """An iterator over a pass's simulated walks: one per member of each cluster, in order."""
     clusters = state.clusters
     starts = [cid for cid in cluster_ids for _ in clusters.get(cid).members]
-    return iter(randcl.walks(starts))
+    # The batch RandCl.pass_walks draws, in cluster ids rather than rows.
+    return iter(randcl._prepare_sampler().sample_many(starts))
 
 
 def reference_pass(state, randcl, rng, cluster_ids, ledger, override=None):
@@ -138,7 +139,8 @@ def reference_exchange_all(
     for slot in range(size):
         node = cluster.members[slot]
         if simulated:
-            partner_id, hops, restarts, _, _ = next(walks)
+            walk = next(walks)
+            partner_id, hops, restarts = walk.cluster, walk.hops, walk.restarts
         else:
             everyone = population(state)
             partner_id, replacement = everyone[rng.randrange(len(everyone))]

@@ -334,24 +334,23 @@ class TestGivenEvents:
 
 
 class TestExecutionChoicesAreInvisible:
-    def test_workers_and_pipelining_move_no_trace_byte(self, tmp_path):
+    def test_workers_move_no_trace_byte(self, tmp_path):
         """Index frames and checkpoints fall mid-run here, so the route-ahead
-        loop has to predict its drains exactly to stay byte-identical."""
+        loop has to predict its drains exactly to stay byte-identical (the
+        serial reference loop is ``tests/test_shard_pipeline.py``'s)."""
         runs = {}
         for workers in (1, 2, 4):
-            for pipeline in (True, False):
-                path = str(tmp_path / f"w{workers}-p{pipeline}.jsonl")
-                session = record_scenario(
-                    _scenario("shards4-w1"),
-                    trace_path=path,
-                    index_every=24,
-                    checkpoint_path=str(tmp_path / "ck.json"),
-                    checkpoint_every=50,
-                    workers=workers,
-                    pipeline=pipeline,
-                )
-                with open(path, "rb") as handle:
-                    runs[workers, pipeline] = (handle.read(), session.final_state_hash)
+            path = str(tmp_path / f"w{workers}.jsonl")
+            session = record_scenario(
+                _scenario("shards4-w1"),
+                trace_path=path,
+                index_every=24,
+                checkpoint_path=str(tmp_path / "ck.json"),
+                checkpoint_every=50,
+                workers=workers,
+            )
+            with open(path, "rb") as handle:
+                runs[workers] = (handle.read(), session.final_state_hash)
         assert len(set(runs.values())) == 1
 
 
@@ -556,9 +555,8 @@ def test_cli_rejects_bad_shard_flags(tmp_path, capsys):
                   "--shards", "2"])
         == 2
     )
-    # --barrier-interval / --no-pipeline without a sharded run are usage errors.
-    for flag in (["--barrier-interval", "8"], ["--no-pipeline"]):
-        assert cli_main(["run-scenario", "--name", "uniform-churn", *flag]) == 2
+    # --barrier-interval without a sharded run is a usage error.
+    assert cli_main(["run-scenario", "--name", "uniform-churn", "--barrier-interval", "8"]) == 2
     capsys.readouterr()
 
 

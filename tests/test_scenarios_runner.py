@@ -109,6 +109,44 @@ class TestSimulationRunner:
         assert "stop reason" in table
 
 
+#: ``(steps, events, idle steps, final size, final cluster count, final
+#: worst, peak worst, stop reason)`` of ``polynomial-growth`` (seed 11) under
+#: each stop reason the batch loop produces, on the single engine and on two
+#: shards; taken before both drivers shared one loop.
+STOP_REASON_PINS = {
+    (0, "steps exhausted"): (30, 30, 0, 286, 6, 0.15384615384615385, 0.24444444444444444, "steps exhausted"),
+    (0, "source idle"): (47, 44, 3, 300, 6, 0.18518518518518517, 0.24444444444444444, "source idle"),
+    (0, "stop condition"): (24, 24, 0, 280, 6, 0.1568627450980392, 0.24444444444444444, "size >= 280"),
+    (2, "steps exhausted"): (30, 30, 0, 286, 6, 0.1590909090909091, 0.1590909090909091, "steps exhausted"),
+    (2, "source idle"): (47, 44, 3, 300, 6, 0.15217391304347827, 0.15217391304347827, "source idle"),
+    # The stop fires inside the first 64-event window, which the shard
+    # engines complete: the result counts the whole window.
+    (2, "stop condition"): (64, 64, 0, 320, 6, 0.16326530612244897, 0.20930232558139536, "size >= 280"),
+}
+
+
+@pytest.mark.parametrize("shards, case", sorted(STOP_REASON_PINS))
+def test_every_stop_reason_of_the_batch_loop(shards, case):
+    scenario = named_scenario("polynomial-growth", seed=11, shards=shards)
+    # The idle streak (max_idle_streak=3) starts once the target is reached.
+    scenario.workload = {"kind": "growth", "target_size": 300 if case == "source idle" else 400}
+    stops = [stop_when_size_at_least(280)] if case == "stop condition" else []
+    if case == "steps exhausted":
+        scenario.steps = 30
+    result = scenario.run(stop_conditions=stops)
+    assert (
+        result.steps,
+        result.events,
+        result.idle_steps,
+        result.final_size,
+        result.final_cluster_count,
+        result.final_worst_fraction,
+        result.peak_worst_fraction,
+        result.stop_reason,
+    ) == STOP_REASON_PINS[shards, case]
+    assert (result.shards, result.compromised_clusters) == (shards, [])
+
+
 class TestStopWhenCompromised:
     """The way a run ends on a compromised cluster: a stop condition on the bus."""
 

@@ -1,20 +1,24 @@
-"""Pipelined shard execution (PR 8): bit-identity, flushes, robustness.
+"""Routing ahead in sharded execution: bit-identity, flushes, robustness.
 
-``ShardCoordinator`` overlaps routing window *k+1* with the workers'
-execution of window *k*.  The contract: **pipelining is an execution
-choice**, exactly like the worker count — ``pipeline=True`` and
-``pipeline=False`` produce bit-identical results, probe outputs, composite
-hashes and recorded traces, for every worker count.  These tests pin that
-property (including across the pipeline's flush points — index frames,
+The batch loop (``repro.scenarios.runner.run_windows``) routes window *k+1*
+while the shard workers execute window *k*.  The contract: **routing ahead
+is an execution choice**, exactly like the worker count — a run produces
+bit-identical results, probe outputs, composite hashes and recorded traces
+to :func:`serial_run`, the serial reference loop written here over the
+coordinator's two window halves, for every worker count.  These tests pin
+that property (including across the loop's flush points — index frames,
 checkpoints, idle exhaustion, stop conditions), the worker-death
 regression (a killed child must surface as ``ShardWorkerError``, not hang
 the coordinator in ``recv``), and the ``run-scenario --profile`` smoke.
+The benchmark ``bench_sharded_engine.py`` times :func:`serial_record` as its
+``unpipelined`` row.
 """
 
 from __future__ import annotations
 
 import os
 import pstats
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,8 +27,10 @@ from hypothesis import strategies as st
 from repro import Scenario
 from repro.cli import main
 from repro.scenarios.probes import CorruptionTrajectoryProbe, CostLedgerProbe
+from repro.scenarios.runner import RunResult
 from repro.shard import PHASE_KEYS, ShardCoordinator, ShardWorkerError
 from repro.trace import record_scenario, resume_from_checkpoint, trace_diff
+from repro.trace.session import Recorder, SessionResult
 
 COMPARED_FIELDS = (
     "scenario",
@@ -51,17 +57,71 @@ BASE = dict(
 )
 
 
+def serial_run(coordinator, steps, recorder=None) -> RunResult:
+    """The batch loop without routing ahead: each window dispatched, collected
+    and recorded before the next is pulled (the route-ahead oracle)."""
+    bus = coordinator.bus
+    bus.sync(coordinator.probes)
+    bus.on_start()
+    observe = bool(bus.buffered_probes or recorder is not None or coordinator.stop_conditions)
+    pull = coordinator.pull(steps)
+    peak = 0.0
+    stop_reason = "steps exhausted"
+    started_at = time.perf_counter()
+    try:
+        while not pull.done:
+            records = coordinator.serve_collect(coordinator.serve_dispatch(pull, observe))
+            if recorder is not None:
+                recorder.window(records)
+            stopped = coordinator.stopped
+            if stopped is not None:
+                records = records[: stopped[0]]
+            peak = max([peak, coordinator.merger.worst_fraction] + [r.worst_fraction for r in records])
+            if stopped is not None:
+                stop_reason = stopped[1]
+                break
+    finally:
+        bus.flush()
+    elapsed = time.perf_counter() - started_at
+    status = coordinator.status()
+    return RunResult(
+        scenario=coordinator.scenario.name,
+        steps=pull.steps,
+        events=pull.steps - pull.idle,
+        idle_steps=pull.idle,
+        elapsed_seconds=elapsed,
+        final_size=status["network_size"],
+        final_cluster_count=status["cluster_count"],
+        final_worst_fraction=status["worst_byzantine_fraction"],
+        peak_worst_fraction=peak,
+        compromised_clusters=coordinator.merger.compromised(),
+        stop_reason="source idle" if pull.source_idle else stop_reason,
+        probes={probe.name: probe.result() for probe in coordinator.probes},
+        shards=coordinator.shards,
+    )
+
+
+def serial_record(scenario, workers=1, probes=(), **outputs) -> SessionResult:
+    """:func:`repro.trace.record_scenario` on :func:`serial_run` (sharded
+    scenarios, fresh runs); ``outputs`` are the :class:`Recorder`'s."""
+    with ShardCoordinator(scenario, workers=workers, probes=probes) as coordinator:
+        recorder = Recorder(scenario, coordinator, **outputs)
+        result = serial_run(coordinator, scenario.steps, recorder)
+        final_hash = recorder.seal(ok=True)
+    return SessionResult(result, coordinator, final_hash, recorder.trace_path, recorder.checkpoint_path)
+
+
 def _scenario(**overrides):
     fields = dict(BASE)
     fields.update(overrides)
     return Scenario.from_dict(fields)
 
 
-def _run(workers, pipeline, **overrides):
-    session = record_scenario(
+def _run(workers, serial=False, **overrides):
+    record = serial_record if serial else record_scenario
+    session = record(
         _scenario(**overrides),
         workers=workers,
-        pipeline=pipeline,
         probes=[CorruptionTrajectoryProbe(), CostLedgerProbe()],
     )
     result = session.result
@@ -73,15 +133,16 @@ def _run(workers, pipeline, **overrides):
 
 
 # ----------------------------------------------------------------------
-# pipelined == unpipelined == across worker counts
+# routed ahead == serial == across worker counts
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_pipelined_equals_unpipelined(workers):
-    assert _run(workers, pipeline=True) == _run(workers, pipeline=False)
+    assert _run(workers) == _run(workers, serial=True)
 
 
-def test_pipelined_overlaps_windows():
-    coordinator = ShardCoordinator(_scenario(), workers=1)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pipelined_overlaps_windows(workers):
+    coordinator = ShardCoordinator(_scenario(), workers=workers)
     try:
         coordinator.run(BASE["steps"])
         assert coordinator.windows_pipelined > 0
@@ -114,8 +175,8 @@ def test_property_pipeline_mode_never_changes_results(
     if adversary_weight:
         overrides["adversary"] = {"kind": "oblivious"}
         overrides["adversary_weight"] = adversary_weight
-    oracle = _run(1, pipeline=False, **overrides)
-    assert _run(workers, pipeline=True, **overrides) == oracle
+    oracle = _run(1, serial=True, **overrides)
+    assert _run(workers, **overrides) == oracle
 
 
 # ----------------------------------------------------------------------
@@ -123,41 +184,27 @@ def test_property_pipeline_mode_never_changes_results(
 # ----------------------------------------------------------------------
 def test_traces_identical_across_pipeline_modes_and_workers(tmp_path):
     # Index frames hash worker state mid-run, so this exercises the
-    # predicted-flush path (the pipeline must drain before each frame).
+    # predicted-flush path (the loop must drain before each frame).
     first = str(tmp_path / "w1-serial.jsonl")
-    second = str(tmp_path / "w4-pipelined.jsonl")
-    s1 = record_scenario(
-        _scenario(), workers=1, pipeline=False, trace_path=first, index_every=32
-    )
-    s4 = record_scenario(
-        _scenario(), workers=4, pipeline=True, trace_path=second, index_every=32
-    )
+    second = str(tmp_path / "w4-ahead.jsonl")
+    s1 = serial_record(_scenario(), workers=1, trace_path=first, index_every=32)
+    s4 = record_scenario(_scenario(), workers=4, trace_path=second, index_every=32)
     assert s1.final_state_hash == s4.final_state_hash
     diff = trace_diff(first, second)
     assert not diff.diverged
     assert diff.compared_events == s1.result.events
+    with open(first, "rb") as serial, open(second, "rb") as ahead:
+        assert serial.read() == ahead.read()
 
 
 def test_checkpoints_identical_across_pipeline_modes(tmp_path):
     serial = str(tmp_path / "serial.ckpt")
-    pipelined = str(tmp_path / "pipelined.ckpt")
-    record_scenario(
-        _scenario(),
-        workers=1,
-        pipeline=False,
-        checkpoint_path=serial,
-        checkpoint_every=48,
-    )
-    record_scenario(
-        _scenario(),
-        workers=2,
-        pipeline=True,
-        checkpoint_path=pipelined,
-        checkpoint_every=48,
-    )
+    ahead = str(tmp_path / "ahead.ckpt")
+    serial_record(_scenario(), workers=1, checkpoint_path=serial, checkpoint_every=48)
+    record_scenario(_scenario(), workers=2, checkpoint_path=ahead, checkpoint_every=48)
     resumed_serial = resume_from_checkpoint(serial, workers=1, steps=50)
-    resumed_pipelined = resume_from_checkpoint(pipelined, workers=2, steps=50)
-    assert resumed_serial.final_state_hash == resumed_pipelined.final_state_hash
+    resumed_ahead = resume_from_checkpoint(ahead, workers=2, steps=50)
+    assert resumed_serial.final_state_hash == resumed_ahead.final_state_hash
 
 
 def test_idle_exhaustion_flushes_and_matches_serial():
@@ -166,8 +213,8 @@ def test_idle_exhaustion_flushes_and_matches_serial():
         max_idle_streak=4,
         steps=400,
     )
-    oracle = _run(1, pipeline=False, **overrides)
-    run = _run(1, pipeline=True, **overrides)
+    oracle = _run(1, serial=True, **overrides)
+    run = _run(1, **overrides)
     assert run == oracle
     assert run[0]["stop_reason"] == "source idle"
 
@@ -176,12 +223,10 @@ def test_stop_conditions_disable_pipelining_and_match_serial():
     def stop(engine, report, step):
         return "big enough" if report.network_size >= 205 else None
 
-    def run(pipeline):
-        coordinator = ShardCoordinator(
-            _scenario(), workers=1, stop_conditions=[stop], pipeline=pipeline
-        )
+    def run(loop):
+        coordinator = ShardCoordinator(_scenario(), workers=1, stop_conditions=[stop])
         try:
-            result = coordinator.run(BASE["steps"])
+            result = loop(coordinator)
             return (
                 result.stop_reason,
                 result.events,
@@ -191,9 +236,9 @@ def test_stop_conditions_disable_pipelining_and_match_serial():
         finally:
             coordinator.close()
 
-    reason, events, state_hash, pipelined_windows = run(True)
+    reason, events, state_hash, pipelined_windows = run(lambda c: c.run(BASE["steps"]))
     assert pipelined_windows == 0  # stop conditions are a standing flush
-    assert (reason, events, state_hash) == run(False)[:3]
+    assert (reason, events, state_hash) == run(lambda c: serial_run(c, BASE["steps"]))[:3]
     assert reason == "big enough"
 
 
@@ -245,12 +290,3 @@ def test_profile_flag_writes_loadable_pstats(tmp_path, capsys, extra):
     assert "profile written to" in capsys.readouterr().out
     stats = pstats.Stats(out)
     assert stats.total_calls > 0
-
-
-def test_no_pipeline_flag_runs_serial(capsys):
-    code = run_cli(
-        "run-scenario", "--name", "uniform-churn", "--steps", "40",
-        "--shards", "1", "--no-pipeline",
-    )
-    assert code == 0
-    assert "final state hash:" in capsys.readouterr().out

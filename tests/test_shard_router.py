@@ -18,6 +18,7 @@ from repro.errors import ConfigurationError
 from repro.network.node import NodeRole
 from repro.params import default_parameters
 from repro.scenarios.probes import CallbackProbe, CorruptionTrajectoryProbe
+from repro.scenarios.runner import EventPull
 from repro.shard import ShardCoordinator, ShardDirectory, plan_rebalance, slice_sizes
 from repro.shard.router import EventRouter, ShardedEngineFacade
 
@@ -139,10 +140,7 @@ def test_directory_snapshot_roundtrip():
 # ----------------------------------------------------------------------
 def _route(router, *events):
     """Route ``events`` as one window; return the routed events."""
-    queue = iter(events)
-    window = router.route_window(
-        lambda: next(queue, None), next_step=1, limit=len(events), max_steps=len(events)
-    )
+    window = router.route_window(EventPull.given(events, 1), limit=len(events))
     return window.routed
 
 

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.events import ChurnEvent, ChurnKind
 from repro.network.node import NodeRole
+from repro.scenarios.runner import EventPull
 from repro.shard import ShardDirectory
 from repro.shard.messages import (
     EVENT_FIELDS,
@@ -261,30 +262,16 @@ def _wire(routed):
 
 def _batched_windows(script, directory, limit, max_idle_streak):
     router = EventRouter(directory)
-    next_event = _next_event_from(script)
-    total = len(script)
-    executed = 0
-    idle_streak = 0
+    pull = EventPull(_next_event_from(script), len(script), max_idle_streak=max_idle_streak)
     windows = []
-    while executed < total:
-        window = router.route_window(
-            next_event,
-            next_step=executed + 1,
-            limit=limit,
-            max_steps=total - executed,
-            idle_streak=idle_streak,
-            max_idle_streak=max_idle_streak,
-        )
-        executed += window.steps
-        idle_streak = window.idle_streak
-        windows.append((window.routed, window.idle_reason))
+    while not pull.done:
+        window = router.route_window(pull, limit)
+        windows.append((window.routed, "source idle" if pull.source_idle else None))
         # The packed buffers must decode to exactly the events they carry.
         for shard, payload in window.batches.items():
             assert list(iter_events(payload)) == [
                 _wire(routed) for routed in window.routed if routed.shard == shard
             ]
-        if window.idle_reason is not None:
-            break
     return windows, sum(len(routed) for routed, _ in windows)
 
 
@@ -326,6 +313,4 @@ def test_route_window_out_of_range_gid_raises():
     router = EventRouter(directory)
     script = [ChurnEvent.leave(0), ChurnEvent.leave(2**33)]
     with pytest.raises(WireRangeError, match="field 'gid' cannot hold 8589934592"):
-        router.route_window(
-            _next_event_from(script), next_step=1, limit=8, max_steps=len(script)
-        )
+        router.route_window(EventPull.given(script, 1), limit=8)

@@ -215,3 +215,31 @@ def test_an_escaping_exception_is_an_internal_error(recorded, tmp_path, capsys, 
     assert main(["replay", "--trace", copy]) == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+#: Spec fields of the wrong type (a bool is not an int, a string not a
+#: number, and an object field takes an object or null).
+RETYPED = [
+    ("seed", "7"), ("tau", "0.1"), ("steps", True), ("max_idle_streak", 2.5),
+    ("name", 5), ("engine_options", "x"), ("workload", []), ("shard_options", 3),
+]
+
+
+@pytest.mark.parametrize("key, value", RETYPED, ids=[f"{k}-{v!r}" for k, v in RETYPED])
+def test_a_retyped_spec_field_is_refused_naming_the_key(tmp_path, capsys, key, value):
+    spec = str(tmp_path / "spec.json")
+    with open(spec, "w", encoding="utf-8") as handle:
+        json.dump(dict(SCENARIO, **{key: value}), handle)
+    code, out, err = _cli(capsys, "run-scenario", "--spec", spec)
+    assert code == 2, (out, err)
+    assert f"scenario field {key!r} is {value!r} (expected " in err, err
+
+
+@pytest.mark.parametrize("key, value", [("seed", "7"), ("tau", "0.1"), ("engine_options", ["x"])])
+def test_a_retyped_checkpoint_scenario_is_refused_naming_the_key(recorded, tmp_path, capsys, key, value):
+    with open(recorded["checkpoint"], encoding="utf-8") as handle:
+        document = json.load(handle)
+    document["scenario"][key] = value
+    code, out, err = _resume(capsys, tmp_path, document)
+    assert code == 2, (out, err)
+    assert f"scenario field {key!r} is {value!r}" in err, err

@@ -266,10 +266,11 @@ class TestDistributionPinning:
         graph = seeded_overlay()
         graph.add_vertex(99, weight=1.0)  # no edges
         kernel = ArrayKernel(graph, random.Random(1))
-        ((cluster, hops, restarts, _, _),) = kernel.run_biased_batch(
-            [99], segment_duration=5.0, max_restarts=8
+        row = graph.csr().row_of(99)  # the kernel walks rows
+        ((end, hops, restarts, _, _),) = kernel.run_biased_batch(
+            [row], segment_duration=5.0, max_restarts=8
         )
-        assert cluster == 99 and hops == 0 and restarts >= 1
+        assert end == row and hops == 0 and restarts >= 1
 
 
 # ----------------------------------------------------------------------
@@ -396,7 +397,8 @@ class TestExecutorsAgree:
         starts, segment, cap = [0, 99, 2, 4] * 1000, 1.5, 4
         rng = random.Random(71)
         reference = [reference_biased_walk(graph, rng, start, segment, cap) for start in starts]
-        walked = on_path(path, kernel.run_biased_batch, starts, segment, cap)
+        rows = [graph.csr().row_of(start) for start in starts]  # the kernel walks rows
+        walked = on_path(path, kernel.run_biased_batch, rows, segment, cap)
         for first, second in (
             ([hops for _, hops, _, _ in reference], [hops for _, hops, *_ in walked]),
             ([restarts for _, _, restarts, _ in reference], [out[2] for out in walked]),
