@@ -6,7 +6,7 @@ staying bit-identical for every worker count; PR 8 pipelined the coordinator
 wire protocol.  This benchmark measures the same sharded scenario at 1, 2
 and 4 worker processes next to the classic single-engine run and a
 single-worker run on the serial reference loop of
-``tests/test_shard_pipeline.py`` (no routing ahead: the ``unpipelined``
+``tests/reference_loop.py`` (no routing ahead: the ``unpipelined``
 row), and *appends* the rates to
 ``BENCH_throughput.json`` — same trajectory file, same append-only
 discipline as ``bench_engine_throughput.py`` — under ``sharded``.
@@ -58,7 +58,7 @@ from repro.trace import record_scenario
 from bench_engine_throughput import save_result
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
-from test_shard_pipeline import serial_record  # noqa: E402  (the serial reference loop)
+from reference_loop import serial_record  # noqa: E402  (the serial reference loop)
 
 MAX_SIZE = 4096
 INITIAL = 1200

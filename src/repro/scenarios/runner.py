@@ -308,7 +308,7 @@ def run_windows(driver, steps: int, recorder=None) -> RunResult:
         final_cluster_count=status["cluster_count"],
         final_worst_fraction=status["worst_byzantine_fraction"],
         peak_worst_fraction=driver.peak_worst,
-        compromised_clusters=driver.compromised_clusters(),
+        compromised_clusters=list(driver.engine.compromised_clusters()),
         stop_reason=stop_reason,
         probes={probe.name: probe.result() for probe in driver.probes},
         shards=driver.shards,
@@ -327,7 +327,7 @@ class WindowDriver:
 
     def dispatch(self, events: Sequence) -> List[Any]:
         """Queue ``events`` as the driver's windows; the token."""
-        pull = EventPull.given(events, self.steps_admitted + 1)
+        pull = EventPull.given(events, self.total_steps + 1)
         tokens = []
         while not pull.done:
             tokens.append(self.serve_dispatch(pull))
@@ -442,11 +442,6 @@ class SimulationRunner(WindowDriver):
         return token
 
     @property
-    def steps_admitted(self) -> int:
-        """Time steps taken by dispatch: all of them applied (see :meth:`serve_dispatch`)."""
-        return self.total_steps
-
-    @property
     def nodes(self):
         """The engine's node registry, current as of the last dispatch."""
         return self.engine.state.nodes
@@ -464,10 +459,6 @@ class SimulationRunner(WindowDriver):
             "worst_byzantine_fraction": engine.worst_cluster_fraction(),
             "time_step": engine.state.time_step,
         }
-
-    def compromised_clusters(self) -> List[ClusterId]:
-        """Clusters at or above the one-third corruption threshold."""
-        return list(self.engine.compromised_clusters())
 
     def read_views(self) -> List[Dict[str, Any]]:
         """The one engine's read view (see :mod:`repro.shard.serve`)."""

@@ -24,7 +24,7 @@ import inspect
 import json
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 from ..adversary import (
     AdaptiveCorruptionAdversary,
@@ -61,16 +61,17 @@ ADVERSARY_KINDS = {
 }
 
 
-#: ``key: (types, nullable)`` of every spec field, which
-#: :meth:`Scenario.from_dict` checks: a ``bool`` is not an int, and an int
-#: is a number.
-SPEC_TYPES = {
-    **dict.fromkeys(("name", "engine"), ((str,), False)),
-    **dict.fromkeys(("max_size", "initial_size", "seed", "steps", "shards"), ((int,), False)),
-    **dict.fromkeys(("tau", "k", "l", "alpha", "epsilon", "adversary_weight"), ((float, int), False)),
-    **dict.fromkeys(("workload", "adversary", "engine_options", "shard_options"), ((dict,), True)),
-    "max_idle_streak": ((int,), True),
-}
+def _spec_field(key: str, hint):
+    """The type check :meth:`Scenario.from_dict` makes of spec field ``key``,
+    read off its annotation ``hint``: an ``Optional`` field may be null, a
+    ``float`` takes an int too, a ``Dict`` is an object, and a ``bool`` is
+    none of them."""
+    from ..trace.log import Field  # local import: repro.trace builds on scenarios
+
+    nullable = get_origin(hint) is Union
+    base = get_args(hint)[0] if nullable else hint
+    base = get_origin(base) or base
+    return Field(key, key, (float, int) if base is float else (base,), nullable=nullable, optional=True)
 
 
 def _construct(role: str, kinds: Dict[str, type], kind, rng: random.Random, spec: Dict[str, Any]):
@@ -107,7 +108,8 @@ class Scenario:
     workload: Optional[Dict[str, Any]] = field(default_factory=lambda: {"kind": "uniform"})
     adversary: Optional[Dict[str, Any]] = None
     adversary_weight: float = 0.6
-    engine_options: Dict[str, Any] = field(default_factory=dict)
+    #: Null in a spec reads as ``{}`` (:meth:`from_dict`).
+    engine_options: Optional[Dict[str, Any]] = field(default_factory=dict)
     max_idle_streak: Optional[int] = None
     #: Logical shard count: 0 runs the classic single engine; >= 1 runs the
     #: scenario as that many shard engines under ``repro.shard``.  A semantic
@@ -117,7 +119,7 @@ class Scenario:
     #: Sharded-execution tuning: ``barrier_interval``, ``rebalance_threshold``,
     #: ``min_shard_size`` (see ``repro.shard.coordinator``).  Semantic too:
     #: the barrier/handoff schedule shapes the run.
-    shard_options: Dict[str, Any] = field(default_factory=dict)
+    shard_options: Optional[Dict[str, Any]] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Building blocks
@@ -140,7 +142,7 @@ class Scenario:
             initial_size=self.initial_size,
             byzantine_fraction=self.tau,
             seed=self.seed,
-            config=EngineConfig(**(self.engine_options or {})),
+            config=EngineConfig(**self.engine_options),
             rule=self.engine,
         )
 
@@ -236,31 +238,28 @@ class Scenario:
     def from_dict(cls, data: Dict[str, Any]) -> "Scenario":
         """Build a scenario from its plain-dict form (unknown keys rejected).
 
-        Each field's type (:data:`SPEC_TYPES`), the placement rule and the
-        ``engine_options`` are checked here too, so a spec holding a field
-        of the wrong type or naming an unknown rule, engine option or walk
-        kernel is refused when it is loaded.
+        Each field's type (as annotated, see :func:`_spec_field`), the
+        placement rule and the ``engine_options`` are checked here too, so a
+        spec holding a field of the wrong type or naming an unknown rule,
+        engine option or walk kernel is refused when it is loaded.
         """
-        # Local import: repro.trace builds on scenarios.
-        from ..trace.log import Field, field_fault
+        from ..trace.log import field_fault  # local import: repro.trace builds on scenarios
 
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigurationError(f"unknown scenario fields: {sorted(unknown)}")
-        fields = tuple(
-            Field(key, key, types, nullable=nullable, optional=True)
-            for key, (types, nullable) in SPEC_TYPES.items()
-        )
+        fields = tuple(_spec_field(key, hint) for key, hint in get_type_hints(cls).items())
         fault = field_fault(data, fields)
         if fault is not None:
             raise ConfigurationError(f"scenario field {fault[0].key!r} {fault[1]}")
         scenario = cls(**data)
+        if scenario.engine_options is None:
+            scenario.engine_options = {}
         check_rule(scenario.engine)
-        options = scenario.engine_options or {}
-        unknown = set(options) - set(EngineConfig.__dataclass_fields__)
+        unknown = set(scenario.engine_options) - set(EngineConfig.__dataclass_fields__)
         if unknown:
             raise ConfigurationError(f"unknown engine_options fields: {sorted(unknown)}")
-        EngineConfig(**options)
+        EngineConfig(**scenario.engine_options)
         return scenario
 
     @classmethod

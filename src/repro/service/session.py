@@ -370,8 +370,9 @@ class LiveEngineSession:
     def execute(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         """Run one validated request frame and return its result payload.
 
-        Reads execute directly; a write runs as a window of one (identical
-        evolution — chunking is invisible).  Raises
+        Reads execute directly (they publish nothing, so they fire no probe
+        hook); a write runs as a window of one (identical evolution —
+        chunking is invisible).  Raises
         :class:`~repro.service.protocol.ProtocolError` (``failed``) for
         requests that are well-formed but rejected by the current state.
         Must only be called with frames that passed
@@ -379,7 +380,6 @@ class LiveEngineSession:
         """
         if self._closed:
             raise ConfigurationError("session is closed")
-        self.start()
         op = frame["op"]
         if op not in READ_OPS:
             outcome = self.finish_window(self.begin_window([frame]))[0]

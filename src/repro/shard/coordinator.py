@@ -66,7 +66,7 @@ from ..core.engine import EngineConfig
 from ..core.invariants import InvariantReport
 from ..errors import ConfigurationError
 from ..network.node import NodeRole
-from ..scenarios.bus import ObservationBus, StepRecord, split_probes
+from ..scenarios.bus import ObservationBus, StepRecord
 from ..scenarios.runner import (
     EventPull,
     RunResult,
@@ -176,9 +176,9 @@ class ShardCoordinator(WindowDriver):
             raise ConfigurationError("min_shard_size must be >= 1")
 
         self.probes = list(probes)
-        # Refused here, before any worker starts; the bus refuses one
-        # attached later when a run syncs it.
-        split_probes(self.probes, inline_lane=False)
+        # Built before any worker starts, so it refuses an inline probe
+        # first; its engine, the facade, is set once the directory exists.
+        self.bus = ObservationBus(None, self.probes, inline_lane=False)
         self.stop_conditions: List[StopCondition] = list(stop_conditions)
 
         sizes0 = slice_sizes(scenario.initial_size, self.shards)
@@ -271,12 +271,12 @@ class ShardCoordinator(WindowDriver):
                     "corrupt or was produced by an incompatible version"
                 )
         self._next_event = None if source is None else bind_event_source(self.facade, source)
-        #: Events and time steps taken by serve_dispatch (== total_events /
-        #: total_steps once collected).  Barriers run when events_admitted
+        #: Events taken by serve_dispatch (== total_events once collected;
+        #: total_steps counts the time steps taken by serve_dispatch, read
+        #: with nothing in flight).  Barriers run when events_admitted
         #: crosses a barrier_interval multiple — the one barrier rule.
         self.events_admitted = self.total_events
-        self.steps_admitted = self.total_steps
-        self.bus = ObservationBus(self.facade, self.probes, inline_lane=False)
+        self.bus.engine = self.facade
         #: ``(records published, reason)`` if the last collected window stopped.
         self.stopped: Optional[Tuple[int, str]] = None
         #: The worst composite corruption a published record or a collected
@@ -394,8 +394,8 @@ class ShardCoordinator(WindowDriver):
     # The two window halves
     # ------------------------------------------------------------------
     def pull(self, steps: int) -> EventPull:
-        """A run's pull on the source; its steps are numbered on from the admitted ones."""
-        return EventPull(self._next_event, steps, self.steps_admitted + 1, self.max_idle_streak)
+        """A run's pull on the source; its steps are numbered on from those taken."""
+        return EventPull(self._next_event, steps, self.total_steps + 1, self.max_idle_streak)
 
     def serve_dispatch(self, pull: EventPull, observe: bool = True) -> Dict[str, Any]:
         """Route one window from ``pull`` and queue it on the workers (send half).
@@ -433,7 +433,7 @@ class ShardCoordinator(WindowDriver):
             transport.send("apply", shard, batch, observe)
             order.append((shard, transport))
         phase["serialize"] += perf() - clock
-        self.steps_admitted += window.steps
+        self.total_steps += window.steps
         self.events_admitted += len(window.routed)
         barrier = None
         if window.routed and self.events_admitted % self.barrier_interval == 0:
@@ -471,7 +471,6 @@ class ShardCoordinator(WindowDriver):
             phase["worker_execute"] += worker_elapsed
             phase["idle"] += max(0.0, waited - worker_elapsed)
             replies[shard] = reply
-        self.total_steps += window.steps
         self.total_events += len(routed)
         clock = perf()
         if token["observe"]:

@@ -27,13 +27,12 @@ from __future__ import annotations
 import heapq
 import random
 import struct
-from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..core.events import ChurnKind
 from ..core.state import NodeRegistry
 from ..errors import ConfigurationError
 from ..network.node import NodeRole
-from ..scenarios.runner import EventPull
 from .messages import (
     EVENT_FIELDS,
     EVENT_RECORD,
@@ -45,6 +44,9 @@ from .messages import (
     RoutedEvent,
     range_error,
 )
+
+if TYPE_CHECKING:
+    from ..scenarios.runner import EventPull
 
 
 def slice_sizes(initial_size: int, shards: int) -> List[int]:

@@ -108,7 +108,7 @@ class ShardWorker:
 
         scenario = Scenario.from_dict(dict(scenario_data))
         params = scenario.parameters()
-        config = EngineConfig(**(scenario.engine_options or {}))
+        config = EngineConfig(**scenario.engine_options)
         self.slots: Dict[int, _ShardSlot] = {}
         for shard in shard_ids:
             if restore is not None and shard in restore:

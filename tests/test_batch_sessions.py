@@ -43,6 +43,7 @@ from repro.trace import (
     resume_from_checkpoint,
 )
 
+from reference_loop import serial_record
 from service_helpers import SIZES, cadence_marks
 
 FIELDS = dict(
@@ -334,23 +335,25 @@ class TestGivenEvents:
 
 
 class TestExecutionChoicesAreInvisible:
-    def test_workers_move_no_trace_byte(self, tmp_path):
+    def test_workers_and_pipelining_move_no_trace_byte(self, tmp_path):
         """Index frames and checkpoints fall mid-run here, so the route-ahead
-        loop has to predict its drains exactly to stay byte-identical (the
-        serial reference loop is ``tests/test_shard_pipeline.py``'s)."""
+        loop has to predict its drains exactly to stay byte-identical to the
+        serial reference loop."""
         runs = {}
         for workers in (1, 2, 4):
-            path = str(tmp_path / f"w{workers}.jsonl")
-            session = record_scenario(
-                _scenario("shards4-w1"),
-                trace_path=path,
-                index_every=24,
-                checkpoint_path=str(tmp_path / "ck.json"),
-                checkpoint_every=50,
-                workers=workers,
-            )
-            with open(path, "rb") as handle:
-                runs[workers] = (handle.read(), session.final_state_hash)
+            for record in (record_scenario, serial_record):
+                path = str(tmp_path / f"w{workers}-{record.__name__}.jsonl")
+                session = record(
+                    _scenario("shards4-w1"),
+                    trace_path=path,
+                    index_every=24,
+                    checkpoint_path=str(tmp_path / "ck.json"),
+                    checkpoint_every=50,
+                    workers=workers,
+                )
+                with open(path, "rb") as handle:
+                    runs[workers, record.__name__] = (handle.read(), session.final_state_hash)
+        assert len(runs) == 6
         assert len(set(runs.values())) == 1
 
 

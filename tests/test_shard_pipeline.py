@@ -4,21 +4,19 @@ The batch loop (``repro.scenarios.runner.run_windows``) routes window *k+1*
 while the shard workers execute window *k*.  The contract: **routing ahead
 is an execution choice**, exactly like the worker count — a run produces
 bit-identical results, probe outputs, composite hashes and recorded traces
-to :func:`serial_run`, the serial reference loop written here over the
-coordinator's two window halves, for every worker count.  These tests pin
+to ``serial_run``, the serial reference loop over the coordinator's two
+window halves (``tests/reference_loop.py``), for every worker count.  These
+tests pin
 that property (including across the loop's flush points — index frames,
 checkpoints, idle exhaustion, stop conditions), the worker-death
 regression (a killed child must surface as ``ShardWorkerError``, not hang
 the coordinator in ``recv``), and the ``run-scenario --profile`` smoke.
-The benchmark ``bench_sharded_engine.py`` times :func:`serial_record` as its
-``unpipelined`` row.
 """
 
 from __future__ import annotations
 
 import os
 import pstats
-import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,10 +25,10 @@ from hypothesis import strategies as st
 from repro import Scenario
 from repro.cli import main
 from repro.scenarios.probes import CorruptionTrajectoryProbe, CostLedgerProbe
-from repro.scenarios.runner import RunResult
 from repro.shard import PHASE_KEYS, ShardCoordinator, ShardWorkerError
 from repro.trace import record_scenario, resume_from_checkpoint, trace_diff
-from repro.trace.session import Recorder, SessionResult
+
+from reference_loop import serial_record, serial_run
 
 COMPARED_FIELDS = (
     "scenario",
@@ -55,60 +53,6 @@ BASE = dict(
     steps=150,
     shards=4,
 )
-
-
-def serial_run(coordinator, steps, recorder=None) -> RunResult:
-    """The batch loop without routing ahead: each window dispatched, collected
-    and recorded before the next is pulled (the route-ahead oracle)."""
-    bus = coordinator.bus
-    bus.sync(coordinator.probes)
-    bus.on_start()
-    observe = bool(bus.buffered_probes or recorder is not None or coordinator.stop_conditions)
-    pull = coordinator.pull(steps)
-    peak = 0.0
-    stop_reason = "steps exhausted"
-    started_at = time.perf_counter()
-    try:
-        while not pull.done:
-            records = coordinator.serve_collect(coordinator.serve_dispatch(pull, observe))
-            if recorder is not None:
-                recorder.window(records)
-            stopped = coordinator.stopped
-            if stopped is not None:
-                records = records[: stopped[0]]
-            peak = max([peak, coordinator.merger.worst_fraction] + [r.worst_fraction for r in records])
-            if stopped is not None:
-                stop_reason = stopped[1]
-                break
-    finally:
-        bus.flush()
-    elapsed = time.perf_counter() - started_at
-    status = coordinator.status()
-    return RunResult(
-        scenario=coordinator.scenario.name,
-        steps=pull.steps,
-        events=pull.steps - pull.idle,
-        idle_steps=pull.idle,
-        elapsed_seconds=elapsed,
-        final_size=status["network_size"],
-        final_cluster_count=status["cluster_count"],
-        final_worst_fraction=status["worst_byzantine_fraction"],
-        peak_worst_fraction=peak,
-        compromised_clusters=coordinator.merger.compromised(),
-        stop_reason="source idle" if pull.source_idle else stop_reason,
-        probes={probe.name: probe.result() for probe in coordinator.probes},
-        shards=coordinator.shards,
-    )
-
-
-def serial_record(scenario, workers=1, probes=(), **outputs) -> SessionResult:
-    """:func:`repro.trace.record_scenario` on :func:`serial_run` (sharded
-    scenarios, fresh runs); ``outputs`` are the :class:`Recorder`'s."""
-    with ShardCoordinator(scenario, workers=workers, probes=probes) as coordinator:
-        recorder = Recorder(scenario, coordinator, **outputs)
-        result = serial_run(coordinator, scenario.steps, recorder)
-        final_hash = recorder.seal(ok=True)
-    return SessionResult(result, coordinator, final_hash, recorder.trace_path, recorder.checkpoint_path)
 
 
 def _scenario(**overrides):
