@@ -172,22 +172,19 @@ class ObservationBus:
         if not (build or self.buffered_probes):
             return None
         record = step_record(report, step_index)
-        if self.buffered_probes:
-            self._buffer.append(record)
-            self.records_published += 1
-            if len(self._buffer) >= self.buffer_size:
-                self.flush()
+        self.publish_record(record)
         return record
 
     def publish_record(self, record: StepRecord) -> None:
-        """Deliver one pre-built record (the sharded merge layer's entry point).
+        """Deliver one pre-built record to the buffered probes.
 
-        Called only by ``ShardCoordinator.serve_collect``, whoever collects
-        the window.  Sharded runs assemble composite
-        :class:`StepRecord` objects away from
-        any live engine, so there is no report to extract from — and no
-        inline lane: inline probes are rejected up front by the shard
-        coordinator because there is no single engine for them to read.
+        :meth:`publish`'s second half, and the sharded merge layer's entry
+        point (``ShardCoordinator.serve_collect``, whoever collects the
+        window).  Sharded runs assemble composite :class:`StepRecord`
+        objects away from any live engine, so there is no report to extract
+        from — and no inline lane: the coordinator's bus refuses inline
+        probes (``inline_lane=False``) because there is no single engine for
+        them to read.
         """
         if self.buffered_probes:
             self._buffer.append(record)

@@ -71,7 +71,8 @@ def _spec_field(key: str, hint):
     nullable = get_origin(hint) is Union
     base = get_args(hint)[0] if nullable else hint
     base = get_origin(base) or base
-    return Field(key, key, (float, int) if base is float else (base,), nullable=nullable, optional=True)
+    types = (float, int) if base is float else (base,)
+    return Field(key, key, types, nullable=nullable, optional=True)
 
 
 def _construct(role: str, kinds: Dict[str, type], kind, rng: random.Random, spec: Dict[str, Any]):

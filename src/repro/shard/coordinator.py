@@ -421,6 +421,7 @@ class ShardCoordinator(WindowDriver):
         perf = time.perf_counter
         clock = perf()
         limit = self.barrier_interval - self.events_admitted % self.barrier_interval
+        taken = pull.steps
         window = self.router.route_window(pull, limit)
         phase["route"] += perf() - clock
         order: List[Tuple[int, Any]] = []
@@ -433,7 +434,8 @@ class ShardCoordinator(WindowDriver):
             transport.send("apply", shard, batch, observe)
             order.append((shard, transport))
         phase["serialize"] += perf() - clock
-        self.total_steps += window.steps
+        # Every time step the window consumed, idle ones included.
+        self.total_steps += pull.steps - taken
         self.events_admitted += len(window.routed)
         barrier = None
         if window.routed and self.events_admitted % self.barrier_interval == 0:

@@ -250,15 +250,10 @@ class ShardDirectory:
 
 
 class WindowBatch(NamedTuple):
-    """One routed barrier window, ready for dispatch.
-
-    ``steps`` counts every time step the window consumed, including idle
-    ones; the coordinator advances its step counter by it.
-    """
+    """One routed barrier window, ready for dispatch."""
 
     routed: List[RoutedEvent]
     batches: Dict[int, EventBatch]
-    steps: int
 
 
 class EventRouter:
@@ -294,7 +289,6 @@ class EventRouter:
 
         routed: List[RoutedEvent] = []
         buffers: Dict[int, bytearray] = {}
-        taken = pull.steps
 
         for step, event in pull:
             if event.kind is ChurnKind.JOIN:
@@ -334,7 +328,7 @@ class EventRouter:
         batches: Dict[int, EventBatch] = {
             shard: bytes(buffer) for shard, buffer in buffers.items()
         }
-        return WindowBatch(routed=routed, batches=batches, steps=pull.steps - taken)
+        return WindowBatch(routed=routed, batches=batches)
 
 
 class _FacadeState:

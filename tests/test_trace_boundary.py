@@ -235,6 +235,15 @@ def test_a_retyped_spec_field_is_refused_naming_the_key(tmp_path, capsys, key, v
     assert f"scenario field {key!r} is {value!r} (expected " in err, err
 
 
+@pytest.mark.parametrize("shards", [0, 2])
+def test_null_options_in_a_spec_read_as_none_given(tmp_path, capsys, shards):
+    spec = str(tmp_path / "spec.json")
+    with open(spec, "w", encoding="utf-8") as handle:
+        json.dump(dict(SCENARIO, shards=shards, engine_options=None, shard_options=None), handle)
+    code, out, err = _cli(capsys, "run-scenario", "--spec", spec, "--steps", "5")
+    assert code == 0, (out, err)
+
+
 @pytest.mark.parametrize("key, value", [("seed", "7"), ("tau", "0.1"), ("engine_options", ["x"])])
 def test_a_retyped_checkpoint_scenario_is_refused_naming_the_key(recorded, tmp_path, capsys, key, value):
     with open(recorded["checkpoint"], encoding="utf-8") as handle:
