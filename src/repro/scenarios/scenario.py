@@ -249,7 +249,7 @@ class Scenario:
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigurationError(f"unknown scenario fields: {sorted(unknown)}")
-        fields = tuple(_spec_field(key, hint) for key, hint in get_type_hints(cls).items())
+        fields = tuple(_spec_field(key, hint) for key, hint in SPEC_HINTS.items())
         fault = field_fault(data, fields)
         if fault is not None:
             raise ConfigurationError(f"scenario field {fault[0].key!r} {fault[1]}")
@@ -267,6 +267,11 @@ class Scenario:
     def from_json(cls, text: str) -> "Scenario":
         """Parse a scenario from JSON text."""
         return cls.from_dict(json.loads(text))
+
+
+#: Every spec field's annotation, resolved once, at import: a forked worker
+#: process that loads a spec then finds them ready (see :func:`_spec_field`).
+SPEC_HINTS = get_type_hints(Scenario)
 
 
 # ----------------------------------------------------------------------
