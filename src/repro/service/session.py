@@ -128,6 +128,7 @@ class LiveEngineSession:
         self._recorder: Optional[Recorder] = None
         self.events_applied = 0
         self.operations: Dict[str, int] = {}
+        self._started = False
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -168,7 +169,9 @@ class LiveEngineSession:
 
     def start(self) -> None:
         """Fire the probes' run-start hooks (idempotent)."""
-        self.bus.on_start()
+        if not self._started:
+            self.bus.on_start()
+            self._started = True
 
     def close(self, ok: bool = True) -> None:
         """Flush observations, seal the trace, shut the driver down.
@@ -370,9 +373,8 @@ class LiveEngineSession:
     def execute(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         """Run one validated request frame and return its result payload.
 
-        Reads execute directly (they publish nothing, so they fire no probe
-        hook); a write runs as a window of one (identical evolution —
-        chunking is invisible).  Raises
+        Reads execute directly; a write runs as a window of one (identical
+        evolution — chunking is invisible).  Raises
         :class:`~repro.service.protocol.ProtocolError` (``failed``) for
         requests that are well-formed but rejected by the current state.
         Must only be called with frames that passed
@@ -380,6 +382,7 @@ class LiveEngineSession:
         """
         if self._closed:
             raise ConfigurationError("session is closed")
+        self.start()
         op = frame["op"]
         if op not in READ_OPS:
             outcome = self.finish_window(self.begin_window([frame]))[0]
