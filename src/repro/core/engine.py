@@ -177,7 +177,7 @@ class NowEngine:
         config = EngineConfig(**snapshot["config"])
         state = SystemState.restore_state(snapshot["state"])
         engine = cls(state, config=config, rule=rule)
-        engine._randcl.restore_state(snapshot.get("randcl", {}))
+        engine._randcl.restore_state(snapshot["randcl"])
         return engine
 
     # ------------------------------------------------------------------

@@ -36,9 +36,10 @@ drives the same halves through :meth:`WindowDriver.dispatch` /
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..adversary.base import bind_event_source
 from ..analysis.reporting import format_table
@@ -175,7 +176,7 @@ class EventPull:
     a finite workload such as pure growth idles forever once its target is
     reached).  The streak spans the windows of one pull, and each run starts
     a new pull.  Given events come as a pull that never idles
-    (:meth:`given`).
+    (:meth:`given`) and ends when they run out.
     """
 
     def __init__(
@@ -197,9 +198,10 @@ class EventPull:
         self.source_idle = False
 
     @classmethod
-    def given(cls, events: Sequence, first_step: int) -> "EventPull":
-        """A pull over given events, one time step each (none is ``None``)."""
-        return cls(iter(events).__next__, len(events), first_step)
+    def given(cls, events: Iterable, first_step: int) -> "EventPull":
+        """A pull over given events, one time step each (none is ``None``),
+        taken lazily; it ends, taking no step, when they run out."""
+        return cls(iter(events).__next__, sys.maxsize, first_step)
 
     @property
     def done(self) -> bool:
@@ -216,8 +218,12 @@ class EventPull:
 
     def __next__(self) -> Tuple[int, Any]:
         while not self.source_idle and self.steps < self._budget:
+            try:
+                event = self._next_event()
+            except StopIteration:
+                self._budget = self.steps  # given events ran out
+                raise
             self.steps += 1
-            event = self._next_event()
             if event is not None:
                 self._streak = 0
                 return self._first + self.steps - 1, event
@@ -325,8 +331,9 @@ class WindowDriver:
     closes it.
     """
 
-    def dispatch(self, events: Sequence) -> List[Any]:
-        """Queue ``events`` as the driver's windows; the token."""
+    def dispatch(self, events: Iterable) -> List[Any]:
+        """Queue ``events`` as the driver's windows; the token.  Each event is
+        taken once every earlier one is applied (runner) or routed (coordinator)."""
         pull = EventPull.given(events, self.total_steps + 1)
         tokens = []
         while not pull.done:

@@ -203,6 +203,10 @@ def error_response(
     }
 
 
+#: The one wire encoder (``json.dumps`` with ``separators`` builds one per call).
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def encode_frame(frame: Dict[str, Any]) -> bytes:
     """Serialise one frame to its wire form (UTF-8 JSON + newline)."""
-    return (json.dumps(frame, separators=(",", ":")) + "\n").encode("utf-8")
+    return (_ENCODER.encode(frame) + "\n").encode("utf-8")

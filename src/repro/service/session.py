@@ -27,16 +27,18 @@ an event that raises halfway leaves the engine one time step ahead of the
 recorded trace — permanent replay divergence.  Every rejectable condition
 (unknown node, double join, size bounds, a rejoin naming a role other than
 the node's registered one) is checked against the driver's node registry
-before the event is built; by the time an event is dispatched, it cannot
-fail.  A rejoin that names no role takes the registered one, on both
-drivers; a ``contact_cluster`` join is refused on shards, whose cluster ids
-are shard-local.
+as the driver pulls the request, after every earlier event of its batch
+was applied (the single engine) or routed (the shard coordinator): one
+rule, however the pump chunks the requests, and by the time an event is
+dispatched, it cannot fail.  A rejoin that names no role takes the
+registered one, on both drivers; a ``contact_cluster`` join is refused on
+shards, whose cluster ids are shard-local.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from ..core.events import ChurnEvent
 from ..errors import ConfigurationError
@@ -83,16 +85,17 @@ def live_scenario(
 
 
 class _Window:
-    """A validated write window in flight."""
+    """A write window in flight: the batch's frames, an outcome per request
+    (the result dict, or the pre-flight ``ProtocolError``), the admitted
+    requests' indices in admission order, and the driver's token."""
 
-    __slots__ = ("outcomes", "ops", "parts")
+    __slots__ = ("frames", "outcomes", "admitted", "token")
 
     def __init__(self, frames: Sequence[Dict[str, Any]]) -> None:
-        #: Per request: the result dict, or the pre-flight ``ProtocolError``.
+        self.frames = frames
         self.outcomes: List[Any] = [None] * len(frames)
-        self.ops = [frame["op"] for frame in frames]
-        #: ``(driver token, request indices in admission order)`` pairs.
-        self.parts: List[Tuple[Any, List[int]]] = []
+        self.admitted: List[int] = []
+        self.token: Any = None
 
 
 class LiveEngineSession:
@@ -217,101 +220,69 @@ class LiveEngineSession:
     def begin_window(self, frames: Sequence[Dict[str, Any]]) -> _Window:
         """Validate and dispatch one pump batch of write requests.
 
-        Requests are processed in admission order.  Each one is pre-flight
-        checked against the driver's registry plus the not-yet-dispatched
-        tail of this very batch; rejected requests get a
-        :class:`ProtocolError` outcome and consume no window slot.
-
-        Anonymous leaves are the sequencing points: the leaver is drawn
-        uniformly from the *post-prior-event* population, so the pending
-        tail is dispatched (which brings the registry up to date) before
-        the pick.  The same goes for a leave of a node joined earlier in
-        the batch.
+        The driver pulls them in admission order, each checked as it is
+        pulled (the module docstring's pre-flight rule): a rejected request
+        gets a :class:`ProtocolError` outcome and takes no time step.
         """
         if self._closed:
             raise ConfigurationError("session is closed")
+        if any(frame["op"] not in ("join", "leave") for frame in frames):
+            raise ConfigurationError("the write lane takes join and leave requests only")
         self.start()
-        driver = self.driver
         window = _Window(frames)
+        window.token = self.driver.dispatch(self._admitted(window))
+        return window
 
-        nodes = driver.nodes
-        pending: List[Tuple[int, ChurnEvent]] = []
-        delta = 0  # net size change of the undispatched tail
-        removed: set = set()  # ids with an undispatched leave
-        joined: set = set()  # named ids with an undispatched join
-
-        def flush() -> None:
-            nonlocal delta
-            if pending:
-                token = driver.dispatch([event for _, event in pending])
-                window.parts.append((token, [index for index, _ in pending]))
-                pending.clear()
-                removed.clear()
-                joined.clear()
-                delta = 0
-
-        for index, frame in enumerate(frames):
-            node_id = frame.get("node_id")
+    def _admitted(self, window: _Window) -> Iterator[ChurnEvent]:
+        """The window's admitted events, each checked when the driver pulls it."""
+        for index, frame in enumerate(window.frames):
             try:
-                if frame["op"] == "join":
-                    event = self._admit_join(
-                        frame, nodes.active_count() + delta, removed, joined
-                    )
-                    if node_id is not None:
-                        joined.add(node_id)
-                    delta += 1
-                elif frame["op"] == "leave":
-                    if node_id is None or node_id in joined:
-                        flush()
-                    event = self._admit_leave(
-                        frame, nodes.active_count() + delta, removed
-                    )
-                    removed.add(event.node_id)
-                    delta -= 1
-                else:
-                    raise ConfigurationError(
-                        f"operation {frame['op']!r} does not belong to the write lane"
-                    )
+                event = self._admit(frame)
             except ProtocolError as error:
                 window.outcomes[index] = error
                 continue
-            pending.append((index, event))
-        flush()
-        return window
+            window.admitted.append(index)
+            yield event
 
     def finish_window(self, window: _Window) -> List[Any]:
         """Collect a dispatched window and return per-request outcomes.
 
         Outcomes align with the frames given to :meth:`begin_window`.  Each
         collected record is counted and turned into its response payload;
-        the whole window is then recorded in the trace (the index frame, if
-        due, waits for the last part: none may be in flight under a hash),
-        and the read views are dropped.
+        the whole window is then recorded in the trace, and the read views
+        are dropped.
         A failure here (a dead shard worker, a trace write error) leaves
         events applied but unrecorded: callers must treat it as fatal and
         close the session with ``ok=False``.
         """
-        records: List[StepRecord] = []
-        for token, indices in window.parts:
-            part = self.driver.collect(token)
-            for index, record in zip(indices, part):
-                self.events_applied += 1
-                op = window.ops[index]
-                self.operations[op] = self.operations.get(op, 0) + 1
-                window.outcomes[index] = _churn_result(record)
-            records += part
+        records = self.driver.collect(window.token)
+        for index, record in zip(window.admitted, records):
+            self.events_applied += 1
+            op = window.frames[index]["op"]
+            self.operations[op] = self.operations.get(op, 0) + 1
+            window.outcomes[index] = _churn_result(record)
         self.read_model.invalidate()
         if self._recorder is not None:
             self._recorder.window(records)
         return window.outcomes
 
-    # ------------------------------------------------------------------
-    # Pre-flight admission (against the registry, never the engine)
-    # ------------------------------------------------------------------
-    def _admit_join(
-        self, frame: Dict[str, Any], size: int, removed: set, joined: set
-    ) -> ChurnEvent:
-        nodes = self.driver.nodes
+    def _admit(self, frame: Dict[str, Any]) -> ChurnEvent:
+        """The event a write request asks for, checked against the live
+        registry (never the engine); a refusal raises its ``failed`` error."""
+        nodes, params = self.driver.nodes, self.driver.params
+        node_id = frame.get("node_id")
+        known = node_id in nodes  # a registered id (None never is)
+        if frame["op"] == "leave":
+            if nodes.active_count() <= params.lower_size_bound:
+                raise _rejected(frame, f"network is at its lower size bound {params.lower_size_bound}")
+            if node_id is None:
+                # An anonymous departure: the service picks the leaver from
+                # its own write stream (never the engine's) over the
+                # registry's sampling array, then records the concrete id.
+                return ChurnEvent.leave(nodes.sample_active(self.rng))
+            if not known or not nodes.is_active(node_id):
+                raise _rejected(frame, f"node {node_id} is not active")
+            return ChurnEvent.leave(node_id)
         contact = frame.get("contact_cluster")
         if contact is not None and self.scenario.shards:
             raise _rejected(
@@ -319,43 +290,20 @@ class LiveEngineSession:
                 "the sharded backend does not support contact_cluster-targeted "
                 "joins (cluster ids are shard-local)",
             )
-        max_size = self.driver.params.max_size
-        if size >= max_size:
-            raise _rejected(frame, f"network is at its maximum size {max_size}")
-        node_id = frame.get("node_id")
-        if node_id is not None and (
-            node_id in joined
-            or (node_id not in removed and self._is_active(node_id))
-        ):
-            raise _rejected(frame, f"node {node_id} is already active")
+        if nodes.active_count() >= params.max_size:
+            raise _rejected(frame, f"network is at its maximum size {params.max_size}")
         role = frame.get("role")
-        if node_id is not None and node_id in nodes:
+        if known:
+            descriptor = nodes.get(node_id)
+            if descriptor.is_active:
+                raise _rejected(frame, f"node {node_id} is already active")
             # One role per identity: a rejoin keeps its registered role.
-            registered = nodes.get(node_id).role.value
-            if role not in (None, registered):
-                raise _rejected(frame, f"node {node_id} is registered {registered}, not {role}")
-            role = registered
+            if role not in (None, descriptor.role.value):
+                raise _rejected(frame, f"node {node_id} is registered {descriptor.role.value}, not {role}")
+            role = descriptor.role.value
         return ChurnEvent.join(
             role=NodeRole(role or "honest"), node_id=node_id, contact_cluster=contact
         )
-
-    def _admit_leave(self, frame: Dict[str, Any], size: int, removed: set) -> ChurnEvent:
-        lower = self.driver.params.lower_size_bound
-        if size <= lower:
-            raise _rejected(frame, f"network is at its lower size bound {lower}")
-        node_id = frame.get("node_id")
-        if node_id is None:
-            # An anonymous departure: the service picks the leaver from its
-            # own write stream (never the engine's) over the registry's
-            # sampling array, then records the concrete id.
-            node_id = self.driver.nodes.sample_active(self.rng)
-        elif node_id in removed or not self._is_active(node_id):
-            raise _rejected(frame, f"node {node_id} is not active")
-        return ChurnEvent.leave(node_id)
-
-    def _is_active(self, node_id: int) -> bool:
-        nodes = self.driver.nodes
-        return node_id in nodes and nodes.is_active(node_id)
 
     # ------------------------------------------------------------------
     # Single-request execution

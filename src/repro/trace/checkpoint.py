@@ -40,7 +40,8 @@ FORMAT_VERSION = 3
 _OBJECT = (dict,)
 
 #: The envelope every checkpoint carries, checked (with the trace layout's
-#: field checker) before anything reads it.
+#: field checker, like the top levels of its snapshots below) before
+#: anything reads it.
 ENVELOPE_FIELDS = (
     Field("engine", "engine snapshot", _OBJECT),
     Field("source", "event-source snapshot", _OBJECT, nullable=True),
@@ -53,9 +54,17 @@ ENVELOPE_FIELDS = (
 
 #: Engine kind -> the top level of its ``engine`` snapshot.
 ENGINE_FIELDS = {
-    "now": (Field("config", "engine config", _OBJECT), Field("state", "engine state", _OBJECT)),
+    "now": tuple(Field(key, f"engine {key}", _OBJECT) for key in ("config", "state", "randcl")),
     "sharded": tuple(Field(key, f"shard {key}", _OBJECT) for key in ("router", "merge", "shards")),
 }
+
+#: The top level of an event source's snapshot (a mixed driver's has ``sources``).
+SOURCE_FIELDS = (
+    Field("kind", "source kind", (str,)),
+    Field("rng", "source stream", (list,)),
+    Field("extra", "source state", _OBJECT, optional=True),
+    Field("sources", "mixed sources", (list,), optional=True),
+)
 
 
 def write_json_atomic(path: str, data: Any, indent: Optional[int] = None) -> None:
@@ -99,6 +108,8 @@ class Checkpoint:
         if fault is None:
             engine_fields = ENGINE_FIELDS[data.get("engine_kind", "now")]
             fault, path = field_fault(data["engine"], engine_fields), "engine/"
+        if fault is None and data["source"] is not None:
+            fault, path = field_fault(data["source"], SOURCE_FIELDS), "source/"
         if fault is not None:
             field, problem = fault
             raise ConfigurationError(f"malformed checkpoint: {path}{field.key} {problem}")

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import operator
 from itertools import islice
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..core.events import ChurnEvent, ChurnKind
 from ..errors import ConfigurationError
@@ -54,7 +54,7 @@ DEFAULT_FLUSH_EVERY = 256
 #: What a field is given for a key its document lacks.
 ABSENT = object()
 
-_TYPE_NAMES = {int: "an int", float: "a number", str: "a string", dict: "an object"}
+_TYPE_NAMES = {int: "an int", float: "a number", str: "a string", dict: "an object", list: "a list"}
 
 
 class Field(NamedTuple):
@@ -173,6 +173,32 @@ _EVENT_KEYS = tuple(field.key for field in EVENT_FIELDS[1:])
 _event_values = operator.attrgetter(*(field.attr for field in EVENT_FIELDS[1:]))
 
 
+def _layout_check(fields: Tuple[Field, ...]) -> Callable[[Dict[str, Any]], bool]:
+    """One frame kind's check, built once: whether a frame holds exactly
+    ``fields``, each as :meth:`Field.fault` accepts it."""
+    checks = [
+        (field.key, field.types, field.values, field.low, field.high, field.nullable)
+        for field in fields
+    ]
+
+    def check(frame: Dict[str, Any]) -> bool:
+        for key, types, values, low, high, nullable in checks:
+            value = frame.get(key, ABSENT)
+            if type(value) not in types:
+                if value is not None or not nullable:
+                    return False
+            elif (values and value not in values) or (low is not None and not low <= value) or (
+                high is not None and not value <= high
+            ):
+                return False
+        return len(frame) == len(checks)
+
+    return check
+
+
+_CHECKS = {kind: _layout_check(fields) for kind, fields in FRAMES.items()}
+
+
 def _layout_fault(frame: Dict[str, Any], fields: Tuple[Field, ...], word: str) -> Optional[Tuple[str, str]]:
     fault = field_fault(frame, fields)
     if fault is None and len(frame) == len(fields):
@@ -193,7 +219,7 @@ def frame_fault(frame: Any) -> Optional[Tuple[str, str]]:
     kind = frame.get("t", ABSENT) if isinstance(frame, dict) else frame
     if not isinstance(kind, str) or kind not in FRAMES:
         return "t", f"malformed frame: frame kind ('t') {_ANY_KIND.fault(kind)}"
-    return _layout_fault(frame, FRAMES[kind], _WORDS[kind])
+    return None if _CHECKS[kind](frame) else _layout_fault(frame, FRAMES[kind], _WORDS[kind])
 
 
 def event_frame_from_record(record: StepRecord) -> Dict[str, Any]:

@@ -93,6 +93,20 @@ class TestResponses:
         assert json.loads(raw) == ok_response(1, "ping", {"pong": True})
         assert raw.count(b"\n") == 1
 
+    def test_encode_frame_bytes_are_pinned(self):
+        """Compact separators, ASCII escapes, key order kept, floats by repr."""
+        result = {"node_id": 7, "coverage": 0.1, "payload": "é✓", "shard": None}
+        raw = encode_frame(ok_response("a", "sample", result, latency_ms=1.25))
+        assert raw == (
+            b'{"id":"a","ok":true,"op":"sample","result":{"node_id":7,"coverage":0.1,'
+            b'"payload":"\\u00e9\\u2713","shard":null},"latency_ms":1.25}\n'
+        )
+        raw = encode_frame(error_response(None, None, ERROR_FAILED, "node 5 is not active"))
+        assert raw == (
+            b'{"id":null,"ok":false,"op":null,"error":"failed",'
+            b'"message":"node 5 is not active","latency_ms":0.0}\n'
+        )
+
 
 class TestRequestQueue:
     def test_fifo_offer_and_drain(self):

@@ -40,6 +40,27 @@ def event_frames(path):
     return [frame for frame in TraceReader(path).frames if frame["t"] == "ev"]
 
 
+@st.composite
+def hostile_writes(draw):
+    """Write frames that lean on admission: fresh joins, joins naming ids
+    within 3 of the next fresh id (that is, ids joins of the same batch may
+    receive), anonymous leaves, leaves naming ids near the next one, and
+    rejoins naming either role."""
+    frames, joins = [], 0
+    for index in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(["join", "named-join", "leave", "named-leave"]))
+        frame = {"op": kind.split("-")[-1], "id": index}
+        if kind.startswith("named"):
+            frame["node_id"] = SIZES["initial_size"] + joins + draw(st.integers(-3, 3))
+        if frame["op"] == "join":
+            joins += 1
+            role = draw(st.sampled_from([None, "honest", "byzantine"]))
+            if role is not None:
+                frame["role"] = role
+        frames.append(frame)
+    return frames
+
+
 class TestRecordedSessionReplays:
     @on_every_backend
     @settings(
@@ -75,21 +96,89 @@ class TestRecordedSessionReplays:
 
     @on_every_backend
     def test_chunking_does_not_change_events_or_hash(self, tmp_path, backend):
-        """Pump chunk size is invisible: same events, same state hash."""
-        frames = frames_from_ops(["join"] * 30 + ["leave"] * 10 + ["join"] * 30)
-        streams = {}
-        for chunk in (1, 7, 64):
-            path = str(tmp_path / f"chunk{chunk}.jsonl")
-            session = make_session(backend, seed=4)
+        """Pump chunk size is invisible: same events, same state hash.
+
+        The second stream names the ids fresh joins of the same batch
+        receive: a named join of one is a double join, a named leave of one
+        is admitted, whatever the chunking.
+        """
+        fresh = SIZES["initial_size"]  # the id the first fresh join receives
+        hostile = [
+            {"op": "join"}, {"op": "join", "node_id": fresh},
+            {"op": "join"}, {"op": "leave", "node_id": fresh + 1},
+            {"op": "leave", "node_id": fresh + 1}, {"op": "join", "node_id": fresh + 1},
+            {"op": "leave"}, {"op": "join", "node_id": fresh + 2}, {"op": "join"},
+        ]
+        for name, frames in (
+            ("plain", frames_from_ops(["join"] * 30 + ["leave"] * 10 + ["join"] * 30)),
+            ("hostile", [dict(frame, id=index) for index, frame in enumerate(hostile * 3)]),
+        ):
+            streams = {}
+            for chunk in (1, 7, 64):
+                path = str(tmp_path / f"{name}-chunk{chunk}.jsonl")
+                session = make_session(backend, seed=4)
+                try:
+                    session.attach_trace(path, index_every=1000)
+                    outcomes = pump(session, frames, chunk=chunk)
+                    state = session.state_hash()
+                finally:
+                    session.close()
+                streams[chunk] = ([normalise(o) for o in outcomes], state, event_frames(path))
+            assert streams[7] == streams[1], name
+            assert streams[64] == streams[1], name
+        verdicts = streams[1][0]
+        assert verdicts[1] == ("error", "failed", f"node {fresh} is already active")
+        assert verdicts[3]["node_id"] == fresh + 1  # the named leave is admitted
+
+    @on_every_backend
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(frames=hostile_writes(), data=st.data())
+    def test_any_chunking_answers_as_one_request_at_a_time(
+        self, tmp_path_factory, backend, frames, data
+    ):
+        """Admission is one rule: each write is checked against the registry
+        as the driver pulls it, so a stream cut into any pump batches gives
+        the outcomes, trace bytes and final hash of the same writes sent one
+        at a time.  The size bounds sit three nodes either side of the
+        start, so batches run into both."""
+        cuts = data.draw(st.sets(st.integers(1, len(frames))), label="cuts")
+        bounds = [0, *sorted(cuts), len(frames)]
+        tmp = tmp_path_factory.mktemp("chunks")
+
+        def run(name, send):
+            path = str(tmp / f"{name}.jsonl")
+            session = make_session(backend, seed=12)
+            params = session.driver.params
+            session.driver.params = dataclasses.replace(
+                params, min_size=session.network_size - 3, max_size=session.network_size + 3
+            )
             try:
-                session.attach_trace(path, index_every=1000)
-                outcomes = pump(session, frames, chunk=chunk)
+                session.attach_trace(path, index_every=10**6)
+                outcomes = [normalise(outcome) for outcome in send(session)]
                 state = session.state_hash()
             finally:
                 session.close()
-            streams[chunk] = ([normalise(o) for o in outcomes], state, event_frames(path))
-        assert streams[7] == streams[1]
-        assert streams[64] == streams[1]
+            with open(path, "rb") as handle:
+                return outcomes, handle.read(), state
+
+        def one_at_a_time(session):
+            for frame in frames:
+                try:
+                    yield session.execute(frame)
+                except ProtocolError as error:
+                    yield error
+
+        def chunked(session):
+            for start, end in zip(bounds, bounds[1:]):
+                if end > start:
+                    window = session.begin_window(frames[start:end])
+                    yield from session.finish_window(window)
+
+        assert run("chunked", chunked) == run("single", one_at_a_time)
 
     @on_every_backend
     def test_index_frames_sit_on_pump_window_boundaries(self, tmp_path, backend):
@@ -189,6 +278,11 @@ class TestRecordedSessionReplays:
                 batch({"op": "join", "node_id": 9002}, {"op": "join", "node_id": 9002})
                 batch({"op": "leave", "node_id": 9000}, {"op": "leave", "node_id": 9000})
                 batch({"op": "leave", "node_id": 9002}, {"op": "join", "node_id": 9002})
+                # The ids fresh joins of the same batch receive (9003, 9004):
+                # a named join of one is a double join, a named leave of one
+                # is admitted, and the session keeps serving.
+                batch({"op": "join"}, {"op": "join", "node_id": 9003})
+                batch({"op": "join"}, {"op": "leave", "node_id": 9004})
                 # Lower bound: two above the floor, three leaves in one batch.
                 session.driver.params = dataclasses.replace(
                     session.driver.params, min_size=session.network_size - 2
@@ -209,7 +303,8 @@ class TestRecordedSessionReplays:
             ("error", "failed", f"node {10**9} is not active"),
             ("error", "failed", "node 9002 is already active"),
             ("error", "failed", "node 9000 is not active"),
-            ("error", "failed", "network is at its lower size bound 199"),
+            ("error", "failed", "node 9003 is already active"),
+            ("error", "failed", "network is at its lower size bound 200"),
             ("error", "failed", "network is at its maximum size 256"),
             ("error", "failed", "network is at its maximum size 256"),
         ]

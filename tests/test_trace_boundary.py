@@ -169,6 +169,7 @@ def _resume(capsys, tmp_path, document):
 ENVELOPE = [
     ("engine", DROP), ("engine", []), ("engine/config", DROP), ("engine/state", DROP),
     ("steps_done", {}), ("events_done", {}), ("state_hash", {}), ("source", 5), ("scenario", 5),
+    ("engine/randcl", []), ("source/rng", DROP),
 ]
 
 

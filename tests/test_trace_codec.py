@@ -30,7 +30,7 @@ from repro.trace import (
     sniff_trace_format,
     trace_diff,
 )
-from repro.trace.log import event_frame_from_record
+from repro.trace.log import _CHECKS, _WORDS, FRAMES, _layout_fault, event_frame_from_record
 
 PARAMS = dict(max_size=1024, initial_size=100, tau=0.1, k=2.0)
 
@@ -51,6 +51,43 @@ def record(tmp_path, name, trace_format, seed=7, steps=50, index_every=10, flush
         flush_every=flush_every,
     )
     return path, session
+
+
+#: One well-formed frame of each kind after the header.
+GOOD_FRAMES = {
+    "ev": {"t": "ev", "i": 12, "ts": 12, "k": "join", "r": "honest", "n": None, "c": None,
+           "a": 212, "sz": 212, "cl": 8, "w": 0.1, "m": 123456, "rd": 77, "h": 0},
+    "x": {"t": "x", "i": 12, "ts": 12, "ev": 12, "h": "ab", "sz": 212},
+    "end": {"t": "end", "ev": 12, "h": "ab"},
+}
+DROP = object()
+
+
+class TestFrameCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(GOOD_FRAMES)),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["t", "i", "ts", "k", "r", "n", "c", "a", "sz", "cl", "w", "m",
+                                 "rd", "h", "ev", "zz"]),
+                st.sampled_from([DROP, None, {}, [], "x", "ev", "join", "leave", "byzantine",
+                                 0.5, 1.0, True, False, 0, 7, -1, 2**31, 2**32, 2**64,
+                                 float("nan"), float("inf")]),
+            ),
+            max_size=3,
+        ),
+    )
+    def test_the_check_built_once_agrees_with_the_field_checker(self, kind, edits):
+        """A frame passes its kind's one-pass check exactly when the
+        field-by-field layout check finds no fault in it."""
+        frame = dict(GOOD_FRAMES[kind])
+        for key, value in edits:
+            if value is DROP:
+                frame.pop(key, None)
+            else:
+                frame[key] = value
+        assert _CHECKS[kind](frame) == (_layout_fault(frame, FRAMES[kind], _WORDS[kind]) is None)
 
 
 class TestBinaryRoundTrip:
