@@ -8,15 +8,11 @@ out (e.g. through DoS).  It cannot corrupt additional nodes later (it may
 corrupt joining nodes at the moment they join), cannot forge identities and
 cannot tamper with channels.
 
-This package provides:
-
-* :mod:`repro.adversary.base`       — the adversary interface (an event
-  source with full knowledge of the engine's state),
-* :mod:`repro.adversary.strategies` — concrete attack strategies: the
-  join–leave (re-join until you land in the target) attack, the targeted
-  departure (DoS) attack, oblivious random churn by corrupted nodes, and an
-  adaptive-corruption comparison adversary that the protocol is *not*
-  designed to resist (used to show where the guarantees stop).
+:mod:`repro.adversary.base` is the interface (an event source reading its
+driver's full view of the system, on either driver);
+:mod:`repro.adversary.strategies` holds the join–leave attack, the targeted
+departure (DoS) attack, oblivious churn by corrupted nodes, and an
+adaptive-corruption adversary the protocol is *not* designed to resist.
 """
 
 from .base import Adversary, AdversaryContext

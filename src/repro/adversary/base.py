@@ -3,90 +3,82 @@
 An adversary is an *event source*: at each time step it may emit one churn
 event (the model allows one join or leave per step).  It observes the full
 system state — matching the paper's full-knowledge assumption — through an
-:class:`AdversaryContext`, which exposes read-only views of cluster
-composition and corruption fractions but no mutation beyond the events it
-returns.
+:class:`AdversaryContext` over its driver's read model (the views
+``serve`` reads, :class:`~repro.shard.serve.ShardReadModel`) and node
+registry: one window onto the system on either driver, with no mutation
+beyond the events the adversary returns.  On shards a cluster goes by its
+composite name (:func:`~repro.shard.messages.cluster_name`), and a
+strategy that reads cluster interiors (:attr:`Adversary.reads_clusters`)
+gets one-event windows, so each of its draws sees a fresh view.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from ..core.cluster import ClusterId
-from ..core.engine import NowEngine
 from ..core.events import ChurnEvent
 from ..errors import ConfigurationError
 from ..network.node import NodeId
 
 
-@dataclass
 class AdversaryContext:
-    """Read-only, full-knowledge view of the system offered to an adversary."""
+    """Read-only, full-knowledge view of the system offered to an adversary.
 
-    engine: NowEngine
+    Six reads over ``model``, the driver's read model — fetched at most once
+    per event, and only when a read needs it; ``None`` for a strategy that
+    reads the registry only — and ``nodes``, the driver's node registry.
+    """
 
-    # ------------------------------------------------------------------
-    # Knowledge of the clustering
-    # ------------------------------------------------------------------
+    def __init__(self, model, nodes) -> None:
+        self._model = model
+        self._nodes = nodes
+
+    def has_cluster(self, cluster_id: ClusterId) -> bool:
+        """Whether a cluster of that name is live."""
+        return cluster_id in self._model.view_of(cluster_id).clusters
+
     def cluster_ids(self) -> List[ClusterId]:
-        """All live cluster identifiers."""
-        return self.engine.state.clusters.cluster_ids()
+        """All live cluster names, ascending."""
+        return sorted(name for view in self._model.ensure() for name in view.clusters)
 
     def cluster_members(self, cluster_id: ClusterId) -> List[NodeId]:
-        """Members of a cluster (the adversary sees everything)."""
-        return self.engine.state.clusters.get(cluster_id).member_list()
+        """Members of a cluster, ascending (the adversary sees everything)."""
+        return sorted(self._model.view_of(cluster_id).clusters[cluster_id])
 
     def cluster_of(self, node_id: NodeId) -> ClusterId:
-        """The cluster currently hosting ``node_id``."""
-        return self.engine.state.clusters.cluster_of(node_id)
+        """The cluster currently hosting ``node_id`` (a scan of the views)."""
+        clusters = (item for view in self._model.ensure() for item in view.clusters.items())
+        return next(name for name, members in clusters if node_id in members)
 
     def byzantine_fraction(self, cluster_id: ClusterId) -> float:
         """Corruption fraction of a cluster."""
-        return self.engine.state.cluster_byzantine_fraction(cluster_id)
+        view = self._model.view_of(cluster_id)
+        return view.byzantine[cluster_id] / view.sizes[cluster_id]
 
     def byzantine_fractions(self) -> Dict[ClusterId, float]:
         """Corruption fraction of every cluster."""
-        return self.engine.byzantine_fractions()
+        views = self._model.ensure()
+        return {name: view.byzantine[name] / size for view in views for name, size in view.sizes.items()}
 
-    # ------------------------------------------------------------------
-    # Knowledge of the adversary's own resources
-    # ------------------------------------------------------------------
     def controlled_nodes(self) -> Set[NodeId]:
         """Active nodes the adversary controls."""
-        return self.engine.state.nodes.active_byzantine()
+        return self._nodes.active_byzantine()
 
     def honest_nodes(self) -> List[NodeId]:
         """Active honest nodes (targets for forced departures)."""
         byzantine = self.controlled_nodes()
-        return [
-            node_id
-            for node_id in self.engine.state.nodes.active_nodes()
-            if node_id not in byzantine
-        ]
-
-    def controlled_in_cluster(self, cluster_id: ClusterId) -> List[NodeId]:
-        """Adversary-controlled members of a specific cluster."""
-        byzantine = self.controlled_nodes()
-        return [
-            node_id
-            for node_id in self.cluster_members(cluster_id)
-            if node_id in byzantine
-        ]
-
-    def network_size(self) -> int:
-        """Current system size."""
-        return self.engine.network_size
-
-    def global_byzantine_fraction(self) -> float:
-        """Fraction of all active nodes the adversary controls."""
-        return self.engine.state.nodes.byzantine_fraction()
+        return [node_id for node_id in self._nodes.active_nodes() if node_id not in byzantine]
 
 
 class Adversary(abc.ABC):
     """Base class for churn-driving adversaries."""
+
+    #: Whether :meth:`next_event` reads cluster interiors (members, the
+    #: clusters' corruption), so needs a fresh view before each event.
+    reads_clusters = True
 
     def __init__(self, rng: random.Random) -> None:
         self._rng = rng
@@ -126,28 +118,8 @@ class Adversary(abc.ABC):
     def _restore_extra(self, extra: dict) -> None:
         """Subclass hook: inverse of :meth:`_snapshot_extra`."""
 
-    def run(self, engine: NowEngine, steps: int) -> List:
+    def run(self, engine, steps: int) -> List:
         """Drive ``engine`` for ``steps`` time steps and return the reports."""
         from ..workloads.traces import drive  # local import: avoids a cycle
 
         return drive(engine, self, steps)
-
-    def name(self) -> str:
-        """Human-readable adversary name (used in experiment tables)."""
-        return type(self).__name__
-
-
-def bind_event_source(engine, source) -> Callable[[], Any]:
-    """A zero-argument ``next_event`` callable for any supported source.
-
-    The one source-binding rule: an adversary is wrapped, once, in its
-    read-only :class:`AdversaryContext`; anything else must expose
-    ``next_event(engine)``.  Shared by the simulation runner, the shard
-    coordinator and :class:`~repro.workloads.traces.MixedDriver`.
-    """
-    if isinstance(source, Adversary):
-        context = AdversaryContext(engine)
-        return lambda: source.next_event(context)
-    if hasattr(source, "next_event"):
-        return lambda: source.next_event(engine)
-    raise ConfigurationError(f"event source {source!r} has no next_event method")

@@ -53,7 +53,7 @@ class JoinLeaveAttack(Adversary):
 
     def target_cluster(self, context: AdversaryContext) -> ClusterId:
         """The attacked cluster (fixed at first use; falls back if it disappears)."""
-        if self._target is None or self._target not in context.engine.state.clusters:
+        if self._target is None or not context.has_cluster(self._target):
             cluster_ids = context.cluster_ids()
             self._target = cluster_ids[self._rng.randrange(len(cluster_ids))]
         return self._target
@@ -67,10 +67,8 @@ class JoinLeaveAttack(Adversary):
                 role=NodeRole.BYZANTINE, node_id=node_id, contact_cluster=target
             )
         # Otherwise, pull a controlled node that is not currently in the target out.
-        controlled = sorted(context.controlled_nodes())
-        outside_target = [
-            node_id for node_id in controlled if context.cluster_of(node_id) != target
-        ]
+        inside = set(context.cluster_members(target))
+        outside_target = sorted(context.controlled_nodes() - inside)
         if not outside_target:
             return None
         victim = outside_target[self._rng.randrange(len(outside_target))]
@@ -101,9 +99,8 @@ class TargetedDosAdversary(Adversary):
 
     def target_cluster(self, context: AdversaryContext) -> ClusterId:
         """The attacked cluster (defaults to the currently most corrupted one)."""
-        if self._target is None or self._target not in context.engine.state.clusters:
-            fractions = context.byzantine_fractions()
-            self._target = _most_corrupted(fractions)
+        if self._target is None or not context.has_cluster(self._target):
+            self._target = _most_corrupted(context.byzantine_fractions())
         return self._target
 
     def next_event(self, context: AdversaryContext) -> Optional[ChurnEvent]:
@@ -133,6 +130,9 @@ class TargetedDosAdversary(Adversary):
 
 class ObliviousChurnAdversary(Adversary):
     """Controlled nodes churn at random — background adversarial noise."""
+
+    #: It reads the registry only, never a view.
+    reads_clusters = False
 
     def __init__(self, rng: random.Random, join_probability: float = 0.5) -> None:
         super().__init__(rng)
@@ -176,9 +176,8 @@ class AdaptiveCorruptionAdversary(Adversary):
         self._target = target_cluster
 
     def next_event(self, context: AdversaryContext) -> Optional[ChurnEvent]:
-        if self._target is None or self._target not in context.engine.state.clusters:
-            fractions = context.byzantine_fractions()
-            self._target = _most_corrupted(fractions)
+        if self._target is None or not context.has_cluster(self._target):
+            self._target = _most_corrupted(context.byzantine_fractions())
         return ChurnEvent.join(role=NodeRole.BYZANTINE, contact_cluster=self._target)
 
     def _snapshot_extra(self) -> dict:

@@ -428,6 +428,10 @@ class CorruptionTracker:
     # ------------------------------------------------------------------
     # Queries (O(1) / O(#compromised) after refreshing the dirty clusters)
     # ------------------------------------------------------------------
+    def counts(self) -> Dict[ClusterId, int]:
+        """Byzantine members of every live cluster (a copy; kept current per event)."""
+        return dict(self._byz_count)
+
     def fraction(self, cluster_id: ClusterId) -> float:
         """Current corruption fraction of a live cluster."""
         self._flush()

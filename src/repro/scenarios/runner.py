@@ -41,10 +41,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..adversary.base import bind_event_source
+from ..adversary.base import Adversary, AdversaryContext
 from ..analysis.reporting import format_table
 from ..core.cluster import ClusterId
 from ..errors import ConfigurationError
+from ..workloads.traces import MixedDriver
 from .bus import ObservationBus, StepRecord
 from .probes import Probe
 
@@ -58,6 +59,23 @@ NO_SOURCE = (
 #: A stop condition: ``fn(engine, report, step_index) -> Optional[str]``.
 #: Returning a non-empty string stops the run with that reason.
 StopCondition = Callable[[Any, Any, int], Optional[str]]
+
+
+def bind_event_source(source, driver) -> Callable[[], Any]:
+    """A zero-argument ``next_event`` for ``source``: an adversary reads its
+    :class:`~repro.adversary.base.AdversaryContext` over ``driver``'s
+    registry and (if it reads clusters) read model, a mix binds each of its
+    sources so, and anything else reads ``driver.engine``."""
+    if isinstance(source, Adversary):
+        model = driver.read_model if source.reads_clusters else None
+        context = AdversaryContext(model, driver.nodes)
+        return lambda: source.next_event(context)
+    if isinstance(source, MixedDriver):
+        return source.bind(lambda part: bind_event_source(part, driver))
+    if hasattr(source, "next_event"):
+        engine = driver.engine
+        return lambda: source.next_event(engine)
+    raise ConfigurationError(f"event source {source!r} has no next_event method")
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +273,8 @@ def run_windows(driver, steps: int, recorder=None) -> RunResult:
     It **routes ahead** — takes window *k+1*'s send half before window *k*'s
     receive half, so a coordinator routes while its workers execute — only
     when window *k* is still in flight (a runner's completes at dispatch, so
-    the runner never pulls its next event early), no stop condition is set
+    the runner never pulls its next event early) and not ``driver.paced``,
+    no stop condition is set
     (a stop can end the run mid-window, and routing ahead would consume
     source RNG for events that never execute), and the recorder will not
     hash or snapshot at window *k*'s end (``recorder.due``).  Every decision
@@ -280,7 +299,7 @@ def run_windows(driver, steps: int, recorder=None) -> RunResult:
     try:
         token = None if pull.done else driver.serve_dispatch(pull, observe)
         while token is not None:
-            in_flight = pull.events - (driver.total_events - collected)
+            in_flight = 0 if driver.paced else pull.events - (driver.total_events - collected)
             ahead = None
             if in_flight and not pull.done and not stops and not (recording and recorder.due(in_flight)):
                 ahead = driver.serve_dispatch(pull, observe)
@@ -330,6 +349,33 @@ class WindowDriver:
     token, :meth:`collect` its records.  A driver is a context manager that
     closes it.
     """
+
+    _read_model = None
+    #: Whether the source reads a fresh view before each event it draws:
+    #: the coordinator then runs one-event windows, never routed ahead.
+    paced = False
+
+    @property
+    def read_model(self):
+        """The one :class:`~repro.shard.serve.ShardReadModel` over ``read_views``
+        (built on first use; each collected window invalidates it)."""
+        if self._read_model is None:
+            from ..shard.serve import ShardReadModel  # local import: shard builds on scenarios
+
+            self._read_model = ShardReadModel(self.read_views, self.params, self.nodes.is_byzantine)
+        return self._read_model
+
+    def views_changed(self) -> None:
+        """Drop the read model's views: a window was applied."""
+        if self._read_model is not None:
+            self._read_model.invalidate()
+
+    def take_source(self, source) -> None:
+        """Make ``source`` the run's event source (``None``: events are given),
+        bound by :func:`bind_event_source`."""
+        self.source = source
+        self.paced = bool(getattr(source, "reads_clusters", False))
+        self._next_event = None if source is None else bind_event_source(source, self)
 
     def dispatch(self, events: Iterable) -> List[Any]:
         """Queue ``events`` as the driver's windows; the token.  Each event is
@@ -398,8 +444,7 @@ class SimulationRunner(WindowDriver):
         self.name = name
         #: The raw event source (exposed so checkpointing can snapshot its
         #: RNG streams alongside the engine state — see ``repro.trace``).
-        self.source = source
-        self._next_event = bind_event_source(engine, source) if source is not None else None
+        self.take_source(source)
         self.total_steps = 0
         self.total_events = 0
         #: ``(1, reason)`` if the last window's event fired a stop condition.
@@ -446,6 +491,7 @@ class SimulationRunner(WindowDriver):
 
     def serve_collect(self, token: List[StepRecord]) -> List[StepRecord]:
         """The dispatched window's records (it completed at dispatch)."""
+        self.views_changed()
         return token
 
     @property

@@ -28,6 +28,7 @@ from typing import Any, Dict, Optional, Sequence, Union, get_args, get_origin, g
 
 from ..adversary import (
     AdaptiveCorruptionAdversary,
+    AdversaryContext,
     JoinLeaveAttack,
     ObliviousChurnAdversary,
     TargetedDosAdversary,
@@ -75,18 +76,27 @@ def _spec_field(key: str, hint):
     return Field(key, key, types, nullable=nullable, optional=True)
 
 
-def _construct(role: str, kinds: Dict[str, type], kind, rng: random.Random, spec: Dict[str, Any]):
-    """``kinds[kind](rng, **spec)``, refusing an unknown kind or a spec that
-    does not fit the constructor's signature (a missing or unknown field)
-    with a :class:`ConfigurationError` naming both."""
-    if kind not in kinds:
-        raise ConfigurationError(f"unknown {role} kind {kind!r}; expected one of {sorted(kinds)}")
+def _source_spec(role: str, kinds: Dict[str, type], spec: Dict[str, Any], tau: float):
+    """``(class, keyword arguments)`` of a ``workload`` or ``adversary`` spec,
+    refusing a kind that names no class, or fields that do not fit its
+    constructor, with a :class:`ConfigurationError` naming both."""
+    spec = dict(spec)
+    kind = spec.pop("kind", "uniform" if role == "workload" else None)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigurationError(
+            f"scenario field '{role}/kind': unknown {role} kind {kind!r}; "
+            f"expected one of {sorted(kinds)}"
+        )
+    if role == "workload":
+        spec.setdefault("byzantine_join_fraction", tau)
+        if kind == "shrink":
+            spec.pop("byzantine_join_fraction")  # shrink only emits leaves
     cls = kinds[kind]
     try:
-        inspect.signature(cls).bind(rng, **spec)
+        inspect.signature(cls).bind(None, **spec)
     except TypeError as error:
         raise ConfigurationError(f"{role} {kind!r}: {error}") from None
-    return cls(rng, **spec)
+    return cls, spec
 
 
 @dataclass
@@ -147,39 +157,29 @@ class Scenario:
             rule=self.engine,
         )
 
-    def build_source(self, engine):
+    def build_source(self, driver):
         """Construct the per-step event source (workload, adversary, or a mix).
 
+        ``target_cluster: "first"`` is ``driver``'s lowest cluster name.
         ``None`` when the scenario has neither: a live session's, whose
         events are given to the driver.
         """
-        workload = self._build_workload(engine)
-        adversary = self._build_adversary(engine)
+        workload = adversary = None
+        if self.workload is not None:
+            cls, spec = _source_spec("workload", WORKLOAD_KINDS, self.workload, self.tau)
+            workload = cls(random.Random(self.seed + 1), **spec)
+        if self.adversary is not None:
+            cls, spec = _source_spec("adversary", ADVERSARY_KINDS, self.adversary, self.tau)
+            if spec.get("target_cluster") == "first":
+                context = AdversaryContext(driver.read_model, driver.nodes)
+                spec["target_cluster"] = context.cluster_ids()[0]
+            adversary = cls(random.Random(self.seed + 2), **spec)
         if workload is not None and adversary is not None:
             return MixedDriver(
                 [(adversary, self.adversary_weight), (workload, 1.0 - self.adversary_weight)],
                 random.Random(self.seed + 3),
             )
         return adversary if adversary is not None else workload
-
-    def _build_workload(self, engine):
-        if self.workload is None:
-            return None
-        spec = dict(self.workload)
-        kind = spec.pop("kind", "uniform")
-        spec.setdefault("byzantine_join_fraction", self.tau)
-        if kind == "shrink":
-            spec.pop("byzantine_join_fraction", None)  # shrink only emits leaves
-        return _construct("workload", WORKLOAD_KINDS, kind, random.Random(self.seed + 1), spec)
-
-    def _build_adversary(self, engine):
-        if self.adversary is None:
-            return None
-        spec = dict(self.adversary)
-        kind = spec.pop("kind", None)
-        if spec.get("target_cluster") == "first":
-            spec["target_cluster"] = engine.state.clusters.cluster_ids()[0]
-        return _construct("adversary", ADVERSARY_KINDS, kind, random.Random(self.seed + 2), spec)
 
     def build_runner(
         self,
@@ -197,14 +197,16 @@ class Scenario:
             )
         if engine is None:
             engine = self.build_engine()
-        return SimulationRunner(
+        runner = SimulationRunner(
             engine,
-            self.build_source(engine),
+            None,
             probes=probes,
             stop_conditions=stop_conditions,
             max_idle_streak=self.max_idle_streak,
             name=self.name,
         )
+        runner.take_source(self.build_source(runner))
+        return runner
 
     def run(
         self,
@@ -240,9 +242,10 @@ class Scenario:
         """Build a scenario from its plain-dict form (unknown keys rejected).
 
         Each field's type (as annotated, see :func:`_spec_field`), the
-        placement rule and the ``engine_options`` are checked here too, so a
-        spec holding a field of the wrong type or naming an unknown rule,
-        engine option or walk kernel is refused when it is loaded.
+        placement rule, the ``engine_options``, the protocol parameters and
+        the ``workload`` / ``adversary`` kinds and fields are checked here
+        too, so every command that loads a spec (``resume`` included)
+        refuses the same bad ones.
         """
         from ..trace.log import field_fault  # local import: repro.trace builds on scenarios
 
@@ -261,6 +264,11 @@ class Scenario:
         if unknown:
             raise ConfigurationError(f"unknown engine_options fields: {sorted(unknown)}")
         EngineConfig(**scenario.engine_options)
+        scenario.parameters()
+        for role, kinds in (("workload", WORKLOAD_KINDS), ("adversary", ADVERSARY_KINDS)):
+            spec = getattr(scenario, role)
+            if spec is not None:
+                _source_spec(role, kinds, spec, scenario.tau)
         return scenario
 
     @classmethod

@@ -8,9 +8,9 @@ write window (:meth:`~LiveEngineSession.begin_window` /
 the driver :func:`repro.trace.session.open_driver` opens for the scenario,
 as for every run: the single-engine runner when ``scenario.shards`` is 0,
 the shard coordinator otherwise.  The scenario has no event source, so the
-session drives it through ``dispatch`` / ``collect``.  Reads go to one
-:class:`~repro.shard.serve.ShardReadModel` over the driver's
-``read_views``, dropped after every collected window.
+session drives it through ``dispatch`` / ``collect``.  Reads go to the
+driver's :class:`~repro.shard.serve.ShardReadModel`, dropped after every
+collected window.
 
 Seed fan-out (one table, both drivers): seed → engine, +1 workload,
 +2 adversary, +3 mixer, **+4 service writes** (the anonymous-leave pick),
@@ -31,8 +31,8 @@ as the driver pulls the request, after every earlier event of its batch
 was applied (the single engine) or routed (the shard coordinator): one
 rule, however the pump chunks the requests, and by the time an event is
 dispatched, it cannot fail.  A rejoin that names no role takes the
-registered one, on both drivers; a ``contact_cluster`` join is refused on
-shards, whose cluster ids are shard-local.
+registered one, on both drivers; a ``contact_cluster`` join goes to its
+cluster's shard.
 """
 
 from __future__ import annotations
@@ -119,15 +119,9 @@ class LiveEngineSession:
             )
         self.rng = random.Random(self.scenario.seed + SERVICE_RNG_OFFSET)
         self.read_rng = random.Random(self.scenario.seed + SERVICE_READ_RNG_OFFSET)
-        # Local import: the CLI loads this module for every command, and only
-        # ``serve`` should pay for loading repro.shard.
-        from ..shard.serve import ShardReadModel
-
         self.driver = driver = open_driver(self.scenario, probes, workers=workers)
         self.bus = driver.bus
-        self.read_model = ShardReadModel(
-            driver.read_views, driver.params, driver.nodes.is_byzantine
-        )
+        self.read_model = driver.read_model
         self._recorder: Optional[Recorder] = None
         self.events_applied = 0
         self.operations: Dict[str, int] = {}
@@ -249,8 +243,7 @@ class LiveEngineSession:
 
         Outcomes align with the frames given to :meth:`begin_window`.  Each
         collected record is counted and turned into its response payload;
-        the whole window is then recorded in the trace, and the read views
-        are dropped.
+        the whole window is then recorded in the trace.
         A failure here (a dead shard worker, a trace write error) leaves
         events applied but unrecorded: callers must treat it as fatal and
         close the session with ``ok=False``.
@@ -261,7 +254,6 @@ class LiveEngineSession:
             op = window.frames[index]["op"]
             self.operations[op] = self.operations.get(op, 0) + 1
             window.outcomes[index] = _churn_result(record)
-        self.read_model.invalidate()
         if self._recorder is not None:
             self._recorder.window(records)
         return window.outcomes
@@ -284,12 +276,8 @@ class LiveEngineSession:
                 raise _rejected(frame, f"node {node_id} is not active")
             return ChurnEvent.leave(node_id)
         contact = frame.get("contact_cluster")
-        if contact is not None and self.scenario.shards:
-            raise _rejected(
-                frame,
-                "the sharded backend does not support contact_cluster-targeted "
-                "joins (cluster ids are shard-local)",
-            )
+        if contact is not None and not 0 <= contact < 2**31:  # a trace records it as an i32
+            raise _rejected(frame, f"contact_cluster {contact} is no cluster name")
         if nodes.active_count() >= params.max_size:
             raise _rejected(frame, f"network is at its maximum size {params.max_size}")
         role = frame.get("role")
@@ -302,7 +290,9 @@ class LiveEngineSession:
                 raise _rejected(frame, f"node {node_id} is registered {descriptor.role.value}, not {role}")
             role = descriptor.role.value
         return ChurnEvent.join(
-            role=NodeRole(role or "honest"), node_id=node_id, contact_cluster=contact
+            role=NodeRole(role or "honest"),
+            node_id=node_id,
+            contact_cluster=contact,
         )
 
     # ------------------------------------------------------------------

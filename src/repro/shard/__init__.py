@@ -9,9 +9,7 @@ deterministic event router:
 
 * the :class:`~repro.shard.router.ShardDirectory` owns global node
   identities, roles and liveness — it is the one copy of placement, and a
-  rejoining node keeps its registered role — and serves the
-  workload/adversary's sampling needs through a
-  :class:`~repro.shard.router.ShardedEngineFacade`;
+  rejoining node keeps its registered role;
 * the :class:`~repro.shard.coordinator.ShardCoordinator` takes events —
   pulled from the scenario's event source, or given by the live service or
   replay — routes each to its owning shard (joins to the least-loaded shard,
@@ -45,7 +43,6 @@ from .messages import iter_events, iter_rows, pack_rows
 from .router import (
     EventRouter,
     ShardDirectory,
-    ShardedEngineFacade,
     WindowBatch,
     plan_rebalance,
     slice_sizes,
@@ -61,7 +58,6 @@ __all__ = [
     "ShardReadModel",
     "ShardWorker",
     "ShardWorkerError",
-    "ShardedEngineFacade",
     "WindowBatch",
     "composite_state_hash",
     "iter_events",

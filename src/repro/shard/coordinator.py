@@ -11,9 +11,12 @@ moved by two halves:
     per-shard wire buffers and queue each on its worker transport.  The
     events come from an :class:`~repro.scenarios.runner.EventPull`: over
     given events (the live service, replay) or over the scenario's own
-    workload/adversary, which sample the *composite* population through
-    the :class:`~repro.shard.router.ShardedEngineFacade` — pull and route
-    stay interleaved, so each pull sees the exact post-event directory.  If
+    source — a workload samples the *composite* population through the
+    coordinator (``network_size``, ``random_member``), an adversary reads
+    its read model and registry (:class:`~repro.adversary.base.
+    AdversaryContext`) — pull and route stay interleaved, so each pull sees
+    the exact post-event directory; a ``paced`` source gets one-event
+    windows.  If
     the window brings the cumulative admitted event count to a multiple of
     ``barrier_interval``, the barrier's rebalance move — one planned list
     ``(src, dst, directory.emigrants(src, count))`` — is applied to the
@@ -36,7 +39,8 @@ checkpoint/resume segments.
 
 :meth:`~ShardCoordinator.run` is the batch loop shared with the
 single-engine runner (:func:`~repro.scenarios.runner.run_windows`) over the
-two halves; it routes window *k+1* while the workers execute window *k*.
+two halves; it routes window *k+1* while the workers execute window *k*
+(never for a ``paced`` source).
 ``workers=1`` executes the same logical shards through the in-process
 :class:`~repro.shard.worker.InlineTransport` and is the correctness oracle
 the property tests compare against.  ``phase_times`` accumulates a
@@ -61,8 +65,6 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..adversary.base import bind_event_source
-from ..core.engine import EngineConfig
 from ..core.invariants import InvariantReport
 from ..errors import ConfigurationError
 from ..network.node import NodeRole
@@ -75,12 +77,11 @@ from ..scenarios.runner import (
     first_stop,
     run_windows,
 )
-from ..walks.sampler import check_kernel_snapshot
+from ..trace.checkpoint import engine_fault
 from .merge import ObservationMerger, composite_state_hash
 from .router import (
     EventRouter,
     ShardDirectory,
-    ShardedEngineFacade,
     plan_rebalance,
     slice_sizes,
 )
@@ -93,11 +94,6 @@ PHASE_KEYS = ("route", "serialize", "worker_execute", "merge", "idle")
 DEFAULT_BARRIER_INTERVAL = 64
 #: Shard-size spread above which a rebalance move is planned.
 DEFAULT_REBALANCE_THRESHOLD = 16
-
-#: Adversaries that work against the composite facade.  The other strategies
-#: read cluster interiors (targets, membership) — knowledge that lives on the
-#: workers, not the coordinator — and are rejected up front.
-SUPPORTED_ADVERSARIES = {"oblivious"}
 
 _SHARD_OPTION_KEYS = {"barrier_interval", "rebalance_threshold", "min_shard_size"}
 
@@ -151,8 +147,7 @@ class ShardCoordinator(WindowDriver):
                 "sharded execution needs scenario.shards >= 1 "
                 "(set the spec's 'shards' field or pass --shards)"
             )
-        self._validate_scenario(scenario)
-        self.params = scenario.parameters()
+        self.params = self.parameters = scenario.parameters()
 
         options = dict(getattr(scenario, "shard_options", None) or {})
         unknown = set(options) - _SHARD_OPTION_KEYS
@@ -177,8 +172,8 @@ class ShardCoordinator(WindowDriver):
 
         self.probes = list(probes)
         # Built before any worker starts, so it refuses an inline probe
-        # first; its engine, the facade, is set once the directory exists.
-        self.bus = ObservationBus(None, self.probes, inline_lane=False)
+        # first.
+        self.bus = ObservationBus(self, self.probes, inline_lane=False)
         self.stop_conditions: List[StopCondition] = list(stop_conditions)
 
         sizes0 = slice_sizes(scenario.initial_size, self.shards)
@@ -206,13 +201,11 @@ class ShardCoordinator(WindowDriver):
                     "checkpoint shard snapshots do not cover shards "
                     f"0..{self.shards - 1}"
                 )
-            for payload in restore.values():
-                # Refuse an unknown walk kernel or kernel backend here, not
-                # inside a worker.
-                EngineConfig(**payload["engine"]["config"])
-                kernel = payload["engine"].get("randcl", {}).get("kernel")
-                if kernel is not None:
-                    check_kernel_snapshot(kernel)
+            for shard, payload in restore.items():
+                # Refuse a malformed engine here, not inside a worker.
+                problem = engine_fault(payload["engine"], f"engine/shards/{shard}/engine/")
+                if problem:
+                    raise ConfigurationError(f"malformed checkpoint: {problem}")
         self._transports = []
         self._transport_of: Dict[int, Any] = {}
         for worker in range(self.workers):
@@ -232,22 +225,15 @@ class ShardCoordinator(WindowDriver):
 
         if checkpoint is None:
             self.directory = ShardDirectory(self.shards)
-            info = self._gather_all("bootstrap_info")
-            merged_info: Dict[int, Dict[str, Any]] = {}
-            for payload in info:
-                merged_info.update(payload)
+            info = self._gather_each("bootstrap_info")
             base = 0
-            summaries: List[Dict[str, Any]] = []
-            for shard in range(self.shards):
-                byzantine = set(merged_info[shard]["byzantine"])
+            for shard, shard_info in enumerate(info):
+                byzantine = set(shard_info["byzantine"])
                 for gid in range(base, base + sizes0[shard]):
-                    role = (
-                        NodeRole.BYZANTINE if gid in byzantine else NodeRole.HONEST
-                    )
+                    role = NodeRole.BYZANTINE if gid in byzantine else NodeRole.HONEST
                     self.directory.register_initial(shard, gid, role)
                 base += sizes0[shard]
-                summaries.append(merged_info[shard]["summary"])
-            self.merger = ObservationMerger(summaries)
+            self.merger = ObservationMerger([shard_info["summary"] for shard_info in info])
             self.total_steps = 0
             self.total_events = 0
         else:
@@ -257,11 +243,10 @@ class ShardCoordinator(WindowDriver):
             self.total_events = int(checkpoint.get("events_done", 0))
 
         self.router = EventRouter(self.directory)
-        self.facade = ShardedEngineFacade(self.params, self.directory)
         # None for a live session's scenario: its events are given to dispatch.
-        self.source = source = scenario.build_source(self.facade)
+        self.take_source(scenario.build_source(self))
         if checkpoint is not None:
-            source.restore_state(checkpoint["source"])
+            self.source.restore_state(checkpoint["source"])
             expected = checkpoint.get("state_hash")
             restored = self.state_hash()
             if expected is not None and restored != expected:
@@ -270,13 +255,11 @@ class ShardCoordinator(WindowDriver):
                     f"({restored[:12]} != {expected[:12]}); the checkpoint is "
                     "corrupt or was produced by an incompatible version"
                 )
-        self._next_event = None if source is None else bind_event_source(self.facade, source)
         #: Events taken by serve_dispatch (== total_events once collected;
         #: total_steps counts the time steps taken by serve_dispatch, read
         #: with nothing in flight).  Barriers run when events_admitted
         #: crosses a barrier_interval multiple — the one barrier rule.
         self.events_admitted = self.total_events
-        self.bus.engine = self.facade
         #: ``(records published, reason)`` if the last collected window stopped.
         self.stopped: Optional[Tuple[int, str]] = None
         #: The worst composite corruption a published record or a collected
@@ -297,29 +280,8 @@ class ShardCoordinator(WindowDriver):
         self.phase_times: Dict[str, float] = {key: 0.0 for key in PHASE_KEYS}
 
     # ------------------------------------------------------------------
-    # Validation
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _validate_scenario(scenario) -> None:
-        adversary = scenario.adversary
-        if adversary is not None:
-            kind = adversary.get("kind")
-            if kind not in SUPPORTED_ADVERSARIES:
-                raise ConfigurationError(
-                    f"adversary kind {kind!r} is not supported under sharded "
-                    f"execution (it needs cluster-interior knowledge, which is "
-                    f"shard-local); supported: {sorted(SUPPORTED_ADVERSARIES)}"
-                )
-
-    # ------------------------------------------------------------------
     # Worker fan-out helpers
     # ------------------------------------------------------------------
-    def _gather_all(self, method: str, *args: Any) -> List[Any]:
-        """Run a no-shard-argument command on every transport concurrently."""
-        for transport in self._transports:
-            transport.send(method, *args)
-        return [transport.recv() for transport in self._transports]
-
     def _gather_shards(
         self, requests: List[Tuple[int, tuple]], method: str
     ) -> Dict[int, Any]:
@@ -420,7 +382,7 @@ class ShardCoordinator(WindowDriver):
         phase = self.phase_times
         perf = time.perf_counter
         clock = perf()
-        limit = self.barrier_interval - self.events_admitted % self.barrier_interval
+        limit = 1 if self.paced else self.barrier_interval - self.events_admitted % self.barrier_interval
         taken = pull.steps
         window = self.router.route_window(pull, limit)
         phase["route"] += perf() - clock
@@ -490,6 +452,7 @@ class ShardCoordinator(WindowDriver):
         if token["barrier"] is not None:
             self._recv_barrier(token["barrier"])
             self.barriers_run += 1
+        self.views_changed()
         self.stopped = self._publish(records)
         published = records if self.stopped is None else records[: self.stopped[0]]
         worst = [record.worst_fraction for record in published]
@@ -577,6 +540,18 @@ class ShardCoordinator(WindowDriver):
     def nodes(self):
         """The directory's registry, current as of the last dispatched event."""
         return self.directory.nodes
+
+    @property
+    def network_size(self) -> int:
+        """Composite number of active nodes (what a workload reads)."""
+        return self.directory.active_count()
+
+    def random_member(self, honest_only: bool = False, rng=None):
+        """A uniform active node, drawn from the caller's ``rng`` (no engine stream here)."""
+        if rng is None:
+            raise ConfigurationError("sharded runs require event sources to pass their own rng")
+        nodes = self.directory.nodes
+        return nodes.sample_active_honest(rng) if honest_only else nodes.sample_active(rng)
 
     def read_views(self) -> List[Dict[str, Any]]:
         """One read view per shard, in shard order (see :mod:`repro.shard.serve`).

@@ -122,7 +122,7 @@ class ObservationMerger:
                     kind=_KIND_NAMES.get(kind, "leave"),
                     role=role,
                     node_id=node_id,
-                    contact_cluster=None,
+                    contact_cluster=event.contact,
                     assigned_node=assigned,
                     network_size=event.size_after,
                     cluster_count=self.cluster_count,

@@ -35,15 +35,16 @@ id or step of ``2**32`` or more, a 257th operation name in a batch) raises
 Worker commands stay ``(method, args)`` pairs executed by the worker loop
 (:func:`repro.shard.worker.worker_main`), with ``(ok, payload)`` replies.
 
-Packed event record (struct format ``<IBIBB``, 11 bytes)::
+Packed event record (struct format ``<IBIBBi``, 15 bytes)::
 
-    field   type  meaning
-    -----   ----  --------------------------------------------------
-    step    u32   coordinator step index of the event
-    kind    u8    churn kind (index into the module kind table)
-    gid     u32   global node id
-    role    u8    node role (index into the NodeRole enum order)
-    fresh   u8    1 when the join allocates a brand-new identity
+    field    type  meaning
+    -------  ----  --------------------------------------------------
+    step     u32   coordinator step index of the event
+    kind     u8    churn kind (index into the module kind table)
+    gid      u32   global node id
+    role     u8    node role (index into the NodeRole enum order)
+    fresh    u8    1 when the join allocates a brand-new identity
+    contact  i32   the join's contact cluster's local id (-1 encodes null)
 
 Packed observation row (struct format ``<IBBiIIdBIIQ``, 43 bytes)::
 
@@ -70,7 +71,7 @@ reader, so the tables need not travel with each batch.
 from __future__ import annotations
 
 import struct
-from typing import Any, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Any, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..network.node import NodeRole
 
@@ -84,8 +85,8 @@ LEAVE = "l"
 SHARD_SEED_OFFSET = 1000
 
 #: One routed event on the wire, and its field names in packing order.
-EVENT_RECORD = struct.Struct("<IBIBB")
-EVENT_FIELDS = ("step", "kind", "gid", "role", "fresh")
+EVENT_RECORD = struct.Struct("<IBIBBi")
+EVENT_FIELDS = ("step", "kind", "gid", "role", "fresh", "contact")
 #: One observation row on the wire (see the module docstring field table).
 ROW_RECORD = struct.Struct("<IBBiIIdBIIQ")
 ROW_FIELDS = (
@@ -98,14 +99,27 @@ KIND_CODES = {value: index for index, value in enumerate(KINDS)}
 ROLES: List[str] = [role.value for role in NodeRole]
 ROLE_CODES = {value: index for index, value in enumerate(ROLES)}
 
-#: What ``iter_events`` yields: step, kind, gid, role, fresh.
-WireEvent = Tuple[int, str, int, str, bool]
+#: What ``iter_events`` yields: step, kind, gid, role, fresh, contact.
+WireEvent = Tuple[int, str, int, str, bool, Optional[int]]
 #: The 11-field observation row shape shared by worker, wire and merger.
 WireRow = Tuple[int, str, str, Any, int, int, float, Any, int, int, int]
 
 #: Packed payload types: an event blob; ``(op_names, row blob)``.
 EventBatch = bytes
 RowBatch = Tuple[List[Any], bytes]
+
+
+def cluster_name(shard: int, local: int, shards: int) -> int:
+    """Cluster ``local`` of shard ``shard`` by its composite name, ``local *
+    shards + shard`` (the local id on the single engine, ``shards`` 0): it
+    fits a trace's i32 ``c``, and :func:`cluster_address` inverts it."""
+    return local * shards + shard if shards else local
+
+
+def cluster_address(name: int, shards: int) -> Tuple[int, int]:
+    """``(shard, local id)`` of the cluster called ``name``."""
+    local, shard = divmod(name, shards or 1)
+    return shard, local
 
 
 class WireRangeError(ValueError):
@@ -130,7 +144,8 @@ class RoutedEvent(NamedTuple):
     ``size_after`` is the composite network size immediately after the event
     (the directory updates synchronously at route time); the merge layer
     stamps it onto the composite step record, so record sizes are exact even
-    though shards apply their batches concurrently.
+    though shards apply their batches concurrently — and ``contact``, a
+    join's contact cluster by its composite name (:func:`cluster_name`).
     """
 
     shard: int
@@ -140,6 +155,7 @@ class RoutedEvent(NamedTuple):
     role: str
     fresh: bool
     size_after: int
+    contact: Optional[int] = None
 
 
 # ----------------------------------------------------------------------
@@ -149,8 +165,8 @@ def iter_events(payload: EventBatch) -> Iterator[WireEvent]:
     """Yield wire-event tuples from a packed blob."""
     kinds = KINDS
     roles = ROLES
-    for step, kind, gid, role, fresh in EVENT_RECORD.iter_unpack(payload):
-        yield (step, kinds[kind], gid, roles[role], bool(fresh))
+    for step, kind, gid, role, fresh, contact in EVENT_RECORD.iter_unpack(payload):
+        yield (step, kinds[kind], gid, roles[role], bool(fresh), None if contact < 0 else contact)
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,8 @@ beyond the scenario's own RNG streams:
 
 * fresh joins go to the least-loaded shard (ties broken by lowest shard
   index), so the placement is a pure function of the routed event history;
+* a join naming a contact cluster goes to that cluster's shard: a cluster's
+  composite name (:func:`~repro.shard.messages.cluster_name`) carries it;
 * leaves go to the shard that owns the departing node;
 * re-joins of previously departed nodes (the oblivious adversary's churn)
   are fresh placements: the node keeps its global identity and role but may
@@ -25,7 +27,6 @@ the classic one: a uniform draw indexes into them.
 from __future__ import annotations
 
 import heapq
-import random
 import struct
 from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
@@ -42,6 +43,7 @@ from .messages import (
     ROLE_CODES,
     EventBatch,
     RoutedEvent,
+    cluster_address,
     range_error,
 )
 
@@ -129,12 +131,13 @@ class ShardDirectory:
         self.members[shard].add(node_id)
 
     def place_join(
-        self, node_id: Optional[int], role: NodeRole, time_step: int
+        self, node_id: Optional[int], role: NodeRole, time_step: int, shard: Optional[int] = None
     ) -> Tuple[int, int, NodeRole, bool]:
         """Place a join: allocate/reactivate the identity, pick the shard.
 
-        Returns ``(shard, global_id, role, fresh)``.  The shard is the
-        least-loaded one (lowest index on ties).  ``fresh`` is False for the
+        Returns ``(shard, global_id, role, fresh)``.  The shard is the given
+        one (a join's contact cluster lives there), else the least-loaded
+        one (lowest index on ties).  ``fresh`` is False for the
         re-join of a known identity, which keeps its descriptor *and its
         registered role* — whatever role the event names, as ``NowEngine``
         does — but is placed like a newcomer.  ``role`` is the role to
@@ -149,7 +152,8 @@ class ShardDirectory:
         else:
             role = nodes.reactivate(node_id, time_step).role
         sizes = self.sizes
-        shard = sizes.index(min(sizes))
+        if shard is None:
+            shard = sizes.index(min(sizes))
         self.owner[node_id] = shard
         self.sizes[shard] += 1
         self.members[shard].add(node_id)
@@ -273,7 +277,9 @@ class EventRouter:
         placement goes through the directory's
         :meth:`~ShardDirectory.place_join` /
         :meth:`~ShardDirectory.remove_leave`, the one copy of the placement
-        rules; a join is routed with the role the directory returns.  Each
+        rules; a join is routed with the role the directory returns, to its
+        contact cluster's shard when it names one (by the composite name,
+        :func:`~repro.shard.messages.cluster_address`).  Each
         shard's batch lands directly in a packed wire buffer
         (:data:`~repro.shard.messages.EVENT_RECORD`; a value beyond a packed
         field's range raises :class:`~repro.shard.messages.WireRangeError`).
@@ -286,18 +292,16 @@ class EventRouter:
         role_codes = ROLE_CODES
         join_code = KIND_CODES[JOIN]
         leave_code = KIND_CODES[LEAVE]
+        shards = directory.num_shards
 
         routed: List[RoutedEvent] = []
         buffers: Dict[int, bytearray] = {}
 
         for step, event in pull:
+            contact = event.contact_cluster
             if event.kind is ChurnKind.JOIN:
-                if event.contact_cluster is not None:
-                    raise ConfigurationError(
-                        "sharded runs do not support contact_cluster-targeted "
-                        "joins (cluster ids are shard-local)"
-                    )
-                shard, node_id, role, fresh = place_join(event.node_id, event.role, step)
+                shard, local = (None, -1) if contact is None else cluster_address(contact, shards)
+                shard, node_id, role, fresh = place_join(event.node_id, event.role, step, shard)
                 kind, kind_code = JOIN, join_code
             else:
                 node_id = event.node_id
@@ -306,18 +310,18 @@ class EventRouter:
                         "a leave event must name the departing node"
                     )
                 shard = remove_leave(node_id, step)
-                role, fresh = event.role, False
+                role, fresh, contact, local = event.role, False, None, -1
                 kind, kind_code = LEAVE, leave_code
             role_value = role.value
             routed.append(
                 RoutedEvent(
-                    shard, step, kind, node_id, role_value, fresh, active_count()
+                    shard, step, kind, node_id, role_value, fresh, active_count(), contact
                 )
             )
             buffer = buffers.get(shard)
             if buffer is None:
                 buffer = buffers[shard] = bytearray()
-            values = (step, kind_code, node_id, role_codes[role_value], fresh)
+            values = (step, kind_code, node_id, role_codes[role_value], fresh, local)
             try:
                 buffer.extend(pack(*values))
             except struct.error:
@@ -329,66 +333,3 @@ class EventRouter:
             shard: bytes(buffer) for shard, buffer in buffers.items()
         }
         return WindowBatch(routed=routed, batches=batches)
-
-
-class _FacadeState:
-    """Minimal ``engine.state`` shim: exposes the directory as ``.nodes``.
-
-    Enough for :meth:`~repro.adversary.base.AdversaryContext.controlled_nodes`
-    (the oblivious adversary's only state read) and for any probe or helper
-    that samples the active population.  Cluster-level attributes are absent
-    on purpose: cluster ids are shard-local, so any source reaching for them
-    fails loudly instead of acting on the wrong namespace.
-    """
-
-    def __init__(self, directory: ShardDirectory) -> None:
-        self.nodes = directory.nodes
-
-
-class ShardedEngineFacade:
-    """The engine-shaped object workloads and adversaries drive in a sharded run.
-
-    Serves exactly the surface the supported event sources consume:
-    ``parameters`` (the *global* protocol parameters — size bounds and tau
-    are system-wide properties), ``network_size`` (the composite size, O(1)
-    from the directory), ``random_member`` (uniform over the composite
-    active/honest population, consuming the caller's stream), and
-    ``state.nodes`` for the adversary context.  Composite cluster-level
-    observables (cluster count, worst corruption, compromised set) are not
-    here: the coordinator's :class:`~repro.shard.merge.ObservationMerger` is
-    their one source, read by ``RunResult``, ``status()`` and the stop
-    conditions.
-    """
-
-    def __init__(self, parameters, directory: ShardDirectory) -> None:
-        self.parameters = parameters
-        self.state = _FacadeState(directory)
-        self._directory = directory
-
-    @property
-    def network_size(self) -> int:
-        """Composite number of active nodes across every shard."""
-        return self._directory.active_count()
-
-    def random_member(self, honest_only: bool = False, rng: Optional[random.Random] = None):
-        """A uniformly random active node from the composite population.
-
-        Unlike the classic engine there is no engine-stream fallback: the
-        sharded execution model has no single engine stream to fall back to,
-        and every supported source passes its own generator anyway.
-        """
-        if rng is None:
-            raise ConfigurationError(
-                "sharded runs require event sources to pass their own rng to "
-                "random_member (there is no single engine stream)"
-            )
-        if honest_only:
-            return self._directory.nodes.sample_active_honest(rng)
-        return self._directory.nodes.sample_active(rng)
-
-    def random_cluster(self):
-        """Unsupported: cluster ids are shard-local, not a composite namespace."""
-        raise ConfigurationError(
-            "sharded runs do not expose a composite cluster namespace; "
-            "cluster-targeting sources are unsupported"
-        )

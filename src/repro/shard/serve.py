@@ -1,12 +1,14 @@
-"""The read model: how ``serve`` answers ``sample`` and ``broadcast``.
+"""The read model: how ``serve`` answers ``sample`` and ``broadcast``, and what an adversary sees.
 
-The live session (:mod:`repro.service.session`) serves reads from one
-:class:`ShardReadModel` over its driver's ``read_views``: a list of
-per-engine views — one for the single-engine runner, one per shard for the
-coordinator (the worker ``read_view`` command) — rebuilt lazily after each
-collected write window and shared by every read until the next one.  Reads
-therefore never enter the write lane, and see the state as of the last
-window boundary.
+Each driver has one :class:`ShardReadModel` (its ``read_model``) over its
+``read_views``: one per-engine view for the single-engine runner, one per
+shard for the coordinator (the worker ``read_view`` command), rebuilt
+lazily after each collected write window.  The live session
+(:mod:`repro.service.session`) and an adversary
+(:class:`~repro.adversary.base.AdversaryContext`) read it, so reads never
+enter the write lane.  A cluster goes by one composite name
+(:func:`~repro.shard.messages.cluster_name`) in the views, the responses,
+a contact join and the trace.
 
 One read semantic over the composite population:
 
@@ -24,7 +26,7 @@ One read semantic over the composite population:
   :class:`~repro.apps.broadcast.ClusteredBroadcast` — over every view's
   overlay.  Shards are disjoint overlays, so the payload is bridged with one
   validated cluster-to-cluster send from the origin cluster into each remote
-  shard's entry cluster (lowest cluster id, deterministic).
+  shard's entry cluster (lowest name, deterministic).
 
 Every draw comes from the caller's RNG (the service's private read stream) —
 the read model never touches engine or directory sampling state, which is
@@ -35,8 +37,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from functools import partial
 from itertools import accumulate
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..apps.broadcast import flood
 from ..core.intercluster import majority
@@ -44,72 +47,73 @@ from ..core.randcl import hop_charges, segment_duration, walk_cost
 from ..core.randnum import randnum_cost
 from ..errors import ConfigurationError
 from ..walks.sampler import expected_effort
+from .messages import cluster_address, cluster_name
 
 
-def engine_view(engine, l2g: Optional[Mapping[int, int]] = None) -> Dict[str, Any]:
-    """A compact snapshot of one engine's clusters and overlay.
+def engine_view(
+    engine, l2g: Optional[Mapping[int, int]] = None, shard: int = 0, shards: int = 0
+) -> Dict[str, Any]:
+    """A compact snapshot of one engine's clusters and overlay, by cluster name.
 
-    ``clusters`` maps cluster id to its sorted members — translated through
-    ``l2g`` when given (a shard worker's local-to-global id map, so the
-    coordinator's directory supplies roles) — and ``adjacency`` is the OVER
-    overlay at cluster granularity, neighbours in ascending order.
+    ``clusters`` maps each name to its members in slot order (a read that
+    indexes into one sorts it), through ``l2g`` when given (a shard worker's
+    local-to-global id map); ``byzantine`` to the corruption tracker's count;
+    ``adjacency`` is the OVER overlay, neighbours in ascending order.
     """
     state = engine.state
     clusters = {
         cluster.cluster_id: (
-            cluster.member_list()
+            list(cluster.members)
             if l2g is None
-            else sorted(l2g[member] for member in cluster.members)
+            else [l2g[member] for member in cluster.members]
         )
         for cluster in state.clusters.clusters()
     }
+    byzantine = state.corruption.counts()
     graph = state.overlay.graph
     adjacency = {vertex: graph.neighbours(vertex) for vertex in graph.vertices()}
-    return {"clusters": clusters, "adjacency": adjacency}
+    if shards > 1:
+        name = partial(cluster_name, shard, shards=shards)
+        clusters = {name(cid): members for cid, members in clusters.items()}
+        byzantine = {name(cid): count for cid, count in byzantine.items()}
+        adjacency = {name(vertex): list(map(name, others)) for vertex, others in adjacency.items()}
+    return {"clusters": clusters, "byzantine": byzantine, "adjacency": adjacency}
 
 
 class _ShardView:
-    """One engine's read snapshot plus everything derived from it once."""
+    """One engine's read snapshot plus what is derived from it (the walk's price on first use)."""
 
-    __slots__ = (
-        "shard",
-        "clusters",
-        "adjacency",
-        "cluster_ids",
-        "sizes",
-        "byzantine",
-        "total_nodes",
-        "walk",
-        "_cumulative",
-    )
-
-    def __init__(self, shard: int, raw: Dict[str, Any], is_byzantine, params) -> None:
+    def __init__(self, shard: int, raw: Dict[str, Any], params) -> None:
         self.shard = shard
         self.clusters: Dict[int, List[int]] = raw["clusters"]
         self.adjacency: Dict[int, List[int]] = raw["adjacency"]
+        self.byzantine: Dict[int, int] = raw["byzantine"]
         self.cluster_ids = sorted(self.clusters)
         self.sizes = {cid: len(members) for cid, members in self.clusters.items()}
-        self.byzantine = {
-            cid: sum(map(is_byzantine, members)) for cid, members in self.clusters.items()
-        }
-        # Cumulative sizes over the sorted cluster ids: one O(log C) bisect
-        # per stationary draw.
+        # Cumulative sizes over the sorted names: one O(log C) bisect per
+        # stationary draw.
         self._cumulative = list(accumulate(self.sizes[cid] for cid in self.cluster_ids))
         self.total_nodes = self._cumulative[-1] if self._cumulative else 0
-        # The expected walk on this overlay, priced once per view.
-        cluster_count = len(self.cluster_ids)
-        edges = sum(len(neighbours) for neighbours in self.adjacency.values()) // 2
-        average_degree = 2.0 * edges / cluster_count if cluster_count else 0.0
-        hops, restarts = expected_effort(
-            cluster_count,
-            average_degree,
-            self.total_nodes,
-            max(self.sizes.values(), default=0),
-            segment_duration(params, max(2, self.total_nodes), average_degree),
-        )
-        charges = hop_charges(cluster_count, self.total_nodes)
-        #: ``(hops, messages, rounds)`` of that walk.
-        self.walk = (hops, *walk_cost(hops, restarts, charges))
+        self._params = params
+        self._walk: Optional[Tuple[float, float, float]] = None
+
+    @property
+    def walk(self) -> Tuple[float, float, float]:
+        """``(hops, messages, rounds)`` of the expected walk on this overlay."""
+        if self._walk is None:
+            cluster_count = len(self.cluster_ids)
+            edges = sum(len(neighbours) for neighbours in self.adjacency.values()) // 2
+            average_degree = 2.0 * edges / cluster_count if cluster_count else 0.0
+            hops, restarts = expected_effort(
+                cluster_count,
+                average_degree,
+                self.total_nodes,
+                max(self.sizes.values(), default=0),
+                segment_duration(self._params, max(2, self.total_nodes), average_degree),
+            )
+            charges = hop_charges(cluster_count, self.total_nodes)
+            self._walk = (hops, *walk_cost(hops, restarts, charges))
+        return self._walk
 
     def sample_weighted_cluster(self, rng: random.Random) -> int:
         """A size-biased cluster draw — the walk's stationary law."""
@@ -122,7 +126,7 @@ class ShardReadModel:
 
     ``fetch()`` returns one raw view (:func:`engine_view`) per shard, in
     shard order; ``is_byzantine`` is the ground-truth role lookup over the
-    ids those views name.  The live session invalidates the model after every
+    ids those views name.  Its driver invalidates the model after every
     collected write window; the next read triggers exactly one ``fetch``
     (amortised over every read until the next write window).  ``fresh``
     tells the pump whether reads can be served *during* a window — a stale
@@ -150,10 +154,15 @@ class ShardReadModel:
         """Fetch the views if stale (on shards: one worker round trip)."""
         if self._views is None:
             self._views = [
-                _ShardView(shard, raw, self._is_byzantine, self._params)
+                _ShardView(shard, raw, self._params)
                 for shard, raw in enumerate(self._fetch())
             ]
         return self._views
+
+    def view_of(self, name: int) -> _ShardView:
+        """The view that holds the cluster called ``name`` if it lives."""
+        views = self.ensure()
+        return views[cluster_address(name, len(views))[0]]
 
     # ------------------------------------------------------------------
     # Composite reads
@@ -178,7 +187,7 @@ class ShardReadModel:
         """
         view = self._pick_origin_shard(self.ensure(), rng)
         cluster_id = view.sample_weighted_cluster(rng)
-        members = view.clusters[cluster_id]
+        members = sorted(view.clusters[cluster_id])
         node_id = members[rng.randrange(len(members))]
         hops, messages, rounds = view.walk
         pick_messages, pick_rounds = randnum_cost(len(members))

@@ -8,8 +8,8 @@ is a *scenario* property, the worker count an *execution* choice) and speaks
 a small command protocol:
 
 ``bootstrap_info``
-    roles and cluster summaries of the initial population (the coordinator
-    registers global ids in the directory from this);
+    a shard's initial roles and cluster summary (the coordinator registers
+    global ids in the directory from these);
 ``apply``
     one barrier window's batch of routed events (a packed wire buffer — see
     :mod:`repro.shard.messages`), returning packed per-event observation
@@ -108,6 +108,7 @@ class ShardWorker:
 
         scenario = Scenario.from_dict(dict(scenario_data))
         params = scenario.parameters()
+        self.shards = scenario.shards
         config = EngineConfig(**scenario.engine_options)
         self.slots: Dict[int, _ShardSlot] = {}
         for shard in shard_ids:
@@ -148,18 +149,11 @@ class ShardWorker:
     # ------------------------------------------------------------------
     # Commands
     # ------------------------------------------------------------------
-    def bootstrap_info(self) -> Dict[int, Dict[str, Any]]:
-        """Initial roles + summary per hosted shard (for directory seeding)."""
-        info: Dict[int, Dict[str, Any]] = {}
-        for shard, slot in self.slots.items():
-            byzantine = sorted(
-                slot.l2g[local] for local in slot.engine.state.nodes.active_byzantine()
-            )
-            info[shard] = {
-                "byzantine": byzantine,
-                "summary": self._summary(slot.engine),
-            }
-        return info
+    def bootstrap_info(self, shard: int) -> Dict[str, Any]:
+        """A hosted shard's initial roles and summary (for directory seeding)."""
+        slot = self._slot(shard)
+        byzantine = sorted(slot.l2g[local] for local in slot.engine.state.nodes.active_byzantine())
+        return {"byzantine": byzantine, "summary": self._summary(slot.engine)}
 
     def apply(self, shard: int, batch: EventBatch, observe: bool) -> Dict[str, Any]:
         """Apply one window's routed events; return packed rows + summary.
@@ -179,11 +173,13 @@ class ShardWorker:
         slot = self._slot(shard)
         engine = slot.engine
         rows: List[tuple] = []
-        for step, kind, gid, role_value, fresh in iter_events(batch):
+        for step, kind, gid, role_value, fresh, contact in iter_events(batch):
             if kind == JOIN:
                 local = slot.g2l.get(gid)
                 report = engine.apply_event(
-                    ChurnEvent.join(role=NodeRole(role_value), node_id=local)
+                    ChurnEvent.join(
+                        role=NodeRole(role_value), node_id=local, contact_cluster=contact
+                    )
                 )
                 if local is None:
                     slot.map_new(gid, report.operation.node_id)
@@ -244,9 +240,9 @@ class ShardWorker:
         return {"summary": self._summary(engine)}
 
     def read_view(self, shard: int) -> Dict[str, Any]:
-        """The shard's :func:`~repro.shard.serve.engine_view`, in global ids."""
+        """The shard's :func:`~repro.shard.serve.engine_view`, in global ids and cluster names."""
         slot = self._slot(shard)
-        return engine_view(slot.engine, slot.l2g)
+        return engine_view(slot.engine, slot.l2g, shard, self.shards)
 
     def check_invariants(self, shard: int, check_honest_majority: bool) -> InvariantReport:
         """The hosted shard engine's structural invariant report."""

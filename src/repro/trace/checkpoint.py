@@ -27,10 +27,13 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import tempfile
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
+from ..rng import rng_state_from_json
+from ..walks.sampler import WalkMode, check_kernel_snapshot
 from .hashing import state_hash
 from .log import Field, field_fault
 
@@ -58,6 +61,15 @@ ENGINE_FIELDS = {
     "sharded": tuple(Field(key, f"shard {key}", _OBJECT) for key in ("router", "merge", "shards")),
 }
 
+#: A single engine's ``config``: the ``EngineConfig`` fields, and no other key.
+CONFIG_FIELDS = (
+    Field("walk_mode", "walk mode", (str,), values=tuple(mode.value for mode in WalkMode)),
+    Field("walk_kernel", "walk kernel", (str,), values=("array",)),
+    Field("cascade_exchanges", "cascade exchanges", (bool,)),
+)
+#: A single engine's ``randcl``: the hop engine's stream, null before any walk.
+RANDCL_FIELDS = (Field("kernel", "walk-kernel snapshot", _OBJECT, nullable=True),)
+
 #: The top level of an event source's snapshot (a mixed driver's has ``sources``).
 SOURCE_FIELDS = (
     Field("kind", "source kind", (str,)),
@@ -65,6 +77,38 @@ SOURCE_FIELDS = (
     Field("extra", "source state", _OBJECT, optional=True),
     Field("sources", "mixed sources", (list,), optional=True),
 )
+
+
+def _fault(document: Dict[str, Any], fields: Tuple[Field, ...], path: str) -> Optional[str]:
+    """``"<path><key> <why>"`` for the first key of ``document`` that ``fields`` refuse."""
+    fault = field_fault(document, fields)
+    return None if fault is None else f"{path}{fault[0].key} {fault[1]}"
+
+
+def engine_fault(engine: Dict[str, Any], path: str) -> Optional[str]:
+    """The first malformed key of a single engine's snapshot at ``path``, down
+    to its config and kernel stream (whose backend is checked here too)."""
+    problem = _fault(engine, ENGINE_FIELDS["now"], path)
+    if problem:
+        return problem
+    unknown = sorted(set(engine["config"]) - {field.key for field in CONFIG_FIELDS})
+    if unknown:
+        return f"{path}config/{unknown[0]} is not an engine option"
+    problem = _fault(engine["config"], CONFIG_FIELDS, f"{path}config/") or _fault(
+        engine["randcl"], RANDCL_FIELDS, f"{path}randcl/"
+    )
+    if not problem and engine["randcl"]["kernel"] is not None:
+        check_kernel_snapshot(engine["randcl"]["kernel"])
+    return problem
+
+
+def _stream_fault(state: Any, path: str) -> Optional[str]:
+    """Why ``state`` is no generator state ``rng_state_to_json`` wrote, or ``None``."""
+    try:
+        random.Random().setstate(rng_state_from_json(state))
+    except (TypeError, ValueError):
+        return f"{path} is {state!r:.60} (expected a generator state)"
+    return None
 
 
 def write_json_atomic(path: str, data: Any, indent: Optional[int] = None) -> None:
@@ -104,15 +148,18 @@ class Checkpoint:
                 f"unsupported checkpoint version {data.get('version')!r} "
                 f"(expected {FORMAT_VERSION})"
             )
-        fault, path = field_fault(data, ENVELOPE_FIELDS), ""
-        if fault is None:
-            engine_fields = ENGINE_FIELDS[data.get("engine_kind", "now")]
-            fault, path = field_fault(data["engine"], engine_fields), "engine/"
-        if fault is None and data["source"] is not None:
-            fault, path = field_fault(data["source"], SOURCE_FIELDS), "source/"
-        if fault is not None:
-            field, problem = fault
-            raise ConfigurationError(f"malformed checkpoint: {path}{field.key} {problem}")
+        kind = data.get("engine_kind", "now")
+        problem = _fault(data, ENVELOPE_FIELDS, "") or _fault(
+            data["engine"], ENGINE_FIELDS[kind], "engine/"
+        )
+        if not problem and kind == "now":
+            problem = engine_fault(data["engine"], "engine/")
+        if not problem and data["source"] is not None:
+            problem = _fault(data["source"], SOURCE_FIELDS, "source/") or _stream_fault(
+                data["source"]["rng"], "source/rng"
+            )
+        if problem:
+            raise ConfigurationError(f"malformed checkpoint: {problem}")
         self.data = data
 
     # ------------------------------------------------------------------

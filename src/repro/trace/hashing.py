@@ -15,9 +15,12 @@ of exactly the state that determines future behaviour —
 * the engine RNG stream (digested, not inlined — it is 625 words long).
 
 :func:`state_hash` is the SHA-256 of the canonical JSON encoding of that
-fingerprint; two engines with equal hashes behave identically under the
-same future event sequence.  The hash is what trace index frames record and
-what ``replay`` asserts against.
+fingerprint.  The hash is what trace index frames record and what
+``replay`` asserts against.
+
+Equal hashes do **not** yet mean identical behaviour: the engine config,
+the protocol parameters and the walk kernel's stream are outside the
+fingerprint, so a restore that misreads one of them passes the hash check.
 """
 
 from __future__ import annotations
@@ -76,8 +79,8 @@ def state_fingerprint(engine) -> Dict[str, Any]:
 def state_hash(engine) -> str:
     """SHA-256 hex digest of :func:`state_fingerprint`.
 
-    Equal hashes mean the two engines are in behaviourally identical
-    states: same partition, same roles, same overlay, same RNG position,
-    and same RNG-visible internal orderings.
+    Equal hashes mean the same partition, roles, overlay, engine RNG
+    position and RNG-visible internal orderings — not the same config,
+    parameters or walk-kernel stream (see the module docstring).
     """
     return digest(state_fingerprint(engine))

@@ -54,7 +54,7 @@ DEFAULT_FLUSH_EVERY = 256
 #: What a field is given for a key its document lacks.
 ABSENT = object()
 
-_TYPE_NAMES = {int: "an int", float: "a number", str: "a string", dict: "an object", list: "a list"}
+_TYPE_NAMES = {int: "an int", float: "a number", str: "a string", dict: "an object", list: "a list", bool: "a bool"}
 
 
 class Field(NamedTuple):

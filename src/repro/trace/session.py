@@ -35,7 +35,7 @@ class SessionResult:
     """A run result plus the recording artefacts it produced.
 
     ``engine`` is what ran: the engine, or a sharded run's (closed)
-    coordinator — counters, phase timers, directory and ``facade`` readable.
+    coordinator — counters, phase timers and directory readable.
     """
 
     result: RunResult
@@ -176,8 +176,8 @@ def open_driver(
     ``engine`` (what a recorder hashes and snapshots), ``source``, the
     public ``probes`` list, the cumulative ``total_steps`` /
     ``total_events``, ``bus``, ``nodes``, ``params``, ``state_hash()``,
-    ``status()`` and ``read_views()``.  A checkpoint only resumes a scenario
-    with a source: there is nothing to restore its source state onto.
+    ``status()``, ``read_views()`` and ``read_model``.  A checkpoint only
+    resumes a scenario with a source, which its source state restores onto.
     """
     if checkpoint is not None and scenario.workload is None and scenario.adversary is None:
         raise ConfigurationError(NO_SOURCE.format(scenario.name))

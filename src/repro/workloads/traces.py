@@ -4,17 +4,16 @@ Workloads (:mod:`repro.workloads.churn`) and adversaries
 (:mod:`repro.adversary`) expose the same per-step interface — "give me the
 next event for this system" — but adversaries receive an
 :class:`~repro.adversary.base.AdversaryContext` while workloads receive the
-engine directly.  :func:`~repro.adversary.base.bind_event_source` papers
-over that difference, so experiments can interleave background churn with
-an attack using a single loop.
+engine directly; :func:`~repro.scenarios.runner.bind_event_source` binds
+each, so experiments can interleave background churn with an attack using a
+single loop.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..adversary.base import bind_event_source
 from ..core.events import ChurnEvent
 from ..errors import ConfigurationError
 
@@ -56,14 +55,16 @@ class MixedDriver:
             raise ConfigurationError("source weights must sum to a positive value")
         self._sources = [(source, weight / total) for source, weight in sources]
         self._rng = rng
-        self._engine = None
-        self._pulls: List = []
+        #: Whether any mixed source reads cluster interiors.
+        self.reads_clusters = any(getattr(source, "reads_clusters", False) for source, _ in sources)
 
-    def next_event(self, engine) -> Optional[ChurnEvent]:
+    def bind(self, bind_source: Callable) -> Callable[[], Optional[ChurnEvent]]:
+        """The mix's zero-argument pull, each source bound by ``bind_source``."""
+        pulls = [bind_source(source) for source, _ in self._sources]
+        return lambda: self._next_event(pulls)
+
+    def _next_event(self, pulls: List[Callable]) -> Optional[ChurnEvent]:
         """Pick a source by weight and return its event (falling back to the others)."""
-        if engine is not self._engine:
-            self._engine = engine
-            self._pulls = [bind_event_source(engine, source) for source, _ in self._sources]
         order = sorted(range(len(self._sources)), key=lambda _index: self._rng.random())
         roll = self._rng.random()
         cumulative = 0.0
@@ -73,14 +74,14 @@ class MixedDriver:
             if roll <= cumulative:
                 chosen = index
                 break
-        event = self._pulls[chosen]()
+        event = pulls[chosen]()
         if event is not None:
             return event
         # The chosen source is idle; give the others a chance this step.
         for index in order:
             if index == chosen:
                 continue
-            event = self._pulls[index]()
+            event = pulls[index]()
             if event is not None:
                 return event
         return None

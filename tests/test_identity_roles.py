@@ -18,6 +18,7 @@ from repro.network.node import NodeRole
 from repro.service import live_scenario
 from repro.service.protocol import ERROR_FAILED, ProtocolError
 from repro.shard import ShardCoordinator, ShardReadModel
+from repro.shard.messages import cluster_name
 from repro.trace import open_driver
 
 from service_helpers import SIZES, make_session
@@ -72,13 +73,15 @@ def test_rejoin_naming_another_role_keeps_the_registered_one(shards):
         for node in (low, top):
             assert not nodes.is_byzantine(node)
             assert not _engine_is_byzantine(driver, node)
-        # The read model's roles (the registry's) agree with every engine's.
+        # The read model's Byzantine counts and members agree with every
+        # engine's, each cluster under its composite name.
         views = ShardReadModel(driver.read_views, driver.params, nodes.is_byzantine).ensure()
         for view, (engine, to_global) in zip(views, _engines(driver)):
             for cluster in engine.state.clusters.clusters():
+                name = cluster_name(view.shard, cluster.cluster_id, shards)
                 expected = sum(map(engine.state.nodes.is_byzantine, cluster.members))
-                assert view.byzantine[cluster.cluster_id] == expected
-                assert sorted(map(to_global, cluster.members)) == view.clusters[cluster.cluster_id]
+                assert view.byzantine[name] == expected
+                assert sorted(map(to_global, cluster.members)) == sorted(view.clusters[name])
 
 
 @pytest.mark.parametrize("backend", ["single", "shards=2"])

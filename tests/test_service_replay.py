@@ -181,6 +181,25 @@ class TestRecordedSessionReplays:
         assert run("chunked", chunked) == run("single", one_at_a_time)
 
     @on_every_backend
+    def test_contact_joins_record_and_replay(self, tmp_path, backend):
+        """A join contacting a sampled cluster records that cluster's name and
+        replays; a contact no trace frame can hold is refused."""
+        session = make_session(backend, seed=4)
+        path = str(tmp_path / "contact.jsonl")
+        session.attach_trace(path)
+        try:
+            for contact in (-5, 2**31):
+                with pytest.raises(ProtocolError, match="is no cluster name"):
+                    session.execute({"op": "join", "contact_cluster": contact})
+            names = [session.execute({"op": "sample"})["cluster_id"] for _ in range(5)]
+            for name in names:
+                session.execute({"op": "join", "contact_cluster": name})
+        finally:
+            session.close()
+        assert [frame["c"] for frame in event_frames(path)] == names
+        assert replay_trace(path).ok
+
+    @on_every_backend
     def test_index_frames_sit_on_pump_window_boundaries(self, tmp_path, backend):
         """The recorder's cadence law with the pump batch as the window: an
         index frame at the first window boundary at or after every

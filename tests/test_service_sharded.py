@@ -22,6 +22,7 @@ from repro.errors import ConfigurationError
 from repro.service import LiveEngineSession, ServiceFrontend, encode_frame, live_scenario
 from repro.service.protocol import ProtocolError
 from repro.shard import ShardWorkerError
+from repro.shard.messages import cluster_address
 from repro.shard.worker import ProcessTransport
 from repro.trace import TraceReader, replay_trace
 
@@ -143,11 +144,18 @@ class TestShardedSessionValidation:
         finally:
             session.close()
 
-    def test_contact_cluster_join_rejected(self):
+    def test_contact_cluster_join_goes_to_the_sampled_clusters_shard(self):
+        """``sample`` names a cluster by its composite name; a join contacting
+        it lands on that cluster's shard and records the name."""
         session = make_session(seed=2)
         try:
-            with pytest.raises(ProtocolError, match="contact_cluster"):
-                session.execute({"op": "join", "contact_cluster": 0})
+            shards = session.scenario.shards
+            for _ in range(6):
+                sampled = session.execute({"op": "sample"})
+                shard, _local = cluster_address(sampled["cluster_id"], shards)
+                assert shard == sampled["shard"]
+                joined = session.execute({"op": "join", "contact_cluster": sampled["cluster_id"]})
+                assert session.driver.directory.owner[joined["node_id"]] == shard
         finally:
             session.close()
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro import Scenario
 from repro.scenarios.probes import CorruptionTrajectoryProbe, CostLedgerProbe
 from repro.shard import ShardCoordinator
-from repro.trace import record_scenario
+from repro.trace import checkpoint_from_trace, record_scenario, replay_trace, resume_from_checkpoint
 
 #: RunResult fields compared across worker counts (elapsed time is wall
 #: clock, the only field allowed to differ).
@@ -161,3 +161,36 @@ def test_property_random_mixes_worker_independent(
         fields["adversary_weight"] = adversary_weight
     oracle = _comparable(_run(fields, workers=1))
     assert _comparable(_run(fields, workers=2)) == oracle
+
+
+#: The adversaries that read cluster interiors: each draws from a fresh
+#: view of the coordinator's read model, so its windows are one event long.
+CLUSTER_AWARE = [
+    {"kind": "join_leave", "target_cluster": "first"},
+    {"kind": "targeted_dos"},
+    {"kind": "adaptive_corruption"},
+]
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("adversary", CLUSTER_AWARE, ids=[spec["kind"] for spec in CLUSTER_AWARE])
+def test_cluster_aware_adversaries_run_sharded(tmp_path, adversary, shards):
+    """Worker counts write one trace; replay and a resumed cut reach its hash."""
+    scenario = Scenario.from_dict(
+        dict(BASE, shards=shards, steps=80, adversary=adversary, adversary_weight=0.6)
+    )
+    paths = [str(tmp_path / f"w{workers}.bin") for workers in (1, 2)]
+    hashes = {
+        record_scenario(
+            scenario, trace_path=path, trace_format="binary", index_every=16, workers=workers
+        ).final_state_hash
+        for workers, path in zip((1, 2), paths)
+    }
+    with open(paths[0], "rb") as first, open(paths[1], "rb") as second:
+        assert first.read() == second.read()
+    (straight,) = hashes
+    replayed = replay_trace(paths[0])
+    assert replayed.ok and replayed.final_hash == straight
+    checkpoint = str(tmp_path / "cut.json")
+    checkpoint_from_trace(paths[0], 37, checkpoint)
+    assert resume_from_checkpoint(checkpoint, workers=2).final_state_hash == straight

@@ -57,7 +57,7 @@ class _ScriptedScenario(Scenario):
 
     script: List[Optional[ChurnEvent]] = field(default_factory=list, repr=False)
 
-    def build_source(self, engine):
+    def build_source(self, driver):
         return _ScriptedSource(self.script)
 
     def to_dict(self):

@@ -16,11 +16,10 @@ from repro import Scenario
 from repro.core.events import ChurnEvent
 from repro.errors import ConfigurationError
 from repro.network.node import NodeRole
-from repro.params import default_parameters
 from repro.scenarios.probes import CallbackProbe, CorruptionTrajectoryProbe
 from repro.scenarios.runner import EventPull
-from repro.shard import ShardCoordinator, ShardDirectory, plan_rebalance, slice_sizes
-from repro.shard.router import EventRouter, ShardedEngineFacade
+from repro.shard import ShardCoordinator, ShardDirectory, iter_events, plan_rebalance, slice_sizes
+from repro.shard.router import EventRouter
 
 
 # ----------------------------------------------------------------------
@@ -144,10 +143,14 @@ def _route(router, *events):
     return window.routed
 
 
-def test_router_rejects_contact_cluster_joins():
+def test_router_routes_a_contact_join_to_its_clusters_shard():
+    """Cluster 7 of two shards is shard 1's cluster 3: the join goes there,
+    not to the least-loaded shard 0, and carries the local id on the wire."""
     router = EventRouter(_directory_with_initial([3, 3]))
-    with pytest.raises(ConfigurationError, match="contact_cluster"):
-        _route(router, ChurnEvent.join(contact_cluster=7))
+    window = router.route_window(EventPull.given([ChurnEvent.join(contact_cluster=7)], 1), limit=1)
+    (joined,) = window.routed
+    assert (joined.shard, joined.contact) == (1, 7)
+    assert [event[-1] for event in iter_events(window.batches[1])] == [3]
 
 
 def test_router_rejects_anonymous_leaves():
@@ -165,22 +168,15 @@ def test_router_stamps_composite_size_after():
 
 
 # ----------------------------------------------------------------------
-# ShardedEngineFacade
+# What a workload reads of the coordinator
 # ----------------------------------------------------------------------
-def test_facade_random_member_requires_explicit_rng():
-    params = default_parameters(max_size=256)
-    facade = ShardedEngineFacade(params, _directory_with_initial([3, 3]))
-    with pytest.raises(ConfigurationError):
-        facade.random_member()
-    member = facade.random_member(rng=random.Random(1))
-    assert 0 <= member < 6
-
-
-def test_facade_has_no_composite_cluster_namespace():
-    params = default_parameters(max_size=256)
-    facade = ShardedEngineFacade(params, _directory_with_initial([3, 3]))
-    with pytest.raises(ConfigurationError):
-        facade.random_cluster()
+def test_coordinator_random_member_requires_explicit_rng():
+    with ShardCoordinator(_sharded_scenario()) as coordinator:
+        with pytest.raises(ConfigurationError):
+            coordinator.random_member()
+        member = coordinator.random_member(rng=random.Random(1))
+        assert coordinator.directory.nodes.is_active(member)
+        assert coordinator.network_size == 200
 
 
 # ----------------------------------------------------------------------
@@ -200,10 +196,15 @@ def _sharded_scenario(**overrides):
     return Scenario(**fields)
 
 
-def test_coordinator_rejects_cluster_aware_adversaries():
-    scenario = _sharded_scenario(adversary={"kind": "join_leave", "target_cluster": 0})
-    with pytest.raises(ConfigurationError, match="not supported under sharded"):
-        ShardCoordinator(scenario)
+def test_coordinator_paces_a_cluster_aware_adversary():
+    """An adversary that reads cluster interiors gets one-event windows; the
+    registry-only oblivious one keeps its batched windows."""
+    for kind, paced in (("join_leave", True), ("oblivious", False)):
+        with ShardCoordinator(_sharded_scenario(adversary={"kind": kind})) as coordinator:
+            assert coordinator.paced is paced
+            token = coordinator.serve_dispatch(coordinator.pull(10))
+            assert (len(token["window"].routed) == 1) is paced
+            coordinator.serve_collect(token)
 
 
 def test_coordinator_rejects_inline_probes():

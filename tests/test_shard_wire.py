@@ -54,9 +54,16 @@ def pack_events(rows):
     raises :class:`WireRangeError` naming the field a row cannot fit.
     """
     parts = []
-    for step, kind, gid, role, fresh in rows:
+    for step, kind, gid, role, fresh, contact in rows:
         # An unknown kind/role stays itself, so the refusal can name it.
-        values = (step, KIND_CODES.get(kind, kind), gid, ROLE_CODES.get(role, role), bool(fresh))
+        values = (
+            step,
+            KIND_CODES.get(kind, kind),
+            gid,
+            ROLE_CODES.get(role, role),
+            bool(fresh),
+            -1 if contact is None else contact,
+        )
         try:
             parts.append(EVENT_RECORD.pack(*values))
         except struct.error:
@@ -74,6 +81,7 @@ wire_events = st.lists(
         st.integers(min_value=0, max_value=2**32 - 1),  # gid
         st.sampled_from(ROLES),
         st.booleans(),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=2**31 - 1)),  # contact
     ),
     max_size=80,
 )
@@ -91,15 +99,16 @@ def test_event_batch_round_trip(rows):
 @pytest.mark.parametrize(
     "row, field",
     [
-        ((1, JOIN, 2**32, "honest", True), "gid"),  # overflows u32
-        ((2**32, LEAVE, 5, "honest", False), "step"),
-        ((1, "x", 5, "honest", False), "kind"),
-        ((1, JOIN, 5, "observer", False), "role"),
+        ((1, JOIN, 2**32, "honest", True, None), "gid"),  # overflows u32
+        ((2**32, LEAVE, 5, "honest", False, None), "step"),
+        ((1, "x", 5, "honest", False, None), "kind"),
+        ((1, JOIN, 5, "observer", False, None), "role"),
+        ((1, JOIN, 5, "honest", True, 2**31), "contact"),  # overflows i32
     ],
 )
 def test_event_batch_out_of_range_raises_naming_the_field(row, field):
     with pytest.raises(WireRangeError, match=f"field '{field}'"):
-        pack_events([(1, JOIN, 1, "honest", True), row])
+        pack_events([(1, JOIN, 1, "honest", True, None), row])
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +266,7 @@ def _serial_windows(script, directory, limit, max_idle_streak):
 
 
 def _wire(routed):
-    return (routed.step, routed.kind, routed.node_id, routed.role, routed.fresh)
+    return (routed.step, routed.kind, routed.node_id, routed.role, routed.fresh, routed.contact)
 
 
 def _batched_windows(script, directory, limit, max_idle_streak):

@@ -253,3 +253,67 @@ def test_a_retyped_checkpoint_scenario_is_refused_naming_the_key(recorded, tmp_p
     code, out, err = _resume(capsys, tmp_path, document)
     assert code == 2, (out, err)
     assert f"scenario field {key!r} is {value!r}" in err, err
+
+
+#: Checkpoint keys below the envelope's top levels that escaped as exit 3
+#: or as a message naming no key: (key path, mutation, the path refused).
+NESTED = [
+    ("engine/randcl", {"kernel": 5}, "engine/randcl/kernel"),
+    ("engine/config", {"bogus": 1}, "engine/config/bogus"),
+    ("engine/config/cascade_exchanges", None, "engine/config/cascade_exchanges"),
+    ("source/rng", ["x"], "source/rng"),
+]
+
+
+@pytest.mark.parametrize("path, value, named", NESTED, ids=[n for _p, _v, n in NESTED])
+def test_nested_checkpoint_cases_are_refused_naming_the_key(recorded, tmp_path, capsys, path, value, named):
+    with open(recorded["checkpoint"], encoding="utf-8") as handle:
+        document = json.load(handle)
+    *parents, key = path.split("/")
+    target = document
+    for parent in parents:
+        target = target[parent]
+    _mutate(target, key, value)
+    code, out, err = _resume(capsys, tmp_path, document)
+    assert code == 2, (out, err)
+    assert f"malformed checkpoint: {named} " in err, err
+
+
+@pytest.mark.parametrize("tau", [-1, 1.5])
+def test_a_checkpoint_scenario_out_of_range_is_refused_like_a_spec(recorded, tmp_path, capsys, tau):
+    """``resume`` and ``run-scenario`` refuse the same scenario, by one check."""
+    with open(recorded["checkpoint"], encoding="utf-8") as handle:
+        document = json.load(handle)
+    document["scenario"]["tau"] = tau
+    code, out, err = _resume(capsys, tmp_path, document)
+    assert code == 2 and "tau must lie in [0, 1)" in err, (out, err)
+    spec = str(tmp_path / "spec.json")
+    with open(spec, "w", encoding="utf-8") as handle:
+        json.dump(document["scenario"], handle)
+    code, out, err = _cli(capsys, "run-scenario", "--spec", spec)
+    assert code == 2 and "tau must lie in [0, 1)" in err, (out, err)
+
+
+#: Source objects of a spec whose kind names no class.
+SOURCE_KINDS = [("workload", {"kind": []}), ("adversary", {"kind": ["a"]}), ("adversary", {})]
+
+
+@pytest.mark.parametrize("key, value", SOURCE_KINDS, ids=[f"{k}-{v!r}" for k, v in SOURCE_KINDS])
+def test_a_source_kind_naming_no_class_is_refused_naming_the_key(tmp_path, capsys, key, value):
+    spec = str(tmp_path / "spec.json")
+    with open(spec, "w", encoding="utf-8") as handle:
+        json.dump(dict(SCENARIO, **{key: value}), handle)
+    code, out, err = _cli(capsys, "run-scenario", "--spec", spec)
+    assert code == 2, (out, err)
+    assert f"scenario field '{key}/kind': unknown {key} kind" in err, err
+
+
+def test_a_shard_engine_config_is_checked_before_any_worker_starts(tmp_path, capsys):
+    path = str(tmp_path / "sharded.json")
+    record_scenario(Scenario(**dict(SCENARIO, initial_size=200, shards=2)), steps=10, checkpoint_path=path)
+    with open(path, encoding="utf-8") as handle:
+        document = json.load(handle)
+    document["engine"]["shards"]["1"]["engine"]["config"] = {"bogus": 1}
+    code, out, err = _resume(capsys, tmp_path, document)
+    assert code == 2, (out, err)
+    assert "malformed checkpoint: engine/shards/1/engine/config/bogus " in err, err

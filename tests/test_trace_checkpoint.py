@@ -277,6 +277,6 @@ class TestResumeBookkeeping:
     def test_runner_source_attribute_is_the_event_source(self):
         scenario = small_scenario(steps=5)
         engine = scenario.build_engine()
-        source = scenario.build_source(engine)
+        source = scenario.build_source(SimulationRunner(engine, None))
         runner = SimulationRunner(engine, source, name="t")
         assert runner.source is source
