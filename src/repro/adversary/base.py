@@ -20,14 +20,14 @@ from typing import Dict, List, Optional, Set
 
 from ..core.cluster import ClusterId
 from ..core.events import ChurnEvent
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, UnknownNodeError
 from ..network.node import NodeId
 
 
 class AdversaryContext:
     """Read-only, full-knowledge view of the system offered to an adversary.
 
-    Six reads over ``model``, the driver's read model — fetched at most once
+    Reads over ``model``, the driver's read model — fetched at most once
     per event, and only when a read needs it; ``None`` for a strategy that
     reads the registry only — and ``nodes``, the driver's node registry.
     """
@@ -51,7 +51,10 @@ class AdversaryContext:
     def cluster_of(self, node_id: NodeId) -> ClusterId:
         """The cluster currently hosting ``node_id`` (a scan of the views)."""
         clusters = (item for view in self._model.ensure() for item in view.clusters.items())
-        return next(name for name, members in clusters if node_id in members)
+        found = next((name for name, members in clusters if node_id in members), None)
+        if found is None:
+            raise UnknownNodeError(f"node {node_id} is not assigned to any cluster")
+        return found
 
     def byzantine_fraction(self, cluster_id: ClusterId) -> float:
         """Corruption fraction of a cluster."""
@@ -71,6 +74,19 @@ class AdversaryContext:
         """Active honest nodes (targets for forced departures)."""
         byzantine = self.controlled_nodes()
         return [node_id for node_id in self._nodes.active_nodes() if node_id not in byzantine]
+
+    def controlled_in_cluster(self, cluster_id: ClusterId) -> List[NodeId]:
+        """Adversary-controlled members of a specific cluster."""
+        byzantine = self.controlled_nodes()
+        return [node_id for node_id in self.cluster_members(cluster_id) if node_id in byzantine]
+
+    def network_size(self) -> int:
+        """Current system size."""
+        return self._nodes.active_count()
+
+    def global_byzantine_fraction(self) -> float:
+        """Fraction of all active nodes the adversary controls."""
+        return self._nodes.byzantine_fraction()
 
 
 class Adversary(abc.ABC):
@@ -123,3 +139,7 @@ class Adversary(abc.ABC):
         from ..workloads.traces import drive  # local import: avoids a cycle
 
         return drive(engine, self, steps)
+
+    def name(self) -> str:
+        """Human-readable adversary name (used in experiment tables)."""
+        return type(self).__name__

@@ -20,6 +20,7 @@ seam (:func:`repro.trace.session.open_driver`), the one place that reads
 
 from __future__ import annotations
 
+import enum
 import inspect
 import json
 import random
@@ -62,16 +63,19 @@ ADVERSARY_KINDS = {
 }
 
 
-def _spec_field(key: str, hint):
-    """The type check :meth:`Scenario.from_dict` makes of spec field ``key``,
-    read off its annotation ``hint``: an ``Optional`` field may be null, a
-    ``float`` takes an int too, a ``Dict`` is an object, and a ``bool`` is
-    none of them."""
+def annotated_field(key: str, hint):
+    """The type check of a JSON field ``key`` (a spec's, or a checkpoint's
+    engine ``config``), read off its annotation ``hint``: an ``Optional``
+    field may be null, a ``float`` takes an int too, a ``Dict`` is an
+    object, an enum is held as its value, and a ``bool`` is none of the
+    others."""
     from ..trace.log import Field  # local import: repro.trace builds on scenarios
 
     nullable = get_origin(hint) is Union
     base = get_args(hint)[0] if nullable else hint
     base = get_origin(base) or base
+    if isinstance(base, enum.EnumMeta):
+        base = type(next(iter(base)).value)
     types = (float, int) if base is float else (base,)
     return Field(key, key, types, nullable=nullable, optional=True)
 
@@ -241,7 +245,7 @@ class Scenario:
     def from_dict(cls, data: Dict[str, Any]) -> "Scenario":
         """Build a scenario from its plain-dict form (unknown keys rejected).
 
-        Each field's type (as annotated, see :func:`_spec_field`), the
+        Each field's type (as annotated, see :func:`annotated_field`), the
         placement rule, the ``engine_options``, the protocol parameters and
         the ``workload`` / ``adversary`` kinds and fields are checked here
         too, so every command that loads a spec (``resume`` included)
@@ -252,7 +256,7 @@ class Scenario:
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigurationError(f"unknown scenario fields: {sorted(unknown)}")
-        fields = tuple(_spec_field(key, hint) for key, hint in SPEC_HINTS.items())
+        fields = tuple(annotated_field(key, hint) for key, hint in SPEC_HINTS.items())
         fault = field_fault(data, fields)
         if fault is not None:
             raise ConfigurationError(f"scenario field {fault[0].key!r} {fault[1]}")
@@ -278,7 +282,7 @@ class Scenario:
 
 
 #: Every spec field's annotation, resolved once, at import: a forked worker
-#: process that loads a spec then finds them ready (see :func:`_spec_field`).
+#: process that loads a spec then finds them ready (see :func:`annotated_field`).
 SPEC_HINTS = get_type_hints(Scenario)
 
 

@@ -290,9 +290,7 @@ class LiveEngineSession:
                 raise _rejected(frame, f"node {node_id} is registered {descriptor.role.value}, not {role}")
             role = descriptor.role.value
         return ChurnEvent.join(
-            role=NodeRole(role or "honest"),
-            node_id=node_id,
-            contact_cluster=contact,
+            role=NodeRole(role or "honest"), node_id=node_id, contact_cluster=contact
         )
 
     # ------------------------------------------------------------------

@@ -29,11 +29,13 @@ import json
 import os
 import random
 import tempfile
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, get_type_hints
 
+from ..core.engine import EngineConfig
 from ..errors import ConfigurationError
 from ..rng import rng_state_from_json
-from ..walks.sampler import WalkMode, check_kernel_snapshot
+from ..scenarios.scenario import annotated_field
+from ..walks.sampler import check_kernel_snapshot
 from .hashing import state_hash
 from .log import Field, field_fault
 
@@ -61,12 +63,9 @@ ENGINE_FIELDS = {
     "sharded": tuple(Field(key, f"shard {key}", _OBJECT) for key in ("router", "merge", "shards")),
 }
 
-#: A single engine's ``config``: the ``EngineConfig`` fields, and no other key.
-CONFIG_FIELDS = (
-    Field("walk_mode", "walk mode", (str,), values=tuple(mode.value for mode in WalkMode)),
-    Field("walk_kernel", "walk kernel", (str,), values=("array",)),
-    Field("cascade_exchanges", "cascade exchanges", (bool,)),
-)
+#: A single engine's ``config``: the :class:`EngineConfig` fields, typed as
+#: annotated (resolved once, at import, like a spec's), and no other key.
+CONFIG_FIELDS = tuple(annotated_field(key, hint) for key, hint in get_type_hints(EngineConfig).items())
 #: A single engine's ``randcl``: the hop engine's stream, null before any walk.
 RANDCL_FIELDS = (Field("kernel", "walk-kernel snapshot", _OBJECT, nullable=True),)
 
@@ -91,15 +90,23 @@ def engine_fault(engine: Dict[str, Any], path: str) -> Optional[str]:
     problem = _fault(engine, ENGINE_FIELDS["now"], path)
     if problem:
         return problem
-    unknown = sorted(set(engine["config"]) - {field.key for field in CONFIG_FIELDS})
+    config = engine["config"]
+    unknown = sorted(set(config) - {field.key for field in CONFIG_FIELDS})
     if unknown:
         return f"{path}config/{unknown[0]} is not an engine option"
-    problem = _fault(engine["config"], CONFIG_FIELDS, f"{path}config/") or _fault(
+    problem = _fault(config, CONFIG_FIELDS, f"{path}config/") or _fault(
         engine["randcl"], RANDCL_FIELDS, f"{path}randcl/"
     )
-    if not problem and engine["randcl"]["kernel"] is not None:
+    if problem:
+        return problem
+    for key, value in config.items():
+        try:
+            EngineConfig(**{key: value})  # the option's own value check
+        except (ConfigurationError, ValueError) as error:
+            return f"{path}config/{key} is {value!r} ({error})"
+    if engine["randcl"]["kernel"] is not None:
         check_kernel_snapshot(engine["randcl"]["kernel"])
-    return problem
+    return None
 
 
 def _stream_fault(state: Any, path: str) -> Optional[str]:
@@ -149,11 +156,13 @@ class Checkpoint:
                 f"(expected {FORMAT_VERSION})"
             )
         kind = data.get("engine_kind", "now")
-        problem = _fault(data, ENVELOPE_FIELDS, "") or _fault(
-            data["engine"], ENGINE_FIELDS[kind], "engine/"
-        )
-        if not problem and kind == "now":
-            problem = engine_fault(data["engine"], "engine/")
+        problem = _fault(data, ENVELOPE_FIELDS, "")
+        if not problem:
+            problem = (
+                engine_fault(data["engine"], "engine/")
+                if kind == "now"
+                else _fault(data["engine"], ENGINE_FIELDS[kind], "engine/")
+            )
         if not problem and data["source"] is not None:
             problem = _fault(data["source"], SOURCE_FIELDS, "source/") or _stream_fault(
                 data["source"]["rng"], "source/rng"

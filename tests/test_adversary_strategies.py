@@ -14,7 +14,8 @@ from repro.adversary import (
     ObliviousChurnAdversary,
     TargetedDosAdversary,
 )
-from repro.core.events import ChurnKind
+from repro.core.events import ChurnEvent, ChurnKind
+from repro.errors import UnknownNodeError
 from repro.network.node import NodeRole
 from repro.scenarios.runner import SimulationRunner
 
@@ -39,6 +40,8 @@ class TestAdversaryContext:
         member = context.cluster_members(cluster_ids[0])[0]
         assert context.cluster_of(member) == cluster_ids[0]
         assert 0.0 <= context.byzantine_fraction(cluster_ids[0]) <= 1.0
+        assert context.network_size() == attack_engine.network_size
+        assert context.global_byzantine_fraction() == pytest.approx(0.15, abs=0.02)
 
     def test_the_view_reads_what_the_engine_holds(self, attack_engine):
         context = context_of(attack_engine)
@@ -52,6 +55,20 @@ class TestAdversaryContext:
         honest = set(context.honest_nodes())
         assert controlled.isdisjoint(honest)
         assert len(controlled) + len(honest) == attack_engine.network_size
+
+    def test_controlled_in_cluster(self, attack_engine):
+        context = context_of(attack_engine)
+        cluster_id = context.cluster_ids()[0]
+        members = set(context.cluster_members(cluster_id))
+        for node_id in context.controlled_in_cluster(cluster_id):
+            assert node_id in members
+            assert node_id in context.controlled_nodes()
+
+    def test_cluster_of_a_departed_node_raises(self, attack_engine):
+        node_id = context_of(attack_engine).honest_nodes()[0]
+        attack_engine.apply_event(ChurnEvent.leave(node_id))
+        with pytest.raises(UnknownNodeError):
+            context_of(attack_engine).cluster_of(node_id)
 
 
 class TestJoinLeaveAttack:
@@ -109,6 +126,9 @@ class TestTargetedDos:
         adversary = TargetedDosAdversary(random.Random(2))
         adversary.run(attack_engine, steps=40)
         assert attack_engine.worst_cluster_fraction() < 0.5
+
+    def test_name(self):
+        assert TargetedDosAdversary(random.Random(0)).name() == "TargetedDosAdversary"
 
 
 class TestObliviousChurn:

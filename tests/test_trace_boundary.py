@@ -261,6 +261,8 @@ NESTED = [
     ("engine/randcl", {"kernel": 5}, "engine/randcl/kernel"),
     ("engine/config", {"bogus": 1}, "engine/config/bogus"),
     ("engine/config/cascade_exchanges", None, "engine/config/cascade_exchanges"),
+    ("engine/config/walk_mode", "bogus", "engine/config/walk_mode"),
+    ("engine/config/walk_kernel", "naive", "engine/config/walk_kernel"),
     ("source/rng", ["x"], "source/rng"),
 ]
 
