@@ -7,12 +7,12 @@ event loop (stdlib ``asyncio`` only — no new dependencies):
   into the newline-delimited JSON requests of :mod:`repro.service.protocol`;
 * the bounded :class:`~repro.service.queue.RequestQueue` every connection
   funnels into (full queue → immediate ``overloaded`` response);
-* the **engine pump**: one background task that drains the queue's two
-  lanes in batches of up to ``max_batch`` requests — writes (join/leave) go
-  through the :class:`~repro.service.session.LiveEngineSession` as one
-  window, reads are served beside it — then writes each connection's
-  answers in one call and yields to the loop so socket I/O interleaves with
-  engine work instead of starving behind it.
+* the **engine pump**: one background task that drains the queue in
+  batches of up to ``max_batch`` requests, hands each batch to
+  :meth:`LiveEngineSession.serve <repro.service.session.LiveEngineSession.serve>`
+  (which alone knows reads from writes and in what order they run), then
+  writes each connection's answers in one call and yields to the loop so
+  socket I/O interleaves with engine work instead of starving behind it.
 
 Responses are matched to requests by the echoed ``id``, not by order: a
 pipelined connection receives answers as the engine finishes them, with no
@@ -31,7 +31,6 @@ instead (flushed, no end frame — the crashed-run shape).
 from __future__ import annotations
 
 import asyncio
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set
@@ -48,7 +47,7 @@ from .protocol import (
     parse_request,
 )
 from .queue import DEFAULT_MAX_QUEUE, RequestQueue
-from .session import READ_OPS, LiveEngineSession
+from .session import LiveEngineSession
 
 #: Default number of queued requests the pump executes per engine batch.
 DEFAULT_MAX_BATCH = 64
@@ -56,10 +55,6 @@ DEFAULT_MAX_BATCH = 64
 #: Longest request line accepted, in bytes; a longer one is answered
 #: ``bad_request`` and skipped up to its newline.
 MAX_LINE = 64 * 1024
-
-#: Queue lanes: writes are ordered and windowed, reads ride beside them.
-WRITE_LANE = 0
-READ_LANE = 1
 
 
 @dataclass
@@ -140,7 +135,7 @@ class ServiceFrontend:
         self.host = host
         self.port = port
         self.max_batch = max_batch
-        self.queue = RequestQueue(maxsize=max_queue, lanes=2)
+        self.queue = RequestQueue(maxsize=max_queue)
         self.connections_served = 0
         self.responses_sent = 0
         self._server: Optional[asyncio.AbstractServer] = None
@@ -208,48 +203,32 @@ class ServiceFrontend:
     # Engine pump
     # ------------------------------------------------------------------
     async def _pump(self) -> None:
-        """Drain → window the writes, serve the reads → write, until closed.
+        """Drain a batch → :meth:`LiveEngineSession.serve` it → write, until closed.
 
-        Each iteration drains both lanes, dispatches the write batch
-        (``begin_window`` — on the sharded backend the send half only),
-        serves whatever read traffic does not have to wait for the window
-        *while the workers execute it*, then collects the window
-        (``finish_window``) and serves the deferred reads from the freshly
-        merged state.  On the single engine the window completes inside
-        ``begin_window``; a read defers only when its views are due a rebuild.
-        The iteration ends with one write per connection it answered.
+        ``serve`` answers each request through :meth:`_resolve` as soon as
+        its outcome is ready; the iteration ends with one write per
+        connection it answered.
 
-        Any failure of a *write* other than a pre-flight rejection — a shard
-        worker dying, the trace writer raising — leaves events applied but
-        unrecorded, so it is fatal: the batch and everything still queued
-        are answered ``failed`` (never a hung connection), shutdown is
-        triggered, and :meth:`stop` re-raises the error after sealing the
-        trace in crashed-run shape.
+        The only failure ``serve`` raises is its write window's — a shard
+        worker dying, the trace writer raising — which leaves events applied
+        but unrecorded, so it is fatal: the rest of the batch and everything
+        still queued are answered ``failed`` (never a hung connection),
+        shutdown is triggered, and :meth:`stop` re-raises the error after
+        sealing the trace in crashed-run shape.
         """
-        session = self.session
         batch: list = []
         try:
             while True:
                 await self.queue.wait()
-                writes = self.queue.drain(self.max_batch, lane=WRITE_LANE)
-                reads = self.queue.drain(self.max_batch, lane=READ_LANE)
-                batch = writes + reads
+                batch = self.queue.drain(self.max_batch)
                 if not batch:
                     if self.queue.closed:
                         return
                     continue
-                window = session.begin_window([p.frame for p in writes]) if writes else None
-                deferred = []
-                for pending in reads:
-                    if window is not None and not session.read_ready(pending.frame["op"]):
-                        deferred.append(pending)
-                    else:
-                        self._serve_read(pending)
-                if window is not None:
-                    for pending, outcome in zip(writes, session.finish_window(window)):
-                        self._resolve(pending, outcome)
-                for pending in deferred:
-                    self._serve_read(pending)
+                self.session.serve(
+                    [pending.frame for pending in batch],
+                    lambda index, outcome: self._resolve(batch[index], outcome),
+                )
                 self._flush()
                 # Yield so connections are read and written between batches.
                 await asyncio.sleep(0)
@@ -262,29 +241,9 @@ class ServiceFrontend:
             self._flush()
             raise
 
-    def _serve_read(self, pending: _Pending) -> None:
-        """Answer one read-lane request; a failing read is not fatal."""
-        op = pending.frame["op"]
-        try:
-            outcome = self.session.execute(pending.frame)
-            if op == "status":
-                outcome["queue"] = {
-                    "depth": len(self.queue),
-                    "bound": self.queue.maxsize,
-                    "accepted": self.queue.accepted,
-                    "rejected": self.queue.rejected,
-                }
-        except ProtocolError as error:
-            outcome = error
-        except Exception as error:
-            # Reads change no state, so the session is still consistent with
-            # its trace: answer this request and keep serving.
-            print(f"service: {op} request failed: {error!r}", file=sys.stderr)
-            outcome = ProtocolError(ERROR_FAILED, f"internal error: {error}")
-        self._resolve(pending, outcome)
-
     def _resolve(self, pending: _Pending, outcome: Any) -> None:
-        """Answer one request from its outcome (result or ``ProtocolError``)."""
+        """Answer one request from its outcome (result or ``ProtocolError``);
+        a ``status`` answer gains the queue's own block."""
         if pending.done:
             return
         pending.done = True
@@ -292,6 +251,13 @@ class ServiceFrontend:
         if isinstance(outcome, ProtocolError):
             response = error_response(frame.get("id"), frame["op"], outcome.code, outcome.message)
         else:
+            if frame["op"] == "status":
+                outcome["queue"] = {
+                    "depth": len(self.queue),
+                    "bound": self.queue.maxsize,
+                    "accepted": self.queue.accepted,
+                    "rejected": self.queue.rejected,
+                }
             response = ok_response(frame.get("id"), frame["op"], outcome)
         response["latency_ms"] = round(
             (time.perf_counter() - pending.enqueued_at) * 1000.0, 3
@@ -311,10 +277,7 @@ class ServiceFrontend:
         later arrivals see the closed queue and get ``shutting_down``.
         """
         self.queue.close()
-        leftovers = []
-        for lane in range(self.queue.lanes):
-            leftovers += self.queue.drain(len(self.queue) + 1, lane=lane)
-        self._fail_batch(leftovers, message)
+        self._fail_batch(self.queue.drain(len(self.queue)), message)
 
     # ------------------------------------------------------------------
     # Connections
@@ -337,9 +300,7 @@ class ServiceFrontend:
         elif self.queue.closed:
             message = "server is shutting down"
             self._send(conn, error_response(request_id, op, ERROR_SHUTTING_DOWN, message))
-        elif not self.queue.offer(
-            _Pending(frame, conn), lane=READ_LANE if op in READ_OPS else WRITE_LANE
-        ):
+        elif not self.queue.offer(_Pending(frame, conn)):
             # The backpressure fast path: the queue bound was hit, the
             # client hears about it now instead of waiting in line.
             message = f"request queue is full ({self.queue.maxsize})"

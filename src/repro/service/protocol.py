@@ -36,6 +36,7 @@ it cannot fail.
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Dict, Optional
 
 #: Operations a client may request.
@@ -62,18 +63,18 @@ ERROR_CODES = frozenset(
 #: Accepted values of a join request's ``role`` field.
 JOIN_ROLES = frozenset({"honest", "byzantine"})
 
-#: Request fields every operation accepts.
-_COMMON_FIELDS = {"op", "id"}
-
-#: Extra fields each operation accepts beyond the common ones.
+#: Request fields each operation accepts: ``op`` and ``id``, plus its own.
 _OP_FIELDS: Dict[str, frozenset] = {
-    "join": frozenset({"role", "node_id", "contact_cluster"}),
-    "leave": frozenset({"node_id"}),
-    "sample": frozenset(),
-    "broadcast": frozenset({"payload"}),
-    "status": frozenset(),
-    "ping": frozenset(),
-    "shutdown": frozenset(),
+    op: frozenset({"op", "id", *extra})
+    for op, extra in {
+        "join": ("role", "node_id", "contact_cluster"),
+        "leave": ("node_id",),
+        "sample": (),
+        "broadcast": ("payload",),
+        "status": (),
+        "ping": (),
+        "shutdown": (),
+    }.items()
 }
 
 
@@ -127,11 +128,10 @@ def parse_request(line: str) -> Dict[str, Any]:
             request_id=request_id,
             op=op,
         )
-    unknown = set(frame) - _COMMON_FIELDS - _OP_FIELDS[op]
-    if unknown:
+    if not frame.keys() <= _OP_FIELDS[op]:
         raise ProtocolError(
             ERROR_BAD_REQUEST,
-            f"unknown fields for {op!r}: {sorted(unknown)}",
+            f"unknown fields for {op!r}: {sorted(frame.keys() - _OP_FIELDS[op])}",
             request_id=request_id,
             op=op,
         )
@@ -203,10 +203,22 @@ def error_response(
     }
 
 
-#: The one wire encoder (``json.dumps`` with ``separators`` builds one per call).
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
+#: The one wire encoder: compact separators, ASCII escapes, no circularity
+#: check (a frame is a tree, so the C encoder gets no markers).
+#: ``JSONEncoder.encode`` would build a new C encoder on every call; this
+#: one is built once, from the same settings.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+_encode = (
+    c_make_encoder(
+        None, _ENCODER.default, encode_basestring_ascii, _ENCODER.indent,
+        _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
+        _ENCODER.skipkeys, _ENCODER.allow_nan,
+    )
+    if c_make_encoder is not None
+    else lambda frame, _level: (_ENCODER.encode(frame),)
+)
 
 
 def encode_frame(frame: Dict[str, Any]) -> bytes:
     """Serialise one frame to its wire form (UTF-8 JSON + newline)."""
-    return (_ENCODER.encode(frame) + "\n").encode("utf-8")
+    return ("".join(_encode(frame, 0)) + "\n").encode("utf-8")

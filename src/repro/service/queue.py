@@ -32,54 +32,39 @@ class RequestQueue:
     """Bounded single-consumer FIFO with fast-fail admission.
 
     ``offer`` never blocks and never grows the queue past ``maxsize``;
-    ``drain`` hands the consumer up to ``limit`` items at once; ``wait``
-    parks the consumer until items arrive or the queue is closed.
-
-    ``lanes`` splits the queue into that many independent FIFOs behind one
-    shared bound and one wakeup (the sharded pump's write/read split: lane
-    order is preserved *within* a lane; the consumer chooses the drain
-    order across lanes).  The default single lane is the classic queue.
+    ``drain`` hands the consumer up to ``limit`` items at once, oldest
+    first — reads and writes alike, in arrival order (the session decides
+    how a batch runs); ``wait`` parks the consumer until items arrive or the
+    queue is closed.
     """
 
-    def __init__(self, maxsize: int = DEFAULT_MAX_QUEUE, lanes: int = 1) -> None:
+    def __init__(self, maxsize: int = DEFAULT_MAX_QUEUE) -> None:
         if maxsize < 1:
             raise ConfigurationError("request queue bound must be >= 1")
-        if lanes < 1:
-            raise ConfigurationError("request queue needs at least one lane")
         self.maxsize = maxsize
-        self.lanes = lanes
         self.accepted = 0
         self.rejected = 0
-        self._lanes: List[deque] = [deque() for _ in range(lanes)]
-        self._size = 0
+        self._items: deque = deque()
         self._wakeup = asyncio.Event()
         self._closed = False
 
-    def offer(self, item: Any, lane: int = 0) -> bool:
-        """Admit one item; ``False`` (immediately) when full or closed.
-
-        The bound is shared across lanes: a full read lane rejects writes
-        too, and vice versa — total queued work stays capped at ``maxsize``.
-        """
-        if self._closed or self._size >= self.maxsize:
+    def offer(self, item: Any) -> bool:
+        """Admit one item; ``False`` (immediately) when full or closed."""
+        if self._closed or len(self._items) >= self.maxsize:
             self.rejected += 1
             return False
-        self._lanes[lane].append(item)
-        self._size += 1
+        self._items.append(item)
         self.accepted += 1
         self._wakeup.set()
         return True
 
-    def drain(self, limit: int, lane: int = 0) -> List[Any]:
-        """Remove and return up to ``limit`` items of one lane (oldest first)."""
-        items: List[Any] = []
-        queue = self._lanes[lane]
-        while queue and len(items) < limit:
-            items.append(queue.popleft())
-        self._size -= len(items)
-        if not self._size and not self._closed:
+    def drain(self, limit: int) -> List[Any]:
+        """Remove and return up to ``limit`` items (oldest first)."""
+        items = self._items
+        batch = [items.popleft() for _ in range(min(limit, len(items)))]
+        if not items and not self._closed:
             self._wakeup.clear()
-        return items
+        return batch
 
     async def wait(self) -> None:
         """Park until at least one item is queued or the queue is closed."""
@@ -96,4 +81,4 @@ class RequestQueue:
         return self._closed
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._items)

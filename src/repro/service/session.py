@@ -3,14 +3,15 @@
 :class:`LiveEngineSession` owns everything about a live service that does
 not depend on how events reach the engine(s): lifecycle, trace attach, the
 operation counters, ``status``/``ping``, the pre-flight admission rules, the
-write window (:meth:`~LiveEngineSession.begin_window` /
-:meth:`~LiveEngineSession.finish_window`) and the reads.  The engine side is
-the driver :func:`repro.trace.session.open_driver` opens for the scenario,
-as for every run: the single-engine runner when ``scenario.shards`` is 0,
-the shard coordinator otherwise.  The scenario has no event source, so the
-session drives it through ``dispatch`` / ``collect``.  Reads go to the
-driver's :class:`~repro.shard.serve.ShardReadModel`, dropped after every
-collected window.
+reads, and the one schedule of a pump batch (:meth:`~LiveEngineSession.serve`:
+the writes as one window, the reads beside it or after it) — so this is the
+one module that tells reads from writes.  The engine side is the driver
+:func:`repro.trace.session.open_driver` opens for the scenario, as for every
+run: the single-engine runner when ``scenario.shards`` is 0, the shard
+coordinator otherwise.  The scenario has no event source, so the session
+drives it through ``dispatch`` / ``collect``.  Reads go to the driver's
+:class:`~repro.shard.serve.ShardReadModel`, dropped after every collected
+window.
 
 Seed fan-out (one table, both drivers): seed → engine, +1 workload,
 +2 adversary, +3 mixer, **+4 service writes** (the anonymous-leave pick),
@@ -38,7 +39,8 @@ cluster's shard.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+import sys
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from ..core.events import ChurnEvent
 from ..errors import ConfigurationError
@@ -53,8 +55,8 @@ from .protocol import ERROR_FAILED, ProtocolError
 SERVICE_RNG_OFFSET = 4
 SERVICE_READ_RNG_OFFSET = 5
 
-#: Operations the pump serves beside the write window, not through it.
-READ_OPS = frozenset({"sample", "broadcast", "status", "ping"})
+#: Operations that become churn events; every other operation is a read.
+WRITE_OPS = frozenset({"join", "leave"})
 
 
 def live_scenario(
@@ -82,20 +84,6 @@ def live_scenario(
         workload=None,
         **overrides,
     )
-
-
-class _Window:
-    """A write window in flight: the batch's frames, an outcome per request
-    (the result dict, or the pre-flight ``ProtocolError``), the admitted
-    requests' indices in admission order, and the driver's token."""
-
-    __slots__ = ("frames", "outcomes", "admitted", "token")
-
-    def __init__(self, frames: Sequence[Dict[str, Any]]) -> None:
-        self.frames = frames
-        self.outcomes: List[Any] = [None] * len(frames)
-        self.admitted: List[int] = []
-        self.token: Any = None
 
 
 class LiveEngineSession:
@@ -209,54 +197,85 @@ class LiveEngineSession:
         return self.driver.state_hash()
 
     # ------------------------------------------------------------------
-    # The write window (dispatch / collect halves)
+    # Serving a pump batch
     # ------------------------------------------------------------------
-    def begin_window(self, frames: Sequence[Dict[str, Any]]) -> _Window:
-        """Validate and dispatch one pump batch of write requests.
+    def serve(self, frames: Sequence[Dict[str, Any]], answer: Callable[[int, Any], None]) -> None:
+        """Serve one pump batch; ``answer(index, outcome)`` gets each frame's
+        outcome (its result dict, or a :class:`ProtocolError`) once it is ready.
 
-        The driver pulls them in admission order, each checked as it is
-        pulled (the module docstring's pre-flight rule): a rejected request
-        gets a :class:`ProtocolError` outcome and takes no time step.
+        The batch's writes (join/leave) are one window: the driver pulls them
+        in admission order, each checked as it is pulled (the module
+        docstring's pre-flight rule), and a refused one takes no time step.
+        While the window is out, each read is answered beside it if its views
+        are fresh (``status``/``ping`` always): rebuilding them reads the
+        engines (on shards a worker round trip down FIFO pipes), which cannot
+        happen under an open window.  Then the window is collected, counted,
+        recorded and answered, and the deferred reads are answered from its
+        views.  A batch without writes is all reads, answered in order.
+
+        A read that raises is answered ``failed`` (reads change no state).
+        Only the window raises: a failure there (a dead shard worker, a trace
+        write error) leaves events applied but unrecorded, so callers must
+        treat it as fatal and close the session with ``ok=False``; what was
+        answered before it keeps its answer.  Frames must have passed
+        :func:`~repro.service.protocol.parse_request`.
         """
         if self._closed:
             raise ConfigurationError("session is closed")
-        if any(frame["op"] not in ("join", "leave") for frame in frames):
-            raise ConfigurationError("the write lane takes join and leave requests only")
         self.start()
-        window = _Window(frames)
-        window.token = self.driver.dispatch(self._admitted(window))
-        return window
+        window = any(frame["op"] in WRITE_OPS for frame in frames)
+        admitted: List[int] = []
+        if window:
+            token = self.driver.dispatch(self._admitted(frames, admitted, answer))
+        deferred = []
+        for index, frame in enumerate(frames):
+            op = frame["op"]
+            if op in WRITE_OPS:
+                continue
+            if not window or op in ("status", "ping") or self.read_model.fresh:
+                answer(index, self._read(frame))
+            else:
+                deferred.append(index)
+        if not window:
+            return
+        records = self.driver.collect(token)
+        applied = list(zip(admitted, records))
+        self.events_applied += len(applied)
+        for index, _record in applied:
+            op = frames[index]["op"]
+            self.operations[op] = self.operations.get(op, 0) + 1
+        if self._recorder is not None:
+            self._recorder.window(records)
+        for index, record in applied:
+            answer(index, _churn_result(record))
+        for index in deferred:
+            answer(index, self._read(frames[index]))
 
-    def _admitted(self, window: _Window) -> Iterator[ChurnEvent]:
-        """The window's admitted events, each checked when the driver pulls it."""
-        for index, frame in enumerate(window.frames):
+    def execute(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+        """:meth:`serve` of one frame: its result payload, or its
+        :class:`ProtocolError` (``failed``) raised."""
+        outcomes: List[Any] = []
+        self.serve([frame], lambda _index, outcome: outcomes.append(outcome))
+        (outcome,) = outcomes
+        if isinstance(outcome, ProtocolError):
+            raise outcome
+        return outcome
+
+    def _admitted(
+        self, frames: Sequence[Dict[str, Any]], admitted: List[int], answer: Callable
+    ) -> Iterator[ChurnEvent]:
+        """The batch's admitted events, each checked when the driver pulls it;
+        a refused one is answered there and then."""
+        for index, frame in enumerate(frames):
+            if frame["op"] not in WRITE_OPS:
+                continue
             try:
                 event = self._admit(frame)
             except ProtocolError as error:
-                window.outcomes[index] = error
+                answer(index, error)
                 continue
-            window.admitted.append(index)
+            admitted.append(index)
             yield event
-
-    def finish_window(self, window: _Window) -> List[Any]:
-        """Collect a dispatched window and return per-request outcomes.
-
-        Outcomes align with the frames given to :meth:`begin_window`.  Each
-        collected record is counted and turned into its response payload;
-        the whole window is then recorded in the trace.
-        A failure here (a dead shard worker, a trace write error) leaves
-        events applied but unrecorded: callers must treat it as fatal and
-        close the session with ``ok=False``.
-        """
-        records = self.driver.collect(window.token)
-        for index, record in zip(window.admitted, records):
-            self.events_applied += 1
-            op = window.frames[index]["op"]
-            self.operations[op] = self.operations.get(op, 0) + 1
-            window.outcomes[index] = _churn_result(record)
-        if self._recorder is not None:
-            self._recorder.window(records)
-        return window.outcomes
 
     def _admit(self, frame: Dict[str, Any]) -> ChurnEvent:
         """The event a write request asks for, checked against the live
@@ -293,49 +312,24 @@ class LiveEngineSession:
             role=NodeRole(role or "honest"), node_id=node_id, contact_cluster=contact
         )
 
-    # ------------------------------------------------------------------
-    # Single-request execution
-    # ------------------------------------------------------------------
-    def read_ready(self, op: str) -> bool:
-        """Whether ``op`` can be served while a write window is in flight.
-
-        ``status``/``ping`` never touch the engine side; ``sample`` and
-        ``broadcast`` wait for the window boundary when the read views are
-        stale: rebuilding them reads the engines (on shards: a worker round
-        trip down FIFO pipes), which cannot happen under an open window.
-        """
-        return op in ("status", "ping") or self.read_model.fresh
-
-    def execute(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Run one validated request frame and return its result payload.
-
-        Reads execute directly; a write runs as a window of one (identical
-        evolution — chunking is invisible).  Raises
-        :class:`~repro.service.protocol.ProtocolError` (``failed``) for
-        requests that are well-formed but rejected by the current state.
-        Must only be called with frames that passed
-        :func:`~repro.service.protocol.parse_request`.
-        """
-        if self._closed:
-            raise ConfigurationError("session is closed")
-        self.start()
+    def _read(self, frame: Dict[str, Any]) -> Any:
+        """One read's outcome; a read that raises is answered ``failed``."""
         op = frame["op"]
-        if op not in READ_OPS:
-            outcome = self.finish_window(self.begin_window([frame]))[0]
-            if isinstance(outcome, ProtocolError):
-                raise outcome
-            return outcome
-        if op == "sample":
-            result = self.read_model.sample(self.read_rng)
-        elif op == "broadcast":
-            result = self.read_model.broadcast(self.read_rng)
-        elif op == "status":
-            result = self.driver.status()
-            result["events_applied"] = self.events_applied
-            result["operations"] = dict(self.operations)
-            result["recording"] = self._recorder.trace_path if self._recorder else None
-        else:
-            result = {"pong": True}
+        try:
+            if op == "sample":
+                result = self.read_model.sample(self.read_rng)
+            elif op == "broadcast":
+                result = self.read_model.broadcast(self.read_rng)
+            elif op == "status":
+                result = self.driver.status()
+                result["events_applied"] = self.events_applied
+                result["operations"] = dict(self.operations)
+                result["recording"] = self._recorder.trace_path if self._recorder else None
+            else:
+                result = {"pong": True}
+        except Exception as error:
+            print(f"service: {op} request failed: {error!r}", file=sys.stderr)
+            return ProtocolError(ERROR_FAILED, f"internal error: {error}")
         self.operations[op] = self.operations.get(op, 0) + 1
         return result
 

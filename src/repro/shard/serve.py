@@ -55,8 +55,8 @@ def engine_view(
 ) -> Dict[str, Any]:
     """A compact snapshot of one engine's clusters and overlay, by cluster name.
 
-    ``clusters`` maps each name to its members in slot order (a read that
-    indexes into one sorts it), through ``l2g`` when given (a shard worker's
+    ``clusters`` maps each name to its members in slot order (the read model
+    sorts them once per view), through ``l2g`` when given (a shard worker's
     local-to-global id map); ``byzantine`` to the corruption tracker's count;
     ``adjacency`` is the OVER overlay, neighbours in ascending order.
     """
@@ -81,11 +81,14 @@ def engine_view(
 
 
 class _ShardView:
-    """One engine's read snapshot plus what is derived from it (the walk's price on first use)."""
+    """One engine's read snapshot plus what is derived from it: member lists
+    sorted once, the stationary law's table, the walk's price on first use."""
 
     def __init__(self, shard: int, raw: Dict[str, Any], params) -> None:
         self.shard = shard
         self.clusters: Dict[int, List[int]] = raw["clusters"]
+        for members in self.clusters.values():
+            members.sort()
         self.adjacency: Dict[int, List[int]] = raw["adjacency"]
         self.byzantine: Dict[int, int] = raw["byzantine"]
         self.cluster_ids = sorted(self.clusters)
@@ -142,6 +145,10 @@ class ShardReadModel:
         self._params = params
         self._is_byzantine = is_byzantine
         self._views: Optional[List[_ShardView]] = None
+        self._population = 0
+        #: ``broadcast``'s result per origin cluster: a flood depends on the
+        #: views and its entry cluster only.
+        self._broadcasts: Dict[int, Dict[str, Any]] = {}
 
     @property
     def fresh(self) -> bool:
@@ -157,6 +164,8 @@ class ShardReadModel:
                 _ShardView(shard, raw, self._params)
                 for shard, raw in enumerate(self._fetch())
             ]
+            self._population = sum(view.total_nodes for view in self._views)
+            self._broadcasts = {}
         return self._views
 
     def view_of(self, name: int) -> _ShardView:
@@ -168,10 +177,9 @@ class ShardReadModel:
     # Composite reads
     # ------------------------------------------------------------------
     def _pick_origin_shard(self, views: Sequence[_ShardView], rng: random.Random):
-        population = sum(view.total_nodes for view in views)
-        if population <= 0:
+        if self._population <= 0:
             raise ConfigurationError("the composite population is empty")
-        pick = rng.randrange(population)
+        pick = rng.randrange(self._population)
         for view in views:
             if pick < view.total_nodes:
                 return view
@@ -187,7 +195,7 @@ class ShardReadModel:
         """
         view = self._pick_origin_shard(self.ensure(), rng)
         cluster_id = view.sample_weighted_cluster(rng)
-        members = sorted(view.clusters[cluster_id])
+        members = view.clusters[cluster_id]
         node_id = members[rng.randrange(len(members))]
         hops, messages, rounds = view.walk
         pick_messages, pick_rounds = randnum_cost(len(members))
@@ -207,13 +215,26 @@ class ShardReadModel:
         The origin cluster is uniform over the origin shard's clusters
         (shard picked size-biased).  Each remote shard is entered through
         its lowest cluster id by one cluster-to-cluster send from the origin
-        cluster, adding one round of depth.
+        cluster, adding one round of depth.  The result is kept per origin
+        cluster until the views are dropped.
         """
         views = self.ensure()
         origin_view = self._pick_origin_shard(views, rng)
         origin_cluster = origin_view.cluster_ids[
             rng.randrange(len(origin_view.cluster_ids))
         ]
+        known = self._broadcasts.get(origin_cluster)
+        if known is None:
+            known = self._broadcasts[origin_cluster] = self._flood(
+                views, origin_view, origin_cluster
+            )
+        return dict(known)
+
+    @staticmethod
+    def _flood(
+        views: Sequence[_ShardView], origin_view: _ShardView, origin_cluster: int
+    ) -> Dict[str, Any]:
+        """:meth:`broadcast`'s result from ``origin_cluster``."""
         origin_size = origin_view.sizes[origin_cluster]
         origin_ok = majority(origin_size - origin_view.byzantine[origin_cluster], origin_size)
 

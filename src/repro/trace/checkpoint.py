@@ -128,7 +128,9 @@ def write_json_atomic(path: str, data: Any, indent: Optional[int] = None) -> Non
     descriptor, temp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
     try:
         with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            json.dump(data, handle, indent=indent, sort_keys=True)
+            # ``json.dumps`` runs the C encoder; ``json.dump`` would stream
+            # through the pure-Python one, to the same bytes.
+            handle.write(json.dumps(data, indent=indent, sort_keys=True))
             handle.write("\n")
         os.replace(temp_path, path)
     except BaseException:

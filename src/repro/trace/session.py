@@ -56,8 +56,8 @@ class Recorder:
     Two callers hand it every collected window of step records through
     :meth:`window`: the batch loop both drivers run,
     :func:`~repro.scenarios.runner.run_windows` (a runner's window is one
-    applied event), and :meth:`LiveEngineSession.finish_window
-    <repro.service.session.LiveEngineSession.finish_window>`.
+    applied event), and :meth:`LiveEngineSession.serve
+    <repro.service.session.LiveEngineSession.serve>` (a pump batch's window).
 
     **Cadence law.**  An index frame sits at the first window boundary at or
     after every ``index_every`` events since the last one, a checkpoint

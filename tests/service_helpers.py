@@ -48,30 +48,19 @@ def frames_from_ops(ops):
 
 
 def pump(session: LiveEngineSession, frames, chunk: int = 8):
-    """Run a request stream the way the frontend pump does.
+    """Serve a request stream as pump batches of ``chunk`` requests.
 
-    Splits the stream into pump batches of ``chunk`` requests, windows the
-    writes of each batch, serves ready reads during the window and deferred
-    ones after it.  Returns per-frame outcomes in stream order (result
-    dicts, or the ``ProtocolError`` for rejected writes).
+    Each batch goes through :meth:`LiveEngineSession.serve`, the schedule
+    the frontend pump runs.  Returns per-frame outcomes in stream order
+    (result dicts, or the ``ProtocolError`` for rejected requests).
     """
     outcomes = [None] * len(frames)
     for base in range(0, len(frames), chunk):
-        batch = list(enumerate(frames[base : base + chunk], start=base))
-        writes = [(i, f) for i, f in batch if f["op"] in ("join", "leave")]
-        reads = [(i, f) for i, f in batch if f["op"] not in ("join", "leave")]
-        window = session.begin_window([f for _, f in writes]) if writes else None
-        deferred = []
-        for i, frame in reads:
-            if window is not None and not session.read_ready(frame["op"]):
-                deferred.append((i, frame))
-            else:
-                outcomes[i] = session.execute(frame)
-        if window is not None:
-            for (i, _), outcome in zip(writes, session.finish_window(window)):
-                outcomes[i] = outcome
-        for i, frame in deferred:
-            outcomes[i] = session.execute(frame)
+
+        def answer(index, outcome, base=base):
+            outcomes[base + index] = outcome
+
+        session.serve(frames[base : base + chunk], answer)
     return outcomes
 
 

@@ -55,8 +55,7 @@ def test_oracle_runs_traces_and_serve_never_import_numpy(tmp_path):
 
         live = LiveEngineSession(live_scenario(initial_size=200, max_size=1024))
         live.start()
-        window = live.begin_window([{"op": "join", "id": 0}, {"op": "leave", "id": 1}])
-        live.finish_window(window)
+        live.serve([{"op": "join", "id": 0}, {"op": "leave", "id": 1}], lambda *_: None)
         for op in ("sample", "broadcast", "status", "ping"):
             live.execute({"op": op, "id": 2})
         live.close()

@@ -11,6 +11,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
 from repro.service import (
@@ -19,9 +20,11 @@ from repro.service import (
     encode_frame,
     live_scenario,
 )
+from repro.service import ProtocolError
 from repro.service.frontend import MAX_LINE, _Connection, _Pending
 from repro.trace import TraceReader, replay_trace
 
+from service_helpers import SIZES, normalise
 from service_helpers import make_session as make_backend_session
 
 
@@ -206,7 +209,7 @@ class TestBackpressure:
                 # Pin the queue at "full" so admission (not pump speed)
                 # decides the outcome: the overloaded fast-path must answer
                 # without the request ever reaching the engine.
-                frontend.queue.offer = lambda item, lane=0: False
+                frontend.queue.offer = lambda item: False
                 reader, writer = await connect(frontend)
                 events_before = frontend.session.events_applied
                 response = await rpc(reader, writer, {"op": "join", "id": 1})
@@ -426,6 +429,124 @@ class TestFailureInsideTheEngine:
                 await frontend.stop()
 
         asyncio.run(scenario())
+
+
+def mixed_stream():
+    """Requests of every kind; named ids sit around the first fresh ones."""
+    fresh = SIZES["initial_size"]
+    named = st.integers(fresh - 5, fresh + 5)
+    frame = st.one_of(
+        st.just({"op": "join"}),
+        st.just({"op": "join", "role": "byzantine"}),
+        named.map(lambda node: {"op": "join", "node_id": node}),
+        st.just({"op": "leave"}),
+        named.map(lambda node: {"op": "leave", "node_id": node}),
+        st.sampled_from([{"op": op} for op in ("sample", "broadcast", "status", "ping")]),
+    )
+    return st.lists(frame, min_size=1, max_size=30).map(
+        lambda frames: [dict(frame, id=index) for index, frame in enumerate(frames)]
+    )
+
+
+def serve_packets(frontend, packets, yields):
+    """Feed ``packets`` to one stub connection, yielding to the pump after
+    each packet ``yields`` marks, then stop the frontend.
+
+    Returns the stub transport and the error ``stop`` re-raised (or ``None``).
+    """
+
+    async def scenario():
+        frontend.session.start()
+        frontend._pump_task = asyncio.create_task(frontend._pump())
+        conn, transport = stub_connection(frontend)
+        for packet, pause in zip(packets, yields):
+            conn.data_received(packet)
+            if pause:
+                await asyncio.sleep(0)
+        try:
+            await frontend.stop()
+        except Exception as error:
+            return transport, error
+        return transport, None
+
+    return asyncio.run(scenario())
+
+
+class TestStubTransport:
+    """The frontend in process: a stub transport, no socket, no server."""
+
+    @pytest.mark.parametrize("backend", ["single", "shards=1"])
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(frames=mixed_stream(), data=st.data())
+    def test_any_packet_cuts_answer_as_one_request_at_a_time(
+        self, tmp_path_factory, backend, frames, data
+    ):
+        """Cut a mixed stream's bytes anywhere: every id is answered once,
+        and the writes answer, record and hash as one-at-a-time ``execute``."""
+        stream = b"".join(map(encode_frame, frames))
+        cuts = data.draw(st.sets(st.integers(1, len(stream) - 1), max_size=12), label="cuts")
+        bounds = [0, *sorted(cuts), len(stream)]
+        packets = [stream[start:end] for start, end in zip(bounds, bounds[1:])]
+        yields = data.draw(st.lists(st.booleans(), min_size=len(packets), max_size=len(packets)))
+        tmp = tmp_path_factory.mktemp("stub")
+
+        served = make_backend_session(backend, seed=13)
+        served.attach_trace(str(tmp / "served.jsonl"), index_every=10**6)
+        transport, error = serve_packets(ServiceFrontend(served, max_batch=5), packets, yields)
+        assert error is None
+        responses = transport.responses()
+        assert sorted(response["id"] for response in responses) == list(range(len(frames)))
+
+        oracle = make_backend_session(backend, seed=13)
+        oracle.attach_trace(str(tmp / "oracle.jsonl"), index_every=10**6)
+        expected = {}
+        try:
+            for frame in frames:
+                try:
+                    expected[frame["id"]] = normalise(oracle.execute(frame))
+                except ProtocolError as refusal:
+                    expected[frame["id"]] = normalise(refusal)
+        finally:
+            oracle.close()
+        for response in responses:
+            if response["op"] in ("join", "leave"):
+                if response["ok"]:
+                    got = response["result"]
+                else:
+                    got = ("error", response["error"], response["message"])
+                assert got == expected[response["id"]], response
+        # The end frames carry the final state hashes.
+        assert TraceReader(str(tmp / "served.jsonl")).end_frame() is not None
+        assert (tmp / "served.jsonl").read_bytes() == (tmp / "oracle.jsonl").read_bytes()
+
+    def test_a_failing_window_answers_every_request_once(self):
+        """``collect`` raises: reads answered beside the window keep their
+        ``ok``; the rest of the batch and the whole queue answer ``failed``."""
+        session = make_session()
+        session.execute({"op": "sample"})  # fresh views: reads ride beside the window
+
+        def dead_collect(token):
+            raise RuntimeError("worker died")
+
+        session.driver.collect = dead_collect
+        ops = ["sample", "join", "status", "leave", "ping", "broadcast", "join", "sample"]
+        frames = [{"op": op, "id": index} for index, op in enumerate(ops)]
+        frontend = ServiceFrontend(session, max_batch=5)
+        transport, error = serve_packets(frontend, [b"".join(map(encode_frame, frames))], [True])
+        assert isinstance(error, RuntimeError) and "engine pump failed" in frontend.shutdown_reason
+        responses = transport.responses()
+        assert sorted(response["id"] for response in responses) == list(range(len(frames)))
+        for response in responses:
+            if response["id"] in (0, 2, 4):  # the first batch's reads
+                assert response["ok"], response
+            else:
+                assert response["error"] == "failed", response
+                assert response["message"] == "engine pump failed: worker died", response
+        assert session.closed
 
 
 class TestShutdown:

@@ -106,6 +106,27 @@ class TestResponses:
             b'{"id":null,"ok":false,"op":null,"error":"failed",'
             b'"message":"node 5 is not active","latency_ms":0.0}\n'
         )
+        sample = {
+            "node_id": 113, "cluster_id": 6, "shard": 1, "is_byzantine": False,
+            "messages": 1234.5, "rounds": 17.25, "walk_hops": 9.333333333333334,
+        }
+        raw = encode_frame(ok_response(3, "sample", sample, latency_ms=0.042))
+        assert raw == (
+            b'{"id":3,"ok":true,"op":"sample","result":{"node_id":113,"cluster_id":6,'
+            b'"shard":1,"is_byzantine":false,"messages":1234.5,"rounds":17.25,'
+            b'"walk_hops":9.333333333333334},"latency_ms":0.042}\n'
+        )
+        broadcast = {
+            "origin_cluster": 6, "origin_shard": 1, "clusters_reached": 21,
+            "cluster_count": 24, "nodes_reached": 250, "coverage": 0.875,
+            "messages": 4321, "rounds": 5,
+        }
+        raw = encode_frame(ok_response("b-9", "broadcast", broadcast, latency_ms=12.5))
+        assert raw == (
+            b'{"id":"b-9","ok":true,"op":"broadcast","result":{"origin_cluster":6,'
+            b'"origin_shard":1,"clusters_reached":21,"cluster_count":24,"nodes_reached":250,'
+            b'"coverage":0.875,"messages":4321,"rounds":5},"latency_ms":12.5}\n'
+        )
 
 
 class TestRequestQueue:

@@ -175,8 +175,7 @@ class TestRecordedSessionReplays:
         def chunked(session):
             for start, end in zip(bounds, bounds[1:]):
                 if end > start:
-                    window = session.begin_window(frames[start:end])
-                    yield from session.finish_window(window)
+                    yield from pump(session, frames[start:end], chunk=end - start)
 
         assert run("chunked", chunked) == run("single", one_at_a_time)
 
@@ -371,12 +370,12 @@ class TestReadLane:
         session = make_session(backend, seed=6)
         try:
             session.execute({"op": "sample"})
-            assert session.read_ready("sample")
+            assert session.read_model.fresh
             size = session.network_size
-            session.finish_window(session.begin_window(frames_from_ops(["join"] * 5)))
-            assert not session.read_ready("sample")
+            pump(session, frames_from_ops(["join"] * 5), chunk=5)
+            assert not session.read_model.fresh
             assert session.execute({"op": "broadcast"})["nodes_reached"] == size + 5
-            assert session.read_ready("sample")
+            assert session.read_model.fresh
         finally:
             session.close()
 
@@ -410,15 +409,12 @@ class TestReadLane:
             session = make_session(backend, seed=27)
             try:
                 session.attach_trace(path, index_every=8)
-                session.execute({"op": "sample"})  # views built: reads are ready
-                window = session.begin_window(first)
-                for _ in range(storm):
-                    if session.read_ready("sample"):  # served beside the window
-                        session.execute({"op": "sample"})
-                session.finish_window(window)
-                for index in range(storm):
-                    session.execute({"op": "broadcast" if index % 4 == 0 else "sample"})
-                session.finish_window(session.begin_window(second))
+                session.execute({"op": "sample"})  # views built: reads ride beside the window
+                under = first + [{"op": "sample"}] * storm
+                pump(session, under, chunk=len(under))
+                between = [{"op": "broadcast" if i % 4 == 0 else "sample"} for i in range(storm)]
+                pump(session, between, chunk=max(storm, 1))
+                pump(session, second, chunk=len(second))
                 state = session.state_hash()
             finally:
                 session.close()

@@ -1,11 +1,11 @@
-"""The sharded backend's own cases: worker-count equivalence, the deferred
-read lane, worker death, shard-only admission.
+"""The sharded backend's own cases: worker-count equivalence, deferred
+reads, worker death, shard-only admission.
 
 Everything a session promises on *every* backend lives in the contract suite
 (``tests/test_service_replay.py``).  What is left here is specific to the
 shard coordinator: responses, recorded trace and composite state hash are
 independent of the worker-process count (``workers=1`` is the inline
-oracle), the single engine is the oracle for the write lane's responses, and
+oracle), the single engine is the oracle for the writes' responses, and
 a worker dying under load fails loudly.
 """
 
@@ -105,21 +105,22 @@ class TestReadLane:
     def test_status_serves_during_inflight_window_sample_defers(self):
         """status/ping never block on a window; a stale model defers sample."""
         session = make_session(seed=5)
+        frames = [{"op": "join", "id": i} for i in range(6)]
+        frames += [{"op": op, "id": op} for op in ("sample", "status", "broadcast", "ping")]
+        answered = {}
+
+        def answer(index, outcome):
+            answered[frames[index]["id"]] = outcome
+
         try:
-            handle = session.begin_window(
-                [{"op": "join", "id": i} for i in range(6)]
-            )
-            # Window dispatched, not collected: status must not round-trip.
-            assert session.read_ready("status") and session.read_ready("ping")
-            status = session.execute({"op": "status"})
-            assert status["network_size"] == SIZES["initial_size"] + 6
-            assert not session.read_ready("sample")
-            assert not session.read_ready("broadcast")
-            session.finish_window(handle)
-            # Boundary: the model may refresh now (one worker round trip).
-            sample = session.execute({"op": "sample"})
-            assert session.read_ready("sample")
-            assert sample["messages"] > 0 and sample["rounds"] > 0
+            session.serve(frames, answer)
+            # Window dispatched, not collected: status and ping are answered
+            # beside it; the stale model defers sample and broadcast past the
+            # joins, to the boundary (one worker round trip).
+            assert list(answered) == ["status", "ping", *range(6), "sample", "broadcast"]
+            assert answered["status"]["network_size"] == SIZES["initial_size"] + 6
+            assert answered["sample"]["messages"] > 0 and answered["sample"]["rounds"] > 0
+            assert session.read_model.fresh
         finally:
             session.close()
 

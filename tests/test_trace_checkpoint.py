@@ -11,6 +11,7 @@ hypothesis.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import random
@@ -184,6 +185,25 @@ class TestCheckpointFile:
         with open(path, "r", encoding="utf-8") as handle:
             assert json.load(handle) == {"a": 2}
         assert [entry for entry in os.listdir(str(tmp_path)) if entry.startswith(".tmp-")] == []
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_saved_file_is_json_dump_output(self, shards, tmp_path, monkeypatch):
+        """The writer runs the C encoder and writes ``json.dump``'s bytes."""
+        saved = []
+        save = Checkpoint.save
+
+        def keep(checkpoint, path):
+            saved.append(checkpoint.data)
+            save(checkpoint, path)
+
+        monkeypatch.setattr(Checkpoint, "save", keep)
+        path = os.path.join(str(tmp_path), "c.json")
+        scenario = small_scenario(steps=30, shards=shards, initial_size=200)
+        record_scenario(scenario, checkpoint_path=path, checkpoint_every=10**9)
+        expected = io.StringIO()
+        json.dump(saved[-1], expected, sort_keys=True)
+        with open(path, "r", encoding="utf-8") as handle:
+            assert handle.read() == expected.getvalue() + "\n"
 
     def test_resume_requires_scenario(self, tmp_path):
         scenario = small_scenario(steps=5)
