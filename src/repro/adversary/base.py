@@ -46,7 +46,7 @@ class AdversaryContext:
 
     def cluster_members(self, cluster_id: ClusterId) -> List[NodeId]:
         """Members of a cluster, ascending (the adversary sees everything)."""
-        return list(self._model.view_of(cluster_id).clusters[cluster_id])
+        return list(self._model.view_of(cluster_id).members(cluster_id))
 
     def cluster_of(self, node_id: NodeId) -> ClusterId:
         """The cluster currently hosting ``node_id`` (a scan of the views)."""

@@ -55,8 +55,10 @@ from .protocol import ERROR_FAILED, ProtocolError
 SERVICE_RNG_OFFSET = 4
 SERVICE_READ_RNG_OFFSET = 5
 
-#: Operations that become churn events; every other operation is a read.
+#: Operations that become churn events, and those a session answers as
+#: reads (``shutdown`` is the frontend's own).
 WRITE_OPS = frozenset({"join", "leave"})
+READ_OPS = frozenset({"sample", "broadcast", "status", "ping"})
 
 
 def live_scenario(
@@ -218,12 +220,17 @@ class LiveEngineSession:
         write error) leaves events applied but unrecorded, so callers must
         treat it as fatal and close the session with ``ok=False``; what was
         answered before it keeps its answer.  Frames must have passed
-        :func:`~repro.service.protocol.parse_request`.
+        :func:`~repro.service.protocol.parse_request`; a batch naming an
+        operation the session does not serve (``shutdown``) is refused
+        whole before anything runs.
         """
         if self._closed:
             raise ConfigurationError("session is closed")
+        ops = {frame["op"] for frame in frames}
+        if not ops <= WRITE_OPS | READ_OPS:
+            raise ConfigurationError(f"a session does not serve {sorted(ops - WRITE_OPS - READ_OPS)}")
         self.start()
-        window = any(frame["op"] in WRITE_OPS for frame in frames)
+        window = not ops.isdisjoint(WRITE_OPS)
         admitted: List[int] = []
         if window:
             token = self.driver.dispatch(self._admitted(frames, admitted, answer))
@@ -325,7 +332,7 @@ class LiveEngineSession:
                 result["events_applied"] = self.events_applied
                 result["operations"] = dict(self.operations)
                 result["recording"] = self._recorder.trace_path if self._recorder else None
-            else:
+            else:  # ping
                 result = {"pong": True}
         except Exception as error:
             print(f"service: {op} request failed: {error!r}", file=sys.stderr)

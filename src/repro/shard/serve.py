@@ -55,8 +55,8 @@ def engine_view(
 ) -> Dict[str, Any]:
     """A compact snapshot of one engine's clusters and overlay, by cluster name.
 
-    ``clusters`` maps each name to its members in slot order (the read model
-    sorts them once per view), through ``l2g`` when given (a shard worker's
+    ``clusters`` maps each name to its members in slot order (a read that
+    indexes into one sorts it), through ``l2g`` when given (a shard worker's
     local-to-global id map); ``byzantine`` to the corruption tracker's count;
     ``adjacency`` is the OVER overlay, neighbours in ascending order.
     """
@@ -81,14 +81,13 @@ def engine_view(
 
 
 class _ShardView:
-    """One engine's read snapshot plus what is derived from it: member lists
-    sorted once, the stationary law's table, the walk's price on first use."""
+    """One engine's read snapshot plus what is derived from it: the stationary
+    law's table, and on first use a cluster's sorted members and the walk's price."""
 
     def __init__(self, shard: int, raw: Dict[str, Any], params) -> None:
         self.shard = shard
         self.clusters: Dict[int, List[int]] = raw["clusters"]
-        for members in self.clusters.values():
-            members.sort()
+        self._sorted: Dict[int, List[int]] = {}
         self.adjacency: Dict[int, List[int]] = raw["adjacency"]
         self.byzantine: Dict[int, int] = raw["byzantine"]
         self.cluster_ids = sorted(self.clusters)
@@ -118,6 +117,13 @@ class _ShardView:
             self._walk = (hops, *walk_cost(hops, restarts, charges))
         return self._walk
 
+    def members(self, cluster_id: int) -> List[int]:
+        """A cluster's members, ascending (sorted once per view, on first read)."""
+        members = self._sorted.get(cluster_id)
+        if members is None:
+            members = self._sorted[cluster_id] = sorted(self.clusters[cluster_id])
+        return members
+
     def sample_weighted_cluster(self, rng: random.Random) -> int:
         """A size-biased cluster draw — the walk's stationary law."""
         pick = rng.randrange(self.total_nodes)
@@ -146,9 +152,6 @@ class ShardReadModel:
         self._is_byzantine = is_byzantine
         self._views: Optional[List[_ShardView]] = None
         self._population = 0
-        #: ``broadcast``'s result per origin cluster: a flood depends on the
-        #: views and its entry cluster only.
-        self._broadcasts: Dict[int, Dict[str, Any]] = {}
 
     @property
     def fresh(self) -> bool:
@@ -165,7 +168,6 @@ class ShardReadModel:
                 for shard, raw in enumerate(self._fetch())
             ]
             self._population = sum(view.total_nodes for view in self._views)
-            self._broadcasts = {}
         return self._views
 
     def view_of(self, name: int) -> _ShardView:
@@ -195,7 +197,7 @@ class ShardReadModel:
         """
         view = self._pick_origin_shard(self.ensure(), rng)
         cluster_id = view.sample_weighted_cluster(rng)
-        members = view.clusters[cluster_id]
+        members = view.members(cluster_id)
         node_id = members[rng.randrange(len(members))]
         hops, messages, rounds = view.walk
         pick_messages, pick_rounds = randnum_cost(len(members))
@@ -215,26 +217,13 @@ class ShardReadModel:
         The origin cluster is uniform over the origin shard's clusters
         (shard picked size-biased).  Each remote shard is entered through
         its lowest cluster id by one cluster-to-cluster send from the origin
-        cluster, adding one round of depth.  The result is kept per origin
-        cluster until the views are dropped.
+        cluster, adding one round of depth.
         """
         views = self.ensure()
         origin_view = self._pick_origin_shard(views, rng)
         origin_cluster = origin_view.cluster_ids[
             rng.randrange(len(origin_view.cluster_ids))
         ]
-        known = self._broadcasts.get(origin_cluster)
-        if known is None:
-            known = self._broadcasts[origin_cluster] = self._flood(
-                views, origin_view, origin_cluster
-            )
-        return dict(known)
-
-    @staticmethod
-    def _flood(
-        views: Sequence[_ShardView], origin_view: _ShardView, origin_cluster: int
-    ) -> Dict[str, Any]:
-        """:meth:`broadcast`'s result from ``origin_cluster``."""
         origin_size = origin_view.sizes[origin_cluster]
         origin_ok = majority(origin_size - origin_view.byzantine[origin_cluster], origin_size)
 

@@ -14,7 +14,6 @@ import pytest
 
 from repro import NowEngine, default_parameters
 from repro.apps import ClusteredBroadcast, SamplingService
-from repro.apps.broadcast import flood
 from repro.shard.serve import ShardReadModel, engine_view
 
 
@@ -84,28 +83,3 @@ def test_sample_costs_match_the_live_oracle_walk(engine):
             assert served[size] == (live.messages, live.rounds, live.walk_hops)
             compared.add(size)
     assert compared
-
-
-def test_a_broadcast_memo_hit_returns_what_a_fresh_flood_does(engine, monkeypatch):
-    """``broadcast`` keeps its result per origin cluster until the views drop."""
-    import repro.shard.serve as serve
-
-    fresh = one_view_model(engine).broadcast(ScriptedDraws(0, 2))
-    floods = []
-
-    def counting_flood(*args):
-        floods.append(args[0])
-        return flood(*args)
-
-    monkeypatch.setattr(serve, "flood", counting_flood)
-    model = one_view_model(engine)
-    first = model.broadcast(ScriptedDraws(0, 2))
-    calls = len(floods)
-    hit = model.broadcast(ScriptedDraws(0, 2))
-    assert len(floods) == calls, "a second broadcast from the origin flooded again"
-    assert hit == first == fresh
-    hit["messages"] = -1  # a caller's edit does not reach the memo
-    assert model.broadcast(ScriptedDraws(0, 2)) == fresh
-    model.invalidate()
-    assert model.broadcast(ScriptedDraws(0, 2)) == fresh
-    assert len(floods) == 2 * calls

@@ -287,6 +287,14 @@ class TestLiveEngineSession:
         with pytest.raises(ConfigurationError):
             session.execute({"op": "ping", "id": 1})
 
+    def test_an_operation_the_session_does_not_serve_is_refused(self, session):
+        with pytest.raises(ConfigurationError, match="shutdown"):
+            session.execute({"op": "shutdown", "id": 1})
+        with pytest.raises(ConfigurationError, match="shutdown"):
+            session.serve([{"op": "join", "id": 2}, {"op": "shutdown", "id": 3}], print)
+        assert session.events_applied == 0
+        assert session.operations == {}
+
     def test_attach_trace_after_events_is_rejected(self, session, tmp_path):
         session.execute({"op": "join", "id": 1})
         with pytest.raises(ConfigurationError):
