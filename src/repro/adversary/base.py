@@ -1,15 +1,19 @@
-"""Adversary interface.
+"""The event-source contract: one context, one base.
 
-An adversary is an *event source*: at each time step it may emit one churn
-event (the model allows one join or leave per step).  It observes the full
-system state — matching the paper's full-knowledge assumption — through an
-:class:`AdversaryContext` over its driver's read model (the views
-``serve`` reads, :class:`~repro.shard.serve.ShardReadModel`) and node
-registry: one window onto the system on either driver, with no mutation
-beyond the events the adversary returns.  On shards a cluster goes by its
-composite name (:func:`~repro.shard.messages.cluster_name`), and a
-strategy that reads cluster interiors (:attr:`Adversary.reads_clusters`)
-gets one-event windows, so each of its draws sees a fresh view.
+An event source emits at most one churn event per time step (the model
+allows one join or leave per step).  Every source — a churn workload
+(:mod:`repro.workloads.churn`), an adversary, or a mix of them
+(:class:`~repro.workloads.traces.MixedDriver`) — is an
+:class:`EventSource` whose ``next_event(context)`` reads one
+:class:`AdversaryContext`: its driver's node registry and parameters and,
+for a source that :attr:`~EventSource.reads_clusters`, its read model (the
+views ``serve`` reads, :class:`~repro.shard.serve.ShardReadModel`).  The
+context is one window onto the system on either driver, with no mutation
+beyond the events the source returns; a workload is an oblivious source,
+an adversary a full-knowledge one.  On shards a cluster goes by its
+composite name (:func:`~repro.shard.messages.cluster_name`), and a source
+that reads cluster interiors gets one-event windows, so each of its draws
+sees a fresh view.
 """
 
 from __future__ import annotations
@@ -22,19 +26,23 @@ from ..core.cluster import ClusterId
 from ..core.events import ChurnEvent
 from ..errors import ConfigurationError, UnknownNodeError
 from ..network.node import NodeId
+from ..rng import rng_state_from_json, rng_state_to_json
 
 
 class AdversaryContext:
-    """Read-only, full-knowledge view of the system offered to an adversary.
+    """Read-only, full-knowledge view of the system offered to an event source.
 
     Reads over ``model``, the driver's read model — fetched at most once
-    per event, and only when a read needs it; ``None`` for a strategy that
-    reads the registry only — and ``nodes``, the driver's node registry.
+    per event, and only when a read needs it; ``None`` for a source that
+    reads the registry only — ``nodes``, the driver's node registry, and
+    ``params``, its protocol parameters.
     """
 
-    def __init__(self, model, nodes) -> None:
+    def __init__(self, model, nodes, params) -> None:
         self._model = model
         self._nodes = nodes
+        #: The protocol parameters the driver runs under.
+        self.params = params
 
     def has_cluster(self, cluster_id: ClusterId) -> bool:
         """Whether a cluster of that name is live."""
@@ -84,17 +92,29 @@ class AdversaryContext:
         """Current system size."""
         return self._nodes.active_count()
 
+    def sample_active(self, rng: random.Random) -> NodeId:
+        """A uniform active node, drawn from the caller's ``rng``.
+
+        The draw consumes the *source's* stream, never the engine's: the
+        engine stream advances only inside ``apply_event``, so a recorded
+        event sequence replays bit-identically (``repro.trace``).
+        """
+        return self._nodes.sample_active(rng)
+
     def global_byzantine_fraction(self) -> float:
         """Fraction of all active nodes the adversary controls."""
         return self._nodes.byzantine_fraction()
 
 
-class Adversary(abc.ABC):
-    """Base class for churn-driving adversaries."""
+class EventSource(abc.ABC):
+    """Base class of every event source: its RNG stream, its checkpoint
+    snapshot and the per-step :meth:`next_event` over an :class:`AdversaryContext`."""
 
     #: Whether :meth:`next_event` reads cluster interiors (members, the
     #: clusters' corruption), so needs a fresh view before each event.
-    reads_clusters = True
+    reads_clusters = False
+    #: The snapshot key holding :meth:`_snapshot_extra`.
+    _extra_key = "extra"
 
     def __init__(self, rng: random.Random) -> None:
         self._rng = rng
@@ -107,31 +127,27 @@ class Adversary(abc.ABC):
     # Checkpoint serialisation (repro.trace)
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
-        """JSON-ready snapshot of the adversary's RNG stream and mutable state."""
-        from ..rng import rng_state_to_json  # local import: avoids a cycle
-
+        """JSON-ready snapshot of the source's RNG stream and mutable state."""
         return {
             "kind": type(self).__name__,
             "rng": rng_state_to_json(self._rng.getstate()),
-            "extra": self._snapshot_extra(),
+            self._extra_key: self._snapshot_extra(),
         }
 
     def restore_state(self, data: dict) -> None:
-        """Restore a snapshot onto an adversary built with the same spec."""
-        from ..rng import rng_state_from_json
-
+        """Restore a snapshot onto a source built with the same spec."""
         if data.get("kind") != type(self).__name__:
             raise ConfigurationError(
                 f"snapshot is for {data.get('kind')!r}, not {type(self).__name__!r}"
             )
         self._rng.setstate(rng_state_from_json(data["rng"]))
-        self._restore_extra(data.get("extra", {}))
+        self._restore_extra(data.get(self._extra_key, {}))
 
-    def _snapshot_extra(self) -> dict:
+    def _snapshot_extra(self):
         """Subclass hook: mutable fields beyond the RNG (default: none)."""
         return {}
 
-    def _restore_extra(self, extra: dict) -> None:
+    def _restore_extra(self, extra) -> None:
         """Subclass hook: inverse of :meth:`_snapshot_extra`."""
 
     def run(self, engine, steps: int) -> List:
@@ -139,6 +155,12 @@ class Adversary(abc.ABC):
         from ..workloads.traces import drive  # local import: avoids a cycle
 
         return drive(engine, self, steps)
+
+
+class Adversary(EventSource):
+    """Base class of churn-driving adversaries: full-knowledge sources."""
+
+    reads_clusters = True
 
     def name(self) -> str:
         """Human-readable adversary name (used in experiment tables)."""

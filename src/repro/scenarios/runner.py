@@ -12,12 +12,15 @@ Observation goes through the :class:`~repro.scenarios.bus.ObservationBus`
 and nothing else: inline probes run per event, buffered probes receive
 batched step records (see :mod:`repro.scenarios.bus`).
 
-Event sources are the existing per-step objects: a
+Event sources have one contract (:mod:`repro.adversary.base`): a
 :class:`~repro.workloads.churn.ChurnWorkload`, an
-:class:`~repro.adversary.base.Adversary` (wrapped in its
-:class:`~repro.adversary.base.AdversaryContext` automatically), a
+:class:`~repro.adversary.base.Adversary`, a
 :class:`~repro.workloads.traces.MixedDriver`, or anything with a
-``next_event(engine)`` method.
+``next_event(context)`` method reads the one
+:class:`~repro.adversary.base.AdversaryContext` that
+:func:`bind_event_source` builds over the driver.  Stop conditions have one
+too, on both drivers: ``fn(record, driver)`` over the event's
+:class:`~repro.scenarios.bus.StepRecord`.
 
 The runner may be invoked repeatedly on the same engine (checkpoint-style
 experiments run it once per growth target); each :meth:`SimulationRunner.run`
@@ -41,11 +44,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..adversary.base import Adversary, AdversaryContext
+from ..adversary.base import AdversaryContext
 from ..analysis.reporting import format_table
 from ..core.cluster import ClusterId
 from ..errors import ConfigurationError
-from ..workloads.traces import MixedDriver
 from .bus import ObservationBus, StepRecord
 from .probes import Probe
 
@@ -56,37 +58,32 @@ NO_SOURCE = (
     "are given to the driver's dispatch, so there is nothing to run"
 )
 
-#: A stop condition: ``fn(engine, report, step_index) -> Optional[str]``.
-#: Returning a non-empty string stops the run with that reason.
-StopCondition = Callable[[Any, Any, int], Optional[str]]
+#: A stop condition: ``fn(record, driver) -> Optional[str]``, over an
+#: applied event's :class:`~repro.scenarios.bus.StepRecord` and the driver
+#: that applied it.  Returning a non-empty string stops the run with that
+#: reason.
+StopCondition = Callable[[StepRecord, Any], Optional[str]]
 
 
 def bind_event_source(source, driver) -> Callable[[], Any]:
-    """A zero-argument ``next_event`` for ``source``: an adversary reads its
+    """A zero-argument ``next_event`` for ``source``, reading one
     :class:`~repro.adversary.base.AdversaryContext` over ``driver``'s
-    registry and (if it reads clusters) read model, a mix binds each of its
-    sources so, and anything else reads ``driver.engine``."""
-    if isinstance(source, Adversary):
-        model = driver.read_model if source.reads_clusters else None
-        context = AdversaryContext(model, driver.nodes)
-        return lambda: source.next_event(context)
-    if isinstance(source, MixedDriver):
-        return source.bind(lambda part: bind_event_source(part, driver))
-    if hasattr(source, "next_event"):
-        engine = driver.engine
-        return lambda: source.next_event(engine)
-    raise ConfigurationError(f"event source {source!r} has no next_event method")
+    registry, parameters and (if the source reads clusters) read model."""
+    next_event = getattr(source, "next_event", None)
+    if next_event is None:
+        raise ConfigurationError(f"event source {source!r} has no next_event method")
+    model = driver.read_model if getattr(source, "reads_clusters", False) else None
+    context = AdversaryContext(model, driver.nodes, driver.params)
+    return lambda: next_event(context)
 
 
 # ----------------------------------------------------------------------
 # Stop-condition helpers
 # ----------------------------------------------------------------------
-def first_stop(
-    conditions: Sequence[StopCondition], engine, report, step_index: int
-) -> Optional[str]:
+def first_stop(conditions: Sequence[StopCondition], record: StepRecord, driver) -> Optional[str]:
     """The first reason one of ``conditions`` gives to stop, or ``None``."""
     for condition in conditions:
-        reason = condition(engine, report, step_index)
+        reason = condition(record, driver)
         if reason is not None:
             return reason
     return None
@@ -95,8 +92,8 @@ def first_stop(
 def stop_when_size_at_least(target: int) -> StopCondition:
     """Stop once the network grew to ``target`` nodes."""
 
-    def condition(engine, report, step_index: int) -> Optional[str]:
-        if engine.network_size >= target:
+    def condition(record: StepRecord, driver) -> Optional[str]:
+        if record.network_size >= target:
             return f"size >= {target}"
         return None
 
@@ -106,8 +103,8 @@ def stop_when_size_at_least(target: int) -> StopCondition:
 def stop_when_size_at_most(target: int) -> StopCondition:
     """Stop once the network shrank to ``target`` nodes."""
 
-    def condition(engine, report, step_index: int) -> Optional[str]:
-        if engine.network_size <= target:
+    def condition(record: StepRecord, driver) -> Optional[str]:
+        if record.network_size <= target:
             return f"size <= {target}"
         return None
 
@@ -117,8 +114,8 @@ def stop_when_size_at_most(target: int) -> StopCondition:
 def stop_when_compromised(cluster_id: Optional[ClusterId] = None) -> StopCondition:
     """Stop when any cluster (or a specific one) reaches the alarm threshold."""
 
-    def condition(engine, report, step_index: int) -> Optional[str]:
-        compromised = report.compromised_clusters
+    def condition(record: StepRecord, driver) -> Optional[str]:
+        compromised = driver.compromised_clusters()
         if cluster_id is None:
             if compromised:
                 return f"cluster {compromised[0]} compromised"
@@ -146,8 +143,8 @@ class RunResult:
     stop_reason: str
     probes: Dict[str, Any] = field(default_factory=dict)
     #: Logical shard count of a sharded run (0 for the classic single-engine
-    #: path); under sharding, ``compromised_clusters`` holds
-    #: ``(shard, cluster_id)`` pairs because cluster ids are shard-local.
+    #: path); under sharding, ``compromised_clusters`` holds composite
+    #: cluster names (:func:`~repro.shard.messages.cluster_name`).
     shards: int = 0
 
     @property
@@ -333,7 +330,7 @@ def run_windows(driver, steps: int, recorder=None) -> RunResult:
         final_cluster_count=status["cluster_count"],
         final_worst_fraction=status["worst_byzantine_fraction"],
         peak_worst_fraction=driver.peak_worst,
-        compromised_clusters=list(driver.engine.compromised_clusters()),
+        compromised_clusters=list(driver.compromised_clusters()),
         stop_reason=stop_reason,
         probes={probe.name: probe.result() for probe in driver.probes},
         shards=driver.shards,
@@ -409,14 +406,14 @@ class SimulationRunner(WindowDriver):
         A :class:`~repro.core.engine.NowEngine` (any placement rule).
     source:
         Per-step event source (workload, adversary, mixed driver, or any
-        object with ``next_event``); adversaries are wrapped in their
-        read-only :class:`~repro.adversary.base.AdversaryContext`.  ``None``
-        for a run whose events are given to :meth:`dispatch`.
+        object with ``next_event``), reading the read-only
+        :class:`~repro.adversary.base.AdversaryContext`.  ``None`` for a
+        run whose events are given to :meth:`dispatch`.
     probes:
         :class:`~repro.scenarios.probes.Probe` instances observing the run.
     stop_conditions:
-        Callables evaluated after each applied event; the first non-``None``
-        reason ends the run.
+        :data:`StopCondition` callables evaluated after each applied event;
+        the first non-``None`` reason ends the run.
     max_idle_streak:
         Stop after this many consecutive idle steps (see :class:`EventPull`);
         ``None`` keeps looping through idle steps.
@@ -484,9 +481,10 @@ class SimulationRunner(WindowDriver):
         if report.worst_byzantine_fraction > self.peak_worst:
             self.peak_worst = report.worst_byzantine_fraction
         record = self.bus.publish(report, step, observe)
-        reason = first_stop(self.stop_conditions, self.engine, report, step)
-        if reason is not None:
-            self.stopped = (1, reason)
+        if self.stop_conditions:
+            reason = first_stop(self.stop_conditions, record, self)
+            if reason is not None:
+                self.stopped = (1, reason)
         return [] if record is None else [record]
 
     def serve_collect(self, token: List[StepRecord]) -> List[StepRecord]:
@@ -502,6 +500,10 @@ class SimulationRunner(WindowDriver):
     def state_hash(self) -> str:
         """The engine's state hash."""
         return self.engine.state_hash()
+
+    def compromised_clusters(self) -> List[ClusterId]:
+        """The engine's compromised clusters (what ``stop_when_compromised`` reads)."""
+        return self.engine.compromised_clusters()
 
     def status(self) -> Dict[str, Any]:
         """The engine's observables: the live ``status`` response's share."""

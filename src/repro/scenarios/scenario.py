@@ -175,7 +175,7 @@ class Scenario:
         if self.adversary is not None:
             cls, spec = _source_spec("adversary", ADVERSARY_KINDS, self.adversary, self.tau)
             if spec.get("target_cluster") == "first":
-                context = AdversaryContext(driver.read_model, driver.nodes)
+                context = AdversaryContext(driver.read_model, driver.nodes, driver.params)
                 spec["target_cluster"] = context.cluster_ids()[0]
             adversary = cls(random.Random(self.seed + 2), **spec)
         if workload is not None and adversary is not None:
@@ -261,6 +261,11 @@ class Scenario:
         if fault is not None:
             raise ConfigurationError(f"scenario field {fault[0].key!r} {fault[1]}")
         scenario = cls(**data)
+        if not 0.0 <= scenario.adversary_weight <= 1.0:
+            raise ConfigurationError(
+                f"scenario field 'adversary_weight' must lie in [0, 1], "
+                f"got {scenario.adversary_weight!r}"
+            )
         if scenario.engine_options is None:
             scenario.engine_options = {}
         check_rule(scenario.engine)

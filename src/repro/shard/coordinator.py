@@ -11,12 +11,11 @@ moved by two halves:
     per-shard wire buffers and queue each on its worker transport.  The
     events come from an :class:`~repro.scenarios.runner.EventPull`: over
     given events (the live service, replay) or over the scenario's own
-    source — a workload samples the *composite* population through the
-    coordinator (``network_size``, ``random_member``), an adversary reads
-    its read model and registry (:class:`~repro.adversary.base.
-    AdversaryContext`) — pull and route stay interleaved, so each pull sees
-    the exact post-event directory; a ``paced`` source gets one-event
-    windows.  If
+    source, which reads the one :class:`~repro.adversary.base.
+    AdversaryContext` over the directory's registry (the *composite*
+    population) and, if it reads clusters, the read model — pull and route
+    stay interleaved, so each pull sees the exact post-event directory; a
+    ``paced`` source gets one-event windows.  If
     the window brings the cumulative admitted event count to a multiple of
     ``barrier_interval``, the barrier's rebalance move — one planned list
     ``(src, dst, directory.emigrants(src, count))`` — is applied to the
@@ -50,14 +49,16 @@ idle) that the throughput benchmark records next to its rates.
 Two semantics differ from the single-engine runner, both window-granular by
 construction and documented in ``docs/SHARDING.md``:
 
-* stop conditions are evaluated on the *merged* records as
+* stop conditions (``fn(record, driver)``, as on the single engine) are
+  evaluated on the *merged* records as
   :meth:`~ShardCoordinator.serve_collect` publishes them — when one
   triggers, probe observation is cut at the triggering record but the shard
   engines complete the window (and a recorder still receives all of it: the
   trace follows the engines);
-* the compromised-cluster set fed to stop conditions refreshes once per
-  window (cluster interiors live on the workers), so a compromise anywhere
-  in a window is visible to all of that window's records.
+* the compromised-cluster set that :meth:`~ShardCoordinator.
+  compromised_clusters` gives stop conditions refreshes once per window
+  (cluster interiors live on the workers), so a compromise anywhere in a
+  window is visible to all of that window's records.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ from ..scenarios.runner import (
 )
 from ..trace.checkpoint import engine_fault
 from .merge import ObservationMerger, composite_state_hash
+from .messages import cluster_name
 from .router import (
     EventRouter,
     ShardDirectory,
@@ -96,25 +98,6 @@ DEFAULT_BARRIER_INTERVAL = 64
 DEFAULT_REBALANCE_THRESHOLD = 16
 
 _SHARD_OPTION_KEYS = {"barrier_interval", "rebalance_threshold", "min_shard_size"}
-
-
-class _RecordView:
-    """Engine *and* report stand-in for stop conditions: a merged record's observables."""
-
-    __slots__ = (
-        "time_step",
-        "network_size",
-        "cluster_count",
-        "worst_byzantine_fraction",
-        "compromised_clusters",
-    )
-
-    def __init__(self, record: StepRecord, compromised: List[Tuple[int, int]]) -> None:
-        self.time_step = record.time_step
-        self.network_size = record.network_size
-        self.cluster_count = record.cluster_count
-        self.worst_byzantine_fraction = record.worst_fraction
-        self.compromised_clusters = compromised
 
 
 class ShardCoordinator(WindowDriver):
@@ -147,7 +130,7 @@ class ShardCoordinator(WindowDriver):
                 "sharded execution needs scenario.shards >= 1 "
                 "(set the spec's 'shards' field or pass --shards)"
             )
-        self.params = self.parameters = scenario.parameters()
+        self.params = scenario.parameters()
 
         options = dict(getattr(scenario, "shard_options", None) or {})
         unknown = set(options) - _SHARD_OPTION_KEYS
@@ -319,7 +302,7 @@ class ShardCoordinator(WindowDriver):
         shard reports fold into one :class:`~repro.core.invariants.
         InvariantReport`: violations prefixed ``shard s:``, sizes and
         cluster counts summed, worst values maximised, compromised clusters
-        as ``(shard, cluster_id)`` pairs.
+        by their composite names, ascending.
         """
         reports = self._gather_shards(
             [(shard, (check_honest_majority,)) for shard in range(self.shards)],
@@ -343,11 +326,11 @@ class ShardCoordinator(WindowDriver):
             min_cluster_size=min(report.min_cluster_size for report in folded),
             max_cluster_size=max(report.max_cluster_size for report in folded),
             worst_byzantine_fraction=max(r.worst_byzantine_fraction for r in folded),
-            compromised_clusters=[
-                (shard, cid)
+            compromised_clusters=sorted(
+                cluster_name(shard, cid, self.shards)
                 for shard, report in reports.items()
                 for cid in report.compromised_clusters
-            ],
+            ),
             overlay_max_degree=max(report.overlay_max_degree for report in folded),
             overlay_connected=all(report.overlay_connected for report in folded),
         )
@@ -461,12 +444,10 @@ class ShardCoordinator(WindowDriver):
 
     def _publish(self, records: List[StepRecord]) -> Optional[Tuple[int, str]]:
         """Publish a merged window up to the first stop-condition trigger."""
-        compromised = self.merger.compromised()
         for count, record in enumerate(records, 1):
             self.bus.publish_record(record)
             if self.stop_conditions:
-                view = _RecordView(record, compromised)
-                reason = first_stop(self.stop_conditions, view, view, record.step_index)
+                reason = first_stop(self.stop_conditions, record, self)
                 if reason is not None:
                     return count, reason
         return None
@@ -541,18 +522,6 @@ class ShardCoordinator(WindowDriver):
         """The directory's registry, current as of the last dispatched event."""
         return self.directory.nodes
 
-    @property
-    def network_size(self) -> int:
-        """Composite number of active nodes (what a workload reads)."""
-        return self.directory.active_count()
-
-    def random_member(self, honest_only: bool = False, rng=None):
-        """A uniform active node, drawn from the caller's ``rng`` (no engine stream here)."""
-        if rng is None:
-            raise ConfigurationError("sharded runs require event sources to pass their own rng")
-        nodes = self.directory.nodes
-        return nodes.sample_active_honest(rng) if honest_only else nodes.sample_active(rng)
-
     def read_views(self) -> List[Dict[str, Any]]:
         """One read view per shard, in shard order (see :mod:`repro.shard.serve`).
 
@@ -575,8 +544,8 @@ class ShardCoordinator(WindowDriver):
             "barriers_run": self.barriers_run,
         }
 
-    def compromised_clusters(self) -> List[Tuple[int, int]]:
-        """Compromised clusters as of the last collected window, as ``(shard, cluster_id)``."""
+    def compromised_clusters(self) -> List[int]:
+        """Compromised clusters as of the last collected window, by composite name."""
         return self.merger.compromised()
 
     def capture_snapshot(self) -> Dict[str, Any]:

@@ -21,11 +21,11 @@ here:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set
 
 from ..scenarios.bus import StepRecord
 from ..trace.hashing import digest
-from .messages import JOIN, RoutedEvent, RowBatch, iter_rows
+from .messages import JOIN, RoutedEvent, RowBatch, cluster_name, iter_rows
 
 _KIND_NAMES = {JOIN: "join"}
 
@@ -61,10 +61,12 @@ class ObservationMerger:
         """Composite worst per-cluster corruption at the current merge point."""
         return max(self._worst) if self._worst else 0.0
 
-    def compromised(self) -> List[Tuple[int, int]]:
-        """Compromised clusters as sorted ``(shard, cluster_id)`` pairs."""
+    def compromised(self) -> List[int]:
+        """Compromised clusters by composite name (:func:`~repro.shard.messages.
+        cluster_name`), ascending."""
+        shards = len(self._compromised)
         return sorted(
-            (shard, cid)
+            cluster_name(shard, cid, shards)
             for shard, cids in enumerate(self._compromised)
             for cid in cids
         )

@@ -17,7 +17,7 @@ beyond the scenario's own RNG streams:
 The directory reuses :class:`~repro.core.state.NodeRegistry` over *global*
 node ids, which buys the O(1) swap-delete sampling arrays and the exact
 RNG-visible ordering semantics of the single-engine path for free — the
-workload's ``random_member`` draws inside a sharded run consume its stream
+source's ``sample_active`` draws inside a sharded run consume its stream
 exactly like a classic run would, indexing the directory's arrays.  Those
 array orders are part of the composite state fingerprint
 (:meth:`ShardDirectory.fingerprint`) for the same reason they are part of

@@ -1,85 +1,53 @@
-"""Churn workload generators.
+"""Churn workloads: the oblivious event sources.
 
-A workload is an online event source: given the current engine (anything
-exposing ``state``, ``network_size`` and ``random_member``), it produces the
-next :class:`~repro.core.events.ChurnEvent`.  Workloads are online rather than pre-generated traces because leave events
-must name nodes that are *currently* active, which depends on how the system
-evolved so far.
+A workload is an online :class:`~repro.adversary.base.EventSource`: its
+``next_event(context)`` reads the driver's
+:class:`~repro.adversary.base.AdversaryContext` — the system size, the
+protocol parameters and uniform draws from the active nodes, never the
+cluster interiors — and produces the next
+:class:`~repro.core.events.ChurnEvent`.  Workloads are online rather than
+pre-generated traces because leave events must name nodes that are
+*currently* active, which depends on how the system evolved so far.
 """
 
 from __future__ import annotations
 
-import abc
 import random
 from typing import Optional
 
+from ..adversary.base import AdversaryContext, EventSource
 from ..core.events import ChurnEvent
 from ..errors import ConfigurationError
 from ..network.node import NodeRole
-from ..rng import rng_state_from_json, rng_state_to_json
 
 
-class ChurnWorkload(abc.ABC):
-    """Base class of churn event sources (same per-step interface as adversaries)."""
+class ChurnWorkload(EventSource):
+    """Base class of churn workloads (an event source blind to cluster interiors)."""
 
-    def __init__(self, rng: random.Random) -> None:
-        self._rng = rng
+    #: Probability that a joining node is Byzantine (``None``: the
+    #: parameters' ``tau``).
+    _byzantine_join_fraction: Optional[float] = None
 
-    @abc.abstractmethod
-    def next_event(self, engine) -> Optional[ChurnEvent]:
-        """Return the next churn event for ``engine`` (``None`` to idle this step)."""
+    def _join(self, context: AdversaryContext) -> ChurnEvent:
+        """A join, corrupted with the workload's Byzantine join fraction (a
+        static adversary corrupting nodes as they join, as the model allows)."""
+        fraction = self._byzantine_join_fraction
+        if fraction is None:
+            fraction = context.params.tau
+        if self._rng.random() < fraction:
+            return ChurnEvent.join(role=NodeRole.BYZANTINE)
+        return ChurnEvent.join(role=NodeRole.HONEST)
 
-    # ------------------------------------------------------------------
-    # Checkpoint serialisation (repro.trace)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """JSON-ready snapshot of the workload's RNG stream and mutable state."""
-        return {
-            "kind": type(self).__name__,
-            "rng": rng_state_to_json(self._rng.getstate()),
-            "extra": self._snapshot_extra(),
-        }
-
-    def restore_state(self, data: dict) -> None:
-        """Restore a snapshot onto a workload built with the same spec."""
-        if data.get("kind") != type(self).__name__:
-            raise ConfigurationError(
-                f"snapshot is for {data.get('kind')!r}, not {type(self).__name__!r}"
-            )
-        self._rng.setstate(rng_state_from_json(data["rng"]))
-        self._restore_extra(data.get("extra", {}))
-
-    def _snapshot_extra(self) -> dict:
-        """Subclass hook: mutable fields beyond the RNG (default: none)."""
-        return {}
-
-    def _restore_extra(self, extra: dict) -> None:
-        """Subclass hook: inverse of :meth:`_snapshot_extra`."""
-
-    # ------------------------------------------------------------------
-    # Shared helpers
-    # ------------------------------------------------------------------
-    def _join_role(self, byzantine_join_fraction: float) -> NodeRole:
-        """Corrupt the joining node with the given probability (static adversary
-        choosing to corrupt nodes at the moment they join, as the model allows)."""
-        if self._rng.random() < byzantine_join_fraction:
-            return NodeRole.BYZANTINE
-        return NodeRole.HONEST
-
-    def _random_active_node(self, engine, honest_only: bool = False):
-        """Pick a departing node uniformly among the active nodes.
-
-        The draw consumes the *workload's* RNG stream, not the engine's:
-        the engine stream must advance only inside ``apply_event`` so a
-        recorded event sequence replays bit-identically (``repro.trace``).
-        """
-        return engine.random_member(honest_only=honest_only, rng=self._rng)
+    def _leave(self, context: AdversaryContext) -> ChurnEvent:
+        """A leave of a node drawn uniformly among the active ones, from the
+        workload's own stream."""
+        return ChurnEvent.leave(context.sample_active(self._rng))
 
 
 class UniformChurn(ChurnWorkload):
     """Size-stable churn: joins and leaves with equal probability.
 
-    ``byzantine_join_fraction`` defaults to the engine's ``tau`` so the global
+    ``byzantine_join_fraction`` defaults to the parameters' ``tau`` so the global
     corruption level stays roughly constant as the population turns over.
     """
 
@@ -95,17 +63,12 @@ class UniformChurn(ChurnWorkload):
         self._join_probability = join_probability
         self._byzantine_join_fraction = byzantine_join_fraction
 
-    def next_event(self, engine) -> Optional[ChurnEvent]:
-        fraction = (
-            self._byzantine_join_fraction
-            if self._byzantine_join_fraction is not None
-            else engine.parameters.tau
-        )
+    def next_event(self, context: AdversaryContext) -> Optional[ChurnEvent]:
         if self._rng.random() < self._join_probability:
-            return ChurnEvent.join(role=self._join_role(fraction))
-        if engine.network_size <= engine.parameters.lower_size_bound:
-            return ChurnEvent.join(role=self._join_role(fraction))
-        return ChurnEvent.leave(self._random_active_node(engine))
+            return self._join(context)
+        if context.network_size() <= context.params.lower_size_bound:
+            return self._join(context)
+        return self._leave(context)
 
 
 class GrowthWorkload(ChurnWorkload):
@@ -123,15 +86,10 @@ class GrowthWorkload(ChurnWorkload):
         self._target_size = target_size
         self._byzantine_join_fraction = byzantine_join_fraction
 
-    def next_event(self, engine) -> Optional[ChurnEvent]:
-        if engine.network_size >= self._target_size:
+    def next_event(self, context: AdversaryContext) -> Optional[ChurnEvent]:
+        if context.network_size() >= self._target_size:
             return None
-        fraction = (
-            self._byzantine_join_fraction
-            if self._byzantine_join_fraction is not None
-            else engine.parameters.tau
-        )
-        return ChurnEvent.join(role=self._join_role(fraction))
+        return self._join(context)
 
 
 class ShrinkWorkload(ChurnWorkload):
@@ -143,10 +101,10 @@ class ShrinkWorkload(ChurnWorkload):
             raise ConfigurationError("target_size must be positive")
         self._target_size = target_size
 
-    def next_event(self, engine) -> Optional[ChurnEvent]:
-        if engine.network_size <= self._target_size:
+    def next_event(self, context: AdversaryContext) -> Optional[ChurnEvent]:
+        if context.network_size() <= self._target_size:
             return None
-        return ChurnEvent.leave(self._random_active_node(engine))
+        return self._leave(context)
 
 
 class OscillatingWorkload(ChurnWorkload):
@@ -172,20 +130,15 @@ class OscillatingWorkload(ChurnWorkload):
         self._byzantine_join_fraction = byzantine_join_fraction
         self._growing = True
 
-    def next_event(self, engine) -> Optional[ChurnEvent]:
-        size = engine.network_size
+    def next_event(self, context: AdversaryContext) -> Optional[ChurnEvent]:
+        size = context.network_size()
         if self._growing and size >= self._high_size:
             self._growing = False
         elif not self._growing and size <= self._low_size:
             self._growing = True
         if self._growing:
-            fraction = (
-                self._byzantine_join_fraction
-                if self._byzantine_join_fraction is not None
-                else engine.parameters.tau
-            )
-            return ChurnEvent.join(role=self._join_role(fraction))
-        return ChurnEvent.leave(self._random_active_node(engine))
+            return self._join(context)
+        return self._leave(context)
 
     def _snapshot_extra(self) -> dict:
         return {"growing": self._growing}

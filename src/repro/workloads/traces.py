@@ -1,19 +1,20 @@
 """Drivers: run one or several event sources against an engine.
 
 Workloads (:mod:`repro.workloads.churn`) and adversaries
-(:mod:`repro.adversary`) expose the same per-step interface — "give me the
-next event for this system" — but adversaries receive an
-:class:`~repro.adversary.base.AdversaryContext` while workloads receive the
-engine directly; :func:`~repro.scenarios.runner.bind_event_source` binds
-each, so experiments can interleave background churn with an attack using a
-single loop.
+(:mod:`repro.adversary`) are one kind of object, an
+:class:`~repro.adversary.base.EventSource`: each step they read one
+:class:`~repro.adversary.base.AdversaryContext` and give the next event.
+:class:`MixedDriver` is a source too, handing its context to its parts, so
+experiments can interleave background churn with an attack using a single
+loop.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from ..adversary.base import AdversaryContext, EventSource
 from ..core.events import ChurnEvent
 from ..errors import ConfigurationError
 
@@ -40,30 +41,30 @@ def drive(engine, source, steps: int) -> List:
     return reports.values
 
 
-class MixedDriver:
+class MixedDriver(EventSource):
     """Interleaves several event sources with fixed probabilities.
 
     A typical experiment mixes background honest churn with an adversary's
     attack stream, e.g. ``MixedDriver([(workload, 0.7), (attack, 0.3)], rng)``.
+    Its snapshot holds its parts' snapshots under ``sources``.
     """
 
-    def __init__(self, sources: Sequence[Tuple[object, float]], rng: random.Random) -> None:
+    _extra_key = "sources"
+
+    def __init__(self, sources: Sequence[Tuple[EventSource, float]], rng: random.Random) -> None:
+        super().__init__(rng)
         if not sources:
             raise ConfigurationError("MixedDriver requires at least one source")
+        if any(weight < 0 for _, weight in sources):
+            raise ConfigurationError("source weights must be non-negative")
         total = float(sum(weight for _, weight in sources))
         if total <= 0:
             raise ConfigurationError("source weights must sum to a positive value")
         self._sources = [(source, weight / total) for source, weight in sources]
-        self._rng = rng
         #: Whether any mixed source reads cluster interiors.
         self.reads_clusters = any(getattr(source, "reads_clusters", False) for source, _ in sources)
 
-    def bind(self, bind_source: Callable) -> Callable[[], Optional[ChurnEvent]]:
-        """The mix's zero-argument pull, each source bound by ``bind_source``."""
-        pulls = [bind_source(source) for source, _ in self._sources]
-        return lambda: self._next_event(pulls)
-
-    def _next_event(self, pulls: List[Callable]) -> Optional[ChurnEvent]:
+    def next_event(self, context: AdversaryContext) -> Optional[ChurnEvent]:
         """Pick a source by weight and return its event (falling back to the others)."""
         order = sorted(range(len(self._sources)), key=lambda _index: self._rng.random())
         roll = self._rng.random()
@@ -74,48 +75,25 @@ class MixedDriver:
             if roll <= cumulative:
                 chosen = index
                 break
-        event = pulls[chosen]()
+        event = self._sources[chosen][0].next_event(context)
         if event is not None:
             return event
         # The chosen source is idle; give the others a chance this step.
         for index in order:
             if index == chosen:
                 continue
-            event = pulls[index]()
+            event = self._sources[index][0].next_event(context)
             if event is not None:
                 return event
         return None
 
-    def run(self, engine, steps: int) -> List:
-        """Drive ``engine`` for ``steps`` steps with the mixed stream."""
-        return drive(engine, self, steps)
+    def _snapshot_extra(self) -> List[dict]:
+        return [source.snapshot_state() for source, _weight in self._sources]
 
-    # ------------------------------------------------------------------
-    # Checkpoint serialisation (repro.trace)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """JSON-ready snapshot: own RNG plus every underlying source's state."""
-        from ..rng import rng_state_to_json  # local import: avoids a cycle
-
-        return {
-            "kind": type(self).__name__,
-            "rng": rng_state_to_json(self._rng.getstate()),
-            "sources": [source.snapshot_state() for source, _weight in self._sources],
-        }
-
-    def restore_state(self, data: dict) -> None:
-        """Restore a snapshot onto a driver built with the same source specs."""
-        from ..rng import rng_state_from_json
-
-        if data.get("kind") != type(self).__name__:
-            raise ConfigurationError(
-                f"snapshot is for {data.get('kind')!r}, not {type(self).__name__!r}"
-            )
-        snapshots = data.get("sources", [])
+    def _restore_extra(self, snapshots) -> None:
         if len(snapshots) != len(self._sources):
             raise ConfigurationError(
                 f"snapshot has {len(snapshots)} sources, driver has {len(self._sources)}"
             )
-        self._rng.setstate(rng_state_from_json(data["rng"]))
         for (source, _weight), snapshot in zip(self._sources, snapshots):
             source.restore_state(snapshot)

@@ -21,9 +21,10 @@ from repro.scenarios.runner import SimulationRunner
 
 
 def context_of(engine):
-    """A context over ``engine`` as its driver builds it: read model + registry."""
+    """A context over ``engine`` as its driver builds it: read model,
+    registry and parameters."""
     runner = SimulationRunner(engine, None)
-    return AdversaryContext(runner.read_model, runner.nodes)
+    return AdversaryContext(runner.read_model, runner.nodes, runner.params)
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import NowEngine, default_parameters
+from repro.adversary import AdversaryContext
 from repro.core.state import SystemState
 from repro.errors import ConfigurationError
 from repro.network.node import NodeRole
@@ -166,8 +167,9 @@ class TestEngineLevelParity:
         engine = NowEngine.bootstrap(params, initial_size=100, byzantine_fraction=0.1, seed=21)
         rng = random.Random(22)
         workload = UniformChurn(rng, byzantine_join_fraction=0.1)
+        context = AdversaryContext(None, engine.state.nodes, engine.parameters)
         for _ in range(60):
-            event = workload.next_event(engine)
+            event = workload.next_event(context)
             if event is not None:
                 engine.apply_event(event)
             if rng.random() < 0.25:  # corrupt a random member mid-run

@@ -176,7 +176,7 @@ class TestStopWhenCompromised:
         named = small_scenario(**self.SINGLE).run(stop_conditions=[stop_when_compromised(cluster)])
         assert (named.steps, named.stop_reason) == (result.steps, result.stop_reason)
 
-    def test_sharded_stops_at_window_granularity_on_shard_cluster_pairs(self):
+    def test_sharded_stops_at_window_granularity_on_composite_names(self):
         interval = self.SHARDED["shard_options"]["barrier_interval"]
         sizes = SizeTrajectoryProbe()
         result = small_scenario(**self.SHARDED).run(
@@ -189,11 +189,12 @@ class TestStopWhenCompromised:
         before = small_scenario(**self.SHARDED).run(steps=result.steps - interval)
         after = small_scenario(**self.SHARDED).run(steps=result.steps)
         assert before.compromised_clusters == []
-        pair = after.compromised_clusters[0]
-        assert isinstance(pair, tuple) and len(pair) == 2
-        assert result.stop_reason == f"cluster {pair} compromised"
+        # A cluster goes by its composite name, local_id * shards + shard.
+        name = after.compromised_clusters[0]
+        assert isinstance(name, int) and name % 2 == 0
+        assert result.stop_reason == f"cluster {name} compromised"
 
-        named = small_scenario(**self.SHARDED).run(stop_conditions=[stop_when_compromised(pair)])
+        named = small_scenario(**self.SHARDED).run(stop_conditions=[stop_when_compromised(name)])
         assert (named.steps, named.stop_reason) == (result.steps, result.stop_reason)
 
 
@@ -257,6 +258,11 @@ class TestScenario:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ConfigurationError):
             Scenario.from_dict({"name": "x", "bogus": 1})
+
+    @pytest.mark.parametrize("weight", [-0.5, 1.5])
+    def test_from_dict_refuses_a_mix_weight_outside_the_unit_interval(self, weight):
+        with pytest.raises(ConfigurationError, match=r"'adversary_weight' must lie in \[0, 1\]"):
+            Scenario.from_dict({"name": "x", "adversary_weight": weight})
 
     def test_unknown_engine_workload_adversary_rejected(self):
         with pytest.raises(ConfigurationError):

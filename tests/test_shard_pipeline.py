@@ -164,8 +164,8 @@ def test_idle_exhaustion_flushes_and_matches_serial():
 
 
 def test_stop_conditions_disable_pipelining_and_match_serial():
-    def stop(engine, report, step):
-        return "big enough" if report.network_size >= 205 else None
+    def stop(record, driver):
+        return "big enough" if record.network_size >= 205 else None
 
     def run(loop):
         coordinator = ShardCoordinator(_scenario(), workers=1, stop_conditions=[stop])

@@ -8,8 +8,6 @@ front (unsupported adversaries, inline probes).
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro import Scenario
@@ -165,18 +163,6 @@ def test_router_stamps_composite_size_after():
     joined, left = _route(router, ChurnEvent.join(), ChurnEvent.leave(0))
     assert joined.size_after == 7
     assert left.size_after == 6
-
-
-# ----------------------------------------------------------------------
-# What a workload reads of the coordinator
-# ----------------------------------------------------------------------
-def test_coordinator_random_member_requires_explicit_rng():
-    with ShardCoordinator(_sharded_scenario()) as coordinator:
-        with pytest.raises(ConfigurationError):
-            coordinator.random_member()
-        member = coordinator.random_member(rng=random.Random(1))
-        assert coordinator.directory.nodes.is_active(member)
-        assert coordinator.network_size == 200
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from repro import NowEngine, default_parameters
-from repro.adversary import ObliviousChurnAdversary
+from repro.adversary import AdversaryContext, ObliviousChurnAdversary
 from repro.analysis import (
     ExperimentTable,
     azuma_exceedance_bound,
@@ -32,6 +32,11 @@ from repro.workloads import (
     UniformChurn,
     drive,
 )
+
+
+def registry_context(engine):
+    """The context a workload reads, over ``engine``'s registry and parameters."""
+    return AdversaryContext(None, engine.state.nodes, engine.parameters)
 
 
 @pytest.fixture
@@ -59,7 +64,7 @@ class TestWorkloads:
         workload = GrowthWorkload(random.Random(2), target_size=140)
         drive(churn_engine, workload, steps=60)
         assert churn_engine.network_size == 140
-        assert workload.next_event(churn_engine) is None
+        assert workload.next_event(registry_context(churn_engine)) is None
 
     def test_shrink_workload_reaches_target(self, churn_engine):
         workload = ShrinkWorkload(random.Random(2), target_size=100)
@@ -71,8 +76,9 @@ class TestWorkloads:
             random.Random(3), low_size=110, high_size=130, byzantine_join_fraction=0.1
         )
         kinds = []
+        context = registry_context(churn_engine)
         for _ in range(80):
-            event = workload.next_event(churn_engine)
+            event = workload.next_event(context)
             kinds.append(event.kind)
             churn_engine.apply_event(event)
         assert ChurnKind.JOIN in kinds
@@ -110,6 +116,11 @@ class TestDrivers:
             MixedDriver([], random.Random(0))
         with pytest.raises(ConfigurationError):
             MixedDriver([(None, 0.0)], random.Random(0))
+
+    def test_mixed_driver_refuses_a_negative_weight(self):
+        parts = [(UniformChurn(random.Random(0)), 2.0), (UniformChurn(random.Random(1)), -1.0)]
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            MixedDriver(parts, random.Random(2))
 
 
 class TestBounds:
