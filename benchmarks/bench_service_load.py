@@ -44,7 +44,9 @@ import time
 
 import pytest
 
-from repro.service import LiveEngineSession, ServiceFrontend, drive_load, live_scenario
+from repro.service import LiveEngineSession, live_scenario
+from repro.service.frontend import ServiceFrontend
+from repro.service.loadgen import drive_load
 from repro.workloads.arrivals import PoissonArrivals
 
 from bench_engine_throughput import RESULT_PATH, save_result

@@ -71,7 +71,7 @@ from .scenarios import (
     Scenario,
     named_scenario,
 )
-from .service import DEFAULT_MAX_BATCH, DEFAULT_MAX_QUEUE
+from .service.protocol import DEFAULT_MAX_BATCH, DEFAULT_MAX_QUEUE
 from .trace import (
     DEFAULT_FLUSH_EVERY,
     TRACE_FORMATS,
@@ -652,9 +652,7 @@ def run_sweep_command(args: argparse.Namespace) -> int:
 
 
 def run_serve_command(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from .service import LiveEngineSession, ServiceFrontend, live_scenario
+    from .service import LiveEngineSession, live_scenario
 
     if args.shards < 0:
         raise ConfigurationError("--shards must be >= 0 (0 = classic backend)")
@@ -684,6 +682,12 @@ def run_serve_command(args: argparse.Namespace) -> int:
             trace_format=args.trace_format,
             flush_every=args.flush_every,
         )
+    # The session has forked its shard workers by now, so asyncio and the
+    # ssl module it loads stay in this process only.
+    import asyncio
+
+    from .service.frontend import ServiceFrontend
+
     frontend = ServiceFrontend(
         session,
         host=args.host,

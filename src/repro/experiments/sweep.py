@@ -33,13 +33,13 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.reporting import format_table
 from ..analysis.statistics import MeanConfidence, mean_confidence
 from ..errors import ConfigurationError
+from ..rng import sha256
 from ..scenarios.probes import CorruptionTrajectoryProbe, CostLedgerProbe, Probe
 from ..scenarios.scenario import NAMED_SCENARIOS, Scenario
 from ..trace.session import open_driver
@@ -116,13 +116,17 @@ class SweepSpec:
         """One worker payload per (grid point, seed), in deterministic order."""
         base = self.base_fields()
         payloads = []
+        sharded = []
         for point in self.grid_points():
+            label = ", ".join(f"{key}={value}" for key, value in point.items()) or "(base)"
             for seed in self.seeds:
                 fields = json.loads(json.dumps(base))  # deep copy, JSON-safe
                 for key, value in point.items():
                     _assign_dotted(fields, key, value)
                 fields["seed"] = int(seed)
                 scenario = Scenario.from_dict(fields)  # validate eagerly
+                if scenario.shards and label not in sharded:
+                    sharded.append(label)
                 scenario_dict = scenario.to_dict()
                 payloads.append(
                     {
@@ -134,6 +138,13 @@ class SweepSpec:
                         "track_target_cluster": self.track_target_cluster,
                     }
                 )
+        if self.track_target_cluster and sharded:
+            # The target probe reads one engine's clusters inline, which a
+            # sharded driver refuses: every such unit would only fail.
+            raise ConfigurationError(
+                "track_target_cluster needs a single-engine run; refused for "
+                f"the sharded grid point(s): {'; '.join(sharded)}"
+            )
         return payloads
 
     # ------------------------------------------------------------------
@@ -223,7 +234,7 @@ def run_sweep_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     batched step records off the engine's hot loop, so sweep workers pay no
     inline-probe overhead per event.  Only the target-cluster probe reads
     the engine per step — a sharded unit has no single engine to read, so
-    its driver refuses that probe and the unit is reported as failed.
+    :meth:`SweepSpec.payloads` refuses that combination before any unit runs.
     """
     scenario = Scenario.from_dict(payload["scenario"])
     corruption = CorruptionTrajectoryProbe()
@@ -346,10 +357,8 @@ def spec_digest(scenario_fields: Dict[str, Any]) -> str:
     coincide, so completed records only match when the entire expanded
     scenario (steps, preset fields, overrides — everything) is identical.
     """
-    import hashlib
-
     canonical = json.dumps(scenario_fields, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 def _payload_key(payload_or_record: Dict[str, Any]) -> str:
@@ -478,6 +487,10 @@ class SweepRunner:
                     records[index] = record
                     record_done(record)
             else:
+                # Imported here: it brings multiprocessing, which a sweep
+                # run inline (and every other command) never needs.
+                from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
                 used = min(workers, len(pending)) or 1
                 with ProcessPoolExecutor(max_workers=used) as pool:
                     futures = {

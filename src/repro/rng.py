@@ -8,13 +8,27 @@ workload generator and the adversary) be driven by independent streams.
 
 The helpers below create child generators deterministically from a parent so
 that adding randomness consumption in one component does not perturb another.
+
+:func:`sha256` is the one SHA-256 of the library (child seeds here, state
+hashes in :mod:`repro.trace.hashing`, sweep digests).  It is CPython's
+built-in implementation, imported the way the standard library's
+:mod:`random` imports its sha512: ``hashlib`` would load OpenSSL's
+``_hashlib`` and libcrypto (about 3.7 MB resident) for digests that are
+byte-for-byte the same.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Iterable, Optional, Sequence, TypeVar
+
+try:
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.11
+    except ImportError:  # pragma: no cover - interpreters without the built-in
+        from hashlib import sha256
 
 T = TypeVar("T")
 
@@ -36,7 +50,7 @@ def derive_rng(parent: random.Random, label: str) -> random.Random:
     decorrelated even when created from the same parent state.
     """
     base = parent.getrandbits(64)
-    digest = hashlib.sha256(f"{base}:{label}".encode("utf-8")).digest()
+    digest = sha256(f"{base}:{label}".encode("utf-8")).digest()
     child_seed = int.from_bytes(digest[:8], "big")
     return random.Random(child_seed)
 

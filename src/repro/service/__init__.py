@@ -23,11 +23,17 @@ network service under measured load:
 
 See ``docs/SERVICE.md`` for the protocol, backpressure semantics and the
 record/replay workflow.
+
+This package's namespace holds only the protocol and the session.  The
+modules that import asyncio (``frontend``, ``queue``) and the load driver
+are imported by their own paths, so that a process that does not serve —
+a batch run, ``replay``, a shard worker forked by ``serve`` — never loads
+asyncio and, through it, ssl.
 """
 
-from .frontend import DEFAULT_MAX_BATCH, ServiceFrontend
-from .loadgen import LoadReport, OperationStats, drive_load
 from .protocol import (
+    DEFAULT_MAX_BATCH,
+    DEFAULT_MAX_QUEUE,
     ERROR_CODES,
     OPERATIONS,
     ProtocolError,
@@ -36,7 +42,6 @@ from .protocol import (
     ok_response,
     parse_request,
 )
-from .queue import DEFAULT_MAX_QUEUE, RequestQueue
 from .session import (
     SERVICE_READ_RNG_OFFSET,
     SERVICE_RNG_OFFSET,
@@ -50,14 +55,9 @@ __all__ = [
     "ERROR_CODES",
     "OPERATIONS",
     "LiveEngineSession",
-    "LoadReport",
-    "OperationStats",
     "ProtocolError",
-    "RequestQueue",
     "SERVICE_READ_RNG_OFFSET",
     "SERVICE_RNG_OFFSET",
-    "ServiceFrontend",
-    "drive_load",
     "encode_frame",
     "error_response",
     "live_scenario",

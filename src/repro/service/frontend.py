@@ -36,6 +36,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set
 
 from .protocol import (
+    DEFAULT_MAX_BATCH,
+    DEFAULT_MAX_QUEUE,
     ERROR_BAD_REQUEST,
     ERROR_FAILED,
     ERROR_OVERLOADED,
@@ -46,11 +48,8 @@ from .protocol import (
     ok_response,
     parse_request,
 )
-from .queue import DEFAULT_MAX_QUEUE, RequestQueue
+from .queue import RequestQueue
 from .session import LiveEngineSession
-
-#: Default number of queued requests the pump executes per engine batch.
-DEFAULT_MAX_BATCH = 64
 
 #: Longest request line accepted, in bytes; a longer one is answered
 #: ``bad_request`` and skipped up to its newline.

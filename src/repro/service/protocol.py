@@ -60,6 +60,13 @@ ERROR_CODES = frozenset(
     }
 )
 
+#: Default bound on queued requests awaiting the engine; a request past it
+#: is answered ``overloaded``.
+DEFAULT_MAX_QUEUE = 1024
+
+#: Default number of queued requests the pump executes per engine batch.
+DEFAULT_MAX_BATCH = 64
+
 #: Accepted values of a join request's ``role`` field.
 JOIN_ROLES = frozenset({"honest", "byzantine"})
 

@@ -23,9 +23,7 @@ from collections import deque
 from typing import Any, List
 
 from ..errors import ConfigurationError
-
-#: Default bound on queued requests awaiting the engine.
-DEFAULT_MAX_QUEUE = 1024
+from .protocol import DEFAULT_MAX_QUEUE
 
 
 class RequestQueue:

@@ -172,12 +172,11 @@ class ShardCoordinator(WindowDriver):
             )
 
         self.workers = max(1, min(int(workers), self.shards))
-        scenario_data = scenario.to_dict()
         restore = None
         if checkpoint is not None:
-            state = checkpoint["engine"]
             restore = {
-                int(shard): payload for shard, payload in state["shards"].items()
+                int(shard): payload
+                for shard, payload in checkpoint["engine"]["shards"].items()
             }
             if sorted(restore) != list(range(self.shards)):
                 raise ConfigurationError(
@@ -189,55 +188,15 @@ class ShardCoordinator(WindowDriver):
                 problem = engine_fault(payload["engine"], f"engine/shards/{shard}/engine/")
                 if problem:
                     raise ConfigurationError(f"malformed checkpoint: {problem}")
-        self._transports = []
+        self._transports: List[Any] = []
         self._transport_of: Dict[int, Any] = {}
-        for worker in range(self.workers):
-            hosted = [
-                shard
-                for shard in range(self.shards)
-                if shard * self.workers // self.shards == worker
-            ]
-            hosted_restore = (
-                {shard: restore[shard] for shard in hosted} if restore else None
-            )
-            transport_cls = InlineTransport if self.workers == 1 else ProcessTransport
-            transport = transport_cls(scenario_data, hosted, sizes0, restore=hosted_restore)
-            self._transports.append(transport)
-            for shard in hosted:
-                self._transport_of[shard] = transport
-
-        if checkpoint is None:
-            self.directory = ShardDirectory(self.shards)
-            info = self._gather_each("bootstrap_info")
-            base = 0
-            for shard, shard_info in enumerate(info):
-                byzantine = set(shard_info["byzantine"])
-                for gid in range(base, base + sizes0[shard]):
-                    role = NodeRole.BYZANTINE if gid in byzantine else NodeRole.HONEST
-                    self.directory.register_initial(shard, gid, role)
-                base += sizes0[shard]
-            self.merger = ObservationMerger([shard_info["summary"] for shard_info in info])
-            self.total_steps = 0
-            self.total_events = 0
-        else:
-            self.directory = ShardDirectory.from_snapshot(state["router"])
-            self.merger = ObservationMerger.from_snapshot(state["merge"])
-            self.total_steps = int(checkpoint.get("steps_done", 0))
-            self.total_events = int(checkpoint.get("events_done", 0))
-
-        self.router = EventRouter(self.directory)
-        # None for a live session's scenario: its events are given to dispatch.
-        self.take_source(scenario.build_source(self))
-        if checkpoint is not None:
-            self.source.restore_state(checkpoint["source"])
-            expected = checkpoint.get("state_hash")
-            restored = self.state_hash()
-            if expected is not None and restored != expected:
-                raise ConfigurationError(
-                    "restored sharded state hash does not match the checkpoint "
-                    f"({restored[:12]} != {expected[:12]}); the checkpoint is "
-                    "corrupt or was produced by an incompatible version"
-                )
+        try:
+            self._start(scenario, sizes0, restore, checkpoint)
+        except BaseException:
+            # A refusal once workers run (a failed bootstrap, a checkpoint
+            # whose state hash does not match) leaves none of them behind.
+            self.close()
+            raise
         #: Events taken by serve_dispatch (== total_events once collected;
         #: total_steps counts the time steps taken by serve_dispatch, read
         #: with nothing in flight).  Barriers run when events_admitted
@@ -261,6 +220,71 @@ class ShardCoordinator(WindowDriver):
         #: ``idle`` is coordinator time blocked on apply replies beyond the
         #: matching self-timed seconds — the residual pipelining removes.
         self.phase_times: Dict[str, float] = {key: 0.0 for key in PHASE_KEYS}
+
+    def _start(
+        self,
+        scenario,
+        sizes0: List[int],
+        restore: Optional[Dict[int, Dict[str, Any]]],
+        checkpoint: Optional[Dict[str, Any]],
+    ) -> None:
+        """Start the workers, then build the composite state over them.
+
+        Every worker process is started before any bootstrap
+        acknowledgement is awaited, so the shard engines bootstrap in
+        parallel.
+        """
+        scenario_data = scenario.to_dict()
+        transport_cls = InlineTransport if self.workers == 1 else ProcessTransport
+        for worker in range(self.workers):
+            hosted = [
+                shard
+                for shard in range(self.shards)
+                if shard * self.workers // self.shards == worker
+            ]
+            hosted_restore = (
+                {shard: restore[shard] for shard in hosted} if restore else None
+            )
+            transport = transport_cls(scenario_data, hosted, sizes0, restore=hosted_restore)
+            self._transports.append(transport)
+            for shard in hosted:
+                self._transport_of[shard] = transport
+        for transport in self._transports:
+            transport.wait_started()
+
+        if checkpoint is None:
+            self.directory = ShardDirectory(self.shards)
+            info = self._gather_each("bootstrap_info")
+            base = 0
+            for shard, shard_info in enumerate(info):
+                byzantine = set(shard_info["byzantine"])
+                for gid in range(base, base + sizes0[shard]):
+                    role = NodeRole.BYZANTINE if gid in byzantine else NodeRole.HONEST
+                    self.directory.register_initial(shard, gid, role)
+                base += sizes0[shard]
+            self.merger = ObservationMerger([shard_info["summary"] for shard_info in info])
+            self.total_steps = 0
+            self.total_events = 0
+        else:
+            state = checkpoint["engine"]
+            self.directory = ShardDirectory.from_snapshot(state["router"])
+            self.merger = ObservationMerger.from_snapshot(state["merge"])
+            self.total_steps = int(checkpoint.get("steps_done", 0))
+            self.total_events = int(checkpoint.get("events_done", 0))
+
+        self.router = EventRouter(self.directory)
+        # None for a live session's scenario: its events are given to dispatch.
+        self.take_source(scenario.build_source(self))
+        if checkpoint is not None:
+            self.source.restore_state(checkpoint["source"])
+            expected = checkpoint.get("state_hash")
+            restored = self.state_hash()
+            if expected is not None and restored != expected:
+                raise ConfigurationError(
+                    "restored sharded state hash does not match the checkpoint "
+                    f"({restored[:12]} != {expected[:12]}); the checkpoint is "
+                    "corrupt or was produced by an incompatible version"
+                )
 
     # ------------------------------------------------------------------
     # Worker fan-out helpers

@@ -290,6 +290,9 @@ class InlineTransport:
         self.worker = ShardWorker(scenario_data, shard_ids, sizes, restore=restore)
         self._pending: List[Tuple[str, tuple]] = []
 
+    def wait_started(self) -> None:
+        """The worker was built in the constructor: nothing to wait for."""
+
     def send(self, method: str, *args: Any) -> None:
         self._pending.append((method, args))
 
@@ -358,7 +361,17 @@ class ProcessTransport:
         )
         self._process.start()
         child.close()
-        self.recv()  # bootstrap acknowledgement (raises on worker init failure)
+        self._acknowledged = False
+
+    def wait_started(self) -> None:
+        """Take the worker's bootstrap acknowledgement (raises if its init failed).
+
+        Not awaited in the constructor: a coordinator starts every worker
+        first, so their engines bootstrap in parallel.
+        """
+        if not self._acknowledged:
+            self._acknowledged = True
+            self.recv()
 
     def _died(self, cause: BaseException) -> ShardWorkerError:
         self._process.join(timeout=1)
@@ -389,6 +402,7 @@ class ProcessTransport:
 
     def close(self) -> None:
         try:
+            self.wait_started()
             self.send("stop")
             self.recv()
         except (OSError, EOFError, BrokenPipeError, ShardWorkerError):

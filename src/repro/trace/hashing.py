@@ -25,9 +25,10 @@ fingerprint, so a restore that misreads one of them passes the hash check.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any, Dict
+
+from ..rng import sha256
 
 
 def canonical_json(data: Any) -> str:
@@ -37,12 +38,12 @@ def canonical_json(data: Any) -> str:
 
 def digest(data: Any) -> str:
     """SHA-256 hex digest of the canonical JSON encoding of ``data``."""
-    return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
+    return sha256(canonical_json(data).encode("utf-8")).hexdigest()
 
 
 def rng_digest(rng) -> str:
     """Digest of a generator's full Mersenne Twister state."""
-    return hashlib.sha256(repr(rng.getstate()).encode("utf-8")).hexdigest()
+    return sha256(repr(rng.getstate()).encode("utf-8")).hexdigest()
 
 
 def state_fingerprint(engine) -> Dict[str, Any]:

@@ -283,17 +283,21 @@ class TestSweepRunner:
         verdicts = {record["point"]["engine"]: record["invariants_ok"] for record in result.records}
         assert verdicts == {"now": True, "static_clusters": False}
 
-    def test_target_cluster_tracking_on_a_sharded_unit_is_a_failed_unit(self):
+    def test_target_cluster_tracking_on_a_sharded_point_is_refused_up_front(self):
         """The inline target probe has no single engine to read under shards:
-        the unit is refused and stays addressable, it does not report zero."""
-        spec = small_spec(grid={"shards": [0, 2]}, seeds=[3], track_target_cluster=True)
+        the spec is refused before any unit runs, naming the field and the
+        sharded points."""
+        spec = small_spec(grid={"shards": [0, 2]}, seeds=[3, 4], track_target_cluster=True)
         spec.scenario.update(initial_size=200, steps=10)
-        result = run_sweep(spec)
-        (failure,) = result.failures()
-        assert failure["point"] == {"shards": 2} and failure["seed"] == 3
-        assert "inline probes ['target-corruption'] are not supported" in failure["error"]
-        (ok,) = result.records_for({"shards": 0})
-        assert 0.0 <= ok["target_peak_fraction"] <= 1.0
+        with pytest.raises(ConfigurationError) as refused:
+            spec.payloads()
+        assert "track_target_cluster" in str(refused.value)
+        assert str(refused.value).endswith("sharded grid point(s): shards=2")
+        with pytest.raises(ConfigurationError):
+            SweepRunner(spec).run()
+        spec.grid = {"shards": [0]}
+        for record in run_sweep(spec).records:
+            assert 0.0 <= record["target_peak_fraction"] <= 1.0
 
     def test_metric_lookup_errors_on_unknown(self):
         result = run_sweep(small_spec(grid={}, seeds=[1]))
@@ -351,3 +355,15 @@ class TestRunSweepCli:
             main(["run-sweep", "--name", "uniform-churn", "--metrics", "bogus"]) == 2
         )
         assert main(["run-sweep", "--name", "no-such-preset", "--num-seeds", "1"]) == 2
+
+    def test_cli_refuses_target_tracking_on_a_sharded_grid(self, tmp_path, capsys):
+        spec = SweepSpec(
+            name="attack", preset="join-leave-attack", grid={"shards": [0, 2]},
+            seeds=[1], steps=10, workers=1, track_target_cluster=True,
+        )
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(spec.to_json(), encoding="utf-8")
+        assert main(["run-sweep", "--spec", str(spec_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "track_target_cluster" in captured.err and "shards=2" in captured.err

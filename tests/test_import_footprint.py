@@ -1,16 +1,24 @@
-"""Only the modules that compute with arrays load numpy.
+"""Each process loads only the native stacks its work uses.
 
-The hop engine (``repro.walks.kernel``), the exact walk law
-(``repro.walks.law``), the expansion checks and the complexity fits import
-numpy; nothing else does, and no
-package ``__init__`` imports them.  So an oracle run, its trace stack and a
-serve session start without numpy, while a simulated run loads it while its
-engine is built.  pytest itself loads numpy, so each case runs in a fresh
+Only the modules that compute with arrays load numpy.  The hop engine
+(``repro.walks.kernel``), the exact walk law (``repro.walks.law``), the
+expansion checks and the complexity fits import numpy; nothing else does,
+and no package ``__init__`` imports them.  So an oracle run, its trace stack
+and a serve session start without numpy, while a simulated run loads it
+while its engine is built.
+
+Only ``serve`` loads asyncio (and, through it, ssl), and only after its
+driver has forked the shard workers; SHA-256 is the interpreter's built-in
+one (:func:`repro.rng.sha256`), so no run loads OpenSSL's ``_hashlib``; and
+only a sweep that opens a process pool loads ``concurrent.futures``.
+
+pytest itself loads numpy and asyncio, so each case runs in a fresh
 interpreter.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -81,3 +89,67 @@ def test_a_simulated_engine_imports_numpy_while_it_is_built(tmp_path):
         """,
         tmp_path,
     )
+
+
+#: Native and stdlib stacks a process that does not serve must not load.
+SERVICE_STACK = ("_hashlib", "_ssl", "asyncio", "concurrent.futures")
+
+
+def test_batch_commands_load_no_service_stack_and_no_openssl(tmp_path):
+    run_fresh(
+        f"""
+        import sys
+        import repro.cli
+        from repro import Scenario
+        from repro.trace import (
+            checkpoint_from_trace, record_scenario, replay_trace, resume_from_checkpoint,
+        )
+
+        scenario = Scenario(initial_size=200, max_size=1024, steps=40, seed=3)
+        session = record_scenario(
+            scenario, trace_path="t.jsonl", index_every=8,
+            checkpoint_path="c.json", checkpoint_every=16,
+        )
+        assert replay_trace("t.jsonl").ok
+        checkpoint_from_trace("t.jsonl", 24, "mid.json")
+        assert resume_from_checkpoint("mid.json").final_state_hash == session.final_state_hash
+        loaded = [name for name in {SERVICE_STACK!r} if name in sys.modules]
+        assert not loaded, loaded
+        """,
+        tmp_path,
+    )
+
+
+def test_serve_forks_its_shard_workers_before_asyncio_is_imported(tmp_path):
+    """The first worker start is stopped as it happens, recording what the
+    serving process had loaded by then: what every forked worker inherits."""
+    run_fresh(
+        """
+        import sys
+        from repro.cli import main
+        from repro.shard import worker
+
+        class Forking(BaseException):
+            pass
+
+        def start(self, *args, **kwargs):
+            raise Forking([name for name in ("asyncio", "_ssl") if name in sys.modules])
+
+        worker.ProcessTransport.__init__ = start
+        try:
+            main(["serve", "--port", "0", "--shards", "2", "--initial-size", "400"])
+        except Forking as forking:
+            assert forking.args[0] == [], forking.args[0]
+        else:
+            raise AssertionError("serve started no shard worker")
+        """,
+        tmp_path,
+    )
+
+
+def test_the_builtin_sha256_matches_hashlib():
+    from repro.rng import sha256
+
+    for data in (b"", b"abc", bytes(range(256)) * 4096):
+        assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+        assert sha256(data).digest() == hashlib.sha256(data).digest()

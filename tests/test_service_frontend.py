@@ -14,14 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
-from repro.service import (
-    LiveEngineSession,
-    ServiceFrontend,
-    encode_frame,
-    live_scenario,
-)
-from repro.service import ProtocolError
-from repro.service.frontend import MAX_LINE, _Connection, _Pending
+from repro.service import LiveEngineSession, ProtocolError, encode_frame, live_scenario
+from repro.service.frontend import MAX_LINE, ServiceFrontend, _Connection, _Pending
 from repro.trace import TraceReader, replay_trace
 
 from service_helpers import SIZES, normalise
@@ -622,7 +616,7 @@ class TestConstruction:
 
 class TestLoadGenerator:
     def test_operation_stats_classification(self):
-        from repro.service import OperationStats
+        from repro.service.loadgen import OperationStats
 
         stats = OperationStats()
         stats.record({"ok": True}, 1.0)
@@ -633,7 +627,7 @@ class TestLoadGenerator:
         assert view["p50_ms"] == 2.0
 
     def test_load_report_aggregates_and_ok(self):
-        from repro.service import LoadReport, OperationStats
+        from repro.service.loadgen import LoadReport, OperationStats
 
         good = OperationStats(sent=10, ok=8, overloaded=2)
         report = LoadReport(
@@ -647,7 +641,7 @@ class TestLoadGenerator:
         assert "sample" in report.summary_table()
 
     def test_drive_load_against_live_frontend(self):
-        from repro.service import drive_load
+        from repro.service.loadgen import drive_load
         from repro.workloads.arrivals import PoissonArrivals
 
         async def scenario():

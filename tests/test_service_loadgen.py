@@ -22,7 +22,8 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.service import OperationStats, drive_load, loadgen
+from repro.service import loadgen
+from repro.service.loadgen import OperationStats, drive_load
 from repro.workloads.arrivals import Arrival, PoissonArrivals, save_arrival_trace
 
 #: 200 requests, one every 5 ms: a 200 ms stall holds ~40 of them.

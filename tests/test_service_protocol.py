@@ -11,7 +11,6 @@ from repro.errors import ConfigurationError
 from repro.service import (
     LiveEngineSession,
     ProtocolError,
-    RequestQueue,
     SERVICE_RNG_OFFSET,
     encode_frame,
     error_response,
@@ -25,6 +24,7 @@ from repro.service.protocol import (
     ERROR_UNKNOWN_OP,
     OPERATIONS,
 )
+from repro.service.queue import RequestQueue
 
 
 class TestParseRequest:

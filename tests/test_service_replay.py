@@ -20,7 +20,8 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.service import ProtocolError, ServiceFrontend, encode_frame
+from repro.service import ProtocolError, encode_frame
+from repro.service.frontend import ServiceFrontend
 from repro.trace import TraceReader, replay_trace
 
 from service_helpers import (

@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.service import LiveEngineSession, ServiceFrontend, encode_frame, live_scenario
+from repro.service import LiveEngineSession, encode_frame, live_scenario
+from repro.service.frontend import ServiceFrontend
 from repro.service.protocol import ProtocolError
 from repro.shard import ShardWorkerError
 from repro.shard.messages import cluster_address

@@ -10,13 +10,18 @@ tests pin
 that property (including across the loop's flush points — index frames,
 checkpoints, idle exhaustion, stop conditions), the worker-death
 regression (a killed child must surface as ``ShardWorkerError``, not hang
-the coordinator in ``recv``), and the ``run-scenario --profile`` smoke.
+the coordinator in ``recv``), worker start-up (parallel, and nothing left
+behind by a refused start), and the ``run-scenario --profile`` smoke.
 """
 
 from __future__ import annotations
 
+import json
+import multiprocessing
 import os
 import pstats
+import shutil
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,8 +29,10 @@ from hypothesis import strategies as st
 
 from repro import Scenario
 from repro.cli import main
+from repro.errors import ConfigurationError
 from repro.scenarios.probes import CorruptionTrajectoryProbe, CostLedgerProbe
 from repro.shard import PHASE_KEYS, ShardCoordinator, ShardWorkerError
+from repro.shard.worker import ShardWorker
 from repro.trace import record_scenario, resume_from_checkpoint, trace_diff
 
 from reference_loop import serial_record, serial_run
@@ -214,6 +221,68 @@ def test_worker_exception_carries_remote_traceback():
             transport.recv()
     finally:
         coordinator.close()
+
+
+# ----------------------------------------------------------------------
+# Worker start-up
+# ----------------------------------------------------------------------
+SHARDED_CHECKPOINT = os.path.join(
+    os.path.dirname(__file__), "fixtures", "checkpoint-sharded-handoff.json"
+)
+
+
+def test_workers_bootstrap_in_parallel(monkeypatch, tmp_path):
+    """Worker 0's engines wait in bootstrap until worker 1's have started:
+    a coordinator that awaited each worker before starting the next would
+    never see worker 1 start."""
+    marker = tmp_path / "worker-1-started"
+    build = ShardWorker.__init__
+
+    def bootstrap(self, scenario_data, shard_ids, sizes, restore=None):
+        if 0 in shard_ids:
+            deadline = time.monotonic() + 10.0
+            while not marker.exists():
+                if time.monotonic() > deadline:
+                    raise RuntimeError("worker 1 never started beside worker 0")
+                time.sleep(0.01)
+        else:
+            marker.touch()
+        build(self, scenario_data, shard_ids, sizes, restore=restore)
+
+    monkeypatch.setattr(ShardWorker, "__init__", bootstrap)  # forked workers inherit it
+    coordinator = ShardCoordinator(_scenario(shards=2), workers=2)
+    coordinator.close()
+
+
+def test_a_failed_bootstrap_leaves_no_worker_behind(monkeypatch):
+    build = ShardWorker.__init__
+
+    def bootstrap(self, scenario_data, shard_ids, sizes, restore=None):
+        if 1 in shard_ids:
+            raise RuntimeError("bootstrap refused")
+        build(self, scenario_data, shard_ids, sizes, restore=restore)
+
+    before = set(multiprocessing.active_children())
+    monkeypatch.setattr(ShardWorker, "__init__", bootstrap)
+    with pytest.raises(ShardWorkerError, match="bootstrap refused"):
+        ShardCoordinator(_scenario(shards=2), workers=2)
+    assert set(multiprocessing.active_children()) <= before
+
+
+def test_a_refused_sharded_checkpoint_leaves_no_worker_behind(tmp_path):
+    """The state-hash check runs once the workers have restored their
+    engines; its refusal closes them."""
+    copy = str(tmp_path / "tampered.json")
+    shutil.copy(SHARDED_CHECKPOINT, copy)
+    with open(copy, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    data["state_hash"] = "0" * 64
+    with open(copy, "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+    before = set(multiprocessing.active_children())
+    with pytest.raises(ConfigurationError, match="state hash does not match"):
+        resume_from_checkpoint(copy, workers=2)
+    assert set(multiprocessing.active_children()) <= before
 
 
 # ----------------------------------------------------------------------
