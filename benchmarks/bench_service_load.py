@@ -1,6 +1,6 @@
 """T2 — Live service load: requests/second and tail latency under churn.
 
-The live-service tentpole's acceptance claim is a *measurement*: the asyncio
+The live-service tentpole's acceptance claim is a *measurement*: the
 front-end must sustain hundreds of requests per second of mixed
 sample/join/leave traffic with bounded tail latency and zero hard failures.
 This benchmark runs the whole stack in one process — a
@@ -21,9 +21,8 @@ against the frontend and the generator, so its record is annotated
 ``oversubscribed`` instead (the same honesty rule as
 ``bench_sharded_engine``).
 
-Single-process on purpose: the driver runs in a worker thread
-(``asyncio.to_thread``) beside the server's event loop and shares its
-interpreter, so the measured rate is a *lower* bound on what separate
+Single-process on purpose: the driver runs in a worker thread beside the
+server's loop and shares its interpreter, so the measured rate is a *lower* bound on what separate
 processes achieve (the driver steals cycles from the server), and the
 figure is still comfortably above the 500 req/s acceptance bar.  Latencies
 run from each request's due instant (see ``repro.service.loadgen``), and
@@ -37,9 +36,9 @@ Run standalone (CI writes the JSON artifact this way)::
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -79,24 +78,30 @@ def _drive(make_session, rate: float, duration: float, connections: int = 4):
         rate=rate, duration=duration, mix=MIX, seed=SEED + 1
     ).schedule()
 
-    async def serve_and_drive():
-        session = make_session()
-        frontend = ServiceFrontend(session, port=0)
-        await frontend.start()
-        try:
-            report = await asyncio.to_thread(
-                drive_load,
+    session = make_session()
+    frontend = ServiceFrontend(session, port=0)
+    frontend.start()
+    reports = []
+    driver = threading.Thread(
+        target=lambda: reports.append(
+            drive_load(
                 "127.0.0.1",
                 frontend.port,
                 arrivals,
                 offered_rate=rate,
                 connections=connections,
             )
-        finally:
-            await frontend.stop()
-        return session, frontend, report
-
-    return asyncio.run(serve_and_drive())
+        )
+    )
+    driver.start()
+    try:
+        while driver.is_alive():
+            frontend.run_once(0.05)
+    finally:
+        frontend.stop()
+        driver.join(timeout=60)
+    (report,) = reports
+    return session, frontend, report
 
 
 def _combined_quantiles(report):

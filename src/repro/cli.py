@@ -414,6 +414,28 @@ def _terminate_as_interrupt() -> Iterator[None]:
         signal.signal(signal.SIGTERM, previous)
 
 
+@contextlib.contextmanager
+def _signals_stop(frontend) -> Iterator[None]:
+    """SIGINT and SIGTERM stop ``frontend`` gracefully within the block: each
+    requests the shutdown and wakes the loop through the frontend's wakeup
+    socket (:func:`signal.set_wakeup_fd`).  No-op outside the main thread."""
+    def _stop(signum, frame):
+        frontend.request_shutdown(f"received {signal.Signals(signum).name}")
+
+    try:
+        previous_fd = signal.set_wakeup_fd(frontend.wakeup_fd)
+    except ValueError:
+        yield
+        return
+    previous = {signum: signal.signal(signum, _stop) for signum in (signal.SIGINT, signal.SIGTERM)}
+    try:
+        yield
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+        signal.set_wakeup_fd(previous_fd)
+
+
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
@@ -682,10 +704,6 @@ def run_serve_command(args: argparse.Namespace) -> int:
             trace_format=args.trace_format,
             flush_every=args.flush_every,
         )
-    # The session has forked its shard workers by now, so asyncio and the
-    # ssl module it loads stay in this process only.
-    import asyncio
-
     from .service.frontend import ServiceFrontend
 
     frontend = ServiceFrontend(
@@ -695,44 +713,23 @@ def run_serve_command(args: argparse.Namespace) -> int:
         max_queue=args.max_queue,
         max_batch=args.max_batch,
     )
-
-    async def _serve() -> None:
-        await frontend.start()
-        loop = asyncio.get_running_loop()
-        for signame in ("SIGINT", "SIGTERM"):
-            try:
-                loop.add_signal_handler(
-                    getattr(signal, signame),
-                    frontend.request_shutdown,
-                    f"received {signame}",
-                )
-            except (NotImplementedError, ValueError, RuntimeError):
-                pass  # platform/thread without loop signal support
-        backend = (
-            f"sharded x{scenario.shards} ({workers} worker(s))"
-            if scenario.shards
-            else "single engine"
-        )
-        print(
-            f"serving scenario {scenario.name!r} on {frontend.host}:{frontend.port} "
-            f"(N={scenario.max_size}, n={session.network_size}, {backend}, "
-            f"queue bound {frontend.queue.maxsize})"
-        )
-        if args.record:
-            print(f"recording churn events to {args.record} ({args.trace_format})")
-        sys.stdout.flush()
-        await frontend.serve_until_shutdown()
-
-    interrupted = False
     try:
-        with _terminate_as_interrupt():
-            asyncio.run(_serve())
-    except KeyboardInterrupt:
-        # The loop's own signal handlers normally shut down gracefully; this
-        # is the fallback path (no loop signal support).  Seal the trace
-        # through the crash path: flushed, no end frame.
-        interrupted = True
-        session.close(ok=False)
+        with _signals_stop(frontend):
+            frontend.start()
+            backend = (
+                f"sharded x{scenario.shards} ({workers} worker(s))"
+                if scenario.shards
+                else "single engine"
+            )
+            print(
+                f"serving scenario {scenario.name!r} on {frontend.host}:{frontend.port} "
+                f"(N={scenario.max_size}, n={session.network_size}, {backend}, "
+                f"queue bound {frontend.queue.maxsize})"
+            )
+            if args.record:
+                print(f"recording churn events to {args.record} ({args.trace_format})")
+            sys.stdout.flush()
+            frontend.serve_until_shutdown()
     except Exception as error:
         if frontend.pump_error is None:
             raise  # not the pump: a bind failure and the like
@@ -764,7 +761,7 @@ def run_serve_command(args: argparse.Namespace) -> int:
         print(f"shutdown: {frontend.shutdown_reason}")
     if args.record:
         print(f"trace recorded to {args.record} (verify with: repro replay --trace {args.record})")
-    return EXIT_INTERRUPTED if interrupted else 0
+    return 0
 
 
 def run_load_command(args: argparse.Namespace) -> int:

@@ -15,8 +15,9 @@ network service under measured load:
   applying windows inline, or the shard coordinator pipelining them to
   worker processes (``serve --shards W``) — the same driver ``replay``
   rebuilds;
-* :mod:`repro.service.frontend` — :class:`ServiceFrontend`: the asyncio
-  TCP server and its two-lane engine pump (``repro serve``);
+* :mod:`repro.service.frontend` — :class:`ServiceFrontend`: the TCP
+  server, one stdlib ``selectors`` loop that reads, pumps one batch per
+  iteration through the session, and writes (``repro serve``);
 * :mod:`repro.service.loadgen`  — :func:`drive_load`, the open-loop
   single-thread driver that times each request from its due instant and
   reports its own lateness (``repro load``).
@@ -24,11 +25,11 @@ network service under measured load:
 See ``docs/SERVICE.md`` for the protocol, backpressure semantics and the
 record/replay workflow.
 
-This package's namespace holds only the protocol and the session.  The
-modules that import asyncio (``frontend``, ``queue``) and the load driver
-are imported by their own paths, so that a process that does not serve —
-a batch run, ``replay``, a shard worker forked by ``serve`` — never loads
-asyncio and, through it, ssl.
+This package's namespace holds only the protocol and the session; the
+front-end, the queue and the load driver are imported by their own paths,
+so a process that does not serve — a batch run, ``replay`` — does not
+import them.  No module here imports asyncio, so no process loads it or,
+through it, ssl.
 """
 
 from .protocol import (

@@ -193,8 +193,8 @@ def drive_load(
     Arrival *i* goes out on connection ``i % connections`` once its due
     instant has passed.  A connection the server closes stops being read;
     its unanswered requests, and the ones it would still have carried,
-    count as missing.  Blocking: in-process callers next to a server's
-    event loop run it with ``await asyncio.to_thread(drive_load, ...)``.
+    count as missing.  Blocking: an in-process caller runs it in a thread
+    and steps the server's loop (``ServiceFrontend.run_once``) meanwhile.
     """
     if connections < 1:
         raise ValueError("connections must be >= 1")

@@ -36,6 +36,7 @@ it cannot fail.
 from __future__ import annotations
 
 import json
+import math
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Dict, Optional
 
@@ -123,6 +124,9 @@ def parse_request(line: str) -> Dict[str, Any]:
     request_id = frame.get("id")
     if request_id is not None and not isinstance(request_id, (str, int, float, bool)):
         raise ProtocolError(ERROR_BAD_REQUEST, "request id must be a JSON scalar")
+    if isinstance(request_id, float) and not math.isfinite(request_id):
+        # Echoed as NaN or Infinity, it would not be JSON.
+        raise ProtocolError(ERROR_BAD_REQUEST, "request id must be a finite number")
     op = frame.get("op")
     if not isinstance(op, str):
         raise ProtocolError(

@@ -10,15 +10,13 @@ it as an unbounded latency tail while the server buffers itself to death.
 Rejecting at admission keeps the worst-case queueing delay at
 ``maxsize / service_rate`` by design.
 
-Not an :class:`asyncio.Queue`: that class blocks producers when full (the
-opposite of fast-fail) and wakes one consumer per item (the pump wants
-batches).  This is a plain deque plus one wakeup event, single-consumer by
-contract.
+A plain bounded deque, single-consumer by contract: the front-end's loop
+offers what it reads and drains a batch whenever the queue is not empty, so
+nothing ever waits on it.
 """
 
 from __future__ import annotations
 
-import asyncio
 from collections import deque
 from typing import Any, List
 
@@ -32,8 +30,7 @@ class RequestQueue:
     ``offer`` never blocks and never grows the queue past ``maxsize``;
     ``drain`` hands the consumer up to ``limit`` items at once, oldest
     first — reads and writes alike, in arrival order (the session decides
-    how a batch runs); ``wait`` parks the consumer until items arrive or the
-    queue is closed.
+    how a batch runs).
     """
 
     def __init__(self, maxsize: int = DEFAULT_MAX_QUEUE) -> None:
@@ -43,7 +40,6 @@ class RequestQueue:
         self.accepted = 0
         self.rejected = 0
         self._items: deque = deque()
-        self._wakeup = asyncio.Event()
         self._closed = False
 
     def offer(self, item: Any) -> bool:
@@ -53,25 +49,16 @@ class RequestQueue:
             return False
         self._items.append(item)
         self.accepted += 1
-        self._wakeup.set()
         return True
 
     def drain(self, limit: int) -> List[Any]:
         """Remove and return up to ``limit`` items (oldest first)."""
         items = self._items
-        batch = [items.popleft() for _ in range(min(limit, len(items)))]
-        if not items and not self._closed:
-            self._wakeup.clear()
-        return batch
-
-    async def wait(self) -> None:
-        """Park until at least one item is queued or the queue is closed."""
-        await self._wakeup.wait()
+        return [items.popleft() for _ in range(min(limit, len(items)))]
 
     def close(self) -> None:
-        """Stop admitting; wakes the consumer so it can finish draining."""
+        """Stop admitting; what is queued can still be drained."""
         self._closed = True
-        self._wakeup.set()
 
     @property
     def closed(self) -> bool:

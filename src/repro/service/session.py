@@ -27,11 +27,11 @@ Pre-flight validation (why requests cannot fail inside the engine):
 an event that raises halfway leaves the engine one time step ahead of the
 recorded trace — permanent replay divergence.  Every rejectable condition
 (unknown node, double join, size bounds, a rejoin naming a role other than
-the node's registered one) is checked against the driver's node registry
-as the driver pulls the request, after every earlier event of its batch
-was applied (the single engine) or routed (the shard coordinator): one
-rule, however the pump chunks the requests, and by the time an event is
-dispatched, it cannot fail.  A rejoin that names no role takes the
+the node's registered one, an id no trace can hold) is checked against the
+driver's node registry as the driver pulls the request, after every
+earlier event of its batch was applied (the single engine) or routed (the
+shard coordinator): one rule, however the pump chunks the requests, and by
+the time an event is dispatched, it cannot fail.  A rejoin that names no role takes the
 registered one, on both drivers; a ``contact_cluster`` join goes to its
 cluster's shard.
 """
@@ -301,8 +301,11 @@ class LiveEngineSession:
             if not known or not nodes.is_active(node_id):
                 raise _rejected(frame, f"node {node_id} is not active")
             return ChurnEvent.leave(node_id)
+        # A trace records both as an i32.
+        if node_id is not None and not 0 <= node_id < 2**31:
+            raise _rejected(frame, f"node_id {node_id} is no node id a trace can hold")
         contact = frame.get("contact_cluster")
-        if contact is not None and not 0 <= contact < 2**31:  # a trace records it as an i32
+        if contact is not None and not 0 <= contact < 2**31:
             raise _rejected(frame, f"contact_cluster {contact} is no cluster name")
         if nodes.active_count() >= params.max_size:
             raise _rejected(frame, f"network is at its maximum size {params.max_size}")

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
-from repro.service import LiveEngineSession, ProtocolError, live_scenario
+import json
+import select
+import socket
+import time
+
+from repro.service import LiveEngineSession, ProtocolError, encode_frame, live_scenario
 
 #: Small enough to run fast, large enough to respect the per-shard slice
 #: floor (two target clusters per shard at max_size=256).
@@ -76,3 +81,37 @@ def normalise(outcome):
     if isinstance(outcome, dict):
         return {k: v for k, v in outcome.items() if k not in ("workers", "recording")}
     return outcome
+
+
+class LoopClient:
+    """A blocking TCP client of a :class:`ServiceFrontend` whose loop the
+    calling thread steps with ``run_once`` while it waits for answers."""
+
+    def __init__(self, frontend, sock=None):
+        self.frontend = frontend
+        self.sock = sock or socket.create_connection(("127.0.0.1", frontend.port), timeout=10)
+        self.buffer = b""
+
+    def send(self, *frames):
+        self.sock.sendall(b"".join(map(encode_frame, frames)))
+
+    def answers(self, count, timeout=10.0):
+        """The next ``count`` answer frames, stepping the loop until they arrive."""
+        deadline = time.monotonic() + timeout
+        while self.buffer.count(b"\n") < count:
+            assert time.monotonic() < deadline, "no answer in time"
+            self.frontend.run_once(0.01)
+            if select.select([self.sock], [], [], 0)[0]:
+                data = self.sock.recv(1 << 16)
+                assert data, "server closed the connection"
+                self.buffer += data
+        *lines, self.buffer = self.buffer.split(b"\n", count)
+        return [json.loads(line) for line in lines]
+
+    def rpc(self, frame):
+        """Send one request frame and return its one answer."""
+        self.send(frame)
+        return self.answers(1)[0]
+
+    def close(self):
+        self.sock.close()

@@ -7,9 +7,9 @@ and no package ``__init__`` imports them.  So an oracle run, its trace stack
 and a serve session start without numpy, while a simulated run loads it
 while its engine is built.
 
-Only ``serve`` loads asyncio (and, through it, ssl), and only after its
-driver has forked the shard workers; SHA-256 is the interpreter's built-in
-one (:func:`repro.rng.sha256`), so no run loads OpenSSL's ``_hashlib``; and
+No process loads asyncio or, through it, ssl: ``serve`` runs on a
+``selectors`` loop.  SHA-256 is the interpreter's built-in one
+(:func:`repro.rng.sha256`), so no run loads OpenSSL's ``_hashlib``; and
 only a sweep that opens a process pool loads ``concurrent.futures``.
 
 pytest itself loads numpy and asyncio, so each case runs in a fresh
@@ -120,28 +120,40 @@ def test_batch_commands_load_no_service_stack_and_no_openssl(tmp_path):
     )
 
 
-def test_serve_forks_its_shard_workers_before_asyncio_is_imported(tmp_path):
-    """The first worker start is stopped as it happens, recording what the
-    serving process had loaded by then: what every forked worker inherits."""
+def test_a_serving_process_never_loads_asyncio_or_ssl(tmp_path):
+    """``serve`` answers requests on both backends, in this process, and
+    afterwards neither asyncio nor ssl is loaded."""
     run_fresh(
         """
-        import sys
+        import socket, sys, threading
         from repro.cli import main
-        from repro.shard import worker
+        from repro.service import encode_frame
+        from repro.service.frontend import ServiceFrontend
 
-        class Forking(BaseException):
-            pass
+        ops = ["join", "sample", "leave", "broadcast", "status", "ping", "shutdown"]
+        frames = [{"op": op, "id": index} for index, op in enumerate(ops)]
+        answers, clients = [], []
 
-        def start(self, *args, **kwargs):
-            raise Forking([name for name in ("asyncio", "_ssl") if name in sys.modules])
+        def client(port):
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                sock.sendall(b"".join(map(encode_frame, frames)))
+                sock.shutdown(socket.SHUT_WR)
+                answers.append(sock.makefile("rb").read().splitlines())
 
-        worker.ProcessTransport.__init__ = start
-        try:
-            main(["serve", "--port", "0", "--shards", "2", "--initial-size", "400"])
-        except Forking as forking:
-            assert forking.args[0] == [], forking.args[0]
-        else:
-            raise AssertionError("serve started no shard worker")
+        start = ServiceFrontend.start
+
+        def start_then_connect(self):
+            start(self)
+            clients.append(threading.Thread(target=client, args=(self.port,)))
+            clients[-1].start()
+
+        ServiceFrontend.start = start_then_connect
+        for shards in ("0", "2"):
+            assert main(["serve", "--port", "0", "--shards", shards, "--initial-size", "400"]) == 0
+            clients[-1].join()
+            assert len(answers[-1]) == len(frames), answers
+        loaded = [name for name in ("asyncio", "_ssl") if name in sys.modules]
+        assert not loaded, loaded
         """,
         tmp_path,
     )

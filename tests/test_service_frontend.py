@@ -1,24 +1,31 @@
-"""ServiceFrontend over real sockets: backpressure, errors, shutdown."""
+"""ServiceFrontend over real sockets: backpressure, errors, shutdown.
+
+The loop is stepped by the test thread: a :class:`LoopClient` runs
+``run_once`` while it waits for its answers.
+"""
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import re
+import select
+import selectors
+import signal
 import socket
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
 from repro.service import LiveEngineSession, ProtocolError, encode_frame, live_scenario
-from repro.service.frontend import MAX_LINE, ServiceFrontend, _Connection, _Pending
+from repro.service.frontend import HIGH_WATER, MAX_LINE, ServiceFrontend
 from repro.trace import TraceReader, replay_trace
 
-from service_helpers import SIZES, normalise
+from service_helpers import SIZES, LoopClient, normalise
 from service_helpers import make_session as make_backend_session
 
 
@@ -26,338 +33,263 @@ def make_session(seed: int = 9) -> LiveEngineSession:
     return LiveEngineSession(live_scenario(seed=seed, initial_size=80, max_size=256))
 
 
-async def connect(frontend: ServiceFrontend):
-    return await asyncio.open_connection("127.0.0.1", frontend.port)
-
-
-async def rpc(reader, writer, frame):
-    """Send one request frame and read one response line."""
-    writer.write(encode_frame(frame))
-    await writer.drain()
-    line = await asyncio.wait_for(reader.readline(), timeout=5)
-    assert line, "server closed the connection"
-    return json.loads(line)
-
-
-async def close_writer(writer):
-    writer.close()
-    try:
-        await writer.wait_closed()
-    except (ConnectionResetError, BrokenPipeError):
-        pass
-
-
-class StubTransport:
-    """Records what a connection writes; no socket behind it."""
-
-    def __init__(self):
-        self.written = []
-        self.reading = True
-        self.closed = False
-
-    def write(self, data):
-        self.written.append(data)
-
-    def is_closing(self):
-        return self.closed
-
-    def close(self):
-        self.closed = True
-
-    def pause_reading(self):
-        self.reading = False
-
-    def resume_reading(self):
-        self.reading = True
-
-    def responses(self):
-        return [json.loads(line) for line in b"".join(self.written).splitlines()]
+def started(session=None, **options) -> ServiceFrontend:
+    frontend = ServiceFrontend(session or make_session(), port=0, **options)
+    frontend.start()
+    return frontend
 
 
 def stub_connection(frontend):
-    conn = _Connection(frontend)
-    transport = StubTransport()
-    conn.connection_made(transport)
-    return conn, transport
+    """A connection the test feeds through ``_received`` (any packet cut),
+    answering into the client end of a socket pair."""
+    server_end, client_end = socket.socketpair()
+    return frontend._adopt(server_end), LoopClient(frontend, client_end)
 
 
-async def answered(transport, count):
-    """The stub's responses once there are ``count`` of them."""
-    for _ in range(500):
-        if len(transport.responses()) >= count:
-            break
-        await asyncio.sleep(0.01)
-    return transport.responses()
+def read_to_eof(client):
+    """Every answer the client end gets until the server closes it."""
+    client.sock.settimeout(10)
+    data = client.buffer
+    while chunk := client.sock.recv(1 << 16):
+        data += chunk
+    client.close()
+    return [json.loads(line) for line in data.splitlines()]
 
 
 class TestRequestResponse:
     def test_ping_and_sample_round_trip(self):
-        async def scenario():
-            frontend = ServiceFrontend(make_session(), port=0)
-            await frontend.start()
-            try:
-                reader, writer = await connect(frontend)
-                pong = await rpc(reader, writer, {"op": "ping", "id": 1})
-                assert pong["ok"] and pong["result"] == {"pong": True}
-                assert pong["id"] == 1
-                assert pong["latency_ms"] >= 0
-                sampled = await rpc(reader, writer, {"op": "sample", "id": "s"})
-                assert sampled["ok"]
-                assert "node_id" in sampled["result"]
-                await close_writer(writer)
-            finally:
-                await frontend.stop()
-
-        asyncio.run(scenario())
+        frontend = started()
+        try:
+            client = LoopClient(frontend)
+            pong = client.rpc({"op": "ping", "id": 1})
+            assert pong["ok"] and pong["result"] == {"pong": True}
+            assert pong["id"] == 1
+            assert pong["latency_ms"] >= 0
+            sampled = client.rpc({"op": "sample", "id": "s"})
+            assert sampled["ok"]
+            assert "node_id" in sampled["result"]
+            client.close()
+        finally:
+            frontend.stop()
 
     def test_responses_matched_by_id_when_pipelined(self):
-        async def scenario():
-            frontend = ServiceFrontend(make_session(), port=0)
-            await frontend.start()
-            try:
-                reader, writer = await connect(frontend)
-                for index in range(20):
-                    writer.write(encode_frame({"op": "sample", "id": index}))
-                await writer.drain()
-                seen = set()
-                for _ in range(20):
-                    line = await asyncio.wait_for(reader.readline(), timeout=5)
-                    response = json.loads(line)
-                    assert response["ok"]
-                    seen.add(response["id"])
-                assert seen == set(range(20))
-                await close_writer(writer)
-            finally:
-                await frontend.stop()
-
-        asyncio.run(scenario())
+        frontend = started()
+        try:
+            client = LoopClient(frontend)
+            client.send(*({"op": "sample", "id": index} for index in range(20)))
+            seen = set()
+            for response in client.answers(20):
+                assert response["ok"]
+                seen.add(response["id"])
+            assert seen == set(range(20))
+            client.close()
+        finally:
+            frontend.stop()
 
     def test_malformed_request_answers_error_and_connection_survives(self):
-        async def scenario():
-            frontend = ServiceFrontend(make_session(), port=0)
-            await frontend.start()
-            try:
-                reader, writer = await connect(frontend)
-                writer.write(b"this is not json\n")
-                await writer.drain()
-                bad = json.loads(await asyncio.wait_for(reader.readline(), timeout=5))
-                assert bad["ok"] is False
-                assert bad["error"] == "bad_request"
-                unknown = await rpc(reader, writer, {"op": "teleport", "id": 2})
-                assert unknown["error"] == "unknown_op"
-                assert unknown["id"] == 2
-                # The same connection still serves valid requests.
-                pong = await rpc(reader, writer, {"op": "ping", "id": 3})
-                assert pong["ok"]
-                await close_writer(writer)
-            finally:
-                await frontend.stop()
+        frontend = started()
+        try:
+            client = LoopClient(frontend)
+            client.sock.sendall(b"this is not json\n")
+            (bad,) = client.answers(1)
+            assert bad["ok"] is False
+            assert bad["error"] == "bad_request"
+            unknown = client.rpc({"op": "teleport", "id": 2})
+            assert unknown["error"] == "unknown_op"
+            assert unknown["id"] == 2
+            # The same connection still serves valid requests.
+            pong = client.rpc({"op": "ping", "id": 3})
+            assert pong["ok"]
+            client.close()
+        finally:
+            frontend.stop()
 
-        asyncio.run(scenario())
+    def test_non_finite_id_is_bad_request_answered_as_json(self):
+        frontend = started()
+        try:
+            client = LoopClient(frontend)
+            client.sock.sendall(b'{"op": "ping", "id": NaN}\n{"op": "ping", "id": 1e999}\n')
+            for line in client.answers(2):
+                assert line["ok"] is False and line["error"] == "bad_request"
+                assert line["id"] is None and "finite" in line["message"]
+            assert client.rpc({"op": "ping", "id": 3})["ok"]
+            client.close()
+        finally:
+            frontend.stop()
 
     def test_engine_rejection_is_failed_not_fatal(self):
-        async def scenario():
-            frontend = ServiceFrontend(make_session(), port=0)
-            await frontend.start()
-            try:
-                reader, writer = await connect(frontend)
-                response = await rpc(
-                    reader, writer, {"op": "leave", "id": 1, "node_id": 10**9}
-                )
-                assert response["ok"] is False
-                assert response["error"] == "failed"
-                pong = await rpc(reader, writer, {"op": "ping", "id": 2})
-                assert pong["ok"]
-                await close_writer(writer)
-            finally:
-                await frontend.stop()
-
-        asyncio.run(scenario())
+        frontend = started()
+        try:
+            client = LoopClient(frontend)
+            response = client.rpc({"op": "leave", "id": 1, "node_id": 10**9})
+            assert response["ok"] is False
+            assert response["error"] == "failed"
+            pong = client.rpc({"op": "ping", "id": 2})
+            assert pong["ok"]
+            client.close()
+        finally:
+            frontend.stop()
 
     def test_status_includes_queue_stats(self):
-        async def scenario():
-            frontend = ServiceFrontend(make_session(), port=0, max_queue=7)
-            await frontend.start()
-            try:
-                reader, writer = await connect(frontend)
-                await rpc(reader, writer, {"op": "ping", "id": 0})
-                status = await rpc(reader, writer, {"op": "status", "id": 1})
-                queue = status["result"]["queue"]
-                assert queue["bound"] == 7
-                assert queue["accepted"] >= 2
-                assert queue["rejected"] == 0
-                assert queue["depth"] >= 0
-                await close_writer(writer)
-            finally:
-                await frontend.stop()
-
-        asyncio.run(scenario())
+        frontend = started(max_queue=7)
+        try:
+            client = LoopClient(frontend)
+            client.rpc({"op": "ping", "id": 0})
+            status = client.rpc({"op": "status", "id": 1})
+            queue = status["result"]["queue"]
+            assert queue["bound"] == 7
+            assert queue["accepted"] >= 2
+            assert queue["rejected"] == 0
+            assert queue["depth"] >= 0
+            client.close()
+        finally:
+            frontend.stop()
 
 
 class TestBackpressure:
     def test_full_queue_fast_fails_with_overloaded(self):
-        async def scenario():
-            frontend = ServiceFrontend(make_session(), port=0, max_queue=1)
-            await frontend.start()
-            try:
-                # Pin the queue at "full" so admission (not pump speed)
-                # decides the outcome: the overloaded fast-path must answer
-                # without the request ever reaching the engine.
-                frontend.queue.offer = lambda item: False
-                reader, writer = await connect(frontend)
-                events_before = frontend.session.events_applied
-                response = await rpc(reader, writer, {"op": "join", "id": 1})
-                assert response["ok"] is False
-                assert response["error"] == "overloaded"
-                assert "full" in response["message"]
-                assert frontend.session.events_applied == events_before
-                await close_writer(writer)
-            finally:
-                await frontend.stop()
-
-        asyncio.run(scenario())
+        frontend = started(max_queue=1)
+        try:
+            # Pin the queue at "full" so admission (not pump speed)
+            # decides the outcome: the overloaded fast-path must answer
+            # without the request ever reaching the engine.
+            frontend.queue.offer = lambda item: False
+            client = LoopClient(frontend)
+            events_before = frontend.session.events_applied
+            response = client.rpc({"op": "join", "id": 1})
+            assert response["ok"] is False
+            assert response["error"] == "overloaded"
+            assert "full" in response["message"]
+            assert frontend.session.events_applied == events_before
+            client.close()
+        finally:
+            frontend.stop()
 
     def test_real_overload_rejects_beyond_bound(self):
-        async def scenario():
-            frontend = ServiceFrontend(make_session(), port=0, max_queue=2)
-            await frontend.start()
-            try:
-                # Park the pump: it is awaiting the current wakeup event, so
-                # swapping in a fresh one means offers no longer wake it and
-                # requests pile up against the real bound.
-                parked_wakeup = frontend.queue._wakeup
-                frontend.queue._wakeup = asyncio.Event()
-                reader, writer = await connect(frontend)
-                for index in range(5):
-                    writer.write(encode_frame({"op": "ping", "id": index}))
-                await writer.drain()
-                # Only the overloaded rejections answer immediately.
-                rejected = []
-                for _ in range(3):
-                    line = await asyncio.wait_for(reader.readline(), timeout=5)
-                    rejected.append(json.loads(line))
-                assert all(r["error"] == "overloaded" for r in rejected)
-                assert {r["id"] for r in rejected} == {2, 3, 4}
-                assert frontend.queue.rejected == 3
-                await close_writer(writer)
-                # Un-park the pump so stop() can drain the two admitted
-                # requests (their connection is gone; responses are dropped).
-                parked_wakeup.set()
-            finally:
-                await frontend.stop()
-            assert frontend.session.operations.get("ping", 0) == 2
+        frontend = started(max_queue=2)
+        try:
+            # Park the pump so requests pile up against the real bound.
+            frontend._pump = lambda: None
+            client = LoopClient(frontend)
+            client.send(*({"op": "ping", "id": index} for index in range(5)))
+            # Only the overloaded rejections answer immediately.
+            rejected = client.answers(3)
+            assert all(r["error"] == "overloaded" for r in rejected)
+            assert {r["id"] for r in rejected} == {2, 3, 4}
+            assert frontend.queue.rejected == 3
+            client.close()
+            # Un-park the pump so stop() can drain the two admitted
+            # requests (their connection is gone; responses are dropped).
+            del frontend._pump
+        finally:
+            frontend.stop()
+        assert frontend.session.operations.get("ping", 0) == 2
 
-        asyncio.run(scenario())
+    def test_a_client_that_stops_reading_stops_being_read(self):
+        """Past the high-water mark of unsent answers a connection is not
+        read; once its client reads them, it is read again, and every
+        admitted request is answered."""
+        frontend = started()
+        try:
+            conn, client = stub_connection(frontend)
+            conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            count = 0
+            while len(conn.unsent) <= HIGH_WATER:
+                assert count < 1000, "answers never backed up"
+                frontend._received(conn, encode_frame({"op": "status", "id": count}))
+                count += 1
+                frontend.run_once(0)
+            assert frontend._selector.get_key(conn.sock).events == selectors.EVENT_WRITE
+            responses = client.answers(count)
+            assert sorted(r["id"] for r in responses) == list(range(count))
+            assert all(r["ok"] for r in responses)
+            assert conn.events == selectors.EVENT_READ and not conn.unsent
+            client.close()
+        finally:
+            frontend.stop()
 
 
 class TestLineFraming:
     def test_over_long_line_answers_bad_request_and_connection_survives(self):
-        async def scenario():
-            frontend = ServiceFrontend(make_session(), port=0)
-            await frontend.start()
-            try:
-                reader, writer = await connect(frontend)
-                huge = {"op": "broadcast", "id": 1, "payload": "x" * 70_000}
-                writer.write(encode_frame(huge) + encode_frame({"op": "ping", "id": 2}))
-                await writer.drain()
-                bad = json.loads(await asyncio.wait_for(reader.readline(), timeout=5))
-                assert bad["ok"] is False and bad["error"] == "bad_request"
-                assert bad["id"] is None
-                assert str(MAX_LINE) in bad["message"]
-                pong = json.loads(await asyncio.wait_for(reader.readline(), timeout=5))
-                assert pong["id"] == 2 and pong["result"] == {"pong": True}
-                await close_writer(writer)
-            finally:
-                await frontend.stop()
-
-        asyncio.run(scenario())
+        frontend = started()
+        try:
+            client = LoopClient(frontend)
+            huge = {"op": "broadcast", "id": 1, "payload": "x" * 70_000}
+            client.send(huge, {"op": "ping", "id": 2})
+            bad, pong = client.answers(2)
+            assert bad["ok"] is False and bad["error"] == "bad_request"
+            assert bad["id"] is None
+            assert str(MAX_LINE) in bad["message"]
+            assert pong["id"] == 2 and pong["result"] == {"pong": True}
+            client.close()
+        finally:
+            frontend.stop()
 
     def test_line_split_across_many_chunks(self):
-        async def scenario():
-            frontend = ServiceFrontend(make_session(), port=0)
-            await frontend.start()
-            try:
-                conn, transport = stub_connection(frontend)
-                data = encode_frame({"op": "ping", "id": 1})
-                # An over-long line that only overflows once its pieces add up,
-                # then a request in the chunk that ends it.
-                data += b"[" + b" " * MAX_LINE + b"]\n" + encode_frame({"op": "ping", "id": 2})
-                for start in range(0, len(data), 1000):
-                    conn.data_received(data[start : start + 1000])
-                by_id = {r["id"]: r for r in await answered(transport, 3)}
-                assert sorted(by_id, key=str) == [1, 2, None]
-                assert by_id[None]["error"] == "bad_request"
-                assert by_id[1]["result"] == by_id[2]["result"] == {"pong": True}
-                # Byte by byte: still one request.
-                for byte in encode_frame({"op": "ping", "id": 3}):
-                    conn.data_received(bytes([byte]))
-                assert (await answered(transport, 4))[3]["id"] == 3
-            finally:
-                await frontend.stop()
-
-        asyncio.run(scenario())
+        frontend = started()
+        try:
+            conn, client = stub_connection(frontend)
+            data = encode_frame({"op": "ping", "id": 1})
+            # An over-long line that only overflows once its pieces add up,
+            # then a request in the chunk that ends it.
+            data += b"[" + b" " * MAX_LINE + b"]\n" + encode_frame({"op": "ping", "id": 2})
+            for start in range(0, len(data), 1000):
+                frontend._received(conn, data[start : start + 1000])
+            by_id = {r["id"]: r for r in client.answers(3)}
+            assert sorted(by_id, key=str) == [1, 2, None]
+            assert by_id[None]["error"] == "bad_request"
+            assert by_id[1]["result"] == by_id[2]["result"] == {"pong": True}
+            # Byte by byte: still one request.
+            for byte in encode_frame({"op": "ping", "id": 3}):
+                frontend._received(conn, bytes([byte]))
+            assert client.answers(1)[0]["id"] == 3
+            client.close()
+        finally:
+            frontend.stop()
 
     def test_blank_lines_between_requests_are_ignored(self):
-        async def scenario():
-            frontend = ServiceFrontend(make_session(), port=0)
-            await frontend.start()
-            try:
-                conn, transport = stub_connection(frontend)
-                conn.data_received(
-                    encode_frame({"op": "ping", "id": 1})
-                    + b"\n  \r\n"
-                    + encode_frame({"op": "ping", "id": 2})
-                )
-                responses = await answered(transport, 2)
-                await asyncio.sleep(0.05)
-                assert [r["id"] for r in transport.responses()] == [1, 2]
-                assert all(r["ok"] for r in responses)
-            finally:
-                await frontend.stop()
-
-        asyncio.run(scenario())
-
+        frontend = started()
+        try:
+            conn, client = stub_connection(frontend)
+            frontend._received(
+                conn,
+                encode_frame({"op": "ping", "id": 1})
+                + b"\n  \r\n"
+                + encode_frame({"op": "ping", "id": 2}),
+            )
+            responses = client.answers(2)
+            assert [r["id"] for r in responses] == [1, 2]
+            assert all(r["ok"] for r in responses)
+        finally:
+            frontend.stop()
+        assert read_to_eof(client) == []
 
     def test_last_line_without_newline_is_answered_at_eof(self):
-        async def scenario():
-            frontend = ServiceFrontend(make_session(), port=0)
-            await frontend.start()
-            try:
-                conn, transport = stub_connection(frontend)
-                conn.data_received(b'{"op": "shutdown", "id": 1}')
-                assert transport.responses() == []
-                conn.eof_received()
-                assert transport.responses()[0]["result"] == {"stopping": True}
-                assert frontend.shutdown_reason == "client shutdown request"
-            finally:
-                await frontend.stop()
-
-        asyncio.run(scenario())
-
-
-class TestTransportBackpressure:
-    def test_pause_writing_pauses_reading_and_admitted_requests_are_answered(self):
-        async def scenario():
-            frontend = ServiceFrontend(make_session(), port=0)
-            await frontend.start()
-            try:
-                conn, transport = stub_connection(frontend)
-                conn.data_received(
-                    b"".join(encode_frame({"op": "sample", "id": i}) for i in range(5))
-                )
-                # The transport's buffer crossed its high-water mark: the
-                # client's further requests wait in the kernel, not here.
-                conn.pause_writing()
-                assert transport.reading is False
-                conn.resume_writing()
-                assert transport.reading is True
-                responses = await answered(transport, 5)
-                assert sorted(r["id"] for r in responses) == list(range(5))
-                assert all(r["ok"] for r in responses)
-            finally:
-                await frontend.stop()
-
-        asyncio.run(scenario())
+        """A half-closing client's admitted requests, the unterminated last
+        one included, are all answered before its connection closes."""
+        frontend = started()
+        try:
+            client = LoopClient(frontend)
+            client.sock.sendall(encode_frame({"op": "join", "id": 1}) + b'{"op": "sample", "id": 2}')
+            client.sock.shutdown(socket.SHUT_WR)
+            for _ in range(500):
+                if frontend.connections_served and not frontend._connections:
+                    break
+                frontend.run_once(0.01)
+            responses = read_to_eof(client)
+            assert sorted(r["id"] for r in responses) == [1, 2]
+            assert all(r["ok"] for r in responses)
+            client = LoopClient(frontend)
+            client.sock.sendall(b'{"op": "shutdown", "id": 1}')
+            frontend.run_once(0.01)
+            assert not select.select([client.sock], [], [], 0.05)[0]
+            assert frontend.shutdown_reason is None
+            client.sock.shutdown(socket.SHUT_WR)
+            assert client.answers(1)[0]["result"] == {"stopping": True}
+            assert frontend.shutdown_reason == "client shutdown request"
+            client.close()
+        finally:
+            frontend.stop()
 
 
 class TestFailureInsideTheEngine:
@@ -367,35 +299,30 @@ class TestFailureInsideTheEngine:
     @pytest.mark.parametrize("backend", ["single", "shards=1"])
     def test_trace_write_failure_stops_server_and_trace_replays(self, tmp_path, backend):
         path = str(tmp_path / "failing.jsonl")
+        session = make_backend_session(backend, seed=6)
+        writer = session.attach_trace(path)
+        write_record, calls = writer.write_record, []
 
-        async def scenario():
-            session = make_backend_session(backend, seed=6)
-            writer = session.attach_trace(path)
-            write_record, calls = writer.write_record, []
+        def failing_write(record):
+            calls.append(record)
+            if len(calls) == 4:
+                raise OSError(28, "No space left on device")
+            write_record(record)
 
-            def failing_write(record):
-                calls.append(record)
-                if len(calls) == 4:
-                    raise OSError(28, "No space left on device")
-                write_record(record)
-
-            writer.write_record = failing_write
-            frontend = ServiceFrontend(session, port=0)
-            await frontend.start()
-            reader, stream = await connect(frontend)
-            for index in range(3):
-                assert (await rpc(reader, stream, {"op": "join", "id": index}))["ok"]
-            doomed = await rpc(reader, stream, {"op": "join", "id": "k"})
-            assert doomed["ok"] is False and doomed["error"] == "failed"
-            late = await rpc(reader, stream, {"op": "join", "id": "late"})
-            assert late["ok"] is False and late["error"] == "shutting_down"
-            await close_writer(stream)
-            with pytest.raises(OSError, match="No space left"):
-                await frontend.serve_until_shutdown()
-            assert "engine pump failed" in frontend.shutdown_reason
-            assert session.closed
-
-        asyncio.run(scenario())
+        writer.write_record = failing_write
+        frontend = started(session)
+        client = LoopClient(frontend)
+        for index in range(3):
+            assert client.rpc({"op": "join", "id": index})["ok"]
+        doomed = client.rpc({"op": "join", "id": "k"})
+        assert doomed["ok"] is False and doomed["error"] == "failed"
+        late = client.rpc({"op": "join", "id": "late"})
+        assert late["ok"] is False and late["error"] == "shutting_down"
+        client.close()
+        with pytest.raises(OSError, match="No space left"):
+            frontend.serve_until_shutdown()
+        assert "engine pump failed" in frontend.shutdown_reason
+        assert session.closed
         # Sealed crashed-shape: the three recorded events, no end frame, and
         # the file replays clean to its last frame.
         trace = TraceReader(path)
@@ -404,25 +331,21 @@ class TestFailureInsideTheEngine:
         assert report.ok and report.events_applied == 3
 
     def test_failing_read_answers_failed_and_service_continues(self):
-        async def scenario():
-            frontend = ServiceFrontend(make_session(), port=0)
-            await frontend.start()
-            try:
-                def broken_sample(rng):
-                    raise RuntimeError("walk fell off the overlay")
+        frontend = started()
+        try:
+            def broken_sample(rng):
+                raise RuntimeError("walk fell off the overlay")
 
-                frontend.session.read_model.sample = broken_sample
-                reader, writer = await connect(frontend)
-                response = await rpc(reader, writer, {"op": "sample", "id": 1})
-                assert response["ok"] is False and response["error"] == "failed"
-                assert "internal error" in response["message"]
-                assert (await rpc(reader, writer, {"op": "join", "id": 2}))["ok"]
-                assert frontend.pump_error is None
-                await close_writer(writer)
-            finally:
-                await frontend.stop()
-
-        asyncio.run(scenario())
+            frontend.session.read_model.sample = broken_sample
+            client = LoopClient(frontend)
+            response = client.rpc({"op": "sample", "id": 1})
+            assert response["ok"] is False and response["error"] == "failed"
+            assert "internal error" in response["message"]
+            assert client.rpc({"op": "join", "id": 2})["ok"]
+            assert frontend.pump_error is None
+            client.close()
+        finally:
+            frontend.stop()
 
 
 def mixed_stream():
@@ -443,31 +366,26 @@ def mixed_stream():
 
 
 def serve_packets(frontend, packets, yields):
-    """Feed ``packets`` to one stub connection, yielding to the pump after
-    each packet ``yields`` marks, then stop the frontend.
+    """Feed ``packets`` to one stub connection, running one loop iteration
+    after each packet ``yields`` marks, then stop the frontend.
 
-    Returns the stub transport and the error ``stop`` re-raised (or ``None``).
+    Returns the answers and the error ``stop`` re-raised (or ``None``).
     """
-
-    async def scenario():
-        frontend.session.start()
-        frontend._pump_task = asyncio.create_task(frontend._pump())
-        conn, transport = stub_connection(frontend)
-        for packet, pause in zip(packets, yields):
-            conn.data_received(packet)
-            if pause:
-                await asyncio.sleep(0)
-        try:
-            await frontend.stop()
-        except Exception as error:
-            return transport, error
-        return transport, None
-
-    return asyncio.run(scenario())
+    frontend.session.start()
+    conn, client = stub_connection(frontend)
+    for packet, pause in zip(packets, yields):
+        frontend._received(conn, packet)
+        if pause:
+            frontend.run_once(0)
+    try:
+        frontend.stop()
+    except Exception as error:
+        return read_to_eof(client), error
+    return read_to_eof(client), None
 
 
 class TestStubTransport:
-    """The frontend in process: a stub transport, no socket, no server."""
+    """The frontend in process: a stub connection fed by the test, no server."""
 
     @pytest.mark.parametrize("backend", ["single", "shards=1"])
     @settings(
@@ -490,9 +408,8 @@ class TestStubTransport:
 
         served = make_backend_session(backend, seed=13)
         served.attach_trace(str(tmp / "served.jsonl"), index_every=10**6)
-        transport, error = serve_packets(ServiceFrontend(served, max_batch=5), packets, yields)
+        responses, error = serve_packets(ServiceFrontend(served, max_batch=5), packets, yields)
         assert error is None
-        responses = transport.responses()
         assert sorted(response["id"] for response in responses) == list(range(len(frames)))
 
         oracle = make_backend_session(backend, seed=13)
@@ -530,9 +447,8 @@ class TestStubTransport:
         ops = ["sample", "join", "status", "leave", "ping", "broadcast", "join", "sample"]
         frames = [{"op": op, "id": index} for index, op in enumerate(ops)]
         frontend = ServiceFrontend(session, max_batch=5)
-        transport, error = serve_packets(frontend, [b"".join(map(encode_frame, frames))], [True])
+        responses, error = serve_packets(frontend, [b"".join(map(encode_frame, frames))], [True])
         assert isinstance(error, RuntimeError) and "engine pump failed" in frontend.shutdown_reason
-        responses = transport.responses()
         assert sorted(response["id"] for response in responses) == list(range(len(frames)))
         for response in responses:
             if response["id"] in (0, 2, 4):  # the first batch's reads
@@ -545,63 +461,59 @@ class TestStubTransport:
 
 class TestShutdown:
     def test_shutdown_op_stops_serve_loop(self):
-        async def scenario():
-            frontend = ServiceFrontend(make_session(), port=0)
-            await frontend.start()
-            serve = asyncio.ensure_future(frontend.serve_until_shutdown())
-            reader, writer = await connect(frontend)
-            response = await rpc(reader, writer, {"op": "shutdown", "id": 1})
-            assert response["ok"] and response["result"] == {"stopping": True}
-            await asyncio.wait_for(serve, timeout=5)
-            assert frontend.shutdown_reason == "client shutdown request"
-            assert frontend.session.closed
-            await close_writer(writer)
+        frontend = started()
+        client = LoopClient(frontend)
+        client.send({"op": "shutdown", "id": 1})
+        frontend.serve_until_shutdown()
+        (response,) = read_to_eof(client)
+        assert response["ok"] and response["result"] == {"stopping": True}
+        assert frontend.shutdown_reason == "client shutdown request"
+        assert frontend.session.closed
 
-        asyncio.run(scenario())
+    def test_a_byte_on_the_wakeup_socket_wakes_a_blocked_loop(self):
+        frontend = started()
+        try:
+            waker = threading.Timer(0.1, os.write, (frontend.wakeup_fd, b"\0"))
+            waker.start()
+            frontend.run_once()  # blocks until the byte arrives
+            waker.join(timeout=10)
+            assert not waker.is_alive()
+        finally:
+            frontend.stop()
 
     def test_stop_drains_admitted_requests(self):
-        async def scenario():
-            frontend = ServiceFrontend(make_session(), port=0)
-            await frontend.start()
-            conn, transport = stub_connection(frontend)
-            for index in range(5):
-                assert frontend.queue.offer(_Pending({"op": "join", "id": index}, conn))
-            # Stop immediately: everything already admitted must still be
-            # executed and answered before the session seals its trace.
-            await frontend.stop()
-            responses = transport.responses()
-            assert sorted(r["id"] for r in responses) == list(range(5))
-            assert all(r["ok"] for r in responses)
-            assert transport.closed
-            assert frontend.session.events_applied == 5
-
-        asyncio.run(scenario())
+        frontend = started()
+        conn, client = stub_connection(frontend)
+        frontend._received(
+            conn, b"".join(encode_frame({"op": "join", "id": index}) for index in range(5))
+        )
+        assert len(frontend.queue) == 5
+        # Stop immediately: everything already admitted must still be
+        # executed and answered before the session seals its trace.
+        frontend.stop()
+        responses = read_to_eof(client)
+        assert sorted(r["id"] for r in responses) == list(range(5))
+        assert all(r["ok"] for r in responses)
+        assert conn.closed
+        assert frontend.session.events_applied == 5
 
     def test_requests_after_close_answer_shutting_down(self):
-        async def scenario():
-            frontend = ServiceFrontend(make_session(), port=0)
-            await frontend.start()
-            try:
-                reader, writer = await connect(frontend)
-                await rpc(reader, writer, {"op": "ping", "id": 1})
-                frontend.queue.close()
-                response = await rpc(reader, writer, {"op": "ping", "id": 2})
-                assert response["error"] == "shutting_down"
-                await close_writer(writer)
-            finally:
-                await frontend.stop()
-
-        asyncio.run(scenario())
+        frontend = started()
+        try:
+            client = LoopClient(frontend)
+            client.rpc({"op": "ping", "id": 1})
+            frontend.queue.close()
+            response = client.rpc({"op": "ping", "id": 2})
+            assert response["error"] == "shutting_down"
+            client.close()
+        finally:
+            frontend.stop()
 
     def test_stop_is_idempotent(self):
-        async def scenario():
-            frontend = ServiceFrontend(make_session(), port=0)
-            await frontend.start()
-            await frontend.stop()
-            await frontend.stop()
-            assert frontend.session.closed
-
-        asyncio.run(scenario())
+        frontend = started()
+        frontend.stop()
+        frontend.stop()
+        assert frontend.session.closed
 
 
 class TestConstruction:
@@ -644,29 +556,31 @@ class TestLoadGenerator:
         from repro.service.loadgen import drive_load
         from repro.workloads.arrivals import PoissonArrivals
 
-        async def scenario():
-            frontend = ServiceFrontend(make_session(), port=0)
-            await frontend.start()
-            try:
-                arrivals = PoissonArrivals(
-                    rate=300.0,
-                    duration=1.0,
-                    mix={"sample": 0.7, "join": 0.2, "leave": 0.1},
-                    seed=6,
-                ).schedule()
-                report = await asyncio.to_thread(
-                    drive_load,
-                    "127.0.0.1",
-                    frontend.port,
-                    arrivals,
-                    offered_rate=300.0,
-                    connections=2,
+        frontend = started()
+        arrivals = PoissonArrivals(
+            rate=300.0,
+            duration=1.0,
+            mix={"sample": 0.7, "join": 0.2, "leave": 0.1},
+            seed=6,
+        ).schedule()
+        reports = []
+        driver = threading.Thread(
+            target=lambda: reports.append(
+                drive_load(
+                    "127.0.0.1", frontend.port, arrivals, offered_rate=300.0, connections=2
                 )
-            finally:
-                await frontend.stop()
-            return report, len(arrivals)
-
-        report, scheduled = asyncio.run(scenario())
+            )
+        )
+        driver.start()
+        try:
+            while driver.is_alive():
+                frontend.run_once(0.05)
+        finally:
+            frontend.stop()
+            driver.join(timeout=30)
+        assert not driver.is_alive()
+        (report,) = reports
+        scheduled = len(arrivals)
         assert report.sent == scheduled
         assert report.ok, (report.failed, report.missing)
         assert report.completed == scheduled
@@ -676,20 +590,49 @@ class TestLoadGenerator:
         assert sampled.as_dict()["p99_ms"] >= sampled.as_dict()["p50_ms"]
 
 
+def launch_serve(*args):
+    """A ``repro serve`` subprocess on a free port: ``(process, port)``."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        return server, int(re.search(r":(\d+) \(", server.stdout.readline()).group(1))
+    except BaseException:
+        kill_serve(server)
+        raise
+
+
+def kill_serve(server):
+    """Kill ``server`` and its shard workers, unless they all exited."""
+    try:
+        os.killpg(server.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    server.communicate()
+
+
+def half_closed_exchange(port, data):
+    """Send ``data``, half-close, and return every answer until the server closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as client:
+        client.sendall(data)
+        client.shutdown(socket.SHUT_WR)
+        received = b""
+        while chunk := client.recv(1 << 16):
+            received += chunk
+    return [json.loads(line) for line in received.splitlines()]
+
+
 class TestServeProcess:
     def test_graceful_shutdown_with_open_connections_logs_no_traceback(self):
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
-        command = [sys.executable, "-m", "repro.cli", "serve", "--port", "0"]
-        server = subprocess.Popen(
-            command + ["--initial-size", "80", "--max-size", "256"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-        )
+        server, port = launch_serve("--initial-size", "80", "--max-size", "256")
         clients = []
         try:
-            port = int(re.search(r":(\d+) \(", server.stdout.readline()).group(1))
             for index in range(2):
                 client = socket.create_connection(("127.0.0.1", port), timeout=10)
                 clients.append(client)
@@ -706,7 +649,51 @@ class TestServeProcess:
             for client in clients:
                 client.close()
             if server.poll() is None:
-                server.kill()
-                server.communicate()
+                kill_serve(server)
         assert server.returncode == 0, stderr
         assert "Traceback" not in stderr, stderr
+
+    @pytest.mark.parametrize("shards", ["0", "2"])
+    def test_a_half_closing_client_gets_every_answer(self, tmp_path, shards):
+        """One packet of 300 pipelined requests, then EOF: each is answered
+        before the server closes the connection, and so is a last line
+        without its newline."""
+        trace = str(tmp_path / "half-closed.jsonl")
+        server, port = launch_serve("--shards", shards, "--record", trace)
+        try:
+            frames = [{"op": ("join", "sample")[index % 2], "id": index} for index in range(300)]
+            answers = half_closed_exchange(port, b"".join(map(encode_frame, frames)))
+            assert sorted(answer["id"] for answer in answers) == list(range(300))
+            assert all(answer["ok"] for answer in answers)
+            tail = encode_frame({"op": "join", "id": "a"}) + b'{"op": "sample", "id": "b"}'
+            answers = half_closed_exchange(port, tail)
+            assert sorted(answer["id"] for answer in answers) == ["a", "b"]
+            assert all(answer["ok"] for answer in answers)
+            assert half_closed_exchange(port, b'{"op": "shutdown"}')[0]["ok"]
+            stdout, stderr = server.communicate(timeout=60)
+        finally:
+            if server.poll() is None:
+                kill_serve(server)
+        assert server.returncode == 0, stderr
+        assert "303 response(s) over 3 connection(s); queue accepted 302" in stdout, stdout
+        report = replay_trace(trace)
+        assert report.ok and report.events_applied == 151
+
+    def test_sigterm_wakes_an_idle_server_and_stops_it_gracefully(self, tmp_path):
+        trace = str(tmp_path / "terminated.jsonl")
+        server, port = launch_serve("--initial-size", "80", "--max-size", "256", "--record", trace)
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as client:
+                client.sendall(encode_frame({"op": "join", "id": 1}))
+                assert json.loads(client.makefile("rb").readline())["ok"]
+                # The server now blocks in select with this connection open.
+                server.send_signal(signal.SIGTERM)
+                stdout, stderr = server.communicate(timeout=30)
+        finally:
+            if server.poll() is None:
+                kill_serve(server)
+        assert server.returncode == 0, stderr
+        assert "Traceback" not in stderr, stderr
+        assert "shutdown: received SIGTERM" in stdout, stdout
+        assert TraceReader(trace).end_frame() is not None
+        assert replay_trace(trace).ok

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import asyncio
 import json
 
 import pytest
@@ -63,6 +62,14 @@ class TestParseRequest:
         with pytest.raises(ProtocolError) as excinfo:
             parse_request(line)
         assert excinfo.value.code == code
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_id_is_refused_without_its_id(self, token):
+        """Echoed, a non-finite id would be the non-JSON token NaN/Infinity."""
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_request(f'{{"op": "ping", "id": {token}}}')
+        assert excinfo.value.code == ERROR_BAD_REQUEST
+        assert excinfo.value.request_id is None
 
     def test_error_carries_salvaged_id(self):
         with pytest.raises(ProtocolError) as excinfo:
@@ -155,23 +162,6 @@ class TestRequestQueue:
         assert queue.closed
         assert not queue.offer("y")
         assert queue.drain(10) == ["x"]
-
-    def test_wait_wakes_on_offer_and_on_close(self):
-        async def scenario():
-            queue = RequestQueue(maxsize=4)
-            waiter = asyncio.ensure_future(queue.wait())
-            await asyncio.sleep(0)
-            assert not waiter.done()
-            queue.offer("x")
-            await asyncio.wait_for(waiter, timeout=1)
-            queue.drain(10)
-            waiter = asyncio.ensure_future(queue.wait())
-            await asyncio.sleep(0)
-            assert not waiter.done()
-            queue.close()
-            await asyncio.wait_for(waiter, timeout=1)
-
-        asyncio.run(scenario())
 
     def test_bound_must_be_positive(self):
         with pytest.raises(ConfigurationError):

@@ -13,20 +13,20 @@ between.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.service import ProtocolError, encode_frame
+from repro.service import ProtocolError
 from repro.service.frontend import ServiceFrontend
 from repro.trace import TraceReader, replay_trace
 
 from service_helpers import (
     BACKENDS,
     SIZES,
+    LoopClient,
     cadence_marks,
     frames_from_ops,
     make_session,
@@ -198,6 +198,24 @@ class TestRecordedSessionReplays:
             session.close()
         assert [frame["c"] for frame in event_frames(path)] == names
         assert replay_trace(path).ok
+
+    @on_every_backend
+    @pytest.mark.parametrize("trace_format", ["jsonl", "binary"])
+    def test_joins_naming_ids_no_trace_can_hold_are_refused(self, tmp_path, backend, trace_format):
+        """A join naming a node id outside ``[0, 2**31)`` is refused, naming
+        the id, and the recording that saw the attempts replays."""
+        session = make_session(backend, seed=4)
+        path = str(tmp_path / f"named.{trace_format}")
+        session.attach_trace(path, trace_format=trace_format)
+        try:
+            for node_id in (-5, 2**31, 2**64):
+                with pytest.raises(ProtocolError, match=f"node_id {node_id} is no node id"):
+                    session.execute({"op": "join", "node_id": node_id})
+            session.execute({"op": "join"})
+        finally:
+            session.close()
+        report = replay_trace(path)
+        assert report.ok and report.events_applied == 1
 
     @on_every_backend
     def test_index_frames_sit_on_pump_window_boundaries(self, tmp_path, backend):
@@ -427,35 +445,29 @@ class TestReadLane:
 
 class TestServedSessionReplays:
     def test_tcp_served_session_records_and_replays(self, tmp_path):
-        async def scenario(backend: str, path: str):
+        def scenario(backend: str, path: str):
             session = make_session(backend, seed=4)
             session.attach_trace(path, index_every=10)
             frontend = ServiceFrontend(session, port=0)
-            await frontend.start()
-            reader, writer = await asyncio.open_connection("127.0.0.1", frontend.port)
+            frontend.start()
+            client = LoopClient(frontend)
             ops = (["join"] * 8 + ["sample"] * 6 + ["leave"] * 3 + ["broadcast"]) * 2
+            frames = []
             for index, op in enumerate(ops):
                 frame = {"op": op, "id": index}
                 if op == "broadcast":
                     frame["payload"] = "hello"
-                writer.write(encode_frame(frame))
-            await writer.drain()
-            responses = []
-            for _ in ops:
-                line = await asyncio.wait_for(reader.readline(), timeout=10)
-                responses.append(json.loads(line))
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+                frames.append(frame)
+            client.send(*frames)
+            responses = client.answers(len(ops))
+            client.close()
             recorded_hash = session.state_hash()
-            await frontend.stop()
+            frontend.stop()
             return session, responses, recorded_hash
 
         for backend in ("single", "shards=2"):
             path = str(tmp_path / f"{backend}.jsonl")
-            session, responses, recorded_hash = asyncio.run(scenario(backend, path))
+            session, responses, recorded_hash = scenario(backend, path)
             assert all(response["ok"] for response in responses)
             assert session.events_applied == 22  # 8 joins + 3 leaves, twice
             report = replay_trace(path)

@@ -11,7 +11,6 @@ a worker dying under load fails loudly.
 
 from __future__ import annotations
 
-import asyncio
 import json
 
 import pytest
@@ -19,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.service import LiveEngineSession, encode_frame, live_scenario
+from repro.service import LiveEngineSession, live_scenario
 from repro.service.frontend import ServiceFrontend
 from repro.service.protocol import ProtocolError
 from repro.shard import ShardWorkerError
@@ -27,7 +26,7 @@ from repro.shard.messages import cluster_address
 from repro.shard.worker import ProcessTransport
 from repro.trace import TraceReader, replay_trace
 
-from service_helpers import SIZES, frames_from_ops, normalise, pump
+from service_helpers import SIZES, LoopClient, frames_from_ops, normalise, pump
 
 
 def make_session(seed: int = 9, workers: int = 1, **overrides) -> LiveEngineSession:
@@ -218,56 +217,34 @@ class TestServeTraceReplay:
         assert not report.ok and report.divergence is not None
 
 
-async def _connect(frontend):
-    return await asyncio.open_connection("127.0.0.1", frontend.port)
-
-
-async def _rpc(reader, writer, frame, timeout=10):
-    writer.write(encode_frame(frame))
-    await writer.drain()
-    line = await asyncio.wait_for(reader.readline(), timeout=timeout)
-    assert line, "server closed the connection"
-    return json.loads(line)
-
-
 class TestWorkerDeath:
     def test_worker_dying_mid_load_fails_requests_and_seals_trace(self, tmp_path):
         """Kill a worker under live load: every in-flight request is answered
         with error code ``failed`` (never a hung connection), the trace is
         sealed crashed-shape, and the frontend's stop re-raises the death."""
         path = str(tmp_path / "crash.jsonl")
-
-        async def scenario():
-            session = make_session(seed=17, workers=2)
-            session.attach_trace(path)
-            frontend = ServiceFrontend(session, port=0)
-            await frontend.start()
-            reader, writer = await _connect(frontend)
-            # Prove the service is healthy, then kill one worker process.
-            first = await _rpc(reader, writer, {"op": "join", "id": "warm"})
-            assert first["ok"]
-            transport = session.driver._transports[0]
-            assert isinstance(transport, ProcessTransport)
-            transport._process.kill()
-            transport._process.join(timeout=5)
-            # Requests racing the death must all be *answered*.
-            for index in range(12):
-                writer.write(encode_frame({"op": "join", "id": index}))
-            await writer.drain()
-            responses = []
-            for _ in range(12):
-                line = await asyncio.wait_for(reader.readline(), timeout=10)
-                assert line, "connection hung instead of failing the request"
-                responses.append(json.loads(line))
-            failed = [r for r in responses if not r["ok"]]
-            assert failed, "worker death produced no failed responses"
-            assert all(r["error"] in ("failed", "shutting_down") for r in failed)
-            writer.close()
-            with pytest.raises(ShardWorkerError):
-                await frontend.stop()
-            assert session.closed
-
-        asyncio.run(scenario())
+        session = make_session(seed=17, workers=2)
+        session.attach_trace(path)
+        frontend = ServiceFrontend(session, port=0)
+        frontend.start()
+        client = LoopClient(frontend)
+        # Prove the service is healthy, then kill one worker process.
+        first = client.rpc({"op": "join", "id": "warm"})
+        assert first["ok"]
+        transport = session.driver._transports[0]
+        assert isinstance(transport, ProcessTransport)
+        transport._process.kill()
+        transport._process.join(timeout=5)
+        # Requests racing the death must all be *answered*.
+        client.send(*({"op": "join", "id": index} for index in range(12)))
+        responses = client.answers(12)
+        failed = [r for r in responses if not r["ok"]]
+        assert failed, "worker death produced no failed responses"
+        assert all(r["error"] in ("failed", "shutting_down") for r in failed)
+        client.close()
+        with pytest.raises(ShardWorkerError):
+            frontend.stop()
+        assert session.closed
         # The crash path flushes but writes no end frame: the crashed-run
         # shape replay tolerates up to the last complete frame.
         trace = TraceReader(path)
