@@ -89,17 +89,19 @@ from .trace import (
 LOAD_DEFAULT_MIX = "sample=0.8,join=0.1,leave=0.1"
 
 #: Logical shard count given to a shard-less scenario when ``--shards W`` is
-#: passed: the worker count is an execution choice, the *logical* count is
-#: semantic, so `--shards W` alone means "same results, W processes".
+#: passed: the lane count is an execution choice, the *logical* count is
+#: semantic, so `--shards W` alone means "same results, W execution lanes:
+#: this process and W−1 worker processes".
 DEFAULT_SHARDS = 4
 
 
 def _workers_for(scenario: Scenario, shards_flag: Optional[int]) -> int:
-    """Apply ``--shards W`` to ``scenario``; return the worker-process count.
+    """Apply ``--shards W`` to ``scenario``; return the execution lane count.
 
     The scenario's own ``shards`` field picks the backend.  The flag names
-    the processes a sharded backend runs on, and turns a shard-less scenario
-    into one of :data:`DEFAULT_SHARDS` logical shards.
+    the W execution lanes a sharded backend runs on — this process and W−1
+    worker processes — and turns a shard-less scenario into one of
+    :data:`DEFAULT_SHARDS` logical shards.
     """
     if shards_flag and not scenario.shards:
         scenario.shards = DEFAULT_SHARDS
@@ -153,9 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario.add_argument(
         "--shards", type=int, default=None, metavar="W",
-        help="run through the sharded coordinator with W worker processes "
-             "(results are bit-identical for any W; a scenario without a "
-             "shards field defaults to 4 logical shards)",
+        help="run through the sharded coordinator on W execution lanes: "
+             "this process and W-1 worker processes (results are "
+             "bit-identical for any W; a scenario without a shards field "
+             "defaults to 4 logical shards)",
     )
     scenario.add_argument(
         "--barrier-interval", type=int, default=None, metavar="N",
@@ -183,9 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resume.add_argument(
         "--shards", type=int, default=None, metavar="W",
-        help="worker processes when resuming a sharded checkpoint "
-             "(ignored for single-engine checkpoints; any W resumes "
-             "bit-identically)",
+        help="W execution lanes when resuming a sharded checkpoint: this "
+             "process and W-1 worker processes (ignored for single-engine "
+             "checkpoints; any W resumes bit-identically)",
     )
 
     replay = subparsers.add_parser(
@@ -265,9 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--tau", type=float, default=0.15, help="bootstrap Byzantine fraction")
     serve.add_argument(
         "--shards", type=int, default=0, metavar="W",
-        help="serve through the sharded backend with W worker processes "
-             "(0 = classic single-engine pump; the scenario's logical shard "
-             "count defaults to 4 when the spec doesn't set one)",
+        help="serve through the sharded backend on W execution lanes: this "
+             "process and W-1 worker processes (0 = classic single-engine "
+             "pump; the scenario's logical shard count defaults to 4 when "
+             "the spec doesn't set one)",
     )
     serve.add_argument(
         "--record", type=str, default=None, metavar="FILE",
@@ -717,7 +721,7 @@ def run_serve_command(args: argparse.Namespace) -> int:
         with _signals_stop(frontend):
             frontend.start()
             backend = (
-                f"sharded x{scenario.shards} ({workers} worker(s))"
+                f"sharded x{scenario.shards} ({workers} lane(s))"
                 if scenario.shards
                 else "single engine"
             )

@@ -13,7 +13,8 @@ network service under measured load:
   through ``repro replay``; the engine side is the driver every run opens
   (:func:`repro.trace.session.open_driver`) — the single-engine runner
   applying windows inline, or the shard coordinator pipelining them to
-  worker processes (``serve --shards W``) — the same driver ``replay``
+  W execution lanes (``serve --shards W``: this process and W−1 worker
+  processes) — the same driver ``replay``
   rebuilds;
 * :mod:`repro.service.frontend` — :class:`ServiceFrontend`: the TCP
   server, one stdlib ``selectors`` loop that reads, pumps one batch per

@@ -1,4 +1,4 @@
-"""Sharded execution: one scenario run split across worker processes.
+"""Sharded execution: one scenario run split across execution lanes.
 
 ``repro.shard`` is the first multi-process execution path for the engine
 itself (sweeps parallelise across independent runs; this parallelises
@@ -14,13 +14,14 @@ deterministic event router:
   pulled from the scenario's event source, or given by the live service or
   replay — routes each to its owning shard (joins to the least-loaded shard,
   leaves to the owner), and dispatches per-shard batches to
-  :class:`~repro.shard.worker.ShardWorker` processes in *windows* that never
+  :class:`~repro.shard.worker.ShardWorker` lanes (lane 0 in this process,
+  the rest in worker processes) in *windows* that never
   straddle a multiple of ``barrier_interval`` admitted events;
 * at every such multiple (a barrier), at most one cross-shard move runs: one
   planned list ``(src, dst, directory.emigrants(src, count))`` of explicit
   ``(gid, role)`` pairs — never shared memory — so the whole run is
-  replayable and bit-identical **regardless of the worker-process count**
-  (``workers=1`` runs the same logical shards inline and is the correctness
+  replayable and bit-identical **regardless of the lane count**
+  (``workers=1`` runs every logical shard inline and is the correctness
   oracle);
 * the merge layer (:mod:`repro.shard.merge`) recombines per-shard
   observation batches at flush boundaries into composite step records — the

@@ -40,11 +40,17 @@ checkpoint/resume segments.
 single-engine runner (:func:`~repro.scenarios.runner.run_windows`) over the
 two halves; it routes window *k+1* while the workers execute window *k*
 (never for a ``paced`` source).
-``workers=1`` executes the same logical shards through the in-process
-:class:`~repro.shard.worker.InlineTransport` and is the correctness oracle
-the property tests compare against.  ``phase_times`` accumulates a
-per-phase wall-time breakdown (route / serialize / worker_execute / merge /
-idle) that the throughput benchmark records next to its rates.
+
+**Lanes.**  ``workers=W`` runs W execution lanes: this process and W−1
+worker processes.  Lane 0 hosts the lowest-numbered shards and executes
+them in this process through :class:`~repro.shard.worker.InlineTransport`,
+lazily, when :meth:`~ShardCoordinator.serve_collect` receives them — first,
+in shard order, so it runs beside the worker processes
+(:class:`~repro.shard.worker.ProcessTransport`), never after them.
+``workers=1`` is all-inline and is the correctness oracle the property
+tests compare against.  ``phase_times`` accumulates a per-phase wall-time
+breakdown (route / serialize / worker_execute / merge / idle) that the
+throughput benchmark records next to its rates.
 
 Two semantics differ from the single-engine runner, both window-granular by
 construction and documented in ``docs/SHARDING.md``:
@@ -101,13 +107,13 @@ _SHARD_OPTION_KEYS = {"barrier_interval", "rebalance_threshold", "min_shard_size
 
 
 class ShardCoordinator(WindowDriver):
-    """Runs one scenario as ``scenario.shards`` engines across worker processes.
+    """Runs one scenario as ``scenario.shards`` engines over execution lanes.
 
-    ``workers`` is an execution choice only (clamped to ``[1, shards]``);
-    the logical shard count — and therefore every result bit — comes from
-    the scenario, ``shard_options`` included.  ``workers=1`` executes inline
-    in this process.  ``checkpoint`` is a loaded ``repro-checkpoint``
-    document of kind ``"sharded"`` to continue from.
+    ``workers`` is an execution choice only (clamped to ``[1, shards]``):
+    W execution lanes, this process and W−1 worker processes.  The logical
+    shard count — and therefore every result bit — comes from the scenario,
+    ``shard_options`` included.  ``checkpoint`` is a loaded
+    ``repro-checkpoint`` document of kind ``"sharded"`` to continue from.
     """
 
     #: The ``engine`` kind this driver stamps on trace headers and checkpoints.
@@ -215,8 +221,9 @@ class ShardCoordinator(WindowDriver):
         self.windows_pipelined = 0
         #: Cumulative per-phase wall seconds across ``run`` calls.
         #: ``route``/``serialize``/``merge`` are coordinator work;
-        #: ``worker_execute`` sums the workers' self-timed apply seconds
-        #: (an aggregate across processes, so it can exceed wall time);
+        #: ``worker_execute`` sums the lanes' self-timed apply seconds
+        #: (an aggregate across lanes, so it can exceed wall time; lane 0
+        #: executes inside the receive of :meth:`serve_collect`);
         #: ``idle`` is coordinator time blocked on apply replies beyond the
         #: matching self-timed seconds — the residual pipelining removes.
         self.phase_times: Dict[str, float] = {key: 0.0 for key in PHASE_KEYS}
@@ -228,23 +235,26 @@ class ShardCoordinator(WindowDriver):
         restore: Optional[Dict[int, Dict[str, Any]]],
         checkpoint: Optional[Dict[str, Any]],
     ) -> None:
-        """Start the workers, then build the composite state over them.
+        """Start the lanes, then build the composite state over them.
 
-        Every worker process is started before any bootstrap
-        acknowledgement is awaited, so the shard engines bootstrap in
-        parallel.
+        Lane 0 runs in this process (:class:`~repro.shard.worker.
+        InlineTransport`); lanes 1…W−1 are worker processes.  Every process
+        lane is forked before lane 0 bootstraps and before any bootstrap
+        acknowledgement is awaited, so all lanes bootstrap in parallel and
+        no child inherits lane 0's engines.
         """
         scenario_data = scenario.to_dict()
-        transport_cls = InlineTransport if self.workers == 1 else ProcessTransport
-        for worker in range(self.workers):
+        # Start order, which is also ``_transports`` order: lanes 1…W−1, then 0.
+        for lane in [*range(1, self.workers), 0]:
             hosted = [
                 shard
                 for shard in range(self.shards)
-                if shard * self.workers // self.shards == worker
+                if shard * self.workers // self.shards == lane
             ]
             hosted_restore = (
                 {shard: restore[shard] for shard in hosted} if restore else None
             )
+            transport_cls = ProcessTransport if lane else InlineTransport
             transport = transport_cls(scenario_data, hosted, sizes0, restore=hosted_restore)
             self._transports.append(transport)
             for shard in hosted:
@@ -292,7 +302,13 @@ class ShardCoordinator(WindowDriver):
     def _gather_shards(
         self, requests: List[Tuple[int, tuple]], method: str
     ) -> Dict[int, Any]:
-        """Run ``method(shard, *args)`` for each request, overlapping workers."""
+        """Run ``method(shard, *args)`` for each request, overlapping lanes.
+
+        Everything is sent before anything is received, and replies are
+        received in request (shard) order: lane 0 hosts the lowest shards,
+        so its commands execute first, while the worker processes execute
+        theirs.  Received last, lane 0 would run after them, not beside them.
+        """
         order: List[Tuple[int, Any]] = []
         for shard, args in requests:
             transport = self._transport_of[shard]
@@ -434,6 +450,9 @@ class ShardCoordinator(WindowDriver):
         phase = self.phase_times
         perf = time.perf_counter
         replies: Dict[int, Dict[str, Any]] = {}
+        # Shard order, as dispatched: lane 0's shards come first, so lane 0
+        # executes its batches here while the worker processes execute theirs
+        # (see _gather_shards).
         for shard, transport in token["order"]:
             clock = perf()
             reply = transport.recv()

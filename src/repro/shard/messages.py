@@ -37,14 +37,14 @@ Worker commands stay ``(method, args)`` pairs executed by the worker loop
 
 Packed event record (struct format ``<IBIBBi``, 15 bytes)::
 
-    field    type  meaning
-    -------  ----  --------------------------------------------------
-    step     u32   coordinator step index of the event
-    kind     u8    churn kind (index into the module kind table)
-    gid      u32   global node id
-    role     u8    node role (index into the NodeRole enum order)
-    fresh    u8    1 when the join allocates a brand-new identity
-    contact  i32   the join's contact cluster's local id (-1 encodes null)
+    field      type  meaning
+    ---------  ----  ------------------------------------------------
+    step       u32   coordinator step index of the event
+    kind       u8    churn kind (index into the module kind table)
+    gid        u32   global node id
+    role       u8    node role (index into the NodeRole enum order)
+    anonymous  u8    1 when the join names no node (its record's n is null)
+    contact    i32   the join's contact cluster's local id (-1 encodes null)
 
 Packed observation row (struct format ``<IBBiIIdBIIQ``, 43 bytes)::
 
@@ -53,7 +53,7 @@ Packed observation row (struct format ``<IBBiIIdBIIQ``, 43 bytes)::
     step      u32   coordinator step index (merge-order check)
     kind      u8    churn kind code
     role      u8    node role code
-    node      i32   input event node id (-1 encodes null: fresh join)
+    node      i32   input event node id (-1 encodes null: anonymous join)
     assigned  u32   global id the event acted on
     clusters  u32   shard cluster count after the event
     worst     f64   shard worst corruption fraction (bit-exact)
@@ -86,7 +86,7 @@ SHARD_SEED_OFFSET = 1000
 
 #: One routed event on the wire, and its field names in packing order.
 EVENT_RECORD = struct.Struct("<IBIBBi")
-EVENT_FIELDS = ("step", "kind", "gid", "role", "fresh", "contact")
+EVENT_FIELDS = ("step", "kind", "gid", "role", "anonymous", "contact")
 #: One observation row on the wire (see the module docstring field table).
 ROW_RECORD = struct.Struct("<IBBiIIdBIIQ")
 ROW_FIELDS = (
@@ -99,7 +99,7 @@ KIND_CODES = {value: index for index, value in enumerate(KINDS)}
 ROLES: List[str] = [role.value for role in NodeRole]
 ROLE_CODES = {value: index for index, value in enumerate(ROLES)}
 
-#: What ``iter_events`` yields: step, kind, gid, role, fresh, contact.
+#: What ``iter_events`` yields: step, kind, gid, role, anonymous, contact.
 WireEvent = Tuple[int, str, int, str, bool, Optional[int]]
 #: The 11-field observation row shape shared by worker, wire and merger.
 WireRow = Tuple[int, str, str, Any, int, int, float, Any, int, int, int]
@@ -146,6 +146,8 @@ class RoutedEvent(NamedTuple):
     stamps it onto the composite step record, so record sizes are exact even
     though shards apply their batches concurrently — and ``contact``, a
     join's contact cluster by its composite name (:func:`cluster_name`).
+    ``anonymous`` is True for a join whose event named no node: only its
+    record's ``n`` is null, whether or not the identity is brand new.
     """
 
     shard: int
@@ -153,7 +155,7 @@ class RoutedEvent(NamedTuple):
     kind: str
     node_id: int
     role: str
-    fresh: bool
+    anonymous: bool
     size_after: int
     contact: Optional[int] = None
 
@@ -165,8 +167,8 @@ def iter_events(payload: EventBatch) -> Iterator[WireEvent]:
     """Yield wire-event tuples from a packed blob."""
     kinds = KINDS
     roles = ROLES
-    for step, kind, gid, role, fresh, contact in EVENT_RECORD.iter_unpack(payload):
-        yield (step, kinds[kind], gid, roles[role], bool(fresh), None if contact < 0 else contact)
+    for step, kind, gid, role, anonymous, contact in EVENT_RECORD.iter_unpack(payload):
+        yield (step, kinds[kind], gid, roles[role], bool(anonymous), None if contact < 0 else contact)
 
 
 # ----------------------------------------------------------------------

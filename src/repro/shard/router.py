@@ -301,7 +301,8 @@ class EventRouter:
             contact = event.contact_cluster
             if event.kind is ChurnKind.JOIN:
                 shard, local = (None, -1) if contact is None else cluster_address(contact, shards)
-                shard, node_id, role, fresh = place_join(event.node_id, event.role, step, shard)
+                anonymous = event.node_id is None
+                shard, node_id, role, _fresh = place_join(event.node_id, event.role, step, shard)
                 kind, kind_code = JOIN, join_code
             else:
                 node_id = event.node_id
@@ -310,18 +311,18 @@ class EventRouter:
                         "a leave event must name the departing node"
                     )
                 shard = remove_leave(node_id, step)
-                role, fresh, contact, local = event.role, False, None, -1
+                role, anonymous, contact, local = event.role, False, None, -1
                 kind, kind_code = LEAVE, leave_code
             role_value = role.value
             routed.append(
                 RoutedEvent(
-                    shard, step, kind, node_id, role_value, fresh, active_count(), contact
+                    shard, step, kind, node_id, role_value, anonymous, active_count(), contact
                 )
             )
             buffer = buffers.get(shard)
             if buffer is None:
                 buffer = buffers[shard] = bytearray()
-            values = (step, kind_code, node_id, role_codes[role_value], fresh, local)
+            values = (step, kind_code, node_id, role_codes[role_value], anonymous, local)
             try:
                 buffer.extend(pack(*values))
             except struct.error:

@@ -30,10 +30,11 @@ Workers never see global state: every event arrives naming a *global* node
 id, and the slot's ``g2l``/``l2g`` maps translate to the shard-local
 identity space.
 
-:class:`InlineTransport` executes commands in-process (``workers=1``, the
-correctness oracle); :class:`ProcessTransport` runs the same worker behind a
-``multiprocessing`` pipe.  Both expose send-all-then-recv-all so the
-coordinator overlaps the shards' work each window.
+:class:`InlineTransport` executes commands in the coordinator's process
+(lane 0 of every coordinator; all of ``workers=1``, the correctness
+oracle); :class:`ProcessTransport` runs the same worker behind a
+``multiprocessing`` pipe (lanes 1…W−1).  Both expose send-all-then-recv-all
+so the coordinator overlaps the lanes' work each window.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 import traceback
+import weakref
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.engine import EngineConfig, NowEngine
@@ -164,7 +166,7 @@ class ShardWorker:
         plus the shard-local observables the merge layer folds into
         composite step records: ``(step, kind, role, node_id, assigned,
         clusters, worst, operation, messages, rounds, walk_hops)``.
-        ``node_id`` is ``None`` for a fresh join (mirroring the classic
+        ``node_id`` is ``None`` for an anonymous join (mirroring the classic
         record, whose event names no id) and the global id otherwise.
         ``elapsed`` is the worker's own execution wall time, the
         ``worker_execute`` input of the coordinator's phase breakdown.
@@ -173,7 +175,7 @@ class ShardWorker:
         slot = self._slot(shard)
         engine = slot.engine
         rows: List[tuple] = []
-        for step, kind, gid, role_value, fresh, contact in iter_events(batch):
+        for step, kind, gid, role_value, anonymous, contact in iter_events(batch):
             if kind == JOIN:
                 local = slot.g2l.get(gid)
                 report = engine.apply_event(
@@ -194,7 +196,7 @@ class ShardWorker:
                         step,
                         kind,
                         role_value,
-                        None if (kind == JOIN and fresh) else gid,
+                        None if anonymous else gid,
                         gid,
                         report.cluster_count,
                         report.worst_byzantine_fraction,
@@ -270,14 +272,15 @@ class ShardWorker:
 # Transports
 # ----------------------------------------------------------------------
 class InlineTransport:
-    """Executes worker commands in the coordinator process (``workers=1``).
+    """Executes worker commands in the coordinator process (lane 0).
 
     Commands queue on ``send`` and execute lazily on ``recv`` — the same
     FIFO discipline as the process pipe.  That keeps the pipelined
-    dispatch order identical across transports, and it keeps the
-    coordinator's phase breakdown honest at ``workers=1``: worker
-    execution time lands in the recv window, where the coordinator
-    accounts for it, not inside ``send``.
+    dispatch order identical across transports, it lets lane 0 execute
+    while the worker processes execute the commands sent to them, and it
+    keeps the coordinator's phase breakdown honest: lane 0's execution
+    time lands in the recv window, where the coordinator accounts for it,
+    not inside ``send``.  A command that raises raises here, unwrapped.
     """
 
     def __init__(
@@ -304,6 +307,13 @@ class InlineTransport:
         self._pending.clear()
 
 
+#: The parent ends of every live worker pipe of this process.  A forked
+#: worker closes its copies first thing: while any process still holds a
+#: pipe's parent end, its worker never reads EOF, and it would outlive a
+#: killed coordinator (holding the coordinator's stdout and stderr open).
+_PARENT_ENDS: weakref.WeakSet = weakref.WeakSet()
+
+
 def worker_main(
     conn,
     scenario_data: Dict[str, Any],
@@ -311,7 +321,10 @@ def worker_main(
     sizes: Sequence[int],
     restore: Optional[Dict[int, Dict[str, Any]]] = None,
 ) -> None:
-    """Child-process loop: execute ``(method, args)`` commands until ``stop``."""
+    """Child-process loop: execute ``(method, args)`` commands until ``stop``
+    or EOF (the coordinator closed its end, or died)."""
+    for inherited in list(_PARENT_ENDS):
+        inherited.close()
     try:
         worker = ShardWorker(scenario_data, shard_ids, sizes, restore=restore)
     except BaseException:
@@ -325,10 +338,13 @@ def worker_main(
         except EOFError:
             break
         try:
-            payload = getattr(worker, method)(*args)
-            conn.send((True, payload))
+            reply = (True, getattr(worker, method)(*args))
         except BaseException:
-            conn.send((False, traceback.format_exc()))
+            reply = (False, traceback.format_exc())
+        try:
+            conn.send(reply)
+        except OSError:
+            break  # the coordinator closed its end, or died, before this reply
         if method == "stop":
             break
     conn.close()
@@ -354,6 +370,7 @@ class ProcessTransport:
         except ValueError:  # pragma: no cover - non-POSIX platforms
             ctx = multiprocessing.get_context()
         self._conn, child = ctx.Pipe()
+        _PARENT_ENDS.add(self._conn)
         self._process = ctx.Process(
             target=worker_main,
             args=(child, dict(scenario_data), list(shard_ids), list(sizes), restore),

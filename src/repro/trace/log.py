@@ -15,7 +15,7 @@ mixed freely.  The frames, whose keys :data:`HEADER_FIELDS`,
   engine, an exchange pass drawing its walks as one batch; a trace of any
   other version is refused by version.
 * ``ev`` (one per applied churn event) is the *input* event exactly as it
-  was handed to ``apply_event`` (``n`` stays null for fresh joins; ``a`` is
+  was handed to ``apply_event`` (``n`` stays null for joins that name no node; ``a`` is
   the id the engine assigned) plus the step's observables, which make every
   event a determinism check in replay and let ``trace-diff`` pinpoint the
   first diverging event.

@@ -254,8 +254,9 @@ def record_scenario(
     *sequence* of runs can also resume from a completed run's end state.
 
     ``trace_format`` / ``flush_every`` select the trace's physical encoding
-    and write-buffer cadence.  ``workers`` (worker processes) applies to
-    sharded scenarios only and never changes a result bit.
+    and write-buffer cadence.  ``workers`` (execution lanes: this
+    process and ``workers - 1`` worker processes) applies to sharded
+    scenarios only and never changes a result bit.
     """
     if checkpoint_path is None:
         if checkpoint_every is not None:

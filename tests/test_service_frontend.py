@@ -16,6 +16,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -617,6 +618,29 @@ def kill_serve(server):
     server.communicate()
 
 
+def children_of(pid):
+    """The pids whose parent is ``pid``, read from ``/proc``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
+def is_running(pid):
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
 def half_closed_exchange(port, data):
     """Send ``data``, half-close, and return every answer until the server closes."""
     with socket.create_connection(("127.0.0.1", port), timeout=30) as client:
@@ -697,3 +721,22 @@ class TestServeProcess:
         assert "shutdown: received SIGTERM" in stdout, stdout
         assert TraceReader(trace).end_frame() is not None
         assert replay_trace(trace).ok
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads processes from /proc")
+    def test_shard_workers_exit_when_the_server_alone_is_killed(self):
+        """``serve --shards 3`` runs lane 0 itself and forks two workers.
+        SIGKILL of the server alone (not its process group): each worker
+        reads EOF on its pipe and exits, so none holds the server's stdout
+        and stderr open and ``communicate()`` returns."""
+        server, _port = launch_serve("--shards", "3")
+        try:
+            workers = children_of(server.pid)
+            assert len(workers) == 2, workers
+            server.kill()
+            server.communicate(timeout=5)
+            deadline = time.monotonic() + 5.0
+            while any(map(is_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(is_running, workers)), workers
+        finally:
+            kill_serve(server)

@@ -23,7 +23,7 @@ from repro.service.frontend import ServiceFrontend
 from repro.service.protocol import ProtocolError
 from repro.shard import ShardWorkerError
 from repro.shard.messages import cluster_address
-from repro.shard.worker import ProcessTransport
+from repro.shard.worker import InlineTransport, ProcessTransport
 from repro.trace import TraceReader, replay_trace
 
 from service_helpers import SIZES, LoopClient, frames_from_ops, normalise, pump
@@ -199,6 +199,31 @@ class TestServeTraceReplay:
         assert report.hash_checks >= 1
         assert report.final_hash == recorded_hash
 
+    def test_a_named_fresh_join_records_its_id_and_replays(self, tmp_path):
+        """A join naming an id no node had (the next fresh id + 5) records
+        that id as its ``n``, an anonymous join records null, and the
+        recording replays; 1 and 2 lanes write the same bytes."""
+        traces = {}
+        for workers in (1, 2):
+            path = str(tmp_path / f"named-w{workers}.jsonl")
+            session = make_session(seed=3, workers=workers)
+            try:
+                session.attach_trace(path)
+                named = session.network_size + 5
+                assert session.execute({"op": "join", "node_id": named})["node_id"] == named
+                anonymous = session.execute({"op": "join"})["node_id"]
+            finally:
+                session.close()
+            events = TraceReader(path).events()
+            assert [(frame["n"], frame["a"]) for frame in events] == [
+                (named, named),
+                (None, anonymous),
+            ]
+            assert replay_trace(path).ok
+            with open(path, "rb") as handle:
+                traces[workers] = handle.read()
+        assert traces[2] == traces[1]
+
     def test_replay_detects_tampered_event(self, tmp_path):
         path = str(tmp_path / "serve.jsonl")
         session = make_session(seed=13)
@@ -247,6 +272,40 @@ class TestWorkerDeath:
         assert session.closed
         # The crash path flushes but writes no end frame: the crashed-run
         # shape replay tolerates up to the last complete frame.
+        trace = TraceReader(path)
+        assert trace.end_frame() is None
+        assert replay_trace(path).ok
+
+    def test_lane_zero_raising_mid_load_fails_requests_and_seals_trace(self, tmp_path):
+        """Lane 0 runs in the serving process: a command raising there is a
+        failed window like a worker's death — in-flight requests answered
+        ``failed``, the trace sealed crashed-shape, no worker left running."""
+        path = str(tmp_path / "lane0.jsonl")
+        session = make_session(seed=17, workers=2)
+        session.attach_trace(path)
+        frontend = ServiceFrontend(session, port=0)
+        frontend.start()
+        client = LoopClient(frontend)
+        assert client.rpc({"op": "join", "id": "warm"})["ok"]
+        transports = session.driver._transports
+        (inline,) = [t for t in transports if isinstance(t, InlineTransport)]
+        workers = [t._process for t in transports if isinstance(t, ProcessTransport)]
+        assert len(workers) == 1
+
+        def apply(*_args):
+            raise RuntimeError("lane 0 failed")
+
+        inline.worker.apply = apply
+        client.send(*({"op": "join", "id": index} for index in range(12)))
+        responses = client.answers(12)
+        failed = [r for r in responses if not r["ok"]]
+        assert failed, "the failing lane produced no failed responses"
+        assert all(r["error"] in ("failed", "shutting_down") for r in failed)
+        client.close()
+        with pytest.raises(RuntimeError, match="lane 0 failed"):
+            frontend.stop()
+        assert session.closed
+        assert not any(process.is_alive() for process in workers)
         trace = TraceReader(path)
         assert trace.end_frame() is None
         assert replay_trace(path).ok

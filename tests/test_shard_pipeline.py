@@ -32,7 +32,7 @@ from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.scenarios.probes import CorruptionTrajectoryProbe, CostLedgerProbe
 from repro.shard import PHASE_KEYS, ShardCoordinator, ShardWorkerError
-from repro.shard.worker import ShardWorker
+from repro.shard.worker import InlineTransport, ProcessTransport, ShardWorker
 from repro.trace import record_scenario, resume_from_checkpoint, trace_diff
 
 from reference_loop import serial_record, serial_run
@@ -198,10 +198,15 @@ def test_stop_conditions_disable_pipelining_and_match_serial():
 # ----------------------------------------------------------------------
 def test_worker_killed_mid_run_raises_shard_worker_error():
     coordinator = ShardCoordinator(_scenario(steps=2000), workers=2)
-    processes = [transport._process for transport in coordinator._transports]
+    # Lane 0 runs in this process; lane 1 is the one worker process.
+    processes = [
+        transport._process
+        for transport in coordinator._transports
+        if isinstance(transport, ProcessTransport)
+    ]
     try:
         coordinator.run(50)  # healthy windows first
-        victim = processes[1]
+        (victim,) = processes
         victim.kill()
         victim.join(5)
         with pytest.raises(ShardWorkerError, match="died mid-command"):
@@ -215,7 +220,11 @@ def test_worker_killed_mid_run_raises_shard_worker_error():
 def test_worker_exception_carries_remote_traceback():
     coordinator = ShardCoordinator(_scenario(), workers=2)
     try:
-        transport = coordinator._transports[0]
+        (transport,) = [
+            transport
+            for transport in coordinator._transports
+            if isinstance(transport, ProcessTransport)
+        ]
         transport.send("state_hash", 999)  # unhosted shard
         with pytest.raises(ShardWorkerError, match="ConfigurationError"):
             transport.recv()
@@ -252,6 +261,30 @@ def test_workers_bootstrap_in_parallel(monkeypatch, tmp_path):
     monkeypatch.setattr(ShardWorker, "__init__", bootstrap)  # forked workers inherit it
     coordinator = ShardCoordinator(_scenario(shards=2), workers=2)
     coordinator.close()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_lane_zero_runs_in_this_process(workers):
+    """``workers=W`` forks W−1 worker processes: lane 0, the lowest shards,
+    executes inline; close() reaps every child."""
+    before = set(multiprocessing.active_children())
+    coordinator = ShardCoordinator(_scenario(shards=4), workers=workers)
+    try:
+        assert len(set(multiprocessing.active_children()) - before) == workers - 1
+        inline = coordinator._transport_of[0]
+        assert isinstance(inline, InlineTransport)
+        assert sorted(inline.worker.slots) == [
+            shard for shard in range(4) if shard * workers // 4 == 0
+        ]
+        assert all(
+            isinstance(coordinator._transport_of[shard], ProcessTransport)
+            for shard in range(4)
+            if shard not in inline.worker.slots
+        )
+        coordinator.run(40)
+    finally:
+        coordinator.close()
+    assert set(multiprocessing.active_children()) <= before
 
 
 def test_a_failed_bootstrap_leaves_no_worker_behind(monkeypatch):

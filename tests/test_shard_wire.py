@@ -54,14 +54,14 @@ def pack_events(rows):
     raises :class:`WireRangeError` naming the field a row cannot fit.
     """
     parts = []
-    for step, kind, gid, role, fresh, contact in rows:
+    for step, kind, gid, role, anonymous, contact in rows:
         # An unknown kind/role stays itself, so the refusal can name it.
         values = (
             step,
             KIND_CODES.get(kind, kind),
             gid,
             ROLE_CODES.get(role, role),
-            bool(fresh),
+            bool(anonymous),
             -1 if contact is None else contact,
         )
         try:
@@ -228,12 +228,13 @@ def _next_event_from(script):
 def _route_one(directory, event, step):
     """One event through the directory's placement rules: the serial oracle."""
     if event.kind is ChurnKind.JOIN:
-        shard, node_id, role, fresh = directory.place_join(event.node_id, event.role, step)
+        anonymous = event.node_id is None
+        shard, node_id, role, _fresh = directory.place_join(event.node_id, event.role, step)
         kind = JOIN
     else:
         shard = directory.remove_leave(event.node_id, step)
-        node_id, role, fresh, kind = event.node_id, event.role, False, LEAVE
-    return RoutedEvent(shard, step, kind, node_id, role.value, fresh, directory.active_count())
+        node_id, role, anonymous, kind = event.node_id, event.role, False, LEAVE
+    return RoutedEvent(shard, step, kind, node_id, role.value, anonymous, directory.active_count())
 
 
 def _serial_windows(script, directory, limit, max_idle_streak):
@@ -266,7 +267,7 @@ def _serial_windows(script, directory, limit, max_idle_streak):
 
 
 def _wire(routed):
-    return (routed.step, routed.kind, routed.node_id, routed.role, routed.fresh, routed.contact)
+    return (routed.step, routed.kind, routed.node_id, routed.role, routed.anonymous, routed.contact)
 
 
 def _batched_windows(script, directory, limit, max_idle_streak):
